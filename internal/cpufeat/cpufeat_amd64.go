@@ -1,0 +1,59 @@
+//go:build amd64 && !purego
+
+package cpufeat
+
+// cpuid executes CPUID with the given leaf and sub-leaf. Implemented in
+// cpufeat_amd64.s.
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv0 reads the low half of XCR0 (every state bit defined so far).
+// Only valid when CPUID.1:ECX.OSXSAVE is set. Implemented in
+// cpufeat_amd64.s.
+func xgetbv0() uint32
+
+// Feature bits of the running CPU. The wide-register features are true
+// only if the OS also saves that register state across context switches
+// (XCR0): YMM for AVX2 and VAES, opmask+ZMM on top for AVX512BW.
+var (
+	// AESNI: AESENC / AESENCLAST on XMM registers.
+	AESNI bool
+	// SSSE3: PSHUFB, which the AES kernels' key schedule is built on.
+	SSSE3 bool
+	// AVX2: 256-bit integer SIMD, OS-enabled.
+	AVX2 bool
+	// VAES: AESENC / AESENCLAST on registers wider than XMM — YMM as is,
+	// ZMM together with AVX512BW.
+	VAES bool
+	// AVX512BW: AVX-512 foundation plus the byte/word instructions
+	// (VPSHUFB and VPSLLDQ on ZMM registers), OS-enabled.
+	AVX512BW bool
+)
+
+func init() {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 1 {
+		return
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	SSSE3 = ecx1&(1<<9) != 0
+	AESNI = ecx1&(1<<25) != 0
+
+	// YMM instructions need three things, not one: the CPU reports
+	// OSXSAVE+AVX, the OS has enabled XMM+YMM state saving (XCR0 bits 2:1),
+	// and only then do the leaf-7 bits mean the instructions are usable.
+	const osxsaveAVX = 1<<27 | 1<<28
+	if ecx1&osxsaveAVX != osxsaveAVX || maxLeaf < 7 {
+		return
+	}
+	xcr0 := xgetbv0()
+	if xcr0&6 != 6 {
+		return
+	}
+	_, ebx7, ecx7, _ := cpuid(7, 0)
+	AVX2 = ebx7&(1<<5) != 0
+	VAES = ecx7&(1<<9) != 0
+	// ZMM state is three more XCR0 bits: opmask, ZMM0-15 upper halves,
+	// ZMM16-31.
+	const avx512fBW = 1<<16 | 1<<30
+	AVX512BW = xcr0&0xe0 == 0xe0 && ebx7&avx512fBW == avx512fBW
+}

@@ -1,0 +1,42 @@
+//go:build amd64 && !purego
+
+package cpufeat
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestProbeMatchesKernelFlags cross-checks the probe against the flags
+// line the Linux kernel derives from the same CPUID leaves (and its own
+// XCR0 set-up): a bit decoded from the wrong register or position shows
+// up as a disagreement on any host that has the feature.
+func TestProbeMatchesKernelFlags(t *testing.T) {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo to compare against: %v", err)
+	}
+	var flags map[string]bool
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = make(map[string]bool)
+			for _, f := range strings.Fields(val) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if flags == nil {
+		t.Skip("/proc/cpuinfo has no flags line")
+	}
+	for _, c := range []struct {
+		flag string
+		got  bool
+	}{{"aes", AESNI}, {"ssse3", SSSE3}, {"avx2", AVX2}, {"vaes", VAES},
+		{"avx512bw", AVX512BW}} {
+		if c.got != flags[c.flag] {
+			t.Errorf("probe says %s=%v, /proc/cpuinfo says %v", c.flag, c.got, flags[c.flag])
+		}
+	}
+}

@@ -1,0 +1,12 @@
+//go:build !amd64 || purego
+
+package cpufeat
+
+// Non-amd64 builds (and -tags purego) have no asm kernels to select.
+const (
+	AESNI    = false
+	SSSE3    = false
+	AVX2     = false
+	VAES     = false
+	AVX512BW = false
+)

@@ -21,8 +21,63 @@ func NewAESPRG() *AESPRG { return &AESPRG{} }
 // Name implements PRG.
 func (*AESPRG) Name() string { return "aes128" }
 
-// Expand implements PRG.
+// aesChunk is how many parents the batched steps expand per kernel call:
+// 1 KiB of seeds in, 2 KiB of children out, so the children are still in
+// L1 when the Go-side correction pass reads them back.
+const aesChunk = 64
+
+// aesExpandNodes writes every seed's raw children — control bits still in
+// place — into out in leaf order: out[2i], out[2i+1] = E_seeds[i](0),
+// E_seeds[i](1). len(out) must be 2·len(seeds). This is the one entry
+// point every AES expansion goes through; GGM rekeys at every node (the
+// cost §3.2.6 pins as the bottleneck), so neither body touches the heap:
+// the asm kernels keep the key schedule in registers, the portable body
+// expands it into stack scratch re-keyed per node.
+func aesExpandNodes(out, seeds []Seed) {
+	if aesniOK {
+		aesniExpandNodes(out, seeds)
+		return
+	}
+	aesExpandNodesGo(out, seeds)
+}
+
+// aesExpandNodesGo is aesExpandNodes' portable body: T-table AES with the
+// two serial key schedules of a node pair interleaved.
+func aesExpandNodesGo(out, seeds []Seed) {
+	var rkA, rkB aesRoundKeys
+	i := 0
+	for ; i+1 < len(seeds); i += 2 {
+		expand2(&rkA, &rkB, &seeds[i], &seeds[i+1])
+		rkA.encryptPair(&out[2*i], &out[2*i+1])
+		rkB.encryptPair(&out[2*i+2], &out[2*i+3])
+	}
+	if i < len(seeds) {
+		rkA.expand(&seeds[i])
+		rkA.encryptPair(&out[2*i], &out[2*i+1])
+	}
+}
+
+// Expand implements PRG. With hardware AES the node rides one lane of the
+// batch kernel — no cipher object, no allocation; crypto/aes is the body
+// everywhere else (and the reference the kernel tests compare against).
 func (*AESPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
+	if aesniOK {
+		seed := [1]Seed{s}
+		var kids [2]Seed
+		aesniExpandNodes(kids[:], seed[:])
+		left, right = kids[0], kids[1]
+	} else {
+		left, right = aesExpandStdlib(s)
+	}
+	tL, tR = clearControlBits(&left, &right)
+	return
+}
+
+// aesExpandStdlib is one node's raw children through crypto/aes. It is a
+// function of its own because cipher.Block's interface calls make the
+// output blocks escape; inside Expand that would cost the kernel path two
+// heap allocations it has no use for.
+func aesExpandStdlib(s Seed) (left, right Seed) {
 	c, err := aes.NewCipher(s[:])
 	if err != nil {
 		// aes.NewCipher only fails on bad key length; a Seed is 16 bytes.
@@ -32,147 +87,130 @@ func (*AESPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
 	c.Encrypt(left[:], in[:])
 	in[0] = 1
 	c.Encrypt(right[:], in[:])
-	tL, tR = clearControlBits(&left, &right)
 	return
 }
 
-// ExpandBatch implements PRG. Instead of aes.NewCipher per node (a heap
-// allocation plus cipher.Block indirection, the GGM-rekey cost §3.2.6 pins
-// as the bottleneck), the key schedule is expanded into stack scratch that
-// is re-keyed for every seed — the whole frontier advances with zero
-// allocations.
+// ExpandBatch implements PRG: the frontier goes through aesExpandNodes a
+// chunk at a time and the interleaved children are dealt out to left and
+// right with their control bits peeled — zero allocations.
 func (*AESPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8) {
-	if aesniOK {
-		// Two nodes per asm call: the pair-interleaved schedules hide the
-		// AESKEYGENASSIST ladder's serial latency (the same pairing the
-		// pure-Go expand2 path below does in software).
-		i := 0
-		for ; i+1 < len(seeds); i += 2 {
-			aesniExpandPair2(&seeds[i], &seeds[i+1],
-				&left[i], &right[i], &left[i+1], &right[i+1])
-			tL[i], tR[i] = clearControlBits(&left[i], &right[i])
-			tL[i+1], tR[i+1] = clearControlBits(&left[i+1], &right[i+1])
-		}
-		if i < len(seeds) {
-			aesniExpandPair(&seeds[i], &left[i], &right[i])
+	var buf [2 * aesChunk]Seed
+	for lo := 0; lo < len(seeds); lo += aesChunk {
+		hi := min(lo+aesChunk, len(seeds))
+		kids := buf[:2*(hi-lo)]
+		aesExpandNodes(kids, seeds[lo:hi])
+		for i := lo; i < hi; i++ {
+			left[i], right[i] = kids[2*(i-lo)], kids[2*(i-lo)+1]
 			tL[i], tR[i] = clearControlBits(&left[i], &right[i])
 		}
-		return
-	}
-	var rkA, rkB aesRoundKeys
-	i := 0
-	for ; i+1 < len(seeds); i += 2 {
-		expand2(&rkA, &rkB, &seeds[i], &seeds[i+1])
-		rkA.encryptPair(&left[i], &right[i])
-		rkB.encryptPair(&left[i+1], &right[i+1])
-		tL[i], tR[i] = clearControlBits(&left[i], &right[i])
-		tL[i+1], tR[i+1] = clearControlBits(&left[i+1], &right[i+1])
-	}
-	if i < len(seeds) {
-		rkA.expand(&seeds[i])
-		rkA.encryptPair(&left[i], &right[i])
-		tL[i], tR[i] = clearControlBits(&left[i], &right[i])
 	}
 }
 
 // stepBothBatch is the fused frontier advance StepBothBatch dispatches to
 // for AES: children are encrypted directly into next (interleaved leaf
-// order) and the correction word is applied in place — no intermediate
-// scratch buffers at all.
+// order) and corrected in place — no intermediate scratch buffers at all.
 func (*AESPRG) stepBothBatch(seeds []Seed, ts []uint8, cw CW, next []Seed, nextT []uint8) {
-	correct := func(i int) {
-		l, r := &next[2*i], &next[2*i+1]
-		lt := l[0] & 1
-		rt := r[0] & 1
-		l[0] &^= 1
-		r[0] &^= 1
-		if ts[i] == 1 {
-			xorSeedInto(l, &cw.S)
-			xorSeedInto(r, &cw.S)
-			lt ^= cw.TL
-			rt ^= cw.TR
-		}
-		nextT[2*i], nextT[2*i+1] = lt, rt
+	for lo := 0; lo < len(seeds); lo += aesChunk {
+		hi := min(lo+aesChunk, len(seeds))
+		kids := next[2*lo : 2*hi]
+		aesExpandNodes(kids, seeds[lo:hi])
+		correctChildren(kids, nextT[2*lo:2*hi], ts[lo:hi], cw)
 	}
-	if aesniOK {
-		i := 0
-		for ; i+1 < len(seeds); i += 2 {
-			aesniExpandPair2(&seeds[i], &seeds[i+1],
-				&next[2*i], &next[2*i+1], &next[2*i+2], &next[2*i+3])
-			correct(i)
-			correct(i + 1)
-		}
-		if i < len(seeds) {
-			aesniExpandPair(&seeds[i], &next[2*i], &next[2*i+1])
-			correct(i)
-		}
-		return
-	}
-	var rkA, rkB aesRoundKeys
-	i := 0
-	for ; i+1 < len(seeds); i += 2 {
-		expand2(&rkA, &rkB, &seeds[i], &seeds[i+1])
-		rkA.encryptPair(&next[2*i], &next[2*i+1])
-		rkB.encryptPair(&next[2*i+2], &next[2*i+3])
-		correct(i)
-		correct(i + 1)
-	}
-	if i < len(seeds) {
-		rkA.expand(&seeds[i])
-		rkA.encryptPair(&next[2*i], &next[2*i+1])
-		correct(i)
+}
+
+// correctedChild is one raw child turned into a node state: the control
+// bit is peeled from the low bit of the seed and, under the parent's mask
+// m (all ones when its control bit is set, else zero), the correction
+// word (s0, s1 and its bit ct) is XORed in. The parent bits of a real key
+// are pseudorandom, so a branch on them mispredicts every other node;
+// masking costs four ALU ops instead. -t is a valid mask because control
+// bits are always 0 or 1 (UnmarshalBinary rejects anything else).
+func correctedChild(c *Seed, s0, s1, m uint64, ct uint8) (w0, w1 uint64, t uint8) {
+	w0 = binary.LittleEndian.Uint64(c[0:8])
+	w1 = binary.LittleEndian.Uint64(c[8:16])
+	t = uint8(w0)&1 ^ ct&uint8(m)
+	return w0&^1 ^ s0&m, w1 ^ s1&m, t
+}
+
+// correctChildren corrects raw children in place (kids[2i], kids[2i+1]
+// from the parent with control bit ts[i]) and writes their control bits.
+func correctChildren(kids []Seed, kidT []uint8, ts []uint8, cw CW) {
+	s0 := binary.LittleEndian.Uint64(cw.S[0:8])
+	s1 := binary.LittleEndian.Uint64(cw.S[8:16])
+	for i, t := range ts {
+		m := -uint64(t)
+		l, r := &kids[2*i], &kids[2*i+1]
+		kt := kidT[2*i : 2*i+2]
+		l0, l1, lt := correctedChild(l, s0, s1, m, cw.TL)
+		r0, r1, rt := correctedChild(r, s0, s1, m, cw.TR)
+		binary.LittleEndian.PutUint64(l[0:8], l0)
+		binary.LittleEndian.PutUint64(l[8:16], l1)
+		binary.LittleEndian.PutUint64(r[0:8], r0)
+		binary.LittleEndian.PutUint64(r[8:16], r1)
+		kt[0], kt[1] = lt, rt
 	}
 }
 
 // stepLeafBatch is the fused final step StepLeafBatch dispatches to for
-// AES: each pipeline call expands a pair of terminal-frontier parents into
-// a stack buffer whose four children are corrected and converted straight
-// into the output lanes — the child seeds never touch a frontier or batch
-// scratch buffer, so the tree's widest level costs only the AES calls and
-// the conversion arithmetic.
+// AES: a chunk of terminal-frontier parents expands into a stack buffer
+// whose children are corrected and converted straight into the output
+// lanes — the child seeds never touch a frontier or batch scratch buffer,
+// so the tree's widest level costs only the AES kernel and the conversion
+// arithmetic.
 func (*AESPRG) stepLeafBatch(k *Key, seeds []Seed, ts []uint8, cw CW, dst []uint32) {
 	gl := k.GroupLanes()
-	var buf [4]Seed
-	correctConvert := func(i int, l, r *Seed) {
-		lt := l[0] & 1
-		rt := r[0] & 1
-		l[0] &^= 1
-		r[0] &^= 1
-		if ts[i] == 1 {
-			xorSeedInto(l, &cw.S)
-			xorSeedInto(r, &cw.S)
-			lt ^= cw.TL
-			rt ^= cw.TR
-		}
-		convertLeafGroup(k, l, lt, dst[2*i*gl:(2*i+1)*gl])
-		convertLeafGroup(k, r, rt, dst[(2*i+1)*gl:(2*i+2)*gl])
+	var buf [2 * aesChunk]Seed
+	for lo := 0; lo < len(seeds); lo += aesChunk {
+		hi := min(lo+aesChunk, len(seeds))
+		kids := buf[:2*(hi-lo)]
+		aesExpandNodes(kids, seeds[lo:hi])
+		correctConvert(k, kids, ts[lo:hi], cw, dst[2*lo*gl:2*hi*gl])
 	}
-	if aesniOK {
-		i := 0
-		for ; i+1 < len(seeds); i += 2 {
-			aesniExpandPair2(&seeds[i], &seeds[i+1], &buf[0], &buf[1], &buf[2], &buf[3])
-			correctConvert(i, &buf[0], &buf[1])
-			correctConvert(i+1, &buf[2], &buf[3])
-		}
-		if i < len(seeds) {
-			aesniExpandPair(&seeds[i], &buf[0], &buf[1])
-			correctConvert(i, &buf[0], &buf[1])
+}
+
+// correctConvert is correctChildren fused with the terminal conversion of
+// a scalar key, branch-free for the same reason: each corrected child's
+// seed words become its group's gl output lanes, plus the final
+// correction under the mask of the child's own control bit, negated for
+// party 1 ((v ^ neg) - neg is -v when neg is all ones, v when zero).
+func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
+	s0 := binary.LittleEndian.Uint64(cw.S[0:8])
+	s1 := binary.LittleEndian.Uint64(cw.S[8:16])
+	neg := -uint32(k.Party)
+	gl := k.GroupLanes()
+	if gl == 4 {
+		// The default early-termination depth: a child is exactly four
+		// lanes, so the lane loop unrolls into straight stores.
+		f0, f1, f2, f3 := k.Final[0], k.Final[1], k.Final[2], k.Final[3]
+		for i, t := range ts {
+			m := -uint64(t)
+			out := dst[8*i : 8*i+8]
+			l0, l1, lt := correctedChild(&kids[2*i], s0, s1, m, cw.TL)
+			r0, r1, rt := correctedChild(&kids[2*i+1], s0, s1, m, cw.TR)
+			lm, rm := -uint32(lt), -uint32(rt)
+			out[0] = ((uint32(l0) + f0&lm) ^ neg) - neg
+			out[1] = ((uint32(l0>>32) + f1&lm) ^ neg) - neg
+			out[2] = ((uint32(l1) + f2&lm) ^ neg) - neg
+			out[3] = ((uint32(l1>>32) + f3&lm) ^ neg) - neg
+			out[4] = ((uint32(r0) + f0&rm) ^ neg) - neg
+			out[5] = ((uint32(r0>>32) + f1&rm) ^ neg) - neg
+			out[6] = ((uint32(r1) + f2&rm) ^ neg) - neg
+			out[7] = ((uint32(r1>>32) + f3&rm) ^ neg) - neg
 		}
 		return
 	}
-	var rkA, rkB aesRoundKeys
-	i := 0
-	for ; i+1 < len(seeds); i += 2 {
-		expand2(&rkA, &rkB, &seeds[i], &seeds[i+1])
-		rkA.encryptPair(&buf[0], &buf[1])
-		rkB.encryptPair(&buf[2], &buf[3])
-		correctConvert(i, &buf[0], &buf[1])
-		correctConvert(i+1, &buf[2], &buf[3])
-	}
-	if i < len(seeds) {
-		rkA.expand(&seeds[i])
-		rkA.encryptPair(&buf[0], &buf[1])
-		correctConvert(i, &buf[0], &buf[1])
+	final := k.Final[:gl]
+	for i, t := range ts {
+		m := -uint64(t)
+		for side, ct := range [2]uint8{cw.TL, cw.TR} {
+			w0, w1, kt := correctedChild(&kids[2*i+side], s0, s1, m, ct)
+			words := [4]uint32{uint32(w0), uint32(w0 >> 32), uint32(w1), uint32(w1 >> 32)}
+			fm := -uint32(kt)
+			out := dst[(2*i+side)*gl:][:gl]
+			for j, f := range final {
+				out[j] = ((words[j] + f&fm) ^ neg) - neg
+			}
+		}
 	}
 }
 
@@ -199,11 +237,14 @@ func (*AESPRG) Fill(s Seed, dst []byte) {
 // block; there is no AES-NI equivalent on the SMs.
 func (*AESPRG) GPUCyclesPerBlock() float64 { return 2500 }
 
-// CPUCyclesPerBlock implements PRG. With AES-NI the block cipher itself is
-// ~20 cycles, but GGM re-keys per node: the key schedule plus tree
-// bookkeeping dominates. Calibrated to Table 4's Xeon baseline: 638 ms
-// single-threaded on a 1M-entry table = 1.34e9 cycles over ~2.1e6 blocks,
-// i.e. ~640 cycles per 128-bit block.
+// CPUCyclesPerBlock implements PRG. This is a model constant for the
+// paper's CPU baseline, not a measurement of this package: calibrated to
+// Table 4's Xeon row, 638 ms single-threaded on a 1M-entry table =
+// 1.34e9 cycles over ~2.1e6 blocks, i.e. ~640 cycles per 128-bit block of
+// that library's whole per-node cost (key schedule, tree bookkeeping,
+// memory traffic). The kernels here spend ~4-10 cycles per block, key
+// schedule included; the constant stays at the paper's figure so the
+// analytic Model keeps reproducing Table 4.
 func (*AESPRG) CPUCyclesPerBlock() float64 { return 640 }
 
 func putU64(b []byte, v uint64) {

@@ -2,34 +2,80 @@
 
 package dpf
 
-// Hardware AES for the batched GGM hot path. aesniExpandPair runs the
-// whole per-node job — AES-128 key schedule from the node seed plus the
-// two child-block encryptions E_seed(0), E_seed(1) — inside XMM registers
-// with AESKEYGENASSIST/AESENC, so a frontier advance costs neither a heap
-// allocation nor a round-key store/reload. The GGM rekey-per-node cost the
-// paper singles out (§3.2.6) drops to the key-schedule dependency chain
-// itself. Output is bit-identical to crypto/aes (TestAESBlockMatchesStdlib
-// pins the pure-Go path, TestExpandBatchMatchesExpand pins this one).
+import "gpudpf/internal/cpufeat"
 
-// aesniExpandPair computes left = AES_seed(block0), right = AES_seed(block1)
-// with the AES-NI schedule+encrypt pipeline. Implemented in aesni_amd64.s.
+// Hardware AES for the GGM hot path. The kernels run the whole per-node
+// job — AES-128 key schedule from the node seed plus the two child-block
+// encryptions E_seed(0), E_seed(1) — inside vector registers, so a node
+// costs neither a heap allocation nor a round-key store/reload, and the
+// GGM rekey-per-node cost the paper singles out (§3.2.6) is ~20 cycles on
+// the AES-NI tier instead of the ~100 an AESKEYGENASSIST schedule is bound
+// to. Output is bit-identical to crypto/aes (TestAESKernelTiersMatchStdlib
+// pins every tier; TestAESKernelsMatchStdlib the dispatch and the pure-Go
+// fallback).
+
+// aesniExpand4 expands 4·blocks nodes: out[2i], out[2i+1] = E_seeds[i](0),
+// E_seeds[i](1). Needs AES-NI + SSSE3. Implemented in aesni_amd64.s.
 //
 //go:noescape
-func aesniExpandPair(seed, left, right *Seed)
+func aesniExpand4(out, seeds *Seed, blocks int)
 
-// aesniExpandPair2 expands two nodes per call with the key schedules
-// pair-interleaved: the second node's AESKEYGENASSIST ladder and AESENCs
-// fill the latency of the first's serial schedule chain, which a
-// single-node call leaves exposed. Bit-identical to two aesniExpandPair
-// calls (TestAESNIExpandPair2MatchesPair pins it). Implemented in
-// aesni_amd64.s.
+// vaesExpand16 is aesniExpand4 on ZMM registers, 16·blocks nodes. Needs
+// AVX-512 F+BW and VAES. Implemented in aesni_amd64.s.
 //
 //go:noescape
-func aesniExpandPair2(seedA, seedB, leftA, rightA, leftB, rightB *Seed)
-
-// hasAESNI reports CPUID.1:ECX.AES[bit 25]. Implemented in aesni_amd64.s.
-func hasAESNI() bool
+func vaesExpand16(out, seeds *Seed, blocks int)
 
 // aesniOK gates the hardware path; the pure-Go T-table implementation is
-// the fallback (and the reference the tests compare against).
-var aesniOK = hasAESNI()
+// the fallback. vaesOK additionally selects the 16-wide tier for the bulk
+// of a frontier.
+var (
+	aesniOK = cpufeat.AESNI && cpufeat.SSSE3
+	vaesOK  = aesniOK && cpufeat.AVX512BW && cpufeat.VAES
+)
+
+// AESKernel names the implementation the AES-128 PRG's node expansion
+// runs on this host: "vaes16" (AVX-512+VAES, sixteen nodes per kernel
+// iteration), "aesni4" (AES-NI+SSSE3, four) or "purego" (T-tables).
+// pirserver logs it at start-up, so a host that silently narrowed to a
+// slower kernel is visible without a debugger.
+func AESKernel() string {
+	switch {
+	case vaesOK:
+		return "vaes16"
+	case aesniOK:
+		return "aesni4"
+	}
+	return "purego"
+}
+
+// aesniExpandNodes writes the raw children of every seed into out
+// (len 2·len(seeds), leaf order) with the widest kernel the CPU has.
+func aesniExpandNodes(out, seeds []Seed) {
+	aesniExpandTier(out, seeds, vaesOK)
+}
+
+// aesniExpandTier is aesniExpandNodes with the tier explicit (the kernel
+// tests pin each one): whole blocks of 16 go through the VAES kernel when
+// wide, whole blocks of 4 through the AES-NI kernel, and a 1–3-node tail
+// through the same AES-NI kernel on a padded stack block.
+func aesniExpandTier(out, seeds []Seed, wide bool) {
+	n := len(seeds)
+	out = out[:2*n]
+	i := 0
+	if wide && n >= 16 {
+		vaesExpand16(&out[0], &seeds[0], n/16)
+		i = n &^ 15
+	}
+	if n-i >= 4 {
+		aesniExpand4(&out[2*i], &seeds[i], (n-i)/4)
+		i = n &^ 3
+	}
+	if i < n {
+		var in [4]Seed
+		var kids [8]Seed
+		copy(in[:], seeds[i:])
+		aesniExpand4(&kids[0], &in[0], 1)
+		copy(out[2*i:], kids[:])
+	}
+}

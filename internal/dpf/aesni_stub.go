@@ -6,10 +6,10 @@ package dpf
 
 const aesniOK = false
 
-func aesniExpandPair(seed, left, right *Seed) {
-	panic("dpf: aesniExpandPair without AES-NI")
-}
+// AESKernel names the AES-128 PRG's node-expansion implementation; see
+// aesni_amd64.go for the hardware tiers.
+func AESKernel() string { return "purego" }
 
-func aesniExpandPair2(seedA, seedB, leftA, rightA, leftB, rightB *Seed) {
-	panic("dpf: aesniExpandPair2 without AES-NI")
+func aesniExpandNodes(out, seeds []Seed) {
+	panic("dpf: aesniExpandNodes without AES-NI")
 }

@@ -31,6 +31,129 @@ func TestAESBlockMatchesStdlib(t *testing.T) {
 	}
 }
 
+// checkAESExpandMatchesStdlib pins one body of aesExpandNodes to crypto/aes:
+// 500 seeded random frontiers, each expanded at every length 1..67 — every
+// residue of the 4-, 8- and 16-node block sizes, so whole-block loops and
+// padded tails are all hit — must yield E_seed(0), E_seed(1) per node, in
+// leaf order, and write nothing past 2·n.
+func checkAESExpandMatchesStdlib(t *testing.T, expand func(out, seeds []Seed)) {
+	t.Helper()
+	const maxN = 67
+	rng := mrand.New(mrand.NewSource(8))
+	var seeds [maxN]Seed
+	var want, got [2*maxN + 1]Seed
+	var guard Seed
+	for trial := 0; trial < 500; trial++ {
+		for i := range seeds {
+			rng.Read(seeds[i][:])
+			c, err := aes.NewCipher(seeds[i][:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var in Seed
+			c.Encrypt(want[2*i][:], in[:])
+			in[0] = 1
+			c.Encrypt(want[2*i+1][:], in[:])
+		}
+		rng.Read(guard[:])
+		for n := 1; n <= maxN; n++ {
+			got[2*n] = guard
+			expand(got[:2*n], seeds[:n])
+			for i := 0; i < 2*n; i++ {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d n=%d: child %d of seed %x is %x, crypto/aes says %x",
+						trial, n, i&1, seeds[i/2], got[i], want[i])
+				}
+			}
+			if got[2*n] != guard {
+				t.Fatalf("trial %d n=%d: wrote past the %d children", trial, n, 2*n)
+			}
+		}
+	}
+}
+
+// TestAESKernelsMatchStdlib pins the AES node expansion every batched and
+// scalar path goes through to crypto/aes: the body this host dispatches to
+// and the portable T-table body (which -tags purego and non-amd64 builds
+// dispatch to). The asm tiers are pinned one by one in
+// TestAESKernelTiersMatchStdlib.
+func TestAESKernelsMatchStdlib(t *testing.T) {
+	t.Run("dispatch:"+AESKernel(), func(t *testing.T) { checkAESExpandMatchesStdlib(t, aesExpandNodes) })
+	t.Run("portable", func(t *testing.T) { checkAESExpandMatchesStdlib(t, aesExpandNodesGo) })
+}
+
+// TestAESBranchFreeCorrectionMatchesScalar pins the AES steps' branch-free
+// correction passes to the scalar definition (StepBoth, then LeafValue):
+// parent control bits all 0, all 1 and random, every correction-bit
+// combination, both parties, every early-termination depth, frontier
+// lengths across the kernel's block sizes and the aesChunk boundary.
+func TestAESBranchFreeCorrectionMatchesScalar(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(9))
+	prg := NewAESPRG()
+	lengths := []int{aesChunk - 1, aesChunk, aesChunk + 1, 3*aesChunk + 5}
+	for n := 1; n <= 20; n++ {
+		lengths = append(lengths, n)
+	}
+	// A slice, not a map: the patterns share rng, so a random visiting
+	// order would make a failure unreplayable.
+	patterns := []struct {
+		name string
+		bit  func() uint8
+	}{
+		{"all0", func() uint8 { return 0 }},
+		{"all1", func() uint8 { return 1 }},
+		{"random", func() uint8 { return uint8(rng.Intn(2)) }},
+	}
+	for _, p := range patterns {
+		name, bit := p.name, p.bit
+		for _, n := range lengths {
+			seeds := make([]Seed, n)
+			ts := make([]uint8, n)
+			for i := range seeds {
+				rng.Read(seeds[i][:])
+				ts[i] = bit()
+			}
+			k := Key{Bits: 20, Lanes: 1, Early: rng.Intn(3), Party: uint8(rng.Intn(2))}
+			k.CWs = make([]CW, k.TreeDepth())
+			cw := &k.CWs[k.TreeDepth()-1]
+			rng.Read(cw.S[:])
+			cw.TL, cw.TR = uint8(rng.Intn(2)), uint8(rng.Intn(2))
+			gl := k.GroupLanes()
+			k.Final = make([]uint32, gl)
+			for j := range k.Final {
+				k.Final[j] = rng.Uint32()
+			}
+
+			next := make([]Seed, 2*n)
+			nextT := make([]uint8, 2*n)
+			StepBothBatch(prg, seeds, ts, *cw, next, nextT, nil)
+			leaves := make([]uint32, 2*n*gl)
+			StepLeafBatch(prg, &k, seeds, ts, leaves, nil)
+
+			want := make([]uint32, gl)
+			for i := range seeds {
+				ls, lt, rs, rt := StepBoth(prg, seeds[i], ts[i], *cw)
+				if next[2*i] != ls || nextT[2*i] != lt || next[2*i+1] != rs || nextT[2*i+1] != rt {
+					t.Fatalf("%s n=%d cw.t=(%d,%d) node %d: StepBothBatch (%x,%d,%x,%d) != StepBoth (%x,%d,%x,%d)",
+						name, n, cw.TL, cw.TR, i, next[2*i], nextT[2*i], next[2*i+1], nextT[2*i+1], ls, lt, rs, rt)
+				}
+				for side, c := range []struct {
+					s Seed
+					t uint8
+				}{{ls, lt}, {rs, rt}} {
+					LeafValue(prg, &k, c.s, c.t, want)
+					for j, w := range want {
+						if g := leaves[(2*i+side)*gl+j]; g != w {
+							t.Fatalf("%s n=%d early=%d party=%d node %d side %d lane %d: StepLeafBatch %d != LeafValue %d",
+								name, n, k.Early, k.Party, i, side, j, g, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestExpandBatchMatchesExpand pins every PRF's native ExpandBatch to its
 // scalar Expand, bit for bit, across random seeds and batch widths.
 func TestExpandBatchMatchesExpand(t *testing.T) {

@@ -352,9 +352,9 @@ func StepBothBatch(prg PRG, seeds []Seed, ts []uint8, cw CW, next []Seed, nextT 
 func StepLeafBatch(prg PRG, k *Key, seeds []Seed, ts []uint8, dst []uint32, sc *BatchScratch) {
 	cw := k.CWs[k.TreeDepth()-1]
 	if a, ok := prg.(*AESPRG); ok {
-		// The default PRF fuses all the way down: the pair-interleaved AES
-		// pipeline's output blocks are corrected and converted out of a
-		// stack buffer, skipping the batch scratch too.
+		// The default PRF fuses all the way down: the AES kernel's output
+		// blocks are corrected and converted out of a stack buffer,
+		// skipping the batch scratch too.
 		a.stepLeafBatch(k, seeds, ts, cw, dst)
 		return
 	}
@@ -724,12 +724,6 @@ func evalRangeWalk(prg PRG, k *Key, s Seed, t uint8, level int, base, lo, hi uin
 	ls, lt, rs, rt := StepBoth(prg, s, t, k.CWs[level])
 	evalRangeWalk(prg, k, ls, lt, level+1, base, lo, hi, out)
 	evalRangeWalk(prg, k, rs, rt, level+1, base+span/2, lo, hi, out)
-}
-
-// xorSeedInto XORs b into a in place, two 64-bit words at a time.
-func xorSeedInto(a, b *Seed) {
-	binary.LittleEndian.PutUint64(a[0:8], binary.LittleEndian.Uint64(a[0:8])^binary.LittleEndian.Uint64(b[0:8]))
-	binary.LittleEndian.PutUint64(a[8:16], binary.LittleEndian.Uint64(a[8:16])^binary.LittleEndian.Uint64(b[8:16]))
 }
 
 // xorSeed XORs two seeds as a pair of 64-bit words (the compiler lowers

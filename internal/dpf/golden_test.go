@@ -157,7 +157,7 @@ func TestGoldenWireFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			// EvalFull runs the fused scalar walk (ExpandLeaves →
-			// StepLeafBatch → the pair-interleaved AES pipeline on amd64),
+			// StepLeafBatch → the AES node-expansion kernel on amd64),
 			// so the checked-in bytes pin the new entry points too.
 			f0 := EvalFull(prg, &k0)
 			f1 := EvalFull(prg, &k1)

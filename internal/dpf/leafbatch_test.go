@@ -10,8 +10,8 @@ import (
 // TestStepLeafBatchMatchesUnfused pins the fused final step bit-identical
 // to the two-pass pipeline it replaces (StepBothBatch into a terminal
 // frontier, then LeafValuesInto over it), for every PRF, every
-// early-termination depth, both parties, and frontier widths straddling
-// the AES pipeline's pair loop (odd widths exercise the single-call tail).
+// early-termination depth, both parties, and frontier widths on both
+// sides of the AES kernels' block sizes (1-3 take the padded tail).
 func TestStepLeafBatchMatchesUnfused(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(6))
 	for _, prg := range allPRGs(t) {

@@ -2,12 +2,15 @@
 
 package strategy
 
+import "gpudpf/internal/cpufeat"
+
 // AVX2 answer kernel for the query-tiled matmul. accumulateRowsAVX2 runs
 // the leaf·row lane-wise mod-2^32 multiply-accumulate 8 lanes per
 // VPMULLD/VPADDD, keeping one query's answer accumulators in YMM registers
-// across a whole row block. Gating mirrors aesni_amd64.go: the build tags
-// select the asm implementation, a CPUID probe selects it at runtime, and
-// the scalar loop stays as both the fallback and the test reference.
+// across a whole row block. Gating mirrors dpf's aesni_amd64.go: the build
+// tags select the asm implementation, the shared cpufeat probe selects it
+// at runtime, and the scalar loop stays as both the fallback and the test
+// reference.
 
 // accumulateRowsAVX2 adds leaves[j]·rows[j·lanes : j·lanes+simdLanes] into
 // dst[:simdLanes] for j in [0, n), mod 2^32. simdLanes must be a non-zero
@@ -19,11 +22,6 @@ package strategy
 //go:noescape
 func accumulateRowsAVX2(dst, leaves, rows *uint32, lanes, simdLanes, n int)
 
-// hasAVX2 reports AVX2 with OS-enabled YMM state: CPUID.1:ECX.OSXSAVE and
-// .AVX, XCR0's XMM+YMM bits, and CPUID.(7,0):EBX.AVX2. Implemented in
-// simd_amd64.s.
-func hasAVX2() bool
-
 // avx2OK gates the SIMD accumulate path; accumulateTileScalar is the
 // fallback (and the reference the property tests compare against).
-var avx2OK = hasAVX2()
+var avx2OK = cpufeat.AVX2

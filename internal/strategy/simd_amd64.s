@@ -78,33 +78,3 @@ rows8:
 done:
 	VZEROUPPER
 	RET
-
-// func hasAVX2() bool
-//
-// AVX2 needs three checks, not one: the CPU must report OSXSAVE+AVX
-// (CPUID.1:ECX bits 27/26+28), the OS must have enabled XMM+YMM state
-// saving (XCR0 bits 1:0 == 11b via XGETBV), and only then does
-// CPUID.(EAX=7,ECX=0):EBX bit 5 (AVX2) mean the instructions are usable.
-TEXT ·hasAVX2(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX     // OSXSAVE (27) | AVX (28)
-	CMPL CX, $0x18000000
-	JNE  no
-	XORL CX, CX
-	XGETBV                   // XCR0 -> DX:AX
-	ANDL $6, AX              // XMM (1) | YMM (2) state enabled
-	CMPL AX, $6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX              // AVX2 is EBX bit 5
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
