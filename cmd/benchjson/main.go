@@ -46,9 +46,11 @@
 // ns/op — are compared because CI hardware differs from the machine that
 // wrote the committed baseline; the ratio is the machine-normalized
 // measure of the tiled path's health — across hosts running the same AES
-// kernel (aes_kernel in the file): the seed path expands one node per
-// kernel call and the tiled path whole blocks, so on another kernel tier
-// the ratio is a different quantity and is reported, not gated.
+// and accumulate kernels (aes_kernel, acc_kernel in the file): the seed
+// path expands one node per kernel call and multiplies in the scalar loop,
+// the tiled path expands whole blocks and accumulates in the asm tier, so
+// on another kernel tier the ratio is a different quantity and is
+// reported, not gated.
 // -minqps "32=500" adds absolute
 // tiled-throughput floors on top: a ratio gate alone cannot catch a
 // kernel regression that slows seed and tiled alike. A "par:" prefix on a
@@ -125,7 +127,10 @@ type Output struct {
 	// AESKernel is dpf.AESKernel() on the measuring host. The seed path
 	// expands one node per kernel call and the tiled path whole blocks, so
 	// their ratio depends on which kernel ran.
-	AESKernel string             `json:"aes_kernel"`
+	AESKernel string `json:"aes_kernel"`
+	// AccKernel is strategy.AccumulateKernel() on the measuring host: only
+	// the tiled path's table matmul runs on it, so it too scales the ratio.
+	AccKernel string             `json:"acc_kernel"`
 	Early     int                `json:"early"`
 	Cases     []Case             `json:"cases"`
 	Speedup   map[string]float64 `json:"speedup_tiled_over_seed"`
@@ -191,6 +196,7 @@ func main() {
 		Lanes:         *lanes,
 		PRG:           prg.Name(),
 		AESKernel:     dpf.AESKernel(),
+		AccKernel:     strategy.AccumulateKernel(),
 		Early:         *early,
 		Speedup:       map[string]float64{},
 	}
@@ -359,10 +365,12 @@ func compareBaseline(path string, got Output) error {
 		return fmt.Errorf("baseline shape (rows=%d lanes=%d early=%d prg=%s) != this run (rows=%d lanes=%d early=%d prg=%s); regenerate %s or fix the flags",
 			base.Rows, base.Lanes, base.Early, base.PRG, got.Rows, got.Lanes, got.Early, got.PRG, path)
 	}
-	// ... and on the same AES kernel. A host on another tier still gets the
-	// allocation gate below and the absolute -minqps floors.
-	if base.AESKernel != got.AESKernel {
-		fmt.Printf("baseline measured on AES kernel %q, this host runs %q: speedup ratios not compared\n", base.AESKernel, got.AESKernel)
+	// ... and on the same AES and accumulate kernels. A host on another
+	// tier still gets the allocation gate below and the absolute -minqps
+	// floors.
+	if base.AESKernel != got.AESKernel || base.AccKernel != got.AccKernel {
+		fmt.Printf("baseline measured on kernels aes=%q acc=%q, this host runs aes=%q acc=%q: speedup ratios not compared\n",
+			base.AESKernel, base.AccKernel, got.AESKernel, got.AccKernel)
 	} else {
 		compared := 0
 		for batch, baseline := range base.Speedup {

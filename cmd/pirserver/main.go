@@ -91,6 +91,7 @@ import (
 	"gpudpf/internal/serving"
 	"gpudpf/internal/shardnet"
 	"gpudpf/internal/store"
+	"gpudpf/internal/strategy"
 )
 
 func main() {
@@ -258,8 +259,8 @@ func runSingle(party int, addr string, rows, lanes int, seed int64, prg string, 
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	log.Printf("pirserver: party %d serving %d×%dB table on %s (prg=%s aes=%s early=%d shards=%d batch=%d maxqueue=%d slo=%v)",
-		party, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), srv.Engine().EarlyBits(), srv.Engine().Shards(), door.batch, door.maxQueue, door.slo)
+	log.Printf("pirserver: party %d serving %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d shards=%d batch=%d maxqueue=%d slo=%v)",
+		party, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), srv.Engine().EarlyBits(), srv.Engine().Shards(), door.batch, door.maxQueue, door.slo)
 	answerer, closeDoor := front(srv, srv.Engine(), door)
 	stopRefresh := startRefresher(refresh, refreshRows, rows, lanes, seed, srv.Engine())
 	sig := notifyShutdown(l)
@@ -324,8 +325,8 @@ func runShardNode(spec, join string, party int, addr string, rows, lanes int, se
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s early=%d)",
-		party, idx, count, lo, hi, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), rep.EarlyBits())
+	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d)",
+		party, idx, count, lo, hi, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
 	sig := notifyShutdown(l)
 	if err := node.Serve(l); err != nil {
 		log.Fatalf("pirserver: %v", err)

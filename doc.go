@@ -52,20 +52,35 @@
 //     first, then ONE streaming pass over the row range accumulates all
 //     the tile's dot products (accumulateTile), so a batch of B queries
 //     streams the table ⌈B/32⌉ times instead of B. The accumulate itself
-//     is kernel-dispatched like the AES path: on amd64 hosts with AVX2
-//     (CPUID-probed at init, OSXSAVE/XCR0 included) rows of 8+ lanes run
-//     an assembly kernel that multiply-accumulates 8 lanes per
-//     VPMULLD/VPADDD with the answer accumulators held in YMM registers
-//     across L1-resident row blocks; other CPUs, narrower rows, and
-//     -tags purego builds take the scalar loop. Both are bit-identical
-//     (mod-2^32 adds commute; property tests pin every dispatch boundary
-//     on both CI legs). RunRangeInto accumulates into caller-provided
+//     is the batched matmul answers[Q×lanes] += leaves[Q×rows] ·
+//     table[rows×lanes] of §3.1/§3.2.4, and is kernel-dispatched like the
+//     AES path: the shared cpufeat probe picks one asm tier at init
+//     (strategy.AccumulateKernel names it; pirserver logs it as acc=) —
+//     "avx512" register-blocks 4 queries × 4 ZMM vectors of answer
+//     accumulators across a row block, loading each table vector once
+//     and multiplying it by the four queries' leaf shares as embedded-
+//     broadcast VPMULLD operands; "avx2" is the same family on YMM
+//     (4 queries × 2 vectors); a 1–3-query remainder and batch-1 tiles
+//     take the family's 2- and 1-query bodies (never a zero-padded
+//     multiply) — the 1-query body is the YMM one on both tiers: with no
+//     second query to reuse a table vector it is load-bound, and 512-bit
+//     multiplies would drop the core's frequency for the batch-1 serving
+//     code around it — and lanes past the last whole vector tile ride a
+//     masked vector, so every lane count ≥ 1 runs in the kernel. The row block
+//     is cut by bytes (128 KiB of table: streamed from memory once,
+//     re-read from L2 by the tile's other query groups), which is 2048
+//     rows at 64 B and 32 rows at 4 KiB. Other architectures, CPUs
+//     without AVX2 and -tags purego builds take the scalar loop
+//     ("scalar"). All are bit-identical (mod-2^32 adds commute;
+//     TestAccumulateTileKernelTiersMatchScalar calls every compiled tier
+//     explicitly over lanes × tile sizes × row counts × fragmentations).
+//     RunRangeInto accumulates into caller-provided
 //     buffers through pooled scratch. The tile pass also parallelizes:
 //     a strategy with Workers > 1 (strategy.WithWorkers wraps any
 //     worker-tunable strategy) splits each tile's row range into row
 //     blocks fanned across a bounded goroutine pool, each worker
 //     accumulating into its own answer buffer through the same
-//     AVX2/scalar dispatch, merged lane-wise mod 2^32 afterwards —
+//     tier dispatch, merged lane-wise mod 2^32 afterwards —
 //     bit-identical to the sequential pass for every worker count,
 //     strategy, PRF and fragmented view (property-tested on both CI
 //     kernel legs). The memory-bounded walker additionally pipelines
@@ -247,10 +262,18 @@
 // seed path expands one node per kernel call and the tiled path whole
 // blocks, so speedup ratios are compared only between runs on the same
 // kernel — on another tier the gate reports the ratios and relies on the
-// floors. With the microcode-free AES kernels the committed file
-// (vaes16, gomaxprocs_par 2) shows tiled batch-32 at 7.7 ms/op (~4150
-// QPS single-threaded, ~33× the seed path; 4.3 ms at two procs), down
-// from ~38 ms on the same host with the AESKEYGENASSIST pipeline.
+// floors. "acc_kernel" records the accumulate tier the same way
+// (strategy.AccumulateKernel): only the tiled path's table matmul runs on
+// it, so a baseline from another tier is likewise reported, not gated.
+// The committed file (vaes16 + avx512, gomaxprocs_par 2) shows tiled
+// batch-32 at 6.7 ms/op (~4800 QPS single-threaded, ~40× the seed path;
+// 3.8 ms at two procs) — 7.7 ms before the register-blocked accumulate
+// kernel, ~38 ms with the AESKEYGENASSIST pipeline. That shape (64-byte
+// rows) is expansion-bound; CI's bench job therefore also runs the
+// co-located wide-row shape once (-rows 16384 -lanes 1024 -batches 32
+// -minqps "32=600": ~420 QPS on the one-query AVX2 kernel, ~1190 / ~1270
+// on the avx2 / avx512 tiers of the baseline host), where a silently
+// disabled accumulate kernel falls through the floor.
 //
 // # Reading the serving bench JSON
 //
@@ -285,9 +308,10 @@
 // prove it agrees byte-for-byte with the AES-NI path) and cross-builds
 // linux/arm64 (with and without purego) and darwin/arm64, so the asm
 // stubs and build-tag plumbing stay honest on every push. Two dedicated
-// kernel-equivalence legs run the SIMD-vs-scalar, AES-kernel-tiers-vs-
-// crypto/aes, branch-free-vs-scalar correction, fused-vs-unfused, and
-// parallel-vs-sequential property tests once under
+// kernel-equivalence legs run the accumulate-tiers-vs-scalar (every
+// compiled tier forced; a missing CPUID bit is skipped by name),
+// AES-kernel-tiers-vs-crypto/aes, branch-free-vs-scalar correction,
+// fused-vs-unfused, and parallel-vs-sequential property tests once under
 // GOAMD64=v3 (asm kernels alongside AVX2 compiler codegen) and once
 // under -tags purego (every dispatch collapsed to its scalar fallback),
 // so the row-block parallel accumulate's bit-identity holds over both

@@ -33,20 +33,28 @@ func TestAnswerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates and defeats sync.Pool reuse")
 	}
-	const rows, lanes = 1 << 10, 8
-	tab := buildTable(t, rows, lanes, 1)
-	for _, batch := range []int{1, 4, 32} {
-		indices := make([]uint64, batch)
-		for i := range indices {
-			indices[i] = uint64(i * 31 % rows)
-		}
-		k0s, _ := genKeys(t, tab, indices, 2)
-		r, err := NewReplica(tab, Config{Party: 0, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := answerAllocs(t, r, k0s); got > 2 {
-			t.Errorf("batch=%d: sequential Answer allocates %.1f/op, want ≤ 2 (returned answers only)", batch, got)
+	// The 1024-lane shape is the co-located wide row: every batch size
+	// there runs the register-blocked accumulate kernel's whole-vector
+	// bodies, whose per-call pointer arguments must stay on the stack.
+	const rows = 1 << 10
+	for _, sh := range []struct {
+		lanes   int
+		batches []int
+	}{{8, []int{1, 4, 32}}, {1024, []int{1, 32}}} {
+		tab := buildTable(t, rows, sh.lanes, 1)
+		for _, batch := range sh.batches {
+			indices := make([]uint64, batch)
+			for i := range indices {
+				indices[i] = uint64(i * 31 % rows)
+			}
+			k0s, _ := genKeys(t, tab, indices, 2)
+			r, err := NewReplica(tab, Config{Party: 0, Shards: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := answerAllocs(t, r, k0s); got > 2 {
+				t.Errorf("lanes=%d batch=%d: sequential Answer allocates %.1f/op, want ≤ 2 (returned answers only)", sh.lanes, batch, got)
+			}
 		}
 	}
 }

@@ -73,7 +73,7 @@ func parWorkers(cfg int) int {
 
 // accumulateTilePar is accumulateTile with the row range split into blocks
 // fanned across up to `workers` goroutines. Each worker streams its blocks
-// through the same AVX2/scalar accumulateChunk dispatch into a pooled
+// through the same accumulateChunk tier dispatch into a pooled
 // per-worker tile×lanes partial, and the partials merge lane-wise mod 2^32
 // into answers — bit-identical to the sequential pass by linearity (see
 // the file comment). Ranges too narrow to split, and effective worker

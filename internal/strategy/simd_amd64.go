@@ -4,24 +4,82 @@ package strategy
 
 import "gpudpf/internal/cpufeat"
 
-// AVX2 answer kernel for the query-tiled matmul. accumulateRowsAVX2 runs
-// the leaf·row lane-wise mod-2^32 multiply-accumulate 8 lanes per
-// VPMULLD/VPADDD, keeping one query's answer accumulators in YMM registers
-// across a whole row block. Gating mirrors dpf's aesni_amd64.go: the build
-// tags select the asm implementation, the shared cpufeat probe selects it
-// at runtime, and the scalar loop stays as both the fallback and the test
-// reference.
+// The asm accumulate tiers of the query-tiled matmul, gated like dpf's AES
+// kernels: build tags select the asm, the shared cpufeat probe the widest
+// tier once at init; the scalar loop is the fallback and test reference.
 
-// accumulateRowsAVX2 adds leaves[j]·rows[j·lanes : j·lanes+simdLanes] into
-// dst[:simdLanes] for j in [0, n), mod 2^32. simdLanes must be a non-zero
-// multiple of 8 and ≤ lanes; lanes beyond simdLanes are the caller's
-// scalar tail. All loads and stores are unaligned-tolerant, so pooled
-// scratch and table backing need no special alignment. Implemented in
-// simd_amd64.s.
+// accTileAVX2 adds Σ_j leaves[i][leafOff+j] · rows[j·lanes : (j+1)·lanes]
+// for j in [0, n), n ≥ 1, into ans[i][:lanes] mod 2^32, for the q ∈ {1, 2, 4}
+// queries whose slice headers start at ans and leaves. Accumulators for q
+// queries × 2 YMM vectors stay in registers across the n rows; loads and
+// stores are unaligned-tolerant and never touch a lane ≥ lanes
+// (simd_amd64.s).
 //
 //go:noescape
-func accumulateRowsAVX2(dst, leaves, rows *uint32, lanes, simdLanes, n int)
+func accTileAVX2(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
 
-// avx2OK gates the SIMD accumulate path; accumulateTileScalar is the
-// fallback (and the reference the property tests compare against).
-var avx2OK = cpufeat.AVX2
+// accTileAVX512 is accTileAVX2 on ZMM registers, q ∈ {2, 4} queries × 4
+// vectors.
+//
+//go:noescape
+func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
+
+// accKernel is the tier accumulateChunk runs on this host.
+var accKernel = func() string {
+	switch {
+	case cpufeat.AVX512BW && cpufeat.AVX2:
+		return accAVX512
+	case cpufeat.AVX2:
+		return accAVX2
+	}
+	return accScalar
+}()
+
+func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
+	if accKernel == accScalar {
+		accumulateChunkScalar(data, lanes, row, leafLo, leaves, answers)
+		return
+	}
+	accumulateChunkSIMD(accKernel, data, lanes, row, leafLo, leaves, answers)
+}
+
+// accBlockWords sizes the SIMD path's row block: the rows that fit in
+// 128 KiB of table, streamed from memory once and re-read from L2 by every
+// query group of the tile (accumulateTile's read-each-row-once model,
+// §3.2.4). A byte budget holds across row widths where a row count does
+// not: 2048 64-byte rows, but only 32 4 KiB rows — at 64+ rows of that
+// stride the column strips alias in L1 and outrun the DTLB, and measured
+// throughput halves — and a paged view's chunk still holds whole blocks.
+const accBlockWords = 128 << 10 / 4
+
+// accumulateChunkSIMD is accumulateChunk through asm tier avx512 or avx2.
+// Per row block the tile's queries take the microkernel four at a time; a
+// 1–3-query remainder (and a batch-1 tile) takes the two- and one-query
+// bodies, so no multiply is spent on a padded slot. A lone query runs on
+// YMM in both tiers: with no second query to reuse a table vector it waits
+// on its loads, and 512-bit multiplies lower the core's frequency for the
+// serving code around a batch-1 call (cluster-single: 8% slower end to end
+// with a ZMM body). The kernel walks the lanes itself, tail lanes under a
+// mask; the calls are direct so their pointer arguments stay on this
+// stack. Bit-identical to accumulateChunkScalar: mod-2^32 adds commute.
+func accumulateChunkSIMD(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
+	nRows := len(data) / lanes
+	for q := range leaves {
+		// The kernel takes raw pointers: panic on a short buffer here.
+		_, _ = answers[q][lanes-1], leaves[q][row-leafLo:row-leafLo+nRows]
+	}
+	zmm := tier == accAVX512
+	block := max(1, accBlockWords/lanes)
+	for j0 := 0; j0 < nRows; j0 += block {
+		n := min(block, nRows-j0)
+		for q := 0; q < len(leaves); {
+			qn := [...]int{1: 1, 2: 2, 3: 2, 4: 4}[min(4, len(leaves)-q)]
+			if zmm && qn > 1 {
+				accTileAVX512(&answers[q], &leaves[q], qn, row+j0-leafLo, &data[j0*lanes], lanes, n)
+			} else {
+				accTileAVX2(&answers[q], &leaves[q], qn, row+j0-leafLo, &data[j0*lanes], lanes, n)
+			}
+			q += qn
+		}
+	}
+}

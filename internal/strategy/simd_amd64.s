@@ -2,79 +2,298 @@
 
 #include "textflag.h"
 
-// func accumulateRowsAVX2(dst, leaves, rows *uint32, lanes, simdLanes, n int)
+// Register-blocked accumulate microkernels: answers[Q×lanes] +=
+// leaves[Q×n] · rows[n×lanes] mod 2^32, one call per (row block, query
+// group). A call pins a tile of Q queries × W lane vectors of answer
+// accumulators in registers, walks the block's n rows once per tile — each
+// table vector is loaded once and multiplied by the Q queries' broadcast
+// leaf shares — and only then moves W vectors along the row, so the
+// answers are touched twice per tile and the multiplier, not the load
+// ports, is what the loop waits for. Lanes past the last whole W-vector
+// tile go through the one-vector body under a lane mask (all ones for a
+// whole vector, the low lanes for the row's tail): masked-out lanes are
+// neither loaded nor stored, so nothing is read past the table slice or
+// written past an answer buffer, for any lanes ≥ 1. Q is 4, 2 or 1 (ZMM:
+// 4 or 2); a 3-query remainder is a 2 and a 1, never a padded 4.
 //
-// dst[l] += leaves[j] * rows[j*lanes+l] (mod 2^32) for j in [0,n),
-// l in [0,simdLanes). The lane range is walked in chunks of 16 (two YMM
-// accumulators amortizing each leaf broadcast) then 8; for each chunk the
-// accumulators stay in registers across the whole row block, so a row's
-// chunk is loaded exactly once (VPMULLD with a memory operand) and dst is
-// touched exactly twice. All accesses are unaligned-tolerant.
+// Shared register use: AX &answers[q] (slice headers, 24 bytes apart),
+// BX lane bytes still to do, CX row cursor, DX rows, SI row stride in
+// bytes, DI n, R8–R11 the queries' leaf cursors (&leaves[q+i][leafOff]),
+// R12 row index, R13 scratch, R14 lane byte offset.
+
+// STRIP walks the lanes in tiles of `step` bytes while at least `min`
+// remain. PRE runs before each tile (the mask set-up), LD/ST load and
+// store its accumulators, ROW loads the table vectors of one row and MAC
+// multiply-accumulates them against every query's leaf share.
+#define STRIP(top, rows, next, min, step, PRE, LD, ROW, MAC, ST) \
+top: \
+	CMPQ BX, $min         \
+	JLT  next             \
+	PRE                   \
+	LD                    \
+	LEAQ (DX)(R14*1), CX  \
+	XORQ R12, R12         \
+rows: \
+	ROW                   \
+	MAC                   \
+	ADDQ SI, CX           \
+	INCQ R12              \
+	CMPQ R12, DI          \
+	JLT  rows             \
+	ST                    \
+	ADDQ $step, R14       \
+	SUBQ $step, BX        \
+	JMP  top
+
+#define NONE
+
+// LEAF points cursor at query i's (header offset hdr) first leaf share.
+#define LEAF(hdr, cursor) \
+	MOVQ hdr(BX), cursor \
+	LEAQ (cursor)(CX*4), cursor
+
+// ---- AVX-512 tier: 16 lanes per ZMM, 4-vector tiles --------------------
 //
-// Register use: DI dst, SI leaves, DX rows, CX row stride in bytes,
-// R8 simd byte width, R9 n, R10 lane byte offset, R12 row cursor,
-// R13 leaf cursor, R14 row counter; Y0/Y1 accumulators, Y2 broadcast
-// leaf, Y3/Y4 products.
-TEXT ·accumulateRowsAVX2(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ leaves+8(FP), SI
-	MOVQ rows+16(FP), DX
-	MOVQ lanes+24(FP), CX
-	SHLQ $2, CX              // row stride in bytes
-	MOVQ simdLanes+32(FP), R8
-	SHLQ $2, R8              // SIMD-covered byte width
-	MOVQ n+40(FP), R9
-	TESTQ R9, R9
-	JZ   done
-	XORQ R10, R10            // lane byte offset
+// Z0–Z15 accumulators (query i owns Z(4i)..Z(4i+3)), Z16–Z19 the row's
+// table vectors, Z20–Z23 products, K1 the one-vector body's lane mask. The
+// leaf share is an embedded-broadcast memory operand of VPMULLD, so a
+// query costs no register beyond its accumulators.
+//
+// The tier has no one-query body: q is 4 or 2, and the driver sends a lone
+// query to accTileAVX2 (see accumulateChunkSIMD).
 
-chunk16:
-	LEAQ 64(R10), R11
-	CMPQ R11, R8
-	JA   chunk8              // fewer than 16 lanes remain
-	VMOVDQU (DI)(R10*1), Y0
-	VMOVDQU 32(DI)(R10*1), Y1
-	LEAQ (DX)(R10*1), R12    // row cursor at this lane offset
-	MOVQ SI, R13             // leaf cursor
-	MOVQ R9, R14
+#define LD4Z(hdr, a0, a1, a2, a3) \
+	MOVQ hdr(AX), R13           \
+	VMOVDQU32 (R13)(R14*1), a0    \
+	VMOVDQU32 64(R13)(R14*1), a1  \
+	VMOVDQU32 128(R13)(R14*1), a2 \
+	VMOVDQU32 192(R13)(R14*1), a3
+#define ST4Z(hdr, a0, a1, a2, a3) \
+	MOVQ hdr(AX), R13           \
+	VMOVDQU32 a0, (R13)(R14*1)    \
+	VMOVDQU32 a1, 64(R13)(R14*1)  \
+	VMOVDQU32 a2, 128(R13)(R14*1) \
+	VMOVDQU32 a3, 192(R13)(R14*1)
+#define LD1Z(hdr, a0) \
+	MOVQ hdr(AX), R13 \
+	VMOVDQU32.Z (R13)(R14*1), K1, a0
+#define ST1Z(hdr, a0) \
+	MOVQ hdr(AX), R13 \
+	VMOVDQU32 a0, K1, (R13)(R14*1)
+#define ROW4Z \
+	VMOVDQU32 (CX), Z16    \
+	VMOVDQU32 64(CX), Z17  \
+	VMOVDQU32 128(CX), Z18 \
+	VMOVDQU32 192(CX), Z19
+#define ROW1Z \
+	VMOVDQU32.Z (CX), K1, Z16
+#define MAC4Z(leaf, a0, a1, a2, a3) \
+	VPMULLD.BCST (leaf)(R12*4), Z16, Z20 \
+	VPMULLD.BCST (leaf)(R12*4), Z17, Z21 \
+	VPMULLD.BCST (leaf)(R12*4), Z18, Z22 \
+	VPMULLD.BCST (leaf)(R12*4), Z19, Z23 \
+	VPADDD Z20, a0, a0 \
+	VPADDD Z21, a1, a1 \
+	VPADDD Z22, a2, a2 \
+	VPADDD Z23, a3, a3
+#define MAC1Z(leaf, a0) \
+	VPMULLD.BCST (leaf)(R12*4), Z16, Z20 \
+	VPADDD Z20, a0, a0
+// MASKZ sets K1 to the low min(BX/4, 16) lanes.
+#define MASKZ \
+	MOVQ BX, CX      \
+	SHRQ $2, CX      \
+	MOVQ $16, R13    \
+	CMPQ CX, R13     \
+	CMOVQGT R13, CX  \
+	MOVQ $1, R13     \
+	SHLQ CX, R13     \
+	DECQ R13         \
+	KMOVW R13, K1
 
-rows16:
-	VPBROADCASTD (R13), Y2
-	VPMULLD (R12), Y2, Y3
-	VPMULLD 32(R12), Y2, Y4
-	VPADDD  Y3, Y0, Y0
-	VPADDD  Y4, Y1, Y1
-	ADDQ $4, R13
-	ADDQ CX, R12
-	DECQ R14
-	JNZ  rows16
+#define LD4Z2 LD4Z(0, Z0, Z1, Z2, Z3) \
+	LD4Z(24, Z4, Z5, Z6, Z7)
+#define LD4Z4 LD4Z2 \
+	LD4Z(48, Z8, Z9, Z10, Z11) \
+	LD4Z(72, Z12, Z13, Z14, Z15)
+#define ST4Z2 ST4Z(0, Z0, Z1, Z2, Z3) \
+	ST4Z(24, Z4, Z5, Z6, Z7)
+#define ST4Z4 ST4Z2 \
+	ST4Z(48, Z8, Z9, Z10, Z11) \
+	ST4Z(72, Z12, Z13, Z14, Z15)
+#define MAC4Z2 MAC4Z(R8, Z0, Z1, Z2, Z3) \
+	MAC4Z(R9, Z4, Z5, Z6, Z7)
+#define MAC4Z4 MAC4Z2 \
+	MAC4Z(R10, Z8, Z9, Z10, Z11) \
+	MAC4Z(R11, Z12, Z13, Z14, Z15)
+#define LD1Z2 LD1Z(0, Z0) \
+	LD1Z(24, Z4)
+#define LD1Z4 LD1Z2 \
+	LD1Z(48, Z8) \
+	LD1Z(72, Z12)
+#define ST1Z2 ST1Z(0, Z0) \
+	ST1Z(24, Z4)
+#define ST1Z4 ST1Z2 \
+	ST1Z(48, Z8) \
+	ST1Z(72, Z12)
+#define MAC1Z2 MAC1Z(R8, Z0) \
+	MAC1Z(R9, Z4)
+#define MAC1Z4 MAC1Z2 \
+	MAC1Z(R10, Z8) \
+	MAC1Z(R11, Z12)
 
-	VMOVDQU Y0, (DI)(R10*1)
-	VMOVDQU Y1, 32(DI)(R10*1)
-	ADDQ $64, R10
-	JMP  chunk16
+// func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
+TEXT ·accTileAVX512(SB), NOSPLIT, $0-56
+	MOVQ ans+0(FP), AX
+	MOVQ leaves+8(FP), BX
+	MOVQ q+16(FP), R12
+	MOVQ leafOff+24(FP), CX
+	MOVQ rows+32(FP), DX
+	MOVQ lanes+40(FP), SI
+	MOVQ n+48(FP), DI
+	SHLQ $2, SI
+	XORQ R14, R14
+	LEAF(0, R8)
+	LEAF(24, R9)
+	CMPQ R12, $4
+	JLT  z2
+	LEAF(48, R10)
+	LEAF(72, R11)
+	MOVQ SI, BX
+	STRIP(z4w, z4wr, z4m, 256, 256, NONE, LD4Z4, ROW4Z, MAC4Z4, ST4Z4)
+	STRIP(z4m, z4mr, zdone, 4, 64, MASKZ, LD1Z4, ROW1Z, MAC1Z4, ST1Z4)
+z2:
+	MOVQ SI, BX
+	STRIP(z2w, z2wr, z2m, 256, 256, NONE, LD4Z2, ROW4Z, MAC4Z2, ST4Z2)
+	STRIP(z2m, z2mr, zdone, 4, 64, MASKZ, LD1Z2, ROW1Z, MAC1Z2, ST1Z2)
+zdone:
+	VZEROUPPER
+	RET
 
-chunk8:
-	CMPQ R10, R8
-	JAE  done                // SIMD-covered lanes exhausted
-	VMOVDQU (DI)(R10*1), Y0
-	LEAQ (DX)(R10*1), R12
-	MOVQ SI, R13
-	MOVQ R9, R14
+// ---- AVX2 tier: 8 lanes per YMM, 2-vector tiles ------------------------
+//
+// Y0–Y7 accumulators (query i owns Y(2i), Y(2i+1)), Y8/Y9 the row's table
+// vectors, Y10 the broadcast leaf share, Y11/Y12 products, Y15 the
+// one-vector body's lane mask (VPMASKMOVD; a window of accmask).
 
-rows8:
-	VPBROADCASTD (R13), Y2
-	VPMULLD (R12), Y2, Y3
-	VPADDD  Y3, Y0, Y0
-	ADDQ $4, R13
-	ADDQ CX, R12
-	DECQ R14
-	JNZ  rows8
+// accmask: 8 all-ones dwords then 8 zero dwords; the 32 bytes starting at
+// byte 32-m mask the low m/4 lanes.
+DATA accmask<>+0(SB)/8, $-1
+DATA accmask<>+8(SB)/8, $-1
+DATA accmask<>+16(SB)/8, $-1
+DATA accmask<>+24(SB)/8, $-1
+DATA accmask<>+32(SB)/8, $0
+DATA accmask<>+40(SB)/8, $0
+DATA accmask<>+48(SB)/8, $0
+DATA accmask<>+56(SB)/8, $0
+GLOBL accmask<>(SB), RODATA|NOPTR, $64
 
-	VMOVDQU Y0, (DI)(R10*1)
-	ADDQ $32, R10
-	JMP  chunk8
+#define LD2Y(hdr, a0, a1) \
+	MOVQ hdr(AX), R13        \
+	VMOVDQU (R13)(R14*1), a0   \
+	VMOVDQU 32(R13)(R14*1), a1
+#define ST2Y(hdr, a0, a1) \
+	MOVQ hdr(AX), R13        \
+	VMOVDQU a0, (R13)(R14*1)   \
+	VMOVDQU a1, 32(R13)(R14*1)
+#define LD1Y(hdr, a0) \
+	MOVQ hdr(AX), R13 \
+	VPMASKMOVD (R13)(R14*1), Y15, a0
+#define ST1Y(hdr, a0) \
+	MOVQ hdr(AX), R13 \
+	VPMASKMOVD a0, Y15, (R13)(R14*1)
+#define ROW2Y \
+	VMOVDQU (CX), Y8 \
+	VMOVDQU 32(CX), Y9
+#define ROW1Y \
+	VPMASKMOVD (CX), Y15, Y8
+#define MAC2Y(leaf, a0, a1) \
+	VPBROADCASTD (leaf)(R12*4), Y10 \
+	VPMULLD Y8, Y10, Y11 \
+	VPMULLD Y9, Y10, Y12 \
+	VPADDD Y11, a0, a0   \
+	VPADDD Y12, a1, a1
+#define MAC1Y(leaf, a0) \
+	VPBROADCASTD (leaf)(R12*4), Y10 \
+	VPMULLD Y8, Y10, Y11 \
+	VPADDD Y11, a0, a0
+// MASKY sets Y15 to the low min(BX/4, 8) lanes.
+#define MASKY \
+	MOVQ BX, CX      \
+	MOVQ $32, R13    \
+	CMPQ CX, R13     \
+	CMOVQGT R13, CX  \
+	NEGQ CX          \
+	LEAQ accmask<>+32(SB), R13 \
+	VMOVDQU (R13)(CX*1), Y15
 
-done:
+#define LD2Y1 LD2Y(0, Y0, Y1)
+#define LD2Y2 LD2Y1 \
+	LD2Y(24, Y2, Y3)
+#define LD2Y4 LD2Y2 \
+	LD2Y(48, Y4, Y5) \
+	LD2Y(72, Y6, Y7)
+#define ST2Y1 ST2Y(0, Y0, Y1)
+#define ST2Y2 ST2Y1 \
+	ST2Y(24, Y2, Y3)
+#define ST2Y4 ST2Y2 \
+	ST2Y(48, Y4, Y5) \
+	ST2Y(72, Y6, Y7)
+#define MAC2Y1 MAC2Y(R8, Y0, Y1)
+#define MAC2Y2 MAC2Y1 \
+	MAC2Y(R9, Y2, Y3)
+#define MAC2Y4 MAC2Y2 \
+	MAC2Y(R10, Y4, Y5) \
+	MAC2Y(R11, Y6, Y7)
+#define LD1Y1 LD1Y(0, Y0)
+#define LD1Y2 LD1Y1 \
+	LD1Y(24, Y2)
+#define LD1Y4 LD1Y2 \
+	LD1Y(48, Y4) \
+	LD1Y(72, Y6)
+#define ST1Y1 ST1Y(0, Y0)
+#define ST1Y2 ST1Y1 \
+	ST1Y(24, Y2)
+#define ST1Y4 ST1Y2 \
+	ST1Y(48, Y4) \
+	ST1Y(72, Y6)
+#define MAC1Y1 MAC1Y(R8, Y0)
+#define MAC1Y2 MAC1Y1 \
+	MAC1Y(R9, Y2)
+#define MAC1Y4 MAC1Y2 \
+	MAC1Y(R10, Y4) \
+	MAC1Y(R11, Y6)
+
+// func accTileAVX2(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
+TEXT ·accTileAVX2(SB), NOSPLIT, $0-56
+	MOVQ ans+0(FP), AX
+	MOVQ leaves+8(FP), BX
+	MOVQ q+16(FP), R12
+	MOVQ leafOff+24(FP), CX
+	MOVQ rows+32(FP), DX
+	MOVQ lanes+40(FP), SI
+	MOVQ n+48(FP), DI
+	SHLQ $2, SI
+	XORQ R14, R14
+	LEAF(0, R8)
+	CMPQ R12, $2
+	JLT  y1
+	LEAF(24, R9)
+	CMPQ R12, $4
+	JLT  y2
+	LEAF(48, R10)
+	LEAF(72, R11)
+	MOVQ SI, BX
+	STRIP(y4w, y4wr, y4m, 64, 64, NONE, LD2Y4, ROW2Y, MAC2Y4, ST2Y4)
+	STRIP(y4m, y4mr, ydone, 4, 32, MASKY, LD1Y4, ROW1Y, MAC1Y4, ST1Y4)
+y2:
+	MOVQ SI, BX
+	STRIP(y2w, y2wr, y2m, 64, 64, NONE, LD2Y2, ROW2Y, MAC2Y2, ST2Y2)
+	STRIP(y2m, y2mr, ydone, 4, 32, MASKY, LD1Y2, ROW1Y, MAC1Y2, ST1Y2)
+y1:
+	MOVQ SI, BX
+	STRIP(y1w, y1wr, y1m, 64, 64, NONE, LD2Y1, ROW2Y, MAC2Y1, ST2Y1)
+	STRIP(y1m, y1mr, ydone, 4, 32, MASKY, LD1Y1, ROW1Y, MAC1Y1, ST1Y1)
+ydone:
 	VZEROUPPER
 	RET

@@ -3,10 +3,10 @@
 package strategy
 
 // Non-amd64 builds (and -tags purego) always take the scalar accumulate
-// loop; avx2OK is a compile-time false so the dispatch branch folds away.
+// loop.
 
-const avx2OK = false
+const accKernel = accScalar
 
-func accumulateRowsAVX2(dst, leaves, rows *uint32, lanes, simdLanes, n int) {
-	panic("strategy: accumulateRowsAVX2 without AVX2")
+func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
+	accumulateChunkScalar(data, lanes, row, leafLo, leaves, answers)
 }

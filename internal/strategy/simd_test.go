@@ -45,17 +45,17 @@ func randomLeafTile(rng *rand.Rand, queries, rows int) [][]uint32 {
 }
 
 // TestAccumulateTileKernelMatchesScalar pins the dispatched accumulateTile
-// — the AVX2 kernel on hosts that have it, the scalar loop elsewhere and
-// under -tags purego — bit-identical to accumulateTileScalar and to the
-// naive definition, across lane counts straddling every dispatch boundary
-// (below the 8-lane SIMD floor, non-multiples of 8 exercising the scalar
-// tail, and above the 64-lane rowBuf staging limit), tile sizes 1..32, and
-// random row ranges that straddle the simdRowBlock blocking.
+// — the widest asm tier on hosts that have one, the scalar loop elsewhere
+// and under -tags purego — bit-identical to accumulateTileScalar and to
+// the naive definition, across lane counts straddling every boundary
+// (below one vector, non-multiples of the vector width exercising the
+// masked tail, and above the 64-lane rowBuf staging limit), tile sizes
+// 1..32, and random row ranges.
 func TestAccumulateTileKernelMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1606))
 	for _, lanes := range []int{1, 4, 8, 13, 16, 64, 100} {
 		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			rows := 3*simdRowBlock + 17
+			rows := 3*256 + 17
 			tab := buildTable(t, rows, lanes, int64(lanes))
 			for tile := 1; tile <= tileQueries; tile++ {
 				lo := rng.Intn(rows)
@@ -88,14 +88,51 @@ func TestAccumulateTileKernelMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkAccumulateKernel measures the answer kernel A/B on the bench
-// table shape (64-byte rows, full 32-query tile): "dispatch" is whatever
-// accumulateTile selects on this host (the AVX2 kernel when available),
-// "scalar" forces the fallback loop. The gap is the SIMD win in isolation,
-// without the AES expansion half of the hot path.
+// BenchmarkAccumulateKernel measures the answer kernel A/B, without the
+// AES expansion half of the hot path, on the shapes where the kernels
+// differ: the expansion-bound bench table (64-byte rows) and the co-located
+// wide-row table (4 KiB rows, past L2) at a full tile, at paged-update's
+// 4-query tile and at batch 1, plus a small in-cache table at batch 1.
+// "dispatch" is whatever accumulateTile selects on this host (and must not
+// allocate), "scalar" forces the fallback loop; the forced-tier numbers
+// are BenchmarkAccumulateKernelTiers on amd64.
 func BenchmarkAccumulateKernel(b *testing.B) {
-	const rows, lanes = 1 << 16, 16
-	tab, err := NewTable(rows, lanes)
+	for _, sh := range accBenchShapes {
+		tab, lv, ans := accBenchInputs(b, sh)
+		for _, k := range []struct {
+			name string
+			fn   func(TableView, int, int, [][]uint32, [][]uint32) error
+		}{
+			{"dispatch", accumulateTile},
+			{"scalar", accumulateTileScalar},
+		} {
+			b.Run(fmt.Sprintf("%s/%s", sh, k.name), func(b *testing.B) {
+				v := tab.View()
+				runAccBench(b, sh, func() {
+					if err := k.fn(v, 0, sh.rows, lv, ans); err != nil {
+						b.Fatal(err)
+					}
+				})
+				if k.name == "dispatch" && testing.AllocsPerRun(1, func() { _ = k.fn(v, 0, sh.rows, lv, ans) }) != 0 {
+					b.Fatal("dispatched accumulateTile allocates")
+				}
+			})
+		}
+	}
+}
+
+type accBenchShape struct{ rows, lanes, queries int }
+
+func (s accBenchShape) String() string {
+	return fmt.Sprintf("%dx%d/q%d", s.rows, s.lanes, s.queries)
+}
+
+var accBenchShapes = []accBenchShape{
+	{1 << 16, 16, 32}, {1 << 14, 1024, 32}, {1 << 14, 1024, 4}, {1 << 14, 1024, 1}, {1 << 10, 64, 1},
+}
+
+func accBenchInputs(b *testing.B, sh accBenchShape) (*Table, [][]uint32, [][]uint32) {
+	tab, err := NewTable(sh.rows, sh.lanes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -103,32 +140,27 @@ func BenchmarkAccumulateKernel(b *testing.B) {
 	for i := range tab.Data {
 		tab.Data[i] = rng.Uint32()
 	}
-	lv := randomLeafTile(rng, tileQueries, rows)
-	ans := NewAnswers(tileQueries, lanes)
-	for _, k := range []struct {
-		name string
-		fn   func(TableView, int, int, [][]uint32, [][]uint32) error
-	}{
-		{"dispatch", accumulateTile},
-		{"scalar", accumulateTileScalar},
-	} {
-		b.Run(k.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(rows) * int64(lanes) * 4)
-			v := tab.View()
-			for i := 0; i < b.N; i++ {
-				if err := k.fn(v, 0, rows, lv, ans); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	return tab, randomLeafTile(rng, sh.queries, sh.rows), NewAnswers(sh.queries, sh.lanes)
+}
+
+// runAccBench times one tile pass per iteration and reports it as table
+// bytes streamed (MB/s) and as multiply-accumulates (GMAC/s), the unit the
+// kernel's ceiling is stated in.
+func runAccBench(b *testing.B, sh accBenchShape, pass func()) {
+	b.ReportAllocs()
+	b.SetBytes(int64(sh.rows) * int64(sh.lanes) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
+	macs := float64(b.N) * float64(sh.rows) * float64(sh.lanes) * float64(sh.queries)
+	b.ReportMetric(macs/b.Elapsed().Seconds()/1e9, "GMAC/s")
 }
 
 // TestAccumulateTileWideLanes is the >64-lane regression test: rows wider
 // than the scalar path's rowBuf staging buffer take its direct-row branch,
-// and on AVX2 hosts the same width runs the SIMD kernel with a 4-lane
-// scalar tail — both must agree with the naive definition. (Before the
+// and on hosts with an asm tier the same width ends in a 4-lane masked
+// vector — both must agree with the naive definition. (Before the
 // kernel dispatch split, only the ≤64-lane staging branch was ever
 // exercised by the strategy tests.)
 func TestAccumulateTileWideLanes(t *testing.T) {

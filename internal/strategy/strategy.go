@@ -162,10 +162,10 @@ func accumulateRow(ans []uint32, leaf uint32, row []uint32) {
 // is query q's leaf share for row j; answers[q] accumulates lane-wise mod
 // 2^32 (order-independent, so tiled output is bit-identical to the scalar
 // per-query pass). The table arrives as a TableView and is consumed
-// chunk-by-chunk: an in-RAM view is one maximal chunk (so the SIMD
-// kernel's per-call work is unchanged), a delta-epoch or paged view is
-// several — the per-lane summation order is the same either way. The only
-// error sources are the view's (a paged backing's read failing mid-pass).
+// chunk-by-chunk: an in-RAM view is one maximal chunk, a delta-epoch or
+// paged view several — the asm tiers cut their own row blocks within a
+// chunk, so only the last block of each is short. The only error sources
+// are the view's (a paged backing's read failing mid-pass).
 func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint32) error {
 	lanes := v.Lanes()
 	// Contiguous fast path: one kernel call over the zero-copy row slice,
@@ -182,30 +182,23 @@ func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint
 	})
 }
 
-// accumulateChunk accumulates one contiguous run (rows [row, row+n) where
-// n = len(data)/lanes) of a tile pass whose leaves are indexed from
-// leafLo. Kernel dispatch: rows of 8+ lanes go through the AVX2 multiply-
-// accumulate kernel when the CPU has it (and the build isn't purego);
-// everything else — narrow rows, other architectures, older CPUs — takes
-// the scalar loop. Both paths are bit-identical by construction: mod-2^32
-// lane adds are order-independent.
-func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
-	if avx2OK && lanes >= 8 {
-		accumulateChunkAVX2(data, lanes, row, leafLo, leaves, answers)
-		return
-	}
-	accumulateChunkScalar(data, lanes, row, leafLo, leaves, answers)
-}
+// The implementations of accumulateChunk, which adds one contiguous run
+// (rows [row, row+len(data)/lanes)) of a tile pass whose leaves are indexed
+// from leafLo: asm tiers register-blocking queries × lane vectors on ZMM or
+// YMM (simd_amd64.go), and the loop below. Bit-identical by construction.
+const accScalar, accAVX2, accAVX512 = "scalar", "avx2", "avx512"
+
+// AccumulateKernel names the one this host runs ("scalar" off amd64, before
+// AVX2 and under -tags purego); pirserver logs it beside dpf.AESKernel.
+func AccumulateKernel() string { return accKernel }
 
 // accumulateChunkScalar is the portable accumulate loop, the dispatch
-// fallback and the reference the SIMD kernel's property tests pin against.
+// fallback and the reference the asm tiers' property tests pin against.
 func accumulateChunkScalar(data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
 	// The row is staged through a fixed-size stack buffer: answers and the
 	// table share an element type, so without the copy the compiler must
 	// reload every row element once per query against possible aliasing.
-	// (The SIMD kernel needs no such staging — its loads are explicit and
-	// unaligned-tolerant — so rowBuf's size only bounds this scalar branch;
-	// wider rows take the direct-row loop below.)
+	// Rows wider than rowBuf take the direct-row loop below.
 	var rowBuf [64]uint32
 	n := len(data) / lanes
 	if lanes <= len(rowBuf) {
