@@ -55,13 +55,15 @@
 // tiled-throughput floors on top: a ratio gate alone cannot catch a
 // kernel regression that slows seed and tiled alike. A "par:" prefix on a
 // -minqps entry ("par:32=1000") floors the tiled-par case instead — CI
-// uses it to require real parallel speedup on multi-core runners.
+// uses it to require real parallel speedup on multi-core runners — and an
+// AES kernel name as prefix ("vaes16:32=6000") binds the entry only where
+// aes_kernel is that kernel.
 //
 // Usage:
 //
 //	benchjson [-o BENCH_hotpath.json] [-rows 65536] [-lanes 16]
 //	          [-batches 1,8,32,128] [-early 2] [-compare BENCH_hotpath.json]
-//	          [-minqps "32=500,par:32=1000"]
+//	          [-minqps "32=500,vaes16:32=2000,par:32=1000"]
 package main
 
 import (
@@ -143,7 +145,7 @@ func main() {
 	batches := flag.String("batches", "1,8,32,128", "comma-separated batch sizes")
 	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth for the tiled path's keys (0 = full-depth wire-v1)")
 	compare := flag.String("compare", "", "committed baseline JSON to gate against (fail on >15% speedup regression or double-digit tiled allocs)")
-	minQPS := flag.String("minqps", "", `absolute throughput floors, comma-separated "batch=qps" entries binding the tiled case (e.g. "32=500"); a "par:" prefix binds tiled-par instead (e.g. "32=500,par:32=1000")`)
+	minQPS := flag.String("minqps", "", `absolute throughput floors, comma-separated "batch=qps" entries binding the tiled case (e.g. "32=500"); a "par:" prefix binds tiled-par instead, an AES kernel name as prefix binds only on that kernel (e.g. "32=500,vaes16:32=2000,par:32=1000")`)
 	flag.Parse()
 
 	tab, err := strategy.NewTable(*rows, *lanes)
@@ -289,19 +291,37 @@ func main() {
 
 // checkThroughputFloors enforces -minqps: each "batch=qps" entry is an
 // absolute floor on the tiled case's measured throughput at that batch; a
-// "par:batch=qps" entry binds the tiled-par case instead. Unlike the
+// "par:" prefix binds the tiled-par case instead, and an AES kernel name
+// as prefix ("vaes16:32=6000") makes the entry bind only on hosts that
+// dispatch to that kernel — the tiers differ by more than the distance
+// between a working and a broken pipeline on either one. Unlike the
 // -compare ratio gate, this catches a kernel regression that slows the
 // seed baseline and the tiled path proportionally.
 func checkThroughputFloors(spec string, got Output) error {
 	for _, entry := range strings.Split(spec, ",") {
 		batchStr, qpsStr, ok := strings.Cut(strings.TrimSpace(entry), "=")
 		if !ok {
-			return fmt.Errorf("bad -minqps entry %q (want [par:]batch=qps)", entry)
+			return fmt.Errorf("bad -minqps entry %q (want [kernel:][par:]batch=qps)", entry)
 		}
-		caseName := "tiled"
-		if rest, isPar := strings.CutPrefix(batchStr, "par:"); isPar {
-			caseName = "tiled-par"
+		caseName, kernel := "tiled", got.AESKernel
+		for {
+			prefix, rest, ok := strings.Cut(batchStr, ":")
+			if !ok {
+				break
+			}
+			switch prefix {
+			case "par":
+				caseName = "tiled-par"
+			case "vaes16", "aesni4", "purego":
+				kernel = prefix
+			default:
+				return fmt.Errorf("bad -minqps prefix %q in %q (want par or an AES kernel: vaes16, aesni4, purego)", prefix, entry)
+			}
 			batchStr = rest
+		}
+		if kernel != got.AESKernel {
+			fmt.Printf("floor %q skipped: this host's AES kernel is %s\n", entry, got.AESKernel)
+			continue
 		}
 		batch, err := strconv.Atoi(batchStr)
 		if err != nil {

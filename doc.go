@@ -34,15 +34,23 @@
 //     the round constant as its key yields SubWord(..)^rcon in every
 //     column, a two-step shift/XOR does the word prefix-XOR — because
 //     AESKEYGENASSIST's issue rate alone (~100 cycles per node) was the
-//     floor of the old pipeline. A pure-Go T-table body serves other
-//     architectures and -tags purego. The correction word is then
-//     applied by a branch-free word-wise pass (child ^= cw.S & -t): the
-//     parent control bits are pseudorandom, so branching on them
-//     mispredicts every other node. For scalar keys the final
-//     level is fused: StepLeafBatch (and FrontierScratch.ExpandLeaves /
-//     the membound walker on top of it) folds the terminal-seed →
-//     32-bit-lane conversion into the last expansion step, so the tree's
-//     widest frontier never round-trips through a buffer.
+//     floor of the old pipeline. The frontier step finishes in the same
+//     registers: each tier has a step kernel that peels the children's
+//     control bits, applies the correction word under the parent's bit
+//     (child ^= cw.S & -t, masked rather than branched — parent bits are
+//     pseudorandom, a branch on them mispredicts every other node) and
+//     stores corrected children and their bits once, and a leaf kernel
+//     that goes on to the §3.1 conversion for the default four-lane
+//     terminal group and stores finished uint32 shares — child seeds of
+//     the tree's widest level never reach memory. StepBothBatch and
+//     StepLeafBatch (and FrontierScratch.ExpandLeaves / the membound
+//     walker on top of them) dispatch to these; ~3.8 and ~4.3 ns per node
+//     on the 16-wide tier against 3.3 for the bare expansion (a separate
+//     Go correction pass over the stored children cost 7.4 and 11.1).
+//     A pure-Go body — T-table AES, then the same correction as a
+//     word-wise pass (correctChildren / correctConvert) — serves other
+//     architectures, -tags purego and narrower terminal groups, and is
+//     the definition the kernel tests pin every tier to.
 //   - internal/strategy implements the paper's execution strategies
 //     (branch-parallel, level-by-level, memory-bounded fused traversal,
 //     cooperative groups, multi-GPU, CPU baseline). Every strategy is
@@ -254,7 +262,10 @@
 // leave single digits (ratios, not absolute ns/op: CI hardware differs
 // from the machine that wrote the committed file), while -minqps adds an
 // absolute batch-32 tiled-throughput floor that catches kernel
-// regressions the ratio alone would miss, and its "par:32=..." entry
+// regressions the ratio alone would miss (an entry prefixed with an AES
+// kernel name, "vaes16:32=...", binds only on hosts dispatching to that
+// kernel: the tiers are further apart than a working and a degraded
+// pipeline are on either), and its "par:32=..." entry
 // floors the tiled-par case at 2× the sequential floor — the multi-core
 // CI runners must show a real row-block-parallel speedup even though the
 // single-core baseline host cannot measure one. "aes_kernel" records
@@ -266,9 +277,11 @@
 // (strategy.AccumulateKernel): only the tiled path's table matmul runs on
 // it, so a baseline from another tier is likewise reported, not gated.
 // The committed file (vaes16 + avx512, gomaxprocs_par 2) shows tiled
-// batch-32 at 6.7 ms/op (~4800 QPS single-threaded, ~40× the seed path;
-// 3.8 ms at two procs) — 7.7 ms before the register-blocked accumulate
-// kernel, ~38 ms with the AESKEYGENASSIST pipeline. That shape (64-byte
+// batch-32 at 4.4 ms/op (~7300 QPS single-threaded, ~59× the seed path;
+// 2.3 ms at two procs; batch-32-only runs on the same noisy 2-vCPU host
+// read 8000-10400 QPS) — 6.7 ms before the fused AES step and leaf
+// kernels, 7.7 ms before the register-blocked accumulate kernel, ~38 ms
+// with the AESKEYGENASSIST pipeline. That shape (64-byte
 // rows) is expansion-bound; CI's bench job therefore also runs the
 // co-located wide-row shape once (-rows 16384 -lanes 1024 -batches 32
 // -minqps "32=600": ~420 QPS on the one-query AVX2 kernel, ~1190 / ~1270
@@ -310,7 +323,8 @@
 // stubs and build-tag plumbing stay honest on every push. Two dedicated
 // kernel-equivalence legs run the accumulate-tiers-vs-scalar (every
 // compiled tier forced; a missing CPUID bit is skipped by name),
-// AES-kernel-tiers-vs-crypto/aes, branch-free-vs-scalar correction,
+// AES-kernel-tiers-vs-crypto/aes, fused-step-and-leaf-kernel-tiers-vs-
+// the-two-pass-Go-definition, branch-free-vs-scalar correction,
 // fused-vs-unfused, and parallel-vs-sequential property tests once under
 // GOAMD64=v3 (asm kernels alongside AVX2 compiler codegen) and once
 // under -tags purego (every dispatch collapsed to its scalar fallback),

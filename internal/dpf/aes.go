@@ -21,9 +21,9 @@ func NewAESPRG() *AESPRG { return &AESPRG{} }
 // Name implements PRG.
 func (*AESPRG) Name() string { return "aes128" }
 
-// aesChunk is how many parents the batched steps expand per kernel call:
+// aesChunk is how many parents the two-pass steps expand per kernel call:
 // 1 KiB of seeds in, 2 KiB of children out, so the children are still in
-// L1 when the Go-side correction pass reads them back.
+// L1 when the correction pass reads them back.
 const aesChunk = 64
 
 // aesExpandNodes writes every seed's raw children — control bits still in
@@ -106,10 +106,17 @@ func (*AESPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8) {
 	}
 }
 
-// stepBothBatch is the fused frontier advance StepBothBatch dispatches to
-// for AES: children are encrypted directly into next (interleaved leaf
-// order) and corrected in place — no intermediate scratch buffers at all.
+// stepBothBatch is the frontier advance StepBothBatch dispatches to for
+// AES. With hardware AES the step kernels do all of it in registers —
+// expand, peel the control bits, correct — and store next and nextT once.
+// The portable body encrypts the children into next (interleaved leaf
+// order) and corrects them in place, a chunk at a time; it is also the
+// definition the kernel tests hold every asm tier to.
 func (*AESPRG) stepBothBatch(seeds []Seed, ts []uint8, cw CW, next []Seed, nextT []uint8) {
+	if aesniOK {
+		aesniStepNodes(next, nextT, seeds, ts, &cw)
+		return
+	}
 	for lo := 0; lo < len(seeds); lo += aesChunk {
 		hi := min(lo+aesChunk, len(seeds))
 		kids := next[2*lo : 2*hi]
@@ -152,13 +159,19 @@ func correctChildren(kids []Seed, kidT []uint8, ts []uint8, cw CW) {
 }
 
 // stepLeafBatch is the fused final step StepLeafBatch dispatches to for
-// AES: a chunk of terminal-frontier parents expands into a stack buffer
-// whose children are corrected and converted straight into the output
-// lanes — the child seeds never touch a frontier or batch scratch buffer,
-// so the tree's widest level costs only the AES kernel and the conversion
-// arithmetic.
+// AES. For the default four-lane terminal group the leaf kernels correct
+// and convert in registers and store finished shares into dst — the
+// tree's widest level costs one pass over its parents and one over dst.
+// The portable body (and narrower groups) expands a chunk of parents into
+// a stack buffer whose children are corrected and converted straight into
+// the output lanes; either way the child seeds never touch a frontier or
+// batch scratch buffer.
 func (*AESPRG) stepLeafBatch(k *Key, seeds []Seed, ts []uint8, cw CW, dst []uint32) {
 	gl := k.GroupLanes()
+	if aesniOK && gl == 4 {
+		aesniLeafNodes(k, seeds, ts, &cw, dst)
+		return
+	}
 	var buf [2 * aesChunk]Seed
 	for lo := 0; lo < len(seeds); lo += aesChunk {
 		hi := min(lo+aesChunk, len(seeds))

@@ -26,6 +26,36 @@ func aesniExpand4(out, seeds *Seed, blocks int)
 //go:noescape
 func vaesExpand16(out, seeds *Seed, blocks int)
 
+// aesniStep4 and vaesStep16 are the expand kernels with the inner-level
+// frontier step finished in registers: each child's control bit is peeled
+// into nextT (XORed with cw's bit under the parent's), the child becomes
+// (child &^ 1) ^ cw.S & -ts[i], and both are stored once, in leaf order.
+// ts and cw's bits must be 0 or 1. Implemented in aesni_amd64.s.
+//
+//go:noescape
+func aesniStep4(next, seeds *Seed, nextT, ts *uint8, cw *CW, blocks int)
+
+//go:noescape
+func vaesStep16(next, seeds *Seed, nextT, ts *uint8, cw *CW, blocks int)
+
+// aesLeafConsts is what the leaf kernels need of a four-lane-group key,
+// one 16-byte vector each: the final correction, the party's negation
+// mask, and cw.TL / cw.TR as all-ones or zero.
+type aesLeafConsts struct {
+	final, neg, tl, tr [4]uint32
+}
+
+// aesniLeaf4 and vaesLeaf16 are the step kernels for the terminal level of
+// a key with GroupLanes() == 4: the corrected children never reach memory,
+// each becomes its four finished shares ((word + final & -t) ^ neg) - neg
+// in dst, eight uint32 per parent. Implemented in aesni_amd64.s.
+//
+//go:noescape
+func aesniLeaf4(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+
+//go:noescape
+func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+
 // aesniOK gates the hardware path; the pure-Go T-table implementation is
 // the fallback. vaesOK additionally selects the 16-wide tier for the bulk
 // of a frontier.
@@ -77,5 +107,69 @@ func aesniExpandTier(out, seeds []Seed, wide bool) {
 		copy(in[:], seeds[i:])
 		aesniExpand4(&kids[0], &in[0], 1)
 		copy(out[2*i:], kids[:])
+	}
+}
+
+// aesniStepNodes is stepBothBatch on the widest kernel the CPU has.
+func aesniStepNodes(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW) {
+	aesniStepTier(next, nextT, seeds, ts, cw, vaesOK)
+}
+
+// aesniStepTier splits a frontier over the step kernels the way
+// aesniExpandTier does over the expand kernels.
+func aesniStepTier(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW, wide bool) {
+	n := len(seeds)
+	next, nextT, ts = next[:2*n], nextT[:2*n], ts[:n]
+	i := 0
+	if wide && n >= 16 {
+		vaesStep16(&next[0], &seeds[0], &nextT[0], &ts[0], cw, n/16)
+		i = n &^ 15
+	}
+	if n-i >= 4 {
+		aesniStep4(&next[2*i], &seeds[i], &nextT[2*i], &ts[i], cw, (n-i)/4)
+		i = n &^ 3
+	}
+	if i < n {
+		var in [4]Seed
+		var inT [4]uint8
+		var kids [8]Seed
+		var kidT [8]uint8
+		copy(in[:], seeds[i:])
+		copy(inT[:], ts[i:])
+		aesniStep4(&kids[0], &in[0], &kidT[0], &inT[0], cw, 1)
+		copy(next[2*i:], kids[:])
+		copy(nextT[2*i:], kidT[:])
+	}
+}
+
+// aesniLeafNodes is stepLeafBatch for a key with GroupLanes() == 4 on the
+// widest kernel the CPU has.
+func aesniLeafNodes(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32) {
+	aesniLeafTier(k, seeds, ts, cw, dst, vaesOK)
+}
+
+// aesniLeafTier is aesniStepTier for the leaf kernels.
+func aesniLeafTier(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32, wide bool) {
+	mask := func(b uint8) [4]uint32 { m := -uint32(b); return [4]uint32{m, m, m, m} }
+	lc := aesLeafConsts{final: [4]uint32(k.Final), neg: mask(k.Party), tl: mask(cw.TL), tr: mask(cw.TR)}
+	n := len(seeds)
+	dst, ts = dst[:8*n], ts[:n]
+	i := 0
+	if wide && n >= 16 {
+		vaesLeaf16(&dst[0], &seeds[0], &ts[0], cw, &lc, n/16)
+		i = n &^ 15
+	}
+	if n-i >= 4 {
+		aesniLeaf4(&dst[8*i], &seeds[i], &ts[i], cw, &lc, (n-i)/4)
+		i = n &^ 3
+	}
+	if i < n {
+		var in [4]Seed
+		var inT [4]uint8
+		var out [32]uint32
+		copy(in[:], seeds[i:])
+		copy(inT[:], ts[i:])
+		aesniLeaf4(&out[0], &in[0], &inT[0], cw, &lc, 1)
+		copy(dst[8*i:], out[:])
 	}
 }

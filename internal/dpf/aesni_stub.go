@@ -13,3 +13,11 @@ func AESKernel() string { return "purego" }
 func aesniExpandNodes(out, seeds []Seed) {
 	panic("dpf: aesniExpandNodes without AES-NI")
 }
+
+func aesniStepNodes(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW) {
+	panic("dpf: aesniStepNodes without AES-NI")
+}
+
+func aesniLeafNodes(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32) {
+	panic("dpf: aesniLeafNodes without AES-NI")
+}

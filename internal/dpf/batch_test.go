@@ -4,6 +4,7 @@ import (
 	"crypto/aes"
 	"crypto/rand"
 	mrand "math/rand"
+	randv2 "math/rand/v2"
 	"testing"
 )
 
@@ -80,6 +81,101 @@ func checkAESExpandMatchesStdlib(t *testing.T, expand func(out, seeds []Seed)) {
 func TestAESKernelsMatchStdlib(t *testing.T) {
 	t.Run("dispatch:"+AESKernel(), func(t *testing.T) { checkAESExpandMatchesStdlib(t, aesExpandNodes) })
 	t.Run("portable", func(t *testing.T) { checkAESExpandMatchesStdlib(t, aesExpandNodesGo) })
+}
+
+// checkAESFusedMatchesOracle pins one body of the AES frontier step and of
+// the four-lane leaf step to the two-pass Go definition (aesExpandNodesGo,
+// then correctChildren / correctConvert) at every frontier length 1..70 —
+// whole 16-blocks, whole 4-blocks and 1-3-node padded tails in every
+// combination — over PCG-seeded seeds, correction words (cw.S with its
+// control-bit position set and clear) and final corrections, for every
+// cw.TL/cw.TR/party combination and parent bits all 0, all 1 and random.
+// A canary follows next, nextT and dst: the bodies must write exactly
+// 2n seeds, 2n bits and 8n shares.
+func checkAESFusedMatchesOracle(t *testing.T,
+	step func(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW),
+	leaf func(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32)) {
+	t.Helper()
+	const maxN = 70
+	rng := randv2.New(randv2.NewPCG(16, 0x66757365))
+	fill := func(b []byte) {
+		for i := range b {
+			b[i] = byte(rng.Uint32())
+		}
+	}
+	var seeds [maxN]Seed
+	var ts [maxN]uint8
+	var kids, next [2*maxN + 1]Seed
+	var kidT, nextT [2*maxN + 1]uint8
+	var want, dst [8*maxN + 1]uint32
+	var guard Seed
+	for trial := 0; trial < 96; trial++ {
+		k := Key{Bits: 20, Lanes: 1, Early: 2, Party: uint8(trial >> 2 & 1), Final: make([]uint32, 4)}
+		for j := range k.Final {
+			k.Final[j] = rng.Uint32()
+		}
+		var cw CW
+		fill(cw.S[:])
+		cw.S[0] = cw.S[0]&^1 | uint8(trial>>3&1)
+		cw.TL, cw.TR = uint8(trial&1), uint8(trial>>1&1)
+		for i := range seeds {
+			fill(seeds[i][:])
+			switch trial >> 4 % 3 {
+			case 0:
+				ts[i] = uint8(rng.Uint32() & 1)
+			case 1:
+				ts[i] = 0
+			case 2:
+				ts[i] = 1
+			}
+		}
+		fill(guard[:])
+		guardT, guardW := guard[0]|2, leU32(guard[4:8])
+		for n := 1; n <= maxN; n++ {
+			aesExpandNodesGo(kids[:2*n], seeds[:n])
+			correctConvert(&k, kids[:2*n], ts[:n], cw, want[:8*n])
+			correctChildren(kids[:2*n], kidT[:2*n], ts[:n], cw)
+
+			next[2*n], nextT[2*n], dst[8*n] = guard, guardT, guardW
+			step(next[:2*n], nextT[:2*n], seeds[:n], ts[:n], &cw)
+			for i := 0; i < 2*n; i++ {
+				if next[i] != kids[i] || nextT[i] != kidT[i] {
+					t.Fatalf("trial %d n=%d cw=(%x,%d,%d) parent %d (t=%d) child %d: step (%x,%d), oracle (%x,%d)",
+						trial, n, cw.S, cw.TL, cw.TR, i/2, ts[i/2], i&1, next[i], nextT[i], kids[i], kidT[i])
+				}
+			}
+			if next[2*n] != guard || nextT[2*n] != guardT {
+				t.Fatalf("trial %d n=%d: step wrote past its %d children", trial, n, 2*n)
+			}
+			leaf(&k, seeds[:n], ts[:n], &cw, dst[:8*n])
+			for i := 0; i < 8*n; i++ {
+				if dst[i] != want[i] {
+					t.Fatalf("trial %d n=%d party=%d cw=(%x,%d,%d) parent %d (t=%d) share %d: leaf %#x, oracle %#x",
+						trial, n, k.Party, cw.S, cw.TL, cw.TR, i/8, ts[i/8], i%8, dst[i], want[i])
+				}
+			}
+			if dst[8*n] != guardW {
+				t.Fatalf("trial %d n=%d: leaf wrote past its %d shares", trial, n, 8*n)
+			}
+		}
+	}
+}
+
+// TestAESKernelFusedMatchesOracle pins the fused frontier and leaf steps
+// this host dispatches to (the two-pass body itself under -tags purego and
+// off amd64) to the two-pass definition. The asm tiers are pinned one by
+// one in TestAESKernelFusedTiersMatchOracle.
+func TestAESKernelFusedMatchesOracle(t *testing.T) {
+	prg := NewAESPRG()
+	t.Run("dispatch:"+AESKernel(), func(t *testing.T) {
+		checkAESFusedMatchesOracle(t,
+			func(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW) {
+				prg.stepBothBatch(seeds, ts, *cw, next, nextT)
+			},
+			func(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32) {
+				prg.stepLeafBatch(k, seeds, ts, *cw, dst)
+			})
+	})
 }
 
 // TestAESBranchFreeCorrectionMatchesScalar pins the AES steps' branch-free
@@ -359,6 +455,52 @@ func TestLeafValuesIntoMatchesLeafValueScalar(t *testing.T) {
 			for j := r[0]; j < r[1]; j++ {
 				if sub[j-r[0]] != got[j] {
 					t.Fatalf("party=%d LeafRangeInto[%d,%d): mismatch at leaf %d", k.Party, r[0], r[1], j)
+				}
+			}
+		}
+	}
+}
+
+// TestLeafRangeIntoClipSweep pins the branch-free LeafRangeInto to the
+// scalar LeafValue for every [lo, hi) of a small frontier — every head
+// and tail clip offset, ranges inside one group, empty ranges — at every
+// early-termination depth and both parties, with a canary after dst.
+func TestLeafRangeIntoClipSweep(t *testing.T) {
+	rng := randv2.New(randv2.NewPCG(17, 0x636c6970))
+	prg := NewAESPRG()
+	for _, early := range []int{0, 1, 2} {
+		for party := uint8(0); party < 2; party++ {
+			k := Key{Bits: 12, Lanes: 1, Early: early, Party: party, Final: make([]uint32, 1<<early)}
+			for j := range k.Final {
+				k.Final[j] = rng.Uint32()
+			}
+			const n = 5
+			gs := uint64(k.GroupSize())
+			seeds := make([]Seed, n)
+			ts := make([]uint8, n)
+			want := make([]uint32, n*gs)
+			for i := range seeds {
+				for j := range seeds[i] {
+					seeds[i][j] = byte(rng.Uint32())
+				}
+				ts[i] = uint8(rng.Uint32() & 1)
+				LeafValue(prg, &k, seeds[i], ts[i], want[uint64(i)*gs:])
+			}
+			const canary = 0xdeadbeef
+			got := make([]uint32, n*gs+1)
+			for lo := uint64(0); lo <= n*gs; lo++ {
+				for hi := lo; hi <= n*gs; hi++ {
+					got[hi-lo] = canary
+					LeafRangeInto(&k, seeds, ts, lo, hi, got[:hi-lo])
+					for j := lo; j < hi; j++ {
+						if got[j-lo] != want[j] {
+							t.Fatalf("early=%d party=%d [%d,%d): leaf %d is %#x, LeafValue says %#x",
+								early, party, lo, hi, j, got[j-lo], want[j])
+						}
+					}
+					if got[hi-lo] != canary {
+						t.Fatalf("early=%d party=%d [%d,%d): wrote past %d values", early, party, lo, hi, hi-lo)
+					}
 				}
 			}
 		}

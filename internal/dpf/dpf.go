@@ -371,25 +371,32 @@ func StepLeafBatch(prg PRG, k *Key, seeds []Seed, ts []uint8, dst []uint32, sc *
 			lt ^= cw.TL
 			rt ^= cw.TR
 		}
-		convertLeafGroup(k, &l, lt, dst[2*i*gl:(2*i+1)*gl])
-		convertLeafGroup(k, &r, rt, dst[(2*i+1)*gl:(2*i+2)*gl])
+		convertLeafGroup(k, &l, lt, 0, dst[2*i*gl:(2*i+1)*gl])
+		convertLeafGroup(k, &r, rt, 0, dst[(2*i+1)*gl:(2*i+2)*gl])
 	}
 }
 
-// convertLeafGroup converts one corrected terminal seed of a scalar key
-// into its group's output shares (final correction plus party sign), the
-// per-node body of LeafValuesInto.
-func convertLeafGroup(k *Key, s *Seed, t uint8, out []uint32) {
-	neg := k.Party == 1
+// convertLeafGroup converts lanes [jLo, jLo+len(out)) of one corrected
+// terminal seed of a scalar key into output shares (final correction plus
+// party sign). Like the AES steps' correction passes it masks instead of
+// branching on the control bit and the party: the bit is pseudorandom, a
+// branch on it mispredicts every other node.
+func convertLeafGroup(k *Key, s *Seed, t uint8, jLo int, out []uint32) {
+	fm, neg := -uint32(t), -uint32(k.Party)
+	if len(out) == 4 && len(k.Final) == 4 {
+		// A whole group at the default early-termination depth: the lane
+		// loop unrolls into straight stores (3.3 against 7 ns per seed).
+		f := (*[4]uint32)(k.Final)
+		o := (*[4]uint32)(out)
+		o[0] = ((leU32(s[0:4]) + f[0]&fm) ^ neg) - neg
+		o[1] = ((leU32(s[4:8]) + f[1]&fm) ^ neg) - neg
+		o[2] = ((leU32(s[8:12]) + f[2]&fm) ^ neg) - neg
+		o[3] = ((leU32(s[12:16]) + f[3]&fm) ^ neg) - neg
+		return
+	}
+	words, final := s[4*jLo:], k.Final[jLo:]
 	for j := range out {
-		v := leU32(s[j*4 : j*4+4])
-		if t == 1 {
-			v += k.Final[j]
-		}
-		if neg {
-			v = -v
-		}
-		out[j] = v
+		out[j] = ((leU32(words[4*j:4*j+4]) + final[j]&fm) ^ neg) - neg
 	}
 }
 
@@ -453,34 +460,18 @@ func LeafValue(prg PRG, k *Key, s Seed, t uint8, dst []uint32) []uint32 {
 // for early-terminated keys this is the §3.1 payoff: one 128-bit seed
 // becomes four output lanes instead of four walked leaves.
 func LeafValuesInto(k *Key, seeds []Seed, ts []uint8, dst []uint32) {
-	neg := k.Party == 1
 	if k.Early == 0 {
-		final := k.Final[0]
+		// One lane per seed: a call per seed would cost five times the
+		// arithmetic.
+		final, neg := k.Final[0], -uint32(k.Party)
 		for i := range seeds {
-			v := leU32(seeds[i][0:4])
-			if ts[i] == 1 {
-				v += final
-			}
-			if neg {
-				v = -v
-			}
-			dst[i] = v
+			dst[i] = ((leU32(seeds[i][0:4]) + final&-uint32(ts[i])) ^ neg) - neg
 		}
 		return
 	}
 	gs := k.GroupSize()
 	for i := range seeds {
-		out := dst[i*gs : (i+1)*gs]
-		for j := 0; j < gs; j++ {
-			v := leU32(seeds[i][j*4 : j*4+4])
-			if ts[i] == 1 {
-				v += k.Final[j]
-			}
-			if neg {
-				v = -v
-			}
-			out[j] = v
-		}
+		convertLeafGroup(k, &seeds[i], ts[i], 0, dst[i*gs:(i+1)*gs])
 	}
 }
 
@@ -488,35 +479,22 @@ func LeafValuesInto(k *Key, seeds []Seed, ts []uint8, dst []uint32) {
 // frontier into dst (hi-lo values): seeds[g] covers leaves
 // [g<<Early, (g+1)<<Early) in the frontier's own coordinates, so lo and hi
 // may cut through a terminal group — range walkers and shard boundaries
-// land wherever they like, the group conversion clips.
+// land wherever they like, the first and last group clip.
 func LeafRangeInto(k *Key, seeds []Seed, ts []uint8, lo, hi uint64, dst []uint32) {
-	if k.Early == 0 {
-		LeafValuesInto(k, seeds[lo:hi], ts[lo:hi], dst[:hi-lo])
+	gs := uint64(k.GroupSize())
+	if head := lo % gs; head > 0 {
+		n := min(gs-head, hi-lo)
+		convertLeafGroup(k, &seeds[lo/gs], ts[lo/gs], int(head), dst[:n])
+		dst, lo = dst[n:], lo+n
+	}
+	if lo == hi {
 		return
 	}
-	gs := uint64(k.GroupSize())
-	neg := k.Party == 1
-	for g := lo >> uint(k.Early); g<<uint(k.Early) < hi; g++ {
-		base := g << uint(k.Early)
-		jLo, jHi := uint64(0), gs
-		if base < lo {
-			jLo = lo - base
-		}
-		if base+gs > hi {
-			jHi = hi - base
-		}
-		s, t := seeds[g], ts[g]
-		out := dst[base+jLo-lo:]
-		for j := jLo; j < jHi; j++ {
-			v := leU32(s[j*4 : j*4+4])
-			if t == 1 {
-				v += k.Final[j]
-			}
-			if neg {
-				v = -v
-			}
-			out[j-jLo] = v
-		}
+	// lo is group-aligned from here on.
+	gLo, gHi := lo/gs, hi/gs
+	LeafValuesInto(k, seeds[gLo:gHi], ts[gLo:gHi], dst)
+	if tail := hi % gs; tail > 0 {
+		convertLeafGroup(k, &seeds[gHi], ts[gHi], 0, dst[(gHi-gLo)*gs:][:tail])
 	}
 }
 

@@ -312,13 +312,23 @@ type mbWalker struct {
 }
 
 // walk expands the group (seeds, ts) rooted at level covering leaves
-// [base, base+span·len(seeds)), pruning groups outside [lo, hi). At the
+// [base, base+span·len(seeds)), pruning nodes outside [lo, hi). At the
 // terminal level each node converts into 2^Early leaf shares, clipped to
 // the range.
 func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 	span := uint64(1) << uint(w.bits-level)
 	if base >= w.hi || base+span*uint64(len(seeds)) <= w.lo {
 		return // whole group outside the range
+	}
+	// Trim the group to the nodes whose span meets [lo, hi): a range
+	// narrower than one K-group would otherwise drag the whole group down
+	// every level and prune nothing.
+	if base < w.lo {
+		skip := (w.lo - base) / span
+		seeds, ts, base = seeds[skip:], ts[skip:], base+skip*span
+	}
+	if keep := (w.hi - base + span - 1) / span; keep < uint64(len(seeds)) {
+		seeds, ts = seeds[:keep], ts[:keep]
 	}
 	if level == w.depth {
 		// seeds cover leaves [base, base+len·span); clip to [lo, hi) in

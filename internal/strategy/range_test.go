@@ -76,6 +76,62 @@ func TestRunRangePartition(t *testing.T) {
 	}
 }
 
+// TestMemBoundRangeTrim: the memory-bounded walk trims every K-group to
+// the nodes that meet the shard's range, so a table split over N shards
+// costs each shard about 1/N of the tree even when K is as wide as the
+// shard's whole frontier (2^10 rows at K=128 used to expand the full tree
+// on both of 2 shards). For shards in {2,3,5,8} and 2^8..2^14 rows the
+// shard partials sum bit-identically to the full run, and each shard
+// computes at most full/N PRF blocks plus three edge nodes per level —
+// far inside the K-group-per-level allowance (full/N + depth·2K) that
+// whole-group pruning could promise.
+func TestMemBoundRangeTrim(t *testing.T) {
+	prg := dpf.NewAESPRG()
+	m := MemBoundTree{Fused: true}
+	rng := rand.New(rand.NewSource(16))
+	for bits := 8; bits <= 14; bits++ {
+		rows, lanes := 1<<bits, 2
+		tab := buildTable(t, rows, lanes, int64(bits))
+		keys := make([]*dpf.Key, 3)
+		for q := range keys {
+			k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), bits, []uint32{1}, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[q] = &k0
+		}
+		var ctr gpu.Counters
+		want, err := m.Run(prg, keys, tab, &ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := ctr.Snapshot().PRFBlocks
+		for _, shards := range []int{2, 3, 5, 8} {
+			got := NewAnswers(len(keys), lanes)
+			limit := full/int64(shards) + int64(len(keys)*keys[0].TreeDepth())*3*dpf.BlocksPerExpand
+			for sh := 0; sh < shards; sh++ {
+				lo, hi := sh*rows/shards, (sh+1)*rows/shards
+				ctr.Reset()
+				if err := m.RunRangeInto(prg, keys, tab.View(), lo, hi, &ctr, got); err != nil {
+					t.Fatal(err)
+				}
+				if b := ctr.Snapshot().PRFBlocks; b > limit {
+					t.Errorf("bits=%d shard %d/%d [%d,%d): %d PRF blocks, want <= %d (full run %d)",
+						bits, sh, shards, lo, hi, b, limit, full)
+				}
+			}
+			for q := range want {
+				for l := range want[q] {
+					if got[q][l] != want[q][l] {
+						t.Fatalf("bits=%d shards=%d key %d lane %d: partials sum to %d, full run %d",
+							bits, shards, q, l, got[q][l], want[q][l])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRunRangeValidation: bad ranges are rejected.
 func TestRunRangeValidation(t *testing.T) {
 	prg := dpf.NewAESPRG()
