@@ -29,9 +29,9 @@
 // The sequential cases are pinned to GOMAXPROCS=1 (matching the committed
 // baseline's single-threaded numbers, whatever machine runs them); the
 // parallel cases run at the host's full GOMAXPROCS, recorded separately
-// as gomaxprocs_par. On a single-core host the par cases degrade to the
-// sequential path and their ratio over tiled is ~1 — compare them only at
-// gomaxprocs_par > 1.
+// as gomaxprocs_par. At gomaxprocs_par == 1 the par cases would only be
+// the sequential path under a parallel name, so they are neither measured
+// nor recorded there, and "par:" floors are skipped.
 //
 // Each case also reports mb_per_sec, the table-streaming bandwidth the
 // paper's §3.2.4 tableReadBytes model implies: the bytes the case's table
@@ -55,15 +55,16 @@
 // tiled-throughput floors on top: a ratio gate alone cannot catch a
 // kernel regression that slows seed and tiled alike. A "par:" prefix on a
 // -minqps entry ("par:32=1000") floors the tiled-par case instead — CI
-// uses it to require real parallel speedup on multi-core runners — and an
-// AES kernel name as prefix ("vaes16:32=6000") binds the entry only where
-// aes_kernel is that kernel.
+// uses it to require real parallel speedup on multi-core runners — and a
+// kernel name as prefix binds the entry only where that kernel ran: an AES
+// kernel ("vaes16:32=6000") against aes_kernel, an accumulate kernel
+// ("amx:32=2500") against acc_kernel.
 //
 // Usage:
 //
 //	benchjson [-o BENCH_hotpath.json] [-rows 65536] [-lanes 16]
 //	          [-batches 1,8,32,128] [-early 2] [-compare BENCH_hotpath.json]
-//	          [-minqps "32=500,vaes16:32=2000,par:32=1000"]
+//	          [-minqps "32=500,vaes16:32=2000,amx:32=2500,par:32=1000"]
 package main
 
 import (
@@ -145,7 +146,7 @@ func main() {
 	batches := flag.String("batches", "1,8,32,128", "comma-separated batch sizes")
 	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth for the tiled path's keys (0 = full-depth wire-v1)")
 	compare := flag.String("compare", "", "committed baseline JSON to gate against (fail on >15% speedup regression or double-digit tiled allocs)")
-	minQPS := flag.String("minqps", "", `absolute throughput floors, comma-separated "batch=qps" entries binding the tiled case (e.g. "32=500"); a "par:" prefix binds tiled-par instead, an AES kernel name as prefix binds only on that kernel (e.g. "32=500,vaes16:32=2000,par:32=1000")`)
+	minQPS := flag.String("minqps", "", `absolute throughput floors, comma-separated "batch=qps" entries binding the tiled case (e.g. "32=500"); a "par:" prefix binds tiled-par instead, an AES or accumulate kernel name as prefix binds only on that kernel (e.g. "32=500,vaes16:32=2000,amx:32=2500,par:32=1000")`)
 	flag.Parse()
 
 	tab, err := strategy.NewTable(*rows, *lanes)
@@ -240,29 +241,35 @@ func main() {
 				log.Fatalf("benchjson: %v", err)
 			}
 		})
-		runtime.GOMAXPROCS(procs)
-		tiledPar := measure("tiled-par", batch, tiles*tableBytes, func() {
-			var ctr gpu.Counters
-			s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
-			if _, err := s.Run(prg, tiledKeys, tab, &ctr); err != nil {
-				log.Fatalf("benchjson: %v", err)
-			}
-		})
-		tiledPagedPar := measure("tiled-paged-par", batch, tiles*tableBytes, func() {
-			var ctr gpu.Counters
-			s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
-			ans := strategy.NewAnswers(len(tiledKeys), *lanes)
-			if err := s.RunRangeInto(prg, tiledKeys, pagedSnap, 0, *rows, &ctr, ans); err != nil {
-				log.Fatalf("benchjson: %v", err)
-			}
-		})
-		o.Cases = append(o.Cases, seed, tiled, tiledPaged, tiledPar, tiledPagedPar)
+		o.Cases = append(o.Cases, seed, tiled, tiledPaged)
+		line := fmt.Sprintf("batch=%d: seed %.1fms (%d allocs/op), tiled %.1fms (%d allocs/op), tiled-paged %.1fms",
+			batch, seed.NsPerOp/1e6, seed.AllocsPerOp, tiled.NsPerOp/1e6, tiled.AllocsPerOp, tiledPaged.NsPerOp/1e6)
+		// A "-par" case on one P is the sequential path again: recording it
+		// would file a sequential number under a parallel name.
+		if procs > 1 {
+			runtime.GOMAXPROCS(procs)
+			tiledPar := measure("tiled-par", batch, tiles*tableBytes, func() {
+				var ctr gpu.Counters
+				s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
+				if _, err := s.Run(prg, tiledKeys, tab, &ctr); err != nil {
+					log.Fatalf("benchjson: %v", err)
+				}
+			})
+			tiledPagedPar := measure("tiled-paged-par", batch, tiles*tableBytes, func() {
+				var ctr gpu.Counters
+				s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
+				ans := strategy.NewAnswers(len(tiledKeys), *lanes)
+				if err := s.RunRangeInto(prg, tiledKeys, pagedSnap, 0, *rows, &ctr, ans); err != nil {
+					log.Fatalf("benchjson: %v", err)
+				}
+			})
+			o.Cases = append(o.Cases, tiledPar, tiledPagedPar)
+			line += fmt.Sprintf(", tiled-par %.1fms, tiled-paged-par %.1fms", tiledPar.NsPerOp/1e6, tiledPagedPar.NsPerOp/1e6)
+		}
 		if tiled.NsPerOp > 0 {
 			o.Speedup[strconv.Itoa(batch)] = seed.NsPerOp / tiled.NsPerOp
 		}
-		fmt.Printf("batch=%d: seed %.1fms (%d allocs/op), tiled %.1fms (%d allocs/op), tiled-paged %.1fms, tiled-par %.1fms, tiled-paged-par %.1fms, speedup %.2fx\n",
-			batch, seed.NsPerOp/1e6, seed.AllocsPerOp, tiled.NsPerOp/1e6, tiled.AllocsPerOp,
-			tiledPaged.NsPerOp/1e6, tiledPar.NsPerOp/1e6, tiledPagedPar.NsPerOp/1e6, seed.NsPerOp/tiled.NsPerOp)
+		fmt.Printf("%s, speedup %.2fx\n", line, seed.NsPerOp/tiled.NsPerOp)
 	}
 
 	buf, err := json.MarshalIndent(o, "", "  ")
@@ -291,10 +298,12 @@ func main() {
 
 // checkThroughputFloors enforces -minqps: each "batch=qps" entry is an
 // absolute floor on the tiled case's measured throughput at that batch; a
-// "par:" prefix binds the tiled-par case instead, and an AES kernel name
-// as prefix ("vaes16:32=6000") makes the entry bind only on hosts that
-// dispatch to that kernel — the tiers differ by more than the distance
-// between a working and a broken pipeline on either one. Unlike the
+// "par:" prefix binds the tiled-par case instead (and is skipped where
+// gomaxprocs_par is 1: the case is not measured there), and a kernel name
+// as prefix — AES ("vaes16:32=6000") or accumulate ("amx:32=2500") — makes
+// the entry bind only on hosts that dispatch to that kernel: the tiers
+// differ by more than the distance between a working and a broken pipeline
+// on either one. Unlike the
 // -compare ratio gate, this catches a kernel regression that slows the
 // seed baseline and the tiled path proportionally.
 func checkThroughputFloors(spec string, got Output) error {
@@ -303,7 +312,7 @@ func checkThroughputFloors(spec string, got Output) error {
 		if !ok {
 			return fmt.Errorf("bad -minqps entry %q (want [kernel:][par:]batch=qps)", entry)
 		}
-		caseName, kernel := "tiled", got.AESKernel
+		caseName, aes, acc := "tiled", got.AESKernel, got.AccKernel
 		for {
 			prefix, rest, ok := strings.Cut(batchStr, ":")
 			if !ok {
@@ -313,14 +322,20 @@ func checkThroughputFloors(spec string, got Output) error {
 			case "par":
 				caseName = "tiled-par"
 			case "vaes16", "aesni4", "purego":
-				kernel = prefix
+				aes = prefix
+			case "amx", "avx512", "avx2", "scalar":
+				acc = prefix
 			default:
-				return fmt.Errorf("bad -minqps prefix %q in %q (want par or an AES kernel: vaes16, aesni4, purego)", prefix, entry)
+				return fmt.Errorf("bad -minqps prefix %q in %q (want par, an AES kernel: vaes16, aesni4, purego, or an accumulate kernel: amx, avx512, avx2, scalar)", prefix, entry)
 			}
 			batchStr = rest
 		}
-		if kernel != got.AESKernel {
-			fmt.Printf("floor %q skipped: this host's AES kernel is %s\n", entry, got.AESKernel)
+		if aes != got.AESKernel || acc != got.AccKernel {
+			fmt.Printf("floor %q skipped: this host's kernels are aes=%s acc=%s\n", entry, got.AESKernel, got.AccKernel)
+			continue
+		}
+		if caseName == "tiled-par" && got.GoMaxProcsPar == 1 {
+			fmt.Printf("floor %q skipped: gomaxprocs_par is 1, the par cases are not measured\n", entry)
 			continue
 		}
 		batch, err := strconv.Atoi(batchStr)

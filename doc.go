@@ -77,11 +77,35 @@
 //     masked vector, so every lane count ≥ 1 runs in the kernel. The row block
 //     is cut by bytes (128 KiB of table: streamed from memory once,
 //     re-read from L2 by the tile's other query groups), which is 2048
-//     rows at 64 B and 32 rows at 4 KiB. Other architectures, CPUs
-//     without AVX2 and -tags purego builds take the scalar loop
-//     ("scalar"). All are bit-identical (mod-2^32 adds commute;
-//     TestAccumulateTileKernelTiersMatchScalar calls every compiled tier
-//     explicitly over lanes × tile sizes × row counts × fragmentations).
+//     rows at 64 B and 32 rows at 4 KiB. "amx" (a CPU with AMX-INT8
+//     whose tile state Linux grants the process; picked like the others,
+//     no flag) puts the matmul on the tile matrix unit. The identity:
+//     with a leaf share a = Σ aᵢ·2^{8i} and a table word b = Σ bⱼ·2^{8j},
+//     a·b mod 2^32 = Σ_{s≤3} 2^{8s}·Σ_{j≤s} a_{s−j}·bⱼ — ten u8×u8
+//     products, which TDPBUUD sums four at a time into wrapping int32.
+//     The operand layouts: TDPBUUD's B tile wants, per dword column n,
+//     four bytes that share a contraction index group — and a table word's
+//     four bytes are exactly that, so the table is the B operand as it
+//     lies in memory (16 rows × 16 lanes per tile load, any stride, no
+//     conversion, no second layout); the A operand is four byte planes of
+//     the leaf shares, plane s holding (a_s, …, a_0, 0, …) per dword (the
+//     byte-reversed share shifted right 8(3−s) bits — one VPSHUFB and
+//     three shifts per 16 shares, done one step ahead of the step that
+//     multiplies them), and accumulator tile C_s takes plane s, so four
+//     TDPBUUD serve 16 rows × 16 lanes × 16 queries and ans += C0 + C1<<8 +
+//     C2<<16 + C3<<24 at the end of a row panel. Lanes past a whole tile
+//     are a narrower tile configuration, a short last query tile a
+//     shorter A tile, the last rows%16 rows go to the avx512 body. The
+//     16-query rule: the tier serves a chunk when the tile has at least
+//     16 queries (one full A tile) and the chunk 64 rows; below that — the
+//     4-key and 1-key tiles of a paged or single-key workload — the
+//     avx512 bodies run as before. Every asm call configures and releases
+//     its tile state, so none is live across a goroutine switch. Other
+//     architectures, CPUs without AVX2 and -tags purego builds take the
+//     scalar loop ("scalar"). All are bit-identical (mod-2^32 adds
+//     commute; TestAccumulateTileKernelTiersMatchScalar calls every
+//     compiled tier explicitly over lanes × tile sizes × row counts ×
+//     fragmentations).
 //     RunRangeInto accumulates into caller-provided
 //     buffers through pooled scratch. The tile pass also parallelizes:
 //     a strategy with Workers > 1 (strategy.WithWorkers wraps any
@@ -246,9 +270,9 @@
 // table stream fanned across a worker per core. The sequential cases
 // are pinned to GOMAXPROCS=1 ("gomaxprocs") so they compare against the
 // committed single-threaded baseline on any host; the par cases run at
-// the machine's full width ("gomaxprocs_par") — on a single-core host
-// they degrade to the sequential path, so only compare them when
-// gomaxprocs_par > 1. ns_per_op is one whole batch,
+// the machine's full width ("gomaxprocs_par") — where that is 1 they
+// would be the sequential path under a parallel name, so benchjson
+// neither measures nor records them. ns_per_op is one whole batch,
 // qps = batch / seconds_per_op,
 // mb_per_sec is the table-streaming bandwidth the §3.2.4 traffic model
 // implies (mandatory table-pass bytes / wall time — how close the answer
@@ -263,9 +287,9 @@
 // from the machine that wrote the committed file), while -minqps adds an
 // absolute batch-32 tiled-throughput floor that catches kernel
 // regressions the ratio alone would miss (an entry prefixed with an AES
-// kernel name, "vaes16:32=...", binds only on hosts dispatching to that
-// kernel: the tiers are further apart than a working and a degraded
-// pipeline are on either), and its "par:32=..." entry
+// or accumulate kernel name, "vaes16:32=..." or "amx:32=...", binds only
+// on hosts dispatching to that kernel: the tiers are further apart than a
+// working and a degraded pipeline are on either), and its "par:32=..." entry
 // floors the tiled-par case at 2× the sequential floor — the multi-core
 // CI runners must show a real row-block-parallel speedup even though the
 // single-core baseline host cannot measure one. "aes_kernel" records
@@ -276,17 +300,19 @@
 // floors. "acc_kernel" records the accumulate tier the same way
 // (strategy.AccumulateKernel): only the tiled path's table matmul runs on
 // it, so a baseline from another tier is likewise reported, not gated.
-// The committed file (vaes16 + avx512, gomaxprocs_par 2) shows tiled
-// batch-32 at 4.4 ms/op (~7300 QPS single-threaded, ~59× the seed path;
-// 2.3 ms at two procs; batch-32-only runs on the same noisy 2-vCPU host
-// read 8000-10400 QPS) — 6.7 ms before the fused AES step and leaf
-// kernels, 7.7 ms before the register-blocked accumulate kernel, ~38 ms
-// with the AESKEYGENASSIST pipeline. That shape (64-byte
+// The committed file (vaes16 + amx, gomaxprocs_par 2) shows tiled
+// batch-32 at 3.35 ms/op (~9550 QPS single-threaded, ~82× the seed path;
+// 2.4 ms at two procs) — 4.4 ms on the avx512 accumulate tier, 6.7 ms
+// before the fused AES step and leaf kernels, 7.7 ms before the
+// register-blocked accumulate kernel, ~38 ms with the AESKEYGENASSIST
+// pipeline. That shape (64-byte
 // rows) is expansion-bound; CI's bench job therefore also runs the
 // co-located wide-row shape once (-rows 16384 -lanes 1024 -batches 32
-// -minqps "32=600": ~420 QPS on the one-query AVX2 kernel, ~1190 / ~1270
-// on the avx2 / avx512 tiers of the baseline host), where a silently
-// disabled accumulate kernel falls through the floor.
+// -minqps "32=600,amx:32=2000": ~420 QPS on the one-query AVX2 kernel,
+// ~1190 / ~1270 on the avx2 / avx512 tiers of the baseline host, ~3000
+// on amx), where a silently disabled accumulate kernel falls through the
+// floor — the amx entry binds only where acc_kernel is amx and sits
+// between the avx512 figure and its own.
 //
 // # Reading the serving bench JSON
 //
@@ -322,7 +348,9 @@
 // linux/arm64 (with and without purego) and darwin/arm64, so the asm
 // stubs and build-tag plumbing stay honest on every push. Two dedicated
 // kernel-equivalence legs run the accumulate-tiers-vs-scalar (every
-// compiled tier forced; a missing CPUID bit is skipped by name),
+// compiled tier forced — avx2, avx512, amx — and the amx tier's scratch
+// canaries and its run beside a GC-churning goroutine; a missing CPUID
+// bit or a refused tile-data permission is skipped by name),
 // AES-kernel-tiers-vs-crypto/aes, fused-step-and-leaf-kernel-tiers-vs-
 // the-two-pass-Go-definition, branch-free-vs-scalar correction,
 // fused-vs-unfused, and parallel-vs-sequential property tests once under

@@ -27,6 +27,12 @@ var (
 	// AVX512BW: AVX-512 foundation plus the byte/word instructions
 	// (VPSHUFB and VPSLLDQ on ZMM registers), OS-enabled.
 	AVX512BW bool
+	// AMXInt8: the tile unit with its u8×u8→int32 dot product (TDPBUUD),
+	// usable by this process — CPUID's AMX-TILE and AMX-INT8 bits, tile
+	// config+data state enabled in XCR0, the OS having granted the process
+	// permission to use tile data (requestTileData), and AVX512BW for the
+	// ZMM code around the tile loop.
+	AMXInt8 bool
 )
 
 func init() {
@@ -49,11 +55,15 @@ func init() {
 	if xcr0&6 != 6 {
 		return
 	}
-	_, ebx7, ecx7, _ := cpuid(7, 0)
+	_, ebx7, ecx7, edx7 := cpuid(7, 0)
 	AVX2 = ebx7&(1<<5) != 0
 	VAES = ecx7&(1<<9) != 0
 	// ZMM state is three more XCR0 bits: opmask, ZMM0-15 upper halves,
 	// ZMM16-31.
 	const avx512fBW = 1<<16 | 1<<30
 	AVX512BW = xcr0&0xe0 == 0xe0 && ebx7&avx512fBW == avx512fBW
+	// Tile state is XCR0 bits 17 (config) and 18 (data). The permission
+	// request comes last: it is the one step with a side effect.
+	const amxTileInt8 = 1<<24 | 1<<25
+	AMXInt8 = AVX512BW && edx7&amxTileInt8 == amxTileInt8 && xcr0&(3<<17) == 3<<17 && requestTileData()
 }

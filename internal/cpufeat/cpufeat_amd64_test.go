@@ -39,4 +39,11 @@ func TestProbeMatchesKernelFlags(t *testing.T) {
 			t.Errorf("probe says %s=%v, /proc/cpuinfo says %v", c.flag, c.got, flags[c.flag])
 		}
 	}
+	// AMXInt8 is more than the CPUID bits (XCR0, the permission request), so
+	// only one direction is an error.
+	listed := flags["amx_tile"] && flags["amx_int8"]
+	if AMXInt8 && !listed {
+		t.Errorf("probe says AMXInt8, /proc/cpuinfo lists amx_tile=%v amx_int8=%v", flags["amx_tile"], flags["amx_int8"])
+	}
+	t.Logf("AMXInt8=%v (/proc/cpuinfo lists the unit: %v)", AMXInt8, listed)
 }

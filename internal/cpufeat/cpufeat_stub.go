@@ -9,4 +9,5 @@ const (
 	AVX2     = false
 	VAES     = false
 	AVX512BW = false
+	AMXInt8  = false
 )

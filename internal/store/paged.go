@@ -3,6 +3,7 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -39,6 +40,10 @@ const DefaultPageBytes = 256 << 10
 // DefaultPageCacheBytes is the default LRU budget for OpenPaged when the
 // config leaves it zero.
 const DefaultPageCacheBytes = 64 << 20
+
+// ErrPageRead marks a paged table's file read failing (the cause is wrapped
+// beside it): the pass that needed the page fails, the store stays usable.
+var ErrPageRead = errors.New("store: page read failed")
 
 // pagedFreeCap bounds the recycled-buffer free list: enough to keep a
 // streaming pass's evict-reload churn allocation-free, small enough that
@@ -445,18 +450,24 @@ func (p *PagedBacking) loadPage(idx int) (*pageEnt, error) {
 	ent.data = ent.data[:words]
 
 	off := int64(pagedHeaderBytes) + int64(lo)*int64(p.lanes)*4
+	var err error
 	if hostLittleEndian {
-		if _, err := p.f.ReadAt(wordsAsBytes(ent.data), off); err != nil {
-			return nil, fmt.Errorf("store: page %d (rows [%d,%d)): %w", idx, lo, hi, err)
+		_, err = p.f.ReadAt(wordsAsBytes(ent.data), off)
+	} else {
+		raw := make([]byte, words*4)
+		if _, err = p.f.ReadAt(raw, off); err == nil {
+			for i := range ent.data {
+				ent.data[i] = binary.LittleEndian.Uint32(raw[i*4:])
+			}
 		}
-		return ent, nil
 	}
-	raw := make([]byte, words*4)
-	if _, err := p.f.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("store: page %d (rows [%d,%d)): %w", idx, lo, hi, err)
-	}
-	for i := range ent.data {
-		ent.data[i] = binary.LittleEndian.Uint32(raw[i*4:])
+	if err != nil {
+		// The buffer goes back to the free list: a failing file must not
+		// turn every miss into a fresh page-sized allocation.
+		p.mu.Lock()
+		p.recycleLocked(ent)
+		p.mu.Unlock()
+		return nil, fmt.Errorf("%w: page %d (rows [%d,%d)): %w", ErrPageRead, idx, lo, hi, err)
 	}
 	return ent, nil
 }

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -49,6 +52,49 @@ func TestPagedSteadyStateAllocs(t *testing.T) {
 		t.Errorf("paged full sweep allocates %.1f/op at steady state, want ≤ 3 (pooled pages)", allocs)
 	}
 	_ = sink
+}
+
+// TestPagedFailedLoadKeepsPool: a page whose file read fails must hand its
+// pooled buffer back. The table file is cut short after OpenPaged, so every
+// miss on the lost pages fails — with ErrPageRead beside the file's own
+// error — and a hundred of them in a row leave the free list as long as it
+// was (before the fix each one dropped a buffer, and the next miss
+// allocated a fresh page).
+func TestPagedFailedLoadKeepsPool(t *testing.T) {
+	const rows, lanes = 1024, 4 // 16 pages of 64 rows, 4 of them cached
+	_, pb := pagedFixture(t, rows, lanes, 1<<10)
+	s, err := NewPaged(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	// One sweep through a cache a quarter the table's size leaves an
+	// evicted page's buffer in the free list and the table's tail resident.
+	if err := sn.Chunks(0, rows, func(strategy.Chunk) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(pb.f.Name(), pagedHeaderBytes+100); err != nil {
+		t.Fatal(err)
+	}
+	freeLen := func() int {
+		pb.mu.Lock()
+		defer pb.mu.Unlock()
+		return len(pb.free)
+	}
+	before := freeLen()
+	if before == 0 {
+		t.Fatal("sweep left no pooled page to lose")
+	}
+	for i := 0; i < 100; i++ {
+		_, err := sn.Row(i % (rows / 2))
+		if !errors.Is(err, ErrPageRead) || !(errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
+			t.Fatalf("load %d of a truncated page: error %v, want ErrPageRead wrapping the short read", i, err)
+		}
+		if got := freeLen(); got != before {
+			t.Fatalf("after %d failing loads the free list holds %d pages, had %d", i+1, got, before)
+		}
+	}
 }
 
 // TestPagedRowCopiesSurviveRecycling: Row hands out copies, so a slice

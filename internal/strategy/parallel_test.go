@@ -26,15 +26,22 @@ func forceGOMAXPROCS(t *testing.T, n int) {
 var parWorkerCounts = []int{1, 2, 3, 8}
 
 // TestAccumulateTileParMatchesSequential: kernel-level bit-identity of the
-// row-block parallel accumulate against the sequential pass, across worker
-// counts × lane widths × contiguous/fragmented views. Rows are sized to a
-// non-integral number of blocks so the last block is short, and the
-// fragmented view's cuts land wherever they like relative to block
-// boundaries.
+// row-block parallel accumulate against the sequential pass and the scalar
+// loop, across worker counts × lane widths × contiguous/fragmented views ×
+// a tile on either side of the amx tier's 16-query rule (20 queries: one
+// whole and one partial query tile per row block, where the host has the
+// tier). Rows are sized to a non-integral number of blocks so the last
+// block is short, and the fragmented view's cuts land wherever they like
+// relative to block boundaries.
 func TestAccumulateTileParMatchesSequential(t *testing.T) {
 	forceGOMAXPROCS(t, 8)
+	for _, queries := range []int{5, 20} {
+		testAccumulateTilePar(t, queries)
+	}
+}
+
+func testAccumulateTilePar(t *testing.T, queries int) {
 	rng := rand.New(rand.NewSource(42))
-	const queries = 5
 	rows := 2*parMinBlockRows + 777
 	for _, lanes := range []int{1, 4, 16} {
 		tab := buildTable(t, rows, lanes, int64(lanes))
@@ -58,17 +65,28 @@ func TestAccumulateTileParMatchesSequential(t *testing.T) {
 			if err := accumulateTile(tab.View(), lo, hi, sliceLeaves(leaves, lo), want); err != nil {
 				t.Fatal(err)
 			}
+			scalar := NewAnswers(queries, lanes)
+			if err := accumulateTileScalar(tab.View(), lo, hi, sliceLeaves(leaves, lo), scalar); err != nil {
+				t.Fatal(err)
+			}
+			for q := range want {
+				for l := range want[q] {
+					if want[q][l] != scalar[q][l] {
+						t.Fatalf("queries=%d lanes=%d q=%d lane=%d: sequential %d, scalar %d", queries, lanes, q, l, want[q][l], scalar[q][l])
+					}
+				}
+			}
 			for _, vw := range views {
 				for _, w := range parWorkerCounts {
 					got := NewAnswers(queries, lanes)
 					if err := accumulateTilePar(vw.v, lo, hi, sliceLeaves(leaves, lo), got, w); err != nil {
-						t.Fatalf("lanes=%d %s workers=%d: %v", lanes, vw.name, w, err)
+						t.Fatalf("queries=%d lanes=%d %s workers=%d: %v", queries, lanes, vw.name, w, err)
 					}
 					for q := range want {
 						for l := range want[q] {
 							if got[q][l] != want[q][l] {
-								t.Fatalf("lanes=%d %s workers=%d q=%d lane=%d: got %d want %d",
-									lanes, vw.name, w, q, l, got[q][l], want[q][l])
+								t.Fatalf("queries=%d lanes=%d %s workers=%d q=%d lane=%d: got %d want %d",
+									queries, lanes, vw.name, w, q, l, got[q][l], want[q][l])
 							}
 						}
 					}

@@ -27,6 +27,8 @@ func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n
 // accKernel is the tier accumulateChunk runs on this host.
 var accKernel = func() string {
 	switch {
+	case cpufeat.AMXInt8 && cpufeat.AVX2:
+		return accAMX
 	case cpufeat.AVX512BW && cpufeat.AVX2:
 		return accAVX512
 	case cpufeat.AVX2:
@@ -40,7 +42,23 @@ func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, a
 		accumulateChunkScalar(data, lanes, row, leafLo, leaves, answers)
 		return
 	}
-	accumulateChunkSIMD(accKernel, data, lanes, row, leafLo, leaves, answers)
+	accumulateChunkTier(accKernel, data, lanes, row, leafLo, leaves, answers)
+}
+
+// accumulateChunkTier is accumulateChunk through the named asm tier. The amx
+// tier serves a chunk of at least amxMinRows rows for a tile of at least
+// amxQueries queries; its other chunks run the avx512 bodies.
+func accumulateChunkTier(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
+	if tier == accAMX {
+		if len(leaves) >= amxQueries && len(data)/lanes >= amxMinRows {
+			sc := amxScratchPool.Get().(*amxScratch)
+			accumulateChunkAMX(sc, data, lanes, row, leafLo, leaves, answers)
+			amxScratchPool.Put(sc)
+			return
+		}
+		tier = accAVX512
+	}
+	accumulateChunkSIMD(tier, data, lanes, row, leafLo, leaves, answers)
 }
 
 // accBlockWords sizes the SIMD path's row block: the rows that fit in

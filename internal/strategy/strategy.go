@@ -185,8 +185,9 @@ func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint
 // The implementations of accumulateChunk, which adds one contiguous run
 // (rows [row, row+len(data)/lanes)) of a tile pass whose leaves are indexed
 // from leafLo: asm tiers register-blocking queries × lane vectors on ZMM or
-// YMM (simd_amd64.go), and the loop below. Bit-identical by construction.
-const accScalar, accAVX2, accAVX512 = "scalar", "avx2", "avx512"
+// YMM (simd_amd64.go) or multiplying byte planes on the AMX tile unit
+// (amx_amd64.go), and the loop below. Bit-identical by construction.
+const accScalar, accAVX2, accAVX512, accAMX = "scalar", "avx2", "avx512", "amx"
 
 // AccumulateKernel names the one this host runs ("scalar" off amd64, before
 // AVX2 and under -tags purego); pirserver logs it beside dpf.AESKernel.
