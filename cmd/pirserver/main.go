@@ -259,9 +259,9 @@ func runSingle(party int, addr string, rows, lanes int, seed int64, prg string, 
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	log.Printf("pirserver: party %d serving %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d shards=%d batch=%d maxqueue=%d slo=%v)",
-		party, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), srv.Engine().EarlyBits(), srv.Engine().Shards(), door.batch, door.maxQueue, door.slo)
-	answerer, closeDoor := front(srv, srv.Engine(), door)
+	answerer, inflight, closeDoor := front(srv, srv.Engine(), door)
+	log.Printf("pirserver: party %d serving %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d shards=%d batch=%d inflight=%d maxqueue=%d slo=%v)",
+		party, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), srv.Engine().EarlyBits(), srv.Engine().Shards(), door.batch, inflight, door.maxQueue, door.slo)
 	stopRefresh := startRefresher(refresh, refreshRows, rows, lanes, seed, srv.Engine())
 	sig := notifyShutdown(l)
 	if err := pir.Serve(l, answerer); err != nil {
@@ -481,9 +481,9 @@ func runClusterFront(groups [][]string, display string, party int, addr string, 
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	log.Printf("pirserver: party %d cluster front over %d shards / %d members (%s) serving %d×%dB table on %s (prg=%s early=%d batch=%d maxqueue=%d slo=%v)",
-		party, len(groups), total, display, rows, lanes*4, l.Addr(), prg, cluster.EarlyBits(), door.batch, door.maxQueue, door.slo)
-	answerer, closeDoor := front(pir.BackendEndpoint{Backend: cluster}, cluster, door)
+	answerer, inflight, closeDoor := front(pir.BackendEndpoint{Backend: cluster}, cluster, door)
+	log.Printf("pirserver: party %d cluster front over %d shards / %d members (%s) serving %d×%dB table on %s (prg=%s early=%d batch=%d inflight=%d maxqueue=%d slo=%v)",
+		party, len(groups), total, display, rows, lanes*4, l.Addr(), prg, cluster.EarlyBits(), door.batch, inflight, door.maxQueue, door.slo)
 	stopRefresh := startRefresher(refresh, refreshRows, rows, lanes, seed, cluster)
 	sig := notifyShutdown(l)
 	if err := pir.Serve(l, answerer); err != nil {
@@ -570,12 +570,12 @@ func refreshBatch(seed int64, gen uint64, rows, lanes, batch int) []engine.RowWr
 // front wraps the direct answer path with the serving front door when
 // batching is enabled: key validation, the batcher with admission control
 // (door.maxQueue), adaptive policy tuning (door.slo), the wire update op,
-// and the serving stats the load harness reads. The returned close drains
-// pending batches and stops the batcher worker (a no-op closer when
-// batching is off).
-func front(direct pir.Answerer, be engine.Backend, door doorConfig) (pir.Answerer, func()) {
+// and the serving stats the load harness reads. inflight is how many
+// batches the door runs at once (0 when batching is off); closeDoor drains
+// pending and in-flight batches (a no-op when batching is off).
+func front(direct pir.Answerer, be engine.Backend, door doorConfig) (answerer pir.Answerer, inflight int, closeDoor func()) {
 	if door.batch <= 0 {
-		return direct, func() {}
+		return direct, 0, func() {}
 	}
 	f, err := serving.NewFront(serving.FrontConfig{
 		Policy: serving.Policy{
@@ -588,7 +588,7 @@ func front(direct pir.Answerer, be engine.Backend, door doorConfig) (pir.Answere
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	return f, f.Close
+	return f, f.InFlight(), f.Close
 }
 
 // parseShardSpec parses "i/n".

@@ -224,7 +224,10 @@
 //     batch retrieval scheme of §4.1 (bins answered concurrently).
 //   - internal/core wires the private on-device inference service (both
 //     parties queried concurrently); internal/serving adds the batching
-//     front door and the load/latency simulator.
+//     front door — a request's keys are admitted or shed whole and
+//     batched adjacent, and up to GOMAXPROCS batches run at once, each on
+//     the goroutine that closed it (no worker) — and the load/latency
+//     simulator of the paper's one-kernel-at-a-time device.
 //   - cmd/pirserver serves real TCP traffic through the same
 //     batcher+engine path the benchmarks measure; cmd/pirclient queries
 //     it (and load-tests it with -repeat). With -shardnode i/n an

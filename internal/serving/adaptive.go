@@ -27,9 +27,12 @@ const autoTuneRhoMax = 0.7
 // deadline the stream cannot fill. The
 // choice is deterministic and the chosen MaxBatch is nondecreasing in
 // qps: the feasibility predicate qps·lat(b) ≤ ρmax·b only tightens as the
-// rate grows. When no batch up to maxBatch can carry the rate, the device
-// is simply over-committed: AutoTune returns maxBatch (maximum
-// throughput) and relies on admission control to shed the excess.
+// rate grows. It is a single server's although Batcher keeps a batch in
+// flight per core: one batch already fans out across the cores, so the
+// extra ones buy 1.1–1.4×, not c×, and the plan stays conservative. When
+// no batch up to maxBatch can carry the rate, the device is simply
+// over-committed: AutoTune returns maxBatch (maximum throughput) and
+// relies on admission control to shed the excess.
 func AutoTune(qps float64, slo time.Duration, maxBatch int, lat BatchLatency) Policy {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -213,10 +216,10 @@ func (f *Front) retune() {
 }
 
 // Answer feeds a pre-batched request into the shared batching front door:
-// each key is validated, then submitted concurrently, so keys from many
-// connections coalesce into the same engine batches. A malformed key
-// fails only its own request, never the co-batched requests of other
-// clients; a full admission queue fails it with ErrOverloaded.
+// each key is validated, then the request is submitted whole, so keys
+// from many connections coalesce into the same engine batches. A
+// malformed key fails only its own request, never the co-batched requests
+// of other clients; a full admission queue fails it with ErrOverloaded.
 func (f *Front) Answer(keys [][]byte) ([][]uint32, error) {
 	if f.validator != nil {
 		for i, key := range keys {
@@ -252,11 +255,14 @@ func (f *Front) ServingStats() Stats {
 // Policy returns the batcher's current (possibly re-tuned) policy.
 func (f *Front) Policy() Policy { return f.b.Policy() }
 
+// InFlight reports how many batches the front door runs at once.
+func (f *Front) InFlight() int { return cap(f.b.slots) }
+
 // Retunes reports how many times the adaptive loop changed the policy.
 func (f *Front) Retunes() uint64 { return f.retuned.Load() }
 
-// Close stops the adaptive loop, drains pending batches and stops the
-// batcher worker.
+// Close stops the adaptive loop and drains the batcher: the pending batch
+// and every batch in flight complete.
 func (f *Front) Close() {
 	select {
 	case <-f.stop:

@@ -1,17 +1,20 @@
 // Package serving provides the server-side request path that turns the
 // paper's batched DPF kernels into a service: a concurrent batcher that
 // groups incoming PIR queries into GPU-sized batches under a size/deadline
-// policy — with bounded-queue admission control so overload sheds instead
-// of collapsing queue latency — and a discrete-event simulator that maps
-// offered load to latency percentiles on the modeled device (the systems
-// story behind "a single V100 can serve up to 100,000 queries per second",
-// §1). AutoTune closes the loop: it picks the batch policy from a measured
-// arrival rate, a latency SLO and a batch-latency model, and Front runs
-// that tuning continuously against live traffic.
+// policy and runs one batch per core at a time on the goroutines that
+// close them — with bounded-queue admission control so overload sheds
+// whole requests instead of collapsing queue latency — and a
+// discrete-event simulator that maps offered load to latency percentiles
+// on the modeled one-kernel-at-a-time device (the systems story behind "a
+// single V100 can serve up to 100,000 queries per second", §1). AutoTune
+// closes the loop: it picks the batch policy from a measured arrival rate,
+// a latency SLO and a batch-latency model, and Front runs that tuning
+// continuously against live traffic.
 package serving
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,10 +27,10 @@ type Policy struct {
 	// MaxDelay flushes a non-empty batch this long after its oldest
 	// request arrived, bounding queueing latency at low load.
 	MaxDelay time.Duration
-	// MaxQueue, when positive, bounds how many admitted requests may be
-	// waiting or in service at once; a Submit past the bound fails fast
-	// with ErrOverloaded instead of queueing behind a saturated device.
-	// 0 disables admission control (every request queues).
+	// MaxQueue, when positive, bounds how many admitted keys may be
+	// waiting or in service at once; a request past the bound fails fast
+	// and whole with ErrOverloaded instead of queueing behind a saturated
+	// device. 0 disables admission control (every request queues).
 	MaxQueue int
 }
 
@@ -45,7 +48,7 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// ErrOverloaded is the named fast-fail a Submit gets when the batcher's
+// ErrOverloaded is the named fast-fail a request gets when the batcher's
 // admission bound (Policy.MaxQueue) is full. It is the graceful-degradation
 // contract: a shed request costs the client one round trip and a retry
 // decision, not an unbounded queue wait, and the accepted requests behind
@@ -54,32 +57,38 @@ func (p Policy) Validate() error {
 var ErrOverloaded = errors.New("serving: overloaded, request shed")
 
 // Handler executes one formed batch. Request i's response must be placed
-// at index i of the returned slice.
+// at index i of the returned slice. It is called from up to GOMAXPROCS(0)
+// goroutines at once and must be safe for that, as engine.Replica and
+// engine.Cluster are (one pinned snapshot per batch, pooled scratch).
 type Handler func(batch [][]byte) ([][]uint32, error)
 
-// Batcher groups submitted requests into batches and executes them on a
-// single device worker (the GPU executes one kernel at a time; concurrency
-// comes from batching, §3.2.1). Safe for concurrent Submit.
+// Batcher groups submitted requests into batches and keeps up to
+// GOMAXPROCS(0) of them in flight. The paper batches because the GPU
+// executes one kernel at a time (§3.2.1); this device is a multi-core CPU
+// whose batches have serial phases, so one batch per core keeps the cores
+// busy. There is no worker goroutine: whoever closes a batch — the
+// submitting goroutine or the deadline timer's — runs the handler and
+// delivers the results. Safe for concurrent use.
 type Batcher struct {
 	handler Handler
 
 	mu      sync.Mutex
 	policy  Policy
-	pending []pendingReq
-	// queued counts admitted-but-uncompleted requests (pending, in the
-	// work channel, or in service) — what Policy.MaxQueue bounds.
+	pending []pendingKey
+	// queued counts admitted-but-uncompleted keys (pending, waiting for an
+	// in-flight slot, or in service) — what Policy.MaxQueue bounds.
 	queued int
 	timer  *time.Timer
 	closed bool
-	// sending tracks batches taken under mu but not yet handed to work,
-	// so Close can wait for them before closing the channel.
-	sending sync.WaitGroup
-	work    chan []pendingReq
-	done    chan struct{}
 
-	// arrivals counts every Submit (shed included) — the offered-rate
-	// signal the adaptive front door tunes against. accepted and shed
-	// split the outcomes for the serving stats.
+	// slots bounds concurrent handler calls: GOMAXPROCS(0), read once.
+	slots chan struct{}
+	// running tracks batches taken under mu, until delivered; for Close.
+	running sync.WaitGroup
+
+	// arrivals counts every submitted key (shed included) — the
+	// offered-rate signal the adaptive front door tunes against. accepted
+	// and shed split the outcomes for the serving stats.
 	arrivals atomic.Uint64
 	accepted atomic.Uint64
 	shed     atomic.Uint64
@@ -88,17 +97,16 @@ type Batcher struct {
 	fit latencyFit
 }
 
-type pendingReq struct {
-	key []byte
-	ch  chan result
+// pendingKey is one admitted key. A request's keys sit adjacent in pending,
+// so each batch that carries some of them holds one contiguous run and
+// sends on the request's done channel once.
+type pendingKey struct {
+	key  []byte
+	dst  *[]uint32  // the key's slot in its request's answers
+	done chan error // its request's
 }
 
-type result struct {
-	answer []uint32
-	err    error
-}
-
-// NewBatcher starts the batching worker.
+// NewBatcher builds a batcher; it starts no goroutine.
 func NewBatcher(policy Policy, handler Handler) (*Batcher, error) {
 	if err := policy.Validate(); err != nil {
 		return nil, err
@@ -106,14 +114,11 @@ func NewBatcher(policy Policy, handler Handler) (*Batcher, error) {
 	if handler == nil {
 		return nil, errors.New("serving: nil handler")
 	}
-	b := &Batcher{
+	return &Batcher{
 		policy:  policy,
 		handler: handler,
-		work:    make(chan []pendingReq, 16),
-		done:    make(chan struct{}),
-	}
-	go b.worker()
-	return b, nil
+		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
+	}, nil
 }
 
 // Policy returns the batcher's current policy (which SetPolicy — and the
@@ -137,66 +142,103 @@ func (b *Batcher) SetPolicy(p Policy) error {
 	return nil
 }
 
-// Counts reports the admission outcomes so far: accepted requests
-// (admitted to a batch, whatever their eventual result) and shed requests
-// (refused with ErrOverloaded at the admission bound).
+// Counts reports the admission outcomes so far, in keys: accepted
+// (admitted to a batch, whatever their eventual result) and shed (refused
+// with ErrOverloaded at the admission bound).
 func (b *Batcher) Counts() (accepted, shed uint64) {
 	return b.accepted.Load(), b.shed.Load()
 }
 
-// Arrivals reports how many requests have been submitted (accepted or
-// shed) — the numerator of a measured offered rate.
+// Arrivals reports how many keys have been submitted (accepted or shed) —
+// the numerator of a measured offered rate.
 func (b *Batcher) Arrivals() uint64 { return b.arrivals.Load() }
 
-// Submit enqueues one query and blocks until its batch completes. When the
-// admission bound is full it fails immediately with ErrOverloaded.
+// Submit is SubmitAll of one key.
 func (b *Batcher) Submit(key []byte) ([]uint32, error) {
-	ch := make(chan result, 1)
+	answers, err := b.SubmitAll([][]byte{key})
+	if err != nil {
+		return nil, err
+	}
+	return answers[0], nil
+}
+
+// SubmitAll enqueues one request's keys (one TCP request may carry many)
+// and blocks until every batch carrying them completes, returning the
+// answers in key order. Under one lock hold the request is admitted or
+// shed whole — past Policy.MaxQueue it fails with ErrOverloaded and none
+// of its keys is computed; a request larger than the bound is admitted
+// when nothing else is queued rather than starved — and its keys are
+// appended adjacent, a batch cut each time MaxBatch are pending: a request
+// of MaxBatch keys is exactly one batch. The caller runs the last batch it
+// cuts itself; earlier ones get goroutines of their own.
+func (b *Batcher) SubmitAll(keys [][]byte) ([][]uint32, error) {
+	answers := make([][]uint32, len(keys))
+	if len(keys) == 0 {
+		return answers, nil
+	}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
 		return nil, errors.New("serving: batcher closed")
 	}
-	b.arrivals.Add(1)
-	if q := b.policy.MaxQueue; q > 0 && b.queued >= q {
+	b.arrivals.Add(uint64(len(keys)))
+	if q := b.policy.MaxQueue; q > 0 && b.queued > 0 && b.queued+len(keys) > q {
 		b.mu.Unlock()
-		b.shed.Add(1)
+		b.shed.Add(uint64(len(keys)))
 		return nil, ErrOverloaded
 	}
-	b.queued++
-	b.accepted.Add(1)
-	b.pending = append(b.pending, pendingReq{key: key, ch: ch})
-	var batch []pendingReq
-	switch {
-	case len(b.pending) >= b.policy.MaxBatch:
-		batch = b.takeLocked()
-	case len(b.pending) == 1:
-		b.timer = time.AfterFunc(b.policy.MaxDelay, b.deadlineFlush)
+	b.queued += len(keys)
+	b.accepted.Add(uint64(len(keys)))
+	// Sized so no batch blocks reporting to this request: its keys ride in
+	// at most a partial first batch, len(keys)/MaxBatch whole ones and a
+	// pending remainder.
+	done := make(chan error, len(keys)/b.policy.MaxBatch+2)
+	var batch []pendingKey
+	parts := 0 // batches that carry this request's keys
+	for i, key := range keys {
+		b.pending = append(b.pending, pendingKey{key: key, dst: &answers[i], done: done})
+		if len(b.pending) >= b.policy.MaxBatch {
+			if batch != nil {
+				go b.run(batch)
+			}
+			batch = b.takeLocked()
+			parts++
+		}
+	}
+	if len(b.pending) > 0 {
+		parts++
+		if b.timer == nil {
+			b.timer = time.AfterFunc(b.policy.MaxDelay, b.deadlineFlush)
+		}
 	}
 	b.mu.Unlock()
-	b.dispatch(batch)
-	r := <-ch
+	b.run(batch)
+	var err error
+	for ; parts > 0; parts-- {
+		if e := <-done; err == nil {
+			err = e
+		}
+	}
 	b.mu.Lock()
-	b.queued--
+	b.queued -= len(keys)
 	b.mu.Unlock()
-	return r.answer, r.err
+	if err != nil {
+		return nil, err
+	}
+	return answers, nil
 }
 
+// deadlineFlush runs on the timer's goroutine; after Close nothing is pending.
 func (b *Batcher) deadlineFlush() {
 	b.mu.Lock()
-	var batch []pendingReq
-	if !b.closed && len(b.pending) > 0 {
-		batch = b.takeLocked()
-	}
+	batch := b.takeLocked()
 	b.mu.Unlock()
-	b.dispatch(batch)
+	b.run(batch)
 }
 
-// takeLocked detaches the pending batch and registers the hand-off. Caller
-// holds mu; the returned batch must be passed to dispatch after unlocking —
-// sending on b.work under the mutex would stall every Submit and the
-// deadline timer whenever the worker falls behind.
-func (b *Batcher) takeLocked() []pendingReq {
+// takeLocked detaches the pending batch and registers it as running. Caller
+// holds mu; the returned batch must be passed to run after unlocking.
+func (b *Batcher) takeLocked() []pendingKey {
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
@@ -204,41 +246,38 @@ func (b *Batcher) takeLocked() []pendingReq {
 	batch := b.pending
 	b.pending = nil
 	if len(batch) > 0 {
-		b.sending.Add(1)
+		b.running.Add(1)
 	}
 	return batch
 }
 
-// dispatch hands a taken batch to the worker, outside the mutex.
-func (b *Batcher) dispatch(batch []pendingReq) {
+// run executes one taken batch on the calling goroutine, inside an
+// in-flight slot, and reports to every request with keys in it.
+func (b *Batcher) run(batch []pendingKey) {
 	if len(batch) == 0 {
 		return
 	}
-	b.work <- batch
-	b.sending.Done()
-}
-
-func (b *Batcher) worker() {
-	defer close(b.done)
-	for batch := range b.work {
-		keys := make([][]byte, len(batch))
-		for i, r := range batch {
-			keys[i] = r.key
-		}
-		start := time.Now()
-		answers, err := b.handler(keys)
+	defer b.running.Done()
+	keys := make([][]byte, len(batch))
+	for i, p := range batch {
+		keys[i] = p.key
+	}
+	b.slots <- struct{}{}
+	start := time.Now()
+	answers, err := b.handler(keys)
+	if err == nil {
+		b.fit.observe(len(batch), time.Since(start))
+	}
+	<-b.slots
+	if err == nil && len(answers) != len(batch) {
+		err = errors.New("serving: handler returned wrong answer count")
+	}
+	for i, p := range batch {
 		if err == nil {
-			b.fit.observe(len(batch), time.Since(start))
+			*p.dst = answers[i]
 		}
-		if err == nil && len(answers) != len(batch) {
-			err = errors.New("serving: handler returned wrong answer count")
-		}
-		for i, r := range batch {
-			if err != nil {
-				r.ch <- result{err: err}
-				continue
-			}
-			r.ch <- result{answer: answers[i]}
+		if i+1 == len(batch) || batch[i+1].done != p.done {
+			p.done <- err
 		}
 	}
 }
@@ -249,8 +288,9 @@ func (b *Batcher) worker() {
 // front door feeds AutoTune when no analytic model was configured.
 func (b *Batcher) LatencyModel() BatchLatency { return b.fit.model() }
 
-// Close flushes any pending batch and stops the worker. Submissions after
-// Close fail; in-flight submissions complete.
+// Close runs any pending batch and waits for every batch in flight.
+// Submissions after Close fail; in-flight submissions complete, and no
+// goroutine the batcher started outlives it.
 func (b *Batcher) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -260,12 +300,8 @@ func (b *Batcher) Close() {
 	b.closed = true
 	batch := b.takeLocked()
 	b.mu.Unlock()
-	b.dispatch(batch)
-	// Wait for every taken-but-unsent batch (ours and any concurrent
-	// deadline/size flush) before closing the channel under the worker.
-	b.sending.Wait()
-	close(b.work)
-	<-b.done
+	b.run(batch)
+	b.running.Wait()
 }
 
 // latencyFit is an online, exponentially-decayed least-squares fit of

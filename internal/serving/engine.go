@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"gpudpf/internal/engine"
 )
@@ -19,28 +18,4 @@ func NewEngineBatcher(policy Policy, be engine.Backend) (*Batcher, error) {
 	return NewBatcher(policy, func(batch [][]byte) ([][]uint32, error) {
 		return be.Answer(context.Background(), batch)
 	})
-}
-
-// SubmitAll submits a key batch concurrently and returns the answers in
-// key order. It lets a transport that receives pre-batched requests (one
-// TCP request may carry many keys) feed the shared batching front door
-// without serializing on per-key round trips.
-func (b *Batcher) SubmitAll(keys [][]byte) ([][]uint32, error) {
-	out := make([][]uint32, len(keys))
-	errs := make([]error, len(keys))
-	var wg sync.WaitGroup
-	wg.Add(len(keys))
-	for i, key := range keys {
-		go func(i int, key []byte) {
-			defer wg.Done()
-			out[i], errs[i] = b.Submit(key)
-		}(i, key)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

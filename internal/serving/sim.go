@@ -35,7 +35,8 @@ func (p LoadPoint) String() string {
 // device: Poisson arrivals at rate qps for the given duration, batches
 // formed under policy (flush at MaxBatch, or MaxDelay after the oldest
 // pending arrival), served FIFO one batch at a time with the modeled batch
-// latency. Deterministic given rng.
+// latency — the paper's GPU, which executes one kernel at a time (§3.2.1),
+// not Batcher's one batch per CPU core. Deterministic given rng.
 func Simulate(rng *rand.Rand, qps float64, duration time.Duration, policy Policy, lat BatchLatency) (LoadPoint, error) {
 	if err := policy.Validate(); err != nil {
 		return LoadPoint{}, err

@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -80,7 +81,8 @@ type Client struct {
 // poolConn is one handshaken connection plus its reusable frame buffer.
 type poolConn struct {
 	conn net.Conn
-	buf  []byte
+	br   *bufio.Reader // every read of conn, the handshake's included
+	buf  []byte        // the request frame, then the response body
 }
 
 // Dial connects to a shardnet node, runs the handshake (failing fast,
@@ -126,8 +128,9 @@ func (c *Client) dialConn() (*poolConn, welcome, error) {
 		conn.Close()
 		return nil, welcome{}, fmt.Errorf("shardnet: %s: handshake: %w", c.addr, err)
 	}
+	br := bufio.NewReader(conn)
 	var w welcome
-	if err := readHandshake(conn, &w); err != nil {
+	if err := readHandshake(br, &w); err != nil {
 		conn.Close()
 		return nil, welcome{}, fmt.Errorf("shardnet: %s: handshake: %w", c.addr, err)
 	}
@@ -144,7 +147,7 @@ func (c *Client) dialConn() (*poolConn, welcome, error) {
 			c.addr, w.Rows, w.Lanes, w.RowLo, w.RowHi)
 	}
 	conn.SetDeadline(time.Time{})
-	return &poolConn{conn: conn}, w, nil
+	return &poolConn{conn: conn, br: br}, w, nil
 }
 
 // get pops an idle connection or dials a fresh one. A node restarted with
@@ -229,14 +232,15 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do runs one lockstep RPC: frame out, frame back, parse under the
-// connection's reusable buffer. ctx cancellation and deadlines propagate
-// by slamming the connection deadline, so a dead or slow node costs the
-// caller its deadline, not a hung goroutine. parse must consume the
+// do runs one lockstep RPC: request encoded into the connection's
+// reusable buffer and sent, frame back into the same buffer, parsed there.
+// ctx cancellation and deadlines propagate by slamming the connection
+// deadline, so a dead or slow node costs the caller its deadline, not a
+// hung goroutine. parse must consume the
 // response before do returns (the buffer is pooled with the connection);
 // a remote error (the node answered, but with a failure) keeps the
 // connection pooled, any transport error retires it.
-func (c *Client) do(ctx context.Context, body []byte, parse func(resp []byte) error) error {
+func (c *Client) do(ctx context.Context, req *rpcRequest, parse func(resp []byte) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("shardnet: %s: %w", c.addr, err)
 	}
@@ -273,11 +277,12 @@ func (c *Client) do(ctx context.Context, body []byte, parse func(resp []byte) er
 		}
 		return fmt.Errorf("shardnet: %s: %s: %w", c.addr, stage, err)
 	}
-	if err := writeFrame(pc.conn, body, c.opts.MaxFrame); err != nil {
+	pc.buf = appendRequest(beginFrame(pc.buf), req)
+	if err := writeFrame(pc.conn, pc.buf, c.opts.MaxFrame); err != nil {
 		stop()
 		return ioErr("send", err)
 	}
-	resp, err := readFrame(pc.conn, c.opts.MaxFrame, &pc.buf)
+	resp, err := readFrame(pc.br, c.opts.MaxFrame, &pc.buf)
 	if err != nil {
 		stop()
 		return ioErr("receive", err)
@@ -301,9 +306,8 @@ func (c *Client) do(ctx context.Context, body []byte, parse func(resp []byte) er
 // Answer implements engine.Backend: the node evaluates the batch over its
 // whole table.
 func (c *Client) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
-	body := appendRequest(nil, &rpcRequest{op: opAnswer, keys: keys})
 	var answers [][]uint32
-	err := c.do(ctx, body, func(resp []byte) error {
+	err := c.do(ctx, &rpcRequest{op: opAnswer, keys: keys}, func(resp []byte) error {
 		var perr error
 		answers, _, _, perr = parseAnswers(resp, opAnswer, len(keys))
 		return perr
@@ -329,11 +333,10 @@ func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int
 	if lo < 0 || lo >= hi {
 		return nil, 0, false, fmt.Errorf("shardnet: %s: row range [%d,%d) invalid", c.addr, lo, hi)
 	}
-	body := appendRequest(nil, &rpcRequest{op: opAnswerRange, keys: keys, lo: uint64(lo), hi: uint64(hi)})
 	var answers [][]uint32
 	var epoch uint64
 	var hasEpoch bool
-	err := c.do(ctx, body, func(resp []byte) error {
+	err := c.do(ctx, &rpcRequest{op: opAnswerRange, keys: keys, lo: uint64(lo), hi: uint64(hi)}, func(resp []byte) error {
 		var perr error
 		answers, epoch, hasEpoch, perr = parseAnswers(resp, opAnswerRange, len(keys))
 		return perr
@@ -346,17 +349,15 @@ func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int
 
 // Update implements engine.Backend, routing the row write to the node.
 func (c *Client) Update(row uint64, vals []uint32) error {
-	body := appendRequest(nil, &rpcRequest{op: opUpdate, row: row, vals: vals})
-	return c.do(context.Background(), body, func(resp []byte) error {
+	return c.do(context.Background(), &rpcRequest{op: opUpdate, row: row, vals: vals}, func(resp []byte) error {
 		return parseOK(resp, opUpdate)
 	})
 }
 
 // Epoch implements engine.EpochBackend: the node's current table epoch.
 func (c *Client) Epoch(ctx context.Context) (uint64, error) {
-	body := appendRequest(nil, &rpcRequest{op: opEpoch})
 	var epoch uint64
-	err := c.do(ctx, body, func(resp []byte) error {
+	err := c.do(ctx, &rpcRequest{op: opEpoch}, func(resp []byte) error {
 		var perr error
 		epoch, perr = parseEpochResp(resp, opEpoch)
 		return perr
@@ -367,9 +368,8 @@ func (c *Client) Epoch(ctx context.Context) (uint64, error) {
 // UpdateBatch implements engine.EpochBackend: the writes land atomically
 // on the node as one new epoch, which is returned.
 func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uint64, error) {
-	body := appendRequest(nil, &rpcRequest{op: opUpdateBatch, writes: writes})
 	var epoch uint64
-	err := c.do(ctx, body, func(resp []byte) error {
+	err := c.do(ctx, &rpcRequest{op: opUpdateBatch, writes: writes}, func(resp []byte) error {
 		var perr error
 		epoch, perr = parseEpochResp(resp, opUpdateBatch)
 		return perr
@@ -380,16 +380,14 @@ func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uin
 // PrepareUpdate implements engine.EpochBackend: stage the writes as the
 // given epoch on the node (invisible until CommitUpdate).
 func (c *Client) PrepareUpdate(ctx context.Context, epoch uint64, writes []engine.RowWrite) error {
-	body := appendRequest(nil, &rpcRequest{op: opPrepare, epoch: epoch, writes: writes})
-	return c.do(ctx, body, func(resp []byte) error {
+	return c.do(ctx, &rpcRequest{op: opPrepare, epoch: epoch, writes: writes}, func(resp []byte) error {
 		return parseOK(resp, opPrepare)
 	})
 }
 
 // CommitUpdate implements engine.EpochBackend.
 func (c *Client) CommitUpdate(ctx context.Context, epoch uint64) error {
-	body := appendRequest(nil, &rpcRequest{op: opCommit, epoch: epoch})
-	return c.do(ctx, body, func(resp []byte) error {
+	return c.do(ctx, &rpcRequest{op: opCommit, epoch: epoch}, func(resp []byte) error {
 		return parseOK(resp, opCommit)
 	})
 }
@@ -397,8 +395,7 @@ func (c *Client) CommitUpdate(ctx context.Context, epoch uint64) error {
 // AbortUpdate implements engine.EpochBackend: drop or roll back the epoch
 // on the node (idempotent, like store.Abort).
 func (c *Client) AbortUpdate(ctx context.Context, epoch uint64) error {
-	body := appendRequest(nil, &rpcRequest{op: opAbort, epoch: epoch})
-	return c.do(ctx, body, func(resp []byte) error {
+	return c.do(ctx, &rpcRequest{op: opAbort, epoch: epoch}, func(resp []byte) error {
 		return parseOK(resp, opAbort)
 	})
 }
@@ -407,8 +404,7 @@ func (c *Client) AbortUpdate(ctx context.Context, epoch uint64) error {
 // cheapest proof the node is up, handshaken and serving — what a cluster
 // front's health prober sends before re-admitting a cooled-down member.
 func (c *Client) Ping(ctx context.Context) error {
-	body := appendRequest(nil, &rpcRequest{op: opPing})
-	return c.do(ctx, body, func(resp []byte) error {
+	return c.do(ctx, &rpcRequest{op: opPing}, func(resp []byte) error {
 		return parseOK(resp, opPing)
 	})
 }
@@ -417,8 +413,7 @@ func (c *Client) Ping(ctx context.Context) error {
 // snapshot epoch, effective epoch, and the held row range its
 // SnapshotChunk offsets are relative to — the donor handshake of a heal.
 func (c *Client) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, lo, hi int, err error) {
-	body := appendRequest(nil, &rpcRequest{op: opSnapMeta})
-	err = c.do(ctx, body, func(resp []byte) error {
+	err = c.do(ctx, &rpcRequest{op: opSnapMeta}, func(resp []byte) error {
 		var perr error
 		snapEpoch, effEpoch, lo, hi, perr = parseSnapMeta(resp)
 		return perr
@@ -443,9 +438,8 @@ func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) 
 	if wantMax > uint64(^uint32(0)) {
 		wantMax = uint64(^uint32(0))
 	}
-	body := appendRequest(nil, &rpcRequest{op: opSnapChunk, epoch: epoch, off: uint64(off), max: uint32(wantMax)})
 	var words []uint32
-	err := c.do(ctx, body, func(resp []byte) error {
+	err := c.do(ctx, &rpcRequest{op: opSnapChunk, epoch: epoch, off: uint64(off), max: uint32(wantMax)}, func(resp []byte) error {
 		gotEpoch, _, _, gotOff, w, perr := parseSnapChunk(resp)
 		if perr != nil {
 			return perr
@@ -468,8 +462,7 @@ func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) 
 // here, and counters are advisory).
 func (c *Client) Counters() gpu.Stats {
 	var stats gpu.Stats
-	body := appendRequest(nil, &rpcRequest{op: opCounters})
-	err := c.do(context.Background(), body, func(resp []byte) error {
+	err := c.do(context.Background(), &rpcRequest{op: opCounters}, func(resp []byte) error {
 		var perr error
 		stats, perr = parseCounters(resp)
 		return perr
@@ -487,8 +480,7 @@ func (c *Client) Shape() (rows, lanes int) { return c.w.Rows, c.w.Lanes }
 // RemoteShape queries the node's shape over the wire — Shape answers from
 // the handshake; this exists to exercise the RPC and for monitoring.
 func (c *Client) RemoteShape(ctx context.Context) (rows, lanes int, err error) {
-	body := appendRequest(nil, &rpcRequest{op: opShape})
-	err = c.do(ctx, body, func(resp []byte) error {
+	err = c.do(ctx, &rpcRequest{op: opShape}, func(resp []byte) error {
 		var perr error
 		rows, lanes, perr = parseShape(resp)
 		return perr

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 
 	"gpudpf/internal/engine"
 	"gpudpf/internal/gpu"
@@ -49,25 +48,32 @@ var ErrFrameTooLarge = errors.New("shardnet: frame exceeds size cap")
 // distinguish a broken peer from a failing backend.
 var ErrProtocol = errors.New("shardnet: protocol error")
 
-// writeFrame sends body as one length-prefixed frame: uint32 little-endian
-// byte count, then the body. net.Buffers gathers header and body into one
-// writev on a TCP conn (falling back to two writes elsewhere), so the
-// steady-state serving loop's reused response buffer is never copied —
-// connections are lockstep, so nothing interleaves between the two parts.
-func writeFrame(w io.Writer, body []byte, max int) error {
-	if len(body) > max {
-		return fmt.Errorf("%w: %d-byte frame, cap %d", ErrFrameTooLarge, len(body), max)
+// frameHeader is the size of a frame's length prefix: uint32 little-endian
+// byte count of the body that follows.
+const frameHeader = 4
+
+// beginFrame resets buf to an empty frame: room for the length prefix, so
+// the encoders append the body behind it and writeFrame sends header and
+// body as one Write on any net.Conn — a net.Buffers pair is one writev only
+// on a bare *net.TCPConn and two writes behind any wrapper.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// writeFrame fills in the length prefix of a frame built on beginFrame and
+// sends it. Connections are lockstep, so nothing interleaves.
+func writeFrame(w io.Writer, frame []byte, max int) error {
+	body := len(frame) - frameHeader
+	if body > max {
+		return fmt.Errorf("%w: %d-byte frame, cap %d", ErrFrameTooLarge, body, max)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
-	bufs := net.Buffers{hdr[:], body}
-	_, err := bufs.WriteTo(w)
+	binary.LittleEndian.PutUint32(frame, uint32(body))
+	_, err := w.Write(frame)
 	return err
 }
 
 // readFrame reads one frame into *buf (grown as needed, reused across
 // calls) and returns the body. A declared length over max fails with
-// ErrFrameTooLarge before any allocation.
+// ErrFrameTooLarge before any allocation. On a connection r is its
+// bufio.Reader, so header and body normally cost one read between them.
 func readFrame(r io.Reader, max int, buf *[]byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -149,14 +155,14 @@ func (r *wireReader) take(n int) []byte {
 // rpcRequest is one parsed request frame.
 type rpcRequest struct {
 	op     byte
-	keys   [][]byte // Answer, AnswerRange; sub-slices of the frame buffer
-	lo, hi uint64   // AnswerRange
-	row    uint64   // Update
-	vals   []uint32 // Update
-	epoch  uint64   // Prepare, Commit, Abort, SnapChunk
+	keys   [][]byte          // Answer, AnswerRange; sub-slices of the frame buffer
+	lo, hi uint64            // AnswerRange
+	row    uint64            // Update
+	vals   []uint32          // Update
+	epoch  uint64            // Prepare, Commit, Abort, SnapChunk
 	writes []engine.RowWrite // UpdateBatch, Prepare
-	off    uint64   // SnapChunk: word offset into the held range
-	max    uint32   // SnapChunk: word count cap for the reply
+	off    uint64            // SnapChunk: word offset into the held range
+	max    uint32            // SnapChunk: word count cap for the reply
 }
 
 // appendKeys encodes a key batch: count, then length-prefixed key bytes.

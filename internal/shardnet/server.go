@@ -1,6 +1,7 @@
 package shardnet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -187,11 +188,11 @@ func (s *Server) Close() error {
 
 // handshake answers one client hello; reports whether the connection may
 // proceed to the RPC loop.
-func (s *Server) handshake(conn net.Conn) bool {
+func (s *Server) handshake(conn net.Conn, br *bufio.Reader) bool {
 	conn.SetDeadline(time.Now().Add(s.hsTimeout))
 	defer conn.SetDeadline(time.Time{})
 	var h hello
-	if err := readHandshake(conn, &h); err != nil {
+	if err := readHandshake(br, &h); err != nil {
 		return false
 	}
 	w := welcome{
@@ -260,7 +261,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	if !s.handshake(conn) {
+	br := bufio.NewReader(conn)
+	if !s.handshake(conn, br) {
 		return
 	}
 	ctx, cancel := context.WithCancel(s.ctx)
@@ -276,7 +278,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		var buf []byte
 		for {
-			body, err := readFrame(conn, s.maxFrame, &buf)
+			body, err := readFrame(br, s.maxFrame, &buf)
 			if err != nil {
 				select {
 				case frames <- frameResult{err: err}:
@@ -314,24 +316,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			if errors.Is(fr.err, ErrFrameTooLarge) || errors.Is(fr.err, ErrProtocol) {
 				// Name the violation to the peer before hanging up; the
 				// stream position is unrecoverable past a refused frame.
-				_ = s.writeResponse(conn, appendErrResponse(respBuf[:0], opErr, fr.err.Error()))
+				_ = s.writeResponse(conn, appendErrResponse(beginFrame(respBuf), opErr, fr.err.Error()))
 			}
 			return
 		}
 		req, err := parseRequest(fr.body, s.maxBatch)
 		if err != nil {
-			_ = s.writeResponse(conn, appendErrResponse(respBuf[:0], opErr, err.Error()))
+			_ = s.writeResponse(conn, appendErrResponse(beginFrame(respBuf), opErr, err.Error()))
 			return
 		}
-		resp := s.dispatch(ctx, req, respBuf[:0])
+		resp := s.dispatch(ctx, req, beginFrame(respBuf))
 		if err := s.writeResponse(conn, resp); err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The request was legitimate but its answer does not fit the
 				// cap (answers scale with lanes, requests with key bytes).
 				// Tell the client why instead of leaving it an opaque EOF;
 				// the error frame itself always fits.
-				_ = s.writeResponse(conn, appendErrResponse(resp[:0], opErr,
-					fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(resp), s.maxFrame)))
+				_ = s.writeResponse(conn, appendErrResponse(beginFrame(resp), opErr,
+					fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(resp)-frameHeader, s.maxFrame)))
 			}
 			return
 		}
@@ -339,12 +341,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// writeResponse sends one response frame under the per-write deadline, so
-// a peer that stops reading cannot pin the connection's goroutine and
-// response buffer past WriteTimeout.
-func (s *Server) writeResponse(conn net.Conn, body []byte) error {
+// writeResponse sends one response frame (built on beginFrame) under the
+// per-write deadline, so a peer that stops reading cannot pin the
+// connection's goroutine and response buffer past WriteTimeout.
+func (s *Server) writeResponse(conn net.Conn, frame []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	return writeFrame(conn, body, s.maxFrame)
+	return writeFrame(conn, frame, s.maxFrame)
 }
 
 // dispatch executes one parsed request against the backend and encodes the

@@ -132,8 +132,8 @@ func normEarly(early int) int {
 // bytes keeps the handshake decoder off the live stream: nothing it
 // buffers can swallow the first RPC frame.
 func writeHandshake(w io.Writer, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	buf := bytes.NewBuffer(beginFrame(nil))
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return fmt.Errorf("shardnet: encoding handshake: %w", err)
 	}
 	return writeFrame(w, buf.Bytes(), maxHandshakeBytes)

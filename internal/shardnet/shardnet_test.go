@@ -1,12 +1,15 @@
 package shardnet
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -628,5 +631,91 @@ func TestUpdateBatchHeldRangeEnforced(t *testing.T) {
 	good := []engine.RowWrite{{Row: 70, Vals: []uint32{1, 2}}}
 	if epoch, err := c.UpdateBatch(context.Background(), good); err != nil || epoch != 1 {
 		t.Fatalf("in-range batch: epoch %d, %v", epoch, err)
+	}
+}
+
+// countingConn counts the Write calls and the data-bearing Read calls a
+// node makes on one connection — what a TLS or metering wrapper would turn
+// into records or syscalls.
+type countingConn struct {
+	net.Conn
+	reads, writes *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+type countingListener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: conn, reads: &l.reads, writes: &l.writes}, nil
+}
+
+// TestOneWritePerFrame: behind a wrapper that is not a bare *net.TCPConn a
+// node still sends every frame — welcome and responses — as one Write, and
+// reads a frame's header and body together; the bytes of a frame are the
+// length prefix followed by the body the encoder always produced.
+func TestOneWritePerFrame(t *testing.T) {
+	tab := buildTable(t, 64, 2, 6)
+	rep := newReplica(t, tab, engine.Config{Party: 0})
+	srv, err := NewServer(rep, ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &countingListener{Listener: inner}
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	c, err := Dial(inner.Addr().String(), Options{Party: AdoptParty})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	k0s, _ := genKeys(t, dpf.NewAESPRG(), tab.Bits(), []uint64{3, 40}, 7)
+	const pings = 5
+	for i := 0; i < pings; i++ {
+		if err := c.Ping(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.AnswerRange(context.Background(), k0s, 0, 64); err != nil {
+		t.Fatal(err)
+	}
+	const frames = 1 + pings + 1 // handshake, pings, answer — each way
+	if w := l.writes.Load(); w != frames {
+		t.Errorf("node made %d Write calls for %d frames", w, frames)
+	}
+	if r := l.reads.Load(); r >= 2*frames {
+		t.Errorf("node made %d Read calls for %d frames; header and body should normally share one", r, frames)
+	}
+
+	req := &rpcRequest{op: opAnswerRange, keys: k0s, lo: 0, hi: 64}
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, appendRequest(beginFrame(nil), req), DefaultMaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	body := appendRequest(nil, req)
+	if want := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...); !bytes.Equal(wire.Bytes(), want) {
+		t.Errorf("frame bytes differ from length prefix + body")
 	}
 }

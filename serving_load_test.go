@@ -9,6 +9,7 @@ package gpudpf_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"os/exec"
@@ -75,16 +76,78 @@ func asTargets(remotes []*pir.Remote) []loadgen.Target {
 }
 
 // slowBackend gives the device a known capacity: every batch costs an
-// extra fixed delay, so MaxBatch/delay bounds sustainable QPS exactly and
-// the test can drive a precise 2× overload.
+// extra fixed delay, one batch at a time whatever the front door's
+// in-flight width on this host, so MaxBatch/delay bounds sustainable QPS
+// exactly and the test can drive a precise 2× overload.
 type slowBackend struct {
 	*engine.Replica
 	delay time.Duration
+	mu    sync.Mutex
 }
 
 func (s *slowBackend) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
+	s.mu.Lock()
 	time.Sleep(s.delay)
+	s.mu.Unlock()
 	return s.Replica.Answer(ctx, keys)
+}
+
+// gatedBackend holds every batch until released and counts the keys that
+// reached it.
+type gatedBackend struct {
+	*engine.Replica
+	entered, release chan struct{}
+	keys             atomic.Int64
+}
+
+func (g *gatedBackend) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
+	g.keys.Add(int64(len(keys)))
+	g.entered <- struct{}{}
+	<-g.release
+	return g.Replica.Answer(ctx, keys)
+}
+
+// TestPartlyFittingRequestShedWholeTCP: a 4-key request that meets the
+// admission bound with room for only 2 of its keys is refused whole — the
+// wire carries the named overload error, none of its keys is computed, and
+// the stats op counts 4 accepted (the request in service) and 4 shed.
+func TestPartlyFittingRequestShedWholeTCP(t *testing.T) {
+	const rows, lanes, k = 512, 4, 4
+	rep, err := pir.NewReplica(0, loadTable(t, rows, lanes, 81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedBackend{Replica: rep, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	_, remotes := serveFront(t, gate, serving.FrontConfig{
+		Policy: serving.Policy{MaxBatch: k, MaxDelay: time.Hour, MaxQueue: k + 2},
+	}, 2)
+	cl, err := pir.NewClient("aes128", rows, rand.New(rand.NewSource(82)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, k)
+	for i := range keys {
+		if keys[i], _, err = cl.Query(uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := make(chan error, 1)
+	go func() { _, err := remotes[0].Answer(keys); first <- err }()
+	<-gate.entered // the first request is in service
+	if _, err := remotes[1].Answer(keys); !errors.Is(err, serving.ErrOverloaded) {
+		t.Fatalf("request past the bound over TCP: %v, want serving.ErrOverloaded", err)
+	}
+	close(gate.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	stats, err := remotes[1].Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Accepted != k || stats.Shed != k || gate.keys.Load() != k {
+		t.Fatalf("accepted %d shed %d, backend computed %d keys; want %d / %d / %d", stats.Accepted, stats.Shed, gate.keys.Load(), k, k, k)
+	}
 }
 
 // TestOverloadShedBoundedP99TCP drives 2× a known saturation rate over
@@ -349,6 +412,9 @@ func TestShutdownDrainUnderLoadTCP(t *testing.T) {
 	logMu.Unlock()
 	if !regexp.MustCompile(`shutdown complete`).MatchString(logs) {
 		t.Fatalf("drain did not complete cleanly; server log:\n%s", logs)
+	}
+	if !regexp.MustCompile(`batch=16 inflight=[1-9]`).MatchString(logs) {
+		t.Errorf("startup line does not report the front door's in-flight width; server log:\n%s", logs)
 	}
 	t.Logf("served %d requests, then drained cleanly on SIGTERM", served.Load())
 }
