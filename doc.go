@@ -196,10 +196,14 @@
 //     mixed-configuration member set (PRF, early depth, party, shape, or
 //     a node assigned rows it does not hold — any member) is refused at
 //     construction.
+//   - internal/frame is the one wire framing both ports speak: a uint32
+//     length refused over the port's cap before allocation, then a body
+//     led by an op byte (a response: op, status); plus the body pieces
+//     both protocols carry — key batches (marshaled dpf keys as-is),
+//     row-write batches, answer-matrix words, the op,status,msg error.
 //   - internal/shardnet is the network form of that seam: a Server
 //     exposes any RangeBackend over TCP and a pooled Client implements
-//     it against a remote node. Frames are length-prefixed binary
-//     (capped both ways, marshaled dpf keys carried as-is); gob appears
+//     it against a remote node, in internal/frame frames; gob appears
 //     only inside the handshake frame, which pins the protocol version,
 //     PRF, early-termination depth and party — rejections name both
 //     sides' values — and advertises the table shape, the row range the
@@ -221,7 +225,16 @@
 //     deadline, not a hang.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
-//     batch retrieval scheme of §4.1 (bins answered concurrently).
+//     batch retrieval scheme of §4.1 (bins answered concurrently). The
+//     client protocol (pir.Serve / pir.Dial) is three lockstep ops in
+//     internal/frame frames — answer, update-batch, stats — so the
+//     communication the paper counts is exact: n keys of k bytes cost
+//     9+n·(4+k) bytes up, an n × lanes answer 14+4·n·lanes down.
+//     Requests are capped at 8 MiB and 4096 keys, responses at 64 MiB; a
+//     refused frame is named to the peer before the hang-up, a shed
+//     request is serving.ErrOverloaded under errors.Is on the client, a
+//     stalled request body is cut off after 10 s, and a Remote whose
+//     stream broke returns that first error from then on.
 //   - internal/core wires the private on-device inference service (both
 //     parties queried concurrently); internal/serving adds the batching
 //     front door — a request's keys are admitted or shed whole and
@@ -373,7 +386,7 @@
 // smoke-runs the fuzz targets (the dpf key parser seeded from the golden
 // fixtures, the shardnet frame codecs — handshake frames with the epoch
 // field included, plus the v3 snapshot-transfer frames both ways — and
-// the capped gob reader guarding pir.Serve) for a short -fuzztime on
+// the client protocol's request and response codecs) for a short -fuzztime on
 // every push. The serving-bench job boots a real pirserver with admission
 // control, drives it with pirload at the committed baseline's seed, gates
 // the resulting BENCH_serving.json against the committed one, and shuts

@@ -69,7 +69,7 @@ func TestEndToEndInProcess(t *testing.T) {
 	}
 }
 
-// TestEndToEndTCP exercises the real gob/TCP transport.
+// TestEndToEndTCP exercises the real framed TCP transport.
 func TestEndToEndTCP(t *testing.T) {
 	tab := fillTable(t, 128, 4)
 	s0, err := NewServer(0, tab)

@@ -1,8 +1,9 @@
 package pir
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -11,8 +12,8 @@ import (
 	"time"
 
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 	"gpudpf/internal/serving"
-	"gpudpf/internal/wireio"
 )
 
 // Answerer is anything that can answer a marshaled key batch: a Server, an
@@ -47,85 +48,148 @@ func (e InProcess) Answer(keys [][]byte) ([][]uint32, error) { return e.Server.A
 // Close implements Endpoint.
 func (e InProcess) Close() error { return nil }
 
-// request and response are the gob wire messages. A request carries
-// exactly one op: a key batch to answer (Keys), a row batch to install
-// (Writes), or a stats probe (Stats). The op fields are mutually
-// exclusive; a request mixing them is a protocol error. Old clients that
-// only ever set Keys are wire-compatible — gob treats the absent fields
-// as zero.
-type request struct {
-	Keys   [][]byte
-	Writes []engine.RowWrite
-	Stats  bool
-}
-
-type response struct {
-	Answers [][]uint32
-	// Epoch is the table epoch an update op installed.
-	Epoch uint64
-	// Stats answers a stats probe.
-	Stats *serving.Stats
-	Err   string
-	// Code names well-known errors so remote clients can match them with
-	// errors.Is instead of parsing Err strings: CodeOverloaded means the
-	// request was shed at the admission bound (serving.ErrOverloaded).
-	Code int
-}
-
-// Wire error codes carried in response.Code. 0 means "no named code" —
-// the error (if any) is only the Err string.
+// The client protocol is lockstep request/response frames (internal/frame,
+// the framing shardnet speaks too): a request body is an op byte and its
+// payload, a response body op, status and payload. An answer request and an
+// update-batch request are byte for byte shardnet's Answer and UpdateBatch
+// frames, hence the shared op values.
 const (
-	// CodeOverloaded marks a request shed by admission control; a Remote
-	// maps it back to serving.ErrOverloaded so a load generator can count
-	// sheds as sheds, not as server faults.
-	CodeOverloaded = 1
+	opAnswer      byte = 0x01 // keys → n, lanes, n·lanes share words
+	opUpdateBatch byte = 0x06 // row writes → installed epoch
+	opStats       byte = 0x0e // nothing → accepted, shed, epoch retries
 )
 
-// errCode names an error for the wire (0 when it has no code).
-func errCode(err error) int {
-	if errors.Is(err, serving.ErrOverloaded) {
-		return CodeOverloaded
-	}
-	return 0
-}
+// statusOverloaded is the named failure status of a request shed by
+// admission control. A Remote maps it back to serving.ErrOverloaded, so a
+// load generator can count sheds as sheds with errors.Is instead of
+// parsing message strings.
+const statusOverloaded byte = 2
 
-// codeErr resolves a wire code back to its named error (nil for unknown
-// codes — the Err string still carries the message).
-func codeErr(code int) error {
-	if code == CodeOverloaded {
-		return serving.ErrOverloaded
-	}
-	return nil
-}
-
-// MaxRequestBytes caps one gob-encoded request message accepted by Serve.
-// It is far above any legitimate batch (a key is a few hundred bytes; 8 MiB
-// holds ~20k of them) but keeps a hostile peer from making the decoder
-// allocate arbitrarily — gob grows its buffer to the DECLARED message size
-// before reading the payload.
+// MaxRequestBytes caps one request frame accepted by Serve. It is far
+// above any legitimate batch (a key is a few hundred bytes; 8 MiB holds
+// ~20k of them) but keeps a hostile peer from making the server allocate
+// arbitrarily for a length it merely declared.
 const MaxRequestBytes = 8 << 20
 
 // ErrRequestTooLarge is the named protocol error a connection gets (and
-// serveConn answers with) when a request message declares more than
+// serveConn answers with) when a request frame declares more than
 // MaxRequestBytes; the connection is closed afterwards.
 var ErrRequestTooLarge = fmt.Errorf("pir: request exceeds the %d-byte frame cap", MaxRequestBytes)
 
-// MaxResponseBytes caps one gob-encoded response message a Remote client
-// accepts — the mirror of MaxRequestBytes: answers scale with
-// batch × lanes (a 512-key batch over 2 KiB rows — 512 lanes — is
-// ~1 MiB), and a hostile or misdialed peer must not be able to make the
-// CLIENT allocate arbitrarily either.
+// MaxResponseBytes caps one response frame a Remote client accepts — the
+// mirror of MaxRequestBytes: answers scale with batch × lanes (a 512-key
+// batch over 2 KiB rows — 512 lanes — is ~1 MiB), and a hostile or
+// misdialed peer must not be able to make the CLIENT allocate arbitrarily
+// either.
 const MaxResponseBytes = 64 << 20
 
 // ErrResponseTooLarge is the named error a Remote returns when the server
 // declares a response over MaxResponseBytes.
 var ErrResponseTooLarge = fmt.Errorf("pir: response exceeds the %d-byte frame cap", MaxResponseBytes)
 
+// MaxRequestKeys caps the keys of one answer request, enforced in the
+// parser before any per-key allocation: the byte cap alone would let a
+// frame of near-empty keys buy millions of slice headers, key structs and
+// partials before the first key fails to unmarshal.
+const MaxRequestKeys = 4096
+
+const (
+	// requestBodyTimeout bounds how long the rest of a request may take
+	// once its first byte has arrived, so a peer that stalls behind a
+	// header or half a body cannot pin its connection's goroutine. Between
+	// requests a connection may idle indefinitely.
+	requestBodyTimeout = 10 * time.Second
+	// refusalDrainTimeout bounds the drain that follows a refused frame.
+	refusalDrainTimeout = 5 * time.Second
+)
+
+// appendRequest encodes one request body; keys or writes is the payload of
+// the op that carries one.
+func appendRequest(dst []byte, op byte, keys [][]byte, writes []engine.RowWrite) []byte {
+	dst = append(dst, op)
+	switch op {
+	case opAnswer:
+		dst = frame.AppendKeys(dst, keys)
+	case opUpdateBatch:
+		dst = frame.AppendWrites(dst, writes)
+	}
+	return dst
+}
+
+// parseRequest decodes one request body. The keys alias body.
+func parseRequest(body []byte) (op byte, keys [][]byte, writes []engine.RowWrite, err error) {
+	r := frame.NewReader(body)
+	switch op = r.U8(); op {
+	case opAnswer:
+		keys, err = frame.ParseKeys(r, MaxRequestKeys)
+	case opUpdateBatch:
+		writes, err = frame.ParseWrites(r)
+	case opStats:
+	default:
+		err = fmt.Errorf("%w: unknown opcode %#x", frame.ErrProtocol, op)
+	}
+	if err == nil && r.Remaining() != 0 {
+		err = fmt.Errorf("%w: %d trailing bytes after %#x request", frame.ErrProtocol, r.Remaining(), op)
+	}
+	return op, keys, writes, err
+}
+
+// appendAnswers encodes a successful answer response: the matrix shape,
+// then its words.
+func appendAnswers(dst []byte, answers [][]uint32) []byte {
+	dst = append(dst, opAnswer, frame.StatusOK)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(answers)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(answers[0])))
+	return frame.AppendMatrix(dst, answers)
+}
+
+// parseAnswers decodes an answer response from behind its op and status.
+func parseAnswers(r *frame.Reader, wantKeys int) ([][]uint32, error) {
+	n, lanes := r.U32(), r.U32()
+	if r.Bad() {
+		return nil, fmt.Errorf("%w: truncated answer header", frame.ErrProtocol)
+	}
+	return frame.ParseMatrix(r, n, lanes, wantKeys)
+}
+
+// appendWords / parseWords encode the fixed-width success payloads: an
+// update's installed epoch, the three serving counters.
+func appendWords(dst []byte, op byte, words ...uint64) []byte {
+	dst = append(dst, op, frame.StatusOK)
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
+func parseWords(r *frame.Reader, words ...*uint64) error {
+	for _, w := range words {
+		*w = r.U64()
+	}
+	if r.Bad() || r.Remaining() != 0 {
+		return fmt.Errorf("%w: malformed %d-word response", frame.ErrProtocol, len(words))
+	}
+	return nil
+}
+
+// appendFailure encodes a request that was understood and failed.
+func appendFailure(dst []byte, op byte, err error) []byte {
+	status := frame.StatusErr
+	if errors.Is(err, serving.ErrOverloaded) {
+		status = statusOverloaded
+	}
+	return frame.AppendErr(dst, op, status, err.Error())
+}
+
 // Serve runs a blocking accept loop answering PIR requests on l. Each
-// connection carries a stream of gob-encoded request/response pairs. Serve
+// connection carries a stream of request/response frame pairs. Serve
 // returns when the listener closes. s may be a *Server or any other
-// request path (e.g. a batching front door over an engine replica).
-func Serve(l net.Listener, s Answerer) error {
+// request path (e.g. a batching front door over an engine replica); the
+// keys it is handed alias the connection's read buffer and must not be
+// kept past its return.
+func Serve(l net.Listener, s Answerer) error { return serve(l, s, requestBodyTimeout) }
+
+func serve(l net.Listener, s Answerer, bodyTimeout time.Duration) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -134,122 +198,108 @@ func Serve(l net.Listener, s Answerer) error {
 			}
 			return fmt.Errorf("pir: accept: %w", err)
 		}
-		go serveConn(conn, s)
+		go serveConn(conn, s, bodyTimeout)
 	}
 }
 
-// maxGobMessagesPerDecode bounds the gob messages one Decode may consume,
-// on either side of the connection: a handful of type definitions plus
-// the value. Without it a peer could stream endless small definition
-// messages — each under the byte cap — growing the decoder's type tables
-// without bound inside one Decode call.
-const maxGobMessagesPerDecode = 64
-
-// ErrTooManyMessages is the named protocol error for a peer whose single
-// request or response consumed more than maxGobMessagesPerDecode gob
-// messages — a different violation than the byte caps, named separately
-// so nobody debugs a size limit that was never exceeded.
-var ErrTooManyMessages = fmt.Errorf("pir: message exceeds the %d-gob-message cap", maxGobMessagesPerDecode)
-
-// capViolation maps a limiter error to the named protocol error to report
-// (nil when err is not a cap violation).
-func capViolation(err error, tooBig error) error {
-	switch {
-	case errors.Is(err, wireio.ErrMessageTooBig):
-		return tooBig
-	case errors.Is(err, wireio.ErrMessageBudget):
-		return ErrTooManyMessages
-	}
-	return nil
-}
-
-func serveConn(conn net.Conn, s Answerer) {
+func serveConn(conn net.Conn, s Answerer, bodyTimeout time.Duration) {
 	defer conn.Close()
-	// The limiter parses the gob message framing itself and rejects an
-	// oversized declaration before the decoder allocates for it.
-	lim := wireio.LimitGobMessages(conn, MaxRequestBytes)
-	dec := gob.NewDecoder(lim)
-	enc := gob.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	var in, out []byte
 	for {
-		lim.ResetMessageBudget(maxGobMessagesPerDecode)
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if violation := capViolation(err, ErrRequestTooLarge); violation != nil {
-				// Name the protocol violation to the peer, then hang up:
-				// the stream position is unrecoverable past a refused frame.
-				_ = enc.Encode(&response{Err: violation.Error()})
-				// The refused message's payload is likely still queued in
-				// the kernel receive buffer; closing over unread bytes
-				// RSTs the connection and discards the reply we just sent
-				// before the peer can read it. Drain a bounded amount
-				// under a deadline, then close.
-				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				// Past maxDrainBytes the peer is not a confused client
-				// worth a graceful goodbye; let the reset happen.
-				const maxDrainBytes = 2 * MaxRequestBytes
-				drain := lim.PendingBytes()
-				if drain > maxDrainBytes {
-					drain = maxDrainBytes
-				}
-				_, _ = io.CopyN(io.Discard, conn, drain)
-			}
+		// An idle connection may wait for its next request indefinitely: the
+		// deadline starts at the request's first byte, which Peek leaves for
+		// frame.Read.
+		if _, err := br.Peek(1); err != nil {
 			return // EOF or broken peer; nothing to report on this side
 		}
-		resp := handle(s, &req)
-		if err := enc.Encode(resp); err != nil {
+		conn.SetReadDeadline(time.Now().Add(bodyTimeout))
+		body, err := frame.Read(br, MaxRequestBytes, &in)
+		if err == nil {
+			conn.SetReadDeadline(time.Time{})
+			out, err = handle(s, body, frame.Begin(out))
+		}
+		if err != nil {
+			refuse(conn, br, err)
+			return
+		}
+		if err = frame.Write(conn, out, MaxResponseBytes); errors.Is(err, frame.ErrTooLarge) {
+			// Nothing was sent, so the stream is intact: tell the client why
+			// it gets no answers, and do not keep the oversized buffer.
+			out = frame.AppendErr(frame.Begin(nil), body[0], frame.StatusErr, ErrResponseTooLarge.Error()+"; narrow the batch")
+			err = frame.Write(conn, out, MaxResponseBytes)
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-// handle executes one decoded request against the server's request path,
-// dispatching on which op the request carries.
-func handle(s Answerer, req *request) *response {
-	var resp response
-	ops := 0
-	if len(req.Keys) > 0 {
-		ops++
+// refuse names a frame-level violation to the peer before serveConn hangs
+// up: the stream position is unrecoverable past a refused frame. A read
+// that merely failed (EOF, a stalled body's deadline) has nobody to tell.
+func refuse(conn net.Conn, br *bufio.Reader, err error) {
+	tooLarge := errors.Is(err, frame.ErrTooLarge)
+	if tooLarge {
+		err = ErrRequestTooLarge
+	} else if !errors.Is(err, frame.ErrProtocol) {
+		return
 	}
-	if len(req.Writes) > 0 {
-		ops++
+	_ = frame.Write(conn, frame.AppendErr(frame.Begin(nil), frame.OpErr, frame.StatusErr, err.Error()), MaxResponseBytes)
+	if !tooLarge {
+		return
 	}
-	if req.Stats {
-		ops++
+	// The refused frame's payload is likely still queued in the kernel
+	// receive buffer; closing over unread bytes RSTs the connection and
+	// discards the reply we just sent before the peer can read it. Drain
+	// until the peer hangs up, under a deadline and a byte bound: past
+	// maxDrainBytes the peer is not a confused client worth a graceful
+	// goodbye; let the reset happen.
+	const maxDrainBytes = 2 * MaxRequestBytes
+	conn.SetReadDeadline(time.Now().Add(refusalDrainTimeout))
+	_, _ = io.CopyN(io.Discard, br, maxDrainBytes)
+}
+
+// handle executes one request against the server's request path and
+// encodes the response behind dst. An error means the body was malformed.
+func handle(s Answerer, body, dst []byte) ([]byte, error) {
+	op, keys, writes, err := parseRequest(body)
+	if err != nil {
+		return dst, err
 	}
-	switch {
-	case ops != 1:
-		resp.Err = "pir: request must carry exactly one op (keys, writes, or stats)"
-	case len(req.Keys) > 0:
-		answers, err := s.Answer(req.Keys)
-		if err != nil {
-			resp.Err = err.Error()
-			resp.Code = errCode(err)
-		} else {
-			resp.Answers = answers
-		}
-	case len(req.Writes) > 0:
-		up, ok := s.(BatchUpdater)
-		if !ok {
-			resp.Err = "pir: server does not accept updates"
+	switch op {
+	case opAnswer:
+		if len(keys) == 0 {
+			err = errors.New("pir: answer request carries no keys")
 			break
 		}
-		epoch, err := up.UpdateBatch(req.Writes)
-		if err != nil {
-			resp.Err = err.Error()
-			resp.Code = errCode(err)
-		} else {
-			resp.Epoch = epoch
+		var answers [][]uint32
+		if answers, err = s.Answer(keys); err == nil && len(answers) != len(keys) {
+			err = fmt.Errorf("pir: %d answers for %d keys", len(answers), len(keys))
 		}
-	default: // stats probe
+		if err == nil {
+			return appendAnswers(dst, answers), nil
+		}
+	case opUpdateBatch:
+		up, ok := s.(BatchUpdater)
+		if !ok {
+			err = errors.New("pir: server does not accept updates")
+			break
+		}
+		var epoch uint64
+		if epoch, err = up.UpdateBatch(writes); err == nil {
+			return appendWords(dst, op, epoch), nil
+		}
+	case opStats:
 		src, ok := s.(serving.StatsSource)
 		if !ok {
-			resp.Err = "pir: server does not report serving stats"
+			err = errors.New("pir: server does not report serving stats")
 			break
 		}
 		stats := src.ServingStats()
-		resp.Stats = &stats
+		return appendWords(dst, op, stats.Accepted, stats.Shed, stats.EpochRetries), nil
 	}
-	return &resp
+	return appendFailure(dst, op, err), nil
 }
 
 // Remote is a TCP Endpoint. It is safe for concurrent use; requests are
@@ -257,9 +307,12 @@ func handle(s Answerer, req *request) *response {
 type Remote struct {
 	mu   sync.Mutex
 	conn net.Conn
-	lim  *wireio.GobLimiter
-	dec  *gob.Decoder
-	enc  *gob.Encoder
+	br   *bufio.Reader
+	buf  []byte // the request frame, then the response body
+	// err is the first send, receive or protocol error. The stream position
+	// is unknown past it — the next read would decode the tail of an old
+	// reply — so every later call returns it without touching the socket.
+	err error
 }
 
 // Dial connects to a PIR server started with Serve.
@@ -268,73 +321,79 @@ func Dial(addr string) (*Remote, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pir: dial %s: %w", addr, err)
 	}
-	lim := wireio.LimitGobMessages(conn, MaxResponseBytes)
-	return &Remote{
-		conn: conn,
-		lim:  lim,
-		dec:  gob.NewDecoder(lim),
-		enc:  gob.NewEncoder(conn),
-	}, nil
+	return &Remote{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-// roundTrip sends one request and decodes its response, mapping a named
-// wire code back to its sentinel error so errors.Is works across the
-// network boundary.
-func (r *Remote) roundTrip(req *request) (*response, error) {
+// roundTrip sends one request and hands the payload of a successful
+// response to parse. A failure the server reports — a shed request comes
+// back as serving.ErrOverloaded, so errors.Is works across the network
+// boundary — leaves the connection usable; any other failure retires it.
+func (r *Remote) roundTrip(op byte, keys [][]byte, writes []engine.RowWrite, parse func(*frame.Reader) error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("pir: send: %w", err)
+	if r.err != nil {
+		return r.err
 	}
-	r.lim.ResetMessageBudget(maxGobMessagesPerDecode)
-	var resp response
-	if err := r.dec.Decode(&resp); err != nil {
-		if violation := capViolation(err, ErrResponseTooLarge); violation != nil {
-			return nil, fmt.Errorf("%w: %v", violation, err)
-		}
-		return nil, fmt.Errorf("pir: receive: %w", err)
+	r.buf = appendRequest(frame.Begin(r.buf), op, keys, writes)
+	if err := frame.Write(r.conn, r.buf, MaxRequestBytes); errors.Is(err, frame.ErrTooLarge) {
+		return fmt.Errorf("%w: %v", ErrRequestTooLarge, err) // refused before a byte was sent
+	} else if err != nil {
+		return r.fail(fmt.Errorf("pir: send: %w", err))
 	}
-	if resp.Err != "" {
-		if named := codeErr(resp.Code); named != nil {
-			return nil, fmt.Errorf("pir: server: %w", named)
-		}
-		return nil, fmt.Errorf("pir: server: %s", resp.Err)
+	body, err := frame.Read(r.br, MaxResponseBytes, &r.buf)
+	if errors.Is(err, frame.ErrTooLarge) {
+		return r.fail(fmt.Errorf("%w: %v", ErrResponseTooLarge, err))
+	} else if err != nil {
+		return r.fail(fmt.Errorf("pir: receive: %w", err))
 	}
-	return &resp, nil
+	resp := frame.NewReader(body)
+	status, msg, err := frame.ResponseHeader(resp, op)
+	if err == nil && status == frame.StatusOK {
+		err = parse(resp)
+	}
+	switch {
+	case err != nil:
+		return r.fail(fmt.Errorf("pir: receive: %w", err))
+	case status == frame.StatusOK:
+		return nil
+	case status == statusOverloaded:
+		return fmt.Errorf("pir: server: %w", serving.ErrOverloaded)
+	}
+	return fmt.Errorf("pir: server: %s", msg)
+}
+
+func (r *Remote) fail(err error) error {
+	r.err = err
+	return err
 }
 
 // Answer implements Endpoint.
-func (r *Remote) Answer(keys [][]byte) ([][]uint32, error) {
-	resp, err := r.roundTrip(&request{Keys: keys})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Answers, nil
+func (r *Remote) Answer(keys [][]byte) (answers [][]uint32, err error) {
+	err = r.roundTrip(opAnswer, keys, nil, func(resp *frame.Reader) (err error) {
+		answers, err = parseAnswers(resp, len(keys))
+		return err
+	})
+	return answers, err
 }
 
 // UpdateBatch installs a batch of row writes on the server as one atomic
 // table epoch and returns the epoch it installed (the wire face of
 // BatchUpdater).
-func (r *Remote) UpdateBatch(writes []engine.RowWrite) (uint64, error) {
-	resp, err := r.roundTrip(&request{Writes: writes})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Epoch, nil
+func (r *Remote) UpdateBatch(writes []engine.RowWrite) (epoch uint64, err error) {
+	err = r.roundTrip(opUpdateBatch, nil, writes, func(resp *frame.Reader) error {
+		return parseWords(resp, &epoch)
+	})
+	return epoch, err
 }
 
 // Stats fetches the server's serving stats (admission outcomes and
 // epoch-retry counts) — what the load harness reconciles its own shed and
 // retry observations against.
-func (r *Remote) Stats() (serving.Stats, error) {
-	resp, err := r.roundTrip(&request{Stats: true})
-	if err != nil {
-		return serving.Stats{}, err
-	}
-	if resp.Stats == nil {
-		return serving.Stats{}, errors.New("pir: server returned no stats")
-	}
-	return *resp.Stats, nil
+func (r *Remote) Stats() (stats serving.Stats, err error) {
+	err = r.roundTrip(opStats, nil, nil, func(resp *frame.Reader) error {
+		return parseWords(resp, &stats.Accepted, &stats.Shed, &stats.EpochRetries)
+	})
+	return stats, err
 }
 
 // Close implements Endpoint.

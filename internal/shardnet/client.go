@@ -11,6 +11,7 @@ import (
 
 	"gpudpf/internal/backoff"
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 	"gpudpf/internal/gpu"
 )
 
@@ -277,12 +278,12 @@ func (c *Client) do(ctx context.Context, req *rpcRequest, parse func(resp []byte
 		}
 		return fmt.Errorf("shardnet: %s: %s: %w", c.addr, stage, err)
 	}
-	pc.buf = appendRequest(beginFrame(pc.buf), req)
-	if err := writeFrame(pc.conn, pc.buf, c.opts.MaxFrame); err != nil {
+	pc.buf = appendRequest(frame.Begin(pc.buf), req)
+	if err := frame.Write(pc.conn, pc.buf, c.opts.MaxFrame); err != nil {
 		stop()
 		return ioErr("send", err)
 	}
-	resp, err := readFrame(pc.br, c.opts.MaxFrame, &pc.buf)
+	resp, err := frame.Read(pc.br, c.opts.MaxFrame, &pc.buf)
 	if err != nil {
 		stop()
 		return ioErr("receive", err)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 )
 
 // ServerConfig assembles a shard node.
@@ -278,7 +279,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		var buf []byte
 		for {
-			body, err := readFrame(br, s.maxFrame, &buf)
+			body, err := frame.Read(br, s.maxFrame, &buf)
 			if err != nil {
 				select {
 				case frames <- frameResult{err: err}:
@@ -316,24 +317,24 @@ func (s *Server) serveConn(conn net.Conn) {
 			if errors.Is(fr.err, ErrFrameTooLarge) || errors.Is(fr.err, ErrProtocol) {
 				// Name the violation to the peer before hanging up; the
 				// stream position is unrecoverable past a refused frame.
-				_ = s.writeResponse(conn, appendErrResponse(beginFrame(respBuf), opErr, fr.err.Error()))
+				_ = s.writeResponse(conn, appendErrResponse(frame.Begin(respBuf), frame.OpErr, fr.err.Error()))
 			}
 			return
 		}
 		req, err := parseRequest(fr.body, s.maxBatch)
 		if err != nil {
-			_ = s.writeResponse(conn, appendErrResponse(beginFrame(respBuf), opErr, err.Error()))
+			_ = s.writeResponse(conn, appendErrResponse(frame.Begin(respBuf), frame.OpErr, err.Error()))
 			return
 		}
-		resp := s.dispatch(ctx, req, beginFrame(respBuf))
+		resp := s.dispatch(ctx, req, frame.Begin(respBuf))
 		if err := s.writeResponse(conn, resp); err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				// The request was legitimate but its answer does not fit the
 				// cap (answers scale with lanes, requests with key bytes).
 				// Tell the client why instead of leaving it an opaque EOF;
 				// the error frame itself always fits.
-				_ = s.writeResponse(conn, appendErrResponse(beginFrame(resp), opErr,
-					fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(resp)-frameHeader, s.maxFrame)))
+				_ = s.writeResponse(conn, appendErrResponse(frame.Begin(resp), frame.OpErr,
+					fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(resp)-frame.HeaderLen, s.maxFrame)))
 			}
 			return
 		}
@@ -341,12 +342,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// writeResponse sends one response frame (built on beginFrame) under the
+// writeResponse sends one response frame (built on frame.Begin) under the
 // per-write deadline, so a peer that stops reading cannot pin the
 // connection's goroutine and response buffer past WriteTimeout.
-func (s *Server) writeResponse(conn net.Conn, frame []byte) error {
+func (s *Server) writeResponse(conn net.Conn, resp []byte) error {
 	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	return writeFrame(conn, frame, s.maxFrame)
+	return frame.Write(conn, resp, s.maxFrame)
 }
 
 // dispatch executes one parsed request against the backend and encodes the
@@ -493,7 +494,7 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 		}
 		return appendSnapChunk(dst, req.epoch, s.lo, s.hi, req.off, words)
 	}
-	return appendErrResponse(dst, opErr, fmt.Sprintf("shardnet: unknown opcode %#x", req.op))
+	return appendErrResponse(dst, frame.OpErr, fmt.Sprintf("shardnet: unknown opcode %#x", req.op))
 }
 
 // snapshotSource resolves the backend's snapshot-export capability for a

@@ -46,6 +46,7 @@ import (
 	"io"
 
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 )
 
 // ProtocolVersion is the shardnet wire version spoken by this build; the
@@ -132,17 +133,17 @@ func normEarly(early int) int {
 // bytes keeps the handshake decoder off the live stream: nothing it
 // buffers can swallow the first RPC frame.
 func writeHandshake(w io.Writer, v any) error {
-	buf := bytes.NewBuffer(beginFrame(nil))
+	buf := bytes.NewBuffer(frame.Begin(nil))
 	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		return fmt.Errorf("shardnet: encoding handshake: %w", err)
 	}
-	return writeFrame(w, buf.Bytes(), maxHandshakeBytes)
+	return frame.Write(w, buf.Bytes(), maxHandshakeBytes)
 }
 
 // readHandshake reads one capped frame and gob-decodes it into v.
 func readHandshake(r io.Reader, v any) error {
 	var buf []byte
-	body, err := readFrame(r, maxHandshakeBytes, &buf)
+	body, err := frame.Read(r, maxHandshakeBytes, &buf)
 	if err != nil {
 		return err
 	}

@@ -15,6 +15,7 @@ import (
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 	"gpudpf/internal/strategy"
 )
 
@@ -509,17 +510,17 @@ func TestFrameCap(t *testing.T) {
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var buf []byte
-	body, err := readFrame(conn, DefaultMaxFrame, &buf)
+	body, err := frame.Read(conn, DefaultMaxFrame, &buf)
 	if err != nil {
 		t.Fatalf("reading refusal frame: %v", err)
 	}
-	if body[0] != opErr || body[1] != statusErr {
+	if body[0] != frame.OpErr || body[1] != frame.StatusErr {
 		t.Fatalf("refusal frame op=%#x status=%d", body[0], body[1])
 	}
 	if !strings.Contains(string(body), "size cap") {
 		t.Fatalf("refusal %q does not name the cap", string(body[2:]))
 	}
-	if _, err := readFrame(conn, DefaultMaxFrame, &buf); err == nil {
+	if _, err := frame.Read(conn, DefaultMaxFrame, &buf); err == nil {
 		t.Fatal("connection survived an oversized frame")
 	}
 }
@@ -711,7 +712,7 @@ func TestOneWritePerFrame(t *testing.T) {
 
 	req := &rpcRequest{op: opAnswerRange, keys: k0s, lo: 0, hi: 64}
 	var wire bytes.Buffer
-	if err := writeFrame(&wire, appendRequest(beginFrame(nil), req), DefaultMaxFrame); err != nil {
+	if err := frame.Write(&wire, appendRequest(frame.Begin(nil), req), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	body := appendRequest(nil, req)

@@ -98,13 +98,7 @@ func TestOverlayReads(t *testing.T) {
 			t.Fatalf("CopyWords word %d: %d, want %d", i, win[i], want[4*lanes+1+i])
 		}
 	}
-	// Raw contiguous accessors refuse on an overlaid epoch.
-	if _, err := sn.Data(); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("Data on overlay: %v, want ErrNotContiguous", err)
-	}
-	if _, err := sn.Table(); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("Table on overlay: %v, want ErrNotContiguous", err)
-	}
+	// The contiguous accessor refuses on an overlaid epoch.
 	if _, err := sn.RowRange(0, rows); !errors.Is(err, ErrNotContiguous) {
 		t.Fatalf("RowRange on overlay: %v, want ErrNotContiguous", err)
 	}
@@ -153,7 +147,7 @@ func TestCompactionAtMaxDepth(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	if _, err := sn.Data(); err != nil {
+	if _, err := sn.RowRange(0, sn.Rows()); err != nil {
 		t.Fatalf("folded epoch not contiguous: %v", err)
 	}
 }

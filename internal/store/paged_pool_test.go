@@ -74,6 +74,13 @@ func TestPagedFailedLoadKeepsPool(t *testing.T) {
 	if err := sn.Chunks(0, rows, func(strategy.Chunk) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
+	// Let the prefetcher finish what the sweep hinted, or a load still in
+	// flight moves the free list under the loop below. It takes hints in
+	// order, so once cap+1 more — for the resident last page: hits, no buffer
+	// moves — have been accepted, everything before them is done.
+	for i := 0; i <= cap(pb.prefCh); i++ {
+		pb.prefCh <- rows/pb.pageRows - 1
+	}
 	if err := os.Truncate(pb.f.Name(), pagedHeaderBytes+100); err != nil {
 		t.Fatal(err)
 	}

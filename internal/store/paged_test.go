@@ -131,8 +131,8 @@ func TestPagedDeltaEpochs(t *testing.T) {
 				t.Fatalf("apply %d word %d: %d, want %d", i, w, got[w], expect[w])
 			}
 		}
-		// The contiguous accessors must keep refusing: nothing materialized.
-		if _, derr := sn.Data(); !errors.Is(derr, ErrNotContiguous) {
+		// The contiguous accessor must keep refusing: nothing materialized.
+		if _, derr := sn.RowRange(0, sn.Rows()); !errors.Is(derr, ErrNotContiguous) {
 			t.Fatalf("paged epoch became contiguous: %v", derr)
 		}
 		sn.Release()
@@ -149,7 +149,7 @@ func TestPagedDeltaEpochs(t *testing.T) {
 	}
 }
 
-// TestPagedSnapshotAccessors: the deprecated raw accessors fail with the
+// TestPagedSnapshotAccessors: the contiguous accessor fails with the
 // named error on a paged epoch-0 snapshot, while CopyWords and Row serve
 // the same bytes the file holds.
 func TestPagedSnapshotAccessors(t *testing.T) {
@@ -161,12 +161,6 @@ func TestPagedSnapshotAccessors(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	if _, err := sn.Data(); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("Data: %v, want ErrNotContiguous", err)
-	}
-	if _, err := sn.Table(); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("Table: %v, want ErrNotContiguous", err)
-	}
 	if _, err := sn.RowRange(10, 20); !errors.Is(err, ErrNotContiguous) {
 		t.Fatalf("RowRange: %v, want ErrNotContiguous", err)
 	}

@@ -50,12 +50,11 @@ import (
 	"gpudpf/internal/strategy"
 )
 
-// ErrNotContiguous is returned by Snapshot.Data, Snapshot.Table and
-// Snapshot.RowRange when the snapshot's backing is not one contiguous
-// in-RAM buffer (a delta-epoch overlay or a paged backing). The raw-buffer
-// accessors never silently materialize a copy; callers that can stream
-// should use Chunks, callers that need a copy should use CopyWords or
-// strategy.TableFromView.
+// ErrNotContiguous is returned by Snapshot.RowRange when the snapshot's
+// backing is not one contiguous in-RAM buffer (a delta-epoch overlay or a
+// paged backing). RowRange never silently materializes a copy; callers
+// that can stream should use Chunks, callers that need a copy should use
+// CopyWords or strategy.TableFromView.
 var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Chunks or CopyWords")
 
 // RowWrite is one row overwrite in an update batch. Vals must be exactly
@@ -236,36 +235,6 @@ func (sn *Snapshot) Row(i int) ([]uint32, error) {
 		return nil, fmt.Errorf("store: row %d outside table of %d rows", i, sn.rows)
 	}
 	return sn.b.src.row(i)
-}
-
-// Table returns the snapshot's table as a *strategy.Table.
-//
-// Deprecated: this raw-buffer accessor only works when the epoch's backing
-// is one contiguous in-RAM array (a freshly adopted table or a compacted
-// epoch); delta-epoch overlays and paged backings return ErrNotContiguous
-// rather than silently materializing a copy. New code should consume the
-// snapshot as a strategy.TableView (Chunks/RowRange), or materialize
-// explicitly with strategy.TableFromView.
-func (sn *Snapshot) Table() (*strategy.Table, error) {
-	flat := sn.b.src.flat()
-	if flat == nil {
-		return nil, ErrNotContiguous
-	}
-	return &strategy.Table{NumRows: sn.rows, Lanes: sn.lanes, Data: flat}, nil
-}
-
-// Data returns this epoch's contiguous row-major lane buffer, valid until
-// Release.
-//
-// Deprecated: like Table, this only works for a contiguous in-RAM backing
-// and returns ErrNotContiguous otherwise. Use Chunks (streaming) or
-// CopyWords (copying) instead.
-func (sn *Snapshot) Data() ([]uint32, error) {
-	flat := sn.b.src.flat()
-	if flat == nil {
-		return nil, ErrNotContiguous
-	}
-	return flat, nil
 }
 
 // RowRange returns rows [lo, hi) of this epoch as one zero-copy slice,

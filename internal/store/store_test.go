@@ -248,11 +248,11 @@ func TestEmptyPrepareSharesBacking(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := s.Acquire()
-	bd, err := before.Data()
+	bd, err := before.Row(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := after.Data()
+	ad, err := after.Row(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,7 +327,9 @@ func TestShutdownDrainUnderLoadTCP(t *testing.T) {
 	addrCh := make(chan string, 1)
 	var logMu sync.Mutex
 	var logText []byte
+	logDone := make(chan struct{}) // closed at the log's EOF
 	go func() {
+		defer close(logDone)
 		buf := make([]byte, 4096)
 		addrRe := regexp.MustCompile(`serving .* on (127\.0\.0\.1:\d+)`)
 		sent := false
@@ -397,7 +399,9 @@ func TestShutdownDrainUnderLoadTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	exited := make(chan error, 1)
-	go func() { exited <- srv.Wait() }()
+	// Wait closes the pipe, so the log must be read to its end first or the
+	// final "shutdown complete" line can be lost.
+	go func() { <-logDone; exited <- srv.Wait() }()
 	select {
 	case err := <-exited:
 		if err != nil {
