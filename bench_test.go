@@ -102,12 +102,12 @@ func BenchmarkTiledAnswer(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("tiled/B=%d", batch), func(b *testing.B) {
-			s := strategy.MemBoundTree{K: 128, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
 			b.ReportAllocs()
 			b.SetBytes(int64(batch) * rows * lanes * 4)
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -195,7 +195,7 @@ func BenchmarkFig6Strategies(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,11 +211,11 @@ func BenchmarkFig8KSweep(b *testing.B) {
 	keys := benchKeys(b, prg, tab, 2)
 	for _, k := range []int{8, 32, 128, 512} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			s := strategy.MemBoundTree{K: k, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: k, Fused: true}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -231,11 +231,11 @@ func BenchmarkFig9Batch(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		keys := benchKeys(b, prg, tab, batch)
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
-			s := strategy.MemBoundTree{K: 128, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -248,7 +248,7 @@ func BenchmarkFig9Batch(b *testing.B) {
 func BenchmarkFig13Model(b *testing.B) {
 	dev := gpu.TeslaV100()
 	prg := dpf.NewAESPRG()
-	s := strategy.MemBoundTree{K: 128, Fused: true}
+	var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Model(dev, prg, 20, 64, 64); err != nil {
 			b.Fatal(err)
@@ -264,11 +264,11 @@ func BenchmarkFig14Fusion(b *testing.B) {
 	keys := benchKeys(b, prg, tab, 2)
 	for _, fused := range []bool{true, false} {
 		b.Run(fmt.Sprintf("fused=%v", fused), func(b *testing.B) {
-			s := strategy.MemBoundTree{K: 128, Fused: fused}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: fused}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -284,11 +284,11 @@ func BenchmarkTable4CPU(b *testing.B) {
 	keys := benchKeys(b, prg, tab, 1)
 	for _, threads := range []int{1, 32} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			s := strategy.CPUBaseline{Threads: threads}
+			var s strategy.Strategy = strategy.CPUBaseline{Threads: threads}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters
-				if _, err := s.Run(prg, keys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -222,22 +222,22 @@ func main() {
 		// The seed baseline streams the table once per query; the tiled
 		// path once per tile (§3.2.4's tableReadBytes model).
 		tiles := int64((batch + tileQueries - 1) / tileQueries)
+		// One Strategy value for every case, as a replica holds one: boxing
+		// the struct per call would be counted as a hot-path allocation.
+		var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
 		runtime.GOMAXPROCS(1)
 		seed := measure("seed", batch, int64(batch)*tableBytes, func() {
 			seedbaseline.Run(prg, seedKeys, tab, 128)
 		})
 		tiled := measure("tiled", batch, tiles*tableBytes, func() {
 			var ctr gpu.Counters
-			s := strategy.MemBoundTree{K: 128, Fused: true}
-			if _, err := s.Run(prg, tiledKeys, tab, &ctr); err != nil {
+			if _, err := strategy.Run(s, prg, tiledKeys, tab.View(), &ctr); err != nil {
 				log.Fatalf("benchjson: %v", err)
 			}
 		})
 		tiledPaged := measure("tiled-paged", batch, tiles*tableBytes, func() {
 			var ctr gpu.Counters
-			s := strategy.MemBoundTree{K: 128, Fused: true}
-			ans := strategy.NewAnswers(len(tiledKeys), *lanes)
-			if err := s.RunRangeInto(prg, tiledKeys, pagedSnap, 0, *rows, &ctr, ans); err != nil {
+			if _, err := strategy.Run(s, prg, tiledKeys, pagedSnap, &ctr); err != nil {
 				log.Fatalf("benchjson: %v", err)
 			}
 		})
@@ -248,18 +248,16 @@ func main() {
 		// would file a sequential number under a parallel name.
 		if procs > 1 {
 			runtime.GOMAXPROCS(procs)
+			par := strategy.WithWorkers(s, procs)
 			tiledPar := measure("tiled-par", batch, tiles*tableBytes, func() {
 				var ctr gpu.Counters
-				s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
-				if _, err := s.Run(prg, tiledKeys, tab, &ctr); err != nil {
+				if _, err := strategy.Run(par, prg, tiledKeys, tab.View(), &ctr); err != nil {
 					log.Fatalf("benchjson: %v", err)
 				}
 			})
 			tiledPagedPar := measure("tiled-paged-par", batch, tiles*tableBytes, func() {
 				var ctr gpu.Counters
-				s := strategy.WithWorkers(strategy.MemBoundTree{K: 128, Fused: true}, procs)
-				ans := strategy.NewAnswers(len(tiledKeys), *lanes)
-				if err := s.RunRangeInto(prg, tiledKeys, pagedSnap, 0, *rows, &ctr, ans); err != nil {
+				if _, err := strategy.Run(par, prg, tiledKeys, pagedSnap, &ctr); err != nil {
 					log.Fatalf("benchjson: %v", err)
 				}
 			})

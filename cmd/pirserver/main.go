@@ -28,20 +28,13 @@
 //	pirserver -party 0 -shardnode 1/2 -addr :7801 -rows 1048576 -seed 42
 //	pirserver -party 0 -cluster host0:7800,host1:7801 -addr :7700 -rows 1048576
 //
-// With -standby the front also dials one standby node per shard (a comma
-// list parallel to -cluster; empty slots mean no standby for that shard).
-// A primary that dies mid-batch fails over transparently — answers stay
-// bit-identical because the epoch handshake keeps standbys on the same
-// table version as their primaries:
-//
-//	pirserver -party 0 -cluster host0:7800,host1:7801 \
-//	          -standby host2:7800,host3:7801 -addr :7700 -rows 1048576
-//
-// -group generalizes both flags to N-member replica groups: commas still
+// -group generalizes -cluster to N-member replica groups: commas still
 // separate shards, pipes separate the members of one shard's group. The
 // front load-balances answer batches across each group's healthy members,
-// retries a failed member's batch on the next, and quarantines members
-// that miss an epoch until they are healed:
+// retries a failed member's batch on the next — answers stay bit-identical
+// because the epoch handshake keeps every member on the same table
+// version — and quarantines members that miss an epoch until they are
+// healed:
 //
 //	pirserver -party 0 -group host0:7800|host2:7800|host4:7800,host1:7801|host3:7801 \
 //	          -addr :7700 -rows 1048576
@@ -63,7 +56,7 @@
 // rows is rewritten with content derived from (seed, row, generation), so
 // independently started parties keep identical tables. On a single server
 // the batch lands as one store epoch; on a cluster front it runs the
-// prepare/commit epoch handshake across every shard node and standby —
+// prepare/commit epoch handshake across every member of every shard —
 // all-or-nothing, with concurrent answers pinned to the prior epoch.
 //
 // On SIGTERM/SIGINT the server shuts down gracefully: it stops accepting,
@@ -110,8 +103,7 @@ func main() {
 	slo := flag.Duration("slo", 0, "latency SLO for adaptive batching: the front door re-tunes -batch/-maxdelay against the measured arrival rate to stay inside it (0 = static policy)")
 	shardNode := flag.String("shardnode", "", "serve one shard of the row domain over the shardnet protocol instead of the client protocol; format i/n = rows [i·rows/n,(i+1)·rows/n)")
 	cluster := flag.String("cluster", "", "comma-separated shardnet node addresses; front a distributed replica over them instead of a local table")
-	standby := flag.String("standby", "", "comma-separated standby node addresses, parallel to -cluster (empty slots allowed); a dead primary fails over to its standby mid-batch")
-	group := flag.String("group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"); generalizes -cluster/-standby to N load-balanced members")
+	group := flag.String("group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"); generalizes -cluster to N load-balanced members")
 	join := flag.String("join", "", "shard-node only: pull the current table snapshot from this healthy same-shard peer (host:port) over shardnet before serving, so a restarted member rejoins at the cluster's epoch")
 	refresh := flag.Duration("refresh", 0, "rewrite a deterministic batch of rows this often (0 = off) — the transparent update path; both parties must use the same -refresh, -refreshrows and -seed")
 	refreshRows := flag.Int("refreshrows", 64, "rows per refresh batch (one table epoch per batch; on a cluster front, one epoch handshake)")
@@ -122,11 +114,8 @@ func main() {
 	if *shardNode != "" && (*cluster != "" || *group != "") {
 		log.Fatal("pirserver: -shardnode and -cluster/-group are mutually exclusive")
 	}
-	if *group != "" && (*cluster != "" || *standby != "") {
-		log.Fatal("pirserver: -group replaces -cluster/-standby; use one addressing form or the other")
-	}
-	if *standby != "" && *cluster == "" {
-		log.Fatal("pirserver: -standby requires -cluster")
+	if *group != "" && *cluster != "" {
+		log.Fatal("pirserver: -group replaces -cluster; use one addressing form or the other")
 	}
 	if *join != "" && *shardNode == "" {
 		log.Fatal("pirserver: -join belongs on a shard node (-shardnode)")
@@ -148,11 +137,12 @@ func main() {
 	case *shardNode != "":
 		runShardNode(*shardNode, *join, *party, *addr, *rows, *lanes, *seed, *prg, *early, *shards, *workers, *tableFile, *pageCache)
 	case *cluster != "" || *group != "":
-		groups, display, err := parseGroups(*cluster, *standby, *group)
+		spec := *cluster + *group // -cluster a,b is -group a,b: one member per shard
+		groups, err := parseGroups(spec)
 		if err != nil {
 			log.Fatalf("pirserver: %v", err)
 		}
-		runClusterFront(groups, display, *party, *addr, *rows, *seed, *prg, *early, door, *refresh, *refreshRows)
+		runClusterFront(groups, spec, *party, *addr, *rows, *seed, *prg, *early, door, *refresh, *refreshRows)
 	default:
 		runSingle(*party, *addr, *rows, *lanes, *seed, *prg, *early, *shards, *workers, door, *refresh, *refreshRows, *tableFile, *pageCache)
 	}
@@ -167,48 +157,23 @@ type doorConfig struct {
 	slo      time.Duration
 }
 
-// parseGroups resolves the two cluster-front addressing forms into one
-// member-address list per shard: -group "a|b|c,d|e" (commas separate
-// shards, pipes separate one shard's replica-group members), or the
-// legacy -cluster/-standby pair (one or two members per shard).
-func parseGroups(cluster, standby, group string) (groups [][]string, display string, err error) {
-	if group != "" {
-		for i, shard := range strings.Split(group, ",") {
-			var members []string
-			for _, m := range strings.Split(shard, "|") {
-				if m = strings.TrimSpace(m); m != "" {
-					members = append(members, m)
-				}
+// parseGroups resolves a cluster front's -group (or -cluster) list into
+// one member-address list per shard: commas separate shards, pipes separate
+// one shard's replica-group members ("a|b|c,d|e").
+func parseGroups(spec string) (groups [][]string, err error) {
+	for i, shard := range strings.Split(spec, ",") {
+		var members []string
+		for _, m := range strings.Split(shard, "|") {
+			if m = strings.TrimSpace(m); m != "" {
+				members = append(members, m)
 			}
-			if len(members) == 0 {
-				return nil, "", fmt.Errorf("-group shard %d lists no member addresses", i)
-			}
-			groups = append(groups, members)
 		}
-		return groups, group, nil
-	}
-	nodes := strings.Split(cluster, ",")
-	var sbNodes []string
-	if standby != "" {
-		sbNodes = strings.Split(standby, ",")
-		if len(sbNodes) != len(nodes) {
-			return nil, "", fmt.Errorf("-standby lists %d addresses for %d -cluster nodes (use empty slots for shards without a standby)", len(sbNodes), len(nodes))
-		}
-	}
-	for i, node := range nodes {
-		members := []string{strings.TrimSpace(node)}
-		if sbNodes != nil {
-			if sb := strings.TrimSpace(sbNodes[i]); sb != "" {
-				members = append(members, sb)
-			}
+		if len(members) == 0 {
+			return nil, fmt.Errorf("shard %d lists no member addresses", i)
 		}
 		groups = append(groups, members)
 	}
-	display = cluster
-	if standby != "" {
-		display += " with standbys " + standby
-	}
-	return groups, display, nil
+	return groups, nil
 }
 
 // notifyShutdown closes the listener on SIGTERM/SIGINT, which unblocks the

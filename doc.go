@@ -53,14 +53,21 @@
 //     the definition the kernel tests pin every tier to.
 //   - internal/strategy implements the paper's execution strategies
 //     (branch-parallel, level-by-level, memory-bounded fused traversal,
-//     cooperative groups, multi-GPU, CPU baseline). Every strategy is
-//     shard-aware: RunRange evaluates a batch against a row range,
-//     returning partial answer shares that sum to the full answer — and
-//     query-tiled: leaf shares for a tile of up to 32 queries are expanded
-//     first, then ONE streaming pass over the row range accumulates all
-//     the tile's dot products (accumulateTile), so a batch of B queries
-//     streams the table ⌈B/32⌉ times instead of B. The accumulate itself
-//     is the batched matmul answers[Q×lanes] += leaves[Q×rows] ·
+//     cooperative groups, multi-GPU, CPU baseline). A Strategy has one
+//     execution method, RunRangeInto: it evaluates a batch against a row
+//     range of a TableView and adds the partial answer shares — which sum
+//     over any partition of the rows to the full answer, the seam shards
+//     are cut on — into caller-provided buffers through pooled scratch;
+//     strategy.Run / strategy.RunRange are the allocate-then-call free
+//     functions tests and benchmarks use. The strategies differ in how
+//     they expand the tree, and the leaf-matrix ones (level-by-level,
+//     CPU baseline, memory-bounded, multi-GPU) supply only that — an
+//     expander — to the one tile loop (runTiles): leaf shares for a tile
+//     of up to 32 queries are expanded first, then ONE streaming pass over
+//     the row range accumulates all the tile's dot products
+//     (accumulateTile), so a batch of B queries streams the table ⌈B/32⌉
+//     times instead of B; the first error ends the batch. The accumulate
+//     itself is the batched matmul answers[Q×lanes] += leaves[Q×rows] ·
 //     table[rows×lanes] of §3.1/§3.2.4, and is kernel-dispatched like the
 //     AES path: the shared cpufeat probe picks one asm tier at init
 //     (strategy.AccumulateKernel names it; pirserver logs it as acc=) —
@@ -106,19 +113,18 @@
 //     commute; TestAccumulateTileKernelTiersMatchScalar calls every
 //     compiled tier explicitly over lanes × tile sizes × row counts ×
 //     fragmentations).
-//     RunRangeInto accumulates into caller-provided
-//     buffers through pooled scratch. The tile pass also parallelizes:
-//     a strategy with Workers > 1 (strategy.WithWorkers wraps any
-//     worker-tunable strategy) splits each tile's row range into row
-//     blocks fanned across a bounded goroutine pool, each worker
-//     accumulating into its own answer buffer through the same
-//     tier dispatch, merged lane-wise mod 2^32 afterwards —
+//     How a tile uses the cores is decided in that one loop: a tile of
+//     two or more keys expands them in parallel; a strategy with
+//     Workers > 1 (strategy.WithWorkers binds the budget to any
+//     leaf-matrix strategy) splits each tile's row range into row blocks
+//     fanned across a bounded goroutine pool, each worker accumulating
+//     into its own answer buffer through the same tier dispatch, merged
+//     lane-wise mod 2^32 afterwards; and with a second tile to run, tile
+//     N+1's leaf expansion (PRF-bound) overlaps tile N's table stream
+//     (memory-bound) through double-buffered pooled leaf scratch —
 //     bit-identical to the sequential pass for every worker count,
 //     strategy, PRF and fragmented view (property-tested on both CI
-//     kernel legs). The memory-bounded walker additionally pipelines
-//     tiles: tile N+1's leaf expansion (PRF-bound) overlaps tile N's
-//     table stream (memory-bound) through double-buffered pooled leaf
-//     scratch.
+//     kernel legs).
 //   - internal/store owns the serving table: an epoch-versioned Store
 //     whose snapshots are chunk-iterable views. Readers pin an immutable
 //     Snapshot (one atomic refcount — no lock, no waiting on writers)
@@ -178,11 +184,10 @@
 //     all-or-nothing across every member via the epoch handshake
 //     (prepare the target epoch everywhere, commit only when all ack, a
 //     straggler aborts/rolls back everywhere), and each ClusterShard is a
-//     replica GROUP: N members holding the same rows (the legacy
-//     Backend/Standby pair still compiles, as a one- or two-member
-//     group). Answer batches load-balance across the group's healthy
-//     members (least-loaded with a rotating tiebreak), a member that dies
-//     mid-batch is retried transparently on the next, and per-member
+//     replica GROUP: N members holding the same rows (Backend + Name is
+//     the one-member shorthand). Answer batches load-balance across the
+//     group's healthy members (least-loaded with a rotating tiebreak), a
+//     member that dies mid-batch is retried on the next, and per-member
 //     health is tracked — consecutive failures trip a breaker, a tripped
 //     member sits out a backoff cooldown and is re-admitted through a
 //     cheap Ping probe. The epoch handshake runs over every reachable
@@ -248,10 +253,9 @@
 //     protocol (building, and paging in, only its own slice of the
 //     deterministic table); with -cluster addr,... an instance holds no
 //     rows and fronts a distributed replica over those nodes behind the
-//     unchanged client protocol; -standby lists one standby node per
-//     shard (empty slots allowed) for transparent mid-batch failover,
-//     and -group generalizes both to N-member replica groups (members
-//     separated by |, shards by comma). A shard node started with
+//     unchanged client protocol; -group generalizes it to N-member
+//     replica groups (members separated by |, shards by comma) for
+//     transparent mid-batch failover. A shard node started with
 //     -join peer pulls the peer's current snapshot over the v3 RPCs
 //     before serving, so a replaced member catches up to the cluster's
 //     epoch instead of rejoining stale.
@@ -259,8 +263,8 @@
 //     deterministic background load — each generation's rows and values
 //     derive from (seed, generation), so both parties rewrite identical
 //     content; a single server installs each batch as one store epoch, a
-//     cluster front runs the epoch handshake across all nodes and
-//     standbys. SIGTERM/SIGINT shut down gracefully: stop accepting,
+//     cluster front runs the epoch handshake across every member of
+//     every shard. SIGTERM/SIGINT shut down gracefully: stop accepting,
 //     drain the in-flight batcher batches, close shardnet
 //     serving/clients. Choose in-process shards (-shards)
 //     while one machine's cores and memory suffice — no serialization,

@@ -45,7 +45,7 @@ func BenchmarkEngineAnswer(b *testing.B) {
 		b.SetBytes(int64(rows) * int64(lanes) * 4)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := strat.Run(prg, keys, tab, &ctr); err != nil {
+			if _, err := strategy.Run(strat, prg, keys, tab.View(), &ctr); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -36,28 +36,18 @@ func ShardRange(rows, i, n int) (lo, hi int) {
 // provided the survivor's answer merges at the same table epoch as the
 // other shards' (a stale member is refused, never silently blended in).
 //
-// The legacy two-field form — Backend plus an optional Standby — still
-// compiles and behaves as a one- or two-member group: Backend is member 0,
-// Standby member 1, and Members (if any) follow. At least one of Backend
-// and Members must be set.
+// Backend + Name is the one-member shorthand: Backend is member 0 and
+// Members (if any) follow. At least one of Backend and Members must be
+// set. Every member serves load-balanced traffic and participates in
+// cluster updates (the epoch handshake prepares and commits on every
+// member), so a failover never serves stale rows undetected.
 type ClusterShard struct {
 	Backend RangeBackend
 	// Name identifies Backend in errors (typically its address for
 	// remote shards); empty defaults to "shard i".
 	Name string
-	// Standby, when non-nil, is a second member holding the same rows.
-	// Kept for compatibility with two-member deployments; it is an
-	// ordinary group member now — it serves load-balanced traffic rather
-	// than idling, and participates in cluster updates (the epoch
-	// handshake prepares and commits on every member), so a failover
-	// never serves stale rows undetected.
-	Standby RangeBackend
-	// StandbyName names the standby in errors; empty defaults to
-	// "shard i standby".
-	StandbyName string
-	// Members are additional replica-group members beyond
-	// Backend/Standby (or the whole group, when Backend is nil). All
-	// entries must be non-nil.
+	// Members are replica-group members beyond Backend (or the whole
+	// group, when Backend is nil). All entries must be non-nil.
 	Members []RangeBackend
 	// MemberNames name Members entrywise in errors; missing or empty
 	// entries default to "shard i member j".
@@ -376,9 +366,6 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 		}
 		if sh.Backend != nil {
 			add(sh.Backend, sh.Name, fmt.Sprintf("shard %d", i))
-		}
-		if sh.Standby != nil {
-			add(sh.Standby, sh.StandbyName, fmt.Sprintf("shard %d standby", i))
 		}
 		for j, be := range sh.Members {
 			if be == nil {

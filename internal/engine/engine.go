@@ -212,8 +212,8 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 		// walks its own range, so a 2^24 table split 8 ways wants the
 		// strategy for 2^21-row tables. Scheduling on table bits would
 		// hand large sharded tables CoopGroups, whose breadth-first
-		// RunRange cannot prune and would multiply total work by the
-		// shard count.
+		// expansion cannot prune to a range and would multiply total work
+		// by the shard count.
 		shardRows := (rows + shards - 1) / shards
 		strat = strategy.Schedule(dpf.DomainBits(shardRows))
 	}

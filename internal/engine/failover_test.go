@@ -117,7 +117,7 @@ func standbyCluster(t *testing.T, src *stubTable, shards int) (*Cluster, []*flak
 			t.Fatal(err)
 		}
 		primaries[i] = &flakyPrimary{Replica: rep}
-		members[i] = ClusterShard{Backend: primaries[i], Standby: sb}
+		members[i] = ClusterShard{Backend: primaries[i], Members: []RangeBackend{sb}}
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -176,7 +176,7 @@ func TestClusterStandbyBothFail(t *testing.T) {
 	members := []ClusterShard{
 		{Backend: &stubRange{rows: 100, lanes: 2}, Name: "alpha"},
 		{Backend: &stubRange{rows: 100, lanes: 2, fail: cause}, Name: "beta",
-			Standby: &stubRange{rows: 100, lanes: 2, fail: errors.New("standby cold")}, StandbyName: "beta-standby"},
+			Members: []RangeBackend{&stubRange{rows: 100, lanes: 2, fail: errors.New("standby cold")}}, MemberNames: []string{"beta-standby"}},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestClusterStandbyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong shape.
-	_, err = NewCluster(ClusterShard{Backend: rep, Standby: &stubRange{rows: rows, lanes: lanes + 1}, StandbyName: "fat"})
+	_, err = NewCluster(ClusterShard{Backend: rep, Members: []RangeBackend{&stubRange{rows: rows, lanes: lanes + 1}}, MemberNames: []string{"fat"}})
 	if err == nil || !strings.Contains(err.Error(), "fat") {
 		t.Fatalf("wrong-shape standby accepted: %v", err)
 	}
@@ -216,15 +216,15 @@ func TestClusterStandbyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewCluster(ClusterShard{Backend: rep, Standby: other, StandbyName: "wrong-party"})
+	_, err = NewCluster(ClusterShard{Backend: rep, Members: []RangeBackend{other}, MemberNames: []string{"wrong-party"}})
 	if err == nil || !strings.Contains(err.Error(), "party") {
 		t.Fatalf("wrong-party standby accepted: %v", err)
 	}
 	// Standby that does not hold the shard's range.
 	holder := &heldStub{stubRange: stubRange{rows: rows, lanes: lanes}, lo: 0, hi: 32}
 	_, err = NewCluster(
-		ClusterShard{Backend: rep},                           // would serve [0,64)
-		ClusterShard{Backend: rep, Standby: holder, StandbyName: "narrow"}, // [64,128) but holds [0,32)
+		ClusterShard{Backend: rep}, // would serve [0,64)
+		ClusterShard{Backend: rep, Members: []RangeBackend{holder}, MemberNames: []string{"narrow"}}, // [64,128) but holds [0,32)
 	)
 	if err == nil || !strings.Contains(err.Error(), "narrow") {
 		t.Fatalf("narrow standby accepted: %v", err)
@@ -263,7 +263,7 @@ func TestClusterStaleStandbyRefused(t *testing.T) {
 	flaky := &flakyPrimary{Replica: prim1}
 	cluster, err := NewCluster(
 		ClusterShard{Backend: rep0, Name: "s0"},
-		ClusterShard{Backend: flaky, Name: "s1", Standby: sb1, StandbyName: "s1-standby"},
+		ClusterShard{Backend: flaky, Name: "s1", Members: []RangeBackend{sb1}, MemberNames: []string{"s1-standby"}},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -334,7 +334,7 @@ func TestClusterStandbyFailoverMidBatchTCP(t *testing.T) {
 		prim, primCl, sbCl, addr = standbyPair(t, tab, cfg, lo, hi, func(be engine.RangeBackend) engine.RangeBackend {
 			return &blockingBackend{RangeBackend: be, started: started}
 		})
-		members[i] = engine.ClusterShard{Backend: primCl, Name: addr, Standby: sbCl, StandbyName: addr + "-standby"}
+		members[i] = engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.RangeBackend{sbCl}, MemberNames: []string{addr + "-standby"}}
 	}
 	cluster, err := engine.NewCluster(members...)
 	if err != nil {
@@ -390,7 +390,7 @@ func TestClusterUpdateBatchTCP(t *testing.T) {
 	_, primCl, sbCl, addr := standbyPair(t, tab, cfg, lo, hi, func(be engine.RangeBackend) engine.RangeBackend { return be })
 	cluster, err := engine.NewCluster(
 		engine.ClusterShard{Backend: newReplica(t, tab, cfg)},
-		engine.ClusterShard{Backend: primCl, Name: addr, Standby: sbCl, StandbyName: addr + "-standby"},
+		engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.RangeBackend{sbCl}, MemberNames: []string{addr + "-standby"}},
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -24,45 +24,15 @@ type BranchParallel struct{}
 // Name implements Strategy.
 func (BranchParallel) Name() string { return "branch-parallel" }
 
-// Run implements Strategy.
-func (b BranchParallel) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	// The full run assigns one thread per domain leaf (including the
-	// zero-row tail beyond NumRows), keeping the calibrated totals.
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := b.runInto(prg, keys, tab.View(), 0, 1<<uint(tab.Bits()), true, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRange implements Strategy: path-per-leaf execution prunes perfectly —
-// only the range's leaves get a thread.
-func (b BranchParallel) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := b.RunRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
-func (b BranchParallel) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+// RunRangeInto implements Strategy: path-per-leaf execution prunes
+// perfectly — only the range's leaves get a thread. The whole-table range
+// assigns one thread per domain leaf (including the zero-row tail beyond
+// the last row), keeping the calibrated totals.
+func (BranchParallel) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, ctr *gpu.Counters, dst [][]uint32) error {
+	if err := validateRun(keys, v, rlo, rhi, dst); err != nil {
 		return err
 	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	return b.runInto(prg, keys, v, lo, hi, fullRange(v.Rows(), lo, hi), ctr, dst)
-}
-
-func (BranchParallel) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, full bool, ctr *gpu.Counters, dst [][]uint32) error {
+	full := fullRange(v.Rows(), rlo, rhi)
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
 	early := keys[0].Early

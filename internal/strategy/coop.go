@@ -41,51 +41,18 @@ func coopMemBytes(bits, lanes, early int) int64 {
 	return frontier*nodeBytes + frontier/2*nodeBytes + int64(lanes)*4
 }
 
-// Run implements Strategy. Queries run sequentially; each level of each
-// query's tree is expanded with full-width parallelism.
-func (c CoopGroups) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := c.runInto(prg, keys, tab.View(), 0, tab.NumRows, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRange implements Strategy. The grid-wide level expansion is inherently
-// whole-tree, so the range restricts only the leaf dot product — like
-// level-by-level, sharding buys dot-product parallelism here, not PRF
-// savings.
-func (c CoopGroups) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := c.RunRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
-func (c CoopGroups) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+// RunRangeInto implements Strategy. Queries execute back to back — one
+// query owns the whole device at a time, which is cooperative groups' point
+// (§3.2.5) and why the dot product here stays per-query rather than
+// query-tiled. Each level advances through batched PRF calls
+// (dpf.StepBothBatch per chunk) over pooled ping-pong buffers. The
+// grid-wide level expansion is inherently whole-tree, so the range
+// restricts only the leaf dot product — like level-by-level, sharding buys
+// dot-product parallelism here, not PRF savings.
+func (CoopGroups) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, ctr *gpu.Counters, dst [][]uint32) error {
+	if err := validateRun(keys, v, rlo, rhi, dst); err != nil {
 		return err
 	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	return c.runInto(prg, keys, v, lo, hi, ctr, dst)
-}
-
-// runInto executes queries back to back — one query owns the whole device
-// at a time, which is cooperative groups' point (§3.2.5) and why the dot
-// product here stays per-query rather than query-tiled. Each level still
-// advances through batched PRF calls (dpf.StepBothBatch per chunk) over
-// pooled ping-pong buffers.
-func (CoopGroups) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, ctr *gpu.Counters, dst [][]uint32) error {
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
 	early := keys[0].Early

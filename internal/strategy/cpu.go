@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"sync"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
@@ -13,9 +12,9 @@ import (
 // 6230 with AES-NI): a full level-order expansion followed by the table dot
 // product, run on a configurable number of threads.
 //
-// Run really executes on the host; Model prices the same work on the
-// configured CPUModel with hardware-crypto cycle constants, reproducing
-// Table 4's single-thread and 32-thread rows.
+// RunRangeInto really executes on the host; Model prices the same work on
+// the configured CPUModel with hardware-crypto cycle constants,
+// reproducing Table 4's single-thread and 32-thread rows.
 type CPUBaseline struct {
 	// Threads is the worker count (1 = single-threaded row of Table 4).
 	Threads int
@@ -50,20 +49,6 @@ func (c CPUBaseline) cpu() *gpu.CPUModel {
 	return c.CPU
 }
 
-// Run implements Strategy. Queries are distributed over threads; each query
-// is expanded level by level exactly like the reference library, then a
-// query-tiled pass streams the table once per tile of tileQueries queries.
-func (c CPUBaseline) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := c.runFullInto(prg, keys, tab.View(), ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // cpuMemBytes models the per-batch working set: the level-order expansion's
 // ping-pong frontier (G + G/2 nodes) plus the answer accumulators.
 func cpuMemBytes(batch, bits, lanes, early int) int64 {
@@ -71,117 +56,40 @@ func cpuMemBytes(batch, bits, lanes, early int) int64 {
 	return int64(batch) * (frontier*nodeBytes*3/2 + int64(lanes)*4)
 }
 
-func (c CPUBaseline) runFullInto(prg dpf.PRG, keys []*dpf.Key, v TableView, ctr *gpu.Counters, dst [][]uint32) error {
+// RunRangeInto implements Strategy. The whole table is expanded level by
+// level exactly like the reference library; a partial range is evaluated
+// with the pruned depth-first dpf.EvalRange, costing O(range + log L) PRF
+// calls per key instead of the full O(L) expansion.
+func (c CPUBaseline) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
+	if err := validateRun(keys, v, lo, hi, dst); err != nil {
+		return err
+	}
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
-	early := keys[0].Early
-	domain := int64(1) << uint(bits)
-	mem := cpuMemBytes(len(keys), bits, lanes, early)
+	rows := hi - lo
+	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), workers: c.Workers, ctr: ctr, expand: expandRange}
+	mem := int64(len(keys)) * (int64(rows)*4 + int64(lanes)*4)
+	if fullRange(v.Rows(), lo, hi) {
+		job.lo, job.hi, job.expand = 0, uint64(1)<<uint(bits), expandFull
+		mem = cpuMemBytes(len(keys), bits, lanes, keys[0].Early)
+	}
 	ctr.Alloc(mem)
 	defer ctr.Free(mem)
-
-	for t := 0; t < len(keys); t += tileQueries {
-		te := tileEnd(t, len(keys))
-		tile := keys[t:te]
-		lt := getLeafTile(len(tile), int(domain))
-		gpu.ParallelFor(len(tile), func(i int) {
-			sc := getWalkScratch()
-			dpf.EvalFullInto(prg, tile[i], lt.rows[i], &sc.frontier)
-			ctr.AddPRFBlocks(treeBlocks(bits, tile[i].Early))
-			sc.release()
-		})
-		if err := accumulateTilePar(v, 0, v.Rows(), lt.rows, dst[t:te], c.Workers); err != nil {
-			lt.release()
-			return err
-		}
-		lt.release()
+	if err := runTiles(job, dst); err != nil {
+		return err
 	}
-	ctr.AddRead(int64(len(keys)) * int64(v.Rows()) * int64(lanes) * 4)
+	ctr.AddRead(int64(len(keys)) * int64(rows) * int64(lanes) * 4)
 	ctr.AddWrite(int64(len(keys)) * int64(lanes) * 4)
 	return nil
 }
 
-// RunRange implements Strategy: the range is evaluated with the pruned
-// depth-first dpf.EvalRange, costing O(range + log L) PRF calls per key
-// instead of the full O(L) expansion.
-func (c CPUBaseline) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	if err := validateRange(tab.NumRows, lo, hi); err != nil {
-		return nil, err
-	}
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if fullRange(tab.NumRows, lo, hi) {
-		if err := c.runFullInto(prg, keys, tab.View(), ctr, dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	if err := c.runRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
-func (c CPUBaseline) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
-		return err
-	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	if fullRange(v.Rows(), lo, hi) {
-		return c.runFullInto(prg, keys, v, ctr, dst)
-	}
-	return c.runRangeInto(prg, keys, v, lo, hi, ctr, dst)
-}
-
-func (c CPUBaseline) runRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	bits := dpf.DomainBits(v.Rows())
-	lanes := v.Lanes()
-	rows := hi - lo
-	mem := int64(len(keys)) * (int64(rows)*4 + int64(lanes)*4)
-	ctr.Alloc(mem)
-	defer ctr.Free(mem)
-
-	var firstErr error
-	var errMu sync.Mutex
-	for t := 0; t < len(keys); t += tileQueries {
-		te := tileEnd(t, len(keys))
-		tile := keys[t:te]
-		lt := getLeafTile(len(tile), rows)
-		gpu.ParallelFor(len(tile), func(i int) {
-			if err := dpf.EvalRange(prg, tile[i], uint64(lo), uint64(hi), lt.rows[i]); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			// Pruned DFS: ~2·(range groups) blocks for the subtrees plus
-			// the root-to-range path down the shortened tree.
-			early := tile[i].Early
-			groups := (int64(rows) + int64(1)<<uint(early) - 1) >> uint(early)
-			ctr.AddPRFBlocks(2*groups - 2 + 2*int64(bits-early))
-		})
-		if firstErr == nil {
-			if err := accumulateTilePar(v, lo, hi, lt.rows, dst[t:te], c.Workers); err != nil {
-				firstErr = err
-			}
-		}
-		lt.release()
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	ctr.AddRead(int64(len(keys)) * int64(rows) * int64(lanes) * 4)
-	ctr.AddWrite(int64(len(keys)) * int64(lanes) * 4)
+// expandFull is the reference library's full level-order expansion of one
+// key over the whole domain.
+func expandFull(r *tileRun, key *dpf.Key, leaf []uint32) error {
+	sc := getWalkScratch()
+	dpf.EvalFullInto(r.prg, key, leaf, &sc.frontier)
+	r.ctr.AddPRFBlocks(treeBlocks(r.bits, key.Early))
+	sc.release()
 	return nil
 }
 

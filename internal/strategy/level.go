@@ -12,12 +12,11 @@ import (
 // memory footprint is what caps its batch size (Figure 6, Figure 13).
 //
 // The host execution advances each level with one dpf.StepBothBatch (one
-// PRF batch call per level) through pooled ping-pong buffers, and the
-// separate matmul pass is query-tiled: one streaming pass over the row
-// range per tile of tileQueries queries.
+// PRF batch call per level) through pooled ping-pong buffers; the separate
+// matmul pass is the shared tile loop's (runTiles).
 type LevelByLevel struct {
-	// Workers bounds the matmul pass's row-block fan-out (the expansion is
-	// already query-parallel). 0 or 1 = sequential. Set via WithWorkers.
+	// Workers is the tile loop's worker budget (see tileJob). Set via
+	// WithWorkers.
 	Workers int
 }
 
@@ -54,45 +53,14 @@ func levelTrafficBytes(batch, bits, early int) (reads, writes int64) {
 	return int64(batch) * (nodeR + leaf), int64(batch) * (nodeW + leaf)
 }
 
-// Run implements Strategy.
-func (l LevelByLevel) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := l.runInto(prg, keys, tab.View(), 0, tab.NumRows, true, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRange implements Strategy. Breadth-first expansion materializes every
-// level whole, so the range cannot prune PRF work — it only restricts the
-// matmul pass. Sharding this strategy buys dot-product parallelism, not
+// RunRangeInto implements Strategy. Breadth-first expansion materializes
+// every level whole, so the range cannot prune PRF work — it only restricts
+// the matmul pass. Sharding this strategy buys dot-product parallelism, not
 // expansion savings.
-func (l LevelByLevel) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := l.RunRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
 func (l LevelByLevel) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+	if err := validateRun(keys, v, lo, hi, dst); err != nil {
 		return err
 	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	return l.runInto(prg, keys, v, lo, hi, fullRange(v.Rows(), lo, hi), ctr, dst)
-}
-
-func (l LevelByLevel) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, full bool, ctr *gpu.Counters, dst [][]uint32) error {
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
 	early := keys[0].Early
@@ -102,27 +70,15 @@ func (l LevelByLevel) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rh
 	ctr.AddLaunch() // expansion kernel
 	ctr.AddLaunch() // matmul kernel
 
-	rows := rhi - rlo
-	for t := 0; t < len(keys); t += tileQueries {
-		te := tileEnd(t, len(keys))
-		tile := keys[t:te]
-		lt := getLeafTile(len(tile), rows)
-		gpu.ParallelFor(len(tile), func(i int) {
-			expandLevelByLevel(prg, tile[i], rlo, rhi, lt.rows[i], ctr)
-		})
-		// Query-tiled matmul pass over the range's slice of the leaf
-		// vectors, row-block-parallel when a worker budget is configured.
-		if err := accumulateTilePar(v, rlo, rhi, lt.rows, dst[t:te], l.Workers); err != nil {
-			lt.release()
-			return err
-		}
-		lt.release()
+	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), workers: l.Workers, ctr: ctr, expand: expandLevelByLevel}
+	if err := runTiles(job, dst); err != nil {
+		return err
 	}
 	r, w := levelTrafficBytes(len(keys), bits, early)
-	if full {
+	if fullRange(v.Rows(), lo, hi) {
 		ctr.AddRead(r + tableReadBytes(len(keys), bits, lanes))
 	} else {
-		ctr.AddRead(r + rangeReadBytes(len(keys), lanes, rows))
+		ctr.AddRead(r + rangeReadBytes(len(keys), lanes, hi-lo))
 	}
 	ctr.AddWrite(w)
 	return nil
@@ -130,14 +86,15 @@ func (l LevelByLevel) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rh
 
 // expandLevelByLevel materializes every level of one key's tree through
 // pooled ping-pong buffers (one batched PRF call per level) and converts
-// leaves [rlo, rhi) into leaf shares — the terminal frontier is Domain()
+// the range's leaves into leaf shares — the terminal frontier is Domain()
 // >> Early nodes, each group-converted into 2^Early shares.
-func expandLevelByLevel(prg dpf.PRG, k *dpf.Key, rlo, rhi int, leaf []uint32, ctr *gpu.Counters) {
+func expandLevelByLevel(r *tileRun, k *dpf.Key, leaf []uint32) error {
 	sc := getWalkScratch()
-	seeds, ts := sc.frontier.ExpandFrontier(prg, k)
-	ctr.AddPRFBlocks(treeBlocks(k.Bits, k.Early))
-	dpf.LeafRangeInto(k, seeds, ts, uint64(rlo), uint64(rhi), leaf)
+	seeds, ts := sc.frontier.ExpandFrontier(r.prg, k)
+	r.ctr.AddPRFBlocks(treeBlocks(k.Bits, k.Early))
+	dpf.LeafRangeInto(k, seeds, ts, r.lo, r.hi, leaf)
 	sc.release()
+	return nil
 }
 
 // Model implements Strategy.

@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"runtime"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
@@ -20,22 +19,18 @@ const DefaultK = 128
 // table is fused into the traversal (§3.2.4), eliminating the expanded
 // one-hot vector's global-memory round trip entirely.
 //
-// Execution is tiled and batched: queries are processed in tiles of
-// tileQueries, each query's K-wide frontier advances one dpf.StepBothBatch
-// (one PRF batch call) per group-level, and a single streaming pass over
-// the row range then serves the whole tile's dot products
-// (accumulateTile). All traversal state comes from pooled scratch, so the
-// steady-state hot path allocates nothing beyond the returned answers.
+// Execution is batched: each query's K-wide frontier advances one
+// dpf.StepBothBatch (one PRF batch call) per group-level, and the shared
+// tile loop (runTiles) streams the row range once per tile of queries. All
+// traversal state comes from pooled scratch, so the steady-state hot path
+// allocates nothing.
 type MemBoundTree struct {
 	// K is the frontier width; 0 means DefaultK.
 	K int
 	// Fused enables DPF×matmul operator fusion.
 	Fused bool
-	// Workers bounds the table-stream fan-out: each tile's accumulate pass
-	// splits into row blocks across up to Workers goroutines, and with
-	// multiple tiles in flight the next tile's leaf expansion overlaps the
-	// current tile's table stream. 0 or 1 runs the sequential pipeline.
-	// Set via WithWorkers; answers are bit-identical either way.
+	// Workers is the tile loop's worker budget (see tileJob). Set via
+	// WithWorkers; answers are bit-identical whatever its value.
 	Workers int
 }
 
@@ -88,49 +83,15 @@ func (m MemBoundTree) memBytes(batch, bits, lanes, early int) int64 {
 	return int64(batch) * perQuery
 }
 
-// Run implements Strategy.
-func (m MemBoundTree) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	// The full run walks the whole domain (leaves beyond NumRows carry
-	// zero rows), keeping the calibrated counter totals.
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := m.runInto(prg, keys, tab.View(), 0, uint64(1)<<uint(tab.Bits()), true, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRange implements Strategy: the descent prunes every K-wide node group
-// whose leaf span misses [lo, hi), so a 1/N range costs ~1/N of the PRF
-// work plus one root-to-range path.
-func (m MemBoundTree) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := m.RunRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
+// RunRangeInto implements Strategy: the descent prunes every K-wide node
+// group whose leaf span misses [lo, hi), so a 1/N range costs ~1/N of the
+// PRF work plus one root-to-range path. The whole-table range walks the
+// whole domain (leaves beyond the last row carry zero rows), keeping the
+// calibrated counter totals; partial ranges are costed proportionally.
 func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+	if err := validateRun(keys, v, lo, hi, dst); err != nil {
 		return err
 	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	return m.runInto(prg, keys, v, uint64(lo), uint64(hi), fullRange(v.Rows(), lo, hi), ctr, dst)
-}
-
-// runInto evaluates leaves [lo, hi) in domain coordinates, accumulating
-// into dst. full selects the calibrated whole-table accounting; partial
-// ranges are costed proportionally.
-func (m MemBoundTree) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi uint64, full bool, ctr *gpu.Counters, dst [][]uint32) error {
 	k := m.k()
 	if k&(k-1) != 0 {
 		return fmt.Errorf("strategy: K=%d must be a power of two", k)
@@ -138,16 +99,18 @@ func (m MemBoundTree) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi 
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
 	early := keys[0].Early
+	full := fullRange(v.Rows(), lo, hi)
 	if full {
-		hi = uint64(1) << uint(bits)
+		hi = 1 << uint(bits)
 	}
+	rows := hi - lo
 	var mem int64
 	if full {
 		mem = m.memBytes(len(keys), bits, lanes, early)
 	} else {
 		perQuery := int64(memBoundLevels(bits-early, k))*2*int64(k)*nodeBytes + int64(lanes)*4
 		if !m.Fused {
-			perQuery += int64(hi-lo) * 4
+			perQuery += int64(rows) * 4
 		}
 		mem = int64(len(keys)) * perQuery
 	}
@@ -158,53 +121,9 @@ func (m MemBoundTree) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi 
 		ctr.AddLaunch() // separate matmul kernel
 	}
 
-	rows := int(hi - lo)
-	rowHi := int(hi)
-	if rowHi > v.Rows() {
-		rowHi = v.Rows()
-	}
-	if workers := parWorkers(m.Workers); workers > 1 && len(keys) > tileQueries {
-		// Multi-tile batch with a worker budget: the pipelined loop below
-		// overlaps tile N+1's expansion with tile N's table stream and fans
-		// each stream across the budget.
-		if err := m.runTilesPipelined(prg, keys, v, lo, hi, rows, rowHi, bits, k, workers, ctr, dst); err != nil {
-			return err
-		}
-	} else {
-		// Never-reassigned copies for the parallel branch's closure: capturing
-		// a reassigned variable (hi, k) would force it to the heap on every
-		// call, including the allocation-free sequential path.
-		cBits, cK, cLo, cHi := bits, k, lo, hi
-		for t := 0; t < len(keys); t += tileQueries {
-			te := tileEnd(t, len(keys))
-			tile := keys[t:te]
-			lt := getLeafTile(len(tile), rows)
-			// Expansion: each query's K-bounded group walk emits its leaf
-			// shares for [lo, hi) into the tile's leaf matrix. The one-query
-			// and single-core cases run inline — no goroutines, no closure —
-			// so the engine's sequential steady state stays allocation-free.
-			if len(tile) == 1 || runtime.GOMAXPROCS(0) == 1 {
-				for i := range tile {
-					m.expandQuery(prg, tile[i], bits, k, lo, hi, lt.rows[i], ctr)
-				}
-			} else {
-				rows := lt.rows
-				gpu.ParallelFor(len(tile), func(i int) {
-					m.expandQuery(prg, tile[i], cBits, cK, cLo, cHi, rows[i], ctr)
-				})
-			}
-			// Accumulate: ONE streaming pass over the tile's row range serves
-			// all its queries (the §3.1 batched matmul, executed). The row
-			// blocks fan across the worker budget when one was configured
-			// (accumulateTilePar falls back to the sequential pass at 1).
-			if int(lo) < rowHi {
-				if err := accumulateTilePar(v, int(lo), rowHi, lt.rows, dst[t:te], m.Workers); err != nil {
-					lt.release()
-					return err
-				}
-			}
-			lt.release()
-		}
+	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), k: k, workers: m.Workers, ctr: ctr, expand: expandMemBound}
+	if err := runTiles(job, dst); err != nil {
+		return err
 	}
 
 	var reads, writes int64
@@ -224,76 +143,22 @@ func (m MemBoundTree) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi 
 	return nil
 }
 
-// runTilesPipelined is the multi-tile loop with the two phases overlapped:
-// leaf expansion is AES compute-bound and the table stream is memory-
-// bandwidth-bound, so running tile N+1's expansion (in a goroutine, into a
-// second pooled leaf tile) while tile N streams the table stops the phases
-// serializing. At most one expansion is in flight — double buffering, not
-// a queue — so the leaf-scratch footprint is bounded at two tiles. Answers
-// are bit-identical to the sequential loop: each tile still accumulates
-// into its own dst slice, in tile order.
-func (m MemBoundTree) runTilesPipelined(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi uint64, rows, rowHi, bits, k, workers int, ctr *gpu.Counters, dst [][]uint32) error {
-	expand := func(tile []*dpf.Key, lt *leafTile) {
-		if len(tile) == 1 {
-			m.expandQuery(prg, tile[0], bits, k, lo, hi, lt.rows[0], ctr)
-			return
-		}
-		ltRows := lt.rows
-		gpu.ParallelFor(len(tile), func(i int) {
-			m.expandQuery(prg, tile[i], bits, k, lo, hi, ltRows[i], ctr)
-		})
-	}
-	cur := getLeafTile(tileEnd(0, len(keys)), rows)
-	expand(keys[:tileEnd(0, len(keys))], cur)
-	for t := 0; t < len(keys); t += tileQueries {
-		te := tileEnd(t, len(keys))
-		var nxt *leafTile
-		var ready chan struct{}
-		if te < len(keys) {
-			nte := tileEnd(te, len(keys))
-			nxt = getLeafTile(nte-te, rows)
-			ready = make(chan struct{})
-			tile, lt := keys[te:nte], nxt
-			go func() {
-				expand(tile, lt)
-				close(ready)
-			}()
-		}
-		var err error
-		if int(lo) < rowHi {
-			err = accumulateTilePar(v, int(lo), rowHi, cur.rows, dst[t:te], workers)
-		}
-		if ready != nil {
-			// The in-flight expansion writes nxt and ctr; join it before
-			// touching either (or returning an error past it).
-			<-ready
-		}
-		cur.release()
-		cur = nxt
-		if err != nil {
-			if nxt != nil {
-				nxt.release()
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// expandQuery walks one key's memory-bounded descent over [lo, hi) with
-// pooled scratch, writing leaf shares into leaf and counting PRF blocks.
-// The walk is TreeDepth levels deep: early-terminated keys stop above the
-// leaves and convert each terminal seed into its whole leaf group.
-func (m MemBoundTree) expandQuery(prg dpf.PRG, key *dpf.Key, bits, k int, lo, hi uint64, leaf []uint32, ctr *gpu.Counters) {
+// expandMemBound walks one key's memory-bounded descent over the run's
+// leaf range with pooled scratch, writing leaf shares into leaf and
+// counting PRF blocks. The walk is TreeDepth levels deep: early-terminated
+// keys stop above the leaves and convert each terminal seed into its whole
+// leaf group.
+func expandMemBound(r *tileRun, key *dpf.Key, leaf []uint32) error {
 	sc := getWalkScratch()
 	depth := key.TreeDepth()
-	sc.growLevels(depth, k)
-	w := mbWalker{prg: prg, key: key, k: k, bits: bits, depth: depth, lo: lo, hi: hi, leaf: leaf, sc: sc}
+	sc.growLevels(depth, r.k)
+	w := mbWalker{prg: r.prg, key: key, k: r.k, bits: r.bits, depth: depth, lo: r.lo, hi: r.hi, leaf: leaf, sc: sc}
 	sc.levels[0][0] = key.Root
 	sc.levelT[0][0] = key.Party
 	w.walk(0, sc.levels[0][:1], sc.levelT[0][:1], 0)
-	ctr.AddPRFBlocks(w.blocks)
+	r.ctr.AddPRFBlocks(w.blocks)
 	sc.release()
+	return nil
 }
 
 // mbWalker is one query's memory-bounded descent: groups of at most K

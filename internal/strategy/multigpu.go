@@ -2,7 +2,6 @@ package strategy
 
 import (
 	"fmt"
-	"sync"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
@@ -21,9 +20,8 @@ type MultiGPU struct {
 	// K is the per-device frontier width (0 = DefaultK). Sharded
 	// execution always fuses the dot product.
 	K int
-	// Workers bounds each (tile, shard) job's row-block fan-out — useful
-	// when the job count is below the core count (few shards, one tile).
-	// 0 or 1 = sequential per job. Set via WithWorkers.
+	// Workers is the tile loop's worker budget (see tileJob), applied to
+	// each device's pass. Set via WithWorkers.
 	Workers int
 }
 
@@ -50,140 +48,51 @@ func (m MultiGPU) k() int {
 	return m.K
 }
 
-// Run implements Strategy: every (query tile, shard) pair really evaluates
-// its index range via the pruned DFS, and one streaming pass over the
-// shard's rows accumulates the whole tile's partial answers.
-func (m MultiGPU) Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error) {
-	if err := validateKeys(keys, tab.Bits()); err != nil {
-		return nil, err
-	}
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := m.runInto(prg, keys, tab.View(), 0, uint64(1)<<uint(tab.Bits()), ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRange implements Strategy: the device shards split [lo, hi) instead of
-// the whole domain, so a replica-level shard nests cleanly inside the
-// multi-device split. Ranges narrower than the device count use one device
-// per leaf.
-func (m MultiGPU) RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
-	dst := NewAnswers(len(keys), tab.Lanes)
-	if err := m.RunRangeInto(prg, keys, tab.View(), lo, hi, ctr, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// RunRangeInto implements Strategy.
+// RunRangeInto implements Strategy: each device evaluates its 1/N of the
+// leaf range via the pruned DFS and streams its rows through the shared
+// tile loop, the partial dot products summing into dst. The device shards
+// split [lo, hi) instead of the whole domain, so a replica-level shard
+// nests cleanly inside the multi-device split; a range narrower than the
+// device count uses one device per leaf. The whole-table range splits the
+// full padded domain, keeping the calibrated counter accounting (cf.
+// fullRange in the other strategies), and is refused when that domain has
+// fewer leaves than devices.
 func (m MultiGPU) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+	if err := validateRun(keys, v, lo, hi, dst); err != nil {
 		return err
 	}
-	if err := validateRange(v.Rows(), lo, hi); err != nil {
-		return err
-	}
-	if err := validateDst(keys, v.Lanes(), dst); err != nil {
-		return err
-	}
-	if m.n() > hi-lo {
-		m.Devices = hi - lo
-	}
-	if fullRange(v.Rows(), lo, hi) {
-		// Whole-table range: walk the full padded domain like Run, keeping
-		// the calibrated counter accounting (cf. fullRange in the other
-		// strategies).
-		return m.runInto(prg, keys, v, 0, uint64(1)<<uint(dpf.DomainBits(v.Rows())), ctr, dst)
-	}
-	return m.runInto(prg, keys, v, uint64(lo), uint64(hi), ctr, dst)
-}
-
-// runInto evaluates leaves [rlo, rhi) in domain coordinates, split across
-// the modeled devices, accumulating into dst.
-func (m MultiGPU) runInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi uint64, ctr *gpu.Counters, dst [][]uint32) error {
 	n := m.n()
 	bits := dpf.DomainBits(v.Rows())
 	lanes := v.Lanes()
-	domain := uint64(1) << uint(bits)
-	if uint64(n) > rhi-rlo || rhi > domain {
-		return fmt.Errorf("strategy: %d shards exceed range [%d,%d) of domain %d", n, rlo, rhi, domain)
+	rlo, rhi := uint64(lo), uint64(hi)
+	full := fullRange(v.Rows(), lo, hi)
+	if full {
+		rhi = uint64(1) << uint(bits)
+	} else if n > hi-lo {
+		n = hi - lo
+	}
+	width := rhi - rlo
+	if uint64(n) > width {
+		return fmt.Errorf("strategy: %d shards exceed the table's %d-leaf domain", n, width)
 	}
 	// Modeled per-device working set mirrors the fused membound traversal
 	// on a table of L/N rows (clamping the keys' termination depth to what
 	// a tiny shard tree can hold).
-	early := keys[0].Early
 	inner := MemBoundTree{K: m.k(), Fused: true}
 	shardBits := shardDepth(bits, n)
-	mem := int64(n) * inner.memBytes(len(keys), shardBits, lanes, dpf.ClampEarly(early, shardBits))
+	mem := int64(n) * inner.memBytes(len(keys), shardBits, lanes, dpf.ClampEarly(keys[0].Early, shardBits))
 	ctr.Alloc(mem)
 	defer ctr.Free(mem)
 	ctr.AddLaunch()
 
-	var mu sync.Mutex
-	type job struct{ tile, shard int }
-	tiles := (len(keys) + tileQueries - 1) / tileQueries
-	jobs := make([]job, 0, tiles*n)
-	for t := 0; t < tiles; t++ {
-		for s := 0; s < n; s++ {
-			jobs = append(jobs, job{t * tileQueries, s})
+	for s := 0; s < n; s++ {
+		job := tileJob{prg: prg, keys: keys, v: v, workers: m.Workers, ctr: ctr, expand: expandRange,
+			lo: rlo + uint64(s)*width/uint64(n), hi: rlo + uint64(s+1)*width/uint64(n)}
+		if err := runTiles(job, dst); err != nil {
+			return err
 		}
 	}
-	var firstErr error
-	var errMu sync.Mutex
-	width := rhi - rlo
-	gpu.ParallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		te := tileEnd(j.tile, len(keys))
-		tile := keys[j.tile:te]
-		lo := rlo + uint64(j.shard)*width/uint64(n)
-		hi := rlo + uint64(j.shard+1)*width/uint64(n)
-		lt := getLeafTile(len(tile), int(hi-lo))
-		defer lt.release()
-		for q, k := range tile {
-			if err := dpf.EvalRange(prg, k, lo, hi, lt.rows[q]); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			// Pruned DFS costs ~2·(span groups) + 2·(walked depth) blocks
-			// for the shard path down the shortened tree.
-			groups := (int64(hi-lo) + int64(1)<<uint(early) - 1) >> uint(early)
-			ctr.AddPRFBlocks(2*groups - 2 + 2*int64(bits-early))
-		}
-		rowHi := hi
-		if rowHi > uint64(v.Rows()) {
-			rowHi = uint64(v.Rows())
-		}
-		sc := getWalkScratch()
-		local := sc.growLocal(len(tile), lanes)
-		if lo < rowHi {
-			if err := accumulateTilePar(v, int(lo), int(rowHi), lt.rows, local, m.Workers); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				sc.release()
-				return
-			}
-		}
-		mu.Lock()
-		for q := range local {
-			for l := range local[q] {
-				dst[j.tile+q][l] += local[q][l]
-			}
-		}
-		mu.Unlock()
-		sc.release()
-	})
-	if firstErr != nil {
-		return firstErr
-	}
-	if rlo == 0 && rhi == uint64(1)<<uint(bits) {
+	if full {
 		ctr.AddRead(tableReadBytes(len(keys), bits, lanes))
 	} else {
 		ctr.AddRead(rangeReadBytes(len(keys), lanes, int(width)))

@@ -16,11 +16,11 @@ func TestMultiGPUCorrectness(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 8} {
 		s := MultiGPU{Devices: n}
 		var c0, c1 gpu.Counters
-		a0, err := s.Run(prg, k0s, tab, &c0)
+		a0, err := Run(s, prg, k0s, tab.View(), &c0)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		a1, err := s.Run(prg, k1s, tab, &c1)
+		a1, err := Run(s, prg, k1s, tab.View(), &c1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,11 +42,11 @@ func TestMultiGPUMatchesSingle(t *testing.T) {
 	tab := buildTable(t, 256, 2, 23)
 	k0s, _, _ := genBatch(t, prg, tab, 3, 24)
 	var c1, c2 gpu.Counters
-	a, err := (MultiGPU{Devices: 1}).Run(prg, k0s, tab, &c1)
+	a, err := Run(MultiGPU{Devices: 1}, prg, k0s, tab.View(), &c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := (MemBoundTree{K: 128, Fused: true}).Run(prg, k0s, tab, &c2)
+	b, err := Run(MemBoundTree{K: 128, Fused: true}, prg, k0s, tab.View(), &c2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMultiGPUValidation(t *testing.T) {
 	tab := buildTable(t, 4, 1, 25) // domain 4
 	k0s, _, _ := genBatch(t, prg, tab, 1, 26)
 	var ctr gpu.Counters
-	if _, err := (MultiGPU{Devices: 8}).Run(prg, k0s, tab, &ctr); err == nil {
+	if _, err := Run(MultiGPU{Devices: 8}, prg, k0s, tab.View(), &ctr); err == nil {
 		t.Error("8 shards over a 4-leaf domain accepted")
 	}
 }

@@ -35,18 +35,10 @@ func TestRunRangePartition(t *testing.T) {
 	// the padded domain tail).
 	cuts := []int{0, 1, 97, 256, rows}
 
-	for _, s := range []Strategy{
-		CPUBaseline{Threads: 2},
-		BranchParallel{},
-		LevelByLevel{},
-		MemBoundTree{K: 8, Fused: true},
-		MemBoundTree{K: 8, Fused: false},
-		CoopGroups{},
-		MultiGPU{Devices: 2, K: 8},
-	} {
+	for _, s := range allStrategies() {
 		t.Run(s.Name(), func(t *testing.T) {
 			var ctr gpu.Counters
-			want, err := s.Run(prg, keys, tab, &ctr)
+			want, err := Run(s, prg, keys, tab.View(), &ctr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +47,7 @@ func TestRunRangePartition(t *testing.T) {
 				got[q] = make([]uint32, lanes)
 			}
 			for c := 0; c+1 < len(cuts); c++ {
-				part, err := s.RunRange(prg, keys, tab, cuts[c], cuts[c+1], &ctr)
+				part, err := RunRange(s, prg, keys, tab.View(), cuts[c], cuts[c+1], &ctr)
 				if err != nil {
 					t.Fatalf("range [%d,%d): %v", cuts[c], cuts[c+1], err)
 				}
@@ -101,7 +93,7 @@ func TestMemBoundRangeTrim(t *testing.T) {
 			keys[q] = &k0
 		}
 		var ctr gpu.Counters
-		want, err := m.Run(prg, keys, tab, &ctr)
+		want, err := Run(m, prg, keys, tab.View(), &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +139,7 @@ func TestRunRangeValidation(t *testing.T) {
 	s := MemBoundTree{K: 8, Fused: true}
 	var ctr gpu.Counters
 	for _, r := range [][2]int{{-1, 4}, {4, 4}, {8, 4}, {0, 17}} {
-		if _, err := s.RunRange(prg, keys, tab, r[0], r[1], &ctr); err == nil {
+		if _, err := RunRange(s, prg, keys, tab.View(), r[0], r[1], &ctr); err == nil {
 			t.Errorf("range [%d,%d) accepted", r[0], r[1])
 		}
 	}

@@ -8,26 +8,23 @@ import (
 
 // This file holds the pooled scratch the tiled hot paths run through. Two
 // kinds of state recur across strategies: a tile of leaf-share vectors
-// (what accumulateTile consumes) and per-goroutine tree-walk buffers
-// (frontiers, batch scratch, per-key path states). Both grow to the
-// largest shape seen and are recycled through sync.Pools, so the
-// steady-state Run/RunRange path performs no allocations beyond the
-// returned answer slices.
+// (what accumulateTile consumes; pooled with the tile loop's run state in
+// tiles.go) and per-goroutine tree-walk buffers (frontiers, batch scratch,
+// per-key path states). Both grow to the largest shape seen and are
+// recycled through sync.Pools, so the steady-state RunRangeInto path
+// performs no allocations.
 
-// leafTile is a pooled tile of leaf-share vectors: queries × rows values
-// in one flat backing, with per-query headers.
+// leafTile is a tile of leaf-share vectors: queries × rows values in one
+// flat backing, with per-query headers. A tileRun owns two (the tile loop's
+// double buffer) and is pooled with them.
 type leafTile struct {
 	flat []uint32
 	rows [][]uint32
 }
 
-var leafTilePool = sync.Pool{New: func() any { return new(leafTile) }}
-
-// getLeafTile returns a tile sized queries × rows. Contents are stale —
-// every walker overwrites its full in-range span before accumulateTile
-// reads it.
-func getLeafTile(queries, rows int) *leafTile {
-	lt := leafTilePool.Get().(*leafTile)
+// shape sizes the tile to queries × rows. Contents are stale — every
+// walker overwrites its full in-range span before accumulateTile reads it.
+func (lt *leafTile) shape(queries, rows int) {
 	need := queries * rows
 	if cap(lt.flat) < need {
 		lt.flat = make([]uint32, need)
@@ -40,10 +37,7 @@ func getLeafTile(queries, rows int) *leafTile {
 	for q := range lt.rows {
 		lt.rows[q] = lt.flat[q*rows : (q+1)*rows]
 	}
-	return lt
 }
-
-func (lt *leafTile) release() { leafTilePool.Put(lt) }
 
 // walkScratch is one goroutine's reusable expansion state: the membound
 // per-depth node groups, a breadth-first frontier, the PRG batch scratch,

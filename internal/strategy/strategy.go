@@ -15,43 +15,59 @@ const nodeBytes = 17
 // tileQueries is the matrix-multiplication tile width: one pass over the
 // table serves this many queries' dot products (the paper batches
 // per-table dot products into one matrix-matrix multiply, §3.1). This is
-// both the modeled width in tableReadBytes and the width the real Run /
-// RunRange hot paths execute — a batch of B queries streams the table
-// ⌈B/32⌉ times, not B times.
+// both the modeled width in tableReadBytes and the width the tile loop
+// (runTiles) executes — a batch of B queries streams the table ⌈B/32⌉
+// times, not B times.
 const tileQueries = 32
 
-// Strategy is one DPF execution strategy.
+// Strategy is one DPF execution strategy: one execution method and its
+// analytic model.
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string
-	// Run evaluates the batch of keys against tab, accumulating counts
-	// into ctr, and returns one answer share vector (tab.Lanes wide) per
-	// key. Keys must be scalar (one lane) and match the table's Bits.
-	Run(prg dpf.PRG, keys []*dpf.Key, tab *Table, ctr *gpu.Counters) ([][]uint32, error)
-	// RunRange evaluates the batch against rows [lo, hi) of tab only,
-	// returning per-key partial answer shares (tab.Lanes wide). Summing
-	// the partials of ranges that partition [0, NumRows) lane-wise
-	// (mod 2^32) yields exactly Run's answers — the seam engine.Replica
-	// shards on. Tree strategies prune subtrees outside the range where
-	// their traversal order allows it, so a 1/N range costs ~1/N of the
-	// full evaluation; breadth-first strategies (level-by-level,
-	// coop-groups) still expand the whole tree and only restrict the dot
-	// product. Counter accounting for partial ranges is proportional, not
-	// pinned to Model.
-	RunRange(prg dpf.PRG, keys []*dpf.Key, tab *Table, lo, hi int, ctr *gpu.Counters) ([][]uint32, error)
-	// RunRangeInto is RunRange accumulating into caller-provided answer
-	// buffers: dst[q] (v.Lanes() wide, zeroed by the caller) receives key
-	// q's partial share for rows [lo, hi). Strategies add into dst without
-	// allocating per-call answer storage, which is what lets
-	// engine.Replica pool its shard partials for an allocation-free
-	// steady-state Answer. The table arrives as a TableView — strategies
-	// stream it chunk-by-chunk (accumulateTile), so the same code path
-	// serves in-RAM tables (one maximal chunk), delta-epoch overlays, and
-	// paged backings larger than memory.
+	// RunRangeInto evaluates the batch of keys against rows [lo, hi) of v,
+	// accumulating counts into ctr: dst[q] (v.Lanes() wide, zeroed by the
+	// caller) receives key q's partial answer share for the range. Keys
+	// must be scalar (one lane), match the table's depth and share one
+	// early-termination depth. Summing the partials of ranges that
+	// partition [0, v.Rows()) lane-wise (mod 2^32) yields exactly the
+	// whole-table answers — the seam engine.Replica shards on. Tree
+	// strategies prune subtrees outside the range where their traversal
+	// order allows it, so a 1/N range costs ~1/N of the full evaluation;
+	// breadth-first strategies (level-by-level, coop-groups) still expand
+	// the whole tree and only restrict the dot product. Counters are
+	// pinned to Model for the whole-table range [0, v.Rows()) and
+	// proportional for partial ones.
+	//
+	// Strategies add into dst without allocating per-call answer storage,
+	// which is what lets engine.Replica pool its shard partials for an
+	// allocation-free steady-state Answer. The table arrives as a
+	// TableView and is streamed chunk by chunk (accumulateTile), so the
+	// same code path serves in-RAM tables (one maximal chunk), delta-epoch
+	// overlays, and paged backings larger than memory.
 	RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error
 	// Model analytically predicts the device-side execution of a batch of
 	// the given shape and converts it to a Report via dev's cost model.
 	Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error)
+}
+
+// Run evaluates the batch against the whole of v and returns one answer
+// share vector (v.Lanes() wide) per key: RunRange over [0, v.Rows()), the
+// range whose counters every strategy pins to its Model.
+func Run(s Strategy, prg dpf.PRG, keys []*dpf.Key, v TableView, ctr *gpu.Counters) ([][]uint32, error) {
+	return RunRange(s, prg, keys, v, 0, v.Rows(), ctr)
+}
+
+// RunRange is s.RunRangeInto into freshly allocated answers: per-key
+// partial shares for rows [lo, hi) of v. The serving path pools its
+// buffers and calls RunRangeInto itself; this is for tests, benchmarks and
+// experiments.
+func RunRange(s Strategy, prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters) ([][]uint32, error) {
+	dst := NewAnswers(len(keys), v.Lanes())
+	if err := s.RunRangeInto(prg, keys, v, lo, hi, ctr, dst); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // Report is the modeled outcome of executing one batch.
@@ -82,7 +98,7 @@ func (r Report) String() string {
 		float64(r.PeakMemBytes)/(1<<20))
 }
 
-// validateKeys checks the Run preconditions shared by all strategies.
+// validateKeys checks the key preconditions shared by all strategies.
 // Early-termination depth must be uniform across the batch: the tiled
 // walkers advance whole tiles through shared level loops, which only makes
 // sense when every key's tree has the same depth (engine.Replica enforces
@@ -105,6 +121,17 @@ func validateKeys(keys []*dpf.Key, bits int) error {
 		}
 	}
 	return nil
+}
+
+// validateRun is the RunRangeInto preamble every strategy shares.
+func validateRun(keys []*dpf.Key, v TableView, lo, hi int, dst [][]uint32) error {
+	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
+		return err
+	}
+	if err := validateRange(v.Rows(), lo, hi); err != nil {
+		return err
+	}
+	return validateDst(keys, v.Lanes(), dst)
 }
 
 // modelEarly is the early-termination depth the analytic Models assume: the
@@ -134,7 +161,7 @@ func prgCyclesPerBlock(cycles float64, early int) float64 {
 	return cycles * float64(int64(1)<<uint(early))
 }
 
-// validateRange checks a RunRange row range against the table's row count.
+// validateRange checks a row range against the table's row count.
 func validateRange(rows, lo, hi int) error {
 	if lo < 0 || hi > rows || lo >= hi {
 		return fmt.Errorf("strategy: row range [%d,%d) invalid for table of %d rows", lo, hi, rows)
@@ -223,7 +250,7 @@ func accumulateChunkScalar(data []uint32, lanes, row, leafLo int, leaves [][]uin
 // NewAnswers allocates a batch of answer accumulators backed by one flat
 // zeroed slice — two allocations for the whole batch, the only ones the
 // steady-state hot path retains. engine.Replica uses it for the answers
-// it returns; strategies use it for Run/RunRange results.
+// it returns, Run/RunRange for theirs.
 func NewAnswers(n, lanes int) [][]uint32 {
 	flat := make([]uint32, n*lanes)
 	ans := make([][]uint32, n)

@@ -65,7 +65,7 @@ func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 			want := scalarReference(t, prg, keys, tab)
 			for _, s := range allStrategies() {
 				var ctr gpu.Counters
-				got, err := s.Run(prg, keys, tab, &ctr)
+				got, err := Run(s, prg, keys, tab.View(), &ctr)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
 				}
@@ -128,7 +128,7 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 			for _, s := range allStrategies() {
 				var ctr gpu.Counters
 				run := func(keys []*dpf.Key) [][]uint32 {
-					got, err := s.Run(prg, keys, tab, &ctr)
+					got, err := Run(s, prg, keys, tab.View(), &ctr)
 					if err != nil {
 						t.Fatalf("%s: %v", s.Name(), err)
 					}
@@ -174,7 +174,7 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 	}
 	for _, s := range allStrategies() {
 		var ctr gpu.Counters
-		want, err := s.Run(prg, keys, tab, &ctr)
+		want, err := Run(s, prg, keys, tab.View(), &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 				got[q] = make([]uint32, lanes)
 			}
 			for c := 0; c+1 < len(cuts); c++ {
-				part, err := s.RunRange(prg, keys, tab, cuts[c], cuts[c+1], &ctr)
+				part, err := RunRange(s, prg, keys, tab.View(), cuts[c], cuts[c+1], &ctr)
 				if err != nil {
 					t.Fatalf("%s trial %d range [%d,%d): %v", s.Name(), trial, cuts[c], cuts[c+1], err)
 				}
@@ -227,7 +227,7 @@ func TestRunRangeIntoAccumulates(t *testing.T) {
 	keys := []*dpf.Key{&k0}
 	for _, s := range allStrategies() {
 		var ctr gpu.Counters
-		want, err := s.RunRange(prg, keys, tab, 0, rows, &ctr)
+		want, err := RunRange(s, prg, keys, tab.View(), 0, rows, &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,6 +24,11 @@ var errFragmented = errors.New("fragView: not contiguous")
 type fragView struct {
 	t    *Table
 	cuts []int // sorted interior cut rows, each in (0, NumRows)
+	// fault, when set, is what Chunks returns instead of yielding the
+	// chunk that holds row faultRow — a paged backing's read failing
+	// mid-pass.
+	fault    error
+	faultRow int
 }
 
 func (f fragView) Rows() int  { return f.t.NumRows }
@@ -35,6 +40,12 @@ func (f fragView) Chunks(lo, hi int, fn func(Chunk) error) error {
 	if lo < 0 || hi > f.t.NumRows || lo > hi {
 		return fmt.Errorf("fragView: bad range [%d,%d)", lo, hi)
 	}
+	yield := func(from, to int) error {
+		if f.fault != nil && from <= f.faultRow && f.faultRow < to {
+			return f.fault
+		}
+		return fn(Chunk{Row: from, Data: f.t.Data[from*f.t.Lanes : to*f.t.Lanes]})
+	}
 	cur := lo
 	for _, c := range f.cuts {
 		if c <= cur {
@@ -43,13 +54,13 @@ func (f fragView) Chunks(lo, hi int, fn func(Chunk) error) error {
 		if c >= hi {
 			break
 		}
-		if err := fn(Chunk{Row: cur, Data: f.t.Data[cur*f.t.Lanes : c*f.t.Lanes]}); err != nil {
+		if err := yield(cur, c); err != nil {
 			return err
 		}
 		cur = c
 	}
 	if cur < hi {
-		return fn(Chunk{Row: cur, Data: f.t.Data[cur*f.t.Lanes : hi*f.t.Lanes]})
+		return yield(cur, hi)
 	}
 	return nil
 }
