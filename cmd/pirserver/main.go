@@ -87,74 +87,85 @@ import (
 	"gpudpf/internal/strategy"
 )
 
-func main() {
-	party := flag.Int("party", 0, "which share this server computes (0 or 1)")
-	addr := flag.String("addr", ":7700", "listen address")
-	rows := flag.Int("rows", 65536, "table rows")
-	lanes := flag.Int("lanes", 32, "uint32 lanes per row (entry bytes / 4)")
-	seed := flag.Int64("seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
-	prg := flag.String("prg", "aes128", "PRF (must match clients): aes128, chacha20, siphash, highway, sha256")
-	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth clients' keys carry (must match clients; 0 = legacy full-depth wire-v1 keys)")
-	shards := flag.Int("shards", 0, "row-range shards evaluated concurrently (0 = unsharded)")
-	workers := flag.Int("workers", 0, "shard worker pool size (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 64, "max keys per formed batch (0 disables the batching front door)")
-	maxDelay := flag.Duration("maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
-	maxQueue := flag.Int("maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
-	slo := flag.Duration("slo", 0, "latency SLO for adaptive batching: the front door re-tunes -batch/-maxdelay against the measured arrival rate to stay inside it (0 = static policy)")
-	shardNode := flag.String("shardnode", "", "serve one shard of the row domain over the shardnet protocol instead of the client protocol; format i/n = rows [i·rows/n,(i+1)·rows/n)")
-	cluster := flag.String("cluster", "", "comma-separated shardnet node addresses; front a distributed replica over them instead of a local table")
-	group := flag.String("group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"); generalizes -cluster to N load-balanced members")
-	join := flag.String("join", "", "shard-node only: pull the current table snapshot from this healthy same-shard peer (host:port) over shardnet before serving, so a restarted member rejoins at the cluster's epoch")
-	refresh := flag.Duration("refresh", 0, "rewrite a deterministic batch of rows this often (0 = off) — the transparent update path; both parties must use the same -refresh, -refreshrows and -seed")
-	refreshRows := flag.Int("refreshrows", 64, "rows per refresh batch (one table epoch per batch; on a cluster front, one epoch handshake)")
-	tableFile := flag.String("table-file", "", "serve table rows out-of-core from this file instead of holding them in RAM; created from (-rows,-lanes,-seed) if absent — on a shard node, only the node's row slice is filled — and validated against the flags if present (single server or -shardnode)")
-	pageCache := flag.Int64("pagecache", store.DefaultPageCacheBytes, "page-cache byte budget for -table-file; tables larger than this are paged off disk on demand")
-	flag.Parse()
-
-	if *shardNode != "" && (*cluster != "" || *group != "") {
-		log.Fatal("pirserver: -shardnode and -cluster/-group are mutually exclusive")
-	}
-	if *group != "" && *cluster != "" {
-		log.Fatal("pirserver: -group replaces -cluster; use one addressing form or the other")
-	}
-	if *join != "" && *shardNode == "" {
-		log.Fatal("pirserver: -join belongs on a shard node (-shardnode)")
-	}
-	if *refreshRows < 1 {
-		log.Fatal("pirserver: -refreshrows must be >= 1")
-	}
-	if *refresh != 0 && *shardNode != "" {
-		log.Fatal("pirserver: -refresh belongs on the cluster front (or a single server), not on a shard node — nodes receive updates over shardnet")
-	}
-	if *tableFile != "" && (*cluster != "" || *group != "") {
-		log.Fatal("pirserver: -table-file serves local table rows (single server or shard node); a cluster front holds no rows")
-	}
-	if *pageCache < 1 {
-		log.Fatal("pirserver: -pagecache must be >= 1")
-	}
-	door := doorConfig{batch: *batch, maxDelay: *maxDelay, maxQueue: *maxQueue, slo: *slo}
-	switch {
-	case *shardNode != "":
-		runShardNode(*shardNode, *join, *party, *addr, *rows, *lanes, *seed, *prg, *early, *shards, *workers, *tableFile, *pageCache)
-	case *cluster != "" || *group != "":
-		spec := *cluster + *group // -cluster a,b is -group a,b: one member per shard
-		groups, err := parseGroups(spec)
-		if err != nil {
-			log.Fatalf("pirserver: %v", err)
-		}
-		runClusterFront(groups, spec, *party, *addr, *rows, *seed, *prg, *early, door, *refresh, *refreshRows)
-	default:
-		runSingle(*party, *addr, *rows, *lanes, *seed, *prg, *early, *shards, *workers, door, *refresh, *refreshRows, *tableFile, *pageCache)
-	}
+// config is the flag set, one field per flag.
+type config struct {
+	party       int
+	addr        string
+	rows, lanes int
+	seed        int64
+	prg         string
+	early       int
+	shards      int
+	workers     int
+	batch       int
+	maxDelay    time.Duration
+	maxQueue    int
+	slo         time.Duration
+	shardNode   string
+	cluster     string
+	group       string
+	join        string
+	refresh     time.Duration
+	refreshRows int
+	tableFile   string
+	pageCache   int64
 }
 
-// doorConfig carries the batching-front-door flags: the static batch
-// policy, the admission bound, and the adaptive-tuning SLO.
-type doorConfig struct {
-	batch    int
-	maxDelay time.Duration
-	maxQueue int
-	slo      time.Duration
+func main() {
+	var cfg config
+	flag.IntVar(&cfg.party, "party", 0, "which share this server computes (0 or 1)")
+	flag.StringVar(&cfg.addr, "addr", ":7700", "listen address")
+	flag.IntVar(&cfg.rows, "rows", 65536, "table rows")
+	flag.IntVar(&cfg.lanes, "lanes", 32, "uint32 lanes per row (entry bytes / 4)")
+	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
+	flag.StringVar(&cfg.prg, "prg", "aes128", "PRF (must match clients): aes128, chacha20, siphash, highway, sha256")
+	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, "early-termination depth clients' keys carry (must match clients; 0 = legacy full-depth wire-v1 keys)")
+	flag.IntVar(&cfg.shards, "shards", 0, "row-range shards evaluated concurrently (0 = unsharded)")
+	flag.IntVar(&cfg.workers, "workers", 0, "shard worker pool size (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.batch, "batch", 64, "max keys per formed batch (0 disables the batching front door)")
+	flag.DurationVar(&cfg.maxDelay, "maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
+	flag.IntVar(&cfg.maxQueue, "maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
+	flag.DurationVar(&cfg.slo, "slo", 0, "latency SLO for adaptive batching: the front door re-tunes -batch/-maxdelay against the measured arrival rate to stay inside it (0 = static policy)")
+	flag.StringVar(&cfg.shardNode, "shardnode", "", "serve one shard of the row domain over the shardnet protocol instead of the client protocol; format i/n = rows [i·rows/n,(i+1)·rows/n)")
+	flag.StringVar(&cfg.cluster, "cluster", "", "comma-separated shardnet node addresses; front a distributed replica over them instead of a local table")
+	flag.StringVar(&cfg.group, "group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"); generalizes -cluster to N load-balanced members")
+	flag.StringVar(&cfg.join, "join", "", "shard-node only: pull the current table snapshot from this healthy same-shard peer (host:port) over shardnet before serving, so a restarted member rejoins at the cluster's epoch")
+	flag.DurationVar(&cfg.refresh, "refresh", 0, "rewrite a deterministic batch of rows this often (0 = off) — the transparent update path; both parties must use the same -refresh, -refreshrows and -seed")
+	flag.IntVar(&cfg.refreshRows, "refreshrows", 64, "rows per refresh batch (one table epoch per batch; on a cluster front, one epoch handshake)")
+	flag.StringVar(&cfg.tableFile, "table-file", "", "serve table rows out-of-core from this file instead of holding them in RAM; created from (-rows,-lanes,-seed) if absent — on a shard node, only the node's row slice is filled — and validated against the flags if present (single server or -shardnode)")
+	flag.Int64Var(&cfg.pageCache, "pagecache", store.DefaultPageCacheBytes, "page-cache byte budget for -table-file; tables larger than this are paged off disk on demand")
+	flag.Parse()
+
+	front := cfg.cluster != "" || cfg.group != ""
+	if cfg.shardNode != "" && front {
+		log.Fatal("pirserver: -shardnode and -cluster/-group are mutually exclusive")
+	}
+	if cfg.group != "" && cfg.cluster != "" {
+		log.Fatal("pirserver: -group replaces -cluster; use one addressing form or the other")
+	}
+	if cfg.join != "" && cfg.shardNode == "" {
+		log.Fatal("pirserver: -join belongs on a shard node (-shardnode)")
+	}
+	if cfg.refreshRows < 1 {
+		log.Fatal("pirserver: -refreshrows must be >= 1")
+	}
+	if cfg.refresh != 0 && cfg.shardNode != "" {
+		log.Fatal("pirserver: -refresh belongs on the cluster front (or a single server), not on a shard node — nodes receive updates over shardnet")
+	}
+	if cfg.tableFile != "" && front {
+		log.Fatal("pirserver: -table-file serves local table rows (single server or shard node); a cluster front holds no rows")
+	}
+	if cfg.pageCache < 1 {
+		log.Fatal("pirserver: -pagecache must be >= 1")
+	}
+	switch {
+	case cfg.shardNode != "":
+		runShardNode(cfg)
+	case front:
+		runClusterFront(cfg)
+	default:
+		runSingle(cfg)
+	}
 }
 
 // parseGroups resolves a cluster front's -group (or -cluster) list into
@@ -194,40 +205,59 @@ func notifyShutdown(l net.Listener) chan os.Signal {
 	return sig
 }
 
-// runSingle is the classic single-process server: full local table behind
-// the batching front door. With tableFile set, the table lives on disk and
-// the server pages rows through a bounded cache instead of holding the
-// whole table in RAM — same wire behavior, out-of-core memory profile.
-func runSingle(party int, addr string, rows, lanes int, seed int64, prg string, early, shards, workers int, door doorConfig, refresh time.Duration, refreshRows int, tableFile string, pageCache int64) {
-	var srv *pir.Server
+// openReplica builds the engine replica over rows [lo, hi) of the
+// deterministic table — in RAM, or with -table-file on disk behind the
+// bounded page cache: same wire behavior, out-of-core memory profile.
+// closeStore releases the table file (a no-op in RAM).
+func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()) {
+	opts := []pir.ServerOption{pir.WithPRG(cfg.prg), pir.WithEarly(cfg.early), pir.WithSharding(cfg.shards, cfg.workers)}
 	var err error
-	opts := []pir.ServerOption{pir.WithPRG(prg), pir.WithEarly(early), pir.WithSharding(shards, workers)}
-	if tableFile != "" {
-		st, cleanup, perr := openPagedStore(tableFile, rows, lanes, seed, 0, rows, pageCache)
-		if perr != nil {
-			log.Fatalf("pirserver: -table-file %s: %v", tableFile, perr)
-		}
-		defer cleanup()
-		srv, err = pir.NewServerOverStore(party, st, opts...)
-	} else {
+	if cfg.tableFile == "" {
 		var tab *pir.Table
-		tab, err = buildTable(rows, lanes, seed, 0, rows)
+		if tab, err = buildTable(cfg.rows, cfg.lanes, cfg.seed, lo, hi); err == nil {
+			rep, err = pir.NewReplica(cfg.party, tab, opts...)
+		}
+		closeStore = func() {}
+	} else {
+		var st *store.Store
+		if st, closeStore, err = openPagedStore(cfg, lo, hi); err != nil {
+			log.Fatalf("pirserver: -table-file %s: %v", cfg.tableFile, err)
+		}
+		rep, err = pir.NewReplicaOverStore(cfg.party, st, opts...)
+	}
+	if err != nil {
+		log.Fatalf("pirserver: %v", err)
+	}
+	return rep, closeStore
+}
+
+// serveClients runs the client protocol on cfg.addr over be — behind the
+// batching front door unless -batch 0 — with the refresher beside it,
+// until SIGTERM/SIGINT; then it drains. what and detail are the start-up
+// line's mode-specific halves.
+func serveClients(cfg config, be engine.Backend, what, detail string) {
+	l, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		log.Fatalf("pirserver: %v", err)
+	}
+	var answerer pir.Answerer = pir.BackendEndpoint{Backend: be}
+	inflight, closeDoor := 0, func() {}
+	if cfg.batch > 0 {
+		// Key validation, the batcher with admission control (-maxqueue),
+		// adaptive policy tuning (-slo), and the serving stats the load
+		// harness reads.
+		f, err := serving.NewFront(serving.FrontConfig{
+			Policy: serving.Policy{MaxBatch: cfg.batch, MaxDelay: cfg.maxDelay, MaxQueue: cfg.maxQueue},
+			SLO:    cfg.slo,
+		}, be)
 		if err != nil {
 			log.Fatalf("pirserver: %v", err)
 		}
-		srv, err = pir.NewServer(party, tab, opts...)
+		answerer, inflight, closeDoor = f, f.InFlight(), f.Close
 	}
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	answerer, inflight, closeDoor := front(srv, srv.Engine(), door)
-	log.Printf("pirserver: party %d serving %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d shards=%d batch=%d inflight=%d maxqueue=%d slo=%v)",
-		party, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), srv.Engine().EarlyBits(), srv.Engine().Shards(), door.batch, inflight, door.maxQueue, door.slo)
-	stopRefresh := startRefresher(refresh, refreshRows, rows, lanes, seed, srv.Engine())
+	log.Printf("pirserver: party %d %s on %s (%s batch=%d inflight=%d maxqueue=%d slo=%v)",
+		cfg.party, what, l.Addr(), detail, cfg.batch, inflight, cfg.maxQueue, cfg.slo)
+	stopRefresh := startRefresher(cfg, be)
 	sig := notifyShutdown(l)
 	if err := pir.Serve(l, answerer); err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -235,63 +265,52 @@ func runSingle(party int, addr string, rows, lanes int, seed int64, prg string, 
 	signal.Stop(sig)
 	close(sig)
 	stopRefresh()
-	closeDoor()
+	closeDoor() // drains pending and in-flight batches
+}
+
+// runSingle is the classic single-process server: full local table behind
+// the batching front door.
+func runSingle(cfg config) {
+	rep, closeStore := openReplica(cfg, 0, cfg.rows)
+	defer closeStore()
+	serveClients(cfg, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
+		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d shards=%d", cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits(), rep.Shards()))
 	log.Printf("pirserver: shutdown complete")
 }
 
 // runShardNode serves one contiguous slice of the row domain over the
 // shardnet protocol: the node builds (and pages in) only its own rows of
-// the deterministic table and answers AnswerRange RPCs from a cluster
-// front. With tableFile set, the node's slice lives on disk behind the
-// bounded page cache instead of in RAM — a cluster of paged nodes serves a
-// table no single machine could hold, bit-identically to in-RAM nodes.
-// With join non-empty, the node first pulls the current snapshot of its
-// rows from that healthy same-shard peer, so it starts serving at the
-// cluster's current epoch instead of generation 0.
-func runShardNode(spec, join string, party int, addr string, rows, lanes int, seed int64, prg string, early, shards, workers int, tableFile string, pageCache int64) {
-	idx, count, err := parseShardSpec(spec)
+// the deterministic table and answers range RPCs from a cluster front — a
+// cluster of paged nodes serves a table no single machine could hold,
+// bit-identically to in-RAM nodes. With -join, the node first pulls the
+// current snapshot of its rows from that healthy same-shard peer, so it
+// starts serving at the cluster's current epoch instead of generation 0.
+func runShardNode(cfg config) {
+	idx, count, err := parseShardSpec(cfg.shardNode)
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	lo, hi := engine.ShardRange(rows, idx, count)
+	lo, hi := engine.ShardRange(cfg.rows, idx, count)
 	if lo >= hi {
-		log.Fatalf("pirserver: shard %d/%d of a %d-row table holds no rows", idx, count, rows)
+		log.Fatalf("pirserver: shard %d/%d of a %d-row table holds no rows", idx, count, cfg.rows)
 	}
-	opts := []pir.ServerOption{pir.WithPRG(prg), pir.WithEarly(early), pir.WithSharding(shards, workers)}
-	var rep *engine.Replica
-	if tableFile != "" {
-		st, cleanup, perr := openPagedStore(tableFile, rows, lanes, seed, lo, hi, pageCache)
-		if perr != nil {
-			log.Fatalf("pirserver: -table-file %s: %v", tableFile, perr)
-		}
-		defer cleanup()
-		rep, err = pir.NewReplicaOverStore(party, st, opts...)
-	} else {
-		var tab *pir.Table
-		tab, err = buildTable(rows, lanes, seed, lo, hi)
-		if err != nil {
-			log.Fatalf("pirserver: %v", err)
-		}
-		rep, err = pir.NewReplica(party, tab, opts...)
-	}
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	if join != "" {
-		if err := joinFromPeer(rep, join, party, prg, lanes, lo, hi); err != nil {
-			log.Fatalf("pirserver: -join %s: %v", join, err)
+	rep, closeStore := openReplica(cfg, lo, hi)
+	defer closeStore()
+	if cfg.join != "" {
+		if err := joinFromPeer(cfg, rep, lo, hi); err != nil {
+			log.Fatalf("pirserver: -join %s: %v", cfg.join, err)
 		}
 	}
 	node, err := shardnet.NewServer(rep, shardnet.ServerConfig{RowLo: lo, RowHi: hi})
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	l, err := net.Listen("tcp", addr)
+	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
 	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d)",
-		party, idx, count, lo, hi, rows, lanes*4, l.Addr(), prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
+		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
 	sig := notifyShutdown(l)
 	if err := node.Serve(l); err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -302,19 +321,18 @@ func runShardNode(spec, join string, party int, addr string, rows, lanes int, se
 	log.Printf("pirserver: shutdown complete")
 }
 
-// joinFromPeer pulls the donor peer's current table snapshot for rows
-// [lo, hi) over the shardnet snapshot RPCs and installs it in rep before
-// the node starts serving — the shard-node side of healing. The peer may
-// legitimately advance its epoch mid-pull (refresh churn on the front);
-// joinFromPeer retries a bounded number of rounds, and a node that still
-// lands slightly behind simply starts quarantined until the front heals
-// it, so best effort is safe.
-func joinFromPeer(rep *engine.Replica, peer string, party int, prg string, lanes, lo, hi int) error {
+// joinFromPeer brings rep's rows [lo, hi) to the -join peer's current
+// table snapshot before the node starts serving — engine.CatchUp, the same
+// rounds a front's Heal runs. The peer may legitimately advance its epoch
+// mid-pull (refresh churn on the front); a node that still lands slightly
+// behind after a bounded number of rounds simply starts quarantined until
+// the front heals it, so best effort is safe.
+func joinFromPeer(cfg config, rep *engine.Replica, lo, hi int) error {
 	pin := rep.EarlyBits()
 	if pin == 0 {
 		pin = engine.FullDepthKeys
 	}
-	cl, err := shardnet.Dial(peer, shardnet.Options{PRG: prg, Early: pin, Party: party})
+	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: cfg.prg, Early: pin, Party: cfg.party})
 	if err != nil {
 		return err
 	}
@@ -322,72 +340,21 @@ func joinFromPeer(rep *engine.Replica, peer string, party int, prg string, lanes
 	ctx := context.Background()
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
-		done, err := joinOnce(ctx, rep, cl, peer, lanes, lo, hi)
+		synced, err := engine.CatchUp(ctx, rep, cl, lo, hi)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if done {
+		if synced {
+			epoch, _ := rep.Epoch(ctx)
+			log.Printf("pirserver: join: rows [%d,%d) in sync with peer %s at epoch %d", lo, hi, cfg.join, epoch)
 			return nil
 		}
 	}
 	if lastErr == nil {
-		lastErr = fmt.Errorf("node did not converge to peer %s's epoch (churn too fast?); starting anyway — the front will heal it", peer)
-		log.Printf("pirserver: join: %v", lastErr)
-		return nil
+		log.Printf("pirserver: join: node did not converge to peer %s's epoch (churn too fast?); starting anyway — the front will heal it", cfg.join)
 	}
 	return lastErr
-}
-
-// joinOnce runs one snapshot pull round; done reports the node's
-// effective epoch has reached the peer's.
-func joinOnce(ctx context.Context, rep *engine.Replica, cl *shardnet.Client, peer string, lanes, lo, hi int) (done bool, err error) {
-	snapEpoch, effEpoch, pLo, pHi, err := cl.SnapshotMeta(ctx)
-	if err != nil {
-		return false, err
-	}
-	if pLo > lo || pHi < hi {
-		return false, fmt.Errorf("peer holds rows [%d,%d), cannot donate [%d,%d)", pLo, pHi, lo, hi)
-	}
-	have, err := rep.Epoch(ctx)
-	if err != nil {
-		return false, err
-	}
-	if have >= effEpoch {
-		log.Printf("pirserver: join: at epoch %d, peer %s effective epoch %d; in sync", have, peer, effEpoch)
-		return true, nil
-	}
-	if snapEpoch <= have {
-		// Only burned epoch numbers separate us: raise the floor (an abort
-		// burns idempotently) instead of re-pulling a table we already hold.
-		if err := rep.AbortUpdate(ctx, effEpoch); err != nil {
-			return false, err
-		}
-		return false, nil // re-check next round
-	}
-	words := (hi - lo) * lanes
-	buf := make([]uint32, 0, words)
-	const chunkWords = 256 << 10
-	for len(buf) < words {
-		// Chunk offsets are relative to the peer's held range.
-		off := (lo-pLo)*lanes + len(buf)
-		chunk, err := cl.SnapshotChunk(ctx, snapEpoch, off, min(chunkWords, words-len(buf)))
-		if err != nil {
-			return false, err
-		}
-		if len(chunk) == 0 {
-			return false, fmt.Errorf("peer snapshot stream ended at %d of %d words", len(buf), words)
-		}
-		if len(buf)+len(chunk) > words {
-			return false, fmt.Errorf("peer snapshot stream overran %d words", words)
-		}
-		buf = append(buf, chunk...)
-	}
-	if err := rep.AdoptSnapshot(ctx, snapEpoch, effEpoch, lo, hi, buf); err != nil {
-		return false, err
-	}
-	log.Printf("pirserver: join: adopted rows [%d,%d) at epoch %d (effective %d) from peer %s", lo, hi, snapEpoch, effEpoch, peer)
-	return false, nil // next round verifies the peer did not move meanwhile
 }
 
 // runClusterFront assembles a distributed replica over remote shard nodes
@@ -395,32 +362,34 @@ func joinOnce(ctx context.Context, rep *engine.Replica, cl *shardnet.Client, pee
 // table rows itself, it validates keys, batches requests, fans each batch
 // out as pruned-range evaluations load-balanced across each shard's
 // replica-group members, and merges the partial shares.
-func runClusterFront(groups [][]string, display string, party int, addr string, rows int, seed int64, prg string, early int, door doorConfig, refresh time.Duration, refreshRows int) {
+func runClusterFront(cfg config) {
+	spec := cfg.cluster + cfg.group // -cluster a,b is -group a,b: one member per shard
+	groups, err := parseGroups(spec)
+	if err != nil {
+		log.Fatalf("pirserver: %v", err)
+	}
 	// Same flag validation as the other two modes (pir.WithEarly): a bad
 	// -early must fail fast here too, not be silently clamped into an
 	// "accept any depth" pin.
-	if early < 0 || early > dpf.MaxEarlyBits {
-		log.Fatalf("pirserver: early-termination depth %d out of range [0,%d]", early, dpf.MaxEarlyBits)
+	if cfg.early < 0 || cfg.early > dpf.MaxEarlyBits {
+		log.Fatalf("pirserver: early-termination depth %d out of range [0,%d]", cfg.early, dpf.MaxEarlyBits)
 	}
-	pin := dpf.ClampEarly(early, dpf.DomainBits(rows))
-	if early == 0 {
+	pin := dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows))
+	if cfg.early == 0 {
 		pin = engine.FullDepthKeys
-	}
-	dialNode := func(node string) *shardnet.Client {
-		cl, err := shardnet.Dial(node, shardnet.Options{PRG: prg, Early: pin, Party: party})
-		if err != nil {
-			log.Fatalf("pirserver: node %s: %v", node, err)
-		}
-		if nr, nl := cl.Shape(); nr != rows {
-			log.Fatalf("pirserver: node %s serves a %d×%d table, front expects %d rows", node, nr, nl, rows)
-		}
-		return cl
 	}
 	shardsCfg := make([]engine.ClusterShard, len(groups))
 	total := 0
 	for i, members := range groups {
 		for _, node := range members {
-			shardsCfg[i].Members = append(shardsCfg[i].Members, dialNode(node))
+			cl, err := shardnet.Dial(node, shardnet.Options{PRG: cfg.prg, Early: pin, Party: cfg.party})
+			if err != nil {
+				log.Fatalf("pirserver: node %s: %v", node, err)
+			}
+			if nr, nl := cl.Shape(); nr != cfg.rows {
+				log.Fatalf("pirserver: node %s serves a %d×%d table, front expects %d rows", node, nr, nl, cfg.rows)
+			}
+			shardsCfg[i].Members = append(shardsCfg[i].Members, cl)
 			shardsCfg[i].MemberNames = append(shardsCfg[i].MemberNames, node)
 		}
 		total += len(members)
@@ -438,51 +407,32 @@ func runClusterFront(groups [][]string, display string, party int, addr string, 
 	if byResp := (shardnet.DefaultMaxFrame - 64) / (4 * lanes); byResp < maxBatch {
 		maxBatch = byResp
 	}
-	if door.batch > maxBatch {
-		log.Printf("pirserver: clamping -batch %d to %d (shard nodes' request/response frame caps at %d lanes)", door.batch, maxBatch, lanes)
-		door.batch = maxBatch
+	if cfg.batch > maxBatch {
+		log.Printf("pirserver: clamping -batch %d to %d (shard nodes' request/response frame caps at %d lanes)", cfg.batch, maxBatch, lanes)
+		cfg.batch = maxBatch
 	}
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	answerer, inflight, closeDoor := front(pir.BackendEndpoint{Backend: cluster}, cluster, door)
-	log.Printf("pirserver: party %d cluster front over %d shards / %d members (%s) serving %d×%dB table on %s (prg=%s early=%d batch=%d inflight=%d maxqueue=%d slo=%v)",
-		party, len(groups), total, display, rows, lanes*4, l.Addr(), prg, cluster.EarlyBits(), door.batch, inflight, door.maxQueue, door.slo)
-	stopRefresh := startRefresher(refresh, refreshRows, rows, lanes, seed, cluster)
-	sig := notifyShutdown(l)
-	if err := pir.Serve(l, answerer); err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	signal.Stop(sig)
-	close(sig)
-	stopRefresh()
-	closeDoor()
+	serveClients(cfg, cluster,
+		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, spec, cfg.rows, lanes*4),
+		fmt.Sprintf("prg=%s early=%d", cfg.prg, cluster.EarlyBits()))
 	cluster.Close()
 	log.Printf("pirserver: shutdown complete")
 }
 
-// updater is the slice of engine.EpochBackend both refreshable serving
-// modes share: a Replica (one store epoch per batch) or a Cluster (one
-// epoch handshake per batch).
-type updater interface {
-	UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uint64, error)
-}
-
-// startRefresher drives the transparent update path: every `every`, the
+// startRefresher drives the transparent update path: every -refresh, the
 // next generation's row batch — rows and content both derived from
 // (seed, generation), so both parties running the same flags rewrite
 // identical rows with identical values — lands as ONE atomic epoch.
 // Returns a stop function that waits for the driver to exit.
-func startRefresher(every time.Duration, rowsPerBatch, rows, lanes int, seed int64, be updater) (stop func()) {
-	if every <= 0 {
+func startRefresher(cfg config, be engine.Backend) (stop func()) {
+	if cfg.refresh <= 0 {
 		return func() {}
 	}
+	_, lanes := be.Shape()
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		ticker := time.NewTicker(every)
+		ticker := time.NewTicker(cfg.refresh)
 		defer ticker.Stop()
 		for gen := uint64(1); ; gen++ {
 			select {
@@ -490,7 +440,7 @@ func startRefresher(every time.Duration, rowsPerBatch, rows, lanes int, seed int
 				return
 			case <-ticker.C:
 			}
-			writes := refreshBatch(seed, gen, rows, lanes, rowsPerBatch)
+			writes := refreshBatch(cfg.seed, gen, cfg.rows, lanes, cfg.refreshRows)
 			epoch, err := be.UpdateBatch(context.Background(), writes)
 			if err != nil {
 				log.Printf("pirserver: refresh generation %d failed (will retry next tick): %v", gen, err)
@@ -530,30 +480,6 @@ func refreshBatch(seed int64, gen uint64, rows, lanes, batch int) []engine.RowWr
 		writes = append(writes, engine.RowWrite{Row: row, Vals: vals})
 	}
 	return writes
-}
-
-// front wraps the direct answer path with the serving front door when
-// batching is enabled: key validation, the batcher with admission control
-// (door.maxQueue), adaptive policy tuning (door.slo), the wire update op,
-// and the serving stats the load harness reads. inflight is how many
-// batches the door runs at once (0 when batching is off); closeDoor drains
-// pending and in-flight batches (a no-op when batching is off).
-func front(direct pir.Answerer, be engine.Backend, door doorConfig) (answerer pir.Answerer, inflight int, closeDoor func()) {
-	if door.batch <= 0 {
-		return direct, 0, func() {}
-	}
-	f, err := serving.NewFront(serving.FrontConfig{
-		Policy: serving.Policy{
-			MaxBatch: door.batch,
-			MaxDelay: door.maxDelay,
-			MaxQueue: door.maxQueue,
-		},
-		SLO: door.slo,
-	}, be)
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
-	return f, f.InFlight(), f.Close
 }
 
 // parseShardSpec parses "i/n".
@@ -609,7 +535,8 @@ func fillRow(dst []uint32, seed int64, i int, gen uint64) {
 // rows through a cache bounded by pageCache bytes. An existing file must
 // match the flags' shape; content is trusted to match the seed (the file
 // IS the table — regenerate it after changing -seed or the served slice).
-func openPagedStore(path string, rows, lanes int, seed int64, lo, hi int, pageCache int64) (*store.Store, func(), error) {
+func openPagedStore(cfg config, lo, hi int) (*store.Store, func(), error) {
+	path, rows, lanes, seed := cfg.tableFile, cfg.rows, cfg.lanes, cfg.seed
 	if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
 		err := store.WriteTableFileRows(path, rows, lanes, func(i int, dst []uint32) {
 			if i < lo || i >= hi {
@@ -625,7 +552,7 @@ func openPagedStore(path string, rows, lanes int, seed int64, lo, hi int, pageCa
 	} else if err != nil {
 		return nil, nil, err
 	}
-	pb, err := store.OpenPaged(path, store.PagedConfig{CacheBytes: pageCache})
+	pb, err := store.OpenPaged(path, store.PagedConfig{CacheBytes: cfg.pageCache})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -151,64 +151,61 @@
 //     aborted epoch rolls back to its retained predecessor, and
 //     aborted epoch NUMBERS are burned — never reissued — so a stale
 //     partial can never epoch-match a later, different table.
-//   - internal/engine is the one seam every answer flows through: the
-//     Backend interface plus the sharded Replica, which owns its table
-//     through a store.Store, pins ONE snapshot per answer batch (the
-//     whole batch sees one epoch; a concurrent update neither blocks nor
-//     tears it — there is no Update/Answer lock at all), partitions the
-//     rows into contiguous ranges and fans each key batch across a
-//     bounded worker pool, merging per-shard partial sums in place.
-//     When the worker budget exceeds the shard count, the surplus is
-//     handed down into the strategy layer (strategy.WithWorkers), so a
-//     few-shard replica on a wide machine still uses every core for the
-//     row-block parallel accumulate; the analytic device-model counters
-//     are unchanged by either fan-out.
-//     Unmarshaled keys and shard partials are pooled, so the steady-state
-//     Answer allocates nothing beyond the returned answer slices
-//     (enforced by AllocsPerRun tests). The replica pins one
-//     early-termination depth (Config.EarlyBits; default = what
+//   - internal/engine is the one seam every answer flows through, stated
+//     as two roles (capability.go). Backend — Answer, UpdateBatch, Shape,
+//     Counters — is what a front door serves; UpdateBatch is the one way
+//     a row changes. Member — a Backend that also answers a row sub-range
+//     at a named table epoch, joins the epoch handshake, states its
+//     configuration and held rows, answers a Ping and donates its
+//     snapshot — is what a Cluster's replica group or a shard node holds.
+//     The type system requires the role; the only run-time assertions
+//     left are a front door's two extras (KeyValidator,
+//     EpochRetryCounter) and a receiving member's SnapshotSink.
+//     The sharded Replica fills both roles: it owns its table through a
+//     store.Store, pins ONE snapshot per answer batch (the whole batch
+//     sees one epoch; a concurrent update neither blocks nor tears it),
+//     partitions the rows into contiguous ranges and fans each key batch
+//     across a bounded worker pool, merging per-shard partial sums in
+//     place; worker budget beyond the shard count is handed down into the
+//     strategy layer (strategy.WithWorkers). Unmarshaled keys and shard
+//     partials are pooled, so the steady-state Answer allocates nothing
+//     beyond the returned answer slices (AllocsPerRun tests). The replica
+//     pins one early-termination depth (Config.EarlyBits; default = what
 //     pir.NewClient emits) and rejects mismatched keys at validation with
-//     the configured PRF and the key's parsed wire version in the error —
-//     the tiled walkers need depth-uniform batches. The seam is
-//     range-aware (RangeBackend: AnswerRange returns partial shares for a
-//     row sub-range) and epoch-aware (EpochRangeBackend tags partials
-//     with the epoch they were computed at; EpochBackend carries
-//     UpdateBatch and the two-phase update ops), which is what lets
-//     engine.Cluster split one logical replica's row domain across N
-//     shard backends — in-process replicas or remote nodes — fan each
-//     batch out concurrently, and merge the per-shard partial sums
-//     lane-wise mod 2^32, bit-identical to a single process. The merge
-//     refuses partials from different epochs (a batch that straddles an
-//     update commit re-fans; a persistent mismatch fails loudly with
-//     ErrMixedEpoch), Cluster.UpdateBatch installs a multi-row update
-//     all-or-nothing across every member via the epoch handshake
-//     (prepare the target epoch everywhere, commit only when all ack, a
-//     straggler aborts/rolls back everywhere), and each ClusterShard is a
-//     replica GROUP: N members holding the same rows (Backend + Name is
-//     the one-member shorthand). Answer batches load-balance across the
-//     group's healthy members (least-loaded with a rotating tiebreak), a
-//     member that dies mid-batch is retried on the next, and per-member
-//     health is tracked — consecutive failures trip a breaker, a tripped
-//     member sits out a backoff cooldown and is re-admitted through a
-//     cheap Ping probe. The epoch handshake runs over every reachable
-//     member; one that missed epochs is quarantined (refused by the merge
-//     check rather than silently blended) until Cluster.Heal streams a
-//     healthy peer's pinned snapshot into it — via SnapshotSink when the
-//     member adopts snapshots directly, else over the epoch-update wire
-//     ops — and provably lands it on the current epoch before lifting the
-//     quarantine. A shard with no working member fails the batch with a
-//     *ShardError enumerating every member by name with its own error; a
-//     mixed-configuration member set (PRF, early depth, party, shape, or
-//     a node assigned rows it does not hold — any member) is refused at
-//     construction.
+//     the configured PRF and the key's parsed wire version in the error.
+//     engine.Cluster, a Backend, splits one logical replica's row domain
+//     across N groups of Members — in-process replicas or remote nodes —
+//     fans each batch out concurrently and merges the per-shard partial
+//     sums lane-wise mod 2^32, bit-identical to a single process. The
+//     merge refuses a partial that does not name its epoch (*ShardError)
+//     and partials of different epochs (a batch that straddles an update
+//     commit re-fans; a persistent mismatch fails with ErrMixedEpoch).
+//     Cluster.UpdateBatch installs a multi-row update all-or-nothing
+//     across every member via the epoch handshake (prepare everywhere,
+//     commit only when all ack, a straggler aborts everywhere). Each
+//     ClusterShard is a replica GROUP: batches load-balance across its
+//     healthy members (least-loaded, rotating tiebreak), a member that
+//     dies mid-batch is retried on the next, consecutive failures trip a
+//     breaker, and a tripped member is re-admitted after a backoff
+//     cooldown through Ping. A member that missed epochs is quarantined
+//     until Cluster.Heal brings the shard's assigned rows to a healthy
+//     peer's snapshot — rounds of engine.CatchUp, the same function
+//     `pirserver -join` runs: one AdoptSnapshot when the member is a
+//     SnapshotSink, else the epoch-update wire ops — and provably lands it
+//     on the current epoch before lifting the quarantine. A shard with no
+//     working member fails the batch with a *ShardError enumerating every
+//     member by name with its own error; a member set that disagrees on
+//     PRF, early depth, party or shape, or a member assigned rows it does
+//     not hold, is refused at construction.
 //   - internal/frame is the one wire framing both ports speak: a uint32
 //     length refused over the port's cap before allocation, then a body
 //     led by an op byte (a response: op, status); plus the body pieces
 //     both protocols carry — key batches (marshaled dpf keys as-is),
 //     row-write batches, answer-matrix words, the op,status,msg error.
-//   - internal/shardnet is the network form of that seam: a Server
-//     exposes any RangeBackend over TCP and a pooled Client implements
-//     it against a remote node, in internal/frame frames; gob appears
+//   - internal/shardnet is the network form of the Member role: a Server
+//     exposes any Member over TCP, enforcing that member's configuration
+//     on every handshake, and a pooled Client implements Member against a
+//     remote node, in internal/frame frames; gob appears
 //     only inside the handshake frame, which pins the protocol version,
 //     PRF, early-termination depth and party — rejections name both
 //     sides' values — and advertises the table shape, the row range the

@@ -42,14 +42,14 @@ func NewServer(party int, tab *pir.Table, cfg Config, opts ...pir.ServerOption) 
 // Update overwrites one row's content in place (an embedding-table value
 // update without insertion/deletion — the paper's transparent update path,
 // §4.2 "Changes to Embedding Table"). Clients are unaffected: indexing and
-// key shapes do not change. The write is serialized against in-flight
-// Answers on the affected bin.
+// key shapes do not change. The write lands as a new epoch of the affected
+// bin's store; in-flight Answers keep their pinned snapshot.
 func (s *Server) Update(row uint64, vals []uint32) error {
 	if row >= uint64(s.cfg.NumRows) {
 		return fmt.Errorf("batchpir: update row %d outside table of %d rows", row, s.cfg.NumRows)
 	}
 	bin, off := s.cfg.Bin(row)
-	if err := s.bins[bin].Update(off, vals); err != nil {
+	if _, err := s.bins[bin].UpdateBatch(context.Background(), []engine.RowWrite{{Row: off, Vals: vals}}); err != nil {
 		return fmt.Errorf("batchpir: %w", err)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,14 +21,14 @@ import (
 // split — Replica's in-process shard bounds, Cluster's assignment, and a
 // shard node started with `pirserver -shardnode i/n` — must compute it
 // through this one function: a node whose held slice diverges from the
-// front's assignment is only caught at startup by the RangeHolder check,
+// front's assignment is only caught at startup by the HeldRange check,
 // and two layers quietly disagreeing on the rounding is exactly the kind
 // of drift that turns into garbage shares.
 func ShardRange(rows, i, n int) (lo, hi int) {
 	return i * rows / n, (i + 1) * rows / n
 }
 
-// ClusterShard is one replica group of a Cluster: N backends that all hold
+// ClusterShard is one replica group of a Cluster: N members that all hold
 // the same row range (in-process Replicas, or shardnet.Clients speaking to
 // nodes in other processes or on other machines) plus names for errors —
 // when a member dies mid-batch the operator needs to know WHICH machine.
@@ -42,13 +43,13 @@ func ShardRange(rows, i, n int) (lo, hi int) {
 // cluster updates (the epoch handshake prepares and commits on every
 // member), so a failover never serves stale rows undetected.
 type ClusterShard struct {
-	Backend RangeBackend
+	Backend Member
 	// Name identifies Backend in errors (typically its address for
 	// remote shards); empty defaults to "shard i".
 	Name string
 	// Members are replica-group members beyond Backend (or the whole
 	// group, when Backend is nil). All entries must be non-nil.
-	Members []RangeBackend
+	Members []Member
 	// MemberNames name Members entrywise in errors; missing or empty
 	// entries default to "shard i member j".
 	MemberNames []string
@@ -101,11 +102,6 @@ func (g *groupFailure) Unwrap() []error { return g.causes }
 // diverged and must fail loudly.
 var ErrMixedEpoch = errors.New("engine: cluster shards answered at different table epochs")
 
-// ErrNotEpochCapable is wrapped by cluster update errors when a member
-// backend does not implement EpochBackend and therefore cannot join the
-// all-or-nothing epoch handshake.
-var ErrNotEpochCapable = errors.New("engine: backend does not support epoch-versioned updates")
-
 // answerEpochRetries bounds how many times Answer re-fans a batch whose
 // partials straddled an update commit.
 const answerEpochRetries = 3
@@ -129,8 +125,8 @@ const probeTimeout = 2 * time.Second
 // keeps advancing under update churn before the final locked round.
 const healAttempts = 5
 
-// healChunkWords is the word granularity Heal fetches snapshots at.
-const healChunkWords = 256 << 10
+// catchUpChunkWords is the word granularity CatchUp fetches snapshots at.
+const catchUpChunkWords = 256 << 10
 
 // memberHealth is one group member's failure-tracking state. Answer
 // goroutines and the update path share it; the mutex guards everything
@@ -224,7 +220,7 @@ func (h *memberHealth) status() (tripped, stale bool, lastErr error) {
 // shardGroup is one shard's replica group: the members, their health, and
 // the rotation counter the balancer ties on.
 type shardGroup struct {
-	members []RangeBackend
+	members []Member
 	names   []string
 	health  []*memberHealth
 	rr      atomic.Uint64
@@ -259,23 +255,23 @@ func (g *shardGroup) pick(tried []bool, now time.Time) (idx int, probe bool) {
 
 // Cluster is a Backend that splits the row domain across N shard replica
 // groups so one logical replica can span processes and machines: a key
-// batch fans out concurrently as AnswerRange calls over contiguous row
+// batch fans out concurrently as AnswerRangeEpoch calls over contiguous row
 // ranges — each shard's batch served by one load-balanced group member —
 // and the per-shard partial sums merge lane-wise mod 2^32, by the
 // linearity of the shares bit-identical to a single-process Replica over
 // the same table. Construction fails loudly on any configuration the
 // merge would silently corrupt: disagreeing table shapes, PRFs,
-// early-termination depths or parties across any members (BackendInfo),
-// or a member assigned rows it does not hold (RangeHolder).
+// early-termination depths or parties across any members, or a member
+// assigned rows it does not hold.
 //
-// Epochs make the merge safe under change: when members report the table
-// epoch their partials were computed at (EpochRangeBackend), a batch that
-// straddled an update is detected and retried instead of merged, and
-// UpdateBatch drives the prepare/commit epoch handshake so a multi-row
-// update lands on every reachable member or on none. A member that missed
-// epochs — it was unreachable during an update, or reports an older epoch
-// — is quarantined: excluded from rotation and from later handshakes
-// until Heal brings it to the current epoch via snapshot transfer.
+// Epochs make the merge safe under change: every partial names the table
+// epoch it was computed at, so a batch that straddled an update is
+// detected and retried instead of merged, and UpdateBatch drives the
+// prepare/commit epoch handshake so a multi-row update lands on every
+// reachable member or on none. A member that missed epochs — it was
+// unreachable during an update, or reports an older epoch — is
+// quarantined: excluded from rotation and from later handshakes until
+// Heal brings it to the current epoch via snapshot transfer.
 type Cluster struct {
 	groups []*shardGroup
 	// bounds[i] .. bounds[i+1] is shard i's row range, the same even
@@ -290,15 +286,11 @@ type Cluster struct {
 	// guards the merge).
 	umu sync.Mutex
 
-	// pinned configuration, known when at least one member reports
-	// BackendInfo (all reporting members must agree); ValidateKey uses it
-	// to reject bad keys at the front door. Members without BackendInfo
-	// (wrappers, test stubs) neither pin nor un-pin: they are trusted to
-	// match the configuration their siblings advertise.
+	// The configuration every member pins (NewCluster refuses a set that
+	// disagrees); ValidateKey uses it to reject bad keys at the front door.
 	prgName string
 	early   int
 	party   int
-	pinned  bool
 
 	// epochRetries counts mixed-epoch detections on the answer path —
 	// every time a batch's partials straddled an update commit (or hit a
@@ -317,7 +309,7 @@ func (c *Cluster) EpochRetries() uint64 { return c.epochRetries.Load() }
 // clusterMember is one backend of the cluster with its naming, position
 // and health handle.
 type clusterMember struct {
-	be     RangeBackend
+	be     Member
 	name   string
 	shard  int // index of the shard whose range this member serves
 	member int // index within the shard's replica group
@@ -357,7 +349,7 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	c := &Cluster{groups: make([]*shardGroup, len(shards))}
 	for i, sh := range shards {
 		g := &shardGroup{}
-		add := func(be RangeBackend, name, defName string) {
+		add := func(be Member, name, defName string) {
 			if name == "" {
 				name = defName
 			}
@@ -410,37 +402,24 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	}
 	// Every pinned fact must agree pairwise before partial shares may be
 	// merged; name both values and both members in the rejection.
-	firstName := ""
-	for _, m := range members {
-		info, ok := AsInfo(m.be)
-		if !ok {
-			continue
-		}
-		if firstName == "" {
-			firstName = m.name
-			c.prgName, c.early, c.party = info.PRGName(), info.EarlyBits(), info.Party()
-			c.pinned = true
-			continue
-		}
-		if got := info.PRGName(); got != c.prgName {
+	firstName := members[0].name
+	c.prgName, c.early, c.party = members[0].be.PRGName(), members[0].be.EarlyBits(), members[0].be.Party()
+	for _, m := range members[1:] {
+		if got := m.be.PRGName(); got != c.prgName {
 			return nil, fmt.Errorf("engine: cluster member %s serves prg=%s, %s prg=%s — members must share one PRF",
 				m.name, got, firstName, c.prgName)
 		}
-		if got := info.EarlyBits(); got != c.early {
+		if got := m.be.EarlyBits(); got != c.early {
 			return nil, fmt.Errorf("engine: cluster member %s serves early-termination depth %d, %s depth %d — members must share one depth",
 				m.name, got, firstName, c.early)
 		}
-		if got := info.Party(); got != c.party {
+		if got := m.be.Party(); got != c.party {
 			return nil, fmt.Errorf("engine: cluster member %s computes party %d shares, %s party %d — a cluster is one party",
 				m.name, got, firstName, c.party)
 		}
 	}
 	for _, m := range members {
-		holder, ok := AsRangeHolder(m.be)
-		if !ok {
-			continue
-		}
-		lo, hi := holder.HeldRange()
+		lo, hi := m.be.HeldRange()
 		if lo < 0 || hi > c.rows || lo >= hi {
 			return nil, fmt.Errorf("engine: cluster member %s claims to hold an invalid row range [%d,%d) of %d rows", m.name, lo, hi, c.rows)
 		}
@@ -508,21 +487,10 @@ func (c *Cluster) Counters() gpu.Stats {
 	return total
 }
 
-// answerRangeEpoch evaluates keys against [lo, hi) on be, reporting the
-// table epoch when the backend can pin one (hasEpoch false otherwise).
-func answerRangeEpoch(ctx context.Context, be RangeBackend, keys [][]byte, lo, hi int) (part [][]uint32, epoch uint64, hasEpoch bool, err error) {
-	if eb, ok := AsEpochRange(be); ok {
-		return eb.AnswerRangeEpoch(ctx, keys, lo, hi)
-	}
-	part, err = be.AnswerRange(ctx, keys, lo, hi)
-	return part, 0, false, err
-}
-
 // shardAnswer is one shard's successful contribution to a batch.
 type shardAnswer struct {
-	part     [][]uint32
-	epoch    uint64
-	hasEpoch bool
+	part  [][]uint32
+	epoch uint64
 	// name is the member that actually produced the partial, for
 	// epoch-mismatch errors.
 	name string
@@ -537,9 +505,9 @@ type shardAnswer struct {
 // a *ShardError naming the shard with every member's failure enumerated —
 // a failure induced by the caller's own ctx keeps the ctx error in the
 // chain (errors.Is sees DeadlineExceeded). Partials are merged only when
-// every shard that reports a table epoch reports the SAME one; a batch
-// that straddles an update commit is re-fanned (bounded retries), so a
-// mixed-epoch answer can never be returned.
+// every shard reports the SAME table epoch; a batch that straddles an
+// update commit is re-fanned (bounded retries), so a mixed-epoch answer
+// can never be returned.
 func (c *Cluster) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("engine: empty key batch")
@@ -589,27 +557,29 @@ func (c *Cluster) groupAnswer(ctx context.Context, shard int, keys [][]byte) (sh
 		}
 		h := g.health[idx]
 		if probe {
-			if p, ok := AsPinger(g.members[idx]); ok {
-				pctx, pcancel := context.WithTimeout(ctx, probeTimeout)
-				perr := p.Ping(pctx)
-				pcancel()
-				if perr != nil {
-					tried[idx] = true
-					memberErrs[idx] = fmt.Errorf("health probe failed: %w", perr)
-					if ctx.Err() == nil {
-						h.onFailure(perr, time.Now())
-					}
-					continue
+			pctx, pcancel := context.WithTimeout(ctx, probeTimeout)
+			perr := g.members[idx].Ping(pctx)
+			pcancel()
+			if perr != nil {
+				tried[idx] = true
+				memberErrs[idx] = fmt.Errorf("health probe failed: %w", perr)
+				if ctx.Err() == nil {
+					h.onFailure(perr, time.Now())
 				}
+				continue
 			}
 		}
 		tried[idx] = true
 		h.inflight.Add(1)
-		part, epoch, hasEpoch, err := answerRangeEpoch(ctx, g.members[idx], keys, lo, hi)
+		part, epoch, ok, err := g.members[idx].AnswerRangeEpoch(ctx, keys, lo, hi)
 		h.inflight.Add(-1)
+		if err == nil && !ok {
+			// Shares of an unnamed table version can never be merged.
+			err = errors.New("engine: partial shares carry no table epoch")
+		}
 		if err == nil {
 			h.onSuccess()
-			return shardAnswer{part: part, epoch: epoch, hasEpoch: hasEpoch, name: g.names[idx]}, nil
+			return shardAnswer{part: part, epoch: epoch, name: g.names[idx]}, nil
 		}
 		memberErrs[idx] = err
 		if ctx.Err() == nil {
@@ -702,18 +672,10 @@ func (c *Cluster) answerOnce(ctx context.Context, keys [][]byte) ([][]uint32, er
 	// Partials may only merge when they were computed against one table
 	// epoch: members on different epochs would sum shares of two
 	// different tables into one silently wrong answer.
-	ref := -1
-	for i, r := range results {
-		if !r.hasEpoch {
-			continue
-		}
-		if ref < 0 {
-			ref = i
-			continue
-		}
-		if r.epoch != results[ref].epoch {
-			return nil, fmt.Errorf("%w: shard %d (%s) at epoch %d, shard %d (%s) at epoch %d",
-				ErrMixedEpoch, ref, results[ref].name, results[ref].epoch, i, r.name, r.epoch)
+	for i, r := range results[1:] {
+		if r.epoch != results[0].epoch {
+			return nil, fmt.Errorf("%w: shard 0 (%s) at epoch %d, shard %d (%s) at epoch %d",
+				ErrMixedEpoch, results[0].name, results[0].epoch, i+1, r.name, r.epoch)
 		}
 	}
 	answers := strategy.NewAnswers(len(keys), c.lanes)
@@ -738,21 +700,6 @@ func (c *Cluster) answerOnce(ctx context.Context, keys [][]byte) ([][]uint32, er
 // shardErr wraps err as the named failure of member m.
 func (c *Cluster) shardErr(m clusterMember, err error) *ShardError {
 	return &ShardError{Shard: m.shard, Name: m.name, Lo: c.bounds[m.shard], Hi: c.bounds[m.shard+1], Err: err}
-}
-
-// epochBackends resolves every given member as an EpochBackend, or
-// returns a named error for the first member that cannot join the epoch
-// handshake.
-func (c *Cluster) epochBackends(ms []clusterMember) ([]EpochBackend, error) {
-	ebs := make([]EpochBackend, len(ms))
-	for i, m := range ms {
-		eb, ok := AsEpoch(m.be)
-		if !ok {
-			return nil, c.shardErr(m, fmt.Errorf("%w (member %s)", ErrNotEpochCapable, m.name))
-		}
-		ebs[i] = eb
-	}
-	return ebs, nil
 }
 
 // forMembers runs fn on every member concurrently and returns the first
@@ -782,14 +729,10 @@ func (c *Cluster) forMembers(ms []clusterMember, fn func(i int) error) error {
 // 0) is a named error, never a quiet majority vote.
 func (c *Cluster) Epoch(ctx context.Context) (uint64, error) {
 	ms := c.activeMembers()
-	ebs, err := c.epochBackends(ms)
-	if err != nil {
-		return 0, err
-	}
 	epochs := make([]uint64, len(ms))
 	if err := c.forMembers(ms, func(i int) error {
 		var eerr error
-		epochs[i], eerr = ebs[i].Epoch(ctx)
+		epochs[i], eerr = ms[i].be.Epoch(ctx)
 		return eerr
 	}); err != nil {
 		return 0, err
@@ -829,10 +772,6 @@ func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 	c.umu.Lock()
 	defer c.umu.Unlock()
 	ms := c.activeMembers()
-	ebs, err := c.epochBackends(ms)
-	if err != nil {
-		return 0, err
-	}
 	// Gather every participant's epoch. The max wins: members below it
 	// missed a past update and are quarantined, members that cannot
 	// answer are unreachable and are quarantined too — both rejoin via
@@ -844,7 +783,7 @@ func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 	for i := range ms {
 		go func(i int) {
 			defer wg.Done()
-			epochs[i], gatherErrs[i] = ebs[i].Epoch(ctx)
+			epochs[i], gatherErrs[i] = ms[i].be.Epoch(ctx)
 		}(i)
 	}
 	wg.Wait()
@@ -861,7 +800,6 @@ func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 		}
 	}
 	participants := ms[:0]
-	pebs := ebs[:0]
 	for i, m := range ms {
 		switch {
 		case gatherErrs[i] != nil:
@@ -870,7 +808,6 @@ func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 			m.h.quarantine(fmt.Errorf("behind at epoch %d (cluster at epoch %d)", epochs[i], epoch))
 		default:
 			participants = append(participants, m)
-			pebs = append(pebs, ebs[i])
 		}
 	}
 	if err := c.requireAllShards(participants); err != nil {
@@ -899,19 +836,19 @@ func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 		for i := range participants {
 			go func(i int) {
 				defer awg.Done()
-				_ = pebs[i].AbortUpdate(actx, target) // idempotent; best effort
+				_ = participants[i].be.AbortUpdate(actx, target) // idempotent; best effort
 			}(i)
 		}
 		awg.Wait()
 	}
 	if err := c.forMembers(participants, func(i int) error {
-		return pebs[i].PrepareUpdate(ctx, target, perShard[participants[i].shard])
+		return participants[i].be.PrepareUpdate(ctx, target, perShard[participants[i].shard])
 	}); err != nil {
 		abortAll()
 		return 0, fmt.Errorf("engine: cluster update aborted at prepare: %w", err)
 	}
 	if err := c.forMembers(participants, func(i int) error {
-		return pebs[i].CommitUpdate(ctx, target)
+		return participants[i].be.CommitUpdate(ctx, target)
 	}); err != nil {
 		abortAll()
 		return 0, fmt.Errorf("engine: cluster update rolled back at commit: %w", err)
@@ -939,46 +876,12 @@ func (c *Cluster) requireAllShards(ms []clusterMember) error {
 	return nil
 }
 
-// Update implements Backend. When every active member supports
-// epoch-versioned updates the write goes through UpdateBatch — one atomic
-// epoch across the whole cluster. Otherwise it falls back to routing the
-// write to every member of the shard that serves the row (so a later
-// failover does not serve the stale value).
-func (c *Cluster) Update(row uint64, vals []uint32) error {
-	if row >= uint64(c.rows) {
-		return fmt.Errorf("engine: update row %d outside table of %d rows", row, c.rows)
-	}
-	if len(vals) != c.lanes {
-		return fmt.Errorf("engine: update has %d lanes, table rows have %d", len(vals), c.lanes)
-	}
-	if _, err := c.epochBackends(c.activeMembers()); err == nil {
-		_, uerr := c.UpdateBatch(context.Background(), []RowWrite{{Row: row, Vals: vals}})
-		return uerr
-	}
-	i := 0
-	for int(row) >= c.bounds[i+1] {
-		i++
-	}
-	g := c.groups[i]
-	for j, be := range g.members {
-		if err := be.Update(row, vals); err != nil {
-			return &ShardError{Shard: i, Name: g.names[j], Lo: c.bounds[i], Hi: c.bounds[i+1], Err: err}
-		}
-	}
-	return nil
-}
-
-// ValidateKey implements KeyValidator when the member set pins a
-// configuration (at least one member reported BackendInfo): the key must
-// unmarshal, carry the cluster's party, be scalar, and match the domain's
-// tree depth and the pinned early-termination depth — the same checks
-// Replica.ValidateKey runs, performed at the cluster front so a bad key
-// fails its own request before any network fan-out. Without a pinned
-// configuration it accepts everything and leaves rejection to the shards.
+// ValidateKey implements KeyValidator: the key must unmarshal, carry the
+// cluster's party, be scalar, and match the domain's tree depth and the
+// members' early-termination depth — the same checks Replica.ValidateKey
+// runs, performed at the cluster front so a bad key fails its own request
+// before any network fan-out.
 func (c *Cluster) ValidateKey(raw []byte) error {
-	if !c.pinned {
-		return nil
-	}
 	prefix := func() string {
 		return fmt.Sprintf("engine cluster (prg=%s, key wire v%d)", c.prgName, dpf.WireVersion(raw))
 	}
@@ -992,25 +895,15 @@ func (c *Cluster) ValidateKey(raw []byte) error {
 	return nil
 }
 
-// PRGName implements BackendInfo when pinned ("" otherwise).
-func (c *Cluster) PRGName() string { return c.prgName }
-
-// EarlyBits implements BackendInfo when pinned (0 otherwise).
+// EarlyBits returns the early-termination depth the members serve.
 func (c *Cluster) EarlyBits() int { return c.early }
-
-// Party implements BackendInfo when pinned (0 otherwise).
-func (c *Cluster) Party() int { return c.party }
-
-// Pinned reports whether any member exposed its configuration, i.e.
-// whether ValidateKey and the BackendInfo accessors are authoritative.
-func (c *Cluster) Pinned() bool { return c.pinned }
 
 // Close closes every member backend that is closeable (remote shard
 // clients included); in-process replicas have nothing to close.
 func (c *Cluster) Close() error {
 	var first error
 	for _, m := range c.members() {
-		if closer, ok := AsCloser(m.be); ok {
+		if closer, ok := m.be.(io.Closer); ok {
 			if err := closer.Close(); err != nil && first == nil {
 				first = err
 			}

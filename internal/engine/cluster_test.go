@@ -7,36 +7,63 @@ import (
 	"testing"
 
 	"gpudpf/internal/gpu"
+	"gpudpf/internal/strategy"
 )
 
-// stubRange is a scriptable RangeBackend for fault and validation tests.
+// stubRange is a scriptable Member for fault and validation tests: a real
+// party-0 Replica over a zero table of the given shape whose range answers
+// and counters are scripted (it never looks at the keys).
 type stubRange struct {
-	rows, lanes int
-	fail        error
-	onAnswer    func(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error)
+	*Replica
+	fail     error
+	onAnswer func(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error)
 }
 
-func (s *stubRange) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
-	return s.AnswerRange(ctx, keys, 0, s.rows)
+func stub(t testing.TB, rows, lanes int) *stubRange {
+	t.Helper()
+	tab, err := strategy.NewTable(rows, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplica(tab, Config{Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &stubRange{Replica: rep}
 }
 
-func (s *stubRange) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
+func (s *stubRange) failing(err error) *stubRange { s.fail = err; return s }
+
+func (s *stubRange) answering(fn func(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error)) *stubRange {
+	s.onAnswer = fn
+	return s
+}
+
+func (s *stubRange) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	if s.onAnswer != nil {
-		return s.onAnswer(ctx, keys, lo, hi)
+		part, err := s.onAnswer(ctx, keys, lo, hi)
+		return part, 0, err == nil, err
 	}
 	if s.fail != nil {
-		return nil, s.fail
+		return nil, 0, false, s.fail
 	}
-	out := make([][]uint32, len(keys))
-	for i := range out {
-		out[i] = make([]uint32, s.lanes)
-	}
-	return out, nil
+	_, lanes := s.Shape()
+	return strategy.NewAnswers(len(keys), lanes), 0, true, nil
 }
 
-func (s *stubRange) Update(row uint64, vals []uint32) error { return s.fail }
-func (s *stubRange) Counters() gpu.Stats                    { return gpu.Stats{PRFBlocks: 10, ReadBytes: 20} }
-func (s *stubRange) Shape() (int, int)                      { return s.rows, s.lanes }
+func (s *stubRange) Counters() gpu.Stats { return gpu.Stats{PRFBlocks: 10, ReadBytes: 20} }
+
+// update1 installs one row through UpdateBatch, the one update path.
+func update1(be Backend, row uint64, vals []uint32) error {
+	_, err := be.UpdateBatch(context.Background(), []RowWrite{{Row: row, Vals: vals}})
+	return err
+}
+
+// answerRange is AnswerRangeEpoch for tests that only want the partials.
+func answerRange(m Member, keys [][]byte, lo, hi int) ([][]uint32, error) {
+	part, _, _, err := m.AnswerRangeEpoch(context.Background(), keys, lo, hi)
+	return part, err
+}
 
 // TestClusterMatchesReplicaInProcess: clusters of 1..5 in-process replica
 // shards answer bit-identically to the unsharded replica, for both
@@ -70,9 +97,6 @@ func TestClusterMatchesReplicaInProcess(t *testing.T) {
 			clusters[p], err = NewCluster(members...)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !clusters[p].Pinned() {
-				t.Fatal("all-replica cluster not pinned")
 			}
 		}
 		for p, keys := range [][][]byte{k0s, k1s} {
@@ -113,8 +137,8 @@ func TestClusterMatchesReplicaInProcess(t *testing.T) {
 	}
 }
 
-// TestClusterUpdate: writes route to the owning shard and are visible to
-// the next answer; out-of-shape writes are rejected.
+// TestClusterUpdate: single-row writes route to the owning shard and are
+// visible to the next answer; out-of-shape writes are rejected.
 func TestClusterUpdate(t *testing.T) {
 	const rows, lanes = 200, 4
 	tab := buildTable(t, rows, lanes, 23)
@@ -138,10 +162,10 @@ func TestClusterUpdate(t *testing.T) {
 	// one table here, routing correctness shows as the write landing at all.
 	for _, row := range []uint64{0, 60, 120, 199} {
 		vals := []uint32{uint32(row), 2, 3, 4}
-		if err := cluster.Update(row, vals); err != nil {
+		if err := update1(cluster, row, vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Update(row, vals); err != nil {
+		if err := update1(ref, row, vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -161,10 +185,10 @@ func TestClusterUpdate(t *testing.T) {
 			}
 		}
 	}
-	if err := cluster.Update(uint64(rows), []uint32{1, 2, 3, 4}); err == nil {
+	if err := update1(cluster, uint64(rows), []uint32{1, 2, 3, 4}); err == nil {
 		t.Fatal("out-of-range update accepted")
 	}
-	if err := cluster.Update(0, []uint32{1}); err == nil {
+	if err := update1(cluster, 0, []uint32{1}); err == nil {
 		t.Fatal("wrong-width update accepted")
 	}
 }
@@ -178,13 +202,13 @@ func TestClusterConstructionValidation(t *testing.T) {
 	if _, err := NewCluster(ClusterShard{}); err == nil {
 		t.Fatal("nil backend accepted")
 	}
-	a := &stubRange{rows: 100, lanes: 4}
-	b := &stubRange{rows: 100, lanes: 8}
+	a := stub(t, 100, 4)
+	b := stub(t, 100, 8)
 	_, err := NewCluster(ClusterShard{Backend: a, Name: "a"}, ClusterShard{Backend: b, Name: "b"})
 	if err == nil || !strings.Contains(err.Error(), "100×8") || !strings.Contains(err.Error(), "100×4") {
 		t.Fatalf("shape mismatch not named: %v", err)
 	}
-	tiny := &stubRange{rows: 2, lanes: 1}
+	tiny := stub(t, 2, 1)
 	members := []ClusterShard{{Backend: tiny}, {Backend: tiny}, {Backend: tiny}}
 	if _, err := NewCluster(members...); err == nil {
 		t.Fatal("3 shards over 2 rows assembled")
@@ -196,9 +220,9 @@ func TestClusterConstructionValidation(t *testing.T) {
 func TestClusterShardErrorIdentifiesShard(t *testing.T) {
 	cause := errors.New("disk on fire")
 	members := []ClusterShard{
-		{Backend: &stubRange{rows: 100, lanes: 2}, Name: "alpha"},
-		{Backend: &stubRange{rows: 100, lanes: 2, fail: cause}, Name: "beta"},
-		{Backend: &stubRange{rows: 100, lanes: 2}, Name: "gamma"},
+		{Backend: stub(t, 100, 2), Name: "alpha"},
+		{Backend: stub(t, 100, 2).failing(cause), Name: "beta"},
+		{Backend: stub(t, 100, 2), Name: "gamma"},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -231,8 +255,8 @@ func TestClusterCancellationPreference(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	members := []ClusterShard{
-		{Backend: &stubRange{rows: 100, lanes: 2, onAnswer: blocked}, Name: "patient"},
-		{Backend: &stubRange{rows: 100, lanes: 2, fail: cause}, Name: "dead"},
+		{Backend: stub(t, 100, 2).answering(blocked), Name: "patient"},
+		{Backend: stub(t, 100, 2).failing(cause), Name: "dead"},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -255,9 +279,9 @@ func TestClusterCancellationPreference(t *testing.T) {
 // TestClusterCountersAggregate: counters sum across shards.
 func TestClusterCountersAggregate(t *testing.T) {
 	members := []ClusterShard{
-		{Backend: &stubRange{rows: 100, lanes: 2}},
-		{Backend: &stubRange{rows: 100, lanes: 2}},
-		{Backend: &stubRange{rows: 100, lanes: 2}},
+		{Backend: stub(t, 100, 2)},
+		{Backend: stub(t, 100, 2)},
+		{Backend: stub(t, 100, 2)},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -276,8 +300,8 @@ func TestClusterMalformedPartials(t *testing.T) {
 		return [][]uint32{{1, 2}}, nil // one answer regardless of batch size
 	}
 	members := []ClusterShard{
-		{Backend: &stubRange{rows: 100, lanes: 2}, Name: "honest"},
-		{Backend: &stubRange{rows: 100, lanes: 2, onAnswer: short}, Name: "liar"},
+		{Backend: stub(t, 100, 2), Name: "honest"},
+		{Backend: stub(t, 100, 2).answering(short), Name: "liar"},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -290,9 +314,8 @@ func TestClusterMalformedPartials(t *testing.T) {
 	}
 }
 
-// TestClusterValidateKey: a pinned cluster rejects keys for the wrong
-// party, depth or domain with the same naming the replica uses; an
-// unpinned cluster defers to its shards.
+// TestClusterValidateKey: a cluster rejects keys for the wrong party,
+// depth or domain with the same naming the replica uses.
 func TestClusterValidateKey(t *testing.T) {
 	const rows, lanes = 256, 4
 	tab := buildTable(t, rows, lanes, 31)
@@ -323,43 +346,9 @@ func TestClusterValidateKey(t *testing.T) {
 	if err := cluster.ValidateKey(smallKeys[0]); err == nil || !strings.Contains(err.Error(), "bits") {
 		t.Fatalf("wrong-domain key: %v", err)
 	}
-
-	unpinned, err := NewCluster(
-		ClusterShard{Backend: &stubRange{rows: rows, lanes: lanes}},
-		ClusterShard{Backend: &stubRange{rows: rows, lanes: lanes}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unpinned.Pinned() {
-		t.Fatal("stub cluster claims to be pinned")
-	}
-	if err := unpinned.ValidateKey([]byte{9, 9}); err != nil {
-		t.Fatalf("unpinned cluster should defer validation: %v", err)
-	}
-
-	// One info-bearing shard is enough to pin: a front over a mixed set
-	// (replica + opaque wrapper) must still reject bad keys at the door.
-	rep, err := NewReplica(tab, Config{Party: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	partial, err := NewCluster(
-		ClusterShard{Backend: rep},
-		ClusterShard{Backend: &stubRange{rows: rows, lanes: lanes}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !partial.Pinned() {
-		t.Fatal("cluster with an info-bearing shard not pinned")
-	}
-	if err := partial.ValidateKey(k1s[0]); err == nil {
-		t.Fatal("partially-pinned cluster accepted a wrong-party key")
-	}
 }
 
-// TestReplicaAnswerRangePartition: AnswerRange partials over any partition
+// TestReplicaAnswerRangePartition: AnswerRangeEpoch partials over any partition
 // of the rows sum to the full answer (the property Cluster merging rests
 // on), including partitions not aligned to the replica's own shards.
 func TestReplicaAnswerRangePartition(t *testing.T) {
@@ -385,7 +374,7 @@ func TestReplicaAnswerRangePartition(t *testing.T) {
 			sum[q] = make([]uint32, lanes)
 		}
 		for c := 0; c+1 < len(cuts); c++ {
-			part, err := rep.AnswerRange(context.Background(), keys, cuts[c], cuts[c+1])
+			part, err := answerRange(rep, keys, cuts[c], cuts[c+1])
 			if err != nil {
 				t.Fatalf("range [%d,%d): %v", cuts[c], cuts[c+1], err)
 			}
@@ -403,10 +392,10 @@ func TestReplicaAnswerRangePartition(t *testing.T) {
 			}
 		}
 	}
-	if _, err := rep.AnswerRange(context.Background(), keys, 10, 5); err == nil {
+	if _, err := answerRange(rep, keys, 10, 5); err == nil {
 		t.Fatal("inverted range accepted")
 	}
-	if _, err := rep.AnswerRange(context.Background(), keys, 0, rows+1); err == nil {
+	if _, err := answerRange(rep, keys, 0, rows+1); err == nil {
 		t.Fatal("out-of-table range accepted")
 	}
 }

@@ -1,14 +1,13 @@
-// Package engine unifies the server-side request path behind one seam: a
-// Backend interface that every consumer (pir.Server, batchpir.Server,
-// core.Service, serving.Batcher, cmd/pirserver) routes answers through, and
-// a sharded Replica implementation that partitions the table into
-// contiguous row ranges and fans each key batch across a bounded worker
-// pool. Shares are additive (mod 2^32, lane-wise), so per-shard partial
+// Package engine unifies the server-side request path behind one seam
+// (capability.go): the Backend interface every consumer (pir.Server,
+// batchpir.Server, core.Service, serving.Front, cmd/pirserver) routes
+// answers and updates through, the Member interface a Cluster or a shard
+// node holds, and a sharded Replica implementation that partitions the
+// table into contiguous row ranges and fans each key batch across a
+// bounded worker pool. Shares are additive (mod 2^32, lane-wise), so per-shard partial
 // sums merge into exactly the answers a sequential evaluation produces —
 // the same linearity the paper's multi-GPU scheme exploits (§3.2.7), here
 // applied inside one replica so the hot path is parallel end to end.
-// Future backends (GPU simulation, multi-device, remote shards) plug into
-// the same interface.
 package engine
 
 import (
@@ -23,69 +22,6 @@ import (
 	"gpudpf/internal/store"
 	"gpudpf/internal/strategy"
 )
-
-// Backend is one party's answer engine as seen by every request path.
-type Backend interface {
-	// Answer expands a batch of marshaled DPF keys against the table and
-	// returns one answer share (Lanes wide) per key. Safe for concurrent
-	// use; ctx cancels work between shards. Each call evaluates against
-	// one consistent table epoch: an update installed mid-batch is not
-	// seen by that batch.
-	Answer(ctx context.Context, keys [][]byte) ([][]uint32, error)
-	// Update overwrites one row's content (the paper's transparent
-	// embedding-update path, §4.2). Backends over an epoch-versioned
-	// store install the write as a new table epoch without blocking
-	// in-flight Answers, which keep their pinned snapshot; batch writes
-	// go through EpochBackend.UpdateBatch.
-	Update(row uint64, vals []uint32) error
-	// Counters exposes the accumulated execution counters (PRF blocks,
-	// modeled memory, traffic) for reporting.
-	Counters() gpu.Stats
-	// Shape returns the served table's row and lane counts.
-	Shape() (rows, lanes int)
-}
-
-// RangeBackend is a Backend that can also evaluate a batch against a row
-// sub-range of its domain, returning per-key PARTIAL answer shares:
-// summing the partials of ranges that partition [0, rows) lane-wise
-// (mod 2^32) yields exactly Answer's shares — the same linearity
-// Replica's in-process shards exploit, exposed so a Cluster can split one
-// logical replica's row domain across backends that live in other
-// processes or on other machines (shardnet.Client is the remote
-// implementation).
-type RangeBackend interface {
-	Backend
-	// AnswerRange evaluates the keys against rows [lo, hi) only.
-	AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error)
-}
-
-// BackendInfo exposes the serving configuration a backend pins — the
-// facts two backends must agree on before their partial shares can be
-// merged. Cluster uses it to reject a mixed-configuration shard set at
-// construction instead of serving garbage shares.
-type BackendInfo interface {
-	// PRGName names the PRF served keys must use.
-	PRGName() string
-	// EarlyBits is the early-termination depth served keys must carry
-	// (0 = legacy full-depth wire-v1 keys).
-	EarlyBits() int
-	// Party is which share (0 or 1) the backend computes.
-	Party() int
-}
-
-// RangeHolder reports which global rows a backend authoritatively holds.
-// A shard node serving rows [lo, hi) of a larger domain answers garbage
-// outside that range; Cluster checks each shard's assignment against it.
-type RangeHolder interface {
-	HeldRange() (lo, hi int)
-}
-
-// KeyValidator checks a marshaled key against a backend's configuration
-// without evaluating it. Batching front doors use it to reject a bad key
-// at its own request instead of failing every co-batched request.
-type KeyValidator interface {
-	ValidateKey(raw []byte) error
-}
 
 // Config assembles a Replica.
 type Config struct {
@@ -125,7 +61,7 @@ const FullDepthKeys = -1
 // Replica is the sharded Backend over one party's table replica. The
 // table lives in an epoch-versioned store.Store: every Answer pins one
 // immutable snapshot for the whole batch, and updates install new epochs
-// without blocking readers — Update/Answer share no lock at all.
+// without blocking readers — UpdateBatch/Answer share no lock at all.
 type Replica struct {
 	party   uint8
 	prg     dpf.PRG
@@ -149,7 +85,7 @@ type Replica struct {
 
 // NewReplica builds the sharded engine over the table, adopting it as
 // epoch 0 of a fresh store.Store — the caller must not mutate the table
-// afterwards; all writes go through Update/UpdateBatch (which install new
+// afterwards; all writes go through UpdateBatch (which installs new
 // epochs and leave prior snapshots untouched).
 func NewReplica(tab *strategy.Table, cfg Config) (*Replica, error) {
 	if tab == nil || tab.NumRows == 0 {
@@ -276,10 +212,10 @@ func (r *Replica) Strategy() strategy.Strategy { return r.strat }
 // (0 = legacy full-depth wire-v1 keys).
 func (r *Replica) EarlyBits() int { return r.early }
 
-// PRGName implements BackendInfo: the PRF served keys must use.
+// PRGName implements Member: the PRF served keys must use.
 func (r *Replica) PRGName() string { return r.prg.Name() }
 
-// HeldRange implements RangeHolder: a replica holds its whole table.
+// HeldRange implements Member: a replica holds its whole table.
 func (r *Replica) HeldRange() (lo, hi int) { return 0, r.rows }
 
 // Shape implements Backend.
@@ -429,21 +365,12 @@ func (r *Replica) Answer(ctx context.Context, rawKeys [][]byte) ([][]uint32, err
 	return answers, err
 }
 
-// AnswerRange implements RangeBackend: the batch is evaluated against rows
+// AnswerRangeEpoch implements Member: the batch is evaluated against rows
 // [lo, hi) only, the range split across the replica's shard/worker budget
 // exactly like Answer splits the full table, yielding the partial shares a
-// Cluster merges. Unlike Answer's steady state, the per-call shard bounds
-// are freshly allocated — this is the network-facing path, not the
-// in-process hot path.
-func (r *Replica) AnswerRange(ctx context.Context, rawKeys [][]byte, lo, hi int) ([][]uint32, error) {
-	answers, _, _, err := r.AnswerRangeEpoch(ctx, rawKeys, lo, hi)
-	return answers, err
-}
-
-// AnswerRangeEpoch implements EpochRangeBackend: AnswerRange plus the
-// epoch of the snapshot the partials were computed against — what lets a
-// Cluster refuse to merge partials from different table versions. ok is
-// always true: a replica's table is always epoch-versioned.
+// Cluster merges and the epoch of the snapshot they were computed against.
+// Unlike Answer's steady state, the per-call shard bounds are freshly
+// allocated — this is the network-facing path, not the in-process hot path.
 func (r *Replica) AnswerRangeEpoch(ctx context.Context, rawKeys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	if lo < 0 || hi > r.rows || lo >= hi {
 		return nil, 0, false, fmt.Errorf("engine: row range [%d,%d) invalid for table of %d rows", lo, hi, r.rows)
@@ -460,7 +387,7 @@ func (r *Replica) AnswerRangeEpoch(ctx context.Context, rawKeys [][]byte, lo, hi
 	return answers, epoch, err == nil, err
 }
 
-// answerBounds is the shared Answer/AnswerRange core: shard i of the call
+// answerBounds is the shared Answer/AnswerRangeEpoch core: shard i of the call
 // covers rows [bounds[i], bounds[i+1]). The returned epoch is the pinned
 // snapshot's.
 func (r *Replica) answerBounds(ctx context.Context, rawKeys [][]byte, bounds []int) ([][]uint32, uint64, error) {
@@ -551,23 +478,3 @@ func (r *Replica) answerBounds(ctx context.Context, rawKeys [][]byte, bounds []i
 	r.scratch.Put(sc)
 	return answers, epoch, nil
 }
-
-// Update implements Backend: the single-row form of UpdateBatch, installed
-// as a new table epoch (in-flight Answers keep their pinned snapshot).
-func (r *Replica) Update(row uint64, vals []uint32) error {
-	if row >= uint64(r.rows) {
-		return fmt.Errorf("engine: update row %d outside table of %d rows", row, r.rows)
-	}
-	if len(vals) != r.lanes {
-		return fmt.Errorf("engine: update has %d lanes, table rows have %d", len(vals), r.lanes)
-	}
-	_, err := r.UpdateBatch(context.Background(), []RowWrite{{Row: row, Vals: vals}})
-	return err
-}
-
-var _ RangeBackend = (*Replica)(nil)
-var _ BackendInfo = (*Replica)(nil)
-var _ RangeHolder = (*Replica)(nil)
-var _ KeyValidator = (*Replica)(nil)
-var _ EpochBackend = (*Replica)(nil)
-var _ EpochRangeBackend = (*Replica)(nil)

@@ -158,10 +158,10 @@ func TestReplicaUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	newRow := []uint32{111, 222, 333}
-	if err := r0.Update(10, newRow); err != nil {
+	if err := update1(r0, 10, newRow); err != nil {
 		t.Fatal(err)
 	}
-	if err := r1.Update(10, newRow); err != nil {
+	if err := update1(r1, 10, newRow); err != nil {
 		t.Fatal(err)
 	}
 	k0s, k1s := genKeys(t, tab, []uint64{10}, 6)
@@ -178,10 +178,10 @@ func TestReplicaUpdate(t *testing.T) {
 			t.Fatalf("lane %d: reconstructed %d != updated %d", l, got, want)
 		}
 	}
-	if err := r0.Update(uint64(rows), newRow); err == nil {
+	if err := update1(r0, uint64(rows), newRow); err == nil {
 		t.Error("out-of-range update accepted")
 	}
-	if err := r0.Update(0, []uint32{1}); err == nil {
+	if err := update1(r0, 0, []uint32{1}); err == nil {
 		t.Error("wrong-width update accepted")
 	}
 }

@@ -12,50 +12,7 @@ import (
 // every layer importing the store directly).
 type RowWrite = store.RowWrite
 
-// EpochBackend is a Backend whose table is epoch-versioned: updates
-// install whole new epochs (readers pinned to the old epoch are never
-// blocked or torn), batches of row writes land atomically, and the
-// two-phase Prepare/Commit/Abort form lets a coordinator — engine.Cluster
-// — install one epoch across many shards all-or-nothing. engine.Replica
-// implements it over its store.Store; shardnet.Client implements it over
-// the wire.
-type EpochBackend interface {
-	Backend
-	// Epoch returns the backend's current effective table epoch (aborted
-	// epochs count: they are burned, never reissued).
-	Epoch(ctx context.Context) (uint64, error)
-	// UpdateBatch installs the writes atomically as the next epoch and
-	// returns it. Concurrent Answers keep their pinned snapshot.
-	UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, error)
-	// PrepareUpdate stages the writes as the given epoch (which must lie
-	// above the backend's effective epoch), invisible to readers until
-	// CommitUpdate.
-	PrepareUpdate(ctx context.Context, epoch uint64, writes []RowWrite) error
-	// CommitUpdate installs the staged epoch.
-	CommitUpdate(ctx context.Context, epoch uint64) error
-	// AbortUpdate undoes the epoch whatever phase it reached: it drops a
-	// staged epoch, rolls back a committed current epoch to its
-	// predecessor, and no-ops when the backend never saw the epoch —
-	// idempotent on purpose, so a coordinator can fan it everywhere
-	// after a partial failure without tracking who got how far.
-	AbortUpdate(ctx context.Context, epoch uint64) error
-}
-
-// EpochRangeBackend is a RangeBackend that reports which table epoch each
-// range evaluation ran against. A Cluster uses it to refuse merging
-// partial shares computed at different epochs — the check that makes
-// mixed-epoch answers impossible rather than merely unlikely.
-type EpochRangeBackend interface {
-	RangeBackend
-	// AnswerRangeEpoch is AnswerRange plus the epoch of the snapshot the
-	// partials were computed against. ok is false when the epoch is
-	// unknown (a remote node fronting a backend that is not
-	// epoch-versioned); such partials merge unchecked, exactly like a
-	// backend that does not implement this interface at all.
-	AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) (answers [][]uint32, epoch uint64, ok bool, err error)
-}
-
-// Epoch implements EpochBackend: the replica's current effective table
+// Epoch implements Member: the replica's current effective table
 // epoch.
 func (r *Replica) Epoch(ctx context.Context) (uint64, error) {
 	if err := ctx.Err(); err != nil {
@@ -81,7 +38,7 @@ func validateRowWrites(writes []RowWrite, rows, lanes int) error {
 	return nil
 }
 
-// UpdateBatch implements EpochBackend: the writes land atomically as one
+// UpdateBatch implements Backend: the writes land atomically as one
 // new epoch — an Answer observes all of them or none, never a torn subset.
 func (r *Replica) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, error) {
 	if err := ctx.Err(); err != nil {
@@ -97,7 +54,7 @@ func (r *Replica) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, e
 	return epoch, nil
 }
 
-// PrepareUpdate implements EpochBackend.
+// PrepareUpdate implements Member.
 func (r *Replica) PrepareUpdate(ctx context.Context, epoch uint64, writes []RowWrite) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -111,7 +68,7 @@ func (r *Replica) PrepareUpdate(ctx context.Context, epoch uint64, writes []RowW
 	return nil
 }
 
-// CommitUpdate implements EpochBackend.
+// CommitUpdate implements Member.
 func (r *Replica) CommitUpdate(ctx context.Context, epoch uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -122,7 +79,7 @@ func (r *Replica) CommitUpdate(ctx context.Context, epoch uint64) error {
 	return nil
 }
 
-// AbortUpdate implements EpochBackend.
+// AbortUpdate implements Member.
 func (r *Replica) AbortUpdate(ctx context.Context, epoch uint64) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -10,7 +10,7 @@ import (
 	"gpudpf/internal/strategy"
 )
 
-// flakyPrimary wraps a healthy replica and fails AnswerRange(Epoch) while
+// flakyPrimary wraps a healthy replica and fails AnswerRangeEpoch while
 // tripped — a primary that died mid-service but would answer correctly if
 // it were alive (so accidental routing THROUGH it would not be caught by
 // share comparison; only the failover path produces answers at all).
@@ -25,11 +25,6 @@ func (f *flakyPrimary) trip() {
 	f.mu.Lock()
 	f.tripped = true
 	f.mu.Unlock()
-}
-
-func (f *flakyPrimary) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
-	a, _, _, err := f.AnswerRangeEpoch(ctx, keys, lo, hi)
-	return a, err
 }
 
 func (f *flakyPrimary) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
@@ -117,7 +112,7 @@ func standbyCluster(t *testing.T, src *stubTable, shards int) (*Cluster, []*flak
 			t.Fatal(err)
 		}
 		primaries[i] = &flakyPrimary{Replica: rep}
-		members[i] = ClusterShard{Backend: primaries[i], Members: []RangeBackend{sb}}
+		members[i] = ClusterShard{Backend: primaries[i], Members: []Member{sb}}
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -174,9 +169,9 @@ func TestClusterStandbyFailover(t *testing.T) {
 func TestClusterStandbyBothFail(t *testing.T) {
 	cause := errors.New("disk on fire")
 	members := []ClusterShard{
-		{Backend: &stubRange{rows: 100, lanes: 2}, Name: "alpha"},
-		{Backend: &stubRange{rows: 100, lanes: 2, fail: cause}, Name: "beta",
-			Members: []RangeBackend{&stubRange{rows: 100, lanes: 2, fail: errors.New("standby cold")}}, MemberNames: []string{"beta-standby"}},
+		{Backend: stub(t, 100, 2), Name: "alpha"},
+		{Backend: stub(t, 100, 2).failing(cause), Name: "beta",
+			Members: []Member{stub(t, 100, 2).failing(errors.New("standby cold"))}, MemberNames: []string{"beta-standby"}},
 	}
 	cluster, err := NewCluster(members...)
 	if err != nil {
@@ -207,7 +202,7 @@ func TestClusterStandbyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong shape.
-	_, err = NewCluster(ClusterShard{Backend: rep, Members: []RangeBackend{&stubRange{rows: rows, lanes: lanes + 1}}, MemberNames: []string{"fat"}})
+	_, err = NewCluster(ClusterShard{Backend: rep, Members: []Member{stub(t, rows, lanes+1)}, MemberNames: []string{"fat"}})
 	if err == nil || !strings.Contains(err.Error(), "fat") {
 		t.Fatalf("wrong-shape standby accepted: %v", err)
 	}
@@ -216,15 +211,15 @@ func TestClusterStandbyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewCluster(ClusterShard{Backend: rep, Members: []RangeBackend{other}, MemberNames: []string{"wrong-party"}})
+	_, err = NewCluster(ClusterShard{Backend: rep, Members: []Member{other}, MemberNames: []string{"wrong-party"}})
 	if err == nil || !strings.Contains(err.Error(), "party") {
 		t.Fatalf("wrong-party standby accepted: %v", err)
 	}
 	// Standby that does not hold the shard's range.
-	holder := &heldStub{stubRange: stubRange{rows: rows, lanes: lanes}, lo: 0, hi: 32}
+	holder := &heldStub{stubRange: stub(t, rows, lanes), lo: 0, hi: 32}
 	_, err = NewCluster(
 		ClusterShard{Backend: rep}, // would serve [0,64)
-		ClusterShard{Backend: rep, Members: []RangeBackend{holder}, MemberNames: []string{"narrow"}}, // [64,128) but holds [0,32)
+		ClusterShard{Backend: rep, Members: []Member{holder}, MemberNames: []string{"narrow"}}, // [64,128) but holds [0,32)
 	)
 	if err == nil || !strings.Contains(err.Error(), "narrow") {
 		t.Fatalf("narrow standby accepted: %v", err)
@@ -233,7 +228,7 @@ func TestClusterStandbyValidation(t *testing.T) {
 
 // heldStub is a stubRange with a held range.
 type heldStub struct {
-	stubRange
+	*stubRange
 	lo, hi int
 }
 
@@ -263,7 +258,7 @@ func TestClusterStaleStandbyRefused(t *testing.T) {
 	flaky := &flakyPrimary{Replica: prim1}
 	cluster, err := NewCluster(
 		ClusterShard{Backend: rep0, Name: "s0"},
-		ClusterShard{Backend: flaky, Name: "s1", Members: []RangeBackend{sb1}, MemberNames: []string{"s1-standby"}},
+		ClusterShard{Backend: flaky, Name: "s1", Members: []Member{sb1}, MemberNames: []string{"s1-standby"}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -454,28 +449,6 @@ func TestClusterUpdateBatchCommitFailure(t *testing.T) {
 	}
 }
 
-// TestClusterUpdateBatchNonEpochMember: a cluster holding a member that
-// cannot join the handshake refuses UpdateBatch with the member named —
-// never a partial, best-effort write.
-func TestClusterUpdateBatchNonEpochMember(t *testing.T) {
-	tab := buildTable(t, 128, 2, 62)
-	rep, err := NewReplica(tab, Config{Party: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster, err := NewCluster(
-		ClusterShard{Backend: rep},
-		ClusterShard{Backend: &stubRange{rows: 128, lanes: 2}, Name: "legacy-node"},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = cluster.UpdateBatch(context.Background(), []RowWrite{{Row: 0, Vals: []uint32{1, 2}}})
-	if !errors.Is(err, ErrNotEpochCapable) || !strings.Contains(err.Error(), "legacy-node") {
-		t.Fatalf("non-epoch member not refused by name: %v", err)
-	}
-}
-
 // TestClusterAnswerRetriesAcrossCommitWave: a batch whose fan-out straddles
 // an update's commit wave (one shard answers before, one after) is
 // detected by the epoch check and re-fanned — the caller sees one
@@ -555,11 +528,6 @@ func (g *gatedBackend) calls() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
-}
-
-func (g *gatedBackend) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
-	a, _, _, err := g.AnswerRangeEpoch(ctx, keys, lo, hi)
-	return a, err
 }
 
 func (g *gatedBackend) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {

@@ -15,11 +15,6 @@ type countingMember struct {
 	batches atomic.Int64
 }
 
-func (m *countingMember) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
-	a, _, _, err := m.AnswerRangeEpoch(ctx, keys, lo, hi)
-	return a, err
-}
-
 func (m *countingMember) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	m.batches.Add(1)
 	return m.Replica.AnswerRangeEpoch(ctx, keys, lo, hi)
@@ -152,10 +147,10 @@ func TestClusterGroupAllDeadEnumerates(t *testing.T) {
 	causeA := errors.New("connection reset by peer")
 	causeC := errors.New("no route to host")
 	sh := ClusterShard{
-		Members: []RangeBackend{
-			&stubRange{rows: 100, lanes: 2, fail: causeA},
-			&stubRange{rows: 100, lanes: 2, fail: errors.New("i/o timeout")},
-			&stubRange{rows: 100, lanes: 2, fail: causeC},
+		Members: []Member{
+			stub(t, 100, 2).failing(causeA),
+			stub(t, 100, 2).failing(errors.New("i/o timeout")),
+			stub(t, 100, 2).failing(causeC),
 		},
 		MemberNames: []string{"node-a", "node-b", "node-c"},
 	}

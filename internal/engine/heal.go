@@ -8,19 +8,8 @@ import (
 
 // Heal brings a stale or tripped replica-group member back to the
 // cluster's current table epoch from a healthy same-shard peer and
-// re-admits it to rotation.
-//
-// The donor is any other member of the shard that exports snapshots
-// (SnapshotSource — an in-process Replica, or a shardnet.Client whose
-// node speaks the SnapshotMeta/SnapshotChunk RPCs). The member adopts the
-// donor's pinned snapshot — via SnapshotSink when it implements it
-// (in-process replicas, a pirserver -join pull), else through the
-// epoch-update operations it already speaks (prepare the donor's rows as
-// the donor's snapshot epoch, commit, burn up to the donor's effective
-// epoch), so remote members heal over the existing wire protocol. Note
-// the fallback ships the whole held range as one prepared batch and is
-// therefore bounded by the wire layer's frame and batch caps; very large
-// shards need a member-side sink (-join) instead.
+// re-admits it to rotation. Each round is one CatchUp of the shard's
+// assigned rows from the first sibling that is not quarantined.
 //
 // Update churn may advance the cluster's epoch while a transfer is in
 // flight: Heal catches up best-effort a bounded number of rounds without
@@ -76,97 +65,103 @@ func (c *Cluster) Heal(ctx context.Context, shard, member int) error {
 	return fmt.Errorf("engine: heal shard %d member %s: %w", shard, g.names[member], lastErr)
 }
 
-// healOnce runs one catch-up round: pick a donor, compare epochs, and if
-// the member is behind transfer the donor's snapshot (or just raise the
-// member's burned-epoch floor when only burned numbers separate them).
-// synced reports the member's effective epoch has reached the donor's.
+// healOnce runs one catch-up round of the member against a same-shard
+// donor: the first other member that is not quarantined.
 func (c *Cluster) healOnce(ctx context.Context, g *shardGroup, shard, member int) (synced bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	teb, ok := AsEpoch(g.members[member])
-	if !ok {
-		return false, fmt.Errorf("%w: member cannot adopt epochs", ErrNotEpochCapable)
-	}
-	targetEff, err := teb.Epoch(ctx)
-	if err != nil {
-		return false, fmt.Errorf("member unreachable: %w", err)
-	}
-	src, donorName, err := c.healDonor(g, member)
-	if err != nil {
-		return false, err
-	}
-	snapEpoch, donorEff, lo, hi, err := src.SnapshotMeta(ctx)
-	if err != nil {
-		return false, fmt.Errorf("donor %s: %w", donorName, err)
-	}
-	if targetEff >= donorEff {
-		return true, nil
-	}
-	if snapEpoch <= targetEff {
-		// Only burned epoch numbers separate them: raise the member's
-		// floor (AbortUpdate burns idempotently) instead of re-shipping a
-		// table it already has.
-		if aerr := teb.AbortUpdate(ctx, donorEff); aerr != nil {
-			return false, fmt.Errorf("raising burned floor to %d: %w", donorEff, aerr)
-		}
-		return false, nil // re-check next round
-	}
-	words := (hi - lo) * c.lanes
-	buf := make([]uint32, 0, words)
-	for len(buf) < words {
-		chunk, cerr := src.SnapshotChunk(ctx, snapEpoch, len(buf), healChunkWords)
-		if cerr != nil {
-			return false, fmt.Errorf("donor %s at offset %d: %w", donorName, len(buf), cerr)
-		}
-		if len(chunk) == 0 {
-			return false, fmt.Errorf("donor %s: snapshot stream ended at %d of %d words", donorName, len(buf), words)
-		}
-		if len(buf)+len(chunk) > words {
-			return false, fmt.Errorf("donor %s: snapshot stream overran %d words", donorName, words)
-		}
-		buf = append(buf, chunk...)
-	}
-	if sink, ok := AsSnapshotSink(g.members[member]); ok {
-		if aerr := sink.AdoptSnapshot(ctx, snapEpoch, donorEff, lo, hi, buf); aerr != nil {
-			return false, fmt.Errorf("adopting donor %s epoch %d: %w", donorName, snapEpoch, aerr)
-		}
-	} else {
-		// Wire fallback: the member speaks the epoch-update RPCs — ship
-		// the donor's rows as a prepared batch at the donor's snapshot
-		// epoch, then burn up to the donor's effective epoch.
-		writes := make([]RowWrite, hi-lo)
-		for r := range writes {
-			writes[r] = RowWrite{Row: uint64(lo + r), Vals: buf[r*c.lanes : (r+1)*c.lanes]}
-		}
-		if perr := teb.PrepareUpdate(ctx, snapEpoch, writes); perr != nil {
-			return false, fmt.Errorf("preparing donor %s epoch %d on member: %w", donorName, snapEpoch, perr)
-		}
-		if cerr := teb.CommitUpdate(ctx, snapEpoch); cerr != nil {
-			_ = teb.AbortUpdate(ctx, snapEpoch)
-			return false, fmt.Errorf("committing donor %s epoch %d on member: %w", donorName, snapEpoch, cerr)
-		}
-		if donorEff > snapEpoch {
-			if aerr := teb.AbortUpdate(ctx, donorEff); aerr != nil {
-				return false, fmt.Errorf("raising burned floor to %d: %w", donorEff, aerr)
-			}
-		}
-	}
-	// Converged only if the donor did not move meanwhile; the next round
-	// (or the locked final round) settles it.
-	return false, nil
-}
-
-// healDonor picks a same-shard donor for member: the first other member
-// that is not quarantined and exports snapshots.
-func (c *Cluster) healDonor(g *shardGroup, member int) (SnapshotSource, string, error) {
 	for j := range g.members {
 		if j == member || g.health[j].isStale() {
 			continue
 		}
-		if src, ok := AsSnapshotSource(g.members[j]); ok {
-			return src, g.names[j], nil
+		synced, err = CatchUp(ctx, g.members[member], g.members[j], c.bounds[shard], c.bounds[shard+1])
+		if err != nil {
+			err = fmt.Errorf("from donor %s: %w", g.names[j], err)
+		}
+		return synced, err
+	}
+	return false, errors.New("no healthy donor in the replica group")
+}
+
+// CatchUp runs one snapshot catch-up round — the one algorithm behind
+// Cluster.Heal and `pirserver -join`: compare recv's effective epoch with
+// donor's, and if recv is behind bring its rows [lo, hi) (the rows it
+// serves; donor must hold them, whatever else either side holds) to
+// donor's pinned snapshot — or just raise recv's burned-epoch floor when
+// only burned numbers separate them. recv adopts the rows in one call when
+// it is a SnapshotSink (an in-process Replica); otherwise they travel
+// through the epoch handshake it already speaks — prepared as donor's
+// snapshot epoch, committed, then burned up to donor's effective epoch —
+// so remote members heal over the existing wire protocol (as one prepared
+// batch, bounded by the wire layer's frame cap; very large shards -join).
+//
+// synced reports recv had already reached donor's effective epoch. A round
+// that moved recv returns false: donor may have advanced meanwhile, and the
+// caller's next round settles it.
+func CatchUp(ctx context.Context, recv, donor Member, lo, hi int) (synced bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	have, err := recv.Epoch(ctx)
+	if err != nil {
+		return false, fmt.Errorf("member unreachable: %w", err)
+	}
+	snapEpoch, donorEff, dLo, dHi, err := donor.SnapshotMeta(ctx)
+	if err != nil {
+		return false, fmt.Errorf("donor: %w", err)
+	}
+	if dLo > lo || dHi < hi {
+		return false, fmt.Errorf("donor holds rows [%d,%d), cannot donate [%d,%d)", dLo, dHi, lo, hi)
+	}
+	if have >= donorEff {
+		return true, nil
+	}
+	if snapEpoch <= have {
+		// Only burned epoch numbers separate them: raise the member's
+		// floor (AbortUpdate burns idempotently) instead of re-shipping a
+		// table it already has.
+		if aerr := recv.AbortUpdate(ctx, donorEff); aerr != nil {
+			return false, fmt.Errorf("raising burned floor to %d: %w", donorEff, aerr)
+		}
+		return false, nil
+	}
+	_, lanes := recv.Shape()
+	words := (hi - lo) * lanes
+	buf := make([]uint32, 0, words)
+	for len(buf) < words {
+		// Chunk offsets are relative to the donor's held range.
+		off := (lo-dLo)*lanes + len(buf)
+		chunk, cerr := donor.SnapshotChunk(ctx, snapEpoch, off, min(catchUpChunkWords, words-len(buf)))
+		if cerr != nil {
+			return false, fmt.Errorf("donor at offset %d: %w", off, cerr)
+		}
+		if len(chunk) == 0 {
+			return false, fmt.Errorf("donor snapshot stream ended at %d of %d words", len(buf), words)
+		}
+		if len(buf)+len(chunk) > words {
+			return false, fmt.Errorf("donor snapshot stream overran %d words", words)
+		}
+		buf = append(buf, chunk...)
+	}
+	if sink, ok := recv.(SnapshotSink); ok {
+		if aerr := sink.AdoptSnapshot(ctx, snapEpoch, donorEff, lo, hi, buf); aerr != nil {
+			return false, fmt.Errorf("adopting donor epoch %d: %w", snapEpoch, aerr)
+		}
+		return false, nil
+	}
+	writes := make([]RowWrite, hi-lo)
+	for r := range writes {
+		writes[r] = RowWrite{Row: uint64(lo + r), Vals: buf[r*lanes : (r+1)*lanes]}
+	}
+	if perr := recv.PrepareUpdate(ctx, snapEpoch, writes); perr != nil {
+		return false, fmt.Errorf("preparing donor epoch %d on member: %w", snapEpoch, perr)
+	}
+	if cerr := recv.CommitUpdate(ctx, snapEpoch); cerr != nil {
+		_ = recv.AbortUpdate(ctx, snapEpoch)
+		return false, fmt.Errorf("committing donor epoch %d on member: %w", snapEpoch, cerr)
+	}
+	if donorEff > snapEpoch {
+		if aerr := recv.AbortUpdate(ctx, donorEff); aerr != nil {
+			return false, fmt.Errorf("raising burned floor to %d: %w", donorEff, aerr)
 		}
 	}
-	return nil, "", errors.New("no healthy snapshot-exporting donor in the replica group")
+	return false, nil
 }

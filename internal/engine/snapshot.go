@@ -5,50 +5,10 @@ import (
 	"fmt"
 )
 
-// Pinger is a backend that can answer a cheap liveness probe. The cluster's
-// health prober uses it to check a cooled-down member before re-admitting
-// it to rotation, so liveness checks do not cost a full AnswerRange against
-// a possibly-loaded node. shardnet.Client implements it as a one-frame RPC;
-// engine.Replica trivially in-process.
-type Pinger interface {
-	Ping(ctx context.Context) error
-}
-
-// SnapshotSource is a backend that can export its current table snapshot,
-// chunk by chunk — the donor side of healing. The two-call shape mirrors
-// the shardnet SnapshotMeta/SnapshotChunk RPCs: Meta pins what to copy,
-// Chunk streams it, resumable by offset.
-type SnapshotSource interface {
-	// SnapshotMeta reports the backend's current snapshot epoch, its
-	// effective epoch (>= snapshot epoch when epochs were burned by
-	// aborts), and the row range [lo,hi) the backend actually holds —
-	// the range SnapshotChunk offsets are relative to.
-	SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, lo, hi int, err error)
-	// SnapshotChunk returns up to max words of the snapshot's row-major
-	// lane buffer for the held range, starting at word offset off.
-	// The epoch must match a SnapshotMeta result; if the backend's
-	// snapshot has moved on, SnapshotChunk fails and the healer restarts
-	// from a fresh SnapshotMeta. A short (or empty) return past the end
-	// of the buffer terminates the stream.
-	SnapshotChunk(ctx context.Context, epoch uint64, off, max int) ([]uint32, error)
-}
-
-// SnapshotSink is a backend that can import a peer's snapshot — the
-// receiving side of healing. Remote members that do not implement it are
-// healed through the epoch-update RPCs instead (prepare the donor's rows as
-// the donor's epoch, commit, burn up to floor).
-type SnapshotSink interface {
-	// AdoptSnapshot overwrites rows [lo,hi) with vals (row-major,
-	// (hi-lo)*lanes words), installs the result as epoch, and raises the
-	// backend's burned-epoch floor to floor. epoch must lie strictly
-	// above the backend's effective epoch.
-	AdoptSnapshot(ctx context.Context, epoch, floor uint64, lo, hi int, vals []uint32) error
-}
-
-// Ping implements Pinger: an in-process replica is alive by construction.
+// Ping implements Member: an in-process replica is alive by construction.
 func (r *Replica) Ping(ctx context.Context) error { return ctx.Err() }
 
-// SnapshotMeta implements SnapshotSource over the replica's store.
+// SnapshotMeta implements Member over the replica's store.
 func (r *Replica) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, lo, hi int, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, 0, 0, err
@@ -58,7 +18,7 @@ func (r *Replica) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64,
 	return sn.Epoch(), r.st.Epoch(), 0, r.rows, nil
 }
 
-// SnapshotChunk implements SnapshotSource. The returned slice is a copy —
+// SnapshotChunk implements Member. The returned slice is a copy —
 // the snapshot is released before returning.
 func (r *Replica) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) ([]uint32, error) {
 	if err := ctx.Err(); err != nil {

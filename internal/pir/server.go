@@ -163,7 +163,7 @@ func (s *Server) Party() int { return s.eng.Party() }
 func (s *Server) Table() (*Table, error) { return s.eng.Table() }
 
 // Engine returns the underlying engine replica — the Backend seam callers
-// plug into for batched serving (serving.NewEngineBatcher) or direct
+// plug into for batched serving (serving.NewFront) or direct
 // context-aware answering.
 func (s *Server) Engine() *engine.Replica { return s.eng }
 
@@ -182,19 +182,10 @@ func (s *Server) Answer(rawKeys [][]byte) ([][]uint32, error) {
 	return answers, nil
 }
 
-// Update overwrites one row's content (the paper's transparent update
-// path, §4.2). The write is installed as a new table epoch: in-flight
-// Answers keep the snapshot they pinned and are neither blocked nor torn.
-func (s *Server) Update(row uint64, vals []uint32) error {
-	if err := s.eng.Update(row, vals); err != nil {
-		return fmt.Errorf("pir: %w", err)
-	}
-	return nil
-}
-
-// UpdateBatch overwrites a set of rows atomically as ONE new table epoch:
-// an Answer sees all of the batch's writes or none. Returns the installed
-// epoch.
+// UpdateBatch overwrites a set of rows (the paper's transparent update
+// path, §4.2) atomically as ONE new table epoch: an Answer sees all of the
+// batch's writes or none, and in-flight Answers keep the snapshot they
+// pinned. Returns the installed epoch.
 func (s *Server) UpdateBatch(writes []engine.RowWrite) (uint64, error) {
 	epoch, err := s.eng.UpdateBatch(context.Background(), writes)
 	if err != nil {

@@ -479,10 +479,16 @@ func (e BackendEndpoint) Answer(keys [][]byte) ([][]uint32, error) {
 	return e.Backend.Answer(context.Background(), keys)
 }
 
+// UpdateBatch implements BatchUpdater, so a backend served without a front
+// door still takes the wire update op.
+func (e BackendEndpoint) UpdateBatch(writes []engine.RowWrite) (uint64, error) {
+	return e.Backend.UpdateBatch(context.Background(), writes)
+}
+
 // Close implements Endpoint, closing the backend when it is closeable
 // (engine.Cluster closes its remote shard clients).
 func (e BackendEndpoint) Close() error {
-	if closer, ok := engine.AsCloser(e.Backend); ok {
+	if closer, ok := e.Backend.(io.Closer); ok {
 		return closer.Close()
 	}
 	return nil

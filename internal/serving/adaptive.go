@@ -129,9 +129,8 @@ type FrontConfig struct {
 type Front struct {
 	b         *Batcher
 	be        engine.Backend
-	validator engine.KeyValidator
-	updater   engine.BatchUpdater
-	retries   engine.EpochRetryCounter
+	validator engine.KeyValidator      // nil when be cannot validate
+	retries   engine.EpochRetryCounter // nil when be never re-fans
 
 	cfg     FrontConfig
 	retuned atomic.Uint64
@@ -139,15 +138,18 @@ type Front struct {
 	done    chan struct{}
 }
 
-// NewFront builds the front door over a backend, probing it for the
-// optional capabilities (key validation, epoch updates, the mixed-epoch
-// retry counter). With cfg.SLO set, a background loop re-tunes the batch
-// policy against the measured arrival rate every cfg.Retune.
+// NewFront builds the front door over a backend — formed batches execute
+// on be.Answer, updates on be.UpdateBatch — asserting for its two optional
+// capabilities (key validation, the mixed-epoch retry counter). With
+// cfg.SLO set, a background loop re-tunes the batch policy against the
+// measured arrival rate every cfg.Retune.
 func NewFront(cfg FrontConfig, be engine.Backend) (*Front, error) {
 	if be == nil {
 		return nil, errors.New("serving: nil backend")
 	}
-	b, err := NewEngineBatcher(cfg.Policy, be)
+	b, err := NewBatcher(cfg.Policy, func(batch [][]byte) ([][]uint32, error) {
+		return be.Answer(context.Background(), batch)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +166,7 @@ func NewFront(cfg FrontConfig, be engine.Backend) (*Front, error) {
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	f.validator, _ = engine.AsKeyValidator(be)
-	f.updater, _ = engine.AsBatchUpdater(be)
+	f.validator, _ = be.(engine.KeyValidator)
 	f.retries, _ = engine.AsEpochRetries(be)
 	if cfg.SLO > 0 {
 		go f.retune()
@@ -236,10 +237,7 @@ func (f *Front) Answer(keys [][]byte) ([][]uint32, error) {
 // Updates are not batched with answers — they are rare, already batched
 // by the caller, and must not wait on a formed answer batch.
 func (f *Front) UpdateBatch(writes []engine.RowWrite) (uint64, error) {
-	if f.updater == nil {
-		return 0, errors.New("serving: backend does not support batch updates")
-	}
-	return f.updater.UpdateBatch(context.Background(), writes)
+	return f.be.UpdateBatch(context.Background(), writes)
 }
 
 // ServingStats implements StatsSource.

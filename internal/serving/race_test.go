@@ -34,7 +34,9 @@ func TestConcurrentEngineServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEngineBatcher(Policy{MaxBatch: 16, MaxDelay: 2 * time.Millisecond}, eng)
+	b, err := NewBatcher(Policy{MaxBatch: 16, MaxDelay: 2 * time.Millisecond}, func(batch [][]byte) ([][]uint32, error) {
+		return eng.Answer(context.Background(), batch)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestConcurrentEngineServing(t *testing.T) {
 			default:
 			}
 			r := urng.Intn(rows)
-			if err := eng.Update(uint64(r), snapshot[r*lanes:(r+1)*lanes]); err != nil {
+			if _, err := eng.UpdateBatch(context.Background(), []engine.RowWrite{{Row: uint64(r), Vals: snapshot[r*lanes : (r+1)*lanes]}}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -34,7 +34,7 @@ type Options struct {
 	// RPCTimeout bounds an RPC whose context carries no deadline of its
 	// own (0 = DefaultRPCTimeout, negative = unbounded). It is the
 	// backstop that keeps a front serving context.Background() batches —
-	// cmd/pirserver's cluster mode, Update, Counters — from wedging
+	// cmd/pirserver's cluster mode, Counters — from wedging
 	// forever on a node that black-holes mid-RPC; callers with real
 	// deadlines are unaffected.
 	RPCTimeout time.Duration
@@ -57,9 +57,9 @@ type Options struct {
 const DefaultRPCTimeout = 30 * time.Second
 
 // Client speaks the shardnet protocol to one node and implements
-// engine.RangeBackend (plus engine.BackendInfo and engine.RangeHolder from
-// the handshake), so a remote shard plugs into an engine.Cluster — or any
-// other Backend consumer — exactly like an in-process Replica. Connections
+// engine.Member (configuration and held range from the handshake), so a
+// remote shard plugs into an engine.Cluster — or any other Backend
+// consumer — exactly like an in-process Replica. Connections
 // are pooled: each RPC runs lockstep on its own connection, so concurrent
 // calls overlap instead of queueing.
 type Client struct {
@@ -319,17 +319,10 @@ func (c *Client) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) 
 	return answers, nil
 }
 
-// AnswerRange implements engine.RangeBackend: the node evaluates the batch
-// over global rows [lo, hi) only, returning partial shares.
-func (c *Client) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
-	answers, _, _, err := c.AnswerRangeEpoch(ctx, keys, lo, hi)
-	return answers, err
-}
-
-// AnswerRangeEpoch implements engine.EpochRangeBackend: AnswerRange plus
-// the table epoch the node computed the partials at (ok false when the
-// node's backend is not epoch-versioned) — what a cluster front needs to
-// refuse merging a batch that straddled an update, or a stale standby.
+// AnswerRangeEpoch implements engine.Member: the node evaluates the batch
+// over global rows [lo, hi) only, returning partial shares and the table
+// epoch it computed them at — what a cluster front needs to refuse merging
+// a batch that straddled an update, or a stale member.
 func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	if lo < 0 || lo >= hi {
 		return nil, 0, false, fmt.Errorf("shardnet: %s: row range [%d,%d) invalid", c.addr, lo, hi)
@@ -348,14 +341,7 @@ func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int
 	return answers, epoch, hasEpoch, nil
 }
 
-// Update implements engine.Backend, routing the row write to the node.
-func (c *Client) Update(row uint64, vals []uint32) error {
-	return c.do(context.Background(), &rpcRequest{op: opUpdate, row: row, vals: vals}, func(resp []byte) error {
-		return parseOK(resp, opUpdate)
-	})
-}
-
-// Epoch implements engine.EpochBackend: the node's current table epoch.
+// Epoch implements engine.Member: the node's current table epoch.
 func (c *Client) Epoch(ctx context.Context) (uint64, error) {
 	var epoch uint64
 	err := c.do(ctx, &rpcRequest{op: opEpoch}, func(resp []byte) error {
@@ -366,7 +352,7 @@ func (c *Client) Epoch(ctx context.Context) (uint64, error) {
 	return epoch, err
 }
 
-// UpdateBatch implements engine.EpochBackend: the writes land atomically
+// UpdateBatch implements engine.Backend: the writes land atomically
 // on the node as one new epoch, which is returned.
 func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uint64, error) {
 	var epoch uint64
@@ -378,7 +364,7 @@ func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uin
 	return epoch, err
 }
 
-// PrepareUpdate implements engine.EpochBackend: stage the writes as the
+// PrepareUpdate implements engine.Member: stage the writes as the
 // given epoch on the node (invisible until CommitUpdate).
 func (c *Client) PrepareUpdate(ctx context.Context, epoch uint64, writes []engine.RowWrite) error {
 	return c.do(ctx, &rpcRequest{op: opPrepare, epoch: epoch, writes: writes}, func(resp []byte) error {
@@ -386,14 +372,14 @@ func (c *Client) PrepareUpdate(ctx context.Context, epoch uint64, writes []engin
 	})
 }
 
-// CommitUpdate implements engine.EpochBackend.
+// CommitUpdate implements engine.Member.
 func (c *Client) CommitUpdate(ctx context.Context, epoch uint64) error {
 	return c.do(ctx, &rpcRequest{op: opCommit, epoch: epoch}, func(resp []byte) error {
 		return parseOK(resp, opCommit)
 	})
 }
 
-// AbortUpdate implements engine.EpochBackend: drop or roll back the epoch
+// AbortUpdate implements engine.Member: drop or roll back the epoch
 // on the node (idempotent, like store.Abort).
 func (c *Client) AbortUpdate(ctx context.Context, epoch uint64) error {
 	return c.do(ctx, &rpcRequest{op: opAbort, epoch: epoch}, func(resp []byte) error {
@@ -401,7 +387,7 @@ func (c *Client) AbortUpdate(ctx context.Context, epoch uint64) error {
 	})
 }
 
-// Ping implements engine.Pinger: one payload-free frame round-trip, the
+// Ping implements engine.Member: one payload-free frame round-trip, the
 // cheapest proof the node is up, handshaken and serving — what a cluster
 // front's health prober sends before re-admitting a cooled-down member.
 func (c *Client) Ping(ctx context.Context) error {
@@ -410,7 +396,7 @@ func (c *Client) Ping(ctx context.Context) error {
 	})
 }
 
-// SnapshotMeta implements engine.SnapshotSource: the node's pinned
+// SnapshotMeta implements engine.Member: the node's pinned
 // snapshot epoch, effective epoch, and the held row range its
 // SnapshotChunk offsets are relative to — the donor handshake of a heal.
 func (c *Client) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, lo, hi int, err error) {
@@ -425,7 +411,7 @@ func (c *Client) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, 
 	return snapEpoch, effEpoch, lo, hi, nil
 }
 
-// SnapshotChunk implements engine.SnapshotSource: up to max words of the
+// SnapshotChunk implements engine.Member: up to max words of the
 // node's snapshot buffer for its held range, from word offset off. The
 // node may return fewer words than asked (its frame cap bounds a chunk);
 // an empty return past the end terminates the stream. The response echoes
@@ -489,16 +475,16 @@ func (c *Client) RemoteShape(ctx context.Context) (rows, lanes int, err error) {
 	return rows, lanes, err
 }
 
-// PRGName implements engine.BackendInfo from the handshake.
+// PRGName implements engine.Member from the handshake.
 func (c *Client) PRGName() string { return c.w.PRG }
 
-// EarlyBits implements engine.BackendInfo from the handshake.
+// EarlyBits implements engine.Member from the handshake.
 func (c *Client) EarlyBits() int { return c.w.Early }
 
-// Party implements engine.BackendInfo from the handshake.
+// Party implements engine.Member from the handshake.
 func (c *Client) Party() int { return c.w.Party }
 
-// HeldRange implements engine.RangeHolder: the global rows the node
+// HeldRange implements engine.Member: the global rows the node
 // advertised holding.
 func (c *Client) HeldRange() (lo, hi int) { return c.w.RowLo, c.w.RowHi }
 
@@ -507,13 +493,5 @@ func (c *Client) Addr() string { return c.addr }
 
 // AdvertisedEpoch returns the table epoch the node advertised in the
 // handshake (advisory — the authoritative epoch rides on every answer),
-// and whether the node's backend is epoch-versioned at all.
+// and whether the node could read one at that moment.
 func (c *Client) AdvertisedEpoch() (epoch uint64, known bool) { return c.w.Epoch, c.w.EpochKnown }
-
-var _ engine.RangeBackend = (*Client)(nil)
-var _ engine.BackendInfo = (*Client)(nil)
-var _ engine.RangeHolder = (*Client)(nil)
-var _ engine.EpochBackend = (*Client)(nil)
-var _ engine.EpochRangeBackend = (*Client)(nil)
-var _ engine.Pinger = (*Client)(nil)
-var _ engine.SnapshotSource = (*Client)(nil)

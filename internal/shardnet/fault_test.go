@@ -18,33 +18,45 @@ import (
 	"gpudpf/internal/strategy"
 )
 
-// blockingBackend parks every AnswerRange on its context — a node that
+// blockingBackend parks every range answer on its context — a node that
 // accepted a request and then hung (or was killed) mid-evaluation.
 type blockingBackend struct {
-	engine.RangeBackend
+	*engine.Replica
 	started chan struct{}
 	once    sync.Once
 }
 
-func (b *blockingBackend) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
+func (b *blockingBackend) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	b.once.Do(func() { close(b.started) })
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return nil, 0, false, ctx.Err()
 }
 
-// slowBackend delays every AnswerRange, honoring cancellation.
+// slowBackend delays every range answer, honoring cancellation.
 type slowBackend struct {
-	engine.RangeBackend
+	*engine.Replica
 	delay time.Duration
 }
 
-func (b *slowBackend) AnswerRange(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, error) {
+func (b *slowBackend) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	select {
 	case <-time.After(b.delay):
-		return b.RangeBackend.AnswerRange(ctx, keys, lo, hi)
+		return b.Replica.AnswerRangeEpoch(ctx, keys, lo, hi)
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, 0, false, ctx.Err()
 	}
+}
+
+// update1 installs one row through UpdateBatch, the one update path.
+func update1(be engine.Backend, row uint64, vals []uint32) error {
+	_, err := be.UpdateBatch(context.Background(), []engine.RowWrite{{Row: row, Vals: vals}})
+	return err
+}
+
+// answerRange is AnswerRangeEpoch for tests that only want the partials.
+func answerRange(ctx context.Context, m engine.Member, keys [][]byte, lo, hi int) ([][]uint32, error) {
+	part, _, _, err := m.AnswerRangeEpoch(ctx, keys, lo, hi)
+	return part, err
 }
 
 func mustPRG(t testing.TB, name string) dpf.PRG {
@@ -67,7 +79,7 @@ func genKeysForCluster(t testing.TB, c *engine.Cluster) (k0s, k1s [][]byte) {
 // mixedCluster builds a 4-shard party-0 cluster over tab where shard
 // `remoteIdx` is served over TCP by remoteBE and the rest are in-process
 // replicas. It returns the cluster and the remote node (for killing).
-func mixedCluster(t *testing.T, remoteIdx int, wrap func(engine.RangeBackend) engine.RangeBackend) (*engine.Cluster, *Server, string) {
+func mixedCluster(t *testing.T, remoteIdx int, wrap func(*engine.Replica) engine.Member) (*engine.Cluster, *Server, string) {
 	t.Helper()
 	const rows, lanes, shards = 256, 4, 4
 	tab := buildTable(t, rows, lanes, 7)
@@ -80,8 +92,6 @@ func mixedCluster(t *testing.T, remoteIdx int, wrap func(engine.RangeBackend) en
 			members[i] = engine.ClusterShard{Backend: rep}
 			continue
 		}
-		// The wrapper hides the replica's BackendInfo, so pin the full
-		// configuration client-side; the node adopts and echoes it.
 		srv, addr = startNode(t, wrap(rep), ServerConfig{})
 		cl, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()})
 		if err != nil {
@@ -103,8 +113,8 @@ func mixedCluster(t *testing.T, remoteIdx int, wrap func(engine.RangeBackend) en
 func TestClusterShardKillMidBatch(t *testing.T) {
 	const remoteIdx = 2
 	started := make(chan struct{})
-	cluster, srv, addr := mixedCluster(t, remoteIdx, func(be engine.RangeBackend) engine.RangeBackend {
-		return &blockingBackend{RangeBackend: be, started: started}
+	cluster, srv, addr := mixedCluster(t, remoteIdx, func(be *engine.Replica) engine.Member {
+		return &blockingBackend{Replica: be, started: started}
 	})
 	kb, _ := genKeysForCluster(t, cluster)
 	errCh := make(chan error, 1)
@@ -145,8 +155,8 @@ func TestClusterShardKillMidBatch(t *testing.T) {
 // and names the slow shard.
 func TestClusterSlowShardDeadline(t *testing.T) {
 	const remoteIdx = 1
-	cluster, _, addr := mixedCluster(t, remoteIdx, func(be engine.RangeBackend) engine.RangeBackend {
-		return &slowBackend{RangeBackend: be, delay: 30 * time.Second}
+	cluster, _, addr := mixedCluster(t, remoteIdx, func(be *engine.Replica) engine.Member {
+		return &slowBackend{Replica: be, delay: 30 * time.Second}
 	})
 	kb, _ := genKeysForCluster(t, cluster)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
@@ -179,7 +189,7 @@ func TestClusterSlowShardDeadline(t *testing.T) {
 func TestRPCTimeoutBackstop(t *testing.T) {
 	tab := buildTable(t, 64, 2, 8)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
-	_, addr := startNode(t, &slowBackend{RangeBackend: rep, delay: 30 * time.Second}, ServerConfig{})
+	_, addr := startNode(t, &slowBackend{Replica: rep, delay: 30 * time.Second}, ServerConfig{})
 	c, err := Dial(addr, Options{
 		PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party(),
 		RPCTimeout: 200 * time.Millisecond,
@@ -190,7 +200,7 @@ func TestRPCTimeoutBackstop(t *testing.T) {
 	defer c.Close()
 	keys, _ := genKeys(t, dpf.NewAESPRG(), tab.Bits(), []uint64{3}, 12)
 	start := time.Now()
-	_, err = c.AnswerRange(context.Background(), keys, 0, 64)
+	_, err = answerRange(context.Background(), c, keys, 0, 64)
 	if err == nil {
 		t.Fatal("deadline-less RPC against a stalled node returned")
 	}
@@ -291,7 +301,7 @@ func TestClusterConfigMismatch(t *testing.T) {
 
 // standbyPair starts a primary node (wrapped by wrap) and a standby node
 // over the same shard rows and dials both.
-func standbyPair(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int, wrap func(engine.RangeBackend) engine.RangeBackend) (prim *Server, primCl, sbCl *Client, primAddr string) {
+func standbyPair(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int, wrap func(*engine.Replica) engine.Member) (prim *Server, primCl, sbCl *Client, primAddr string) {
 	t.Helper()
 	nodeTab := shardTable(t, tab, lo, hi)
 	prim, primAddr = startNode(t, wrap(newReplica(t, nodeTab, cfg)), ServerConfig{RowLo: lo, RowHi: hi})
@@ -331,10 +341,10 @@ func TestClusterStandbyFailoverMidBatchTCP(t *testing.T) {
 		lo, hi := engine.ShardRange(rows, i, shards)
 		var primCl, sbCl *Client
 		var addr string
-		prim, primCl, sbCl, addr = standbyPair(t, tab, cfg, lo, hi, func(be engine.RangeBackend) engine.RangeBackend {
-			return &blockingBackend{RangeBackend: be, started: started}
+		prim, primCl, sbCl, addr = standbyPair(t, tab, cfg, lo, hi, func(be *engine.Replica) engine.Member {
+			return &blockingBackend{Replica: be, started: started}
 		})
-		members[i] = engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.RangeBackend{sbCl}, MemberNames: []string{addr + "-standby"}}
+		members[i] = engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.Member{sbCl}, MemberNames: []string{addr + "-standby"}}
 	}
 	cluster, err := engine.NewCluster(members...)
 	if err != nil {
@@ -387,17 +397,17 @@ func TestClusterUpdateBatchTCP(t *testing.T) {
 	cfg := engine.Config{Party: 0}
 	// Shard 0 in-process; shard 1 remote with a remote standby.
 	lo, hi := engine.ShardRange(rows, 1, shards)
-	_, primCl, sbCl, addr := standbyPair(t, tab, cfg, lo, hi, func(be engine.RangeBackend) engine.RangeBackend { return be })
+	_, primCl, sbCl, addr := standbyPair(t, tab, cfg, lo, hi, func(be *engine.Replica) engine.Member { return be })
 	cluster, err := engine.NewCluster(
 		engine.ClusterShard{Backend: newReplica(t, tab, cfg)},
-		engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.RangeBackend{sbCl}, MemberNames: []string{addr + "-standby"}},
+		engine.ClusterShard{Backend: primCl, Name: addr, Members: []engine.Member{sbCl}, MemberNames: []string{addr + "-standby"}},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writes := []engine.RowWrite{
-		{Row: 10, Vals: []uint32{1, 2, 3, 4}},    // shard 0's range
-		{Row: 200, Vals: []uint32{5, 6, 7, 8}},   // shard 1's range
+		{Row: 10, Vals: []uint32{1, 2, 3, 4}},     // shard 0's range
+		{Row: 200, Vals: []uint32{5, 6, 7, 8}},    // shard 1's range
 		{Row: 255, Vals: []uint32{9, 10, 11, 12}}, // shard 1's range
 	}
 	epoch, err := cluster.UpdateBatch(context.Background(), writes)

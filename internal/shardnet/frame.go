@@ -17,11 +17,11 @@ import (
 // RPC opcodes: the first body byte of every request, echoed in the
 // response (frame.OpErr answers a frame no op was ever parsed from). 0x06+
 // are protocol v2: the epoch-versioned update path. 0x0b+ are protocol v3:
-// the liveness probe and the snapshot-transfer (heal) path.
+// the liveness probe and the snapshot-transfer (heal) path. 0x03 was the
+// single-row update; it is refused as an unknown opcode.
 const (
 	opAnswer      byte = 0x01
 	opAnswerRange byte = 0x02
-	opUpdate      byte = 0x03
 	opShape       byte = 0x04
 	opCounters    byte = 0x05
 	opUpdateBatch byte = 0x06
@@ -48,8 +48,6 @@ type rpcRequest struct {
 	op     byte
 	keys   [][]byte          // Answer, AnswerRange; sub-slices of the frame buffer
 	lo, hi uint64            // AnswerRange
-	row    uint64            // Update
-	vals   []uint32          // Update
 	epoch  uint64            // Prepare, Commit, Abort, SnapChunk
 	writes []engine.RowWrite // UpdateBatch, Prepare
 	off    uint64            // SnapChunk: word offset into the held range
@@ -66,12 +64,6 @@ func appendRequest(dst []byte, req *rpcRequest) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, req.lo)
 		dst = binary.LittleEndian.AppendUint64(dst, req.hi)
 		dst = frame.AppendKeys(dst, req.keys)
-	case opUpdate:
-		dst = binary.LittleEndian.AppendUint64(dst, req.row)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(req.vals)))
-		for _, v := range req.vals {
-			dst = binary.LittleEndian.AppendUint32(dst, v)
-		}
 	case opUpdateBatch:
 		dst = frame.AppendWrites(dst, req.writes)
 	case opPrepare:
@@ -106,21 +98,6 @@ func parseRequest(body []byte, maxKeys int) (*rpcRequest, error) {
 		}
 		if req.keys, err = frame.ParseKeys(r, maxKeys); err != nil {
 			return nil, err
-		}
-	case opUpdate:
-		req.row = r.U64()
-		count := r.U32()
-		if r.Bad() {
-			return nil, fmt.Errorf("%w: truncated update header", ErrProtocol)
-		}
-		// uint64 math for the same 32-bit overflow reason as frame.ParseKeys.
-		if uint64(count)*4 != uint64(r.Remaining()) {
-			return nil, fmt.Errorf("%w: update declares %d lanes, frame carries %d bytes", ErrProtocol, count, r.Remaining())
-		}
-		n := int(count)
-		req.vals = make([]uint32, n)
-		for i := range req.vals {
-			req.vals[i] = r.U32()
 		}
 	case opUpdateBatch:
 		if req.writes, err = frame.ParseWrites(r); err != nil {
@@ -161,14 +138,14 @@ func appendErrResponse(dst []byte, op byte, msg string) []byte {
 	return frame.AppendErr(dst, op, frame.StatusErr, msg)
 }
 
-// answerHasEpoch flags an answer response whose partials were computed
-// against a pinned table epoch (a node fronting a non-epoch-versioned
-// backend clears it).
+// answerHasEpoch flags an answer response whose partials name the table
+// epoch they were computed against (the member's ok; a front refuses a
+// partial without it).
 const answerHasEpoch byte = 1
 
 // appendAnswers encodes a successful Answer/AnswerRange response: the
-// batch shape, the epoch the partials were computed at (flagged, since a
-// node may front a backend with no epochs), then the shares.
+// batch shape, the flagged epoch the partials were computed at, then the
+// shares.
 func appendAnswers(dst []byte, op byte, answers [][]uint32, lanes int, epoch uint64, hasEpoch bool) []byte {
 	dst = append(dst, op, frame.StatusOK)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(answers)))
@@ -194,8 +171,7 @@ func responseHeader(r *frame.Reader, wantOp byte) (remoteErr error, err error) {
 }
 
 // parseAnswers decodes an Answer/AnswerRange response body, returning the
-// epoch the node computed the shares at (hasEpoch false when the node's
-// backend is not epoch-versioned).
+// epoch the node computed the shares at (hasEpoch as the node flagged it).
 func parseAnswers(body []byte, wantOp byte, wantKeys int) (answers [][]uint32, epoch uint64, hasEpoch bool, err error) {
 	r := frame.NewReader(body)
 	remoteErr, err := responseHeader(r, wantOp)
@@ -384,10 +360,10 @@ func parseSnapChunk(body []byte) (epoch uint64, lo, hi int, off uint64, words []
 	return epoch, int(loWire), int(hiWire), off, words, nil
 }
 
-// appendOK encodes a payload-free success (Update).
+// appendOK encodes a payload-free success (Prepare, Commit, Abort, Ping).
 func appendOK(dst []byte, op byte) []byte { return append(dst, op, frame.StatusOK) }
 
-// parseOK decodes a payload-free response (Update).
+// parseOK decodes a payload-free response.
 func parseOK(body []byte, wantOp byte) error {
 	r := frame.NewReader(body)
 	remoteErr, err := responseHeader(r, wantOp)

@@ -5,8 +5,13 @@ import (
 	"testing"
 
 	"gpudpf/internal/engine"
+	"gpudpf/internal/frame"
 	"gpudpf/internal/gpu"
 )
+
+// retiredUpdateRequest is a well-formed request of retired op 0x03 (the
+// single-row update: row 12, three lanes) — a seed of the refusal corpus.
+var retiredUpdateRequest = []byte{0x03, 12, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
 
 // FuzzParseRequest throws arbitrary frame bodies at the server's request
 // parser: it must never panic and never accept a frame that does not
@@ -14,12 +19,11 @@ import (
 // epoch-versioned update path — and v3's (Ping, SnapshotMeta,
 // SnapshotChunk) are seeded alongside v1's.
 func FuzzParseRequest(f *testing.F) {
-	// Seed with one well-formed frame per opcode.
+	// Seed with one well-formed frame per opcode, then frames to refuse.
 	key := bytes.Repeat([]byte{0xab}, 37)
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2, 3}}, {Row: 9, Vals: []uint32{4}}}
 	f.Add(appendRequest(nil, &rpcRequest{op: opAnswer, keys: [][]byte{key, key[:5]}}))
 	f.Add(appendRequest(nil, &rpcRequest{op: opAnswerRange, keys: [][]byte{key}, lo: 3, hi: 999}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opUpdate, row: 12, vals: []uint32{1, 2, 3}}))
 	f.Add(appendRequest(nil, &rpcRequest{op: opShape}))
 	f.Add(appendRequest(nil, &rpcRequest{op: opCounters}))
 	f.Add(appendRequest(nil, &rpcRequest{op: opUpdateBatch, writes: writes}))
@@ -33,6 +37,7 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte{opAnswer, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opUpdateBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opSnapChunk, 0xff, 0xff, 0xff})
+	f.Add(retiredUpdateRequest)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := parseRequest(body, DefaultMaxBatch)
 		if err != nil {
@@ -52,7 +57,7 @@ func FuzzParseResponses(f *testing.F) {
 	f.Add(appendErrResponse(nil, opAnswerRange, "engine: shard failed"), uint8(opAnswerRange), 1)
 	f.Add(appendShape(nil, 1024, 32), uint8(opShape), 0)
 	f.Add(appendCounters(nil, gpu.Stats{PRFBlocks: 9, ReadBytes: 10}), uint8(opCounters), 0)
-	f.Add(appendOK(nil, opUpdate), uint8(opUpdate), 0)
+	f.Add([]byte{0x03, frame.StatusOK}, uint8(0x03), 0) // the retired single-row update's OK
 	f.Add(appendEpochResp(nil, opEpoch, 12345), uint8(opEpoch), 0)
 	f.Add(appendEpochResp(nil, opUpdateBatch, 2), uint8(opUpdateBatch), 0)
 	f.Add(appendOK(nil, opPing), uint8(opPing), 0)

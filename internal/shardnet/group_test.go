@@ -21,7 +21,7 @@ import (
 
 // memberTrio starts three nodes over the same shard rows (the first
 // wrapped by wrap) and dials all three.
-func memberTrio(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int, wrap func(engine.RangeBackend) engine.RangeBackend) (srv0 *Server, cls [3]*Client, addrs [3]string) {
+func memberTrio(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int, wrap func(*engine.Replica) engine.Member) (srv0 *Server, cls [3]*Client, addrs [3]string) {
 	t.Helper()
 	var opts Options
 	for j := 0; j < 3; j++ {
@@ -29,9 +29,9 @@ func memberTrio(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int
 		if j == 0 {
 			opts = Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()}
 		}
-		be := engine.RangeBackend(rep)
+		be := engine.Member(rep)
 		if j == 0 {
-			be = wrap(be)
+			be = wrap(rep)
 		}
 		srv, addr := startNode(t, be, ServerConfig{RowLo: lo, RowHi: hi})
 		if j == 0 {
@@ -67,11 +67,11 @@ func TestClusterGroupKillMidBatchTCP(t *testing.T) {
 		}
 		lo, hi := engine.ShardRange(rows, i, shards)
 		var addrs [3]string
-		srv0, cls, addrs = memberTrio(t, tab, cfg, lo, hi, func(be engine.RangeBackend) engine.RangeBackend {
-			return &blockingBackend{RangeBackend: be, started: started}
+		srv0, cls, addrs = memberTrio(t, tab, cfg, lo, hi, func(be *engine.Replica) engine.Member {
+			return &blockingBackend{Replica: be, started: started}
 		})
 		members[i] = engine.ClusterShard{
-			Members:     []engine.RangeBackend{cls[0], cls[1], cls[2]},
+			Members:     []engine.Member{cls[0], cls[1], cls[2]},
 			MemberNames: addrs[:],
 		}
 	}
@@ -246,7 +246,7 @@ func TestClusterHealStaleMemberTCP(t *testing.T) {
 	defer m1cl.Close()
 	cluster, err := engine.NewCluster(
 		engine.ClusterShard{Backend: shard0, Name: "local"},
-		engine.ClusterShard{Members: []engine.RangeBackend{m0cl, m1cl}, MemberNames: []string{m0addr, m1addr}},
+		engine.ClusterShard{Members: []engine.Member{m0cl, m1cl}, MemberNames: []string{m0addr, m1addr}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -328,11 +328,11 @@ func TestClusterHealStaleMemberTCP(t *testing.T) {
 
 	// The healed member serves the donor's exact rows...
 	keys, _ := genKeysForCluster(t, cluster)
-	donorPart, err := m0cl.AnswerRange(ctx, keys, lo, hi)
+	donorPart, err := answerRange(ctx, m0cl, keys, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	healedPart, err := m1cl.AnswerRange(ctx, keys, lo, hi)
+	healedPart, err := answerRange(ctx, m1cl, keys, lo, hi)
 	if err != nil {
 		t.Fatalf("healed member not serving: %v", err)
 	}
@@ -358,6 +358,75 @@ func TestClusterHealStaleMemberTCP(t *testing.T) {
 	}
 	if st := cluster.Status(1); st[1].Quarantined {
 		t.Fatalf("healed member re-quarantined by the next update: %+v", st[1])
+	}
+}
+
+// TestClusterHealMixedWidthTCP: a replica group may mix a whole-table
+// in-process replica with a shard node that holds only the shard's slice.
+// Heal moves the shard's ASSIGNED rows — which both hold — in either
+// direction: whole-table donor to slice node (shipping the donor's whole
+// held range, as Heal once did, is refused by the node's held-range check)
+// and slice node back to the whole-table replica.
+func TestClusterHealMixedWidthTCP(t *testing.T) {
+	const rows, lanes, shards = 128, 2, 2
+	tab := buildTable(t, rows, lanes, 37)
+	cfg := engine.Config{Party: 0}
+	ctx := context.Background()
+
+	shard0 := newReplica(t, tab, cfg)
+	wide := newReplica(t, buildTable(t, rows, lanes, 37), cfg)
+	lo, hi := engine.ShardRange(rows, 1, shards)
+	narrow := newReplica(t, shardTable(t, tab, lo, hi), cfg)
+	_, addr := startNode(t, narrow, ServerConfig{RowLo: lo, RowHi: hi})
+	cl, err := Dial(addr, Options{PRG: wide.PRGName(), Early: wide.EarlyBits(), Party: wide.Party()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cluster, err := engine.NewCluster(
+		engine.ClusterShard{Backend: shard0, Name: "local"},
+		engine.ClusterShard{Members: []engine.Member{wide, cl}, MemberNames: []string{"wide", addr}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, _ := genKeysForCluster(t, cluster)
+	members := []*engine.Replica{wide, narrow}
+	for stale := 1; stale >= 0; stale-- {
+		// The stale member misses an epoch its sibling and shard 0 take; the
+		// next cluster update quarantines it.
+		w := []engine.RowWrite{{Row: uint64(lo + stale), Vals: []uint32{uint32(7 + stale), 7}}}
+		for _, r := range []*engine.Replica{shard0, members[1-stale]} {
+			if _, err := r.UpdateBatch(ctx, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cluster.UpdateBatch(ctx, []engine.RowWrite{{Row: uint64(hi - 1 - stale), Vals: []uint32{8, 8}}}); err != nil {
+			t.Fatalf("update failed despite a current member per shard: %v", err)
+		}
+		if st := cluster.Status(1); !st[stale].Quarantined {
+			t.Fatalf("stale member %d not quarantined: %+v", stale, st)
+		}
+		if err := cluster.Heal(ctx, 1, stale); err != nil {
+			t.Fatalf("healing member %d from its other-width sibling: %v", stale, err)
+		}
+		if st := cluster.Status(1); st[stale].Quarantined || st[stale].Tripped {
+			t.Fatalf("healed member %d still out of rotation: %+v", stale, st[stale])
+		}
+		donorPart, err := answerRange(ctx, members[1-stale], keys, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		healedPart, err := answerRange(ctx, members[stale], keys, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameShares(healedPart, donorPart); err != nil {
+			t.Fatalf("healed member %d's partials diverge from its donor: %v", stale, err)
+		}
+	}
+	if _, err := cluster.Epoch(ctx); err != nil {
+		t.Fatalf("members disagree on the epoch after both heals: %v", err)
 	}
 }
 

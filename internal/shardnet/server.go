@@ -44,12 +44,11 @@ type ServerConfig struct {
 	HandshakeTimeout time.Duration
 }
 
-// Server exposes an engine.RangeBackend over the shardnet protocol. The
-// node's pinned configuration (PRF, early-termination depth, party) is
-// read from the backend when it implements engine.BackendInfo — every
-// engine.Replica does — and enforced against each client's handshake.
+// Server exposes an engine.Member over the shardnet protocol. The node's
+// pinned configuration (PRF, early-termination depth, party) is the
+// member's, enforced against each client's handshake.
 type Server struct {
-	be           engine.RangeBackend
+	be           engine.Member
 	hsTimeout    time.Duration
 	writeTimeout time.Duration
 	maxFrame     int
@@ -60,7 +59,6 @@ type Server struct {
 	prg          string
 	early        int
 	party        int
-	hasInfo      bool
 
 	// ctx cancels in-flight backend work when the server closes: a shard
 	// node shutting down abandons its partial sums instead of finishing
@@ -75,7 +73,7 @@ type Server struct {
 }
 
 // NewServer builds a node over the backend.
-func NewServer(be engine.RangeBackend, cfg ServerConfig) (*Server, error) {
+func NewServer(be engine.Member, cfg ServerConfig) (*Server, error) {
 	if be == nil {
 		return nil, errors.New("shardnet: nil backend")
 	}
@@ -110,13 +108,11 @@ func NewServer(be engine.RangeBackend, cfg ServerConfig) (*Server, error) {
 		lanes:        lanes,
 		lo:           lo,
 		hi:           hi,
-		party:        AdoptParty,
+		prg:          be.PRGName(),
+		early:        be.EarlyBits(),
+		party:        be.Party(),
 		listeners:    map[net.Listener]struct{}{},
 		conns:        map[net.Conn]struct{}{},
-	}
-	if info, ok := engine.AsInfo(be); ok {
-		s.prg, s.early, s.party = info.PRGName(), info.EarlyBits(), info.Party()
-		s.hasInfo = true
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s, nil
@@ -206,35 +202,20 @@ func (s *Server) handshake(conn net.Conn, br *bufio.Reader) bool {
 		RowLo:   s.lo,
 		RowHi:   s.hi,
 	}
-	if eb, ok := engine.AsEpoch(s.be); ok {
-		if epoch, err := eb.Epoch(s.ctx); err == nil {
-			w.Epoch, w.EpochKnown = epoch, true
-		}
+	if epoch, err := s.be.Epoch(s.ctx); err == nil {
+		w.Epoch, w.EpochKnown = epoch, true
 	}
 	switch {
 	case h.Proto != protoName:
 		w.Err = fmt.Sprintf("shardnet: handshake: unknown protocol %q, this node speaks %q", h.Proto, protoName)
 	case h.Version != ProtocolVersion:
 		w.Err = fmt.Sprintf("shardnet: handshake: client speaks shardnet wire version %d, this node speaks version %d", h.Version, ProtocolVersion)
-	case h.PRG != "" && s.hasInfo && h.PRG != s.prg:
+	case h.PRG != "" && h.PRG != s.prg:
 		w.Err = fmt.Sprintf("shardnet: handshake: client keys use prg=%s, this node serves prg=%s", h.PRG, s.prg)
-	case h.Early != 0 && s.hasInfo && normEarly(h.Early) != s.early:
+	case h.Early != 0 && normEarly(h.Early) != s.early:
 		w.Err = fmt.Sprintf("shardnet: handshake: client keys carry early-termination depth %d, this node serves depth %d", normEarly(h.Early), s.early)
-	case h.Party != AdoptParty && s.hasInfo && h.Party != s.party:
+	case h.Party != AdoptParty && h.Party != s.party:
 		w.Err = fmt.Sprintf("shardnet: handshake: client expects party-%d shares, this node computes party %d", h.Party, s.party)
-	}
-	if !s.hasInfo {
-		// A backend without pinned configuration adopts the client's
-		// expectations verbatim so the client's own records stay coherent.
-		if h.PRG != "" {
-			w.PRG = h.PRG
-		}
-		if h.Early != 0 {
-			w.Early = normEarly(h.Early)
-		}
-		if h.Party != AdoptParty {
-			w.Party = h.Party
-		}
 	}
 	if err := writeHandshake(conn, &w); err != nil {
 		return false
@@ -372,65 +353,36 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 				fmt.Sprintf("shardnet: row range [%d,%d) outside the rows [%d,%d) this node holds", req.lo, req.hi, s.lo, s.hi))
 		}
 		return s.dispatchAnswers(ctx, req, dst, int(req.lo), int(req.hi))
-	case opUpdate:
-		if req.row < uint64(s.lo) || req.row >= uint64(s.hi) {
-			return appendErrResponse(dst, req.op,
-				fmt.Sprintf("shardnet: update row %d outside the rows [%d,%d) this node holds", req.row, s.lo, s.hi))
-		}
-		if err := s.be.Update(req.row, req.vals); err != nil {
-			return appendErrResponse(dst, req.op, err.Error())
-		}
-		return appendOK(dst, req.op)
 	case opUpdateBatch:
-		eb, resp := s.epochBackend(req, dst)
-		if eb == nil {
-			return resp
-		}
 		if resp := s.checkWritesHeld(req, dst); resp != nil {
 			return resp
 		}
-		epoch, err := eb.UpdateBatch(ctx, req.writes)
+		epoch, err := s.be.UpdateBatch(ctx, req.writes)
 		if err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		return appendEpochResp(dst, req.op, epoch)
 	case opEpoch:
-		eb, resp := s.epochBackend(req, dst)
-		if eb == nil {
-			return resp
-		}
-		epoch, err := eb.Epoch(ctx)
+		epoch, err := s.be.Epoch(ctx)
 		if err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		return appendEpochResp(dst, req.op, epoch)
 	case opPrepare:
-		eb, resp := s.epochBackend(req, dst)
-		if eb == nil {
-			return resp
-		}
 		if resp := s.checkWritesHeld(req, dst); resp != nil {
 			return resp
 		}
-		if err := eb.PrepareUpdate(ctx, req.epoch, req.writes); err != nil {
+		if err := s.be.PrepareUpdate(ctx, req.epoch, req.writes); err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		return appendOK(dst, req.op)
 	case opCommit:
-		eb, resp := s.epochBackend(req, dst)
-		if eb == nil {
-			return resp
-		}
-		if err := eb.CommitUpdate(ctx, req.epoch); err != nil {
+		if err := s.be.CommitUpdate(ctx, req.epoch); err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		return appendOK(dst, req.op)
 	case opAbort:
-		eb, resp := s.epochBackend(req, dst)
-		if eb == nil {
-			return resp
-		}
-		if err := eb.AbortUpdate(ctx, req.epoch); err != nil {
+		if err := s.be.AbortUpdate(ctx, req.epoch); err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		return appendOK(dst, req.op)
@@ -442,11 +394,7 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 	case opPing:
 		return appendOK(dst, req.op)
 	case opSnapMeta:
-		src, resp := s.snapshotSource(req, dst)
-		if src == nil {
-			return resp
-		}
-		snapEpoch, effEpoch, beLo, beHi, err := src.SnapshotMeta(ctx)
+		snapEpoch, effEpoch, beLo, beHi, err := s.be.SnapshotMeta(ctx)
 		if err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
@@ -458,10 +406,6 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 		// offsets are relative to what a healing peer should adopt.
 		return appendSnapMeta(dst, snapEpoch, effEpoch, s.lo, s.hi)
 	case opSnapChunk:
-		src, resp := s.snapshotSource(req, dst)
-		if src == nil {
-			return resp
-		}
 		if req.max == 0 {
 			return appendErrResponse(dst, req.op, "shardnet: snapshot chunk needs max > 0")
 		}
@@ -483,12 +427,12 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 		// Offsets on the wire are relative to the node's held range;
 		// translate into the backend snapshot's buffer, which may start
 		// below s.lo.
-		_, _, beLo, _, err := src.SnapshotMeta(ctx)
+		_, _, beLo, _, err := s.be.SnapshotMeta(ctx)
 		if err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
 		beOff := (s.lo-beLo)*s.lanes + int(req.off)
-		words, err := src.SnapshotChunk(ctx, req.epoch, beOff, int(want))
+		words, err := s.be.SnapshotChunk(ctx, req.epoch, beOff, int(want))
 		if err != nil {
 			return appendErrResponse(dst, req.op, err.Error())
 		}
@@ -497,47 +441,14 @@ func (s *Server) dispatch(ctx context.Context, req *rpcRequest, dst []byte) []by
 	return appendErrResponse(dst, frame.OpErr, fmt.Sprintf("shardnet: unknown opcode %#x", req.op))
 }
 
-// snapshotSource resolves the backend's snapshot-export capability for a
-// v3 heal RPC, or encodes the named refusal.
-func (s *Server) snapshotSource(req *rpcRequest, dst []byte) (engine.SnapshotSource, []byte) {
-	src, ok := engine.AsSnapshotSource(s.be)
-	if !ok {
-		return nil, appendErrResponse(dst, req.op, "shardnet: this node's backend does not export snapshots")
-	}
-	return src, nil
-}
-
 // dispatchAnswers runs an answer-type request over [lo, hi) and encodes
-// the response, carrying the evaluation epoch when the backend pins one.
+// the response with the epoch the partials were computed at.
 func (s *Server) dispatchAnswers(ctx context.Context, req *rpcRequest, dst []byte, lo, hi int) []byte {
-	if eb, ok := engine.AsEpochRange(s.be); ok {
-		answers, epoch, hasEpoch, err := eb.AnswerRangeEpoch(ctx, req.keys, lo, hi)
-		if err != nil {
-			return appendErrResponse(dst, req.op, err.Error())
-		}
-		return appendAnswers(dst, req.op, answers, s.lanes, epoch, hasEpoch)
-	}
-	var answers [][]uint32
-	var err error
-	if req.op == opAnswer {
-		answers, err = s.be.Answer(ctx, req.keys)
-	} else {
-		answers, err = s.be.AnswerRange(ctx, req.keys, lo, hi)
-	}
+	answers, epoch, hasEpoch, err := s.be.AnswerRangeEpoch(ctx, req.keys, lo, hi)
 	if err != nil {
 		return appendErrResponse(dst, req.op, err.Error())
 	}
-	return appendAnswers(dst, req.op, answers, s.lanes, 0, false)
-}
-
-// epochBackend resolves the backend's epoch capability for a v2 update
-// RPC, or encodes the named refusal.
-func (s *Server) epochBackend(req *rpcRequest, dst []byte) (engine.EpochBackend, []byte) {
-	eb, ok := engine.AsEpoch(s.be)
-	if !ok {
-		return nil, appendErrResponse(dst, req.op, "shardnet: this node's backend does not support epoch-versioned updates")
-	}
-	return eb, nil
+	return appendAnswers(dst, req.op, answers, s.lanes, epoch, hasEpoch)
 }
 
 // checkWritesHeld enforces the node's authoritative row range on an

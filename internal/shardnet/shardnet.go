@@ -1,7 +1,7 @@
-// Package shardnet puts an engine backend on the network, so one logical
-// PIR replica can span machines: a Server exposes any engine.RangeBackend
+// Package shardnet puts an engine member on the network, so one logical
+// PIR replica can span machines: a Server exposes any engine.Member
 // (typically a Replica over one shard's rows) over TCP, and a Client
-// implements engine.RangeBackend against such a node — plug N clients into
+// implements engine.Member against such a node — plug N clients into
 // an engine.Cluster and a million-user table splits across hosts while
 // answers stay bit-identical to a single process.
 //
@@ -28,8 +28,9 @@
 // shard's assignment.
 //
 // After the handshake a connection carries lockstep request/response
-// frames for the RPCs: the v1 five (Answer, AnswerRange, Update, Shape,
-// Counters), the v2 epoch-versioned update path (UpdateBatch, Epoch,
+// frames for the RPCs: the v1 four (Answer, AnswerRange, Shape, Counters;
+// op 0x03, the single-row Update, is retired and refused as unknown), the
+// v2 epoch-versioned update path (UpdateBatch, Epoch,
 // PrepareUpdate, CommitUpdate, AbortUpdate), and the v3 replica-group
 // pair — Ping, the cheap liveness probe, and SnapshotMeta/SnapshotChunk,
 // which stream a node's pinned table snapshot in capped offset-resumable
@@ -103,9 +104,9 @@ type hello struct {
 // welcome is the node's reply: a non-empty Err means the handshake was
 // rejected (the message names both sides' values); otherwise the node's
 // pinned configuration, table shape, the global row range it
-// authoritatively holds, and — when the backend is epoch-versioned — the
-// table epoch it currently serves (advisory: epochs move with updates;
-// the authoritative epoch rides on every answer response).
+// authoritatively holds, and the table epoch it currently serves
+// (advisory: epochs move with updates; the authoritative epoch rides on
+// every answer response).
 type welcome struct {
 	Err        string
 	Version    int

@@ -57,7 +57,7 @@ func newReplica(t testing.TB, tab *strategy.Table, cfg engine.Config) *engine.Re
 
 // startNode serves be on a loopback listener; the server and listener are
 // torn down with the test.
-func startNode(t testing.TB, be engine.RangeBackend, cfg ServerConfig) (*Server, string) {
+func startNode(t testing.TB, be engine.Member, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	srv, err := NewServer(be, cfg)
 	if err != nil {
@@ -160,11 +160,11 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 
 	// Partial ranges must sum to the full answer.
-	partA, err := c.AnswerRange(context.Background(), keys, 0, 100)
+	partA, err := answerRange(context.Background(), c, keys, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	partB, err := c.AnswerRange(context.Background(), keys, 100, rows)
+	partB, err := answerRange(context.Background(), c, keys, 100, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,10 @@ func TestClientServerRoundTrip(t *testing.T) {
 
 	// Update over the wire is visible to the next answer.
 	newRow := []uint32{7, 8, 9, 10}
-	if err := c.Update(13, newRow); err != nil {
+	if err := update1(c, 13, newRow); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Update(13, newRow); err != nil {
+	if err := update1(ref, 13, newRow); err != nil {
 		t.Fatal(err)
 	}
 	remote, err = c.Answer(context.Background(), keys)
@@ -348,6 +348,71 @@ func TestHandshakePinning(t *testing.T) {
 	}
 }
 
+// TestHandshakeNoAdoption: a node enforces ITS member's configuration
+// whatever wraps the replica — there is no member without one, so no path
+// on which the node adopts the PRF / depth / party a client claims.
+func TestHandshakeNoAdoption(t *testing.T) {
+	tab := buildTable(t, 128, 2, 5)
+	rep := newReplica(t, tab, engine.Config{Party: 1})
+	_, addr := startNode(t, &slowBackend{Replica: rep}, ServerConfig{})
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{PRG: "chacha20", Party: 1}, "this node serves prg=aes128"},
+		{Options{PRG: "aes128", Early: engine.FullDepthKeys, Party: 1}, fmt.Sprintf("this node serves depth %d", rep.EarlyBits())},
+		{Options{PRG: "aes128", Party: 0}, "this node computes party 1"},
+	} {
+		c, err := Dial(addr, tc.opts)
+		if err == nil {
+			c.Close()
+			t.Fatalf("node adopted the client's claim %+v (welcome says prg=%s early=%d party=%d)", tc.opts, c.PRGName(), c.EarlyBits(), c.Party())
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("handshake rejection %q does not say %q", err, tc.want)
+		}
+	}
+}
+
+// TestRetiredUpdateOpRefused: wire op 0x03 (the single-row update) is gone;
+// a peer that still sends it gets the named unknown-opcode refusal and a
+// hang-up, not a silent write.
+func TestRetiredUpdateOpRefused(t *testing.T) {
+	tab := buildTable(t, 64, 2, 6)
+	rep := newReplica(t, tab, engine.Config{Party: 0})
+	_, addr := startNode(t, rep, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeHandshake(conn, &hello{Proto: protoName, Version: ProtocolVersion, Party: AdoptParty}); err != nil {
+		t.Fatal(err)
+	}
+	var w welcome
+	if err := readHandshake(conn, &w); err != nil || w.Err != "" {
+		t.Fatalf("handshake failed: %v / %s", err, w.Err)
+	}
+	if err := frame.Write(conn, append(frame.Begin(nil), retiredUpdateRequest...), DefaultMaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var buf []byte
+	body, err := frame.Read(conn, DefaultMaxFrame, &buf)
+	if err != nil {
+		t.Fatalf("reading refusal frame: %v", err)
+	}
+	if body[0] != frame.OpErr || body[1] != frame.StatusErr || !strings.Contains(string(body[2:]), "unknown opcode 0x3") {
+		t.Fatalf("refusal frame op=%#x status=%d %q", body[0], body[1], body[2:])
+	}
+	if _, err := frame.Read(conn, DefaultMaxFrame, &buf); err == nil {
+		t.Fatal("connection survived a retired opcode")
+	}
+	if epoch, _ := rep.Epoch(context.Background()); epoch != 0 {
+		t.Fatalf("retired update op moved the table to epoch %d", epoch)
+	}
+}
+
 // TestBatchCap: a request declaring more keys than the node's batch cap is
 // refused before any backend allocation fan-out — the frame cap bounds
 // bytes, this bounds the per-key amplification.
@@ -393,12 +458,12 @@ func TestHeldRangeEnforced(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "holds only rows [64,128)") {
 		t.Fatalf("Answer rejection %q does not name the held range", err)
 	}
-	if _, err := c.AnswerRange(context.Background(), keys, 0, 128); err == nil {
+	if _, err := answerRange(context.Background(), c, keys, 0, 128); err == nil {
 		t.Fatal("out-of-slice AnswerRange served")
 	} else if !strings.Contains(err.Error(), "outside the rows [64,128)") {
 		t.Fatalf("AnswerRange rejection %q does not name the held range", err)
 	}
-	if err := c.Update(5, []uint32{1, 2, 3, 4}); err == nil {
+	if err := update1(c, 5, []uint32{1, 2, 3, 4}); err == nil {
 		t.Fatal("misrouted Update accepted")
 	} else if !strings.Contains(err.Error(), "outside the rows [64,128)") {
 		t.Fatalf("Update rejection %q does not name the held range", err)
@@ -406,19 +471,19 @@ func TestHeldRangeEnforced(t *testing.T) {
 
 	// Requests inside the slice still work, bit-identically to a full
 	// replica's partials for the same range.
-	got, err := c.AnswerRange(context.Background(), keys, 64, 128)
+	got, err := answerRange(context.Background(), c, keys, 64, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := newReplica(t, tab, engine.Config{Party: 0})
-	want, err := ref.AnswerRange(context.Background(), keys, 64, 128)
+	want, err := answerRange(context.Background(), ref, keys, 64, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sameShares(got, want); err != nil {
 		t.Fatalf("in-slice partials diverge: %v", err)
 	}
-	if err := c.Update(70, []uint32{1, 2, 3, 4}); err != nil {
+	if err := update1(c, 70, []uint32{1, 2, 3, 4}); err != nil {
 		t.Fatalf("in-slice update refused: %v", err)
 	}
 }
@@ -699,7 +764,7 @@ func TestOneWritePerFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.AnswerRange(context.Background(), k0s, 0, 64); err != nil {
+	if _, err := answerRange(context.Background(), c, k0s, 0, 64); err != nil {
 		t.Fatal(err)
 	}
 	const frames = 1 + pings + 1 // handshake, pings, answer — each way
