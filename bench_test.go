@@ -1,7 +1,7 @@
-// Benchmarks: one target per paper table/figure (see DESIGN.md's
-// per-experiment index). These measure the *real* Go implementation on the
-// host — key generation, tree expansion, strategies, the protocol, and the
-// co-design planner. The modeled V100/Xeon numbers that regenerate the
+// Benchmarks: one target per paper table/figure (internal/experiments
+// holds the per-experiment index). These measure the *real* Go
+// implementation on the host — key generation, tree expansion, the
+// executor, the protocol, and the co-design planner. The modeled V100/Xeon numbers that regenerate the
 // paper's absolute values come from internal/experiments (cmd/benchall);
 // the benchmarks here validate that the real code paths behind those
 // models run, scale, and allocate sensibly.
@@ -179,23 +179,21 @@ func BenchmarkFig3Eval(b *testing.B) {
 	}
 }
 
-// BenchmarkFig6Strategies runs each parallelization strategy for real on a
-// 4K-row table (Figure 6's work/memory comparison at host scale).
+// BenchmarkFig6Strategies exercises the analytic model of each of
+// Figure 6's parallelization strategies at the figure's shape (B=32,
+// 2^20 rows). Only MemBoundTree executes; the benchmarks below run it.
 func BenchmarkFig6Strategies(b *testing.B) {
+	dev := gpu.TeslaV100()
 	prg := dpf.NewAESPRG()
-	tab := benchTable(b, 4096, 16)
-	keys := benchKeys(b, prg, tab, 4)
-	for _, s := range []strategy.Strategy{
+	for _, s := range []strategy.Modeler{
 		strategy.BranchParallel{},
 		strategy.LevelByLevel{},
 		strategy.MemBoundTree{K: 128, Fused: true},
 		strategy.CoopGroups{},
 	} {
 		b.Run(s.Name(), func(b *testing.B) {
-			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
-				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
+				if _, err := s.Model(dev, prg, 20, 32, 64); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -276,15 +274,16 @@ func BenchmarkFig14Fusion(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4CPU measures the real host CPU baseline single- and
-// multi-threaded (Table 4's CPU rows, at host scale).
+// BenchmarkTable4CPU measures the host executor with one worker and with
+// 32 (Table 4's CPU rows, at host scale; the modeled Xeon rows come from
+// strategy.CPUBaseline's Model).
 func BenchmarkTable4CPU(b *testing.B) {
 	prg := dpf.NewAESPRG()
 	tab := benchTable(b, 16384, 64) // the 16K row of Table 4
 	keys := benchKeys(b, prg, tab, 1)
-	for _, threads := range []int{1, 32} {
-		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			var s strategy.Strategy = strategy.CPUBaseline{Threads: threads}
+	for _, workers := range []int{1, 32} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true, Workers: workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var ctr gpu.Counters

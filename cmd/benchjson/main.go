@@ -22,7 +22,7 @@
 //     "par:" -minqps prefix, "tiled-par").
 //   - tiled-par / tiled-paged-par: the tiled and tiled-paged paths with
 //     the table stream fanned across a worker per core
-//     (strategy.WithWorkers): row-block parallel accumulate, pipelined
+//     (MemBoundTree.Workers): row-block parallel accumulate, pipelined
 //     expand/stream overlap, and — on the paged leg — async page
 //     readahead. Bit-identical answers; only the wall clock moves.
 //
@@ -248,7 +248,7 @@ func main() {
 		// would file a sequential number under a parallel name.
 		if procs > 1 {
 			runtime.GOMAXPROCS(procs)
-			par := strategy.WithWorkers(s, procs)
+			var par strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true, Workers: procs}
 			tiledPar := measure("tiled-par", batch, tiles*tableBytes, func() {
 				var ctr gpu.Counters
 				if _, err := strategy.Run(par, prg, tiledKeys, tab.View(), &ctr); err != nil {

@@ -122,14 +122,14 @@ func cmdBench(args []string) {
 	batch := fs.Int("batch", 64, "batch size")
 	lanes := fs.Int("lanes", 64, "entry lanes (bytes/4)")
 	prgName := fs.String("prg", "aes128", "PRF")
-	stratName := fs.String("strategy", "membound", "branch | level | membound | coop | cpu1 | cpu32")
+	stratName := fs.String("strategy", "membound", "branch | level | membound | coop | cpu1 | cpu32 (modeled on a V100; cpu* on a Xeon Gold 6230)")
 	fs.Parse(args)
 
 	prg, err := dpf.NewPRG(*prgName)
 	if err != nil {
 		log.Fatalf("gpudpf bench: %v", err)
 	}
-	strats := map[string]strategy.Strategy{
+	strats := map[string]strategy.Modeler{
 		"branch":   strategy.BranchParallel{},
 		"level":    strategy.LevelByLevel{},
 		"membound": strategy.MemBoundTree{K: strategy.DefaultK, Fused: true},

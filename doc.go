@@ -2,7 +2,7 @@
 // Information Retrieval for On-Device Machine Learning Inference"
 // (Lam et al., ASPLOS 2024): two-server DPF-PIR with the paper's GPU
 // execution strategies (modeled on a calibrated V100 device model — see
-// DESIGN.md), partial batch retrieval, and the PIR+ML co-design (hot-table
+// internal/gpu), partial batch retrieval, and the PIR+ML co-design (hot-table
 // split, embedding co-location, fixed query budgets), evaluated end to end
 // on synthetic MovieLens / Taobao / WikiText-2 stand-ins.
 //
@@ -51,18 +51,22 @@
 //     word-wise pass (correctChildren / correctConvert) — serves other
 //     architectures, -tags purego and narrower terminal groups, and is
 //     the definition the kernel tests pin every tier to.
-//   - internal/strategy implements the paper's execution strategies
+//   - internal/strategy models the paper's six execution strategies
 //     (branch-parallel, level-by-level, memory-bounded fused traversal,
-//     cooperative groups, multi-GPU, CPU baseline). A Strategy has one
-//     execution method, RunRangeInto: it evaluates a batch against a row
-//     range of a TableView and adds the partial answer shares — which sum
-//     over any partition of the rows to the full answer, the seam shards
-//     are cut on — into caller-provided buffers through pooled scratch;
-//     strategy.Run / strategy.RunRange are the allocate-then-call free
-//     functions tests and benchmarks use. The strategies differ in how
-//     they expand the tree, and the leaf-matrix ones (level-by-level,
-//     CPU baseline, memory-bounded, multi-GPU) supply only that — an
-//     expander — to the one tile loop (runTiles): leaf shares for a tile
+//     cooperative groups, multi-GPU, CPU baseline): each is a Modeler
+//     (Name, Model) that the figures, the co-design search and the modeled
+//     §3.2.5 scheduler (strategy.Schedule) price on the V100 model. One of
+//     them also executes: MemBoundTree is the Strategy the engine runs at
+//     every table size, and a test-only walker pins the other five
+//     Models' PRF-block counts to the nodes their traversals expand. A
+//     Strategy has one execution method, RunRangeInto: it evaluates a
+//     batch against a row range of a TableView and adds the partial
+//     answer shares — which sum over any partition of the rows to the full
+//     answer, the seam shards are cut on — into caller-provided buffers
+//     through pooled scratch; strategy.Run / strategy.RunRange are the
+//     allocate-then-call free functions tests and benchmarks use.
+//     MemBoundTree's memory-bounded descent (expandMemBound) feeds the one
+//     tile loop (runTiles): leaf shares for a tile
 //     of up to 32 queries are expanded first, then ONE streaming pass over
 //     the row range accumulates all the tile's dot products
 //     (accumulateTile), so a batch of B queries streams the table ⌈B/32⌉
@@ -114,17 +118,16 @@
 //     compiled tier explicitly over lanes × tile sizes × row counts ×
 //     fragmentations).
 //     How a tile uses the cores is decided in that one loop: a tile of
-//     two or more keys expands them in parallel; a strategy with
-//     Workers > 1 (strategy.WithWorkers binds the budget to any
-//     leaf-matrix strategy) splits each tile's row range into row blocks
+//     two or more keys expands them in parallel; MemBoundTree.Workers > 1
+//     splits each tile's row range into row blocks
 //     fanned across a bounded goroutine pool, each worker accumulating
 //     into its own answer buffer through the same tier dispatch, merged
 //     lane-wise mod 2^32 afterwards; and with a second tile to run, tile
 //     N+1's leaf expansion (PRF-bound) overlaps tile N's table stream
 //     (memory-bound) through double-buffered pooled leaf scratch —
 //     bit-identical to the sequential pass for every worker count,
-//     strategy, PRF and fragmented view (property-tested on both CI
-//     kernel legs).
+//     frontier width, fusion setting, PRF and fragmented view
+//     (property-tested on both CI kernel legs).
 //   - internal/store owns the serving table: an epoch-versioned Store
 //     whose snapshots are chunk-iterable views. Readers pin an immutable
 //     Snapshot (one atomic refcount — no lock, no waiting on writers)
@@ -166,8 +169,8 @@
 //     sees one epoch; a concurrent update neither blocks nor tears it),
 //     partitions the rows into contiguous ranges and fans each key batch
 //     across a bounded worker pool, merging per-shard partial sums in
-//     place; worker budget beyond the shard count is handed down into the
-//     strategy layer (strategy.WithWorkers). Unmarshaled keys and shard
+//     place; worker budget beyond the shard count becomes the default
+//     executor's MemBoundTree.Workers. Unmarshaled keys and shard
 //     partials are pooled, so the steady-state Answer allocates nothing
 //     beyond the returned answer slices (AllocsPerRun tests). The replica
 //     pins one early-termination depth (Config.EarlyBits; default = what
@@ -269,7 +272,7 @@
 //     outgrows one machine, at the cost of one LAN round-trip and the
 //     key batch being sent to every shard node.
 //
-// The implementation lives under internal/; see README.md for the layout,
+// The implementation lives under internal/ in the layers listed above; see
 // examples/ for runnable scenarios, and bench_test.go plus
 // internal/engine's BenchmarkEngineAnswer for the per-artifact benchmark
 // targets.

@@ -339,36 +339,6 @@ func TestStepBothBatchMatchesStepBoth(t *testing.T) {
 	}
 }
 
-// TestStepBatchMatchesStep: the per-key batched descent matches Step for
-// both child directions.
-func TestStepBatchMatchesStep(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(4))
-	prg := NewAESPRG()
-	const n = 6
-	for _, bit := range []uint8{0, 1} {
-		seeds := make([]Seed, n)
-		ts := make([]uint8, n)
-		cws := make([]CW, n)
-		wantS := make([]Seed, n)
-		wantT := make([]uint8, n)
-		for i := range seeds {
-			rng.Read(seeds[i][:])
-			rng.Read(cws[i].S[:])
-			ts[i] = uint8(i % 2)
-			cws[i].TL = uint8(i % 2)
-			cws[i].TR = uint8((i + 1) % 2)
-			wantS[i], wantT[i] = Step(prg, seeds[i], ts[i], cws[i], bit)
-		}
-		var sc BatchScratch
-		StepBatch(prg, seeds, ts, cws, bit, &sc)
-		for i := range seeds {
-			if seeds[i] != wantS[i] || ts[i] != wantT[i] {
-				t.Fatalf("bit=%d node %d: StepBatch disagrees with Step", bit, i)
-			}
-		}
-	}
-}
-
 // TestEvalFullIntoMatchesEvalFull: the scratch-backed expansion reproduces
 // EvalFull for scalar and multi-lane keys, and a reused scratch stays
 // correct across differently sized keys.

@@ -400,35 +400,6 @@ func convertLeafGroup(k *Key, s *Seed, t uint8, jLo int, out []uint32) {
 	}
 }
 
-// StepBatch advances n independent per-key node states one level down the
-// bit-selected child in one ExpandBatch call; cws[i] is key i's correction
-// word for this level. seeds and ts are updated in place. This batches the
-// path-per-leaf strategies across a query tile: the leaf index (hence bit)
-// is shared, the keys differ.
-func StepBatch(prg PRG, seeds []Seed, ts []uint8, cws []CW, bit uint8, sc *BatchScratch) {
-	n := len(seeds)
-	sc.grow(n)
-	prg.ExpandBatch(seeds, sc.left, sc.right, sc.tl, sc.tr)
-	for i := 0; i < n; i++ {
-		var s Seed
-		var t uint8
-		if bit == 0 {
-			s, t = sc.left[i], sc.tl[i]
-		} else {
-			s, t = sc.right[i], sc.tr[i]
-		}
-		if ts[i] == 1 {
-			s = xorSeed(s, cws[i].S)
-			if bit == 0 {
-				t ^= cws[i].TL
-			} else {
-				t ^= cws[i].TR
-			}
-		}
-		seeds[i], ts[i] = s, t
-	}
-}
-
 // LeafValue converts one terminal node state into this party's output
 // shares for the node's whole leaf group, applying the final correction
 // word and the party sign. dst must have k.GroupLanes() entries (= k.Lanes

@@ -31,7 +31,7 @@ func BenchmarkEngineAnswer(b *testing.B) {
 
 	b.Run("seedpath", func(b *testing.B) {
 		prg := dpf.NewAESPRG()
-		strat := strategy.Schedule(tab.Bits())
+		strat := strategy.MemBoundTree{K: strategy.DefaultK, Fused: true}
 		keys := make([]*dpf.Key, len(k0s))
 		for i, raw := range k0s {
 			var k dpf.Key

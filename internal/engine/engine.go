@@ -45,12 +45,15 @@ type Config struct {
 	// carry, shared with clients like the PRF. 0 means the dpf default for
 	// the table's tree depth (DefaultEarlyBits, clamped — what
 	// pir.NewClient emits); FullDepthKeys serves legacy full-depth wire-v1
-	// keys. The strategies' tiled walkers need depth-uniform batches, so
+	// keys. The tile loop needs depth-uniform batches, so
 	// the replica pins one depth and rejects mismatched keys loudly at
 	// validation instead of failing co-batched requests downstream.
 	EarlyBits int
-	// Strategy overrides the execution strategy (nil = the paper's
-	// scheduler for the table's size).
+	// Strategy, when set, is run exactly as given (no worker budget is
+	// bound into it) — the seam for wrapping a default replica's
+	// Strategy() in instrumentation. nil runs the default executor,
+	// strategy.MemBoundTree{K: DefaultK, Fused: true} with the per-shard
+	// share of Workers, at every table size.
 	Strategy strategy.Strategy
 }
 
@@ -144,23 +147,12 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	}
 	strat := cfg.Strategy
 	if strat == nil {
-		// Schedule for the shard width, not the whole table: a shard only
-		// walks its own range, so a 2^24 table split 8 ways wants the
-		// strategy for 2^21-row tables. Scheduling on table bits would
-		// hand large sharded tables CoopGroups, whose breadth-first
-		// expansion cannot prune to a range and would multiply total work
-		// by the shard count.
-		shardRows := (rows + shards - 1) / shards
-		strat = strategy.Schedule(dpf.DomainBits(shardRows))
-	}
-	// Surplus worker budget flows down into the strategy layer: the shard
-	// fan-out can use at most `shards` workers, so when shards < workers the
-	// leftover per-shard budget fans each shard's table stream across row
-	// blocks instead (a 1-shard replica finally scales with cores). Answers
-	// are bit-identical either way, and the counters still pin to the
-	// analytic Model — the same work is accounted once however it fans out.
-	if per := workers / shards; per > 1 {
-		strat = strategy.WithWorkers(strat, per)
+		// The shard fan-out uses at most `shards` workers; the per-shard
+		// share of the budget fans each shard's table stream across row
+		// blocks (a 1-shard replica still scales with cores). Answers are
+		// bit-identical whatever the split, and the counters still pin to
+		// the analytic Model.
+		strat = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: workers / shards}
 	}
 	bounds := make([]int, shards+1)
 	for i := 0; i < shards; i++ {

@@ -104,18 +104,18 @@ func TestReplicaMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestReplicaStrategies: sharding composes with every execution strategy.
+// TestReplicaStrategies: sharding composes with the executor at a narrow
+// and the default frontier, fused and not.
 func TestReplicaStrategies(t *testing.T) {
 	const rows, lanes = 200, 2
 	tab := buildTable(t, rows, lanes, 3)
 	indices := []uint64{5, 199}
 	k0s, k1s := genKeys(t, tab, indices, 4)
-	for _, s := range []strategy.Strategy{
-		strategy.CPUBaseline{Threads: 2},
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 8, Fused: true},
-		strategy.CoopGroups{},
+	for _, s := range []strategy.MemBoundTree{
+		{K: 8, Fused: true},
+		{K: 8, Fused: false},
+		{K: 128, Fused: true},
+		{K: 128, Fused: false},
 	} {
 		r0, err := NewReplica(tab, Config{Party: 0, Shards: 4, Workers: 2, Strategy: s})
 		if err != nil {
@@ -360,27 +360,47 @@ func TestEarlyDepthValidation(t *testing.T) {
 	}
 }
 
-// TestDefaultStrategyPerShard: the scheduler must see the shard width, not
-// the table — a large sharded table wants the pruning traversal, not
-// CoopGroups (whose RunRange cannot prune).
-func TestDefaultStrategyPerShard(t *testing.T) {
-	tab, err := strategy.NewTable(1<<strategy.CoopThresholdBits, 1)
+// TestDefaultStrategyAtEveryWidth: a default replica runs the fused
+// memory-bounded executor whatever its shard width — including at and
+// above the paper's 2^22-row cooperative-groups threshold, where the
+// modeled scheduler (strategy.Schedule) picks CoopGroups for a GPU — and a
+// 32-key batch over the whole unsharded table reconstructs its rows.
+func TestDefaultStrategyAtEveryWidth(t *testing.T) {
+	const rows = 1 << strategy.CoopThresholdBits
+	tab := buildTable(t, rows, 1, 22)
+	var whole [2]*Replica
+	for _, shards := range []int{1, 8} {
+		for party := range whole {
+			r, err := NewReplica(tab, Config{Party: party, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := r.Strategy().Name(); got != "membound-fused" {
+				t.Errorf("%d-shard 2^%d table runs %s, want membound-fused", shards, strategy.CoopThresholdBits, got)
+			}
+			if shards == 1 {
+				whole[party] = r
+			}
+		}
+	}
+	indices := make([]uint64, 32)
+	rng := rand.New(rand.NewSource(23))
+	for q := range indices {
+		indices[q] = uint64(rng.Intn(rows))
+	}
+	k0s, k1s := genKeys(t, tab, indices, 24)
+	a0, err := whole[0].Answer(context.Background(), k0s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := NewReplica(tab, Config{Party: 0, Shards: 1})
+	a1, err := whole[1].Answer(context.Background(), k1s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := whole.Strategy().Name(); got != "coop-groups" {
-		t.Errorf("unsharded 2^%d table got %s, want coop-groups", strategy.CoopThresholdBits, got)
-	}
-	sharded, err := NewReplica(tab, Config{Party: 0, Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sharded.Strategy().Name(); got != "membound-fused" {
-		t.Errorf("8-way sharded 2^%d table got %s, want membound-fused (shard-width scheduling)", strategy.CoopThresholdBits, got)
+	for q, idx := range indices {
+		if got, want := a0[q][0]+a1[q][0], tab.Row(int(idx))[0]; got != want {
+			t.Errorf("key %d (row %d): reconstructed %d, want %d", q, idx, got, want)
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func Fig6() (*Table, error) {
 	}
 	dev := gpu.TeslaV100()
 	prg := dpf.NewAESPRG()
-	strats := []strategy.Strategy{
+	strats := []strategy.Modeler{
 		strategy.BranchParallel{},
 		strategy.LevelByLevel{},
 		strategy.MemBoundTree{K: 128, Fused: true},
@@ -167,7 +167,7 @@ func Fig13() (*Table, error) {
 	}
 	dev := gpu.TeslaV100()
 	prg := dpf.NewAESPRG()
-	strats := []strategy.Strategy{
+	strats := []strategy.Modeler{
 		strategy.BranchParallel{},
 		strategy.LevelByLevel{},
 		strategy.MemBoundTree{K: 128, Fused: true},

@@ -262,15 +262,15 @@ func TestMismatchedPRG(t *testing.T) {
 	}
 }
 
-// TestQuickAllStrategiesAgree: a random strategy/index matrix; all
-// strategies must produce identical reconstructions.
+// TestQuickAllStrategiesAgree: a random executor/index matrix; every
+// executor configuration must produce identical reconstructions.
 func TestQuickAllStrategiesAgree(t *testing.T) {
 	tab := fillTable(t, 200, 3)
 	strats := []strategy.Strategy{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 16, Fused: true},
-		strategy.CoopGroups{},
+		strategy.MemBoundTree{K: 8, Fused: true},
+		strategy.MemBoundTree{K: 8, Fused: false},
+		strategy.MemBoundTree{K: 128, Fused: true},
+		strategy.MemBoundTree{K: 128, Fused: false},
 	}
 	f := func(idxRaw uint16, pick uint8) bool {
 		idx := uint64(idxRaw) % uint64(tab.NumRows)

@@ -31,8 +31,9 @@ type serverConfig struct {
 // ServerOption customizes a Server.
 type ServerOption func(*serverConfig) error
 
-// WithStrategy overrides the execution strategy (default: the paper's
-// scheduler — membound-fused below 2^22 rows, cooperative groups above).
+// WithStrategy runs s exactly as given instead of the default executor
+// (strategy.MemBoundTree, fused, at every table size) — the seam for
+// wrapping a default replica's Strategy() in instrumentation.
 func WithStrategy(s strategy.Strategy) ServerOption {
 	return func(cfg *serverConfig) error {
 		if s == nil {

@@ -221,16 +221,14 @@ func TestClientServerRoundTrip(t *testing.T) {
 // TestMixedClusterMatchesReplica is the acceptance sweep: a 4-shard
 // cluster — shards 0 and 2 in-process replicas, shards 1 and 3 real TCP
 // shard nodes holding ONLY their own rows — must answer every
-// strategy × PRF batch bit-identically to a single-process replica.
+// executor × PRF batch bit-identically to a single-process replica.
 func TestMixedClusterMatchesReplica(t *testing.T) {
 	const rows, lanes, shards = 256, 4, 4
-	strategies := []strategy.Strategy{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 8, Fused: true},
-		strategy.CoopGroups{},
-		strategy.MultiGPU{Devices: 2},
-		strategy.CPUBaseline{Threads: 2},
+	strategies := []strategy.MemBoundTree{
+		{K: 8, Fused: true},
+		{K: 8, Fused: false},
+		{K: 128, Fused: true},
+		{K: 128, Fused: false},
 	}
 	prgNames := dpf.AllPRGNames()
 	if testing.Short() {

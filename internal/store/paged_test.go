@@ -39,8 +39,8 @@ func pagedFixture(t testing.TB, rows, lanes, pageBytes int) (*strategy.Table, *P
 
 // TestPagedEquivalenceAcrossStrategies is the out-of-core acceptance
 // check: a paged store whose cache budget is a quarter of the table must
-// serve answers bit-identical to the in-RAM path, for every strategy and
-// across PRFs, while actually evicting (the sweep touches every page with
+// serve answers bit-identical to the in-RAM path, for every executor
+// configuration and across PRFs, while actually evicting (the sweep touches every page with
 // a cache that cannot hold them).
 func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 	const rows, lanes = 4096, 16 // 256 KiB table, 64 KiB cache
@@ -52,14 +52,11 @@ func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 	sn := s.Acquire()
 	defer sn.Release()
 
-	strategies := []strategy.Strategy{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 8, Fused: true},
-		strategy.MemBoundTree{K: 128, Fused: false},
-		strategy.CoopGroups{},
-		strategy.MultiGPU{Devices: 2},
-		strategy.CPUBaseline{Threads: 2},
+	strategies := []strategy.MemBoundTree{
+		{K: 8, Fused: true},
+		{K: 8, Fused: false},
+		{K: 128, Fused: true},
+		{K: 128, Fused: false},
 	}
 	prgs := []dpf.PRG{dpf.NewAESPRG(), dpf.NewChaChaPRG()}
 	rng := rand.New(rand.NewSource(4242))

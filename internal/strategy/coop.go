@@ -1,8 +1,6 @@
 package strategy
 
 import (
-	"sync"
-
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
 )
@@ -13,20 +11,22 @@ import (
 // the required grid-wide barrier per level). Queries in the batch execute
 // back to back, which slashes per-query latency on huge tables; on small
 // tables the per-level grid synchronization dominates and utilization
-// collapses — exactly Figure 9b.
+// collapses — exactly Figure 9b. It is a model only.
 type CoopGroups struct{}
 
-// Name implements Strategy.
+// Name implements Modeler.
 func (CoopGroups) Name() string { return "coop-groups" }
 
 // CoopThresholdBits is the table size (log2) above which the paper selects
 // cooperative groups over batched execution (2^22 entries, §3.2.5).
 const CoopThresholdBits = 22
 
-// Schedule picks the execution strategy the paper's scheduler would: the
-// fused memory-bounded traversal below the threshold, cooperative groups at
-// or above it.
-func Schedule(bits int) Strategy {
+// Schedule is the paper's modeled scheduler: it picks the strategy whose
+// Model prices a table of 2^bits rows — the fused memory-bounded traversal
+// below the threshold, cooperative groups at or above it. The figures and
+// the co-design search call it; no executor does (the engine runs
+// MemBoundTree at every width).
+func Schedule(bits int) Modeler {
 	if bits >= CoopThresholdBits {
 		return CoopGroups{}
 	}
@@ -41,91 +41,17 @@ func coopMemBytes(bits, lanes, early int) int64 {
 	return frontier*nodeBytes + frontier/2*nodeBytes + int64(lanes)*4
 }
 
-// RunRangeInto implements Strategy. Queries execute back to back — one
-// query owns the whole device at a time, which is cooperative groups' point
-// (§3.2.5) and why the dot product here stays per-query rather than
-// query-tiled. Each level advances through batched PRF calls
-// (dpf.StepBothBatch per chunk) over pooled ping-pong buffers. The
-// grid-wide level expansion is inherently whole-tree, so the range
-// restricts only the leaf dot product — like level-by-level, sharding buys
-// dot-product parallelism here, not PRF savings.
-func (CoopGroups) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, rlo, rhi int, ctr *gpu.Counters, dst [][]uint32) error {
-	if err := validateRun(keys, v, rlo, rhi, dst); err != nil {
-		return err
-	}
-	bits := dpf.DomainBits(v.Rows())
-	lanes := v.Lanes()
-	early := keys[0].Early
-	mem := coopMemBytes(bits, lanes, early)
-	ctr.Alloc(mem)
-	defer ctr.Free(mem)
-
-	depth := bits - early
-	frontier := 1 << uint(depth)
-	sc := getCoopScratch()
-	cur, curT, next, nextT := sc.growPing(frontier)
-	for q, k := range keys {
-		cur[0], curT[0] = k.Root, k.Party
-		n := 1
-		for level := 0; level < depth; level++ {
-			cw := k.CWs[level]
-			seeds, ts, out, outT := cur[:n], curT[:n], next[:2*n], nextT[:2*n]
-			gpu.ParallelForChunked(n, 0, func(lo, hi int) {
-				csc := getWalkScratch()
-				dpf.StepBothBatch(prg, seeds[lo:hi], ts[lo:hi], cw, out[2*lo:2*hi], outT[2*lo:2*hi], &csc.batch)
-				ctr.AddPRFBlocks(int64(hi-lo) * dpf.BlocksPerExpand)
-				csc.release()
-			})
-			cur, next = next, cur
-			curT, nextT = nextT, curT
-			n *= 2
-			ctr.AddLaunch() // grid-wide barrier per level
-		}
-		ans := dst[q]
-		var mu sync.Mutex
-		var firstErr error
-		gpu.ParallelForChunked(rhi-rlo, 0, func(lo, hi int) {
-			csc := getWalkScratch()
-			local := csc.growLocal(1, lanes)[0]
-			leaves := csc.growBuf(hi - lo)
-			// Chunk boundaries cut through terminal groups wherever they
-			// like; the group conversion clips.
-			dpf.LeafRangeInto(k, cur[:n], curT[:n], uint64(rlo+lo), uint64(rlo+hi), leaves)
-			// The worker's row span streams through the view's chunk
-			// iterator — one run for an in-RAM table, several for an
-			// overlaid or paged one.
-			err := v.Chunks(rlo+lo, rlo+hi, func(ch Chunk) error {
-				for j := 0; j < len(ch.Data)/lanes; j++ {
-					accumulateRow(local, leaves[ch.Row+j-rlo-lo], ch.Data[j*lanes:(j+1)*lanes])
-				}
-				return nil
-			})
-			mu.Lock()
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			for i := range ans {
-				ans[i] += local[i]
-			}
-			mu.Unlock()
-			csc.release()
-		})
-		if firstErr != nil {
-			sc.release()
-			return firstErr
-		}
-	}
-	sc.release()
-	ctr.AddRead(int64(len(keys)) * (int64(rhi-rlo)*int64(lanes)*4 + int64(frontier)*nodeBytes))
-	ctr.AddWrite(int64(len(keys)) * (int64(frontier)*2*nodeBytes + int64(lanes)*4))
-	return nil
+// prfBlocks counts every internal node of each query's tree once: the
+// grid expands one whole level per barrier.
+func (CoopGroups) prfBlocks(bits, early, batch int) int64 {
+	return int64(batch) * treeBlocks(bits, early)
 }
 
-// Model implements Strategy. Latency is summed per level because the
+// Model implements Modeler. Latency is summed per level because the
 // exposed parallelism is the level width: narrow levels near the root leave
 // the device mostly idle, and every level pays a grid-sync (launch)
 // overhead.
-func (CoopGroups) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (c CoopGroups) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	if coopMemBytes(bits, lanes, early) > dev.GlobalMemBytes {
@@ -157,12 +83,12 @@ func (CoopGroups) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (R
 		util = cycles * float64(batch) / (lat.Seconds() * dev.LaneCyclesPerSecond())
 	}
 	r := Report{
-		Strategy:     CoopGroups{}.Name(),
+		Strategy:     c.Name(),
 		PRG:          prg.Name(),
 		Bits:         bits,
 		Batch:        batch,
 		Lanes:        lanes,
-		PRFBlocks:    int64(batch) * treeBlocks(bits, early),
+		PRFBlocks:    c.prfBlocks(bits, early, batch),
 		PeakMemBytes: coopMemBytes(bits, lanes, early),
 		Latency:      lat,
 		Utilization:  util,

@@ -18,22 +18,36 @@ import (
 // ends the batch at once, leaks nothing and poisons no pooled scratch.
 
 // TestStrategyContract pins strategy.Strategy to exactly Name,
-// RunRangeInto and Model, and keeps every strategy type free of Run /
-// RunRange methods (they are free functions over a TableView).
+// RunRangeInto and Model and strategy.Modeler to Name and Model, keeps
+// every strategy type free of Run / RunRange methods (they are free
+// functions over a TableView), and keeps the five paper-only strategies
+// models: none of them executes.
 func TestStrategyContract(t *testing.T) {
-	it := reflect.TypeOf((*Strategy)(nil)).Elem()
-	var got []string
-	for i := 0; i < it.NumMethod(); i++ {
-		got = append(got, it.Method(i).Name)
+	for _, c := range []struct {
+		iface reflect.Type
+		want  []string
+	}{
+		{reflect.TypeOf((*Strategy)(nil)).Elem(), []string{"Model", "Name", "RunRangeInto"}},
+		{reflect.TypeOf((*Modeler)(nil)).Elem(), []string{"Model", "Name"}},
+	} {
+		var got []string
+		for i := 0; i < c.iface.NumMethod(); i++ {
+			got = append(got, c.iface.Method(i).Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("%s declares %v, want exactly %v", c.iface.Name(), got, c.want)
+		}
 	}
-	if want := []string{"Model", "Name", "RunRangeInto"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("Strategy declares %v, want exactly %v", got, want)
-	}
-	for _, s := range allStrategies() {
+	for _, m := range models() {
 		for _, name := range []string{"Run", "RunRange"} {
-			if _, ok := reflect.TypeOf(s).MethodByName(name); ok {
-				t.Errorf("%T has a %s method; the execution API is RunRangeInto plus the free functions", s, name)
+			if _, ok := reflect.TypeOf(m).MethodByName(name); ok {
+				t.Errorf("%T has a %s method; the execution API is RunRangeInto plus the free functions", m, name)
 			}
+		}
+	}
+	for _, m := range []any{BranchParallel{}, LevelByLevel{}, CoopGroups{}, CPUBaseline{}, MultiGPU{}} {
+		if _, ok := m.(Strategy); ok {
+			t.Errorf("%T executes; the paper-only strategies are models (MemBoundTree is the one executor)", m)
 		}
 	}
 }
@@ -48,7 +62,7 @@ func addInto(sum, part [][]uint32) {
 }
 
 // TestTileLoopRunPartitionProperty is the seeded execution-API property:
-// for every strategy × {aes128, chacha20}, on a contiguous and on a
+// for every executor × {aes128, chacha20}, on a contiguous and on a
 // fragmented view of a randomly shaped table, the free Run equals
 // RunRange over [0, rows) equals the lane-wise sum of RunRange over a
 // random partition — bit for bit, and the same bits on both views — and
@@ -70,7 +84,7 @@ func TestTileLoopRunPartitionProperty(t *testing.T) {
 			name string
 			v    TableView
 		}{{"contiguous", tab.View()}, {"fragmented", fragView{t: tab, cuts: randomCuts(rng, rows, 40)}}}
-		for _, s := range allStrategies() {
+		for _, s := range executors() {
 			var want [][]uint32
 			for _, vw := range views {
 				fail := func(format string, args ...any) {
@@ -129,8 +143,9 @@ func waitGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestTileLoopFirstErrorEndsBatch: for every leaf-matrix strategy × worker
-// budget {1, 4} × {whole table, partial range}, a view whose Chunks fails
+// TestTileLoopFirstErrorEndsBatch: for a narrow fused and a default
+// unfused MemBoundTree × worker budget {1, 4} × {whole table, partial
+// range}, a view whose Chunks fails
 // at a chosen row makes RunRangeInto return that named error; the first
 // error ends the batch (with no overlap only the first of three tiles was
 // ever expanded; with overlap at most the one in flight besides it — the
@@ -146,13 +161,7 @@ func TestTileLoopFirstErrorEndsBatch(t *testing.T) {
 	tab := buildTable(t, rows, lanes, 13)
 	keys, _, _ := genBatch(t, prg, tab, batch, 17)
 	cuts := randomCuts(rng, rows, 50)
-	for _, s := range []Strategy{
-		LevelByLevel{},
-		CPUBaseline{Threads: 1},
-		MemBoundTree{K: 8, Fused: true},
-		MemBoundTree{K: 128, Fused: false},
-		MultiGPU{Devices: 2},
-	} {
+	for _, s := range []MemBoundTree{{K: 8, Fused: true}, {K: 128, Fused: false}} {
 		for _, r := range [][2]int{{0, rows}, {100, rows - 100}} {
 			lo, hi := r[0], r[1]
 			var cleanCtr gpu.Counters
@@ -162,9 +171,10 @@ func TestTileLoopFirstErrorEndsBatch(t *testing.T) {
 			}
 			cleanBlocks := cleanCtr.Snapshot().PRFBlocks
 			for _, workers := range []int{1, 4} {
-				ps := WithWorkers(s, workers)
-				// The fault sits in the first device's rows, past the first
-				// row block, so some of the stream has already been added.
+				ps := s
+				ps.Workers = workers
+				// The fault sits past the first row block, so some of the
+				// stream has already been added.
 				bad := fragView{t: tab, cuts: cuts, fault: errStreamFault, faultRow: lo + parMinBlockRows + 5}
 				base := runtime.NumGoroutine()
 				var ctr gpu.Counters

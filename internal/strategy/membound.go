@@ -29,18 +29,12 @@ type MemBoundTree struct {
 	K int
 	// Fused enables DPF×matmul operator fusion.
 	Fused bool
-	// Workers is the tile loop's worker budget (see tileJob). Set via
-	// WithWorkers; answers are bit-identical whatever its value.
+	// Workers is the tile loop's worker budget (see tileJob); answers are
+	// bit-identical whatever its value.
 	Workers int
 }
 
-// withWorkers implements workerTunable.
-func (m MemBoundTree) withWorkers(n int) Strategy {
-	m.Workers = n
-	return m
-}
-
-// Name implements Strategy.
+// Name implements Modeler.
 func (m MemBoundTree) Name() string {
 	if m.Fused {
 		return "membound-fused"
@@ -121,7 +115,7 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 		ctr.AddLaunch() // separate matmul kernel
 	}
 
-	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), k: k, workers: m.Workers, ctr: ctr, expand: expandMemBound}
+	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), k: k, workers: m.Workers, ctr: ctr}
 	if err := runTiles(job, dst); err != nil {
 		return err
 	}
@@ -148,7 +142,7 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 // counting PRF blocks. The walk is TreeDepth levels deep: early-terminated
 // keys stop above the leaves and convert each terminal seed into its whole
 // leaf group.
-func expandMemBound(r *tileRun, key *dpf.Key, leaf []uint32) error {
+func expandMemBound(r *tileRun, key *dpf.Key, leaf []uint32) {
 	sc := getWalkScratch()
 	depth := key.TreeDepth()
 	sc.growLevels(depth, r.k)
@@ -158,7 +152,6 @@ func expandMemBound(r *tileRun, key *dpf.Key, leaf []uint32) error {
 	w.walk(0, sc.levels[0][:1], sc.levelT[0][:1], 0)
 	r.ctr.AddPRFBlocks(w.blocks)
 	sc.release()
-	return nil
 }
 
 // mbWalker is one query's memory-bounded descent: groups of at most K
@@ -237,7 +230,13 @@ func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 	w.walk(level+1, next[n:], nextT[n:], base+uint64(n)*childSpan)
 }
 
-// Model implements Strategy. PRFBlocks prices the early-terminated tree
+// prfBlocks counts every internal node of each query's tree once — the
+// optimal O(L) work, whatever K.
+func (MemBoundTree) prfBlocks(bits, early, batch int) int64 {
+	return int64(batch) * treeBlocks(bits, early)
+}
+
+// Model implements Modeler. PRFBlocks prices the early-terminated tree
 // (the default key format for this depth); the per-block cycle constant is
 // re-anchored accordingly (see prgCyclesPerBlock).
 func (m MemBoundTree) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
@@ -253,7 +252,7 @@ func (m MemBoundTree) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int
 		launches++
 	}
 	st := gpu.Stats{
-		PRFBlocks:    int64(batch) * treeBlocks(bits, early),
+		PRFBlocks:    m.prfBlocks(bits, early, batch),
 		ReadBytes:    reads,
 		WriteBytes:   writes,
 		Launches:     launches,

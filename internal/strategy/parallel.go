@@ -31,31 +31,6 @@ const (
 	parBlocksPerWorker = 4
 )
 
-// workerTunable is implemented by strategies whose table-stream pass can
-// fan out across a bounded worker pool. withWorkers returns a copy (the
-// strategies are value types) bound to the budget; the concrete type is
-// preserved so callers' type assertions and Name() stay stable.
-type workerTunable interface {
-	withWorkers(n int) Strategy
-}
-
-// WithWorkers returns s bound to a table-stream worker budget of n: its
-// RunRangeInto splits each tile's row range into blocks fanned across up
-// to n workers (see accumulateTilePar). Strategies that already cooperate
-// device-wide per query (CoopGroups, BranchParallel) and budgets of <= 1
-// return s unchanged. Answers are bit-identical to the sequential pass for
-// every n. engine.Replica uses this to hand surplus Workers budget down
-// into the strategy layer when it has fewer shards than workers.
-func WithWorkers(s Strategy, n int) Strategy {
-	if n <= 1 {
-		return s
-	}
-	if t, ok := s.(workerTunable); ok {
-		return t.withWorkers(n)
-	}
-	return s
-}
-
 // parWorkers clamps a configured worker budget to what the runtime can
 // actually run in parallel. The GOMAXPROCS gate keeps single-core hosts —
 // and AllocsPerRun, which pins GOMAXPROCS to 1 — on the allocation-free

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -107,9 +106,9 @@ func sliceLeaves(leaves [][]uint32, lo int) [][]uint32 {
 }
 
 // TestParallelStrategyBitIdentity is the acceptance property test: for
-// every strategy × worker count {1,2,3,8} × PRF × contiguous/fragmented
-// view, WithWorkers(s, w) answers bit-identically to the sequential s, on
-// a multi-tile batch (so membound's pipelined expand/stream overlap runs)
+// every executor × worker count {1,2,3,8} × PRF × contiguous/fragmented
+// view, s with Workers w answers bit-identically to the sequential s, on
+// a multi-tile batch (so the pipelined expand/stream overlap runs)
 // over a non-power-of-two table (so the domain padding clip is exercised).
 // The counted PRF blocks must not change either — the counters stay pinned
 // to the analytic model however the work fans out.
@@ -129,7 +128,7 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 	}
 	for _, pc := range prgs {
 		keys, _, _ := genBatch(t, pc.prg, tab, batch, 23)
-		for _, s := range allStrategies() {
+		for _, s := range executors() {
 			var seqCtr gpu.Counters
 			want := NewAnswers(batch, lanes)
 			if err := s.RunRangeInto(pc.prg, keys, tab.View(), 0, rows, &seqCtr, want); err != nil {
@@ -137,7 +136,8 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 			}
 			seq := seqCtr.Snapshot()
 			for _, w := range parWorkerCounts {
-				ps := WithWorkers(s, w)
+				ps := s
+				ps.Workers = w
 				for _, vw := range []struct {
 					name string
 					v    TableView
@@ -162,27 +162,5 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWithWorkersPreservesType: WithWorkers must return the same concrete
-// strategy type (Name and type assertions stay stable), and budgets <= 1
-// or unsupported strategies come back unchanged.
-func TestWithWorkersPreservesType(t *testing.T) {
-	for _, s := range allStrategies() {
-		ps := WithWorkers(s, 4)
-		if got, want := fmt.Sprintf("%T", ps), fmt.Sprintf("%T", s); got != want {
-			t.Errorf("WithWorkers changed type %s -> %s", want, got)
-		}
-		if ps.Name() != s.Name() {
-			t.Errorf("WithWorkers changed name %s -> %s", s.Name(), ps.Name())
-		}
-		if one := WithWorkers(s, 1); one != s {
-			t.Errorf("%s: WithWorkers(1) should be identity", s.Name())
-		}
-	}
-	m := WithWorkers(MemBoundTree{K: 8, Fused: true}, 6)
-	if mb, ok := m.(MemBoundTree); !ok || mb.Workers != 6 {
-		t.Errorf("MemBoundTree budget not bound: %#v", m)
 	}
 }

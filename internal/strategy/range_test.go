@@ -2,67 +2,50 @@ package strategy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
 )
 
-// TestRunRangePartition: for every strategy, summing the partial shares of
+// TestRunRangePartition: for every executor, summing the partial shares of
 // ranges that partition [0, NumRows) reproduces Run's answers exactly —
 // the linearity engine.Replica's sharding relies on.
 func TestRunRangePartition(t *testing.T) {
 	const rows, lanes = 300, 3 // non-power-of-two rows exercise the domain tail
 	prg := dpf.NewAESPRG()
-	tab, err := NewTable(rows, lanes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := buildTable(t, rows, lanes, 7)
 	rng := rand.New(rand.NewSource(7))
-	for i := range tab.Data {
-		tab.Data[i] = rng.Uint32()
-	}
-	indices := []uint64{0, 13, 255, 299}
-	keys := make([]*dpf.Key, len(indices))
-	for q, idx := range indices {
+	var keys []*dpf.Key
+	for _, idx := range []uint64{0, 13, 255, 299} {
 		k0, _, err := dpf.Gen(prg, idx, tab.Bits(), []uint32{1}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys[q] = &k0
+		keys = append(keys, &k0)
 	}
 	// Uneven cuts, including a range that ends exactly at NumRows (inside
 	// the padded domain tail).
 	cuts := []int{0, 1, 97, 256, rows}
 
-	for _, s := range allStrategies() {
+	for _, s := range executors() {
 		t.Run(s.Name(), func(t *testing.T) {
 			var ctr gpu.Counters
 			want, err := Run(s, prg, keys, tab.View(), &ctr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([][]uint32, len(keys))
-			for q := range got {
-				got[q] = make([]uint32, lanes)
-			}
+			got := NewAnswers(len(keys), lanes)
 			for c := 0; c+1 < len(cuts); c++ {
 				part, err := RunRange(s, prg, keys, tab.View(), cuts[c], cuts[c+1], &ctr)
 				if err != nil {
 					t.Fatalf("range [%d,%d): %v", cuts[c], cuts[c+1], err)
 				}
-				for q := range part {
-					for l := range part[q] {
-						got[q][l] += part[q][l]
-					}
-				}
+				addInto(got, part)
 			}
-			for q := range want {
-				for l := range want[q] {
-					if got[q][l] != want[q][l] {
-						t.Fatalf("key %d lane %d: partition sum %d != full run %d", q, l, got[q][l], want[q][l])
-					}
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("partition sum %v != full run %v", got, want)
 			}
 		})
 	}

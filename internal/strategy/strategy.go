@@ -20,40 +20,46 @@ const nodeBytes = 17
 // times, not B times.
 const tileQueries = 32
 
-// Strategy is one DPF execution strategy: one execution method and its
-// analytic model.
-type Strategy interface {
+// Modeler is one of the paper's GPU execution strategies (§3.2) as an
+// analytic model: what the figures, the co-design search and the modeled
+// scheduler (Schedule) compare. All six strategies are Modelers; only
+// MemBoundTree also executes.
+type Modeler interface {
 	// Name identifies the strategy in reports.
 	Name() string
+	// Model analytically predicts the device-side execution of a batch of
+	// the given shape and converts it to a Report via dev's cost model.
+	Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error)
+}
+
+// Strategy is a Modeler that also executes on the host. MemBoundTree is
+// the one implementation; the interface is the seam a caller wraps it
+// through (engine.Config.Strategy).
+type Strategy interface {
+	Modeler
 	// RunRangeInto evaluates the batch of keys against rows [lo, hi) of v,
 	// accumulating counts into ctr: dst[q] (v.Lanes() wide, zeroed by the
 	// caller) receives key q's partial answer share for the range. Keys
 	// must be scalar (one lane), match the table's depth and share one
 	// early-termination depth. Summing the partials of ranges that
 	// partition [0, v.Rows()) lane-wise (mod 2^32) yields exactly the
-	// whole-table answers — the seam engine.Replica shards on. Tree
-	// strategies prune subtrees outside the range where their traversal
-	// order allows it, so a 1/N range costs ~1/N of the full evaluation;
-	// breadth-first strategies (level-by-level, coop-groups) still expand
-	// the whole tree and only restrict the dot product. Counters are
-	// pinned to Model for the whole-table range [0, v.Rows()) and
-	// proportional for partial ones.
+	// whole-table answers — the seam engine.Replica shards on. The walk
+	// prunes subtrees outside the range, so a 1/N range costs ~1/N of the
+	// full evaluation. Counters are pinned to Model for the whole-table
+	// range [0, v.Rows()) and proportional for partial ones.
 	//
-	// Strategies add into dst without allocating per-call answer storage,
-	// which is what lets engine.Replica pool its shard partials for an
-	// allocation-free steady-state Answer. The table arrives as a
+	// RunRangeInto adds into dst without allocating per-call answer
+	// storage, which is what lets engine.Replica pool its shard partials
+	// for an allocation-free steady-state Answer. The table arrives as a
 	// TableView and is streamed chunk by chunk (accumulateTile), so the
 	// same code path serves in-RAM tables (one maximal chunk), delta-epoch
 	// overlays, and paged backings larger than memory.
 	RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error
-	// Model analytically predicts the device-side execution of a batch of
-	// the given shape and converts it to a Report via dev's cost model.
-	Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error)
 }
 
 // Run evaluates the batch against the whole of v and returns one answer
 // share vector (v.Lanes() wide) per key: RunRange over [0, v.Rows()), the
-// range whose counters every strategy pins to its Model.
+// range whose counters are pinned to Model.
 func Run(s Strategy, prg dpf.PRG, keys []*dpf.Key, v TableView, ctr *gpu.Counters) ([][]uint32, error) {
 	return RunRange(s, prg, keys, v, 0, v.Rows(), ctr)
 }
@@ -98,10 +104,10 @@ func (r Report) String() string {
 		float64(r.PeakMemBytes)/(1<<20))
 }
 
-// validateKeys checks the key preconditions shared by all strategies.
-// Early-termination depth must be uniform across the batch: the tiled
-// walkers advance whole tiles through shared level loops, which only makes
-// sense when every key's tree has the same depth (engine.Replica enforces
+// validateKeys checks the key preconditions of an executed batch.
+// Early-termination depth must be uniform across the batch: the tile loop
+// advances whole tiles through shared level loops, which only makes sense
+// when every key's tree has the same depth (engine.Replica enforces
 // this per key at the front door, so a mixed batch never reaches here from
 // the serving path).
 func validateKeys(keys []*dpf.Key, bits int) error {
@@ -123,7 +129,7 @@ func validateKeys(keys []*dpf.Key, bits int) error {
 	return nil
 }
 
-// validateRun is the RunRangeInto preamble every strategy shares.
+// validateRun is the RunRangeInto preamble.
 func validateRun(keys []*dpf.Key, v TableView, lo, hi int, dst [][]uint32) error {
 	if err := validateKeys(keys, dpf.DomainBits(v.Rows())); err != nil {
 		return err
@@ -170,7 +176,7 @@ func validateRange(rows, lo, hi int) error {
 }
 
 // fullRange reports whether [lo, hi) covers the whole table, in which case
-// strategies keep the calibrated full-run counter accounting (pinned to
+// RunRangeInto keeps the calibrated full-run counter accounting (pinned to
 // Model by the tests).
 func fullRange(rows, lo, hi int) bool { return lo == 0 && hi == rows }
 
@@ -327,7 +333,7 @@ func timeFromSeconds(s float64) time.Duration {
 // maximizes modeled throughput subject to a latency budget (0 = unlimited)
 // and device memory. This is the paper's per-experiment batch tuning
 // ("batch size is tuned for each experiment separately", §5.1).
-func TuneBatch(dev *gpu.Device, s Strategy, prg dpf.PRG, bits, lanes int, maxLatency time.Duration) (Report, error) {
+func TuneBatch(dev *gpu.Device, s Modeler, prg dpf.PRG, bits, lanes int, maxLatency time.Duration) (Report, error) {
 	var best Report
 	found := false
 	for b := 1; b <= 1<<17; b *= 2 {

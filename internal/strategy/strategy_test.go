@@ -39,21 +39,18 @@ func genBatch(t *testing.T, prg dpf.PRG, tab *Table, batch int, seed int64) (k0s
 	return
 }
 
-func allStrategies() []Strategy {
-	return []Strategy{
-		BranchParallel{},
-		LevelByLevel{},
-		MemBoundTree{K: 8, Fused: true},
-		MemBoundTree{K: 8, Fused: false},
-		MemBoundTree{K: 128, Fused: true},
-		CoopGroups{},
-		MultiGPU{Devices: 2},
-		CPUBaseline{Threads: 1},
-		CPUBaseline{Threads: 2},
+// executors is the strategy-axis sweep of every execution test: the one
+// executed strategy at a narrow and the default frontier, fused and not.
+func executors() []MemBoundTree {
+	return []MemBoundTree{
+		{K: 8, Fused: true},
+		{K: 8, Fused: false},
+		{K: 128, Fused: true},
+		{K: 128, Fused: false},
 	}
 }
 
-// TestStrategiesReconstructRows: every strategy must produce shares that
+// TestStrategiesReconstructRows: every executor must produce shares that
 // reconstruct the exact table rows, across entry widths and non-power-of-two
 // row counts.
 func TestStrategiesReconstructRows(t *testing.T) {
@@ -63,7 +60,7 @@ func TestStrategiesReconstructRows(t *testing.T) {
 	} {
 		tab := buildTable(t, shape.rows, shape.lanes, int64(shape.rows))
 		k0s, k1s, idx := genBatch(t, prg, tab, 5, int64(shape.lanes))
-		for _, s := range allStrategies() {
+		for _, s := range executors() {
 			var c0, c1 gpu.Counters
 			a0, err := Run(s, prg, k0s, tab.View(), &c0)
 			if err != nil {
@@ -87,88 +84,33 @@ func TestStrategiesReconstructRows(t *testing.T) {
 	}
 }
 
-// TestRunCountsMatchModel pins the analytic count formulas to the real
-// execution's counted totals (PRF blocks exactly; peak memory exactly since
-// strategies allocate their modeled working set).
-func TestRunCountsMatchModel(t *testing.T) {
-	prg := dpf.NewChaChaPRG()
-	dev := gpu.TeslaV100()
-	const rows = 256 // power of two so the formulas are exact
-	const lanes = 4
-	tab := buildTable(t, rows, lanes, 5)
-	for _, batch := range []int{1, 3, 8} {
-		k0s, _, _ := genBatch(t, prg, tab, batch, 77)
-		for _, s := range allStrategies() {
-			var ctr gpu.Counters
-			if _, err := Run(s, prg, k0s, tab.View(), &ctr); err != nil {
-				t.Fatal(err)
-			}
-			got := ctr.Snapshot()
-			model, err := s.Model(dev, prg, tab.Bits(), batch, lanes)
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name(), err)
-			}
-			if got.PRFBlocks != model.PRFBlocks {
-				t.Errorf("%s batch=%d: counted %d PRF blocks, model %d",
-					s.Name(), batch, got.PRFBlocks, model.PRFBlocks)
-			}
-			if got.PeakMemBytes != model.PeakMemBytes {
-				t.Errorf("%s batch=%d: counted peak %d, model %d",
-					s.Name(), batch, got.PeakMemBytes, model.PeakMemBytes)
-			}
-		}
-	}
-}
-
 // TestWorkOptimality pins the Figure 6 claims on the early-terminated tree
-// (§3.1): with G = L >> early terminal nodes, tree strategies do 2G-2
-// blocks per query — a ~4× cut over the classic 2L-2 for default scalar
-// keys — and branch-parallel does G·(log L - early).
+// (§3.1): with G = L >> early terminal nodes, the tree traversals do 2G-2
+// blocks per query — a ~4× cut over the classic 2L-2 at the default
+// depth — and branch-parallel does G·(log L - early).
 func TestWorkOptimality(t *testing.T) {
-	prg := dpf.NewAESPRG()
-	tab := buildTable(t, 512, 1, 9)
-	k0s, _, _ := genBatch(t, prg, tab, 1, 3)
-	bits := tab.Bits()
-	early := k0s[0].Early
-	if early != dpf.DefaultEarlyBits {
-		t.Fatalf("default keys carry early=%d, want %d", early, dpf.DefaultEarlyBits)
+	const bits = 9
+	if e := modelEarly(bits); e != dpf.DefaultEarlyBits {
+		t.Fatalf("models price early=%d, want %d", e, dpf.DefaultEarlyBits)
 	}
-	groups := int64(1) << uint(bits-early)
-
-	for _, s := range allStrategies() {
-		want := 2*groups - 2 // optimal
-		switch s.(type) {
-		case BranchParallel:
-			want = groups * int64(bits-early) // G·depth
-		case MultiGPU:
-			continue // every device re-derives its root-to-shard path (TestRunCountsMatchModel)
+	for early := 0; early <= dpf.DefaultEarlyBits; early++ {
+		g := int64(1) << uint(bits-early)
+		for _, c := range []struct {
+			m    Modeler
+			want int64
+		}{
+			{MemBoundTree{}, 2*g - 2},
+			{LevelByLevel{}, 2*g - 2},
+			{BranchParallel{}, g * int64(bits-early)},
+		} {
+			if got := walkBlocks(c.m, bits, early); got != c.want {
+				t.Errorf("%s early=%d: %d blocks, want %d", c.m.Name(), early, got, c.want)
+			}
 		}
-		var ctr gpu.Counters
-		if _, err := Run(s, prg, k0s, tab.View(), &ctr); err != nil {
-			t.Fatal(err)
-		}
-		if got := ctr.Snapshot().PRFBlocks; got != want {
-			t.Errorf("%s: %d blocks, want %d", s.Name(), got, want)
-		}
-	}
-
-	// Explicit full-depth (wire v1) keys still do the classic counts.
-	rng := rand.New(rand.NewSource(91))
-	v1, _, err := dpf.GenEarly(prg, 7, bits, []uint32{1}, 0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domain := int64(1) << uint(bits)
-	var v1ctr gpu.Counters
-	if _, err := Run(MemBoundTree{K: 16, Fused: true}, prg, []*dpf.Key{&v1}, tab.View(), &v1ctr); err != nil {
-		t.Fatal(err)
-	}
-	if got := v1ctr.Snapshot().PRFBlocks; got != 2*domain-2 {
-		t.Errorf("full-depth key: %d blocks, want %d", got, 2*domain-2)
 	}
 }
 
-// TestMixedDepthBatchRejected: the tiled walkers need depth-uniform
+// TestMixedDepthBatchRejected: the tile loop needs depth-uniform
 // batches; a batch mixing wire-v1 and wire-v2 keys must fail validation,
 // not silently corrupt answers.
 func TestMixedDepthBatchRejected(t *testing.T) {
@@ -184,7 +126,7 @@ func TestMixedDepthBatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ctr gpu.Counters
-	for _, s := range allStrategies() {
+	for _, s := range executors() {
 		if _, err := Run(s, prg, []*dpf.Key{&full, &early}, tab.View(), &ctr); err == nil {
 			t.Errorf("%s: mixed-depth batch accepted", s.Name())
 		}

@@ -2,13 +2,14 @@ package strategy
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
 )
 
-// This file guards the tiled/batched hot path: every strategy × PRF must
+// This file guards the tiled/batched hot path: every executor × PRF must
 // produce output bit-identical to the scalar seed path (per-query
 // root-to-leaf evaluation through the scalar PRG Expand, one table pass
 // per query), and RunRange over any random partition of [0, NumRows) must
@@ -36,7 +37,7 @@ func scalarReference(t *testing.T, prg dpf.PRG, keys []*dpf.Key, tab *Table) [][
 	return ref
 }
 
-// TestTiledMatchesScalarAllPRGs: for every strategy and every PRF, the
+// TestTiledMatchesScalarAllPRGs: for every executor and every PRF, the
 // tiled/batched Run is bit-identical to the scalar reference. The batch of
 // 34 keys spans two tiles (32 + 2), exercising both the full-tile and
 // ragged-tail paths.
@@ -63,7 +64,7 @@ func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 				}
 			}
 			want := scalarReference(t, prg, keys, tab)
-			for _, s := range allStrategies() {
+			for _, s := range executors() {
 				var ctr gpu.Counters
 				got, err := Run(s, prg, keys, tab.View(), &ctr)
 				if err != nil {
@@ -83,7 +84,7 @@ func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 }
 
 // TestEarlyMatchesFullDepthAllStrategies is the §3.1 acceptance property:
-// for every PRF × every strategy, a batch of early-terminated (wire v2)
+// for every PRF × every executor, a batch of early-terminated (wire v2)
 // key pairs and a batch of full-depth (wire v1) pairs for the same indices
 // produce bit-identical reconstructed answers — the exact table rows, mod
 // 2^32 — and each party's v2 share matches the scalar EvalAt reference for
@@ -125,7 +126,7 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 			v10, v11 := split(v1)
 			v20, v21 := split(v2)
 			refV2 := scalarReference(t, prg, v20, tab)
-			for _, s := range allStrategies() {
+			for _, s := range executors() {
 				var ctr gpu.Counters
 				run := func(keys []*dpf.Key) [][]uint32 {
 					got, err := Run(s, prg, keys, tab.View(), &ctr)
@@ -156,7 +157,7 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 	}
 }
 
-// TestRunRangeRandomPartitions: property test — for every strategy,
+// TestRunRangeRandomPartitions: property test — for every executor,
 // summing RunRange partials over ANY partition of [0, NumRows) reproduces
 // Run (mod 2^32), not just the fixed cut set range_test.go uses.
 func TestRunRangeRandomPartitions(t *testing.T) {
@@ -172,7 +173,7 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 		}
 		keys[q] = &k0
 	}
-	for _, s := range allStrategies() {
+	for _, s := range executors() {
 		var ctr gpu.Counters
 		want, err := Run(s, prg, keys, tab.View(), &ctr)
 		if err != nil {
@@ -185,28 +186,16 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 				cuts = append(cuts, c)
 			}
 			cuts = append(cuts, rows)
-			got := make([][]uint32, len(keys))
-			for q := range got {
-				got[q] = make([]uint32, lanes)
-			}
+			got := NewAnswers(len(keys), lanes)
 			for c := 0; c+1 < len(cuts); c++ {
 				part, err := RunRange(s, prg, keys, tab.View(), cuts[c], cuts[c+1], &ctr)
 				if err != nil {
 					t.Fatalf("%s trial %d range [%d,%d): %v", s.Name(), trial, cuts[c], cuts[c+1], err)
 				}
-				for q := range part {
-					for l := range part[q] {
-						got[q][l] += part[q][l]
-					}
-				}
+				addInto(got, part)
 			}
-			for q := range want {
-				for l := range want[q] {
-					if got[q][l] != want[q][l] {
-						t.Fatalf("%s trial %d cuts %v: q=%d lane=%d partition sum %d != %d",
-							s.Name(), trial, cuts, q, l, got[q][l], want[q][l])
-					}
-				}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s trial %d cuts %v: partition sum %v != %v", s.Name(), trial, cuts, got, want)
 			}
 		}
 	}
@@ -225,7 +214,7 @@ func TestRunRangeIntoAccumulates(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []*dpf.Key{&k0}
-	for _, s := range allStrategies() {
+	for _, s := range executors() {
 		var ctr gpu.Counters
 		want, err := RunRange(s, prg, keys, tab.View(), 0, rows, &ctr)
 		if err != nil {

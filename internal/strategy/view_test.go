@@ -81,7 +81,7 @@ func randomCuts(rng *rand.Rand, rows, n int) []int {
 }
 
 // TestChunkedViewEquivalence pins the TableView redesign's core promise:
-// for every strategy and PRF, RunRangeInto over a randomly fragmented view
+// for every executor and PRF, RunRangeInto over a randomly fragmented view
 // is bit-identical to the same call over the contiguous in-RAM view — for
 // the full table and for sub-ranges whose endpoints fall inside chunks.
 func TestChunkedViewEquivalence(t *testing.T) {
@@ -106,7 +106,7 @@ func TestChunkedViewEquivalence(t *testing.T) {
 				keys = append(keys, &k0)
 			}
 			ranges := [][2]int{{0, rows}, {0, 1}, {257, 1337}, {rows - 5, rows}}
-			for _, s := range allStrategies() {
+			for _, s := range executors() {
 				for _, r := range ranges {
 					lo, hi := r[0], r[1]
 					var ctr gpu.Counters
