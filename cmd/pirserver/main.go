@@ -5,8 +5,9 @@
 //
 // Requests flow through the same path the benchmarks measure: a
 // serving.Front groups incoming keys under a size/deadline policy and
-// executes each formed batch on a sharded engine.Replica, so concurrent
-// clients share table passes instead of queueing behind each other.
+// executes each formed batch on an engine.Replica, so concurrent clients
+// share table passes instead of queueing behind each other. A batch uses
+// the cores GOMAXPROCS grants (set the environment variable to bound it).
 // -maxqueue bounds the admission queue — requests past the bound are shed
 // immediately with a named overload error instead of collapsing queue
 // latency — and -slo turns on adaptive batching: the front re-tunes the
@@ -15,13 +16,13 @@
 // stats probe (admission and epoch-retry counters), which is what
 // cmd/pirload drives and measures.
 //
-//	pirserver -party 0 -addr :7700 -rows 65536 -lanes 32 -seed 42 -shards 4
-//	pirserver -party 1 -addr :7701 -rows 65536 -lanes 32 -seed 42 -shards 4
+//	pirserver -party 0 -addr :7700 -rows 65536 -lanes 32 -seed 42
+//	pirserver -party 1 -addr :7701 -rows 65536 -lanes 32 -seed 42
 //
 // One party can also span machines. Each machine runs a shard node that
 // holds and serves one contiguous slice of the row domain over the
-// shardnet protocol, and a front instance assembles them (with optional
-// local shards) into one engine.Cluster behind the ordinary client-facing
+// shardnet protocol, and a front instance assembles them into one
+// engine.Cluster behind the ordinary client-facing
 // protocol — answers are bit-identical to the single-process server:
 //
 //	pirserver -party 0 -shardnode 0/2 -addr :7800 -rows 1048576 -seed 42
@@ -95,8 +96,6 @@ type config struct {
 	seed        int64
 	prg         string
 	early       int
-	shards      int
-	workers     int
 	batch       int
 	maxDelay    time.Duration
 	maxQueue    int
@@ -120,8 +119,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
 	flag.StringVar(&cfg.prg, "prg", "aes128", "PRF (must match clients): aes128, chacha20, siphash, highway, sha256")
 	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, "early-termination depth clients' keys carry (must match clients; 0 = legacy full-depth wire-v1 keys)")
-	flag.IntVar(&cfg.shards, "shards", 0, "row-range shards evaluated concurrently (0 = unsharded)")
-	flag.IntVar(&cfg.workers, "workers", 0, "shard worker pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.batch, "batch", 64, "max keys per formed batch (0 disables the batching front door)")
 	flag.DurationVar(&cfg.maxDelay, "maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 	flag.IntVar(&cfg.maxQueue, "maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
@@ -210,7 +207,7 @@ func notifyShutdown(l net.Listener) chan os.Signal {
 // bounded page cache: same wire behavior, out-of-core memory profile.
 // closeStore releases the table file (a no-op in RAM).
 func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()) {
-	opts := []pir.ServerOption{pir.WithPRG(cfg.prg), pir.WithEarly(cfg.early), pir.WithSharding(cfg.shards, cfg.workers)}
+	opts := []pir.ServerOption{pir.WithPRG(cfg.prg), pir.WithEarly(cfg.early)}
 	var err error
 	if cfg.tableFile == "" {
 		var tab *pir.Table
@@ -274,7 +271,7 @@ func runSingle(cfg config) {
 	rep, closeStore := openReplica(cfg, 0, cfg.rows)
 	defer closeStore()
 	serveClients(cfg, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
-		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d shards=%d", cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits(), rep.Shards()))
+		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits()))
 	log.Printf("pirserver: shutdown complete")
 }
 

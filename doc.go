@@ -62,7 +62,7 @@
 //     Strategy has one execution method, RunRangeInto: it evaluates a
 //     batch against a row range of a TableView and adds the partial
 //     answer shares — which sum over any partition of the rows to the full
-//     answer, the seam shards are cut on — into caller-provided buffers
+//     answer, the seam a Cluster's shards are cut on — into caller-provided buffers
 //     through pooled scratch; strategy.Run / strategy.RunRange are the
 //     allocate-then-call free functions tests and benchmarks use.
 //     MemBoundTree's memory-bounded descent (expandMemBound) feeds the one
@@ -117,14 +117,21 @@
 //     commute; TestAccumulateTileKernelTiersMatchScalar calls every
 //     compiled tier explicitly over lanes × tile sizes × row counts ×
 //     fragmentations).
-//     How a tile uses the cores is decided in that one loop: a tile of
-//     two or more keys expands them in parallel; MemBoundTree.Workers > 1
-//     splits each tile's row range into row blocks
-//     fanned across a bounded goroutine pool, each worker accumulating
-//     into its own answer buffer through the same tier dispatch, merged
-//     lane-wise mod 2^32 afterwards; and with a second tile to run, tile
-//     N+1's leaf expansion (PRF-bound) overlaps tile N's table stream
-//     (memory-bound) through double-buffered pooled leaf scratch —
+//     How a tile uses the cores is decided in that one loop, under one
+//     budget, MemBoundTree.Workers (a replica sets it to GOMAXPROCS, so
+//     the cores are GOMAXPROCS): a tile's keys expand on up to that many
+//     goroutines; a tile with fewer keys than the budget also cuts each
+//     key's leaf range into min(workers/keys, width/2048) sub-ranges at
+//     terminal-group boundaries, each walking into its own slice of the
+//     key's leaf row (the CPU form of §3.2.5's cooperative groups — what
+//     moves batch-1 latency — at one extra root-to-cut path per cut); the
+//     tile's row range splits into row blocks fanned across the budget,
+//     each worker accumulating into its own answer buffer through the
+//     same tier dispatch, merged lane-wise mod 2^32 afterwards; and with
+//     a second tile to run, tile N+1's leaf expansion (PRF-bound)
+//     overlaps tile N's table stream (memory-bound) through
+//     double-buffered pooled leaf scratch. The walk stops at the table's
+//     last row; the padded domain past it is never expanded. All of it is
 //     bit-identical to the sequential pass for every worker count,
 //     frontier width, fusion setting, PRF and fragmented view
 //     (property-tested on both CI kernel legs).
@@ -164,15 +171,15 @@
 //     The type system requires the role; the only run-time assertions
 //     left are a front door's two extras (KeyValidator,
 //     EpochRetryCounter) and a receiving member's SnapshotSink.
-//     The sharded Replica fills both roles: it owns its table through a
-//     store.Store, pins ONE snapshot per answer batch (the whole batch
-//     sees one epoch; a concurrent update neither blocks nor tears it),
-//     partitions the rows into contiguous ranges and fans each key batch
-//     across a bounded worker pool, merging per-shard partial sums in
-//     place; worker budget beyond the shard count becomes the default
-//     executor's MemBoundTree.Workers. Unmarshaled keys and shard
-//     partials are pooled, so the steady-state Answer allocates nothing
-//     beyond the returned answer slices (AllocsPerRun tests). The replica
+//     Replica fills both roles: it owns its table through a store.Store
+//     and answers each key batch — whole table or a member's row range —
+//     with ONE RunRangeInto over ONE pinned snapshot (the whole batch sees
+//     one epoch; a concurrent update neither blocks nor tears it). Its
+//     default executor is MemBoundTree{K: 128, Fused: true, Workers:
+//     GOMAXPROCS}; how the batch spreads over the cores is the tile
+//     loop's decision above, not the replica's. Unmarshaled keys are
+//     pooled, so a steady-state Answer or AnswerRangeEpoch allocates
+//     nothing beyond the returned answer slices (AllocsPerRun tests). The replica
 //     pins one early-termination depth (Config.EarlyBits; default = what
 //     pir.NewClient emits) and rejects mismatched keys at validation with
 //     the configured PRF and the key's parsed wire version in the error.
@@ -266,7 +273,8 @@
 //     cluster front runs the epoch handshake across every member of
 //     every shard. SIGTERM/SIGINT shut down gracefully: stop accepting,
 //     drain the in-flight batcher batches, close shardnet
-//     serving/clients. Choose in-process shards (-shards)
+//     serving/clients. One process uses the cores GOMAXPROCS grants
+//     (there is no core flag; set the environment variable to bound it)
 //     while one machine's cores and memory suffice — no serialization,
 //     no network hop; choose a cluster when the table or the PRF load
 //     outgrows one machine, at the cost of one LAN round-trip and the

@@ -22,13 +22,11 @@ func answerAllocs(t *testing.T, r *Replica, keys [][]byte) float64 {
 	})
 }
 
-// TestAnswerSteadyStateAllocs pins the tentpole's zero-allocation claim:
-// with pooled keys, pooled shard partials and the strategies'
-// RunRangeInto, a sequential replica's steady-state Answer allocates
-// nothing beyond the two allocations of the returned answer batch (flat
-// backing + headers). AllocsPerRun runs under GOMAXPROCS(1), so the
-// strategies take their inline expansion paths — exactly the engine's
-// per-shard execution shape.
+// TestAnswerSteadyStateAllocs pins the zero-allocation claim: with pooled
+// keys and the strategy's RunRangeInto, a replica's steady-state Answer
+// allocates nothing beyond the two allocations of the returned answer batch
+// (flat backing + headers). AllocsPerRun runs under GOMAXPROCS(1), so the
+// tile loop takes its inline expansion path.
 func TestAnswerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates and defeats sync.Pool reuse")
@@ -48,23 +46,21 @@ func TestAnswerSteadyStateAllocs(t *testing.T) {
 				indices[i] = uint64(i * 31 % rows)
 			}
 			k0s, _ := genKeys(t, tab, indices, 2)
-			r, err := NewReplica(tab, Config{Party: 0, Shards: 1})
+			r, err := NewReplica(tab, Config{Party: 0})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := answerAllocs(t, r, k0s); got > 2 {
-				t.Errorf("lanes=%d batch=%d: sequential Answer allocates %.1f/op, want ≤ 2 (returned answers only)", sh.lanes, batch, got)
+				t.Errorf("lanes=%d batch=%d: Answer allocates %.1f/op, want ≤ 2 (returned answers only)", sh.lanes, batch, got)
 			}
 		}
 	}
 }
 
-// TestAnswerShardedAllocsBounded: the sharded path spawns its worker
-// goroutines per call, but everything else — keys, partials, merge — is
-// pooled, so per-call allocations stay a small constant independent of
-// batch and table size (the seed path allocated per key per shard per
-// node).
-func TestAnswerShardedAllocsBounded(t *testing.T) {
+// TestAnswerRangeEpochSteadyStateAllocs: the range answer a cluster member
+// serves is Answer over a sub-range, with the same ≤ 2 allocs/op floor —
+// no per-call bounds or partials.
+func TestAnswerRangeEpochSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates and defeats sync.Pool reuse")
 	}
@@ -75,13 +71,20 @@ func TestAnswerShardedAllocsBounded(t *testing.T) {
 		indices[i] = uint64(i * 17 % rows)
 	}
 	k0s, _ := genKeys(t, tab, indices, 4)
-	r, err := NewReplica(tab, Config{Party: 0, Shards: 4, Workers: 2})
+	r, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budget: the two returned-answer allocations plus O(workers) transient
-	// goroutine/closure state. Nothing may scale with batch × shards.
-	if got := answerAllocs(t, r, k0s); got > 16 {
-		t.Errorf("sharded Answer allocates %.1f/op, want ≤ 16 (answers + O(workers) fan-out)", got)
+	ctx := context.Background()
+	answer := func() {
+		if _, _, _, err := r.AnswerRangeEpoch(ctx, k0s, 100, 700); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		answer()
+	}
+	if got := testing.AllocsPerRun(20, answer); got > 2 {
+		t.Errorf("AnswerRangeEpoch allocates %.1f/op, want ≤ 2 (returned answers only)", got)
 	}
 }

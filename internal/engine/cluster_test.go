@@ -350,11 +350,11 @@ func TestClusterValidateKey(t *testing.T) {
 
 // TestReplicaAnswerRangePartition: AnswerRangeEpoch partials over any partition
 // of the rows sum to the full answer (the property Cluster merging rests
-// on), including partitions not aligned to the replica's own shards.
+// on).
 func TestReplicaAnswerRangePartition(t *testing.T) {
 	const rows, lanes = 300, 4
 	tab := buildTable(t, rows, lanes, 41)
-	rep, err := NewReplica(tab, Config{Party: 0, Shards: 3})
+	rep, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

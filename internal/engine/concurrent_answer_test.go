@@ -60,7 +60,7 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 	}
 	want := make([][][][]uint32, len(states)) // [epoch][batch][key][lane]
 	for e, tab := range states {
-		alone, err := NewReplica(cloneTable(t, tab), Config{Party: 0, Shards: 1, Workers: 1})
+		alone, err := NewReplica(cloneTable(t, tab), Config{Party: 0, Strategy: sequential})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 		}
 	}
 	ram := func(depth int) (answerFn, BatchUpdater) {
-		r, err := NewReplica(cloneTable(t, states[0]), Config{Party: 0, Shards: 2, Workers: 2})
+		r, err := NewReplica(cloneTable(t, states[0]), Config{Party: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := NewReplicaOverStore(st, Config{Party: 0, Shards: 2, Workers: 2})
+			r, err := NewReplicaOverStore(st, Config{Party: 0})
 			if err != nil {
 				t.Fatal(err)
 			}

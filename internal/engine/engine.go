@@ -2,12 +2,12 @@
 // (capability.go): the Backend interface every consumer (pir.Server,
 // batchpir.Server, core.Service, serving.Front, cmd/pirserver) routes
 // answers and updates through, the Member interface a Cluster or a shard
-// node holds, and a sharded Replica implementation that partitions the
-// table into contiguous row ranges and fans each key batch across a
-// bounded worker pool. Shares are additive (mod 2^32, lane-wise), so per-shard partial
-// sums merge into exactly the answers a sequential evaluation produces —
-// the same linearity the paper's multi-GPU scheme exploits (§3.2.7), here
-// applied inside one replica so the hot path is parallel end to end.
+// node holds, and Replica, which answers each key batch with one
+// RunRangeInto over one pinned table snapshot. How a batch uses the cores
+// is the strategy's tile loop's decision, under one budget: GOMAXPROCS.
+// Shares are additive (mod 2^32, lane-wise), so a Cluster's per-shard
+// partial sums merge into exactly the answers one replica produces — the
+// same linearity the paper's multi-GPU scheme exploits (§3.2.7).
 package engine
 
 import (
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
@@ -27,12 +26,6 @@ import (
 type Config struct {
 	// Party is which share (0 or 1) the replica computes.
 	Party int
-	// Shards partitions the table into this many contiguous row ranges;
-	// 0 or 1 is the unsharded, sequential-equivalent configuration.
-	// Shards beyond the row count are clamped.
-	Shards int
-	// Workers bounds the shard worker pool (0 = GOMAXPROCS).
-	Workers int
 	// PRG is the PRF shared with clients (nil = aes128). Every PRF of the
 	// Table 5 sweep (aes128, sha256, chacha20, siphash, highway) is
 	// servable — cmd/pirserver wires this through its -prg flag, so the
@@ -52,8 +45,8 @@ type Config struct {
 	// Strategy, when set, is run exactly as given (no worker budget is
 	// bound into it) — the seam for wrapping a default replica's
 	// Strategy() in instrumentation. nil runs the default executor,
-	// strategy.MemBoundTree{K: DefaultK, Fused: true} with the per-shard
-	// share of Workers, at every table size.
+	// strategy.MemBoundTree{K: DefaultK, Fused: true} with GOMAXPROCS
+	// workers, at every table size.
 	Strategy strategy.Strategy
 }
 
@@ -61,32 +54,29 @@ type Config struct {
 // full-depth wire-v1 keys.
 const FullDepthKeys = -1
 
-// Replica is the sharded Backend over one party's table replica. The
-// table lives in an epoch-versioned store.Store: every Answer pins one
-// immutable snapshot for the whole batch, and updates install new epochs
-// without blocking readers — UpdateBatch/Answer share no lock at all.
+// Replica is the Backend over one party's table replica. The table lives
+// in an epoch-versioned store.Store: every Answer pins one immutable
+// snapshot for the whole batch, and updates install new epochs without
+// blocking readers — UpdateBatch/Answer share no lock at all.
 type Replica struct {
-	party   uint8
-	prg     dpf.PRG
-	early   int // early-termination depth served keys must carry
-	strat   strategy.Strategy
-	st      *store.Store
-	rows    int
-	lanes   int
-	bits    int
-	bounds  []int // shard i covers rows [bounds[i], bounds[i+1])
-	workers int
+	party uint8
+	prg   dpf.PRG
+	early int // early-termination depth served keys must carry
+	strat strategy.Strategy
+	st    *store.Store
+	rows  int
+	lanes int
+	bits  int
 
 	ctr gpu.Counters
 
-	// scratch recycles Answer's per-call state — unmarshaled keys (whose
-	// correction-word and final-CW slices are reused across calls) and
-	// per-shard partial-share buffers — so the steady-state Answer path
-	// allocates nothing beyond the returned answer slices.
+	// scratch recycles Answer's unmarshaled keys (whose correction-word and
+	// final-CW slices are reused across calls), so the steady-state Answer
+	// path allocates nothing beyond the returned answer slices.
 	scratch sync.Pool
 }
 
-// NewReplica builds the sharded engine over the table, adopting it as
+// NewReplica builds the engine over the table, adopting it as
 // epoch 0 of a fresh store.Store — the caller must not mutate the table
 // afterwards; all writes go through UpdateBatch (which installs new
 // epochs and leave prior snapshots untouched).
@@ -101,7 +91,7 @@ func NewReplica(tab *strategy.Table, cfg Config) (*Replica, error) {
 	return NewReplicaOverStore(st, cfg)
 }
 
-// NewReplicaOverStore builds the sharded engine over an existing
+// NewReplicaOverStore builds the engine over an existing
 // epoch-versioned store — the constructor for callers that coordinate the
 // store's epochs themselves or share one store between replicas (both
 // parties of an in-process test pair, a replica and its admin updater).
@@ -112,21 +102,7 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	if st == nil {
 		return nil, fmt.Errorf("engine: replica needs a store")
 	}
-	if cfg.Shards < 0 || cfg.Workers < 0 {
-		return nil, fmt.Errorf("engine: negative Shards/Workers (%d/%d)", cfg.Shards, cfg.Workers)
-	}
 	rows, lanes := st.Shape()
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > rows {
-		shards = rows
-	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	prg := cfg.PRG
 	if prg == nil {
 		prg = dpf.NewAESPRG()
@@ -147,28 +123,20 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	}
 	strat := cfg.Strategy
 	if strat == nil {
-		// The shard fan-out uses at most `shards` workers; the per-shard
-		// share of the budget fans each shard's table stream across row
-		// blocks (a 1-shard replica still scales with cores). Answers are
-		// bit-identical whatever the split, and the counters still pin to
-		// the analytic Model.
-		strat = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: workers / shards}
-	}
-	bounds := make([]int, shards+1)
-	for i := 0; i < shards; i++ {
-		bounds[i], bounds[i+1] = ShardRange(rows, i, shards)
+		// The tile loop spends the budget: queries, narrow tiles' leaf
+		// sub-ranges and the table stream's row blocks fan out across it,
+		// and answers are bit-identical whatever it is.
+		strat = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: runtime.GOMAXPROCS(0)}
 	}
 	return &Replica{
-		party:   uint8(cfg.Party),
-		prg:     prg,
-		early:   early,
-		strat:   strat,
-		st:      st,
-		rows:    rows,
-		lanes:   lanes,
-		bits:    bits,
-		bounds:  bounds,
-		workers: workers,
+		party: uint8(cfg.Party),
+		prg:   prg,
+		early: early,
+		strat: strat,
+		st:    st,
+		rows:  rows,
+		lanes: lanes,
+		bits:  bits,
 	}, nil
 }
 
@@ -194,10 +162,7 @@ func (r *Replica) Table() (*strategy.Table, error) {
 // one table between replicas.
 func (r *Replica) Store() *store.Store { return r.st }
 
-// Shards returns the shard count.
-func (r *Replica) Shards() int { return len(r.bounds) - 1 }
-
-// Strategy returns the execution strategy shards run.
+// Strategy returns the execution strategy the replica runs.
 func (r *Replica) Strategy() strategy.Strategy { return r.strat }
 
 // EarlyBits returns the early-termination depth served keys must carry
@@ -281,22 +246,17 @@ func getAnswerScratch(p *sync.Pool) *answerScratch {
 	return new(answerScratch)
 }
 
-// answerScratch is Answer's pooled per-call state. Keys are unmarshaled
+// answerScratch is Answer's pooled per-call state: keys are unmarshaled
 // into retained dpf.Key structs (UnmarshalBinary reuses their CW/Final
-// capacity), and shard partials live in one flat backing that is cleared,
-// not reallocated, per call.
+// capacity).
 type answerScratch struct {
-	keys     []dpf.Key
-	keyPtrs  []*dpf.Key
-	flat     []uint32
-	hdr      [][]uint32
-	partials [][][]uint32
-	errs     []error
+	keys    []dpf.Key
+	keyPtrs []*dpf.Key
 }
 
-// grow sizes the scratch for a batch × shards call, preserving the
-// retained keys' internal slices.
-func (s *answerScratch) grow(batch, shards, lanes int) {
+// grow sizes the scratch for a batch, preserving the retained keys'
+// internal slices.
+func (s *answerScratch) grow(batch int) {
 	if cap(s.keys) < batch {
 		keys := make([]dpf.Key, batch)
 		copy(keys, s.keys)
@@ -310,163 +270,59 @@ func (s *answerScratch) grow(batch, shards, lanes int) {
 	for i := range s.keyPtrs {
 		s.keyPtrs[i] = &s.keys[i]
 	}
-	if shards == 0 {
-		return
-	}
-	need := shards * batch * lanes
-	if cap(s.flat) < need {
-		s.flat = make([]uint32, need)
-	}
-	s.flat = s.flat[:need]
-	clear(s.flat) // strategies accumulate into zeroed partials
-	if cap(s.hdr) < shards*batch {
-		s.hdr = make([][]uint32, shards*batch)
-	}
-	s.hdr = s.hdr[:shards*batch]
-	if cap(s.partials) < shards {
-		s.partials = make([][][]uint32, shards)
-	}
-	s.partials = s.partials[:shards]
-	if cap(s.errs) < shards {
-		s.errs = make([]error, shards)
-	}
-	s.errs = s.errs[:shards]
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
-	for sh := 0; sh < shards; sh++ {
-		rows := s.hdr[sh*batch : (sh+1)*batch]
-		for q := 0; q < batch; q++ {
-			off := (sh*batch + q) * lanes
-			rows[q] = s.flat[off : off+lanes]
-		}
-		s.partials[sh] = rows
-	}
 }
 
 // Answer implements Backend: keys are unmarshaled and validated once into
-// pooled key structs, then every shard evaluates the whole batch over its
-// row range on the bounded worker pool via the strategy's allocation-free
-// RunRangeInto, and the per-shard partial shares are merged in place into
-// the returned answers. Steady state, the only allocations are the
-// returned answer slices themselves. The whole batch runs against ONE
-// pinned table snapshot: a concurrent update neither blocks it nor tears
-// it.
+// pooled key structs, then the strategy's allocation-free RunRangeInto
+// evaluates the whole batch over the whole table straight into the
+// returned answers. Steady state, the only allocations are the returned
+// answer slices themselves. The whole batch runs against ONE pinned table
+// snapshot: a concurrent update neither blocks it nor tears it.
 func (r *Replica) Answer(ctx context.Context, rawKeys [][]byte) ([][]uint32, error) {
-	answers, _, err := r.answerBounds(ctx, rawKeys, r.bounds)
+	answers, _, err := r.answerRange(ctx, rawKeys, 0, r.rows)
 	return answers, err
 }
 
-// AnswerRangeEpoch implements Member: the batch is evaluated against rows
-// [lo, hi) only, the range split across the replica's shard/worker budget
-// exactly like Answer splits the full table, yielding the partial shares a
-// Cluster merges and the epoch of the snapshot they were computed against.
-// Unlike Answer's steady state, the per-call shard bounds are freshly
-// allocated — this is the network-facing path, not the in-process hot path.
+// AnswerRangeEpoch implements Member: Answer over rows [lo, hi) only,
+// yielding the partial shares a Cluster merges and the epoch of the
+// snapshot they were computed against.
 func (r *Replica) AnswerRangeEpoch(ctx context.Context, rawKeys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
 	if lo < 0 || hi > r.rows || lo >= hi {
 		return nil, 0, false, fmt.Errorf("engine: row range [%d,%d) invalid for table of %d rows", lo, hi, r.rows)
 	}
-	shards := r.Shards()
-	if shards > hi-lo {
-		shards = hi - lo
-	}
-	bounds := make([]int, shards+1)
-	for i := range bounds {
-		bounds[i] = lo + i*(hi-lo)/shards
-	}
-	answers, epoch, err := r.answerBounds(ctx, rawKeys, bounds)
+	answers, epoch, err := r.answerRange(ctx, rawKeys, lo, hi)
 	return answers, epoch, err == nil, err
 }
 
-// answerBounds is the shared Answer/AnswerRangeEpoch core: shard i of the call
-// covers rows [bounds[i], bounds[i+1]). The returned epoch is the pinned
-// snapshot's.
-func (r *Replica) answerBounds(ctx context.Context, rawKeys [][]byte, bounds []int) ([][]uint32, uint64, error) {
+// answerRange is the shared Answer/AnswerRangeEpoch core. The returned
+// epoch is the pinned snapshot's.
+func (r *Replica) answerRange(ctx context.Context, rawKeys [][]byte, lo, hi int) ([][]uint32, uint64, error) {
 	if len(rawKeys) == 0 {
 		return nil, 0, fmt.Errorf("engine: empty key batch")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	// sc is initialized exactly once and never reassigned: the shard
-	// workers' closure captures it, and capturing a reassigned variable
-	// would heap-move it on every call.
 	sc := getAnswerScratch(&r.scratch)
-	shards := len(bounds) - 1
-	partialShards := shards
-	if shards == 1 {
-		partialShards = 0 // sequential path accumulates straight into answers
-	}
-	sc.grow(len(rawKeys), partialShards, r.lanes)
+	defer r.scratch.Put(sc)
+	sc.grow(len(rawKeys))
 	keys := sc.keyPtrs
 	for i, raw := range rawKeys {
 		if err := keys[i].UnmarshalBinary(raw); err != nil {
-			r.scratch.Put(sc)
 			return nil, 0, fmt.Errorf("%s: key %d: %w", r.keyErrPrefix(raw), i, err)
 		}
 		if err := r.validateKey(raw, keys[i]); err != nil {
-			r.scratch.Put(sc)
 			return nil, 0, fmt.Errorf("key %d: %w", i, err)
 		}
 	}
 	answers := strategy.NewAnswers(len(rawKeys), r.lanes)
 
-	// Pin one table epoch for the whole batch: every shard of this call
-	// streams the same immutable snapshot, and a concurrent update
-	// neither blocks behind the batch nor changes rows under it.
+	// Pin one table epoch for the whole batch: a concurrent update neither
+	// blocks behind the batch nor changes rows under it.
 	snap := r.st.Acquire()
 	defer snap.Release()
-	epoch := snap.Epoch()
-	if shards == 1 {
-		err := r.strat.RunRangeInto(r.prg, keys, snap, bounds[0], bounds[1], &r.ctr, answers)
-		r.scratch.Put(sc)
-		if err != nil {
-			return nil, 0, fmt.Errorf("engine: evaluating batch: %w", err)
-		}
-		return answers, epoch, nil
+	if err := r.strat.RunRangeInto(r.prg, keys, snap, lo, hi, &r.ctr, answers); err != nil {
+		return nil, 0, fmt.Errorf("engine: evaluating batch: %w", err)
 	}
-
-	workers := r.workers
-	if workers > shards {
-		workers = shards
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= shards {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					sc.errs[i] = err
-					continue
-				}
-				sc.errs[i] = r.strat.RunRangeInto(r.prg, keys, snap, bounds[i], bounds[i+1], &r.ctr, sc.partials[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range sc.errs {
-		if err != nil {
-			r.scratch.Put(sc)
-			return nil, 0, fmt.Errorf("engine: shard %d [%d,%d): %w", i, bounds[i], bounds[i+1], err)
-		}
-	}
-
-	// Merge the shard partials in place into the answers.
-	for s := 0; s < shards; s++ {
-		for q := range answers {
-			part := sc.partials[s][q]
-			for l := range answers[q] {
-				answers[q][l] += part[l]
-			}
-		}
-	}
-	r.scratch.Put(sc)
-	return answers, epoch, nil
+	return answers, snap.Epoch(), nil
 }

@@ -2,13 +2,23 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/strategy"
 )
+
+// forceGOMAXPROCS raises GOMAXPROCS for the test so every worker budget
+// runs in parallel even on a one-core host, restoring it on cleanup.
+func forceGOMAXPROCS(t *testing.T, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func buildTable(t testing.TB, rows, lanes int, seed int64) *strategy.Table {
 	t.Helper()
@@ -47,97 +57,94 @@ func genKeys(t testing.TB, tab *strategy.Table, indices []uint64, seed int64) (k
 	return k0s, k1s
 }
 
-// TestReplicaMatchesSequential: for several shard/worker configurations the
-// reconstructed rows match the table — and every configuration produces the
-// same shares as the unsharded reference.
+// sequential is the default executor on a one-worker budget: no fan-out
+// of any kind, the reference every configuration must match bit for bit.
+var sequential strategy.Strategy = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: 1}
+
+// splitRows is two of the tile loop's 2048-row blocks plus an odd tail, so
+// a batch narrower than the worker budget splits each key's leaf range and
+// the last sub-range is short.
+const splitRows = 2*2048 + 777
+
+// replicaPair answers k0s and k1s through a party-0 and a party-1 replica
+// built from cfg.
+func replicaPair(t *testing.T, tab *strategy.Table, cfg Config, k0s, k1s [][]byte) (a0, a1 [][]uint32) {
+	t.Helper()
+	for p, out := range []*[][]uint32{&a0, &a1} {
+		cfg.Party = p
+		r, err := NewReplica(tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *out, err = r.Answer(context.Background(), [][][]byte{k0s, k1s}[p]); err != nil {
+			t.Fatalf("party %d: %v", p, err)
+		}
+	}
+	return a0, a1
+}
+
+// TestReplicaMatchesSequential: the default executor on worker budgets
+// {1,2,3,8} (under GOMAXPROCS 8, so every budget runs) and the default
+// replica answer batches of 1 and 4 keys with the sequential replica's
+// shares, and the shares reconstruct the table rows.
 func TestReplicaMatchesSequential(t *testing.T) {
-	const rows, lanes = 300, 4
-	tab := buildTable(t, rows, lanes, 1)
-	indices := []uint64{0, 7, 128, 299}
-	k0s, k1s := genKeys(t, tab, indices, 2)
-
-	ref0, err := NewReplica(tab, Config{Party: 0, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want0, err := ref0.Answer(context.Background(), k0s)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, cfg := range []Config{
-		{Shards: 2, Workers: 1},
-		{Shards: 3, Workers: 2},
-		{Shards: 8, Workers: 4},
-		{Shards: 1000, Workers: 8}, // clamped to rows
-	} {
-		cfg0, cfg1 := cfg, cfg
-		cfg0.Party, cfg1.Party = 0, 1
-		r0, err := NewReplica(tab, cfg0)
-		if err != nil {
-			t.Fatal(err)
+	forceGOMAXPROCS(t, 8)
+	const lanes = 4
+	tab := buildTable(t, splitRows, lanes, 1)
+	for _, batch := range []int{1, 4} {
+		indices := []uint64{0, 2047, 2048, splitRows - 1}[:batch]
+		k0s, k1s := genKeys(t, tab, indices, 2)
+		want0, _ := replicaPair(t, tab, Config{Strategy: sequential}, k0s, k1s)
+		cfgs := []Config{{}} // the default replica
+		for _, w := range []int{1, 2, 3, 8} {
+			cfgs = append(cfgs, Config{Strategy: strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: w}})
 		}
-		r1, err := NewReplica(tab, cfg1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a0, err := r0.Answer(context.Background(), k0s)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", cfg.Shards, err)
-		}
-		a1, err := r1.Answer(context.Background(), k1s)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", cfg.Shards, err)
-		}
-		for q, idx := range indices {
-			for l := 0; l < lanes; l++ {
-				if a0[q][l] != want0[q][l] {
-					t.Fatalf("shards=%d key %d lane %d: share %d != sequential %d",
-						cfg.Shards, q, l, a0[q][l], want0[q][l])
-				}
-				if got := a0[q][l] + a1[q][l]; got != tab.Row(int(idx))[l] {
-					t.Fatalf("shards=%d key %d lane %d: reconstructed %d != table %d",
-						cfg.Shards, q, l, got, tab.Row(int(idx))[l])
+		for _, cfg := range cfgs {
+			name := "default"
+			if cfg.Strategy != nil {
+				name = fmt.Sprintf("workers=%d", cfg.Strategy.(strategy.MemBoundTree).Workers)
+			}
+			a0, a1 := replicaPair(t, tab, cfg, k0s, k1s)
+			for q, idx := range indices {
+				for l := 0; l < lanes; l++ {
+					if a0[q][l] != want0[q][l] {
+						t.Fatalf("%s batch=%d key %d lane %d: share %d != sequential %d", name, batch, q, l, a0[q][l], want0[q][l])
+					}
+					if got := a0[q][l] + a1[q][l]; got != tab.Row(int(idx))[l] {
+						t.Fatalf("%s batch=%d key %d lane %d: reconstructed %d != table %d", name, batch, q, l, got, tab.Row(int(idx))[l])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestReplicaStrategies: sharding composes with the executor at a narrow
-// and the default frontier, fused and not.
+// TestReplicaStrategies: Config.Strategy runs the executor at a narrow and
+// the default frontier, fused and not, on worker budgets {1,2,3,8} × batches
+// of 1 and 4 keys, and every configuration reconstructs the rows.
 func TestReplicaStrategies(t *testing.T) {
-	const rows, lanes = 200, 2
-	tab := buildTable(t, rows, lanes, 3)
-	indices := []uint64{5, 199}
-	k0s, k1s := genKeys(t, tab, indices, 4)
-	for _, s := range []strategy.MemBoundTree{
-		{K: 8, Fused: true},
-		{K: 8, Fused: false},
-		{K: 128, Fused: true},
-		{K: 128, Fused: false},
-	} {
-		r0, err := NewReplica(tab, Config{Party: 0, Shards: 4, Workers: 2, Strategy: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := NewReplica(tab, Config{Party: 1, Shards: 4, Workers: 2, Strategy: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a0, err := r0.Answer(context.Background(), k0s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		a1, err := r1.Answer(context.Background(), k1s)
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		for q, idx := range indices {
-			for l := 0; l < lanes; l++ {
-				if got := a0[q][l] + a1[q][l]; got != tab.Row(int(idx))[l] {
-					t.Fatalf("%s key %d lane %d: reconstructed %d != table %d",
-						s.Name(), q, l, got, tab.Row(int(idx))[l])
+	forceGOMAXPROCS(t, 8)
+	const lanes = 2
+	tab := buildTable(t, splitRows, lanes, 3)
+	for _, batch := range []int{1, 4} {
+		indices := []uint64{5, splitRows - 1, 3000, 4095}[:batch]
+		k0s, k1s := genKeys(t, tab, indices, 4)
+		for _, s := range []strategy.MemBoundTree{
+			{K: 8, Fused: true},
+			{K: 8, Fused: false},
+			{K: 128, Fused: true},
+			{K: 128, Fused: false},
+		} {
+			for _, w := range []int{1, 2, 3, 8} {
+				s.Workers = w
+				a0, a1 := replicaPair(t, tab, Config{Strategy: s}, k0s, k1s)
+				for q, idx := range indices {
+					for l := 0; l < lanes; l++ {
+						if got := a0[q][l] + a1[q][l]; got != tab.Row(int(idx))[l] {
+							t.Fatalf("%s workers=%d batch=%d key %d lane %d: reconstructed %d != table %d",
+								s.Name(), w, batch, q, l, got, tab.Row(int(idx))[l])
+						}
+					}
 				}
 			}
 		}
@@ -149,11 +156,11 @@ func TestReplicaStrategies(t *testing.T) {
 func TestReplicaUpdate(t *testing.T) {
 	const rows, lanes = 64, 3
 	tab := buildTable(t, rows, lanes, 5)
-	r0, err := NewReplica(tab, Config{Party: 0, Shards: 4})
+	r0, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := NewReplica(tab, Config{Party: 1, Shards: 4})
+	r1, err := NewReplica(tab, Config{Party: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,10 +202,7 @@ func TestReplicaValidation(t *testing.T) {
 	if _, err := NewReplica(tab, Config{Party: 2}); err == nil {
 		t.Error("party 2 accepted")
 	}
-	if _, err := NewReplica(tab, Config{Shards: -1}); err == nil {
-		t.Error("negative shards accepted")
-	}
-	r, err := NewReplica(tab, Config{Party: 0, Shards: 2})
+	r, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,27 +365,24 @@ func TestEarlyDepthValidation(t *testing.T) {
 }
 
 // TestDefaultStrategyAtEveryWidth: a default replica runs the fused
-// memory-bounded executor whatever its shard width — including at and
-// above the paper's 2^22-row cooperative-groups threshold, where the
-// modeled scheduler (strategy.Schedule) picks CoopGroups for a GPU — and a
-// 32-key batch over the whole unsharded table reconstructs its rows.
+// memory-bounded executor on a GOMAXPROCS budget — including at the
+// paper's 2^22-row cooperative-groups threshold, where the modeled
+// scheduler (strategy.Schedule) picks CoopGroups for a GPU — and a 32-key
+// batch over the whole table reconstructs its rows.
 func TestDefaultStrategyAtEveryWidth(t *testing.T) {
 	const rows = 1 << strategy.CoopThresholdBits
 	tab := buildTable(t, rows, 1, 22)
 	var whole [2]*Replica
-	for _, shards := range []int{1, 8} {
-		for party := range whole {
-			r, err := NewReplica(tab, Config{Party: party, Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := r.Strategy().Name(); got != "membound-fused" {
-				t.Errorf("%d-shard 2^%d table runs %s, want membound-fused", shards, strategy.CoopThresholdBits, got)
-			}
-			if shards == 1 {
-				whole[party] = r
-			}
+	for party := range whole {
+		r, err := NewReplica(tab, Config{Party: party})
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: runtime.GOMAXPROCS(0)}
+		if got := r.Strategy(); got != want {
+			t.Errorf("2^%d table runs %+v, want %+v", strategy.CoopThresholdBits, got, want)
+		}
+		whole[party] = r
 	}
 	indices := make([]uint64, 32)
 	rng := rand.New(rand.NewSource(23))
@@ -407,16 +408,13 @@ func TestDefaultStrategyAtEveryWidth(t *testing.T) {
 // TestReplicaShape: Shape and Counters are wired through.
 func TestReplicaShape(t *testing.T) {
 	tab := buildTable(t, 48, 5, 10)
-	r, err := NewReplica(tab, Config{Party: 0, Shards: 3})
+	r, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows, lanes := r.Shape()
 	if rows != 48 || lanes != 5 {
 		t.Fatalf("Shape() = %d, %d; want 48, 5", rows, lanes)
-	}
-	if r.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", r.Shards())
 	}
 	k0s, _ := genKeys(t, tab, []uint64{1}, 11)
 	if _, err := r.Answer(context.Background(), k0s); err != nil {

@@ -96,7 +96,7 @@ func TestConcurrentUpdateAnswerRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(cp.Data, f.tabA.Data)
-	rep, err := NewReplica(cp, Config{Party: 0, Shards: 4, Workers: 4})
+	rep, err := NewReplica(cp, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,13 @@ import (
 // parallel (the modeled device time is computed separately from counters).
 // fn must be safe for concurrent invocation on distinct i.
 func ParallelFor(n int, fn func(i int)) {
-	ParallelForChunked(n, 0, func(lo, hi int) {
+	ParallelForN(n, runtime.GOMAXPROCS(0), fn)
+}
+
+// ParallelForN is ParallelFor on at most workers goroutines — the form for
+// a caller that owns a core budget of its own.
+func ParallelForN(n, workers int, fn func(i int)) {
+	parallelChunks(n, 0, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -21,13 +27,15 @@ func ParallelFor(n int, fn func(i int)) {
 // fn(lo, hi) per chunk on a bounded worker pool. chunk <= 0 picks a chunk
 // size that gives each worker a few chunks for load balance.
 func ParallelForChunked(n, chunk int, fn func(lo, hi int)) {
+	parallelChunks(n, chunk, runtime.GOMAXPROCS(0), fn)
+}
+
+// parallelChunks is ParallelForChunked on at most workers goroutines.
+func parallelChunks(n, chunk, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers = max(1, min(workers, n))
 	if chunk <= 0 {
 		chunk = (n + workers*4 - 1) / (workers * 4)
 		if chunk < 1 {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -200,6 +201,27 @@ func TestParallelForCoversAll(t *testing.T) {
 		})
 		if hits.Load() != int64(n) {
 			t.Errorf("n=%d: %d hits", n, hits.Load())
+		}
+	}
+}
+
+// TestParallelForNBoundsWorkers: ParallelForN covers [0, n) once and never
+// runs more than its worker budget at a time, whatever GOMAXPROCS is.
+func TestParallelForNBoundsWorkers(t *testing.T) {
+	old := runtime.GOMAXPROCS(8)
+	defer runtime.GOMAXPROCS(old)
+	for _, workers := range []int{0, 1, 2, 3} {
+		var inflight, peak, hits atomic.Int64
+		ParallelForN(64, workers, func(int) {
+			n := inflight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched()
+			hits.Add(1)
+			inflight.Add(-1)
+		})
+		if hits.Load() != 64 || peak.Load() > int64(max(workers, 1)) {
+			t.Errorf("workers=%d: %d hits, peak %d concurrent", workers, hits.Load(), peak.Load())
 		}
 	}
 }

@@ -21,11 +21,9 @@ type Server struct {
 
 // serverConfig collects option state before the engine replica is built.
 type serverConfig struct {
-	prg     dpf.PRG
-	strat   strategy.Strategy
-	shards  int
-	workers int
-	early   int // engine.Config.EarlyBits encoding (0 = default)
+	prg   dpf.PRG
+	strat strategy.Strategy
+	early int // engine.Config.EarlyBits encoding (0 = default)
 }
 
 // ServerOption customizes a Server.
@@ -75,21 +73,7 @@ func WithEarly(early int) ServerOption {
 	}
 }
 
-// WithSharding partitions the table into shards contiguous row ranges
-// evaluated concurrently on a pool of workers goroutines (engine.Config's
-// Shards/Workers; zero values keep the defaults).
-func WithSharding(shards, workers int) ServerOption {
-	return func(cfg *serverConfig) error {
-		if shards < 0 || workers < 0 {
-			return fmt.Errorf("pir: negative shards/workers (%d/%d)", shards, workers)
-		}
-		cfg.shards = shards
-		cfg.workers = workers
-		return nil
-	}
-}
-
-// NewReplica resolves the server options into a sharded engine replica —
+// NewReplica resolves the server options into an engine replica —
 // the shared constructor behind Server and batchpir's per-bin engines.
 func NewReplica(party int, tab *Table, opts ...ServerOption) (*engine.Replica, error) {
 	if tab == nil || tab.NumRows == 0 {
@@ -103,8 +87,6 @@ func NewReplica(party int, tab *Table, opts ...ServerOption) (*engine.Replica, e
 	}
 	return engine.NewReplica(tab, engine.Config{
 		Party:     party,
-		Shards:    cfg.shards,
-		Workers:   cfg.workers,
 		PRG:       cfg.prg,
 		EarlyBits: cfg.early,
 		Strategy:  cfg.strat,
@@ -135,8 +117,6 @@ func NewReplicaOverStore(party int, st *store.Store, opts ...ServerOption) (*eng
 	}
 	return engine.NewReplicaOverStore(st, engine.Config{
 		Party:     party,
-		Shards:    cfg.shards,
-		Workers:   cfg.workers,
 		PRG:       cfg.prg,
 		EarlyBits: cfg.early,
 		Strategy:  cfg.strat,

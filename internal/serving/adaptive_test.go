@@ -221,7 +221,7 @@ func TestFrontAdaptiveRetune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.NewReplica(tab, engine.Config{Party: 0, Shards: 1, Workers: 1})
+	eng, err := engine.NewReplica(tab, engine.Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

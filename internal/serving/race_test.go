@@ -14,7 +14,7 @@ import (
 
 // TestConcurrentEngineServing drives the full concurrent request path —
 // many goroutines submitting mixed-size batches through a Batcher backed
-// by a sharded engine.Replica, with concurrent row updates in flight — and
+// by an engine.Replica, with concurrent row updates in flight — and
 // asserts every answer matches the sequential single-shard reference.
 // Run under -race (the CI configuration) this pins the locking story of
 // the whole serving stack.
@@ -30,7 +30,7 @@ func TestConcurrentEngineServing(t *testing.T) {
 	}
 
 	// The engine under test: sharded, engine-backed batcher.
-	eng, err := engine.NewReplica(tab, engine.Config{Party: 0, Shards: 4, Workers: 4})
+	eng, err := engine.NewReplica(tab, engine.Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestConcurrentEngineServing(t *testing.T) {
 	copy(refTab.Data, tab.Data)
 	snapshot := make([]uint32, len(tab.Data))
 	copy(snapshot, tab.Data)
-	ref, err := engine.NewReplica(refTab, engine.Config{Party: 0, Shards: 1, Workers: 1})
+	ref, err := engine.NewReplica(refTab, engine.Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

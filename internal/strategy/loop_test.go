@@ -63,11 +63,13 @@ func addInto(sum, part [][]uint32) {
 
 // TestTileLoopRunPartitionProperty is the seeded execution-API property:
 // for every executor × {aes128, chacha20}, on a contiguous and on a
-// fragmented view of a randomly shaped table, the free Run equals
-// RunRange over [0, rows) equals the lane-wise sum of RunRange over a
-// random partition — bit for bit, and the same bits on both views — and
-// the whole-table call counts exactly Model's PRF blocks. The batch spans
-// two tiles.
+// fragmented view of a randomly shaped table — one non-power-of-two row
+// count and one power of two — the free Run equals RunRange over [0, rows)
+// equals the lane-wise sum of RunRange over a random partition, bit for
+// bit and the same bits on both views. The whole-table call counts exactly
+// the PRF blocks of the count-only walker bounded to [0, rows) (the walk
+// stops at the last row), which at a power of two is Model's. The batch
+// spans two tiles.
 func TestTileLoopRunPartitionProperty(t *testing.T) {
 	const seed, batch = 2024, 34
 	rng := rand.New(rand.NewSource(seed))
@@ -76,51 +78,112 @@ func TestTileLoopRunPartitionProperty(t *testing.T) {
 		name string
 		prg  dpf.PRG
 	}{{"aes128", dpf.NewAESPRG()}, {"chacha20", dpf.NewChaChaPRG()}} {
-		rows, lanes := 200+rng.Intn(600), 1+rng.Intn(5)
-		tab := buildTable(t, rows, lanes, rng.Int63())
-		keys, _, _ := genBatch(t, pc.prg, tab, batch, rng.Int63())
-		cuts := append(append([]int{0}, randomCuts(rng, rows, 1+rng.Intn(6))...), rows)
-		views := []struct {
-			name string
-			v    TableView
-		}{{"contiguous", tab.View()}, {"fragmented", fragView{t: tab, cuts: randomCuts(rng, rows, 40)}}}
-		for _, s := range executors() {
-			var want [][]uint32
-			for _, vw := range views {
-				fail := func(format string, args ...any) {
-					t.Helper()
-					t.Fatalf("seed %d %s/%s %s %dx%d cuts %v: "+format,
-						append([]any{seed, s.Name(), pc.name, vw.name, rows, lanes, cuts}, args...)...)
-				}
-				var ctr gpu.Counters
-				full, err := Run(s, pc.prg, keys, vw.v, &ctr)
-				if err != nil {
-					fail("Run: %v", err)
-				}
-				model, err := s.Model(dev, pc.prg, tab.Bits(), batch, lanes)
-				if err != nil {
-					fail("Model: %v", err)
-				}
-				if got := ctr.Snapshot().PRFBlocks; got != model.PRFBlocks {
-					fail("Run counted %d PRF blocks, Model %d", got, model.PRFBlocks)
-				}
-				if want == nil {
-					want = full
-				}
-				whole, err := RunRange(s, pc.prg, keys, vw.v, 0, rows, &ctr)
-				if err != nil {
-					fail("RunRange(0, rows): %v", err)
-				}
-				sum := NewAnswers(batch, lanes)
-				for c := 0; c+1 < len(cuts); c++ {
-					part, err := RunRange(s, pc.prg, keys, vw.v, cuts[c], cuts[c+1], &ctr)
-					if err != nil {
-						fail("RunRange[%d,%d): %v", cuts[c], cuts[c+1], err)
+		odd := 200 + rng.Intn(600)
+		if odd&(odd-1) == 0 {
+			odd++
+		}
+		for _, rows := range []int{odd, 1 << (8 + rng.Intn(2))} {
+			lanes := 1 + rng.Intn(5)
+			tab := buildTable(t, rows, lanes, rng.Int63())
+			keys, _, _ := genBatch(t, pc.prg, tab, batch, rng.Int63())
+			walked := batch * walkRangeBlocks(tab.Bits(), keys[0].Early, 0, uint64(rows))
+			cuts := append(append([]int{0}, randomCuts(rng, rows, 1+rng.Intn(6))...), rows)
+			views := []struct {
+				name string
+				v    TableView
+			}{{"contiguous", tab.View()}, {"fragmented", fragView{t: tab, cuts: randomCuts(rng, rows, 40)}}}
+			for _, s := range executors() {
+				var want [][]uint32
+				for _, vw := range views {
+					fail := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("seed %d %s/%s %s %dx%d cuts %v: "+format,
+							append([]any{seed, s.Name(), pc.name, vw.name, rows, lanes, cuts}, args...)...)
 					}
-					addInto(sum, part)
+					var ctr gpu.Counters
+					full, err := Run(s, pc.prg, keys, vw.v, &ctr)
+					if err != nil {
+						fail("Run: %v", err)
+					}
+					if got := ctr.Snapshot().PRFBlocks; got != walked {
+						fail("Run counted %d PRF blocks, the walker bounded to [0, rows) %d", got, walked)
+					}
+					model, err := s.Model(dev, pc.prg, tab.Bits(), batch, lanes)
+					if err != nil {
+						fail("Model: %v", err)
+					}
+					if rows&(rows-1) == 0 && walked != model.PRFBlocks {
+						fail("Run counted %d PRF blocks, Model %d", walked, model.PRFBlocks)
+					}
+					if want == nil {
+						want = full
+					}
+					whole, err := RunRange(s, pc.prg, keys, vw.v, 0, rows, &ctr)
+					if err != nil {
+						fail("RunRange(0, rows): %v", err)
+					}
+					sum := NewAnswers(batch, lanes)
+					for c := 0; c+1 < len(cuts); c++ {
+						part, err := RunRange(s, pc.prg, keys, vw.v, cuts[c], cuts[c+1], &ctr)
+						if err != nil {
+							fail("RunRange[%d,%d): %v", cuts[c], cuts[c+1], err)
+						}
+						addInto(sum, part)
+					}
+					if !reflect.DeepEqual(full, want) || !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(sum, want) {
+						fail("Run, RunRange(0, rows) and the partition sum disagree with the contiguous Run")
+					}
 				}
-				if !reflect.DeepEqual(full, want) || !reflect.DeepEqual(whole, want) || !reflect.DeepEqual(sum, want) {
-					fail("Run, RunRange(0, rows) and the partition sum disagree with the contiguous Run")
+			}
+		}
+	}
+}
+
+// TestTileLoopSplitParts pins the rule that splits a narrow tile's leaf
+// range: the cores the tile's queries leave idle, capped so that no
+// sub-range is narrower than a row block — and the cuts it makes: strictly
+// increasing, on terminal-group boundaries, from the range's first leaf to
+// its last.
+func TestTileLoopSplitParts(t *testing.T) {
+	for _, c := range []struct{ workers, q, width, want int }{
+		{1, 1, 1 << 20, 1},                     // one core: never split
+		{2, 1, 1 << 20, 2},                     // batch 1 on 2 cores
+		{8, 1, 1 << 20, 8},                     // batch 1 on 8 cores
+		{8, 3, 1 << 20, 2},                     // 8/3 cores per query
+		{8, 5, 1 << 20, 1},                     // 8/5 < 2: query fan-out only
+		{8, 8, 1 << 20, 1},                     // as many queries as cores
+		{8, 32, 1 << 20, 1},                    // a full tile
+		{8, 1, 2*parMinBlockRows + 777, 2},     // width-bound
+		{8, 1, parMinBlockRows, 1},             // one row block
+		{2, 1, 512, 1},                         // a small shard node's range
+		{3, 1, 3*parMinBlockRows - 1, 2},       // just short of three blocks
+		{16, 2, 16 * parMinBlockRows, 8},       // cores-bound
+		{16, 1, 100 * parMinBlockRows / 7, 14}, // width-bound, uneven
+	} {
+		if got := splitParts(c.workers, c.q, c.width); got != c.want {
+			t.Errorf("splitParts(workers=%d, q=%d, width=%d) = %d, want %d", c.workers, c.q, c.width, got, c.want)
+		}
+	}
+	prg := dpf.NewAESPRG()
+	tab := buildTable(t, 1<<14, 1, 1)
+	for _, early := range []int{0, 1, 2} {
+		k, _, err := dpf.GenEarly(prg, 5, tab.Bits(), []uint32{1}, early, rand.New(rand.NewSource(int64(early))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rg := range [][2]uint64{{0, 1 << 14}, {333, 333 + 3*parMinBlockRows + 5}, {1, 2*parMinBlockRows + 2}} {
+			r := tileRun{tileJob: tileJob{lo: rg[0], hi: rg[1]}}
+			for _, parts := range []int{1, 2, 3, 7} {
+				prev := r.cut(&k, 0, parts)
+				if prev != r.lo || r.cut(&k, parts, parts) != r.hi {
+					t.Fatalf("early=%d [%d,%d) parts=%d: cuts run %d..%d", early, r.lo, r.hi, parts, prev, r.cut(&k, parts, parts))
+				}
+				for p := 1; p <= parts; p++ {
+					c := r.cut(&k, p, parts)
+					if c <= prev || (p < parts && c%uint64(k.GroupSize()) != 0) {
+						t.Fatalf("early=%d [%d,%d) parts=%d: cut %d = %d after %d", early, r.lo, r.hi, parts, p, c, prev)
+					}
+					prev = c
 				}
 			}
 		}

@@ -79,9 +79,11 @@ func (m MemBoundTree) memBytes(batch, bits, lanes, early int) int64 {
 
 // RunRangeInto implements Strategy: the descent prunes every K-wide node
 // group whose leaf span misses [lo, hi), so a 1/N range costs ~1/N of the
-// PRF work plus one root-to-range path. The whole-table range walks the
-// whole domain (leaves beyond the last row carry zero rows), keeping the
-// calibrated counter totals; partial ranges are costed proportionally.
+// PRF work plus one root-to-range path. The walk stops at the table's last
+// row — leaves past it would meet no row — so only a power-of-two table's
+// whole-table run counts Model's PRF blocks. Memory and table reads are
+// accounted as Model prices them: the padded domain for the whole-table
+// range, proportionally for partial ones.
 func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
 	if err := validateRun(keys, v, lo, hi, dst); err != nil {
 		return err
@@ -94,10 +96,10 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 	lanes := v.Lanes()
 	early := keys[0].Early
 	full := fullRange(v.Rows(), lo, hi)
+	rows := hi - lo // accounted rows
 	if full {
-		hi = 1 << uint(bits)
+		rows = 1 << uint(bits)
 	}
-	rows := hi - lo
 	var mem int64
 	if full {
 		mem = m.memBytes(len(keys), bits, lanes, early)
@@ -137,16 +139,16 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 	return nil
 }
 
-// expandMemBound walks one key's memory-bounded descent over the run's
-// leaf range with pooled scratch, writing leaf shares into leaf and
-// counting PRF blocks. The walk is TreeDepth levels deep: early-terminated
-// keys stop above the leaves and convert each terminal seed into its whole
-// leaf group.
-func expandMemBound(r *tileRun, key *dpf.Key, leaf []uint32) {
+// expandMemBound walks one key's memory-bounded descent over leaves
+// [lo, hi) with pooled scratch, writing leaf shares into leaf (indexed
+// j-lo) and counting PRF blocks. The walk is TreeDepth levels deep:
+// early-terminated keys stop above the leaves and convert each terminal
+// seed into its whole leaf group.
+func expandMemBound(r *tileRun, key *dpf.Key, lo, hi uint64, leaf []uint32) {
 	sc := getWalkScratch()
 	depth := key.TreeDepth()
 	sc.growLevels(depth, r.k)
-	w := mbWalker{prg: r.prg, key: key, k: r.k, bits: r.bits, depth: depth, lo: r.lo, hi: r.hi, leaf: leaf, sc: sc}
+	w := mbWalker{prg: r.prg, key: key, k: r.k, bits: r.bits, depth: depth, lo: lo, hi: hi, leaf: leaf, sc: sc}
 	sc.levels[0][0] = key.Root
 	sc.levelT[0][0] = key.Party
 	w.walk(0, sc.levels[0][:1], sc.levelT[0][:1], 0)

@@ -14,7 +14,7 @@ import (
 // effectively sees a table of L/N entries, so per-query latency drops
 // ~linearly with N, while a larger batch is needed to keep every device
 // utilized (the paper's closing observation, verified by the model). It is
-// a model only: engine.Replica's shards are the host's form of the split.
+// a model only: engine.Cluster's shards are the host's form of the split.
 type MultiGPU struct {
 	// Devices is the shard count N (>= 1).
 	Devices int

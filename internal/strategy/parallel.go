@@ -12,11 +12,10 @@ import (
 // partition of [lo, hi) into row blocks, accumulated into per-worker
 // partials and merged lane-wise, produces bit-identical answers regardless
 // of block size, worker count, or merge order (addition mod 2^32 is
-// commutative and associative). That linearity is the same one the
-// replica-level shard merge and the multi-GPU partial-sum reduction already
-// rely on — here it is applied one level down, inside a single shard's
-// streaming pass, so one replica finally uses every memory channel the
-// host has.
+// commutative and associative). That linearity is the same one
+// engine.Cluster's shard merge and the multi-GPU partial-sum reduction rely
+// on — here it is applied inside one streaming pass, so one replica uses
+// every memory channel the host has.
 
 const (
 	// parMinBlockRows is the smallest row block a worker is handed. Below

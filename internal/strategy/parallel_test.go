@@ -2,7 +2,9 @@ package strategy
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"gpudpf/internal/dpf"
@@ -107,16 +109,18 @@ func sliceLeaves(leaves [][]uint32, lo int) [][]uint32 {
 
 // TestParallelStrategyBitIdentity is the acceptance property test: for
 // every executor × worker count {1,2,3,8} × PRF × contiguous/fragmented
-// view, s with Workers w answers bit-identically to the sequential s, on
-// a multi-tile batch (so the pipelined expand/stream overlap runs)
-// over a non-power-of-two table (so the domain padding clip is exercised).
-// The counted PRF blocks must not change either — the counters stay pinned
-// to the analytic model however the work fans out.
+// view × batch {1, 3, 40}, s with Workers w answers bit-identically to the
+// sequential s over a non-power-of-two table (the last row block and the
+// last leaf sub-range are short). The 40-key batch spans two tiles, so the
+// pipelined expand/stream overlap runs; the 1- and 3-key batches are
+// narrower than most budgets, so each key's leaf range splits across the
+// cores. The counted PRF blocks stay pinned: equal to the sequential run's,
+// plus at most one root-to-cut path per cut of a split key.
 func TestParallelStrategyBitIdentity(t *testing.T) {
 	forceGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(7))
 	rows := 2*parMinBlockRows + 777
-	const lanes, batch = 4, 40 // two tiles, the second short
+	const lanes = 4
 	tab := buildTable(t, rows, lanes, 11)
 	frag := fragView{t: tab, cuts: randomCuts(rng, rows, 61)}
 	prgs := []struct {
@@ -127,39 +131,88 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 		{"chacha20", dpf.NewChaChaPRG()},
 	}
 	for _, pc := range prgs {
-		keys, _, _ := genBatch(t, pc.prg, tab, batch, 23)
-		for _, s := range executors() {
-			var seqCtr gpu.Counters
-			want := NewAnswers(batch, lanes)
-			if err := s.RunRangeInto(pc.prg, keys, tab.View(), 0, rows, &seqCtr, want); err != nil {
-				t.Fatalf("%s/%s sequential: %v", s.Name(), pc.name, err)
-			}
-			seq := seqCtr.Snapshot()
-			for _, w := range parWorkerCounts {
-				ps := s
-				ps.Workers = w
-				for _, vw := range []struct {
-					name string
-					v    TableView
-				}{{"contiguous", tab.View()}, {"fragmented", frag}} {
-					var ctr gpu.Counters
-					got := NewAnswers(batch, lanes)
-					if err := ps.RunRangeInto(pc.prg, keys, vw.v, 0, rows, &ctr, got); err != nil {
-						t.Fatalf("%s/%s workers=%d %s: %v", s.Name(), pc.name, w, vw.name, err)
+		all, _, _ := genBatch(t, pc.prg, tab, 40, 23)
+		for _, batch := range []int{1, 3, 40} {
+			keys := all[:batch]
+			for _, s := range executors() {
+				var seqCtr gpu.Counters
+				want := NewAnswers(batch, lanes)
+				if err := s.RunRangeInto(pc.prg, keys, tab.View(), 0, rows, &seqCtr, want); err != nil {
+					t.Fatalf("%s/%s batch=%d sequential: %v", s.Name(), pc.name, batch, err)
+				}
+				seq := seqCtr.Snapshot().PRFBlocks
+				for _, w := range parWorkerCounts {
+					ps := s
+					ps.Workers = w
+					var extra int64 // one root-to-cut path per cut
+					for q := 0; q < batch; q += tileQueries {
+						tile := tileEnd(q, batch) - q
+						extra += int64(tile*(splitParts(parWorkers(w), tile, rows)-1)*keys[0].TreeDepth()) * dpf.BlocksPerExpand
 					}
-					for q := range want {
-						for l := range want[q] {
-							if got[q][l] != want[q][l] {
-								t.Fatalf("%s/%s workers=%d %s q=%d lane=%d: got %d want %d",
-									s.Name(), pc.name, w, vw.name, q, l, got[q][l], want[q][l])
-							}
+					for _, vw := range []struct {
+						name string
+						v    TableView
+					}{{"contiguous", tab.View()}, {"fragmented", frag}} {
+						fail := func(format string, args ...any) {
+							t.Helper()
+							t.Fatalf("%s/%s batch=%d workers=%d %s: "+format,
+								append([]any{s.Name(), pc.name, batch, w, vw.name}, args...)...)
+						}
+						var ctr gpu.Counters
+						got := NewAnswers(batch, lanes)
+						if err := ps.RunRangeInto(pc.prg, keys, vw.v, 0, rows, &ctr, got); err != nil {
+							fail("%v", err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							fail("answers differ from the sequential run")
+						}
+						if par := ctr.Snapshot().PRFBlocks; par < seq || par > seq+extra {
+							fail("counted %d PRF blocks, want %d sequential + at most %d on cuts", par, seq, extra)
 						}
 					}
-					if par := ctr.Snapshot(); par.PRFBlocks != seq.PRFBlocks {
-						t.Fatalf("%s/%s workers=%d %s: counted %d PRF blocks parallel, %d sequential",
-							s.Name(), pc.name, w, vw.name, par.PRFBlocks, seq.PRFBlocks)
-					}
 				}
+			}
+		}
+	}
+}
+
+// countingPRG is a PRF that records the most batch calls it ever had in
+// flight at once; yielding inside the call lets any other expansion
+// goroutine enter.
+type countingPRG struct {
+	dpf.PRG
+	inflight, peak atomic.Int64
+}
+
+func (p *countingPRG) ExpandBatch(seeds []dpf.Seed, left, right []dpf.Seed, tL, tR []uint8) {
+	n := p.inflight.Add(1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	runtime.Gosched()
+	p.PRG.ExpandBatch(seeds, left, right, tL, tR)
+	p.inflight.Add(-1)
+}
+
+// TestParallelStrategyWorkerBudget: Workers is the whole core budget of a
+// run. Under GOMAXPROCS 8, a run with Workers w never has more than w PRF
+// batch calls in flight — for a 1-key tile (leaf-range split), a 3-key tile
+// (query fan-out) and two tiles (expand/stream overlap) alike — and
+// Workers 1 expands on the calling goroutine alone.
+func TestParallelStrategyWorkerBudget(t *testing.T) {
+	forceGOMAXPROCS(t, 8)
+	rows := 2*parMinBlockRows + 777
+	tab := buildTable(t, rows, 2, 5)
+	prg := &countingPRG{PRG: dpf.NewChaChaPRG()}
+	keys, _, _ := genBatch(t, prg, tab, 40, 6)
+	for _, batch := range []int{1, 3, 40} {
+		for _, w := range []int{1, 2, 3} {
+			prg.peak.Store(0)
+			var ctr gpu.Counters
+			if _, err := Run(MemBoundTree{K: 8, Fused: true, Workers: w}, prg, keys[:batch], tab.View(), &ctr); err != nil {
+				t.Fatal(err)
+			}
+			if peak := prg.peak.Load(); peak > int64(w) {
+				t.Errorf("batch=%d workers=%d: %d PRF batch calls in flight at once", batch, w, peak)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestRunRangePartition: for every executor, summing the partial shares of
 // ranges that partition [0, NumRows) reproduces Run's answers exactly —
-// the linearity engine.Replica's sharding relies on.
+// the linearity engine.Cluster's sharding relies on.
 func TestRunRangePartition(t *testing.T) {
 	const rows, lanes = 300, 3 // non-power-of-two rows exercise the domain tail
 	prg := dpf.NewAESPRG()

@@ -43,14 +43,14 @@ type Strategy interface {
 	// must be scalar (one lane), match the table's depth and share one
 	// early-termination depth. Summing the partials of ranges that
 	// partition [0, v.Rows()) lane-wise (mod 2^32) yields exactly the
-	// whole-table answers — the seam engine.Replica shards on. The walk
+	// whole-table answers — the seam engine.Cluster shards on. The walk
 	// prunes subtrees outside the range, so a 1/N range costs ~1/N of the
 	// full evaluation. Counters are pinned to Model for the whole-table
-	// range [0, v.Rows()) and proportional for partial ones.
+	// range of a power-of-two table and proportional for partial ones.
 	//
 	// RunRangeInto adds into dst without allocating per-call answer
-	// storage, which is what lets engine.Replica pool its shard partials
-	// for an allocation-free steady-state Answer. The table arrives as a
+	// storage, which is what gives engine.Replica an allocation-free
+	// steady-state Answer. The table arrives as a
 	// TableView and is streamed chunk by chunk (accumulateTile), so the
 	// same code path serves in-RAM tables (one maximal chunk), delta-epoch
 	// overlays, and paged backings larger than memory.

@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"runtime"
 	"sync"
 
 	"gpudpf/internal/dpf"
@@ -11,25 +10,24 @@ import (
 // This file is the leaf-matrix tile pipeline: a tile of at most
 // tileQueries queries' leaf shares (each key's memory-bounded descent,
 // expandMemBound) multiplied against the table in one streaming pass
-// (§3.1, §3.2.4). MemBoundTree.RunRangeInto hands runTiles a leaf range
+// (§3.1, §3.2.4). MemBoundTree.RunRangeInto hands runTiles a row range
 // and keeps only its modeled counter accounting. How a tile uses the cores
-// (expansion fanned out per query, the table stream fanned out per row
-// block, the next tile's expansion overlapped with this tile's stream) is
-// decided here and nowhere else.
+// (expansion fanned out per query and, for a tile narrower than the budget,
+// per leaf sub-range; the table stream fanned out per row block; the next
+// tile's expansion overlapped with this tile's stream) is decided here and
+// nowhere else, from MemBoundTree.Workers, the tile's width and the range.
 
 // tileJob is what MemBoundTree asks of runTiles: expand every key's leaves
-// over [lo, hi) — domain coordinates, so a full run may cover the padding
-// past the table's last row — and add the dot products against the rows of
-// that range into dst.
+// over rows [lo, hi) and add the dot products against those rows into dst.
 type tileJob struct {
 	prg    dpf.PRG
 	keys   []*dpf.Key
 	v      TableView
 	lo, hi uint64
 	k      int // MemBoundTree's frontier width
-	// workers is MemBoundTree's Workers budget: row-block fan-out of each
-	// tile's table stream, and (with a second tile) the expand/stream
-	// overlap.
+	// workers is MemBoundTree's Workers budget: expansion fan-out, row-block
+	// fan-out of each tile's table stream, and (with a second tile) the
+	// expand/stream overlap.
 	workers int
 	ctr     *gpu.Counters
 }
@@ -65,7 +63,6 @@ func runTiles(job tileJob, dst [][]uint32) error {
 	r.workers = parWorkers(job.workers)
 
 	keys, width := r.keys, int(r.hi-r.lo)
-	rowLo, rowHi := int(r.lo), min(int(r.hi), r.v.Rows())
 	overlap := r.workers > 1 && len(keys) > tileQueries
 	cur, nxt := &r.leaves[0], &r.leaves[1]
 	ready := false // cur was expanded while the previous tile streamed
@@ -82,9 +79,7 @@ func runTiles(job tileJob, dst [][]uint32) error {
 			r.wg.Add(1)
 			go r.expandNext(keys[te:nte], nxt)
 		}
-		if rowLo < rowHi {
-			err = accumulateTilePar(r.v, rowLo, rowHi, cur.rows, dst[t:te], r.workers)
-		}
+		err = accumulateTilePar(r.v, int(r.lo), int(r.hi), cur.rows, dst[t:te], r.workers)
 		// The in-flight expansion writes nxt and ctr: join it before
 		// touching either, or returning past it.
 		r.wg.Wait()
@@ -97,20 +92,46 @@ func runTiles(job tileJob, dst [][]uint32) error {
 	return err
 }
 
-// expandTile fills lt with the tile's leaf shares. A one-key tile and a
-// single-core host expand inline — no goroutine, no closure — which keeps
-// the engine's sequential steady state allocation-free; otherwise the
-// keys fan out across the cores.
+// expandTile fills lt with the tile's leaf shares on at most r.workers
+// goroutines. A tile narrower than the budget also cuts each key's leaf
+// range into splitParts sub-ranges, so one tree spans the cores (the CPU
+// form of the paper's cooperative groups, §3.2.5): each walks into its own
+// disjoint slice of the key's leaf row — no partials, no merge — and costs
+// one extra root-to-cut path. A single task and a one-worker budget expand
+// inline — no goroutine, no closure — which keeps the engine's sequential
+// steady state allocation-free.
 func (r *tileRun) expandTile(tile []*dpf.Key, lt *leafTile) {
-	if len(tile) == 1 || runtime.GOMAXPROCS(0) == 1 {
+	parts := splitParts(r.workers, len(tile), int(r.hi-r.lo))
+	if r.workers == 1 || len(tile)*parts == 1 {
 		for i, key := range tile {
-			expandMemBound(r, key, lt.rows[i])
+			expandMemBound(r, key, r.lo, r.hi, lt.rows[i])
 		}
 		return
 	}
-	gpu.ParallelFor(len(tile), func(i int) {
-		expandMemBound(r, tile[i], lt.rows[i])
+	gpu.ParallelForN(len(tile)*parts, r.workers, func(t int) {
+		q, p := t/parts, t%parts
+		lo, hi := r.cut(tile[q], p, parts), r.cut(tile[q], p+1, parts)
+		expandMemBound(r, tile[q], lo, hi, lt.rows[q][lo-r.lo:hi-r.lo])
 	})
+}
+
+// splitParts is how many leaf sub-ranges each key of a q-query tile over
+// width leaves expands in: the cores the tile's queries leave idle, but no
+// sub-range narrower than a row block (parMinBlockRows), where the extra
+// root-to-cut path and the dispatch would rival the walk itself.
+func splitParts(workers, q, width int) int {
+	return max(1, min(workers/q, width/parMinBlockRows))
+}
+
+// cut is the p-th of parts cut points of the run's leaf range, rounded
+// down to a multiple of the key's terminal group so that no terminal seed
+// is converted twice; cut 0 and cut parts are the range's ends.
+func (r *tileRun) cut(key *dpf.Key, p, parts int) uint64 {
+	if p == parts {
+		return r.hi
+	}
+	c := r.lo + (r.hi-r.lo)*uint64(p)/uint64(parts)
+	return max(r.lo, c&^(uint64(key.GroupSize())-1))
 }
 
 // expandNext is expandTile as the overlapped goroutine.

@@ -89,6 +89,22 @@ func walkBlocks(m Modeler, bits, early int) int64 {
 	return blocks
 }
 
+// walkRangeBlocks counts the PRF blocks one query's memory-bounded descent
+// spends on leaves [lo, hi): it expands every internal node whose leaf span
+// meets the range, once. Over [0, 2^bits) this is walkBlocks; over a
+// table's rows it is what a whole-table run of a non-power-of-two table
+// counts, since the walk stops at the last row.
+func walkRangeBlocks(bits, early int, lo, hi uint64) int64 {
+	var blocks int64
+	internalNodes(node{}, bits-early, func(n node) {
+		span := uint64(1) << uint(bits-n.level)
+		if first := uint64(n.index) * span; first < hi && first+span > lo {
+			blocks += dpf.BlocksPerExpand
+		}
+	})
+	return blocks
+}
+
 // TestRunCountsMatchModel pins the analytic count formulas to the work:
 // for every model over bits 3–10 × early 0–2 × batch {1, 3, 8}, the
 // walker's count equals the model's PRF-block count at that depth, and —
