@@ -23,8 +23,9 @@
 //   - tiled-par / tiled-paged-par: the tiled and tiled-paged paths with
 //     the table stream fanned across a worker per core
 //     (MemBoundTree.Workers): row-block parallel accumulate, pipelined
-//     expand/stream overlap, and — on the paged leg — async page
-//     readahead. Bit-identical answers; only the wall clock moves.
+//     expand/stream overlap, and — on the paged leg — one worker's page
+//     read overlapping another's accumulate. Bit-identical answers; only
+//     the wall clock moves.
 //
 // The sequential cases are pinned to GOMAXPROCS=1 (matching the committed
 // baseline's single-threaded numbers, whatever machine runs them); the
@@ -160,7 +161,8 @@ func main() {
 	prg := dpf.NewAESPRG()
 
 	// The paged leg shares one file + store across batches: the cache
-	// budget is a quarter of the table, so every streaming pass misses.
+	// budget is a quarter of the table, so every pass reads at least three
+	// quarters of its pages from the file.
 	pagedDir, err := os.MkdirTemp("", "benchjson-paged-")
 	if err != nil {
 		log.Fatalf("benchjson: %v", err)

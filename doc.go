@@ -125,9 +125,11 @@
 //     terminal-group boundaries, each walking into its own slice of the
 //     key's leaf row (the CPU form of §3.2.5's cooperative groups — what
 //     moves batch-1 latency — at one extra root-to-cut path per cut); the
-//     tile's row range splits into row blocks fanned across the budget,
-//     each worker accumulating into its own answer buffer through the
-//     same tier dispatch, merged lane-wise mod 2^32 afterwards; and with
+//     tile's table pass runs on the budget's workers through the view's
+//     order-free Pass (the view picks the chunks and their order — row
+//     blocks in RAM, resident pages first when paged), each worker
+//     accumulating into its own answer buffer through the same tier
+//     dispatch, merged lane-wise mod 2^32 afterwards; and with
 //     a second tile to run, tile N+1's leaf expansion (PRF-bound)
 //     overlaps tile N's table stream (memory-bound) through
 //     double-buffered pooled leaf scratch. The walk stops at the table's
@@ -136,31 +138,38 @@
 //     frontier width, fusion setting, PRF and fragmented view
 //     (property-tested on both CI kernel legs).
 //   - internal/store owns the serving table: an epoch-versioned Store
-//     whose snapshots are chunk-iterable views. Readers pin an immutable
-//     Snapshot (one atomic refcount — no lock, no waiting on writers)
-//     and stream it through the strategy.TableView contract — Chunks
-//     yields maximal contiguous runs, so the in-RAM backing costs one
-//     callback while delta-overlaid and paged epochs fragment
-//     transparently. Updates are O(writes), not O(table): Apply /
-//     Prepare install a sorted patch layer over the shared base, reads
-//     merge overlays during iteration, and the chain compacts past a
-//     configurable depth (paged bases fold to a single overlay — the
-//     table is never materialized in RAM). store.PagedBacking serves
-//     tables larger than memory from a file through a fixed-size-page
-//     LRU cache (pirserver -table-file/-pagecache — single servers and
-//     -shardnode instances alike), bit-identical to the in-RAM path and
+//     whose snapshots are chunk-iterable views. Readers pin an
+//     immutable Snapshot (one atomic refcount — no lock, no waiting on
+//     writers) and stream it through the strategy.TableView contract —
+//     Pass covers a row range exactly once in contiguous runs, in an
+//     order the backing picks (the accumulate is a sum mod 2^32, so
+//     order is free): the in-RAM backing costs one callback per
+//     worker's row block, delta overlays split their base's chunks
+//     around patched rows, and paged epochs serve resident pages first.
+//     Updates are O(writes), not O(table): Apply / Prepare install a
+//     sorted patch layer over the shared base, reads merge overlays
+//     during a pass, and the chain compacts past a configurable depth
+//     (paged bases fold to a single overlay — the table is never
+//     materialized in RAM). store.PagedBacking serves tables larger
+//     than memory from a file through a fixed-size-page LRU cache
+//     (pirserver -table-file/-pagecache — single servers and -shardnode
+//     instances alike), bit-identical to the in-RAM path and
 //     CI-enforced with the cache budget a quarter of the table. The
-//     paged read path is allocation-bounded and overlapped: evicted
-//     page buffers recycle through a small free pool (a steady-state
-//     streaming pass allocates nothing per page — AllocsPerRun-
-//     enforced), little-endian hosts read file bytes directly into the
-//     page's word buffer with no staging copy, and an async prefetcher
-//     loads the next page while the strategy kernel consumes the
-//     current one. Rollback semantics survive every backing shape:
-//     superseded backings recycle once their last reader releases, an
-//     aborted epoch rolls back to its retained predecessor, and
-//     aborted epoch NUMBERS are burned — never reissued — so a stale
-//     partial can never epoch-match a later, different table.
+//     paged read path is allocation-bounded and reads the file as
+//     little as it can: evicted page buffers recycle through a small
+//     free pool (a steady-state pass allocates nothing per page —
+//     AllocsPerRun-enforced), little-endian hosts read file bytes
+//     directly into the page's word buffer with no staging copy, and
+//     passes are order-free and shared — a pass takes the pages already
+//     resident first, then pages other in-flight passes have loaded
+//     since, and reads a page itself only when nobody else is reading
+//     it, waiting on another pass's read only at its own tail. One
+//     worker's read overlaps another's accumulate. Rollback semantics
+//     survive every backing shape: superseded backings recycle once
+//     their last reader releases, an aborted epoch rolls back to its
+//     retained predecessor, and aborted epoch NUMBERS are burned —
+//     never reissued — so a stale partial can never epoch-match a
+//     later, different table.
 //   - internal/engine is the one seam every answer flows through, stated
 //     as two roles (capability.go). Backend — Answer, UpdateBatch, Shape,
 //     Counters — is what a front door serves; UpdateBatch is the one way

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -50,11 +51,6 @@ var ErrPageRead = errors.New("store: page read failed")
 // an idle backing doesn't sit on a second cache's worth of dead pages.
 const pagedFreeCap = 16
 
-// pagedPrefetchDepth is the prefetch mailbox depth. One outstanding hint
-// already overlaps the next page's read with the current page's
-// accumulate; a little slack absorbs multiple concurrent streams.
-const pagedPrefetchDepth = 4
-
 // PagedConfig sizes a PagedBacking's cache.
 type PagedConfig struct {
 	// PageBytes is the nominal page size in bytes; it is rounded down to a
@@ -68,8 +64,8 @@ type PagedConfig struct {
 
 // pageEnt is one resident (or recently evicted, still referenced) page.
 // refs and retired are guarded by PagedBacking.mu: refs counts chunk
-// iterations currently reading the page, retired marks it evicted from the
-// cache. A retired page recycles — the whole entry, buffer included — into
+// callbacks and row copies currently reading the page, retired marks it
+// evicted from the cache. A retired page recycles — the whole entry, buffer included — into
 // the free list when the last reference releases, never earlier, so chunk
 // callbacks always see stable data. The LRU links are intrusive (rather
 // than container/list) so a steady-state miss reuses a pooled entry
@@ -86,20 +82,23 @@ type pageEnt struct {
 // PagedBacking serves a table file through a page cache: fixed-size
 // row-aligned pages, demand-loaded with plain ReadAt (no mmap — the purego
 // and non-amd64 builds need no platform syscalls beyond os.File), evicted
-// LRU under a byte budget.
+// least recently loaded or Row-read first under a byte budget.
 //
 // Two mechanisms keep the steady-state read path at a bounded, constant
-// allocation count and ahead of the disk:
+// allocation count and off the disk where it can:
 //
-//   - a page pool: chunk iterations hold a reference on the page they are
+//   - a page pool: chunk callbacks hold a reference on the page they are
 //     reading, eviction only retires a page, and the buffer recycles into
 //     a bounded free list once the last reference drops. (This is why
 //     chunk data must not be retained past the callback — see
 //     strategy.Chunk. Row reads return copies and stay valid forever.)
-//   - async readahead: a prefetcher goroutine receives the chunk
-//     iterator's next-page hints and issues the file read into the LRU
-//     while the current page is still being accumulated, hiding the read
-//     behind the table stream.
+//   - order-free, shared passes: a pass (Snapshot.Pass) visits its pages
+//     in the order that reads the file least — pages already resident
+//     first, then pages other in-flight passes have loaded meanwhile, and
+//     only then a page nobody is loading, which it reads itself. A pass
+//     never waits on another pass's read except at its own tail, when
+//     every page it still needs is being read by someone else. Its
+//     workers overlap one worker's read with another's accumulate.
 //
 // A PagedBacking outlives the epochs served over it: the Store layers
 // delta-epoch overlays above it and never tries to reclaim it. Close when
@@ -118,10 +117,8 @@ type PagedBacking struct {
 	resident int              // len(pages), tracked for the keep-one floor
 	cached   int64            // bytes resident
 	free     []*pageEnt       // recycled entries, buffers at full-page cap
-
-	prefCh   chan int      // next-page hints from chunk iterations
-	prefStop chan struct{} // closed by Close
-	prefDone chan struct{} // closed by the prefetcher on exit
+	loading  []bool           // by page index: a pass is reading it from the file
+	landed   sync.Cond        // on mu: a load finished, or a pass failed
 
 	loads atomic.Int64 // pages read from the file (cache misses)
 	hits  atomic.Int64
@@ -180,8 +177,7 @@ func WriteTableFileRows(path string, rows, lanes int, fill func(row int, dst []u
 }
 
 // OpenPaged opens a table file written by WriteTableFile, validating the
-// header and size. The returned backing owns the file handle and runs a
-// prefetcher goroutine until Close.
+// header and size. The returned backing owns the file handle until Close.
 func OpenPaged(path string, cfg PagedConfig) (*PagedBacking, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -237,19 +233,18 @@ func OpenPaged(path string, cfg PagedConfig) (*PagedBacking, error) {
 	if budget <= 0 {
 		budget = DefaultPageCacheBytes
 	}
+	nPages := (rows + pageRows - 1) / pageRows
 	p := &PagedBacking{
 		f:        f,
 		rows:     rows,
 		lanes:    lanes,
 		pageRows: pageRows,
-		nPages:   (rows + pageRows - 1) / pageRows,
+		nPages:   nPages,
 		budget:   budget,
 		pages:    make(map[int]*pageEnt),
-		prefCh:   make(chan int, pagedPrefetchDepth),
-		prefStop: make(chan struct{}),
-		prefDone: make(chan struct{}),
+		loading:  make([]bool, nPages),
 	}
-	go p.prefetcher()
+	p.landed.L = &p.mu
 	return p, nil
 }
 
@@ -260,49 +255,16 @@ func (p *PagedBacking) Rows() int { return p.rows }
 func (p *PagedBacking) Lanes() int { return p.lanes }
 
 // Loads returns the number of pages read from the file so far (cache
-// misses, prefetches included). Exposed for tests and cache-sizing
-// diagnostics.
+// misses). Exposed for tests and cache-sizing diagnostics.
 func (p *PagedBacking) Loads() int64 { return p.loads.Load() }
 
-// Hits returns the number of page lookups served from the cache.
+// Hits returns the number of pages served from the cache: once per page a
+// pass takes resident, once per Row read that finds its page resident.
 func (p *PagedBacking) Hits() int64 { return p.hits.Load() }
 
-// Close stops the prefetcher and releases the file handle. Callers must
-// ensure no reads are in flight; rows handed out by Row remain valid (they
-// are copies).
-func (p *PagedBacking) Close() error {
-	close(p.prefStop)
-	<-p.prefDone
-	return p.f.Close()
-}
-
-// prefetcher drains next-page hints, loading each still-uncached page into
-// the LRU so the chunk iteration that posted the hint finds it resident.
-// It drops errors on the floor deliberately: a failed readahead just means
-// the demand load repeats the read and reports it with context.
-func (p *PagedBacking) prefetcher() {
-	defer close(p.prefDone)
-	for {
-		select {
-		case <-p.prefStop:
-			return
-		case idx := <-p.prefCh:
-			ent, err := p.acquirePage(idx)
-			if err == nil {
-				p.releasePage(ent)
-			}
-		}
-	}
-}
-
-// hintNext posts a non-blocking prefetch hint. A full mailbox drops the
-// hint — the demand load path is always correct without it.
-func (p *PagedBacking) hintNext(idx int) {
-	select {
-	case p.prefCh <- idx:
-	default:
-	}
-}
+// Close releases the file handle. Callers must ensure no reads are in
+// flight; rows handed out by Row remain valid (they are copies).
+func (p *PagedBacking) Close() error { return p.f.Close() }
 
 // pageSpan returns page idx's row range [lo, hi).
 func (p *PagedBacking) pageSpan(idx int) (lo, hi int) {
@@ -352,10 +314,8 @@ func (p *PagedBacking) touchLocked(ent *pageEnt) {
 }
 
 // acquirePage returns page idx with a reference held, loading and caching
-// it on a miss. The file read happens outside the cache lock, so
-// concurrent misses on different pages overlap; a double load of the same
-// page is benign (both copies are identical, the loser recycles).
-// Callers must pair with releasePage.
+// it on a miss — the Row path, which reads one page outside any pass.
+// Callers must pair with releaseLocked.
 func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
 	p.mu.Lock()
 	if ent, ok := p.pages[idx]; ok {
@@ -371,21 +331,27 @@ func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.loads.Add(1)
-
 	p.mu.Lock()
-	if won, ok := p.pages[idx]; ok {
-		// Lost a race with a concurrent load of the same page; use the
-		// cached copy so the cache accounting stays single-entry, and
-		// recycle the loser.
+	ent = p.insertLocked(ent)
+	p.mu.Unlock()
+	return ent, nil
+}
+
+// insertLocked caches a freshly read page, evicting down to the budget, and
+// returns it with a reference held (caller holds mu). The file read
+// happened outside the lock, so a Row read and a pass can both have read
+// the page; the loser recycles and the cached copy is returned, keeping
+// the cache single-entry.
+func (p *PagedBacking) insertLocked(ent *pageEnt) *pageEnt {
+	p.loads.Add(1)
+	if won, ok := p.pages[ent.idx]; ok {
 		won.refs++
 		p.touchLocked(won)
 		p.recycleLocked(ent)
-		p.mu.Unlock()
-		return won, nil
+		return won
 	}
 	ent.refs = 1
-	p.pages[idx] = ent
+	p.pages[ent.idx] = ent
 	p.pushFrontLocked(ent)
 	p.resident++
 	p.cached += int64(len(ent.data)) * 4
@@ -395,26 +361,23 @@ func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
 		delete(p.pages, old.idx)
 		p.resident--
 		p.cached -= int64(len(old.data)) * 4
-		// Retire, don't free: chunk iterations may still hold references.
+		// Retire, don't free: chunk callbacks may still hold references.
 		// The entry recycles when the last one releases.
 		old.retired = true
 		if old.refs == 0 {
 			p.recycleLocked(old)
 		}
 	}
-	p.mu.Unlock()
-	return ent, nil
+	return ent
 }
 
-// releasePage drops one reference; the last release of a retired page
-// recycles it into the free list.
-func (p *PagedBacking) releasePage(ent *pageEnt) {
-	p.mu.Lock()
+// releaseLocked drops one reference (caller holds mu); the last release
+// of a retired page recycles it into the free list.
+func (p *PagedBacking) releaseLocked(ent *pageEnt) {
 	ent.refs--
 	if ent.retired && ent.refs == 0 {
 		p.recycleLocked(ent)
 	}
-	p.mu.Unlock()
 }
 
 // recycleLocked returns an entry to the free list (caller holds mu).
@@ -477,35 +440,124 @@ type pagedSource struct {
 	p *PagedBacking
 }
 
-// chunks streams [lo, hi) page by page. Each page is referenced for
-// exactly the duration of its callback (the strategy.Chunk retention
-// contract), and before the callback runs, the NEXT page the iteration
-// will need is hinted to the prefetcher — its file read overlaps this
-// chunk's accumulate.
-func (ps *pagedSource) chunks(lo, hi int, fn func(strategy.Chunk) error) error {
-	p := ps.p
-	for cur := lo; cur < hi; {
-		idx := cur / p.pageRows
-		pLo, pHi := p.pageSpan(idx)
-		if pHi < hi {
-			p.hintNext(idx + 1)
-		}
-		ent, err := p.acquirePage(idx)
-		if err != nil {
-			return err
-		}
-		end := hi
-		if end > pHi {
-			end = pHi
-		}
-		err = fn(strategy.Chunk{Row: cur, Data: ent.data[(cur-pLo)*p.lanes : (end-pLo)*p.lanes]})
-		p.releasePage(ent)
-		if err != nil {
-			return err
-		}
-		cur = end
+// pagedPass is one pass's claim state: which pages of [first, first+
+// len(taken)) it has taken — visited, or being read by one of its own
+// workers. Every field but the immutable range and callback is guarded by
+// PagedBacking.mu. Passes are pooled, so a steady-state pass allocates
+// nothing of its own.
+type pagedPass struct {
+	lo, hi int
+	first  int
+	taken  []bool
+	next   int // no page below first+next is untaken
+	fn     func(int, strategy.Chunk) error
+	err    error
+}
+
+var pagedPassPool = sync.Pool{New: func() any { return new(pagedPass) }}
+
+// pass visits every page overlapping [lo, hi) exactly once on up to
+// workers goroutines (see the PagedBacking comment for the order). Each
+// page is referenced for exactly the duration of its callback (the
+// strategy.Chunk retention contract). The first error — a file read's or
+// fn's — stops every worker at its next page and wakes any waiting at the
+// tail; pass returns it once all have returned.
+func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
+	if lo == hi {
+		return nil
 	}
-	return nil
+	p := ps.p
+	pp := pagedPassPool.Get().(*pagedPass)
+	first, last := lo/p.pageRows, (hi-1)/p.pageRows
+	n := last - first + 1
+	if cap(pp.taken) < n {
+		pp.taken = make([]bool, n)
+	}
+	pp.taken = pp.taken[:n]
+	clear(pp.taken)
+	pp.lo, pp.hi, pp.first, pp.next, pp.fn, pp.err = lo, hi, first, 0, fn, nil
+	if workers = min(workers, n); workers <= 1 {
+		p.work(pp, 0)
+	} else {
+		gpu.ParallelForN(workers, workers, func(w int) { p.work(pp, w) })
+	}
+	err := pp.err
+	pp.fn = nil
+	pagedPassPool.Put(pp)
+	return err
+}
+
+// work is one worker of pass pp: it takes pages until the pass has none
+// left or has failed.
+func (p *PagedBacking) work(pp *pagedPass, w int) {
+	p.mu.Lock()
+	for {
+		ent, load := p.takeLocked(pp)
+		if ent == nil && load < 0 {
+			p.mu.Unlock()
+			return
+		}
+		var err error
+		if ent == nil {
+			p.mu.Unlock()
+			ent, err = p.loadPage(load)
+			p.mu.Lock()
+			p.loading[load] = false
+			if err == nil {
+				ent = p.insertLocked(ent)
+			}
+			p.landed.Broadcast()
+		}
+		if err == nil {
+			p.mu.Unlock()
+			pLo, pHi := p.pageSpan(ent.idx)
+			cLo, cHi := max(pp.lo, pLo), min(pp.hi, pHi)
+			err = pp.fn(w, strategy.Chunk{Row: cLo, Data: ent.data[(cLo-pLo)*p.lanes : (cHi-pLo)*p.lanes]})
+			p.mu.Lock()
+			p.releaseLocked(ent)
+		}
+		if err != nil && pp.err == nil {
+			pp.err = err
+			p.landed.Broadcast()
+		}
+	}
+}
+
+// takeLocked picks pass pp's next page (caller holds mu, which it may wait
+// on): a resident page the pass has not taken, oldest first, returned with
+// a reference held; else the lowest untaken page nobody is reading, marked
+// loading and returned as load; else — every page the pass still needs is
+// being read by another pass — it waits for a load to land and retries.
+// (nil, -1) means the pass is done: every page is taken, or it has failed.
+// A pass's hit leaves the page's recency alone, so eviction follows load
+// order: the page a pass takes first is the next to be evicted, and one
+// that every in-flight pass has used is not kept alive by the last of them.
+func (p *PagedBacking) takeLocked(pp *pagedPass) (ent *pageEnt, load int) {
+	for pp.err == nil {
+		for pp.next < len(pp.taken) && pp.taken[pp.next] {
+			pp.next++
+		}
+		if pp.next == len(pp.taken) {
+			break
+		}
+		for e := p.lru; e != nil; e = e.prev {
+			if i := e.idx - pp.first; i >= pp.next && i < len(pp.taken) && !pp.taken[i] {
+				pp.taken[i] = true
+				e.refs++
+				p.hits.Add(1)
+				return e, -1
+			}
+		}
+		for i := pp.next; i < len(pp.taken); i++ {
+			if !pp.taken[i] && !p.loading[pp.first+i] {
+				pp.taken[i] = true
+				p.loading[pp.first+i] = true
+				return nil, pp.first + i
+			}
+		}
+		p.landed.Wait()
+	}
+	return nil, -1
 }
 
 // row returns a copy of row i (copies stay valid forever, so Snapshot.Row's
@@ -519,7 +571,9 @@ func (ps *pagedSource) row(i int) ([]uint32, error) {
 	lo, _ := p.pageSpan(i / p.pageRows)
 	out := make([]uint32, p.lanes)
 	copy(out, ent.data[(i-lo)*p.lanes:(i-lo+1)*p.lanes])
-	p.releasePage(ent)
+	p.mu.Lock()
+	p.releaseLocked(ent)
+	p.mu.Unlock()
 	return out, nil
 }
 

@@ -46,8 +46,9 @@ func TestPagedSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Budget 3: stray transients when a prefetch race momentarily drains
-	// the free list. Nothing may scale with the page count of the sweep.
+	// Budget 3: Chunks' callback adapter, and stray transients should a
+	// pool drop its pass state. Nothing may scale with the page count of
+	// the sweep.
 	if allocs > 3 {
 		t.Errorf("paged full sweep allocates %.1f/op at steady state, want ≤ 3 (pooled pages)", allocs)
 	}
@@ -73,13 +74,6 @@ func TestPagedFailedLoadKeepsPool(t *testing.T) {
 	// evicted page's buffer in the free list and the table's tail resident.
 	if err := sn.Chunks(0, rows, func(strategy.Chunk) error { return nil }); err != nil {
 		t.Fatal(err)
-	}
-	// Let the prefetcher finish what the sweep hinted, or a load still in
-	// flight moves the free list under the loop below. It takes hints in
-	// order, so once cap+1 more — for the resident last page: hits, no buffer
-	// moves — have been accepted, everything before them is done.
-	for i := 0; i <= cap(pb.prefCh); i++ {
-		pb.prefCh <- rows/pb.pageRows - 1
 	}
 	if err := os.Truncate(pb.f.Name(), pagedHeaderBytes+100); err != nil {
 		t.Fatal(err)
@@ -180,4 +174,46 @@ func TestWriteTableFileRows(t *testing.T) {
 	if _, err := OpenPaged(whole, PagedConfig{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkPagedPass times one full pass on the caller's goroutine alone
+// over paged-update's shape: 2^14 rows of 4 KiB (64 MiB) in 256 KiB pages
+// through a 16 MiB cache, the file in the OS page cache. Run it under
+// -cpu 1 to see what a pass costs with no core to overlap reads on.
+func BenchmarkPagedPass(b *testing.B) {
+	const rows, lanes = 1 << 14, 1024
+	path := filepath.Join(b.TempDir(), "table.gpdf")
+	err := WriteTableFileRows(path, rows, lanes, func(i int, dst []uint32) {
+		for l := range dst {
+			dst[l] = uint32(i*lanes + l)
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pb, err := OpenPaged(path, PagedConfig{CacheBytes: 16 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pb.Close()
+	s, err := NewPaged(pb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	sink := uint32(0)
+	sweep := func(c strategy.Chunk) error {
+		sink += c.Data[0]
+		return nil
+	}
+	b.SetBytes(rows * lanes * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sn.Chunks(0, rows, sweep); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(pb.Loads())/float64(b.N), "loads/op")
+	_ = sink
 }

@@ -5,15 +5,15 @@
 // convention.
 //
 // A Snapshot is one epoch's table view, implementing strategy.TableView:
-// the answer path streams it chunk-by-chunk (Chunks), which is what lets
-// one read contract serve three backings — an in-RAM array (one maximal
-// chunk, the SIMD kernel's fast path), a delta-epoch overlay chain
-// (chunks split at patch boundaries), and a paged file backing for tables
-// larger than memory (page-sized chunks through an LRU cache, see
-// PagedBacking). Acquire pins the current snapshot (an atomic refcount,
-// no lock on the read path) and Release unpins it; the backing of a fully
-// released, superseded epoch is recycled (in-RAM arrays into a spare
-// pool) or dropped (overlay patches).
+// the answer path streams it through an order-free pass (Pass), which is
+// what lets one read contract serve three backings — an in-RAM array (row
+// blocks, one maximal chunk to a single worker), a delta-epoch overlay
+// chain (its base's chunks split around the patched rows), and a paged
+// file backing for tables larger than memory (page-sized chunks through an
+// LRU cache, resident pages first, see PagedBacking). Acquire pins the
+// current snapshot (an atomic refcount, no lock on the read path) and
+// Release unpins it; the backing of a fully released, superseded epoch is
+// recycled (in-RAM arrays into a spare pool) or dropped (overlay patches).
 //
 // Writers never mutate in place. Apply stages a batch of row writes as an
 // O(writes) patch layer — a sorted row→lanes overlay sharing the current
@@ -53,9 +53,9 @@ import (
 // ErrNotContiguous is returned by Snapshot.RowRange when the snapshot's
 // backing is not one contiguous in-RAM buffer (a delta-epoch overlay or a
 // paged backing). RowRange never silently materializes a copy; callers
-// that can stream should use Chunks, callers that need a copy should use
+// that can stream should use Pass, callers that need a copy should use
 // CopyWords or strategy.TableFromView.
-var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Chunks or CopyWords")
+var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Pass or CopyWords")
 
 // RowWrite is one row overwrite in an update batch. Vals must be exactly
 // the table's lane count wide. When a batch writes the same row twice, the
@@ -66,11 +66,11 @@ type RowWrite struct {
 }
 
 // source is a backing's data provider — the polymorphism point behind the
-// chunk iterator. Implementations are immutable once installed.
+// pass. Implementations are immutable once installed.
 type source interface {
-	// chunks calls fn over the contiguous row runs covering [lo, hi),
-	// ascending, gap-free. The range is pre-validated by the caller.
-	chunks(lo, hi int, fn func(strategy.Chunk) error) error
+	// pass is strategy.TableView.Pass over a range the caller has
+	// validated, with workers ≥ 1.
+	pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error
 	// row returns row i. The slice stays valid while the source does.
 	// Paged sources return copies: page buffers recycle after eviction, so
 	// handing out page memory would let a reload overwrite it.
@@ -86,11 +86,8 @@ type ramSource struct {
 	lanes int
 }
 
-func (r *ramSource) chunks(lo, hi int, fn func(strategy.Chunk) error) error {
-	if lo == hi {
-		return nil
-	}
-	return fn(strategy.Chunk{Row: lo, Data: r.data[lo*r.lanes : hi*r.lanes]})
+func (r *ramSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
+	return strategy.BlockPass(r.data, r.lanes, lo, hi, workers, fn)
 }
 
 func (r *ramSource) row(i int) ([]uint32, error) {
@@ -101,9 +98,10 @@ func (r *ramSource) flat() []uint32 { return r.data }
 
 // overlaySource is one delta epoch: a sorted set of overwritten rows (rows
 // ascending, vals the matching row-major lane data) over a shared base
-// backing. Reads merge the patch during chunk iteration: runs of base rows
-// and runs of consecutive patched rows alternate as separate chunks. depth
-// counts overlay layers down to the chain's root (1 = directly on a root).
+// backing. Its pass is the base's pass with each base chunk split around
+// the patched rows it covers: runs of base rows and runs of consecutive
+// patched rows alternate as separate chunks. depth counts overlay layers
+// down to the chain's root (1 = directly on a root).
 type overlaySource struct {
 	base  *backing
 	rows  []int
@@ -112,22 +110,23 @@ type overlaySource struct {
 	depth int
 }
 
-func (o *overlaySource) chunks(lo, hi int, fn func(strategy.Chunk) error) error {
-	i := sort.SearchInts(o.rows, lo)
+func (o *overlaySource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
+	return o.base.src.pass(lo, hi, workers, func(w int, c strategy.Chunk) error {
+		return o.split(w, c, fn)
+	})
+}
+
+// split yields base chunk c to fn with the patch's rows substituted.
+func (o *overlaySource) split(w int, c strategy.Chunk, fn func(int, strategy.Chunk) error) error {
+	lo, hi := c.Row, c.Row+len(c.Data)/o.lanes
+	base := func(from, to int) error {
+		if from == to {
+			return nil
+		}
+		return fn(w, strategy.Chunk{Row: from, Data: c.Data[(from-lo)*o.lanes : (to-lo)*o.lanes]})
+	}
 	cur := lo
-	for cur < hi {
-		next := hi
-		if i < len(o.rows) && o.rows[i] < hi {
-			next = o.rows[i]
-		}
-		if cur < next {
-			// A gap with no patched rows: the base's runs show through.
-			if err := o.base.src.chunks(cur, next, fn); err != nil {
-				return err
-			}
-			cur = next
-			continue
-		}
+	for i := sort.SearchInts(o.rows, lo); i < len(o.rows) && o.rows[i] < hi; {
 		// A run of consecutively patched rows is contiguous in vals (rows
 		// is sorted and the run's indices are adjacent), so it is one
 		// chunk.
@@ -136,13 +135,15 @@ func (o *overlaySource) chunks(lo, hi int, fn func(strategy.Chunk) error) error 
 			j++
 		}
 		runLo, runHi := o.rows[i], o.rows[j]+1
-		if err := fn(strategy.Chunk{Row: runLo, Data: o.vals[i*o.lanes : (i+runHi-runLo)*o.lanes]}); err != nil {
+		if err := base(cur, runLo); err != nil {
 			return err
 		}
-		cur = runHi
-		i = j + 1
+		if err := fn(w, strategy.Chunk{Row: runLo, Data: o.vals[i*o.lanes : (j+1)*o.lanes]}); err != nil {
+			return err
+		}
+		cur, i = runHi, j+1
 	}
-	return nil
+	return base(cur, hi)
 }
 
 func (o *overlaySource) row(i int) ([]uint32, error) {
@@ -217,15 +218,23 @@ func (sn *Snapshot) Rows() int { return sn.rows }
 // Lanes returns the table's lane count (immutable across epochs).
 func (sn *Snapshot) Lanes() int { return sn.lanes }
 
-// Chunks implements strategy.TableView: it calls fn for each contiguous
-// row run covering rows [lo, hi) of this epoch, in ascending row order.
+// Pass implements strategy.TableView: it calls fn once for each of a set
+// of contiguous row runs covering rows [lo, hi) of this epoch exactly once,
+// in the order the backing reads cheapest, on up to workers goroutines.
 // This is THE snapshot read path — it works for every backing and is what
 // the strategies' accumulateTile streams.
-func (sn *Snapshot) Chunks(lo, hi int, fn func(strategy.Chunk) error) error {
+func (sn *Snapshot) Pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
 	if lo < 0 || hi > sn.rows || lo > hi {
 		return fmt.Errorf("store: row range [%d,%d) outside table of %d rows", lo, hi, sn.rows)
 	}
-	return sn.b.src.chunks(lo, hi, fn)
+	return sn.b.src.pass(lo, hi, max(1, workers), fn)
+}
+
+// Chunks is Pass on the caller's goroutine alone, for readers that copy
+// or checksum a snapshot: it calls fn for each contiguous row run covering
+// rows [lo, hi), in no promised order.
+func (sn *Snapshot) Chunks(lo, hi int, fn func(strategy.Chunk) error) error {
+	return sn.Pass(lo, hi, 1, func(_ int, c strategy.Chunk) error { return fn(c) })
 }
 
 // Row returns row i of this epoch, valid until Release. A paged backing
@@ -239,7 +248,7 @@ func (sn *Snapshot) Row(i int) ([]uint32, error) {
 
 // RowRange returns rows [lo, hi) of this epoch as one zero-copy slice,
 // valid until Release. Only a contiguous in-RAM backing can do this;
-// overlaid and paged epochs return ErrNotContiguous (stream with Chunks
+// overlaid and paged epochs return ErrNotContiguous (stream with Pass
 // or copy with CopyWords instead). The index arithmetic is safe by
 // construction: New/NewPaged reject shapes whose rows×lanes product would
 // overflow, and the range is bounds-checked here.
@@ -270,7 +279,7 @@ func (sn *Snapshot) CopyWords(off int, dst []uint32) error {
 	lanes := sn.lanes
 	rowLo := off / lanes
 	rowHi := (off + len(dst) + lanes - 1) / lanes
-	return sn.b.src.chunks(rowLo, rowHi, func(c strategy.Chunk) error {
+	return sn.b.src.pass(rowLo, rowHi, 1, func(_ int, c strategy.Chunk) error {
 		cLo := c.Row * lanes
 		start, end := cLo, cLo+len(c.Data)
 		if start < off {
@@ -586,8 +595,8 @@ func (s *Store) compactLocked(base *backing, rows []int, vals []uint32) *backing
 		return newBacking(&overlaySource{base: root, rows: mrows, vals: mvals, lanes: s.lanes, depth: 1})
 	}
 	data := s.getBufferLocked()
-	// RAM chains cannot fail chunk iteration.
-	_ = base.src.chunks(0, s.rows, func(c strategy.Chunk) error {
+	// RAM chains cannot fail a pass.
+	_ = base.src.pass(0, s.rows, 1, func(_ int, c strategy.Chunk) error {
 		copy(data[c.Row*s.lanes:], c.Data)
 		return nil
 	})

@@ -208,7 +208,7 @@ func waitGoroutines(t *testing.T, base int, what string) {
 
 // TestTileLoopFirstErrorEndsBatch: for a narrow fused and a default
 // unfused MemBoundTree × worker budget {1, 4} × {whole table, partial
-// range}, a view whose Chunks fails
+// range}, a view whose Pass fails
 // at a chosen row makes RunRangeInto return that named error; the first
 // error ends the batch (with no overlap only the first of three tiles was
 // ever expanded; with overlap at most the one in flight besides it — the

@@ -63,7 +63,7 @@ func testAccumulateTilePar(t *testing.T, queries int) {
 		for _, lo := range []int{0, 333} {
 			hi := rows - 111
 			want := NewAnswers(queries, lanes)
-			if err := accumulateTile(tab.View(), lo, hi, sliceLeaves(leaves, lo), want); err != nil {
+			if err := accumulateTile(tab.View(), lo, hi, sliceLeaves(leaves, lo), want, 1); err != nil {
 				t.Fatal(err)
 			}
 			scalar := NewAnswers(queries, lanes)
@@ -80,7 +80,7 @@ func testAccumulateTilePar(t *testing.T, queries int) {
 			for _, vw := range views {
 				for _, w := range parWorkerCounts {
 					got := NewAnswers(queries, lanes)
-					if err := accumulateTilePar(vw.v, lo, hi, sliceLeaves(leaves, lo), got, w); err != nil {
+					if err := accumulateTile(vw.v, lo, hi, sliceLeaves(leaves, lo), got, w); err != nil {
 						t.Fatalf("queries=%d lanes=%d %s workers=%d: %v", queries, lanes, vw.name, w, err)
 					}
 					for q := range want {

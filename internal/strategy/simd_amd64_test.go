@@ -313,7 +313,7 @@ func checkAccumulateFragmentedTier(t *testing.T, rng *rand.Rand, tier string, la
 	lv := randomLeafTile(rng, tile, hi-lo)
 	got, gotFlat := canaryBatch(tile, lanes)
 	want := NewAnswers(tile, lanes)
-	err := v.Chunks(lo, hi, func(c Chunk) error {
+	err := v.Pass(lo, hi, 1, func(_ int, c Chunk) error {
 		accumulateChunkTier(tier, c.Data, lanes, c.Row, lo, lv, got)
 		return nil
 	})

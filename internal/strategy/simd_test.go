@@ -24,7 +24,7 @@ func naiveAccumulate(tab *Table, lo, hi int, leaves [][]uint32, answers [][]uint
 // the reference implementation the dispatched kernel must match.
 func accumulateTileScalar(v TableView, lo, hi int, leaves, answers [][]uint32) error {
 	lanes := v.Lanes()
-	return v.Chunks(lo, hi, func(c Chunk) error {
+	return v.Pass(lo, hi, 1, func(_ int, c Chunk) error {
 		accumulateChunkScalar(c.Data, lanes, c.Row, lo, leaves, answers)
 		return nil
 	})
@@ -64,7 +64,7 @@ func TestAccumulateTileKernelMatchesScalar(t *testing.T) {
 				got := NewAnswers(tile, lanes)
 				wantScalar := NewAnswers(tile, lanes)
 				wantNaive := NewAnswers(tile, lanes)
-				if err := accumulateTile(tab.View(), lo, hi, lv, got); err != nil {
+				if err := accumulateTile(tab.View(), lo, hi, lv, got, 1); err != nil {
 					t.Fatal(err)
 				}
 				if err := accumulateTileScalar(tab.View(), lo, hi, lv, wantScalar); err != nil {
@@ -103,7 +103,7 @@ func BenchmarkAccumulateKernel(b *testing.B) {
 			name string
 			fn   func(TableView, int, int, [][]uint32, [][]uint32) error
 		}{
-			{"dispatch", accumulateTile},
+			{"dispatch", func(v TableView, lo, hi int, lv, ans [][]uint32) error { return accumulateTile(v, lo, hi, lv, ans, 1) }},
 			{"scalar", accumulateTileScalar},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", sh, k.name), func(b *testing.B) {
@@ -171,7 +171,7 @@ func TestAccumulateTileWideLanes(t *testing.T) {
 		lv := randomLeafTile(rng, tile, rows)
 		got := NewAnswers(tile, lanes)
 		want := NewAnswers(tile, lanes)
-		if err := accumulateTile(tab.View(), 0, rows, lv, got); err != nil {
+		if err := accumulateTile(tab.View(), 0, rows, lv, got, 1); err != nil {
 			t.Fatal(err)
 		}
 		naiveAccumulate(tab, 0, rows, lv, want)

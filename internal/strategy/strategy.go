@@ -51,9 +51,9 @@ type Strategy interface {
 	// RunRangeInto adds into dst without allocating per-call answer
 	// storage, which is what gives engine.Replica an allocation-free
 	// steady-state Answer. The table arrives as a
-	// TableView and is streamed chunk by chunk (accumulateTile), so the
-	// same code path serves in-RAM tables (one maximal chunk), delta-epoch
-	// overlays, and paged backings larger than memory.
+	// TableView and is streamed through its order-free Pass
+	// (accumulateTile), so the same code path serves in-RAM tables (row
+	// blocks), delta-epoch overlays, and paged backings larger than memory.
 	RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error
 }
 
@@ -185,34 +185,6 @@ func accumulateRow(ans []uint32, leaf uint32, row []uint32) {
 	for i, v := range row {
 		ans[i] += leaf * v
 	}
-}
-
-// accumulateTile is the executed form of the paper's query-tiled matmul
-// (§3.1, §3.2.4): ONE streaming pass over rows [lo, hi) accumulates every
-// tile query's dot product at once. Each row is read from memory once and
-// reused leaves-wide from cache, instead of the table being streamed once
-// per query — the traffic tableReadBytes has always modeled. leaves[q][j-lo]
-// is query q's leaf share for row j; answers[q] accumulates lane-wise mod
-// 2^32 (order-independent, so tiled output is bit-identical to the scalar
-// per-query pass). The table arrives as a TableView and is consumed
-// chunk-by-chunk: an in-RAM view is one maximal chunk, a delta-epoch or
-// paged view several — the asm tiers cut their own row blocks within a
-// chunk, so only the last block of each is short. The only error sources
-// are the view's (a paged backing's read failing mid-pass).
-func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint32) error {
-	lanes := v.Lanes()
-	// Contiguous fast path: one kernel call over the zero-copy row slice,
-	// and — because the chunk-callback closure is only constructed on the
-	// fragmented path below — no per-tile allocation, which the engine's
-	// steady-state Answer path counts on.
-	if data, err := v.RowRange(lo, hi); err == nil {
-		accumulateChunk(data, lanes, lo, lo, leaves, answers)
-		return nil
-	}
-	return v.Chunks(lo, hi, func(c Chunk) error {
-		accumulateChunk(c.Data, lanes, c.Row, lo, leaves, answers)
-		return nil
-	})
 }
 
 // The implementations of accumulateChunk, which adds one contiguous run

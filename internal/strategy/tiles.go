@@ -11,11 +11,13 @@ import (
 // tileQueries queries' leaf shares (each key's memory-bounded descent,
 // expandMemBound) multiplied against the table in one streaming pass
 // (§3.1, §3.2.4). MemBoundTree.RunRangeInto hands runTiles a row range
-// and keeps only its modeled counter accounting. How a tile uses the cores
-// (expansion fanned out per query and, for a tile narrower than the budget,
-// per leaf sub-range; the table stream fanned out per row block; the next
+// and keeps only its modeled counter accounting. How many cores a tile
+// uses (expansion fanned out per query and, for a tile narrower than the
+// budget, per leaf sub-range; the workers of the table pass; the next
 // tile's expansion overlapped with this tile's stream) is decided here and
 // nowhere else, from MemBoundTree.Workers, the tile's width and the range.
+// The order the table pass visits rows in is the view's to choose (see
+// TableView.Pass): only the backing knows what is cheap to read next.
 
 // tileJob is what MemBoundTree asks of runTiles: expand every key's leaves
 // over rows [lo, hi) and add the dot products against those rows into dst.
@@ -25,8 +27,8 @@ type tileJob struct {
 	v      TableView
 	lo, hi uint64
 	k      int // MemBoundTree's frontier width
-	// workers is MemBoundTree's Workers budget: expansion fan-out, row-block
-	// fan-out of each tile's table stream, and (with a second tile) the
+	// workers is MemBoundTree's Workers budget: expansion fan-out, the
+	// workers of each tile's table pass, and (with a second tile) the
 	// expand/stream overlap.
 	workers int
 	ctr     *gpu.Counters
@@ -47,9 +49,9 @@ var tileRunPool = sync.Pool{New: func() any { return new(tileRun) }}
 
 // runTiles executes job in tiles of tileQueries keys: each tile's keys
 // expand into a leaf matrix, then ONE streaming pass over the range's rows
-// serves all the tile's dot products (accumulateTilePar — the §3.1 batched
-// matmul, row-block-parallel under a worker budget). With a worker budget
-// and more than one tile, tile N+1 expands into the second leaf matrix
+// serves all the tile's dot products (accumulateTile — the §3.1 batched
+// matmul, fanned out through the view's Pass). With a worker budget and
+// more than one tile, tile N+1 expands into the second leaf matrix
 // while tile N streams: expansion is AES-bound and the stream
 // memory-bound, so overlapping them stops the phases serializing. At most
 // one expansion is in flight — double buffering, not a queue — and each
@@ -79,7 +81,7 @@ func runTiles(job tileJob, dst [][]uint32) error {
 			r.wg.Add(1)
 			go r.expandNext(keys[te:nte], nxt)
 		}
-		err = accumulateTilePar(r.v, int(r.lo), int(r.hi), cur.rows, dst[t:te], r.workers)
+		err = accumulateTile(r.v, int(r.lo), int(r.hi), cur.rows, dst[t:te], r.workers)
 		// The in-flight expansion writes nxt and ctr: join it before
 		// touching either, or returning past it.
 		r.wg.Wait()

@@ -3,10 +3,10 @@ package strategy
 import "fmt"
 
 // Chunk is one contiguous, row-aligned run of table data yielded by a
-// TableView: rows [Row, Row+len(Data)/lanes) in row-major order. The slice
-// is immutable shared storage — callers read, never write, and must not
-// retain it past the callback that yielded it: paged backings recycle page
-// buffers once a chunk's callback returns, so a retained slice may be
+// TableView's Pass: rows [Row, Row+len(Data)/lanes) in row-major order. The
+// slice is immutable shared storage — callers read, never write, and must
+// not retain it past the callback that yielded it: paged backings recycle
+// page buffers once a chunk's callback returns, so a retained slice may be
 // overwritten by a later page load. (Copy inside the callback to keep
 // data, as TableFromView does.)
 type Chunk struct {
@@ -17,25 +17,34 @@ type Chunk struct {
 }
 
 // TableView is the snapshot read contract the answer path consumes: a
-// table shape plus an iterator over contiguous row runs. The in-RAM
-// backing yields one maximal chunk per Chunks call, so the SIMD kernel's
-// per-call work is unchanged; delta-epoch overlays yield a run per patch
-// boundary, and a paged backing yields page-sized runs — all through the
-// same contract, which is what lets one answer path serve tables that
-// are in RAM, patched, or larger than memory.
+// table shape plus an order-free pass over contiguous row runs. The
+// accumulate a pass feeds is a sum mod 2^32, so the order of its chunks is
+// free, and the backing — the only party that knows what is cheap to read
+// next — chooses it: an in-RAM view hands out row blocks (one maximal
+// chunk to a single worker, so the SIMD kernel's per-call work is
+// unchanged), a delta-epoch overlay splits its base's chunks around the
+// patched rows, and a paged backing visits the pages already resident
+// before it reads its own. All through the same contract, which is what
+// lets one answer path serve tables that are in RAM, patched, or larger
+// than memory.
 type TableView interface {
 	// Rows is the table's row count.
 	Rows() int
 	// Lanes is the entry width in uint32 lanes.
 	Lanes() int
-	// Chunks calls fn for each contiguous row run covering rows [lo, hi),
-	// in ascending row order with no gaps or overlaps. It stops at the
-	// first error (fn's, a range error, or a backing read error).
-	Chunks(lo, hi int, fn func(Chunk) error) error
+	// Pass calls fn for a set of contiguous row runs that covers every
+	// row of [lo, hi) exactly once, in an order the backing chooses, on up
+	// to workers goroutines (a budget below one counts as one).
+	// w, in [0, workers), names the calling worker: calls with the same w
+	// never overlap, so fn can keep a partial result per worker. After
+	// the first error (fn's, a range error, or a backing read error) every
+	// worker stops at its next chunk; Pass returns that error once every
+	// call has returned.
+	Pass(lo, hi, workers int, fn func(w int, c Chunk) error) error
 	// RowRange returns rows [lo, hi) as one contiguous slice when the
 	// backing can do so without copying, and an error otherwise (see
 	// store.ErrNotContiguous). Callers that can stream should prefer
-	// Chunks, which never fails on fragmentation.
+	// Pass, which never fails on fragmentation.
 	RowRange(lo, hi int) ([]uint32, error)
 }
 
@@ -63,15 +72,12 @@ func (v tableView) Rows() int { return v.t.NumRows }
 // Lanes implements TableView.
 func (v tableView) Lanes() int { return v.t.Lanes }
 
-// Chunks implements TableView: the whole range is one contiguous run.
-func (v tableView) Chunks(lo, hi int, fn func(Chunk) error) error {
+// Pass implements TableView with the in-RAM row blocks (BlockPass).
+func (v tableView) Pass(lo, hi, workers int, fn func(int, Chunk) error) error {
 	if err := checkViewRange(v.t.NumRows, lo, hi); err != nil {
 		return err
 	}
-	if lo == hi {
-		return nil
-	}
-	return fn(Chunk{Row: lo, Data: v.t.Data[lo*v.t.Lanes : hi*v.t.Lanes]})
+	return BlockPass(v.t.Data, v.t.Lanes, lo, hi, workers, fn)
 }
 
 // RowRange implements TableView (always contiguous for an in-RAM table).
@@ -92,7 +98,7 @@ func TableFromView(v TableView) (*Table, error) {
 		return nil, err
 	}
 	lanes := v.Lanes()
-	err = v.Chunks(0, v.Rows(), func(c Chunk) error {
+	err = v.Pass(0, v.Rows(), 1, func(_ int, c Chunk) error {
 		copy(tab.Data[c.Row*lanes:], c.Data)
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"gpudpf/internal/dpf"
@@ -16,15 +17,16 @@ import (
 var errFragmented = errors.New("fragView: not contiguous")
 
 // fragView serves a Table through an arbitrarily fragmented TableView:
-// chunk boundaries fall at the fixed cut rows, and the contiguous RowRange
-// fast path is refused. It simulates the chunk geometry of the store's
-// overlay and paged backings without importing the store (which would
-// cycle), so the strategy package can pin chunked-vs-contiguous
-// equivalence locally.
+// chunk boundaries fall at the fixed cut rows, the contiguous RowRange fast
+// path is refused, and Pass hands the chunks out last-first to its workers
+// — an order no caller may rely on not getting. It simulates the chunk
+// geometry and the free visit order of the store's overlay and paged
+// backings without importing the store (which would cycle), so the
+// strategy package can pin chunked-vs-contiguous equivalence locally.
 type fragView struct {
 	t    *Table
 	cuts []int // sorted interior cut rows, each in (0, NumRows)
-	// fault, when set, is what Chunks returns instead of yielding the
+	// fault, when set, is what Pass returns instead of yielding the
 	// chunk that holds row faultRow — a paged backing's read failing
 	// mid-pass.
 	fault    error
@@ -36,33 +38,38 @@ func (f fragView) Lanes() int { return f.t.Lanes }
 
 func (f fragView) RowRange(lo, hi int) ([]uint32, error) { return nil, errFragmented }
 
-func (f fragView) Chunks(lo, hi int, fn func(Chunk) error) error {
+func (f fragView) Pass(lo, hi, workers int, fn func(int, Chunk) error) error {
 	if lo < 0 || hi > f.t.NumRows || lo > hi {
 		return fmt.Errorf("fragView: bad range [%d,%d)", lo, hi)
 	}
-	yield := func(from, to int) error {
-		if f.fault != nil && from <= f.faultRow && f.faultRow < to {
-			return f.fault
-		}
-		return fn(Chunk{Row: from, Data: f.t.Data[from*f.t.Lanes : to*f.t.Lanes]})
-	}
-	cur := lo
+	bounds := []int{lo}
 	for _, c := range f.cuts {
-		if c <= cur {
-			continue
+		if c > lo && c < hi {
+			bounds = append(bounds, c)
 		}
-		if c >= hi {
-			break
-		}
-		if err := yield(cur, c); err != nil {
-			return err
-		}
-		cur = c
 	}
-	if cur < hi {
-		return yield(cur, hi)
+	if lo < hi {
+		bounds = append(bounds, hi)
 	}
-	return nil
+	n := len(bounds) - 1
+	var next atomic.Int64
+	errs := make([]error, max(1, workers))
+	gpu.ParallelForN(len(errs), len(errs), func(w int) {
+		for errs[w] == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			from, to := bounds[n-1-i], bounds[n-i]
+			if f.fault != nil && from <= f.faultRow && f.faultRow < to {
+				errs[w] = f.fault
+				next.Store(int64(n)) // no new chunk after the first error
+				return
+			}
+			errs[w] = fn(w, Chunk{Row: from, Data: f.t.Data[from*f.t.Lanes : to*f.t.Lanes]})
+		}
+	})
+	return errors.Join(errs...)
 }
 
 // randomCuts draws a sorted set of interior cut rows, dense enough to
@@ -164,14 +171,14 @@ func TestTableFromView(t *testing.T) {
 func TestViewRangeValidation(t *testing.T) {
 	tab := buildTable(t, 16, 2, 3)
 	v := tab.View()
-	if err := v.Chunks(4, 3, func(Chunk) error { return nil }); err == nil {
+	if err := v.Pass(4, 3, 1, func(int, Chunk) error { return nil }); err == nil {
 		t.Error("inverted range accepted")
 	}
-	if err := v.Chunks(0, 17, func(Chunk) error { return nil }); err == nil {
+	if err := v.Pass(0, 17, 2, func(int, Chunk) error { return nil }); err == nil {
 		t.Error("out-of-bounds range accepted")
 	}
 	calls := 0
-	if err := v.Chunks(5, 5, func(Chunk) error { calls++; return nil }); err != nil {
+	if err := v.Pass(5, 5, 2, func(int, Chunk) error { calls++; return nil }); err != nil {
 		t.Errorf("empty range refused: %v", err)
 	}
 	if calls != 0 {
