@@ -71,13 +71,13 @@ func benchKeysEarly(b *testing.B, prg dpf.PRG, tab *strategy.Table, batch, early
 }
 
 // BenchmarkTiledAnswer compares the seed per-query hot path (the frozen
-// internal/seedbaseline walk — one aes.NewCipher per tree node, one full
+// internal/seedbaseline walk — one scalar Expand per tree node, one full
 // table pass per query) against the tiled/batched execution across batch
 // sizes, on a 2^16-row table of 64-byte entries.
 //
 // The "tiled" case is the restructured MemBoundTree hot path: batched PRF
-// calls (ExpandBatch through reusable key-schedule scratch instead of
-// aes.NewCipher per node), pooled frontier/leaf buffers, one streaming
+// calls (whole frontiers per kernel call instead of one Expand per
+// node), pooled frontier/leaf buffers, one streaming
 // table pass per tile of 32 queries (accumulateTile), and the default
 // early-terminated keys (§3.1): the walk stops 2 levels up and each
 // terminal seed converts into four leaf lanes, ~4× less PRF work than the

@@ -6,7 +6,7 @@
 // out-of-core leg, and their parallel variants:
 //
 //   - seed: the seed revision's per-query MemBoundTree hot path — scalar
-//     PRF expansion (aes.NewCipher per tree node), freshly appended child
+//     PRF expansion (one Expand call per tree node), freshly appended child
 //     groups, one full table pass per query. The baseline predates the
 //     early-termination wire format, so it always evaluates full-depth
 //     (wire v1) keys.

@@ -23,18 +23,19 @@
 //     (golden fixtures per PRF pin both layouts in CI). The PRG layer is
 //     batched: every PRF implements ExpandBatch, and StepBothBatch /
 //     LeafValuesInto advance a whole tree frontier per call with zero
-//     steady-state allocations. AES — batched or scalar — goes through
-//     one node-expansion entry point (aesExpandNodes: seeds in, raw
-//     children out in leaf order) over two amd64 asm kernels that keep
-//     the per-node key schedule and both child encryptions in registers:
-//     four nodes per iteration on AES-NI+SSSE3, sixteen on AVX-512+VAES,
-//     picked once at init from internal/cpufeat's CPUID/XCR0 probe
-//     (dpf.AESKernel names the choice; pirserver logs it). The schedule
-//     is microcode-free — PSHUFB broadcasts RotWord(w3), AESENCLAST with
-//     the round constant as its key yields SubWord(..)^rcon in every
-//     column, a two-step shift/XOR does the word prefix-XOR — because
-//     AESKEYGENASSIST's issue rate alone (~100 cycles per node) was the
-//     floor of the old pipeline. The frontier step finishes in the same
+//     steady-state allocations. aes128 is fixed-key AES: the MMO^σ hash
+//     of Guo et al. (S&P 2020), G(s) = (π_L(σ(s)) ⊕ σ(s), π_R(σ(s)) ⊕
+//     σ(s)) with σ(x_hi‖x_lo) = (x_hi ⊕ x_lo)‖x_hi and π_L, π_R AES-128
+//     under two public keys derived from SHA-256 of fixed labels, whose
+//     schedules are expanded once at init — a node costs two encryptions
+//     and no key schedule (AESPRG's comment states the security
+//     assumption). AES — batched or scalar — goes through one
+//     node-expansion entry point (aesExpandNodes: seeds in, raw children
+//     out in leaf order) over two amd64 asm kernels: four nodes per
+//     iteration on AES-NI, sixteen on AVX-512+VAES (π_L's round keys in
+//     registers, π_R's as memory operands), picked once at init from
+//     internal/cpufeat's CPUID/XCR0 probe (dpf.AESKernel names the
+//     choice; pirserver logs it). The frontier step finishes in the same
 //     registers: each tier has a step kernel that peels the children's
 //     control bits, applies the correction word under the parent's bit
 //     (child ^= cw.S & -t, masked rather than branched — parent bits are
@@ -44,13 +45,16 @@
 //     terminal group and stores finished uint32 shares — child seeds of
 //     the tree's widest level never reach memory. StepBothBatch and
 //     StepLeafBatch (and FrontierScratch.ExpandLeaves / the membound
-//     walker on top of them) dispatch to these; ~3.8 and ~4.3 ns per node
-//     on the 16-wide tier against 3.3 for the bare expansion (a separate
-//     Go correction pass over the stored children cost 7.4 and 11.1).
+//     walker on top of them) dispatch to these; ~3.3 and ~4.0 ns per node
+//     on the 16-wide tier against ~2.5 for the bare expansion, which is
+//     the AES unit's bound of four blocks per cycle at 2.0 GHz (the
+//     seed-keyed construction this replaced cost ~5.6, ~6.1 and ~5.0).
 //     A pure-Go body — T-table AES, then the same correction as a
 //     word-wise pass (correctChildren / correctConvert) — serves other
-//     architectures, -tags purego and narrower terminal groups, and is
-//     the definition the kernel tests pin every tier to.
+//     architectures, -tags purego and narrower terminal groups. The
+//     kernel tests pin every tier and the Go body to G built from
+//     crypto/aes, and G itself to known-answer vectors computed outside
+//     Go.
 //   - internal/strategy models the paper's six execution strategies
 //     (branch-parallel, level-by-level, memory-bounded fused traversal,
 //     cooperative groups, multi-GPU, CPU baseline): each is a Modeler
@@ -388,8 +392,9 @@
 // compiled tier forced — avx2, avx512, amx — and the amx tier's scratch
 // canaries and its run beside a GC-churning goroutine; a missing CPUID
 // bit or a refused tile-data permission is skipped by name),
-// AES-kernel-tiers-vs-crypto/aes, fused-step-and-leaf-kernel-tiers-vs-
-// the-two-pass-Go-definition, branch-free-vs-scalar correction,
+// AES-kernel-tiers-vs-crypto/aes (G's known-answer vectors included),
+// fused-step-and-leaf-kernel-tiers-vs-the-two-pass-definition,
+// branch-free-vs-scalar correction,
 // fused-vs-unfused, and parallel-vs-sequential property tests once under
 // GOAMD64=v3 (asm kernels alongside AVX2 compiler codegen) and once
 // under -tags purego (every dispatch collapsed to its scalar fallback),

@@ -17,15 +17,13 @@ func xgetbv0() uint32
 var (
 	// AESNI: AESENC / AESENCLAST on XMM registers.
 	AESNI bool
-	// SSSE3: PSHUFB, which the AES kernels' key schedule is built on.
-	SSSE3 bool
 	// AVX2: 256-bit integer SIMD, OS-enabled.
 	AVX2 bool
 	// VAES: AESENC / AESENCLAST on registers wider than XMM — YMM as is,
 	// ZMM together with AVX512BW.
 	VAES bool
 	// AVX512BW: AVX-512 foundation plus the byte/word instructions
-	// (VPSHUFB and VPSLLDQ on ZMM registers), OS-enabled.
+	// (word permutes and byte unpacks on ZMM registers), OS-enabled.
 	AVX512BW bool
 	// AMXInt8: the tile unit with its u8×u8→int32 dot product (TDPBUUD),
 	// usable by this process — CPUID's AMX-TILE and AMX-INT8 bits, tile
@@ -41,7 +39,6 @@ func init() {
 		return
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	SSSE3 = ecx1&(1<<9) != 0
 	AESNI = ecx1&(1<<25) != 0
 
 	// YMM instructions need three things, not one: the CPU reports

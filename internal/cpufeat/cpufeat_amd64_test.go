@@ -33,7 +33,7 @@ func TestProbeMatchesKernelFlags(t *testing.T) {
 	for _, c := range []struct {
 		flag string
 		got  bool
-	}{{"aes", AESNI}, {"ssse3", SSSE3}, {"avx2", AVX2}, {"vaes", VAES},
+	}{{"aes", AESNI}, {"avx2", AVX2}, {"vaes", VAES},
 		{"avx512bw", AVX512BW}} {
 		if c.got != flags[c.flag] {
 			t.Errorf("probe says %s=%v, /proc/cpuinfo says %v", c.flag, c.got, flags[c.flag])

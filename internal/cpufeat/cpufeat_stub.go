@@ -5,7 +5,6 @@ package cpufeat
 // Non-amd64 builds (and -tags purego) have no asm kernels to select.
 const (
 	AESNI    = false
-	SSSE3    = false
 	AVX2     = false
 	VAES     = false
 	AVX512BW = false

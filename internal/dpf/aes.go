@@ -2,17 +2,35 @@ package dpf
 
 import (
 	"crypto/aes"
+	"crypto/sha256"
 	"encoding/binary"
 )
 
-// AESPRG implements the GGM PRG with AES-128 in a fixed-key-per-node counter
-// construction: the node seed is the AES key and the children are
-// AES_s(0) and AES_s(1). This matches the CPU baseline's PRF (Google's DPF
-// library uses AES-128 with AES-NI) and the paper's default GPU PRF.
+// AESPRG implements the GGM PRG with fixed-key AES-128: the MMO^σ hash of
+// Guo, Katz, Wang and Yu, "Efficient and Secure Multiparty Computation
+// from Fixed-Key Block Ciphers" (IEEE S&P 2020), which is also the hash
+// Google's open-source DPF library expands its tree with. Let π_L and π_R
+// be AES-128 under two fixed public keys and σ(x_hi‖x_lo) = (x_hi ⊕
+// x_lo)‖x_hi, with x_lo bytes 0-7 of the seed. Then
 //
-// GGM rekeys AES at every node, so the key schedule is on the hot path; that
-// is exactly why AES is comparatively slow on GPUs (no AES hardware) and why
-// the paper explores other PRFs (§3.2.6).
+//	G(s) = (π_L(σ(s)) ⊕ σ(s), π_R(σ(s)) ⊕ σ(s))
+//
+// and each child's control bit is peeled from its bit 0. The keys are
+// nothing-up-my-sleeve: π_L's is the first 16 bytes of
+// SHA-256("gpudpf/aes128/left"), π_R's of SHA-256("gpudpf/aes128/right").
+// Both schedules are expanded once, at init, so a node costs two
+// encryptions and no key schedule.
+//
+// Security rests on AES as an ideal permutation, not on AES as a PRF
+// keyed by the seed: for a linear orthomorphism σ, x ↦ π(σ(x)) ⊕ σ(x) is
+// circular correlation robust in the random-permutation model (Guo et
+// al.), so on a uniform seed the two halves, under independent π, are
+// jointly pseudorandom — what a GGM PRG needs. The bound is
+// multi-instance: an adversary who sees q evaluations, over every key and
+// tree, loses log₂ q bits of the 128.
+//
+// The modeled cycle costs below are calibrated to the paper's tables and
+// do not depend on which AES construction this host runs.
 type AESPRG struct{}
 
 // NewAESPRG returns the AES-128 PRG.
@@ -21,18 +39,25 @@ func NewAESPRG() *AESPRG { return &AESPRG{} }
 // Name implements PRG.
 func (*AESPRG) Name() string { return "aes128" }
 
+// aesFixed holds π_L's and π_R's key schedules, expanded once.
+var aesFixed = func() (rk [2]aesRoundKeys) {
+	for i, label := range [2]string{"gpudpf/aes128/left", "gpudpf/aes128/right"} {
+		sum := sha256.Sum256([]byte(label))
+		rk[i].expand((*Seed)(sum[:16]))
+	}
+	return
+}()
+
 // aesChunk is how many parents the two-pass steps expand per kernel call:
 // 1 KiB of seeds in, 2 KiB of children out, so the children are still in
 // L1 when the correction pass reads them back.
 const aesChunk = 64
 
 // aesExpandNodes writes every seed's raw children — control bits still in
-// place — into out in leaf order: out[2i], out[2i+1] = E_seeds[i](0),
-// E_seeds[i](1). len(out) must be 2·len(seeds). This is the one entry
-// point every AES expansion goes through; GGM rekeys at every node (the
-// cost §3.2.6 pins as the bottleneck), so neither body touches the heap:
-// the asm kernels keep the key schedule in registers, the portable body
-// expands it into stack scratch re-keyed per node.
+// place — into out in leaf order: out[2i], out[2i+1] = G(seeds[i]).
+// len(out) must be 2·len(seeds), and out must not overlap seeds. This is
+// the one entry point every AES expansion goes through, and neither body
+// touches the heap.
 func aesExpandNodes(out, seeds []Seed) {
 	if aesniOK {
 		aesniExpandNodes(out, seeds)
@@ -41,52 +66,22 @@ func aesExpandNodes(out, seeds []Seed) {
 	aesExpandNodesGo(out, seeds)
 }
 
-// aesExpandNodesGo is aesExpandNodes' portable body: T-table AES with the
-// two serial key schedules of a node pair interleaved.
+// aesExpandNodesGo is aesExpandNodes' portable body on the T-table AES.
 func aesExpandNodesGo(out, seeds []Seed) {
-	var rkA, rkB aesRoundKeys
-	i := 0
-	for ; i+1 < len(seeds); i += 2 {
-		expand2(&rkA, &rkB, &seeds[i], &seeds[i+1])
-		rkA.encryptPair(&out[2*i], &out[2*i+1])
-		rkB.encryptPair(&out[2*i+2], &out[2*i+3])
-	}
-	if i < len(seeds) {
-		rkA.expand(&seeds[i])
-		rkA.encryptPair(&out[2*i], &out[2*i+1])
+	out = out[:2*len(seeds)]
+	for i := range seeds {
+		aesG(&aesFixed[0], &aesFixed[1], &out[2*i], &out[2*i+1], &seeds[i])
 	}
 }
 
-// Expand implements PRG. With hardware AES the node rides one lane of the
-// batch kernel — no cipher object, no allocation; crypto/aes is the body
-// everywhere else (and the reference the kernel tests compare against).
+// Expand implements PRG: the node rides one lane of the batch expansion —
+// no cipher object, no allocation.
 func (*AESPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
-	if aesniOK {
-		seed := [1]Seed{s}
-		var kids [2]Seed
-		aesniExpandNodes(kids[:], seed[:])
-		left, right = kids[0], kids[1]
-	} else {
-		left, right = aesExpandStdlib(s)
-	}
+	seed := [1]Seed{s}
+	var kids [2]Seed
+	aesExpandNodes(kids[:], seed[:])
+	left, right = kids[0], kids[1]
 	tL, tR = clearControlBits(&left, &right)
-	return
-}
-
-// aesExpandStdlib is one node's raw children through crypto/aes. It is a
-// function of its own because cipher.Block's interface calls make the
-// output blocks escape; inside Expand that would cost the kernel path two
-// heap allocations it has no use for.
-func aesExpandStdlib(s Seed) (left, right Seed) {
-	c, err := aes.NewCipher(s[:])
-	if err != nil {
-		// aes.NewCipher only fails on bad key length; a Seed is 16 bytes.
-		panic("dpf: aes key setup: " + err.Error())
-	}
-	var in Seed
-	c.Encrypt(left[:], in[:])
-	in[0] = 1
-	c.Encrypt(right[:], in[:])
 	return
 }
 
@@ -110,8 +105,8 @@ func (*AESPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8) {
 // AES. With hardware AES the step kernels do all of it in registers —
 // expand, peel the control bits, correct — and store next and nextT once.
 // The portable body encrypts the children into next (interleaved leaf
-// order) and corrects them in place, a chunk at a time; it is also the
-// definition the kernel tests hold every asm tier to.
+// order) and corrects them in place, a chunk at a time; its correction
+// pass is also the definition the kernel tests hold every asm tier to.
 func (*AESPRG) stepBothBatch(seeds []Seed, ts []uint8, cw CW, next []Seed, nextT []uint8) {
 	if aesniOK {
 		aesniStepNodes(next, nextT, seeds, ts, &cw)
@@ -227,8 +222,9 @@ func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 	}
 }
 
-// Fill implements PRG (counter mode starting at block 2 so it never collides
-// with the child blocks).
+// Fill implements PRG: AES-128 keyed by the seed, in counter mode from
+// block 2. It serves only output groups wider than four lanes, off the PIR
+// path, so it keeps the seed-keyed construction G replaced.
 func (*AESPRG) Fill(s Seed, dst []byte) {
 	c, err := aes.NewCipher(s[:])
 	if err != nil {
@@ -255,9 +251,9 @@ func (*AESPRG) GPUCyclesPerBlock() float64 { return 2500 }
 // Table 4's Xeon row, 638 ms single-threaded on a 1M-entry table =
 // 1.34e9 cycles over ~2.1e6 blocks, i.e. ~640 cycles per 128-bit block of
 // that library's whole per-node cost (key schedule, tree bookkeeping,
-// memory traffic). The kernels here spend ~4-10 cycles per block, key
-// schedule included; the constant stays at the paper's figure so the
-// analytic Model keeps reproducing Table 4.
+// memory traffic). The kernels here spend a few cycles per block; the
+// constant stays at the paper's figure so the analytic Model keeps
+// reproducing Table 4.
 func (*AESPRG) CPUCyclesPerBlock() float64 { return 640 }
 
 func putU64(b []byte, v uint64) {

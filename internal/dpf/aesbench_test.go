@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkScalarExpand measures the scalar AES Expand (Gen, EvalAt, the
-// range walk): one lane of the batch kernel with hardware AES, one
-// aes.NewCipher (heap allocations + key schedule) per call without.
+// range walk): one lane of the batch expansion, on the hardware kernel or
+// the T-table body.
 func BenchmarkScalarExpand(b *testing.B) {
 	prg := NewAESPRG()
 	var s Seed
@@ -41,7 +41,7 @@ func benchFrontier(b *testing.B) (k Key, cw CW, seeds []Seed, ts []uint8) {
 }
 
 // reportNsPerNode reports the figure to hold against the PRF ceiling: one
-// node is one key schedule plus two blocks.
+// node is two AES blocks under the fixed schedules.
 func reportNsPerNode(b *testing.B, nodes int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
 }

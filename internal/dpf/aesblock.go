@@ -2,14 +2,11 @@ package dpf
 
 import "encoding/binary"
 
-// Software AES-128 for the batched GGM hot path. GGM rekeys AES at every
-// tree node, and crypto/aes can only consume a fresh key through
-// aes.NewCipher — a heap allocation plus cipher.Block indirection per node.
-// This file expands the key schedule into caller-provided scratch
-// (aesRoundKeys) and encrypts through stack state only, so a whole frontier
-// advances with zero allocations. Correctness is pinned to crypto/aes by
-// TestAESBlockMatchesStdlib and transitively by the ExpandBatch-vs-Expand
-// equivalence tests (the scalar Expand still goes through crypto/aes).
+// Software AES-128: the portable body of AESPRG's G (T-tables, no heap,
+// no cipher.Block indirection) and the key expansion that computes the
+// fixed keys' schedules once for every body. Correctness is pinned to
+// crypto/aes by TestAESBlockMatchesStdlib (random keys) and
+// TestAESKernelKnownAnswer (the fixed keys).
 
 // aesSbox is the AES S-box (FIPS 197 figure 7).
 var aesSbox = [256]byte{
@@ -31,7 +28,7 @@ var aesSbox = [256]byte{
 	0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 }
 
-// aesRcon holds the round constants x^(i) in GF(2^8) for the key schedule.
+// aesRcon holds the round constants x^(i) in GF(2^8) for the key expansion.
 var aesRcon = [10]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 
 // aesTe are the combined SubBytes+MixColumns lookup tables (one rotation
@@ -61,14 +58,11 @@ func aesXtime(b byte) byte {
 }
 
 // aesRoundKeys is an expanded AES-128 key schedule: 11 round keys of four
-// big-endian words each. It is plain scratch — expand() overwrites it in
-// full, so one value can be re-keyed per tree node with no allocation.
+// big-endian words each.
 type aesRoundKeys [44]uint32
 
-// expand derives the round keys from a 16-byte seed (FIPS 197 §5.2),
-// unrolled four words per round so only the SubWord step pays for lookups
-// and the i%4 branch disappears — this runs once per tree node, so it is
-// as hot as the block function itself.
+// expand derives the round keys from a 16-byte key (FIPS 197 §5.2),
+// unrolled four words per round so only the SubWord step pays for lookups.
 func (rk *aesRoundKeys) expand(key *Seed) {
 	w0 := beU32(key[0:4])
 	w1 := beU32(key[4:8])
@@ -87,111 +81,48 @@ func (rk *aesRoundKeys) expand(key *Seed) {
 	}
 }
 
-// expand2 derives two seeds' round keys with the two serial SubWord chains
-// interleaved. One key schedule has no instruction-level parallelism —
-// every round waits on the previous w3 — so a frontier batch that expands
-// nodes in pairs roughly halves the schedule's wall time.
-func expand2(rkA, rkB *aesRoundKeys, a, b *Seed) {
-	a0 := beU32(a[0:4])
-	a1 := beU32(a[4:8])
-	a2 := beU32(a[8:12])
-	a3 := beU32(a[12:16])
-	b0 := beU32(b[0:4])
-	b1 := beU32(b[4:8])
-	b2 := beU32(b[8:12])
-	b3 := beU32(b[12:16])
-	rkA[0], rkA[1], rkA[2], rkA[3] = a0, a1, a2, a3
-	rkB[0], rkB[1], rkB[2], rkB[3] = b0, b1, b2, b3
-	for r := 0; r < 10; r++ {
-		rc := uint32(aesRcon[r]) << 24
-		ta := a3<<8 | a3>>24
-		tb := b3<<8 | b3>>24
-		ta = uint32(aesSbox[ta>>24])<<24 | uint32(aesSbox[ta>>16&0xff])<<16 |
-			uint32(aesSbox[ta>>8&0xff])<<8 | uint32(aesSbox[ta&0xff])
-		tb = uint32(aesSbox[tb>>24])<<24 | uint32(aesSbox[tb>>16&0xff])<<16 |
-			uint32(aesSbox[tb>>8&0xff])<<8 | uint32(aesSbox[tb&0xff])
-		a0 ^= ta ^ rc
-		b0 ^= tb ^ rc
-		a1 ^= a0
-		b1 ^= b0
-		a2 ^= a1
-		b2 ^= b1
-		a3 ^= a2
-		b3 ^= b2
-		rkA[4*r+4], rkA[4*r+5], rkA[4*r+6], rkA[4*r+7] = a0, a1, a2, a3
-		rkB[4*r+4], rkB[4*r+5], rkB[4*r+6], rkB[4*r+7] = b0, b1, b2, b3
-	}
-}
-
-// encrypt computes one AES-128 block, dst = E_rk(src). dst and src must be
-// 16 bytes and may alias.
-func (rk *aesRoundKeys) encrypt(dst, src []byte) {
-	s0 := beU32(src[0:4]) ^ rk[0]
-	s1 := beU32(src[4:8]) ^ rk[1]
-	s2 := beU32(src[8:12]) ^ rk[2]
-	s3 := beU32(src[12:16]) ^ rk[3]
-	k := 4
-	for r := 0; r < 9; r++ {
-		t0 := rk[k] ^ aesTe[0][s0>>24] ^ aesTe[1][s1>>16&0xff] ^ aesTe[2][s2>>8&0xff] ^ aesTe[3][s3&0xff]
-		t1 := rk[k+1] ^ aesTe[0][s1>>24] ^ aesTe[1][s2>>16&0xff] ^ aesTe[2][s3>>8&0xff] ^ aesTe[3][s0&0xff]
-		t2 := rk[k+2] ^ aesTe[0][s2>>24] ^ aesTe[1][s3>>16&0xff] ^ aesTe[2][s0>>8&0xff] ^ aesTe[3][s1&0xff]
-		t3 := rk[k+3] ^ aesTe[0][s3>>24] ^ aesTe[1][s0>>16&0xff] ^ aesTe[2][s1>>8&0xff] ^ aesTe[3][s2&0xff]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-		k += 4
-	}
-	// Final round: SubBytes+ShiftRows only, no MixColumns.
-	o0 := rk[40] ^ (uint32(aesSbox[s0>>24])<<24 | uint32(aesSbox[s1>>16&0xff])<<16 |
-		uint32(aesSbox[s2>>8&0xff])<<8 | uint32(aesSbox[s3&0xff]))
-	o1 := rk[41] ^ (uint32(aesSbox[s1>>24])<<24 | uint32(aesSbox[s2>>16&0xff])<<16 |
-		uint32(aesSbox[s3>>8&0xff])<<8 | uint32(aesSbox[s0&0xff]))
-	o2 := rk[42] ^ (uint32(aesSbox[s2>>24])<<24 | uint32(aesSbox[s3>>16&0xff])<<16 |
-		uint32(aesSbox[s0>>8&0xff])<<8 | uint32(aesSbox[s1&0xff]))
-	o3 := rk[43] ^ (uint32(aesSbox[s3>>24])<<24 | uint32(aesSbox[s0>>16&0xff])<<16 |
-		uint32(aesSbox[s1>>8&0xff])<<8 | uint32(aesSbox[s2&0xff]))
-	putBeU32(dst[0:4], o0)
-	putBeU32(dst[4:8], o1)
-	putBeU32(dst[8:12], o2)
-	putBeU32(dst[12:16], o3)
-}
-
-// encryptPair computes the two GGM child blocks E_rk(0) and E_rk(ctr=1) —
-// the plaintexts Expand feeds AES — with the round keys loaded once and
-// the two independent dependency chains interleaved, so the load-bound
-// T-table rounds overlap in the pipeline. Counter block 1 carries 0x01 in
-// byte 0, i.e. 0x01000000 in the big-endian first state word.
-func (rk *aesRoundKeys) encryptPair(left, right *Seed) {
-	a0, a1, a2, a3 := rk[0], rk[1], rk[2], rk[3]
-	b0, b1, b2, b3 := rk[0]^0x01000000, rk[1], rk[2], rk[3]
+// aesG computes G(s) (see AESPRG) under the schedules kl and kr: left =
+// π_L(x) ^ x, right = π_R(x) ^ x for x = σ(s). The two encryptions run as
+// interleaved dependency chains, so the load-bound T-table rounds overlap
+// in the pipeline, and the feed-forward folds into the last round's
+// output. s is read in full before left and right are written.
+func aesG(kl, kr *aesRoundKeys, left, right, s *Seed) {
+	// σ(s) as big-endian state words: bytes 0-7 of x are s_hi, bytes
+	// 8-15 are s_hi ^ s_lo.
+	x0, x1 := beU32(s[8:12]), beU32(s[12:16])
+	x2, x3 := x0^beU32(s[0:4]), x1^beU32(s[4:8])
+	a0, a1, a2, a3 := x0^kl[0], x1^kl[1], x2^kl[2], x3^kl[3]
+	b0, b1, b2, b3 := x0^kr[0], x1^kr[1], x2^kr[2], x3^kr[3]
 	// Reslicing four round-key words at a time lets the compiler drop the
-	// per-round bounds checks (the len >= 4 guard covers ks[0..3]).
-	for ks := rk[4:40]; len(ks) >= 4; ks = ks[4:] {
-		k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
-		ta0 := k0 ^ aesTe[0][a0>>24] ^ aesTe[1][a1>>16&0xff] ^ aesTe[2][a2>>8&0xff] ^ aesTe[3][a3&0xff]
-		tb0 := k0 ^ aesTe[0][b0>>24] ^ aesTe[1][b1>>16&0xff] ^ aesTe[2][b2>>8&0xff] ^ aesTe[3][b3&0xff]
-		ta1 := k1 ^ aesTe[0][a1>>24] ^ aesTe[1][a2>>16&0xff] ^ aesTe[2][a3>>8&0xff] ^ aesTe[3][a0&0xff]
-		tb1 := k1 ^ aesTe[0][b1>>24] ^ aesTe[1][b2>>16&0xff] ^ aesTe[2][b3>>8&0xff] ^ aesTe[3][b0&0xff]
-		ta2 := k2 ^ aesTe[0][a2>>24] ^ aesTe[1][a3>>16&0xff] ^ aesTe[2][a0>>8&0xff] ^ aesTe[3][a1&0xff]
-		tb2 := k2 ^ aesTe[0][b2>>24] ^ aesTe[1][b3>>16&0xff] ^ aesTe[2][b0>>8&0xff] ^ aesTe[3][b1&0xff]
-		ta3 := k3 ^ aesTe[0][a3>>24] ^ aesTe[1][a0>>16&0xff] ^ aesTe[2][a1>>8&0xff] ^ aesTe[3][a2&0xff]
-		tb3 := k3 ^ aesTe[0][b3>>24] ^ aesTe[1][b0>>16&0xff] ^ aesTe[2][b1>>8&0xff] ^ aesTe[3][b2&0xff]
+	// per-round bounds checks (the len >= 4 guards cover ka[0..3], kb[0..3]).
+	for ka, kb := kl[4:40], kr[4:40]; len(ka) >= 4 && len(kb) >= 4; ka, kb = ka[4:], kb[4:] {
+		ta0 := ka[0] ^ aesTe[0][a0>>24] ^ aesTe[1][a1>>16&0xff] ^ aesTe[2][a2>>8&0xff] ^ aesTe[3][a3&0xff]
+		tb0 := kb[0] ^ aesTe[0][b0>>24] ^ aesTe[1][b1>>16&0xff] ^ aesTe[2][b2>>8&0xff] ^ aesTe[3][b3&0xff]
+		ta1 := ka[1] ^ aesTe[0][a1>>24] ^ aesTe[1][a2>>16&0xff] ^ aesTe[2][a3>>8&0xff] ^ aesTe[3][a0&0xff]
+		tb1 := kb[1] ^ aesTe[0][b1>>24] ^ aesTe[1][b2>>16&0xff] ^ aesTe[2][b3>>8&0xff] ^ aesTe[3][b0&0xff]
+		ta2 := ka[2] ^ aesTe[0][a2>>24] ^ aesTe[1][a3>>16&0xff] ^ aesTe[2][a0>>8&0xff] ^ aesTe[3][a1&0xff]
+		tb2 := kb[2] ^ aesTe[0][b2>>24] ^ aesTe[1][b3>>16&0xff] ^ aesTe[2][b0>>8&0xff] ^ aesTe[3][b1&0xff]
+		ta3 := ka[3] ^ aesTe[0][a3>>24] ^ aesTe[1][a0>>16&0xff] ^ aesTe[2][a1>>8&0xff] ^ aesTe[3][a2&0xff]
+		tb3 := kb[3] ^ aesTe[0][b3>>24] ^ aesTe[1][b0>>16&0xff] ^ aesTe[2][b1>>8&0xff] ^ aesTe[3][b2&0xff]
 		a0, a1, a2, a3 = ta0, ta1, ta2, ta3
 		b0, b1, b2, b3 = tb0, tb1, tb2, tb3
 	}
-	putBeU32(left[0:4], rk[40]^(uint32(aesSbox[a0>>24])<<24|uint32(aesSbox[a1>>16&0xff])<<16|
+	// Final round: SubBytes+ShiftRows only, no MixColumns.
+	putBeU32(left[0:4], x0^kl[40]^(uint32(aesSbox[a0>>24])<<24|uint32(aesSbox[a1>>16&0xff])<<16|
 		uint32(aesSbox[a2>>8&0xff])<<8|uint32(aesSbox[a3&0xff])))
-	putBeU32(left[4:8], rk[41]^(uint32(aesSbox[a1>>24])<<24|uint32(aesSbox[a2>>16&0xff])<<16|
+	putBeU32(left[4:8], x1^kl[41]^(uint32(aesSbox[a1>>24])<<24|uint32(aesSbox[a2>>16&0xff])<<16|
 		uint32(aesSbox[a3>>8&0xff])<<8|uint32(aesSbox[a0&0xff])))
-	putBeU32(left[8:12], rk[42]^(uint32(aesSbox[a2>>24])<<24|uint32(aesSbox[a3>>16&0xff])<<16|
+	putBeU32(left[8:12], x2^kl[42]^(uint32(aesSbox[a2>>24])<<24|uint32(aesSbox[a3>>16&0xff])<<16|
 		uint32(aesSbox[a0>>8&0xff])<<8|uint32(aesSbox[a1&0xff])))
-	putBeU32(left[12:16], rk[43]^(uint32(aesSbox[a3>>24])<<24|uint32(aesSbox[a0>>16&0xff])<<16|
+	putBeU32(left[12:16], x3^kl[43]^(uint32(aesSbox[a3>>24])<<24|uint32(aesSbox[a0>>16&0xff])<<16|
 		uint32(aesSbox[a1>>8&0xff])<<8|uint32(aesSbox[a2&0xff])))
-	putBeU32(right[0:4], rk[40]^(uint32(aesSbox[b0>>24])<<24|uint32(aesSbox[b1>>16&0xff])<<16|
+	putBeU32(right[0:4], x0^kr[40]^(uint32(aesSbox[b0>>24])<<24|uint32(aesSbox[b1>>16&0xff])<<16|
 		uint32(aesSbox[b2>>8&0xff])<<8|uint32(aesSbox[b3&0xff])))
-	putBeU32(right[4:8], rk[41]^(uint32(aesSbox[b1>>24])<<24|uint32(aesSbox[b2>>16&0xff])<<16|
+	putBeU32(right[4:8], x1^kr[41]^(uint32(aesSbox[b1>>24])<<24|uint32(aesSbox[b2>>16&0xff])<<16|
 		uint32(aesSbox[b3>>8&0xff])<<8|uint32(aesSbox[b0&0xff])))
-	putBeU32(right[8:12], rk[42]^(uint32(aesSbox[b2>>24])<<24|uint32(aesSbox[b3>>16&0xff])<<16|
+	putBeU32(right[8:12], x2^kr[42]^(uint32(aesSbox[b2>>24])<<24|uint32(aesSbox[b3>>16&0xff])<<16|
 		uint32(aesSbox[b0>>8&0xff])<<8|uint32(aesSbox[b1&0xff])))
-	putBeU32(right[12:16], rk[43]^(uint32(aesSbox[b3>>24])<<24|uint32(aesSbox[b0>>16&0xff])<<16|
+	putBeU32(right[12:16], x3^kr[43]^(uint32(aesSbox[b3>>24])<<24|uint32(aesSbox[b0>>16&0xff])<<16|
 		uint32(aesSbox[b1>>8&0xff])<<8|uint32(aesSbox[b2&0xff])))
 }
 

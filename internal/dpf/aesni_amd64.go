@@ -4,18 +4,32 @@ package dpf
 
 import "gpudpf/internal/cpufeat"
 
-// Hardware AES for the GGM hot path. The kernels run the whole per-node
-// job — AES-128 key schedule from the node seed plus the two child-block
-// encryptions E_seed(0), E_seed(1) — inside vector registers, so a node
-// costs neither a heap allocation nor a round-key store/reload, and the
-// GGM rekey-per-node cost the paper singles out (§3.2.6) is ~20 cycles on
-// the AES-NI tier instead of the ~100 an AESKEYGENASSIST schedule is bound
-// to. Output is bit-identical to crypto/aes (TestAESKernelTiersMatchStdlib
-// pins every tier; TestAESKernelsMatchStdlib the dispatch and the pure-Go
-// fallback).
+// Hardware AES for the GGM hot path. The kernels run AESPRG's G for four
+// (AES-NI) or sixteen (AVX-512 + VAES) nodes per iteration: σ, twenty AES
+// rounds under the two fixed schedules in aesFixedRK, the feed-forward,
+// and for the step and leaf kernels the frontier correction and §3.1
+// conversion, all in vector registers. Output is bit-identical to G built
+// from crypto/aes (TestAESKernelTiersMatchStdlib pins every tier;
+// TestAESKernelsMatchStdlib the dispatch and the pure-Go fallback).
 
-// aesniExpand4 expands 4·blocks nodes: out[2i], out[2i+1] = E_seeds[i](0),
-// E_seeds[i](1). Needs AES-NI + SSSE3. Implemented in aesni_amd64.s.
+// aesFixedRK is aesFixed in the kernels' layout: round key r of π_L at
+// aesFixedRK[0][r], of π_R at aesFixedRK[1][r], in AES byte order and
+// stored four times over, so a 16-wide kernel takes one as a ZMM operand.
+// The asm reads it by symbol.
+var aesFixedRK = func() (rk [2][11][4]Seed) {
+	for k := range rk {
+		for r := range rk[k] {
+			for w := 0; w < 4; w++ {
+				putBeU32(rk[k][r][0][4*w:], aesFixed[k][4*r+w])
+			}
+			rk[k][r][1], rk[k][r][2], rk[k][r][3] = rk[k][r][0], rk[k][r][0], rk[k][r][0]
+		}
+	}
+	return
+}()
+
+// aesniExpand4 expands 4·blocks nodes: out[2i], out[2i+1] = G(seeds[i]).
+// Needs AES-NI. Implemented in aesni_amd64.s.
 //
 //go:noescape
 func aesniExpand4(out, seeds *Seed, blocks int)
@@ -60,13 +74,13 @@ func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, 
 // the fallback. vaesOK additionally selects the 16-wide tier for the bulk
 // of a frontier.
 var (
-	aesniOK = cpufeat.AESNI && cpufeat.SSSE3
+	aesniOK = cpufeat.AESNI
 	vaesOK  = aesniOK && cpufeat.AVX512BW && cpufeat.VAES
 )
 
 // AESKernel names the implementation the AES-128 PRG's node expansion
 // runs on this host: "vaes16" (AVX-512+VAES, sixteen nodes per kernel
-// iteration), "aesni4" (AES-NI+SSSE3, four) or "purego" (T-tables).
+// iteration), "aesni4" (AES-NI, four) or "purego" (T-tables).
 // pirserver logs it at start-up, so a host that silently narrowed to a
 // slower kernel is visible without a debugger.
 func AESKernel() string {

@@ -2,27 +2,17 @@
 
 #include "textflag.h"
 
-// GGM node expansion: for every seed, run the AES-128 key schedule from
-// the seed and encrypt the two child plaintexts (block of zeros; block
-// with byte 0 = 1) under it, all in registers. Children are written in
-// leaf order: out[2i] = AES_seed[i](0), out[2i+1] = AES_seed[i](1).
+// GGM node expansion with AESPRG's fixed-key hash: for every seed s,
+// x = σ(s) = (s_hi ^ s_lo)‖s_hi and the children are π_L(x) ^ x and
+// π_R(x) ^ x, AES-128 under the two fixed keys whose round keys
+// ·aesFixedRK holds (expanded once at init; see aes.go). Children are
+// written in leaf order: out[2i] = left, out[2i+1] = right.
 //
-// The key schedule is the PSHUFB + AESENCLAST form (OpenSSL's and the
-// Linux kernel's AES-128 key set-up), not AESKEYGENASSIST: that
-// instruction is microcoded (~13 µops, one issue per ~12 cycles) and a
-// node needs ten of them, which by itself is ~100 cycles per node however
-// many schedules are interleaved. Here one round key costs single-µop
-// instructions only:
-//
-//	t   = AESENCLAST(PSHUFB(key, rot), rcon)   rot = 0x0c0f0e0d in every column
-//	key = key ^ key<<32; key ^= key<<64        prefix XOR of the four words
-//	key = key ^ t
-//
-// PSHUFB broadcasts RotWord(w3) into all four columns; with four equal
-// columns ShiftRows is the identity, so AESENCLAST leaves
-// SubWord(RotWord(w3)) ^ rcon in every column — exactly what each word of
-// the next round key is XORed with. The prefix XOR runs beside it on the
-// shuffle ports.
+// A seed's low qword is bytes 0-7, so σ is a qword swap with the old low
+// qword XORed into the new high one. A node costs twenty AES rounds and
+// no key schedule: both schedules are loop-invariant, one 16-byte round
+// key per (key, round), stored four times over so the 16-wide kernels can
+// take a whole ZMM operand from memory.
 //
 // Each tier has three entry points over the same rounds: expand stores the
 // raw children; step finishes the inner-level frontier step before the
@@ -31,90 +21,70 @@
 // group into finished output shares. The Go pass that used to re-read
 // every stored child to do this cost more than the AES itself.
 
-// Constants, one 16-byte block each (the ZMM kernel broadcasts a block to
-// its four lanes):
-//   +0   rot: the PSHUFB mask
-//   +16  one: child plaintext 1 (byte 0 = 0x01)
-//   +32  rcon[0..9], one dword per column
-//   +192 clr: every bit but the control bit (bit 0 of byte 0)
-DATA aesk<>+0(SB)/8, $0x0c0f0e0d0c0f0e0d
-DATA aesk<>+8(SB)/8, $0x0c0f0e0d0c0f0e0d
-DATA aesk<>+16(SB)/8, $1
-DATA aesk<>+24(SB)/8, $0
-#define RCON_ENTRY(off, v) \
-	DATA aesk<>+off+0(SB)/8, $v \
-	DATA aesk<>+off+8(SB)/8, $v
-RCON_ENTRY(32, 0x0000000100000001)
-RCON_ENTRY(48, 0x0000000200000002)
-RCON_ENTRY(64, 0x0000000400000004)
-RCON_ENTRY(80, 0x0000000800000008)
-RCON_ENTRY(96, 0x0000001000000010)
-RCON_ENTRY(112, 0x0000002000000020)
-RCON_ENTRY(128, 0x0000004000000040)
-RCON_ENTRY(144, 0x0000008000000080)
-RCON_ENTRY(160, 0x0000001b0000001b)
-RCON_ENTRY(176, 0x0000003600000036)
-DATA aesk<>+192(SB)/8, $0xfffffffffffffffe
-DATA aesk<>+200(SB)/8, $0xffffffffffffffff
-GLOBL aesk<>(SB), RODATA|NOPTR, $208
+// ·aesFixedRK offsets: round r of π_L, of π_R.
+#define RKL(r) (64*(r))
+#define RKR(r) (704+64*(r))
 
-#define ROT  0
-#define ONE  16
-#define RCON(r) (32+16*(r))
-#define CLR  192
+// Constants, one 16-byte block each (the ZMM kernels broadcast a block to
+// their four lanes):
+//   +0   one: a 1 in the control bit (bit 0 of byte 0)
+//   +16  clr: every bit but the control bit
+DATA aesk<>+0(SB)/8, $1
+DATA aesk<>+8(SB)/8, $0
+DATA aesk<>+16(SB)/8, $0xfffffffffffffffe
+DATA aesk<>+24(SB)/8, $0xffffffffffffffff
+GLOBL aesk<>(SB), RODATA|NOPTR, $32
+
+#define ONE  0
+#define CLR  16
 
 // func aesniExpand4(out, seeds *Seed, blocks int)
 //
-// Four nodes per loop iteration on AES-NI + SSSE3. One schedule is a
-// serial chain (PSHUFB 1 + AESENCLAST 3 + PXOR 1 cycles per round); four
-// independent ones interleaved keep the AES and shuffle ports full, and
-// four is what the sixteen XMM registers hold: X0-X3 the four round keys,
-// X4-X11 the eight cipher states (node n's children in X(4+2n), X(5+2n)),
-// X12 rot, X13 t, X14 shift temp, X15 the round's rcon.
-#define KEY4(k, s0, s1, enc) \
-	MOVO   k, X13   \
-	PSHUFB X12, X13 \
-	AESENCLAST X15, X13 \
-	MOVO   k, X14   \
-	PSLLDQ $4, X14  \
-	PXOR   X14, k   \
-	MOVO   k, X14   \
-	PSLLDQ $8, X14  \
-	PXOR   X14, k   \
-	PXOR   X13, k   \
-	enc    k, s0    \
-	enc    k, s1
+// Four nodes per loop iteration on AES-NI: X0-X3 hold σ of the four
+// seeds, X4-X11 the eight cipher states (node n's children in X(4+2n),
+// X(5+2n)), X12/X13 the round's π_L/π_R key, loaded from memory once per
+// round, X14/X15 scratch. Eight independent chains keep the AES unit busy.
+#define SIGMA4(off, x) \
+	MOVOU  off(SI), X14 \
+	PSHUFD $0xee, X14, x \
+	PSLLDQ $8, X14       \
+	PXOR   X14, x
+
+#define WHITEN4(x, l, r) \
+	MOVO x, l   \
+	PXOR X12, l \
+	MOVO x, r   \
+	PXOR X13, r
+
+// LOAD4 loads four seeds as σ and whitens both children's plaintext with
+// round key 0.
+#define LOAD4 \
+	SIGMA4(0, X0)  \
+	SIGMA4(16, X1) \
+	SIGMA4(32, X2) \
+	SIGMA4(48, X3) \
+	MOVOU ·aesFixedRK+RKL(0)(SB), X12 \
+	MOVOU ·aesFixedRK+RKR(0)(SB), X13 \
+	WHITEN4(X0, X4, X5)  \
+	WHITEN4(X1, X6, X7)  \
+	WHITEN4(X2, X8, X9)  \
+	WHITEN4(X3, X10, X11)
 
 #define ROUND4(r, enc) \
-	MOVOU aesk<>+RCON(r)(SB), X15 \
-	KEY4(X0, X4, X5, enc)   \
-	KEY4(X1, X6, X7, enc)   \
-	KEY4(X2, X8, X9, enc)   \
-	KEY4(X3, X10, X11, enc)
+	MOVOU ·aesFixedRK+RKL(r)(SB), X12 \
+	MOVOU ·aesFixedRK+RKR(r)(SB), X13 \
+	enc X12, X4  \
+	enc X13, X5  \
+	enc X12, X6  \
+	enc X13, X7  \
+	enc X12, X8  \
+	enc X13, X9  \
+	enc X12, X10 \
+	enc X13, X11
 
-// LOAD4 loads four node seeds as round key 0 and whitens the two child
-// plaintexts with it (0 ^ key, one ^ key); ROUNDS4 runs the ten rounds.
-// X12 must hold rot.
-#define LOAD4 \
-	MOVOU 0(SI), X0  \
-	MOVOU 16(SI), X1 \
-	MOVOU 32(SI), X2 \
-	MOVOU 48(SI), X3 \
-	MOVO  X0, X4     \
-	MOVO  X1, X6     \
-	MOVO  X2, X8     \
-	MOVO  X3, X10    \
-	MOVOU aesk<>+ONE(SB), X5 \
-	MOVO  X5, X7     \
-	MOVO  X5, X9     \
-	MOVO  X5, X11    \
-	PXOR  X0, X5     \
-	PXOR  X1, X7     \
-	PXOR  X2, X9     \
-	PXOR  X3, X11
-
+// ROUNDS4 runs rounds 1-10 and the feed-forward (child ^= σ); X0-X3 are
+// dead afterwards.
 #define ROUNDS4 \
-	ROUND4(0, AESENC) \
 	ROUND4(1, AESENC) \
 	ROUND4(2, AESENC) \
 	ROUND4(3, AESENC) \
@@ -123,7 +93,16 @@ GLOBL aesk<>(SB), RODATA|NOPTR, $208
 	ROUND4(6, AESENC) \
 	ROUND4(7, AESENC) \
 	ROUND4(8, AESENC) \
-	ROUND4(9, AESENCLAST)
+	ROUND4(9, AESENC) \
+	ROUND4(10, AESENCLAST) \
+	PXOR X0, X4  \
+	PXOR X0, X5  \
+	PXOR X1, X6  \
+	PXOR X1, X7  \
+	PXOR X2, X8  \
+	PXOR X2, X9  \
+	PXOR X3, X10 \
+	PXOR X3, X11
 
 // STORE4 writes the eight children (or finished leaf groups) in leaf order.
 #define STORE4 \
@@ -152,7 +131,6 @@ TEXT ·aesniExpand4(SB), NOSPLIT, $0-24
 	MOVQ blocks+16(FP), CX
 	TESTQ CX, CX
 	JLE  done4
-	MOVOU aesk<>+ROT(SB), X12
 
 loop4:
 	LOAD4
@@ -171,9 +149,8 @@ done4:
 // aesniExpand4 with the frontier step finished before the store: each raw
 // child's control bit is peeled into nextT (t = bit0 ^ cw.T{L,R} & t_parent)
 // and the child becomes (child &^ 1) ^ cw.S & -t_parent. After the rounds
-// the key registers are dead: X1 holds the parent masks, X3 cw.S, X12 clr,
-// X0/X2/X13-X15 are scratch; AX carries [TL,TR] in each of its four words,
-// R10 a 1 in each byte.
+// X1 holds the parent masks, X3 cw.S, X12 clr, X0/X2/X13-X15 are scratch;
+// AX carries [TL,TR] in each of its four words, R10 a 1 in each byte.
 #define CORR4(sel, l, r) \
 	PSHUFD $sel, X1, X13 \
 	PAND  X3, X13  \
@@ -200,7 +177,6 @@ TEXT ·aesniStep4(SB), NOSPLIT, $0-48
 	MOVQ $0x0101010101010101, R10
 
 loopstep4:
-	MOVOU aesk<>+ROT(SB), X12
 	LOAD4
 	ROUNDS4
 	// Control bits: byte 0 of L0 R0 L1 R1 ... gathered into one qword,
@@ -291,7 +267,6 @@ TEXT ·aesniLeaf4(SB), NOSPLIT, $0-48
 	JLE  doneleaf4
 
 loopleaf4:
-	MOVOU aesk<>+ROT(SB), X12
 	LOAD4
 	ROUNDS4
 	PARENTS4
@@ -315,28 +290,25 @@ doneleaf4:
 // func vaesExpand16(out, seeds *Seed, blocks int)
 //
 // Sixteen nodes per loop iteration on AVX-512 (F+BW) + VAES: the same
-// schedule with four nodes per ZMM register — every instruction involved
-// works per 128-bit lane — the three-operand forms dropping the copies
-// and VPTERNLOGD folding the last two XORs of a round key into one.
-// Z0-Z3 hold the round keys of nodes 0-3, 4-7, 8-11, 12-15; Z4-Z11 the
-// cipher states, Z(4+2q) the left children of quad q and Z(5+2q) the
-// right; Z12 rot, Z13 t, Z14 shift temp, Z16/Z17 the output permutations,
-// Z18 one, Z19-Z28 the ten rcons.
-#define KEY16(k, s0, s1, rc, enc) \
-	VPSHUFB Z12, k, Z13       \
-	VAESENCLAST rc, Z13, Z13  \
-	VPSLLDQ $4, k, Z14        \
-	VPXORD  Z14, k, k         \
-	VPSLLDQ $8, k, Z14        \
-	VPTERNLOGD $0x96, Z14, Z13, k \
-	enc     k, s0, s0         \
-	enc     k, s1, s1
+// rounds with four nodes per ZMM register. Z0-Z3 hold σ of nodes 0-3,
+// 4-7, 8-11, 12-15; Z4-Z11 the cipher states, Z(4+2q) the left children
+// of quad q and Z(5+2q) the right; Z19-Z29 π_L's eleven round keys. π_R's
+// do not fit beside them, so each of its rounds is a memory operand (one
+// load per four nodes, off the AES port). Z13 is scratch, Z16/Z17 the
+// output permutations, Z18 one, K5 the odd (high) qwords for σ.
+#define SIGMA16(off, x) \
+	VPSHUFD $0x4e, off(SI), x \
+	VPXORQ  off(SI), x, K5, x
 
-#define ROUND16(rc, enc) \
-	KEY16(Z0, Z4, Z5, rc, enc)   \
-	KEY16(Z1, Z6, Z7, rc, enc)   \
-	KEY16(Z2, Z8, Z9, rc, enc)   \
-	KEY16(Z3, Z10, Z11, rc, enc)
+#define ROUND16(kl, r, enc) \
+	enc kl, Z4, Z4   \
+	enc ·aesFixedRK+RKR(r)(SB), Z5, Z5 \
+	enc kl, Z6, Z6   \
+	enc ·aesFixedRK+RKR(r)(SB), Z7, Z7 \
+	enc kl, Z8, Z8   \
+	enc ·aesFixedRK+RKR(r)(SB), Z9, Z9 \
+	enc kl, Z10, Z10 \
+	enc ·aesFixedRK+RKR(r)(SB), Z11, Z11
 
 // STORE16 writes quad q's eight children in leaf order from its left
 // (L0 L1 L2 L3) and right (R0 R1 R2 R3) state registers: L0 R0 L1 R1,
@@ -408,49 +380,62 @@ DATA aesone<>+4(SB)/4, $1
 GLOBL aesone<>(SB), RODATA|NOPTR, $8
 
 // CONST16 loads the loop-invariant registers every 16-wide kernel shares.
+// It clobbers AX.
 #define CONST16 \
-	VBROADCASTI32X4 aesk<>+ROT(SB), Z12 \
+	MOVL $0xaa, AX \
+	KMOVW AX, K5   \
 	VBROADCASTI32X4 aesk<>+ONE(SB), Z18 \
 	VMOVDQU64 aesperm<>+0(SB), Z16  \
 	VMOVDQU64 aesperm<>+64(SB), Z17 \
-	VBROADCASTI32X4 aesk<>+RCON(0)(SB), Z19 \
-	VBROADCASTI32X4 aesk<>+RCON(1)(SB), Z20 \
-	VBROADCASTI32X4 aesk<>+RCON(2)(SB), Z21 \
-	VBROADCASTI32X4 aesk<>+RCON(3)(SB), Z22 \
-	VBROADCASTI32X4 aesk<>+RCON(4)(SB), Z23 \
-	VBROADCASTI32X4 aesk<>+RCON(5)(SB), Z24 \
-	VBROADCASTI32X4 aesk<>+RCON(6)(SB), Z25 \
-	VBROADCASTI32X4 aesk<>+RCON(7)(SB), Z26 \
-	VBROADCASTI32X4 aesk<>+RCON(8)(SB), Z27 \
-	VBROADCASTI32X4 aesk<>+RCON(9)(SB), Z28
+	VMOVDQU64 ·aesFixedRK+RKL(0)(SB), Z19 \
+	VMOVDQU64 ·aesFixedRK+RKL(1)(SB), Z20 \
+	VMOVDQU64 ·aesFixedRK+RKL(2)(SB), Z21 \
+	VMOVDQU64 ·aesFixedRK+RKL(3)(SB), Z22 \
+	VMOVDQU64 ·aesFixedRK+RKL(4)(SB), Z23 \
+	VMOVDQU64 ·aesFixedRK+RKL(5)(SB), Z24 \
+	VMOVDQU64 ·aesFixedRK+RKL(6)(SB), Z25 \
+	VMOVDQU64 ·aesFixedRK+RKL(7)(SB), Z26 \
+	VMOVDQU64 ·aesFixedRK+RKL(8)(SB), Z27 \
+	VMOVDQU64 ·aesFixedRK+RKL(9)(SB), Z28 \
+	VMOVDQU64 ·aesFixedRK+RKL(10)(SB), Z29
 
-// LOAD16 loads sixteen node seeds as round key 0 and whitens the child
-// plaintexts (0 ^ key, one ^ key); ROUNDS16 runs the ten rounds.
+// LOAD16 loads sixteen seeds as σ and whitens both children's plaintext
+// with round key 0.
 #define LOAD16 \
-	VMOVDQU64 0(SI), Z0   \
-	VMOVDQU64 64(SI), Z1  \
-	VMOVDQU64 128(SI), Z2 \
-	VMOVDQU64 192(SI), Z3 \
-	VMOVDQA64 Z0, Z4      \
-	VMOVDQA64 Z1, Z6      \
-	VMOVDQA64 Z2, Z8      \
-	VMOVDQA64 Z3, Z10     \
-	VPXORD  Z18, Z0, Z5   \
-	VPXORD  Z18, Z1, Z7   \
-	VPXORD  Z18, Z2, Z9   \
-	VPXORD  Z18, Z3, Z11
+	SIGMA16(0, Z0)   \
+	SIGMA16(64, Z1)  \
+	SIGMA16(128, Z2) \
+	SIGMA16(192, Z3) \
+	VPXORD Z19, Z0, Z4 \
+	VPXORD ·aesFixedRK+RKR(0)(SB), Z0, Z5 \
+	VPXORD Z19, Z1, Z6 \
+	VPXORD ·aesFixedRK+RKR(0)(SB), Z1, Z7 \
+	VPXORD Z19, Z2, Z8 \
+	VPXORD ·aesFixedRK+RKR(0)(SB), Z2, Z9 \
+	VPXORD Z19, Z3, Z10 \
+	VPXORD ·aesFixedRK+RKR(0)(SB), Z3, Z11
 
+// ROUNDS16 runs rounds 1-10 and the feed-forward (child ^= σ); Z0-Z3 are
+// dead afterwards.
 #define ROUNDS16 \
-	ROUND16(Z19, VAESENC) \
-	ROUND16(Z20, VAESENC) \
-	ROUND16(Z21, VAESENC) \
-	ROUND16(Z22, VAESENC) \
-	ROUND16(Z23, VAESENC) \
-	ROUND16(Z24, VAESENC) \
-	ROUND16(Z25, VAESENC) \
-	ROUND16(Z26, VAESENC) \
-	ROUND16(Z27, VAESENC) \
-	ROUND16(Z28, VAESENCLAST)
+	ROUND16(Z20, 1, VAESENC) \
+	ROUND16(Z21, 2, VAESENC) \
+	ROUND16(Z22, 3, VAESENC) \
+	ROUND16(Z23, 4, VAESENC) \
+	ROUND16(Z24, 5, VAESENC) \
+	ROUND16(Z25, 6, VAESENC) \
+	ROUND16(Z26, 7, VAESENC) \
+	ROUND16(Z27, 8, VAESENC) \
+	ROUND16(Z28, 9, VAESENC) \
+	ROUND16(Z29, 10, VAESENCLAST) \
+	VPXORD Z0, Z4, Z4   \
+	VPXORD Z0, Z5, Z5   \
+	VPXORD Z1, Z6, Z6   \
+	VPXORD Z1, Z7, Z7   \
+	VPXORD Z2, Z8, Z8   \
+	VPXORD Z2, Z9, Z9   \
+	VPXORD Z3, Z10, Z10 \
+	VPXORD Z3, Z11, Z11
 
 TEXT ·vaesExpand16(SB), NOSPLIT, $0-24
 	MOVQ out+0(FP), DI
@@ -497,9 +482,9 @@ done16:
 // func vaesStep16(next, seeds *Seed, nextT, ts *uint8, cw *CW, blocks int)
 //
 // vaesExpand16 with the frontier step finished before the store (see
-// aesniStep4). Past the rounds the key registers Z0-Z3 and Z13/Z14 are
-// scratch; Z15 holds cw.S in every lane, Z29 [TL,TR] in every word, Z30
-// zero, Z31 the control-bit permutation.
+// aesniStep4). Past the rounds Z0-Z3 and Z13/Z14 are scratch; Z12 holds
+// [TL,TR] in every word, Z15 cw.S in every lane, Z30 zero, Z31 the
+// control-bit permutation.
 TEXT ·vaesStep16(SB), NOSPLIT, $0-48
 	MOVQ next+0(FP), DI
 	MOVQ seeds+8(FP), SI
@@ -515,7 +500,7 @@ TEXT ·vaesStep16(SB), NOSPLIT, $0-48
 	MOVBLZX 17(R8), R9
 	SHLL $8, R9
 	ORL  R9, AX
-	VPBROADCASTW AX, Z29
+	VPBROADCASTW AX, Z12
 	VPXORD Z30, Z30, Z30
 	VMOVDQU64 aestperm<>(SB), Z31
 
@@ -536,7 +521,7 @@ loopstep16:
 	VMOVDQU (DX), X1
 	VPMOVZXBW Y1, Z1
 	VPSLLW  $8, Z1, Z2
-	VPTERNLOGD $0xa8, Z29, Z2, Z1        // (t | t<<8) & [TL,TR]
+	VPTERNLOGD $0xa8, Z12, Z2, Z1        // (t | t<<8) & [TL,TR]
 	VPTERNLOGD.BCST $0x6c, aesone<>+0(SB), Z1, Z0 // (raw & 1) ^ that
 	VMOVDQU Y0, (BX)
 	// Seeds.
@@ -570,19 +555,19 @@ donestep16:
 
 // LEAF16 finishes one child register: its control bit — raw bit 0 of the
 // lane's first dword, XORed with the parent mask where cw's bit for this
-// side is set (kt) — selects the lanes that take Final (Z29), and party 1
+// side is set (kt) — selects the lanes that take Final (Z12), and party 1
 // (K1) negates.
 #define LEAF16(c, kt) \
 	VPSHUFD $0, c, Z3     \
 	VPXORD  Z1, Z3, kt, Z3 \
 	VPTESTMD.BCST aesone<>+4(SB), Z3, K4 \
 	CORR16(c)             \
-	VPADDD  Z29, c, K4, c \
+	VPADDD  Z12, c, K4, c \
 	VPSUBD  c, Z30, K1, c
 
 // func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
 //
-// The terminal step for four-lane groups on ZMM (see aesniLeaf4). Z29
+// The terminal step for four-lane groups on ZMM (see aesniLeaf4). Z12
 // holds Final in every lane; K1, K2, K3 are all-ones or empty for party 1,
 // cw.TL, cw.TR.
 TEXT ·vaesLeaf16(SB), NOSPLIT, $0-48
@@ -596,7 +581,7 @@ TEXT ·vaesLeaf16(SB), NOSPLIT, $0-48
 	JLE  doneleaf16
 	CONST16
 	VBROADCASTI32X4 (R8), Z15
-	VBROADCASTI32X4 (R9), Z29
+	VBROADCASTI32X4 (R9), Z12
 	VPXORD Z30, Z30, Z30
 	MOVL 16(R9), AX
 	KMOVW AX, K1

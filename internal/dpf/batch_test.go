@@ -1,45 +1,140 @@
 package dpf
 
 import (
+	"bytes"
 	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	mrand "math/rand"
 	randv2 "math/rand/v2"
 	"testing"
 )
 
-// TestAESBlockMatchesStdlib pins the software AES-128 (aesblock.go) to
-// crypto/aes: same key schedule, same ciphertext, for random keys and
-// plaintexts.
-func TestAESBlockMatchesStdlib(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(1))
-	var key, src [16]byte
-	var got, want [16]byte
-	var rk aesRoundKeys
-	for trial := 0; trial < 200; trial++ {
-		rng.Read(key[:])
-		rng.Read(src[:])
-		c, err := aes.NewCipher(key[:])
+// aesGStdlib is the reference for AESPRG's G, built from crypto/aes
+// alone: x = σ(s) = (s_hi ^ s_lo)‖s_hi with s_lo bytes 0-7, then
+// left = π_L(x) ^ x, right = π_R(x) ^ x.
+func aesGStdlib(pl, pr cipher.Block, s Seed) (left, right Seed) {
+	var x Seed
+	for i := 0; i < 8; i++ {
+		x[i], x[8+i] = s[8+i], s[8+i]^s[i]
+	}
+	pl.Encrypt(left[:], x[:])
+	pr.Encrypt(right[:], x[:])
+	for i := range x {
+		left[i] ^= x[i]
+		right[i] ^= x[i]
+	}
+	return
+}
+
+// aesFixedStdlib returns π_L and π_R as crypto/aes ciphers. The keys are
+// spelled out in hex, and checked against their documented derivation,
+// so a drift in the package's key set-up cannot move the reference with
+// it.
+func aesFixedStdlib(t *testing.T) (pl, pr cipher.Block) {
+	t.Helper()
+	var pi [2]cipher.Block
+	for i, c := range []struct{ label, hex string }{
+		{"gpudpf/aes128/left", "233f9058103e47758ae84e49a6a733e4"},
+		{"gpudpf/aes128/right", "2c57843defd46639668044fe3c89a5d8"},
+	} {
+		key, err := hex.DecodeString(c.hex)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Encrypt(want[:], src[:])
-		rk.expand((*Seed)(&key))
-		rk.encrypt(got[:], src[:])
-		if got != want {
-			t.Fatalf("trial %d: software AES %x != stdlib %x (key %x, src %x)", trial, got, want, key, src)
+		if sum := sha256.Sum256([]byte(c.label)); !bytes.Equal(sum[:16], key) {
+			t.Fatalf("fixed key %q is %x, SHA-256 of its label starts %x", c.label, key, sum[:16])
+		}
+		if pi[i], err = aes.NewCipher(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pi[0], pi[1]
+}
+
+// TestAESBlockMatchesStdlib pins the software AES-128 (aesblock.go) to
+// crypto/aes: same key schedule, same ciphertext, for random key pairs and
+// seeds pushed through G.
+func TestAESBlockMatchesStdlib(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(1))
+	var kl, kr, s, gotL, gotR Seed
+	var rkl, rkr aesRoundKeys
+	for trial := 0; trial < 200; trial++ {
+		rng.Read(kl[:])
+		rng.Read(kr[:])
+		rng.Read(s[:])
+		pl, err := aes.NewCipher(kl[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr, err := aes.NewCipher(kr[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantL, wantR := aesGStdlib(pl, pr, s)
+		rkl.expand(&kl)
+		rkr.expand(&kr)
+		aesG(&rkl, &rkr, &gotL, &gotR, &s)
+		if gotL != wantL || gotR != wantR {
+			t.Fatalf("trial %d: software G (%x, %x) != stdlib (%x, %x) (keys %x %x, seed %x)",
+				trial, gotL, gotR, wantL, wantR, kl, kr, s)
 		}
 	}
 }
 
-// checkAESExpandMatchesStdlib pins one body of aesExpandNodes to crypto/aes:
-// 500 seeded random frontiers, each expanded at every length 1..67 — every
-// residue of the 4-, 8- and 16-node block sizes, so whole-block loops and
-// padded tails are all hit — must yield E_seed(0), E_seed(1) per node, in
-// leaf order, and write nothing past 2·n.
+// TestAESKernelKnownAnswer pins G itself: three seeds whose children were
+// computed outside Go (an independent AES implementation, the same σ and
+// feed-forward), held against the crypto/aes reference, both expansion
+// bodies and the scalar Expand.
+func TestAESKernelKnownAnswer(t *testing.T) {
+	pl, pr := aesFixedStdlib(t)
+	for _, v := range []struct{ seed, left, right string }{
+		{"00000000000000000000000000000000", "e9609d43cf55d75c419d5689f985ce24", "d0b8f3e4e2acb7c602eda1963c120ea5"},
+		{"000102030405060708090a0b0c0d0e0f", "f8e77bdd44ae2274760b51f34b94c512", "60602a48a83463fdb017715d130c7f43"},
+		{"fedcba98765432100123456789abcdef", "85fcfe030d84619ccf466fe93a95b343", "051ba42686a2ea9da50116f5bfa8e3e8"},
+	} {
+		var s, wantL, wantR Seed
+		for _, f := range []struct {
+			dst *Seed
+			hex string
+		}{{&s, v.seed}, {&wantL, v.left}, {&wantR, v.right}} {
+			if _, err := hex.Decode(f.dst[:], []byte(f.hex)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if l, r := aesGStdlib(pl, pr, s); l != wantL || r != wantR {
+			t.Fatalf("seed %s: crypto/aes reference (%x, %x), vector (%s, %s)", v.seed, l, r, v.left, v.right)
+		}
+		for name, body := range map[string]func(out, seeds []Seed){
+			"dispatch:" + AESKernel(): aesExpandNodes,
+			"portable":                aesExpandNodesGo,
+		} {
+			var kids [2]Seed
+			body(kids[:], []Seed{s})
+			if kids[0] != wantL || kids[1] != wantR {
+				t.Errorf("%s: seed %s: (%x, %x), vector (%s, %s)", name, v.seed, kids[0], kids[1], v.left, v.right)
+			}
+		}
+		l, r, tl, tr := NewAESPRG().Expand(s)
+		wl, wr := wantL, wantR
+		wtl, wtr := clearControlBits(&wl, &wr)
+		if l != wl || r != wr || tl != wtl || tr != wtr {
+			t.Errorf("Expand(%s) = (%x, %x, %d, %d), want (%x, %x, %d, %d)", v.seed, l, r, tl, tr, wl, wr, wtl, wtr)
+		}
+	}
+}
+
+// checkAESExpandMatchesStdlib pins one body of aesExpandNodes to G built
+// from crypto/aes: 500 seeded random frontiers, each expanded at every
+// length 1..67 — every residue of the 4-, 8- and 16-node block sizes, so
+// whole-block loops and padded tails are all hit — must yield G(seed) per
+// node, in leaf order, and write nothing past 2·n.
 func checkAESExpandMatchesStdlib(t *testing.T, expand func(out, seeds []Seed)) {
 	t.Helper()
 	const maxN = 67
+	pl, pr := aesFixedStdlib(t)
 	rng := mrand.New(mrand.NewSource(8))
 	var seeds [maxN]Seed
 	var want, got [2*maxN + 1]Seed
@@ -47,14 +142,7 @@ func checkAESExpandMatchesStdlib(t *testing.T, expand func(out, seeds []Seed)) {
 	for trial := 0; trial < 500; trial++ {
 		for i := range seeds {
 			rng.Read(seeds[i][:])
-			c, err := aes.NewCipher(seeds[i][:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var in Seed
-			c.Encrypt(want[2*i][:], in[:])
-			in[0] = 1
-			c.Encrypt(want[2*i+1][:], in[:])
+			want[2*i], want[2*i+1] = aesGStdlib(pl, pr, seeds[i])
 		}
 		rng.Read(guard[:])
 		for n := 1; n <= maxN; n++ {
@@ -84,7 +172,7 @@ func TestAESKernelsMatchStdlib(t *testing.T) {
 }
 
 // checkAESFusedMatchesOracle pins one body of the AES frontier step and of
-// the four-lane leaf step to the two-pass Go definition (aesExpandNodesGo,
+// the four-lane leaf step to the two-pass definition (G from crypto/aes,
 // then correctChildren / correctConvert) at every frontier length 1..70 —
 // whole 16-blocks, whole 4-blocks and 1-3-node padded tails in every
 // combination — over PCG-seeded seeds, correction words (cw.S with its
@@ -97,6 +185,7 @@ func checkAESFusedMatchesOracle(t *testing.T,
 	leaf func(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32)) {
 	t.Helper()
 	const maxN = 70
+	pl, pr := aesFixedStdlib(t)
 	rng := randv2.New(randv2.NewPCG(16, 0x66757365))
 	fill := func(b []byte) {
 		for i := range b {
@@ -105,7 +194,7 @@ func checkAESFusedMatchesOracle(t *testing.T,
 	}
 	var seeds [maxN]Seed
 	var ts [maxN]uint8
-	var kids, next [2*maxN + 1]Seed
+	var raw, kids, next [2*maxN + 1]Seed
 	var kidT, nextT [2*maxN + 1]uint8
 	var want, dst [8*maxN + 1]uint32
 	var guard Seed
@@ -120,6 +209,7 @@ func checkAESFusedMatchesOracle(t *testing.T,
 		cw.TL, cw.TR = uint8(trial&1), uint8(trial>>1&1)
 		for i := range seeds {
 			fill(seeds[i][:])
+			raw[2*i], raw[2*i+1] = aesGStdlib(pl, pr, seeds[i])
 			switch trial >> 4 % 3 {
 			case 0:
 				ts[i] = uint8(rng.Uint32() & 1)
@@ -132,7 +222,7 @@ func checkAESFusedMatchesOracle(t *testing.T,
 		fill(guard[:])
 		guardT, guardW := guard[0]|2, leU32(guard[4:8])
 		for n := 1; n <= maxN; n++ {
-			aesExpandNodesGo(kids[:2*n], seeds[:n])
+			copy(kids[:2*n], raw[:2*n])
 			correctConvert(&k, kids[:2*n], ts[:n], cw, want[:8*n])
 			correctChildren(kids[:2*n], kidT[:2*n], ts[:n], cw)
 

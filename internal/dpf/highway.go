@@ -9,8 +9,10 @@ import "math/bits"
 //
 // NOTE: this is a HighwayHash-*style* PRF, not the reference HighwayHash
 // (we do not claim test-vector compatibility), and like SipHash it is not a
-// conservatively analyzed PRF — the paper draws the same caveat. See
-// DESIGN.md's substitution table.
+// conservatively analyzed PRF — the paper draws the same caveat. It
+// stands in for the reference HighwayHash the paper benchmarks because the
+// module takes no dependency outside the standard library; Table 5's
+// figures come from the modeled cycle costs below, not from this code.
 type HighwayPRG struct{}
 
 // NewHighwayPRG returns the HighwayHash-style PRG.

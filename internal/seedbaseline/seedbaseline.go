@@ -1,13 +1,14 @@
 // Package seedbaseline preserves the seed revision's per-query
 // MemBoundTree hot path (commit 991b2b3, fused K-bounded walk) as a
-// frozen benchmark baseline: one scalar PRF expansion per tree node — for
-// AES that is an aes.NewCipher heap allocation plus a fresh key schedule
-// per node — freshly appended child groups at every level, a byte-loop
-// seed XOR, and the dot product fused per leaf, i.e. one full table pass
-// per query. BenchmarkTiledAnswer and cmd/benchjson both measure the
-// tiled path against exactly this code, so it must not inherit the live
-// packages' optimizations; counters are dropped, the ParallelFor query
-// dispatch is kept so baseline and tiled path use the host the same way.
+// frozen benchmark baseline: one scalar PRF expansion per tree node,
+// freshly appended child groups at every level, a byte-loop seed XOR, and
+// the dot product fused per leaf, i.e. one full table pass per query.
+// BenchmarkTiledAnswer and cmd/benchjson both measure the tiled path
+// against exactly this code, so it must not inherit the live packages'
+// walk and batching optimizations. The PRF is the live prg.Expand, so
+// baseline and tiled path compute the same function and their answers
+// stay identical. Counters are dropped; the ParallelFor query dispatch is
+// kept so baseline and tiled path use the host the same way.
 package seedbaseline
 
 import (
