@@ -18,14 +18,15 @@ import (
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/pir"
+	"gpudpf/internal/shardnet"
 )
 
 func main() {
 	s0 := flag.String("server0", "127.0.0.1:7700", "party-0 server address")
 	s1 := flag.String("server1", "127.0.0.1:7701", "party-1 server address")
-	rows := flag.Int("rows", 65536, "table rows (must match servers)")
-	prg := flag.String("prg", "aes128", "PRF (must match servers)")
-	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth for generated keys (must match servers; 0 = legacy full-depth wire-v1 keys)")
+	rows := flag.Int("rows", 65536, "table rows (checked at dial)")
+	prg := flag.String("prg", "aes128", "PRF (checked at dial)")
+	early := flag.Int("early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth for generated keys, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	indices := flag.String("index", "0", "comma-separated row indices to fetch privately")
 	repeat := flag.Int("repeat", 1, "fetch the index set this many times and report aggregate QPS")
 	flag.Parse()
@@ -39,21 +40,24 @@ func main() {
 		wanted = append(wanted, v)
 	}
 
-	e0, err := pir.Dial(*s0)
-	if err != nil {
-		log.Fatalf("pirclient: %v", err)
-	}
-	defer e0.Close()
-	e1, err := pir.Dial(*s1)
-	if err != nil {
-		log.Fatalf("pirclient: %v", err)
-	}
-	defer e1.Close()
-
 	client, err := pir.NewClientEarly(*prg, *rows, *early, nil)
 	if err != nil {
 		log.Fatalf("pirclient: %v", err)
 	}
+	// Each server's hello must state this client's PRF, depth, table and
+	// that server's party, or the dial fails naming both values.
+	pin := shardnet.Options{PRG: *prg, Early: client.Early(), Rows: *rows}
+	e0, err := pir.Dial(*s0, pin)
+	if err != nil {
+		log.Fatalf("pirclient: server0 %s: %v", *s0, err)
+	}
+	defer e0.Close()
+	pin.Party = 1
+	e1, err := pir.Dial(*s1, pin)
+	if err != nil {
+		log.Fatalf("pirclient: server1 %s: %v", *s1, err)
+	}
+	defer e1.Close()
 	ts := &pir.TwoServer{Client: client, E0: e0, E1: e1}
 	start := time.Now()
 	got, stats, err := ts.Fetch(wanted)

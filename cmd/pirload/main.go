@@ -37,15 +37,16 @@ import (
 	"gpudpf/internal/engine"
 	"gpudpf/internal/loadgen"
 	"gpudpf/internal/pir"
+	"gpudpf/internal/shardnet"
 )
 
 func main() {
 	addr := flag.String("addr", "localhost:7700", "pirserver address to drive")
-	party := flag.Int("party", 0, "which party's key share to send (must match the server's -party)")
-	rows := flag.Int("rows", 65536, "server table rows (must match the server)")
+	party := flag.Int("party", 0, "which party's key share to send (checked at dial)")
+	rows := flag.Int("rows", 65536, "server table rows (checked at dial)")
 	lanes := flag.Int("lanes", 32, "server row lanes (must match the server; sizes generated update rows)")
-	prg := flag.String("prg", "aes128", "PRF (must match the server)")
-	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth (must match the server)")
+	prg := flag.String("prg", "aes128", "PRF (checked at dial)")
+	early := flag.Int("early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	seed := flag.Uint64("seed", 1, "workload seed: same seed, same schedule and same key material")
 	clients := flag.Uint64("clients", 1_000_000, "client population size request origins are drawn from")
 	zipfS := flag.Float64("zipf", 1.2, "Zipf skew of the requested rows (> 1)")
@@ -87,9 +88,12 @@ func main() {
 	if *updateFrac > 0 {
 		extra = 1
 	}
+	// Every connection's hello pins the keys' configuration, so a mismatched
+	// server fails here, naming both values, instead of answering garbage.
+	pin := shardnet.Options{PRG: *prg, Early: dpf.ClampEarly(*early, dpf.DomainBits(*rows)), Party: *party, Rows: *rows}
 	pool := make([]loadgen.Target, *conns+extra)
 	for i := range pool {
-		r, err := pir.Dial(*addr)
+		r, err := pir.Dial(*addr, pin)
 		if err != nil {
 			log.Fatalf("pirload: %v", err)
 		}

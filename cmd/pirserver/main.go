@@ -47,10 +47,11 @@
 //
 //	pirserver -party 0 -shardnode 0/2 -join host0:7800 -addr :7802 -rows 1048576 -seed 42
 //
-// The shardnet handshake pins the wire version, PRF, early-termination
-// depth and party (and advertises the node's table epoch), so a
-// misconfigured node is refused at dial time with both values named
-// instead of corrupting shares at merge time.
+// The hello pins the wire version, PRF (name and construction),
+// early-termination depth, party and row count (and the welcome states the
+// table epoch), so a misconfigured node — or a pirclient — is refused at
+// dial time with both values named instead of corrupting shares at merge
+// or reconstruction time.
 //
 // Updates: -refresh/-refreshrows drive the paper's transparent update
 // path (§4.2) as a deterministic background load — every tick a batch of
@@ -117,8 +118,8 @@ func main() {
 	flag.IntVar(&cfg.rows, "rows", 65536, "table rows")
 	flag.IntVar(&cfg.lanes, "lanes", 32, "uint32 lanes per row (entry bytes / 4)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
-	flag.StringVar(&cfg.prg, "prg", "aes128", "PRF (must match clients): aes128, chacha20, siphash, highway, sha256")
-	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, "early-termination depth clients' keys carry (must match clients; 0 = legacy full-depth wire-v1 keys)")
+	flag.StringVar(&cfg.prg, "prg", "aes128", "PRF (checked at dial): aes128, chacha20, siphash, highway, sha256")
+	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth clients' keys carry, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	flag.IntVar(&cfg.batch, "batch", 64, "max keys per formed batch (0 disables the batching front door)")
 	flag.DurationVar(&cfg.maxDelay, "maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 	flag.IntVar(&cfg.maxQueue, "maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
@@ -154,6 +155,9 @@ func main() {
 	}
 	if cfg.pageCache < 1 {
 		log.Fatal("pirserver: -pagecache must be >= 1")
+	}
+	if cfg.early < 1 || cfg.early > dpf.MaxEarlyBits {
+		log.Fatalf("pirserver: -early %d out of range [1,%d] (full-depth wire-v1 keys are not served)", cfg.early, dpf.MaxEarlyBits)
 	}
 	switch {
 	case cfg.shardNode != "":
@@ -230,9 +234,10 @@ func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()
 
 // serveClients runs the client protocol on cfg.addr over be — behind the
 // batching front door unless -batch 0 — with the refresher beside it,
-// until SIGTERM/SIGINT; then it drains. what and detail are the start-up
-// line's mode-specific halves.
-func serveClients(cfg config, be engine.Backend, what, detail string) {
+// until SIGTERM/SIGINT; then it drains. A pinning client's hello is
+// checked against desc. what and detail are the start-up line's
+// mode-specific halves.
+func serveClients(cfg config, be engine.Backend, desc shardnet.Describer, what, detail string) {
 	l, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -256,7 +261,7 @@ func serveClients(cfg config, be engine.Backend, what, detail string) {
 		cfg.party, what, l.Addr(), detail, cfg.batch, inflight, cfg.maxQueue, cfg.slo)
 	stopRefresh := startRefresher(cfg, be)
 	sig := notifyShutdown(l)
-	if err := pir.Serve(l, answerer); err != nil {
+	if err := shardnet.NewFront(answerer, desc, shardnet.ServerConfig{}).Serve(l); err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
 	signal.Stop(sig)
@@ -270,7 +275,7 @@ func serveClients(cfg config, be engine.Backend, what, detail string) {
 func runSingle(cfg config) {
 	rep, closeStore := openReplica(cfg, 0, cfg.rows)
 	defer closeStore()
-	serveClients(cfg, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
+	serveClients(cfg, rep, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
 		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits()))
 	log.Printf("pirserver: shutdown complete")
 }
@@ -325,11 +330,7 @@ func runShardNode(cfg config) {
 // behind after a bounded number of rounds simply starts quarantined until
 // the front heals it, so best effort is safe.
 func joinFromPeer(cfg config, rep *engine.Replica, lo, hi int) error {
-	pin := rep.EarlyBits()
-	if pin == 0 {
-		pin = engine.FullDepthKeys
-	}
-	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: cfg.prg, Early: pin, Party: cfg.party})
+	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: cfg.prg, Early: rep.EarlyBits(), Party: cfg.party, Rows: cfg.rows})
 	if err != nil {
 		return err
 	}
@@ -365,26 +366,14 @@ func runClusterFront(cfg config) {
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	// Same flag validation as the other two modes (pir.WithEarly): a bad
-	// -early must fail fast here too, not be silently clamped into an
-	// "accept any depth" pin.
-	if cfg.early < 0 || cfg.early > dpf.MaxEarlyBits {
-		log.Fatalf("pirserver: early-termination depth %d out of range [0,%d]", cfg.early, dpf.MaxEarlyBits)
-	}
-	pin := dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows))
-	if cfg.early == 0 {
-		pin = engine.FullDepthKeys
-	}
+	pin := shardnet.Options{PRG: cfg.prg, Early: dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows)), Party: cfg.party, Rows: cfg.rows}
 	shardsCfg := make([]engine.ClusterShard, len(groups))
 	total := 0
 	for i, members := range groups {
 		for _, node := range members {
-			cl, err := shardnet.Dial(node, shardnet.Options{PRG: cfg.prg, Early: pin, Party: cfg.party})
+			cl, err := shardnet.Dial(node, pin)
 			if err != nil {
 				log.Fatalf("pirserver: node %s: %v", node, err)
-			}
-			if nr, nl := cl.Shape(); nr != cfg.rows {
-				log.Fatalf("pirserver: node %s serves a %d×%d table, front expects %d rows", node, nr, nl, cfg.rows)
 			}
 			shardsCfg[i].Members = append(shardsCfg[i].Members, cl)
 			shardsCfg[i].MemberNames = append(shardsCfg[i].MemberNames, node)
@@ -408,12 +397,23 @@ func runClusterFront(cfg config) {
 		log.Printf("pirserver: clamping -batch %d to %d (shard nodes' request/response frame caps at %d lanes)", cfg.batch, maxBatch, lanes)
 		cfg.batch = maxBatch
 	}
-	serveClients(cfg, cluster,
+	serveClients(cfg, cluster, clusterDesc{cluster, cfg.prg, cfg.party},
 		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, spec, cfg.rows, lanes*4),
 		fmt.Sprintf("prg=%s early=%d", cfg.prg, cluster.EarlyBits()))
 	cluster.Close()
 	log.Printf("pirserver: shutdown complete")
 }
+
+// clusterDesc states a cluster front's configuration in its welcome: the
+// PRF and party every member was pinned to at dial.
+type clusterDesc struct {
+	*engine.Cluster
+	prg   string
+	party int
+}
+
+func (d clusterDesc) PRGName() string { return d.prg }
+func (d clusterDesc) Party() int      { return d.party }
 
 // startRefresher drives the transparent update path: every -refresh, the
 // next generation's row batch — rows and content both derived from

@@ -20,7 +20,9 @@
 //     byte — v1 (0xDF01) is the legacy full-depth layout, v2 (0xDF02)
 //     adds an early-depth byte, carries bits-early correction words and a
 //     group-wide final correction — and both unmarshal and evaluate
-//     (golden fixtures per PRF pin both layouts in CI). The PRG layer is
+//     (golden fixtures per PRF pin both layouts in CI), though servers
+//     serve only v2: a replica configured for full-depth keys is refused
+//     by name. The PRG layer is
 //     batched: every PRF implements ExpandBatch, and StepBothBatch /
 //     LeafValuesInto advance a whole tree frontier per call with zero
 //     steady-state allocations. aes128 is fixed-key AES: the MMO^σ hash
@@ -225,41 +227,44 @@
 //     led by an op byte (a response: op, status); plus the body pieces
 //     both protocols carry — key batches (marshaled dpf keys as-is),
 //     row-write batches, answer-matrix words, the op,status,msg error.
-//   - internal/shardnet is the network form of the Member role: a Server
-//     exposes any Member over TCP, enforcing that member's configuration
-//     on every handshake, and a pooled Client implements Member against a
-//     remote node, in internal/frame frames; gob appears
-//     only inside the handshake frame, which pins the protocol version,
-//     PRF, early-termination depth and party — rejections name both
-//     sides' values — and advertises the table shape, the row range the
-//     node holds, and (protocol v2) its current table epoch. Answer
-//     responses carry the epoch their partials were computed at, and the
-//     UpdateBatch / Epoch / PrepareUpdate / CommitUpdate / AbortUpdate
-//     RPCs extend the epoch handshake across machines (batch writes are
-//     held to the node's advertised row range, like answers). Protocol v3
-//     adds the replica-group RPCs: Ping, the liveness probe behind the
-//     cluster's health breaker, and SnapshotMeta / SnapshotChunk, which
-//     stream a node's pinned table snapshot in capped, offset-resumable
-//     frames (every chunk restates epoch, row range and offset, and the
-//     client verifies the echo) so a stale member heals from a healthy
-//     peer without a restart. A Client whose dial fails backs off with
-//     seeded exponential jitter and fails fast inside the window — a
-//     front retrying a dead member burns microseconds, not a TCP connect
-//     timeout per attempt. Context deadlines and cancellation propagate
-//     to connection deadlines, so a slow shard costs the caller its
-//     deadline, not a hang.
+//   - internal/shardnet is the one wire protocol: one connection loop
+//     (Server) and one pooled client (Client), in internal/frame frames,
+//     over one op space. The client ops — answer, update-batch, stats —
+//     work on any connection with no hello; the member ops — answer-range,
+//     shape, counters, the epoch handshake, ping, snapshot streaming —
+//     only after one, on a node over an engine.Member (NewServer). The
+//     hello is a fixed binary frame (no gob on the wire) pinning the
+//     protocol version, the PRF by name and by construction ID (a dpf
+//     constant per PRF, so a new function under an old name is refused),
+//     the early-termination depth, the party and the row count — a
+//     refusal names both sides' values — and the welcome states the
+//     lanes, the rows the node holds and its table epoch. Answer-range
+//     responses carry the epoch their partials were computed at; the
+//     epoch RPCs extend the cluster's handshake across machines (batch
+//     writes are held to the node's row range, like answers); Ping is the
+//     liveness probe behind the cluster's health breaker; SnapshotMeta /
+//     SnapshotChunk stream a node's pinned snapshot in capped,
+//     offset-resumable frames (every chunk restates epoch, row range and
+//     offset, and the client verifies the echo) so a stale member heals
+//     from a healthy peer. Every cap is checked before allocation, a
+//     refused frame is named to the peer before the hang-up, a stalled
+//     frame is cut off after 10 s (idle connections are exempt), and a
+//     departed peer cancels the node's in-flight work. The node's client
+//     retires a connection on a transport error and backs off failed
+//     dials with seeded jitter, failing fast inside the window; context
+//     deadlines propagate to connection deadlines.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
-//     batch retrieval scheme of §4.1 (bins answered concurrently). The
-//     client protocol (pir.Serve / pir.Dial) is three lockstep ops in
-//     internal/frame frames — answer, update-batch, stats — so the
-//     communication the paper counts is exact: n keys of k bytes cost
-//     9+n·(4+k) bytes up, an n × lanes answer 14+4·n·lanes down.
+//     batch retrieval scheme of §4.1 (bins answered concurrently).
+//     pir.Serve and pir.Dial are shardnet's front face: its client ops,
+//     so the communication the paper counts is exact — n keys of k bytes
+//     cost 9+n·(4+k) bytes up, an n × lanes answer 14+4·n·lanes down.
 //     Requests are capped at 8 MiB and 4096 keys, responses at 64 MiB; a
-//     refused frame is named to the peer before the hang-up, a shed
-//     request is serving.ErrOverloaded under errors.Is on the client, a
-//     stalled request body is cut off after 10 s, and a Remote whose
-//     stream broke returns that first error from then on.
+//     shed request is serving.ErrOverloaded under errors.Is on the
+//     client, and a Remote whose stream broke returns that first error
+//     from then on. pir.Dial with pins (what cmd/pirclient and
+//     cmd/pirload pass) says hello, so a PRF, depth, party or row-count
+//     mismatch fails at dial instead of reconstructing garbage.
 //   - internal/core wires the private on-device inference service (both
 //     parties queried concurrently); internal/serving adds the batching
 //     front door — a request's keys are admitted or shed whole and
@@ -410,9 +415,9 @@
 // from -table-file paged stores bit-identical to in-RAM nodes over
 // TCP) under -race and once under -tags purego, and
 // smoke-runs the fuzz targets (the dpf key parser seeded from the golden
-// fixtures, the shardnet frame codecs — handshake frames with the epoch
-// field included, plus the v3 snapshot-transfer frames both ways — and
-// the client protocol's request and response codecs) for a short -fuzztime on
+// fixtures, and shardnet's codecs — one request and one response target
+// over both op sets, the binary hello/welcome with every field at its
+// bounds, and the snapshot-transfer frames both ways) for a short -fuzztime on
 // every push. The serving-bench job boots a real pirserver with admission
 // control, drives it with pirload at the committed baseline's seed, gates
 // the resulting BENCH_serving.json against the committed one, and shuts

@@ -39,6 +39,9 @@ func NewAESPRG() *AESPRG { return &AESPRG{} }
 // Name implements PRG.
 func (*AESPRG) Name() string { return "aes128" }
 
+// Construction implements PRG.
+func (*AESPRG) Construction() uint32 { return ConstructionAES128 }
+
 // aesFixed holds π_L's and π_R's key schedules, expanded once.
 var aesFixed = func() (rk [2]aesRoundKeys) {
 	for i, label := range [2]string{"gpudpf/aes128/left", "gpudpf/aes128/right"} {

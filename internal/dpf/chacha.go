@@ -16,6 +16,9 @@ func NewChaChaPRG() *ChaChaPRG { return &ChaChaPRG{} }
 // Name implements PRG.
 func (*ChaChaPRG) Name() string { return "chacha20" }
 
+// Construction implements PRG.
+func (*ChaChaPRG) Construction() uint32 { return ConstructionChaCha20 }
+
 // Expand implements PRG.
 func (*ChaChaPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
 	var out [64]byte

@@ -21,6 +21,9 @@ func NewHighwayPRG() *HighwayPRG { return &HighwayPRG{} }
 // Name implements PRG.
 func (*HighwayPRG) Name() string { return "highway" }
 
+// Construction implements PRG.
+func (*HighwayPRG) Construction() uint32 { return ConstructionHighway }
+
 // Expand implements PRG.
 func (*HighwayPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
 	var st hwState

@@ -13,6 +13,11 @@ import "fmt"
 type PRG interface {
 	// Name identifies the PRF for reports ("aes128", "chacha20", ...).
 	Name() string
+	// Construction names the exact function behind Name: two builds that
+	// agree on a name but compute different functions under it differ
+	// here, so the wire hello refuses the pairing instead of letting keys
+	// of one evaluate to garbage shares on the other.
+	Construction() uint32
 	// Expand derives the left and right child seeds and control bits.
 	Expand(s Seed) (left, right Seed, tL, tR uint8)
 	// ExpandBatch derives children for a whole frontier in one call:
@@ -34,6 +39,27 @@ type PRG interface {
 	// block on one Xeon core, using hardware intrinsics where they exist
 	// (AES-NI, SHA-NI, AVX2).
 	CPUCyclesPerBlock() float64
+}
+
+// Construction IDs, one per PRF. A new function under an existing name
+// takes a new ID: aes128's is the fixed-key MMO^σ hash (its generation 2;
+// generation 1, 0xae5_0001, ran a fresh key schedule per node).
+const (
+	ConstructionAES128   uint32 = 0xae5_0002
+	ConstructionChaCha20 uint32 = 0xc4a_0001
+	ConstructionSipHash  uint32 = 0x519_0001
+	ConstructionHighway  uint32 = 0x419_0001
+	ConstructionSHA256   uint32 = 0x256_0001
+)
+
+// ConstructionOf is the construction this build computes under a PRF
+// name, or 0 for a name it does not know.
+func ConstructionOf(name string) uint32 {
+	prg, err := NewPRG(name)
+	if err != nil {
+		return 0
+	}
+	return prg.Construction()
 }
 
 // BlocksPerExpand is the number of 128-bit PRF blocks one Expand consumes.

@@ -19,6 +19,9 @@ func NewSHA256PRG() *SHA256PRG { return &SHA256PRG{} }
 // Name implements PRG.
 func (*SHA256PRG) Name() string { return "sha256" }
 
+// Construction implements PRG.
+func (*SHA256PRG) Construction() uint32 { return ConstructionSHA256 }
+
 // Expand implements PRG.
 func (*SHA256PRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
 	mac := hmac.New(sha256.New, s[:])

@@ -22,6 +22,9 @@ func NewSipPRG() *SipPRG { return &SipPRG{} }
 // Name implements PRG.
 func (*SipPRG) Name() string { return "siphash" }
 
+// Construction implements PRG.
+func (*SipPRG) Construction() uint32 { return ConstructionSipHash }
+
 // Expand implements PRG.
 func (*SipPRG) Expand(s Seed) (left, right Seed, tL, tR uint8) {
 	k0 := leU64(s[0:8])

@@ -68,7 +68,7 @@ type Member interface {
 	// a partial failure without tracking who got how far.
 	AbortUpdate(ctx context.Context, epoch uint64) error
 
-	// PRGName, EarlyBits (0 = legacy full-depth wire-v1 keys) and Party are
+	// PRGName, EarlyBits and Party are
 	// the serving configuration the member pins — the facts two members
 	// must agree on before their partial shares can be merged.
 	PRGName() string

@@ -37,10 +37,11 @@ type Config struct {
 	// EarlyBits is the early-termination depth (§3.1) served keys must
 	// carry, shared with clients like the PRF. 0 means the dpf default for
 	// the table's tree depth (DefaultEarlyBits, clamped — what
-	// pir.NewClient emits); FullDepthKeys serves legacy full-depth wire-v1
-	// keys. The tile loop needs depth-uniform batches, so
-	// the replica pins one depth and rejects mismatched keys loudly at
-	// validation instead of failing co-batched requests downstream.
+	// pir.NewClient emits). Legacy full-depth wire-v1 keys are not served:
+	// a negative value is refused. The tile loop needs depth-uniform
+	// batches, so the replica pins one depth and rejects mismatched keys
+	// loudly at validation instead of failing co-batched requests
+	// downstream.
 	EarlyBits int
 	// Strategy, when set, is run exactly as given (no worker budget is
 	// bound into it) — the seam for wrapping a default replica's
@@ -49,10 +50,6 @@ type Config struct {
 	// workers, at every table size.
 	Strategy strategy.Strategy
 }
-
-// FullDepthKeys configures a replica (Config.EarlyBits) to serve legacy
-// full-depth wire-v1 keys.
-const FullDepthKeys = -1
 
 // Replica is the Backend over one party's table replica. The table lives
 // in an epoch-versioned store.Store: every Answer pins one immutable
@@ -112,10 +109,8 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	switch {
 	case early == 0:
 		early = dpf.DefaultEarly(bits, 1)
-	case early == FullDepthKeys:
-		early = 0
 	case early < 0 || early > dpf.MaxEarlyBits:
-		return nil, fmt.Errorf("engine: EarlyBits %d out of range [%d,%d]", cfg.EarlyBits, FullDepthKeys, dpf.MaxEarlyBits)
+		return nil, fmt.Errorf("engine: EarlyBits %d out of range [1,%d] (0 = default; full-depth wire-v1 keys are not served)", cfg.EarlyBits, dpf.MaxEarlyBits)
 	default:
 		// Clamp like the client side so matching flags stay matched on
 		// tiny tables.
@@ -165,12 +160,14 @@ func (r *Replica) Store() *store.Store { return r.st }
 // Strategy returns the execution strategy the replica runs.
 func (r *Replica) Strategy() strategy.Strategy { return r.strat }
 
-// EarlyBits returns the early-termination depth served keys must carry
-// (0 = legacy full-depth wire-v1 keys).
+// EarlyBits returns the early-termination depth served keys must carry.
 func (r *Replica) EarlyBits() int { return r.early }
 
 // PRGName implements Member: the PRF served keys must use.
 func (r *Replica) PRGName() string { return r.prg.Name() }
+
+// PRG is the PRF itself, whose Construction a wire hello states.
+func (r *Replica) PRG() dpf.PRG { return r.prg }
 
 // HeldRange implements Member: a replica holds its whole table.
 func (r *Replica) HeldRange() (lo, hi int) { return 0, r.rows }
@@ -207,7 +204,7 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 		return fmt.Errorf("key has %d bits, table needs %d", k.Bits, bits)
 	}
 	if k.Early != early {
-		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching -early (0 needs wire v1, 1+ wire v2)",
+		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching -early",
 			k.Early, early)
 	}
 	return nil

@@ -273,7 +273,8 @@ func genKeysEarly(t testing.TB, tab *strategy.Table, indices []uint64, early int
 }
 
 // TestEarlyDepthValidation: a replica serves exactly one key depth — the
-// default replica rejects legacy full-depth keys and vice versa — and the
+// default replica rejects legacy full-depth keys, which no replica serves,
+// and keys of another depth — and the
 // rejection names the configured PRF, the parsed wire version, and both
 // depths, so a mismatched client knows exactly what to fix.
 func TestEarlyDepthValidation(t *testing.T) {
@@ -304,27 +305,28 @@ func TestEarlyDepthValidation(t *testing.T) {
 		t.Error("default replica answered full-depth key")
 	}
 
-	legacy, err := NewReplica(tab, Config{Party: 0, EarlyBits: FullDepthKeys})
+	// A replica at another served depth refuses both the full-depth key
+	// and the default-depth one.
+	shallow, err := NewReplica(tab, Config{Party: 0, EarlyBits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.EarlyBits() != 0 {
-		t.Fatalf("FullDepthKeys EarlyBits = %d, want 0", legacy.EarlyBits())
+	if err := shallow.ValidateKey(v1Keys[0]); err == nil || !strings.Contains(err.Error(), "wire v1") {
+		t.Errorf("depth-1 replica on a full-depth key: %v", err)
 	}
-	if err := legacy.ValidateKey(v1Keys[0]); err != nil {
-		t.Errorf("legacy replica rejected full-depth key: %v", err)
-	}
-	err = legacy.ValidateKey(v2Keys[0])
+	err = shallow.ValidateKey(v2Keys[0])
 	if err == nil {
-		t.Fatal("legacy replica accepted early-terminated key")
+		t.Fatal("depth-1 replica accepted a depth-2 key")
 	}
-	if !strings.Contains(err.Error(), "wire v2") {
-		t.Errorf("v2-against-v1 error %q missing wire version", err)
+	for _, want := range []string{"depth 2", "depth 1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("depth-2-against-depth-1 error %q missing %q", err, want)
+		}
 	}
 
 	// Both depths answer when matched, and the shares they produce
 	// reconstruct the same table row.
-	legacy1, err := NewReplica(tab, Config{Party: 1, EarlyBits: FullDepthKeys})
+	shallow1, err := NewReplica(tab, Config{Party: 1, EarlyBits: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +334,7 @@ func TestEarlyDepthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v1Party1 := genKeysEarly(t, tab, []uint64{5}, 0, 32)
+	d1Party0, d1Party1 := genKeysEarly(t, tab, []uint64{5}, 1, 32)
 	_, v2Party1 := genKeys(t, tab, []uint64{5}, 31)
 	ctx := context.Background()
 	a0v2, err := def.Answer(ctx, v2Keys)
@@ -343,22 +345,26 @@ func TestEarlyDepthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0v1, err := legacy.Answer(ctx, v1Keys)
+	a0d1, err := shallow.Answer(ctx, d1Party0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1v1, err := legacy1.Answer(ctx, v1Party1)
+	a1d1, err := shallow1.Answer(ctx, d1Party1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := tab.Row(5)[0]
 	if got := a0v2[0][0] + a1v2[0][0]; got != want {
-		t.Errorf("v2 reconstruction = %d, want %d", got, want)
+		t.Errorf("depth-2 reconstruction = %d, want %d", got, want)
 	}
-	if got := a0v1[0][0] + a1v1[0][0]; got != want {
-		t.Errorf("v1 reconstruction = %d, want %d", got, want)
+	if got := a0d1[0][0] + a1d1[0][0]; got != want {
+		t.Errorf("depth-1 reconstruction = %d, want %d", got, want)
 	}
 
+	// Full-depth keys are not served: the old sentinel is refused by name.
+	if _, err := NewReplica(tab, Config{Party: 0, EarlyBits: -1}); err == nil || !strings.Contains(err.Error(), "full-depth") {
+		t.Errorf("EarlyBits -1: %v, want the full-depth refusal", err)
+	}
 	if _, err := NewReplica(tab, Config{Party: 0, EarlyBits: dpf.MaxEarlyBits + 1}); err == nil {
 		t.Error("out-of-range EarlyBits accepted")
 	}

@@ -28,11 +28,11 @@ func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {
 	return NewClientEarly(prgName, rows, dpf.DefaultEarlyBits, rng)
 }
 
-// NewClientEarly is NewClient with an explicit early-termination depth:
-// early = 0 generates legacy full-depth (wire v1) keys; positive depths
-// are clamped to what the table's tree supports, exactly as the server
-// side clamps its configured depth, so matching flags stay matched on
-// tiny tables.
+// NewClientEarly is NewClient with an explicit early-termination depth,
+// 1..dpf.MaxEarlyBits (servers do not serve legacy full-depth keys),
+// clamped to what the table's tree supports exactly as the server side
+// clamps its configured depth, so matching flags stay matched on tiny
+// tables.
 func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, error) {
 	prg, err := dpf.NewPRG(prgName)
 	if err != nil {
@@ -41,8 +41,8 @@ func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, er
 	if rows <= 0 {
 		return nil, fmt.Errorf("pir: table needs at least one row, got %d", rows)
 	}
-	if early < 0 || early > dpf.MaxEarlyBits {
-		return nil, fmt.Errorf("pir: early-termination depth %d out of range [0,%d]", early, dpf.MaxEarlyBits)
+	if err := checkEarly(early); err != nil {
+		return nil, err
 	}
 	if rng == nil {
 		rng = rand.Reader
@@ -54,8 +54,7 @@ func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, er
 // Bits returns the DPF tree depth the client generates keys for.
 func (c *Client) Bits() int { return c.bits }
 
-// Early returns the early-termination depth the client's keys carry
-// (0 = full-depth wire v1).
+// Early returns the early-termination depth the client's keys carry.
 func (c *Client) Early() int { return c.early }
 
 // Query encodes the secret index into one marshaled key per server.

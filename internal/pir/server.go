@@ -23,7 +23,7 @@ type Server struct {
 type serverConfig struct {
 	prg   dpf.PRG
 	strat strategy.Strategy
-	early int // engine.Config.EarlyBits encoding (0 = default)
+	early int // engine.Config.EarlyBits (0 = default)
 }
 
 // ServerOption customizes a Server.
@@ -55,22 +55,25 @@ func WithPRG(name string) ServerOption {
 }
 
 // WithEarly pins the early-termination depth (§3.1) served keys must
-// carry, which must match the clients' (like the PRF): early = 0 serves
-// legacy full-depth wire-v1 keys, 1..dpf.MaxEarlyBits serve wire-v2 keys
-// of that depth. Without this option the server expects the dpf default —
-// what pir.NewClient emits.
+// carry, 1..dpf.MaxEarlyBits, which must match the clients' (like the PRF).
+// Without this option the server expects the dpf default — what
+// pir.NewClient emits. Legacy full-depth wire-v1 keys are not served.
 func WithEarly(early int) ServerOption {
 	return func(cfg *serverConfig) error {
-		if early < 0 || early > dpf.MaxEarlyBits {
-			return fmt.Errorf("pir: early-termination depth %d out of range [0,%d]", early, dpf.MaxEarlyBits)
+		if err := checkEarly(early); err != nil {
+			return err
 		}
-		if early == 0 {
-			cfg.early = engine.FullDepthKeys
-		} else {
-			cfg.early = early
-		}
+		cfg.early = early
 		return nil
 	}
+}
+
+// checkEarly refuses a depth no server serves, naming it.
+func checkEarly(early int) error {
+	if early < 1 || early > dpf.MaxEarlyBits {
+		return fmt.Errorf("pir: early-termination depth %d out of range [1,%d] (full-depth wire-v1 keys are not served)", early, dpf.MaxEarlyBits)
+	}
+	return nil
 }
 
 // NewReplica resolves the server options into an engine replica —

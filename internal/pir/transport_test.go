@@ -1,7 +1,6 @@
 package pir
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -16,7 +15,13 @@ import (
 
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
+	"gpudpf/internal/shardnet"
 )
+
+// Client-op request bodies, built by hand: the codec lives in shardnet.
+func answerRequest(keys [][]byte) []byte { return frame.AppendKeys([]byte{0x01}, keys) }
+
+func updateRequest(writes []engine.RowWrite) []byte { return frame.AppendWrites([]byte{0x06}, writes) }
 
 // startServer serves tab on a loopback listener and returns its address.
 func startServer(t *testing.T, tab *Table) string {
@@ -92,7 +97,7 @@ func readRefusal(t *testing.T, conn net.Conn) error {
 	if body[0] != frame.OpErr || body[1] != frame.StatusErr {
 		t.Fatalf("refusal frame op=%#x status=%d", body[0], body[1])
 	}
-	_, _, refusal := frame.ResponseHeader(frame.NewReader(body), opAnswer)
+	_, _, refusal := frame.ResponseHeader(frame.NewReader(body), 0x01)
 	// Half-close, so a server draining what it refused sees the end of it.
 	conn.(*net.TCPConn).CloseWrite()
 	if _, err := frame.Read(conn, MaxResponseBytes, &buf); err == nil {
@@ -165,22 +170,34 @@ func TestServeAcceptsLargeLegitimateBatch(t *testing.T) {
 	}
 }
 
-// countingConn counts the bytes a Remote moves each way.
+// countingListener counts the bytes its connections move each way: the
+// server reads what the client sent up and writes what comes down.
+type countingListener struct {
+	net.Listener
+	up, down atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	return countingConn{conn, l}, err
+}
+
 type countingConn struct {
 	net.Conn
-	up, down int
+	l *countingListener
 }
 
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.up += n
-	return n, err
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
+func (c countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.down += n
+	c.l.up.Add(int64(n))
 	return n, err
+}
+
+// Write counts before it sends, so the count is in by the time the client
+// has read the reply.
+func (c countingConn) Write(p []byte) (int, error) {
+	c.l.down.Add(int64(len(p)))
+	return c.Conn.Write(p)
 }
 
 // TestWireCost pins the communication the paper counts per query: a request
@@ -195,23 +212,32 @@ func TestWireCost(t *testing.T) {
 		{256, 1024, 32},
 	} {
 		tab := testTable(t, tc.rows, tc.lanes)
-		conn, err := net.Dial("tcp", startServer(t, tab))
+		s0, err := NewServer(0, tab)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc := &countingConn{Conn: conn}
-		e0 := &Remote{conn: cc, br: bufio.NewReader(cc)}
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := &countingListener{Listener: inner}
+		go Serve(cc, s0)
+		e0, err := Dial(inner.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
 		keys := testKeys(t, tc.rows, tc.n)
 		k := len(keys[0])
 		if _, err := e0.Answer(keys); err != nil {
 			t.Fatal(err)
 		}
 		e0.Close()
-		if want := 4 + 1 + 4 + tc.n*(4+k); cc.up != want {
-			t.Errorf("%d keys of %d bytes: request cost %d bytes, want %d", tc.n, k, cc.up, want)
+		inner.Close()
+		if want := 4 + 1 + 4 + tc.n*(4+k); cc.up.Load() != int64(want) {
+			t.Errorf("%d keys of %d bytes: request cost %d bytes, want %d", tc.n, k, cc.up.Load(), want)
 		}
-		if want := 4 + 1 + 1 + 4 + 4 + 4*tc.n*tc.lanes; cc.down != want {
-			t.Errorf("%d×%d answer cost %d bytes, want %d", tc.n, tc.lanes, cc.down, want)
+		if want := 4 + 1 + 1 + 4 + 4 + 4*tc.n*tc.lanes; cc.down.Load() != int64(want) {
+			t.Errorf("%d×%d answer cost %d bytes, want %d", tc.n, tc.lanes, cc.down.Load(), want)
 		}
 	}
 }
@@ -222,8 +248,8 @@ func TestWireCost(t *testing.T) {
 func TestMalformedRequests(t *testing.T) {
 	tab := testTable(t, 64, 2)
 	addr := startServer(t, tab)
-	answer := appendRequest(nil, opAnswer, testKeys(t, tab.NumRows, 2), nil)
-	update := appendRequest(nil, opUpdateBatch, nil, []engine.RowWrite{{Row: 3, Vals: []uint32{1, 2}}})
+	answer := answerRequest(testKeys(t, tab.NumRows, 2))
+	update := updateRequest([]engine.RowWrite{{Row: 3, Vals: []uint32{1, 2}}})
 	for _, tc := range []struct {
 		name string
 		body []byte
@@ -234,12 +260,12 @@ func TestMalformedRequests(t *testing.T) {
 		{"answer trailing bytes", append(bytes.Clone(answer), 0), "trailing bytes"},
 		{"answer truncated key", answer[:len(answer)-1], "truncated key"},
 		{"answer truncated count", answer[:3], "truncated key count"},
-		{"answer count beyond the frame", binary.LittleEndian.AppendUint32([]byte{opAnswer}, 1<<30), "keys declared"},
-		{"answer count over the cap", appendRequest(nil, opAnswer, make([][]byte, MaxRequestKeys+1), nil), "key cap"},
+		{"answer count beyond the frame", binary.LittleEndian.AppendUint32([]byte{0x01}, 1<<30), "keys declared"},
+		{"answer count over the cap", answerRequest(make([][]byte, MaxRequestKeys+1)), "key cap"},
 		{"update trailing bytes", append(bytes.Clone(update), 0), "trailing bytes"},
 		{"update truncated values", update[:len(update)-1], "lanes"},
 		{"update truncated count", update[:2], "truncated write count"},
-		{"stats trailing bytes", []byte{opStats, 0}, "trailing bytes"},
+		{"stats trailing bytes", []byte{0x0e, 0}, "trailing bytes"},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -297,7 +323,8 @@ func TestRemotePoisonedAfterTransportError(t *testing.T) {
 				conn.Write(binary.LittleEndian.AppendUint32(nil, MaxResponseBytes+1))
 				continue
 			}
-			frame.Write(conn, appendWords(frame.Begin(nil), opStats, 1, 2, 3), MaxResponseBytes)
+			stats := append(frame.Begin(nil), 0x0e, frame.StatusOK)
+			frame.Write(conn, append(stats, make([]byte, 3*8)...), MaxResponseBytes)
 		}
 	}()
 	e0, err := Dial(l.Addr().String())
@@ -355,7 +382,7 @@ func TestStalledRequestDoesNotPinServe(t *testing.T) {
 	}
 	const bodyTimeout = 200 * time.Millisecond
 	served := make(chan error, 1)
-	go func() { served <- serve(l, s0, bodyTimeout) }()
+	go func() { served <- shardnet.NewFront(s0, nil, shardnet.ServerConfig{ReadTimeout: bodyTimeout}).Serve(l) }()
 	addr := l.Addr().String()
 
 	idle, err := Dial(addr)
@@ -363,7 +390,7 @@ func TestStalledRequestDoesNotPinServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := testKeys(t, tab.NumRows, 2)
-	request := appendRequest(frame.Begin(nil), opAnswer, keys, nil)
+	request := append(frame.Begin(nil), answerRequest(keys)...)
 	binary.LittleEndian.PutUint32(request, uint32(len(request)-frame.HeaderLen))
 	var stalled []net.Conn
 	for _, sent := range []int{2, frame.HeaderLen, frame.HeaderLen + (len(request)-frame.HeaderLen)/2} {
@@ -434,5 +461,99 @@ func TestServeNamesOversizedResponse(t *testing.T) {
 	}
 	if answers, err := e0.Answer(make([][]byte, 2)); err != nil || len(answers) != 2 {
 		t.Fatalf("connection unusable after an oversized response: %v", err)
+	}
+}
+
+// servePair serves both parties of tab over TCP with the given options and
+// returns their addresses.
+func servePair(t *testing.T, tab *Table, opts ...ServerOption) (addr0, addr1 string) {
+	t.Helper()
+	var addrs [2]string
+	for party := range addrs {
+		s, err := NewServer(party, tab, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go Serve(l, s)
+		addrs[party] = l.Addr().String()
+	}
+	return addrs[0], addrs[1]
+}
+
+// fetchLikePirclient retrieves rows the way cmd/pirclient does: keys for
+// its -prg / -early / -rows, each server dialed with those pins and its
+// party, then TwoServer.Fetch.
+func fetchLikePirclient(addr0, addr1, prg string, rows int, indices []uint64) ([][]uint32, error) {
+	client, err := NewClientEarly(prg, rows, 2, nil)
+	if err != nil {
+		return nil, err
+	}
+	pin := shardnet.Options{PRG: prg, Early: client.Early(), Rows: rows}
+	e0, err := Dial(addr0, pin)
+	if err != nil {
+		return nil, err
+	}
+	defer e0.Close()
+	pin.Party = 1
+	e1, err := Dial(addr1, pin)
+	if err != nil {
+		return nil, err
+	}
+	defer e1.Close()
+	got, _, err := (&TwoServer{Client: client, E0: e0, E1: e1}).Fetch(indices)
+	return got, err
+}
+
+// TestDialRefusesMismatchedPRF: a client pinned to aes128 dialing a
+// chacha20 server fails at dial, naming both PRFs; pinned to the server's
+// own configuration, it is served.
+func TestDialRefusesMismatchedPRF(t *testing.T) {
+	tab := testTable(t, 64, 2)
+	addr0, _ := servePair(t, tab, WithPRG("chacha20"))
+	if _, err := Dial(addr0, shardnet.Options{PRG: "aes128", Party: 0}); err == nil {
+		t.Fatal("a chacha20 server accepted an aes128 client")
+	} else if !strings.Contains(err.Error(), "aes128") || !strings.Contains(err.Error(), "chacha20") {
+		t.Fatalf("refusal %q does not name both PRFs", err)
+	}
+	if _, err := Dial(addr0, shardnet.Options{PRG: "chacha20", Party: 1}); err == nil || !strings.Contains(err.Error(), "party-1") {
+		t.Fatalf("party-1 pin on a party-0 server: %v", err)
+	}
+	e0, err := Dial(addr0, shardnet.Options{PRG: "chacha20", Party: 0, Rows: tab.NumRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e0.Close()
+}
+
+// TestTwoServerFetchRefusesMismatchedPRF: across mismatched PRFs the
+// pirclient path returns an error, not rows — the keys of one PRF would
+// evaluate to garbage shares under the other — and with matching flags it
+// reconstructs the table.
+func TestTwoServerFetchRefusesMismatchedPRF(t *testing.T) {
+	tab := testTable(t, 64, 2)
+	addr0, addr1 := servePair(t, tab, WithPRG("chacha20"))
+	if rows, err := fetchLikePirclient(addr0, addr1, "aes128", tab.NumRows, []uint64{3}); err == nil {
+		t.Fatalf("mismatched PRFs returned rows %v and no error", rows)
+	} else if !strings.Contains(err.Error(), "aes128") || !strings.Contains(err.Error(), "chacha20") {
+		t.Fatalf("refusal %q does not name both PRFs", err)
+	}
+	if _, err := fetchLikePirclient(addr0, addr1, "chacha20", 2*tab.NumRows, []uint64{3}); err == nil || !strings.Contains(err.Error(), "64 rows") {
+		t.Fatalf("mismatched -rows: %v, want the row counts named", err)
+	}
+	rows, err := fetchLikePirclient(addr0, addr1, "chacha20", tab.NumRows, []uint64{3, 63})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q, idx := range []int{3, 63} {
+		for l, v := range tab.Row(idx) {
+			if rows[q][l] != v {
+				t.Fatalf("row %d lane %d: %d, want %d", idx, l, rows[q][l], v)
+			}
+		}
 	}
 }

@@ -5,50 +5,45 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
+	"os"
 	"sync"
 	"time"
 
 	"gpudpf/internal/backoff"
+	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
 	"gpudpf/internal/gpu"
+	"gpudpf/internal/serving"
 )
 
-// Options configures a Client's handshake pins and transport limits.
+// Options is what a client's hello pins, and its RPC deadline and redial
+// schedule.
 type Options struct {
-	// PRG pins the PRF the node must serve ("" = adopt the node's).
+	// PRG pins the PRF — its name and the construction this build computes
+	// under it ("" = any).
 	PRG string
-	// Early pins the early-termination depth the node must serve:
-	// 0 adopts the node's depth, engine.FullDepthKeys pins legacy
-	// full-depth wire-v1 keys, positive values pin that resolved depth.
+	// Early pins the early-termination depth keys carry (0 = any).
 	Early int
-	// Party pins which share the node must compute (AdoptParty = either).
-	// The zero value pins party 0 — a cluster front always knows its
-	// party, and a silent party mismatch yields garbage shares.
+	// Party pins which share the server must compute. The zero value pins
+	// party 0: a silent party mismatch yields garbage shares.
 	Party int
-	// MaxFrame caps frames both ways (0 = DefaultMaxFrame).
-	MaxFrame int
-	// DialTimeout bounds each TCP connect + handshake (0 = 10s).
-	DialTimeout time.Duration
+	// Rows pins the table's row count (0 = any).
+	Rows int
 	// RPCTimeout bounds an RPC whose context carries no deadline of its
-	// own (0 = DefaultRPCTimeout, negative = unbounded). It is the
-	// backstop that keeps a front serving context.Background() batches —
-	// cmd/pirserver's cluster mode, Counters — from wedging
-	// forever on a node that black-holes mid-RPC; callers with real
-	// deadlines are unaffected.
+	// own (0 = DefaultRPCTimeout, negative = unbounded): the backstop that
+	// keeps a caller without a deadline from wedging forever on a server
+	// that black-holes mid-RPC.
 	RPCTimeout time.Duration
-	// Redial shapes the exponential backoff applied to fresh dials after
-	// a dial failure (zero-valued fields take backoff.Default). While a
-	// backoff window is open, RPCs that would need a fresh connection fail
-	// fast, naming the remaining wait, instead of hammering a dead node
-	// with TCP connects — which is what lets a cluster front's health
-	// prober cycle a tripped member cheaply.
+	// Redial shapes the exponential backoff applied to fresh dials after a
+	// dial failure (zero-valued fields take backoff.Default); its jitter is
+	// seeded by the address. While a backoff window is open, RPCs that
+	// would need a fresh connection fail fast, naming the remaining wait,
+	// instead of hammering a dead node — which is what lets a cluster
+	// front's health prober cycle a tripped member cheaply.
 	Redial backoff.Policy
-	// RedialSeed seeds the redial jitter stream, so tests (and fleets of
-	// fronts, seeded distinctly) get decorrelated yet reproducible
-	// schedules. Zero is a valid seed.
-	RedialSeed uint64
 }
 
 // DefaultRPCTimeout caps deadline-less RPCs: generous against the largest
@@ -56,20 +51,32 @@ type Options struct {
 // watching a hung front".
 const DefaultRPCTimeout = 30 * time.Second
 
-// Client speaks the shardnet protocol to one node and implements
-// engine.Member (configuration and held range from the handshake), so a
-// remote shard plugs into an engine.Cluster — or any other Backend
-// consumer — exactly like an in-process Replica. Connections
-// are pooled: each RPC runs lockstep on its own connection, so concurrent
-// calls overlap instead of queueing.
+// dialTimeout bounds each TCP connect plus hello.
+const dialTimeout = 10 * time.Second
+
+// Client is the one pooled client: each RPC runs lockstep on its own
+// connection, dialed when none is idle, so concurrent calls overlap.
+//
+// Dial makes a node's client, an engine.Member configured by the welcome:
+// a transport error retires only its connection, and failed dials back
+// off. DialClient makes pir.Dial's: it says hello only when it pins, and
+// its first transport error is returned by every later call without
+// touching the network.
 type Client struct {
-	addr string
-	opts Options
-	w    welcome
+	addr    string
+	name    string // what errors start with
+	pin     *hello // nil: no hello
+	w       hello  // the first welcome
+	maxReq  int
+	maxResp int
+	timeout time.Duration
+	redial  backoff.Policy
+	sticky  bool // the first transport error ends the client
 
 	mu     sync.Mutex
 	idle   []*poolConn
 	closed bool
+	err    error // a sticky client's first transport error
 
 	// Redial backoff state, under its own lock so a backed-off dial check
 	// never contends with the pool's hot path.
@@ -79,89 +86,119 @@ type Client struct {
 	lastDialErr error
 }
 
-// poolConn is one handshaken connection plus its reusable frame buffer.
+// poolConn is one connection plus its reusable frame buffer.
 type poolConn struct {
 	conn net.Conn
-	br   *bufio.Reader // every read of conn, the handshake's included
-	buf  []byte        // the request frame, then the response body
+	br   *bufio.Reader
+	buf  []byte // the request frame, then the response body
 }
 
-// Dial connects to a shardnet node, runs the handshake (failing fast,
-// with both sides' values named, on any configuration mismatch), and
-// returns a pooled client.
+// Dial connects to a node, says hello (failing fast, with both sides'
+// values named, on any mismatch) and returns its pooled client.
 func Dial(addr string, opts Options) (*Client, error) {
-	if opts.MaxFrame <= 0 {
-		opts.MaxFrame = DefaultMaxFrame
+	return dial(&Client{addr: addr, name: "shardnet: " + addr, maxReq: DefaultMaxFrame, maxResp: DefaultMaxFrame}, &opts)
+}
+
+// DialClient connects to a server for the client ops, with a front's frame
+// caps; pin, if set, is checked by a hello on every connection.
+func DialClient(addr string, pin *Options) (*Client, error) {
+	return dial(&Client{addr: addr, name: "pir", maxReq: MaxRequestBytes, maxResp: MaxResponseBytes, sticky: true}, pin)
+}
+
+// dial takes opts' pins (nil: none, and no hello) and opens c's first
+// connection.
+func dial(c *Client, opts *Options) (*Client, error) {
+	c.timeout = DefaultRPCTimeout
+	if opts != nil {
+		construction := dpf.ConstructionOf(opts.PRG)
+		if opts.PRG != "" && construction == 0 || opts.Early < 0 || opts.Early > dpf.MaxEarlyBits ||
+			opts.Party < 0 || opts.Party > 1 || opts.Rows < 0 {
+			return nil, fmt.Errorf("%s: cannot pin prg=%q, early-termination depth %d, party %d, %d rows",
+				c.name, opts.PRG, opts.Early, opts.Party, opts.Rows)
+		}
+		c.pin = &hello{Version: ProtocolVersion, PRG: opts.PRG, Construction: construction,
+			Early: opts.Early, Party: opts.Party, Rows: opts.Rows}
+		c.redial = opts.Redial
+		if opts.RPCTimeout != 0 {
+			c.timeout = opts.RPCTimeout
+		}
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 10 * time.Second
-	}
-	if opts.RPCTimeout == 0 {
-		opts.RPCTimeout = DefaultRPCTimeout
-	}
-	c := &Client{addr: addr, opts: opts}
 	pc, w, err := c.dialConn()
 	if err != nil {
 		return nil, err
 	}
 	c.w = w
-	c.mu.Lock()
 	c.idle = append(c.idle, pc)
-	c.mu.Unlock()
 	return c, nil
 }
 
-// dialConn opens and handshakes one connection.
-func (c *Client) dialConn() (*poolConn, welcome, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+// dialConn opens one connection and, if the client pins, says hello on it.
+func (c *Client) dialConn() (*poolConn, hello, error) {
+	conn, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 	if err != nil {
-		return nil, welcome{}, fmt.Errorf("shardnet: dial %s: %w", c.addr, err)
+		return nil, hello{}, fmt.Errorf("%s: dial %s: %w", c.name, c.addr, err)
 	}
-	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
-	h := hello{
-		Proto:   protoName,
-		Version: ProtocolVersion,
-		PRG:     c.opts.PRG,
-		Early:   c.opts.Early,
-		Party:   c.opts.Party,
+	pc := &poolConn{conn: conn, br: bufio.NewReader(conn)}
+	if c.pin == nil {
+		return pc, hello{}, nil
 	}
-	if err := writeHandshake(conn, &h); err != nil {
+	conn.SetDeadline(time.Now().Add(dialTimeout))
+	w, err := c.hello(pc)
+	if err != nil {
 		conn.Close()
-		return nil, welcome{}, fmt.Errorf("shardnet: %s: handshake: %w", c.addr, err)
-	}
-	br := bufio.NewReader(conn)
-	var w welcome
-	if err := readHandshake(br, &w); err != nil {
-		conn.Close()
-		return nil, welcome{}, fmt.Errorf("shardnet: %s: handshake: %w", c.addr, err)
-	}
-	if w.Err != "" {
-		conn.Close()
-		return nil, welcome{}, fmt.Errorf("shardnet: %s: %s", c.addr, w.Err)
-	}
-	// A welcome is peer-controlled input like any other: a nonsense shape
-	// or held range must fail here, loudly, not later as a division by
-	// zero in a front's batch arithmetic or a silently wrong assignment.
-	if w.Rows <= 0 || w.Lanes <= 0 || w.RowLo < 0 || w.RowHi > w.Rows || w.RowLo >= w.RowHi {
-		conn.Close()
-		return nil, welcome{}, fmt.Errorf("shardnet: %s: handshake advertises an invalid table: %d×%d rows, held range [%d,%d)",
-			c.addr, w.Rows, w.Lanes, w.RowLo, w.RowHi)
+		return nil, hello{}, fmt.Errorf("%s: %w", c.name, err)
 	}
 	conn.SetDeadline(time.Time{})
-	return &poolConn{conn: conn, br: br}, w, nil
+	return pc, w, nil
 }
 
-// get pops an idle connection or dials a fresh one. A node restarted with
-// a different configuration is caught here: every new connection's
-// welcome must match the first — except the advertised table epoch, which
-// legitimately moves with every update.
+// hello sends the pin and checks the welcome: a server's refusal, and a
+// welcome — peer-controlled input like any other — that does not match the
+// pin or states a nonsense table.
+func (c *Client) hello(pc *poolConn) (hello, error) {
+	pc.buf = appendRequest(frame.Begin(pc.buf), &request{op: opHello, hello: *c.pin})
+	if err := frame.Write(pc.conn, pc.buf, c.maxReq); err != nil {
+		return hello{}, fmt.Errorf("hello: %w", err)
+	}
+	body, err := frame.Read(pc.br, c.maxResp, &pc.buf)
+	if err != nil {
+		return hello{}, fmt.Errorf("hello: %w", err)
+	}
+	r := frame.NewReader(body)
+	status, msg, err := frame.ResponseHeader(r, opHello)
+	if err != nil {
+		return hello{}, fmt.Errorf("hello: %w", err)
+	}
+	if status != frame.StatusOK {
+		return hello{}, errors.New(msg)
+	}
+	w, err := parseHello(r)
+	if err != nil {
+		return hello{}, fmt.Errorf("welcome: %w", err)
+	}
+	if msg := refusal(c.pin, &w); msg != "" {
+		return hello{}, fmt.Errorf("welcome refused: %s", msg)
+	}
+	if w.Rows <= 0 || w.Lanes <= 0 || w.RowLo >= w.RowHi || w.RowHi > w.Rows {
+		return hello{}, fmt.Errorf("welcome states an invalid table: %d×%d rows, held range [%d,%d)", w.Rows, w.Lanes, w.RowLo, w.RowHi)
+	}
+	return w, nil
+}
+
+// get pops an idle connection or dials a fresh one. A server restarted
+// with a different configuration is caught here: every new connection's
+// welcome must match the first, except the epoch, which moves with every
+// update.
 func (c *Client) get() (*poolConn, error) {
 	c.mu.Lock()
-	if c.closed {
+	switch n := len(c.idle); {
+	case c.err != nil:
 		c.mu.Unlock()
-		return nil, fmt.Errorf("shardnet: %s: client is closed", c.addr)
-	}
-	if n := len(c.idle); n > 0 {
+		return nil, c.err
+	case c.closed:
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%s: client is closed", c.name)
+	case n > 0:
 		pc := c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
@@ -169,42 +206,56 @@ func (c *Client) get() (*poolConn, error) {
 	}
 	c.mu.Unlock()
 	// Fail fast inside an open backoff window: a cluster front retrying a
-	// dead member must burn microseconds, not a TCP connect timeout per
-	// attempt.
+	// dead member must burn microseconds, not a TCP connect per attempt.
 	c.bmu.Lock()
-	if !c.retryAt.IsZero() {
-		if wait := time.Until(c.retryAt); wait > 0 {
-			last := c.lastDialErr
-			c.bmu.Unlock()
-			return nil, fmt.Errorf("shardnet: %s: redial backed off for another %v after: %w",
-				c.addr, wait.Round(time.Millisecond), last)
-		}
+	if wait := time.Until(c.retryAt); !c.retryAt.IsZero() && wait > 0 {
+		last := c.lastDialErr
+		c.bmu.Unlock()
+		return nil, fmt.Errorf("%s: redial backed off for another %v after: %w", c.name, wait.Round(time.Millisecond), last)
 	}
 	c.bmu.Unlock()
 	pc, w, err := c.dialConn()
-	c.bmu.Lock()
 	if err != nil {
-		if c.bo == nil {
-			c.bo = backoff.New(c.opts.Redial, c.opts.RedialSeed)
+		if c.sticky {
+			return nil, c.fail(err)
 		}
-		c.retryAt = time.Now().Add(c.bo.Next())
-		c.lastDialErr = err
+		c.bmu.Lock()
+		if c.bo == nil {
+			h := fnv.New64a()
+			h.Write([]byte(c.addr))
+			c.bo = backoff.New(c.redial, h.Sum64())
+		}
+		c.retryAt, c.lastDialErr = time.Now().Add(c.bo.Next()), err
 		c.bmu.Unlock()
 		return nil, err
 	}
+	c.bmu.Lock()
 	if c.bo != nil {
 		c.bo.Reset()
 	}
 	c.retryAt, c.lastDialErr = time.Time{}, nil
 	c.bmu.Unlock()
-	pinned, got := c.w, w
-	pinned.Epoch, pinned.EpochKnown = 0, false
-	got.Epoch, got.EpochKnown = 0, false
-	if got != pinned {
+	pinned := c.w
+	pinned.Epoch, w.Epoch = 0, 0
+	if w != pinned {
 		pc.conn.Close()
-		return nil, fmt.Errorf("shardnet: %s: node configuration changed since first handshake (was %+v, now %+v)", c.addr, pinned, got)
+		return nil, fmt.Errorf("%s: server configuration changed since the first hello (was %+v, now %+v)", c.name, pinned, w)
 	}
 	return pc, nil
+}
+
+// fail records a sticky client's first transport error and returns the
+// error later calls get.
+func (c *Client) fail(err error) error {
+	if !c.sticky {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		c.err = err
+	}
+	return c.err
 }
 
 // put returns a healthy connection to the pool.
@@ -233,22 +284,17 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do runs one lockstep RPC: request encoded into the connection's
-// reusable buffer and sent, frame back into the same buffer, parsed there.
-// ctx cancellation and deadlines propagate by slamming the connection
-// deadline, so a dead or slow node costs the caller its deadline, not a
-// hung goroutine. parse must consume the
-// response before do returns (the buffer is pooled with the connection);
-// a remote error (the node answered, but with a failure) keeps the
-// connection pooled, any transport error retires it.
-func (c *Client) do(ctx context.Context, req *rpcRequest, parse func(resp []byte) error) error {
+// do runs one lockstep RPC: the request encoded into the connection's
+// reusable buffer and sent, the response read back into the same buffer
+// and, on success, its payload handed to parse, which must consume it
+// before do returns. ctx cancellation and deadlines propagate by slamming
+// the connection deadline, so a dead or slow server costs the caller its
+// deadline, not a hung goroutine. A failure the server reports — a shed
+// request comes back as serving.ErrOverloaded, so errors.Is works across
+// the network — leaves the connection pooled; any other retires it.
+func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader) error) error {
 	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("shardnet: %s: %w", c.addr, err)
-	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && c.opts.RPCTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.opts.RPCTimeout)
-		defer cancel()
+		return fmt.Errorf("%s: %w", c.name, err)
 	}
 	pc, err := c.get()
 	if err != nil {
@@ -262,181 +308,175 @@ func (c *Client) do(ctx context.Context, req *rpcRequest, parse func(resp []byte
 			pc.conn.Close()
 		}
 	}()
+	// A ctx deadline is the RPC's, plus a grace: the AfterFunc below slams
+	// the connection the instant ctx ends, so the net-layer timeout never
+	// races ahead of ctx.Err(). Without one, the RPC timeout is the
+	// deadline, and a ctx that cannot end needs no callback.
+	var deadline time.Time
 	if d, ok := ctx.Deadline(); ok {
-		// Slightly past the ctx deadline: the AfterFunc below slams the
-		// connection the instant ctx actually expires, so the net-layer
-		// timeout never races ahead of ctx.Err() becoming non-nil; the
-		// grace only bounds the wait if that callback is starved.
-		pc.conn.SetDeadline(d.Add(100 * time.Millisecond))
-	} else {
-		pc.conn.SetDeadline(time.Time{})
+		deadline = d.Add(100 * time.Millisecond)
+	} else if c.timeout > 0 {
+		deadline = time.Now().Add(c.timeout)
 	}
-	stop := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
+	pc.conn.SetDeadline(deadline)
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
+	}
 	ioErr := func(stage string, err error) error {
 		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("shardnet: %s: %s: %w", c.addr, stage, cerr)
+			err = cerr
+		} else if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("%w (%w)", context.DeadlineExceeded, err)
 		}
-		return fmt.Errorf("shardnet: %s: %s: %w", c.addr, stage, err)
+		return c.fail(fmt.Errorf("%s: %s: %w", c.name, stage, err))
 	}
 	pc.buf = appendRequest(frame.Begin(pc.buf), req)
-	if err := frame.Write(pc.conn, pc.buf, c.opts.MaxFrame); err != nil {
+	if err := frame.Write(pc.conn, pc.buf, c.maxReq); errors.Is(err, ErrFrameTooLarge) {
+		healthy = stop() // refused before a byte was sent
+		return fmt.Errorf("%s: %w: %w", c.name, ErrRequestTooLarge, err)
+	} else if err != nil {
 		stop()
 		return ioErr("send", err)
 	}
-	resp, err := frame.Read(pc.br, c.opts.MaxFrame, &pc.buf)
+	body, err := frame.Read(pc.br, c.maxResp, &pc.buf)
+	if errors.Is(err, ErrFrameTooLarge) {
+		err = fmt.Errorf("%w: %w", ErrResponseTooLarge, err)
+	}
 	if err != nil {
 		stop()
 		return ioErr("receive", err)
 	}
-	// stop() reports whether it prevented the cancel callback: if not, the
-	// connection's deadline is (or is about to be) slammed — retire it
+	// stop reports whether it prevented the deadline slam: if not, the
+	// connection's deadline is (or is about to be) in the past — retire it
 	// rather than poison the next request.
 	healthy = stop()
-	if err := parse(resp); err != nil {
-		if errors.Is(err, ErrProtocol) {
-			healthy = false
-			return ioErr("response", err)
-		}
-		// The node executed the request and reported a failure; surface it
-		// with the node named.
-		return fmt.Errorf("shardnet: %s: node: %w", c.addr, err)
+	r := frame.NewReader(body)
+	status, msg, err := frame.ResponseHeader(r, req.op)
+	if err == nil && status == frame.StatusOK {
+		err = parse(r)
 	}
-	return nil
+	switch {
+	case err != nil:
+		healthy = false
+		return ioErr("receive", err)
+	case status == frame.StatusOK:
+		return nil
+	case status == statusOverloaded:
+		return fmt.Errorf("%s: server: %w", c.name, serving.ErrOverloaded)
+	}
+	return fmt.Errorf("%s: server: %s", c.name, msg)
 }
 
-// Answer implements engine.Backend: the node evaluates the batch over its
-// whole table.
-func (c *Client) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
-	var answers [][]uint32
-	err := c.do(ctx, &rpcRequest{op: opAnswer, keys: keys}, func(resp []byte) error {
-		var perr error
-		answers, _, _, perr = parseAnswers(resp, opAnswer, len(keys))
-		return perr
+// Answer implements engine.Backend: the server evaluates the batch over
+// its whole table.
+func (c *Client) Answer(ctx context.Context, keys [][]byte) (answers [][]uint32, err error) {
+	err = c.do(ctx, &request{op: opAnswer, keys: keys}, func(r *frame.Reader) error {
+		answers, err = parseAnswers(r, len(keys))
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return answers, nil
+	return answers, err
 }
 
 // AnswerRangeEpoch implements engine.Member: the node evaluates the batch
 // over global rows [lo, hi) only, returning partial shares and the table
 // epoch it computed them at — what a cluster front needs to refuse merging
-// a batch that straddled an update, or a stale member.
-func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
+// a batch that straddled an update, or a stale member. ok is always true.
+func (c *Client) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) (answers [][]uint32, epoch uint64, ok bool, err error) {
 	if lo < 0 || lo >= hi {
-		return nil, 0, false, fmt.Errorf("shardnet: %s: row range [%d,%d) invalid", c.addr, lo, hi)
+		return nil, 0, false, fmt.Errorf("%s: row range [%d,%d) invalid", c.name, lo, hi)
 	}
-	var answers [][]uint32
-	var epoch uint64
-	var hasEpoch bool
-	err := c.do(ctx, &rpcRequest{op: opAnswerRange, keys: keys, lo: uint64(lo), hi: uint64(hi)}, func(resp []byte) error {
-		var perr error
-		answers, epoch, hasEpoch, perr = parseAnswers(resp, opAnswerRange, len(keys))
-		return perr
+	err = c.do(ctx, &request{op: opAnswerRange, keys: keys, lo: uint64(lo), hi: uint64(hi)}, func(r *frame.Reader) error {
+		answers, epoch, err = parseRangeAnswers(r, len(keys))
+		return err
 	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return answers, epoch, hasEpoch, nil
+	return answers, epoch, err == nil, err
+}
+
+// words runs an RPC whose response is fixed-width words (none for a bare
+// OK).
+func (c *Client) words(ctx context.Context, req *request, words ...*uint64) error {
+	return c.do(ctx, req, func(r *frame.Reader) error { return parseWords(r, words...) })
 }
 
 // Epoch implements engine.Member: the node's current table epoch.
-func (c *Client) Epoch(ctx context.Context) (uint64, error) {
-	var epoch uint64
-	err := c.do(ctx, &rpcRequest{op: opEpoch}, func(resp []byte) error {
-		var perr error
-		epoch, perr = parseEpochResp(resp, opEpoch)
-		return perr
-	})
+func (c *Client) Epoch(ctx context.Context) (epoch uint64, err error) {
+	err = c.words(ctx, &request{op: opEpoch}, &epoch)
 	return epoch, err
 }
 
-// UpdateBatch implements engine.Backend: the writes land atomically
-// on the node as one new epoch, which is returned.
-func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (uint64, error) {
-	var epoch uint64
-	err := c.do(ctx, &rpcRequest{op: opUpdateBatch, writes: writes}, func(resp []byte) error {
-		var perr error
-		epoch, perr = parseEpochResp(resp, opUpdateBatch)
-		return perr
-	})
+// UpdateBatch implements engine.Backend: the writes land atomically on the
+// server as one new epoch, which is returned.
+func (c *Client) UpdateBatch(ctx context.Context, writes []engine.RowWrite) (epoch uint64, err error) {
+	err = c.words(ctx, &request{op: opUpdateBatch, writes: writes}, &epoch)
 	return epoch, err
 }
 
-// PrepareUpdate implements engine.Member: stage the writes as the
-// given epoch on the node (invisible until CommitUpdate).
+// Stats fetches a front's serving stats (admission outcomes and
+// epoch-retry counts).
+func (c *Client) Stats(ctx context.Context) (s serving.Stats, err error) {
+	err = c.words(ctx, &request{op: opStats}, &s.Accepted, &s.Shed, &s.EpochRetries)
+	return s, err
+}
+
+// PrepareUpdate implements engine.Member: stage the writes as the given
+// epoch on the node (invisible until CommitUpdate).
 func (c *Client) PrepareUpdate(ctx context.Context, epoch uint64, writes []engine.RowWrite) error {
-	return c.do(ctx, &rpcRequest{op: opPrepare, epoch: epoch, writes: writes}, func(resp []byte) error {
-		return parseOK(resp, opPrepare)
-	})
+	return c.words(ctx, &request{op: opPrepare, epoch: epoch, writes: writes})
 }
 
 // CommitUpdate implements engine.Member.
 func (c *Client) CommitUpdate(ctx context.Context, epoch uint64) error {
-	return c.do(ctx, &rpcRequest{op: opCommit, epoch: epoch}, func(resp []byte) error {
-		return parseOK(resp, opCommit)
-	})
+	return c.words(ctx, &request{op: opCommit, epoch: epoch})
 }
 
-// AbortUpdate implements engine.Member: drop or roll back the epoch
-// on the node (idempotent, like store.Abort).
+// AbortUpdate implements engine.Member: drop or roll back the epoch on the
+// node (idempotent, like store.Abort).
 func (c *Client) AbortUpdate(ctx context.Context, epoch uint64) error {
-	return c.do(ctx, &rpcRequest{op: opAbort, epoch: epoch}, func(resp []byte) error {
-		return parseOK(resp, opAbort)
-	})
+	return c.words(ctx, &request{op: opAbort, epoch: epoch})
 }
 
-// Ping implements engine.Member: one payload-free frame round-trip, the
-// cheapest proof the node is up, handshaken and serving — what a cluster
-// front's health prober sends before re-admitting a cooled-down member.
+// Ping implements engine.Member: one payload-free round trip, the cheapest
+// proof the node is up and serving — what a cluster front's health prober
+// sends before re-admitting a cooled-down member.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.do(ctx, &rpcRequest{op: opPing}, func(resp []byte) error {
-		return parseOK(resp, opPing)
-	})
+	return c.words(ctx, &request{op: opPing})
 }
 
-// SnapshotMeta implements engine.Member: the node's pinned
-// snapshot epoch, effective epoch, and the held row range its
-// SnapshotChunk offsets are relative to — the donor handshake of a heal.
+// SnapshotMeta implements engine.Member: the node's pinned snapshot
+// epoch, effective epoch, and the held row range its SnapshotChunk offsets
+// are relative to — the donor handshake of a heal.
 func (c *Client) SnapshotMeta(ctx context.Context) (snapEpoch, effEpoch uint64, lo, hi int, err error) {
-	err = c.do(ctx, &rpcRequest{op: opSnapMeta}, func(resp []byte) error {
-		var perr error
-		snapEpoch, effEpoch, lo, hi, perr = parseSnapMeta(resp)
-		return perr
-	})
-	if err != nil {
+	var loWire, hiWire uint64
+	if err = c.do(ctx, &request{op: opSnapMeta}, func(r *frame.Reader) error {
+		if err := parseWords(r, &snapEpoch, &effEpoch, &loWire, &hiWire); err != nil {
+			return err
+		}
+		return checkRange("snapshot meta", loWire, hiWire)
+	}); err != nil {
 		return 0, 0, 0, 0, err
 	}
-	return snapEpoch, effEpoch, lo, hi, nil
+	return snapEpoch, effEpoch, int(loWire), int(hiWire), nil
 }
 
-// SnapshotChunk implements engine.Member: up to max words of the
-// node's snapshot buffer for its held range, from word offset off. The
-// node may return fewer words than asked (its frame cap bounds a chunk);
-// an empty return past the end terminates the stream. The response echoes
-// epoch and offset, and a mismatch is a protocol error — a resumed
-// transfer can never be stitched from mismatched frames.
-func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) ([]uint32, error) {
+// SnapshotChunk implements engine.Member: up to max words of the node's
+// snapshot buffer for its held range, from word offset off. The node may
+// return fewer words than asked (its frame cap bounds a chunk); an empty
+// return past the end terminates the stream. The response echoes epoch
+// and offset, and a mismatch is a protocol error.
+func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) (words []uint32, err error) {
 	if off < 0 || max <= 0 {
-		return nil, fmt.Errorf("shardnet: %s: snapshot chunk needs off >= 0 and max > 0 (got %d, %d)", c.addr, off, max)
+		return nil, fmt.Errorf("%s: snapshot chunk needs off >= 0 and max > 0 (got %d, %d)", c.name, off, max)
 	}
-	wantMax := uint64(max)
-	if wantMax > uint64(^uint32(0)) {
-		wantMax = uint64(^uint32(0))
-	}
-	var words []uint32
-	err := c.do(ctx, &rpcRequest{op: opSnapChunk, epoch: epoch, off: uint64(off), max: uint32(wantMax)}, func(resp []byte) error {
-		gotEpoch, _, _, gotOff, w, perr := parseSnapChunk(resp)
-		if perr != nil {
-			return perr
-		}
-		if gotEpoch != epoch || gotOff != uint64(off) {
-			return fmt.Errorf("%w: snapshot chunk answers epoch %d offset %d for request epoch %d offset %d",
+	req := &request{op: opSnapChunk, epoch: epoch, off: uint64(off), max: uint32(min(uint64(max), 1<<32-1))}
+	err = c.do(ctx, req, func(r *frame.Reader) error {
+		gotEpoch, _, _, gotOff, w, err := parseSnapChunk(r)
+		if err == nil && (gotEpoch != epoch || gotOff != uint64(off)) {
+			err = fmt.Errorf("%w: snapshot chunk answers epoch %d offset %d for request epoch %d offset %d",
 				ErrProtocol, gotEpoch, gotOff, epoch, off)
 		}
 		words = w
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -445,53 +485,44 @@ func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) 
 }
 
 // Counters implements engine.Backend with the node's counters; a node that
-// cannot be reached reports zeros (the Backend seam has no error path
-// here, and counters are advisory).
+// cannot be reached reports zeros (the seam has no error path here, and
+// counters are advisory).
 func (c *Client) Counters() gpu.Stats {
-	var stats gpu.Stats
-	err := c.do(context.Background(), &rpcRequest{op: opCounters}, func(resp []byte) error {
-		var perr error
-		stats, perr = parseCounters(resp)
-		return perr
-	})
-	if err != nil {
+	var w [5]uint64
+	if c.words(context.Background(), &request{op: opCounters}, &w[0], &w[1], &w[2], &w[3], &w[4]) != nil {
 		return gpu.Stats{}
 	}
-	return stats
+	return gpu.Stats{PRFBlocks: int64(w[0]), ReadBytes: int64(w[1]), WriteBytes: int64(w[2]), Launches: int64(w[3]), PeakMemBytes: int64(w[4])}
 }
 
-// Shape implements engine.Backend from the handshake (the node's shape is
+// Shape implements engine.Backend from the welcome (a node's shape is
 // immutable for the life of the process).
 func (c *Client) Shape() (rows, lanes int) { return c.w.Rows, c.w.Lanes }
 
 // RemoteShape queries the node's shape over the wire — Shape answers from
-// the handshake; this exists to exercise the RPC and for monitoring.
+// the welcome; this exercises the RPC and serves monitoring.
 func (c *Client) RemoteShape(ctx context.Context) (rows, lanes int, err error) {
-	err = c.do(ctx, &rpcRequest{op: opShape}, func(resp []byte) error {
-		var perr error
-		rows, lanes, perr = parseShape(resp)
-		return perr
+	err = c.do(ctx, &request{op: opShape}, func(r *frame.Reader) error {
+		rows, lanes, err = parseShape(r)
+		return err
 	})
 	return rows, lanes, err
 }
 
-// PRGName implements engine.Member from the handshake.
+// PRGName implements engine.Member from the welcome.
 func (c *Client) PRGName() string { return c.w.PRG }
 
-// EarlyBits implements engine.Member from the handshake.
+// EarlyBits implements engine.Member from the welcome.
 func (c *Client) EarlyBits() int { return c.w.Early }
 
-// Party implements engine.Member from the handshake.
+// Party implements engine.Member from the welcome.
 func (c *Client) Party() int { return c.w.Party }
 
-// HeldRange implements engine.Member: the global rows the node
-// advertised holding.
+// HeldRange implements engine.Member: the global rows the node stated it
+// holds.
 func (c *Client) HeldRange() (lo, hi int) { return c.w.RowLo, c.w.RowHi }
 
-// Addr returns the node address this client dials.
-func (c *Client) Addr() string { return c.addr }
-
-// AdvertisedEpoch returns the table epoch the node advertised in the
-// handshake (advisory — the authoritative epoch rides on every answer),
-// and whether the node could read one at that moment.
-func (c *Client) AdvertisedEpoch() (epoch uint64, known bool) { return c.w.Epoch, c.w.EpochKnown }
+// AdvertisedEpoch returns the table epoch the first welcome stated
+// (advisory — the authoritative epoch rides on every answer-range
+// response).
+func (c *Client) AdvertisedEpoch() uint64 { return c.w.Epoch }

@@ -250,23 +250,27 @@ func TestClusterConfigMismatch(t *testing.T) {
 		}
 	}
 
-	// Early-termination depth mismatch: full-depth node vs default-depth
-	// sibling, both depths named.
-	v1Rep := newReplica(t, tab, engine.Config{Party: 0, EarlyBits: engine.FullDepthKeys})
-	_, v1Addr := startNode(t, v1Rep, ServerConfig{})
-	v1Client, err := Dial(v1Addr, Options{PRG: "aes128", Party: 0})
+	// Early-termination depth mismatch: depth-1 node vs default-depth
+	// sibling, both depths named. (Full-depth wire-v1 keys are not served
+	// at all: a replica configured for them is refused by name.)
+	if _, err := engine.NewReplica(tab, engine.Config{Party: 0, EarlyBits: -1}); err == nil || !strings.Contains(err.Error(), "full-depth") {
+		t.Fatalf("full-depth replica: %v, want the named refusal", err)
+	}
+	d1Rep := newReplica(t, tab, engine.Config{Party: 0, EarlyBits: 1})
+	_, d1Addr := startNode(t, d1Rep, ServerConfig{})
+	d1Client, err := Dial(d1Addr, Options{PRG: "aes128", Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer v1Client.Close()
+	defer d1Client.Close()
 	_, err = engine.NewCluster(
 		engine.ClusterShard{Backend: aesRep, Name: "local-default"},
-		engine.ClusterShard{Backend: v1Client, Name: v1Addr},
+		engine.ClusterShard{Backend: d1Client, Name: d1Addr},
 	)
 	if err == nil {
 		t.Fatal("mixed-depth cluster assembled")
 	}
-	if !strings.Contains(err.Error(), "depth 0") || !strings.Contains(err.Error(), "depth 2") {
+	if !strings.Contains(err.Error(), "depth 1") || !strings.Contains(err.Error(), "depth 2") {
 		t.Fatalf("cluster rejection %q does not name both depths", err)
 	}
 

@@ -2,41 +2,57 @@ package shardnet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/serving"
 )
 
 // retiredUpdateRequest is a well-formed request of retired op 0x03 (the
 // single-row update: row 12, three lanes) — a seed of the refusal corpus.
 var retiredUpdateRequest = []byte{0x03, 12, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
 
-// FuzzParseRequest throws arbitrary frame bodies at the server's request
-// parser: it must never panic and never accept a frame that does not
-// re-encode to itself (the codec is canonical). Protocol v2 ops — the
-// epoch-versioned update path — and v3's (Ping, SnapshotMeta,
-// SnapshotChunk) are seeded alongside v1's.
+// helloBounds are hellos with every field at its lower and its upper
+// bound.
+var helloBounds = []hello{
+	{},
+	{Version: 1<<32 - 1, PRG: "0123456789abcdef", Construction: 1<<32 - 1, Early: dpf.MaxEarlyBits, Party: 1,
+		Rows: int(maxInt), Lanes: 1<<32 - 1, RowLo: int(maxInt), RowHi: int(maxInt), Epoch: 1<<64 - 1},
+}
+
+// FuzzParseRequest throws arbitrary frame bodies at the one request parser
+// every server connection feeds: it must never panic and never accept a
+// body that does not re-encode to itself (the codec is canonical). Every
+// op of both sets is seeded, the hello included.
 func FuzzParseRequest(f *testing.F) {
-	// Seed with one well-formed frame per opcode, then frames to refuse.
 	key := bytes.Repeat([]byte{0xab}, 37)
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2, 3}}, {Row: 9, Vals: []uint32{4}}}
-	f.Add(appendRequest(nil, &rpcRequest{op: opAnswer, keys: [][]byte{key, key[:5]}}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opAnswerRange, keys: [][]byte{key}, lo: 3, hi: 999}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opShape}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opCounters}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opUpdateBatch, writes: writes}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opEpoch}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opPrepare, epoch: 41, writes: writes}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opCommit, epoch: 41}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opAbort, epoch: 41}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opPing}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opSnapMeta}))
-	f.Add(appendRequest(nil, &rpcRequest{op: opSnapChunk, epoch: 41, off: 4096, max: 1 << 18}))
+	for _, req := range []*request{
+		{op: opAnswer, keys: [][]byte{key, key[:5]}},
+		{op: opAnswerRange, keys: [][]byte{key}, lo: 3, hi: 999},
+		{op: opShape},
+		{op: opCounters},
+		{op: opUpdateBatch, writes: writes},
+		{op: opEpoch},
+		{op: opPrepare, epoch: 41, writes: writes},
+		{op: opCommit, epoch: 41},
+		{op: opAbort, epoch: 41},
+		{op: opPing},
+		{op: opSnapMeta},
+		{op: opSnapChunk, epoch: 41, off: 4096, max: 1 << 18},
+		{op: opStats},
+		{op: opHello, hello: helloBounds[0]},
+		{op: opHello, hello: helloBounds[1]},
+	} {
+		f.Add(appendRequest(nil, req))
+	}
 	f.Add([]byte{opAnswer, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opUpdateBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opSnapChunk, 0xff, 0xff, 0xff})
+	f.Add([]byte{opHello, 4, 0, 0})
 	f.Add(retiredUpdateRequest)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := parseRequest(body, DefaultMaxBatch)
@@ -49,76 +65,135 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// FuzzParseResponses covers the client-side decoders the node's bytes feed
-// into; a hostile or corrupt node must not be able to panic a front.
+// responseWords is the payload width, in words, of the fixed-width
+// responses.
+var responseWords = map[byte]int{
+	opCounters: 5, opUpdateBatch: 1, opEpoch: 1, opPrepare: 0, opCommit: 0,
+	opAbort: 0, opPing: 0, opSnapMeta: 4, opStats: 3,
+}
+
+// FuzzParseResponses covers the one response decoder set both clients
+// feed from their server: a hostile or corrupt peer must not be able to
+// panic a client, and an accepted response must re-encode to itself.
+// Every op of both sets is seeded, failures included.
 func FuzzParseResponses(f *testing.F) {
-	f.Add(appendAnswers(nil, opAnswer, [][]uint32{{1, 2}, {3, 4}}, 2, 0, false), uint8(opAnswer), 2)
-	f.Add(appendAnswers(nil, opAnswerRange, [][]uint32{{1, 2}}, 2, 77, true), uint8(opAnswerRange), 1)
-	f.Add(appendErrResponse(nil, opAnswerRange, "engine: shard failed"), uint8(opAnswerRange), 1)
-	f.Add(appendShape(nil, 1024, 32), uint8(opShape), 0)
-	f.Add(appendCounters(nil, gpu.Stats{PRFBlocks: 9, ReadBytes: 10}), uint8(opCounters), 0)
-	f.Add([]byte{0x03, frame.StatusOK}, uint8(0x03), 0) // the retired single-row update's OK
-	f.Add(appendEpochResp(nil, opEpoch, 12345), uint8(opEpoch), 0)
-	f.Add(appendEpochResp(nil, opUpdateBatch, 2), uint8(opUpdateBatch), 0)
-	f.Add(appendOK(nil, opPing), uint8(opPing), 0)
-	f.Add(appendSnapMeta(nil, 6, 9, 0, 1024), uint8(opSnapMeta), 0)
-	f.Add(appendSnapChunk(nil, 6, 0, 1024, 128, []uint32{1, 2, 3}), uint8(opSnapChunk), 0)
-	f.Fuzz(func(t *testing.T, body []byte, op uint8, keys int) {
+	f.Add(appendAnswers(nil, [][]uint32{{1, 2}, {3, 4}}), opAnswer, 2)
+	f.Add(appendRangeAnswers(nil, [][]uint32{{1, 2}}, 2, 77), opAnswerRange, 1)
+	f.Add(appendErr(nil, opAnswerRange, errors.New("engine: shard failed")), opAnswerRange, 1)
+	f.Add(appendErr(nil, opAnswer, serving.ErrOverloaded), opAnswer, 3)
+	f.Add(appendShape(nil, 1024, 32), opShape, 0)
+	f.Add(appendWords(nil, opCounters, 9, 10, 11, 12, 13), opCounters, 0)
+	f.Add([]byte{0x03, frame.StatusOK}, byte(0x03), 0) // the retired single-row update's OK
+	f.Add(appendWords(nil, opEpoch, 12345), opEpoch, 0)
+	f.Add(appendWords(nil, opUpdateBatch, 2), opUpdateBatch, 0)
+	f.Add(appendWords(nil, opPing), opPing, 0)
+	f.Add(appendWords(nil, opSnapMeta, 6, 9, 0, 1024), opSnapMeta, 0)
+	f.Add(appendSnapChunk(nil, 6, 0, 1024, 128, []uint32{1, 2, 3}), opSnapChunk, 0)
+	f.Add(appendWords(nil, opStats, 1000, 7, 2), opStats, 0)
+	f.Add(appendWelcome(nil, &helloBounds[1]), opHello, 0)
+	f.Add(frame.AppendErr(nil, frame.OpErr, frame.StatusErr, "request exceeds the frame cap"), opAnswer, 1)
+	f.Add([]byte{opAnswer, frame.StatusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, opAnswer, 1)
+	f.Fuzz(func(t *testing.T, body []byte, op byte, keys int) {
 		if keys < 0 || keys > 1<<16 {
 			return
 		}
-		_, _, _, _ = parseAnswers(body, op, keys)
-		_, _, _ = parseShape(body)
-		_, _ = parseCounters(body)
-		_ = parseOK(body, op)
-		_, _ = parseEpochResp(body, op)
-		_, _, _, _, _ = parseSnapMeta(body)
-		_, _, _, _, _, _ = parseSnapChunk(body)
+		r := frame.NewReader(body)
+		if status, _, err := frame.ResponseHeader(r, op); err != nil || status != frame.StatusOK {
+			return
+		}
+		var got []byte
+		switch op {
+		case opAnswer:
+			if a, err := parseAnswers(r, keys); err == nil && len(a) > 0 {
+				got = appendAnswers(nil, a)
+			}
+		case opAnswerRange:
+			if a, epoch, err := parseRangeAnswers(r, keys); err == nil && len(a) > 0 {
+				got = appendRangeAnswers(nil, a, len(a[0]), epoch)
+			}
+		case opShape:
+			if rows, lanes, err := parseShape(r); err == nil {
+				got = appendShape(nil, rows, lanes)
+			}
+		case opSnapChunk:
+			if epoch, lo, hi, off, words, err := parseSnapChunk(r); err == nil {
+				got = appendSnapChunk(nil, epoch, lo, hi, off, words)
+			}
+		case opHello:
+			if w, err := parseHello(r); err == nil {
+				got = appendWelcome(nil, &w)
+			}
+		default:
+			n, ok := responseWords[op]
+			words := make([]uint64, n)
+			ptrs := make([]*uint64, n)
+			for i := range words {
+				ptrs[i] = &words[i]
+			}
+			if ok && parseWords(r, ptrs...) == nil {
+				got = appendWords(nil, op, words...)
+			}
+		}
+		if got != nil && !bytes.Equal(got, body) {
+			t.Fatalf("accepted %#x response does not re-encode canonically:\n in  %x\n out %x", op, body, got)
+		}
 	})
 }
 
-// FuzzSnapshotFrames exercises the protocol v3 snapshot-transfer codecs
-// both ways: arbitrary bytes must never panic the decoders, accepted
-// frames must carry sane row ranges, and every well-formed encode must
-// decode back to the values that produced it. The heal path trusts these
-// frames to stitch a table from a peer — a silently mis-decoded offset or
-// range would corrupt a member instead of crashing it, so the round-trip
-// check is the load-bearing half.
+// snapMeta decodes a whole snapshot-meta response the way Client does.
+func snapMeta(body []byte) (snapEpoch, effEpoch, lo, hi uint64, err error) {
+	r := frame.NewReader(body)
+	if _, _, err = frame.ResponseHeader(r, opSnapMeta); err == nil {
+		if err = parseWords(r, &snapEpoch, &effEpoch, &lo, &hi); err == nil {
+			err = checkRange("snapshot meta", lo, hi)
+		}
+	}
+	return snapEpoch, effEpoch, lo, hi, err
+}
+
+// snapChunk decodes a whole snapshot-chunk response.
+func snapChunk(body []byte) (epoch uint64, lo, hi int, off uint64, words []uint32, err error) {
+	r := frame.NewReader(body)
+	if _, _, err = frame.ResponseHeader(r, opSnapChunk); err != nil {
+		return 0, 0, 0, 0, nil, err
+	}
+	return parseSnapChunk(r)
+}
+
+// FuzzSnapshotFrames exercises the snapshot-transfer codecs both ways:
+// arbitrary bytes must never panic the decoders, accepted frames must
+// carry sane row ranges, and every well-formed encode must decode back to
+// the values that produced it. The heal path trusts these frames to stitch
+// a table from a peer — a silently mis-decoded offset or range would
+// corrupt a member instead of crashing it, so the round-trip check is the
+// load-bearing half.
 func FuzzSnapshotFrames(f *testing.F) {
 	f.Add(uint64(6), uint64(9), uint64(0), uint64(1024), uint64(128), []byte{1, 0, 0, 0, 2, 0, 0, 0})
 	f.Add(uint64(1), uint64(1), uint64(512), uint64(4096), uint64(0), []byte{})
 	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint64(1<<40), []byte{0xff})
 	f.Fuzz(func(t *testing.T, snapEpoch, effEpoch, lo, hi, off uint64, raw []byte) {
-		// Decoders first: raw bytes at both parsers must not panic, and an
+		// Decoders first: raw bytes must not panic either parser, and an
 		// accepted frame must satisfy the range invariant.
-		if se, ee, plo, phi, err := parseSnapMeta(raw); err == nil {
-			if plo < 0 || plo > phi {
-				t.Fatalf("parseSnapMeta accepted range [%d,%d) (epochs %d/%d)", plo, phi, se, ee)
-			}
+		if _, _, plo, phi, err := snapMeta(raw); err == nil && plo > phi {
+			t.Fatalf("snapshot meta accepted range [%d,%d)", plo, phi)
 		}
-		if _, plo, phi, _, words, err := parseSnapChunk(raw); err == nil {
-			if plo < 0 || plo > phi {
-				t.Fatalf("parseSnapChunk accepted range [%d,%d)", plo, phi)
-			}
-			_ = words
+		if _, plo, phi, _, _, err := snapChunk(raw); err == nil && (plo < 0 || plo > phi) {
+			t.Fatalf("snapshot chunk accepted range [%d,%d)", plo, phi)
 		}
 		// Encoders second: a well-formed encode must round-trip exactly.
-		const maxInt = uint64(^uint(0) >> 1)
 		if lo > maxInt || hi > maxInt || lo > hi {
 			return
 		}
-		meta := appendSnapMeta(nil, snapEpoch, effEpoch, int(lo), int(hi))
-		se, ee, plo, phi, err := parseSnapMeta(meta)
-		if err != nil || se != snapEpoch || ee != effEpoch || uint64(plo) != lo || uint64(phi) != hi {
+		se, ee, plo, phi, err := snapMeta(appendWords(nil, opSnapMeta, snapEpoch, effEpoch, lo, hi))
+		if err != nil || se != snapEpoch || ee != effEpoch || plo != lo || phi != hi {
 			t.Fatalf("snap meta does not round-trip: (%d,%d,[%d,%d)) -> (%d,%d,[%d,%d)), err %v",
 				snapEpoch, effEpoch, lo, hi, se, ee, plo, phi, err)
 		}
 		words := make([]uint32, len(raw)/4)
 		for i := range words {
-			words[i] = uint64ToU32Sample(raw, i)
+			words[i] = le.Uint32(raw[i*4:])
 		}
-		chunk := appendSnapChunk(nil, snapEpoch, int(lo), int(hi), off, words)
-		ce, clo, chi, coff, cwords, err := parseSnapChunk(chunk)
+		ce, clo, chi, coff, cwords, err := snapChunk(appendSnapChunk(nil, snapEpoch, int(lo), int(hi), off, words))
 		if err != nil || ce != snapEpoch || uint64(clo) != lo || uint64(chi) != hi || coff != off {
 			t.Fatalf("snap chunk header does not round-trip: err %v", err)
 		}
@@ -133,53 +208,30 @@ func FuzzSnapshotFrames(f *testing.F) {
 	})
 }
 
-// uint64ToU32Sample derives the i-th fuzz word from the raw input bytes.
-func uint64ToU32Sample(raw []byte, i int) uint32 {
-	return uint32(raw[i*4]) | uint32(raw[i*4+1])<<8 | uint32(raw[i*4+2])<<16 | uint32(raw[i*4+3])<<24
-}
-
-// FuzzHandshake throws arbitrary frames at the handshake decoders — the
-// FIRST bytes either side ever reads from its peer, gob-decoded, so this
-// is the most attacker-reachable parser in the package. Neither direction
-// may panic, and well-formed handshakes (epoch field included) must
-// round-trip.
+// FuzzHandshake throws arbitrary bodies at the hello and welcome decoders
+// — the first bytes a server reads from a pinning client, and the first a
+// client reads back — seeded with both at every field's bounds. Neither
+// may panic, and an accepted hello or welcome must re-encode to itself.
 func FuzzHandshake(f *testing.F) {
-	seed := func(v any) []byte {
-		var buf bytes.Buffer
-		if err := writeHandshake(&buf, v); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	for _, h := range helloBounds {
+		f.Add(appendRequest(nil, &request{op: opHello, hello: h}))
+		f.Add(appendWelcome(nil, &h))
 	}
-	f.Add(seed(&hello{Proto: protoName, Version: ProtocolVersion, PRG: "aes128", Early: 2, Party: 0}))
-	f.Add(seed(&hello{Proto: protoName, Version: ProtocolVersion, Party: AdoptParty, Early: engine.FullDepthKeys}))
-	f.Add(seed(&welcome{Version: ProtocolVersion, PRG: "chacha20", Early: 2, Party: 1,
-		Rows: 1 << 20, Lanes: 32, RowLo: 0, RowHi: 1 << 19, Epoch: 42, EpochKnown: true}))
-	f.Add(seed(&welcome{Err: "shardnet: handshake: unknown protocol"}))
-	f.Add([]byte{4, 0, 0, 0, 0xff, 0xfe, 0xfd, 0xfc})
-	f.Fuzz(func(t *testing.T, frame []byte) {
-		var h hello
-		if err := readHandshake(bytes.NewReader(frame), &h); err == nil {
-			// An accepted hello must survive re-encoding (gob is not
-			// byte-canonical, so round-trip the VALUES, not the bytes).
-			var buf bytes.Buffer
-			if err := writeHandshake(&buf, &h); err != nil {
-				t.Fatalf("accepted hello does not re-encode: %v", err)
-			}
-			var h2 hello
-			if err := readHandshake(&buf, &h2); err != nil || h2 != h {
-				t.Fatalf("hello does not round-trip: %+v vs %+v (%v)", h, h2, err)
+	f.Add(frame.AppendErr(nil, opHello, frame.StatusErr, "shardnet: hello refused: client keys use prg=aes128, this server serves prg=chacha20"))
+	f.Add(appendWelcome(nil, &hello{Version: ProtocolVersion, PRG: "a\x00b", Rows: 64, Lanes: 2, RowHi: 64}))
+	f.Add([]byte{opHello, 0xff, 0xfe, 0xfd, 0xfc})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if req, err := parseRequest(body, DefaultMaxBatch); err == nil && req.op == opHello {
+			if got := appendRequest(nil, req); !bytes.Equal(got, body) {
+				t.Fatalf("accepted hello does not re-encode:\n in  %x\n out %x", body, got)
 			}
 		}
-		var w welcome
-		if err := readHandshake(bytes.NewReader(frame), &w); err == nil {
-			var buf bytes.Buffer
-			if err := writeHandshake(&buf, &w); err != nil {
-				t.Fatalf("accepted welcome does not re-encode: %v", err)
-			}
-			var w2 welcome
-			if err := readHandshake(&buf, &w2); err != nil || w2 != w {
-				t.Fatalf("welcome does not round-trip: %+v vs %+v (%v)", w, w2, err)
+		r := frame.NewReader(body)
+		if status, _, err := frame.ResponseHeader(r, opHello); err == nil && status == frame.StatusOK {
+			if w, err := parseHello(r); err == nil {
+				if got := appendWelcome(nil, &w); !bytes.Equal(got, body) {
+					t.Fatalf("accepted welcome does not re-encode:\n in  %x\n out %x", body, got)
+				}
 			}
 		}
 	})

@@ -1,155 +1,195 @@
-// Package shardnet puts an engine member on the network, so one logical
-// PIR replica can span machines: a Server exposes any engine.Member
-// (typically a Replica over one shard's rows) over TCP, and a Client
-// implements engine.Member against such a node — plug N clients into
-// an engine.Cluster and a million-user table splits across hosts while
-// answers stay bit-identical to a single process.
+// Package shardnet is the stack's one wire protocol: one connection loop
+// (Server) and one pooled client (Client). The client-facing transport —
+// pir.Serve and pir.Dial — and the shard-node protocol — NewServer and Dial,
+// which put an engine.Member on the network so one logical replica can span
+// machines — are thin faces over the two.
 //
-// The protocol is deliberately minimal. Every exchange is a length-framed
-// binary frame (little-endian uint32 byte count, then the body; frames
-// over the negotiated cap are refused with ErrFrameTooLarge before
-// allocation). Marshaled DPF keys travel inside frames as-is — the dpf
-// wire format is already versioned and validated, so re-encoding it would
-// only add copies. gob appears exactly once, inside the first frame each
-// direction: the handshake, where flexibility beats compactness.
+// Every exchange is a length-framed binary frame (internal/frame: a
+// little-endian uint32 byte count, then the body; a frame over the
+// connection's cap is refused with ErrFrameTooLarge before allocation). A
+// request body is an op byte and its payload, a response body op, status
+// and payload, one response per request. There is one op space:
 //
-// The handshake pins everything two processes must agree on before
-// partial shares can mean anything, and rejections name both values:
+//   - the client ops — answer 0x01, update-batch 0x06, stats 0x0e — work on
+//     any connection, with no hello;
+//   - the member ops — answer-range 0x02, shape 0x04, counters 0x05, the
+//     epoch handshake (epoch, prepare, commit, abort: 0x07-0x0a), ping 0x0b
+//     and snapshot streaming 0x0c/0x0d — work only after a hello, and only
+//     on a server over an engine.Member. Op 0x03, the retired single-row
+//     update, is refused as unknown.
 //
-//   - the shardnet protocol version (ProtocolVersion),
-//   - the PRF the node's keys must use (like -prg, the dpf wire format
-//     carries no PRF identifier),
-//   - the early-termination depth served keys carry (resolved, 0 = legacy
-//     full-depth wire-v1 keys),
-//   - the party (0 or 1) whose shares the node computes,
+// The hello (op 0x0f) is one fixed binary frame each way, the same layout
+// both directions. It pins what two processes must agree on before a share
+// means anything, and a refusal names both values:
 //
-// and it advertises the node's table shape plus the row range the node
-// authoritatively holds, which engine.NewCluster checks against each
-// shard's assignment.
+//   - the protocol version (ProtocolVersion);
+//   - the PRF, by name and by construction ID (dpf.PRG.Construction): the
+//     dpf key format carries neither, and a new function under an old name
+//     (aes128 became fixed-key AES) must not reconstruct garbage;
+//   - the early-termination depth keys carry, and the party;
+//   - the table's row count.
 //
-// After the handshake a connection carries lockstep request/response
-// frames for the RPCs: the v1 four (Answer, AnswerRange, Shape, Counters;
-// op 0x03, the single-row Update, is retired and refused as unknown), the
-// v2 epoch-versioned update path (UpdateBatch, Epoch,
-// PrepareUpdate, CommitUpdate, AbortUpdate), and the v3 replica-group
-// pair — Ping, the cheap liveness probe, and SnapshotMeta/SnapshotChunk,
-// which stream a node's pinned table snapshot in capped offset-resumable
-// frames so a stale peer can be healed to the current epoch. The Client
-// keeps a pool of such connections, so concurrent batches — and the
-// per-shard fan-out of a Cluster answer — overlap across connections
-// rather than queueing on one.
+// The welcome also states the server's lane count, the rows it
+// authoritatively holds (engine.NewCluster checks each shard's assignment
+// against them) and its table epoch. Marshaled DPF keys travel inside
+// frames as-is: the dpf wire format is already versioned and validated.
 package shardnet
 
 import (
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"io"
 
-	"gpudpf/internal/engine"
+	"gpudpf/internal/dpf"
 	"gpudpf/internal/frame"
 )
 
-// ProtocolVersion is the shardnet wire version spoken by this build; the
-// handshake refuses any other, naming both versions. Version 2 added the
-// epoch-versioned table store: the welcome advertises the node's table
-// epoch, answer responses carry the epoch their partials were computed
-// at, and the UpdateBatch / Epoch / PrepareUpdate / CommitUpdate /
-// AbortUpdate RPCs drive snapshot-consistent updates (the cluster epoch
-// handshake) over the wire. Version 3 added replica-group support: the
-// Ping liveness probe the cluster's health prober uses, and the
-// SnapshotMeta / SnapshotChunk pair that streams a node's pinned table
-// snapshot in capped, offset-resumable frames so a stale group member can
-// be healed to the current epoch from a healthy peer.
-const ProtocolVersion = 3
+// ProtocolVersion is the wire version this build speaks; a hello naming
+// any other is refused with both named. Version 4 replaced the gob
+// handshake with the binary hello and took in the client ops.
+const ProtocolVersion = 4
 
-// protoName guards against pointing a shardnet client at some other
-// length-framed service (or vice versa).
-const protoName = "gpudpf-shardnet"
+// Frame and batch caps, each checked before anything is allocated for
+// what a peer declared.
+const (
+	// DefaultMaxFrame caps a node's frames both ways unless
+	// ServerConfig.MaxFrame says otherwise: far above any real batch (a
+	// 512-key batch of 64-lane rows answers in ~128 KiB) while bounding
+	// what a hostile peer can make either side buffer.
+	DefaultMaxFrame = 16 << 20
+	// MaxRequestBytes and MaxResponseBytes cap a front's frames (pir.Serve
+	// and pir.Dial): a key is a few hundred bytes, so 8 MiB holds ~20k of
+	// them, while answers scale with batch × lanes.
+	MaxRequestBytes  = 8 << 20
+	MaxResponseBytes = 64 << 20
+	// DefaultMaxBatch caps the keys of one request unless
+	// ServerConfig.MaxBatch says otherwise: the byte cap alone would let a
+	// frame of near-empty keys buy millions of slice headers, key structs
+	// and partials before the first key fails to unmarshal.
+	DefaultMaxBatch = 4096
+)
 
-// DefaultMaxFrame is the frame byte cap used when a config leaves it zero:
-// comfortably above any real batch (a 512-key batch with 64-lane rows
-// answers in ~128 KiB) while bounding what a hostile peer can make either
-// side buffer.
-const DefaultMaxFrame = 16 << 20
+// ErrFrameTooLarge is the named protocol error for a frame whose declared
+// length exceeds the connection's cap.
+var ErrFrameTooLarge = frame.ErrTooLarge
 
-// maxHandshakeBytes caps the gob-encoded handshake frame; a hello/welcome
-// is a few hundred bytes.
-const maxHandshakeBytes = 4096
+// ErrProtocol is wrapped by every malformed-frame error, so transports can
+// tell a broken peer from a failing backend.
+var ErrProtocol = frame.ErrProtocol
 
-// DefaultMaxBatch is the per-request key cap used when ServerConfig
-// leaves MaxBatch zero: an order of magnitude above the serving layer's
-// formed batches while bounding the backend allocation fan-out a hostile
-// frame of near-empty keys could otherwise buy.
-const DefaultMaxBatch = 4096
+// ErrRequestTooLarge and ErrResponseTooLarge are what a Client returns for
+// a request it refused to send and a response it refused to read.
+var (
+	ErrRequestTooLarge  = errors.New("request exceeds the frame cap")
+	ErrResponseTooLarge = errors.New("response exceeds the frame cap")
+)
 
-// AdoptParty configures a Client (Options.Party) to accept whichever
-// party the node computes instead of pinning one.
-const AdoptParty = -1
+// Opcodes: the first body byte of every request, echoed in its response
+// (frame.OpErr answers a frame no op was parsed from).
+const (
+	opAnswer      byte = 0x01
+	opAnswerRange byte = 0x02
+	opShape       byte = 0x04
+	opCounters    byte = 0x05
+	opUpdateBatch byte = 0x06
+	opEpoch       byte = 0x07
+	opPrepare     byte = 0x08
+	opCommit      byte = 0x09
+	opAbort       byte = 0x0a
+	opPing        byte = 0x0b
+	opSnapMeta    byte = 0x0c
+	opSnapChunk   byte = 0x0d
+	opStats       byte = 0x0e
+	opHello       byte = 0x0f
+)
 
-// hello is the client's handshake message: the protocol version it
-// speaks and the configuration it expects the node to serve. Zero values
-// adopt the node's configuration instead of pinning: PRG "" accepts any
-// PRF, Early 0 accepts any depth (engine.FullDepthKeys pins legacy
-// full-depth keys, positive values pin that resolved depth), Party
-// AdoptParty accepts either share.
+// memberOp reports whether op needs a hello and a member.
+func memberOp(op byte) bool {
+	return op == opAnswerRange || op >= opShape && op <= opSnapChunk && op != opUpdateBatch
+}
+
+// prgNameLen is the hello's fixed PRF-name field, zero-padded.
+const prgNameLen = 16
+
+// hello is the payload of both handshake frames. A client states what it
+// pins — zero is "any" for every field but the party, which is always
+// pinned, and the ones only a server states (lanes, held range, epoch) — and
+// a server what it serves.
 type hello struct {
-	Proto   string
-	Version int
-	PRG     string
-	Early   int
-	Party   int
+	Version      int
+	PRG          string
+	Construction uint32
+	Early        int
+	Party        int
+	Rows         int
+	Lanes        int
+	RowLo, RowHi int
+	Epoch        uint64
 }
 
-// welcome is the node's reply: a non-empty Err means the handshake was
-// rejected (the message names both sides' values); otherwise the node's
-// pinned configuration, table shape, the global row range it
-// authoritatively holds, and the table epoch it currently serves
-// (advisory: epochs move with updates; the authoritative epoch rides on
-// every answer response).
-type welcome struct {
-	Err        string
-	Version    int
-	PRG        string
-	Early      int
-	Party      int
-	Rows       int
-	Lanes      int
-	RowLo      int
-	RowHi      int
-	Epoch      uint64
-	EpochKnown bool
+// appendHello encodes h's fixed helloLen-byte payload.
+func appendHello(dst []byte, h *hello) []byte {
+	dst = le.AppendUint32(dst, uint32(h.Version))
+	var name [prgNameLen]byte
+	copy(name[:], h.PRG)
+	dst = append(dst, name[:]...)
+	dst = le.AppendUint32(dst, h.Construction)
+	dst = append(dst, byte(h.Early), byte(h.Party))
+	dst = le.AppendUint64(dst, uint64(h.Rows))
+	dst = le.AppendUint32(dst, uint32(h.Lanes))
+	dst = le.AppendUint64(dst, uint64(h.RowLo))
+	dst = le.AppendUint64(dst, uint64(h.RowHi))
+	return le.AppendUint64(dst, h.Epoch)
 }
 
-// normEarly maps a client's early pin encoding to the resolved depth it
-// pins: engine.FullDepthKeys pins depth 0 (legacy wire-v1 keys).
-func normEarly(early int) int {
-	if early == engine.FullDepthKeys {
-		return 0
+// parseHello decodes a hello payload, refusing any value the encoder could
+// not have produced from a valid hello, so an accepted payload re-encodes
+// to itself.
+func parseHello(r *frame.Reader) (hello, error) {
+	h := hello{Version: int(r.U32())}
+	name := r.Take(prgNameLen)
+	h.Construction = r.U32()
+	h.Early, h.Party = int(r.U8()), int(r.U8())
+	rows, lanes := r.U64(), r.U32()
+	lo, hi := r.U64(), r.U64()
+	h.Epoch = r.U64()
+	if r.Bad() || r.Remaining() != 0 {
+		return hello{}, fmt.Errorf("%w: hello is not %d bytes", ErrProtocol, helloLen)
 	}
-	return early
+	h.PRG = string(bytes.TrimRight(name, "\x00"))
+	switch {
+	case bytes.IndexByte([]byte(h.PRG), 0) >= 0:
+		return hello{}, fmt.Errorf("%w: hello PRF name %q", ErrProtocol, h.PRG)
+	case h.Early > dpf.MaxEarlyBits || h.Party > 1:
+		return hello{}, fmt.Errorf("%w: hello early depth %d, party %d", ErrProtocol, h.Early, h.Party)
+	case rows > maxInt || lo > maxInt || hi > maxInt:
+		return hello{}, fmt.Errorf("%w: hello table of %d rows, held [%d,%d)", ErrProtocol, rows, lo, hi)
+	}
+	h.Rows, h.Lanes, h.RowLo, h.RowHi = int(rows), int(lanes), int(lo), int(hi)
+	return h, nil
 }
 
-// writeHandshake gob-encodes v into one capped frame. Framing the gob
-// bytes keeps the handshake decoder off the live stream: nothing it
-// buffers can swallow the first RPC frame.
-func writeHandshake(w io.Writer, v any) error {
-	buf := bytes.NewBuffer(frame.Begin(nil))
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return fmt.Errorf("shardnet: encoding handshake: %w", err)
-	}
-	return frame.Write(w, buf.Bytes(), maxHandshakeBytes)
-}
+// helloLen is the size of appendHello's payload.
+const helloLen = 4 + prgNameLen + 4 + 1 + 1 + 8 + 4 + 8 + 8 + 8
 
-// readHandshake reads one capped frame and gob-decodes it into v.
-func readHandshake(r io.Reader, v any) error {
-	var buf []byte
-	body, err := frame.Read(r, maxHandshakeBytes, &buf)
-	if err != nil {
-		return err
+// refusal checks pinned, a client's hello, against served, a server's
+// configuration, and names both values of the first mismatch ("" = none).
+// The server runs it on every hello, and the client again on the welcome.
+func refusal(pinned, served *hello) string {
+	switch {
+	case pinned.Version != served.Version:
+		return fmt.Sprintf("client speaks wire version %d, this server speaks version %d", pinned.Version, served.Version)
+	case pinned.PRG != "" && pinned.PRG != served.PRG:
+		return fmt.Sprintf("client keys use prg=%s, this server serves prg=%s", pinned.PRG, served.PRG)
+	case pinned.PRG != "" && pinned.Construction != served.Construction:
+		return fmt.Sprintf("client keys use prg=%s construction %#x, this server's prg=%s is construction %#x",
+			pinned.PRG, pinned.Construction, served.PRG, served.Construction)
+	case pinned.Early != 0 && pinned.Early != served.Early:
+		return fmt.Sprintf("client keys carry early-termination depth %d, this server serves depth %d", pinned.Early, served.Early)
+	case pinned.Party != served.Party:
+		return fmt.Sprintf("client expects party-%d shares, this server computes party %d", pinned.Party, served.Party)
+	case pinned.Rows != 0 && pinned.Rows != served.Rows:
+		return fmt.Sprintf("client keys address a %d-row table, this server serves %d rows", pinned.Rows, served.Rows)
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(v); err != nil {
-		return fmt.Errorf("shardnet: decoding handshake: %w", err)
-	}
-	return nil
+	return ""
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -70,6 +71,29 @@ func startNode(t testing.TB, be engine.Member, cfg ServerConfig) (*Server, strin
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 	return srv, l.Addr().String()
+}
+
+// rawHello says hello on a bare connection and returns the welcome, or the
+// server's refusal as an error.
+func rawHello(t testing.TB, conn net.Conn, h hello) (hello, error) {
+	t.Helper()
+	if err := frame.Write(conn, appendRequest(frame.Begin(nil), &request{op: opHello, hello: h}), DefaultMaxFrame); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	body, err := frame.Read(conn, DefaultMaxFrame, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := frame.NewReader(body)
+	status, msg, err := frame.ResponseHeader(r, opHello)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status != frame.StatusOK {
+		return hello{}, errors.New(msg)
+	}
+	return parseHello(r)
 }
 
 // genKeys returns marshaled keys for both parties at the replica-default
@@ -299,9 +323,10 @@ func TestHandshakePinning(t *testing.T) {
 		want []string
 	}{
 		{"prg", Options{PRG: "chacha20", Party: 1}, []string{"chacha20", "aes128"}},
-		{"early", Options{PRG: "aes128", Early: engine.FullDepthKeys, Party: 1},
-			[]string{"depth 0", fmt.Sprintf("depth %d", rep.EarlyBits())}},
+		{"early", Options{PRG: "aes128", Early: 1, Party: 1},
+			[]string{"depth 1", fmt.Sprintf("depth %d", rep.EarlyBits())}},
 		{"party", Options{PRG: "aes128", Party: 0}, []string{"party-0", "party 1"}},
+		{"rows", Options{PRG: "aes128", Party: 1, Rows: 64}, []string{"64-row", "128 rows"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -317,14 +342,14 @@ func TestHandshakePinning(t *testing.T) {
 		})
 	}
 
-	// Adopting clients learn the node's configuration instead.
-	c, err := Dial(addr, Options{Party: AdoptParty})
+	// A client that pins only the party learns the rest from the welcome.
+	c, err := Dial(addr, Options{Party: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if c.PRGName() != "aes128" || c.Party() != 1 || c.EarlyBits() != rep.EarlyBits() {
-		t.Fatalf("adopted config prg=%s party=%d early=%d", c.PRGName(), c.Party(), c.EarlyBits())
+		t.Fatalf("welcome config prg=%s party=%d early=%d", c.PRGName(), c.Party(), c.EarlyBits())
 	}
 
 	// A client from a different protocol era is refused with both versions
@@ -334,15 +359,9 @@ func TestHandshakePinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, &hello{Proto: protoName, Version: 99, Party: AdoptParty}); err != nil {
-		t.Fatal(err)
-	}
-	var w welcome
-	if err := readHandshake(conn, &w); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(w.Err, "version 99") || !strings.Contains(w.Err, fmt.Sprintf("version %d", ProtocolVersion)) {
-		t.Fatalf("version rejection %q does not name both versions", w.Err)
+	if _, err := rawHello(t, conn, hello{Version: 99, Party: 1}); err == nil ||
+		!strings.Contains(err.Error(), "version 99") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ProtocolVersion)) {
+		t.Fatalf("version rejection %v does not name both versions", err)
 	}
 }
 
@@ -357,9 +376,9 @@ func TestHandshakeNoAdoption(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{Options{PRG: "chacha20", Party: 1}, "this node serves prg=aes128"},
-		{Options{PRG: "aes128", Early: engine.FullDepthKeys, Party: 1}, fmt.Sprintf("this node serves depth %d", rep.EarlyBits())},
-		{Options{PRG: "aes128", Party: 0}, "this node computes party 1"},
+		{Options{PRG: "chacha20", Party: 1}, "this server serves prg=aes128"},
+		{Options{PRG: "aes128", Early: 1, Party: 1}, fmt.Sprintf("this server serves depth %d", rep.EarlyBits())},
+		{Options{PRG: "aes128", Party: 0}, "this server computes party 1"},
 	} {
 		c, err := Dial(addr, tc.opts)
 		if err == nil {
@@ -384,12 +403,8 @@ func TestRetiredUpdateOpRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, &hello{Proto: protoName, Version: ProtocolVersion, Party: AdoptParty}); err != nil {
-		t.Fatal(err)
-	}
-	var w welcome
-	if err := readHandshake(conn, &w); err != nil || w.Err != "" {
-		t.Fatalf("handshake failed: %v / %s", err, w.Err)
+	if _, err := rawHello(t, conn, hello{Version: ProtocolVersion}); err != nil {
+		t.Fatalf("hello refused: %v", err)
 	}
 	if err := frame.Write(conn, append(frame.Begin(nil), retiredUpdateRequest...), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
@@ -492,7 +507,7 @@ func TestHeldRangeEnforced(t *testing.T) {
 func TestHandshakeTimeout(t *testing.T) {
 	tab := buildTable(t, 64, 2, 10)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
-	_, addr := startNode(t, rep, ServerConfig{HandshakeTimeout: 150 * time.Millisecond})
+	_, addr := startNode(t, rep, ServerConfig{ReadTimeout: 150 * time.Millisecond})
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -557,12 +572,8 @@ func TestFrameCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, &hello{Proto: protoName, Version: ProtocolVersion, Party: AdoptParty}); err != nil {
-		t.Fatal(err)
-	}
-	var w welcome
-	if err := readHandshake(conn, &w); err != nil || w.Err != "" {
-		t.Fatalf("handshake failed: %v / %s", err, w.Err)
+	if _, err := rawHello(t, conn, hello{Version: ProtocolVersion}); err != nil {
+		t.Fatalf("hello refused: %v", err)
 	}
 	// Declare a 1 MiB frame on a 256-byte-cap connection; send only the
 	// header — the node must refuse without waiting for a payload.
@@ -583,6 +594,8 @@ func TestFrameCap(t *testing.T) {
 	if !strings.Contains(string(body), "size cap") {
 		t.Fatalf("refusal %q does not name the cap", string(body[2:]))
 	}
+	// Half-close, so the node draining what it refused sees the end of it.
+	conn.(*net.TCPConn).CloseWrite()
 	if _, err := frame.Read(conn, DefaultMaxFrame, &buf); err == nil {
 		t.Fatal("connection survived an oversized frame")
 	}
@@ -602,8 +615,8 @@ func TestEpochRPCsRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	if epoch, known := c.AdvertisedEpoch(); !known || epoch != 0 {
-		t.Fatalf("handshake advertises epoch %d known=%v, want 0/true", epoch, known)
+	if epoch := c.AdvertisedEpoch(); epoch != 0 {
+		t.Fatalf("welcome states epoch %d, want 0", epoch)
 	}
 	if epoch, err := c.Epoch(context.Background()); err != nil || epoch != 0 {
 		t.Fatalf("Epoch RPC: %d, %v", epoch, err)
@@ -750,7 +763,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	l := &countingListener{Listener: inner}
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(inner.Addr().String(), Options{Party: AdoptParty})
+	c, err := Dial(inner.Addr().String(), Options{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,7 +778,7 @@ func TestOneWritePerFrame(t *testing.T) {
 	if _, err := answerRange(context.Background(), c, k0s, 0, 64); err != nil {
 		t.Fatal(err)
 	}
-	const frames = 1 + pings + 1 // handshake, pings, answer — each way
+	const frames = 1 + pings + 1 // hello, pings, answer — each way
 	if w := l.writes.Load(); w != frames {
 		t.Errorf("node made %d Write calls for %d frames", w, frames)
 	}
@@ -773,7 +786,7 @@ func TestOneWritePerFrame(t *testing.T) {
 		t.Errorf("node made %d Read calls for %d frames; header and body should normally share one", r, frames)
 	}
 
-	req := &rpcRequest{op: opAnswerRange, keys: k0s, lo: 0, hi: 64}
+	req := &request{op: opAnswerRange, keys: k0s, lo: 0, hi: 64}
 	var wire bytes.Buffer
 	if err := frame.Write(&wire, appendRequest(frame.Begin(nil), req), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
