@@ -2,18 +2,42 @@ package pir
 
 import (
 	"bytes"
+	"encoding/binary"
+	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
 	"gpudpf/internal/serving"
 )
 
+// Client-op response bodies, built by hand like the requests: op, status
+// OK, then the payload.
+func answersResponse(answers [][]uint32) []byte {
+	dst := []byte{0x01, frame.StatusOK}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(answers)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(answers[0])))
+	return frame.AppendMatrix(dst, answers)
+}
+
+func wordsResponse(op byte, words ...uint64) []byte {
+	dst := []byte{op, frame.StatusOK}
+	for _, w := range words {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	return dst
+}
+
 // FuzzClientFrames throws arbitrary frame bodies at both ends of the client
-// protocol: the request parser Serve feeds from the network and the response
-// decoders a Remote feeds from its server. Neither may panic, and an
-// accepted body must re-encode to itself (the codec is canonical). Seeded
-// with real frames of the three ops.
+// protocol through pir's own faces: as a request to a Serve front, and as
+// the response a Remote reads from its server. The front must answer with
+// the request's op or refuse the frame, and still answer an honest client
+// correctly afterwards; a Remote must fail, or accept only a response that
+// re-encodes to itself (the codec is canonical) in the shape it asked for.
+// Seeded with real frames of the three client ops.
 func FuzzClientFrames(f *testing.F) {
 	tab, err := NewTable(64, 3)
 	if err != nil {
@@ -28,54 +52,128 @@ func FuzzClientFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { l.Close() })
+	go Serve(l, srv)
+	front := l.Addr().String()
+	honest, err := Dial(front)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { honest.Close() })
+
+	// fake answers every request frame with the current input.
+	var reply atomic.Pointer[[]byte]
+	fake, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { fake.Close() })
+	go func() {
+		for {
+			conn, err := fake.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var buf []byte
+				for {
+					if _, err := frame.Read(conn, MaxRequestBytes, &buf); err != nil {
+						return
+					}
+					if frame.Write(conn, append(frame.Begin(nil), *reply.Load()...), MaxResponseBytes) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2, 3}}, {Row: 9, Vals: []uint32{4, 5, 6}}}
-	f.Add(appendRequest(nil, opAnswer, keys, nil), 3)
-	f.Add(appendRequest(nil, opUpdateBatch, nil, writes), 0)
-	f.Add(appendRequest(nil, opStats, nil, nil), 0)
-	f.Add(appendAnswers(nil, answers), 3)
-	f.Add(appendWords(nil, opUpdateBatch, 41), 0)
-	f.Add(appendWords(nil, opStats, 1000, 7, 2), 0)
-	f.Add(appendFailure(nil, opAnswer, serving.ErrOverloaded), 3)
+	f.Add(answerRequest(keys), 3)
+	f.Add(updateRequest(writes), 0)
+	f.Add([]byte{0x0e}, 0)
+	f.Add(answersResponse(answers), 3)
+	f.Add(wordsResponse(0x06, 41), 0)
+	f.Add(wordsResponse(0x0e, 1000, 7, 2), 0)
+	f.Add(frame.AppendErr(nil, 0x01, 2, serving.ErrOverloaded.Error()), 3)
 	f.Add(frame.AppendErr(nil, frame.OpErr, frame.StatusErr, ErrRequestTooLarge.Error()), 1)
-	f.Add([]byte{opAnswer, 0xff, 0xff, 0xff, 0xff}, 1)
-	f.Add([]byte{opAnswer, frame.StatusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 1)
+	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff}, 1)
+	f.Add([]byte{0x01, frame.StatusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 1)
 	f.Fuzz(func(t *testing.T, body []byte, wantKeys int) {
-		if op, keys, writes, err := parseRequest(body); err == nil {
-			if got := appendRequest(nil, op, keys, writes); !bytes.Equal(got, body) {
-				t.Fatalf("accepted request does not re-encode canonically:\n in  %x\n out %x", body, got)
+		conn, err := net.Dial("tcp", front)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if frame.Write(conn, append(frame.Begin(nil), body...), MaxRequestBytes) == nil {
+			var buf []byte
+			resp, err := frame.Read(conn, MaxResponseBytes, &buf)
+			switch {
+			case err != nil:
+				t.Fatalf("front neither answered nor refused request %x: %v", body, err)
+			case resp[0] != frame.OpErr && (len(body) == 0 || resp[0] != body[0]):
+				t.Fatalf("front answered request %x with op %#x", body, resp[0])
 			}
 		}
+		conn.Close()
+		want, err := srv.Answer(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := honest.Answer(keys); err != nil || !slices.EqualFunc(got, want, slices.Equal) {
+			t.Fatalf("after request %x the front answers %v, %v; want %v", body, got, err, want)
+		}
+
 		if wantKeys < 0 || wantKeys > MaxRequestKeys {
 			return
 		}
-		for _, op := range []byte{opAnswer, opUpdateBatch, opStats} {
-			r := frame.NewReader(body)
-			status, _, err := frame.ResponseHeader(r, op)
-			if err != nil || status != frame.StatusOK {
-				continue
+		reply.Store(&body)
+		ask := make([][]byte, wantKeys)
+		for i := range ask {
+			ask[i] = keys[i%len(keys)]
+		}
+		for _, call := range []func(r *Remote) []byte{
+			func(r *Remote) []byte {
+				got, err := r.Answer(ask)
+				switch {
+				case err != nil:
+					return nil
+				case len(got) != wantKeys:
+					t.Fatalf("accepted %d answers for %d keys from response %x", len(got), wantKeys, body)
+				case len(got) == 0:
+					return nil
+				}
+				return answersResponse(got)
+			},
+			func(r *Remote) []byte {
+				epoch, err := r.UpdateBatch(writes)
+				if err != nil {
+					return nil
+				}
+				return wordsResponse(0x06, epoch)
+			},
+			func(r *Remote) []byte {
+				s, err := r.Stats()
+				if err != nil {
+					return nil
+				}
+				return wordsResponse(0x0e, s.Accepted, s.Shed, s.EpochRetries)
+			},
+		} {
+			r, err := Dial(fake.Addr().String())
+			if err != nil {
+				t.Fatal(err)
 			}
-			var got []byte
-			var a, b, c uint64
-			switch op {
-			case opAnswer:
-				answers, err := parseAnswers(r, wantKeys)
-				if err != nil || len(answers) == 0 {
-					continue
-				}
-				got = appendAnswers(nil, answers)
-			case opUpdateBatch:
-				if parseWords(r, &a) != nil {
-					continue
-				}
-				got = appendWords(nil, op, a)
-			case opStats:
-				if parseWords(r, &a, &b, &c) != nil {
-					continue
-				}
-				got = appendWords(nil, op, a, b, c)
-			}
-			if !bytes.Equal(got, body) {
-				t.Fatalf("accepted %#x response does not re-encode canonically:\n in  %x\n out %x", op, body, got)
+			got := call(r)
+			r.Close()
+			if got != nil && !bytes.Equal(got, body) {
+				t.Fatalf("accepted response does not re-encode canonically:\n in  %x\n out %x", body, got)
 			}
 		}
 	})
