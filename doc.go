@@ -261,8 +261,9 @@
 //     cost 9+n·(4+k) bytes up, an n × lanes answer 14+4·n·lanes down.
 //     Requests are capped at 8 MiB and 4096 keys, responses at 64 MiB; a
 //     shed request is serving.ErrOverloaded under errors.Is on the
-//     client, and a Remote whose stream broke returns that first error
-//     from then on. pir.Dial with pins (what cmd/pirclient and
+//     client. A Remote holds one connection and sends its requests in
+//     turn, with no RPC timeout, and once its stream broke it returns
+//     that first error from then on. pir.Dial with pins (what cmd/pirclient and
 //     cmd/pirload pass) says hello, so a PRF, depth, party or row-count
 //     mismatch fails at dial instead of reconstructing garbage.
 //   - internal/core wires the private on-device inference service (both

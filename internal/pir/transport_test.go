@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
 	"gpudpf/internal/shardnet"
@@ -238,6 +240,72 @@ func TestWireCost(t *testing.T) {
 		}
 		if want := 4 + 1 + 1 + 4 + 4 + 4*tc.n*tc.lanes; cc.down.Load() != int64(want) {
 			t.Errorf("%d×%d answer cost %d bytes, want %d", tc.n, tc.lanes, cc.down.Load(), want)
+		}
+	}
+}
+
+// acceptCounter counts the connections its listener accepts.
+type acceptCounter struct {
+	net.Listener
+	n atomic.Int32
+}
+
+func (l *acceptCounter) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.n.Add(1)
+	}
+	return conn, err
+}
+
+// TestRemoteHoldsOneConnection: concurrent calls on one Remote, pinned or
+// not, take turns on the one connection it dialed — a load harness's count
+// of Remotes is its count of connections — and each gets its own answers.
+func TestRemoteHoldsOneConnection(t *testing.T) {
+	tab := testTable(t, 64, 2)
+	s0, err := NewServer(0, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range [][]shardnet.Options{nil, {{PRG: "aes128", Early: dpf.DefaultEarlyBits, Rows: tab.NumRows}}} {
+		inner, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &acceptCounter{Listener: inner}
+		go Serve(l, s0)
+		e0, err := Dial(inner.Addr().String(), pin...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := testKeys(t, tab.NumRows, 3)
+		want, err := s0.Answer(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 16)
+		for range cap(errs) {
+			go func() {
+				got, err := e0.Answer(keys)
+				if err == nil {
+					for q := range want {
+						if !slices.Equal(got[q], want[q]) {
+							err = errors.New("answers diverge from the server's")
+						}
+					}
+				}
+				errs <- err
+			}()
+		}
+		for range cap(errs) {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+		e0.Close()
+		inner.Close()
+		if n := l.n.Load(); n != 1 {
+			t.Fatalf("pin %v: %d concurrent calls opened %d connections, want 1", pin, cap(errs), n)
 		}
 	}
 }

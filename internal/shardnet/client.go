@@ -33,9 +33,9 @@ type Options struct {
 	// Rows pins the table's row count (0 = any).
 	Rows int
 	// RPCTimeout bounds an RPC whose context carries no deadline of its
-	// own (0 = DefaultRPCTimeout, negative = unbounded): the backstop that
-	// keeps a caller without a deadline from wedging forever on a server
-	// that black-holes mid-RPC.
+	// own (0 = DefaultRPCTimeout for Dial and none for DialClient, negative
+	// = unbounded): the backstop that keeps a caller without a deadline
+	// from wedging forever on a server that black-holes mid-RPC.
 	RPCTimeout time.Duration
 	// Redial shapes the exponential backoff applied to fresh dials after a
 	// dial failure (zero-valued fields take backoff.Default); its jitter is
@@ -54,14 +54,16 @@ const DefaultRPCTimeout = 30 * time.Second
 // dialTimeout bounds each TCP connect plus hello.
 const dialTimeout = 10 * time.Second
 
-// Client is the one pooled client: each RPC runs lockstep on its own
-// connection, dialed when none is idle, so concurrent calls overlap.
+// Client is the one pooled client: each RPC runs lockstep on a connection
+// from its pool.
 //
 // Dial makes a node's client, an engine.Member configured by the welcome:
-// a transport error retires only its connection, and failed dials back
-// off. DialClient makes pir.Dial's: it says hello only when it pins, and
-// its first transport error is returned by every later call without
-// touching the network.
+// concurrent RPCs overlap, each on its own connection, dialed when none is
+// idle; a transport error retires only its connection, and failed dials
+// back off. DialClient makes pir.Dial's, a pool of one: its requests take
+// turns on one connection, so a caller's count of clients bounds its
+// connections; it says hello only when it pins, and its first transport
+// error is returned by every later call without touching the network.
 type Client struct {
 	addr    string
 	name    string // what errors start with
@@ -71,12 +73,13 @@ type Client struct {
 	maxResp int
 	timeout time.Duration
 	redial  backoff.Policy
-	sticky  bool // the first transport error ends the client
+	single  bool       // one connection, whose first transport error ends the client
+	turn    sync.Mutex // held by a single client's RPC in flight
 
 	mu     sync.Mutex
 	idle   []*poolConn
 	closed bool
-	err    error // a sticky client's first transport error
+	err    error // a single client's first transport error
 
 	// Redial backoff state, under its own lock so a backed-off dial check
 	// never contends with the pool's hot path.
@@ -100,15 +103,17 @@ func Dial(addr string, opts Options) (*Client, error) {
 }
 
 // DialClient connects to a server for the client ops, with a front's frame
-// caps; pin, if set, is checked by a hello on every connection.
+// caps, over one connection; pin, if set, is checked by its hello.
 func DialClient(addr string, pin *Options) (*Client, error) {
-	return dial(&Client{addr: addr, name: "pir", maxReq: MaxRequestBytes, maxResp: MaxResponseBytes, sticky: true}, pin)
+	return dial(&Client{addr: addr, name: "pir", maxReq: MaxRequestBytes, maxResp: MaxResponseBytes, single: true}, pin)
 }
 
 // dial takes opts' pins (nil: none, and no hello) and opens c's first
 // connection.
 func dial(c *Client, opts *Options) (*Client, error) {
-	c.timeout = DefaultRPCTimeout
+	if !c.single {
+		c.timeout = DefaultRPCTimeout
+	}
 	if opts != nil {
 		construction := dpf.ConstructionOf(opts.PRG)
 		if opts.PRG != "" && construction == 0 || opts.Early < 0 || opts.Early > dpf.MaxEarlyBits ||
@@ -216,7 +221,7 @@ func (c *Client) get() (*poolConn, error) {
 	c.bmu.Unlock()
 	pc, w, err := c.dialConn()
 	if err != nil {
-		if c.sticky {
+		if c.single {
 			return nil, c.fail(err)
 		}
 		c.bmu.Lock()
@@ -244,10 +249,10 @@ func (c *Client) get() (*poolConn, error) {
 	return pc, nil
 }
 
-// fail records a sticky client's first transport error and returns the
+// fail records a single client's first transport error and returns the
 // error later calls get.
 func (c *Client) fail(err error) error {
-	if !c.sticky {
+	if !c.single {
 		return err
 	}
 	c.mu.Lock()
@@ -295,6 +300,10 @@ func (c *Client) Close() error {
 func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: %w", c.name, err)
+	}
+	if c.single {
+		c.turn.Lock()
+		defer c.turn.Unlock()
 	}
 	pc, err := c.get()
 	if err != nil {

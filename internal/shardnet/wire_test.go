@@ -128,3 +128,30 @@ func TestMemberOpsNeedHello(t *testing.T) {
 		t.Fatalf("ping without a hello: %v, want the named refusal", err)
 	}
 }
+
+// TestDialClientHasNoRPCTimeout: pir.Dial's client, pinned or not, puts no
+// deadline on a request unless its pin sets one — a slow answer queued
+// behind a deep batcher is not a transport error that would end it — while
+// a node's client keeps DefaultRPCTimeout.
+func TestDialClientHasNoRPCTimeout(t *testing.T) {
+	tab := buildTable(t, 64, 2, 22)
+	_, addr := startNode(t, newReplica(t, tab, engine.Config{Party: 0}), ServerConfig{})
+	for _, tc := range []struct {
+		dial func() (*Client, error)
+		want time.Duration
+	}{
+		{func() (*Client, error) { return DialClient(addr, nil) }, 0},
+		{func() (*Client, error) { return DialClient(addr, &Options{PRG: "aes128", Rows: 64}) }, 0},
+		{func() (*Client, error) { return DialClient(addr, &Options{RPCTimeout: time.Second}) }, time.Second},
+		{func() (*Client, error) { return Dial(addr, Options{}) }, DefaultRPCTimeout},
+	} {
+		c, err := tc.dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if c.timeout != tc.want {
+			t.Errorf("single=%v pin=%v: RPC timeout %v, want %v", c.single, c.pin != nil, c.timeout, tc.want)
+		}
+	}
+}
