@@ -65,12 +65,12 @@ func cmdGen(args []string) {
 	if err != nil {
 		log.Fatalf("gpudpf gen: %v", err)
 	}
+	var raw []byte
 	for _, pair := range []struct {
 		path string
 		k    *dpf.Key
 	}{{*out0, &k0}, {*out1, &k1}} {
-		raw, err := pair.k.MarshalBinary()
-		if err != nil {
+		if raw, err = pair.k.MarshalBinary(); err != nil {
 			log.Fatalf("gpudpf gen: %v", err)
 		}
 		if err := os.WriteFile(pair.path, raw, 0o644); err != nil {
@@ -78,14 +78,7 @@ func cmdGen(args []string) {
 		}
 	}
 	fmt.Printf("wrote %s and %s (%d bytes each, wire v%d, domain 2^%d, prg %s)\n",
-		*out0, *out1, dpf.MarshaledSizeEarly(*bits, 1, *early), wireVer(*early), *bits, *prgName)
-}
-
-func wireVer(early int) int {
-	if early > 0 {
-		return 2
-	}
-	return 1
+		*out0, *out1, len(raw), dpf.WireVersion(raw), *bits, *prgName)
 }
 
 func cmdEval(args []string) {

@@ -19,10 +19,15 @@
 //     work ~4× per query. The wire format is versioned by the magic's low
 //     byte — v1 (0xDF01) is the legacy full-depth layout, v2 (0xDF02)
 //     adds an early-depth byte, carries bits-early correction words and a
-//     group-wide final correction — and both unmarshal and evaluate
-//     (golden fixtures per PRF pin both layouts in CI), though servers
-//     serve only v2: a replica configured for full-depth keys is refused
-//     by name. The PRG layer is
+//     group-wide final correction, and v3 (0xDF03) carries v2's key at
+//     BGI's λ+2 bits per level: a one-byte lane count and the two control
+//     bits of every level packed four levels to a byte after the seeds
+//     (266 bytes on a 2^16-row table, where v2 spent 279). All three
+//     unmarshal, evaluate and re-marshal to their own bytes (golden
+//     fixtures per PRF pin each layout in CI), and each parses only in
+//     its canonical form. Gen's keys marshal as v3, which servers serve:
+//     a v2 key is refused by name, and so is a full-depth one wherever
+//     the tree is deep enough to terminate early. The PRG layer is
 //     batched: every PRF implements ExpandBatch, and StepBothBatch /
 //     LeafValuesInto advance a whole tree frontier per call with zero
 //     steady-state allocations. aes128 is fixed-key AES: the MMO^σ hash
@@ -196,8 +201,9 @@
 //     pooled, so a steady-state Answer or AnswerRangeEpoch allocates
 //     nothing beyond the returned answer slices (AllocsPerRun tests). The replica
 //     pins one early-termination depth (Config.EarlyBits; default = what
-//     pir.NewClient emits) and rejects mismatched keys at validation with
-//     the configured PRF and the key's parsed wire version in the error.
+//     pir.NewClient emits) and one key wire format (v3), and rejects
+//     mismatched keys at validation with the configured PRF and the key's
+//     parsed wire version in the error.
 //     engine.Cluster, a Backend, splits one logical replica's row domain
 //     across N groups of Members — in-process replicas or remote nodes —
 //     fans each batch out concurrently and merges the per-shard partial
@@ -225,8 +231,11 @@
 //   - internal/frame is the one wire framing both ports speak: a uint32
 //     length refused over the port's cap before allocation, then a body
 //     led by an op byte (a response: op, status); plus the body pieces
-//     both protocols carry — key batches (marshaled dpf keys as-is),
-//     row-write batches, answer-matrix words, the op,status,msg error.
+//     both protocols carry — key batches (a count, one width, and the
+//     marshaled dpf keys back to back: a batch's keys share one format,
+//     so one width; a mixed-width batch has no encoding and is refused by
+//     name), row-write batches, answer-matrix words, the op,status,msg
+//     error.
 //   - internal/shardnet is the one wire protocol: one connection loop
 //     (Server) and one pooled client (Client), in internal/frame frames,
 //     over one op space. The client ops — answer, update-batch, stats —
@@ -234,7 +243,8 @@
 //     shape, counters, the epoch handshake, ping, snapshot streaming —
 //     only after one, on a node over an engine.Member (NewServer). The
 //     hello is a fixed binary frame (no gob on the wire) pinning the
-//     protocol version, the PRF by name and by construction ID (a dpf
+//     protocol version (5: the one-width key batch and key wire v3), the
+//     PRF by name and by construction ID (a dpf
 //     constant per PRF, so a new function under an old name is refused),
 //     the early-termination depth, the party and the row count — a
 //     refusal names both sides' values — and the welcome states the
@@ -258,7 +268,7 @@
 //     batch retrieval scheme of §4.1 (bins answered concurrently).
 //     pir.Serve and pir.Dial are shardnet's front face: its client ops,
 //     so the communication the paper counts is exact — n keys of k bytes
-//     cost 9+n·(4+k) bytes up, an n × lanes answer 14+4·n·lanes down.
+//     cost 13+n·k bytes up, an n × lanes answer 14+4·n·lanes down.
 //     Requests are capped at 8 MiB and 4096 keys, responses at 64 MiB; a
 //     shed request is serving.ErrOverloaded under errors.Is on the
 //     client. A Remote holds one connection and sends its requests in

@@ -102,8 +102,12 @@ type Key struct {
 	// Early is the early-termination depth (§3.1): the tree walk stops
 	// Early levels above the leaves, and each terminal seed converts into
 	// the outputs of 2^Early consecutive leaves. 0 is the legacy full-depth
-	// walk (wire format v1); Early > 0 keys marshal as wire format v2.
+	// walk (wire format v1); Early > 0 keys marshal as wire format v3.
 	Early int
+	// Wire is the wire format version MarshalBinary emits. 0 picks the
+	// served one (v1 at full depth, v3 early-terminated); UnmarshalBinary
+	// records the version it parsed, so a key re-marshals to its own bytes.
+	Wire int
 	// Party is 0 or 1; party 1 negates its outputs so shares are additive.
 	Party uint8
 	// Root is this party's root seed.

@@ -13,8 +13,8 @@ import (
 //
 //	go test ./internal/dpf -run TestGoldenWireFormat -update-golden
 //
-// The fixtures are checked in so CI catches wire-format breaks (a v1 or v2
-// layout change, a PRF implementation drift — including asm vs purego —
+// The fixtures are checked in so CI catches wire-format breaks (a v1, v2
+// or v3 layout change, a PRF implementation drift — including asm vs purego —
 // or an evaluation regression) before a deployed client does.
 var updateGolden = flag.Bool("update-golden", false, "regenerate the golden key fixtures")
 
@@ -34,10 +34,13 @@ type goldenKey struct {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_keys.json") }
 
-// generateGolden deterministically builds one v1 and one v2 fixture per
-// PRF. The rng stream is fixed, and every PRF is deterministic, so the
-// resulting bytes are identical on every platform — which is exactly what
-// makes them a cross-build honesty check for the asm and purego AES paths.
+// generateGolden deterministically builds one v1, one v2 and one v3
+// fixture per PRF; the v2 and v3 fixtures are the same early-terminated
+// key pair in both layouts, so v3 costs the rng stream nothing and the v1
+// and v2 bytes stay as they were before v3 existed. The rng stream is
+// fixed, and every PRF is deterministic, so the resulting bytes are
+// identical on every platform — which is exactly what makes them a
+// cross-build honesty check for the asm and purego AES paths.
 func generateGolden(t *testing.T) []goldenKey {
 	t.Helper()
 	rng := testRand(20260728)
@@ -55,30 +58,37 @@ func generateGolden(t *testing.T) []goldenKey {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw0, err := k0.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+			versions := []int{1}
+			if early > 0 {
+				versions = []int{2, 3}
 			}
-			raw1, err := k1.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+			for _, v := range versions {
+				k0.Wire, k1.Wire = v, v
+				raw0, err := k0.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw1, err := k1.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, goldenKey{
+					PRG:     name,
+					Version: WireVersion(raw0),
+					Bits:    bits,
+					Early:   early,
+					Alpha:   alpha,
+					Beta:    beta,
+					Key0:    hex.EncodeToString(raw0),
+					Key1:    hex.EncodeToString(raw1),
+				})
 			}
-			out = append(out, goldenKey{
-				PRG:     name,
-				Version: WireVersion(raw0),
-				Bits:    bits,
-				Early:   early,
-				Alpha:   alpha,
-				Beta:    beta,
-				Key0:    hex.EncodeToString(raw0),
-				Key1:    hex.EncodeToString(raw1),
-			})
 		}
 	}
 	return out
 }
 
-// TestGoldenWireFormat pins both wire formats and every PRF's evaluation
+// TestGoldenWireFormat pins the three wire formats and every PRF's evaluation
 // to checked-in bytes: each fixture must carry its declared version,
 // unmarshal, re-marshal byte-identically, and reconstruct its exact point
 // function. A failure here means deployed clients' keys would break.
@@ -106,8 +116,8 @@ func TestGoldenWireFormat(t *testing.T) {
 	if err := json.Unmarshal(raw, &fixtures); err != nil {
 		t.Fatal(err)
 	}
-	if want := 2 * len(AllPRGNames()); len(fixtures) != want {
-		t.Fatalf("%d fixtures, want %d (v1+v2 per PRF)", len(fixtures), want)
+	if want := 3 * len(AllPRGNames()); len(fixtures) != want {
+		t.Fatalf("%d fixtures, want %d (v1+v2+v3 per PRF)", len(fixtures), want)
 	}
 
 	// The checked-in bytes must also be exactly what today's Gen produces

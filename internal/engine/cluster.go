@@ -877,10 +877,10 @@ func (c *Cluster) requireAllShards(ms []clusterMember) error {
 }
 
 // ValidateKey implements KeyValidator: the key must unmarshal, carry the
-// cluster's party, be scalar, and match the domain's tree depth and the
-// members' early-termination depth — the same checks Replica.ValidateKey
-// runs, performed at the cluster front so a bad key fails its own request
-// before any network fan-out.
+// cluster's party, be scalar, match the domain's tree depth and the
+// members' early-termination depth, and be in the served key wire format —
+// the same checks Replica.ValidateKey runs, performed at the cluster front
+// so a bad key fails its own request before any network fan-out.
 func (c *Cluster) ValidateKey(raw []byte) error {
 	prefix := func() string {
 		return fmt.Sprintf("engine cluster (prg=%s, key wire v%d)", c.prgName, dpf.WireVersion(raw))

@@ -38,7 +38,8 @@ type Config struct {
 	// carry, shared with clients like the PRF. 0 means the dpf default for
 	// the table's tree depth (DefaultEarlyBits, clamped — what
 	// pir.NewClient emits). Legacy full-depth wire-v1 keys are not served:
-	// a negative value is refused. The tile loop needs depth-uniform
+	// a negative value is refused. Nor are wire-v2 keys: a replica serves
+	// key wire v3 (dpf.ServedWire) only. The tile loop needs depth-uniform
 	// batches, so the replica pins one depth and rejects mismatched keys
 	// loudly at validation instead of failing co-batched requests
 	// downstream.
@@ -181,8 +182,8 @@ func (r *Replica) Counters() gpu.Stats { return r.ctr.Snapshot() }
 // keyErrPrefix tags a key-validation error with the replica's configured
 // PRF and the parsed wire version of the offending key — the two facts a
 // failing client needs first: the wire format carries no PRF identifier,
-// and a v1/v2 mismatch (a legacy client against an early-termination
-// replica, or vice versa) is otherwise indistinguishable from corruption.
+// and a key from an older client (a full-depth v1 key, or a v2 key of the
+// served depth) is otherwise indistinguishable from corruption.
 func (r *Replica) keyErrPrefix(raw []byte) string {
 	return fmt.Sprintf("engine (prg=%s, key wire v%d)", r.prg.Name(), dpf.WireVersion(raw))
 }
@@ -207,6 +208,11 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching -early",
 			k.Early, early)
 	}
+	// A tree too shallow for early termination walks full depth, in v1;
+	// every other served key is v3.
+	if k.Early > 0 && k.Wire != dpf.ServedWire {
+		return fmt.Errorf("this backend serves key wire v%d only — generate keys with a current client", dpf.ServedWire)
+	}
 	return nil
 }
 
@@ -221,12 +227,13 @@ func (r *Replica) validateKey(raw []byte, k *dpf.Key) error {
 
 // ValidateKey checks a marshaled key against the replica without
 // evaluating it: it must unmarshal, carry this replica's party, be scalar,
-// and match the table's tree depth and the replica's early-termination
-// depth. Front doors that coalesce many clients' keys into one batch
-// (serving.Batcher) use it to reject a bad key at its own request instead
-// of failing every co-batched request — the depth check also keeps batches
-// depth-uniform, which the strategies' tiled walkers require. Errors name
-// the replica's PRF and the key's parsed wire version.
+// match the table's tree depth and the replica's early-termination depth,
+// and be in the served key wire format. Front doors that coalesce many
+// clients' keys into one batch (serving.Batcher) use it to reject a bad key
+// at its own request instead of failing every co-batched request — the
+// depth check also keeps batches depth-uniform, which the strategies'
+// tiled walkers require. Errors name the replica's PRF and the key's
+// parsed wire version.
 func (r *Replica) ValidateKey(raw []byte) error {
 	var k dpf.Key
 	if err := k.UnmarshalBinary(raw); err != nil {

@@ -286,10 +286,10 @@ func TestEarlyDepthValidation(t *testing.T) {
 	if got, want := def.EarlyBits(), dpf.DefaultEarlyBits; got != want {
 		t.Fatalf("default EarlyBits = %d, want %d", got, want)
 	}
-	v2Keys, _ := genKeys(t, tab, []uint64{5}, 31)
+	defKeys, _ := genKeys(t, tab, []uint64{5}, 31)
 	v1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 0, 32)
 
-	if err := def.ValidateKey(v2Keys[0]); err != nil {
+	if err := def.ValidateKey(defKeys[0]); err != nil {
 		t.Errorf("default replica rejected default key: %v", err)
 	}
 	err = def.ValidateKey(v1Keys[0])
@@ -298,7 +298,7 @@ func TestEarlyDepthValidation(t *testing.T) {
 	}
 	for _, want := range []string{"prg=aes128", "wire v1", "depth 0", "depth 2"} {
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("v1-against-v2 error %q missing %q", err, want)
+			t.Errorf("v1-against-default error %q missing %q", err, want)
 		}
 	}
 	if _, err := def.Answer(context.Background(), v1Keys); err == nil {
@@ -314,7 +314,7 @@ func TestEarlyDepthValidation(t *testing.T) {
 	if err := shallow.ValidateKey(v1Keys[0]); err == nil || !strings.Contains(err.Error(), "wire v1") {
 		t.Errorf("depth-1 replica on a full-depth key: %v", err)
 	}
-	err = shallow.ValidateKey(v2Keys[0])
+	err = shallow.ValidateKey(defKeys[0])
 	if err == nil {
 		t.Fatal("depth-1 replica accepted a depth-2 key")
 	}
@@ -335,13 +335,13 @@ func TestEarlyDepthValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1Party0, d1Party1 := genKeysEarly(t, tab, []uint64{5}, 1, 32)
-	_, v2Party1 := genKeys(t, tab, []uint64{5}, 31)
+	_, defParty1 := genKeys(t, tab, []uint64{5}, 31)
 	ctx := context.Background()
-	a0v2, err := def.Answer(ctx, v2Keys)
+	a0def, err := def.Answer(ctx, defKeys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1v2, err := def1.Answer(ctx, v2Party1)
+	a1def, err := def1.Answer(ctx, defParty1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestEarlyDepthValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tab.Row(5)[0]
-	if got := a0v2[0][0] + a1v2[0][0]; got != want {
+	if got := a0def[0][0] + a1def[0][0]; got != want {
 		t.Errorf("depth-2 reconstruction = %d, want %d", got, want)
 	}
 	if got := a0d1[0][0] + a1d1[0][0]; got != want {
@@ -367,6 +367,59 @@ func TestEarlyDepthValidation(t *testing.T) {
 	}
 	if _, err := NewReplica(tab, Config{Party: 0, EarlyBits: dpf.MaxEarlyBits + 1}); err == nil {
 		t.Error("out-of-range EarlyBits accepted")
+	}
+}
+
+// TestKeyWireV2Refused: replicas and clusters serve key wire v3 only. A
+// v2 key of the served depth — the same key a v3 one carries — is refused
+// by ValidateKey and Answer with both wire versions named, and its v3
+// encoding is answered.
+func TestKeyWireV2Refused(t *testing.T) {
+	tab := buildTable(t, 64, 1, 33)
+	rep, err := NewReplica(tab, Config{Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := NewCluster(ClusterShard{Backend: rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 5, tab.Bits(), []uint32{1}, rand.New(rand.NewSource(34)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0.Wire = 2
+	v2, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, answerErr := rep.Answer(ctx, [][]byte{v2})
+	_, clusterErr := cluster.Answer(ctx, [][]byte{v2})
+	for name, err := range map[string]error{
+		"replica ValidateKey": rep.ValidateKey(v2),
+		"replica Answer":      answerErr,
+		"cluster ValidateKey": cluster.ValidateKey(v2),
+		"cluster Answer":      clusterErr,
+	} {
+		if err == nil {
+			t.Fatalf("%s accepted a wire-v2 key", name)
+		}
+		for _, want := range []string{"key wire v2", "serves key wire v3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: %q does not name %q", name, err, want)
+			}
+		}
+	}
+	if _, err := rep.Answer(ctx, [][]byte{v3}); err != nil {
+		t.Fatalf("the same key in wire v3: %v", err)
+	}
+	if err := cluster.ValidateKey(v3); err != nil {
+		t.Fatalf("cluster on the same key in wire v3: %v", err)
 	}
 }
 

@@ -141,44 +141,73 @@ func (r *Reader) Take(n int) []byte {
 	return v
 }
 
-// AppendKeys encodes a key batch: count, then length-prefixed key bytes.
-func AppendKeys(dst []byte, keys [][]byte) []byte {
+// ErrMixedWidth is the named refusal of a key batch whose keys are not all
+// one length: a batch is one count, one width and count×width key bytes.
+var ErrMixedWidth = errors.New("frame: mixed-width key batch")
+
+// AppendKeys encodes a key batch: count, width, then the keys back to back.
+// A batch with no keys, an empty key or keys of different widths cannot be
+// framed; AppendKeys returns an error for it and writes nothing.
+func AppendKeys(dst []byte, keys [][]byte) ([]byte, error) {
+	if len(keys) == 0 {
+		return dst, errors.New("frame: key batch carries no keys")
+	}
+	width := len(keys[0])
+	if width == 0 {
+		return dst, errors.New("frame: zero-width keys")
+	}
+	for i, k := range keys {
+		if len(k) != width {
+			return dst, fmt.Errorf("%w: key %d is %d bytes, key 0 is %d", ErrMixedWidth, i, len(k), width)
+		}
+	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(width))
 	for _, k := range keys {
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k)))
 		dst = append(dst, k...)
 	}
-	return dst
+	return dst, nil
 }
 
-// ParseKeys decodes a key batch, with every declared count checked against
-// the bytes actually present — and the caller's batch cap — BEFORE
-// anything is allocated for it: a hostile frame of millions of zero-length
-// keys must not buy a slice-header allocation bomb. The keys alias the
-// frame body; the caller must finish with them before reusing its buffer.
+// ParseKeys decodes a key batch that runs to the end of the body, with the
+// declared count and width checked against the caller's batch cap and the
+// bytes actually present BEFORE anything is allocated for them: a hostile
+// frame declaring millions of keys must not buy a slice-header allocation
+// bomb. The keys alias the frame body; the caller must finish with them
+// before reusing its buffer.
 func ParseKeys(r *Reader, maxKeys int) ([][]byte, error) {
 	count := r.U32()
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated key count", ErrProtocol)
 	}
-	// Each key costs at least its 4-byte length prefix, so a count beyond
-	// remaining/4 is a lie regardless of content. Compare in uint64 so the
-	// check cannot be dodged by a count that overflows int on 32-bit
-	// platforms.
-	if uint64(count) > uint64(r.Remaining()/4)+1 {
+	// Compare in uint64 throughout, so no check can be dodged by a count
+	// or width that overflows int on 32-bit platforms. Every key costs at
+	// least a byte, so a count beyond the remaining bytes is a lie
+	// whatever the width says.
+	switch {
+	case count == 0:
+		return nil, fmt.Errorf("%w: key batch carries no keys", ErrProtocol)
+	case uint64(count) > uint64(r.Remaining()):
 		return nil, fmt.Errorf("%w: %d keys declared in a %d-byte frame", ErrProtocol, count, len(r.b))
-	}
-	if uint64(count) > uint64(maxKeys) {
+	case uint64(count) > uint64(maxKeys):
 		return nil, fmt.Errorf("%w: batch of %d keys exceeds the %d-key cap", ErrProtocol, count, maxKeys)
 	}
-	n := int(count)
-	keys := make([][]byte, n)
+	width := r.U32()
+	if r.bad {
+		return nil, fmt.Errorf("%w: truncated key width", ErrProtocol)
+	}
+	if width == 0 {
+		return nil, fmt.Errorf("%w: zero-width keys", ErrProtocol)
+	}
+	switch total, have := uint64(count)*uint64(width), uint64(r.Remaining()); {
+	case total > have:
+		return nil, fmt.Errorf("%w: truncated key batch: %d keys of %d bytes in %d bytes, or a mixed-width batch", ErrProtocol, count, width, have)
+	case total < have:
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d keys of %d bytes, or a mixed-width batch", ErrProtocol, have-total, count, width)
+	}
+	keys := make([][]byte, count)
 	for i := range keys {
-		kl := int(r.U32())
-		keys[i] = r.Take(kl)
-		if r.bad {
-			return nil, fmt.Errorf("%w: truncated key %d", ErrProtocol, i)
-		}
+		keys[i] = r.Take(int(width))
 	}
 	return keys, nil
 }

@@ -22,7 +22,7 @@ type Client struct {
 // NewClient builds a client for a table with the given row count, using the
 // named PRF (which must match the servers'). rng may be nil to use
 // crypto/rand. Keys use the default early-termination depth (wire format
-// v2, 2 levels for 4 lanes/leaf); use NewClientEarly to interoperate with
+// v3, 2 levels for 4 lanes/leaf); use NewClientEarly to interoperate with
 // servers configured for a different depth.
 func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {
 	return NewClientEarly(prgName, rows, dpf.DefaultEarlyBits, rng)

@@ -37,7 +37,9 @@ func wordsResponse(op byte, words ...uint64) []byte {
 // the request's op or refuse the frame, and still answer an honest client
 // correctly afterwards; a Remote must fail, or accept only a response that
 // re-encodes to itself (the codec is canonical) in the shape it asked for.
-// Seeded with real frames of the three client ops.
+// Seeded with real frames of the three client ops, and with answer requests
+// whose key batch lies: count×width short of and past the bytes present,
+// width 0, a width past the frame cap, a count past MaxRequestKeys.
 func FuzzClientFrames(f *testing.F) {
 	tab, err := NewTable(64, 3)
 	if err != nil {
@@ -105,6 +107,12 @@ func FuzzClientFrames(f *testing.F) {
 	f.Add(frame.AppendErr(nil, frame.OpErr, frame.StatusErr, ErrRequestTooLarge.Error()), 1)
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff}, 1)
 	f.Add([]byte{0x01, frame.StatusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 1)
+	short := answerRequest(keys)
+	f.Add(short[:len(short)-1], 3)
+	f.Add(append(answerRequest(keys), 0), 3)
+	f.Add(binary.LittleEndian.AppendUint32(short[:5:5], 0), 1)
+	f.Add(append(binary.LittleEndian.AppendUint32(short[:5:5], 1<<31), keys[0]...), 1)
+	f.Add(answerRequest(byteKeys(MaxRequestKeys+1)), 1)
 	f.Fuzz(func(t *testing.T, body []byte, wantKeys int) {
 		conn, err := net.Dial("tcp", front)
 		if err != nil {

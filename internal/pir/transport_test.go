@@ -20,8 +20,28 @@ import (
 	"gpudpf/internal/shardnet"
 )
 
-// Client-op request bodies, built by hand: the codec lives in shardnet.
-func answerRequest(keys [][]byte) []byte { return frame.AppendKeys([]byte{0x01}, keys) }
+// Client-op request bodies, built by hand: the codec lives in shardnet. An
+// answer's key batch is count, width and the keys back to back;
+// answerRequest takes the width from the first key and checks nothing, so
+// it also builds the batches a server must refuse.
+func answerRequest(keys [][]byte) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte{0x01}, uint32(len(keys)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(keys[0])))
+	for _, k := range keys {
+		b = append(b, k...)
+	}
+	return b
+}
+
+// byteKeys is n one-byte keys: the smallest batch the framing carries, for
+// tests that need a count and not a key.
+func byteKeys(n int) [][]byte {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte{1}
+	}
+	return keys
+}
 
 func updateRequest(writes []engine.RowWrite) []byte { return frame.AppendWrites([]byte{0x06}, writes) }
 
@@ -203,8 +223,9 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // TestWireCost pins the communication the paper counts per query: a request
-// of n keys of length k costs exactly 4+1+4+n·(4+k) bytes, and its n × lanes
-// answer the fixed 4+1+1+4+4 header plus 4·n·lanes.
+// of n keys of length k costs exactly 13+n·k bytes (frame length, op, key
+// count, key width, keys), and its n × lanes answer the fixed 4+1+1+4+4
+// header plus 4·n·lanes.
 func TestWireCost(t *testing.T) {
 	for _, tc := range []struct{ rows, lanes, n int }{
 		{64, 2, 1},
@@ -235,12 +256,51 @@ func TestWireCost(t *testing.T) {
 		}
 		e0.Close()
 		inner.Close()
-		if want := 4 + 1 + 4 + tc.n*(4+k); cc.up.Load() != int64(want) {
+		if want := 13 + tc.n*k; cc.up.Load() != int64(want) {
 			t.Errorf("%d keys of %d bytes: request cost %d bytes, want %d", tc.n, k, cc.up.Load(), want)
 		}
 		if want := 4 + 1 + 1 + 4 + 4 + 4*tc.n*tc.lanes; cc.down.Load() != int64(want) {
 			t.Errorf("%d×%d answer cost %d bytes, want %d", tc.n, tc.lanes, cc.down.Load(), want)
 		}
+	}
+}
+
+// TestServeRefusesKeyWireV2: a Serve front serves key wire v3 only. A
+// single-key request — whose bytes are the same in the protocol-4 and the
+// protocol-5 key-batch framing, so an old client's request parses — carrying
+// a v2 key is refused with both wire versions named, and the same key in
+// v3 is answered on the same connection.
+func TestServeRefusesKeyWireV2(t *testing.T) {
+	tab := testTable(t, 64, 2)
+	e0, err := Dial(startServer(t, tab))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e0.Close()
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 9, dpf.DomainBits(tab.NumRows), []uint32{1}, rand.New(rand.NewSource(35)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0.Wire = 2
+	v2, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e0.Answer([][]byte{v2})
+	if err == nil {
+		t.Fatal("a wire-v2 key was answered")
+	}
+	for _, want := range []string{"pir: server:", "key wire v2", "serves key wire v3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+	}
+	if _, err := e0.Answer([][]byte{v3}); err != nil {
+		t.Fatalf("the same key in wire v3: %v", err)
 	}
 }
 
@@ -316,7 +376,8 @@ func TestRemoteHoldsOneConnection(t *testing.T) {
 func TestMalformedRequests(t *testing.T) {
 	tab := testTable(t, 64, 2)
 	addr := startServer(t, tab)
-	answer := answerRequest(testKeys(t, tab.NumRows, 2))
+	keys := testKeys(t, tab.NumRows, 2)
+	answer := answerRequest(keys)
 	update := updateRequest([]engine.RowWrite{{Row: 3, Vals: []uint32{1, 2}}})
 	for _, tc := range []struct {
 		name string
@@ -329,7 +390,12 @@ func TestMalformedRequests(t *testing.T) {
 		{"answer truncated key", answer[:len(answer)-1], "truncated key"},
 		{"answer truncated count", answer[:3], "truncated key count"},
 		{"answer count beyond the frame", binary.LittleEndian.AppendUint32([]byte{0x01}, 1<<30), "keys declared"},
-		{"answer count over the cap", answerRequest(make([][]byte, MaxRequestKeys+1)), "key cap"},
+		{"answer count over the cap", answerRequest(byteKeys(MaxRequestKeys + 1)), "key cap"},
+		{"answer count zero", binary.LittleEndian.AppendUint32([]byte{0x01}, 0), "no keys"},
+		{"answer width zero", answerRequest([][]byte{{}}), "zero-width"},
+		{"answer truncated width", answer[:7], "truncated key width"},
+		{"answer mixed widths", answerRequest([][]byte{keys[0], keys[1][1:]}), "mixed-width"},
+		{"answer width over the frame", binary.LittleEndian.AppendUint32(answer[:5:5], 1<<31), "truncated key"},
 		{"update trailing bytes", append(bytes.Clone(update), 0), "trailing bytes"},
 		{"update truncated values", update[:len(update)-1], "lanes"},
 		{"update truncated count", update[:2], "truncated write count"},
@@ -524,10 +590,10 @@ func TestServeNamesOversizedResponse(t *testing.T) {
 	}
 	defer e0.Close()
 	over := MaxResponseBytes/(4*len(row)) + 1
-	if _, err := e0.Answer(make([][]byte, over)); err == nil || !strings.Contains(err.Error(), "frame cap; narrow the batch") {
+	if _, err := e0.Answer(byteKeys(over)); err == nil || !strings.Contains(err.Error(), "frame cap; narrow the batch") {
 		t.Fatalf("%d×%d answer: %v, want the response cap named", over, len(row), err)
 	}
-	if answers, err := e0.Answer(make([][]byte, 2)); err != nil || len(answers) != 2 {
+	if answers, err := e0.Answer(byteKeys(2)); err != nil || len(answers) != 2 {
 		t.Fatalf("connection unusable after an oversized response: %v", err)
 	}
 }

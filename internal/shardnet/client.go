@@ -161,7 +161,7 @@ func (c *Client) dialConn() (*poolConn, hello, error) {
 // welcome — peer-controlled input like any other — that does not match the
 // pin or states a nonsense table.
 func (c *Client) hello(pc *poolConn) (hello, error) {
-	pc.buf = appendRequest(frame.Begin(pc.buf), &request{op: opHello, hello: *c.pin})
+	pc.buf, _ = appendRequest(frame.Begin(pc.buf), &request{op: opHello, hello: *c.pin}) // a hello always encodes
 	if err := frame.Write(pc.conn, pc.buf, c.maxReq); err != nil {
 		return hello{}, fmt.Errorf("hello: %w", err)
 	}
@@ -317,6 +317,10 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 			pc.conn.Close()
 		}
 	}()
+	if pc.buf, err = appendRequest(frame.Begin(pc.buf), req); err != nil {
+		healthy = true // nothing was sent
+		return fmt.Errorf("%s: %w", c.name, err)
+	}
 	// A ctx deadline is the RPC's, plus a grace: the AfterFunc below slams
 	// the connection the instant ctx ends, so the net-layer timeout never
 	// races ahead of ctx.Err(). Without one, the RPC timeout is the
@@ -340,7 +344,6 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 		}
 		return c.fail(fmt.Errorf("%s: %s: %w", c.name, stage, err))
 	}
-	pc.buf = appendRequest(frame.Begin(pc.buf), req)
 	if err := frame.Write(pc.conn, pc.buf, c.maxReq); errors.Is(err, ErrFrameTooLarge) {
 		healthy = stop() // refused before a byte was sent
 		return fmt.Errorf("%s: %w: %w", c.name, ErrRequestTooLarge, err)

@@ -36,15 +36,22 @@ type request struct {
 	hello  hello             // hello
 }
 
-// appendRequest encodes req as a frame body.
-func appendRequest(dst []byte, req *request) []byte {
+// appendRequest encodes req as a frame body. A key batch that cannot be
+// framed — no keys, empty keys, keys of mixed widths — is an error, and
+// dst comes back as it was.
+func appendRequest(dst []byte, req *request) ([]byte, error) {
+	start := len(dst)
 	dst = append(dst, req.op)
 	switch req.op {
-	case opAnswer:
-		dst = frame.AppendKeys(dst, req.keys)
-	case opAnswerRange:
-		dst = le.AppendUint64(le.AppendUint64(dst, req.lo), req.hi)
-		dst = frame.AppendKeys(dst, req.keys)
+	case opAnswer, opAnswerRange:
+		if req.op == opAnswerRange {
+			dst = le.AppendUint64(le.AppendUint64(dst, req.lo), req.hi)
+		}
+		out, err := frame.AppendKeys(dst, req.keys)
+		if err != nil {
+			return dst[:start], err
+		}
+		return out, nil
 	case opUpdateBatch:
 		dst = frame.AppendWrites(dst, req.writes)
 	case opPrepare:
@@ -57,7 +64,7 @@ func appendRequest(dst []byte, req *request) []byte {
 	case opHello:
 		dst = appendHello(dst, &req.hello)
 	}
-	return dst
+	return dst, nil
 }
 
 // parseRequest decodes one request frame body, refusing key batches over

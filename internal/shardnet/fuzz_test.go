@@ -26,12 +26,14 @@ var helloBounds = []hello{
 // FuzzParseRequest throws arbitrary frame bodies at the one request parser
 // every server connection feeds: it must never panic and never accept a
 // body that does not re-encode to itself (the codec is canonical). Every
-// op of both sets is seeded, the hello included.
+// op of both sets is seeded, the hello included, and so are key batches
+// whose count and width lie: count×width short of and past the bytes
+// present, width 0, a width past the frame cap, a count past the key cap.
 func FuzzParseRequest(f *testing.F) {
 	key := bytes.Repeat([]byte{0xab}, 37)
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2, 3}}, {Row: 9, Vals: []uint32{4}}}
 	for _, req := range []*request{
-		{op: opAnswer, keys: [][]byte{key, key[:5]}},
+		{op: opAnswer, keys: [][]byte{key, key}},
 		{op: opAnswerRange, keys: [][]byte{key}, lo: 3, hi: 999},
 		{op: opShape},
 		{op: opCounters},
@@ -47,22 +49,50 @@ func FuzzParseRequest(f *testing.F) {
 		{op: opHello, hello: helloBounds[0]},
 		{op: opHello, hello: helloBounds[1]},
 	} {
-		f.Add(appendRequest(nil, req))
+		f.Add(encode(f, nil, req))
 	}
 	f.Add([]byte{opAnswer, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opUpdateBatch, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{opSnapChunk, 0xff, 0xff, 0xff})
 	f.Add([]byte{opHello, 4, 0, 0})
 	f.Add(retiredUpdateRequest)
+	for _, b := range keyBatchLies(key) {
+		f.Add(append([]byte{opAnswer}, b...))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := parseRequest(body, DefaultMaxBatch)
 		if err != nil {
 			return
 		}
-		if got := appendRequest(nil, req); !bytes.Equal(got, body) {
-			t.Fatalf("accepted request does not re-encode canonically:\n in  %x\n out %x", body, got)
+		if got, err := appendRequest(nil, req); err != nil || !bytes.Equal(got, body) {
+			t.Fatalf("accepted request does not re-encode canonically (%v):\n in  %x\n out %x", err, body, got)
 		}
 	})
+}
+
+// keyBatchLies are key batches (count, width, key bytes) that a parser must
+// refuse, built around key: count×width one byte past and one byte short of
+// the bytes present, width 0, a width past any frame cap, a count past
+// DefaultMaxBatch, a count of 0, and the pre-version-5 framing of two keys
+// of different widths.
+func keyBatchLies(key []byte) [][]byte {
+	batch := func(count, width uint32, body ...[]byte) []byte {
+		b := le.AppendUint32(le.AppendUint32(nil, count), width)
+		for _, p := range body {
+			b = append(b, p...)
+		}
+		return b
+	}
+	w := uint32(len(key))
+	return [][]byte{
+		batch(2, w, key, key[1:]),
+		batch(2, w, key, key, key[:1]),
+		batch(1, 0),
+		batch(1, 1<<31, key),
+		batch(DefaultMaxBatch+1, 1, make([]byte, DefaultMaxBatch+1)),
+		batch(0, w),
+		append(le.AppendUint32(batch(2, w, key), 5), key[:5]...),
+	}
 }
 
 // responseWords is the payload width, in words, of the fixed-width
@@ -214,7 +244,7 @@ func FuzzSnapshotFrames(f *testing.F) {
 // may panic, and an accepted hello or welcome must re-encode to itself.
 func FuzzHandshake(f *testing.F) {
 	for _, h := range helloBounds {
-		f.Add(appendRequest(nil, &request{op: opHello, hello: h}))
+		f.Add(encode(f, nil, &request{op: opHello, hello: h}))
 		f.Add(appendWelcome(nil, &h))
 	}
 	f.Add(frame.AppendErr(nil, opHello, frame.StatusErr, "shardnet: hello refused: client keys use prg=aes128, this server serves prg=chacha20"))
@@ -222,7 +252,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add([]byte{opHello, 0xff, 0xfe, 0xfd, 0xfc})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if req, err := parseRequest(body, DefaultMaxBatch); err == nil && req.op == opHello {
-			if got := appendRequest(nil, req); !bytes.Equal(got, body) {
+			if got := encode(t, nil, req); !bytes.Equal(got, body) {
 				t.Fatalf("accepted hello does not re-encode:\n in  %x\n out %x", body, got)
 			}
 		}

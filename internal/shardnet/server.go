@@ -411,8 +411,6 @@ func (s *Server) dispatch(ctx context.Context, req *request, dst []byte) []byte 
 	case opAnswer:
 		var answers [][]uint32
 		switch {
-		case len(req.keys) == 0:
-			err = errors.New("shardnet: answer request carries no keys")
 		case s.member == nil:
 			answers, err = s.front.Answer(req.keys)
 		case lo != 0 || hi != s.self.Rows:

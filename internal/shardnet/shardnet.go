@@ -32,7 +32,9 @@
 // The welcome also states the server's lane count, the rows it
 // authoritatively holds (engine.NewCluster checks each shard's assignment
 // against them) and its table epoch. Marshaled DPF keys travel inside
-// frames as-is: the dpf wire format is already versioned and validated.
+// frames as-is, as one batch of one width (internal/frame): the dpf wire
+// format is already versioned and validated, and a served batch is one
+// format at one depth, so its keys are one length.
 package shardnet
 
 import (
@@ -46,8 +48,10 @@ import (
 
 // ProtocolVersion is the wire version this build speaks; a hello naming
 // any other is refused with both named. Version 4 replaced the gob
-// handshake with the binary hello and took in the client ops.
-const ProtocolVersion = 4
+// handshake with the binary hello and took in the client ops; version 5
+// frames a key batch as one count and one width, and serves dpf key wire
+// v3 only.
+const ProtocolVersion = 5
 
 // Frame and batch caps, each checked before anything is allocated for
 // what a peer declared.

@@ -73,11 +73,21 @@ func startNode(t testing.TB, be engine.Member, cfg ServerConfig) (*Server, strin
 	return srv, l.Addr().String()
 }
 
+// encode is appendRequest for a request the test knows is well formed.
+func encode(t testing.TB, dst []byte, req *request) []byte {
+	t.Helper()
+	out, err := appendRequest(dst, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // rawHello says hello on a bare connection and returns the welcome, or the
 // server's refusal as an error.
 func rawHello(t testing.TB, conn net.Conn, h hello) (hello, error) {
 	t.Helper()
-	if err := frame.Write(conn, appendRequest(frame.Begin(nil), &request{op: opHello, hello: h}), DefaultMaxFrame); err != nil {
+	if err := frame.Write(conn, encode(t, frame.Begin(nil), &request{op: opHello, hello: h}), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	var buf []byte
@@ -788,10 +798,10 @@ func TestOneWritePerFrame(t *testing.T) {
 
 	req := &request{op: opAnswerRange, keys: k0s, lo: 0, hi: 64}
 	var wire bytes.Buffer
-	if err := frame.Write(&wire, appendRequest(frame.Begin(nil), req), DefaultMaxFrame); err != nil {
+	if err := frame.Write(&wire, encode(t, frame.Begin(nil), req), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
-	body := appendRequest(nil, req)
+	body := encode(t, nil, req)
 	if want := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...); !bytes.Equal(wire.Bytes(), want) {
 		t.Errorf("frame bytes differ from length prefix + body")
 	}

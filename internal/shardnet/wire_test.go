@@ -1,9 +1,11 @@
 package shardnet
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -18,28 +20,30 @@ import (
 // TestOpsByteIdentical pins one encoded request and one encoded response
 // per op of both sets to the bytes the two protocols put on the wire
 // before they merged (answer 0x01's response is the client protocol's, the
-// one both clients now read); only the hello is new.
+// one both clients now read). The hello is new, and so is the key batch of
+// the 0x01 and 0x02 requests: since protocol 5 it is count, one width, and
+// the keys back to back.
 func TestOpsByteIdentical(t *testing.T) {
-	keys := [][]byte{{0xab, 0xcd, 0xef}, {0x01}}
+	keys := [][]byte{{0xab, 0xcd, 0xef}, {0x01, 0x02, 0x03}}
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2}}}
 	for _, tc := range []struct {
 		name string
 		got  []byte
 		want string
 	}{
-		{"req 0x01", appendRequest(nil, &request{op: opAnswer, keys: keys}), "010200000003000000abcdef0100000001"},
-		{"req 0x02", appendRequest(nil, &request{op: opAnswerRange, keys: keys, lo: 3, hi: 99}), "02030000000000000063000000000000000200000003000000abcdef0100000001"},
-		{"req 0x04", appendRequest(nil, &request{op: opShape}), "04"},
-		{"req 0x05", appendRequest(nil, &request{op: opCounters}), "05"},
-		{"req 0x06", appendRequest(nil, &request{op: opUpdateBatch, writes: writes}), "06010000000700000000000000020000000100000002000000"},
-		{"req 0x07", appendRequest(nil, &request{op: opEpoch}), "07"},
-		{"req 0x08", appendRequest(nil, &request{op: opPrepare, epoch: 41, writes: writes}), "082900000000000000010000000700000000000000020000000100000002000000"},
-		{"req 0x09", appendRequest(nil, &request{op: opCommit, epoch: 41}), "092900000000000000"},
-		{"req 0x0a", appendRequest(nil, &request{op: opAbort, epoch: 41}), "0a2900000000000000"},
-		{"req 0x0b", appendRequest(nil, &request{op: opPing}), "0b"},
-		{"req 0x0c", appendRequest(nil, &request{op: opSnapMeta}), "0c"},
-		{"req 0x0d", appendRequest(nil, &request{op: opSnapChunk, epoch: 41, off: 4096, max: 1 << 18}), "0d2900000000000000001000000000000000000400"},
-		{"req 0x0e", appendRequest(nil, &request{op: opStats}), "0e"},
+		{"req 0x01", encode(t, nil, &request{op: opAnswer, keys: keys}), "010200000003000000abcdef010203"},
+		{"req 0x02", encode(t, nil, &request{op: opAnswerRange, keys: keys, lo: 3, hi: 99}), "02030000000000000063000000000000000200000003000000abcdef010203"},
+		{"req 0x04", encode(t, nil, &request{op: opShape}), "04"},
+		{"req 0x05", encode(t, nil, &request{op: opCounters}), "05"},
+		{"req 0x06", encode(t, nil, &request{op: opUpdateBatch, writes: writes}), "06010000000700000000000000020000000100000002000000"},
+		{"req 0x07", encode(t, nil, &request{op: opEpoch}), "07"},
+		{"req 0x08", encode(t, nil, &request{op: opPrepare, epoch: 41, writes: writes}), "082900000000000000010000000700000000000000020000000100000002000000"},
+		{"req 0x09", encode(t, nil, &request{op: opCommit, epoch: 41}), "092900000000000000"},
+		{"req 0x0a", encode(t, nil, &request{op: opAbort, epoch: 41}), "0a2900000000000000"},
+		{"req 0x0b", encode(t, nil, &request{op: opPing}), "0b"},
+		{"req 0x0c", encode(t, nil, &request{op: opSnapMeta}), "0c"},
+		{"req 0x0d", encode(t, nil, &request{op: opSnapChunk, epoch: 41, off: 4096, max: 1 << 18}), "0d2900000000000000001000000000000000000400"},
+		{"req 0x0e", encode(t, nil, &request{op: opStats}), "0e"},
 		{"resp 0x01", appendAnswers(nil, [][]uint32{{1, 2}, {3, 4}}), "0100020000000200000001000000020000000300000004000000"},
 		{"resp 0x02", appendRangeAnswers(nil, [][]uint32{{1, 2}, {3, 4}}, 2, 41), "0200020000000200000001290000000000000001000000020000000300000004000000"},
 		{"resp 0x04", appendShape(nil, 1024, 32), "0400000400000000000020000000"},
@@ -59,6 +63,21 @@ func TestOpsByteIdentical(t *testing.T) {
 		if got := hex.EncodeToString(tc.got); got != tc.want {
 			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
 		}
+	}
+
+	// A batch of mixed widths has no encoding: the encoder refuses it by
+	// name and writes nothing, and its protocol-4 framing is refused at
+	// parse.
+	mixed := [][]byte{{0xab, 0xcd, 0xef}, {0x01}}
+	for _, op := range []byte{opAnswer, opAnswerRange} {
+		got, err := appendRequest([]byte{0x55}, &request{op: op, keys: mixed, lo: 3, hi: 99})
+		if !errors.Is(err, frame.ErrMixedWidth) || !bytes.Equal(got, []byte{0x55}) {
+			t.Errorf("op %#x: mixed-width batch encoded to %x, %v; want ErrMixedWidth and nothing written", op, got, err)
+		}
+	}
+	v4, _ := hex.DecodeString("010200000003000000abcdef0100000001")
+	if _, err := parseRequest(v4, DefaultMaxBatch); err == nil || !strings.Contains(err.Error(), "mixed-width batch") {
+		t.Errorf("protocol-4 mixed-width batch: %v, want a refusal naming the mixed widths", err)
 	}
 }
 
@@ -83,6 +102,78 @@ func TestHelloRefusesConstruction(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("refusal %q does not name %q", err, want)
 		}
+	}
+}
+
+// TestHelloRefusesProtocol4: a peer from protocol 4 — the one key-batch
+// framing and key format before this build's — is refused at its hello with
+// both versions named, before it can send a batch this build would misread.
+func TestHelloRefusesProtocol4(t *testing.T) {
+	tab := buildTable(t, 64, 2, 24)
+	rep := newReplica(t, tab, engine.Config{Party: 0})
+	_, addr := startNode(t, rep, ServerConfig{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = rawHello(t, conn, hello{Version: 4, PRG: rep.PRGName(), Construction: rep.PRG().Construction(),
+		Early: rep.EarlyBits(), Party: 0, Rows: 64})
+	if err == nil {
+		t.Fatal("a protocol-4 hello was welcomed")
+	}
+	for _, want := range []string{"version 4", "version 5"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not name %q", err, want)
+		}
+	}
+}
+
+// v2Key marshals a fresh party-0 key for row of a bits-deep table in key
+// wire v2, the format before v3.
+func v2Key(t *testing.T, bits int, row uint64) []byte {
+	t.Helper()
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), row, bits, []uint32{1}, rand.New(rand.NewSource(25)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0.Wire = 2
+	raw, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestNodeRefusesKeyWireV2: a shard node serves key wire v3 only. A v2 key
+// — here alone in its request, whose bytes protocol 4 and 5 frame alike —
+// is refused with both wire versions named, on the member op and on the
+// client op, and the connection goes on serving v3 keys.
+func TestNodeRefusesKeyWireV2(t *testing.T) {
+	tab := buildTable(t, 64, 2, 26)
+	rep := newReplica(t, tab, engine.Config{Party: 0})
+	_, addr := startNode(t, rep, ServerConfig{})
+	c, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	old := [][]byte{v2Key(t, tab.Bits(), 5)}
+	_, _, _, rangeErr := c.AnswerRangeEpoch(context.Background(), old, 0, 64)
+	_, answerErr := c.Answer(context.Background(), old)
+	for _, err := range []error{rangeErr, answerErr} {
+		if err == nil {
+			t.Fatal("node answered a wire-v2 key")
+		}
+		for _, want := range []string{"key wire v2", "serves key wire v3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not name %q", err, want)
+			}
+		}
+	}
+	keys, _ := genKeys(t, dpf.NewAESPRG(), tab.Bits(), []uint64{5}, 27)
+	if _, _, _, err := c.AnswerRangeEpoch(context.Background(), keys, 0, 64); err != nil {
+		t.Fatalf("v3 key after the refusal: %v", err)
 	}
 }
 

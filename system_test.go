@@ -211,7 +211,7 @@ func TestDistributedRecommendationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deployment default must be early-terminated wire-v2 keys.
+	// The deployment default must be early-terminated wire-v3 keys.
 	if cl.Early() == 0 {
 		t.Fatal("client defaulted to full-depth keys")
 	}
@@ -219,8 +219,8 @@ func TestDistributedRecommendationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := dpf.WireVersion(k0); v != 2 {
-		t.Fatalf("client emits wire v%d keys, want v2", v)
+	if v := dpf.WireVersion(k0); v != dpf.ServedWire {
+		t.Fatalf("client emits wire v%d keys, want v%d", v, dpf.ServedWire)
 	}
 
 	// Path 1: the classic two-server pair over TCP.
