@@ -206,11 +206,14 @@
 //     parsed wire version in the error.
 //     engine.Cluster, a Backend, splits one logical replica's row domain
 //     across N groups of Members — in-process replicas or remote nodes —
-//     fans each batch out concurrently and merges the per-shard partial
-//     sums lane-wise mod 2^32, bit-identical to a single process. The
-//     merge refuses a partial that does not name its epoch (*ShardError)
-//     and partials of different epochs (a batch that straddles an update
-//     commit re-fans; a persistent mismatch fails with ErrMixedEpoch).
+//     fans each batch out concurrently (shard 0 on the calling goroutine,
+//     the others on one goroutine each, the pass's state pooled, so a
+//     one-key request's fan-out allocates nothing of its own) and merges
+//     the per-shard partial sums lane-wise mod 2^32 into shard 0's,
+//     bit-identical to a single process. The merge refuses a partial
+//     that does not name its epoch (*ShardError) and partials of
+//     different epochs (a batch that straddles an update commit re-fans;
+//     a persistent mismatch fails with ErrMixedEpoch).
 //     Cluster.UpdateBatch installs a multi-row update all-or-nothing
 //     across every member via the epoch handshake (prepare everywhere,
 //     commit only when all ack, a straggler aborts everywhere). Each
@@ -256,13 +259,23 @@
 //     SnapshotChunk stream a node's pinned snapshot in capped,
 //     offset-resumable frames (every chunk restates epoch, row range and
 //     offset, and the client verifies the echo) so a stale member heals
-//     from a healthy peer. Every cap is checked before allocation, a
-//     refused frame is named to the peer before the hang-up, a stalled
-//     frame is cut off after 10 s (idle connections are exempt), and a
-//     departed peer cancels the node's in-flight work. The node's client
-//     retires a connection on a transport error and backs off failed
-//     dials with seeded jitter, failing fast inside the window; context
-//     deadlines propagate to connection deadlines.
+//     from a healthy peer. Each connection's goroutine reads its frames,
+//     runs them and writes the responses itself: a request is never
+//     handed to another goroutine. Every cap is checked before
+//     allocation, a refused frame is named to the peer before the
+//     hang-up, and a stalled frame is cut off 10 s (ReadTimeout) after
+//     its first byte; a read deadline is armed only for a frame not yet
+//     whole in the connection's buffer, since only its read can block
+//     (idle connections are exempt, a node's fresh connection must speak
+//     within ReadTimeout). A departed peer cancels the node's in-flight
+//     work: a dispatch that outlives a 1 ms grace starts a peek at the
+//     connection, which cancels the work on EOF and is joined before the
+//     connection's next read. The node's client retires a connection on a transport error and
+//     backs off failed dials with seeded jitter, failing fast inside the
+//     window; context deadlines propagate to connection deadlines. Write
+//     and RPC-timeout deadlines are re-armed only once they fall short,
+//     so a stalled write or RPC is cut between its timeout and 9/8 of
+//     it.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
 //     batch retrieval scheme of §4.1 (bins answered concurrently).

@@ -1,7 +1,7 @@
 // Package data generates the synthetic stand-ins for the paper's
 // evaluation datasets (MovieLens-20M, Taobao ads, WikiText-2) and the
 // real-world recommendation model of Table 2. Real datasets are not
-// available offline; per DESIGN.md the generators reproduce the two
+// available offline, so the generators reproduce the two
 // properties the PIR+ML co-design results depend on:
 //
 //  1. power-law (Zipf) index popularity — what the frequency-based hot

@@ -48,7 +48,8 @@ type Member interface {
 	// shares — and the epoch of the snapshot they were computed against,
 	// which is what lets a Cluster refuse to merge partials of two table
 	// versions. ok reports the epoch is known; a Cluster refuses a partial
-	// without one.
+	// without one. The answers belong to the caller, which may write to
+	// them: a Cluster merges its shards' partials into shard 0's.
 	AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) (answers [][]uint32, epoch uint64, ok bool, err error)
 
 	// Epoch returns the member's current effective table epoch (aborted

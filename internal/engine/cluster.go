@@ -13,7 +13,6 @@ import (
 	"gpudpf/internal/backoff"
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/gpu"
-	"gpudpf/internal/strategy"
 )
 
 // ShardRange returns the row range [lo, hi) that shard i of n serves in
@@ -279,6 +278,12 @@ type Cluster struct {
 	bounds []int
 	rows   int
 	lanes  int
+	// memberAt[i] is shard i's first member in a fan-out's per-member
+	// state; memberAt[len(groups)] is the member count.
+	memberAt []int
+
+	fanouts sync.Pool // *fanout
+	keys    sync.Pool // *dpf.Key, for ValidateKey
 
 	// umu serializes cluster-driven updates and Heal's final join: one
 	// epoch handshake in flight at a time (concurrent Answers are NOT
@@ -397,8 +402,10 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 		return nil, fmt.Errorf("engine: cluster of %d shards over a table of only %d rows", len(c.groups), c.rows)
 	}
 	c.bounds = make([]int, len(c.groups)+1)
-	for i := range c.groups {
+	c.memberAt = make([]int, len(c.groups)+1)
+	for i, g := range c.groups {
 		c.bounds[i], c.bounds[i+1] = ShardRange(c.rows, i, len(c.groups))
+		c.memberAt[i+1] = c.memberAt[i] + len(g.members)
 	}
 	// Every pinned fact must agree pairwise before partial shares may be
 	// merged; name both values and both members in the rejection.
@@ -538,12 +545,11 @@ func (c *Cluster) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error)
 // against their health (unless the caller's ctx already died — a
 // sibling-induced cancellation must not poison health state). A tripped
 // member whose cooldown expired is probed (Ping) before being trusted
-// with the batch.
-func (c *Cluster) groupAnswer(ctx context.Context, shard int, keys [][]byte) (shardAnswer, error) {
+// with the batch. tried and memberErrs are the pass's zeroed per-member
+// state for this group.
+func (c *Cluster) groupAnswer(ctx context.Context, shard int, keys [][]byte, tried []bool, memberErrs []error) (shardAnswer, error) {
 	g := c.groups[shard]
 	lo, hi := c.bounds[shard], c.bounds[shard+1]
-	tried := make([]bool, len(g.members))
-	memberErrs := make([]error, len(g.members))
 	for {
 		if err := ctx.Err(); err != nil {
 			if first := firstErr(memberErrs); first != nil {
@@ -634,63 +640,61 @@ func (c *Cluster) groupErr(g *shardGroup, memberErrs []error) error {
 	return gf
 }
 
-// answerOnce runs one fan-out/merge pass.
+// answerOnce runs one fan-out/merge pass. Shard 0's sub-batch runs on the
+// calling goroutine and every other shard's on a goroutine of its own, so
+// a one-shard cluster hands nothing off and an n-shard one n-1 sub-batches;
+// the pass's state is pooled. The partials merge into shard 0's, which a
+// member hands over to its caller.
 func (c *Cluster) answerOnce(ctx context.Context, keys [][]byte) ([][]uint32, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make([]shardAnswer, len(c.groups))
-	errs := make([]error, len(c.groups))
-	var wg sync.WaitGroup
-	wg.Add(len(c.groups))
-	for i := range c.groups {
-		go func(i int) {
-			defer wg.Done()
-			ans, err := c.groupAnswer(ctx, i, keys)
-			if err != nil {
-				errs[i] = err
-				cancel() // stop paying for partials the batch can no longer use
-				return
-			}
-			results[i] = ans
-		}(i)
+	f := c.getFanout(ctx, keys)
+	defer c.putFanout(f)
+	f.wg.Add(len(c.groups) - 1)
+	for _, run := range f.run[1:] {
+		go run()
 	}
-	wg.Wait()
+	f.shard(0)
+	f.wg.Wait()
 	// Prefer the shard that actually failed over siblings that merely saw
 	// the cancellation it triggered.
 	fail := -1
-	for i, err := range errs {
+	for i, err := range f.errs {
 		if err == nil {
 			continue
 		}
-		if fail < 0 || (errors.Is(errs[fail], context.Canceled) && !errors.Is(err, context.Canceled)) {
+		if fail < 0 || (errors.Is(f.errs[fail], context.Canceled) && !errors.Is(err, context.Canceled)) {
 			fail = i
 		}
 	}
 	if fail >= 0 {
-		return nil, &ShardError{Shard: fail, Name: c.groups[fail].names[0], Lo: c.bounds[fail], Hi: c.bounds[fail+1], Err: errs[fail]}
+		return nil, &ShardError{Shard: fail, Name: c.groups[fail].names[0], Lo: c.bounds[fail], Hi: c.bounds[fail+1], Err: f.errs[fail]}
 	}
 	// Partials may only merge when they were computed against one table
 	// epoch: members on different epochs would sum shares of two
 	// different tables into one silently wrong answer.
+	results := f.results
 	for i, r := range results[1:] {
 		if r.epoch != results[0].epoch {
 			return nil, fmt.Errorf("%w: shard 0 (%s) at epoch %d, shard %d (%s) at epoch %d",
 				ErrMixedEpoch, results[0].name, results[0].epoch, i+1, r.name, r.epoch)
 		}
 	}
-	answers := strategy.NewAnswers(len(keys), c.lanes)
 	for i, r := range results {
 		if len(r.part) != len(keys) {
 			return nil, &ShardError{Shard: i, Name: r.name, Lo: c.bounds[i], Hi: c.bounds[i+1],
 				Err: fmt.Errorf("engine: %d partial shares for %d keys", len(r.part), len(keys))}
 		}
-		for q := range answers {
-			if len(r.part[q]) != c.lanes {
+		for q, p := range r.part {
+			if len(p) != c.lanes {
 				return nil, &ShardError{Shard: i, Name: r.name, Lo: c.bounds[i], Hi: c.bounds[i+1],
-					Err: fmt.Errorf("engine: partial share %d has %d lanes, table has %d", q, len(r.part[q]), c.lanes)}
+					Err: fmt.Errorf("engine: partial share %d has %d lanes, table has %d", q, len(p), c.lanes)}
 			}
-			for l := range answers[q] {
-				answers[q][l] += r.part[q][l]
+		}
+	}
+	answers := results[0].part
+	for _, r := range results[1:] {
+		for q, a := range answers {
+			for l, v := range r.part[q] {
+				a[l] += v
 			}
 		}
 	}
@@ -885,11 +889,16 @@ func (c *Cluster) ValidateKey(raw []byte) error {
 	prefix := func() string {
 		return fmt.Sprintf("engine cluster (prg=%s, key wire v%d)", c.prgName, dpf.WireVersion(raw))
 	}
-	var k dpf.Key
+	// Pooled: UnmarshalBinary reuses a key's correction-word capacity.
+	k, _ := c.keys.Get().(*dpf.Key)
+	if k == nil {
+		k = new(dpf.Key)
+	}
+	defer c.keys.Put(k)
 	if err := k.UnmarshalBinary(raw); err != nil {
 		return fmt.Errorf("%s: %w", prefix(), err)
 	}
-	if err := validatePinnedKey(&k, c.party, dpf.DomainBits(c.rows), c.early); err != nil {
+	if err := validatePinnedKey(k, c.party, dpf.DomainBits(c.rows), c.early); err != nil {
 		return fmt.Errorf("%s: %w", prefix(), err)
 	}
 	return nil

@@ -43,7 +43,7 @@ type App struct {
 	ModelFLOPs float64
 	// CommBudget and LatencyBudget are the paper's standard budgets scaled
 	// to this app's table size (budgets must stay well under the table
-	// size or trivial full-download dominates; see EXPERIMENTS.md).
+	// size, or downloading the whole table beats PIR).
 	CommBudget    int64
 	TightComm     int64
 	LatencyBudget int64 // milliseconds
@@ -242,7 +242,7 @@ func Apps() ([]*App, error) {
 // model genuinely learns from its synthetic data (each vocabulary item gets
 // enough training exposure for drops to hurt) while the communication
 // budgets stay an order of magnitude below the table sizes — the paper's
-// regime, scaled down; see EXPERIMENTS.md.
+// regime, scaled down.
 func buildApps() ([]*App, error) {
 	lmCfg := data.LMConfig{
 		Vocab: 512, TrainTokens: 30000, TestTokens: 2000,

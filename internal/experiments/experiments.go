@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each runner returns a Table of the same rows/series the
-// paper reports; cmd/benchall renders them all and EXPERIMENTS.md records
-// paper-vs-measured. GPU-side numbers come from the calibrated device model
-// (see internal/gpu and DESIGN.md's substitution table); protocol-side
-// numbers (drops, bytes, model quality) are real measurements of the real
-// implementation on synthetic data.
+// paper reports, and cmd/benchall renders them all. GPU-side numbers come
+// from the calibrated device model that stands in for the V100 (internal/gpu:
+// a roofline over counted PRF blocks and bytes, calibrated against the
+// paper's measured V100 and Xeon numbers); protocol-side numbers (drops,
+// bytes, model quality) are real measurements of the real implementation on
+// synthetic data.
 package experiments
 
 import (

@@ -175,8 +175,9 @@ func AblationCoopThreshold() (*Table, error) {
 	return t, nil
 }
 
-// AblationHotFraction sweeps the hot-table size on the MovieLens app
-// (DESIGN.md §6): quality and computation vs fraction, fixed budgets.
+// AblationHotFraction sweeps the hot-table size on the MovieLens app (the
+// hot-table split of §4): quality and computation vs fraction, fixed
+// budgets.
 func AblationHotFraction() (*Table, error) {
 	apps, err := Apps()
 	if err != nil {

@@ -10,6 +10,7 @@
 package frame
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,14 +55,21 @@ func Write(w io.Writer, frame []byte, max int) error {
 // before any allocation. On a connection r is its bufio.Reader, so header
 // and body normally cost one read between them.
 func Read(r io.Reader, max int, buf *[]byte) ([]byte, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header lands in *buf once it has room: a local array handed to
+	// io.ReadFull would escape, one allocation per frame.
+	var hdr []byte
+	if cap(*buf) >= HeaderLen {
+		hdr = (*buf)[:HeaderLen]
+	} else {
+		hdr = make([]byte, HeaderLen)
+	}
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
 	// Compare in uint64 BEFORE converting: on 32-bit platforms a hostile
 	// length near 2^32 would wrap int negative and dodge the cap check
 	// straight into a slice-bounds panic.
-	declared := binary.LittleEndian.Uint32(hdr[:])
+	declared := binary.LittleEndian.Uint32(hdr)
 	if uint64(declared) > uint64(max) {
 		return nil, fmt.Errorf("%w: peer declared a %d-byte frame, cap is %d", ErrTooLarge, declared, max)
 	}
@@ -82,6 +90,18 @@ func Read(r io.Reader, max int, buf *[]byte) ([]byte, error) {
 	return body, nil
 }
 
+// Whole reports whether br already holds a whole frame, so reading it
+// cannot block. It looks at the header only when all four of its bytes are
+// buffered: a Peek for more would wait on the peer.
+func Whole(br *bufio.Reader) bool {
+	n := br.Buffered()
+	if n < HeaderLen {
+		return false
+	}
+	hdr, _ := br.Peek(HeaderLen)
+	return uint64(binary.LittleEndian.Uint32(hdr))+HeaderLen <= uint64(n)
+}
+
 // Reader is a bounds-checked cursor over one frame body: a read past the
 // end returns zero and sets Bad instead of panicking.
 type Reader struct {
@@ -92,6 +112,10 @@ type Reader struct {
 
 // NewReader starts a cursor at the first byte of body.
 func NewReader(body []byte) *Reader { return &Reader{b: body} }
+
+// Reset restarts r at the first byte of body, so a connection can keep one
+// cursor for every frame it reads.
+func (r *Reader) Reset(body []byte) { *r = Reader{b: body} }
 
 // Remaining is the number of bytes not yet consumed.
 func (r *Reader) Remaining() int { return len(r.b) - r.off }
@@ -174,8 +198,8 @@ func AppendKeys(dst []byte, keys [][]byte) ([]byte, error) {
 // bytes actually present BEFORE anything is allocated for them: a hostile
 // frame declaring millions of keys must not buy a slice-header allocation
 // bomb. The keys alias the frame body; the caller must finish with them
-// before reusing its buffer.
-func ParseKeys(r *Reader, maxKeys int) ([][]byte, error) {
+// before reusing its buffer. The key slices reuse dst's capacity.
+func ParseKeys(r *Reader, maxKeys int, dst [][]byte) ([][]byte, error) {
 	count := r.U32()
 	if r.bad {
 		return nil, fmt.Errorf("%w: truncated key count", ErrProtocol)
@@ -205,9 +229,12 @@ func ParseKeys(r *Reader, maxKeys int) ([][]byte, error) {
 	case total < have:
 		return nil, fmt.Errorf("%w: %d trailing bytes after %d keys of %d bytes, or a mixed-width batch", ErrProtocol, have-total, count, width)
 	}
-	keys := make([][]byte, count)
-	for i := range keys {
-		keys[i] = r.Take(int(width))
+	keys := dst[:0]
+	if cap(keys) < int(count) {
+		keys = make([][]byte, 0, count)
+	}
+	for range count {
+		keys = append(keys, r.Take(int(width)))
 	}
 	return keys, nil
 }
@@ -288,10 +315,12 @@ func ParseMatrix(r *Reader, n, lanes uint32, wantKeys int) ([][]uint32, error) {
 		return nil, fmt.Errorf("%w: %d×%d answers in %d payload bytes", ErrProtocol, n, lanes, r.Remaining())
 	}
 	answers := strategy.NewAnswers(int(n), int(lanes))
+	words := r.Take(r.Remaining())
 	for _, a := range answers {
 		for l := range a {
-			a[l] = r.U32()
+			a[l] = binary.LittleEndian.Uint32(words[4*l:])
 		}
+		words = words[4*len(a):]
 	}
 	return answers, nil
 }

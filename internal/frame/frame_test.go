@@ -62,7 +62,7 @@ func TestKeyBatch(t *testing.T) {
 		t.Fatalf("batch %x, want %x", body, want)
 	}
 	r := NewReader(body[1:])
-	got, err := ParseKeys(r, 2)
+	got, err := ParseKeys(r, 2, nil)
 	if err != nil || len(got) != 2 || !bytes.Equal(got[0], keys[0]) || !bytes.Equal(got[1], keys[1]) || r.Remaining() != 0 {
 		t.Fatalf("parsed %x, %v", got, err)
 	}
@@ -98,7 +98,7 @@ func TestKeyBatch(t *testing.T) {
 		"long by one":         {batch(2, 3, 7), "1 trailing bytes"},
 		"width 2^32-1":        {batch(2, 1<<32-1, 6), "truncated key batch"},
 	} {
-		if _, err := ParseKeys(NewReader(tc.body), 2); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.want) {
+		if _, err := ParseKeys(NewReader(tc.body), 2, nil); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want a protocol error naming %q", name, err, tc.want)
 		}
 	}

@@ -2,8 +2,8 @@
 // on, and provides the bounded parallel executor the DPF execution
 // strategies run on.
 //
-// This repository cannot drive a real CUDA device (see DESIGN.md's
-// substitution table), so the package pairs two things:
+// This repository cannot drive a real CUDA device, so the package pairs
+// two things:
 //
 //  1. a real, host-parallel executor (ParallelFor) so every strategy
 //     actually computes correct DPF outputs, and

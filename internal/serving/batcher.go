@@ -99,7 +99,8 @@ type Batcher struct {
 
 // pendingKey is one admitted key. A request's keys sit adjacent in pending,
 // so each batch that carries some of them holds one contiguous run and
-// sends on the request's done channel once.
+// sends on the request's done channel once. The keys of a request that
+// runs the one batch carrying them itself have neither slot nor channel.
 type pendingKey struct {
 	key  []byte
 	dst  *[]uint32  // the key's slot in its request's answers
@@ -170,11 +171,12 @@ func (b *Batcher) Submit(key []byte) ([]uint32, error) {
 // when nothing else is queued rather than starved — and its keys are
 // appended adjacent, a batch cut each time MaxBatch are pending: a request
 // of MaxBatch keys is exactly one batch. The caller runs the last batch it
-// cuts itself; earlier ones get goroutines of their own.
+// cuts itself; earlier ones get goroutines of their own. A request whose
+// keys complete the pending batch is answered straight from the handler's
+// answers.
 func (b *Batcher) SubmitAll(keys [][]byte) ([][]uint32, error) {
-	answers := make([][]uint32, len(keys))
 	if len(keys) == 0 {
-		return answers, nil
+		return [][]uint32{}, nil
 	}
 	b.mu.Lock()
 	if b.closed {
@@ -189,6 +191,26 @@ func (b *Batcher) SubmitAll(keys [][]byte) ([][]uint32, error) {
 	}
 	b.queued += len(keys)
 	b.accepted.Add(uint64(len(keys)))
+	defer func() {
+		b.mu.Lock()
+		b.queued -= len(keys)
+		b.mu.Unlock()
+	}()
+	if len(b.pending)+len(keys) == b.policy.MaxBatch {
+		// The keys end the pending batch, which this goroutine runs: the
+		// request's answers are the tail of the handler's.
+		for _, key := range keys {
+			b.pending = append(b.pending, pendingKey{key: key})
+		}
+		batch := b.takeLocked()
+		b.mu.Unlock()
+		answers, err := b.run(batch)
+		if err != nil {
+			return nil, err
+		}
+		return answers[len(answers)-len(keys):], nil
+	}
+	answers := make([][]uint32, len(keys))
 	// Sized so no batch blocks reporting to this request: its keys ride in
 	// at most a partial first batch, len(keys)/MaxBatch whole ones and a
 	// pending remainder.
@@ -219,9 +241,6 @@ func (b *Batcher) SubmitAll(keys [][]byte) ([][]uint32, error) {
 			err = e
 		}
 	}
-	b.mu.Lock()
-	b.queued -= len(keys)
-	b.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -252,10 +271,11 @@ func (b *Batcher) takeLocked() []pendingKey {
 }
 
 // run executes one taken batch on the calling goroutine, inside an
-// in-flight slot, and reports to every request with keys in it.
-func (b *Batcher) run(batch []pendingKey) {
+// in-flight slot, reports to every request with keys in it, and returns
+// the handler's answers for the caller's own keys.
+func (b *Batcher) run(batch []pendingKey) ([][]uint32, error) {
 	if len(batch) == 0 {
-		return
+		return nil, nil
 	}
 	defer b.running.Done()
 	keys := make([][]byte, len(batch))
@@ -273,6 +293,9 @@ func (b *Batcher) run(batch []pendingKey) {
 		err = errors.New("serving: handler returned wrong answer count")
 	}
 	for i, p := range batch {
+		if p.done == nil {
+			continue // the caller's own
+		}
 		if err == nil {
 			*p.dst = answers[i]
 		}
@@ -280,6 +303,7 @@ func (b *Batcher) run(batch []pendingKey) {
 			p.done <- err
 		}
 	}
+	return answers, err
 }
 
 // LatencyModel returns the batch-latency curve learned from served

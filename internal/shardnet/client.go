@@ -35,7 +35,9 @@ type Options struct {
 	// RPCTimeout bounds an RPC whose context carries no deadline of its
 	// own (0 = DefaultRPCTimeout for Dial and none for DialClient, negative
 	// = unbounded): the backstop that keeps a caller without a deadline
-	// from wedging forever on a server that black-holes mid-RPC.
+	// from wedging forever on a server that black-holes mid-RPC. Such an
+	// RPC is cut between RPCTimeout and 9/8 of it after it starts: a
+	// connection's deadline is re-armed only once it falls short of that.
 	RPCTimeout time.Duration
 	// Redial shapes the exponential backoff applied to fresh dials after a
 	// dial failure (zero-valued fields take backoff.Default); its jitter is
@@ -89,11 +91,21 @@ type Client struct {
 	lastDialErr error
 }
 
-// poolConn is one connection plus its reusable frame buffer.
+// poolConn is one connection plus what each RPC on it reuses.
 type poolConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	buf  []byte // the request frame, then the response body
+	conn     net.Conn
+	br       *bufio.Reader
+	buf      []byte       // the request frame, then the response body
+	r        frame.Reader // the response cursor
+	deadline time.Time    // the deadline armed on conn
+	slam     func()       // ends the RPC in flight: a deadline in the past
+}
+
+// afterFuncer is a context that runs a function when it ends, as
+// context.AfterFunc does, without allocating per call: engine.Cluster's
+// fan-out context is one. stop must be called at most once.
+type afterFuncer interface {
+	AfterFunc(f func()) (stop func() bool)
 }
 
 // Dial connects to a node, says hello (failing fast, with both sides'
@@ -144,6 +156,7 @@ func (c *Client) dialConn() (*poolConn, hello, error) {
 		return nil, hello{}, fmt.Errorf("%s: dial %s: %w", c.name, c.addr, err)
 	}
 	pc := &poolConn{conn: conn, br: bufio.NewReader(conn)}
+	pc.slam = func() { conn.SetDeadline(time.Unix(1, 0)) }
 	if c.pin == nil {
 		return pc, hello{}, nil
 	}
@@ -169,15 +182,15 @@ func (c *Client) hello(pc *poolConn) (hello, error) {
 	if err != nil {
 		return hello{}, fmt.Errorf("hello: %w", err)
 	}
-	r := frame.NewReader(body)
-	status, msg, err := frame.ResponseHeader(r, opHello)
+	pc.r.Reset(body)
+	status, msg, err := frame.ResponseHeader(&pc.r, opHello)
 	if err != nil {
 		return hello{}, fmt.Errorf("hello: %w", err)
 	}
 	if status != frame.StatusOK {
 		return hello{}, errors.New(msg)
 	}
-	w, err := parseHello(r)
+	w, err := parseHello(&pc.r)
 	if err != nil {
 		return hello{}, fmt.Errorf("welcome: %w", err)
 	}
@@ -324,17 +337,23 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 	// A ctx deadline is the RPC's, plus a grace: the AfterFunc below slams
 	// the connection the instant ctx ends, so the net-layer timeout never
 	// races ahead of ctx.Err(). Without one, the RPC timeout is the
-	// deadline, and a ctx that cannot end needs no callback.
+	// deadline, and a ctx that cannot end needs no callback. A connection
+	// already armed as the RPC needs is left alone.
 	var deadline time.Time
 	if d, ok := ctx.Deadline(); ok {
 		deadline = d.Add(100 * time.Millisecond)
 	} else if c.timeout > 0 {
-		deadline = time.Now().Add(c.timeout)
+		deadline, _ = boundBy(pc.deadline, c.timeout)
 	}
-	pc.conn.SetDeadline(deadline)
+	if !deadline.Equal(pc.deadline) {
+		pc.conn.SetDeadline(deadline)
+		pc.deadline = deadline
+	}
 	stop := func() bool { return true }
-	if ctx.Done() != nil {
-		stop = context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
+	if a, ok := ctx.(afterFuncer); ok {
+		stop = a.AfterFunc(pc.slam)
+	} else if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, pc.slam)
 	}
 	ioErr := func(stage string, err error) error {
 		if cerr := ctx.Err(); cerr != nil {
@@ -363,10 +382,10 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 	// connection's deadline is (or is about to be) in the past — retire it
 	// rather than poison the next request.
 	healthy = stop()
-	r := frame.NewReader(body)
-	status, msg, err := frame.ResponseHeader(r, req.op)
+	pc.r.Reset(body)
+	status, msg, err := frame.ResponseHeader(&pc.r, req.op)
 	if err == nil && status == frame.StatusOK {
-		err = parse(r)
+		err = parse(&pc.r)
 	}
 	switch {
 	case err != nil:

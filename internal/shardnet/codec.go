@@ -71,48 +71,59 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 // maxKeys before allocating for them. Key slices alias the frame buffer;
 // the caller must finish with them before reusing it.
 func parseRequest(body []byte, maxKeys int) (*request, error) {
-	r := frame.NewReader(body)
-	req := &request{op: r.U8()}
+	req := new(request)
+	if err := parseRequestInto(body, maxKeys, req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// parseRequestInto is parseRequest into a connection's reused request,
+// whose key slice it keeps.
+func parseRequestInto(body []byte, maxKeys int, req *request) error {
+	var r frame.Reader
+	r.Reset(body)
+	*req = request{op: r.U8(), keys: req.keys[:0]}
 	var err error
 	switch req.op {
 	case opAnswer:
-		req.keys, err = frame.ParseKeys(r, maxKeys)
+		req.keys, err = frame.ParseKeys(&r, maxKeys, req.keys)
 	case opAnswerRange:
 		req.lo, req.hi = r.U64(), r.U64()
 		if r.Bad() {
-			return nil, fmt.Errorf("%w: truncated row range", ErrProtocol)
+			return fmt.Errorf("%w: truncated row range", ErrProtocol)
 		}
-		req.keys, err = frame.ParseKeys(r, maxKeys)
+		req.keys, err = frame.ParseKeys(&r, maxKeys, req.keys)
 	case opUpdateBatch:
-		req.writes, err = frame.ParseWrites(r)
+		req.writes, err = frame.ParseWrites(&r)
 	case opPrepare:
 		if req.epoch = r.U64(); r.Bad() {
-			return nil, fmt.Errorf("%w: truncated prepare epoch", ErrProtocol)
+			return fmt.Errorf("%w: truncated prepare epoch", ErrProtocol)
 		}
-		req.writes, err = frame.ParseWrites(r)
+		req.writes, err = frame.ParseWrites(&r)
 	case opCommit, opAbort:
 		if req.epoch = r.U64(); r.Bad() {
-			return nil, fmt.Errorf("%w: truncated epoch", ErrProtocol)
+			return fmt.Errorf("%w: truncated epoch", ErrProtocol)
 		}
 	case opSnapChunk:
 		req.epoch, req.off, req.max = r.U64(), r.U64(), r.U32()
 		if r.Bad() {
-			return nil, fmt.Errorf("%w: truncated snapshot chunk request", ErrProtocol)
+			return fmt.Errorf("%w: truncated snapshot chunk request", ErrProtocol)
 		}
 	case opHello:
-		req.hello, err = parseHello(r)
+		req.hello, err = parseHello(&r)
 	case opShape, opCounters, opEpoch, opPing, opSnapMeta, opStats:
 		// no payload
 	default:
-		return nil, fmt.Errorf("%w: unknown opcode %#x", ErrProtocol, req.op)
+		return fmt.Errorf("%w: unknown opcode %#x", ErrProtocol, req.op)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %#x request", ErrProtocol, r.Remaining(), req.op)
+		return fmt.Errorf("%w: %d trailing bytes after %#x request", ErrProtocol, r.Remaining(), req.op)
 	}
-	return req, nil
+	return nil
 }
 
 // Responses. Each encoder writes op, frame.StatusOK and the payload; each

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -31,7 +32,9 @@ type ServerConfig struct {
 	MaxBatch int
 	// WriteTimeout bounds each response write (0 = 30s): a peer that
 	// requests a batch and never reads would otherwise fill the TCP window
-	// and pin the connection's goroutine and response buffer.
+	// and pin the connection's goroutine and response buffer. A stalled
+	// write is cut between WriteTimeout and 9/8 of it after it starts: the
+	// deadline is re-armed only once it falls short of that.
 	WriteTimeout time.Duration
 	// ReadTimeout bounds a frame once its first byte has arrived, and a
 	// node's fresh connection's silence (0 = 10s), so a stalled peer or a
@@ -68,7 +71,11 @@ const refusalDrainTimeout = 5 * time.Second
 // Server is the one connection loop. A node (NewServer) serves an
 // engine.Member: the client ops on any connection, the member ops after a
 // hello. A front (NewFront) serves the client ops on an Answerer, and
-// answers hellos from its Describer.
+// answers hellos from its Describer. One goroutine per connection reads
+// each frame, runs it and writes its response: a read deadline is armed
+// only for a frame not yet whole in the read buffer (readFrame), and on a
+// node a dispatch that outlives departureGrace has the connection watched
+// for its peer's departure, which cancels the work (departure).
 type Server struct {
 	front  Answerer      // a front's client ops
 	member engine.Member // a node's every op; nil on a front
@@ -224,13 +231,27 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// frameResult is one read frame, or the error that ended the stream.
-type frameResult struct {
-	body []byte
-	err  error
+// departureGrace is how long a node's dispatch runs before the server
+// starts watching the connection for its peer's departure. Work shorter
+// than that finishes before a departed peer could be noticed anyway, and
+// is served with no read beside it.
+const departureGrace = time.Millisecond
+
+// servedConn is one connection's reusable state: its reader, the frame
+// being served and its parsed request, and the response buffer.
+type servedConn struct {
+	conn     net.Conn
+	br       *bufio.Reader
+	buf      []byte
+	req      request
+	out      []byte
+	deadline bool // a read deadline is armed
+
+	writeDeadline time.Time // armed by write
 }
 
-// serveConn runs one connection's lockstep loop.
+// serveConn runs one connection's lockstep loop: it reads a frame, runs
+// it and writes the response, all on this goroutine.
 func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -240,38 +261,49 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
-	br := bufio.NewReader(conn)
-	next := s.frames(ctx, cancel, conn, br)
+	c := &servedConn{conn: conn, br: bufio.NewReader(conn)}
+	var gone *departure
+	if s.member != nil {
+		conn.SetReadDeadline(time.Now().Add(s.readTimeout)) // a node's fresh connection must speak
+		c.deadline = true
+		gone = newDeparture(c, cancel)
+	}
 	helloed := false
-	var out []byte
 	for {
-		fr, ok := next()
-		if !ok {
-			return
-		}
-		if fr.err != nil {
-			s.refuse(conn, br, fr.err)
-			return
-		}
-		req, err := s.parse(fr.body, helloed)
+		body, err := s.readFrame(c)
 		if err != nil {
-			s.refuse(conn, br, err)
+			if errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrProtocol) {
+				s.refuse(c, err)
+			}
+			return
+		}
+		req := &c.req
+		if err := s.parse(body, helloed, req); err != nil {
+			s.refuse(c, err)
 			return
 		}
 		if req.op == opHello {
-			if helloed = s.welcome(ctx, conn, &req.hello, out); !helloed {
+			if helloed = s.welcome(ctx, c, &req.hello); !helloed {
 				return
 			}
 			continue
 		}
-		out = s.dispatch(ctx, req, frame.Begin(out))
-		err = s.write(conn, out)
+		if gone != nil {
+			gone.arm()
+		}
+		c.out = s.dispatch(ctx, req, frame.Begin(c.out))
+		err = s.write(c, c.out)
 		if errors.Is(err, ErrFrameTooLarge) {
 			// Nothing was sent, so the stream is intact: tell the peer why
 			// it gets no answer, and do not keep the oversized buffer.
-			msg := fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(out)-frame.HeaderLen, s.maxResp)
-			out = frame.AppendErr(frame.Begin(nil), req.op, frame.StatusErr, msg)
-			err = s.write(conn, out)
+			msg := fmt.Sprintf("shardnet: %d-byte response exceeds the %d-byte frame cap; narrow the batch", len(c.out)-frame.HeaderLen, s.maxResp)
+			c.out = frame.AppendErr(frame.Begin(nil), req.op, frame.StatusErr, msg)
+			err = s.write(c, c.out)
+		}
+		if gone != nil {
+			// A peek may run on while the response goes out, but not into
+			// the next read.
+			gone.disarm()
 		}
 		if err != nil {
 			return
@@ -279,28 +311,91 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// parse decodes a request, refusing a member op the connection may not
-// send: on a front, or before a hello.
-func (s *Server) parse(body []byte, helloed bool) (*request, error) {
+// readFrame reads the next frame into c.buf: an oversized or malformed
+// frame's error is for the peer, any other error (EOF, a stalled frame)
+// ends the connection. A frame's first byte is awaited with no deadline,
+// since connections may idle between requests; a node's fresh connection
+// is the exception, armed by serveConn. A frame already whole in the read
+// buffer is read with no deadline, since nothing can block; any other is
+// cut once ReadTimeout passes from its first byte.
+func (s *Server) readFrame(c *servedConn) ([]byte, error) {
+	if _, err := c.br.Peek(1); err != nil {
+		return nil, err
+	}
+	if !frame.Whole(c.br) {
+		c.conn.SetReadDeadline(time.Now().Add(s.readTimeout))
+		c.deadline = true
+	}
+	body, err := frame.Read(c.br, s.maxReq, &c.buf)
+	if err == nil && c.deadline {
+		c.conn.SetReadDeadline(time.Time{})
+		c.deadline = false
+	}
+	return body, err
+}
+
+// departure cancels a node connection's in-flight work once its peer
+// leaves. Armed for each dispatch, it peeks the connection only if the
+// work outlives departureGrace, and cancels the connection's context on
+// EOF or any other read failure but the deadline disarm stops it with.
+// Disarming, once the response is written, joins the peek, so the serve
+// loop owns the reader again before its next read; bytes the peek
+// buffered stay there for it.
+type departure struct {
+	c      *servedConn
+	cancel context.CancelFunc
+	timer  *time.Timer
+	done   chan struct{} // the peek's end
+}
+
+func newDeparture(c *servedConn, cancel context.CancelFunc) *departure {
+	d := &departure{c: c, cancel: cancel, done: make(chan struct{}, 1)}
+	d.timer = time.AfterFunc(time.Hour, d.watch)
+	d.timer.Stop()
+	return d
+}
+
+func (d *departure) arm() { d.timer.Reset(departureGrace) }
+
+// watch runs on the timer's goroutine once the grace has passed.
+func (d *departure) watch() {
+	if _, err := d.c.br.Peek(1); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		d.cancel()
+	}
+	d.done <- struct{}{}
+}
+
+func (d *departure) disarm() {
+	if d.timer.Stop() {
+		return // the peek never started
+	}
+	d.c.conn.SetReadDeadline(time.Unix(1, 0))
+	<-d.done
+	d.c.conn.SetReadDeadline(time.Time{})
+}
+
+// parse decodes a request into req, refusing a member op the connection
+// may not send: on a front, or before a hello.
+func (s *Server) parse(body []byte, helloed bool, req *request) error {
 	switch op := body[0]; {
 	case memberOp(op) && s.member == nil:
-		return nil, fmt.Errorf("%w: unknown opcode %#x", ErrProtocol, op)
+		return fmt.Errorf("%w: unknown opcode %#x", ErrProtocol, op)
 	case memberOp(op) && !helloed:
-		return nil, fmt.Errorf("%w: op %#x needs a hello first", ErrProtocol, op)
+		return fmt.Errorf("%w: op %#x needs a hello first", ErrProtocol, op)
 	}
-	return parseRequest(body, s.maxBatch)
+	return parseRequestInto(body, s.maxBatch, req)
 }
 
 // welcome answers a hello: the server's configuration if h matches it, or
 // the refusal naming both values. It reports whether the connection may go
 // on.
-func (s *Server) welcome(ctx context.Context, conn net.Conn, h *hello, out []byte) bool {
+func (s *Server) welcome(ctx context.Context, c *servedConn, h *hello) bool {
 	msg := "this server states no configuration to check a hello against"
 	if s.desc != nil {
 		msg = refusal(h, &s.self)
 	}
 	if msg != "" {
-		s.write(conn, frame.AppendErr(frame.Begin(out), opHello, frame.StatusErr, "hello refused: "+msg))
+		s.write(c, frame.AppendErr(frame.Begin(c.out), opHello, frame.StatusErr, "hello refused: "+msg))
 		return false
 	}
 	w := s.self
@@ -309,78 +404,18 @@ func (s *Server) welcome(ctx context.Context, conn net.Conn, h *hello, out []byt
 	}); ok {
 		w.Epoch, _ = e.Epoch(ctx)
 	}
-	return s.write(conn, appendWelcome(frame.Begin(out), &w)) == nil
-}
-
-// frames returns a connection's frame source: the next frame, an
-// oversized or malformed frame's error to name to the peer, or false once
-// any other read failure (EOF, a stalled frame) ended the connection.
-// Frames alternate between two buffers, so the one being served is never
-// the one being read. A node reads on its own goroutine, handing frames
-// over unbuffered, so a departed peer cancels ctx — and the backend work
-// running under it — mid-evaluation; a front's Answerer takes no context,
-// so its loop reads inline.
-func (s *Server) frames(ctx context.Context, cancel context.CancelFunc, conn net.Conn, br *bufio.Reader) func() (frameResult, bool) {
-	if s.member != nil {
-		conn.SetReadDeadline(time.Now().Add(s.readTimeout)) // a node's fresh connection must speak
-	}
-	var bufs [2][]byte
-	i := 0
-	read := func() (frameResult, bool) {
-		// The deadline starts at a frame's first byte, which Peek leaves
-		// for frame.Read.
-		_, err := br.Peek(1)
-		if err == nil {
-			conn.SetReadDeadline(time.Now().Add(s.readTimeout))
-			var body []byte
-			if body, err = frame.Read(br, s.maxReq, &bufs[i]); err == nil {
-				conn.SetReadDeadline(time.Time{})
-				i ^= 1
-				return frameResult{body: body}, true
-			}
-		}
-		return frameResult{err: err}, errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrProtocol)
-	}
-	if s.member == nil {
-		return read
-	}
-	ch := make(chan frameResult)
-	go func() {
-		defer cancel()
-		for {
-			fr, ok := read()
-			if !ok {
-				return
-			}
-			select {
-			case ch <- fr:
-			case <-ctx.Done():
-				return
-			}
-			if fr.err != nil {
-				return
-			}
-		}
-	}()
-	return func() (frameResult, bool) {
-		select {
-		case fr := <-ch:
-			return fr, true
-		case <-ctx.Done():
-			return frameResult{}, false
-		}
-	}
+	return s.write(c, appendWelcome(frame.Begin(c.out), &w)) == nil
 }
 
 // refuse names a frame-level violation to the peer before the loop hangs
 // up: the stream position is unrecoverable past a refused frame.
-func (s *Server) refuse(conn net.Conn, br *bufio.Reader, err error) {
+func (s *Server) refuse(c *servedConn, err error) {
 	tooLarge := errors.Is(err, ErrFrameTooLarge)
 	msg := err.Error()
 	if tooLarge {
 		msg = fmt.Sprintf("request exceeds the %d-byte frame cap (%v)", s.maxReq, err)
 	}
-	_ = s.write(conn, frame.AppendErr(frame.Begin(nil), frame.OpErr, frame.StatusErr, msg))
+	_ = s.write(c, frame.AppendErr(frame.Begin(nil), frame.OpErr, frame.StatusErr, msg))
 	if !tooLarge {
 		return
 	}
@@ -389,15 +424,31 @@ func (s *Server) refuse(conn net.Conn, br *bufio.Reader, err error) {
 	// discards the reply before the peer can read it. Drain until the peer
 	// hangs up, under a deadline and a byte bound: past it the peer is not
 	// a confused client worth a graceful goodbye.
-	conn.SetReadDeadline(time.Now().Add(refusalDrainTimeout))
-	_, _ = io.CopyN(io.Discard, br, 2*int64(s.maxReq))
+	c.conn.SetReadDeadline(time.Now().Add(refusalDrainTimeout))
+	_, _ = io.CopyN(io.Discard, c.br, 2*int64(s.maxReq))
 }
 
-// write sends one response frame (built on frame.Begin) under the
-// per-write deadline.
-func (s *Server) write(conn net.Conn, resp []byte) error {
-	conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-	return frame.Write(conn, resp, s.maxResp)
+// write sends one response frame (built on frame.Begin) under the write
+// deadline, re-armed only once it falls short (boundBy).
+func (s *Server) write(c *servedConn, resp []byte) error {
+	if d, ok := boundBy(c.writeDeadline, s.writeTimeout); ok {
+		c.conn.SetWriteDeadline(d)
+		c.writeDeadline = d
+	}
+	return frame.Write(c.conn, resp, s.maxResp)
+}
+
+// boundBy returns the deadline that bounds an operation starting now by
+// d, and whether it differs from armed: an armed deadline between d and
+// 9/8·d away is kept. A connection serving short operations back to back
+// so re-arms once per d/8 instead of once per operation, and a stalled
+// operation is cut between d and 9/8·d after it starts.
+func boundBy(armed time.Time, d time.Duration) (time.Time, bool) {
+	lo := time.Now().Add(d)
+	if armed.Before(lo) || armed.After(lo.Add(d/8)) {
+		return lo.Add(d / 8), true
+	}
+	return armed, false
 }
 
 // dispatch executes one request and encodes its response into dst. A node

@@ -11,7 +11,7 @@ import (
 // This file pins the device model to the paper's measured numbers. The
 // targets are the *shapes* (ratios, orderings, crossovers); absolute values
 // are required only to land within a factor-of-two band of the published
-// measurements, per EXPERIMENTS.md's methodology.
+// measurements: the model stands in for hardware it cannot match exactly.
 
 // within checks x ∈ [lo, hi].
 func within(t *testing.T, name string, x, lo, hi float64) {
