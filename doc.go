@@ -171,11 +171,16 @@
 //     free pool (a steady-state pass allocates nothing per page —
 //     AllocsPerRun-enforced), little-endian hosts read file bytes
 //     directly into the page's word buffer with no staging copy, and
-//     passes are order-free and shared — a pass takes the pages already
-//     resident first, then pages other in-flight passes have loaded
-//     since, and reads a page itself only when nobody else is reading
-//     it, waiting on another pass's read only at its own tail. One
-//     worker's read overlaps another's accumulate. Rollback semantics
+//     passes ride one cooperative scan per table (Zukowski et al.,
+//     "Cooperative Scans", VLDB 2007): a pass that starts while others
+//     are streaming joins them, and each page a worker slot holds — a
+//     resident page before a read, the oldest pass's needs first — is
+//     fed to every in-flight pass that still needs it, back to back
+//     while it is hot in that core's cache, so two batches in flight
+//     visit each page once between them instead of once each. A joined
+//     pass's own workers park until older passes hand their slots on; a
+//     slot waits on another's read only at its pass's tail, and one
+//     slot's read overlaps another's accumulate. Rollback semantics
 //     survive every backing shape: superseded backings recycle once
 //     their last reader releases, an aborted epoch rolls back to its
 //     retained predecessor, and aborted epoch NUMBERS are burned —

@@ -385,6 +385,15 @@ func StepLeafBatch(prg PRG, k *Key, seeds []Seed, ts []uint8, dst []uint32, sc *
 // party sign). Like the AES steps' correction passes it masks instead of
 // branching on the control bit and the party: the bit is pseudorandom, a
 // branch on it mispredicts every other node.
+//
+// Only the seed's own four words can be lanes as they stand. Any lane past
+// them must come from ConvertInto's PRG, which costs what one more tree
+// level costs: filling lanes 4–7 with a public fixed-key hash H of the
+// seed would leak the queried index. A server holding its terminal seeds
+// and the final correction word can compute, for every terminal j, D_j =
+// Final ∓ lanes(s_j). Only α's terminal gives a D whose second half is H
+// of its first half (up to β in one lane), so that one server learns α's
+// group.
 func convertLeafGroup(k *Key, s *Seed, t uint8, jLo int, out []uint32) {
 	fm, neg := -uint32(t), -uint32(k.Party)
 	if len(out) == 4 && len(k.Final) == 4 {

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -92,13 +92,20 @@ type pageEnt struct {
 //     a bounded free list once the last reference drops. (This is why
 //     chunk data must not be retained past the callback — see
 //     strategy.Chunk. Row reads return copies and stay valid forever.)
-//   - order-free, shared passes: a pass (Snapshot.Pass) visits its pages
-//     in the order that reads the file least — pages already resident
-//     first, then pages other in-flight passes have loaded meanwhile, and
-//     only then a page nobody is loading, which it reads itself. A pass
-//     never waits on another pass's read except at its own tail, when
-//     every page it still needs is being read by someone else. Its
-//     workers overlap one worker's read with another's accumulate.
+//   - one cooperative scan per backing (Zukowski et al., "Cooperative
+//     Scans", VLDB 2007): a pass (Snapshot.Pass) that starts while others
+//     are streaming the table joins them. Worker index w is a slot that
+//     one goroutine holds at a time; the holder takes a page — resident
+//     before read, the oldest pass's needs first — and feeds it to every
+//     in-flight pass that still needs it and whose budget exceeds w, back
+//     to back while the page is hot in that core's cache, before it
+//     releases it. A joined pass's own workers park until older passes
+//     hand their slots on. No holder waits on another's read except at
+//     its own pass's tail, when every page the pass still needs is being
+//     read by another slot; one slot's read overlaps another's
+//     accumulate. A pass's callback may so run on another pass's
+//     goroutine: it must not wait on its own caller, nor start a pass over
+//     the same table (its worker would park on a slot its caller holds).
 //
 // A PagedBacking outlives the epochs served over it: the Store layers
 // delta-epoch overlays above it and never tries to reclaim it. Close when
@@ -117,8 +124,10 @@ type PagedBacking struct {
 	resident int              // len(pages), tracked for the keep-one floor
 	cached   int64            // bytes resident
 	free     []*pageEnt       // recycled entries, buffers at full-page cap
-	loading  []bool           // by page index: a pass is reading it from the file
-	landed   sync.Cond        // on mu: a load finished, or a pass failed
+	loading  []bool           // by page index: a slot holder is reading it from the file
+	passes   []*pagedPass     // the scan's in-flight passes, oldest first
+	slots    []*pagedSlot     // the scan's worker slots, by index
+	landed   sync.Cond        // on mu: a read landed, a pass joined or failed
 
 	loads atomic.Int64 // pages read from the file (cache misses)
 	hits  atomic.Int64
@@ -255,11 +264,14 @@ func (p *PagedBacking) Rows() int { return p.rows }
 func (p *PagedBacking) Lanes() int { return p.lanes }
 
 // Loads returns the number of pages read from the file so far (cache
-// misses). Exposed for tests and cache-sizing diagnostics.
+// misses): once per read, however many passes ride the page. Exposed for
+// tests and cache-sizing diagnostics.
 func (p *PagedBacking) Loads() int64 { return p.loads.Load() }
 
-// Hits returns the number of pages served from the cache: once per page a
-// pass takes resident, once per Row read that finds its page resident.
+// Hits returns the number of pages served from the cache: once per
+// resident page a scan slot takes, however many passes ride it, and once
+// per Row read that finds its page resident. Loads plus the passes' share
+// of Hits is the scan's page visits.
 func (p *PagedBacking) Hits() int64 { return p.hits.Load() }
 
 // Close releases the file handle. Callers must ensure no reads are in
@@ -440,34 +452,57 @@ type pagedSource struct {
 	p *PagedBacking
 }
 
-// pagedPass is one pass's claim state: which pages of [first, first+
-// len(taken)) it has taken — visited, or being read by one of its own
-// workers. Every field but the immutable range and callback is guarded by
-// PagedBacking.mu. Passes are pooled, so a steady-state pass allocates
-// nothing of its own.
+// pagedPass is one in-flight pass of the backing's scan: which pages of
+// [first, first+len(taken)) have been taken for it — handed to a slot
+// holder that will feed the page to fn. Every field but the immutable
+// range, budget and callback is guarded by PagedBacking.mu; failed mirrors
+// err != nil for holders that run callbacks outside the lock. Passes are
+// pooled, so a steady-state pass allocates nothing of its own.
 type pagedPass struct {
 	lo, hi int
 	first  int
+	budget int // the caller's worker budget: slots below it may run fn
 	taken  []bool
 	next   int // no page below first+next is untaken
+	left   int // pages not yet taken
+	busy   int // pages taken whose callback has not returned
 	fn     func(int, strategy.Chunk) error
 	err    error
+	failed atomic.Bool
+	own    sync.WaitGroup // the pass's own goroutines past its caller's
+	moved  sync.Cond      // on PagedBacking.mu: a slot freed, or the pass finished or failed
 }
 
 var pagedPassPool = sync.Pool{New: func() any { return new(pagedPass) }}
 
+// pagedSlot is one worker index of the backing's scan. At most one
+// goroutine holds it at a time, and only the holder calls a pass's fn with
+// that index, which is what keeps calls with one w from overlapping when
+// several passes share the slot. riders and errs are the holder's scratch
+// for the page it holds: the passes it feeds, oldest first, and what each
+// callback returned.
+type pagedSlot struct {
+	held   bool
+	riders []*pagedPass
+	errs   []error
+}
+
 // pass visits every page overlapping [lo, hi) exactly once on up to
-// workers goroutines (see the PagedBacking comment for the order). Each
-// page is referenced for exactly the duration of its callback (the
-// strategy.Chunk retention contract). The first error — a file read's or
-// fn's — stops every worker at its next page and wakes any waiting at the
-// tail; pass returns it once all have returned.
+// workers slots of the backing's scan (see the PagedBacking comment). The
+// caller's goroutine is the pass's worker 0 and starts the others; a
+// worker whose slot another pass holds parks until it is free, meanwhile
+// riding that holder's pages. Each page is referenced for exactly the
+// duration of the callbacks it is fed to (the strategy.Chunk retention
+// contract). The pass's first error — a file read's or fn's — stops it at
+// its next page; pass returns once its own workers have and no slot
+// holder is still inside its callback.
 func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
 	if lo == hi {
 		return nil
 	}
 	p := ps.p
 	pp := pagedPassPool.Get().(*pagedPass)
+	pp.moved.L = &p.mu
 	first, last := lo/p.pageRows, (hi-1)/p.pageRows
 	n := last - first + 1
 	if cap(pp.taken) < n {
@@ -475,89 +510,207 @@ func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) er
 	}
 	pp.taken = pp.taken[:n]
 	clear(pp.taken)
-	pp.lo, pp.hi, pp.first, pp.next, pp.fn, pp.err = lo, hi, first, 0, fn, nil
-	if workers = min(workers, n); workers <= 1 {
-		p.work(pp, 0)
-	} else {
-		gpu.ParallelForN(workers, workers, func(w int) { p.work(pp, w) })
+	pp.lo, pp.hi, pp.first, pp.budget, pp.fn = lo, hi, first, workers, fn
+	pp.next, pp.left, pp.busy, pp.err = 0, n, 0, nil
+	pp.failed.Store(false)
+	own := min(workers, n)
+
+	p.mu.Lock()
+	for len(p.slots) < own {
+		p.slots = append(p.slots, new(pagedSlot))
 	}
+	p.passes = append(p.passes, pp)
+	p.landed.Broadcast() // a holder waiting at its tail may serve this pass
+	p.mu.Unlock()
+
+	pp.own.Add(own - 1)
+	for w := 1; w < own; w++ {
+		go p.worker(pp, w)
+	}
+	p.serve(pp, 0)
+	pp.own.Wait()
+
+	p.mu.Lock()
+	for pp.busy > 0 {
+		pp.moved.Wait()
+	}
+	i := slices.Index(p.passes, pp)
+	p.passes = slices.Delete(p.passes, i, i+1)
 	err := pp.err
+	p.mu.Unlock()
 	pp.fn = nil
 	pagedPassPool.Put(pp)
 	return err
 }
 
-// work is one worker of pass pp: it takes pages until the pass has none
-// left or has failed.
-func (p *PagedBacking) work(pp *pagedPass, w int) {
+// worker is pass pp's worker w > 0 on a goroutine of its own.
+func (p *PagedBacking) worker(pp *pagedPass, w int) {
+	defer pp.own.Done()
+	p.serve(pp, w)
+}
+
+// serve is worker w of pass pp. It parks until slot w is free or pp needs
+// nothing more; holding the slot, it feeds pages to every in-flight pass
+// it may serve until pp has every page taken or has failed, then hands
+// the slot on.
+func (p *PagedBacking) serve(pp *pagedPass, w int) {
 	p.mu.Lock()
-	for {
-		ent, load := p.takeLocked(pp)
+	s := p.slots[w]
+	for s.held && pp.left > 0 && pp.err == nil {
+		pp.moved.Wait()
+	}
+	if s.held || pp.left == 0 || pp.err != nil {
+		p.mu.Unlock()
+		return
+	}
+	s.held = true
+	for pp.left > 0 && pp.err == nil {
+		ent, load := p.pickLocked(w)
 		if ent == nil && load < 0 {
-			p.mu.Unlock()
-			return
+			// Every page pp still needs is being read by another slot.
+			p.landed.Wait()
+			continue
 		}
-		var err error
 		if ent == nil {
-			p.mu.Unlock()
-			ent, err = p.loadPage(load)
-			p.mu.Lock()
-			p.loading[load] = false
-			if err == nil {
-				ent = p.insertLocked(ent)
-			}
-			p.landed.Broadcast()
+			ent = p.readLocked(load, w)
 		}
-		if err == nil {
+		if ent != nil {
 			p.mu.Unlock()
-			pLo, pHi := p.pageSpan(ent.idx)
-			cLo, cHi := max(pp.lo, pLo), min(pp.hi, pHi)
-			err = pp.fn(w, strategy.Chunk{Row: cLo, Data: ent.data[(cLo-pLo)*p.lanes : (cHi-pLo)*p.lanes]})
+			p.feed(s, ent, w)
 			p.mu.Lock()
 			p.releaseLocked(ent)
 		}
-		if err != nil && pp.err == nil {
-			pp.err = err
-			p.landed.Broadcast()
+		p.settleLocked(s)
+	}
+	s.held = false
+	for _, q := range p.passes {
+		q.moved.Broadcast() // a parked worker may take the slot
+	}
+	p.mu.Unlock()
+}
+
+// readLocked reads page idx for slot w's riders (caller holds mu, which it
+// drops for the read) and returns it cached with a reference held, ridden
+// also by the passes that started during the read. A failed read returns
+// nil and becomes every rider's error.
+func (p *PagedBacking) readLocked(idx, w int) *pageEnt {
+	p.mu.Unlock()
+	ent, err := p.loadPage(idx)
+	p.mu.Lock()
+	p.loading[idx] = false
+	p.landed.Broadcast() // for holders waiting at their tail
+	if err != nil {
+		s := p.slots[w]
+		for i := range s.errs {
+			s.errs[i] = err
 		}
+		return nil
+	}
+	ent = p.insertLocked(ent)
+	p.rideLocked(idx, w)
+	return ent
+}
+
+// feed runs the callbacks of every pass riding the held page, back to
+// back while the page is hot in this core's cache, recording each one's
+// error beside it. A rider that has failed meanwhile is skipped.
+func (p *PagedBacking) feed(s *pagedSlot, ent *pageEnt, w int) {
+	pLo, pHi := p.pageSpan(ent.idx)
+	for i, r := range s.riders {
+		if r.failed.Load() {
+			continue
+		}
+		cLo, cHi := max(r.lo, pLo), min(r.hi, pHi)
+		s.errs[i] = r.fn(w, strategy.Chunk{Row: cLo, Data: ent.data[(cLo-pLo)*p.lanes : (cHi-pLo)*p.lanes]})
 	}
 }
 
-// takeLocked picks pass pp's next page (caller holds mu, which it may wait
-// on): a resident page the pass has not taken, oldest first, returned with
-// a reference held; else the lowest untaken page nobody is reading, marked
-// loading and returned as load; else — every page the pass still needs is
-// being read by another pass — it waits for a load to land and retries.
-// (nil, -1) means the pass is done: every page is taken, or it has failed.
-// A pass's hit leaves the page's recency alone, so eviction follows load
-// order: the page a pass takes first is the next to be evicted, and one
-// that every in-flight pass has used is not kept alive by the last of them.
-func (p *PagedBacking) takeLocked(pp *pagedPass) (ent *pageEnt, load int) {
-	for pp.err == nil {
+// settleLocked ends slot s's hold (caller holds mu): each rider's callback
+// has returned, so it is no longer busy with the page, and a callback's or
+// the read's error fails that rider alone.
+func (p *PagedBacking) settleLocked(s *pagedSlot) {
+	for i, r := range s.riders {
+		r.busy--
+		if err := s.errs[i]; err != nil {
+			p.failLocked(r, err)
+		}
+		if r.busy == 0 && (r.left == 0 || r.err != nil) {
+			r.moved.Broadcast() // r's caller may return
+		}
+		s.riders[i], s.errs[i] = nil, nil
+	}
+	s.riders, s.errs = s.riders[:0], s.errs[:0]
+}
+
+// failLocked records pass pp's first error (caller holds mu) and wakes
+// its parked workers and caller.
+func (p *PagedBacking) failLocked(pp *pagedPass, err error) {
+	if pp.err == nil {
+		pp.err = err
+		pp.failed.Store(true)
+		pp.moved.Broadcast()
+		p.landed.Broadcast() // pp's holders may be waiting at its tail
+	}
+}
+
+// servesLocked reports whether slot w may take a page for pass pp (caller
+// holds mu): pp still needs pages, has not failed, and its budget covers w.
+func servesLocked(pp *pagedPass, w int) bool {
+	return pp.left > 0 && pp.err == nil && w < pp.budget
+}
+
+// pickLocked picks slot w's next page (caller holds mu) and takes it for
+// every pass that rides it (rideLocked). Passes are tried oldest first, so
+// the oldest finishes and frees its caller before a younger one's needs
+// delay it: for each, a resident page it needs, least recently loaded
+// first, then the lowest page it needs that no slot is reading. A
+// resident page is returned with a reference held, a read as load; (nil,
+// -1) means no pass slot w serves has a page that is neither taken nor
+// being read.
+//
+// A hit leaves the page's recency alone, so eviction follows load order:
+// the page read first is the next evicted, and one that every in-flight
+// pass has used is not kept alive by the last of them.
+func (p *PagedBacking) pickLocked(w int) (ent *pageEnt, load int) {
+	for _, pp := range p.passes {
+		if !servesLocked(pp, w) {
+			continue
+		}
 		for pp.next < len(pp.taken) && pp.taken[pp.next] {
 			pp.next++
 		}
-		if pp.next == len(pp.taken) {
-			break
-		}
 		for e := p.lru; e != nil; e = e.prev {
 			if i := e.idx - pp.first; i >= pp.next && i < len(pp.taken) && !pp.taken[i] {
-				pp.taken[i] = true
 				e.refs++
 				p.hits.Add(1)
+				p.rideLocked(e.idx, w)
 				return e, -1
 			}
 		}
 		for i := pp.next; i < len(pp.taken); i++ {
-			if !pp.taken[i] && !p.loading[pp.first+i] {
-				pp.taken[i] = true
-				p.loading[pp.first+i] = true
-				return nil, pp.first + i
+			if idx := pp.first + i; !pp.taken[i] && !p.loading[idx] {
+				p.loading[idx] = true
+				p.rideLocked(idx, w)
+				return nil, idx
 			}
 		}
-		p.landed.Wait()
 	}
 	return nil, -1
+}
+
+// rideLocked takes page idx for every in-flight pass slot w serves that
+// still needs it, appending each to the slot's riders (caller holds mu).
+func (p *PagedBacking) rideLocked(idx, w int) {
+	s := p.slots[w]
+	for _, pp := range p.passes {
+		if i := idx - pp.first; servesLocked(pp, w) && i >= 0 && i < len(pp.taken) && !pp.taken[i] {
+			pp.taken[i] = true
+			pp.left--
+			pp.busy++
+			s.riders = append(s.riders, pp)
+			s.errs = append(s.errs, nil)
+		}
+	}
 }
 
 // row returns a copy of row i (copies stay valid forever, so Snapshot.Row's
