@@ -452,14 +452,19 @@ func BenchmarkFig20BatchPIR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c, err := batchpir.NewClient("siphash", cfg, randv2.New(randv2.NewPCG(9, 0)))
+	rng := randv2.New(randv2.NewPCG(9, 0))
+	c, err := pir.NewClient("siphash", cfg.BinSize, pir.InsecureSeeded(rng))
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := &batchpir.TwoServer{Client: c, S0: s0, S1: s1}
+	ts := &pir.TwoServer{Client: c, E0: pir.InProcess{Server: s0}, E1: pir.InProcess{Server: s1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ts.Fetch([]uint64{3, 700, 2900}); err != nil {
+		plan, err := batchpir.BuildPlan(cfg, []uint64{3, 700, 2900}, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := ts.Fetch(plan.Offsets); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -189,7 +188,7 @@ type configEcho struct {
 // the timed path (keys are the client's cost, not the server's), and
 // deterministic so two runs of one seed send identical bytes.
 func buildKeys(ops []loadgen.Op, prg string, rows, early, party int, seed uint64) (map[uint64][]byte, error) {
-	cl, err := pir.NewClientEarly(prg, rows, early, &pcgReader{r: rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))})
+	cl, err := pir.NewClientEarly(prg, rows, early, pir.InsecureSeeded(rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))))
 	if err != nil {
 		return nil, err
 	}
@@ -251,27 +250,6 @@ func mix64(z uint64) uint64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return z
-}
-
-// pcgReader adapts a seeded PCG as the io.Reader pir's key generator
-// draws randomness from, making DPF key bytes a pure function of the
-// workload seed.
-type pcgReader struct {
-	r *rand.Rand
-}
-
-func (p *pcgReader) Read(b []byte) (int, error) {
-	n := len(b)
-	for len(b) >= 8 {
-		binary.LittleEndian.PutUint64(b, p.r.Uint64())
-		b = b[8:]
-	}
-	if len(b) > 0 {
-		var w [8]byte
-		binary.LittleEndian.PutUint64(w[:], p.r.Uint64())
-		copy(b, w[:])
-	}
-	return n, nil
 }
 
 func readBaseline(path string) (*output, error) {

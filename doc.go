@@ -283,7 +283,12 @@
 //     it.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
-//     batch retrieval scheme of §4.1 (bins answered concurrently).
+//     batch retrieval scheme of §4.1 (bins answered concurrently). The
+//     client half is one fetch, pir.TwoServer.Fetch, with pir.Client the
+//     only key generator: a PBR round is that fetch over a
+//     batchpir.BuildPlan's per-bin offsets, each party's batchpir.Server
+//     behind pir.InProcess. A replayable key stream exists only as
+//     pir.InsecureSeeded.
 //     pir.Serve and pir.Dial are shardnet's front face: its client ops,
 //     so the communication the paper counts is exact — n keys of k bytes
 //     cost 13+n·k bytes up, an n × lanes answer 14+4·n·lanes down.
@@ -294,8 +299,9 @@
 //     that first error from then on. pir.Dial with pins (what cmd/pirclient and
 //     cmd/pirload pass) says hello, so a PRF, depth, party or row-count
 //     mismatch fails at dial instead of reconstructing garbage.
-//   - internal/core wires the private on-device inference service (both
-//     parties queried concurrently); internal/serving adds the batching
+//   - internal/core wires the private on-device inference service: one
+//     pir.TwoServer per co-design table (hot and full), so both parties
+//     are queried concurrently through the same fetch; internal/serving adds the batching
 //     front door — a request's keys are admitted or shed whole and
 //     batched adjacent, and up to GOMAXPROCS batches run at once, each on
 //     the goroutine that closed it (no worker) — and the load/latency

@@ -6,6 +6,10 @@
 // costs one table pass total instead of one pass per lookup; lookups that
 // collide in a bin beyond the first are dropped, which is what the ML
 // co-design (internal/codesign) trades against model quality.
+//
+// This package holds the PBR math and the bin Server. The client half is
+// pir's: a pir.Client over BinSize rows fetches a plan's Offsets through
+// pir.TwoServer, with each party's Server behind pir.InProcess.
 package batchpir
 
 import (
@@ -68,7 +72,7 @@ func (c Config) BinBits() int {
 
 // KeyBytesPerQuery is the total client→servers key traffic of one PBR
 // round: one key per bin per server, in the default early-terminated wire
-// format batchpir clients emit.
+// format a pir.Client over BinSize rows emits.
 func (c Config) KeyBytesPerQuery() int64 {
 	bits := c.BinBits()
 	return int64(c.NumBins()) * int64(dpf.MarshaledSizeEarly(bits, 1, dpf.DefaultEarly(bits, 1))) * 2

@@ -21,6 +21,45 @@ func testTable(t *testing.T, rows, lanes int) *pir.Table {
 	return tab
 }
 
+// twoServer puts both parties' bin servers over tab behind one
+// pir.TwoServer whose client draws its keys from rng.
+func twoServer(t *testing.T, prg string, tab *pir.Table, cfg Config, rng *rand.Rand) *pir.TwoServer {
+	t.Helper()
+	s0, err := NewServer(0, tab, cfg, pir.WithPRG(prg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := NewServer(1, tab, cfg, pir.WithPRG(prg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pir.NewClient(prg, cfg.BinSize, pir.InsecureSeeded(rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pir.TwoServer{Client: c, E0: pir.InProcess{Server: s0}, E1: pir.InProcess{Server: s1}}
+}
+
+// fetch runs one PBR round: plan the wants, fetch the plan's offsets, and
+// key the served bins' rows by table index (dummy bins are dropped).
+func fetch(ts *pir.TwoServer, cfg Config, want []uint64, rng *rand.Rand) (map[uint64][]uint32, Plan, pir.CommStats, error) {
+	plan, err := BuildPlan(cfg, want, rng)
+	if err != nil {
+		return nil, Plan{}, pir.CommStats{}, err
+	}
+	rows, stats, err := ts.Fetch(plan.Offsets)
+	if err != nil {
+		return nil, Plan{}, stats, err
+	}
+	out := make(map[uint64][]uint32)
+	for b, served := range plan.Served {
+		if served >= 0 {
+			out[uint64(served)] = rows[b]
+		}
+	}
+	return out, plan, stats, nil
+}
+
 func TestConfig(t *testing.T) {
 	c := Config{NumRows: 100, BinSize: 32}
 	if c.NumBins() != 4 {
@@ -115,21 +154,10 @@ func TestEndToEnd(t *testing.T) {
 	for _, shape := range []struct{ rows, binSize int }{{64, 16}, {100, 32}, {50, 50}, {33, 8}} {
 		cfg := Config{NumRows: shape.rows, BinSize: shape.binSize}
 		tab := testTable(t, shape.rows, 3)
-		s0, err := NewServer(0, tab, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s1, err := NewServer(1, tab, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := NewClient("aes128", cfg, rand.New(rand.NewPCG(3, 0)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := &TwoServer{Client: c, S0: s0, S1: s1}
+		rng := rand.New(rand.NewPCG(3, 0))
+		ts := twoServer(t, "aes128", tab, cfg, rng)
 		want := []uint64{0, uint64(shape.rows) - 1, uint64(shape.rows) / 2}
-		rows, plan, stats, err := ts.Fetch(want)
+		rows, plan, stats, err := fetch(ts, cfg, want, rng)
 		if err != nil {
 			t.Fatalf("rows=%d bin=%d: %v", shape.rows, shape.binSize, err)
 		}
@@ -218,23 +246,8 @@ func TestBinTradeoffMonotonicity(t *testing.T) {
 func TestQuickDecodeMatchesTable(t *testing.T) {
 	cfg := Config{NumRows: 128, BinSize: 32}
 	tab := testTable(t, cfg.NumRows, 2)
-	s0, err := NewServer(0, tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := NewServer(1, tab, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClient("siphash", cfg, rand.New(rand.NewPCG(5, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s0p, _ := NewServer(0, tab, cfg, pir.WithPRG("siphash"))
-	s1p, _ := NewServer(1, tab, cfg, pir.WithPRG("siphash"))
-	_ = s0
-	_ = s1
-	ts := &TwoServer{Client: c, S0: s0p, S1: s1p}
+	rng := rand.New(rand.NewPCG(5, 0))
+	ts := twoServer(t, "siphash", tab, cfg, rng)
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
@@ -246,7 +259,7 @@ func TestQuickDecodeMatchesTable(t *testing.T) {
 		for i, r := range raw {
 			idx[i] = uint64(r) % uint64(cfg.NumRows)
 		}
-		rows, plan, _, err := ts.Fetch(idx)
+		rows, plan, _, err := fetch(ts, cfg, idx, rng)
 		if err != nil {
 			return false
 		}

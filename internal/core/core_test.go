@@ -1,10 +1,14 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"hash"
 	"testing"
 
 	"gpudpf/internal/codesign"
 	"gpudpf/internal/netsim"
+	"gpudpf/internal/pir"
 )
 
 // testService builds a service over a 64-item table with co-location pairs
@@ -219,5 +223,38 @@ func TestDeterministicWithSeed(t *testing.T) {
 	a, b := mk(), mk()
 	if a.Comm != b.Comm || a.Retrieved != b.Retrieved {
 		t.Error("same seed produced different traces")
+	}
+}
+
+// recordingEndpoint hashes every key batch it forwards.
+type recordingEndpoint struct {
+	pir.Endpoint
+	h hash.Hash
+}
+
+func (r recordingEndpoint) Answer(keys [][]byte) ([][]uint32, error) {
+	for _, k := range keys {
+		r.h.Write(k)
+	}
+	return r.Endpoint.Answer(keys)
+}
+
+// TestSeededKeyStreamPinned pins the party-0 key bytes a seeded Service
+// sends over three fetches on a layout with both tables: the seed's one
+// stream draws the plan's dummies, then the full table's keys bin by bin,
+// then the hot table's, and a change to that order moves the digest.
+func TestSeededKeyStreamPinned(t *testing.T) {
+	svc, _, _ := testService(t, codesign.Params{C: 1, HotRows: 8, QHot: 4, QFull: 8}, 8)
+	h := sha256.New()
+	svc.full.ts.E0 = recordingEndpoint{svc.full.ts.E0, h}
+	svc.hot.ts.E0 = recordingEndpoint{svc.hot.ts.E0, h}
+	for _, w := range [][]uint64{{2, 3, 40, 63}, {1, 5, 9, 17}, {2, 3, 60}} {
+		if _, _, err := svc.FetchEmbeddings(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "f5fe59f03418da54596dded283906e85599fa3dbbc587812cdc20ef708924f52"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("party-0 key stream digest %s, want %s", got, want)
 	}
 }

@@ -63,11 +63,43 @@ type Service struct {
 	// (and the client rng/cache are single-threaded).
 	mu sync.Mutex
 
-	fullClient, hotClient *batchpir.Client
-	fullS0, fullS1        *batchpir.Server
-	hotS0, hotS1          *batchpir.Server
-	fullTab, hotTab       *pir.Table
-	cache                 *embCache
+	full, hot *table // hot is nil without a hot table
+	cache     *embCache
+}
+
+// table is one co-design table as both parties serve it: each party's PBR
+// bin server behind one two-party fetch, and the reference copy the update
+// path patches rows in.
+type table struct {
+	ts     *pir.TwoServer
+	s0, s1 *batchpir.Server
+	tab    *pir.Table
+}
+
+// newTable builds both parties' bin servers over tab and a client that
+// draws its keys from rng.
+func newTable(prg string, tab *pir.Table, bins batchpir.Config, rng *rand.Rand) (*table, error) {
+	client, err := pir.NewClient(prg, bins.BinSize, pir.InsecureSeeded(rng))
+	if err != nil {
+		return nil, err
+	}
+	t := &table{tab: tab}
+	if t.s0, err = batchpir.NewServer(0, tab, bins, pir.WithPRG(prg)); err != nil {
+		return nil, err
+	}
+	if t.s1, err = batchpir.NewServer(1, tab, bins, pir.WithPRG(prg)); err != nil {
+		return nil, err
+	}
+	t.ts = &pir.TwoServer{Client: client, E0: pir.InProcess{Server: t.s0}, E1: pir.InProcess{Server: t.s1}}
+	return t, nil
+}
+
+// update writes one row to both parties' servers.
+func (t *table) update(row uint64, vals []uint32) error {
+	if err := t.s0.Update(row, vals); err != nil {
+		return err
+	}
+	return t.s1.Update(row, vals)
 }
 
 // Trace records one inference's protocol outcome for reporting.
@@ -119,37 +151,17 @@ func New(cfg Config, emb [][]float32) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:     cfg,
-		prg:     prg,
-		layout:  cfg.Layout,
-		rng:     rand.New(rand.NewPCG(uint64(cfg.Seed), 0)),
-		cache:   newEmbCache(cfg.CacheEntries),
-		fullTab: full,
-		hotTab:  hot,
+		cfg:    cfg,
+		prg:    prg,
+		layout: cfg.Layout,
+		rng:    rand.New(rand.NewPCG(uint64(cfg.Seed), 0)),
+		cache:  newEmbCache(cfg.CacheEntries),
 	}
-	s.fullClient, err = batchpir.NewClient(cfg.PRG, cfg.Layout.FullCfg, s.rng)
-	if err != nil {
-		return nil, err
-	}
-	s.fullS0, err = batchpir.NewServer(0, full, cfg.Layout.FullCfg, pir.WithPRG(cfg.PRG))
-	if err != nil {
-		return nil, err
-	}
-	s.fullS1, err = batchpir.NewServer(1, full, cfg.Layout.FullCfg, pir.WithPRG(cfg.PRG))
-	if err != nil {
+	if s.full, err = newTable(cfg.PRG, full, cfg.Layout.FullCfg, s.rng); err != nil {
 		return nil, err
 	}
 	if cfg.Layout.Params.HotRows > 0 {
-		s.hotClient, err = batchpir.NewClient(cfg.PRG, cfg.Layout.HotCfg, s.rng)
-		if err != nil {
-			return nil, err
-		}
-		s.hotS0, err = batchpir.NewServer(0, hot, cfg.Layout.HotCfg, pir.WithPRG(cfg.PRG))
-		if err != nil {
-			return nil, err
-		}
-		s.hotS1, err = batchpir.NewServer(1, hot, cfg.Layout.HotCfg, pir.WithPRG(cfg.PRG))
-		if err != nil {
+		if s.hot, err = newTable(cfg.PRG, hot, cfg.Layout.HotCfg, s.rng); err != nil {
 			return nil, err
 		}
 	}
@@ -190,11 +202,11 @@ func (s *Service) FetchEmbeddings(wanted []uint64) (map[uint64][]float32, *Trace
 	tr.Retrieved = len(plan.Retrieved)
 	tr.Dropped = len(plan.Dropped)
 
-	if err := s.fetchTable(s.fullClient, s.fullS0, s.fullS1, plan.FullOffsets, plan.FullServedRows, plan, out, tr); err != nil {
+	if err := s.fetch(s.full, plan.FullOffsets, plan.FullServedRows, plan, out, tr); err != nil {
 		return nil, nil, err
 	}
-	if s.hotClient != nil {
-		if err := s.fetchTable(s.hotClient, s.hotS0, s.hotS1, plan.HotOffsets, plan.HotServedRows, plan, out, tr); err != nil {
+	if s.hot != nil {
+		if err := s.fetch(s.hot, plan.HotOffsets, plan.HotServedRows, plan, out, tr); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -208,48 +220,21 @@ func (s *Service) FetchEmbeddings(wanted []uint64) (map[uint64][]float32, *Trace
 	return out, tr, nil
 }
 
-// fetchTable runs one table's PBR round and decodes served rows into items.
-// The two parties answer concurrently through the engine-backed servers,
-// mirroring the deployment where they are different clouds.
-func (s *Service) fetchTable(c *batchpir.Client, s0, s1 *batchpir.Server,
-	offsets []uint64, servedRows []int64, plan *codesign.InferencePlan,
-	out map[uint64][]float32, tr *Trace) error {
-	k0, k1, err := c.KeysForOffsets(offsets)
+// fetch runs one table's PBR round over the plan's offsets and extracts
+// every item a served (non-dummy) bin's row carries into out.
+func (s *Service) fetch(t *table, offsets []uint64, servedRows []int64,
+	plan *codesign.InferencePlan, out map[uint64][]float32, tr *Trace) error {
+	rows, comm, err := t.ts.Fetch(offsets)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: %w", err)
 	}
-	for b := range k0 {
-		tr.Comm.UpBytes += int64(len(k0[b]) + len(k1[b]))
-	}
-	type answer struct {
-		shares [][]uint32
-		err    error
-	}
-	ch := make(chan answer, 1)
-	go func() {
-		a, err := s0.Answer(k0)
-		ch <- answer{a, err}
-	}()
-	a1, err1 := s1.Answer(k1)
-	r0 := <-ch
-	if r0.err != nil {
-		return fmt.Errorf("core: party 0: %w", r0.err)
-	}
-	if err1 != nil {
-		return fmt.Errorf("core: party 1: %w", err1)
-	}
-	a0 := r0.shares
-	for b := range a0 {
-		tr.Comm.DownBytes += int64(len(a0[b])+len(a1[b])) * 4
+	tr.Comm.UpBytes += comm.UpBytes
+	tr.Comm.DownBytes += comm.DownBytes
+	for b, row := range rows {
 		if servedRows[b] < 0 {
 			continue // dummy bin
 		}
-		row, err := pir.Reconstruct(a0[b], a1[b])
-		if err != nil {
-			return err
-		}
-		groupedRow := uint64(servedRows[b])
-		for _, item := range plan.RowItems[groupedRow] {
+		for _, item := range plan.RowItems[uint64(servedRows[b])] {
 			v, err := s.layout.ExtractItem(item, row)
 			if err != nil {
 				return err
@@ -300,20 +285,14 @@ func (s *Service) UpdateEmbeddings(updates map[uint64][]float32) error {
 		slot := int(s.layout.SlotOf[item])
 		// Patch the grouped row in our reference copy, then push the whole
 		// row to every replica that holds it.
-		rowData := s.fullTab.Row(row)
+		rowData := s.full.tab.Row(row)
 		pir.PackFloats(rowData[slot*s.layout.Dim:(slot+1)*s.layout.Dim], vec)
-		if err := s.fullS0.Update(uint64(row), rowData); err != nil {
-			return err
-		}
-		if err := s.fullS1.Update(uint64(row), rowData); err != nil {
+		if err := s.full.update(uint64(row), rowData); err != nil {
 			return err
 		}
 		if hot := s.layout.HotOf[row]; hot >= 0 {
-			copy(s.hotTab.Row(int(hot)), rowData)
-			if err := s.hotS0.Update(uint64(hot), rowData); err != nil {
-				return err
-			}
-			if err := s.hotS1.Update(uint64(hot), rowData); err != nil {
+			copy(s.hot.tab.Row(int(hot)), rowData)
+			if err := s.hot.update(uint64(hot), rowData); err != nil {
 				return err
 			}
 		}

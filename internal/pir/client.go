@@ -2,8 +2,10 @@ package pir
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"fmt"
 	"io"
+	mrand "math/rand/v2"
 
 	"gpudpf/internal/dpf"
 )
@@ -76,8 +78,9 @@ func (c *Client) Query(index uint64) (key0, key1 []byte, err error) {
 	return key0, key1, nil
 }
 
-// QueryBatch generates keys for a batch of indices; the q-th entry of each
-// returned slice goes to the respective server.
+// QueryBatch generates keys for a batch of indices, one Query per index in
+// order; the q-th entry of each returned slice goes to the respective
+// server.
 func (c *Client) QueryBatch(indices []uint64) (keys0, keys1 [][]byte, err error) {
 	keys0 = make([][]byte, len(indices))
 	keys1 = make([][]byte, len(indices))
@@ -93,6 +96,29 @@ func (c *Client) QueryBatch(indices []uint64) (keys0, keys1 [][]byte, err error)
 // KeyBytes is the wire size of one key for this client's table shape and
 // termination depth.
 func (c *Client) KeyBytes() int { return dpf.MarshaledSizeEarly(c.bits, 1, c.early) }
+
+// InsecureSeeded adapts a seeded generator into the io.Reader NewClient
+// draws key randomness from. Whoever can replay rng's stream holds both
+// parties' keys, so it is for reproducible runs and tests, never for a
+// client whose index must stay secret. The stream is rng's Uint64s,
+// little-endian; a read that ends mid-word takes the low bytes of one more
+// draw.
+func InsecureSeeded(rng *mrand.Rand) io.Reader { return seededReader{rng} }
+
+type seededReader struct{ rng *mrand.Rand }
+
+func (r seededReader) Read(p []byte) (int, error) {
+	n := len(p)
+	for ; len(p) >= 8; p = p[8:] {
+		binary.LittleEndian.PutUint64(p, r.rng.Uint64())
+	}
+	if len(p) > 0 {
+		var w [8]byte
+		binary.LittleEndian.PutUint64(w[:], r.rng.Uint64())
+		copy(p, w[:])
+	}
+	return n, nil
+}
 
 // Reconstruct adds the two servers' answer shares lane-wise (mod 2^32),
 // yielding the queried row.

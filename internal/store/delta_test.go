@@ -114,7 +114,7 @@ func TestCompactionAtMaxDepth(t *testing.T) {
 	expect := viewWords(t, func() *Snapshot { sn := s.Acquire(); defer sn.Release(); return sn }())
 
 	for i := 0; i < 7; i++ {
-		writes := []RowWrite{{Row: uint64(i % rows), Vals: row(uint32(1000 + i), uint32(2000 + i))}}
+		writes := []RowWrite{{Row: uint64(i % rows), Vals: row(uint32(1000+i), uint32(2000+i))}}
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
 		}

@@ -15,9 +15,9 @@ const DefaultK = 128
 // MemBoundTree is the paper's memory-bounded tree traversal (§3.2.3): a
 // depth-first descent that keeps at most K nodes per level alive, giving
 // optimal O(L) work with an O(B·K·log L) working set instead of
-// level-by-level's O(B·L). With Fused set, the leaf dot product against the
-// table is fused into the traversal (§3.2.4), eliminating the expanded
-// one-hot vector's global-memory round trip entirely.
+// level-by-level's O(B·L). Fused models the paper's DPF×matmul fusion
+// (§3.2.4) in the counters only; the host executor runs the same way
+// either way (see the field).
 //
 // Execution is batched: each query's K-wide frontier advances one
 // dpf.StepBothBatch (one PRF batch call) per group-level, and the shared
@@ -27,7 +27,12 @@ const DefaultK = 128
 type MemBoundTree struct {
 	// K is the frontier width; 0 means DefaultK.
 	K int
-	// Fused enables DPF×matmul operator fusion.
+	// Fused prices the run as one fused kernel: it drops the second
+	// AddLaunch, the expanded leaf vector's read and write bytes and its
+	// share of memBytes. It does not change execution: runTiles always
+	// expands each tile's whole leaf rows before the accumulate. A
+	// resumable lockstep walk that would fuse them on the host measured
+	// 1.00–1.04× over the same kernels, so none is built.
 	Fused bool
 	// Workers is the tile loop's worker budget (see tileJob); answers are
 	// bit-identical whatever its value.
