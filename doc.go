@@ -155,13 +155,14 @@
 //     Pass covers a row range exactly once in contiguous runs, in an
 //     order the backing picks (the accumulate is a sum mod 2^32, so
 //     order is free): the in-RAM backing costs one callback per
-//     worker's row block, delta overlays split their base's chunks
-//     around patched rows, and paged epochs serve resident pages first.
-//     Updates are O(writes), not O(table): Apply / Prepare install a
-//     sorted patch layer over the shared base, reads merge overlays
-//     during a pass, and the chain compacts past a configurable depth
-//     (paged bases fold to a single overlay — the table is never
-//     materialized in RAM). store.PagedBacking serves tables larger
+//     worker's row block, a written epoch cuts those blocks at its
+//     written pages, and paged epochs serve resident pages first. An
+//     epoch is a page table (Lorie's shadow paging, ACM TODS 1977):
+//     Apply / Prepare / Adopt copy only the pages a batch touches into
+//     free slots — windows of the adopted array and pooled pages in RAM,
+//     a scratch file beside a paged table's file — and share the rest,
+//     so an update costs O(pages written), not O(table), and a slot no
+//     retained epoch maps is reused. store.PagedBacking serves tables larger
 //     than memory from a file through a fixed-size-page LRU cache
 //     (pirserver -table-file/-pagecache — single servers and -shardnode
 //     instances alike), bit-identical to the in-RAM path and

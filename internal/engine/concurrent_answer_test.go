@@ -21,9 +21,11 @@ import (
 // batches at once, beside a stream of UpdateBatch epochs, and every batch
 // comes back bit-identical to the same keys answered alone, by a fresh
 // single-threaded replica, over the table as it stood at the batch's
-// epoch. It is checked for a replica over a flat RAM table, over a long
-// overlay chain and over a paged file, and for a 2-node cluster. Run under
-// -race this is what stands in for a lock around the handler.
+// epoch. It is checked for a replica over a RAM table, over a RAM table
+// whose pages were written before the run (so its epochs map pooled pages
+// and reused windows of the adopted array), over a paged file, and for a
+// 2-node cluster. Run under -race this is what stands in for a lock around
+// the handler.
 func TestConcurrentAnswerBatches(t *testing.T) {
 	const seed = 0x18c0ffee
 	const rows, lanes, epochs, batches = 512, 8, 24, 4
@@ -85,20 +87,34 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 			return answers, epoch, epoch, err
 		}
 	}
-	ram := func(depth int) (answerFn, BatchUpdater) {
+	ram := func() *Replica {
 		r, err := NewReplica(cloneTable(t, states[0]), Config{Party: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Store().SetMaxChainDepth(depth)
-		return replicaAnswer(r), r
+		return r
 	}
 	for _, backend := range []struct {
 		name  string
 		build func() (answerFn, BatchUpdater)
 	}{
-		{"ram", func() (answerFn, BatchUpdater) { return ram(1) }},
-		{"overlay-chain", func() (answerFn, BatchUpdater) { return ram(epochs + 1) }},
+		{"ram", func() (answerFn, BatchUpdater) { r := ram(); return replicaAnswer(r), r }},
+		{"written-ram", func() (answerFn, BatchUpdater) {
+			// Three writes of rows' own content: the epochs run three
+			// ahead of the reference's, over the same table.
+			const ahead = 3
+			r := ram()
+			for i := range ahead {
+				if _, err := r.UpdateBatch(context.Background(), []RowWrite{{Row: uint64(i), Vals: states[0].Row(i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			answer := replicaAnswer(r)
+			return func(keys [][]byte) ([][]uint32, uint64, uint64, error) {
+				answers, lo, hi, err := answer(keys)
+				return answers, lo - ahead, hi - ahead, err
+			}, aheadUpdater{r, ahead}
+		}},
 		{"paged", func() (answerFn, BatchUpdater) {
 			path := filepath.Join(t.TempDir(), "table.gpdf")
 			if err := store.WriteTableFile(path, states[0]); err != nil {
@@ -192,6 +208,17 @@ func TestConcurrentAnswerBatches(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// aheadUpdater reports a backend's epochs less the ahead it took before.
+type aheadUpdater struct {
+	BatchUpdater
+	ahead uint64
+}
+
+func (u aheadUpdater) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, error) {
+	epoch, err := u.BatchUpdater.UpdateBatch(ctx, writes)
+	return epoch - u.ahead, err
 }
 
 func cloneTable(t *testing.T, tab *strategy.Table) *strategy.Table {

@@ -143,7 +143,7 @@ func (r *Replica) Party() int { return int(r.party) }
 // own buffers are only guaranteed stable while pinned (superseded backings
 // are recycled into later epochs' copies), and this method cannot hand the
 // pin to the caller — so it copies, assembling from the snapshot's chunk
-// iterator (which works for delta-epoch overlays and paged backings alike;
+// iterator (which works for written epochs and paged backings alike;
 // a paged backing can surface a read error). It is a debugging/reporting
 // accessor, not a hot path; code that needs zero-copy reads pins a
 // snapshot via Store().Acquire and releases it when done.

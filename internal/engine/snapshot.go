@@ -41,8 +41,7 @@ func (r *Replica) SnapshotChunk(ctx context.Context, epoch uint64, off, max int)
 		end = words
 	}
 	// CopyWords assembles the window from the snapshot's chunk iterator, so
-	// export works identically over in-RAM, delta-overlaid, and paged
-	// backings.
+	// export works identically over in-RAM, written, and paged backings.
 	out := make([]uint32, end-off)
 	if err := sn.CopyWords(off, out); err != nil {
 		return nil, err

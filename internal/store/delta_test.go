@@ -32,18 +32,20 @@ func applyWords(base []uint32, lanes int, writes []RowWrite) []uint32 {
 	return out
 }
 
-// TestOverlayReads: a k-row Apply lands as an overlay (depth 1), and every
-// read surface — Chunks, Row, CopyWords — merges the patch over the base,
-// while the raw contiguous accessors refuse with ErrNotContiguous.
+// TestOverlayReads: a k-row Apply copies only the pages it touches into
+// fresh versions (chain depth 1), and every read surface — Chunks, Row,
+// CopyWords — reads the written pages and the untouched windows of the
+// adopted array alike, while the raw contiguous accessor refuses with
+// ErrNotContiguous.
 func TestOverlayReads(t *testing.T) {
-	const rows, lanes = 64, 3
-	s := testStore(t, rows, lanes)
+	const rows, lanes, pageRows = 64, 3, 4
+	s := testStoreRAM(t, rows, lanes, pageRows)
 	base := viewWords(t, func() *Snapshot { sn := s.Acquire(); defer sn.Release(); return sn }())
 
 	writes := []RowWrite{
 		{Row: 0, Vals: row(100, 101, 102)},
 		{Row: 5, Vals: row(200, 201, 202)},
-		{Row: 6, Vals: row(300, 301, 302)}, // adjacent to 5: one patched run
+		{Row: 6, Vals: row(300, 301, 302)}, // same page as 5: one version
 		{Row: 63, Vals: row(400, 401, 402)},
 	}
 	if _, err := s.Apply(writes); err != nil {
@@ -54,9 +56,16 @@ func TestOverlayReads(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
+	// Pages 0, 1 and 15 are written versions; every other page maps its
+	// own window of the adopted array.
+	for p, sl := range sn.t.slot {
+		if written := p == 0 || p == 1 || p == rows/pageRows-1; written == (int(sl) == p) {
+			t.Fatalf("page %d maps slot %d (written %v)", p, sl, written)
+		}
+	}
 	want := applyWords(base, lanes, writes)
 
-	// Chunks over the full range merge patch and base.
+	// Chunks over the full range read written pages and windows.
 	got := viewWords(t, sn)
 	for i := range want {
 		if got[i] != want[i] {
@@ -81,131 +90,117 @@ func TestOverlayReads(t *testing.T) {
 	if next != 60 {
 		t.Fatalf("chunks covered up to row %d, want 60", next)
 	}
-	// Row reads hit the patch and the base.
+	// Row reads hit the written pages and the windows.
 	if got := rowOf(sn, 5); got[0] != 200 {
-		t.Fatalf("patched row 5 = %v", got)
+		t.Fatalf("written row 5 = %v", got)
 	}
-	if got := rowOf(sn, 7); got[0] != base[7*lanes] {
-		t.Fatalf("base row 7 = %v, want %d", got, base[7*lanes])
+	if got := rowOf(sn, 4); got[0] != base[4*lanes] {
+		t.Fatalf("unwritten row 4 of a written page = %v, want %d", got, base[4*lanes])
 	}
-	// CopyWords assembles an unaligned window across patch boundaries.
-	win := make([]uint32, 3*lanes+1)
-	if err := sn.CopyWords(4*lanes+1, win); err != nil {
+	if got := rowOf(sn, 9); got[0] != base[9*lanes] {
+		t.Fatalf("window row 9 = %v, want %d", got, base[9*lanes])
+	}
+	// CopyWords assembles an unaligned window across page boundaries.
+	win := make([]uint32, 6*lanes+1)
+	if err := sn.CopyWords(3*lanes+1, win); err != nil {
 		t.Fatal(err)
 	}
 	for i := range win {
-		if win[i] != want[4*lanes+1+i] {
-			t.Fatalf("CopyWords word %d: %d, want %d", i, win[i], want[4*lanes+1+i])
+		if win[i] != want[3*lanes+1+i] {
+			t.Fatalf("CopyWords word %d: %d, want %d", i, win[i], want[3*lanes+1+i])
 		}
 	}
-	// The contiguous accessor refuses on an overlaid epoch.
+	// The contiguous accessor refuses on a written epoch.
 	if _, err := sn.RowRange(0, rows); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("RowRange on overlay: %v, want ErrNotContiguous", err)
+		t.Fatalf("RowRange on a written epoch: %v, want ErrNotContiguous", err)
 	}
 }
 
-// TestCompactionAtMaxDepth: the chain never exceeds the configured depth,
-// folds exactly at the bound, and the folded epoch is contiguous again
-// with the cumulative content of every layer.
-func TestCompactionAtMaxDepth(t *testing.T) {
-	const rows, lanes = 32, 2
-	s := testStore(t, rows, lanes)
-	s.SetMaxChainDepth(2)
-	expect := viewWords(t, func() *Snapshot { sn := s.Acquire(); defer sn.Release(); return sn }())
-
-	for i := 0; i < 7; i++ {
-		writes := []RowWrite{{Row: uint64(i % rows), Vals: row(uint32(1000+i), uint32(2000+i))}}
-		if _, err := s.Apply(writes); err != nil {
+// TestAbortAcrossCompaction: rolling back a committed epoch whose pages
+// took slots that retired epochs freed reinstates its predecessor
+// bit-for-bit, and writes after the rollback that reuse the rolled-back
+// epoch's slots leave the predecessor intact — rollback is pointer
+// surgery on refcounted versions, whatever slots they sit in.
+func TestAbortAcrossCompaction(t *testing.T) {
+	const rows, lanes, pageRows = 16, 2, 2
+	s := testStoreRAM(t, rows, lanes, pageRows)
+	r := s.cur.Load().t.root.(*ramRoot)
+	// Epochs 1–4 rewrite pages 1 and 4, so retired epochs free slots —
+	// windows of the adopted array among them — for the next batch.
+	for i := uint32(0); i < 4; i++ {
+		if _, err := s.Apply([]RowWrite{{Row: 3, Vals: row(70+i, 71+i)}, {Row: 8, Vals: row(80+i, 81+i)}}); err != nil {
 			t.Fatal(err)
 		}
-		expect = applyWords(expect, lanes, writes)
-		if d := s.ChainDepth(); d > 2 {
-			t.Fatalf("apply %d: chain depth %d exceeds bound 2", i, d)
-		}
-		sn := s.Acquire()
-		got := viewWords(t, sn)
-		sn.Release()
-		for w := range expect {
-			if got[w] != expect[w] {
-				t.Fatalf("apply %d word %d: %d, want %d", i, w, got[w], expect[w])
-			}
-		}
 	}
-	// Depths cycle 1, 2, 0(fold), 1, 2, 0(fold), 1 over the seven applies.
-	if d := s.ChainDepth(); d != 1 {
-		t.Fatalf("final chain depth %d, want 1", d)
-	}
-	// A folded epoch earlier in the cycle is contiguous: force one now.
-	if _, err := s.Apply(uniformWrites(lanes, 9, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(uniformWrites(lanes, 9, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if d := s.ChainDepth(); d != 0 {
-		t.Fatalf("depth %d after fold, want 0", d)
-	}
-	sn := s.Acquire()
-	defer sn.Release()
-	if _, err := sn.RowRange(0, sn.Rows()); err != nil {
-		t.Fatalf("folded epoch not contiguous: %v", err)
-	}
-}
+	pinned := s.Acquire()
+	defer pinned.Release()
+	pre := viewWords(t, pinned)
+	slots := len(*r.bufs.Load())
 
-// TestAbortAcrossCompaction: rolling back a committed epoch whose install
-// compacted the chain reinstates the overlaid predecessor bit-for-bit —
-// rollback is pointer surgery on retained backings, whatever their shape.
-func TestAbortAcrossCompaction(t *testing.T) {
-	const rows, lanes = 16, 2
-	s := testStore(t, rows, lanes)
-	s.SetMaxChainDepth(1)
-	// Epoch 1: an overlay at the depth bound.
-	if _, err := s.Apply([]RowWrite{{Row: 3, Vals: row(71, 72)}}); err != nil {
+	// Epoch 5 via the two-phase path takes freed slots, not new ones.
+	if err := s.Prepare(5, []RowWrite{{Row: 2, Vals: row(91, 92)}, {Row: 9, Vals: row(93, 94)}}); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.ChainDepth(); d != 1 {
-		t.Fatalf("depth %d, want 1", d)
-	}
-	pre := viewWords(t, func() *Snapshot { sn := s.Acquire(); defer sn.Release(); return sn }())
-
-	// Epoch 2 via the two-phase path: the fold happens at Prepare.
-	if err := s.Prepare(2, []RowWrite{{Row: 4, Vals: row(81, 82)}}); err != nil {
+	if err := s.Commit(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(2); err != nil {
+	if n := len(*r.bufs.Load()); n != slots {
+		t.Fatalf("committed epoch grew the root to %d slots from %d; freed slots not reused", n, slots)
+	}
+	committed := s.Acquire()
+	if got := rowOf(committed, 2); got[0] != 91 {
+		t.Fatalf("committed row 2 = %v, want 91", got)
+	}
+	committed.Release()
+	// Roll epoch 5 back: epoch 4's page table must be reinstated intact.
+	if err := s.Abort(5); err != nil {
 		t.Fatal(err)
 	}
-	if d := s.ChainDepth(); d != 0 {
-		t.Fatalf("depth %d after compacting commit, want 0", d)
-	}
-	// Roll epoch 2 back: epoch 1's overlay chain must be reinstated intact.
-	if err := s.Abort(2); err != nil {
+	if err := checkVersions(s, []pin{{sn: pinned, want: pre}}); err != nil {
 		t.Fatal(err)
 	}
 	sn := s.Acquire()
-	defer sn.Release()
-	if sn.Epoch() != 1 {
-		t.Fatalf("rolled back to epoch %d, want 1", sn.Epoch())
+	if sn.Epoch() != 4 {
+		t.Fatalf("rolled back to epoch %d, want 4", sn.Epoch())
 	}
 	got := viewWords(t, sn)
+	sn.Release()
 	for i := range pre {
 		if got[i] != pre[i] {
 			t.Fatalf("word %d after rollback: %d, want %d", i, got[i], pre[i])
 		}
 	}
-	if got := rowOf(sn, 4); got[0] == 81 {
-		t.Fatal("aborted epoch's write visible after rollback")
+	// Epoch 5 is burned; the next write reuses its freed slots and leaves
+	// the reinstated epoch as it was.
+	next := []RowWrite{{Row: 2, Vals: row(101, 102)}, {Row: 9, Vals: row(103, 104)}}
+	if epoch, err := s.Apply(next); err != nil || epoch != 6 {
+		t.Fatalf("post-rollback apply: epoch %d err %v, want 6", epoch, err)
 	}
-	// Epoch 2 is burned; the store keeps updating fine.
-	if epoch, err := s.Apply(nil); err != nil || epoch != 3 {
-		t.Fatalf("post-rollback apply: epoch %d, err %v", epoch, err)
+	if n := len(*r.bufs.Load()); n != slots {
+		t.Fatalf("post-rollback apply grew the root to %d slots from %d", n, slots)
+	}
+	got = viewWords(t, pinned)
+	for i := range pre {
+		if got[i] != pre[i] {
+			t.Fatalf("word %d of the reinstated epoch after reuse: %d, want %d", i, got[i], pre[i])
+		}
+	}
+	sn = s.Acquire()
+	defer sn.Release()
+	want := applyWords(pre, lanes, next)
+	got = viewWords(t, sn)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("word %d of epoch 6: %d, want %d", i, got[i], want[i])
+		}
 	}
 }
 
-// TestApplyAllocBytes is the O(k·lanes) write-amplification contract: a
-// k-row Apply on a 2^16-row table must allocate on the order of the patch,
-// not the table — no full copy until compaction, and compaction folds reuse
-// the spare pool.
+// TestApplyAllocBytes is the write-amplification contract: a k-row Apply
+// on a 2^16-row table must allocate on the order of the page table and
+// the batch, not the pages it copies — written versions land in slots
+// that dead epochs freed, so once the free list is warm no page buffer is
+// allocated.
 func TestApplyAllocBytes(t *testing.T) {
 	const rows, lanes, k = 1 << 16, 16, 16
 	s := testStore(t, rows, lanes) // 4 MiB table
@@ -214,16 +209,16 @@ func TestApplyAllocBytes(t *testing.T) {
 		targets[i] = uint64(i * (rows / k))
 	}
 	writes := uniformWrites(lanes, 7, targets...)
-	// Warm to steady state: past the first fold, the spare pool carries the
-	// flat buffers and per-apply allocation settles.
-	for i := 0; i < 3*(DefaultMaxChainDepth+1); i++ {
+	// Warm to steady state: the epochs an Apply retires hand their slots
+	// to the next one.
+	for i := 0; i < 10; i++ {
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	const iters = 2 * (DefaultMaxChainDepth + 1) // whole fold cycles
+	const iters = 10
 	for i := 0; i < iters; i++ {
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
@@ -231,9 +226,9 @@ func TestApplyAllocBytes(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perOp := (m1.TotalAlloc - m0.TotalAlloc) / iters
-	// The patch is k·lanes·4 = 1 KiB plus book-keeping; the table is
-	// 4 MiB. Allow generous slack for the runtime while staying orders of
-	// magnitude below a per-apply table copy.
+	// The batch is k·lanes·4 = 1 KiB plus book-keeping; each of the 16
+	// pages it copies is 256 KiB, the table 4 MiB. Allow generous slack for
+	// the runtime while staying far below one fresh page per Apply.
 	const bound = 64 << 10
 	if perOp > bound {
 		t.Fatalf("steady-state %d-row Apply allocates %d B/op (table is %d B); want ≤ %d",

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,8 +44,13 @@ const DefaultPageBytes = 256 << 10
 const DefaultPageCacheBytes = 64 << 20
 
 // ErrPageRead marks a paged table's file read failing (the cause is wrapped
-// beside it): the pass that needed the page fails, the store stays usable.
+// beside it): the pass or write that needed the page fails, the store
+// stays usable.
 var ErrPageRead = errors.New("store: page read failed")
+
+// ErrPageWrite marks a written page failing to reach the scratch file (the
+// cause is wrapped beside it): the batch fails, the store keeps its epoch.
+var ErrPageWrite = errors.New("store: page write failed")
 
 // pagedFreeCap bounds the recycled-buffer free list: enough to keep a
 // streaming pass's evict-reload churn allocation-free, small enough that
@@ -62,16 +68,17 @@ type PagedConfig struct {
 	CacheBytes int64
 }
 
-// pageEnt is one resident (or recently evicted, still referenced) page.
-// refs and retired are guarded by PagedBacking.mu: refs counts chunk
-// callbacks and row copies currently reading the page, retired marks it
-// evicted from the cache. A retired page recycles — the whole entry, buffer included — into
-// the free list when the last reference releases, never earlier, so chunk
-// callbacks always see stable data. The LRU links are intrusive (rather
-// than container/list) so a steady-state miss reuses a pooled entry
-// outright instead of allocating an entry and a list element per load.
+// pageEnt is one resident (or recently evicted, still referenced) page
+// version: page idx's content in slot ver. refs and retired are guarded by
+// PagedBacking.mu: refs counts chunk callbacks and row copies currently
+// reading the page, retired marks it evicted from the cache. A retired
+// entry recycles, buffer included, into the free list when the last
+// reference releases, never earlier, so chunk callbacks always see stable
+// data. The LRU links are intrusive so a steady-state miss reuses a pooled
+// entry outright instead of allocating an entry and a list element.
 type pageEnt struct {
 	idx     int
+	ver     int
 	data    []uint32
 	refs    int
 	retired bool
@@ -107,9 +114,12 @@ type pageEnt struct {
 //     goroutine: it must not wait on its own caller, nor start a pass over
 //     the same table (its worker would park on a slot its caller holds).
 //
-// A PagedBacking outlives the epochs served over it: the Store layers
-// delta-epoch overlays above it and never tries to reclaim it. Close when
-// the serving process is done with the table.
+// It is also the paged Store's root: version slot i below the page count
+// is the table file's page i, which is never rewritten, and written pages
+// go to slots of one scratch file beside it (unlinked once open; writes are
+// not durable). The cache is keyed by slot, so passes at different epochs
+// share every page neither rewrote, and a slot no epoch maps leaves it at
+// once. Close when the serving process is done with the table.
 type PagedBacking struct {
 	f        *os.File
 	rows     int
@@ -118,13 +128,17 @@ type PagedBacking struct {
 	nPages   int
 	budget   int64
 
+	versions             // the Store's, guarded by its mu
+	scratch     *os.File // written versions; nil before the first write
+	scratchName string   // set where the OS would not unlink it open: removed at Close
+
 	mu       sync.Mutex
-	pages    map[int]*pageEnt // resident pages by index
+	pages    map[int]*pageEnt // resident versions by slot
 	mru, lru *pageEnt         // intrusive recency list ends
 	resident int              // len(pages), tracked for the keep-one floor
 	cached   int64            // bytes resident
 	free     []*pageEnt       // recycled entries, buffers at full-page cap
-	loading  []bool           // by page index: a slot holder is reading it from the file
+	loading  []bool           // by version slot: a scan slot holder is reading it
 	passes   []*pagedPass     // the scan's in-flight passes, oldest first
 	slots    []*pagedSlot     // the scan's worker slots, by index
 	landed   sync.Cond        // on mu: a read landed, a pass joined or failed
@@ -231,13 +245,7 @@ func OpenPaged(path string, cfg PagedConfig) (*PagedBacking, error) {
 	if pageBytes <= 0 {
 		pageBytes = DefaultPageBytes
 	}
-	pageRows := pageBytes / (4 * lanes)
-	if pageRows < 1 {
-		pageRows = 1
-	}
-	if pageRows > rows {
-		pageRows = rows
-	}
+	pageRows := pageRowsFor(pageBytes, rows, lanes)
 	budget := cfg.CacheBytes
 	if budget <= 0 {
 		budget = DefaultPageCacheBytes
@@ -252,6 +260,7 @@ func OpenPaged(path string, cfg PagedConfig) (*PagedBacking, error) {
 		budget:   budget,
 		pages:    make(map[int]*pageEnt),
 		loading:  make([]bool, nPages),
+		versions: versions{refs: make([]int32, nPages)},
 	}
 	p.landed.L = &p.mu
 	return p, nil
@@ -274,9 +283,18 @@ func (p *PagedBacking) Loads() int64 { return p.loads.Load() }
 // of Hits is the scan's page visits.
 func (p *PagedBacking) Hits() int64 { return p.hits.Load() }
 
-// Close releases the file handle. Callers must ensure no reads are in
-// flight; rows handed out by Row remain valid (they are copies).
-func (p *PagedBacking) Close() error { return p.f.Close() }
+// Close releases the files. Callers must ensure no reads are in flight;
+// rows handed out by Row remain valid (they are copies).
+func (p *PagedBacking) Close() error {
+	err := p.f.Close()
+	if p.scratch != nil {
+		err = errors.Join(err, p.scratch.Close())
+	}
+	if p.scratchName != "" {
+		err = errors.Join(err, os.Remove(p.scratchName))
+	}
+	return err
+}
 
 // pageSpan returns page idx's row range [lo, hi).
 func (p *PagedBacking) pageSpan(idx int) (lo, hi int) {
@@ -325,12 +343,12 @@ func (p *PagedBacking) touchLocked(ent *pageEnt) {
 	p.pushFrontLocked(ent)
 }
 
-// acquirePage returns page idx with a reference held, loading and caching
-// it on a miss — the Row path, which reads one page outside any pass.
-// Callers must pair with releaseLocked.
-func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
+// acquirePage returns version ver of page idx with a reference held,
+// loading and caching it on a miss — the Row path. Callers must pair with
+// releaseLocked.
+func (p *PagedBacking) acquirePage(idx, ver int) (*pageEnt, error) {
 	p.mu.Lock()
-	if ent, ok := p.pages[idx]; ok {
+	if ent, ok := p.pages[ver]; ok {
 		ent.refs++
 		p.touchLocked(ent)
 		p.mu.Unlock()
@@ -339,7 +357,7 @@ func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
 	}
 	p.mu.Unlock()
 
-	ent, err := p.loadPage(idx)
+	ent, err := p.loadPage(idx, ver, true)
 	if err != nil {
 		return nil, err
 	}
@@ -356,31 +374,35 @@ func (p *PagedBacking) acquirePage(idx int) (*pageEnt, error) {
 // the cache single-entry.
 func (p *PagedBacking) insertLocked(ent *pageEnt) *pageEnt {
 	p.loads.Add(1)
-	if won, ok := p.pages[ent.idx]; ok {
+	if won, ok := p.pages[ent.ver]; ok {
 		won.refs++
 		p.touchLocked(won)
 		p.recycleLocked(ent)
 		return won
 	}
 	ent.refs = 1
-	p.pages[ent.idx] = ent
+	p.pages[ent.ver] = ent
 	p.pushFrontLocked(ent)
 	p.resident++
 	p.cached += int64(len(ent.data)) * 4
 	for p.cached > p.budget && p.resident > 1 {
-		old := p.lru
-		p.unlinkLocked(old)
-		delete(p.pages, old.idx)
-		p.resident--
-		p.cached -= int64(len(old.data)) * 4
-		// Retire, don't free: chunk callbacks may still hold references.
-		// The entry recycles when the last one releases.
-		old.retired = true
-		if old.refs == 0 {
-			p.recycleLocked(old)
-		}
+		p.evictLocked(p.lru)
 	}
 	return ent
+}
+
+// evictLocked drops a resident entry from the cache (caller holds mu). It
+// retires rather than frees it: chunk callbacks may still hold references,
+// and the entry recycles when the last one releases.
+func (p *PagedBacking) evictLocked(ent *pageEnt) {
+	p.unlinkLocked(ent)
+	delete(p.pages, ent.ver)
+	p.resident--
+	p.cached -= int64(len(ent.data)) * 4
+	ent.retired = true
+	if ent.refs == 0 {
+		p.recycleLocked(ent)
+	}
 }
 
 // releaseLocked drops one reference (caller holds mu); the last release
@@ -402,12 +424,22 @@ func (p *PagedBacking) recycleLocked(ent *pageEnt) {
 	}
 }
 
-// loadPage reads page idx from the file into a pooled (or fresh) entry.
+// at returns the file holding version slot ver and its byte offset.
+func (p *PagedBacking) at(ver int) (*os.File, int64) {
+	pageBytes := int64(p.pageRows) * int64(p.lanes) * 4
+	if ver < p.nPages {
+		return p.f, pagedHeaderBytes + int64(ver)*pageBytes
+	}
+	return p.scratch, int64(ver-p.nPages) * pageBytes
+}
+
+// loadPage reads version ver of page idx into a pooled (or fresh) entry,
+// or with read unset only sizes the entry for a caller that fills it whole.
 // On little-endian hosts the file bytes land directly in the word buffer's
 // memory — no staging copy, no per-word decode; other hosts stage through
 // a byte buffer and decode. In steady state this path allocates nothing:
 // the free list supplies the entry, and ReadAt fills it in place.
-func (p *PagedBacking) loadPage(idx int) (*pageEnt, error) {
+func (p *PagedBacking) loadPage(idx, ver int, read bool) (*pageEnt, error) {
 	lo, hi := p.pageSpan(idx)
 	words := (hi - lo) * p.lanes
 
@@ -421,16 +453,19 @@ func (p *PagedBacking) loadPage(idx int) (*pageEnt, error) {
 	if ent == nil {
 		ent = &pageEnt{data: make([]uint32, words, p.pageRows*p.lanes)}
 	}
-	ent.idx = idx
+	ent.idx, ent.ver = idx, ver
 	ent.data = ent.data[:words]
+	if !read {
+		return ent, nil
+	}
 
-	off := int64(pagedHeaderBytes) + int64(lo)*int64(p.lanes)*4
+	f, off := p.at(ver)
 	var err error
 	if hostLittleEndian {
-		_, err = p.f.ReadAt(wordsAsBytes(ent.data), off)
+		_, err = f.ReadAt(wordsAsBytes(ent.data), off)
 	} else {
 		raw := make([]byte, words*4)
-		if _, err = p.f.ReadAt(raw, off); err == nil {
+		if _, err = f.ReadAt(raw, off); err == nil {
 			for i := range ent.data {
 				ent.data[i] = binary.LittleEndian.Uint32(raw[i*4:])
 			}
@@ -447,21 +482,80 @@ func (p *PagedBacking) loadPage(idx int) (*pageEnt, error) {
 	return ent, nil
 }
 
-// pagedSource adapts a PagedBacking to the backing source interface.
-type pagedSource struct {
-	p *PagedBacking
+func (p *PagedBacking) vers() *versions { return &p.versions }
+
+// write reads version from of page idx unless fill covers it, patches it,
+// and writes it to a free scratch slot or one appended to the scratch
+// file, which the first write creates.
+func (p *PagedBacking) write(idx, from int, cover bool, fill func(int, []uint32)) (int, error) {
+	if p.scratch == nil {
+		f, err := os.CreateTemp(filepath.Dir(p.f.Name()), filepath.Base(p.f.Name())+".scratch-*")
+		if err != nil {
+			return 0, fmt.Errorf("%w: %w", ErrPageWrite, err)
+		}
+		if os.Remove(f.Name()) != nil {
+			p.scratchName = f.Name() // where an open file cannot be unlinked: Close removes it
+		}
+		p.scratch = f
+	}
+	ent, err := p.loadPage(idx, from, !cover)
+	if err != nil {
+		return 0, err
+	}
+	fill(idx, ent.data)
+	to := p.take()
+	p.mu.Lock()
+	if to < 0 {
+		to = len(p.refs)
+		p.refs = append(p.refs, 0)
+		p.loading = append(p.loading, false)
+	}
+	p.mu.Unlock()
+	var raw []byte
+	if hostLittleEndian {
+		raw = wordsAsBytes(ent.data)
+	} else {
+		for _, w := range ent.data {
+			raw = binary.LittleEndian.AppendUint32(raw, w)
+		}
+	}
+	f, off := p.at(to)
+	_, err = f.WriteAt(raw, off)
+	p.mu.Lock()
+	p.recycleLocked(ent)
+	p.mu.Unlock()
+	if err != nil {
+		p.spare = append(p.spare, int32(to))
+		return 0, fmt.Errorf("%w: page %d to scratch slot %d: %w", ErrPageWrite, idx, to-p.nPages, err)
+	}
+	return to, nil
+}
+
+// drop takes back a slot no epoch maps: it leaves the cache at once, and a
+// scratch slot is free for the next write.
+func (p *PagedBacking) drop(ver int) {
+	p.mu.Lock()
+	if ent, ok := p.pages[ver]; ok {
+		p.evictLocked(ent)
+	}
+	p.mu.Unlock()
+	if ver >= p.nPages {
+		p.spare = append(p.spare, int32(ver))
+	}
 }
 
 // pagedPass is one in-flight pass of the backing's scan: which pages of
 // [first, first+len(taken)) have been taken for it — handed to a slot
-// holder that will feed the page to fn. Every field but the immutable
-// range, budget and callback is guarded by PagedBacking.mu; failed mirrors
-// err != nil for holders that run callbacks outside the lock. Passes are
-// pooled, so a steady-state pass allocates nothing of its own.
+// holder that will feed the page, in the version its page table tab maps,
+// to fn. Every field but the immutable range, budget, table and callback
+// is guarded by PagedBacking.mu; failed mirrors err != nil for holders
+// that run callbacks outside the lock. Passes are pooled, so a
+// steady-state pass allocates nothing of its own.
 type pagedPass struct {
 	lo, hi int
 	first  int
 	budget int // the caller's worker budget: slots below it may run fn
+	tab    []int32
 	taken  []bool
 	next   int // no page below first+next is untaken
 	left   int // pages not yet taken
@@ -496,11 +590,10 @@ type pagedSlot struct {
 // contract). The pass's first error — a file read's or fn's — stops it at
 // its next page; pass returns once its own workers have and no slot
 // holder is still inside its callback.
-func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
+func (p *PagedBacking) pass(t *pageTable, lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
 	if lo == hi {
 		return nil
 	}
-	p := ps.p
 	pp := pagedPassPool.Get().(*pagedPass)
 	pp.moved.L = &p.mu
 	first, last := lo/p.pageRows, (hi-1)/p.pageRows
@@ -510,7 +603,7 @@ func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) er
 	}
 	pp.taken = pp.taken[:n]
 	clear(pp.taken)
-	pp.lo, pp.hi, pp.first, pp.budget, pp.fn = lo, hi, first, workers, fn
+	pp.lo, pp.hi, pp.first, pp.budget, pp.tab, pp.fn = lo, hi, first, workers, t.slot, fn
 	pp.next, pp.left, pp.busy, pp.err = 0, n, 0, nil
 	pp.failed.Store(false)
 	own := min(workers, n)
@@ -538,7 +631,7 @@ func (ps *pagedSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) er
 	p.passes = slices.Delete(p.passes, i, i+1)
 	err := pp.err
 	p.mu.Unlock()
-	pp.fn = nil
+	pp.tab, pp.fn = nil, nil
 	pagedPassPool.Put(pp)
 	return err
 }
@@ -565,14 +658,14 @@ func (p *PagedBacking) serve(pp *pagedPass, w int) {
 	}
 	s.held = true
 	for pp.left > 0 && pp.err == nil {
-		ent, load := p.pickLocked(w)
-		if ent == nil && load < 0 {
+		ent, idx, ver := p.pickLocked(w)
+		if ent == nil && idx < 0 {
 			// Every page pp still needs is being read by another slot.
 			p.landed.Wait()
 			continue
 		}
 		if ent == nil {
-			ent = p.readLocked(load, w)
+			ent = p.readLocked(idx, ver, w)
 		}
 		if ent != nil {
 			p.mu.Unlock()
@@ -589,15 +682,15 @@ func (p *PagedBacking) serve(pp *pagedPass, w int) {
 	p.mu.Unlock()
 }
 
-// readLocked reads page idx for slot w's riders (caller holds mu, which it
-// drops for the read) and returns it cached with a reference held, ridden
-// also by the passes that started during the read. A failed read returns
-// nil and becomes every rider's error.
-func (p *PagedBacking) readLocked(idx, w int) *pageEnt {
+// readLocked reads version ver of page idx for scan slot w's riders
+// (caller holds mu, which it drops for the read) and returns it cached
+// with a reference held, ridden also by the passes that started during the
+// read. A failed read returns nil and becomes every rider's error.
+func (p *PagedBacking) readLocked(idx, ver, w int) *pageEnt {
 	p.mu.Unlock()
-	ent, err := p.loadPage(idx)
+	ent, err := p.loadPage(idx, ver, true)
 	p.mu.Lock()
-	p.loading[idx] = false
+	p.loading[ver] = false
 	p.landed.Broadcast() // for holders waiting at their tail
 	if err != nil {
 		s := p.slots[w]
@@ -607,7 +700,7 @@ func (p *PagedBacking) readLocked(idx, w int) *pageEnt {
 		return nil
 	}
 	ent = p.insertLocked(ent)
-	p.rideLocked(idx, w)
+	p.rideLocked(idx, ver, w)
 	return ent
 }
 
@@ -662,16 +755,16 @@ func servesLocked(pp *pagedPass, w int) bool {
 // pickLocked picks slot w's next page (caller holds mu) and takes it for
 // every pass that rides it (rideLocked). Passes are tried oldest first, so
 // the oldest finishes and frees its caller before a younger one's needs
-// delay it: for each, a resident page it needs, least recently loaded
-// first, then the lowest page it needs that no slot is reading. A
-// resident page is returned with a reference held, a read as load; (nil,
-// -1) means no pass slot w serves has a page that is neither taken nor
-// being read.
+// delay it: for each, a resident page version it needs, least recently
+// loaded first, then the lowest page it needs whose version no slot is
+// reading. A resident page is returned with a reference held, a read as
+// its page index and version ver; (nil, -1, -1) means no pass slot w
+// serves has a page that is neither taken nor being read.
 //
 // A hit leaves the page's recency alone, so eviction follows load order:
 // the page read first is the next evicted, and one that every in-flight
 // pass has used is not kept alive by the last of them.
-func (p *PagedBacking) pickLocked(w int) (ent *pageEnt, load int) {
+func (p *PagedBacking) pickLocked(w int) (ent *pageEnt, idx, ver int) {
 	for _, pp := range p.passes {
 		if !servesLocked(pp, w) {
 			continue
@@ -680,30 +773,31 @@ func (p *PagedBacking) pickLocked(w int) (ent *pageEnt, load int) {
 			pp.next++
 		}
 		for e := p.lru; e != nil; e = e.prev {
-			if i := e.idx - pp.first; i >= pp.next && i < len(pp.taken) && !pp.taken[i] {
+			if i := e.idx - pp.first; i >= pp.next && i < len(pp.taken) && !pp.taken[i] && int(pp.tab[e.idx]) == e.ver {
 				e.refs++
 				p.hits.Add(1)
-				p.rideLocked(e.idx, w)
-				return e, -1
+				p.rideLocked(e.idx, e.ver, w)
+				return e, -1, -1
 			}
 		}
 		for i := pp.next; i < len(pp.taken); i++ {
-			if idx := pp.first + i; !pp.taken[i] && !p.loading[idx] {
-				p.loading[idx] = true
-				p.rideLocked(idx, w)
-				return nil, idx
+			if idx, ver := pp.first+i, int(pp.tab[pp.first+i]); !pp.taken[i] && !p.loading[ver] {
+				p.loading[ver] = true
+				p.rideLocked(idx, ver, w)
+				return nil, idx, ver
 			}
 		}
 	}
-	return nil, -1
+	return nil, -1, -1
 }
 
-// rideLocked takes page idx for every in-flight pass slot w serves that
-// still needs it, appending each to the slot's riders (caller holds mu).
-func (p *PagedBacking) rideLocked(idx, w int) {
+// rideLocked takes version ver of page idx for every in-flight pass slot
+// w serves that still needs that version, appending each to the slot's
+// riders (caller holds mu).
+func (p *PagedBacking) rideLocked(idx, ver, w int) {
 	s := p.slots[w]
 	for _, pp := range p.passes {
-		if i := idx - pp.first; servesLocked(pp, w) && i >= 0 && i < len(pp.taken) && !pp.taken[i] {
+		if i := idx - pp.first; servesLocked(pp, w) && i >= 0 && i < len(pp.taken) && !pp.taken[i] && int(pp.tab[idx]) == ver {
 			pp.taken[i] = true
 			pp.left--
 			pp.busy++
@@ -715,9 +809,8 @@ func (p *PagedBacking) rideLocked(idx, w int) {
 
 // row returns a copy of row i (copies stay valid forever, so Snapshot.Row's
 // release-independent lifetime holds even though page buffers recycle).
-func (ps *pagedSource) row(i int) ([]uint32, error) {
-	p := ps.p
-	ent, err := p.acquirePage(i / p.pageRows)
+func (p *PagedBacking) row(t *pageTable, i int) ([]uint32, error) {
+	ent, err := p.acquirePage(i/p.pageRows, int(t.slot[i/p.pageRows]))
 	if err != nil {
 		return nil, err
 	}
@@ -729,5 +822,3 @@ func (ps *pagedSource) row(i int) ([]uint32, error) {
 	p.mu.Unlock()
 	return out, nil
 }
-
-func (ps *pagedSource) flat() []uint32 { return nil }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,7 +25,9 @@ import (
 // the first pass left resident are the second's first 64 chunks, not the
 // first pages its tail evicts (an ascending pass through an LRU loads all
 // 256 every time). Hits counts each page once per pass, also over a
-// delta-epoch overlay whose patched rows cut pages into several chunks.
+// written epoch: its pages are new versions under new cache keys, so of the
+// 64 resident pages the one it rewrote (page 140) is read again, in its
+// new version, and the other 63 are hits.
 func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	const rows, lanes = 16384, 4 // 256 pages of 64 rows, 64 of them cached
 	tab, pb := pagedFixture(t, rows, lanes, 1<<10)
@@ -54,8 +57,8 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	if l, h := pass(tab.Data); l != 192 || h != 64 {
 		t.Fatalf("second pass: %d loads, %d hits; want 192 loads, 64 hits", l, h)
 	}
-	// Patched runs inside pages, across a page edge and at the table's
-	// ends split pages into several chunks; each page still counts once.
+	// Writes inside pages, across a page edge and at the table's ends
+	// touch pages 0, 1, 15, 140 and 255; only 140 was resident.
 	var writes []RowWrite
 	for _, r := range []int{0, 5, 63, 64, 65, 1000, 1001, 9000, rows - 1} {
 		writes = append(writes, RowWrite{Row: uint64(r), Vals: row(uint32(r), 1, 2, 3)})
@@ -63,8 +66,8 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	if _, err := s.Apply(writes); err != nil {
 		t.Fatal(err)
 	}
-	if l, h := pass(applyWords(tab.Data, lanes, writes)); l != 192 || h != 64 {
-		t.Fatalf("pass over an overlay: %d loads, %d hits; want 192 loads, 64 hits", l, h)
+	if l, h := pass(applyWords(tab.Data, lanes, writes)); l != 193 || h != 63 {
+		t.Fatalf("pass over a written epoch: %d loads, %d hits; want 193 loads, 63 hits", l, h)
 	}
 }
 
@@ -72,11 +75,11 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 type pagedPassCase struct {
 	rows, lanes, pageRows, cachePages int
 	lo, hi, workers                   int
-	depth                             int // overlay layers above the paged root
+	depth                             int // update batches over the paged root
 }
 
 // drawPagedPassCase draws a table shape, page size, cache budget (from one
-// page to the whole table), range, worker count and overlay depth.
+// page to the whole table), range, worker count and number of updates.
 func drawPagedPassCase(rng *rand.Rand) pagedPassCase {
 	var c pagedPassCase
 	c.rows = 1 + rng.IntN(3000)
@@ -97,10 +100,10 @@ type pagedEpoch struct {
 }
 
 // openPagedCase writes the case's table, opens it through the case's cache
-// and layers c.depth update batches over it, each a few runs of patched
+// and applies c.depth update batches to it, each a few runs of written
 // rows straddling page edges. It returns the store and one pinned epoch
-// per overlay depth, 0 (the paged root) to c.depth (the current epoch),
-// released when the test ends.
+// per batch, 0 (the table file) to c.depth (the current epoch), released
+// when the test ends.
 func openPagedCase(t *testing.T, rng *rand.Rand, c pagedPassCase) (*Store, *PagedBacking, []pagedEpoch) {
 	t.Helper()
 	tab, err := strategy.NewTable(c.rows, c.lanes)
@@ -147,8 +150,8 @@ func openPagedCase(t *testing.T, rng *rand.Rand, c pagedPassCase) (*Store, *Page
 		}
 		epochs = append(epochs, pagedEpoch{s.Acquire(), applyWords(epochs[d].want, c.lanes, writes)})
 	}
-	if got := s.ChainDepth(); got != c.depth {
-		t.Fatalf("chain depth %d, want %d", got, c.depth)
+	if got, want := s.ChainDepth(), min(c.depth, 1); got != want {
+		t.Fatalf("chain depth %d after %d batches, want %d", got, c.depth, want)
 	}
 	return s, pb, epochs
 }
@@ -235,8 +238,8 @@ func staggered(n int, pass func(i int, entered func())) {
 
 // TestPagedOrderFreePass is the seeded property test of the paged scan:
 // over drawn shapes, page sizes, cache budgets, ranges, worker budgets
-// {1, 2, 3, 8} and overlay chains of depth 0–4 whose patched runs straddle
-// page edges, every row of a range is visited exactly once with the
+// {1, 2, 3, 8} and 0–4 update batches whose written runs straddle page
+// edges, every row of a range is visited exactly once with the
 // expected data — alone, and with 3–4 passes in flight that start
 // staggered, each over its own range, budget and epoch, so later passes
 // ride earlier ones' pages — no pass's callback sees a worker index past
@@ -324,8 +327,8 @@ func TestPagedOrderFreePass(t *testing.T) {
 	}
 }
 
-// checkCutFile cuts the case's table file short after its header and runs
-// three whole-table passes on c.workers, 1 and 3 workers, each starting
+// checkCutFile cuts the case's table file short after its header (and its
+// scratch file to nothing) and runs three whole-table passes on c.workers, 1 and 3 workers, each starting
 // once the one before it is streaming (staggered): every pass ends with
 // ErrPageRead, every worker returns (none is left parked on a slot or
 // waiting on a read at its tail), no goroutine outlives them, every page
@@ -336,11 +339,17 @@ func checkCutFile(t *testing.T, s *Store, pb *PagedBacking, c pagedPassCase) {
 	if err := os.Truncate(pb.f.Name(), pagedHeaderBytes); err != nil {
 		t.Fatal(err)
 	}
+	if pb.scratch != nil {
+		if err := pb.scratch.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sn := s.Acquire()
 	defer sn.Release()
 	pb.mu.Lock()
-	// A cache that holds the whole table serves every pass without a read.
-	allResident := len(pb.pages) == pb.nPages
+	// A cache that holds every page version of the epoch serves every
+	// pass without a read.
+	allResident := !slices.ContainsFunc(sn.t.slot, func(sl int32) bool { return pb.pages[int(sl)] == nil })
 	pb.mu.Unlock()
 	base := runtime.NumGoroutine()
 	budgets := []int{c.workers, 1, 3}
@@ -405,22 +414,24 @@ func waitJoined(pb *PagedBacking, n int) {
 }
 
 // joinedPair runs pass A over the whole of sn on two workers and holds
-// both of A's workers inside their first page's callback until pass B
-// (two workers too, callback fnB) has joined the scan. It returns both
-// passes' errors and A's visits per row. A's first two pages are taken
-// before B joins; every page after them is fed to both.
-func joinedPair(pb *PagedBacking, sn *Snapshot, fnB func(int, strategy.Chunk) error) (errA, errB error, visitsA []atomic.Int32) {
+// both of A's workers inside their first page's callback until pass B over
+// the whole of snB (two workers too, callback fnB) has joined the scan.
+// It returns both passes' errors and A's visits per row; fnA, if not nil,
+// also runs on each of A's chunks. A's first two pages are taken before B
+// joins; every page after them that both map to one version is fed to
+// both.
+func joinedPair(pb *PagedBacking, sn, snB *Snapshot, fnA, fnB func(int, strategy.Chunk) error) (errA, errB error, visitsA []atomic.Int32) {
 	const workers = 2
 	visitsA = make([]atomic.Int32, sn.Rows())
 	joined := make(chan struct{})
 	var launch sync.Once
 	var wg sync.WaitGroup
-	errA = sn.Pass(0, sn.Rows(), workers, func(_ int, c strategy.Chunk) error {
+	errA = sn.Pass(0, sn.Rows(), workers, func(w int, c strategy.Chunk) error {
 		launch.Do(func() {
 			wg.Add(2)
 			go func() {
 				defer wg.Done()
-				errB = sn.Pass(0, sn.Rows(), workers, fnB)
+				errB = snB.Pass(0, snB.Rows(), workers, fnB)
 			}()
 			go func() {
 				defer wg.Done()
@@ -431,6 +442,9 @@ func joinedPair(pb *PagedBacking, sn *Snapshot, fnB func(int, strategy.Chunk) er
 		<-joined
 		for r := c.Row; r < c.Row+len(c.Data)/sn.Lanes(); r++ {
 			visitsA[r].Add(1)
+		}
+		if fnA != nil {
+			return fnA(w, c)
 		}
 		return nil
 	})
@@ -480,7 +494,7 @@ func TestPagedJoinedPassRidesPages(t *testing.T) {
 	tab, pb, sn := onePageCache(t)
 	lanes := tab.Lanes
 	visitsB := make([]atomic.Int32, tab.NumRows)
-	errA, errB, visitsA := joinedPair(pb, sn, func(_ int, c strategy.Chunk) error {
+	errA, errB, visitsA := joinedPair(pb, sn, sn, nil, func(_ int, c strategy.Chunk) error {
 		for i, v := range c.Data {
 			if v != tab.Data[c.Row*lanes+i] {
 				return errors.New("chunk data differs from the table")
@@ -517,7 +531,7 @@ func TestPagedFailedReadEndsEveryRider(t *testing.T) {
 	if err := os.Truncate(pb.f.Name(), st.Size()-4); err != nil {
 		t.Fatal(err)
 	}
-	errA, errB, _ := joinedPair(pb, sn, func(int, strategy.Chunk) error { return nil })
+	errA, errB, _ := joinedPair(pb, sn, sn, nil, func(int, strategy.Chunk) error { return nil })
 	for name, err := range map[string]error{"A": errA, "B": errB} {
 		if !errors.Is(err, ErrPageRead) {
 			t.Errorf("pass %s over a table cut inside its last page: %v, want ErrPageRead", name, err)
@@ -540,7 +554,7 @@ func TestPagedRiderErrorEndsOnlyItsPass(t *testing.T) {
 	defer sn.Release()
 	errRider := errors.New("rider callback failed")
 	var calls atomic.Int32
-	errA, errB, visitsA := joinedPair(pb, sn, func(int, strategy.Chunk) error {
+	errA, errB, visitsA := joinedPair(pb, sn, sn, nil, func(int, strategy.Chunk) error {
 		calls.Add(1)
 		return errRider
 	})

@@ -96,30 +96,37 @@ func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 	}
 }
 
-// TestPagedDeltaEpochs: updates over a paged root land as overlays, reads
-// merge them with file pages, and compaction folds the chain into ONE
-// overlay over the paged root — the table is never materialized in RAM.
+// TestPagedDeltaEpochs: updates over a paged root copy each page they
+// touch into a slot of the scratch file, never into the table file (whose
+// bytes stay as written) and never into RAM; reads see every epoch's
+// writes; and the slots of retired epochs are reused, so seven batches of
+// two pages each leave the scratch file at seven slots, not fourteen.
 func TestPagedDeltaEpochs(t *testing.T) {
 	const rows, lanes = 1024, 4
-	tab, pb := pagedFixture(t, rows, lanes, 4<<10)
+	tab, pb := pagedFixture(t, rows, lanes, 4<<10) // 256-row pages
+	onDisk, err := os.ReadFile(pb.f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
 	s, err := NewPaged(pb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetMaxChainDepth(2)
+	if d := s.ChainDepth(); d != 0 {
+		t.Fatalf("unwritten paged table at depth %d, want 0", d)
+	}
 	expect := append([]uint32(nil), tab.Data...)
 	for i := 0; i < 7; i++ {
 		writes := []RowWrite{
 			{Row: uint64(i * 100), Vals: row(uint32(i), uint32(i), uint32(i), uint32(i))},
-			{Row: uint64(i*100 + 1), Vals: row(9, 9, 9, 9)},
+			{Row: uint64(i*100 + 256), Vals: row(9, 9, 9, 9)},
 		}
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
 		}
 		expect = applyWords(expect, lanes, writes)
-		// Over a paged root the fold merges to depth 1, never to flat.
-		if d := s.ChainDepth(); d < 1 || d > 2 {
-			t.Fatalf("apply %d: chain depth %d, want 1..2 over a paged root", i, d)
+		if d := s.ChainDepth(); d != 1 {
+			t.Fatalf("apply %d: chain depth %d, want 1 once a page is written", i, d)
 		}
 		sn := s.Acquire()
 		got := viewWords(t, sn)
@@ -134,15 +141,22 @@ func TestPagedDeltaEpochs(t *testing.T) {
 		}
 		sn.Release()
 	}
-	// Row reads work across patch and file pages.
 	sn := s.Acquire()
 	defer sn.Release()
-	got, err := sn.Row(601)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := sn.Row(856); err != nil || got[0] != 9 {
+		t.Fatalf("written row 856 = %v, %v", got, err)
 	}
-	if got[0] != 9 {
-		t.Fatalf("patched row 601 = %v", got)
+	if after, err := os.ReadFile(pb.f.Name()); err != nil || string(after) != string(onDisk) {
+		t.Fatalf("the table file changed under writes (%v)", err)
+	}
+	// The last batch was written while the epochs before it mapped five
+	// written versions (page 0's from the third batch among them): five
+	// plus its two is the scratch file's high-water mark.
+	if n := len(pb.refs) - pb.nPages; n != 7 {
+		t.Fatalf("seven two-page batches grew the scratch file to %d slots, want 7", n)
+	}
+	if st, err := pb.scratch.Stat(); err != nil || st.Size() != 7*4<<10 {
+		t.Fatalf("scratch file: %v, %v", st, err)
 	}
 }
 

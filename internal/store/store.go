@@ -1,60 +1,56 @@
 // Package store owns the serving table: an epoch-versioned Store whose
-// readers pin immutable snapshots while writers install whole new epochs.
-// The paper's serving story assumes a stable table per query epoch; this
-// package is where that assumption becomes a mechanism instead of a
-// convention.
+// readers pin immutable snapshots while writers install whole new epochs,
+// so the stable table per query epoch the paper's serving story assumes is
+// a mechanism instead of a convention.
 //
-// A Snapshot is one epoch's table view, implementing strategy.TableView:
-// the answer path streams it through an order-free pass (Pass), which is
-// what lets one read contract serve three backings — an in-RAM array (row
-// blocks, one maximal chunk to a single worker), a delta-epoch overlay
-// chain (its base's chunks split around the patched rows), and a paged
-// file backing for tables larger than memory (page-sized chunks through an
-// LRU cache, resident pages first, see PagedBacking). Acquire pins the
-// current snapshot (an atomic refcount, no lock on the read path) and
-// Release unpins it; the backing of a fully released, superseded epoch is
-// recycled (in-RAM arrays into a spare pool) or dropped (overlay patches).
+// An epoch is a page table (shadow paging: Lorie, "Physical Integrity in a
+// Large Segmented Database", ACM TODS 1977): page index → a refcounted
+// version in a numbered slot of the table's root. An in-RAM root's slots
+// are the page-sized windows of the adopted array plus pooled page
+// buffers; a paged root's are the table file's pages plus those of one
+// scratch file (see PagedBacking). Apply, Prepare and Adopt copy only the
+// pages their batch touches into free slots and install a page table that
+// shares every other version, so a batch costs O(pages it touches) plus an
+// O(pages) table copy on both roots; an empty batch shares its parent's
+// table. A slot whose last mapping table dies is free for the next write,
+// windows of the array included, so an in-RAM store holds the table plus
+// the pages its retained epochs wrote.
 //
-// Writers never mutate in place. Apply stages a batch of row writes as an
-// O(writes) patch layer — a sorted row→lanes overlay sharing the current
-// epoch's backing — and atomically installs it as epoch N+1; readers
-// pinned to N keep reading N, unblocked and unbothered (the
-// -race-provable fix for the historical Update/Answer race). The full
-// table is NOT copied per batch: write amplification is k·lanes words for
-// a k-row batch. Chains of patches are folded back into a base copy when
-// they exceed the configurable max chain depth (SetMaxChainDepth, default
-// DefaultMaxChainDepth) — for a paged base the fold merges the patches
-// into one overlay instead, never materializing the table in RAM. The
-// two-phase form (Prepare / Commit / Abort) is the same installation
+// A Snapshot is one epoch's strategy.TableView, streamed through an
+// order-free Pass: an unwritten in-RAM table as row blocks of one array
+// (with a zero-copy RowRange), a written one as those blocks cut at its
+// written pages, a paged one through an LRU cache every pass in flight
+// shares. Acquire pins the current snapshot (an atomic refcount, no lock on
+// the read path); pinned readers of epoch N keep reading N while N+1
+// installs.
+//
+// The two-phase form (Prepare / Commit / Abort) is the same installation
 // split across a cluster handshake: every shard stages the target epoch,
 // the coordinator commits only when all acked, and a straggler's Abort
 // both drops a staged epoch and rolls back a committed-but-orphaned one,
 // so a partial cluster failure leaves every shard readable at the old
-// epoch.
-//
-// Epoch numbers never recur. An aborted epoch is burned: Epoch() and the
-// next prepare/apply target skip past it, so a partial share pinned to a
-// rolled-back epoch can never silently epoch-match a later, different
-// table (the merge-consistency check a cluster runs would otherwise be
-// blind to exactly the failure it exists to catch).
+// epoch. Epoch numbers never recur: an aborted epoch is burned, so a
+// partial share pinned to a rolled-back epoch can never silently
+// epoch-match a later, different table.
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"gpudpf/internal/strategy"
 )
 
-// ErrNotContiguous is returned by Snapshot.RowRange when the snapshot's
-// backing is not one contiguous in-RAM buffer (a delta-epoch overlay or a
-// paged backing). RowRange never silently materializes a copy; callers
-// that can stream should use Pass, callers that need a copy should use
-// CopyWords or strategy.TableFromView.
+// ErrNotContiguous is returned by Snapshot.RowRange when the snapshot is
+// not one contiguous in-RAM buffer (a written epoch or a paged table).
+// RowRange never silently materializes a copy; callers that can stream
+// should use Pass, callers that need a copy should use CopyWords or
+// strategy.TableFromView.
 var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Pass or CopyWords")
 
 // RowWrite is one row overwrite in an update batch. Vals must be exactly
@@ -65,147 +61,179 @@ type RowWrite struct {
 	Vals []uint32
 }
 
-// source is a backing's data provider — the polymorphism point behind the
-// pass. Implementations are immutable once installed.
-type source interface {
-	// pass is strategy.TableView.Pass over a range the caller has
-	// validated, with workers ≥ 1.
-	pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error
-	// row returns row i. The slice stays valid while the source does.
-	// Paged sources return copies: page buffers recycle after eviction, so
-	// handing out page memory would let a reload overwrite it.
-	row(i int) ([]uint32, error)
-	// flat returns the whole table as one contiguous buffer when the
-	// source is a single in-RAM array, nil otherwise.
-	flat() []uint32
+// root holds a table's page versions in numbered slots: slot i below the
+// page count is page i's original version, higher slots hold written ones.
+// write, drop and vers run under Store.mu; pass and row (a copy on a paged
+// root) read only slots a pinned page table maps, on a validated range.
+type root interface {
+	pass(t *pageTable, lo, hi, workers int, fn func(int, strategy.Chunk) error) error
+	row(t *pageTable, i int) ([]uint32, error)
+	// write puts page idx's version in slot from, patched by fill(idx,
+	// page), into a free slot and returns that slot; from is not read when
+	// cover says fill overwrites the page. On an error no slot is taken.
+	write(idx, from int, cover bool, fill func(int, []uint32)) (int, error)
+	// drop takes back a slot that no page table maps.
+	drop(slot int)
+	vers() *versions
 }
 
-// ramSource is the classic in-RAM backing: one flat row-major array.
-type ramSource struct {
-	data  []uint32
-	lanes int
+// versions is a root's slot bookkeeping: how many page tables map each
+// slot, and the slots a write may reuse.
+type versions struct {
+	refs  []int32
+	spare []int32
 }
 
-func (r *ramSource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
-	return strategy.BlockPass(r.data, r.lanes, lo, hi, workers, fn)
-}
-
-func (r *ramSource) row(i int) ([]uint32, error) {
-	return r.data[i*r.lanes : (i+1)*r.lanes], nil
-}
-
-func (r *ramSource) flat() []uint32 { return r.data }
-
-// overlaySource is one delta epoch: a sorted set of overwritten rows (rows
-// ascending, vals the matching row-major lane data) over a shared base
-// backing. Its pass is the base's pass with each base chunk split around
-// the patched rows it covers: runs of base rows and runs of consecutive
-// patched rows alternate as separate chunks. depth counts overlay layers
-// down to the chain's root (1 = directly on a root).
-type overlaySource struct {
-	base  *backing
-	rows  []int
-	vals  []uint32
-	lanes int
-	depth int
-}
-
-func (o *overlaySource) pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
-	return o.base.src.pass(lo, hi, workers, func(w int, c strategy.Chunk) error {
-		return o.split(w, c, fn)
-	})
-}
-
-// split yields base chunk c to fn with the patch's rows substituted.
-func (o *overlaySource) split(w int, c strategy.Chunk, fn func(int, strategy.Chunk) error) error {
-	lo, hi := c.Row, c.Row+len(c.Data)/o.lanes
-	base := func(from, to int) error {
-		if from == to {
-			return nil
-		}
-		return fn(w, strategy.Chunk{Row: from, Data: c.Data[(from-lo)*o.lanes : (to-lo)*o.lanes]})
+// take pops a reusable slot, or returns -1 when the caller must grow one.
+func (v *versions) take() int {
+	if n := len(v.spare); n > 0 {
+		s := v.spare[n-1]
+		v.spare = v.spare[:n-1]
+		return int(s)
 	}
-	cur := lo
-	for i := sort.SearchInts(o.rows, lo); i < len(o.rows) && o.rows[i] < hi; {
-		// A run of consecutively patched rows is contiguous in vals (rows
-		// is sorted and the run's indices are adjacent), so it is one
-		// chunk.
-		j := i
-		for j+1 < len(o.rows) && o.rows[j+1] == o.rows[j]+1 && o.rows[j+1] < hi {
-			j++
-		}
-		runLo, runHi := o.rows[i], o.rows[j]+1
-		if err := base(cur, runLo); err != nil {
-			return err
-		}
-		if err := fn(w, strategy.Chunk{Row: runLo, Data: o.vals[i*o.lanes : (j+1)*o.lanes]}); err != nil {
-			return err
-		}
-		cur, i = runHi, j+1
-	}
-	return base(cur, hi)
+	return -1
 }
 
-func (o *overlaySource) row(i int) ([]uint32, error) {
-	k := sort.SearchInts(o.rows, i)
-	if k < len(o.rows) && o.rows[k] == i {
-		return o.vals[k*o.lanes : (k+1)*o.lanes], nil
-	}
-	return o.base.src.row(i)
-}
-
-func (o *overlaySource) flat() []uint32 { return nil }
-
-// backing is one epoch's data source plus the count of snapshots and
-// overlays that still reference it. An empty Prepare (an epoch tick with
-// no row writes) shares its predecessor's backing instead of copying the
-// table, and every overlay shares its base, so the refcount is
-// per-backing, not per-snapshot.
-type backing struct {
-	src  source
+// pageTable is one epoch's page index → slot of root, shared by an empty
+// batch's epoch and refcounted; the last reference releases its versions.
+type pageTable struct {
+	root root
+	slot []int32
+	flat bool // every page maps its original slot
 	refs atomic.Int64
 }
 
-// newBacking wraps src with one reference.
-func newBacking(src source) *backing {
-	b := &backing{src: src}
-	b.refs.Store(1)
-	return b
-}
-
-// chainDepth is the overlay depth of a backing (0 for a root).
-func chainDepth(b *backing) int {
-	if ov, ok := b.src.(*overlaySource); ok {
-		return ov.depth
+// newPageTable wraps slots with one reference and takes one on each of its
+// versions (caller holds Store.mu, or owns the root outright).
+func newPageTable(r root, slot []int32) *pageTable {
+	t := &pageTable{root: r, slot: slot, flat: true}
+	v := r.vers()
+	for i, s := range slot {
+		v.refs[s]++
+		t.flat = t.flat && int(s) == i
 	}
-	return 0
+	t.refs.Store(1)
+	return t
 }
 
-// chainRoot follows overlay bases down to the chain's root backing.
-func chainRoot(b *backing) *backing {
-	for {
-		ov, ok := b.src.(*overlaySource)
-		if !ok {
-			return b
+// ramRoot is an in-RAM table's versions: the adopted array's page windows,
+// then pooled page buffers. A freed window takes written versions like any
+// other slot (the short last one excepted), so the array is reused.
+type ramRoot struct {
+	versions
+	rows, lanes, pageRows int
+	data                  []uint32
+	// bufs is the slot → buffer list. A new slot publishes a grown copy,
+	// so a reader indexes the list it loaded while a write appends.
+	bufs atomic.Pointer[[][]uint32]
+}
+
+// pageRowsFor rounds pageBytes down to whole rows of a rows×lanes table
+// (at least one, at most the table).
+func pageRowsFor(pageBytes, rows, lanes int) int {
+	return max(1, min(rows, pageBytes/(4*lanes)))
+}
+
+// newRAMRoot adopts data as a root of pageRows-row pages and returns its
+// unwritten page table.
+func newRAMRoot(data []uint32, rows, lanes, pageRows int) *pageTable {
+	r := &ramRoot{rows: rows, lanes: lanes, pageRows: pageRows, data: data}
+	pw := pageRows * lanes
+	bufs := make([][]uint32, (rows+pageRows-1)/pageRows)
+	for i := range bufs {
+		bufs[i] = data[i*pw : min((i+1)*pw, len(data))]
+	}
+	r.bufs.Store(&bufs)
+	r.refs = make([]int32, len(bufs))
+	return newPageTable(r, identity(len(bufs)))
+}
+
+// identity is the page table of n pages that maps each to its own slot.
+func identity(n int) []int32 {
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = int32(i)
+	}
+	return slot
+}
+
+func (r *ramRoot) vers() *versions { return &r.versions }
+
+// words returns the words of page idx held in slot s: the array itself
+// from the page on when s is idx's own window, so a run of own windows
+// reads as one range.
+func (r *ramRoot) words(idx, s int) []uint32 {
+	if s == idx {
+		return r.data[idx*r.pageRows*r.lanes:]
+	}
+	return (*r.bufs.Load())[s]
+}
+
+// pass is strategy.BlockPass over the adopted array: row blocks off one
+// atomic dispenser. A written table cuts each block into its runs of pages
+// in their own windows, one chunk each, and each other page's rows.
+func (r *ramRoot) pass(t *pageTable, lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
+	if t.flat {
+		return strategy.BlockPass(r.data, r.lanes, lo, hi, workers, fn)
+	}
+	return strategy.BlockPass(r.data, r.lanes, lo, hi, workers, func(w int, c strategy.Chunk) error {
+		for row, end := c.Row, c.Row+len(c.Data)/r.lanes; row < end; {
+			p := row / r.pageRows
+			s, q := int(t.slot[p]), p+1
+			for s == p && q*r.pageRows < end && int(t.slot[q]) == q {
+				q++
+			}
+			off, next := p*r.pageRows, min(end, q*r.pageRows)
+			if err := fn(w, strategy.Chunk{Row: row, Data: r.words(p, s)[(row-off)*r.lanes : (next-off)*r.lanes]}); err != nil {
+				return err
+			}
+			row = next
 		}
-		b = ov.base
+		return nil
+	})
+}
+
+func (r *ramRoot) row(t *pageTable, i int) ([]uint32, error) {
+	idx := i / r.pageRows
+	off := i - idx*r.pageRows
+	return r.words(idx, int(t.slot[idx]))[off*r.lanes : (off+1)*r.lanes], nil
+}
+
+func (r *ramRoot) write(idx, from int, cover bool, fill func(int, []uint32)) (int, error) {
+	pw := r.pageRows * r.lanes
+	to := r.take()
+	if to < 0 {
+		bufs := append(*r.bufs.Load(), make([]uint32, pw))
+		r.bufs.Store(&bufs)
+		to = len(r.refs)
+		r.refs = append(r.refs, 0)
+	}
+	page := (*r.bufs.Load())[to][:min(pw, (r.rows-idx*r.pageRows)*r.lanes)]
+	if !cover {
+		copy(page, r.words(idx, from))
+	}
+	fill(idx, page)
+	return to, nil
+}
+
+func (r *ramRoot) drop(slot int) {
+	if len((*r.bufs.Load())[slot]) == r.pageRows*r.lanes {
+		r.spare = append(r.spare, int32(slot))
 	}
 }
 
 // Snapshot is one epoch's immutable table view, implementing
 // strategy.TableView. It is safe for concurrent readers; nothing ever
 // mutates its data. Callers that obtained it from Acquire must Release it
-// exactly once — the backing of a superseded epoch is reclaimed when its
+// exactly once — the versions of a superseded epoch are reclaimed when its
 // last reference drops.
 type Snapshot struct {
 	epoch       uint64
 	rows, lanes int
-	b           *backing
+	t           *pageTable
 	s           *Store
-	// refs counts pins on this snapshot: the store's own reference while
-	// current (or retained for rollback), plus one per outstanding
-	// Acquire. At zero the snapshot is dead and its backing reference is
-	// returned.
+	// refs counts pins: the store's own while current, staged or retained
+	// for rollback, plus one per Acquire. The last returns t's reference.
 	refs atomic.Int64
 }
 
@@ -220,14 +248,13 @@ func (sn *Snapshot) Lanes() int { return sn.lanes }
 
 // Pass implements strategy.TableView: it calls fn once for each of a set
 // of contiguous row runs covering rows [lo, hi) of this epoch exactly once,
-// in the order the backing reads cheapest, on up to workers goroutines.
-// This is THE snapshot read path — it works for every backing and is what
-// the strategies' accumulateTile streams.
+// in the order the backing reads cheapest, on up to workers goroutines —
+// the read path the strategies' accumulateTile streams.
 func (sn *Snapshot) Pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
 	if lo < 0 || hi > sn.rows || lo > hi {
 		return fmt.Errorf("store: row range [%d,%d) outside table of %d rows", lo, hi, sn.rows)
 	}
-	return sn.b.src.pass(lo, hi, max(1, workers), fn)
+	return sn.t.root.pass(sn.t, lo, hi, max(1, workers), fn)
 }
 
 // Chunks is Pass on the caller's goroutine alone, for readers that copy
@@ -243,24 +270,22 @@ func (sn *Snapshot) Row(i int) ([]uint32, error) {
 	if i < 0 || i >= sn.rows {
 		return nil, fmt.Errorf("store: row %d outside table of %d rows", i, sn.rows)
 	}
-	return sn.b.src.row(i)
+	return sn.t.root.row(sn.t, i)
 }
 
 // RowRange returns rows [lo, hi) of this epoch as one zero-copy slice,
-// valid until Release. Only a contiguous in-RAM backing can do this;
-// overlaid and paged epochs return ErrNotContiguous (stream with Pass
-// or copy with CopyWords instead). The index arithmetic is safe by
-// construction: New/NewPaged reject shapes whose rows×lanes product would
-// overflow, and the range is bounds-checked here.
+// valid until Release. Only an unwritten in-RAM table can do this; written
+// and paged epochs return ErrNotContiguous (stream with Pass or copy with
+// CopyWords instead). New rejects shapes whose index arithmetic overflows.
 func (sn *Snapshot) RowRange(lo, hi int) ([]uint32, error) {
 	if lo < 0 || hi > sn.rows || lo > hi {
 		return nil, fmt.Errorf("store: row range [%d,%d) outside table of %d rows", lo, hi, sn.rows)
 	}
-	flat := sn.b.src.flat()
-	if flat == nil {
+	r, ok := sn.t.root.(*ramRoot)
+	if !ok || !sn.t.flat {
 		return nil, ErrNotContiguous
 	}
-	return flat[lo*sn.lanes : hi*sn.lanes], nil
+	return r.data[lo*sn.lanes : hi*sn.lanes], nil
 }
 
 // CopyWords copies words [off, off+len(dst)) of the epoch's row-major
@@ -277,17 +302,9 @@ func (sn *Snapshot) CopyWords(off int, dst []uint32) error {
 		return nil
 	}
 	lanes := sn.lanes
-	rowLo := off / lanes
-	rowHi := (off + len(dst) + lanes - 1) / lanes
-	return sn.b.src.pass(rowLo, rowHi, 1, func(_ int, c strategy.Chunk) error {
+	return sn.t.root.pass(sn.t, off/lanes, (off+len(dst)+lanes-1)/lanes, 1, func(_ int, c strategy.Chunk) error {
 		cLo := c.Row * lanes
-		start, end := cLo, cLo+len(c.Data)
-		if start < off {
-			start = off
-		}
-		if end > off+len(dst) {
-			end = off + len(dst)
-		}
+		start, end := max(cLo, off), min(cLo+len(c.Data), off+len(dst))
 		if start < end {
 			copy(dst[start-off:end-off], c.Data[start-cLo:end-cLo])
 		}
@@ -310,7 +327,7 @@ func (sn *Snapshot) tryAcquire() bool {
 }
 
 // Release unpins the snapshot. The last release of a superseded epoch
-// reclaims its backing (recycling in-RAM arrays into the spare pool).
+// frees the slots only it mapped.
 func (sn *Snapshot) Release() { sn.release(false) }
 
 // release is Release with the store's writer lock state made explicit:
@@ -320,55 +337,47 @@ func (sn *Snapshot) release(locked bool) {
 	if sn.refs.Add(-1) > 0 {
 		return
 	}
-	if locked {
-		sn.s.releaseBackingLocked(sn.b)
-	} else {
-		sn.s.releaseBacking(sn.b)
+	if !locked {
+		sn.s.mu.Lock()
+		defer sn.s.mu.Unlock()
 	}
+	releaseTableLocked(sn.t)
 }
 
-// staged is a prepared-but-uncommitted epoch.
-type staged struct {
-	epoch uint64
-	b     *backing
+// releaseTableLocked drops one reference on t (caller holds Store.mu); the
+// last one drops each version no other page table maps.
+func releaseTableLocked(t *pageTable) {
+	if t.refs.Add(-1) > 0 {
+		return
+	}
+	v := t.root.vers()
+	for _, s := range t.slot {
+		if v.refs[s]--; v.refs[s] == 0 {
+			t.root.drop(int(s))
+		}
+	}
 }
 
 // Store is the epoch-versioned owner of one replica's table.
 type Store struct {
-	rows, lanes int
-	words       int // rows*lanes, overflow-checked at construction
+	rows, lanes, pageRows int
 
 	// cur is the current epoch's snapshot; the store holds one reference
 	// on it (dropped when a commit supersedes it).
 	cur atomic.Pointer[Snapshot]
 
-	// mu serializes writers: Apply, Prepare, Commit, Abort, and backing
-	// reclamation. The read path (Acquire/Release) never takes it.
-	mu       sync.Mutex
-	stage    *staged
-	prev     *Snapshot // last superseded epoch, retained (with a ref) so Abort can roll back
-	burned   uint64    // highest aborted epoch; never reissued
-	spares   [][]uint32
-	maxDepth int // overlay chain depth that triggers compaction
+	// mu serializes writers: Apply, Prepare, Commit, Abort, Adopt, and
+	// version reclamation. The read path (Acquire/Release) never takes it
+	// but for a superseded epoch's last release.
+	mu     sync.Mutex
+	stage  *Snapshot // prepared, not yet committed
+	prev   *Snapshot // last superseded epoch, retained (with a ref) so Abort can roll back
+	burned uint64    // highest aborted epoch; never reissued
 }
 
-// maxSpares bounds the recycled-backing pool: current + previous + one
-// in-flight copy is the steady-state working set; anything beyond is heap
-// the store should give back.
-const maxSpares = 2
-
-// DefaultMaxChainDepth is the default overlay chain depth bound: a write
-// batch landing on a chain this deep folds the chain into a fresh base
-// copy (or, over a paged root, into one merged overlay) instead of adding
-// a layer. Depth trades read-time merge work (one binary search + run
-// split per layer) against write amplification (a fold costs a full-table
-// copy for RAM roots).
-const DefaultMaxChainDepth = 4
-
-// checkShape validates a table shape, returning rows*lanes. The products
-// rows×lanes and rows×lanes×4 (the byte size, which paged files and wire
-// offsets compute) must fit without overflow, so huge-table configs fail
-// loudly here instead of wrapping a slice index downstream.
+// checkShape validates a table shape, returning rows*lanes: rows×lanes×4
+// (the byte size paged files and wire offsets compute) must not overflow,
+// so a huge table fails loudly here, not as a wrapped index downstream.
 func checkShape(rows, lanes int) (int, error) {
 	if rows <= 0 || lanes <= 0 {
 		return 0, fmt.Errorf("store: invalid table shape %d×%d", rows, lanes)
@@ -394,42 +403,34 @@ func New(tab *strategy.Table) (*Store, error) {
 		return nil, fmt.Errorf("store: table data is %d words, shape %d×%d needs %d",
 			len(tab.Data), tab.NumRows, tab.Lanes, words)
 	}
-	return newStore(tab.NumRows, tab.Lanes, words, &ramSource{data: tab.Data, lanes: tab.Lanes}), nil
+	// An in-RAM table pages at DefaultPageBytes rounded to whole rows.
+	pr := pageRowsFor(DefaultPageBytes, tab.NumRows, tab.Lanes)
+	return newStore(tab.NumRows, tab.Lanes, pr, newRAMRoot(tab.Data, tab.NumRows, tab.Lanes, pr)), nil
 }
 
-// NewPaged builds a Store whose epoch 0 is served from a paged file
-// backing (see OpenPaged): the table never needs to fit in RAM. Updates
-// layer delta epochs over the paged root; compaction merges them into one
-// overlay rather than materializing the table.
+// NewPaged builds a Store over one paged file backing (see OpenPaged),
+// which serves no other: neither the table nor its written pages need RAM.
 func NewPaged(pb *PagedBacking) (*Store, error) {
 	if pb == nil {
 		return nil, fmt.Errorf("store: needs a paged backing")
 	}
-	words, err := checkShape(pb.rows, pb.lanes)
-	if err != nil {
+	if _, err := checkShape(pb.rows, pb.lanes); err != nil {
 		return nil, err
 	}
-	return newStore(pb.rows, pb.lanes, words, &pagedSource{p: pb}), nil
+	return newStore(pb.rows, pb.lanes, pb.pageRows, newPageTable(pb, identity(pb.nPages))), nil
 }
 
-func newStore(rows, lanes, words int, src source) *Store {
-	s := &Store{rows: rows, lanes: lanes, words: words, maxDepth: DefaultMaxChainDepth}
-	sn := &Snapshot{rows: rows, lanes: lanes, b: newBacking(src), s: s}
-	sn.refs.Store(1) // the store's own reference
-	s.cur.Store(sn)
+func newStore(rows, lanes, pageRows int, t *pageTable) *Store {
+	s := &Store{rows: rows, lanes: lanes, pageRows: pageRows}
+	s.cur.Store(s.snapshot(0, t))
 	return s
 }
 
-// SetMaxChainDepth bounds the delta-epoch overlay chain (minimum 1; see
-// DefaultMaxChainDepth). Safe to call concurrently with updates; affects
-// batches staged after it returns.
-func (s *Store) SetMaxChainDepth(d int) {
-	if d < 1 {
-		d = 1
-	}
-	s.mu.Lock()
-	s.maxDepth = d
-	s.mu.Unlock()
+// snapshot wraps t as epoch's snapshot, holding the store's reference.
+func (s *Store) snapshot(epoch uint64, t *pageTable) *Snapshot {
+	sn := &Snapshot{epoch: epoch, rows: s.rows, lanes: s.lanes, t: t, s: s}
+	sn.refs.Store(1)
+	return sn
 }
 
 // Shape returns the table's row and lane counts (immutable across epochs).
@@ -444,13 +445,7 @@ func (s *Store) Epoch() uint64 {
 	return s.effectiveLocked()
 }
 
-func (s *Store) effectiveLocked() uint64 {
-	e := s.cur.Load().epoch
-	if s.burned > e {
-		e = s.burned
-	}
-	return e
-}
+func (s *Store) effectiveLocked() uint64 { return max(s.cur.Load().epoch, s.burned) }
 
 // Acquire pins and returns the current snapshot. The caller must Release
 // it when done; until then the snapshot's data is guaranteed immutable and
@@ -460,57 +455,12 @@ func (s *Store) Acquire() *Snapshot {
 	for {
 		sn := s.cur.Load()
 		if sn.tryAcquire() {
-			// cur may have moved on while we pinned; that is fine — we
-			// pinned a snapshot that was current a moment ago, which is
-			// exactly the linearization Acquire promises.
+			// cur may have moved on since: the snapshot was current a
+			// moment ago, which is the linearization Acquire promises.
 			return sn
 		}
-		// The snapshot died between Load and pin (superseded and fully
-		// released); the new current is already installed.
+		// It died between Load and pin; a new current is installed.
 	}
-}
-
-// releaseBacking drops one reference on b, reclaiming dead backings: a
-// dead overlay releases its base in turn (unwinding the chain), a dead
-// in-RAM root recycles its array, a dead paged root is left to the
-// PagedBacking's owner.
-func (s *Store) releaseBacking(b *backing) {
-	s.mu.Lock()
-	s.releaseBackingLocked(b)
-	s.mu.Unlock()
-}
-
-func (s *Store) releaseBackingLocked(b *backing) {
-	for b != nil {
-		if b.refs.Add(-1) > 0 {
-			return
-		}
-		switch src := b.src.(type) {
-		case *ramSource:
-			s.recycleLocked(src.data)
-			return
-		case *overlaySource:
-			b = src.base // the overlay's arrays go to the GC; unwind
-		default:
-			return // paged root: the file outlives epochs
-		}
-	}
-}
-
-func (s *Store) recycleLocked(data []uint32) {
-	if len(s.spares) < maxSpares {
-		s.spares = append(s.spares, data)
-	}
-}
-
-// getBufferLocked pops a spare backing array or allocates a fresh one.
-func (s *Store) getBufferLocked() []uint32 {
-	if n := len(s.spares); n > 0 {
-		buf := s.spares[n-1]
-		s.spares = s.spares[:n-1]
-		return buf
-	}
-	return make([]uint32, s.words)
 }
 
 // validateWrites checks a batch against the table shape.
@@ -526,142 +476,83 @@ func (s *Store) validateWrites(writes []RowWrite) error {
 	return nil
 }
 
-// dedupWrites sorts a validated batch into overlay form: ascending unique
-// rows with the batch's last write per row winning. Cost is O(k log k)
-// time and O(k·lanes) space for a k-write batch — the whole point of
-// delta epochs.
-func dedupWrites(writes []RowWrite, lanes int) (rows []int, vals []uint32) {
-	idx := make([]int, len(writes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ra, rb := writes[idx[a]].Row, writes[idx[b]].Row
-		if ra != rb {
-			return ra < rb
+// writeLocked builds the current page table's successor: each page in
+// pages (ascending) gets a fresh version written by root.write with cover
+// and fill, every other page keeps its version. A failed page read or
+// write returns every slot taken and changes nothing.
+func (s *Store) writeLocked(pages []int, cover func(int) bool, fill func(int, []uint32)) (*pageTable, error) {
+	cur := s.cur.Load().t
+	slot := slices.Clone(cur.slot)
+	for i, p := range pages {
+		to, err := cur.root.write(p, int(slot[p]), cover(p), fill)
+		if err != nil {
+			for _, q := range pages[:i] {
+				cur.root.drop(int(slot[q]))
+			}
+			return nil, err
 		}
-		return idx[a] < idx[b]
-	})
-	rows = make([]int, 0, len(writes))
-	vals = make([]uint32, 0, len(writes)*lanes)
-	for _, i := range idx {
-		r := int(writes[i].Row)
-		if n := len(rows); n > 0 && rows[n-1] == r {
-			copy(vals[(n-1)*lanes:], writes[i].Vals) // later write wins
-			continue
-		}
-		rows = append(rows, r)
-		vals = append(vals, writes[i].Vals...)
+		slot[p] = int32(to)
 	}
-	return rows, vals
+	return newPageTable(cur.root, slot), nil
 }
 
-// stageLocked builds the staged state for writes at the given epoch. An
-// empty batch shares the current backing (an epoch tick costs no copy); a
-// non-empty one layers an O(writes) overlay over it (folding the chain
-// when it is maxDepth deep).
-func (s *Store) stageLocked(epoch uint64, writes []RowWrite) *staged {
-	cur := s.cur.Load()
+// stageLocked builds the snapshot of writes at epoch: an empty batch
+// shares the current page table; otherwise, with the batch's last write to
+// a row winning, each page it touches is copied once.
+func (s *Store) stageLocked(epoch uint64, writes []RowWrite) (*Snapshot, error) {
 	if len(writes) == 0 {
-		cur.b.refs.Add(1)
-		return &staged{epoch: epoch, b: cur.b}
+		t := s.cur.Load().t
+		t.refs.Add(1)
+		return s.snapshot(epoch, t), nil
 	}
-	rows, vals := dedupWrites(writes, s.lanes)
-	return &staged{epoch: epoch, b: s.patchLocked(cur.b, rows, vals)}
-}
-
-// patchLocked layers the overlay-form patch (rows, vals) over base,
-// compacting instead when the chain would exceed maxDepth. The patch
-// arrays are owned by the result.
-func (s *Store) patchLocked(base *backing, rows []int, vals []uint32) *backing {
-	depth := chainDepth(base) + 1
-	if depth > s.maxDepth {
-		return s.compactLocked(base, rows, vals)
+	ws := slices.Clone(writes)
+	slices.SortStableFunc(ws, func(a, b RowWrite) int { return cmp.Compare(a.Row, b.Row) })
+	pages, n := make([]int, 0, len(ws)), 0
+	for i, w := range ws {
+		if i+1 < len(ws) && ws[i+1].Row == w.Row {
+			continue // a later write to the row wins
+		}
+		ws[n] = w
+		n++
+		if p := int(w.Row) / s.pageRows; len(pages) == 0 || pages[len(pages)-1] != p {
+			pages = append(pages, p)
+		}
 	}
-	base.refs.Add(1)
-	return newBacking(&overlaySource{base: base, rows: rows, vals: vals, lanes: s.lanes, depth: depth})
-}
-
-// compactLocked folds base's overlay chain together with the new patch.
-// Over an in-RAM root the fold materializes a fresh flat copy (reusing the
-// spare pool, so steady-state churn alternates buffers instead of growing
-// the heap). Over a paged root the table is never materialized: every
-// layer's patches merge into ONE overlay directly on the root.
-func (s *Store) compactLocked(base *backing, rows []int, vals []uint32) *backing {
-	root := chainRoot(base)
-	if _, paged := root.src.(*pagedSource); paged {
-		mrows, mvals := mergeChain(base, rows, vals, s.lanes)
-		root.refs.Add(1)
-		return newBacking(&overlaySource{base: root, rows: mrows, vals: mvals, lanes: s.lanes, depth: 1})
-	}
-	data := s.getBufferLocked()
-	// RAM chains cannot fail a pass.
-	_ = base.src.pass(0, s.rows, 1, func(_ int, c strategy.Chunk) error {
-		copy(data[c.Row*s.lanes:], c.Data)
-		return nil
+	ws, next := ws[:n], 0
+	t, err := s.writeLocked(pages, func(int) bool { return false }, func(p int, page []uint32) {
+		for ; next < len(ws) && int(ws[next].Row) < (p+1)*s.pageRows; next++ {
+			copy(page[(int(ws[next].Row)-p*s.pageRows)*s.lanes:], ws[next].Vals)
+		}
 	})
-	for i, r := range rows {
-		copy(data[r*s.lanes:(r+1)*s.lanes], vals[i*s.lanes:(i+1)*s.lanes])
+	if err != nil {
+		return nil, err
 	}
-	return newBacking(&ramSource{data: data, lanes: s.lanes})
+	return s.snapshot(epoch, t), nil
 }
 
-// mergeChain flattens every overlay layer of base's chain plus the new
-// topmost patch (rows, vals) into one overlay-form patch. Upper layers
-// win on row collisions.
-func mergeChain(base *backing, rows []int, vals []uint32, lanes int) ([]int, []uint32) {
-	// Collect layers bottom→top, then apply in order so later layers win.
-	var layers []*overlaySource
-	for b := base; ; {
-		ov, ok := b.src.(*overlaySource)
-		if !ok {
-			break
-		}
-		layers = append([]*overlaySource{ov}, layers...)
-		b = ov.base
-	}
-	merged := make(map[int][]uint32)
-	for _, ov := range layers {
-		for i, r := range ov.rows {
-			merged[r] = ov.vals[i*lanes : (i+1)*lanes]
-		}
-	}
-	for i, r := range rows {
-		merged[r] = vals[i*lanes : (i+1)*lanes]
-	}
-	mrows := make([]int, 0, len(merged))
-	for r := range merged {
-		mrows = append(mrows, r)
-	}
-	sort.Ints(mrows)
-	mvals := make([]uint32, 0, len(merged)*lanes)
-	for _, r := range mrows {
-		mvals = append(mvals, merged[r]...)
-	}
-	return mrows, mvals
-}
-
-// installLocked makes st the current snapshot, retiring the old current
-// into prev (kept pinned so Abort can roll the commit back until the next
-// commit supersedes it).
-func (s *Store) installLocked(st *staged) *Snapshot {
-	sn := &Snapshot{epoch: st.epoch, rows: s.rows, lanes: s.lanes, b: st.b, s: s}
-	sn.refs.Store(1) // the store's reference
+// installLocked makes sn current, retiring the old current into prev
+// (kept pinned so Abort can roll the commit back until the next commit
+// supersedes it), or releasing it outright when rollback is unset.
+func (s *Store) installLocked(sn *Snapshot, rollback bool) {
 	old := s.cur.Load()
 	s.cur.Store(sn)
 	if s.prev != nil {
 		s.prev.release(true) // the rollback window moves forward
+		s.prev = nil
 	}
-	s.prev = old // the store's reference on old moves from "current" to "rollback"
-	return sn
+	if rollback {
+		s.prev = old // the store's reference on old moves from "current" to "rollback"
+	} else {
+		old.release(true)
+	}
 }
 
 // Apply installs the batch atomically as the next epoch and returns it.
 // Readers pinned to the current epoch are not blocked and keep their view;
 // the next Acquire sees the new epoch. Apply fails while a prepared epoch
 // is outstanding — a store is either coordinated (Prepare/Commit) or
-// direct (Apply), never both at once. A k-row batch costs O(k·lanes)
-// (overlay-form patch), not a table copy, until chain compaction.
+// direct (Apply), never both at once — and, on a paged table, when a page
+// read or write fails (ErrPageRead, ErrPageWrite), leaving the epoch.
 func (s *Store) Apply(writes []RowWrite) (uint64, error) {
 	if err := s.validateWrites(writes); err != nil {
 		return 0, err
@@ -671,7 +562,11 @@ func (s *Store) Apply(writes []RowWrite) (uint64, error) {
 	if s.stage != nil {
 		return 0, fmt.Errorf("store: epoch %d is prepared but not committed; commit or abort it first", s.stage.epoch)
 	}
-	sn := s.installLocked(s.stageLocked(s.effectiveLocked()+1, writes))
+	sn, err := s.stageLocked(s.effectiveLocked()+1, writes)
+	if err != nil {
+		return 0, err
+	}
+	s.installLocked(sn, true)
 	return sn.epoch, nil
 }
 
@@ -691,12 +586,12 @@ func (s *Store) Prepare(epoch uint64, writes []RowWrite) error {
 	if eff := s.effectiveLocked(); epoch <= eff {
 		return fmt.Errorf("store: cannot prepare epoch %d at epoch %d (prepare must target a later epoch)", epoch, eff)
 	}
-	s.stage = s.stageLocked(epoch, writes)
-	return nil
+	var err error
+	s.stage, err = s.stageLocked(epoch, writes)
+	return err
 }
 
-// Commit installs the staged epoch, which must match. Readers pinned to
-// the previous epoch keep their view until they Release.
+// Commit installs the staged epoch, which must match.
 func (s *Store) Commit(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -706,7 +601,7 @@ func (s *Store) Commit(epoch uint64) error {
 	if s.stage.epoch != epoch {
 		return fmt.Errorf("store: epoch %d is prepared, cannot commit %d", s.stage.epoch, epoch)
 	}
-	s.installLocked(s.stage)
+	s.installLocked(s.stage, true)
 	s.stage = nil
 	return nil
 }
@@ -717,9 +612,8 @@ func (s *Store) Commit(epoch uint64) error {
 // not an error — when the store never saw the epoch at all. In every case
 // the epoch is burned: it will never be reissued. Coordinators fan Abort
 // to every shard after a partial failure; idempotence is what lets them
-// not track who got how far. Rollback works across a compaction: prev
-// pins its own backing chain, so reinstating it is pointer surgery
-// regardless of what the aborted epoch's backing looked like.
+// not track who got how far. Rollback is pointer surgery: prev pins its
+// own page table.
 func (s *Store) Abort(epoch uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -727,9 +621,8 @@ func (s *Store) Abort(epoch uint64) error {
 		s.burned = epoch
 	}
 	if s.stage != nil && s.stage.epoch == epoch {
-		st := s.stage
+		s.stage.release(true)
 		s.stage = nil
-		s.releaseBackingLocked(st.b)
 		return nil
 	}
 	cur := s.cur.Load()
@@ -757,10 +650,12 @@ func (s *Store) Abort(epoch uint64) error {
 // Adopt requires epoch to lie strictly above the store's effective epoch
 // (healing never moves a table backwards) and refuses while an epoch is
 // prepared but uncommitted (the handshake owns the store's future then).
-// Rows outside [lo,hi) keep their current content. Readers pinned to older
-// epochs are unaffected, as with any install. Like Apply, the adopted
-// range lands as an overlay patch (consecutive rows), so a partial-range
-// heal does not copy the table.
+// Rows outside [lo,hi) keep their current content. The rows go straight
+// into fresh page versions; an in-RAM Adopt of the whole table copies vals
+// into a fresh array as the new root, so the old one dies with its epochs.
+// An adopted epoch has no rollback window (Abort of it only burns it): the
+// stale table it replaces is never worth reinstating, and holding it would
+// double a full heal's footprint.
 func (s *Store) Adopt(epoch, floor uint64, lo, hi int, vals []uint32) error {
 	if lo < 0 || hi > s.rows || lo >= hi {
 		return fmt.Errorf("store: adopt range [%d,%d) outside table of %d rows", lo, hi, s.rows)
@@ -776,14 +671,25 @@ func (s *Store) Adopt(epoch, floor uint64, lo, hi int, vals []uint32) error {
 	if eff := s.effectiveLocked(); epoch <= eff {
 		return fmt.Errorf("store: cannot adopt epoch %d at epoch %d (adopt must move forward)", epoch, eff)
 	}
-	rows := make([]int, hi-lo)
-	for i := range rows {
-		rows[i] = lo + i
+	var t *pageTable
+	if _, ram := s.cur.Load().t.root.(*ramRoot); ram && lo == 0 && hi == s.rows {
+		t = newRAMRoot(slices.Clone(vals), s.rows, s.lanes, s.pageRows)
+	} else {
+		pr := s.pageRows
+		var pages []int
+		for p := lo / pr; p <= (hi-1)/pr; p++ {
+			pages = append(pages, p)
+		}
+		var err error
+		t, err = s.writeLocked(pages, func(p int) bool { return lo <= p*pr && min((p+1)*pr, s.rows) <= hi }, func(p int, page []uint32) {
+			a, b := max(lo, p*pr), min(hi, (p+1)*pr)
+			copy(page[(a-p*pr)*s.lanes:], vals[(a-lo)*s.lanes:(b-lo)*s.lanes])
+		})
+		if err != nil {
+			return err
+		}
 	}
-	pv := make([]uint32, len(vals))
-	copy(pv, vals)
-	cur := s.cur.Load()
-	s.installLocked(&staged{epoch: epoch, b: s.patchLocked(cur.b, rows, pv)})
+	s.installLocked(s.snapshot(epoch, t), false)
 	if floor > s.burned {
 		s.burned = floor
 	}
@@ -798,10 +704,12 @@ func (s *Store) Rollbackable() bool {
 	return s.prev != nil
 }
 
-// ChainDepth returns the current epoch's overlay chain depth (0 =
-// contiguous base). Exposed for tests and introspection.
+// ChainDepth is 0 while the current epoch maps only its root's original
+// pages and 1 once it maps a written version: the name is the overlay
+// chain's, which bench/ records as store.chain_depth_max.
 func (s *Store) ChainDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return chainDepth(s.cur.Load().b)
+	if s.cur.Load().t.flat {
+		return 0
+	}
+	return 1
 }

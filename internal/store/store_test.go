@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,8 +28,8 @@ func testStore(t testing.TB, rows, lanes int) *Store {
 
 func row(vals ...uint32) []uint32 { return vals }
 
-// rowOf reads one snapshot row, panicking on error (in-RAM and overlay
-// backings never fail; a panic fails the test from any goroutine).
+// rowOf reads one snapshot row, panicking on error (in-RAM tables never
+// fail; a panic fails the test from any goroutine).
 func rowOf(sn *Snapshot, i int) []uint32 {
 	r, err := sn.Row(i)
 	if err != nil {
@@ -263,52 +264,45 @@ func TestEmptyPrepareSharesBacking(t *testing.T) {
 	after.Release()
 }
 
-// TestBackingRecycled: a write batch lands as an O(writes) overlay (the
-// chain depth grows, no table copy), compaction folds the chain at the
-// depth bound, and a retired chain's root array is recycled into the
-// spare pool instead of reallocating per compaction.
+// TestBackingRecycled: a write copies only the pages it touches, and the
+// slots of a retired epoch — pooled pages and windows of the adopted array
+// alike — take the next writes: a steady stream of Applys stops adding
+// slots once the free list is warm, reuses the array's windows, and
+// allocates no page.
 func TestBackingRecycled(t *testing.T) {
-	s := testStore(t, 64, 4)
-	writes := uniformWrites(4, 1, 0)
-	// Applies up to the depth bound stack overlays — depth grows, no copy.
-	for i := 1; i <= DefaultMaxChainDepth; i++ {
+	const rows, lanes, pageRows = 64, 4, 8
+	s := testStoreRAM(t, rows, lanes, pageRows)
+	r := s.cur.Load().t.root.(*ramRoot)
+	writes := uniformWrites(lanes, 1, 0, 20, 63) // pages 0, 2 and 7
+	for i := 0; i < 3; i++ {
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
 		}
-		if d := s.ChainDepth(); d != i {
-			t.Fatalf("after apply %d chain depth is %d", i, d)
+		if d := s.ChainDepth(); d != 1 {
+			t.Fatalf("after apply %d chain depth is %d, want 1", i, d)
 		}
 	}
-	// The next apply exceeds the bound and folds the chain flat.
-	if _, err := s.Apply(writes); err != nil {
-		t.Fatal(err)
+	// Current and rollback epochs map three written pages each, and the
+	// three windows epoch 0 held are free for the next batch.
+	slots := len(*r.bufs.Load())
+	if want := rows/pageRows + 6; slots != want {
+		t.Fatalf("%d slots after three three-page batches, want %d", slots, want)
 	}
-	if d := s.ChainDepth(); d != 0 {
-		t.Fatalf("chain depth %d after compaction, want 0", d)
+	if !slices.ContainsFunc(s.cur.Load().t.slot, func(sl int32) bool { return sl == 0 || sl == 2 }) {
+		t.Fatalf("the freed windows took no write: page table %v", s.cur.Load().t.slot)
 	}
-	// One more apply retires the old chain (the rollback window moves),
-	// unwinding it down to the original epoch-0 array, which must land in
-	// the spare pool.
-	if _, err := s.Apply(writes); err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	spares := len(s.spares)
-	s.mu.Unlock()
-	if spares == 0 {
-		t.Fatal("no spare backing after the pre-compaction chain was fully released")
-	}
-	allocs := testing.AllocsPerRun(3*DefaultMaxChainDepth, func() {
+	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := s.Apply(writes); err != nil {
 			t.Fatal(err)
 		}
 	})
-	// Steady state alternates overlay pushes with an occasional fold; the
-	// folds must reuse the spare arrays, so per-apply allocations stay at
-	// the patch + book-keeping level (a fresh 1 KiB table copy per apply
-	// would blow well past this).
+	if len(*r.bufs.Load()) != slots {
+		t.Fatalf("steady-state applies grew the root to %d slots from %d", len(*r.bufs.Load()), slots)
+	}
+	// The batch copy, the page table, its snapshot and closures: a fresh
+	// page per write would add three.
 	if allocs > 12 {
-		t.Fatalf("steady-state Apply allocates %.1f objects/op; backing not recycled", allocs)
+		t.Fatalf("steady-state Apply allocates %.1f objects/op; slots not recycled", allocs)
 	}
 }
 

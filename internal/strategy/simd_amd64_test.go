@@ -301,7 +301,7 @@ func TestAccumulateTileAMXConcurrentWithGC(t *testing.T) {
 }
 
 // checkAccumulateFragmentedTier streams a sub-range of a rows-high view cut
-// at `cuts` random rows through the tier chunk by chunk, as accumulateTile does for overlay and
+// at `cuts` random rows through the tier chunk by chunk, as accumulateTile does for written and
 // paged snapshots, against the scalar pass over the contiguous view.
 func checkAccumulateFragmentedTier(t *testing.T, rng *rand.Rand, tier string, lanes, rows, cuts, minTile int) {
 	t.Helper()

@@ -53,7 +53,7 @@ type Strategy interface {
 	// steady-state Answer. The table arrives as a
 	// TableView and is streamed through its order-free Pass
 	// (accumulateTile), so the same code path serves in-RAM tables (row
-	// blocks), delta-epoch overlays, and paged backings larger than memory.
+	// blocks), written epochs, and paged backings larger than memory.
 	RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error
 }
 

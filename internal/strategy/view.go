@@ -22,11 +22,10 @@ type Chunk struct {
 // free, and the backing — the only party that knows what is cheap to read
 // next — chooses it: an in-RAM view hands out row blocks (one maximal
 // chunk to a single worker, so the SIMD kernel's per-call work is
-// unchanged), a delta-epoch overlay splits its base's chunks around the
-// patched rows, and a paged backing visits the pages already resident
-// before it reads its own. All through the same contract, which is what
-// lets one answer path serve tables that are in RAM, patched, or larger
-// than memory.
+// unchanged), a written epoch cuts those blocks at its rewritten pages,
+// and a paged backing visits the pages already resident before it reads
+// its own. All through the same contract, which is what lets one answer
+// path serve tables that are in RAM, written, or larger than memory.
 type TableView interface {
 	// Rows is the table's row count.
 	Rows() int

@@ -20,7 +20,7 @@ var errFragmented = errors.New("fragView: not contiguous")
 // chunk boundaries fall at the fixed cut rows, the contiguous RowRange fast
 // path is refused, and Pass hands the chunks out last-first to its workers
 // — an order no caller may rely on not getting. It simulates the chunk
-// geometry and the free visit order of the store's overlay and paged
+// geometry and the free visit order of the store's written and paged
 // backings without importing the store (which would cycle), so the
 // strategy package can pin chunked-vs-contiguous equivalence locally.
 type fragView struct {
