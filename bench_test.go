@@ -19,8 +19,8 @@ import (
 	"gpudpf/internal/data"
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/experiments"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/ml"
+	"gpudpf/internal/model"
 	"gpudpf/internal/netsim"
 	"gpudpf/internal/pir"
 	"gpudpf/internal/seedbaseline"
@@ -102,11 +102,11 @@ func BenchmarkTiledAnswer(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("tiled/B=%d", batch), func(b *testing.B) {
-			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128}
 			b.ReportAllocs()
 			b.SetBytes(int64(batch) * rows * lanes * 4)
 			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
@@ -183,13 +183,13 @@ func BenchmarkFig3Eval(b *testing.B) {
 // Figure 6's parallelization strategies at the figure's shape (B=32,
 // 2^20 rows). Only MemBoundTree executes; the benchmarks below run it.
 func BenchmarkFig6Strategies(b *testing.B) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	for _, s := range []strategy.Modeler{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 128, Fused: true},
-		strategy.CoopGroups{},
+	for _, s := range []model.Modeler{
+		model.BranchParallel{},
+		model.LevelByLevel{},
+		model.MemBound{K: 128, Fused: true},
+		model.CoopGroups{},
 	} {
 		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -209,10 +209,10 @@ func BenchmarkFig8KSweep(b *testing.B) {
 	keys := benchKeys(b, prg, tab, 2)
 	for _, k := range []int{8, 32, 128, 512} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			var s strategy.Strategy = strategy.MemBoundTree{K: k, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: k}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
@@ -229,10 +229,10 @@ func BenchmarkFig9Batch(b *testing.B) {
 	for _, batch := range []int{1, 4, 16} {
 		keys := benchKeys(b, prg, tab, batch)
 		b.Run(fmt.Sprintf("B=%d", batch), func(b *testing.B) {
-			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
@@ -244,9 +244,9 @@ func BenchmarkFig9Batch(b *testing.B) {
 // BenchmarkFig13Model exercises the analytic throughput/latency model the
 // Figure 13 frontier is drawn from.
 func BenchmarkFig13Model(b *testing.B) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
+	s := model.MemBound{K: 128, Fused: true}
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Model(dev, prg, 20, 64, 64); err != nil {
 			b.Fatal(err)
@@ -254,39 +254,19 @@ func BenchmarkFig13Model(b *testing.B) {
 	}
 }
 
-// BenchmarkFig14Fusion compares fused and unfused execution on wide
-// entries (Figure 14).
-func BenchmarkFig14Fusion(b *testing.B) {
-	prg := dpf.NewAESPRG()
-	tab := benchTable(b, 2048, 128) // 512B entries
-	keys := benchKeys(b, prg, tab, 2)
-	for _, fused := range []bool{true, false} {
-		b.Run(fmt.Sprintf("fused=%v", fused), func(b *testing.B) {
-			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: fused}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
-				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTable4CPU measures the host executor with one worker and with
 // 32 (Table 4's CPU rows, at host scale; the modeled Xeon rows come from
-// strategy.CPUBaseline's Model).
+// model.CPUBaseline's Model).
 func BenchmarkTable4CPU(b *testing.B) {
 	prg := dpf.NewAESPRG()
 	tab := benchTable(b, 16384, 64) // the 16K row of Table 4
 	keys := benchKeys(b, prg, tab, 1)
 	for _, workers := range []int{1, 32} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true, Workers: workers}
+			var s strategy.Strategy = strategy.MemBoundTree{K: 128, Workers: workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}

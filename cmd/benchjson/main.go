@@ -83,7 +83,6 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/seedbaseline"
 	"gpudpf/internal/store"
 	"gpudpf/internal/strategy"
@@ -226,19 +225,19 @@ func main() {
 		tiles := int64((batch + tileQueries - 1) / tileQueries)
 		// One Strategy value for every case, as a replica holds one: boxing
 		// the struct per call would be counted as a hot-path allocation.
-		var s strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true}
+		var s strategy.Strategy = strategy.MemBoundTree{K: 128}
 		runtime.GOMAXPROCS(1)
 		seed := measure("seed", batch, int64(batch)*tableBytes, func() {
 			seedbaseline.Run(prg, seedKeys, tab, 128)
 		})
 		tiled := measure("tiled", batch, tiles*tableBytes, func() {
-			var ctr gpu.Counters
+			var ctr strategy.Counters
 			if _, err := strategy.Run(s, prg, tiledKeys, tab.View(), &ctr); err != nil {
 				log.Fatalf("benchjson: %v", err)
 			}
 		})
 		tiledPaged := measure("tiled-paged", batch, tiles*tableBytes, func() {
-			var ctr gpu.Counters
+			var ctr strategy.Counters
 			if _, err := strategy.Run(s, prg, tiledKeys, pagedSnap, &ctr); err != nil {
 				log.Fatalf("benchjson: %v", err)
 			}
@@ -250,15 +249,15 @@ func main() {
 		// would file a sequential number under a parallel name.
 		if procs > 1 {
 			runtime.GOMAXPROCS(procs)
-			var par strategy.Strategy = strategy.MemBoundTree{K: 128, Fused: true, Workers: procs}
+			var par strategy.Strategy = strategy.MemBoundTree{K: 128, Workers: procs}
 			tiledPar := measure("tiled-par", batch, tiles*tableBytes, func() {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(par, prg, tiledKeys, tab.View(), &ctr); err != nil {
 					log.Fatalf("benchjson: %v", err)
 				}
 			})
 			tiledPagedPar := measure("tiled-paged-par", batch, tiles*tableBytes, func() {
-				var ctr gpu.Counters
+				var ctr strategy.Counters
 				if _, err := strategy.Run(par, prg, tiledKeys, pagedSnap, &ctr); err != nil {
 					log.Fatalf("benchjson: %v", err)
 				}

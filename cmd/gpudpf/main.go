@@ -16,8 +16,7 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-	"gpudpf/internal/strategy"
+	"gpudpf/internal/model"
 )
 
 func main() {
@@ -122,19 +121,19 @@ func cmdBench(args []string) {
 	if err != nil {
 		log.Fatalf("gpudpf bench: %v", err)
 	}
-	strats := map[string]strategy.Modeler{
-		"branch":   strategy.BranchParallel{},
-		"level":    strategy.LevelByLevel{},
-		"membound": strategy.MemBoundTree{K: strategy.DefaultK, Fused: true},
-		"coop":     strategy.CoopGroups{},
-		"cpu1":     strategy.CPUBaseline{Threads: 1},
-		"cpu32":    strategy.CPUBaseline{Threads: 32},
+	strats := map[string]model.Modeler{
+		"branch":   model.BranchParallel{},
+		"level":    model.LevelByLevel{},
+		"membound": model.MemBound{K: model.DefaultK, Fused: true},
+		"coop":     model.CoopGroups{},
+		"cpu1":     model.CPUBaseline{Threads: 1},
+		"cpu32":    model.CPUBaseline{Threads: 32},
 	}
 	s, ok := strats[*stratName]
 	if !ok {
 		log.Fatalf("gpudpf bench: unknown strategy %q", *stratName)
 	}
-	rep, err := s.Model(gpu.TeslaV100(), prg, *bits, *batch, *lanes)
+	rep, err := s.Model(model.TeslaV100(), prg, *bits, *batch, *lanes)
 	if err != nil {
 		log.Fatalf("gpudpf bench: %v", err)
 	}

@@ -2,9 +2,15 @@
 // Information Retrieval for On-Device Machine Learning Inference"
 // (Lam et al., ASPLOS 2024): two-server DPF-PIR with the paper's GPU
 // execution strategies (modeled on a calibrated V100 device model — see
-// internal/gpu), partial batch retrieval, and the PIR+ML co-design (hot-table
-// split, embedding co-location, fixed query budgets), evaluated end to end
-// on synthetic MovieLens / Taobao / WikiText-2 stand-ins.
+// internal/model), partial batch retrieval, and the PIR+ML co-design
+// (hot-table split, embedding co-location, fixed query budgets), evaluated
+// end to end on synthetic MovieLens / Taobao / WikiText-2 stand-ins.
+//
+// Serve and reproduce are two layers. The serving binaries (pirserver,
+// pirclient) link the executor and the stack below; the reproduction —
+// internal/model's six §3.2 cost models on the V100 and Xeon, codesign,
+// ml, data, netsim and experiments — is linked only by benchall, gpudpf,
+// the examples and tests (TestServingBinaryImports walks the import graph).
 //
 // The server request path is unified behind a single layered stack,
 // dpf → strategy → store/engine (→ shardnet) → pir/batchpir →
@@ -62,20 +68,25 @@
 //     kernel tests pin every tier and the Go body to G built from
 //     crypto/aes, and G itself to known-answer vectors computed outside
 //     Go.
-//   - internal/strategy models the paper's six execution strategies
-//     (branch-parallel, level-by-level, memory-bounded fused traversal,
-//     cooperative groups, multi-GPU, CPU baseline): each is a Modeler
-//     (Name, Model) that the figures, the co-design search and the modeled
-//     §3.2.5 scheduler (strategy.Schedule) price on the V100 model. One of
-//     them also executes: MemBoundTree is the Strategy the engine runs at
-//     every table size, and a test-only walker pins the other five
-//     Models' PRF-block counts to the nodes their traversals expand. A
-//     Strategy has one execution method, RunRangeInto: it evaluates a
-//     batch against a row range of a TableView and adds the partial
-//     answer shares — which sum over any partition of the rows to the full
-//     answer, the seam a Cluster's shards are cut on — into caller-provided buffers
-//     through pooled scratch; strategy.Run / strategy.RunRange are the
-//     allocate-then-call free functions tests and benchmarks use.
+//   - internal/model prices the paper's six execution strategies
+//     (branch-parallel, level-by-level, the memory-bounded traversal
+//     MemBound{K, Fused}, cooperative groups, multi-GPU, CPU baseline):
+//     each is a Modeler (Name, Model) that the figures, the co-design
+//     search and the modeled §3.2.5 scheduler (model.Schedule) price on
+//     the V100 model; a test-only walker pins every Model's PRF-block
+//     count to the nodes its traversal expands, and MemBound's counts to
+//     what the executor records where both count the same work.
+//   - internal/strategy is the host executor. MemBoundTree{K, Workers} is
+//     the one Strategy (Name, RunRangeInto); the engine runs
+//     MemBoundTree{K: 128, Workers: GOMAXPROCS} at every table size.
+//     RunRangeInto evaluates a batch against a row range of a TableView
+//     and adds the partial answer shares — which sum over any partition
+//     of the rows to the full answer, the seam a Cluster's shards are cut
+//     on — into caller-provided buffers through pooled scratch, and
+//     records host work only in strategy.Counters: PRF blocks walked and
+//     table bytes streamed (one pass over the range per tile).
+//     strategy.Run / strategy.RunRange are the allocate-then-call free
+//     functions tests and benchmarks use.
 //     MemBoundTree's memory-bounded descent (expandMemBound) feeds the one
 //     tile loop (runTiles): leaf shares for a tile
 //     of up to 32 queries are expanded first, then ONE streaming pass over
@@ -201,8 +212,8 @@
 //     and answers each key batch — whole table or a member's row range —
 //     with ONE RunRangeInto over ONE pinned snapshot (the whole batch sees
 //     one epoch; a concurrent update neither blocks nor tears it). Its
-//     default executor is MemBoundTree{K: 128, Fused: true, Workers:
-//     GOMAXPROCS}; how the batch spreads over the cores is the tile
+//     default executor is MemBoundTree{K: 128, Workers: GOMAXPROCS};
+//     how the batch spreads over the cores is the tile
 //     loop's decision above, not the replica's. Unmarshaled keys are
 //     pooled, so a steady-state Answer or AnswerRangeEpoch allocates
 //     nothing beyond the returned answer slices (AllocsPerRun tests). The replica
@@ -252,9 +263,10 @@
 //     shape, counters, the epoch handshake, ping, snapshot streaming —
 //     only after one, on a node over an engine.Member (NewServer). The
 //     hello is a fixed binary frame (no gob on the wire) pinning the
-//     protocol version (5: the one-width key batch and key wire v3), the
-//     PRF by name and by construction ID (a dpf
-//     constant per PRF, so a new function under an old name is refused),
+//     protocol version (6: the one-width key batch, key wire v3 and a
+//     counters response of the two host counters), the PRF by name and
+//     by construction ID (a dpf constant per PRF, so a new function under
+//     an old name is refused),
 //     the early-termination depth, the party and the row count — a
 //     refusal names both sides' values — and the welcome states the
 //     lanes, the rows the node holds and its table epoch. Answer-range

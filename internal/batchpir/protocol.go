@@ -3,10 +3,11 @@ package batchpir
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"gpudpf/internal/engine"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/pir"
+	"gpudpf/internal/strategy"
 )
 
 // Server is one party's PBR server: a thin adapter over one engine.Replica
@@ -52,8 +53,8 @@ func (s *Server) Update(row uint64, vals []uint32) error {
 	return nil
 }
 
-// Answer evaluates one key per bin, fanning the bins across the bounded
-// host pool, and returns one share row per bin. It has pir.Answerer's
+// Answer evaluates one key per bin, fanning the bins across GOMAXPROCS
+// workers, and returns one share row per bin. It has pir.Answerer's
 // shape, so pir.InProcess serves it to a pir.TwoServer.
 func (s *Server) Answer(keys [][]byte) ([][]uint32, error) {
 	if len(keys) != len(s.bins) {
@@ -61,7 +62,7 @@ func (s *Server) Answer(keys [][]byte) ([][]uint32, error) {
 	}
 	out := make([][]uint32, len(keys))
 	errs := make([]error, len(keys))
-	gpu.ParallelFor(len(s.bins), func(b int) {
+	strategy.ParallelFor(len(s.bins), runtime.GOMAXPROCS(0), func(b int) {
 		ans, err := s.bins[b].Answer(context.Background(), [][]byte{keys[b]})
 		if err != nil {
 			errs[b] = err

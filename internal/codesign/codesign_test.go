@@ -7,7 +7,7 @@ import (
 
 	"gpudpf/internal/data"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 )
 
 // fixture builds a small table with strong frequency skew and clean
@@ -312,7 +312,7 @@ func TestSearchFindsCodesignWin(t *testing.T) {
 	s := &Searcher{
 		Items: 256, Dim: 2,
 		Freq: freq, Cooccur: co,
-		Device: gpu.TeslaV100(),
+		Device: model.TeslaV100(),
 		PRG:    dpf.NewAESPRG(),
 		Rng:    rand.New(rand.NewPCG(6, 0)),
 		Quality: func(l *Layout) (float64, error) {

@@ -4,8 +4,7 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-	"gpudpf/internal/strategy"
+	"gpudpf/internal/model"
 )
 
 // Cost is the per-inference protocol cost of a layout (one client
@@ -54,14 +53,14 @@ func (l *Layout) Cost() Cost {
 // device, tuning the inference batch size under an optional PIR-latency
 // budget. Returns the best QPS (inferences/second), its batch latency, and
 // the chosen batch.
-func (l *Layout) Throughput(dev *gpu.Device, prg dpf.PRG, maxLatency time.Duration) (qps float64, latency time.Duration, batch int, err error) {
+func (l *Layout) Throughput(dev *model.Device, prg dpf.PRG, maxLatency time.Duration) (qps float64, latency time.Duration, batch int, err error) {
 	lanes := l.GroupLanes()
 	model := func(cfg interface {
 		NumBins() int
 		BinBits() int
 	}, b int) (time.Duration, error) {
 		bits := cfg.BinBits()
-		strat := strategy.Schedule(bits)
+		strat := model.Schedule(bits)
 		rep, err := strat.Model(dev, prg, bits, b*cfg.NumBins(), lanes)
 		if err != nil {
 			return 0, err

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 )
 
 // Space is the grid the planner sweeps (§4.2 "Co-design Parameter
@@ -66,7 +66,7 @@ type Searcher struct {
 	// negated perplexity for LM tasks.
 	Quality func(l *Layout) (float64, error)
 	// Device and PRG drive the throughput model.
-	Device *gpu.Device
+	Device *model.Device
 	PRG    dpf.PRG
 	// Rng drives dummy planning during simulation.
 	Rng *rand.Rand

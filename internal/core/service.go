@@ -18,7 +18,7 @@ import (
 	"gpudpf/internal/batchpir"
 	"gpudpf/internal/codesign"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 	"gpudpf/internal/netsim"
 	"gpudpf/internal/pir"
 )
@@ -38,9 +38,9 @@ type Config struct {
 	// Link models the client↔server network (zero value: netsim.FourG).
 	Link netsim.Link
 	// Device models the servers' GPU (nil: TeslaV100).
-	Device *gpu.Device
+	Device *model.Device
 	// ClientCPU models the client device (nil: IntelCorei3).
-	ClientCPU *gpu.CPUModel
+	ClientCPU *model.CPUModel
 	// Seed drives dummy planning and key generation determinism in tests;
 	// 0 uses a fixed default.
 	Seed int64
@@ -131,10 +131,10 @@ func New(cfg Config, emb [][]float32) (*Service, error) {
 		cfg.PRG = "aes128"
 	}
 	if cfg.Device == nil {
-		cfg.Device = gpu.TeslaV100()
+		cfg.Device = model.TeslaV100()
 	}
 	if cfg.ClientCPU == nil {
-		cfg.ClientCPU = gpu.IntelCorei3()
+		cfg.ClientCPU = model.IntelCorei3()
 	}
 	if cfg.Link.BandwidthBitsPerSec == 0 {
 		cfg.Link = netsim.FourG()
@@ -250,10 +250,10 @@ func (s *Service) modelLatency(tr *Trace) {
 	// Client-side Gen: one key pair per bin on the client CPU.
 	genCycles := 0.0
 	genCycles += float64(s.layout.EffectiveQFull()) *
-		gpu.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.FullCfg.BinBits(), 1)
+		model.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.FullCfg.BinBits(), 1)
 	if s.layout.Params.HotRows > 0 {
 		genCycles += float64(s.layout.EffectiveQHot()) *
-			gpu.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.HotCfg.BinBits(), 1)
+			model.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.HotCfg.BinBits(), 1)
 	}
 	tr.GenLatency = s.cfg.ClientCPU.CPUTime(genCycles, 1)
 

@@ -28,7 +28,7 @@ func BenchmarkEngineAnswer(b *testing.B) {
 		k0s, _ := genKeys(b, tab, indices[:batch], 2)
 		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(b *testing.B) {
-				s := strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: workers}
+				s := strategy.MemBoundTree{K: strategy.DefaultK, Workers: workers}
 				r, err := NewReplica(tab, Config{Party: 0, Strategy: s})
 				if err != nil {
 					b.Fatal(err)

@@ -3,7 +3,7 @@ package engine
 import (
 	"context"
 
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/strategy"
 )
 
 // The engine seam is two roles. A Backend is what a front door serves:
@@ -32,9 +32,9 @@ type Backend interface {
 	UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, error)
 	// Shape returns the served table's row and lane counts.
 	Shape() (rows, lanes int)
-	// Counters exposes the accumulated execution counters (PRF blocks,
-	// modeled memory, traffic) for reporting.
-	Counters() gpu.Stats
+	// Counters exposes the accumulated host counters (PRF blocks walked,
+	// table bytes streamed) for reporting.
+	Counters() strategy.Stats
 }
 
 // Member is a Backend that can serve inside a Cluster, in process (Replica)

@@ -12,7 +12,7 @@ import (
 
 	"gpudpf/internal/backoff"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/strategy"
 )
 
 // ShardRange returns the row range [lo, hi) that shard i of n serves in
@@ -477,19 +477,15 @@ func (c *Cluster) Status(shard int) []MemberStatus {
 	return out
 }
 
-// Counters implements Backend: the lane-wise aggregate over every group
-// member (all members serve load-balanced traffic; PRF blocks, traffic
-// and launches are additive across the split, PeakMemBytes is the sum of
-// per-member peaks, an upper bound on any single machine's footprint).
-func (c *Cluster) Counters() gpu.Stats {
-	var total gpu.Stats
+// Counters implements Backend: the sum over every group member (all
+// members serve load-balanced traffic, and PRF blocks and streamed bytes
+// are additive across the split).
+func (c *Cluster) Counters() strategy.Stats {
+	var total strategy.Stats
 	for _, m := range c.members() {
 		s := m.be.Counters()
 		total.PRFBlocks += s.PRFBlocks
 		total.ReadBytes += s.ReadBytes
-		total.WriteBytes += s.WriteBytes
-		total.Launches += s.Launches
-		total.PeakMemBytes += s.PeakMemBytes
 	}
 	return total
 }

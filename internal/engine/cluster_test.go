@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -51,7 +50,7 @@ func (s *stubRange) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi 
 	return strategy.NewAnswers(len(keys), lanes), 0, true, nil
 }
 
-func (s *stubRange) Counters() gpu.Stats { return gpu.Stats{PRFBlocks: 10, ReadBytes: 20} }
+func (s *stubRange) Counters() strategy.Stats { return strategy.Stats{PRFBlocks: 10, ReadBytes: 20} }
 
 // update1 installs one row through UpdateBatch, the one update path.
 func update1(be Backend, row uint64, vals []uint32) error {

@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/store"
 	"gpudpf/internal/strategy"
 )
@@ -47,8 +46,8 @@ type Config struct {
 	// Strategy, when set, is run exactly as given (no worker budget is
 	// bound into it) — the seam for wrapping a default replica's
 	// Strategy() in instrumentation. nil runs the default executor,
-	// strategy.MemBoundTree{K: DefaultK, Fused: true} with GOMAXPROCS
-	// workers, at every table size.
+	// strategy.MemBoundTree{K: DefaultK} with GOMAXPROCS workers, at
+	// every table size.
 	Strategy strategy.Strategy
 }
 
@@ -66,7 +65,7 @@ type Replica struct {
 	lanes int
 	bits  int
 
-	ctr gpu.Counters
+	ctr strategy.Counters
 
 	// scratch recycles Answer's unmarshaled keys (whose correction-word and
 	// final-CW slices are reused across calls), so the steady-state Answer
@@ -122,7 +121,7 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 		// The tile loop spends the budget: queries, narrow tiles' leaf
 		// sub-ranges and the table stream's row blocks fan out across it,
 		// and answers are bit-identical whatever it is.
-		strat = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: runtime.GOMAXPROCS(0)}
+		strat = strategy.MemBoundTree{K: strategy.DefaultK, Workers: runtime.GOMAXPROCS(0)}
 	}
 	return &Replica{
 		party: uint8(cfg.Party),
@@ -177,7 +176,7 @@ func (r *Replica) HeldRange() (lo, hi int) { return 0, r.rows }
 func (r *Replica) Shape() (rows, lanes int) { return r.rows, r.lanes }
 
 // Counters implements Backend.
-func (r *Replica) Counters() gpu.Stats { return r.ctr.Snapshot() }
+func (r *Replica) Counters() strategy.Stats { return r.ctr.Snapshot() }
 
 // keyErrPrefix tags a key-validation error with the replica's configured
 // PRF and the parsed wire version of the offending key — the two facts a

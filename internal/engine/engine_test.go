@@ -59,7 +59,7 @@ func genKeys(t testing.TB, tab *strategy.Table, indices []uint64, seed int64) (k
 
 // sequential is the default executor on a one-worker budget: no fan-out
 // of any kind, the reference every configuration must match bit for bit.
-var sequential strategy.Strategy = strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: 1}
+var sequential strategy.Strategy = strategy.MemBoundTree{K: strategy.DefaultK, Workers: 1}
 
 // splitRows is two of the tile loop's 2048-row blocks plus an odd tail, so
 // a batch narrower than the worker budget splits each key's leaf range and
@@ -97,7 +97,7 @@ func TestReplicaMatchesSequential(t *testing.T) {
 		want0, _ := replicaPair(t, tab, Config{Strategy: sequential}, k0s, k1s)
 		cfgs := []Config{{}} // the default replica
 		for _, w := range []int{1, 2, 3, 8} {
-			cfgs = append(cfgs, Config{Strategy: strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: w}})
+			cfgs = append(cfgs, Config{Strategy: strategy.MemBoundTree{K: strategy.DefaultK, Workers: w}})
 		}
 		for _, cfg := range cfgs {
 			name := "default"
@@ -130,10 +130,8 @@ func TestReplicaStrategies(t *testing.T) {
 		indices := []uint64{5, splitRows - 1, 3000, 4095}[:batch]
 		k0s, k1s := genKeys(t, tab, indices, 4)
 		for _, s := range []strategy.MemBoundTree{
-			{K: 8, Fused: true},
-			{K: 8, Fused: false},
-			{K: 128, Fused: true},
-			{K: 128, Fused: false},
+			{K: 8},
+			{K: 128},
 		} {
 			for _, w := range []int{1, 2, 3, 8} {
 				s.Workers = w
@@ -423,13 +421,14 @@ func TestKeyWireV2Refused(t *testing.T) {
 	}
 }
 
-// TestDefaultStrategyAtEveryWidth: a default replica runs the fused
+// TestDefaultStrategyAtEveryWidth: a default replica runs the
 // memory-bounded executor on a GOMAXPROCS budget — including at the
 // paper's 2^22-row cooperative-groups threshold, where the modeled
-// scheduler (strategy.Schedule) picks CoopGroups for a GPU — and a 32-key
+// scheduler (model.Schedule) picks CoopGroups for a GPU — and a 32-key
 // batch over the whole table reconstructs its rows.
 func TestDefaultStrategyAtEveryWidth(t *testing.T) {
-	const rows = 1 << strategy.CoopThresholdBits
+	const coopThresholdBits = 22 // model.CoopThresholdBits (§3.2.5)
+	const rows = 1 << coopThresholdBits
 	tab := buildTable(t, rows, 1, 22)
 	var whole [2]*Replica
 	for party := range whole {
@@ -437,9 +436,9 @@ func TestDefaultStrategyAtEveryWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := strategy.MemBoundTree{K: strategy.DefaultK, Fused: true, Workers: runtime.GOMAXPROCS(0)}
+		want := strategy.MemBoundTree{K: strategy.DefaultK, Workers: runtime.GOMAXPROCS(0)}
 		if got := r.Strategy(); got != want {
-			t.Errorf("2^%d table runs %+v, want %+v", strategy.CoopThresholdBits, got, want)
+			t.Errorf("2^%d table runs %+v, want %+v", coopThresholdBits, got, want)
 		}
 		whole[party] = r
 	}

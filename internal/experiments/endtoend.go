@@ -8,9 +8,8 @@ import (
 
 	"gpudpf/internal/codesign"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 	"gpudpf/internal/netsim"
-	"gpudpf/internal/strategy"
 )
 
 // plainPoint is the straightforward design: q independent full-table DPF
@@ -73,7 +72,7 @@ func plainBest(points []plainPoint, target float64, commBudget int64) (plainPoin
 // design (query throughput divided by queries per inference).
 func plainGPUQPS(app *App, prg dpf.PRG, q int, maxLatency time.Duration) (float64, error) {
 	bits := appBits(app)
-	rep, err := strategy.TuneBatch(gpu.TeslaV100(), strategy.Schedule(bits), prg, bits, app.Dim, maxLatency)
+	rep, err := model.TuneBatch(model.TeslaV100(), model.Schedule(bits), prg, bits, app.Dim, maxLatency)
 	if err != nil {
 		return 0, err
 	}
@@ -82,7 +81,7 @@ func plainGPUQPS(app *App, prg dpf.PRG, q int, maxLatency time.Duration) (float6
 
 func plainCPUQPS(app *App, prg dpf.PRG, q, threads int) (float64, error) {
 	bits := appBits(app)
-	rep, err := (strategy.CPUBaseline{Threads: threads}).Model(nil, prg, bits, 1, app.Dim)
+	rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prg, bits, 1, app.Dim)
 	if err != nil {
 		return 0, err
 	}
@@ -128,7 +127,7 @@ func searchApp(app *App, space codesign.Space, budgets codesign.Budgets, kind st
 		Items: app.Items, Dim: app.Dim,
 		Freq: app.Freq, Cooccur: app.Cooccur,
 		Quality: app.Quality,
-		Device:  gpu.TeslaV100(),
+		Device:  model.TeslaV100(),
 		PRG:     dpf.NewAESPRG(),
 		Rng:     randv2.New(randv2.NewPCG(11, 0)),
 	}
@@ -146,7 +145,7 @@ func searchApp(app *App, space codesign.Space, budgets codesign.Budgets, kind st
 // PRF (quality and communication are PRF-independent).
 func rescoreQPS(cands []codesign.Candidate, prg dpf.PRG, maxLatency time.Duration) []codesign.Candidate {
 	out := make([]codesign.Candidate, 0, len(cands))
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	for _, c := range cands {
 		qps, lat, batch, err := c.Layout.Throughput(dev, prg, maxLatency)
 		if err != nil {
@@ -280,7 +279,7 @@ func Fig12() (*Table, error) {
 		Notes:   "paper keeps end-to-end latency within ≈500ms; PIR is no longer the sole bottleneck",
 	}
 	link := netsim.FourG()
-	i3 := gpu.IntelCorei3()
+	i3 := model.IntelCorei3()
 	aes := dpf.NewAESPRG()
 	for _, app := range apps {
 		budget := codesign.Budgets{CommBytes: app.CommBudget, Latency: time.Duration(app.LatencyBudget) * time.Millisecond}
@@ -295,9 +294,9 @@ func Fig12() (*Table, error) {
 		l := best.Layout
 		cost := best.Cost
 
-		genCycles := float64(l.EffectiveQFull()) * gpu.GenProfile(aes.CPUCyclesPerBlock(), l.FullCfg.BinBits(), 1)
+		genCycles := float64(l.EffectiveQFull()) * model.GenProfile(aes.CPUCyclesPerBlock(), l.FullCfg.BinBits(), 1)
 		if l.Params.HotRows > 0 {
-			genCycles += float64(l.EffectiveQHot()) * gpu.GenProfile(aes.CPUCyclesPerBlock(), l.HotCfg.BinBits(), 1)
+			genCycles += float64(l.EffectiveQHot()) * model.GenProfile(aes.CPUCyclesPerBlock(), l.HotCfg.BinBits(), 1)
 		}
 		gen := i3.CPUTime(genCycles, 1)
 		pir := time.Duration(float64(best.Latency) / float64(best.Batch))

@@ -7,11 +7,10 @@ import (
 
 	"gpudpf/internal/codesign"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/integrity"
+	"gpudpf/internal/model"
 	"gpudpf/internal/pir"
 	"gpudpf/internal/serving"
-	"gpudpf/internal/strategy"
 )
 
 // ExtMultiGPU regenerates the §3.2.7 scaling claim: sharding one large
@@ -25,10 +24,10 @@ func ExtMultiGPU() (*Table, error) {
 		Columns: []string{"devices", "latency", "QPS", "fleet PRF blocks", "fleet memory"},
 		Notes:   "each device evaluates an L/N shard via EvalRange; the final reduction is linear",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		rep, err := (strategy.MultiGPU{Devices: n}).Model(dev, prg, 26, 64, 64)
+		rep, err := (model.MultiGPU{Devices: n}).Model(dev, prg, 26, 64, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -51,14 +50,14 @@ func ExtServing() (*Table, error) {
 		Columns: []string{"PRF", "offered QPS", "completed QPS", "p50", "p99", "mean batch", "device util"},
 		Notes:   "beyond the modeled capacity the queue saturates and tail latency explodes",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	policy := serving.Policy{MaxBatch: 128, MaxDelay: 50 * time.Millisecond}
 	for _, prgName := range []string{"aes128", "chacha20"} {
 		prg, err := dpf.NewPRG(prgName)
 		if err != nil {
 			return nil, err
 		}
-		s := strategy.MemBoundTree{K: 128, Fused: true}
+		s := model.MemBound{K: 128, Fused: true}
 		lat := func(batch int) time.Duration {
 			rep, err := s.Model(dev, prg, 20, batch, 64)
 			if err != nil {
@@ -152,25 +151,25 @@ func AblationCoopThreshold() (*Table, error) {
 		Columns: []string{"table size", "membound QPS", "membound b1 latency", "coop QPS", "coop latency", "scheduler picks"},
 		Notes:   "the scheduler switches to cooperative groups at 2^22 (§3.2.5)",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, bits := range []int{18, 20, 22, 24, 26} {
 		mbQPS := "n/a (no batch <300ms)"
-		if mb, err := strategy.TuneBatch(dev, strategy.MemBoundTree{K: 128, Fused: true}, prg, bits, 64, 300*time.Millisecond); err == nil {
+		if mb, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, bits, 64, 300*time.Millisecond); err == nil {
 			mbQPS = fmtF(mb.Throughput)
 		}
-		mb1, err := (strategy.MemBoundTree{K: 128, Fused: true}).Model(dev, prg, bits, 1, 64)
+		mb1, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
-		coop, err := (strategy.CoopGroups{}).Model(dev, prg, bits, 1, 64)
+		coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprintf("2^%d", bits),
 			mbQPS, mb1.Latency.Round(10*time.Microsecond).String(),
 			fmtF(coop.Throughput), coop.Latency.Round(10*time.Microsecond).String(),
-			strategy.Schedule(bits).Name())
+			model.Schedule(bits).Name())
 	}
 	return t, nil
 }

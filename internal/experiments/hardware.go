@@ -6,8 +6,7 @@ import (
 
 	"gpudpf/internal/data"
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-	"gpudpf/internal/strategy"
+	"gpudpf/internal/model"
 )
 
 // Fig3 regenerates Figure 3: Gen vs Eval cost across table sizes. Gen runs
@@ -21,10 +20,10 @@ func Fig3() (*Table, error) {
 		Columns: []string{"table size", "Gen (client i3)", "Eval (CPU 1t)", "Eval/Gen"},
 	}
 	prg := dpf.NewAESPRG()
-	i3 := gpu.IntelCorei3()
+	i3 := model.IntelCorei3()
 	for _, bits := range []int{10, 14, 18, 20, 22, 24} {
-		gen := i3.CPUTime(gpu.GenProfile(prg.CPUCyclesPerBlock(), bits, 1), 1)
-		rep, err := (strategy.CPUBaseline{Threads: 1}).Model(nil, prg, bits, 1, 64)
+		gen := i3.CPUTime(model.GenProfile(prg.CPUCyclesPerBlock(), bits, 1), 1)
+		rep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -75,12 +74,12 @@ func Fig6() (*Table, error) {
 		Columns: []string{"table size", "strategy", "PRF blocks", "peak memory"},
 		Notes:   "branch-parallel pays L·logL work; level-by-level pays O(B·L) memory; membound pays neither",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	strats := []strategy.Modeler{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 128, Fused: true},
+	strats := []model.Modeler{
+		model.BranchParallel{},
+		model.LevelByLevel{},
+		model.MemBound{K: 128, Fused: true},
 	}
 	for _, bits := range []int{14, 16, 18, 20, 22, 24} {
 		for _, s := range strats {
@@ -104,17 +103,17 @@ func Fig8() (*Table, error) {
 		Title:   "Memory-bounded traversal: memory vs L, and utilization vs K (L=2^20, B=8)",
 		Columns: []string{"sweep", "value", "peak memory", "utilization"},
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, bits := range []int{16, 18, 20, 22, 24} {
-		rep, err := (strategy.MemBoundTree{K: 128, Fused: true}).Model(dev, prg, bits, 8, 64)
+		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 8, 64)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("L", fmt.Sprintf("2^%d", bits), fmtBytes(rep.PeakMemBytes), fmt.Sprintf("%.1f%%", rep.Utilization*100))
 	}
 	for _, k := range []int{8, 32, 128, 512, 1024} {
-		rep, err := (strategy.MemBoundTree{K: k, Fused: true}).Model(dev, prg, 20, 8, 64)
+		rep, err := (model.MemBound{K: k, Fused: true}).Model(dev, prg, 20, 8, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -131,9 +130,9 @@ func Fig9() (*Table, error) {
 		Title:   "GPU utilization vs batch size (membound, L=2^20) and vs table size (coop B=1)",
 		Columns: []string{"sweep", "value", "strategy", "utilization"},
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	mb := strategy.MemBoundTree{K: 128, Fused: true}
+	mb := model.MemBound{K: 128, Fused: true}
 	for _, b := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
 		rep, err := mb.Model(dev, prg, 20, b, 64)
 		if err != nil {
@@ -142,7 +141,7 @@ func Fig9() (*Table, error) {
 		t.AddRow("batch", fmt.Sprintf("%d", b), rep.Strategy, fmt.Sprintf("%.1f%%", rep.Utilization*100))
 	}
 	for _, bits := range []int{14, 16, 18, 20, 22, 24, 26} {
-		coop, err := (strategy.CoopGroups{}).Model(dev, prg, bits, 1, 64)
+		coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -165,13 +164,13 @@ func Fig13() (*Table, error) {
 		Columns: []string{"table", "strategy", "batch", "latency", "QPS"},
 		Notes:   "level-by-level rows stop at its device-memory cliff; coop-groups shines on the large table",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	strats := []strategy.Modeler{
-		strategy.BranchParallel{},
-		strategy.LevelByLevel{},
-		strategy.MemBoundTree{K: 128, Fused: true},
-		strategy.CoopGroups{},
+	strats := []model.Modeler{
+		model.BranchParallel{},
+		model.LevelByLevel{},
+		model.MemBound{K: 128, Fused: true},
+		model.CoopGroups{},
 	}
 	for _, bits := range []int{20, 24} {
 		for _, s := range strats {
@@ -196,15 +195,15 @@ func Fig14() (*Table, error) {
 		Title:   "Entry size vs latency/throughput, fusion on/off (L=2^20, B=32)",
 		Columns: []string{"entry size", "fused latency", "fused QPS", "unfused latency", "unfused QPS", "fusion speedup"},
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, entryBytes := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
 		lanes := entryBytes / 4
-		f, err := (strategy.MemBoundTree{K: 128, Fused: true}).Model(dev, prg, 20, 32, lanes)
+		f, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 32, lanes)
 		if err != nil {
 			return nil, err
 		}
-		u, err := (strategy.MemBoundTree{K: 128, Fused: false}).Model(dev, prg, 20, 32, lanes)
+		u, err := (model.MemBound{K: 128, Fused: false}).Model(dev, prg, 20, 32, lanes)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +224,7 @@ func Table4() (*Table, error) {
 		Columns: []string{"# entries", "key bytes", "platform", "QPS", "latency"},
 		Notes:   "paper: 16K GPU 60,347 / 1M GPU 1,358 / 4M GPU 468 QPS; >17x over 32-thread CPU on every row",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, row := range []struct {
 		bits int
@@ -235,14 +234,14 @@ func Table4() (*Table, error) {
 		// Batch tuned for throughput within the paper's 300ms budget
 		// (§5.1); our membound model needs larger batches than the
 		// authors' kernels to saturate, so batch latency runs higher.
-		gpuRep, err := strategy.TuneBatch(dev, strategy.Schedule(row.bits), prg, row.bits, 64, 300*time.Millisecond)
+		gpuRep, err := model.TuneBatch(dev, model.Schedule(row.bits), prg, row.bits, 64, 300*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(row.name, fmt.Sprintf("%d", keyBytes), "GPU (V100)",
 			fmtF(gpuRep.Throughput), gpuRep.Latency.Round(10*time.Microsecond).String())
 		for _, threads := range []int{1, 32} {
-			rep, err := (strategy.CPUBaseline{Threads: threads}).Model(nil, prg, row.bits, 1, 64)
+			rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prg, row.bits, 1, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -262,7 +261,7 @@ func Table5() (*Table, error) {
 		Columns: []string{"PRF", "type", "latency", "QPS", "vs AES-128"},
 		Notes:   "paper QPS: AES 965, SHA 921, ChaCha20 3,640, SipHash 7,447, HighwayHash 1,973",
 	}
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	kinds := map[string]string{
 		"aes128":   "block cipher (CTR)",
 		"sha256":   "hash (HMAC)",
@@ -271,13 +270,13 @@ func Table5() (*Table, error) {
 		"highway":  "PRF",
 	}
 	var aesQPS float64
-	reps := map[string]strategy.Report{}
+	reps := map[string]model.Report{}
 	for _, name := range dpf.AllPRGNames() {
 		prg, err := dpf.NewPRG(name)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := (strategy.MemBoundTree{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
+		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
 		if err != nil {
 			return nil, err
 		}

@@ -2,15 +2,19 @@ package gpu
 
 import (
 	"errors"
-	"runtime"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gpudpf/internal/model"
+	"gpudpf/internal/strategy"
 )
 
+// The device-model tests below keep this package's path so their names
+// stay stable while the aliases remain; they exercise package model.
+
 func TestV100Preset(t *testing.T) {
-	d := TeslaV100()
+	d := model.TeslaV100()
 	if d.TotalLanes() != 5120 {
 		t.Errorf("V100 lanes = %d, want 5120", d.TotalLanes())
 	}
@@ -23,7 +27,7 @@ func TestV100Preset(t *testing.T) {
 }
 
 func TestOccupancy(t *testing.T) {
-	d := TeslaV100()
+	d := model.TeslaV100()
 	cases := []struct {
 		par  int64
 		want float64
@@ -47,9 +51,9 @@ func TestOccupancy(t *testing.T) {
 // TestEstimateComputeBound: a pure-compute kernel's time should equal
 // cycles / (lanes × clock) and scale down with parallelism.
 func TestEstimateComputeBound(t *testing.T) {
-	d := TeslaV100()
-	p := KernelProfile{
-		Stats:             Stats{PRFBlocks: 1 << 20, Launches: 0},
+	d := model.TeslaV100()
+	p := model.KernelProfile{
+		PRFBlocks: 1 << 20, Launches: 0,
 		PRGCyclesPerBlock: 2500,
 		Parallelism:       1 << 20,
 	}
@@ -84,9 +88,9 @@ func TestEstimateComputeBound(t *testing.T) {
 // TestEstimateMemoryBound: when byte traffic dominates, time follows the
 // bandwidth term.
 func TestEstimateMemoryBound(t *testing.T) {
-	d := TeslaV100()
-	p := KernelProfile{
-		Stats:             Stats{PRFBlocks: 1, ReadBytes: 9 << 30},
+	d := model.TeslaV100()
+	p := model.KernelProfile{
+		PRFBlocks: 1, ReadBytes: 9 << 30,
 		PRGCyclesPerBlock: 2500,
 		Parallelism:       1 << 20,
 	}
@@ -102,22 +106,22 @@ func TestEstimateMemoryBound(t *testing.T) {
 
 // TestEstimateOOM: exceeding device memory must be reported, not modeled.
 func TestEstimateOOM(t *testing.T) {
-	d := TeslaV100()
-	p := KernelProfile{
-		Stats:       Stats{PeakMemBytes: d.GlobalMemBytes + 1},
-		Parallelism: 128,
+	d := model.TeslaV100()
+	p := model.KernelProfile{
+		PeakMemBytes: d.GlobalMemBytes + 1,
+		Parallelism:  128,
 	}
-	if _, _, err := d.Estimate(p); !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	if _, _, err := d.Estimate(p); !errors.Is(err, model.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want model.ErrOutOfMemory", err)
 	}
 }
 
 // TestEstimateLaunchOverhead: launches add fixed overhead.
 func TestEstimateLaunchOverhead(t *testing.T) {
-	d := TeslaV100()
-	base := KernelProfile{Stats: Stats{PRFBlocks: 100}, PRGCyclesPerBlock: 100, Parallelism: 100}
+	d := model.TeslaV100()
+	base := model.KernelProfile{PRFBlocks: 100, PRGCyclesPerBlock: 100, Parallelism: 100}
 	t0, _, _ := d.Estimate(base)
-	base.Stats.Launches = 10
+	base.Launches = 10
 	t1, _, _ := d.Estimate(base)
 	if t1-t0 != 10*d.LaunchOverhead {
 		t.Errorf("launch overhead delta = %v, want %v", t1-t0, 10*d.LaunchOverhead)
@@ -126,15 +130,15 @@ func TestEstimateLaunchOverhead(t *testing.T) {
 
 // TestQuickEstimateMonotone: modeled time must be monotone in PRF work.
 func TestQuickEstimateMonotone(t *testing.T) {
-	d := TeslaV100()
+	d := model.TeslaV100()
 	f := func(aRaw, bRaw uint32) bool {
 		a, b := int64(aRaw%1e6)+1, int64(bRaw%1e6)+1
 		if a > b {
 			a, b = b, a
 		}
-		pa := KernelProfile{Stats: Stats{PRFBlocks: a}, PRGCyclesPerBlock: 700, Parallelism: 4096}
+		pa := model.KernelProfile{PRFBlocks: a, PRGCyclesPerBlock: 700, Parallelism: 4096}
 		pb := pa
-		pb.Stats.PRFBlocks = b
+		pb.PRFBlocks = b
 		ta, _, _ := d.Estimate(pa)
 		tb, _, _ := d.Estimate(pb)
 		return ta <= tb
@@ -144,24 +148,9 @@ func TestQuickEstimateMonotone(t *testing.T) {
 	}
 }
 
-func TestCountersPeakTracking(t *testing.T) {
-	var c Counters
-	c.Alloc(100)
-	c.Alloc(50)
-	c.Free(100)
-	c.Alloc(30)
-	s := c.Snapshot()
-	if s.PeakMemBytes != 150 {
-		t.Errorf("peak = %d, want 150", s.PeakMemBytes)
-	}
-	c.Reset()
-	if c.Snapshot() != (Stats{}) {
-		t.Error("Reset did not zero counters")
-	}
-}
-
-// TestCountersConcurrent hammers the peak tracker from many goroutines; the
-// peak must be at least each goroutine's own allocation and at most the sum.
+// TestCountersConcurrent: the host counters are safe to add into from
+// many goroutines, and the alias names strategy's type, so a snapshot
+// taken through either name agrees and Reset zeroes both.
 func TestCountersConcurrent(t *testing.T) {
 	var c Counters
 	const g = 32
@@ -171,76 +160,26 @@ func TestCountersConcurrent(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < per; j++ {
-				c.Alloc(10)
 				c.AddPRFBlocks(1)
-				c.Free(10)
+				c.AddRead(10)
 			}
 		}()
 	}
 	for i := 0; i < g; i++ {
 		<-done
 	}
-	s := c.Snapshot()
-	if s.PRFBlocks != g*per {
-		t.Errorf("PRFBlocks = %d, want %d", s.PRFBlocks, g*per)
+	var s strategy.Stats = c.Snapshot()
+	if s != (Stats{PRFBlocks: g * per, ReadBytes: 10 * g * per}) {
+		t.Errorf("snapshot %+v, want %d PRF blocks and %d bytes", s, g*per, 10*g*per)
 	}
-	if s.PeakMemBytes < 10 || s.PeakMemBytes > 10*g {
-		t.Errorf("peak = %d, want in [10, %d]", s.PeakMemBytes, 10*g)
-	}
-}
-
-func TestParallelForCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 100, 4096} {
-		var hits atomic.Int64
-		seen := make([]atomic.Bool, n)
-		ParallelFor(n, func(i int) {
-			if seen[i].Swap(true) {
-				t.Errorf("n=%d: index %d visited twice", n, i)
-			}
-			hits.Add(1)
-		})
-		if hits.Load() != int64(n) {
-			t.Errorf("n=%d: %d hits", n, hits.Load())
-		}
-	}
-}
-
-// TestParallelForNBoundsWorkers: ParallelForN covers [0, n) once and never
-// runs more than its worker budget at a time, whatever GOMAXPROCS is.
-func TestParallelForNBoundsWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(old)
-	for _, workers := range []int{0, 1, 2, 3} {
-		var inflight, peak, hits atomic.Int64
-		ParallelForN(64, workers, func(int) {
-			n := inflight.Add(1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			runtime.Gosched()
-			hits.Add(1)
-			inflight.Add(-1)
-		})
-		if hits.Load() != 64 || peak.Load() > int64(max(workers, 1)) {
-			t.Errorf("workers=%d: %d hits, peak %d concurrent", workers, hits.Load(), peak.Load())
-		}
-	}
-}
-
-func TestParallelForChunkedBounds(t *testing.T) {
-	var total atomic.Int64
-	ParallelForChunked(1000, 64, func(lo, hi int) {
-		if lo < 0 || hi > 1000 || lo >= hi {
-			t.Errorf("bad chunk [%d,%d)", lo, hi)
-		}
-		total.Add(int64(hi - lo))
-	})
-	if total.Load() != 1000 {
-		t.Errorf("covered %d of 1000", total.Load())
+	c.Reset()
+	if c.Snapshot() != (Stats{}) {
+		t.Error("Reset did not zero counters")
 	}
 }
 
 func TestCPUModelScaling(t *testing.T) {
-	xeon := XeonGold6230()
+	xeon := model.XeonGold6230()
 	oneThread := xeon.CPUTime(1e9, 1)
 	allThreads := xeon.CPUTime(1e9, 32)
 	speedup := oneThread.Seconds() / allThreads.Seconds()
@@ -259,16 +198,16 @@ func TestCPUModelScaling(t *testing.T) {
 func TestGenProfileGrowsWithBits(t *testing.T) {
 	prev := 0.0
 	for bits := 1; bits <= 30; bits++ {
-		c := GenProfile(320, bits, 1)
+		c := model.GenProfile(320, bits, 1)
 		if c <= prev {
-			t.Fatalf("GenProfile not increasing at bits=%d", bits)
+			t.Fatalf("model.GenProfile not increasing at bits=%d", bits)
 		}
 		prev = c
 	}
 	// Gen must stay trivially cheap compared to Eval: a 2^20-domain Gen on
 	// a 3GHz core is well under a millisecond (Figure 3's point).
-	i3 := IntelCorei3()
-	if lat := i3.CPUTime(GenProfile(320, 20, 1), 1); lat > time.Millisecond {
+	i3 := model.IntelCorei3()
+	if lat := i3.CPUTime(model.GenProfile(320, 20, 1), 1); lat > time.Millisecond {
 		t.Errorf("Gen latency %v, want < 1ms", lat)
 	}
 }

@@ -1,9 +1,6 @@
-package strategy
+package model
 
-import (
-	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-)
+import "gpudpf/internal/dpf"
 
 // CoopGroups is the paper's batch/table-size-aware scheduling (§3.2.5): for
 // very large tables a *single* DPF already saturates the device, so all
@@ -11,7 +8,7 @@ import (
 // the required grid-wide barrier per level). Queries in the batch execute
 // back to back, which slashes per-query latency on huge tables; on small
 // tables the per-level grid synchronization dominates and utilization
-// collapses — exactly Figure 9b. It is a model only.
+// collapses — exactly Figure 9b.
 type CoopGroups struct{}
 
 // Name implements Modeler.
@@ -25,12 +22,12 @@ const CoopThresholdBits = 22
 // Model prices a table of 2^bits rows — the fused memory-bounded traversal
 // below the threshold, cooperative groups at or above it. The figures and
 // the co-design search call it; no executor does (the engine runs
-// MemBoundTree at every width).
+// strategy.MemBoundTree at every width).
 func Schedule(bits int) Modeler {
 	if bits >= CoopThresholdBits {
 		return CoopGroups{}
 	}
-	return MemBoundTree{K: DefaultK, Fused: true}
+	return MemBound{K: DefaultK, Fused: true}
 }
 
 // coopMemBytes models one query's working set: the two widest ping-pong
@@ -51,11 +48,11 @@ func (CoopGroups) prfBlocks(bits, early, batch int) int64 {
 // exposed parallelism is the level width: narrow levels near the root leave
 // the device mostly idle, and every level pays a grid-sync (launch)
 // overhead.
-func (c CoopGroups) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (c CoopGroups) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	if coopMemBytes(bits, lanes, early) > dev.GlobalMemBytes {
-		return Report{}, gpu.ErrOutOfMemory
+		return Report{}, ErrOutOfMemory
 	}
 	cpb := prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early)
 	var perQuery float64 // seconds

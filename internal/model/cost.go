@@ -1,4 +1,4 @@
-package gpu
+package model
 
 import (
 	"errors"
@@ -8,8 +8,15 @@ import (
 // KernelProfile summarizes one kernel (or fused kernel pipeline) for the
 // cost model.
 type KernelProfile struct {
-	// Stats are the counted totals for the kernel.
-	Stats Stats
+	// PRFBlocks is the kernel's 128-bit PRF block count.
+	PRFBlocks int64
+	// ReadBytes and WriteBytes are its global-memory traffic.
+	ReadBytes  int64
+	WriteBytes int64
+	// Launches is its kernel-launch count.
+	Launches int64
+	// PeakMemBytes is its peak device working set.
+	PeakMemBytes int64
 	// PRGCyclesPerBlock is the modeled per-thread cost of one PRF block on
 	// this device.
 	PRGCyclesPerBlock float64
@@ -23,14 +30,14 @@ type KernelProfile struct {
 }
 
 // ErrOutOfMemory reports that a kernel's working set exceeds device memory.
-var ErrOutOfMemory = errors.New("gpu: working set exceeds device global memory")
+var ErrOutOfMemory = errors.New("model: working set exceeds device global memory")
 
 // Estimate converts a kernel profile into modeled device time and achieved
 // utilization using a roofline: the kernel takes the maximum of its compute
 // time and its memory time, plus launch overhead. Compute time divides the
 // total cycle demand over the lanes the kernel can actually occupy.
 func (d *Device) Estimate(p KernelProfile) (time.Duration, float64, error) {
-	if p.Stats.PeakMemBytes > d.GlobalMemBytes {
+	if p.PeakMemBytes > d.GlobalMemBytes {
 		return 0, 0, ErrOutOfMemory
 	}
 	util := d.Occupancy(p.Parallelism)
@@ -38,14 +45,14 @@ func (d *Device) Estimate(p KernelProfile) (time.Duration, float64, error) {
 	if activeLanes < 1 {
 		activeLanes = 1
 	}
-	cycles := float64(p.Stats.PRFBlocks)*p.PRGCyclesPerBlock + p.ArithCycles
+	cycles := float64(p.PRFBlocks)*p.PRGCyclesPerBlock + p.ArithCycles
 	computeSec := cycles / (activeLanes * d.ClockHz)
-	memSec := float64(p.Stats.ReadBytes+p.Stats.WriteBytes) / d.MemBandwidthBps
+	memSec := float64(p.ReadBytes+p.WriteBytes) / d.MemBandwidthBps
 	sec := computeSec
 	if memSec > sec {
 		sec = memSec
 	}
-	t := time.Duration(sec*float64(time.Second)) + time.Duration(p.Stats.Launches)*d.LaunchOverhead
+	t := time.Duration(sec*float64(time.Second)) + time.Duration(p.Launches)*d.LaunchOverhead
 	return t, util, nil
 }
 

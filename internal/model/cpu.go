@@ -1,10 +1,9 @@
-package strategy
+package model
 
 import (
 	"fmt"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // CPUBaseline is the optimized CPU DPF-PIR the paper compares against
@@ -17,7 +16,7 @@ type CPUBaseline struct {
 	// Threads is the worker count (1 = single-threaded row of Table 4).
 	Threads int
 	// CPU is the modeled processor; nil means XeonGold6230.
-	CPU *gpu.CPUModel
+	CPU *CPUModel
 }
 
 // Name implements Modeler.
@@ -30,9 +29,9 @@ func (c CPUBaseline) threads() int {
 	return c.Threads
 }
 
-func (c CPUBaseline) cpu() *gpu.CPUModel {
+func (c CPUBaseline) cpu() *CPUModel {
 	if c.CPU == nil {
-		return gpu.XeonGold6230()
+		return XeonGold6230()
 	}
 	return c.CPU
 }
@@ -53,7 +52,7 @@ func (CPUBaseline) prfBlocks(bits, early, batch int) int64 {
 // Model implements Modeler. dev is unused; the CPU model prices the work
 // (the reference CPU library performs the same §3.1 early termination, so
 // its calibrated per-block constant re-anchors the same way).
-func (c CPUBaseline) Model(_ *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (c CPUBaseline) Model(_ *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
 	early := modelEarly(bits)
 	blocks := c.prfBlocks(bits, early, batch)
 	cycles := float64(blocks)*prgCyclesPerBlock(prg.CPUCyclesPerBlock(), early) + dotArithCycles(batch, bits, lanes)*0.5

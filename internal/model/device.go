@@ -1,20 +1,4 @@
-// Package gpu models the accelerator and host hardware the paper evaluates
-// on, and provides the bounded parallel executor the DPF execution
-// strategies run on.
-//
-// This repository cannot drive a real CUDA device, so the package pairs
-// two things:
-//
-//  1. a real, host-parallel executor (ParallelFor) so every strategy
-//     actually computes correct DPF outputs, and
-//  2. an analytic device model — a compute/memory roofline over *counted*
-//     PRF blocks, bytes moved and exposed parallelism — calibrated against
-//     the paper's measured V100 and Xeon numbers (Tables 4 and 5).
-//
-// The modeled latencies and throughputs reproduce the paper's shapes
-// because they are driven by the same algorithmic quantities the real
-// kernels are bound by, not by hardcoded curves.
-package gpu
+package model
 
 import "time"
 

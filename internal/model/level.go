@@ -1,16 +1,12 @@
-package strategy
+package model
 
-import (
-	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-)
+import "gpudpf/internal/dpf"
 
 // LevelByLevel expands the tree breadth-first, materializing every level in
 // global memory (Figure 5b). Work is the optimal O(L), but the working set
 // is O(B·L): the ping-pong level buffers plus the expanded one-hot share
 // vector that the separate matrix-multiplication kernel consumes. The
-// memory footprint is what caps its batch size (Figure 6, Figure 13). It is
-// a model only.
+// memory footprint is what caps its batch size (Figure 6, Figure 13).
 type LevelByLevel struct{}
 
 // Name implements Modeler.
@@ -47,19 +43,16 @@ func levelTrafficBytes(batch, bits, early int) (reads, writes int64) {
 
 // Model implements Modeler: an expansion kernel and a separate matmul
 // kernel.
-func (l LevelByLevel) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (l LevelByLevel) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	r, w := levelTrafficBytes(batch, bits, early)
-	st := gpu.Stats{
-		PRFBlocks:    l.prfBlocks(bits, early, batch),
-		ReadBytes:    r + tableReadBytes(batch, bits, lanes),
-		WriteBytes:   w,
-		Launches:     2,
-		PeakMemBytes: levelMemBytes(batch, bits, lanes, early),
-	}
-	p := gpu.KernelProfile{
-		Stats:             st,
+	p := KernelProfile{
+		PRFBlocks:         l.prfBlocks(bits, early, batch),
+		ReadBytes:         r + tableReadBytes(batch, bits, lanes),
+		WriteBytes:        w,
+		Launches:          2,
+		PeakMemBytes:      levelMemBytes(batch, bits, lanes, early),
 		PRGCyclesPerBlock: prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early),
 		// The bottom half of the tree carries most of the work, so the
 		// exposed parallelism is effectively batch × frontier/2.

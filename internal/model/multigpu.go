@@ -1,10 +1,9 @@
-package strategy
+package model
 
 import (
 	"fmt"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // MultiGPU implements the paper's multi-GPU scaling scheme (§3.2.7): when
@@ -13,8 +12,8 @@ import (
 // are summed — correct because the final reduction is linear. Each device
 // effectively sees a table of L/N entries, so per-query latency drops
 // ~linearly with N, while a larger batch is needed to keep every device
-// utilized (the paper's closing observation, verified by the model). It is
-// a model only: engine.Cluster's shards are the host's form of the split.
+// utilized (the paper's closing observation, verified by the model).
+// engine.Cluster's shards are the host's form of the split.
 type MultiGPU struct {
 	// Devices is the shard count N (>= 1).
 	Devices int
@@ -54,13 +53,13 @@ func (m MultiGPU) prfBlocks(bits, early, batch int) int64 {
 // Model implements Modeler: each device runs the fused membound model on
 // an L/N-entry shard; devices run in parallel, so batch latency is the
 // shard latency plus a small cross-device reduction.
-func (m MultiGPU) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (m MultiGPU) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
 	n := m.n()
-	inner := MemBoundTree{K: m.k(), Fused: true}
+	inner := MemBound{K: m.k(), Fused: true}
 	shardBits := shardDepth(bits, n)
 	rep, err := inner.Model(dev, prg, shardBits, batch, lanes)
 	if err != nil {
-		return Report{}, fmt.Errorf("strategy %s: %w", m.Name(), err)
+		return Report{}, fmt.Errorf("model: %s: %w", m.Name(), err)
 	}
 	// Cross-device reduction: each device ships batch×lanes partial sums.
 	reduceSec := float64(int64(n)*int64(batch)*int64(lanes)*4) / dev.MemBandwidthBps

@@ -270,10 +270,10 @@ func TestMismatchedPRG(t *testing.T) {
 func TestQuickAllStrategiesAgree(t *testing.T) {
 	tab := fillTable(t, 200, 3)
 	strats := []strategy.Strategy{
-		strategy.MemBoundTree{K: 8, Fused: true},
-		strategy.MemBoundTree{K: 8, Fused: false},
-		strategy.MemBoundTree{K: 128, Fused: true},
-		strategy.MemBoundTree{K: 128, Fused: false},
+		strategy.MemBoundTree{K: 8},
+		strategy.MemBoundTree{K: 8},
+		strategy.MemBoundTree{K: 128},
+		strategy.MemBoundTree{K: 128},
 	}
 	f := func(idxRaw uint16, pick uint8) bool {
 		idx := uint64(idxRaw) % uint64(tab.NumRows)

@@ -6,7 +6,6 @@ import (
 
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/store"
 	"gpudpf/internal/strategy"
 )
@@ -30,7 +29,7 @@ type serverConfig struct {
 type ServerOption func(*serverConfig) error
 
 // WithStrategy runs s exactly as given instead of the default executor
-// (strategy.MemBoundTree, fused, at every table size) — the seam for
+// (strategy.MemBoundTree at every table size) — the seam for
 // wrapping a default replica's Strategy() in instrumentation.
 func WithStrategy(s strategy.Strategy) ServerOption {
 	return func(cfg *serverConfig) error {
@@ -151,9 +150,9 @@ func (s *Server) Table() (*Table, error) { return s.eng.Table() }
 // context-aware answering.
 func (s *Server) Engine() *engine.Replica { return s.eng }
 
-// Counters exposes the accumulated execution counters (PRF blocks, modeled
-// memory, traffic) for reporting.
-func (s *Server) Counters() gpu.Stats { return s.eng.Counters() }
+// Counters exposes the accumulated host counters (PRF blocks walked, table
+// bytes streamed) for reporting.
+func (s *Server) Counters() strategy.Stats { return s.eng.Counters() }
 
 // Answer expands a batch of marshaled keys against the table and returns
 // one answer share per key. Keys for the wrong party or the wrong table

@@ -7,13 +7,14 @@
 // against exactly this code, so it must not inherit the live packages'
 // walk and batching optimizations. The PRF is the live prg.Expand, so
 // baseline and tiled path compute the same function and their answers
-// stay identical. Counters are dropped; the ParallelFor query dispatch is
-// kept so baseline and tiled path use the host the same way.
+// stay identical. Counters are dropped; the strategy.ParallelFor query
+// dispatch is kept so baseline and tiled path use the host the same way.
 package seedbaseline
 
 import (
+	"runtime"
+
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -43,7 +44,7 @@ func stepBoth(prg dpf.PRG, s dpf.Seed, t uint8, cw dpf.CW) (ls dpf.Seed, lt uint
 func Run(prg dpf.PRG, keys []*dpf.Key, tab *strategy.Table, k int) [][]uint32 {
 	bits := tab.Bits()
 	answers := make([][]uint32, len(keys))
-	gpu.ParallelFor(len(keys), func(q int) {
+	strategy.ParallelFor(len(keys), runtime.GOMAXPROCS(0), func(q int) {
 		key := keys[q]
 		ans := make([]uint32, tab.Lanes)
 		var walk func(nodes []node, depth int, base uint64)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -36,8 +35,8 @@ func TestRunMatchesTiled(t *testing.T) {
 			}
 			keys[q] = &k0
 		}
-		var ctr gpu.Counters
-		want, err := strategy.Run(strategy.MemBoundTree{K: 128, Fused: true}, prg, keys, tab.View(), &ctr)
+		var ctr strategy.Counters
+		want, err := strategy.Run(strategy.MemBoundTree{K: 128}, prg, keys, tab.View(), &ctr)
 		if err != nil {
 			t.Fatal(err)
 		}

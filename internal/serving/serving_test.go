@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
-	"gpudpf/internal/strategy"
+	"gpudpf/internal/model"
 )
 
 // echoHandler answers each key with its length; records batch sizes.
@@ -180,9 +179,9 @@ func TestBatcherStress(t *testing.T) {
 
 // modelLatency builds a BatchLatency from the V100 model on a 1M table.
 func modelLatency(t testing.TB) BatchLatency {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	s := strategy.MemBoundTree{K: 128, Fused: true}
+	s := model.MemBound{K: 128, Fused: true}
 	return func(batch int) time.Duration {
 		rep, err := s.Model(dev, prg, 20, batch, 64)
 		if err != nil {

@@ -15,8 +15,8 @@ import (
 	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/serving"
+	"gpudpf/internal/strategy"
 )
 
 // Options is what a client's hello pins, and its RPC deadline and redial
@@ -518,12 +518,12 @@ func (c *Client) SnapshotChunk(ctx context.Context, epoch uint64, off, max int) 
 // Counters implements engine.Backend with the node's counters; a node that
 // cannot be reached reports zeros (the seam has no error path here, and
 // counters are advisory).
-func (c *Client) Counters() gpu.Stats {
-	var w [5]uint64
-	if c.words(context.Background(), &request{op: opCounters}, &w[0], &w[1], &w[2], &w[3], &w[4]) != nil {
-		return gpu.Stats{}
+func (c *Client) Counters() strategy.Stats {
+	var w [2]uint64
+	if c.words(context.Background(), &request{op: opCounters}, &w[0], &w[1]) != nil {
+		return strategy.Stats{}
 	}
-	return gpu.Stats{PRFBlocks: int64(w[0]), ReadBytes: int64(w[1]), WriteBytes: int64(w[2]), Launches: int64(w[3]), PeakMemBytes: int64(w[4])}
+	return strategy.Stats{PRFBlocks: int64(w[0]), ReadBytes: int64(w[1])}
 }
 
 // Shape implements engine.Backend from the welcome (a node's shape is

@@ -530,7 +530,7 @@ func (s *Server) dispatch(ctx context.Context, req *request, dst []byte) []byte 
 		return appendShape(dst, s.self.Rows, s.self.Lanes)
 	case opCounters:
 		c := s.member.Counters()
-		return appendWords(dst, req.op, uint64(c.PRFBlocks), uint64(c.ReadBytes), uint64(c.WriteBytes), uint64(c.Launches), uint64(c.PeakMemBytes))
+		return appendWords(dst, req.op, uint64(c.PRFBlocks), uint64(c.ReadBytes))
 	case opPing:
 	case opSnapMeta:
 		snapEpoch, effEpoch, beLo, beHi, merr := s.member.SnapshotMeta(ctx)

@@ -50,8 +50,9 @@ import (
 // any other is refused with both named. Version 4 replaced the gob
 // handshake with the binary hello and took in the client ops; version 5
 // frames a key batch as one count and one width, and serves dpf key wire
-// v3 only.
-const ProtocolVersion = 5
+// v3 only; version 6 carries only the host counters (PRF blocks, table
+// bytes streamed) in the counters response.
+const ProtocolVersion = 6
 
 // Frame and batch caps, each checked before anything is allocated for
 // what a peer declared.

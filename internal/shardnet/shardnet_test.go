@@ -259,10 +259,8 @@ func TestClientServerRoundTrip(t *testing.T) {
 func TestMixedClusterMatchesReplica(t *testing.T) {
 	const rows, lanes, shards = 256, 4, 4
 	strategies := []strategy.MemBoundTree{
-		{K: 8, Fused: true},
-		{K: 8, Fused: false},
-		{K: 128, Fused: true},
-		{K: 128, Fused: false},
+		{K: 8},
+		{K: 128},
 	}
 	prgNames := dpf.AllPRGNames()
 	if testing.Short() {
@@ -275,7 +273,7 @@ func TestMixedClusterMatchesReplica(t *testing.T) {
 	}
 	for _, prgName := range prgNames {
 		for _, strat := range strategies {
-			t.Run(prgName+"/"+strat.Name(), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/K=%d", prgName, strat.K), func(t *testing.T) {
 				prg, err := dpf.NewPRG(prgName)
 				if err != nil {
 					t.Fatal(err)

@@ -362,18 +362,18 @@ func (p *PagedBacking) acquirePage(idx, ver int) (*pageEnt, error) {
 		return nil, err
 	}
 	p.mu.Lock()
+	p.loads.Add(1)
 	ent = p.insertLocked(ent)
 	p.mu.Unlock()
 	return ent, nil
 }
 
-// insertLocked caches a freshly read page, evicting down to the budget, and
-// returns it with a reference held (caller holds mu). The file read
-// happened outside the lock, so a Row read and a pass can both have read
-// the page; the loser recycles and the cached copy is returned, keeping
-// the cache single-entry.
+// insertLocked caches a freshly read or written page, evicting down to the
+// budget, and returns it with a reference held (caller holds mu). A file
+// read happens outside the lock, so a Row read and a pass can both have
+// read the page; the loser recycles and the cached copy is returned,
+// keeping the cache single-entry.
 func (p *PagedBacking) insertLocked(ent *pageEnt) *pageEnt {
-	p.loads.Add(1)
 	if won, ok := p.pages[ent.ver]; ok {
 		won.refs++
 		p.touchLocked(won)
@@ -484,9 +484,12 @@ func (p *PagedBacking) loadPage(idx, ver int, read bool) (*pageEnt, error) {
 
 func (p *PagedBacking) vers() *versions { return &p.versions }
 
-// write reads version from of page idx unless fill covers it, patches it,
-// and writes it to a free scratch slot or one appended to the scratch
-// file, which the first write creates.
+// write copies version from of page idx unless fill covers it — from the
+// cache when it is resident, pinned while it is copied, else from its
+// file — patches it, and writes it to a free scratch slot or one appended
+// to the scratch file, which the first write creates. The written page
+// stays cached under its new slot, so the next pass at the new epoch finds
+// it resident.
 func (p *PagedBacking) write(idx, from int, cover bool, fill func(int, []uint32)) (int, error) {
 	if p.scratch == nil {
 		f, err := os.CreateTemp(filepath.Dir(p.f.Name()), filepath.Base(p.f.Name())+".scratch-*")
@@ -498,7 +501,7 @@ func (p *PagedBacking) write(idx, from int, cover bool, fill func(int, []uint32)
 		}
 		p.scratch = f
 	}
-	ent, err := p.loadPage(idx, from, !cover)
+	ent, err := p.copyPage(idx, from, cover)
 	if err != nil {
 		return 0, err
 	}
@@ -522,13 +525,41 @@ func (p *PagedBacking) write(idx, from int, cover bool, fill func(int, []uint32)
 	f, off := p.at(to)
 	_, err = f.WriteAt(raw, off)
 	p.mu.Lock()
-	p.recycleLocked(ent)
+	if err != nil {
+		p.recycleLocked(ent)
+	} else {
+		ent.ver = to
+		p.releaseLocked(p.insertLocked(ent))
+	}
 	p.mu.Unlock()
 	if err != nil {
 		p.spare = append(p.spare, int32(to))
 		return 0, fmt.Errorf("%w: page %d to scratch slot %d: %w", ErrPageWrite, idx, to-p.nPages, err)
 	}
 	return to, nil
+}
+
+// copyPage returns a pooled entry holding version from of page idx: copied
+// from the cache when it is resident (a reference pins it while it is
+// copied), read from its file otherwise, and left unfilled when cover says
+// the caller overwrites it whole.
+func (p *PagedBacking) copyPage(idx, from int, cover bool) (*pageEnt, error) {
+	var src *pageEnt
+	if !cover {
+		p.mu.Lock()
+		if src = p.pages[from]; src != nil {
+			src.refs++
+		}
+		p.mu.Unlock()
+	}
+	ent, err := p.loadPage(idx, from, !cover && src == nil)
+	if src != nil {
+		copy(ent.data, src.data) // an unread load cannot fail
+		p.mu.Lock()
+		p.releaseLocked(src)
+		p.mu.Unlock()
+	}
+	return ent, err
 }
 
 // drop takes back a slot no epoch maps: it leaves the cache at once, and a
@@ -699,6 +730,7 @@ func (p *PagedBacking) readLocked(idx, ver, w int) *pageEnt {
 		}
 		return nil
 	}
+	p.loads.Add(1)
 	ent = p.insertLocked(ent)
 	p.rideLocked(idx, ver, w)
 	return ent

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -287,8 +286,8 @@ func TestPagedOrderFreePass(t *testing.T) {
 				runs[i].c = redrawPass(rng, c)
 			}
 			ram := &strategy.Table{NumRows: c.rows, Lanes: c.lanes, Data: runs[i].e.want}
-			st := strategy.MemBoundTree{K: 8, Fused: true, Workers: runs[i].c.workers}
-			var ctr gpu.Counters
+			st := strategy.MemBoundTree{K: 8, Workers: runs[i].c.workers}
+			var ctr strategy.Counters
 			ref, err := strategy.RunRange(st, prg, keys, ram.View(), runs[i].c.lo, runs[i].c.hi, &ctr)
 			if err != nil {
 				t.Fatal(err)
@@ -300,8 +299,8 @@ func TestPagedOrderFreePass(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				st := strategy.MemBoundTree{K: 8, Fused: true, Workers: d.c.workers}
-				var ctr gpu.Counters
+				st := strategy.MemBoundTree{K: 8, Workers: d.c.workers}
+				var ctr strategy.Counters
 				got, err := strategy.RunRange(st, prg, keys, d.e.sn, d.c.lo, d.c.hi, &ctr)
 				if err != nil {
 					t.Errorf("%+v: paged run: %v", d.c, err)
@@ -615,9 +614,9 @@ func BenchmarkPagedConcurrentPasses(b *testing.B) {
 			keys[g] = append(keys[g], &k0)
 		}
 	}
-	st := strategy.MemBoundTree{K: 128, Fused: true, Workers: 2}
+	st := strategy.MemBoundTree{K: 128, Workers: 2}
 	run := func(g int) error {
-		var ctr gpu.Counters
+		var ctr strategy.Counters
 		_, err := strategy.RunRange(st, prg, keys[g], sn, 0, rows, &ctr)
 		return err
 	}

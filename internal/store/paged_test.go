@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 	"gpudpf/internal/strategy"
 )
 
@@ -53,10 +52,8 @@ func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 	defer sn.Release()
 
 	strategies := []strategy.MemBoundTree{
-		{K: 8, Fused: true},
-		{K: 8, Fused: false},
-		{K: 128, Fused: true},
-		{K: 128, Fused: false},
+		{K: 8},
+		{K: 128},
 	}
 	prgs := []dpf.PRG{dpf.NewAESPRG(), dpf.NewChaChaPRG()}
 	rng := rand.New(rand.NewSource(4242))
@@ -70,7 +67,7 @@ func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 			keys = append(keys, &k0)
 		}
 		for _, st := range strategies {
-			var ctr gpu.Counters
+			var ctr strategy.Counters
 			want := strategy.NewAnswers(len(keys), lanes)
 			if err := st.RunRangeInto(prg, keys, tab.View(), 0, rows, &ctr, want); err != nil {
 				t.Fatalf("%s/%s in-RAM: %v", st.Name(), prg.Name(), err)
@@ -271,5 +268,60 @@ func TestPagedTinyCache(t *testing.T) {
 		if got[i] != tab.Data[i] {
 			t.Fatalf("word %d: %d, want %d", i, got[i], tab.Data[i])
 		}
+	}
+}
+
+// TestPagedWriteKeepsResidentPage: a one-row write to a resident page
+// copies the cached version instead of reading the table file — which is
+// cut to its header first, so any read would fail — and the written page
+// stays cached under its new slot: the next pass at the new epoch reads
+// nothing and counts every page, the written one included, as a hit.
+func TestPagedWriteKeepsResidentPage(t *testing.T) {
+	const rows, lanes = 256, 4
+	tab, err := strategy.NewTable(rows, lanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tab.Data {
+		tab.Data[i] = uint32(i * 7)
+	}
+	path := filepath.Join(t.TempDir(), "t.gpdf")
+	if err := WriteTableFile(path, tab); err != nil {
+		t.Fatal(err)
+	}
+	pb, err := OpenPaged(path, PagedConfig{PageBytes: 1 << 10, CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pb.Close()
+	s, err := NewPaged(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Acquire()
+	viewWords(t, sn) // every page resident
+	sn.Release()
+	if err := os.Truncate(path, pagedHeaderBytes); err != nil {
+		t.Fatal(err)
+	}
+	loads, hits := pb.Loads(), pb.Hits()
+	const row = 100
+	if _, err := s.Apply([]RowWrite{{Row: row, Vals: []uint32{1, 2, 3, 4}}}); err != nil {
+		t.Fatalf("one-row write to a resident page: %v", err)
+	}
+	copy(tab.Row(row), []uint32{1, 2, 3, 4})
+	sn = s.Acquire()
+	defer sn.Release()
+	got := viewWords(t, sn)
+	for i := range got {
+		if got[i] != tab.Data[i] {
+			t.Fatalf("word %d after the write: %d, want %d", i, got[i], tab.Data[i])
+		}
+	}
+	if n := pb.Loads() - loads; n != 0 {
+		t.Errorf("write and pass read %d pages from a file, want 0", n)
+	}
+	if n, want := pb.Hits()-hits, int64(pb.nPages); n != want {
+		t.Errorf("pass at the new epoch counted %d hits, want all %d pages", n, want)
 	}
 }

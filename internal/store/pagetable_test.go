@@ -310,8 +310,8 @@ func runPageTableSeed(t *testing.T, seed uint64) {
 // and a page version both map is read once for both: the pair reads at
 // most the versions either maps, plus the two pages the first took before
 // the second joined. Then the table file is cut at a page the current
-// epoch still maps from it, and an Apply that writes an earlier page and
-// that one fails with ErrPageRead, leaves the epoch and every slot as they
+// epoch still maps from it, the cache is emptied, and an Apply that writes
+// an earlier page and that one fails with ErrPageRead, leaves the epoch and every slot as they
 // were, and the store still reads and writes the pages before the cut.
 func checkPagedEpochs(t *testing.T, seed uint64, rng *rand.Rand, s *Store, pb *PagedBacking, cur refEpoch, pins []pin) {
 	a := s.Acquire()
@@ -346,6 +346,13 @@ func checkPagedEpochs(t *testing.T, seed uint64, rng *rand.Rand, s *Store, pb *P
 	if err := os.Truncate(pb.f.Name(), pagedHeaderBytes+int64(cut*pb.pageRows*pb.lanes*4)); err != nil {
 		t.Fatal(err)
 	}
+	// A write copies a resident page rather than reading its file, so the
+	// cut page must first leave the cache for the Apply to need the file.
+	pb.mu.Lock()
+	for pb.lru != nil {
+		pb.evictLocked(pb.lru)
+	}
+	pb.mu.Unlock()
 	epoch := s.Epoch()
 	before := pb.pageRows * cut
 	writes, _ := drawWrites(rng, cur.words, before, pb.lanes)

@@ -5,10 +5,11 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 )
 
-// This file pins the device model to the paper's measured numbers. The
+// This file pins package model's device model to the paper's measured
+// numbers (kept at this path so the test names stay stable). The
 // targets are the *shapes* (ratios, orderings, crossovers); absolute values
 // are required only to land within a factor-of-two band of the published
 // measurements: the model stands in for hardware it cannot match exactly.
@@ -25,12 +26,12 @@ func within(t *testing.T, name string, x, lo, hi float64) {
 // 32-thread ≈36ms with 2048-bit entries.
 func TestTable4CPUBaseline(t *testing.T) {
 	prg := dpf.NewAESPRG()
-	one, err := (CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
+	one, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	within(t, "cpu-1t 1M latency (ms)", float64(one.Latency.Milliseconds()), 400, 900)
-	many, err := (CPUBaseline{Threads: 32}).Model(nil, prg, 20, 1, 64)
+	many, err := (model.CPUBaseline{Threads: 32}).Model(nil, prg, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +41,14 @@ func TestTable4CPUBaseline(t *testing.T) {
 // TestTable4GPUSpeedup: GPU throughput must beat the 32-thread CPU by >17x
 // on every Table 4 row (16K, 1M, 4M entries).
 func TestTable4GPUSpeedup(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	for _, bits := range []int{14, 20, 22} {
-		gpuRep, err := TuneBatch(dev, Schedule(bits), prg, bits, 64, 0)
+		gpuRep, err := model.TuneBatch(dev, model.Schedule(bits), prg, bits, 64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpuRep, err := (CPUBaseline{Threads: 32}).Model(nil, prg, bits, 64, 64)
+		cpuRep, err := (model.CPUBaseline{Threads: 32}).Model(nil, prg, bits, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,9 +65,9 @@ func TestTable4GPUSpeedup(t *testing.T) {
 // TestTable4GPUAbsolute: the 1M-entry AES GPU throughput should land near
 // the paper's 1,358 QPS.
 func TestTable4GPUAbsolute(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	r, err := TuneBatch(dev, MemBoundTree{K: 128, Fused: true}, prg, 20, 64, 0)
+	r, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, 20, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,14 +79,14 @@ func TestTable4GPUAbsolute(t *testing.T) {
 // sha256, and ChaCha20's speedup over AES must be in the 2.5x–5x band
 // (paper: 3.77x).
 func TestTable5PRFOrdering(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	qps := map[string]float64{}
 	for _, name := range dpf.AllPRGNames() {
 		prg, err := dpf.NewPRG(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := (MemBoundTree{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
+		r, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,10 +103,10 @@ func TestTable5PRFOrdering(t *testing.T) {
 // TestGenVsEvalGap pins Figure 3: client-side Gen is orders of magnitude
 // cheaper than server-side Eval.
 func TestGenVsEvalGap(t *testing.T) {
-	i3 := gpu.IntelCorei3()
+	i3 := model.IntelCorei3()
 	prg := dpf.NewAESPRG()
-	genLat := i3.CPUTime(gpu.GenProfile(prg.CPUCyclesPerBlock(), 20, 1), 1)
-	evalRep, err := (CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
+	genLat := i3.CPUTime(model.GenProfile(prg.CPUCyclesPerBlock(), 20, 1), 1)
+	evalRep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,14 +121,14 @@ func TestGenVsEvalGap(t *testing.T) {
 // TestTuneBatchRespectsLatencyBudget: tuned batches must not exceed the
 // budget, and tighter budgets must not increase throughput.
 func TestTuneBatchRespectsLatencyBudget(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	mb := MemBoundTree{K: 128, Fused: true}
-	loose, err := TuneBatch(dev, mb, prg, 20, 64, 300*time.Millisecond)
+	mb := model.MemBound{K: 128, Fused: true}
+	loose, err := model.TuneBatch(dev, mb, prg, 20, 64, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := TuneBatch(dev, mb, prg, 20, 64, 50*time.Millisecond)
+	tight, err := model.TuneBatch(dev, mb, prg, 20, 64, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestTuneBatchRespectsLatencyBudget(t *testing.T) {
 		t.Error("tighter latency budget should not increase throughput")
 	}
 	// Impossible budget errors out but still reports batch 1.
-	if _, err := TuneBatch(dev, mb, prg, 24, 64, time.Microsecond); err == nil {
+	if _, err := model.TuneBatch(dev, mb, prg, 24, 64, time.Microsecond); err == nil {
 		t.Error("microsecond budget at 16M entries should be infeasible")
 	}
 }

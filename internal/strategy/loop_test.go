@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // This file guards the one execution method and the one tile loop: the
@@ -17,37 +16,22 @@ import (
 // other and with any partition on any view, and a failing table stream
 // ends the batch at once, leaks nothing and poisons no pooled scratch.
 
-// TestStrategyContract pins strategy.Strategy to exactly Name,
-// RunRangeInto and Model and strategy.Modeler to Name and Model, keeps
-// every strategy type free of Run / RunRange methods (they are free
-// functions over a TableView), and keeps the five paper-only strategies
-// models: none of them executes.
+// TestStrategyContract pins strategy.Strategy to exactly Name and
+// RunRangeInto, and keeps the executor free of Run / RunRange methods
+// (they are free functions over a TableView) and of a Model: the paper's
+// cost models are package model, which the executor does not import.
 func TestStrategyContract(t *testing.T) {
-	for _, c := range []struct {
-		iface reflect.Type
-		want  []string
-	}{
-		{reflect.TypeOf((*Strategy)(nil)).Elem(), []string{"Model", "Name", "RunRangeInto"}},
-		{reflect.TypeOf((*Modeler)(nil)).Elem(), []string{"Model", "Name"}},
-	} {
-		var got []string
-		for i := 0; i < c.iface.NumMethod(); i++ {
-			got = append(got, c.iface.Method(i).Name)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("%s declares %v, want exactly %v", c.iface.Name(), got, c.want)
-		}
+	iface := reflect.TypeOf((*Strategy)(nil)).Elem()
+	var got []string
+	for i := 0; i < iface.NumMethod(); i++ {
+		got = append(got, iface.Method(i).Name)
 	}
-	for _, m := range models() {
-		for _, name := range []string{"Run", "RunRange"} {
-			if _, ok := reflect.TypeOf(m).MethodByName(name); ok {
-				t.Errorf("%T has a %s method; the execution API is RunRangeInto plus the free functions", m, name)
-			}
-		}
+	if want := []string{"Name", "RunRangeInto"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Strategy declares %v, want exactly %v", got, want)
 	}
-	for _, m := range []any{BranchParallel{}, LevelByLevel{}, CoopGroups{}, CPUBaseline{}, MultiGPU{}} {
-		if _, ok := m.(Strategy); ok {
-			t.Errorf("%T executes; the paper-only strategies are models (MemBoundTree is the one executor)", m)
+	for _, name := range []string{"Run", "RunRange", "Model"} {
+		if _, ok := reflect.TypeOf(MemBoundTree{}).MethodByName(name); ok {
+			t.Errorf("MemBoundTree has a %s method; the execution API is RunRangeInto plus the free functions", name)
 		}
 	}
 }
@@ -68,12 +52,11 @@ func addInto(sum, part [][]uint32) {
 // equals the lane-wise sum of RunRange over a random partition, bit for
 // bit and the same bits on both views. The whole-table call counts exactly
 // the PRF blocks of the count-only walker bounded to [0, rows) (the walk
-// stops at the last row), which at a power of two is Model's. The batch
+// stops at the last row) and two passes over the table's rows. The batch
 // spans two tiles.
 func TestTileLoopRunPartitionProperty(t *testing.T) {
 	const seed, batch = 2024, 34
 	rng := rand.New(rand.NewSource(seed))
-	dev := gpu.TeslaV100()
 	for _, pc := range []struct {
 		name string
 		prg  dpf.PRG
@@ -100,20 +83,13 @@ func TestTileLoopRunPartitionProperty(t *testing.T) {
 						t.Fatalf("seed %d %s/%s %s %dx%d cuts %v: "+format,
 							append([]any{seed, s.Name(), pc.name, vw.name, rows, lanes, cuts}, args...)...)
 					}
-					var ctr gpu.Counters
+					var ctr Counters
 					full, err := Run(s, pc.prg, keys, vw.v, &ctr)
 					if err != nil {
 						fail("Run: %v", err)
 					}
-					if got := ctr.Snapshot().PRFBlocks; got != walked {
-						fail("Run counted %d PRF blocks, the walker bounded to [0, rows) %d", got, walked)
-					}
-					model, err := s.Model(dev, pc.prg, tab.Bits(), batch, lanes)
-					if err != nil {
-						fail("Model: %v", err)
-					}
-					if rows&(rows-1) == 0 && walked != model.PRFBlocks {
-						fail("Run counted %d PRF blocks, Model %d", walked, model.PRFBlocks)
+					if got, want := ctr.Snapshot(), (Stats{PRFBlocks: walked, ReadBytes: 2 * int64(rows*lanes) * 4}); got != want {
+						fail("Run counted %+v, want the walker bounded to [0, rows) and two table passes %+v", got, want)
 					}
 					if want == nil {
 						want = full
@@ -224,10 +200,10 @@ func TestTileLoopFirstErrorEndsBatch(t *testing.T) {
 	tab := buildTable(t, rows, lanes, 13)
 	keys, _, _ := genBatch(t, prg, tab, batch, 17)
 	cuts := randomCuts(rng, rows, 50)
-	for _, s := range []MemBoundTree{{K: 8, Fused: true}, {K: 128, Fused: false}} {
+	for _, s := range []MemBoundTree{{K: 8}, {K: 128}} {
 		for _, r := range [][2]int{{0, rows}, {100, rows - 100}} {
 			lo, hi := r[0], r[1]
-			var cleanCtr gpu.Counters
+			var cleanCtr Counters
 			want, err := RunRange(s, prg, keys, tab.View(), lo, hi, &cleanCtr)
 			if err != nil {
 				t.Fatal(err)
@@ -240,7 +216,7 @@ func TestTileLoopFirstErrorEndsBatch(t *testing.T) {
 				// stream has already been added.
 				bad := fragView{t: tab, cuts: cuts, fault: errStreamFault, faultRow: lo + parMinBlockRows + 5}
 				base := runtime.NumGoroutine()
-				var ctr gpu.Counters
+				var ctr Counters
 				_, err := RunRange(ps, prg, keys, bad, lo, hi, &ctr)
 				if !errors.Is(err, errStreamFault) {
 					t.Fatalf("%s workers=%d [%d,%d): got %v, want the injected fault", s.Name(), workers, lo, hi, err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // DefaultK is the frontier width the paper settles on for the V100
@@ -12,12 +11,10 @@ import (
 // working set on-chip.
 const DefaultK = 128
 
-// MemBoundTree is the paper's memory-bounded tree traversal (§3.2.3): a
-// depth-first descent that keeps at most K nodes per level alive, giving
-// optimal O(L) work with an O(B·K·log L) working set instead of
-// level-by-level's O(B·L). Fused models the paper's DPF×matmul fusion
-// (§3.2.4) in the counters only; the host executor runs the same way
-// either way (see the field).
+// MemBoundTree is the host executor of the paper's memory-bounded tree
+// traversal (§3.2.3): a depth-first descent that keeps at most K nodes per
+// level alive, giving optimal O(L) work with an O(B·K·log L) working set.
+// model.MemBound prices the same traversal on the paper's GPU.
 //
 // Execution is batched: each query's K-wide frontier advances one
 // dpf.StepBothBatch (one PRF batch call) per group-level, and the shared
@@ -27,25 +24,13 @@ const DefaultK = 128
 type MemBoundTree struct {
 	// K is the frontier width; 0 means DefaultK.
 	K int
-	// Fused prices the run as one fused kernel: it drops the second
-	// AddLaunch, the expanded leaf vector's read and write bytes and its
-	// share of memBytes. It does not change execution: runTiles always
-	// expands each tile's whole leaf rows before the accumulate. A
-	// resumable lockstep walk that would fuse them on the host measured
-	// 1.00–1.04× over the same kernels, so none is built.
-	Fused bool
 	// Workers is the tile loop's worker budget (see tileJob); answers are
 	// bit-identical whatever its value.
 	Workers int
 }
 
-// Name implements Modeler.
-func (m MemBoundTree) Name() string {
-	if m.Fused {
-		return "membound-fused"
-	}
-	return "membound-unfused"
-}
+// Name implements Strategy.
+func (MemBoundTree) Name() string { return "membound" }
 
 func (m MemBoundTree) k() int {
 	if m.K <= 0 {
@@ -54,42 +39,12 @@ func (m MemBoundTree) k() int {
 	return m.K
 }
 
-// memBoundLevels is the number of recursion frames holding a K-wide
-// buffer; the walk is depth levels deep (tree depth minus the
-// early-termination cut).
-func memBoundLevels(depth, k int) int {
-	lg := 0
-	for 1<<uint(lg+1) <= k {
-		lg++
-	}
-	levels := depth - lg + 1
-	if levels < 1 {
-		levels = 1
-	}
-	return levels
-}
-
-// memBytes models the modeled device working set of the batch; early is
-// the keys' termination depth (terminal nodes cover 2^early leaves, so the
-// walk is that many levels shorter).
-func (m MemBoundTree) memBytes(batch, bits, lanes, early int) int64 {
-	k := int64(m.k())
-	levels := int64(memBoundLevels(bits-early, m.k()))
-	perQuery := levels*2*k*nodeBytes + int64(lanes)*4
-	if !m.Fused {
-		perQuery += (int64(1) << uint(bits)) * 4 // expanded leaf vector
-	}
-	return int64(batch) * perQuery
-}
-
 // RunRangeInto implements Strategy: the descent prunes every K-wide node
 // group whose leaf span misses [lo, hi), so a 1/N range costs ~1/N of the
 // PRF work plus one root-to-range path. The walk stops at the table's last
-// row — leaves past it would meet no row — so only a power-of-two table's
-// whole-table run counts Model's PRF blocks. Memory and table reads are
-// accounted as Model prices them: the padded domain for the whole-table
-// range, proportionally for partial ones.
-func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *gpu.Counters, dst [][]uint32) error {
+// row — leaves past it would meet no row. ctr receives the PRF blocks
+// walked and the table bytes streamed: one pass over [lo, hi) per tile.
+func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *Counters, dst [][]uint32) error {
 	if err := validateRun(keys, v, lo, hi, dst); err != nil {
 		return err
 	}
@@ -97,51 +52,8 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 	if k&(k-1) != 0 {
 		return fmt.Errorf("strategy: K=%d must be a power of two", k)
 	}
-	bits := dpf.DomainBits(v.Rows())
-	lanes := v.Lanes()
-	early := keys[0].Early
-	full := fullRange(v.Rows(), lo, hi)
-	rows := hi - lo // accounted rows
-	if full {
-		rows = 1 << uint(bits)
-	}
-	var mem int64
-	if full {
-		mem = m.memBytes(len(keys), bits, lanes, early)
-	} else {
-		perQuery := int64(memBoundLevels(bits-early, k))*2*int64(k)*nodeBytes + int64(lanes)*4
-		if !m.Fused {
-			perQuery += int64(rows) * 4
-		}
-		mem = int64(len(keys)) * perQuery
-	}
-	ctr.Alloc(mem)
-	defer ctr.Free(mem)
-	ctr.AddLaunch()
-	if !m.Fused {
-		ctr.AddLaunch() // separate matmul kernel
-	}
-
 	job := tileJob{prg: prg, keys: keys, v: v, lo: uint64(lo), hi: uint64(hi), k: k, workers: m.Workers, ctr: ctr}
-	if err := runTiles(job, dst); err != nil {
-		return err
-	}
-
-	var reads, writes int64
-	if full {
-		reads = tableReadBytes(len(keys), bits, lanes)
-	} else {
-		reads = rangeReadBytes(len(keys), lanes, rows)
-	}
-	writes = int64(len(keys)) * int64(lanes) * 4
-	if !m.Fused {
-		leafBytes := int64(len(keys)) * int64(rows) * 4
-		reads += leafBytes
-		writes += leafBytes
-	}
-	ctr.AddRead(reads)
-	ctr.AddWrite(writes)
-	return nil
+	return runTiles(job, dst)
 }
 
 // expandMemBound walks one key's memory-bounded descent over leaves
@@ -235,55 +147,4 @@ func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 	childSpan := span / 2
 	w.walk(level+1, next[:n], nextT[:n], base)
 	w.walk(level+1, next[n:], nextT[n:], base+uint64(n)*childSpan)
-}
-
-// prfBlocks counts every internal node of each query's tree once — the
-// optimal O(L) work, whatever K.
-func (MemBoundTree) prfBlocks(bits, early, batch int) int64 {
-	return int64(batch) * treeBlocks(bits, early)
-}
-
-// Model implements Modeler. PRFBlocks prices the early-terminated tree
-// (the default key format for this depth); the per-block cycle constant is
-// re-anchored accordingly (see prgCyclesPerBlock).
-func (m MemBoundTree) Model(dev *gpu.Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
-	domain := int64(1) << uint(bits)
-	early := modelEarly(bits)
-	reads := tableReadBytes(batch, bits, lanes)
-	writes := int64(batch) * int64(lanes) * 4
-	launches := int64(1)
-	if !m.Fused {
-		leafBytes := int64(batch) * domain * 4
-		reads += leafBytes
-		writes += leafBytes
-		launches++
-	}
-	st := gpu.Stats{
-		PRFBlocks:    m.prfBlocks(bits, early, batch),
-		ReadBytes:    reads,
-		WriteBytes:   writes,
-		Launches:     launches,
-		PeakMemBytes: m.memBytes(batch, bits, lanes, early),
-	}
-	p := gpu.KernelProfile{
-		Stats:             st,
-		PRGCyclesPerBlock: prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early),
-		Parallelism:       int64(batch) * int64(m.k()),
-		ArithCycles:       dotArithCycles(batch, bits, lanes),
-	}
-	r, err := finishReport(dev, m.Name(), prg, bits, batch, lanes, p)
-	if err != nil {
-		return r, err
-	}
-	if !m.Fused {
-		// An unfused pipeline cannot overlap the expansion kernel's compute
-		// with the matmul kernel's memory traffic; serialize the phases
-		// (this is what Figure 14 measures).
-		memSec := float64(st.ReadBytes+st.WriteBytes) / dev.MemBandwidthBps
-		r.Latency += timeFromSeconds(memSec)
-		if r.Latency > 0 {
-			r.Throughput = float64(batch) / r.Latency.Seconds()
-		}
-	}
-	return r, nil
 }

@@ -4,21 +4,21 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 )
 
 // TestMultiGPUModelScaling pins §3.2.7: latency drops ~linearly with N and
 // at a fixed batch the per-fleet utilization motivates larger batches.
 func TestMultiGPUModelScaling(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	const bits, batch, lanes = 24, 64, 64
-	base, err := (MultiGPU{Devices: 1}).Model(dev, prg, bits, batch, lanes)
+	base, err := (model.MultiGPU{Devices: 1}).Model(dev, prg, bits, batch, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 4, 8} {
-		rep, err := (MultiGPU{Devices: n}).Model(dev, prg, bits, batch, lanes)
+		rep, err := (model.MultiGPU{Devices: n}).Model(dev, prg, bits, batch, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"gpudpf/internal/gpu"
 )
 
 // This file adds intra-tile table-stream parallelism to the tiled hot path.
@@ -83,7 +81,7 @@ func (tp *tilePass) chunk(w int, c Chunk) error {
 // (§3.1, §3.2.4): ONE streaming pass over rows [lo, hi) accumulates every
 // tile query's dot product at once. Each row is read from memory once and
 // reused leaves-wide from cache, instead of the table being streamed once
-// per query — the traffic tableReadBytes has always modeled. leaves[q][j-lo]
+// per query — the traffic model.MemBound prices. leaves[q][j-lo]
 // is query q's leaf share for row j; answers[q] accumulates lane-wise mod
 // 2^32 (order-independent, so tiled output is bit-identical to the scalar
 // per-query pass). The table arrives as a TableView and is consumed through
@@ -161,7 +159,7 @@ func BlockPass(data []uint32, lanes, lo, hi, workers int, fn func(w int, c Chunk
 		failed atomic.Bool
 	)
 	errs := make([]error, workers)
-	gpu.ParallelForN(workers, workers, func(w int) {
+	ParallelFor(workers, workers, func(w int) {
 		for !failed.Load() {
 			b := int(next.Add(1)) - 1
 			if b >= nBlocks {
@@ -180,4 +178,38 @@ func BlockPass(data []uint32, lanes, lo, hi, workers int, fn func(w int, c Chunk
 		}
 	}
 	return nil
+}
+
+// ParallelFor runs fn(i) for every i in [0, n) on at most workers
+// goroutines, which take contiguous runs of indices from a shared counter
+// (a few runs per worker, for balance), and returns once every call has.
+// A budget of one runs inline, on the caller's goroutine. fn must be safe
+// to call concurrently for distinct i. The tile loop fans out on it, and
+// so do batchpir's bins and the seed baseline's queries.
+func ParallelFor(n, workers int, fn func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	run := (n + workers*4 - 1) / (workers * 4)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(run))) - run
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+run, n); i++ {
+					fn(i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // forceGOMAXPROCS raises GOMAXPROCS for the test so the worker fan-out
@@ -135,7 +134,7 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 		for _, batch := range []int{1, 3, 40} {
 			keys := all[:batch]
 			for _, s := range executors() {
-				var seqCtr gpu.Counters
+				var seqCtr Counters
 				want := NewAnswers(batch, lanes)
 				if err := s.RunRangeInto(pc.prg, keys, tab.View(), 0, rows, &seqCtr, want); err != nil {
 					t.Fatalf("%s/%s batch=%d sequential: %v", s.Name(), pc.name, batch, err)
@@ -158,7 +157,7 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 							t.Fatalf("%s/%s batch=%d workers=%d %s: "+format,
 								append([]any{s.Name(), pc.name, batch, w, vw.name}, args...)...)
 						}
-						var ctr gpu.Counters
+						var ctr Counters
 						got := NewAnswers(batch, lanes)
 						if err := ps.RunRangeInto(pc.prg, keys, vw.v, 0, rows, &ctr, got); err != nil {
 							fail("%v", err)
@@ -207,13 +206,52 @@ func TestParallelStrategyWorkerBudget(t *testing.T) {
 	for _, batch := range []int{1, 3, 40} {
 		for _, w := range []int{1, 2, 3} {
 			prg.peak.Store(0)
-			var ctr gpu.Counters
-			if _, err := Run(MemBoundTree{K: 8, Fused: true, Workers: w}, prg, keys[:batch], tab.View(), &ctr); err != nil {
+			var ctr Counters
+			if _, err := Run(MemBoundTree{K: 8, Workers: w}, prg, keys[:batch], tab.View(), &ctr); err != nil {
 				t.Fatal(err)
 			}
 			if peak := prg.peak.Load(); peak > int64(w) {
 				t.Errorf("batch=%d workers=%d: %d PRF batch calls in flight at once", batch, w, peak)
 			}
+		}
+	}
+}
+
+// TestParallelForCoversAll: ParallelFor visits every index of [0, n)
+// exactly once, for empty, tiny and many-run ranges.
+func TestParallelForCoversAll(t *testing.T) {
+	forceGOMAXPROCS(t, 4)
+	for _, n := range []int{0, 1, 7, 100, 4096} {
+		var hits atomic.Int64
+		seen := make([]atomic.Bool, n)
+		ParallelFor(n, 4, func(i int) {
+			if seen[i].Swap(true) {
+				t.Errorf("n=%d: index %d visited twice", n, i)
+			}
+			hits.Add(1)
+		})
+		if hits.Load() != int64(n) {
+			t.Errorf("n=%d: %d hits", n, hits.Load())
+		}
+	}
+}
+
+// TestParallelForNBoundsWorkers: ParallelFor covers [0, n) once and never
+// runs more than its worker budget at a time, whatever GOMAXPROCS is.
+func TestParallelForNBoundsWorkers(t *testing.T) {
+	forceGOMAXPROCS(t, 8)
+	for _, workers := range []int{0, 1, 2, 3} {
+		var inflight, peak, hits atomic.Int64
+		ParallelFor(64, workers, func(int) {
+			n := inflight.Add(1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			runtime.Gosched()
+			hits.Add(1)
+			inflight.Add(-1)
+		})
+		if hits.Load() != 64 || peak.Load() > int64(max(workers, 1)) {
+			t.Errorf("workers=%d: %d hits, peak %d concurrent", workers, hits.Load(), peak.Load())
 		}
 	}
 }

@@ -1,12 +1,12 @@
 package strategy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // TestRunRangePartition: for every executor, summing the partial shares of
@@ -30,8 +30,8 @@ func TestRunRangePartition(t *testing.T) {
 	cuts := []int{0, 1, 97, 256, rows}
 
 	for _, s := range executors() {
-		t.Run(s.Name(), func(t *testing.T) {
-			var ctr gpu.Counters
+		t.Run(fmt.Sprintf("K=%d", s.K), func(t *testing.T) {
+			var ctr Counters
 			want, err := Run(s, prg, keys, tab.View(), &ctr)
 			if err != nil {
 				t.Fatal(err)
@@ -62,7 +62,7 @@ func TestRunRangePartition(t *testing.T) {
 // whole-group pruning could promise.
 func TestMemBoundRangeTrim(t *testing.T) {
 	prg := dpf.NewAESPRG()
-	m := MemBoundTree{Fused: true}
+	m := MemBoundTree{}
 	rng := rand.New(rand.NewSource(16))
 	for bits := 8; bits <= 14; bits++ {
 		rows, lanes := 1<<bits, 2
@@ -75,7 +75,7 @@ func TestMemBoundRangeTrim(t *testing.T) {
 			}
 			keys[q] = &k0
 		}
-		var ctr gpu.Counters
+		var ctr Counters
 		want, err := Run(m, prg, keys, tab.View(), &ctr)
 		if err != nil {
 			t.Fatal(err)
@@ -107,6 +107,34 @@ func TestMemBoundRangeTrim(t *testing.T) {
 	}
 }
 
+// TestHostCountersCountStreamedRows: the counters record host work, not a
+// modeled device. A whole-range pass of a 33-key batch (two tiles) over a
+// 3000-row table counts exactly the PRF blocks the walk computes — it stops
+// at row 3000, not at the padded 4096-row domain — and two tile passes over
+// the 3000 real rows; a partial range counts two passes over its own rows.
+func TestHostCountersCountStreamedRows(t *testing.T) {
+	const rows, lanes, batch = 3000, 3, 33
+	prg := dpf.NewAESPRG()
+	tab := buildTable(t, rows, lanes, 33)
+	keys, _, _ := genBatch(t, prg, tab, batch, 33)
+	early := keys[0].Early
+	for _, s := range executors() {
+		for _, r := range [][2]int{{0, rows}, {700, 2100}} {
+			var ctr Counters
+			if _, err := RunRange(s, prg, keys, tab.View(), r[0], r[1], &ctr); err != nil {
+				t.Fatal(err)
+			}
+			want := Stats{
+				PRFBlocks: batch * walkRangeBlocks(tab.Bits(), early, uint64(r[0]), uint64(r[1])),
+				ReadBytes: 2 * int64(r[1]-r[0]) * lanes * 4,
+			}
+			if got := ctr.Snapshot(); got != want {
+				t.Errorf("%s K=%d rows [%d,%d): counted %+v, want %+v", s.Name(), s.K, r[0], r[1], got, want)
+			}
+		}
+	}
+}
+
 // TestRunRangeValidation: bad ranges are rejected.
 func TestRunRangeValidation(t *testing.T) {
 	prg := dpf.NewAESPRG()
@@ -119,8 +147,8 @@ func TestRunRangeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []*dpf.Key{&k0}
-	s := MemBoundTree{K: 8, Fused: true}
-	var ctr gpu.Counters
+	s := MemBoundTree{K: 8}
+	var ctr Counters
 	for _, r := range [][2]int{{-1, 4}, {4, 4}, {8, 4}, {0, 17}} {
 		if _, err := RunRange(s, prg, keys, tab.View(), r[0], r[1], &ctr); err == nil {
 			t.Errorf("range [%d,%d) accepted", r[0], r[1])

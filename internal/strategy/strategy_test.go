@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
+	"gpudpf/internal/model"
 )
 
 // buildTable fills a table with deterministic pseudo-random content.
@@ -40,14 +40,9 @@ func genBatch(t *testing.T, prg dpf.PRG, tab *Table, batch int, seed int64) (k0s
 }
 
 // executors is the strategy-axis sweep of every execution test: the one
-// executed strategy at a narrow and the default frontier, fused and not.
+// executor at a narrow and the default frontier.
 func executors() []MemBoundTree {
-	return []MemBoundTree{
-		{K: 8, Fused: true},
-		{K: 8, Fused: false},
-		{K: 128, Fused: true},
-		{K: 128, Fused: false},
-	}
+	return []MemBoundTree{{K: 8}, {K: 128}}
 }
 
 // TestStrategiesReconstructRows: every executor must produce shares that
@@ -61,7 +56,7 @@ func TestStrategiesReconstructRows(t *testing.T) {
 		tab := buildTable(t, shape.rows, shape.lanes, int64(shape.rows))
 		k0s, k1s, idx := genBatch(t, prg, tab, 5, int64(shape.lanes))
 		for _, s := range executors() {
-			var c0, c1 gpu.Counters
+			var c0, c1 Counters
 			a0, err := Run(s, prg, k0s, tab.View(), &c0)
 			if err != nil {
 				t.Fatalf("%s rows=%d: %v", s.Name(), shape.rows, err)
@@ -85,26 +80,52 @@ func TestStrategiesReconstructRows(t *testing.T) {
 }
 
 // TestWorkOptimality pins the Figure 6 claims on the early-terminated tree
-// (§3.1): with G = L >> early terminal nodes, the tree traversals do 2G-2
-// blocks per query — a ~4× cut over the classic 2L-2 at the default
-// depth — and branch-parallel does G·(log L - early).
+// (§3.1): with G = L >> early terminal nodes, the executed memory-bounded
+// descent walks 2G-2 blocks per query at every depth — a ~4× cut over the
+// classic 2L-2 at the default depth — and, at the default depth the
+// models price, the tree traversals do 2G-2 and branch-parallel
+// G·(log L - early).
 func TestWorkOptimality(t *testing.T) {
-	const bits = 9
-	if e := modelEarly(bits); e != dpf.DefaultEarlyBits {
-		t.Fatalf("models price early=%d, want %d", e, dpf.DefaultEarlyBits)
-	}
+	const bits, batch = 9, 3
+	prg := dpf.NewAESPRG()
+	tab := buildTable(t, 1<<bits, 1, 9)
+	rng := rand.New(rand.NewSource(9))
 	for early := 0; early <= dpf.DefaultEarlyBits; early++ {
 		g := int64(1) << uint(bits-early)
+		keys := make([]*dpf.Key, batch)
+		for q := range keys {
+			k, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), bits, []uint32{1}, early, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys[q] = &k
+		}
+		for _, s := range executors() {
+			var ctr Counters
+			if _, err := Run(s, prg, keys, tab.View(), &ctr); err != nil {
+				t.Fatal(err)
+			}
+			if got := ctr.Snapshot().PRFBlocks; got != batch*(2*g-2) {
+				t.Errorf("%s K=%d early=%d: walked %d blocks, want %d", s.Name(), s.K, early, got, batch*(2*g-2))
+			}
+		}
+		if early != dpf.DefaultEarly(bits, 1) {
+			continue
+		}
 		for _, c := range []struct {
-			m    Modeler
+			m    model.Modeler
 			want int64
 		}{
-			{MemBoundTree{}, 2*g - 2},
-			{LevelByLevel{}, 2*g - 2},
-			{BranchParallel{}, g * int64(bits-early)},
+			{model.MemBound{}, 2*g - 2},
+			{model.LevelByLevel{}, 2*g - 2},
+			{model.BranchParallel{}, g * int64(bits-early)},
 		} {
-			if got := walkBlocks(c.m, bits, early); got != c.want {
-				t.Errorf("%s early=%d: %d blocks, want %d", c.m.Name(), early, got, c.want)
+			rep, err := c.m.Model(model.TeslaV100(), prg, bits, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.PRFBlocks != c.want {
+				t.Errorf("%s early=%d: %d blocks, want %d", c.m.Name(), early, rep.PRFBlocks, c.want)
 			}
 		}
 	}
@@ -125,7 +146,7 @@ func TestMixedDepthBatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ctr gpu.Counters
+	var ctr Counters
 	for _, s := range executors() {
 		if _, err := Run(s, prg, []*dpf.Key{&full, &early}, tab.View(), &ctr); err == nil {
 			t.Errorf("%s: mixed-depth batch accepted", s.Name())
@@ -133,15 +154,19 @@ func TestMixedDepthBatchRejected(t *testing.T) {
 	}
 }
 
+// The tests from here on pin package model's §3.2 models; like
+// calibration_test.go and multigpu_test.go they keep this package's path
+// so their names stay stable while internal/gpu's aliases remain.
+
 // TestMemoryOrdering pins the Figure 6 memory claim: for a large modeled
 // shape, membound << level-by-level, and membound grows logarithmically
 // with L while level-by-level grows linearly.
 func TestMemoryOrdering(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	const batch = 32
-	mb := MemBoundTree{K: 128, Fused: true}
-	lvl := LevelByLevel{}
+	mb := model.MemBound{K: 128, Fused: true}
+	lvl := model.LevelByLevel{}
 	var prevMB, prevLvl int64
 	for _, bits := range []int{14, 16, 18, 20} {
 		rm, err := mb.Model(dev, prg, bits, batch, 64)
@@ -175,15 +200,15 @@ func TestMemoryOrdering(t *testing.T) {
 // TestLevelByLevelOOM: at paper scale, level-by-level must hit device OOM at
 // batch sizes membound handles easily (the Figure 13 cliff).
 func TestLevelByLevelOOM(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	const bits = 22 // 4M rows
 	// Early termination cut level-by-level's node frontier 4×, so the OOM
 	// cliff moved out by roughly that factor — batch 512 is past it.
-	if _, err := (LevelByLevel{}).Model(dev, prg, bits, 512, 64); err == nil {
+	if _, err := (model.LevelByLevel{}).Model(dev, prg, bits, 512, 64); err == nil {
 		t.Error("level-by-level at 4M×batch512 should exceed 16GB")
 	}
-	if _, err := (MemBoundTree{K: 128, Fused: true}).Model(dev, prg, bits, 512, 64); err != nil {
+	if _, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 512, 64); err != nil {
 		t.Errorf("membound at same shape should fit: %v", err)
 	}
 }
@@ -191,15 +216,15 @@ func TestLevelByLevelOOM(t *testing.T) {
 // TestFusionImprovesModel: fusing must not hurt modeled latency, and must
 // help clearly at large entry sizes (Figure 14).
 func TestFusionImprovesModel(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	const bits = 20
 	for _, lanes := range []int{16, 64, 256, 1024} {
-		rf, err := (MemBoundTree{K: 128, Fused: true}).Model(dev, prg, bits, 32, lanes)
+		rf, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 32, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ru, err := (MemBoundTree{K: 128, Fused: false}).Model(dev, prg, bits, 32, lanes)
+		ru, err := (model.MemBound{K: 128, Fused: false}).Model(dev, prg, bits, 32, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,9 +238,9 @@ func TestFusionImprovesModel(t *testing.T) {
 // high utilization only on very large tables; batched membound wins small
 // tables.
 func TestCoopVsBatchedUtilization(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	coop := CoopGroups{}
+	coop := model.CoopGroups{}
 	small, err := coop.Model(dev, prg, 14, 1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -239,14 +264,14 @@ func TestCoopVsBatchedUtilization(t *testing.T) {
 // single-query latency beats batched execution's batch latency without
 // giving up much throughput.
 func TestCoopImprovesLargeTableLatency(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
 	const bits = 23
-	batched, err := TuneBatch(dev, MemBoundTree{K: 128, Fused: true}, prg, bits, 64, 0)
+	batched, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, bits, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coop, err := (CoopGroups{}).Model(dev, prg, bits, 1, 64)
+	coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,19 +285,19 @@ func TestCoopImprovesLargeTableLatency(t *testing.T) {
 
 // TestSchedule pins the 2^22 threshold.
 func TestSchedule(t *testing.T) {
-	if Schedule(21).Name() != "membound-fused" {
+	if model.Schedule(21).Name() != "membound-fused" {
 		t.Error("below threshold should pick membound-fused")
 	}
-	if Schedule(22).Name() != "coop-groups" {
+	if model.Schedule(22).Name() != "coop-groups" {
 		t.Error("at threshold should pick coop-groups")
 	}
 }
 
 // TestBatchingIncreasesUtilization pins Figure 9a.
 func TestBatchingIncreasesUtilization(t *testing.T) {
-	dev := gpu.TeslaV100()
+	dev := model.TeslaV100()
 	prg := dpf.NewAESPRG()
-	mb := MemBoundTree{K: 128, Fused: true}
+	mb := model.MemBound{K: 128, Fused: true}
 	prev := -1.0
 	for _, b := range []int{1, 4, 16, 64} {
 		r, err := mb.Model(dev, prg, 20, b, 64)

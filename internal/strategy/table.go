@@ -1,35 +1,25 @@
-// Package strategy implements the paper's DPF execution strategies
-// (§3.2): branch-parallel, level-by-level, memory-bounded tree traversal
-// with and without operator fusion, cooperative-groups scheduling for very
-// large tables, the multi-GPU split, and the CPU baseline.
+// Package strategy is the host executor of the paper's DPF-PIR answer
+// (§3.1, §3.2): it evaluates a batch of DPF keys against a row range of a
+// table and adds each key's secret share of the dot product into
+// caller-provided buffers.
 //
-// A Strategy is one execution method and its analytic model:
-//
-//   - RunRangeInto really evaluates a batch of DPF keys against a row
-//     range of a TableView on the host, adding correct secret shares into
-//     caller-provided buffers while counting PRF blocks, modeled
-//     device-memory allocations and global-memory traffic into a
-//     gpu.Counters. The free functions Run and RunRange are the
-//     allocate-then-call forms (whole table, row range) for tests,
-//     benchmarks and experiments; the serving path calls RunRangeInto.
-//   - Model produces the same counts analytically and converts them into
-//     modeled device latency/throughput/utilization via the gpu cost model.
-//
-// The strategies differ in how they expand the DPF tree; what follows the
-// expansion is stated once (tiles.go): runTiles cuts the batch into tiles
-// of at most 32 queries, expands each tile's keys into a pooled leaf
-// matrix through the strategy's expander, streams the row range once per
+// MemBoundTree is the one executor, the paper's memory-bounded traversal
+// (§3.2.3). Its descent (expandMemBound) feeds one tile loop (tiles.go):
+// runTiles cuts the batch into tiles of at most 32 queries, expands each
+// tile's keys into a pooled leaf matrix, streams the row range once per
 // tile through the kernel-dispatched accumulate, and decides how the tile
 // uses the cores — per-query fan-out of the expansion, row-block fan-out
 // of the stream, the next tile's expansion overlapped with this tile's
-// stream. LevelByLevel, CPUBaseline, MemBoundTree and MultiGPU supply an
-// expander plus their counter accounting; BranchParallel (a path per
-// leaf) and CoopGroups (one query owns the device) keep their own bodies.
+// stream. The table arrives as a TableView, so the same loop serves
+// in-RAM, written and paged tables. The free functions Run and RunRange
+// are the allocate-then-call forms for tests and benchmarks; the serving
+// path calls RunRangeInto.
 //
-// Tests pin the whole-table run's counted totals to Model's analytic
-// totals, so the experiment harness can use Model at paper scale (tables
-// of 2^24+ entries) without hours of host compute, while correctness and
-// the count formulas are validated by real execution at smaller scale.
+// Counters record host work only: the PRF blocks the walk computes and the
+// table bytes the tile passes stream. The paper's GPU strategies, their
+// device cost models and the §3.2.5 scheduler are package model, which
+// prices the same traversal analytically and which the serving binaries
+// do not link.
 package strategy
 
 import (

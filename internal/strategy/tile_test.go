@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // This file guards the tiled/batched hot path: every executor × PRF must
@@ -65,7 +64,7 @@ func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 			}
 			want := scalarReference(t, prg, keys, tab)
 			for _, s := range executors() {
-				var ctr gpu.Counters
+				var ctr Counters
 				got, err := Run(s, prg, keys, tab.View(), &ctr)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name(), err)
@@ -127,7 +126,7 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 			v20, v21 := split(v2)
 			refV2 := scalarReference(t, prg, v20, tab)
 			for _, s := range executors() {
-				var ctr gpu.Counters
+				var ctr Counters
 				run := func(keys []*dpf.Key) [][]uint32 {
 					got, err := Run(s, prg, keys, tab.View(), &ctr)
 					if err != nil {
@@ -174,7 +173,7 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 		keys[q] = &k0
 	}
 	for _, s := range executors() {
-		var ctr gpu.Counters
+		var ctr Counters
 		want, err := Run(s, prg, keys, tab.View(), &ctr)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +214,7 @@ func TestRunRangeIntoAccumulates(t *testing.T) {
 	}
 	keys := []*dpf.Key{&k0}
 	for _, s := range executors() {
-		var ctr gpu.Counters
+		var ctr Counters
 		want, err := RunRange(s, prg, keys, tab.View(), 0, rows, &ctr)
 		if err != nil {
 			t.Fatal(err)
@@ -244,8 +243,8 @@ func TestRunRangeIntoValidatesDst(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []*dpf.Key{&k0}
-	s := MemBoundTree{K: 8, Fused: true}
-	var ctr gpu.Counters
+	s := MemBoundTree{K: 8}
+	var ctr Counters
 	if err := s.RunRangeInto(prg, keys, tab.View(), 0, 16, &ctr, nil); err == nil {
 		t.Error("nil dst accepted")
 	}

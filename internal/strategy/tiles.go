@@ -4,14 +4,13 @@ import (
 	"sync"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // This file is the leaf-matrix tile pipeline: a tile of at most
 // tileQueries queries' leaf shares (each key's memory-bounded descent,
 // expandMemBound) multiplied against the table in one streaming pass
-// (§3.1, §3.2.4). MemBoundTree.RunRangeInto hands runTiles a row range
-// and keeps only its modeled counter accounting. How many cores a tile
+// (§3.1, §3.2.4). MemBoundTree.RunRangeInto hands runTiles a row range.
+// How many cores a tile
 // uses (expansion fanned out per query and, for a tile narrower than the
 // budget, per leaf sub-range; the workers of the table pass; the next
 // tile's expansion overlapped with this tile's stream) is decided here and
@@ -31,7 +30,7 @@ type tileJob struct {
 	// workers of each tile's table pass, and (with a second tile) the
 	// expand/stream overlap.
 	workers int
-	ctr     *gpu.Counters
+	ctr     *Counters
 }
 
 // tileRun is one runTiles call's state and its two leaf matrices. It is
@@ -58,7 +57,8 @@ var tileRunPool = sync.Pool{New: func() any { return new(tileRun) }}
 // tile still accumulates into its own dst slice, so answers are
 // bit-identical whatever the budget. Expansion cannot fail; the first
 // error of the view's ends the batch: no later tile is expanded or
-// streamed. Callers have validated keys, range and dst (validateRun).
+// streamed. Each tile pass that completes adds the range's table bytes to
+// ctr. Callers have validated keys, range and dst (validateRun).
 func runTiles(job tileJob, dst [][]uint32) error {
 	r := tileRunPool.Get().(*tileRun)
 	r.tileJob, r.bits = job, dpf.DomainBits(job.v.Rows())
@@ -81,7 +81,9 @@ func runTiles(job tileJob, dst [][]uint32) error {
 			r.wg.Add(1)
 			go r.expandNext(keys[te:nte], nxt)
 		}
-		err = accumulateTile(r.v, int(r.lo), int(r.hi), cur.rows, dst[t:te], r.workers)
+		if err = accumulateTile(r.v, int(r.lo), int(r.hi), cur.rows, dst[t:te], r.workers); err == nil {
+			r.ctr.AddRead(int64(width) * int64(r.v.Lanes()) * 4)
+		}
 		// The in-flight expansion writes nxt and ctr: join it before
 		// touching either, or returning past it.
 		r.wg.Wait()
@@ -110,7 +112,7 @@ func (r *tileRun) expandTile(tile []*dpf.Key, lt *leafTile) {
 		}
 		return
 	}
-	gpu.ParallelForN(len(tile)*parts, r.workers, func(t int) {
+	ParallelFor(len(tile)*parts, r.workers, func(t int) {
 		q, p := t/parts, t%parts
 		lo, hi := r.cut(tile[q], p, parts), r.cut(tile[q], p+1, parts)
 		expandMemBound(r, tile[q], lo, hi, lt.rows[q][lo-r.lo:hi-r.lo])

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"gpudpf/internal/dpf"
-	"gpudpf/internal/gpu"
 )
 
 // errFragmented is fragView's RowRange refusal — it forces every consumer
@@ -54,7 +53,7 @@ func (f fragView) Pass(lo, hi, workers int, fn func(int, Chunk) error) error {
 	n := len(bounds) - 1
 	var next atomic.Int64
 	errs := make([]error, max(1, workers))
-	gpu.ParallelForN(len(errs), len(errs), func(w int) {
+	ParallelFor(len(errs), len(errs), func(w int) {
 		for errs[w] == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -116,7 +115,7 @@ func TestChunkedViewEquivalence(t *testing.T) {
 			for _, s := range executors() {
 				for _, r := range ranges {
 					lo, hi := r[0], r[1]
-					var ctr gpu.Counters
+					var ctr Counters
 					want := NewAnswers(len(keys), lanes)
 					if err := s.RunRangeInto(prg, keys, tab.View(), lo, hi, &ctr, want); err != nil {
 						t.Fatalf("%s contiguous [%d,%d): %v", s.Name(), lo, hi, err)
