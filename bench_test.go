@@ -184,7 +184,6 @@ func BenchmarkFig3Eval(b *testing.B) {
 // 2^20 rows). Only MemBoundTree executes; the benchmarks below run it.
 func BenchmarkFig6Strategies(b *testing.B) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	for _, s := range []model.Modeler{
 		model.BranchParallel{},
 		model.LevelByLevel{},
@@ -193,7 +192,7 @@ func BenchmarkFig6Strategies(b *testing.B) {
 	} {
 		b.Run(s.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Model(dev, prg, 20, 32, 64); err != nil {
+				if _, err := s.Model(dev, model.AES128, 20, 32, 64); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -224,7 +223,7 @@ func BenchmarkFig8KSweep(b *testing.B) {
 // BenchmarkFig9Batch measures batched execution across batch sizes
 // (Figure 9a).
 func BenchmarkFig9Batch(b *testing.B) {
-	prg := dpf.NewSipPRG() // fastest PRF keeps the sweep affordable
+	prg := dpf.NewAESPRG()
 	tab := benchTable(b, 4096, 16)
 	for _, batch := range []int{1, 4, 16} {
 		keys := benchKeys(b, prg, tab, batch)
@@ -245,10 +244,9 @@ func BenchmarkFig9Batch(b *testing.B) {
 // Figure 13 frontier is drawn from.
 func BenchmarkFig13Model(b *testing.B) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	s := model.MemBound{K: 128, Fused: true}
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Model(dev, prg, 20, 64, 64); err != nil {
+		if _, err := s.Model(dev, model.AES128, 20, 64, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,27 +268,6 @@ func BenchmarkTable4CPU(b *testing.B) {
 				if _, err := strategy.Run(s, prg, keys, tab.View(), &ctr); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkTable5PRFs measures raw PRG expansion throughput per PRF
-// (Table 5's real-code analogue; the modeled GPU numbers use the per-PRF
-// cycle constants).
-func BenchmarkTable5PRFs(b *testing.B) {
-	for _, name := range dpf.AllPRGNames() {
-		prg, err := dpf.NewPRG(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			var s dpf.Seed
-			b.ReportAllocs()
-			b.SetBytes(32)
-			for i := 0; i < b.N; i++ {
-				l, _, _, _ := prg.Expand(s)
-				s = l
 			}
 		})
 	}
@@ -424,16 +401,16 @@ func BenchmarkFig20BatchPIR(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s0, err := batchpir.NewServer(0, tabP, cfg, pir.WithPRG("siphash"))
+	s0, err := batchpir.NewServer(0, tabP, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s1, err := batchpir.NewServer(1, tabP, cfg, pir.WithPRG("siphash"))
+	s1, err := batchpir.NewServer(1, tabP, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := randv2.New(randv2.NewPCG(9, 0))
-	c, err := pir.NewClient("siphash", cfg.BinSize, pir.InsecureSeeded(rng))
+	c, err := pir.NewClient("aes128", cfg.BinSize, pir.InsecureSeeded(rng))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Command gpudpf is a CLI for the DPF core: generate key pairs, expand
-// them, and report modeled execution profiles for the paper's GPU
-// strategies.
+// Command gpudpf is a CLI for the DPF core: generate aes128 key pairs,
+// expand them, and report modeled execution profiles for the paper's GPU
+// strategies under any of Table 5's PRFs (bench only models; it computes
+// no PRF).
 //
 //	gpudpf gen -bits 20 -index 1234 -out0 k0.bin -out1 k1.bin
 //	gpudpf eval -key k0.bin -at 1234
@@ -44,23 +45,18 @@ func cmdGen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	bits := fs.Int("bits", 20, "tree depth (domain 2^bits)")
 	index := fs.Uint64("index", 0, "secret index alpha")
-	prgName := fs.String("prg", "aes128", "PRF")
 	early := fs.Int("early", dpf.DefaultEarlyBits, "early-termination depth (0 = legacy full-depth wire-v1 keys)")
 	out0 := fs.String("out0", "key0.bin", "party-0 key file")
 	out1 := fs.String("out1", "key1.bin", "party-1 key file")
 	fs.Parse(args)
 
-	prg, err := dpf.NewPRG(*prgName)
-	if err != nil {
-		log.Fatalf("gpudpf gen: %v", err)
-	}
 	// Clamp the default depth for tiny trees like the protocol clients do,
 	// so `gen -bits 2` keeps working; an explicitly requested depth that
 	// does not fit still errors.
 	if *early == dpf.DefaultEarlyBits {
 		*early = dpf.ClampEarly(*early, *bits)
 	}
-	k0, k1, err := dpf.GenEarly(prg, *index, *bits, []uint32{1}, *early, rand.Reader)
+	k0, k1, err := dpf.GenEarly(dpf.NewAESPRG(), *index, *bits, []uint32{1}, *early, rand.Reader)
 	if err != nil {
 		log.Fatalf("gpudpf gen: %v", err)
 	}
@@ -77,14 +73,13 @@ func cmdGen(args []string) {
 		}
 	}
 	fmt.Printf("wrote %s and %s (%d bytes each, wire v%d, domain 2^%d, prg %s)\n",
-		*out0, *out1, len(raw), dpf.WireVersion(raw), *bits, *prgName)
+		*out0, *out1, len(raw), dpf.WireVersion(raw), *bits, dpf.PRGName)
 }
 
 func cmdEval(args []string) {
 	fs := flag.NewFlagSet("eval", flag.ExitOnError)
 	keyPath := fs.String("key", "key0.bin", "key file")
 	at := fs.Uint64("at", 0, "evaluation index")
-	prgName := fs.String("prg", "aes128", "PRF")
 	fs.Parse(args)
 
 	raw, err := os.ReadFile(*keyPath)
@@ -95,12 +90,8 @@ func cmdEval(args []string) {
 	if err := k.UnmarshalBinary(raw); err != nil {
 		log.Fatalf("gpudpf eval: %v", err)
 	}
-	prg, err := dpf.NewPRG(*prgName)
-	if err != nil {
-		log.Fatalf("gpudpf eval: %v", err)
-	}
 	start := time.Now()
-	v, err := dpf.EvalAt(prg, &k, *at)
+	v, err := dpf.EvalAt(dpf.NewAESPRG(), &k, *at)
 	if err != nil {
 		log.Fatalf("gpudpf eval: %v", err)
 	}
@@ -113,11 +104,11 @@ func cmdBench(args []string) {
 	bits := fs.Int("bits", 20, "tree depth")
 	batch := fs.Int("batch", 64, "batch size")
 	lanes := fs.Int("lanes", 64, "entry lanes (bytes/4)")
-	prgName := fs.String("prg", "aes128", "PRF")
+	prfName := fs.String("prg", model.AES128.Name, "modeled PRF: aes128, sha256, chacha20, siphash, highway (Table 5)")
 	stratName := fs.String("strategy", "membound", "branch | level | membound | coop | cpu1 | cpu32 (modeled on a V100; cpu* on a Xeon Gold 6230)")
 	fs.Parse(args)
 
-	prg, err := dpf.NewPRG(*prgName)
+	prf, err := model.LookupPRF(*prfName)
 	if err != nil {
 		log.Fatalf("gpudpf bench: %v", err)
 	}
@@ -133,7 +124,7 @@ func cmdBench(args []string) {
 	if !ok {
 		log.Fatalf("gpudpf bench: unknown strategy %q", *stratName)
 	}
-	rep, err := s.Model(model.TeslaV100(), prg, *bits, *batch, *lanes)
+	rep, err := s.Model(model.TeslaV100(), prf, *bits, *batch, *lanes)
 	if err != nil {
 		log.Fatalf("gpudpf bench: %v", err)
 	}

@@ -27,11 +27,10 @@
 //
 //	pirserver -party 0 -shardnode 0/2 -addr :7800 -rows 1048576 -seed 42
 //	pirserver -party 0 -shardnode 1/2 -addr :7801 -rows 1048576 -seed 42
-//	pirserver -party 0 -cluster host0:7800,host1:7801 -addr :7700 -rows 1048576
+//	pirserver -party 0 -group host0:7800,host1:7801 -addr :7700 -rows 1048576
 //
-// -group generalizes -cluster to N-member replica groups: commas still
-// separate shards, pipes separate the members of one shard's group. The
-// front load-balances answer batches across each group's healthy members,
+// -group lists each shard's replica group: commas separate shards, pipes
+// separate the members of one shard's group. The front load-balances answer batches across each group's healthy members,
 // retries a failed member's batch on the next — answers stay bit-identical
 // because the epoch handshake keeps every member on the same table
 // version — and quarantines members that miss an epoch until they are
@@ -47,7 +46,9 @@
 //
 //	pirserver -party 0 -shardnode 0/2 -join host0:7800 -addr :7802 -rows 1048576 -seed 42
 //
-// The hello pins the wire version, PRF (name and construction),
+// Every instance computes one PRF, aes128 (the fixed-key AES hash in
+// internal/dpf); there is no PRF flag. The hello pins the wire version,
+// PRF (name and construction),
 // early-termination depth, party and row count (and the welcome states the
 // table epoch), so a misconfigured node — or a pirclient — is refused at
 // dial time with both values named instead of corrupting shares at merge
@@ -95,14 +96,12 @@ type config struct {
 	addr        string
 	rows, lanes int
 	seed        int64
-	prg         string
 	early       int
 	batch       int
 	maxDelay    time.Duration
 	maxQueue    int
 	slo         time.Duration
 	shardNode   string
-	cluster     string
 	group       string
 	join        string
 	refresh     time.Duration
@@ -118,15 +117,13 @@ func main() {
 	flag.IntVar(&cfg.rows, "rows", 65536, "table rows")
 	flag.IntVar(&cfg.lanes, "lanes", 32, "uint32 lanes per row (entry bytes / 4)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
-	flag.StringVar(&cfg.prg, "prg", "aes128", "PRF (checked at dial): aes128, chacha20, siphash, highway, sha256")
 	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth clients' keys carry, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	flag.IntVar(&cfg.batch, "batch", 64, "max keys per formed batch (0 disables the batching front door)")
 	flag.DurationVar(&cfg.maxDelay, "maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 	flag.IntVar(&cfg.maxQueue, "maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
 	flag.DurationVar(&cfg.slo, "slo", 0, "latency SLO for adaptive batching: the front door re-tunes -batch/-maxdelay against the measured arrival rate to stay inside it (0 = static policy)")
 	flag.StringVar(&cfg.shardNode, "shardnode", "", "serve one shard of the row domain over the shardnet protocol instead of the client protocol; format i/n = rows [i·rows/n,(i+1)·rows/n)")
-	flag.StringVar(&cfg.cluster, "cluster", "", "comma-separated shardnet node addresses; front a distributed replica over them instead of a local table")
-	flag.StringVar(&cfg.group, "group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"); generalizes -cluster to N load-balanced members")
+	flag.StringVar(&cfg.group, "group", "", "replica groups per shard: comma-separated shards, each a |-separated list of member node addresses (e.g. \"a|b|c,d|e\"; \"a,b\" is one member per shard); front a distributed replica over them instead of a local table")
 	flag.StringVar(&cfg.join, "join", "", "shard-node only: pull the current table snapshot from this healthy same-shard peer (host:port) over shardnet before serving, so a restarted member rejoins at the cluster's epoch")
 	flag.DurationVar(&cfg.refresh, "refresh", 0, "rewrite a deterministic batch of rows this often (0 = off) — the transparent update path; both parties must use the same -refresh, -refreshrows and -seed")
 	flag.IntVar(&cfg.refreshRows, "refreshrows", 64, "rows per refresh batch (one table epoch per batch; on a cluster front, one epoch handshake)")
@@ -134,12 +131,9 @@ func main() {
 	flag.Int64Var(&cfg.pageCache, "pagecache", store.DefaultPageCacheBytes, "page-cache byte budget for -table-file; tables larger than this are paged off disk on demand")
 	flag.Parse()
 
-	front := cfg.cluster != "" || cfg.group != ""
+	front := cfg.group != ""
 	if cfg.shardNode != "" && front {
-		log.Fatal("pirserver: -shardnode and -cluster/-group are mutually exclusive")
-	}
-	if cfg.group != "" && cfg.cluster != "" {
-		log.Fatal("pirserver: -group replaces -cluster; use one addressing form or the other")
+		log.Fatal("pirserver: -shardnode and -group are mutually exclusive")
 	}
 	if cfg.join != "" && cfg.shardNode == "" {
 		log.Fatal("pirserver: -join belongs on a shard node (-shardnode)")
@@ -169,7 +163,7 @@ func main() {
 	}
 }
 
-// parseGroups resolves a cluster front's -group (or -cluster) list into
+// parseGroups resolves a cluster front's -group list into
 // one member-address list per shard: commas separate shards, pipes separate
 // one shard's replica-group members ("a|b|c,d|e").
 func parseGroups(spec string) (groups [][]string, err error) {
@@ -211,7 +205,7 @@ func notifyShutdown(l net.Listener) chan os.Signal {
 // bounded page cache: same wire behavior, out-of-core memory profile.
 // closeStore releases the table file (a no-op in RAM).
 func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()) {
-	opts := []pir.ServerOption{pir.WithPRG(cfg.prg), pir.WithEarly(cfg.early)}
+	opts := []pir.ServerOption{pir.WithEarly(cfg.early)}
 	var err error
 	if cfg.tableFile == "" {
 		var tab *pir.Table
@@ -276,7 +270,7 @@ func runSingle(cfg config) {
 	rep, closeStore := openReplica(cfg, 0, cfg.rows)
 	defer closeStore()
 	serveClients(cfg, rep, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
-		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits()))
+		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits()))
 	log.Printf("pirserver: shutdown complete")
 }
 
@@ -312,7 +306,7 @@ func runShardNode(cfg config) {
 		log.Fatalf("pirserver: %v", err)
 	}
 	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d)",
-		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), cfg.prg, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
+		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
 	sig := notifyShutdown(l)
 	if err := node.Serve(l); err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -330,7 +324,7 @@ func runShardNode(cfg config) {
 // behind after a bounded number of rounds simply starts quarantined until
 // the front heals it, so best effort is safe.
 func joinFromPeer(cfg config, rep *engine.Replica, lo, hi int) error {
-	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: cfg.prg, Early: rep.EarlyBits(), Party: cfg.party, Rows: cfg.rows})
+	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: dpf.PRGName, Early: rep.EarlyBits(), Party: cfg.party, Rows: cfg.rows})
 	if err != nil {
 		return err
 	}
@@ -361,12 +355,11 @@ func joinFromPeer(cfg config, rep *engine.Replica, lo, hi int) error {
 // out as pruned-range evaluations load-balanced across each shard's
 // replica-group members, and merges the partial shares.
 func runClusterFront(cfg config) {
-	spec := cfg.cluster + cfg.group // -cluster a,b is -group a,b: one member per shard
-	groups, err := parseGroups(spec)
+	groups, err := parseGroups(cfg.group)
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	pin := shardnet.Options{PRG: cfg.prg, Early: dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows)), Party: cfg.party, Rows: cfg.rows}
+	pin := shardnet.Options{PRG: dpf.PRGName, Early: dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows)), Party: cfg.party, Rows: cfg.rows}
 	shardsCfg := make([]engine.ClusterShard, len(groups))
 	total := 0
 	for i, members := range groups {
@@ -397,9 +390,9 @@ func runClusterFront(cfg config) {
 		log.Printf("pirserver: clamping -batch %d to %d (shard nodes' request/response frame caps at %d lanes)", cfg.batch, maxBatch, lanes)
 		cfg.batch = maxBatch
 	}
-	serveClients(cfg, cluster, clusterDesc{cluster, cfg.prg, cfg.party},
-		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, spec, cfg.rows, lanes*4),
-		fmt.Sprintf("prg=%s early=%d", cfg.prg, cluster.EarlyBits()))
+	serveClients(cfg, cluster, clusterDesc{cluster, cfg.party},
+		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, cfg.group, cfg.rows, lanes*4),
+		fmt.Sprintf("prg=%s early=%d", dpf.PRGName, cluster.EarlyBits()))
 	cluster.Close()
 	log.Printf("pirserver: shutdown complete")
 }
@@ -408,11 +401,10 @@ func runClusterFront(cfg config) {
 // PRF and party every member was pinned to at dial.
 type clusterDesc struct {
 	*engine.Cluster
-	prg   string
 	party int
 }
 
-func (d clusterDesc) PRGName() string { return d.prg }
+func (d clusterDesc) PRGName() string { return dpf.PRGName }
 func (d clusterDesc) Party() int      { return d.party }
 
 // startRefresher drives the transparent update path: every -refresh, the

@@ -29,14 +29,16 @@
 //     BGI's λ+2 bits per level: a one-byte lane count and the two control
 //     bits of every level packed four levels to a byte after the seeds
 //     (266 bytes on a 2^16-row table, where v2 spent 279). All three
-//     unmarshal, evaluate and re-marshal to their own bytes (golden
-//     fixtures per PRF pin each layout in CI), and each parses only in
+//     unmarshal, evaluate and re-marshal to their own bytes (golden aes128
+//     fixtures pin each layout in CI), and each parses only in
 //     its canonical form. Gen's keys marshal as v3, which servers serve:
 //     a v2 key is refused by name, and so is a full-depth one wherever
 //     the tree is deep enough to terminate early. The PRG layer is
-//     batched: every PRF implements ExpandBatch, and StepBothBatch /
+//     batched: the PRF implements ExpandBatch, and StepBothBatch /
 //     LeafValuesInto advance a whole tree frontier per call with zero
-//     steady-state allocations. aes128 is fixed-key AES: the MMO^σ hash
+//     steady-state allocations. The one PRF this build computes, and so
+//     the one a server serves (dpf.NewPRG refuses every other name, by
+//     name), is aes128, fixed-key AES: the MMO^σ hash
 //     of Guo et al. (S&P 2020), G(s) = (π_L(σ(s)) ⊕ σ(s), π_R(σ(s)) ⊕
 //     σ(s)) with σ(x_hi‖x_lo) = (x_hi ⊕ x_lo)‖x_hi and π_L, π_R AES-128
 //     under two public keys derived from SHA-256 of fixed labels, whose
@@ -73,7 +75,10 @@
 //     MemBound{K, Fused}, cooperative groups, multi-GPU, CPU baseline):
 //     each is a Modeler (Name, Model) that the figures, the co-design
 //     search and the modeled §3.2.5 scheduler (model.Schedule) price on
-//     the V100 model; a test-only walker pins every Model's PRF-block
+//     the V100 model, under a PRF entry of model.PRFs (Table 5's five
+//     PRFs as {GPU, CPU} cycles-per-block constants — aes128's is
+//     model.AES128; the other four exist only there); a test-only walker
+//     pins every Model's PRF-block
 //     count to the nodes its traversal expands, and MemBound's counts to
 //     what the executor records where both count the same work.
 //   - internal/strategy is the host executor. MemBoundTree{K, Workers} is
@@ -157,7 +162,7 @@
 //     double-buffered pooled leaf scratch. The walk stops at the table's
 //     last row; the padded domain past it is never expanded. All of it is
 //     bit-identical to the sequential pass for every worker count,
-//     frontier width, fusion setting, PRF and fragmented view
+//     frontier width, fusion setting and fragmented view
 //     (property-tested on both CI kernel legs).
 //   - internal/store owns the serving table: an epoch-versioned Store
 //     whose snapshots are chunk-iterable views. Readers pin an
@@ -265,8 +270,9 @@
 //     hello is a fixed binary frame (no gob on the wire) pinning the
 //     protocol version (6: the one-width key batch, key wire v3 and a
 //     counters response of the two host counters), the PRF by name and
-//     by construction ID (a dpf constant per PRF, so a new function under
-//     an old name is refused),
+//     by construction ID (dpf.ConstructionAES128: a peer built with
+//     another PRF, or another function under this one's name, is
+//     refused),
 //     the early-termination depth, the party and the row count — a
 //     refusal names both sides' values — and the welcome states the
 //     lanes, the rows the node holds and its table epoch. Answer-range
@@ -324,11 +330,11 @@
 //     it (and load-tests it with -repeat). With -shardnode i/n an
 //     instance serves rows [i·rows/n, (i+1)·rows/n) over the shardnet
 //     protocol (building, and paging in, only its own slice of the
-//     deterministic table); with -cluster addr,... an instance holds no
-//     rows and fronts a distributed replica over those nodes behind the
-//     unchanged client protocol; -group generalizes it to N-member
-//     replica groups (members separated by |, shards by comma) for
-//     transparent mid-batch failover. A shard node started with
+//     deterministic table); with -group an instance holds no rows and
+//     fronts a distributed replica over those nodes behind the unchanged
+//     client protocol: shards separated by commas, each a replica group
+//     of one or more members separated by | ("a,b" is one member per
+//     shard), for transparent mid-batch failover. A shard node started with
 //     -join peer pulls the peer's current snapshot over the v3 RPCs
 //     before serving, so a replaced member catches up to the cluster's
 //     epoch instead of rejoining stale.

@@ -51,17 +51,17 @@ func main() {
 		}
 	}
 
-	// Client and servers must agree on the PRF; ChaCha20 is the paper's
-	// recommended standard-strength choice for GPU servers.
-	client, err := pir.NewClient("chacha20", table.NumRows, nil)
+	// Client and servers agree on the PRF: aes128, the one the servers
+	// compute.
+	client, err := pir.NewClient("aes128", table.NumRows, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s0, err := pir.NewServer(0, table, pir.WithPRG("chacha20"))
+	s0, err := pir.NewServer(0, table)
 	if err != nil {
 		log.Fatal(err)
 	}
-	s1, err := pir.NewServer(1, table, pir.WithPRG("chacha20"))
+	s1, err := pir.NewServer(1, table)
 	if err != nil {
 		log.Fatal(err)
 	}

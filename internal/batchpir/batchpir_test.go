@@ -23,17 +23,17 @@ func testTable(t *testing.T, rows, lanes int) *pir.Table {
 
 // twoServer puts both parties' bin servers over tab behind one
 // pir.TwoServer whose client draws its keys from rng.
-func twoServer(t *testing.T, prg string, tab *pir.Table, cfg Config, rng *rand.Rand) *pir.TwoServer {
+func twoServer(t *testing.T, tab *pir.Table, cfg Config, rng *rand.Rand) *pir.TwoServer {
 	t.Helper()
-	s0, err := NewServer(0, tab, cfg, pir.WithPRG(prg))
+	s0, err := NewServer(0, tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewServer(1, tab, cfg, pir.WithPRG(prg))
+	s1, err := NewServer(1, tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := pir.NewClient(prg, cfg.BinSize, pir.InsecureSeeded(rng))
+	c, err := pir.NewClient("aes128", cfg.BinSize, pir.InsecureSeeded(rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestEndToEnd(t *testing.T) {
 		cfg := Config{NumRows: shape.rows, BinSize: shape.binSize}
 		tab := testTable(t, shape.rows, 3)
 		rng := rand.New(rand.NewPCG(3, 0))
-		ts := twoServer(t, "aes128", tab, cfg, rng)
+		ts := twoServer(t, tab, cfg, rng)
 		want := []uint64{0, uint64(shape.rows) - 1, uint64(shape.rows) / 2}
 		rows, plan, stats, err := fetch(ts, cfg, want, rng)
 		if err != nil {
@@ -247,7 +247,7 @@ func TestQuickDecodeMatchesTable(t *testing.T) {
 	cfg := Config{NumRows: 128, BinSize: 32}
 	tab := testTable(t, cfg.NumRows, 2)
 	rng := rand.New(rand.NewPCG(5, 0))
-	ts := twoServer(t, "siphash", tab, cfg, rng)
+	ts := twoServer(t, tab, cfg, rng)
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gpudpf/internal/data"
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/model"
 )
 
@@ -313,7 +312,7 @@ func TestSearchFindsCodesignWin(t *testing.T) {
 		Items: 256, Dim: 2,
 		Freq: freq, Cooccur: co,
 		Device: model.TeslaV100(),
-		PRG:    dpf.NewAESPRG(),
+		PRG:    model.AES128,
 		Rng:    rand.New(rand.NewPCG(6, 0)),
 		Quality: func(l *Layout) (float64, error) {
 			drops, err := l.SimulateDrops(traces, freq, rand.New(rand.NewPCG(7, 0)))

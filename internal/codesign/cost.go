@@ -53,7 +53,7 @@ func (l *Layout) Cost() Cost {
 // device, tuning the inference batch size under an optional PIR-latency
 // budget. Returns the best QPS (inferences/second), its batch latency, and
 // the chosen batch.
-func (l *Layout) Throughput(dev *model.Device, prg dpf.PRG, maxLatency time.Duration) (qps float64, latency time.Duration, batch int, err error) {
+func (l *Layout) Throughput(dev *model.Device, prf model.PRF, maxLatency time.Duration) (qps float64, latency time.Duration, batch int, err error) {
 	lanes := l.GroupLanes()
 	model := func(cfg interface {
 		NumBins() int
@@ -61,7 +61,7 @@ func (l *Layout) Throughput(dev *model.Device, prg dpf.PRG, maxLatency time.Dura
 	}, b int) (time.Duration, error) {
 		bits := cfg.BinBits()
 		strat := model.Schedule(bits)
-		rep, err := strat.Model(dev, prg, bits, b*cfg.NumBins(), lanes)
+		rep, err := strat.Model(dev, prf, bits, b*cfg.NumBins(), lanes)
 		if err != nil {
 			return 0, err
 		}

@@ -5,7 +5,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/model"
 )
 
@@ -67,7 +66,7 @@ type Searcher struct {
 	Quality func(l *Layout) (float64, error)
 	// Device and PRG drive the throughput model.
 	Device *model.Device
-	PRG    dpf.PRG
+	PRG    model.PRF
 	// Rng drives dummy planning during simulation.
 	Rng *rand.Rand
 }

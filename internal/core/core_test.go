@@ -202,9 +202,6 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Layout: layout, PRG: "nope"}, make([][]float32, 8)); err == nil {
-		t.Error("bad PRG accepted")
-	}
 	if _, err := New(Config{Layout: layout}, make([][]float32, 3)); err == nil {
 		t.Error("short embeddings accepted")
 	}

@@ -25,8 +25,6 @@ import (
 
 // Config assembles a Service.
 type Config struct {
-	// PRG names the PRF shared by client and servers (default aes128).
-	PRG string
 	// Layout is the co-design serving layout (required).
 	Layout *codesign.Layout
 	// Freq orders lookups by importance when budgets overflow (training
@@ -50,7 +48,6 @@ type Config struct {
 // parties' servers (in-process).
 type Service struct {
 	cfg    Config
-	prg    dpf.PRG
 	layout *codesign.Layout
 	rng    *rand.Rand
 
@@ -78,16 +75,16 @@ type table struct {
 
 // newTable builds both parties' bin servers over tab and a client that
 // draws its keys from rng.
-func newTable(prg string, tab *pir.Table, bins batchpir.Config, rng *rand.Rand) (*table, error) {
-	client, err := pir.NewClient(prg, bins.BinSize, pir.InsecureSeeded(rng))
+func newTable(tab *pir.Table, bins batchpir.Config, rng *rand.Rand) (*table, error) {
+	client, err := pir.NewClient(dpf.PRGName, bins.BinSize, pir.InsecureSeeded(rng))
 	if err != nil {
 		return nil, err
 	}
 	t := &table{tab: tab}
-	if t.s0, err = batchpir.NewServer(0, tab, bins, pir.WithPRG(prg)); err != nil {
+	if t.s0, err = batchpir.NewServer(0, tab, bins); err != nil {
 		return nil, err
 	}
-	if t.s1, err = batchpir.NewServer(1, tab, bins, pir.WithPRG(prg)); err != nil {
+	if t.s1, err = batchpir.NewServer(1, tab, bins); err != nil {
 		return nil, err
 	}
 	t.ts = &pir.TwoServer{Client: client, E0: pir.InProcess{Server: t.s0}, E1: pir.InProcess{Server: t.s1}}
@@ -127,9 +124,6 @@ func New(cfg Config, emb [][]float32) (*Service, error) {
 	if cfg.Layout == nil {
 		return nil, fmt.Errorf("core: Config.Layout is required")
 	}
-	if cfg.PRG == "" {
-		cfg.PRG = "aes128"
-	}
 	if cfg.Device == nil {
 		cfg.Device = model.TeslaV100()
 	}
@@ -142,26 +136,21 @@ func New(cfg Config, emb [][]float32) (*Service, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x5eed
 	}
-	prg, err := dpf.NewPRG(cfg.PRG)
-	if err != nil {
-		return nil, err
-	}
 	full, hot, err := cfg.Layout.BuildTables(emb)
 	if err != nil {
 		return nil, err
 	}
 	s := &Service{
 		cfg:    cfg,
-		prg:    prg,
 		layout: cfg.Layout,
 		rng:    rand.New(rand.NewPCG(uint64(cfg.Seed), 0)),
 		cache:  newEmbCache(cfg.CacheEntries),
 	}
-	if s.full, err = newTable(cfg.PRG, full, cfg.Layout.FullCfg, s.rng); err != nil {
+	if s.full, err = newTable(full, cfg.Layout.FullCfg, s.rng); err != nil {
 		return nil, err
 	}
 	if cfg.Layout.Params.HotRows > 0 {
-		if s.hot, err = newTable(cfg.PRG, hot, cfg.Layout.HotCfg, s.rng); err != nil {
+		if s.hot, err = newTable(hot, cfg.Layout.HotCfg, s.rng); err != nil {
 			return nil, err
 		}
 	}
@@ -250,16 +239,16 @@ func (s *Service) modelLatency(tr *Trace) {
 	// Client-side Gen: one key pair per bin on the client CPU.
 	genCycles := 0.0
 	genCycles += float64(s.layout.EffectiveQFull()) *
-		model.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.FullCfg.BinBits(), 1)
+		model.GenProfile(model.AES128.CPUCyclesPerBlock, s.layout.FullCfg.BinBits(), 1)
 	if s.layout.Params.HotRows > 0 {
 		genCycles += float64(s.layout.EffectiveQHot()) *
-			model.GenProfile(s.prg.CPUCyclesPerBlock(), s.layout.HotCfg.BinBits(), 1)
+			model.GenProfile(model.AES128.CPUCyclesPerBlock, s.layout.HotCfg.BinBits(), 1)
 	}
 	tr.GenLatency = s.cfg.ClientCPU.CPUTime(genCycles, 1)
 
 	// Server-side Eval, amortized per inference at the tuned batch size
 	// (the paper's throughput-serving story; see Layout.Throughput).
-	if qps, batchLat, batch, err := s.layout.Throughput(s.cfg.Device, s.prg, 0); err == nil && qps > 0 {
+	if qps, batchLat, batch, err := s.layout.Throughput(s.cfg.Device, model.AES128, 0); err == nil && qps > 0 {
 		tr.PIRLatency = time.Duration(float64(batchLat) / float64(batch))
 	}
 }

@@ -243,22 +243,6 @@ func (*AESPRG) Fill(s Seed, dst []byte) {
 	}
 }
 
-// GPUCyclesPerBlock implements PRG. Calibrated so the V100 model reproduces
-// the paper's Table 4 AES-128 throughput (≈1.4k QPS on a 1M-entry table).
-// Software table-free AES on a GPU thread costs thousands of cycles per
-// block; there is no AES-NI equivalent on the SMs.
-func (*AESPRG) GPUCyclesPerBlock() float64 { return 2500 }
-
-// CPUCyclesPerBlock implements PRG. This is a model constant for the
-// paper's CPU baseline, not a measurement of this package: calibrated to
-// Table 4's Xeon row, 638 ms single-threaded on a 1M-entry table =
-// 1.34e9 cycles over ~2.1e6 blocks, i.e. ~640 cycles per 128-bit block of
-// that library's whole per-node cost (key schedule, tree bookkeeping,
-// memory traffic). The kernels here spend a few cycles per block; the
-// constant stays at the paper's figure so the analytic Model keeps
-// reproducing Table 4.
-func (*AESPRG) CPUCyclesPerBlock() float64 { return 640 }
-
 func putU64(b []byte, v uint64) {
 	binary.LittleEndian.PutUint64(b, v)
 }

@@ -10,18 +10,9 @@ import (
 // testRand returns a deterministic randomness source for Gen.
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func allPRGs(t testing.TB) []PRG {
-	t.Helper()
-	var prgs []PRG
-	for _, name := range AllPRGNames() {
-		p, err := NewPRG(name)
-		if err != nil {
-			t.Fatalf("NewPRG(%q): %v", name, err)
-		}
-		prgs = append(prgs, p)
-	}
-	return prgs
-}
+// allPRGs lists every PRF this build computes: aes128 alone (NewPRG).
+// The tests that range over it name a subtest by the PRF.
+func allPRGs(testing.TB) []PRG { return []PRG{NewAESPRG()} }
 
 func addMod(a, b []uint32) []uint32 {
 	out := make([]uint32, len(a))
@@ -132,7 +123,7 @@ func TestEvalFullMatchesEvalAt(t *testing.T) {
 // TestEvalRange checks the pruned DFS range evaluation against EvalFull,
 // including shard boundaries that are not powers of two.
 func TestEvalRange(t *testing.T) {
-	prg := NewChaChaPRG()
+	prg := NewAESPRG()
 	rng := testRand(4)
 	const bits = 10
 	const n = 1 << bits
@@ -230,7 +221,7 @@ func TestEvalAtValidation(t *testing.T) {
 // TestQuickPointFunction is the property-based version of the correctness
 // test: random (alpha, beta, probe) triples over a 2^12 domain.
 func TestQuickPointFunction(t *testing.T) {
-	prg := NewSipPRG()
+	prg := NewAESPRG()
 	rng := testRand(1234)
 	const bits = 12
 	f := func(alphaRaw, probeRaw uint16, beta uint32) bool {

@@ -7,11 +7,12 @@ import "fmt"
 // control bits are taken from — and then cleared in — the low bit of each
 // child seed, the standard Boyle–Gilboa–Ishai packing.
 //
-// Implementations also report modeled per-block cycle costs used by the GPU
-// and CPU device models (paper §3.2.6 observes that PRF choice dominates GPU
-// DPF performance because GPUs lack AES hardware).
+// This build computes one PRF, aes128 (NewPRG); PRG stays an interface so
+// tests can substitute decorated or foreign-construction fakes. What a PRF
+// would cost on the paper's GPU and CPU is the reproduction's business
+// (internal/model), not this one's.
 type PRG interface {
-	// Name identifies the PRF for reports ("aes128", "chacha20", ...).
+	// Name identifies the PRF on the wire hello and in reports ("aes128").
 	Name() string
 	// Construction names the exact function behind Name: two builds that
 	// agree on a name but compute different functions under it differ
@@ -23,7 +24,7 @@ type PRG interface {
 	// ExpandBatch derives children for a whole frontier in one call:
 	// for every i, (left[i], right[i], tL[i], tR[i]) = Expand(seeds[i]).
 	// All five slices must have len(seeds). Implementations hoist per-call
-	// state — key schedules, cipher state, digest blocks — out of the
+	// state — key schedules, cipher state — out of the
 	// per-node loop so advancing a K-wide frontier performs zero heap
 	// allocations; ScalarExpandBatch is the reference fallback for wrapper
 	// PRGs.
@@ -31,26 +32,13 @@ type PRG interface {
 	// Fill deterministically expands s into dst (counter mode). Used by
 	// Convert for wide output groups.
 	Fill(s Seed, dst []byte)
-	// GPUCyclesPerBlock is the modeled cycle cost of one 128-bit output
-	// block on a single GPU thread (software implementation, no crypto
-	// hardware).
-	GPUCyclesPerBlock() float64
-	// CPUCyclesPerBlock is the modeled cycle cost of one 128-bit output
-	// block on one Xeon core, using hardware intrinsics where they exist
-	// (AES-NI, SHA-NI, AVX2).
-	CPUCyclesPerBlock() float64
 }
 
-// Construction IDs, one per PRF. A new function under an existing name
-// takes a new ID: aes128's is the fixed-key MMO^σ hash (its generation 2;
-// generation 1, 0xae5_0001, ran a fresh key schedule per node).
-const (
-	ConstructionAES128   uint32 = 0xae5_0002
-	ConstructionChaCha20 uint32 = 0xc4a_0001
-	ConstructionSipHash  uint32 = 0x519_0001
-	ConstructionHighway  uint32 = 0x419_0001
-	ConstructionSHA256   uint32 = 0x256_0001
-)
+// ConstructionAES128 is aes128's construction ID. A new function under an
+// existing name takes a new ID: this is the fixed-key MMO^σ hash (aes128's
+// generation 2; generation 1, 0xae5_0001, ran a fresh key schedule per
+// node).
+const ConstructionAES128 uint32 = 0xae5_0002
 
 // ConstructionOf is the construction this build computes under a PRF
 // name, or 0 for a name it does not know.
@@ -112,27 +100,17 @@ func ConvertBlocks(lanes int) int {
 	return (lanes*4 + 15) / 16
 }
 
-// NewPRG constructs a PRG by name. Valid names: aes128, chacha20, siphash,
-// highway, sha256.
-func NewPRG(name string) (PRG, error) {
-	switch name {
-	case "aes128":
-		return NewAESPRG(), nil
-	case "chacha20":
-		return NewChaChaPRG(), nil
-	case "siphash":
-		return NewSipPRG(), nil
-	case "highway":
-		return NewHighwayPRG(), nil
-	case "sha256":
-		return NewSHA256PRG(), nil
-	}
-	return nil, fmt.Errorf("dpf: unknown PRG %q", name)
-}
+// PRGName is the one PRF this build computes: the name every key, server
+// and wire hello carries.
+const PRGName = "aes128"
 
-// AllPRGNames lists the supported PRFs in the order Table 5 reports them.
-func AllPRGNames() []string {
-	return []string{"aes128", "sha256", "chacha20", "siphash", "highway"}
+// NewPRG constructs the PRG named name. Only PRGName is served; any other
+// name is refused, by name.
+func NewPRG(name string) (PRG, error) {
+	if name != PRGName {
+		return nil, fmt.Errorf("dpf: unknown PRG %q (this build computes only %s)", name, PRGName)
+	}
+	return NewAESPRG(), nil
 }
 
 // clearControlBits extracts the control bits from the low bit of byte 0 of

@@ -25,13 +25,13 @@ import (
 type Config struct {
 	// Party is which share (0 or 1) the replica computes.
 	Party int
-	// PRG is the PRF shared with clients (nil = aes128). Every PRF of the
-	// Table 5 sweep (aes128, sha256, chacha20, siphash, highway) is
-	// servable — cmd/pirserver wires this through its -prg flag, so the
-	// sweep is reachable from the TCP serving path. Key validation errors
-	// name the replica's PRF: the wire format carries no PRF identifier,
-	// so a client on the wrong PRF otherwise fails silently with garbage
-	// shares.
+	// PRG is the PRF the replica computes; nil is aes128, the one PRF
+	// this build serves (dpf.NewPRG). Only tests set it, to inject
+	// decorated or foreign-construction fakes. A client or front on
+	// another PRF is refused at dial: the wire hello pins the PRF's name
+	// and construction ID (shardnet). Key validation errors name the
+	// replica's PRF too, for callers that dial without pins, where a
+	// mismatch would otherwise come back as garbage shares.
 	PRG dpf.PRG
 	// EarlyBits is the early-termination depth (§3.1) served keys must
 	// carry, shared with clients like the PRF. 0 means the dpf default for

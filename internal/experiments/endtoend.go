@@ -70,18 +70,18 @@ func plainBest(points []plainPoint, target float64, commBudget int64) (plainPoin
 
 // plainGPUQPS and plainCPUQPS model inference throughput for the plain
 // design (query throughput divided by queries per inference).
-func plainGPUQPS(app *App, prg dpf.PRG, q int, maxLatency time.Duration) (float64, error) {
+func plainGPUQPS(app *App, prf model.PRF, q int, maxLatency time.Duration) (float64, error) {
 	bits := appBits(app)
-	rep, err := model.TuneBatch(model.TeslaV100(), model.Schedule(bits), prg, bits, app.Dim, maxLatency)
+	rep, err := model.TuneBatch(model.TeslaV100(), model.Schedule(bits), prf, bits, app.Dim, maxLatency)
 	if err != nil {
 		return 0, err
 	}
 	return rep.Throughput / float64(q), nil
 }
 
-func plainCPUQPS(app *App, prg dpf.PRG, q, threads int) (float64, error) {
+func plainCPUQPS(app *App, prf model.PRF, q, threads int) (float64, error) {
 	bits := appBits(app)
-	rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prg, bits, 1, app.Dim)
+	rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prf, bits, 1, app.Dim)
 	if err != nil {
 		return 0, err
 	}
@@ -128,7 +128,7 @@ func searchApp(app *App, space codesign.Space, budgets codesign.Budgets, kind st
 		Freq: app.Freq, Cooccur: app.Cooccur,
 		Quality: app.Quality,
 		Device:  model.TeslaV100(),
-		PRG:     dpf.NewAESPRG(),
+		PRG:     model.AES128,
 		Rng:     randv2.New(randv2.NewPCG(11, 0)),
 	}
 	cands, err := s.Search(space, budgets)
@@ -143,11 +143,11 @@ func searchApp(app *App, space codesign.Space, budgets codesign.Budgets, kind st
 
 // rescoreQPS recomputes candidates' modeled throughput under a different
 // PRF (quality and communication are PRF-independent).
-func rescoreQPS(cands []codesign.Candidate, prg dpf.PRG, maxLatency time.Duration) []codesign.Candidate {
+func rescoreQPS(cands []codesign.Candidate, prf model.PRF, maxLatency time.Duration) []codesign.Candidate {
 	out := make([]codesign.Candidate, 0, len(cands))
 	dev := model.TeslaV100()
 	for _, c := range cands {
-		qps, lat, batch, err := c.Layout.Throughput(dev, prg, maxLatency)
+		qps, lat, batch, err := c.Layout.Throughput(dev, prf, maxLatency)
 		if err != nil {
 			continue
 		}
@@ -177,8 +177,11 @@ func Fig11Table3() (*Table, error) {
 		Columns: []string{"app", "design", "point", "QPS", "vs CPU eco", "quality"},
 		Notes:   "paper Table 3 (CPU→best): Wikitext2 5→2,306; MovieLens 44→5,476; Taobao 8k→256k QPS",
 	}
-	chacha := dpf.NewChaChaPRG()
-	aes := dpf.NewAESPRG()
+	chacha, err := model.LookupPRF("chacha20")
+	if err != nil {
+		return nil, err
+	}
+	aes := model.AES128
 	for _, app := range apps {
 		budget := codesign.Budgets{CommBytes: app.CommBudget, Latency: time.Duration(app.LatencyBudget) * time.Millisecond}
 		plain, err := plainSweep(app)
@@ -220,14 +223,14 @@ func Fig11Table3() (*Table, error) {
 			// The co-design sweep subsumes the plain per-lookup design
 			// (the paper's parameter search would pick it when it wins),
 			// so the reported point is the better of the two.
-			codesignRow := func(label string, prg dpf.PRG, cands []codesign.Candidate) error {
+			codesignRow := func(label string, prf model.PRF, cands []codesign.Candidate) error {
 				bestQPS := 0.0
 				bestQual := 0.0
 				if best, ok := codesign.BestMeetingQuality(cands, point.target); ok {
 					bestQPS, bestQual = best.QPS, best.Quality
 				}
 				if pp, ok := plainBest(plain, point.target, app.CommBudget); ok {
-					qps, err := plainGPUQPS(app, prg, pp.Q, budget.Latency)
+					qps, err := plainGPUQPS(app, prf, pp.Q, budget.Latency)
 					if err != nil {
 						return err
 					}
@@ -280,7 +283,7 @@ func Fig12() (*Table, error) {
 	}
 	link := netsim.FourG()
 	i3 := model.IntelCorei3()
-	aes := dpf.NewAESPRG()
+	aes := model.AES128
 	for _, app := range apps {
 		budget := codesign.Budgets{CommBytes: app.CommBudget, Latency: time.Duration(app.LatencyBudget) * time.Millisecond}
 		cands, err := searchApp(app, appSpace(), budget, "std")
@@ -294,9 +297,9 @@ func Fig12() (*Table, error) {
 		l := best.Layout
 		cost := best.Cost
 
-		genCycles := float64(l.EffectiveQFull()) * model.GenProfile(aes.CPUCyclesPerBlock(), l.FullCfg.BinBits(), 1)
+		genCycles := float64(l.EffectiveQFull()) * model.GenProfile(aes.CPUCyclesPerBlock, l.FullCfg.BinBits(), 1)
 		if l.Params.HotRows > 0 {
-			genCycles += float64(l.EffectiveQHot()) * model.GenProfile(aes.CPUCyclesPerBlock(), l.HotCfg.BinBits(), 1)
+			genCycles += float64(l.EffectiveQHot()) * model.GenProfile(aes.CPUCyclesPerBlock, l.HotCfg.BinBits(), 1)
 		}
 		gen := i3.CPUTime(genCycles, 1)
 		pir := time.Duration(float64(best.Latency) / float64(best.Batch))

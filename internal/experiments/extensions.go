@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gpudpf/internal/codesign"
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/integrity"
 	"gpudpf/internal/model"
 	"gpudpf/internal/pir"
@@ -25,9 +24,9 @@ func ExtMultiGPU() (*Table, error) {
 		Notes:   "each device evaluates an L/N shard via EvalRange; the final reduction is linear",
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, n := range []int{1, 2, 4, 8, 16} {
-		rep, err := (model.MultiGPU{Devices: n}).Model(dev, prg, 26, 64, 64)
+		rep, err := (model.MultiGPU{Devices: n}).Model(dev, prf, 26, 64, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -53,13 +52,13 @@ func ExtServing() (*Table, error) {
 	dev := model.TeslaV100()
 	policy := serving.Policy{MaxBatch: 128, MaxDelay: 50 * time.Millisecond}
 	for _, prgName := range []string{"aes128", "chacha20"} {
-		prg, err := dpf.NewPRG(prgName)
+		prf, err := model.LookupPRF(prgName)
 		if err != nil {
 			return nil, err
 		}
 		s := model.MemBound{K: 128, Fused: true}
 		lat := func(batch int) time.Duration {
-			rep, err := s.Model(dev, prg, 20, batch, 64)
+			rep, err := s.Model(dev, prf, 20, batch, 64)
 			if err != nil {
 				return time.Hour
 			}
@@ -152,17 +151,17 @@ func AblationCoopThreshold() (*Table, error) {
 		Notes:   "the scheduler switches to cooperative groups at 2^22 (§3.2.5)",
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, bits := range []int{18, 20, 22, 24, 26} {
 		mbQPS := "n/a (no batch <300ms)"
-		if mb, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, bits, 64, 300*time.Millisecond); err == nil {
+		if mb, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prf, bits, 64, 300*time.Millisecond); err == nil {
 			mbQPS = fmtF(mb.Throughput)
 		}
-		mb1, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 1, 64)
+		mb1, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prf, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
-		coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
+		coop, err := (model.CoopGroups{}).Model(dev, prf, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}

@@ -19,11 +19,11 @@ func Fig3() (*Table, error) {
 		Title:   "Gen vs Eval performance (AES-128)",
 		Columns: []string{"table size", "Gen (client i3)", "Eval (CPU 1t)", "Eval/Gen"},
 	}
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	i3 := model.IntelCorei3()
 	for _, bits := range []int{10, 14, 18, 20, 22, 24} {
-		gen := i3.CPUTime(model.GenProfile(prg.CPUCyclesPerBlock(), bits, 1), 1)
-		rep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, bits, 1, 64)
+		gen := i3.CPUTime(model.GenProfile(prf.CPUCyclesPerBlock, bits, 1), 1)
+		rep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prf, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func Fig6() (*Table, error) {
 		Notes:   "branch-parallel pays L·logL work; level-by-level pays O(B·L) memory; membound pays neither",
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	strats := []model.Modeler{
 		model.BranchParallel{},
 		model.LevelByLevel{},
@@ -83,7 +83,7 @@ func Fig6() (*Table, error) {
 	}
 	for _, bits := range []int{14, 16, 18, 20, 22, 24} {
 		for _, s := range strats {
-			rep, err := s.Model(dev, prg, bits, 32, 64)
+			rep, err := s.Model(dev, prf, bits, 32, 64)
 			if err != nil {
 				t.AddRow(fmt.Sprintf("2^%d", bits), s.Name(), "-", "OOM (>16GB)")
 				continue
@@ -104,16 +104,16 @@ func Fig8() (*Table, error) {
 		Columns: []string{"sweep", "value", "peak memory", "utilization"},
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, bits := range []int{16, 18, 20, 22, 24} {
-		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 8, 64)
+		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prf, bits, 8, 64)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("L", fmt.Sprintf("2^%d", bits), fmtBytes(rep.PeakMemBytes), fmt.Sprintf("%.1f%%", rep.Utilization*100))
 	}
 	for _, k := range []int{8, 32, 128, 512, 1024} {
-		rep, err := (model.MemBound{K: k, Fused: true}).Model(dev, prg, 20, 8, 64)
+		rep, err := (model.MemBound{K: k, Fused: true}).Model(dev, prf, 20, 8, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -131,21 +131,21 @@ func Fig9() (*Table, error) {
 		Columns: []string{"sweep", "value", "strategy", "utilization"},
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	mb := model.MemBound{K: 128, Fused: true}
 	for _, b := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		rep, err := mb.Model(dev, prg, 20, b, 64)
+		rep, err := mb.Model(dev, prf, 20, b, 64)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("batch", fmt.Sprintf("%d", b), rep.Strategy, fmt.Sprintf("%.1f%%", rep.Utilization*100))
 	}
 	for _, bits := range []int{14, 16, 18, 20, 22, 24, 26} {
-		coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
+		coop, err := (model.CoopGroups{}).Model(dev, prf, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
-		batched, err := mb.Model(dev, prg, bits, 1, 64)
+		batched, err := mb.Model(dev, prf, bits, 1, 64)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +165,7 @@ func Fig13() (*Table, error) {
 		Notes:   "level-by-level rows stop at its device-memory cliff; coop-groups shines on the large table",
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	strats := []model.Modeler{
 		model.BranchParallel{},
 		model.LevelByLevel{},
@@ -175,7 +175,7 @@ func Fig13() (*Table, error) {
 	for _, bits := range []int{20, 24} {
 		for _, s := range strats {
 			for b := 1; b <= 4096; b *= 8 {
-				rep, err := s.Model(dev, prg, bits, b, 64)
+				rep, err := s.Model(dev, prf, bits, b, 64)
 				if err != nil {
 					break // OOM at this and larger batches
 				}
@@ -196,14 +196,14 @@ func Fig14() (*Table, error) {
 		Columns: []string{"entry size", "fused latency", "fused QPS", "unfused latency", "unfused QPS", "fusion speedup"},
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, entryBytes := range []int{64, 128, 256, 512, 1024, 2048, 4096} {
 		lanes := entryBytes / 4
-		f, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 32, lanes)
+		f, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prf, 20, 32, lanes)
 		if err != nil {
 			return nil, err
 		}
-		u, err := (model.MemBound{K: 128, Fused: false}).Model(dev, prg, 20, 32, lanes)
+		u, err := (model.MemBound{K: 128, Fused: false}).Model(dev, prf, 20, 32, lanes)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +225,7 @@ func Table4() (*Table, error) {
 		Notes:   "paper: 16K GPU 60,347 / 1M GPU 1,358 / 4M GPU 468 QPS; >17x over 32-thread CPU on every row",
 	}
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, row := range []struct {
 		bits int
 		name string
@@ -234,14 +234,14 @@ func Table4() (*Table, error) {
 		// Batch tuned for throughput within the paper's 300ms budget
 		// (§5.1); our membound model needs larger batches than the
 		// authors' kernels to saturate, so batch latency runs higher.
-		gpuRep, err := model.TuneBatch(dev, model.Schedule(row.bits), prg, row.bits, 64, 300*time.Millisecond)
+		gpuRep, err := model.TuneBatch(dev, model.Schedule(row.bits), prf, row.bits, 64, 300*time.Millisecond)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(row.name, fmt.Sprintf("%d", keyBytes), "GPU (V100)",
 			fmtF(gpuRep.Throughput), gpuRep.Latency.Round(10*time.Microsecond).String())
 		for _, threads := range []int{1, 32} {
-			rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prg, row.bits, 1, 64)
+			rep, err := (model.CPUBaseline{Threads: threads}).Model(nil, prf, row.bits, 1, 64)
 			if err != nil {
 				return nil, err
 			}
@@ -270,24 +270,20 @@ func Table5() (*Table, error) {
 		"highway":  "PRF",
 	}
 	var aesQPS float64
-	reps := map[string]model.Report{}
-	for _, name := range dpf.AllPRGNames() {
-		prg, err := dpf.NewPRG(name)
+	reps := make([]model.Report, len(model.PRFs))
+	for i, prf := range model.PRFs {
+		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prf, 20, 512, 64)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
-		if err != nil {
-			return nil, err
-		}
-		reps[name] = rep
-		if name == "aes128" {
+		reps[i] = rep
+		if prf == model.AES128 {
 			aesQPS = rep.Throughput
 		}
 	}
-	for _, name := range dpf.AllPRGNames() {
-		rep := reps[name]
-		t.AddRow(name, kinds[name],
+	for i, prf := range model.PRFs {
+		rep := reps[i]
+		t.AddRow(prf.Name, kinds[prf.Name],
 			rep.Latency.Round(100*time.Microsecond).String(),
 			fmtF(rep.Throughput), fmt.Sprintf("%.2fx", rep.Throughput/aesQPS))
 	}

@@ -1,7 +1,5 @@
 package model
 
-import "gpudpf/internal/dpf"
-
 // BranchParallel assigns each thread one terminal node (a leaf for
 // full-depth keys, a 2^Early-leaf group for early-terminated ones) and
 // recomputes the whole root-to-terminal path per thread (Figure 5a). It
@@ -25,7 +23,7 @@ func (BranchParallel) prfBlocks(bits, early, batch int) int64 {
 // blocks — still the redundant-by-log-factor strategy, on a tree 2^early×
 // narrower. The per-thread path state lives in registers, so the only
 // device allocation is the per-query output accumulators.
-func (b BranchParallel) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (b BranchParallel) Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	early := modelEarly(bits)
 	frontier := int64(1) << uint(bits-early)
 	outBytes := int64(batch) * int64(lanes) * 4
@@ -35,9 +33,9 @@ func (b BranchParallel) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) 
 		WriteBytes:        outBytes,
 		Launches:          1,
 		PeakMemBytes:      outBytes,
-		PRGCyclesPerBlock: prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early),
+		PRGCyclesPerBlock: prgCyclesPerBlock(prf.GPUCyclesPerBlock, early),
 		Parallelism:       int64(batch) * frontier,
 		ArithCycles:       dotArithCycles(batch, bits, lanes),
 	}
-	return finishReport(dev, b.Name(), prg, bits, batch, lanes, p)
+	return finishReport(dev, b.Name(), prf, bits, batch, lanes, p)
 }

@@ -48,13 +48,13 @@ func (CoopGroups) prfBlocks(bits, early, batch int) int64 {
 // exposed parallelism is the level width: narrow levels near the root leave
 // the device mostly idle, and every level pays a grid-sync (launch)
 // overhead.
-func (c CoopGroups) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (c CoopGroups) Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	if coopMemBytes(bits, lanes, early) > dev.GlobalMemBytes {
 		return Report{}, ErrOutOfMemory
 	}
-	cpb := prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early)
+	cpb := prgCyclesPerBlock(prf.GPUCyclesPerBlock, early)
 	var perQuery float64 // seconds
 	var cycles float64
 	for level := 0; level < bits-early; level++ {
@@ -81,7 +81,7 @@ func (c CoopGroups) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Rep
 	}
 	r := Report{
 		Strategy:     c.Name(),
-		PRG:          prg.Name(),
+		PRG:          prf.Name,
 		Bits:         bits,
 		Batch:        batch,
 		Lanes:        lanes,

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"gpudpf/internal/dpf"
-)
+import "fmt"
 
 // CPUBaseline is the optimized CPU DPF-PIR the paper compares against
 // (Google Research's distributed_point_functions library on a Xeon Gold
@@ -52,14 +48,14 @@ func (CPUBaseline) prfBlocks(bits, early, batch int) int64 {
 // Model implements Modeler. dev is unused; the CPU model prices the work
 // (the reference CPU library performs the same §3.1 early termination, so
 // its calibrated per-block constant re-anchors the same way).
-func (c CPUBaseline) Model(_ *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (c CPUBaseline) Model(_ *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	early := modelEarly(bits)
 	blocks := c.prfBlocks(bits, early, batch)
-	cycles := float64(blocks)*prgCyclesPerBlock(prg.CPUCyclesPerBlock(), early) + dotArithCycles(batch, bits, lanes)*0.5
+	cycles := float64(blocks)*prgCyclesPerBlock(prf.CPUCyclesPerBlock, early) + dotArithCycles(batch, bits, lanes)*0.5
 	lat := c.cpu().CPUTime(cycles, c.threads())
 	r := Report{
 		Strategy:     c.Name(),
-		PRG:          prg.Name(),
+		PRG:          prf.Name,
 		Bits:         bits,
 		Batch:        batch,
 		Lanes:        lanes,

@@ -1,7 +1,5 @@
 package model
 
-import "gpudpf/internal/dpf"
-
 // LevelByLevel expands the tree breadth-first, materializing every level in
 // global memory (Figure 5b). Work is the optimal O(L), but the working set
 // is O(B·L): the ping-pong level buffers plus the expanded one-hot share
@@ -43,7 +41,7 @@ func levelTrafficBytes(batch, bits, early int) (reads, writes int64) {
 
 // Model implements Modeler: an expansion kernel and a separate matmul
 // kernel.
-func (l LevelByLevel) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (l LevelByLevel) Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	r, w := levelTrafficBytes(batch, bits, early)
@@ -53,11 +51,11 @@ func (l LevelByLevel) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (R
 		WriteBytes:        w,
 		Launches:          2,
 		PeakMemBytes:      levelMemBytes(batch, bits, lanes, early),
-		PRGCyclesPerBlock: prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early),
+		PRGCyclesPerBlock: prgCyclesPerBlock(prf.GPUCyclesPerBlock, early),
 		// The bottom half of the tree carries most of the work, so the
 		// exposed parallelism is effectively batch × frontier/2.
 		Parallelism: int64(batch) * (domain >> uint(early)) / 2,
 		ArithCycles: dotArithCycles(batch, bits, lanes),
 	}
-	return finishReport(dev, l.Name(), prg, bits, batch, lanes, p)
+	return finishReport(dev, l.Name(), prf, bits, batch, lanes, p)
 }

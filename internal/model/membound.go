@@ -1,7 +1,5 @@
 package model
 
-import "gpudpf/internal/dpf"
-
 // MemBound is the paper's memory-bounded tree traversal (§3.2.3) as a
 // model: a depth-first descent that keeps at most K nodes per level alive,
 // giving optimal O(L) work with an O(B·K·log L) working set instead of
@@ -67,7 +65,7 @@ func (MemBound) prfBlocks(bits, early, batch int) int64 {
 // Model implements Modeler. PRFBlocks prices the early-terminated tree
 // (the default key format for this depth); the per-block cycle constant is
 // re-anchored accordingly (see prgCyclesPerBlock).
-func (m MemBound) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (m MemBound) Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	domain := int64(1) << uint(bits)
 	early := modelEarly(bits)
 	p := KernelProfile{
@@ -76,7 +74,7 @@ func (m MemBound) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Repor
 		WriteBytes:        int64(batch) * int64(lanes) * 4,
 		Launches:          1,
 		PeakMemBytes:      m.memBytes(batch, bits, lanes, early),
-		PRGCyclesPerBlock: prgCyclesPerBlock(prg.GPUCyclesPerBlock(), early),
+		PRGCyclesPerBlock: prgCyclesPerBlock(prf.GPUCyclesPerBlock, early),
 		Parallelism:       int64(batch) * int64(m.k()),
 		ArithCycles:       dotArithCycles(batch, bits, lanes),
 	}
@@ -86,7 +84,7 @@ func (m MemBound) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Repor
 		p.WriteBytes += leafBytes
 		p.Launches++ // separate matmul kernel
 	}
-	r, err := finishReport(dev, m.Name(), prg, bits, batch, lanes, p)
+	r, err := finishReport(dev, m.Name(), prf, bits, batch, lanes, p)
 	if err != nil {
 		return r, err
 	}

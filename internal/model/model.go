@@ -1,6 +1,7 @@
 // Package model is the paper's analytic reproduction layer: the six §3.2
 // DPF execution strategies as cost models, the V100 and Xeon hardware they
-// are priced on (Tables 4 and 5), the §3.2.5 scheduler and the batch tuner.
+// are priced on (Tables 4 and 5), Table 5's PRFs as per-block cycle costs
+// (PRFs), the §3.2.5 scheduler and the batch tuner.
 //
 // This repository cannot drive a real CUDA device. A Modeler counts the
 // algorithmic quantities a strategy's kernels are bound by — PRF blocks,
@@ -46,7 +47,7 @@ type Modeler interface {
 	Name() string
 	// Model analytically predicts the device-side execution of a batch of
 	// the given shape and converts it to a Report via dev's cost model.
-	Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error)
+	Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error)
 }
 
 // Report is the modeled outcome of executing one batch.
@@ -117,14 +118,14 @@ func dotArithCycles(batch, bits, lanes int) float64 {
 }
 
 // finishReport converts a kernel profile into a Report.
-func finishReport(dev *Device, name string, prg dpf.PRG, bits, batch, lanes int, p KernelProfile) (Report, error) {
+func finishReport(dev *Device, name string, prf PRF, bits, batch, lanes int, p KernelProfile) (Report, error) {
 	lat, util, err := dev.Estimate(p)
 	if err != nil {
 		return Report{}, fmt.Errorf("model: %s (L=2^%d B=%d): %w", name, bits, batch, err)
 	}
 	r := Report{
 		Strategy:     name,
-		PRG:          prg.Name(),
+		PRG:          prf.Name,
 		Bits:         bits,
 		Batch:        batch,
 		Lanes:        lanes,
@@ -148,11 +149,11 @@ func timeFromSeconds(s float64) time.Duration {
 // maximizes modeled throughput subject to a latency budget (0 = unlimited)
 // and device memory. This is the paper's per-experiment batch tuning
 // ("batch size is tuned for each experiment separately", §5.1).
-func TuneBatch(dev *Device, s Modeler, prg dpf.PRG, bits, lanes int, maxLatency time.Duration) (Report, error) {
+func TuneBatch(dev *Device, s Modeler, prf PRF, bits, lanes int, maxLatency time.Duration) (Report, error) {
 	var best Report
 	found := false
 	for b := 1; b <= 1<<17; b *= 2 {
-		r, err := s.Model(dev, prg, bits, b, lanes)
+		r, err := s.Model(dev, prf, bits, b, lanes)
 		if err != nil {
 			break // OOM: larger batches only get worse
 		}

@@ -1,10 +1,6 @@
 package model
 
-import (
-	"fmt"
-
-	"gpudpf/internal/dpf"
-)
+import "fmt"
 
 // MultiGPU implements the paper's multi-GPU scaling scheme (§3.2.7): when
 // one table exceeds a single device's memory, each of N devices evaluates
@@ -53,11 +49,11 @@ func (m MultiGPU) prfBlocks(bits, early, batch int) int64 {
 // Model implements Modeler: each device runs the fused membound model on
 // an L/N-entry shard; devices run in parallel, so batch latency is the
 // shard latency plus a small cross-device reduction.
-func (m MultiGPU) Model(dev *Device, prg dpf.PRG, bits, batch, lanes int) (Report, error) {
+func (m MultiGPU) Model(dev *Device, prf PRF, bits, batch, lanes int) (Report, error) {
 	n := m.n()
 	inner := MemBound{K: m.k(), Fused: true}
 	shardBits := shardDepth(bits, n)
-	rep, err := inner.Model(dev, prg, shardBits, batch, lanes)
+	rep, err := inner.Model(dev, prf, shardBits, batch, lanes)
 	if err != nil {
 		return Report{}, fmt.Errorf("model: %s: %w", m.Name(), err)
 	}

@@ -128,7 +128,7 @@ func TestRunCountsMatchModel(t *testing.T) {
 							m.Name(), bits, early, batch, got, walked)
 					}
 					if early == modelEarly(bits) {
-						rep, err := m.Model(dev, prg, bits, batch, tab.Lanes)
+						rep, err := m.Model(dev, AES128, bits, batch, tab.Lanes)
 						if err != nil {
 							t.Fatalf("%s bits=%d: %v", m.Name(), bits, err)
 						}
@@ -186,7 +186,7 @@ func TestExecutorCountersMatchModel(t *testing.T) {
 				keys[q] = &k
 			}
 			for _, k := range []int{8, DefaultK} {
-				rep, err := (MemBound{K: k, Fused: true}).Model(dev, prg, shape.bits, batch, shape.lanes)
+				rep, err := (MemBound{K: k, Fused: true}).Model(dev, AES128, shape.bits, batch, shape.lanes)
 				if err != nil {
 					t.Fatal(err)
 				}

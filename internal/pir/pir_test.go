@@ -236,32 +236,8 @@ func TestServerValidation(t *testing.T) {
 	if _, err := NewServer(0, nil); err == nil {
 		t.Error("nil table accepted")
 	}
-	if _, err := NewServer(0, tab, WithPRG("nope")); err == nil {
-		t.Error("unknown PRG accepted")
-	}
 	if _, err := NewServer(0, tab, WithStrategy(nil)); err == nil {
 		t.Error("nil strategy accepted")
-	}
-}
-
-// TestMismatchedPRG: a client and server disagreeing on the PRF produce
-// garbage (but no error) — the shares simply don't reconstruct. This pins
-// that PRF choice is part of the protocol contract.
-func TestMismatchedPRG(t *testing.T) {
-	tab := fillTable(t, 64, 1)
-	s0, _ := NewServer(0, tab, WithPRG("chacha20"))
-	s1, _ := NewServer(1, tab, WithPRG("chacha20"))
-	c, err := NewClient("aes128", tab.NumRows, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := &TwoServer{Client: c, E0: InProcess{s0}, E1: InProcess{s1}}
-	rows, _, err := ts.Fetch([]uint64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][0] == tab.Row(3)[0] {
-		t.Skip("astronomically unlikely collision")
 	}
 }
 

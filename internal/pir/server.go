@@ -20,7 +20,6 @@ type Server struct {
 
 // serverConfig collects option state before the engine replica is built.
 type serverConfig struct {
-	prg   dpf.PRG
 	strat strategy.Strategy
 	early int // engine.Config.EarlyBits (0 = default)
 }
@@ -37,18 +36,6 @@ func WithStrategy(s strategy.Strategy) ServerOption {
 			return fmt.Errorf("pir: nil strategy")
 		}
 		cfg.strat = s
-		return nil
-	}
-}
-
-// WithPRG overrides the PRF (default aes128; must match the client).
-func WithPRG(name string) ServerOption {
-	return func(cfg *serverConfig) error {
-		prg, err := dpf.NewPRG(name)
-		if err != nil {
-			return err
-		}
-		cfg.prg = prg
 		return nil
 	}
 }
@@ -89,7 +76,6 @@ func NewReplica(party int, tab *Table, opts ...ServerOption) (*engine.Replica, e
 	}
 	return engine.NewReplica(tab, engine.Config{
 		Party:     party,
-		PRG:       cfg.prg,
 		EarlyBits: cfg.early,
 		Strategy:  cfg.strat,
 	})
@@ -119,7 +105,6 @@ func NewReplicaOverStore(party int, st *store.Store, opts ...ServerOption) (*eng
 	}
 	return engine.NewReplicaOverStore(st, engine.Config{
 		Party:     party,
-		PRG:       cfg.prg,
 		EarlyBits: cfg.early,
 		Strategy:  cfg.strat,
 	})

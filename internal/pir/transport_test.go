@@ -598,13 +598,21 @@ func TestServeNamesOversizedResponse(t *testing.T) {
 	}
 }
 
-// servePair serves both parties of tab over TCP with the given options and
-// returns their addresses.
-func servePair(t *testing.T, tab *Table, opts ...ServerOption) (addr0, addr1 string) {
+// foreignPRF is a PRF this build does not compute, chacha20 under its
+// construction ID: what a peer built with another construction says in
+// its hello. Its bodies are aes128's; only the name and ID are foreign.
+type foreignPRF struct{ dpf.PRG }
+
+func (foreignPRF) Name() string         { return "chacha20" }
+func (foreignPRF) Construction() uint32 { return 0xc4a_0001 }
+
+// servePair serves both parties of tab over TCP, computing prg (nil:
+// aes128), and returns their addresses.
+func servePair(t *testing.T, tab *Table, prg dpf.PRG) (addr0, addr1 string) {
 	t.Helper()
 	var addrs [2]string
 	for party := range addrs {
-		s, err := NewServer(party, tab, opts...)
+		eng, err := engine.NewReplica(tab, engine.Config{Party: party, PRG: prg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,21 +621,21 @@ func servePair(t *testing.T, tab *Table, opts ...ServerOption) (addr0, addr1 str
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { l.Close() })
-		go Serve(l, s)
+		go Serve(l, &Server{eng: eng})
 		addrs[party] = l.Addr().String()
 	}
 	return addrs[0], addrs[1]
 }
 
-// fetchLikePirclient retrieves rows the way cmd/pirclient does: keys for
-// its -prg / -early / -rows, each server dialed with those pins and its
+// fetchLikePirclient retrieves rows the way cmd/pirclient does: aes128
+// keys for its -early / -rows, each server dialed with those pins and its
 // party, then TwoServer.Fetch.
-func fetchLikePirclient(addr0, addr1, prg string, rows int, indices []uint64) ([][]uint32, error) {
-	client, err := NewClientEarly(prg, rows, 2, nil)
+func fetchLikePirclient(addr0, addr1 string, rows int, indices []uint64) ([][]uint32, error) {
+	client, err := NewClientEarly(dpf.PRGName, rows, 2, nil)
 	if err != nil {
 		return nil, err
 	}
-	pin := shardnet.Options{PRG: prg, Early: client.Early(), Rows: rows}
+	pin := shardnet.Options{PRG: dpf.PRGName, Early: client.Early(), Rows: rows}
 	e0, err := Dial(addr0, pin)
 	if err != nil {
 		return nil, err
@@ -644,20 +652,24 @@ func fetchLikePirclient(addr0, addr1, prg string, rows int, indices []uint64) ([
 }
 
 // TestDialRefusesMismatchedPRF: a client pinned to aes128 dialing a
-// chacha20 server fails at dial, naming both PRFs; pinned to the server's
-// own configuration, it is served.
+// server built with another PRF fails at dial, naming both PRFs; a client
+// cannot pin a PRF this build does not compute; pinned only to the
+// server's party and rows, it is served.
 func TestDialRefusesMismatchedPRF(t *testing.T) {
 	tab := testTable(t, 64, 2)
-	addr0, _ := servePair(t, tab, WithPRG("chacha20"))
+	addr0, _ := servePair(t, tab, foreignPRF{dpf.NewAESPRG()})
 	if _, err := Dial(addr0, shardnet.Options{PRG: "aes128", Party: 0}); err == nil {
 		t.Fatal("a chacha20 server accepted an aes128 client")
 	} else if !strings.Contains(err.Error(), "aes128") || !strings.Contains(err.Error(), "chacha20") {
 		t.Fatalf("refusal %q does not name both PRFs", err)
 	}
-	if _, err := Dial(addr0, shardnet.Options{PRG: "chacha20", Party: 1}); err == nil || !strings.Contains(err.Error(), "party-1") {
+	if _, err := Dial(addr0, shardnet.Options{PRG: "highway", Party: 0}); err == nil || !strings.Contains(err.Error(), "highway") {
+		t.Fatalf("a highway pin: %v, want a refusal naming highway", err)
+	}
+	if _, err := Dial(addr0, shardnet.Options{Party: 1}); err == nil || !strings.Contains(err.Error(), "party-1") {
 		t.Fatalf("party-1 pin on a party-0 server: %v", err)
 	}
-	e0, err := Dial(addr0, shardnet.Options{PRG: "chacha20", Party: 0, Rows: tab.NumRows})
+	e0, err := Dial(addr0, shardnet.Options{Party: 0, Rows: tab.NumRows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,16 +682,17 @@ func TestDialRefusesMismatchedPRF(t *testing.T) {
 // reconstructs the table.
 func TestTwoServerFetchRefusesMismatchedPRF(t *testing.T) {
 	tab := testTable(t, 64, 2)
-	addr0, addr1 := servePair(t, tab, WithPRG("chacha20"))
-	if rows, err := fetchLikePirclient(addr0, addr1, "aes128", tab.NumRows, []uint64{3}); err == nil {
+	foreign0, foreign1 := servePair(t, tab, foreignPRF{dpf.NewAESPRG()})
+	if rows, err := fetchLikePirclient(foreign0, foreign1, tab.NumRows, []uint64{3}); err == nil {
 		t.Fatalf("mismatched PRFs returned rows %v and no error", rows)
 	} else if !strings.Contains(err.Error(), "aes128") || !strings.Contains(err.Error(), "chacha20") {
 		t.Fatalf("refusal %q does not name both PRFs", err)
 	}
-	if _, err := fetchLikePirclient(addr0, addr1, "chacha20", 2*tab.NumRows, []uint64{3}); err == nil || !strings.Contains(err.Error(), "64 rows") {
+	addr0, addr1 := servePair(t, tab, nil)
+	if _, err := fetchLikePirclient(addr0, addr1, 2*tab.NumRows, []uint64{3}); err == nil || !strings.Contains(err.Error(), "64 rows") {
 		t.Fatalf("mismatched -rows: %v, want the row counts named", err)
 	}
-	rows, err := fetchLikePirclient(addr0, addr1, "chacha20", tab.NumRows, []uint64{3, 63})
+	rows, err := fetchLikePirclient(addr0, addr1, tab.NumRows, []uint64{3, 63})
 	if err != nil {
 		t.Fatal(err)
 	}

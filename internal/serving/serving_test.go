@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/model"
 )
 
@@ -180,10 +179,9 @@ func TestBatcherStress(t *testing.T) {
 // modelLatency builds a BatchLatency from the V100 model on a 1M table.
 func modelLatency(t testing.TB) BatchLatency {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	s := model.MemBound{K: 128, Fused: true}
 	return func(batch int) time.Duration {
-		rep, err := s.Model(dev, prg, 20, batch, 64)
+		rep, err := s.Model(dev, model.AES128, 20, batch, 64)
 		if err != nil {
 			t.Fatalf("model: %v", err)
 		}

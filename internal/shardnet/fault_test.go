@@ -59,15 +59,6 @@ func answerRange(ctx context.Context, m engine.Member, keys [][]byte, lo, hi int
 	return part, err
 }
 
-func mustPRG(t testing.TB, name string) dpf.PRG {
-	t.Helper()
-	prg, err := dpf.NewPRG(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prg
-}
-
 // genKeysForCluster generates a small party-0 aes128 batch for the
 // cluster's row domain at the default early-termination depth.
 func genKeysForCluster(t testing.TB, c *engine.Cluster) (k0s, k1s [][]byte) {
@@ -218,8 +209,7 @@ func TestRPCTimeoutBackstop(t *testing.T) {
 // adopted.
 func TestClusterConfigMismatch(t *testing.T) {
 	tab := buildTable(t, 128, 2, 9)
-	chachaPRG := mustPRG(t, "chacha20")
-	chachaNodeRep := newReplica(t, tab, engine.Config{Party: 0, PRG: chachaPRG})
+	chachaNodeRep := newReplica(t, tab, engine.Config{Party: 0, PRG: foreignPRF{dpf.NewAESPRG()}})
 	_, chachaAddr := startNode(t, chachaNodeRep, ServerConfig{})
 
 	// Pinning client: rejected during the handshake, both PRFs named.

@@ -262,59 +262,50 @@ func TestMixedClusterMatchesReplica(t *testing.T) {
 		{K: 8},
 		{K: 128},
 	}
-	prgNames := dpf.AllPRGNames()
-	if testing.Short() {
-		prgNames = prgNames[:2]
-	}
 	tab := buildTable(t, rows, lanes, 3)
 	bounds := make([]int, shards+1)
 	for i := 0; i < shards; i++ {
 		bounds[i], bounds[i+1] = engine.ShardRange(rows, i, shards)
 	}
-	for _, prgName := range prgNames {
-		for _, strat := range strategies {
-			t.Run(fmt.Sprintf("%s/K=%d", prgName, strat.K), func(t *testing.T) {
-				prg, err := dpf.NewPRG(prgName)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := engine.Config{Party: 0, PRG: prg, Strategy: strat}
-				ref := newReplica(t, tab, cfg)
+	prg := dpf.NewAESPRG()
+	for _, strat := range strategies {
+		t.Run(fmt.Sprintf("%s/K=%d", prg.Name(), strat.K), func(t *testing.T) {
+			cfg := engine.Config{Party: 0, Strategy: strat}
+			ref := newReplica(t, tab, cfg)
 
-				members := make([]engine.ClusterShard, shards)
-				for i := 0; i < shards; i++ {
-					if i%2 == 0 {
-						members[i] = engine.ClusterShard{Backend: newReplica(t, tab, cfg)}
-						continue
-					}
-					// A real remote node holding only its shard's rows.
-					nodeTab := shardTable(t, tab, bounds[i], bounds[i+1])
-					_, addr := startNode(t, newReplica(t, nodeTab, cfg), ServerConfig{RowLo: bounds[i], RowHi: bounds[i+1]})
-					cl, err := Dial(addr, Options{PRG: prgName, Party: 0})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { cl.Close() })
-					members[i] = engine.ClusterShard{Backend: cl, Name: addr}
+			members := make([]engine.ClusterShard, shards)
+			for i := 0; i < shards; i++ {
+				if i%2 == 0 {
+					members[i] = engine.ClusterShard{Backend: newReplica(t, tab, cfg)}
+					continue
 				}
-				cluster, err := engine.NewCluster(members...)
+				// A real remote node holding only its shard's rows.
+				nodeTab := shardTable(t, tab, bounds[i], bounds[i+1])
+				_, addr := startNode(t, newReplica(t, nodeTab, cfg), ServerConfig{RowLo: bounds[i], RowHi: bounds[i+1]})
+				cl, err := Dial(addr, Options{PRG: dpf.PRGName, Party: 0})
 				if err != nil {
 					t.Fatal(err)
 				}
-				keys, _ := genKeys(t, prg, tab.Bits(), []uint64{0, 63, 64, 128, 200, 255}, 4)
-				want, err := ref.Answer(context.Background(), keys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := cluster.Answer(context.Background(), keys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameShares(got, want); err != nil {
-					t.Fatalf("cluster diverges from single-process replica: %v", err)
-				}
-			})
-		}
+				t.Cleanup(func() { cl.Close() })
+				members[i] = engine.ClusterShard{Backend: cl, Name: addr}
+			}
+			cluster, err := engine.NewCluster(members...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys, _ := genKeys(t, prg, tab.Bits(), []uint64{0, 63, 64, 128, 200, 255}, 4)
+			want, err := ref.Answer(context.Background(), keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cluster.Answer(context.Background(), keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameShares(got, want); err != nil {
+				t.Fatalf("cluster diverges from single-process replica: %v", err)
+			}
+		})
 	}
 }
 
@@ -330,7 +321,6 @@ func TestHandshakePinning(t *testing.T) {
 		opts Options
 		want []string
 	}{
-		{"prg", Options{PRG: "chacha20", Party: 1}, []string{"chacha20", "aes128"}},
 		{"early", Options{PRG: "aes128", Early: 1, Party: 1},
 			[]string{"depth 1", fmt.Sprintf("depth %d", rep.EarlyBits())}},
 		{"party", Options{PRG: "aes128", Party: 0}, []string{"party-0", "party 1"}},
@@ -360,17 +350,33 @@ func TestHandshakePinning(t *testing.T) {
 		t.Fatalf("welcome config prg=%s party=%d early=%d", c.PRGName(), c.Party(), c.EarlyBits())
 	}
 
-	// A client from a different protocol era is refused with both versions
-	// named.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// A peer built with another PRF, or with another function under this
+	// one's name, says so in its hello (this build cannot pin either), and
+	// a client from a different protocol era states its version: each is
+	// refused with both values named.
+	refused := func(t *testing.T, claim hello, wants ...string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := rawHello(t, conn, claim); err == nil {
+			t.Fatalf("hello %+v accepted", claim)
+		} else {
+			for _, want := range wants {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("hello rejection %q does not name %q", err, want)
+				}
+			}
+		}
 	}
-	defer conn.Close()
-	if _, err := rawHello(t, conn, hello{Version: 99, Party: 1}); err == nil ||
-		!strings.Contains(err.Error(), "version 99") || !strings.Contains(err.Error(), fmt.Sprintf("version %d", ProtocolVersion)) {
-		t.Fatalf("version rejection %v does not name both versions", err)
-	}
+	t.Run("prg", func(t *testing.T) {
+		refused(t, hello{Version: ProtocolVersion, PRG: "chacha20", Construction: foreignConstruction, Party: 1}, "chacha20", "aes128")
+		refused(t, hello{Version: ProtocolVersion, PRG: "aes128", Construction: dpf.ConstructionAES128 - 1, Party: 1},
+			"construction 0xae50001", "construction 0xae50002")
+	})
+	refused(t, hello{Version: 99, Party: 1}, "version 99", fmt.Sprintf("version %d", ProtocolVersion))
 }
 
 // TestHandshakeNoAdoption: a node enforces ITS member's configuration
@@ -384,7 +390,6 @@ func TestHandshakeNoAdoption(t *testing.T) {
 		opts Options
 		want string
 	}{
-		{Options{PRG: "chacha20", Party: 1}, "this server serves prg=aes128"},
 		{Options{PRG: "aes128", Early: 1, Party: 1}, fmt.Sprintf("this server serves depth %d", rep.EarlyBits())},
 		{Options{PRG: "aes128", Party: 0}, "this server computes party 1"},
 	} {
@@ -396,6 +401,19 @@ func TestHandshakeNoAdoption(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("handshake rejection %q does not say %q", err, tc.want)
 		}
+	}
+	// This build cannot pin another PRF, so a peer built with one claims
+	// it in a raw hello.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	claim := hello{Version: ProtocolVersion, PRG: "chacha20", Construction: foreignConstruction, Party: 1}
+	if w, err := rawHello(t, conn, claim); err == nil {
+		t.Fatalf("node adopted the claim %+v (welcome says prg=%s)", claim, w.PRG)
+	} else if !strings.Contains(err.Error(), "this server serves prg=aes128") {
+		t.Fatalf("handshake rejection %q does not say %q", err, "this server serves prg=aes128")
 	}
 }
 

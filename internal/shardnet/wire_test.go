@@ -89,6 +89,16 @@ type otherAES struct{ dpf.PRG }
 
 func (otherAES) Construction() uint32 { return dpf.ConstructionAES128 - 1 }
 
+// foreignPRF is a PRF this build does not compute, chacha20 under its
+// construction ID: what a peer built with another construction says in
+// its hello. Its bodies are aes128's; only the name and ID are foreign.
+type foreignPRF struct{ dpf.PRG }
+
+func (foreignPRF) Name() string         { return "chacha20" }
+func (foreignPRF) Construction() uint32 { return foreignConstruction }
+
+const foreignConstruction = 0xc4a_0001
+
 // TestHelloRefusesConstruction: a server whose PRF has the client's name but
 // not its construction is refused at dial, with both IDs named — keys of
 // one would evaluate to garbage shares on the other.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/model"
 )
 
@@ -25,13 +24,13 @@ func within(t *testing.T, name string, x, lo, hi float64) {
 // TestTable4CPUBaseline: Xeon single-thread 1M-entry latency ≈638ms and
 // 32-thread ≈36ms with 2048-bit entries.
 func TestTable4CPUBaseline(t *testing.T) {
-	prg := dpf.NewAESPRG()
-	one, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
+	prf := model.AES128
+	one, err := (model.CPUBaseline{Threads: 1}).Model(nil, prf, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	within(t, "cpu-1t 1M latency (ms)", float64(one.Latency.Milliseconds()), 400, 900)
-	many, err := (model.CPUBaseline{Threads: 32}).Model(nil, prg, 20, 1, 64)
+	many, err := (model.CPUBaseline{Threads: 32}).Model(nil, prf, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +41,13 @@ func TestTable4CPUBaseline(t *testing.T) {
 // on every Table 4 row (16K, 1M, 4M entries).
 func TestTable4GPUSpeedup(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	for _, bits := range []int{14, 20, 22} {
-		gpuRep, err := model.TuneBatch(dev, model.Schedule(bits), prg, bits, 64, 0)
+		gpuRep, err := model.TuneBatch(dev, model.Schedule(bits), prf, bits, 64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpuRep, err := (model.CPUBaseline{Threads: 32}).Model(nil, prg, bits, 64, 64)
+		cpuRep, err := (model.CPUBaseline{Threads: 32}).Model(nil, prf, bits, 64, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,31 +65,27 @@ func TestTable4GPUSpeedup(t *testing.T) {
 // the paper's 1,358 QPS.
 func TestTable4GPUAbsolute(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
-	r, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, 20, 64, 0)
+	prf := model.AES128
+	r, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prf, 20, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	within(t, "GPU 1M QPS", r.Throughput, 700, 2700)
 }
 
-// TestTable5PRFOrdering: modeled QPS at the paper's Table 5 shape (1M
-// entries, batch 512) must order siphash > chacha20 > highway > aes128 >
+// TestTable5PRFOrdering: modeled QPS of model.PRFs at the paper's Table 5
+// shape (1M entries, batch 512) must order siphash > chacha20 > highway > aes128 >
 // sha256, and ChaCha20's speedup over AES must be in the 2.5x–5x band
 // (paper: 3.77x).
 func TestTable5PRFOrdering(t *testing.T) {
 	dev := model.TeslaV100()
 	qps := map[string]float64{}
-	for _, name := range dpf.AllPRGNames() {
-		prg, err := dpf.NewPRG(name)
+	for _, prf := range model.PRFs {
+		r, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prf, 20, 512, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, 20, 512, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		qps[name] = r.Throughput
+		qps[prf.Name] = r.Throughput
 	}
 	if !(qps["siphash"] > qps["chacha20"] && qps["chacha20"] > qps["highway"] &&
 		qps["highway"] > qps["aes128"] && qps["aes128"] >= qps["sha256"]) {
@@ -104,9 +99,9 @@ func TestTable5PRFOrdering(t *testing.T) {
 // cheaper than server-side Eval.
 func TestGenVsEvalGap(t *testing.T) {
 	i3 := model.IntelCorei3()
-	prg := dpf.NewAESPRG()
-	genLat := i3.CPUTime(model.GenProfile(prg.CPUCyclesPerBlock(), 20, 1), 1)
-	evalRep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prg, 20, 1, 64)
+	prf := model.AES128
+	genLat := i3.CPUTime(model.GenProfile(prf.CPUCyclesPerBlock, 20, 1), 1)
+	evalRep, err := (model.CPUBaseline{Threads: 1}).Model(nil, prf, 20, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +117,13 @@ func TestGenVsEvalGap(t *testing.T) {
 // budget, and tighter budgets must not increase throughput.
 func TestTuneBatchRespectsLatencyBudget(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
+	prf := model.AES128
 	mb := model.MemBound{K: 128, Fused: true}
-	loose, err := model.TuneBatch(dev, mb, prg, 20, 64, 300*time.Millisecond)
+	loose, err := model.TuneBatch(dev, mb, prf, 20, 64, 300*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight, err := model.TuneBatch(dev, mb, prg, 20, 64, 50*time.Millisecond)
+	tight, err := model.TuneBatch(dev, mb, prf, 20, 64, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +134,7 @@ func TestTuneBatchRespectsLatencyBudget(t *testing.T) {
 		t.Error("tighter latency budget should not increase throughput")
 	}
 	// Impossible budget errors out but still reports batch 1.
-	if _, err := model.TuneBatch(dev, mb, prg, 24, 64, time.Microsecond); err == nil {
+	if _, err := model.TuneBatch(dev, mb, prf, 24, 64, time.Microsecond); err == nil {
 		t.Error("microsecond budget at 16M entries should be infeasible")
 	}
 }

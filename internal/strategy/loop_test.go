@@ -60,7 +60,7 @@ func TestTileLoopRunPartitionProperty(t *testing.T) {
 	for _, pc := range []struct {
 		name string
 		prg  dpf.PRG
-	}{{"aes128", dpf.NewAESPRG()}, {"chacha20", dpf.NewChaChaPRG()}} {
+	}{{"aes128", dpf.NewAESPRG()}} {
 		odd := 200 + rng.Intn(600)
 		if odd&(odd-1) == 0 {
 			odd++

@@ -3,7 +3,6 @@ package strategy
 import (
 	"testing"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/model"
 )
 
@@ -11,14 +10,13 @@ import (
 // at a fixed batch the per-fleet utilization motivates larger batches.
 func TestMultiGPUModelScaling(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	const bits, batch, lanes = 24, 64, 64
-	base, err := (model.MultiGPU{Devices: 1}).Model(dev, prg, bits, batch, lanes)
+	base, err := (model.MultiGPU{Devices: 1}).Model(dev, model.AES128, bits, batch, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 4, 8} {
-		rep, err := (model.MultiGPU{Devices: n}).Model(dev, prg, bits, batch, lanes)
+		rep, err := (model.MultiGPU{Devices: n}).Model(dev, model.AES128, bits, batch, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}

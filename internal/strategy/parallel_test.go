@@ -127,7 +127,6 @@ func TestParallelStrategyBitIdentity(t *testing.T) {
 		prg  dpf.PRG
 	}{
 		{"aes128", dpf.NewAESPRG()},
-		{"chacha20", dpf.NewChaChaPRG()},
 	}
 	for _, pc := range prgs {
 		all, _, _ := genBatch(t, pc.prg, tab, 40, 23)
@@ -201,7 +200,7 @@ func TestParallelStrategyWorkerBudget(t *testing.T) {
 	forceGOMAXPROCS(t, 8)
 	rows := 2*parMinBlockRows + 777
 	tab := buildTable(t, rows, 2, 5)
-	prg := &countingPRG{PRG: dpf.NewChaChaPRG()}
+	prg := &countingPRG{PRG: dpf.NewAESPRG()}
 	keys, _, _ := genBatch(t, prg, tab, 40, 6)
 	for _, batch := range []int{1, 3, 40} {
 		for _, w := range []int{1, 2, 3} {

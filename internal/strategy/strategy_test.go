@@ -120,7 +120,7 @@ func TestWorkOptimality(t *testing.T) {
 			{model.LevelByLevel{}, 2*g - 2},
 			{model.BranchParallel{}, g * int64(bits-early)},
 		} {
-			rep, err := c.m.Model(model.TeslaV100(), prg, bits, 1, 1)
+			rep, err := c.m.Model(model.TeslaV100(), model.AES128, bits, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,17 +163,16 @@ func TestMixedDepthBatchRejected(t *testing.T) {
 // with L while level-by-level grows linearly.
 func TestMemoryOrdering(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	const batch = 32
 	mb := model.MemBound{K: 128, Fused: true}
 	lvl := model.LevelByLevel{}
 	var prevMB, prevLvl int64
 	for _, bits := range []int{14, 16, 18, 20} {
-		rm, err := mb.Model(dev, prg, bits, batch, 64)
+		rm, err := mb.Model(dev, model.AES128, bits, batch, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rl, err := lvl.Model(dev, prg, bits, batch, 64)
+		rl, err := lvl.Model(dev, model.AES128, bits, batch, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,14 +200,13 @@ func TestMemoryOrdering(t *testing.T) {
 // batch sizes membound handles easily (the Figure 13 cliff).
 func TestLevelByLevelOOM(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	const bits = 22 // 4M rows
 	// Early termination cut level-by-level's node frontier 4×, so the OOM
 	// cliff moved out by roughly that factor — batch 512 is past it.
-	if _, err := (model.LevelByLevel{}).Model(dev, prg, bits, 512, 64); err == nil {
+	if _, err := (model.LevelByLevel{}).Model(dev, model.AES128, bits, 512, 64); err == nil {
 		t.Error("level-by-level at 4M×batch512 should exceed 16GB")
 	}
-	if _, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 512, 64); err != nil {
+	if _, err := (model.MemBound{K: 128, Fused: true}).Model(dev, model.AES128, bits, 512, 64); err != nil {
 		t.Errorf("membound at same shape should fit: %v", err)
 	}
 }
@@ -217,14 +215,13 @@ func TestLevelByLevelOOM(t *testing.T) {
 // help clearly at large entry sizes (Figure 14).
 func TestFusionImprovesModel(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	const bits = 20
 	for _, lanes := range []int{16, 64, 256, 1024} {
-		rf, err := (model.MemBound{K: 128, Fused: true}).Model(dev, prg, bits, 32, lanes)
+		rf, err := (model.MemBound{K: 128, Fused: true}).Model(dev, model.AES128, bits, 32, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ru, err := (model.MemBound{K: 128, Fused: false}).Model(dev, prg, bits, 32, lanes)
+		ru, err := (model.MemBound{K: 128, Fused: false}).Model(dev, model.AES128, bits, 32, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,13 +236,12 @@ func TestFusionImprovesModel(t *testing.T) {
 // tables.
 func TestCoopVsBatchedUtilization(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	coop := model.CoopGroups{}
-	small, err := coop.Model(dev, prg, 14, 1, 64)
+	small, err := coop.Model(dev, model.AES128, 14, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := coop.Model(dev, prg, 24, 1, 64)
+	large, err := coop.Model(dev, model.AES128, 24, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +261,12 @@ func TestCoopVsBatchedUtilization(t *testing.T) {
 // giving up much throughput.
 func TestCoopImprovesLargeTableLatency(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	const bits = 23
-	batched, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, prg, bits, 64, 0)
+	batched, err := model.TuneBatch(dev, model.MemBound{K: 128, Fused: true}, model.AES128, bits, 64, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coop, err := (model.CoopGroups{}).Model(dev, prg, bits, 1, 64)
+	coop, err := (model.CoopGroups{}).Model(dev, model.AES128, bits, 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +291,10 @@ func TestSchedule(t *testing.T) {
 // TestBatchingIncreasesUtilization pins Figure 9a.
 func TestBatchingIncreasesUtilization(t *testing.T) {
 	dev := model.TeslaV100()
-	prg := dpf.NewAESPRG()
 	mb := model.MemBound{K: 128, Fused: true}
 	prev := -1.0
 	for _, b := range []int{1, 4, 16, 64} {
-		r, err := mb.Model(dev, prg, 20, b, 64)
+		r, err := mb.Model(dev, model.AES128, 20, b, 64)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,124 +36,114 @@ func scalarReference(t *testing.T, prg dpf.PRG, keys []*dpf.Key, tab *Table) [][
 	return ref
 }
 
-// TestTiledMatchesScalarAllPRGs: for every executor and every PRF, the
+// TestTiledMatchesScalarAllPRGs: for every executor, the
 // tiled/batched Run is bit-identical to the scalar reference. The batch of
 // 34 keys spans two tiles (32 + 2), exercising both the full-tile and
 // ragged-tail paths.
 func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 	const rows, lanes, batch = 100, 3, 34
-	for _, name := range dpf.AllPRGNames() {
-		prg, err := dpf.NewPRG(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name, func(t *testing.T) {
-			tab := buildTable(t, rows, lanes, 21)
-			rng := rand.New(rand.NewSource(22))
-			keys := make([]*dpf.Key, batch)
-			for q := range keys {
-				k0, k1, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), []uint32{1}, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if q%2 == 0 {
-					keys[q] = &k0
-				} else {
-					keys[q] = &k1 // party-1 keys exercise the negation path
-				}
+	prg := dpf.NewAESPRG()
+	t.Run(prg.Name(), func(t *testing.T) {
+		tab := buildTable(t, rows, lanes, 21)
+		rng := rand.New(rand.NewSource(22))
+		keys := make([]*dpf.Key, batch)
+		for q := range keys {
+			k0, k1, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), []uint32{1}, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want := scalarReference(t, prg, keys, tab)
-			for _, s := range executors() {
-				var ctr Counters
-				got, err := Run(s, prg, keys, tab.View(), &ctr)
-				if err != nil {
-					t.Fatalf("%s: %v", s.Name(), err)
-				}
-				for q := range want {
-					for l := range want[q] {
-						if got[q][l] != want[q][l] {
-							t.Fatalf("%s/%s q=%d lane=%d: tiled %d != scalar %d",
-								s.Name(), name, q, l, got[q][l], want[q][l])
-						}
+			if q%2 == 0 {
+				keys[q] = &k0
+			} else {
+				keys[q] = &k1 // party-1 keys exercise the negation path
+			}
+		}
+		want := scalarReference(t, prg, keys, tab)
+		for _, s := range executors() {
+			var ctr Counters
+			got, err := Run(s, prg, keys, tab.View(), &ctr)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			for q := range want {
+				for l := range want[q] {
+					if got[q][l] != want[q][l] {
+						t.Fatalf("%s/%s q=%d lane=%d: tiled %d != scalar %d",
+							s.Name(), prg.Name(), q, l, got[q][l], want[q][l])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestEarlyMatchesFullDepthAllStrategies is the §3.1 acceptance property:
-// for every PRF × every executor, a batch of early-terminated (wire v2)
+// for every executor, a batch of early-terminated (wire v2)
 // key pairs and a batch of full-depth (wire v1) pairs for the same indices
 // produce bit-identical reconstructed answers — the exact table rows, mod
 // 2^32 — and each party's v2 share matches the scalar EvalAt reference for
 // its own key. Early termination changes the walk, never the answer.
 func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 	const rows, lanes, batch = 100, 3, 5
-	for _, name := range dpf.AllPRGNames() {
-		prg, err := dpf.NewPRG(name)
-		if err != nil {
-			t.Fatal(err)
+	prg := dpf.NewAESPRG()
+	t.Run(prg.Name(), func(t *testing.T) {
+		tab := buildTable(t, rows, lanes, 61)
+		rng := rand.New(rand.NewSource(62))
+		type pair struct{ k0, k1 *dpf.Key }
+		var v1, v2 []pair
+		var idx []uint64
+		for q := 0; q < batch; q++ {
+			alpha := uint64(rng.Intn(rows))
+			a0, a1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 0, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b0, b1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 2, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1 = append(v1, pair{&a0, &a1})
+			v2 = append(v2, pair{&b0, &b1})
+			idx = append(idx, alpha)
 		}
-		t.Run(name, func(t *testing.T) {
-			tab := buildTable(t, rows, lanes, 61)
-			rng := rand.New(rand.NewSource(62))
-			type pair struct{ k0, k1 *dpf.Key }
-			var v1, v2 []pair
-			var idx []uint64
-			for q := 0; q < batch; q++ {
-				alpha := uint64(rng.Intn(rows))
-				a0, a1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 0, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b0, b1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 2, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				v1 = append(v1, pair{&a0, &a1})
-				v2 = append(v2, pair{&b0, &b1})
-				idx = append(idx, alpha)
+		split := func(ps []pair) (k0s, k1s []*dpf.Key) {
+			for _, p := range ps {
+				k0s = append(k0s, p.k0)
+				k1s = append(k1s, p.k1)
 			}
-			split := func(ps []pair) (k0s, k1s []*dpf.Key) {
-				for _, p := range ps {
-					k0s = append(k0s, p.k0)
-					k1s = append(k1s, p.k1)
+			return
+		}
+		v10, v11 := split(v1)
+		v20, v21 := split(v2)
+		refV2 := scalarReference(t, prg, v20, tab)
+		for _, s := range executors() {
+			var ctr Counters
+			run := func(keys []*dpf.Key) [][]uint32 {
+				got, err := Run(s, prg, keys, tab.View(), &ctr)
+				if err != nil {
+					t.Fatalf("%s: %v", s.Name(), err)
 				}
-				return
+				return got
 			}
-			v10, v11 := split(v1)
-			v20, v21 := split(v2)
-			refV2 := scalarReference(t, prg, v20, tab)
-			for _, s := range executors() {
-				var ctr Counters
-				run := func(keys []*dpf.Key) [][]uint32 {
-					got, err := Run(s, prg, keys, tab.View(), &ctr)
-					if err != nil {
-						t.Fatalf("%s: %v", s.Name(), err)
+			a10, a11 := run(v10), run(v11)
+			a20, a21 := run(v20), run(v21)
+			for q := range idx {
+				want := tab.Row(int(idx[q]))
+				for l := 0; l < lanes; l++ {
+					recV1 := a10[q][l] + a11[q][l]
+					recV2 := a20[q][l] + a21[q][l]
+					if recV2 != recV1 || recV2 != want[l] {
+						t.Fatalf("%s/%s q=%d lane=%d: v2 %d, v1 %d, table %d",
+							s.Name(), prg.Name(), q, l, recV2, recV1, want[l])
 					}
-					return got
-				}
-				a10, a11 := run(v10), run(v11)
-				a20, a21 := run(v20), run(v21)
-				for q := range idx {
-					want := tab.Row(int(idx[q]))
-					for l := 0; l < lanes; l++ {
-						recV1 := a10[q][l] + a11[q][l]
-						recV2 := a20[q][l] + a21[q][l]
-						if recV2 != recV1 || recV2 != want[l] {
-							t.Fatalf("%s/%s q=%d lane=%d: v2 %d, v1 %d, table %d",
-								s.Name(), name, q, l, recV2, recV1, want[l])
-						}
-						if a20[q][l] != refV2[q][l] {
-							t.Fatalf("%s/%s q=%d lane=%d: v2 share %d != scalar reference %d",
-								s.Name(), name, q, l, a20[q][l], refV2[q][l])
-						}
+					if a20[q][l] != refV2[q][l] {
+						t.Fatalf("%s/%s q=%d lane=%d: v2 share %d != scalar reference %d",
+							s.Name(), prg.Name(), q, l, a20[q][l], refV2[q][l])
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestRunRangeRandomPartitions: property test — for every executor,
@@ -161,7 +151,7 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 // Run (mod 2^32), not just the fixed cut set range_test.go uses.
 func TestRunRangeRandomPartitions(t *testing.T) {
 	const rows, lanes = 300, 2
-	prg := dpf.NewChaChaPRG()
+	prg := dpf.NewAESPRG()
 	tab := buildTable(t, rows, lanes, 31)
 	rng := rand.New(rand.NewSource(32))
 	keys := make([]*dpf.Key, 5)

@@ -98,7 +98,6 @@ func TestChunkedViewEquivalence(t *testing.T) {
 		prg  dpf.PRG
 	}{
 		{"aes128", dpf.NewAESPRG()},
-		{"chacha20", dpf.NewChaChaPRG()},
 	} {
 		t.Run(prgCase.name, func(t *testing.T) {
 			prg := prgCase.prg
