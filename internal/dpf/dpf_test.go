@@ -10,9 +10,18 @@ import (
 // testRand returns a deterministic randomness source for Gen.
 func testRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// allPRGs lists every PRF this build computes: aes128 alone (NewPRG).
-// The tests that range over it name a subtest by the PRF.
-func allPRGs(testing.TB) []PRG { return []PRG{NewAESPRG()} }
+func allPRGs(t testing.TB) []PRG {
+	t.Helper()
+	var prgs []PRG
+	for _, name := range allPRGNames() {
+		p, err := testPRG(name)
+		if err != nil {
+			t.Fatalf("testPRG(%q): %v", name, err)
+		}
+		prgs = append(prgs, p)
+	}
+	return prgs
+}
 
 func addMod(a, b []uint32) []uint32 {
 	out := make([]uint32, len(a))
@@ -123,7 +132,7 @@ func TestEvalFullMatchesEvalAt(t *testing.T) {
 // TestEvalRange checks the pruned DFS range evaluation against EvalFull,
 // including shard boundaries that are not powers of two.
 func TestEvalRange(t *testing.T) {
-	prg := NewAESPRG()
+	prg := NewChaChaPRG()
 	rng := testRand(4)
 	const bits = 10
 	const n = 1 << bits
@@ -221,7 +230,7 @@ func TestEvalAtValidation(t *testing.T) {
 // TestQuickPointFunction is the property-based version of the correctness
 // test: random (alpha, beta, probe) triples over a 2^12 domain.
 func TestQuickPointFunction(t *testing.T) {
-	prg := NewAESPRG()
+	prg := NewSipPRG()
 	rng := testRand(1234)
 	const bits = 12
 	f := func(alphaRaw, probeRaw uint16, beta uint32) bool {

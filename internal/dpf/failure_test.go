@@ -95,7 +95,7 @@ func TestCorruptedFinalCWShiftsOnlyControlledLeaves(t *testing.T) {
 // TestConcurrentEvalSharedKey: a Key is read-only after Gen; concurrent
 // evaluation must be safe and consistent (run with -race to check).
 func TestConcurrentEvalSharedKey(t *testing.T) {
-	prg := NewAESPRG()
+	prg := NewChaChaPRG()
 	const bits = 8
 	k0, _, err := Gen(prg, 100, bits, []uint32{7}, testRand(43))
 	if err != nil {
@@ -161,7 +161,7 @@ func TestWideLanesConvertPath(t *testing.T) {
 
 // TestBitsOneDomain: the smallest tree (two leaves) works for both alphas.
 func TestBitsOneDomain(t *testing.T) {
-	prg := NewAESPRG()
+	prg := NewSipPRG()
 	for alpha := uint64(0); alpha < 2; alpha++ {
 		k0, k1, err := Gen(prg, alpha, 1, []uint32{5}, testRand(45))
 		if err != nil {

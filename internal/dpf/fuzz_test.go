@@ -10,7 +10,7 @@ import (
 
 // FuzzUnmarshalBinary hammers the key parser — the one decoder that eats
 // raw bytes straight off the serving path's TCP sockets — with mutated
-// wire keys, seeded from the golden v1, v2 and v3 fixtures
+// wire keys, seeded from the golden v1, v2 and v3 fixtures of every PRF
 // and from a v3 key whose last control-bit byte is padded, as sent and
 // with a padding bit or its lanes byte corrupted. Any
 // accepted input must re-marshal byte-identically (the wire format is

@@ -35,10 +35,10 @@ type goldenKey struct {
 func goldenPath() string { return filepath.Join("testdata", "golden_keys.json") }
 
 // generateGolden deterministically builds one v1, one v2 and one v3
-// aes128 fixture; the v2 and v3 fixtures are the same early-terminated
+// fixture per PRF; the v2 and v3 fixtures are the same early-terminated
 // key pair in both layouts, so v3 costs the rng stream nothing and the v1
 // and v2 bytes stay as they were before v3 existed. The rng stream is
-// fixed, and the PRF is deterministic, so the resulting bytes are
+// fixed, and every PRF is deterministic, so the resulting bytes are
 // identical on every platform — which is exactly what makes them a
 // cross-build honesty check for the asm and purego AES paths.
 func generateGolden(t *testing.T) []goldenKey {
@@ -46,44 +46,49 @@ func generateGolden(t *testing.T) []goldenKey {
 	rng := testRand(20260728)
 	const bits = 10
 	var out []goldenKey
-	prg := NewAESPRG()
-	for _, early := range []int{0, DefaultEarlyBits} {
-		alpha := uint64(rng.Int63n(1 << bits))
-		beta := []uint32{rng.Uint32()}
-		k0, k1, err := GenEarly(prg, alpha, bits, beta, early, rng)
+	for _, name := range allPRGNames() {
+		prg, err := testPRG(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		versions := []int{1}
-		if early > 0 {
-			versions = []int{2, 3}
-		}
-		for _, v := range versions {
-			k0.Wire, k1.Wire = v, v
-			raw0, err := k0.MarshalBinary()
+		for _, early := range []int{0, DefaultEarlyBits} {
+			alpha := uint64(rng.Int63n(1 << bits))
+			beta := []uint32{rng.Uint32()}
+			k0, k1, err := GenEarly(prg, alpha, bits, beta, early, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw1, err := k1.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
+			versions := []int{1}
+			if early > 0 {
+				versions = []int{2, 3}
 			}
-			out = append(out, goldenKey{
-				PRG:     PRGName,
-				Version: WireVersion(raw0),
-				Bits:    bits,
-				Early:   early,
-				Alpha:   alpha,
-				Beta:    beta,
-				Key0:    hex.EncodeToString(raw0),
-				Key1:    hex.EncodeToString(raw1),
-			})
+			for _, v := range versions {
+				k0.Wire, k1.Wire = v, v
+				raw0, err := k0.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw1, err := k1.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, goldenKey{
+					PRG:     name,
+					Version: WireVersion(raw0),
+					Bits:    bits,
+					Early:   early,
+					Alpha:   alpha,
+					Beta:    beta,
+					Key0:    hex.EncodeToString(raw0),
+					Key1:    hex.EncodeToString(raw1),
+				})
+			}
 		}
 	}
 	return out
 }
 
-// TestGoldenWireFormat pins the three wire formats and the PRF's evaluation
+// TestGoldenWireFormat pins the three wire formats and every PRF's evaluation
 // to checked-in bytes: each fixture must carry its declared version,
 // unmarshal, re-marshal byte-identically, and reconstruct its exact point
 // function. A failure here means deployed clients' keys would break.
@@ -111,8 +116,8 @@ func TestGoldenWireFormat(t *testing.T) {
 	if err := json.Unmarshal(raw, &fixtures); err != nil {
 		t.Fatal(err)
 	}
-	if len(fixtures) != 3 {
-		t.Fatalf("%d fixtures, want 3 (v1, v2 and v3 of aes128)", len(fixtures))
+	if want := 3 * len(allPRGNames()); len(fixtures) != want {
+		t.Fatalf("%d fixtures, want %d (v1+v2+v3 per PRF)", len(fixtures), want)
 	}
 
 	// The checked-in bytes must also be exactly what today's Gen produces
@@ -121,7 +126,7 @@ func TestGoldenWireFormat(t *testing.T) {
 
 	for i, g := range fixtures {
 		t.Run(g.PRG+"/v"+string(rune('0'+g.Version)), func(t *testing.T) {
-			prg, err := NewPRG(g.PRG)
+			prg, err := testPRG(g.PRG)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -273,7 +273,7 @@ func TestMarshalValidation(t *testing.T) {
 // TestQuickRoundTripStillEvaluates: after a round trip the key must still
 // satisfy the point-function property at alpha.
 func TestQuickRoundTripStillEvaluates(t *testing.T) {
-	prg := NewAESPRG()
+	prg := NewChaChaPRG()
 	rng := testRand(77)
 	const bits = 10
 	f := func(alphaRaw uint16, beta uint32) bool {

@@ -286,10 +286,11 @@ type Cluster struct {
 	keys    sync.Pool // *dpf.Key, for ValidateKey
 
 	// umu serializes cluster-driven updates and Heal's final join: one
-	// epoch handshake in flight at a time (concurrent Answers are NOT
+	// epoch handshake in flight at a time. Concurrent Answers are NOT
 	// blocked — they pin snapshots on the shards and the epoch check
-	// guards the merge).
-	umu sync.Mutex
+	// guards the merge — except a batch's last re-fan, which holds umu
+	// shared so no commit wave can straddle it.
+	umu sync.RWMutex
 
 	// The configuration every member pins (NewCluster refuses a set that
 	// disagrees); ValidateKey uses it to reject bad keys at the front door.
@@ -509,8 +510,8 @@ type shardAnswer struct {
 // a failure induced by the caller's own ctx keeps the ctx error in the
 // chain (errors.Is sees DeadlineExceeded). Partials are merged only when
 // every shard reports the SAME table epoch; a batch that straddles an
-// update commit is re-fanned (bounded retries), so a mixed-epoch answer
-// can never be returned.
+// update commit is re-fanned (bounded retries, the last with commit waves
+// held off), so a mixed-epoch answer can never be returned.
 func (c *Cluster) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error) {
 	if len(keys) == 0 {
 		return nil, errors.New("engine: empty key batch")
@@ -520,7 +521,7 @@ func (c *Cluster) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		answers, err := c.answerOnce(ctx, keys)
+		answers, err := c.answerOnceAt(ctx, keys, attempt == answerEpochRetries)
 		if err == nil {
 			return answers, nil
 		}
@@ -534,6 +535,19 @@ func (c *Cluster) Answer(ctx context.Context, keys [][]byte) ([][]uint32, error)
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// answerOnceAt is one fan-out pass. The last pass (last) holds off this
+// cluster's commit waves, so a batch that straddled a commit on every
+// earlier pass — answers slower than the update interval — is served
+// rather than failed; only replicas that genuinely diverged can still mix
+// epochs there.
+func (c *Cluster) answerOnceAt(ctx context.Context, keys [][]byte, last bool) ([][]uint32, error) {
+	if last {
+		c.umu.RLock()
+		defer c.umu.RUnlock()
+	}
+	return c.answerOnce(ctx, keys)
 }
 
 // groupAnswer serves one shard's sub-batch off its replica group: members
@@ -764,7 +778,8 @@ func (c *Cluster) Epoch(ctx context.Context) (uint64, error) {
 // in stale. The update fails only when a shard would lose its LAST
 // member. Concurrent Answers are not blocked: they keep their pinned
 // snapshots, and a batch that straddles the commit wave is caught by the
-// merge epoch check and retried.
+// merge epoch check and retried (a batch on its last re-fan holds the
+// wave off until it is served).
 func (c *Cluster) UpdateBatch(ctx context.Context, writes []RowWrite) (uint64, error) {
 	if err := validateRowWrites(writes, c.rows, c.lanes); err != nil {
 		return 0, err

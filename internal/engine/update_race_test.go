@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpudpf/internal/strategy"
 )
@@ -223,4 +224,96 @@ func TestClusterConcurrentUpdateAnswerRace(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("mixed-epoch refusals under churn: %d (all refused loudly, none blended)", mixedRefusals.Load())
+}
+
+// straddlingPair makes every pass of a two-shard batch straddle a commit
+// wave, as on a host whose answers outlast the update interval: shard 0
+// answers, then runs a cluster update and waits for it to commit before
+// shard 1 may answer. A wave that is held off (or slower than hold) lets
+// shard 1 answer at shard 0's epoch.
+type straddlingPair struct {
+	cluster *Cluster
+	writes  []RowWrite
+	hold    time.Duration
+	turn    chan struct{} // shard 0 → shard 1, once per pass
+	updates sync.WaitGroup
+}
+
+type straddleFirst struct {
+	*Replica
+	p *straddlingPair
+}
+
+func (m straddleFirst) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
+	answers, epoch, ok, err := m.Replica.AnswerRangeEpoch(ctx, keys, lo, hi)
+	committed := make(chan struct{})
+	m.p.updates.Add(1)
+	go func() {
+		defer m.p.updates.Done()
+		defer close(committed)
+		m.p.cluster.UpdateBatch(context.Background(), m.p.writes)
+	}()
+	select {
+	case <-committed:
+	case <-time.After(m.p.hold):
+	}
+	m.p.turn <- struct{}{}
+	return answers, epoch, ok, err
+}
+
+type straddleSecond struct {
+	*Replica
+	p *straddlingPair
+}
+
+func (m straddleSecond) AnswerRangeEpoch(ctx context.Context, keys [][]byte, lo, hi int) ([][]uint32, uint64, bool, error) {
+	select {
+	case <-m.p.turn:
+	case <-ctx.Done():
+		return nil, 0, false, ctx.Err()
+	}
+	return m.Replica.AnswerRangeEpoch(ctx, keys, lo, hi)
+}
+
+// TestClusterAnswerOutlastsChurn: a batch that straddles a commit on every
+// re-fan is still served — its last pass holds the commit waves off — and
+// its shares are the table's, never a blend of two epochs.
+func TestClusterAnswerOutlastsChurn(t *testing.T) {
+	const rows, lanes = 128, 2
+	src := &stubTable{rows: rows, lanes: lanes, seed: 61}
+	rep0, err := NewReplica(src.clone(t), Config{Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep1, err := NewReplica(src.clone(t), Config{Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &straddlingPair{hold: 200 * time.Millisecond, turn: make(chan struct{}, 1)}
+	cluster, err := NewCluster(
+		ClusterShard{Backend: straddleFirst{rep0, p}, Name: "s0"},
+		ClusterShard{Backend: straddleSecond{rep1, p}, Name: "s1"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every update rewrites the table with its own rows: the epoch ticks,
+	// the contents do not, so one reference answer holds at every epoch.
+	p.cluster, p.writes = cluster, fullTableWrites(src.clone(t))
+	defer p.updates.Wait()
+	keys, _ := genKeys(t, src.clone(t), []uint64{5, 100}, 62)
+	ref, err := NewReplica(src.clone(t), Config{Party: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Answer(context.Background(), keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cluster.Answer(context.Background(), keys)
+	if err != nil {
+		t.Fatalf("a batch straddling every commit wave failed: %v", err)
+	}
+	assertSameShares(t, got, want)
+	t.Logf("served after %d mixed-epoch re-fans", cluster.EpochRetries())
 }

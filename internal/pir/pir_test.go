@@ -9,6 +9,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gpudpf/internal/dpf"
+	"gpudpf/internal/engine"
 	"gpudpf/internal/strategy"
 )
 
@@ -238,6 +240,47 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(0, tab, WithStrategy(nil)); err == nil {
 		t.Error("nil strategy accepted")
+	}
+}
+
+// tweakedAES computes a function other than aes128 — aes128 of the seed
+// with one bit flipped — under aes128's own name and construction.
+type tweakedAES struct{ dpf.PRG }
+
+func (p tweakedAES) Expand(s dpf.Seed) (left, right dpf.Seed, tL, tR uint8) {
+	s[15] ^= 0x80
+	return p.PRG.Expand(s)
+}
+
+func (p tweakedAES) ExpandBatch(seeds []dpf.Seed, left, right []dpf.Seed, tL, tR []uint8) {
+	dpf.ScalarExpandBatch(p, seeds, left, right, tL, tR)
+}
+
+// TestMismatchedPRG: in process, where no hello pins the PRF, a client and
+// servers disagreeing on the PRF produce garbage (but no error) — the
+// shares simply don't reconstruct. This pins that PRF choice is part of
+// the protocol contract.
+func TestMismatchedPRG(t *testing.T) {
+	tab := fillTable(t, 64, 1)
+	var servers [2]*Server
+	for party := range servers {
+		eng, err := engine.NewReplica(tab, engine.Config{Party: party, PRG: tweakedAES{dpf.NewAESPRG()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[party] = &Server{eng: eng}
+	}
+	c, err := NewClient("aes128", tab.NumRows, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := &TwoServer{Client: c, E0: InProcess{servers[0]}, E1: InProcess{servers[1]}}
+	rows, _, err := ts.Fetch([]uint64{3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows[0][0] == tab.Row(3)[0] {
+		t.Fatalf("servers computing another PRF reconstructed row 3 (%#x)", rows[0][0])
 	}
 }
 
