@@ -31,11 +31,7 @@ var reproductionPackages = []string{
 // and reproduce are two layers, and only the reproduction (benchall,
 // gpudpf, the experiments) prices a modeled GPU.
 func TestServingBinaryImports(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		goTool = filepath.Join(runtime.GOROOT(), "bin", "go")
-	}
-	out, err := exec.Command(goTool, append([]string{"list", "-deps"}, servingBinaries...)...).Output()
+	out, err := exec.Command(goTool(), append([]string{"list", "-deps"}, servingBinaries...)...).Output()
 	if err != nil {
 		t.Fatalf("go list -deps %s: %v", strings.Join(servingBinaries, " "), err)
 	}
@@ -53,4 +49,12 @@ func TestServingBinaryImports(t *testing.T) {
 			t.Errorf("%s links %s", strings.Join(servingBinaries, " and "), p)
 		}
 	}
+}
+
+// goTool is the go command that built this test.
+func goTool() string {
+	if p, err := exec.LookPath("go"); err == nil {
+		return p
+	}
+	return filepath.Join(runtime.GOROOT(), "bin", "go")
 }

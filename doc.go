@@ -12,6 +12,17 @@
 // ml, data, netsim and experiments — is linked only by benchall, gpudpf,
 // the examples and tests (TestServingBinaryImports walks the import graph).
 //
+// Every package is internal, so an exported name that only tests call is
+// dead weight, not API. TestExportedSurfaceHasCallers type-checks the
+// non-test code of both modules (gpudpf and gpudpf/bench: binaries,
+// examples and bench/ included), under the default build and under
+// -tags purego, and fails on any exported name defined in gpudpf that
+// neither build's non-test code uses; a method counts as used when its
+// type implements an interface, of the module or the standard library,
+// that has it. The exceptions are surfaceAllowlist in surface_test.go,
+// each with its reason. The list only shrinks: the test also fails on an
+// entry that has gained a caller or no longer exists.
+//
 // The server request path is unified behind a single layered stack,
 // dpf → strategy → store/engine (→ shardnet) → pir/batchpir →
 // core/serving → cmd:
@@ -265,8 +276,8 @@
 //     (Server) and one pooled client (Client), in internal/frame frames,
 //     over one op space. The client ops — answer, update-batch, stats —
 //     work on any connection with no hello; the member ops — answer-range,
-//     shape, counters, the epoch handshake, ping, snapshot streaming —
-//     only after one, on a node over an engine.Member (NewServer). The
+//     counters, the epoch handshake, ping, snapshot streaming — only after
+//     one, on a node over an engine.Member (NewServer). The
 //     hello is a fixed binary frame (no gob on the wire) pinning the
 //     protocol version (6: the one-width key batch, key wire v3 and a
 //     counters response of the two host counters), the PRF by name and
@@ -476,5 +487,9 @@
 // control, drives it with pirload at the committed baseline's seed, gates
 // the resulting BENCH_serving.json against the committed one, and shuts
 // the server down with SIGTERM (a non-zero exit from the drain fails the
-// job).
+// job). Steps select tests by -run, -bench and -fuzz patterns, and a
+// pattern that names no test passes without running anything, so
+// .github/check-selectors.sh fails the distributed job when any
+// alternative of any selector in the workflow names no test of its
+// step's packages under its step's build tags.
 package gpudpf

@@ -17,7 +17,6 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/pir"
 )
 
@@ -68,19 +67,6 @@ func (c Config) BinBits() int {
 		bits++
 	}
 	return bits
-}
-
-// KeyBytesPerQuery is the total client→servers key traffic of one PBR
-// round: one key per bin per server, in the default early-terminated wire
-// format a pir.Client over BinSize rows emits.
-func (c Config) KeyBytesPerQuery() int64 {
-	bits := c.BinBits()
-	return int64(c.NumBins()) * int64(dpf.MarshaledSizeEarly(bits, 1, dpf.DefaultEarly(bits, 1))) * 2
-}
-
-// DownBytesPerQuery is the servers→client share traffic of one PBR round.
-func (c Config) DownBytesPerQuery(lanes int) int64 {
-	return int64(c.NumBins()) * int64(lanes) * 4 * 2
 }
 
 // Plan is the outcome of assigning a wanted index set to bins.
@@ -139,15 +125,6 @@ func BuildPlan(cfg Config, indices []uint64, rng *rand.Rand) (Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// DropRate is the fraction of distinct wanted indices the plan loses.
-func (p Plan) DropRate() float64 {
-	total := len(p.Retrieved) + len(p.Dropped)
-	if total == 0 {
-		return 0
-	}
-	return float64(len(p.Dropped)) / float64(total)
 }
 
 // ExpectedRetrievalRate is the analytic fraction of q uniformly random

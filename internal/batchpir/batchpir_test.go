@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gpudpf/internal/dpf"
 	"gpudpf/internal/pir"
 )
 
@@ -103,8 +104,8 @@ func TestBuildPlan(t *testing.T) {
 	if plan.Served[2] != -1 {
 		t.Error("bin 2 should be a dummy")
 	}
-	if got := plan.DropRate(); got != 0.25 {
-		t.Errorf("DropRate = %g, want 0.25", got)
+	if got := float64(len(plan.Dropped)) / float64(len(plan.Retrieved)+len(plan.Dropped)); got != 0.25 {
+		t.Errorf("drop rate = %g, want 0.25", got)
 	}
 	// Duplicates are deduped, not dropped.
 	plan2, err := BuildPlan(cfg, []uint64{3, 3, 3}, rng)
@@ -174,13 +175,22 @@ func TestEndToEnd(t *testing.T) {
 				}
 			}
 		}
-		if stats.UpBytes != cfg.KeyBytesPerQuery() {
-			t.Errorf("UpBytes=%d, model says %d", stats.UpBytes, cfg.KeyBytesPerQuery())
+		if want := keyBytesPerQuery(cfg); stats.UpBytes != want {
+			t.Errorf("UpBytes=%d, model says %d", stats.UpBytes, want)
 		}
-		if stats.DownBytes != cfg.DownBytesPerQuery(tab.Lanes) {
-			t.Errorf("DownBytes=%d, model says %d", stats.DownBytes, cfg.DownBytesPerQuery(tab.Lanes))
+		// One share of Lanes 4-byte words per bin per server.
+		if want := int64(cfg.NumBins()) * int64(tab.Lanes) * 4 * 2; stats.DownBytes != want {
+			t.Errorf("DownBytes=%d, model says %d", stats.DownBytes, want)
 		}
 	}
+}
+
+// keyBytesPerQuery is the client→servers key traffic of one PBR round: one
+// key per bin per server, in the default early-terminated wire format a
+// pir.Client over BinSize rows emits.
+func keyBytesPerQuery(cfg Config) int64 {
+	bits := cfg.BinBits()
+	return int64(cfg.NumBins()) * int64(dpf.MarshaledSizeEarly(bits, 1, dpf.DefaultEarly(bits, 1))) * 2
 }
 
 // TestExpectedRetrievalRate: analytic model vs Monte Carlo within 2%.
@@ -230,7 +240,7 @@ func TestBinTradeoffMonotonicity(t *testing.T) {
 	for _, binSize := range []int{1024, 256, 64, 16} {
 		cfg := Config{NumRows: rows, BinSize: binSize}
 		rate := ExpectedRetrievalRate(q, cfg.NumBins())
-		comm := cfg.KeyBytesPerQuery()
+		comm := keyBytesPerQuery(cfg)
 		if rate < prevRate {
 			t.Errorf("binSize=%d: retrieval rate %g decreased", binSize, rate)
 		}

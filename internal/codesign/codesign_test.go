@@ -35,8 +35,8 @@ func TestBuildLayoutIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.NumGroups() != 32 {
-		t.Errorf("C=0 should keep %d groups, got %d", 32, l.NumGroups())
+	if len(l.Groups) != 32 {
+		t.Errorf("C=0 should keep %d groups, got %d", 32, len(l.Groups))
 	}
 	if l.GroupLanes() != 4 {
 		t.Errorf("GroupLanes = %d, want 4", l.GroupLanes())
@@ -60,8 +60,8 @@ func TestBuildLayoutColocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.NumGroups() != 16 {
-		t.Errorf("pairing should halve groups: %d", l.NumGroups())
+	if len(l.Groups) != 16 {
+		t.Errorf("pairing should halve groups: %d", len(l.Groups))
 	}
 	// Every item maps to exactly one (row, slot) and decodes back.
 	seen := map[[2]int32]bool{}
@@ -328,7 +328,13 @@ func TestSearchFindsCodesignWin(t *testing.T) {
 			return kept / total, nil
 		},
 	}
-	cands, err := s.Search(DefaultSpace(), Budgets{CommBytes: 16 << 10, Latency: 300 * time.Millisecond})
+	space := Space{
+		Cs:       []int{0, 1, 2, 4},
+		HotFracs: []float64{0, 0.1, 0.2},
+		QHots:    []int{2, 4, 8},
+		QFulls:   []int{1, 2, 4, 8, 16},
+	}
+	cands, err := s.Search(space, Budgets{CommBytes: 16 << 10, Latency: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

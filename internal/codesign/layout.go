@@ -63,9 +63,6 @@ type Layout struct {
 // GroupLanes is the grouped row width in float32 lanes.
 func (l *Layout) GroupLanes() int { return l.Dim * (l.Params.C + 1) }
 
-// NumGroups is the grouped (full) table's row count.
-func (l *Layout) NumGroups() int { return len(l.Groups) }
-
 // EffectiveQHot and EffectiveQFull are the realized per-inference query
 // counts (the PBR bin counts; ceil rounding can land just under the
 // requested budget). They depend only on public parameters, never on the

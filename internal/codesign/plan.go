@@ -24,15 +24,6 @@ type InferencePlan struct {
 	RowItems map[uint64][]uint64
 }
 
-// DropRate is the fraction of wanted items lost.
-func (p *InferencePlan) DropRate() float64 {
-	total := len(p.Retrieved) + len(p.Dropped)
-	if total == 0 {
-		return 0
-	}
-	return float64(len(p.Dropped)) / float64(total)
-}
-
 // Plan maps wanted items to grouped rows, routes rows to the hot or full
 // table, and packs them into the fixed budgets. Items earlier in wanted win
 // bin collisions, so callers should order by importance (e.g. global

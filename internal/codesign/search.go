@@ -20,17 +20,6 @@ type Space struct {
 	QHots, QFulls []int
 }
 
-// DefaultSpace is a compact grid covering the paper's observed good
-// regions (Q_hot ≈ 10–20% of table, C ≈ 1–5).
-func DefaultSpace() Space {
-	return Space{
-		Cs:       []int{0, 1, 2, 4},
-		HotFracs: []float64{0, 0.1, 0.2},
-		QHots:    []int{2, 4, 8},
-		QFulls:   []int{1, 2, 4, 8, 16},
-	}
-}
-
 // Budgets caps candidates the way the paper's experiments do (§5.1:
 // <300 KB communication, <300 ms latency unless stated otherwise).
 type Budgets struct {

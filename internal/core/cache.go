@@ -45,5 +45,3 @@ func (c *embCache) put(k uint64, v []float32) {
 // invalidate drops a key (stale entries in the eviction order are skipped
 // harmlessly when they surface).
 func (c *embCache) invalidate(k uint64) { delete(c.items, k) }
-
-func (c *embCache) len() int { return len(c.items) }

@@ -126,7 +126,7 @@ func TestCacheReducesPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr1.CacheHits != 0 || svc.CacheLen() == 0 {
+	if tr1.CacheHits != 0 || len(svc.cache.items) == 0 {
 		t.Fatalf("first fetch should miss and fill cache: %+v", tr1)
 	}
 	// Second inference re-uses 2 and 40 and adds one new item per bin: the
@@ -156,8 +156,8 @@ func TestCacheEviction(t *testing.T) {
 	c.put(1, []float32{1})
 	c.put(2, []float32{2})
 	c.put(3, []float32{3})
-	if c.len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.len())
+	if len(c.items) != 2 {
+		t.Fatalf("cache len %d, want 2", len(c.items))
 	}
 	if _, ok := c.get(1); ok {
 		t.Error("oldest entry should have been evicted")
@@ -168,7 +168,7 @@ func TestCacheEviction(t *testing.T) {
 	// Zero-capacity cache is inert.
 	z := newEmbCache(0)
 	z.put(1, []float32{1})
-	if _, ok := z.get(1); ok || z.len() != 0 {
+	if _, ok := z.get(1); ok || len(z.items) != 0 {
 		t.Error("zero-cap cache should store nothing")
 	}
 }

@@ -291,9 +291,3 @@ func (s *Service) UpdateEmbeddings(updates map[uint64][]float32) error {
 	}
 	return nil
 }
-
-// Layout exposes the serving layout.
-func (s *Service) Layout() *codesign.Layout { return s.layout }
-
-// CacheLen reports the client cache occupancy.
-func (s *Service) CacheLen() int { return s.cache.len() }

@@ -2,6 +2,7 @@ package data
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -33,8 +34,10 @@ func TestRealWorldModel(t *testing.T) {
 }
 
 func TestGenRecShape(t *testing.T) {
-	cfg := MovieLensConfig(0.01)
-	cfg.Train, cfg.Test = 300, 100
+	cfg := RecConfig{
+		Name: "movielens", Items: 270, Genres: 4, Candidates: 20, HistoryLen: 72,
+		ZipfS: 1.2, Train: 300, Test: 100, SessionLen: 4, Seed: 1,
+	}
 	d, err := GenRec(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +64,10 @@ func TestGenRecShape(t *testing.T) {
 }
 
 func TestGenRecDeterministic(t *testing.T) {
-	cfg := TaobaoConfig(0.001)
-	cfg.Train, cfg.Test = 50, 20
+	cfg := RecConfig{
+		Name: "taobao", Items: 900, Genres: 4, Candidates: 16, HistoryLen: 3,
+		DenseDim: 8, DenseSignal: 0.85, ZipfS: 1.15, Train: 50, Test: 20, SessionLen: 4, Seed: 2,
+	}
 	a, err := GenRec(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +93,10 @@ func TestGenRecValidation(t *testing.T) {
 	if _, err := GenRec(bad); err == nil {
 		t.Error("Items < Genres accepted")
 	}
-	bad2 := MovieLensConfig(0.01)
-	bad2.Train = 0
+	bad2 := RecConfig{
+		Name: "movielens", Items: 270, Genres: 4, Candidates: 20, HistoryLen: 72,
+		ZipfS: 1.2, Train: 0, Test: 600, SessionLen: 4, Seed: 1,
+	}
 	if _, err := GenRec(bad2); err == nil {
 		t.Error("zero train samples accepted")
 	}
@@ -98,14 +105,24 @@ func TestGenRecValidation(t *testing.T) {
 // TestRecPopularityIsZipf: the generated access pattern must be heavy
 // tailed — the property the hot table exploits.
 func TestRecPopularityIsZipf(t *testing.T) {
-	cfg := MovieLensConfig(0.02)
-	cfg.Train = 1500
+	cfg := RecConfig{
+		Name: "movielens", Items: 540, Genres: 4, Candidates: 40, HistoryLen: 72,
+		ZipfS: 1.2, Train: 1500, Test: 600, SessionLen: 4, Seed: 1,
+	}
 	d, err := GenRec(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := Freq(d.Traces(true), cfg.Items)
-	if skew := ZipfSkew(counts); skew < 0.5 {
+	sort.Slice(counts, func(a, b int) bool { return counts[a] > counts[b] })
+	var total, top int64
+	for i, c := range counts {
+		total += c
+		if i < len(counts)/10 {
+			top += c
+		}
+	}
+	if skew := float64(top) / float64(total); skew < 0.5 {
 		t.Errorf("top-10%% mass = %.2f, want heavy tail > 0.5", skew)
 	}
 }
@@ -113,8 +130,10 @@ func TestRecPopularityIsZipf(t *testing.T) {
 // TestRecTemporalLocality: consecutive samples of one user share most of
 // their history (§2.3's caching premise).
 func TestRecTemporalLocality(t *testing.T) {
-	cfg := MovieLensConfig(0.02)
-	cfg.SessionLen = 5
+	cfg := RecConfig{
+		Name: "movielens", Items: 540, Genres: 4, Candidates: 40, HistoryLen: 72,
+		ZipfS: 1.2, Train: 2000, Test: 600, SessionLen: 5, Seed: 1,
+	}
 	d, err := GenRec(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +163,7 @@ func TestRecTemporalLocality(t *testing.T) {
 }
 
 func TestGenLM(t *testing.T) {
-	cfg := WikiText2Config(0.01)
+	cfg := LMConfig{Vocab: 330, TrainTokens: 8000, TestTokens: 2000, ZipfS: 1.1, BigramFollow: 0.7, Succ: 3, Seed: 3}
 	d, err := GenLM(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +197,7 @@ func TestGenLM(t *testing.T) {
 }
 
 func TestLMTraces(t *testing.T) {
-	cfg := WikiText2Config(0.01)
+	cfg := LMConfig{Vocab: 330, TrainTokens: 8000, TestTokens: 2000, ZipfS: 1.1, BigramFollow: 0.7, Succ: 3, Seed: 3}
 	d, err := GenLM(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,44 +59,6 @@ type RecConfig struct {
 	Seed int64
 }
 
-// MovieLensConfig is the MovieLens-20M stand-in, scaled by a factor so
-// tests can run small (scale 1 matches the paper's ≈27K-entry table).
-func MovieLensConfig(scale float64) RecConfig {
-	return RecConfig{
-		Name:        "movielens",
-		Items:       max(64, int(27000*scale)),
-		Genres:      max(4, int(20*scale)),
-		Candidates:  max(16, int(2000*scale)),
-		HistoryLen:  72,
-		DenseDim:    0, // paper: inputs are entirely sparse features
-		DenseSignal: 0,
-		ZipfS:       1.2,
-		Train:       2000,
-		Test:        600,
-		SessionLen:  4,
-		Seed:        1,
-	}
-}
-
-// TaobaoConfig is the Taobao ads stand-in (≈900K entries at scale 1; very
-// few sparse lookups per inference and dense-dominated labels).
-func TaobaoConfig(scale float64) RecConfig {
-	return RecConfig{
-		Name:        "taobao",
-		Items:       max(64, int(900000*scale)),
-		Genres:      max(4, int(40*scale)),
-		Candidates:  max(16, int(4000*scale)),
-		HistoryLen:  3, // paper: 2.68 average queries per inference
-		DenseDim:    8,
-		DenseSignal: 0.85,
-		ZipfS:       1.15,
-		Train:       2000,
-		Test:        600,
-		SessionLen:  4,
-		Seed:        2,
-	}
-}
-
 // RecDataset is a generated dataset plus the ground-truth structure the
 // co-design preprocessing is allowed to learn from the *training* split.
 type RecDataset struct {

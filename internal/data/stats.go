@@ -82,26 +82,3 @@ func Cooccur(traces [][]uint64, items, c int) [][]uint64 {
 	}
 	return out
 }
-
-// ZipfSkew is a crude check that counts follow a heavy-tailed law: the
-// fraction of total mass held by the top 10% of indices.
-func ZipfSkew(counts []int64) float64 {
-	sorted := make([]int64, len(counts))
-	copy(sorted, counts)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
-	var total, top int64
-	cut := len(sorted) / 10
-	if cut < 1 {
-		cut = 1
-	}
-	for i, v := range sorted {
-		total += v
-		if i < cut {
-			top += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(top) / float64(total)
-}

@@ -24,24 +24,6 @@ type LMConfig struct {
 	Seed int64
 }
 
-// WikiText2Config is the default stand-in, scaled (scale 1 ≈ the real
-// vocabulary).
-func WikiText2Config(scale float64) LMConfig {
-	v := int(33000 * scale)
-	if v < 32 {
-		v = 32
-	}
-	return LMConfig{
-		Vocab:        v,
-		TrainTokens:  8000,
-		TestTokens:   2000,
-		ZipfS:        1.1,
-		BigramFollow: 0.7,
-		Succ:         3,
-		Seed:         3,
-	}
-}
-
 // LMDataset is a generated corpus.
 type LMDataset struct {
 	Config      LMConfig

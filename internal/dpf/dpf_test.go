@@ -347,14 +347,28 @@ func TestDistinctKeysPerGen(t *testing.T) {
 	}
 }
 
-// TestConvertBlocks pins the cost-model accounting for Convert.
+// fillCounter counts the 16-byte PRF blocks Fill is asked for.
+type fillCounter struct {
+	PRG
+	blocks int
+}
+
+func (f *fillCounter) Fill(s Seed, dst []byte) {
+	f.blocks += (len(dst) + 15) / 16
+	f.PRG.Fill(s, dst)
+}
+
+// TestConvertBlocks pins the PRF blocks a Convert costs: none up to four
+// lanes (the seed's own bits), one per 16 output bytes past that.
 func TestConvertBlocks(t *testing.T) {
 	cases := []struct{ lanes, want int }{
 		{1, 0}, {4, 0}, {5, 2}, {8, 2}, {9, 3}, {32, 8}, {512, 128},
 	}
 	for _, c := range cases {
-		if got := ConvertBlocks(c.lanes); got != c.want {
-			t.Errorf("ConvertBlocks(%d) = %d, want %d", c.lanes, got, c.want)
+		prg := &fillCounter{PRG: NewAESPRG()}
+		ConvertInto(prg, Seed{}, make([]uint32, c.lanes))
+		if prg.blocks != c.want {
+			t.Errorf("Convert of %d lanes took %d PRF blocks, want %d", c.lanes, prg.blocks, c.want)
 		}
 	}
 }

@@ -86,12 +86,6 @@ func WireVersion(data []byte) int {
 	return 0
 }
 
-// MarshaledSize returns the exact wire size in bytes of a full-depth (v1)
-// key for the given tree depth and lane count.
-func MarshaledSize(bits, lanes int) int {
-	return wireSize(1, bits, lanes, 0)
-}
-
 // MarshaledSizeEarly returns the exact wire size in bytes of the key
 // MarshalBinary emits for the given early-termination depth: v1 at
 // early = 0, v3 otherwise. The communication cost model uses this.

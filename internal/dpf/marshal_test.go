@@ -304,13 +304,13 @@ func TestQuickRoundTripStillEvaluates(t *testing.T) {
 // the domain adds exactly 17 bytes.
 func TestKeySizeIsLogarithmic(t *testing.T) {
 	for bits := 1; bits < MaxBits; bits++ {
-		if MarshaledSize(bits+1, 1)-MarshaledSize(bits, 1) != 17 {
+		if MarshaledSizeEarly(bits+1, 1, 0)-MarshaledSizeEarly(bits, 1, 0) != 17 {
 			t.Fatalf("key growth at bits=%d is not 17 bytes/level", bits)
 		}
 	}
 	// A 1M-entry scalar key is well under 1 KB — the paper quotes 1.25 KB
 	// for its codeword format; ours is the tighter BGI15 layout.
-	if s := MarshaledSize(20, 1); s > 1280 {
+	if s := MarshaledSizeEarly(20, 1, 0); s > 1280 {
 		t.Errorf("1M-entry key is %d bytes, want <= 1280", s)
 	}
 }

@@ -91,15 +91,6 @@ func ConvertInto(prg PRG, s Seed, out []uint32) {
 	}
 }
 
-// ConvertBlocks is the number of extra PRF blocks a Convert of the given
-// width costs, for the cost model.
-func ConvertBlocks(lanes int) int {
-	if lanes <= 4 {
-		return 0
-	}
-	return (lanes*4 + 15) / 16
-}
-
 // PRGName is the one PRF this build computes: the name every key, server
 // and wire hello carries.
 const PRGName = "aes128"

@@ -209,7 +209,7 @@ func (h *memberHealth) isStale() bool {
 	return h.stale
 }
 
-// status reports the member's state for MemberStatus.
+// status reports the member's breaker, quarantine and last failure.
 func (h *memberHealth) status() (tripped, stale bool, lastErr error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -439,44 +439,8 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	return c, nil
 }
 
-// Shards returns the shard count.
-func (c *Cluster) Shards() int { return len(c.groups) }
-
-// GroupSize returns the number of replica-group members serving shard i.
-func (c *Cluster) GroupSize(shard int) int { return len(c.groups[shard].members) }
-
-// Bounds returns the row split: shard i serves [Bounds()[i], Bounds()[i+1]).
-func (c *Cluster) Bounds() []int { return append([]int(nil), c.bounds...) }
-
 // Shape implements Backend.
 func (c *Cluster) Shape() (rows, lanes int) { return c.rows, c.lanes }
-
-// MemberStatus is one replica-group member's health as seen by the
-// cluster, for operators and tests.
-type MemberStatus struct {
-	// Name is the member's configured name.
-	Name string
-	// Tripped reports the member's failure breaker is open (it serves
-	// only as a probed last resort until a success resets it).
-	Tripped bool
-	// Quarantined reports the member missed cluster epochs and is
-	// excluded from rotation and updates until healed.
-	Quarantined bool
-	// LastErr is the failure that tripped or quarantined the member
-	// (nil when healthy).
-	LastErr error
-}
-
-// Status reports the health of shard i's replica group, in member order.
-func (c *Cluster) Status(shard int) []MemberStatus {
-	g := c.groups[shard]
-	out := make([]MemberStatus, len(g.members))
-	for j := range g.members {
-		tripped, stale, lastErr := g.health[j].status()
-		out[j] = MemberStatus{Name: g.names[j], Tripped: tripped, Quarantined: stale, LastErr: lastErr}
-	}
-	return out
-}
 
 // Counters implements Backend: the sum over every group member (all
 // members serve load-balanced traffic, and PRF blocks and streamed bytes

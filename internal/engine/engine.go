@@ -138,20 +138,6 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 // Party returns which share (0 or 1) this replica computes.
 func (r *Replica) Party() int { return int(r.party) }
 
-// Table materializes a copy of the current epoch's table. A snapshot's
-// own buffers are only guaranteed stable while pinned (superseded backings
-// are recycled into later epochs' copies), and this method cannot hand the
-// pin to the caller — so it copies, assembling from the snapshot's chunk
-// iterator (which works for written epochs and paged backings alike;
-// a paged backing can surface a read error). It is a debugging/reporting
-// accessor, not a hot path; code that needs zero-copy reads pins a
-// snapshot via Store().Acquire and releases it when done.
-func (r *Replica) Table() (*strategy.Table, error) {
-	snap := r.st.Acquire()
-	defer snap.Release()
-	return strategy.TableFromView(snap)
-}
-
 // Store returns the replica's epoch-versioned table store — the seam for
 // coordinated updates (engine.Cluster's epoch handshake) and for sharing
 // one table between replicas.

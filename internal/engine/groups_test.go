@@ -66,8 +66,8 @@ func TestClusterGroupLoadBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cluster.GroupSize(0); got != 3 {
-		t.Fatalf("GroupSize = %d, want 3", got)
+	if got := len(cluster.groups[0].members); got != 3 {
+		t.Fatalf("group size = %d, want 3", got)
 	}
 	keys, _ := genKeys(t, src.clone(t), []uint64{3, 77}, 62)
 	for i := 0; i < batches; i++ {
@@ -109,12 +109,13 @@ func TestClusterGroupKillOneOfThree(t *testing.T) {
 		}
 		assertSameShares(t, got, want)
 	}
-	st := cluster.Status(0)
-	if !st[1].Tripped || st[1].LastErr == nil {
-		t.Fatalf("dead member not tripped: %+v", st[1])
+	if tripped, _, lastErr := cluster.groups[0].health[1].status(); !tripped || lastErr == nil {
+		t.Fatalf("dead member not tripped: tripped=%v lastErr=%v", tripped, lastErr)
 	}
-	if st[0].Tripped || st[2].Tripped {
-		t.Fatalf("healthy members tripped: %+v", st)
+	for _, j := range []int{0, 2} {
+		if tripped, _, _ := cluster.groups[0].health[j].status(); tripped {
+			t.Fatalf("healthy member %d tripped", j)
+		}
 	}
 }
 
@@ -208,12 +209,10 @@ func TestClusterQuarantineAndHeal(t *testing.T) {
 	if _, err := ref.UpdateBatch(ctx, w2); err != nil {
 		t.Fatal(err)
 	}
-	st := cluster.Status(0)
-	if !st[2].Quarantined {
-		t.Fatalf("laggard member not quarantined: %+v", st)
-	}
-	if st[0].Quarantined || st[1].Quarantined {
-		t.Fatalf("current members quarantined: %+v", st)
+	for j, h := range cluster.groups[0].health {
+		if _, stale, lastErr := h.status(); stale != (j == 2) {
+			t.Fatalf("member %d quarantined=%v (lastErr %v), want only the laggard, member 2", j, stale, lastErr)
+		}
 	}
 
 	// Degraded but serving, bit-identically, off the healthy members.
@@ -236,8 +235,8 @@ func TestClusterQuarantineAndHeal(t *testing.T) {
 	if err := cluster.Heal(ctx, 0, 2); err != nil {
 		t.Fatalf("heal failed: %v", err)
 	}
-	if st := cluster.Status(0); st[2].Quarantined || st[2].Tripped {
-		t.Fatalf("healed member still out of rotation: %+v", st[2])
+	if tripped, stale, lastErr := cluster.groups[0].health[2].status(); stale || tripped {
+		t.Fatalf("healed member still out of rotation: tripped=%v quarantined=%v lastErr=%v", tripped, stale, lastErr)
 	}
 	healedEpoch, err := members[2].Replica.Epoch(ctx)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"slices"
 	"sync"
 
 	"gpudpf/internal/codesign"
@@ -169,19 +170,46 @@ func lmApp(cfg data.LMConfig, embDim, hiddenDim, window, epochs int) (*App, erro
 		}
 	}
 
-	// Quality: mean NLL over test windows, each with its own drop set.
+	// Quality: mean NLL over test windows, each with its own drop set. The
+	// model reads a drop set only at the window's input tokens, so a
+	// window's NLL depends only on which of those it drops: each window is
+	// scored once per distinct such set (the co-design search asks for the
+	// same sets again and again), and the sum keeps its order. ScoreDrops
+	// may run concurrently.
+	var (
+		memoMu sync.Mutex
+		memo   = map[string]float64{}
+	)
 	nllWithDrops := func(drops []map[uint64]bool) float64 {
 		var total float64
 		n := 0
 		for w := 0; w*window+window <= len(ds.Test); w++ {
-			var d map[int]bool
+			tokens := ds.Test[w*window : w*window+window]
+			var hit []int
 			if drops != nil && w < len(drops) {
-				d = map[int]bool{}
-				for idx := range drops[w] {
-					d[int(idx)] = true
+				for _, tok := range tokens[:len(tokens)-1] {
+					if drops[w][uint64(tok)] {
+						hit = append(hit, tok)
+					}
 				}
+				slices.Sort(hit)
+				hit = slices.Compact(hit)
 			}
-			total += model.NLL(ds.Test[w*window:w*window+window], d)
+			key := fmt.Sprint(w, hit)
+			memoMu.Lock()
+			nll, ok := memo[key]
+			memoMu.Unlock()
+			if !ok {
+				d := make(map[int]bool, len(hit))
+				for _, tok := range hit {
+					d[tok] = true
+				}
+				nll = model.NLL(tokens, d)
+				memoMu.Lock()
+				memo[key] = nll
+				memoMu.Unlock()
+			}
+			total += nll
 			n++
 		}
 		return total / float64(n)

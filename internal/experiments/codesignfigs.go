@@ -262,24 +262,3 @@ func abs(v float64) float64 {
 	}
 	return v
 }
-
-// All runs every experiment in paper order, then the extensions and
-// ablations.
-func All() ([]*Table, error) {
-	runners := []func() (*Table, error){
-		Fig3, Table1, Table2, Fig6, Fig8, Fig9,
-		Fig11Table3, Fig12, Fig13, Fig14, Table4, Table5,
-		Fig16, Fig17, Fig18, Fig19, Fig20,
-		ExtMultiGPU, ExtServing, ExtIntegrity,
-		AblationCoopThreshold, AblationHotFraction, AblationColocation,
-	}
-	var out []*Table
-	for _, run := range runners {
-		tab, err := run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tab)
-	}
-	return out, nil
-}

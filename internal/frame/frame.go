@@ -110,9 +110,6 @@ type Reader struct {
 	bad bool
 }
 
-// NewReader starts a cursor at the first byte of body.
-func NewReader(body []byte) *Reader { return &Reader{b: body} }
-
 // Reset restarts r at the first byte of body, so a connection can keep one
 // cursor for every frame it reads.
 func (r *Reader) Reset(body []byte) { *r = Reader{b: body} }

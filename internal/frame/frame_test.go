@@ -61,7 +61,8 @@ func TestKeyBatch(t *testing.T) {
 	if want := []byte{0x01, 2, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, 4, 5, 6}; !bytes.Equal(body, want) {
 		t.Fatalf("batch %x, want %x", body, want)
 	}
-	r := NewReader(body[1:])
+	r := new(Reader)
+	r.Reset(body[1:])
 	got, err := ParseKeys(r, 2, nil)
 	if err != nil || len(got) != 2 || !bytes.Equal(got[0], keys[0]) || !bytes.Equal(got[1], keys[1]) || r.Remaining() != 0 {
 		t.Fatalf("parsed %x, %v", got, err)
@@ -98,7 +99,9 @@ func TestKeyBatch(t *testing.T) {
 		"long by one":         {batch(2, 3, 7), "1 trailing bytes"},
 		"width 2^32-1":        {batch(2, 1<<32-1, 6), "truncated key batch"},
 	} {
-		if _, err := ParseKeys(NewReader(tc.body), 2, nil); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.want) {
+		var r Reader
+		r.Reset(tc.body)
+		if _, err := ParseKeys(&r, 2, nil); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: %v, want a protocol error naming %q", name, err, tc.want)
 		}
 	}

@@ -1,4 +1,4 @@
-// Package gpu holds the names bench/ (closed to library changes) still
+// Package gpu holds the name bench/ (closed to library changes) still
 // spells the executor's host counters by. The paper's device models are
 // package model.
 package gpu
@@ -7,6 +7,3 @@ import "gpudpf/internal/strategy"
 
 // Counters is the name bench/ still spells strategy.Counters by.
 type Counters = strategy.Counters
-
-// Stats is the name bench/ still spells strategy.Stats by.
-type Stats = strategy.Stats

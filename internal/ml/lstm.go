@@ -117,11 +117,6 @@ func (m *LSTM) NLL(tokens []int, dropped map[int]bool) float64 {
 	return nll
 }
 
-// Perplexity is exp(NLL) — the paper's LM quality metric (lower is better).
-func (m *LSTM) Perplexity(tokens []int, dropped map[int]bool) float64 {
-	return math.Exp(m.NLL(tokens, dropped))
-}
-
 // TrainStep runs truncated BPTT over one token window and applies SGD,
 // returning the window's mean NLL.
 func (m *LSTM) TrainStep(tokens []int, lr float64) float64 {

@@ -224,13 +224,13 @@ func TestLSTMLearnsStructure(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		stream = append(stream, i%v)
 	}
-	before := m.Perplexity(stream, nil)
+	before := PerplexityFromNLL(m.NLL(stream, nil))
 	for epoch := 0; epoch < 30; epoch++ {
 		for off := 0; off+16 < len(stream); off += 15 {
 			m.TrainStep(stream[off:off+16], 0.1)
 		}
 	}
-	after := m.Perplexity(stream, nil)
+	after := PerplexityFromNLL(m.NLL(stream, nil))
 	if after > before/2 || after > 2.0 {
 		t.Errorf("perplexity %g -> %g; cyclic sequence should be nearly deterministic", before, after)
 	}
@@ -251,8 +251,8 @@ func TestLSTMDropHurtsPerplexity(t *testing.T) {
 			m.TrainStep(stream[off:off+16], 0.1)
 		}
 	}
-	clean := m.Perplexity(stream, nil)
-	degraded := m.Perplexity(stream, map[int]bool{0: true, 1: true, 2: true, 3: true})
+	clean := PerplexityFromNLL(m.NLL(stream, nil))
+	degraded := PerplexityFromNLL(m.NLL(stream, map[int]bool{0: true, 1: true, 2: true, 3: true}))
 	if degraded <= clean {
 		t.Errorf("dropping half the vocab should hurt: clean %g, degraded %g", clean, degraded)
 	}

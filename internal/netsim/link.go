@@ -20,11 +20,6 @@ func FourG() Link {
 	return Link{Name: "4G", BandwidthBitsPerSec: 60e6, RTT: 50 * time.Millisecond}
 }
 
-// WiFi returns a home broadband/WiFi model.
-func WiFi() Link {
-	return Link{Name: "WiFi", BandwidthBitsPerSec: 200e6, RTT: 15 * time.Millisecond}
-}
-
 // LAN returns a datacenter-adjacent model (useful to isolate compute time).
 func LAN() Link {
 	return Link{Name: "LAN", BandwidthBitsPerSec: 10e9, RTT: 500 * time.Microsecond}

@@ -31,11 +31,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestPresetsOrdering(t *testing.T) {
-	if !(FourG().BandwidthBitsPerSec < WiFi().BandwidthBitsPerSec &&
-		WiFi().BandwidthBitsPerSec < LAN().BandwidthBitsPerSec) {
-		t.Error("presets should order 4G < WiFi < LAN in bandwidth")
+	if !(FourG().BandwidthBitsPerSec < LAN().BandwidthBitsPerSec) {
+		t.Error("presets should order 4G < LAN in bandwidth")
 	}
-	if !(FourG().RTT > WiFi().RTT && WiFi().RTT > LAN().RTT) {
-		t.Error("presets should order 4G > WiFi > LAN in RTT")
+	if !(FourG().RTT > LAN().RTT) {
+		t.Error("presets should order 4G > LAN in RTT")
 	}
 }

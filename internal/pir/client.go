@@ -53,9 +53,6 @@ func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, er
 	return &Client{prg: prg, rng: rng, bits: bits, rows: rows, early: dpf.ClampEarly(early, bits)}, nil
 }
 
-// Bits returns the DPF tree depth the client generates keys for.
-func (c *Client) Bits() int { return c.bits }
-
 // Early returns the early-termination depth the client's keys carry.
 func (c *Client) Early() int { return c.early }
 
@@ -130,16 +127,5 @@ func Reconstruct(share0, share1 []uint32) ([]uint32, error) {
 	for i := range out {
 		out[i] = share0[i] + share1[i]
 	}
-	return out, nil
-}
-
-// ReconstructFloats is Reconstruct for float32 embedding rows.
-func ReconstructFloats(share0, share1 []uint32) ([]float32, error) {
-	row, err := Reconstruct(share0, share1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float32, len(row))
-	UnpackFloats(out, row)
 	return out, nil
 }

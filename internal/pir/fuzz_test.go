@@ -12,6 +12,7 @@ import (
 	"gpudpf/internal/engine"
 	"gpudpf/internal/frame"
 	"gpudpf/internal/serving"
+	"gpudpf/internal/shardnet"
 )
 
 // Client-op response bodies, built by hand like the requests: op, status
@@ -39,7 +40,7 @@ func wordsResponse(op byte, words ...uint64) []byte {
 // re-encodes to itself (the codec is canonical) in the shape it asked for.
 // Seeded with real frames of the three client ops, and with answer requests
 // whose key batch lies: count×width short of and past the bytes present,
-// width 0, a width past the frame cap, a count past MaxRequestKeys.
+// width 0, a width past the frame cap, a count past shardnet.DefaultMaxBatch.
 func FuzzClientFrames(f *testing.F) {
 	tab, err := NewTable(64, 3)
 	if err != nil {
@@ -85,10 +86,10 @@ func FuzzClientFrames(f *testing.F) {
 				defer conn.Close()
 				var buf []byte
 				for {
-					if _, err := frame.Read(conn, MaxRequestBytes, &buf); err != nil {
+					if _, err := frame.Read(conn, shardnet.MaxRequestBytes, &buf); err != nil {
 						return
 					}
-					if frame.Write(conn, append(frame.Begin(nil), *reply.Load()...), MaxResponseBytes) != nil {
+					if frame.Write(conn, append(frame.Begin(nil), *reply.Load()...), shardnet.MaxResponseBytes) != nil {
 						return
 					}
 				}
@@ -104,7 +105,7 @@ func FuzzClientFrames(f *testing.F) {
 	f.Add(wordsResponse(0x06, 41), 0)
 	f.Add(wordsResponse(0x0e, 1000, 7, 2), 0)
 	f.Add(frame.AppendErr(nil, 0x01, 2, serving.ErrOverloaded.Error()), 3)
-	f.Add(frame.AppendErr(nil, frame.OpErr, frame.StatusErr, ErrRequestTooLarge.Error()), 1)
+	f.Add(frame.AppendErr(nil, frame.OpErr, frame.StatusErr, shardnet.ErrRequestTooLarge.Error()), 1)
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff}, 1)
 	f.Add([]byte{0x01, frame.StatusOK, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 1)
 	short := answerRequest(keys)
@@ -112,16 +113,16 @@ func FuzzClientFrames(f *testing.F) {
 	f.Add(append(answerRequest(keys), 0), 3)
 	f.Add(binary.LittleEndian.AppendUint32(short[:5:5], 0), 1)
 	f.Add(append(binary.LittleEndian.AppendUint32(short[:5:5], 1<<31), keys[0]...), 1)
-	f.Add(answerRequest(byteKeys(MaxRequestKeys+1)), 1)
+	f.Add(answerRequest(byteKeys(shardnet.DefaultMaxBatch+1)), 1)
 	f.Fuzz(func(t *testing.T, body []byte, wantKeys int) {
 		conn, err := net.Dial("tcp", front)
 		if err != nil {
 			t.Fatal(err)
 		}
 		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		if frame.Write(conn, append(frame.Begin(nil), body...), MaxRequestBytes) == nil {
+		if frame.Write(conn, append(frame.Begin(nil), body...), shardnet.MaxRequestBytes) == nil {
 			var buf []byte
-			resp, err := frame.Read(conn, MaxResponseBytes, &buf)
+			resp, err := frame.Read(conn, shardnet.MaxResponseBytes, &buf)
 			switch {
 			case err != nil:
 				t.Fatalf("front neither answered nor refused request %x: %v", body, err)
@@ -138,7 +139,7 @@ func FuzzClientFrames(f *testing.F) {
 			t.Fatalf("after request %x the front answers %v, %v; want %v", body, got, err, want)
 		}
 
-		if wantKeys < 0 || wantKeys > MaxRequestKeys {
+		if wantKeys < 0 || wantKeys > shardnet.DefaultMaxBatch {
 			return
 		}
 		reply.Store(&body)

@@ -141,9 +141,12 @@ func TestFloatEmbeddingRoundTrip(t *testing.T) {
 			emb[i][j] = rng.Float32()*2 - 1
 		}
 	}
-	tab, err := NewTableFromFloats(emb)
+	tab, err := NewTable(len(emb), 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, r := range emb {
+		PackFloats(tab.Row(i), r)
 	}
 	ts := newPair(t, tab)
 	keys0, keys1, err := ts.Client.QueryBatch([]uint64{17})
@@ -158,10 +161,12 @@ func TestFloatEmbeddingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReconstructFloats(a0[0], a1[0])
+	row, err := Reconstruct(a0[0], a1[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]float32, len(row))
+	UnpackFloats(got, row)
 	for j := range got {
 		if got[j] != emb[17][j] {
 			t.Fatalf("lane %d: %g != %g", j, got[j], emb[17][j])
@@ -224,8 +229,9 @@ func TestClientValidation(t *testing.T) {
 	if _, _, err := c.Query(10); err == nil {
 		t.Error("out-of-range index accepted")
 	}
-	if c.Bits() != 4 {
-		t.Errorf("Bits() = %d, want 4 for 10 rows", c.Bits())
+	// A 10-row table takes a depth-4 tree.
+	if want := dpf.MarshaledSizeEarly(4, 1, dpf.DefaultEarly(4, 1)); c.KeyBytes() != want {
+		t.Errorf("KeyBytes() = %d, want %d for a depth-4 key over 10 rows", c.KeyBytes(), want)
 	}
 }
 
@@ -311,16 +317,6 @@ func TestQuickAllStrategiesAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestNewTableFromFloatsValidation: ragged input is rejected.
-func TestNewTableFromFloatsValidation(t *testing.T) {
-	if _, err := NewTableFromFloats(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := NewTableFromFloats([][]float32{{1, 2}, {3}}); err == nil {
-		t.Error("ragged input accepted")
 	}
 }
 

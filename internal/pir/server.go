@@ -122,22 +122,10 @@ func NewServerOverStore(party int, st *store.Store, opts ...ServerOption) (*Serv
 	return &Server{eng: eng}, nil
 }
 
-// Party returns which share (0 or 1) this server computes.
-func (s *Server) Party() int { return s.eng.Party() }
-
-// Table materializes a copy of the current epoch's table (see
-// engine.Replica.Table: snapshot buffers are only stable while pinned, so
-// this accessor copies; a paged backing can surface a read error).
-func (s *Server) Table() (*Table, error) { return s.eng.Table() }
-
 // Engine returns the underlying engine replica — the Backend seam callers
 // plug into for batched serving (serving.NewFront) or direct
 // context-aware answering.
 func (s *Server) Engine() *engine.Replica { return s.eng }
-
-// Counters exposes the accumulated host counters (PRF blocks walked, table
-// bytes streamed) for reporting.
-func (s *Server) Counters() strategy.Stats { return s.eng.Counters() }
 
 // Answer expands a batch of marshaled keys against the table and returns
 // one answer share per key. Keys for the wrong party or the wrong table
@@ -160,11 +148,4 @@ func (s *Server) UpdateBatch(writes []engine.RowWrite) (uint64, error) {
 		return 0, fmt.Errorf("pir: %w", err)
 	}
 	return epoch, nil
-}
-
-// Epoch returns the server table's current epoch (0 until the first
-// update).
-func (s *Server) Epoch() uint64 {
-	epoch, _ := s.eng.Epoch(context.Background())
-	return epoch
 }

@@ -7,7 +7,6 @@
 package pir
 
 import (
-	"fmt"
 	"math"
 
 	"gpudpf/internal/strategy"
@@ -21,26 +20,6 @@ type Table = strategy.Table
 
 // NewTable allocates a zeroed rows×lanes table.
 func NewTable(rows, lanes int) (*Table, error) { return strategy.NewTable(rows, lanes) }
-
-// NewTableFromFloats builds a table whose rows are float32 embedding
-// vectors, stored bit-exactly. rows[i] must all share one length.
-func NewTableFromFloats(rows [][]float32) (*Table, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("pir: empty embedding table")
-	}
-	lanes := len(rows[0])
-	t, err := NewTable(len(rows), lanes)
-	if err != nil {
-		return nil, err
-	}
-	for i, r := range rows {
-		if len(r) != lanes {
-			return nil, fmt.Errorf("pir: row %d has %d lanes, want %d", i, len(r), lanes)
-		}
-		PackFloats(t.Row(i), r)
-	}
-	return t, nil
-}
 
 // PackFloats bit-casts a float32 vector into uint32 lanes.
 func PackFloats(dst []uint32, src []float32) {

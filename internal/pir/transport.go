@@ -34,22 +34,6 @@ func (e InProcess) Answer(keys [][]byte) ([][]uint32, error) { return e.Server.A
 // Close implements Endpoint.
 func (e InProcess) Close() error { return nil }
 
-// The client protocol is shardnet's client ops — answer, update-batch and
-// stats — on its one connection loop and pooled client; these are the
-// front's caps.
-const (
-	MaxRequestBytes  = shardnet.MaxRequestBytes
-	MaxResponseBytes = shardnet.MaxResponseBytes
-	MaxRequestKeys   = shardnet.DefaultMaxBatch
-)
-
-// ErrRequestTooLarge and ErrResponseTooLarge are what a Remote returns for
-// a request over MaxRequestBytes and a response over MaxResponseBytes.
-var (
-	ErrRequestTooLarge  = shardnet.ErrRequestTooLarge
-	ErrResponseTooLarge = shardnet.ErrResponseTooLarge
-)
-
 // Serve runs a blocking accept loop answering PIR requests on l until the
 // listener closes. s may be a *Server or any other request path (e.g. a
 // batching front door over an engine replica); the keys it is handed alias

@@ -112,25 +112,28 @@ func readRefusal(t *testing.T, conn net.Conn) error {
 	t.Helper()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	var buf []byte
-	body, err := frame.Read(conn, MaxResponseBytes, &buf)
+	body, err := frame.Read(conn, shardnet.MaxResponseBytes, &buf)
 	if err != nil {
 		t.Fatalf("reading the refusal: %v", err)
 	}
 	if body[0] != frame.OpErr || body[1] != frame.StatusErr {
 		t.Fatalf("refusal frame op=%#x status=%d", body[0], body[1])
 	}
-	_, _, refusal := frame.ResponseHeader(frame.NewReader(body), 0x01)
+	var r frame.Reader
+	r.Reset(body)
+	_, _, refusal := frame.ResponseHeader(&r, 0x01)
 	// Half-close, so a server draining what it refused sees the end of it.
 	conn.(*net.TCPConn).CloseWrite()
-	if _, err := frame.Read(conn, MaxResponseBytes, &buf); err == nil {
+	if _, err := frame.Read(conn, shardnet.MaxResponseBytes, &buf); err == nil {
 		t.Fatal("connection survived a refused frame")
 	}
 	return refusal
 }
 
 // TestServeRejectsOversizedRequest: a peer declaring a request frame over
-// MaxRequestBytes gets the named protocol error back and its connection
-// closed — and the server keeps serving well-behaved clients afterwards.
+// shardnet.MaxRequestBytes gets the named protocol error back and its
+// connection closed — and the server keeps serving well-behaved clients
+// afterwards.
 func TestServeRejectsOversizedRequest(t *testing.T) {
 	tab := testTable(t, 64, 2)
 	addr := startServer(t, tab)
@@ -158,7 +161,7 @@ func TestServeRejectsOversizedRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer full.Close()
-	huge := frame.Begin(make([]byte, 0, MaxRequestBytes+(1<<20)))
+	huge := frame.Begin(make([]byte, 0, shardnet.MaxRequestBytes+(1<<20)))
 	huge = huge[:cap(huge)]
 	binary.LittleEndian.PutUint32(huge, uint32(len(huge)-frame.HeaderLen))
 	if _, err := full.Write(huge); err != nil {
@@ -390,7 +393,7 @@ func TestMalformedRequests(t *testing.T) {
 		{"answer truncated key", answer[:len(answer)-1], "truncated key"},
 		{"answer truncated count", answer[:3], "truncated key count"},
 		{"answer count beyond the frame", binary.LittleEndian.AppendUint32([]byte{0x01}, 1<<30), "keys declared"},
-		{"answer count over the cap", answerRequest(byteKeys(MaxRequestKeys + 1)), "key cap"},
+		{"answer count over the cap", answerRequest(byteKeys(shardnet.DefaultMaxBatch + 1)), "key cap"},
 		{"answer count zero", binary.LittleEndian.AppendUint32([]byte{0x01}, 0), "no keys"},
 		{"answer width zero", answerRequest([][]byte{{}}), "zero-width"},
 		{"answer truncated width", answer[:7], "truncated key width"},
@@ -405,7 +408,7 @@ func TestMalformedRequests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := frame.Write(conn, append(frame.Begin(nil), tc.body...), MaxRequestBytes); err != nil {
+		if err := frame.Write(conn, append(frame.Begin(nil), tc.body...), shardnet.MaxRequestBytes); err != nil {
 			t.Fatal(err)
 		}
 		if err := readRefusal(t, conn); !errors.Is(err, frame.ErrProtocol) || !strings.Contains(err.Error(), tc.want) {
@@ -449,16 +452,16 @@ func TestRemotePoisonedAfterTransportError(t *testing.T) {
 		defer conn.Close()
 		var buf []byte
 		for {
-			if _, err := frame.Read(conn, MaxRequestBytes, &buf); err != nil {
+			if _, err := frame.Read(conn, shardnet.MaxRequestBytes, &buf); err != nil {
 				return
 			}
 			if requests.Add(1) == 1 {
 				// A header declaring one byte over the client's cap.
-				conn.Write(binary.LittleEndian.AppendUint32(nil, MaxResponseBytes+1))
+				conn.Write(binary.LittleEndian.AppendUint32(nil, shardnet.MaxResponseBytes+1))
 				continue
 			}
 			stats := append(frame.Begin(nil), 0x0e, frame.StatusOK)
-			frame.Write(conn, append(stats, make([]byte, 3*8)...), MaxResponseBytes)
+			frame.Write(conn, append(stats, make([]byte, 3*8)...), shardnet.MaxResponseBytes)
 		}
 	}()
 	e0, err := Dial(l.Addr().String())
@@ -467,7 +470,7 @@ func TestRemotePoisonedAfterTransportError(t *testing.T) {
 	}
 	defer e0.Close()
 	_, first := e0.Answer([][]byte{{1, 2, 3}})
-	if !errors.Is(first, ErrResponseTooLarge) {
+	if !errors.Is(first, shardnet.ErrResponseTooLarge) {
 		t.Fatalf("over-cap response: %v, want ErrResponseTooLarge", first)
 	}
 	if _, err := e0.Stats(); err != first {
@@ -568,8 +571,9 @@ type answererFunc func(keys [][]byte) ([][]uint32, error)
 func (f answererFunc) Answer(keys [][]byte) ([][]uint32, error) { return f(keys) }
 
 // TestServeNamesOversizedResponse: a legitimate request whose answer does
-// not fit MaxResponseBytes (answers scale with lanes, requests with key
-// bytes) is told why, and the connection — nothing was sent — keeps serving.
+// not fit shardnet.MaxResponseBytes (answers scale with lanes, requests
+// with key bytes) is told why, and the connection — nothing was sent —
+// keeps serving.
 func TestServeNamesOversizedResponse(t *testing.T) {
 	row := make([]uint32, 1<<15)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -589,7 +593,7 @@ func TestServeNamesOversizedResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e0.Close()
-	over := MaxResponseBytes/(4*len(row)) + 1
+	over := shardnet.MaxResponseBytes/(4*len(row)) + 1
 	if _, err := e0.Answer(byteKeys(over)); err == nil || !strings.Contains(err.Error(), "frame cap; narrow the batch") {
 		t.Fatalf("%d×%d answer: %v, want the response cap named", over, len(row), err)
 	}

@@ -250,9 +250,6 @@ func (f *Front) ServingStats() Stats {
 	return s
 }
 
-// Policy returns the batcher's current (possibly re-tuned) policy.
-func (f *Front) Policy() Policy { return f.b.Policy() }
-
 // InFlight reports how many batches the front door runs at once.
 func (f *Front) InFlight() int { return cap(f.b.slots) }
 

@@ -124,14 +124,14 @@ func TestBatcherAdmissionControl(t *testing.T) {
 	defer b.Close()
 
 	results := make(chan error, 2)
-	go func() { _, err := b.Submit([]byte{1}); results <- err }()
+	go func() { _, err := b.SubmitAll([][]byte{[]byte{1}}); results <- err }()
 	<-entered // first request is in service
-	go func() { _, err := b.Submit([]byte{2}); results <- err }()
+	go func() { _, err := b.SubmitAll([][]byte{[]byte{2}}); results <- err }()
 	waitFor(t, func() bool { a, _ := b.Counts(); return a == 2 })
 
 	// Queue holds 2 (one in service, one pending): the third sheds, fast.
 	start := time.Now()
-	if _, err := b.Submit([]byte{3}); !errors.Is(err, ErrOverloaded) {
+	if _, err := b.SubmitAll([][]byte{[]byte{3}}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("expected ErrOverloaded, got %v", err)
 	}
 	if d := time.Since(start); d > time.Second {
@@ -149,7 +149,7 @@ func TestBatcherAdmissionControl(t *testing.T) {
 
 	// Backlog drained: admission resumes.
 	go func() { <-entered; release <- struct{}{} }()
-	if _, err := b.Submit([]byte{4}); err != nil {
+	if _, err := b.SubmitAll([][]byte{[]byte{4}}); err != nil {
 		t.Fatalf("post-drain submit failed: %v", err)
 	}
 	accepted, shed := b.Counts()
@@ -270,12 +270,12 @@ func TestFrontAdaptiveRetune(t *testing.T) {
 			}
 		}()
 	}
-	waitFor(t, func() bool { return f.Retunes() > 0 && f.Policy().MaxBatch > 1 })
+	waitFor(t, func() bool { return f.Retunes() > 0 && f.b.Policy().MaxBatch > 1 })
 	close(stop)
 	for w := 0; w < 4; w++ {
 		<-done
 	}
-	if p := f.Policy(); p.MaxQueue != 4096 {
+	if p := f.b.Policy(); p.MaxQueue != 4096 {
 		t.Fatalf("retune dropped the admission bound: %+v", p)
 	}
 	if s := f.ServingStats(); s.Accepted == 0 {

@@ -154,15 +154,6 @@ func (b *Batcher) Counts() (accepted, shed uint64) {
 // the numerator of a measured offered rate.
 func (b *Batcher) Arrivals() uint64 { return b.arrivals.Load() }
 
-// Submit is SubmitAll of one key.
-func (b *Batcher) Submit(key []byte) ([]uint32, error) {
-	answers, err := b.SubmitAll([][]byte{key})
-	if err != nil {
-		return nil, err
-	}
-	return answers[0], nil
-}
-
 // SubmitAll enqueues one request's keys (one TCP request may carry many)
 // and blocks until every batch carrying them completes, returning the
 // answers in key order. Under one lock hold the request is admitted or

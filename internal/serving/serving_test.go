@@ -52,13 +52,13 @@ func TestBatcherFlushOnMaxBatch(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			ans, err := b.Submit(make([]byte, n+1))
+			ans, err := b.SubmitAll([][]byte{make([]byte, n+1)})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if ans[0] != uint32(n+1) {
-				t.Errorf("wrong answer routing: got %d want %d", ans[0], n+1)
+			if ans[0][0] != uint32(n+1) {
+				t.Errorf("wrong answer routing: got %d want %d", ans[0][0], n+1)
 			}
 		}(i)
 	}
@@ -87,7 +87,7 @@ func TestBatcherFlushOnDeadline(t *testing.T) {
 	}
 	defer b.Close()
 	start := time.Now()
-	if _, err := b.Submit([]byte{1}); err != nil {
+	if _, err := b.SubmitAll([][]byte{[]byte{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if waited := time.Since(start); waited > 500*time.Millisecond {
@@ -104,7 +104,7 @@ func TestBatcherErrorPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.Submit([]byte{1}); err == nil {
+	if _, err := b.SubmitAll([][]byte{[]byte{1}}); err == nil {
 		t.Error("handler error not propagated")
 	}
 }
@@ -119,7 +119,7 @@ func TestBatcherClose(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.Submit([]byte{1, 2, 3})
+		_, err := b.SubmitAll([][]byte{[]byte{1, 2, 3}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond) // let the submit enqueue
@@ -127,7 +127,7 @@ func TestBatcherClose(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Errorf("in-flight request failed: %v", err)
 	}
-	if _, err := b.Submit([]byte{9}); err == nil {
+	if _, err := b.SubmitAll([][]byte{[]byte{9}}); err == nil {
 		t.Error("submit after close accepted")
 	}
 	b.Close() // idempotent
@@ -158,13 +158,13 @@ func TestBatcherStress(t *testing.T) {
 		go func(id byte) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ans, err := b.Submit([]byte{id})
+				ans, err := b.SubmitAll([][]byte{[]byte{id}})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if ans[0] != uint32(id) {
-					t.Errorf("cross-wired answer: got %d want %d", ans[0], id)
+				if ans[0][0] != uint32(id) {
+					t.Errorf("cross-wired answer: got %d want %d", ans[0][0], id)
 					return
 				}
 			}

@@ -530,16 +530,6 @@ func (c *Client) Counters() strategy.Stats {
 // immutable for the life of the process).
 func (c *Client) Shape() (rows, lanes int) { return c.w.Rows, c.w.Lanes }
 
-// RemoteShape queries the node's shape over the wire — Shape answers from
-// the welcome; this exercises the RPC and serves monitoring.
-func (c *Client) RemoteShape(ctx context.Context) (rows, lanes int, err error) {
-	err = c.do(ctx, &request{op: opShape}, func(r *frame.Reader) error {
-		rows, lanes, err = parseShape(r)
-		return err
-	})
-	return rows, lanes, err
-}
-
 // PRGName implements engine.Member from the welcome.
 func (c *Client) PRGName() string { return c.w.PRG }
 
@@ -552,8 +542,3 @@ func (c *Client) Party() int { return c.w.Party }
 // HeldRange implements engine.Member: the global rows the node stated it
 // holds.
 func (c *Client) HeldRange() (lo, hi int) { return c.w.RowLo, c.w.RowHi }
-
-// AdvertisedEpoch returns the table epoch the first welcome stated
-// (advisory — the authoritative epoch rides on every answer-range
-// response).
-func (c *Client) AdvertisedEpoch() uint64 { return c.w.Epoch }

@@ -112,7 +112,7 @@ func parseRequestInto(body []byte, maxKeys int, req *request) error {
 		}
 	case opHello:
 		req.hello, err = parseHello(&r)
-	case opShape, opCounters, opEpoch, opPing, opSnapMeta, opStats:
+	case opCounters, opEpoch, opPing, opSnapMeta, opStats:
 		// no payload
 	default:
 		return fmt.Errorf("%w: unknown opcode %#x", ErrProtocol, req.op)
@@ -199,20 +199,6 @@ func parseRangeAnswers(r *frame.Reader, wantKeys int) ([][]uint32, uint64, error
 	}
 	answers, err := frame.ParseMatrix(r, n, lanes, wantKeys)
 	return answers, epoch, err
-}
-
-// appendShape / parseShape encode the shape response.
-func appendShape(dst []byte, rows, lanes int) []byte {
-	dst = append(dst, opShape, frame.StatusOK)
-	return le.AppendUint32(le.AppendUint64(dst, uint64(rows)), uint32(lanes))
-}
-
-func parseShape(r *frame.Reader) (rows, lanes int, err error) {
-	rowsWire, lanesWire := r.U64(), r.U32()
-	if r.Bad() || r.Remaining() != 0 || rowsWire > maxInt {
-		return 0, 0, fmt.Errorf("%w: malformed shape response", ErrProtocol)
-	}
-	return int(rowsWire), int(lanesWire), nil
 }
 
 // checkRange refuses a held row range that cannot be one: u64 bounds that

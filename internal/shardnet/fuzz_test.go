@@ -15,6 +15,10 @@ import (
 // single-row update: row 12, three lanes) — a seed of the refusal corpus.
 var retiredUpdateRequest = []byte{0x03, 12, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}
 
+// retiredShapeRequest is the request of retired op 0x04, the shape query:
+// the op byte alone.
+var retiredShapeRequest = []byte{0x04}
+
 // helloBounds are hellos with every field at its lower and its upper
 // bound.
 var helloBounds = []hello{
@@ -35,7 +39,6 @@ func FuzzParseRequest(f *testing.F) {
 	for _, req := range []*request{
 		{op: opAnswer, keys: [][]byte{key, key}},
 		{op: opAnswerRange, keys: [][]byte{key}, lo: 3, hi: 999},
-		{op: opShape},
 		{op: opCounters},
 		{op: opUpdateBatch, writes: writes},
 		{op: opEpoch},
@@ -56,6 +59,7 @@ func FuzzParseRequest(f *testing.F) {
 	f.Add([]byte{opSnapChunk, 0xff, 0xff, 0xff})
 	f.Add([]byte{opHello, 4, 0, 0})
 	f.Add(retiredUpdateRequest)
+	f.Add(retiredShapeRequest)
 	for _, b := range keyBatchLies(key) {
 		f.Add(append([]byte{opAnswer}, b...))
 	}
@@ -111,9 +115,11 @@ func FuzzParseResponses(f *testing.F) {
 	f.Add(appendRangeAnswers(nil, [][]uint32{{1, 2}}, 2, 77), opAnswerRange, 1)
 	f.Add(appendErr(nil, opAnswerRange, errors.New("engine: shard failed")), opAnswerRange, 1)
 	f.Add(appendErr(nil, opAnswer, serving.ErrOverloaded), opAnswer, 3)
-	f.Add(appendShape(nil, 1024, 32), opShape, 0)
 	f.Add(appendWords(nil, opCounters, 9, 10), opCounters, 0)
-	f.Add([]byte{0x03, frame.StatusOK}, byte(0x03), 0) // the retired single-row update's OK
+	// The responses of the retired ops: the single-row update's OK and
+	// the shape query's rows and lanes.
+	f.Add([]byte{0x03, frame.StatusOK}, byte(0x03), 0)
+	f.Add([]byte{0x04, frame.StatusOK, 0, 4, 0, 0, 0, 0, 0, 0, 32, 0, 0, 0}, byte(0x04), 0)
 	f.Add(appendWords(nil, opEpoch, 12345), opEpoch, 0)
 	f.Add(appendWords(nil, opUpdateBatch, 2), opUpdateBatch, 0)
 	f.Add(appendWords(nil, opPing), opPing, 0)
@@ -127,7 +133,8 @@ func FuzzParseResponses(f *testing.F) {
 		if keys < 0 || keys > 1<<16 {
 			return
 		}
-		r := frame.NewReader(body)
+		r := new(frame.Reader)
+		r.Reset(body)
 		if status, _, err := frame.ResponseHeader(r, op); err != nil || status != frame.StatusOK {
 			return
 		}
@@ -140,10 +147,6 @@ func FuzzParseResponses(f *testing.F) {
 		case opAnswerRange:
 			if a, epoch, err := parseRangeAnswers(r, keys); err == nil && len(a) > 0 {
 				got = appendRangeAnswers(nil, a, len(a[0]), epoch)
-			}
-		case opShape:
-			if rows, lanes, err := parseShape(r); err == nil {
-				got = appendShape(nil, rows, lanes)
 			}
 		case opSnapChunk:
 			if epoch, lo, hi, off, words, err := parseSnapChunk(r); err == nil {
@@ -172,7 +175,8 @@ func FuzzParseResponses(f *testing.F) {
 
 // snapMeta decodes a whole snapshot-meta response the way Client does.
 func snapMeta(body []byte) (snapEpoch, effEpoch, lo, hi uint64, err error) {
-	r := frame.NewReader(body)
+	r := new(frame.Reader)
+	r.Reset(body)
 	if _, _, err = frame.ResponseHeader(r, opSnapMeta); err == nil {
 		if err = parseWords(r, &snapEpoch, &effEpoch, &lo, &hi); err == nil {
 			err = checkRange("snapshot meta", lo, hi)
@@ -183,7 +187,8 @@ func snapMeta(body []byte) (snapEpoch, effEpoch, lo, hi uint64, err error) {
 
 // snapChunk decodes a whole snapshot-chunk response.
 func snapChunk(body []byte) (epoch uint64, lo, hi int, off uint64, words []uint32, err error) {
-	r := frame.NewReader(body)
+	r := new(frame.Reader)
+	r.Reset(body)
 	if _, _, err = frame.ResponseHeader(r, opSnapChunk); err != nil {
 		return 0, 0, 0, 0, nil, err
 	}
@@ -256,7 +261,8 @@ func FuzzHandshake(f *testing.F) {
 				t.Fatalf("accepted hello does not re-encode:\n in  %x\n out %x", body, got)
 			}
 		}
-		r := frame.NewReader(body)
+		r := new(frame.Reader)
+		r.Reset(body)
 		if status, _, err := frame.ResponseHeader(r, opHello); err == nil && status == frame.StatusOK {
 			if w, err := parseHello(r); err == nil {
 				if got := appendWelcome(nil, &w); !bytes.Equal(got, body) {

@@ -526,8 +526,6 @@ func (s *Server) dispatch(ctx context.Context, req *request, dst []byte) []byte 
 		err = s.member.CommitUpdate(ctx, req.epoch)
 	case opAbort:
 		err = s.member.AbortUpdate(ctx, req.epoch)
-	case opShape:
-		return appendShape(dst, s.self.Rows, s.self.Lanes)
 	case opCounters:
 		c := s.member.Counters()
 		return appendWords(dst, req.op, uint64(c.PRFBlocks), uint64(c.ReadBytes))

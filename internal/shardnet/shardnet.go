@@ -12,11 +12,12 @@
 //
 //   - the client ops — answer 0x01, update-batch 0x06, stats 0x0e — work on
 //     any connection, with no hello;
-//   - the member ops — answer-range 0x02, shape 0x04, counters 0x05, the
-//     epoch handshake (epoch, prepare, commit, abort: 0x07-0x0a), ping 0x0b
-//     and snapshot streaming 0x0c/0x0d — work only after a hello, and only
-//     on a server over an engine.Member. Op 0x03, the retired single-row
-//     update, is refused as unknown.
+//   - the member ops — answer-range 0x02, counters 0x05, the epoch
+//     handshake (epoch, prepare, commit, abort: 0x07-0x0a), ping 0x0b and
+//     snapshot streaming 0x0c/0x0d — work only after a hello, and only on a
+//     server over an engine.Member. The retired ops are refused as unknown:
+//     0x03, the single-row update, and 0x04, the shape query (the welcome
+//     states the shape).
 //
 // The hello (op 0x0f) is one fixed binary frame each way, the same layout
 // both directions. It pins what two processes must agree on before a share
@@ -94,7 +95,6 @@ var (
 const (
 	opAnswer      byte = 0x01
 	opAnswerRange byte = 0x02
-	opShape       byte = 0x04
 	opCounters    byte = 0x05
 	opUpdateBatch byte = 0x06
 	opEpoch       byte = 0x07
@@ -110,7 +110,7 @@ const (
 
 // memberOp reports whether op needs a hello and a member.
 func memberOp(op byte) bool {
-	return op == opAnswerRange || op >= opShape && op <= opSnapChunk && op != opUpdateBatch
+	return op == opAnswerRange || op >= opCounters && op <= opSnapChunk && op != opUpdateBatch
 }
 
 // prgNameLen is the hello's fixed PRF-name field, zero-padded.

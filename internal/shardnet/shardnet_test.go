@@ -95,7 +95,8 @@ func rawHello(t testing.TB, conn net.Conn, h hello) (hello, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := frame.NewReader(body)
+	r := new(frame.Reader)
+	r.Reset(body)
 	status, msg, err := frame.ResponseHeader(r, opHello)
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +167,6 @@ func TestClientServerRoundTrip(t *testing.T) {
 
 	if r, l := c.Shape(); r != rows || l != lanes {
 		t.Fatalf("handshake shape %d×%d, want %d×%d", r, l, rows, lanes)
-	}
-	if r, l, err := c.RemoteShape(context.Background()); err != nil || r != rows || l != lanes {
-		t.Fatalf("remote shape %d×%d (%v), want %d×%d", r, l, err, rows, lanes)
 	}
 	if got, want := c.EarlyBits(), rep.EarlyBits(); got != want {
 		t.Fatalf("handshake early %d, want %d", got, want)
@@ -421,6 +419,24 @@ func TestHandshakeNoAdoption(t *testing.T) {
 // a peer that still sends it gets the named unknown-opcode refusal and a
 // hang-up, not a silent write.
 func TestRetiredUpdateOpRefused(t *testing.T) {
+	rep := refusesRetiredOp(t, retiredUpdateRequest)
+	if epoch, _ := rep.Epoch(context.Background()); epoch != 0 {
+		t.Fatalf("retired update op moved the table to epoch %d", epoch)
+	}
+}
+
+// TestRetiredShapeOpRefused: wire op 0x04 (the shape query) is gone, as the
+// welcome states the shape; a peer that still sends it gets the same
+// refusal and hang-up.
+func TestRetiredShapeOpRefused(t *testing.T) {
+	refusesRetiredOp(t, retiredShapeRequest)
+}
+
+// refusesRetiredOp sends req, a request of a retired op, to a node after a
+// hello and checks the node answers with the unknown-opcode refusal naming
+// that op and then hangs up. It returns the node's replica.
+func refusesRetiredOp(t *testing.T, req []byte) *engine.Replica {
+	t.Helper()
 	tab := buildTable(t, 64, 2, 6)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	_, addr := startNode(t, rep, ServerConfig{})
@@ -432,7 +448,7 @@ func TestRetiredUpdateOpRefused(t *testing.T) {
 	if _, err := rawHello(t, conn, hello{Version: ProtocolVersion}); err != nil {
 		t.Fatalf("hello refused: %v", err)
 	}
-	if err := frame.Write(conn, append(frame.Begin(nil), retiredUpdateRequest...), DefaultMaxFrame); err != nil {
+	if err := frame.Write(conn, append(frame.Begin(nil), req...), DefaultMaxFrame); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -441,15 +457,13 @@ func TestRetiredUpdateOpRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading refusal frame: %v", err)
 	}
-	if body[0] != frame.OpErr || body[1] != frame.StatusErr || !strings.Contains(string(body[2:]), "unknown opcode 0x3") {
-		t.Fatalf("refusal frame op=%#x status=%d %q", body[0], body[1], body[2:])
+	if want := fmt.Sprintf("unknown opcode %#x", req[0]); body[0] != frame.OpErr || body[1] != frame.StatusErr || !strings.Contains(string(body[2:]), want) {
+		t.Fatalf("refusal frame op=%#x status=%d %q, want %q", body[0], body[1], body[2:], want)
 	}
 	if _, err := frame.Read(conn, DefaultMaxFrame, &buf); err == nil {
 		t.Fatal("connection survived a retired opcode")
 	}
-	if epoch, _ := rep.Epoch(context.Background()); epoch != 0 {
-		t.Fatalf("retired update op moved the table to epoch %d", epoch)
-	}
+	return rep
 }
 
 // TestBatchCap: a request declaring more keys than the node's batch cap is
@@ -641,7 +655,7 @@ func TestEpochRPCsRoundTrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	if epoch := c.AdvertisedEpoch(); epoch != 0 {
+	if epoch := c.w.Epoch; epoch != 0 {
 		t.Fatalf("welcome states epoch %d, want 0", epoch)
 	}
 	if epoch, err := c.Epoch(context.Background()); err != nil || epoch != 0 {

@@ -24,7 +24,8 @@ import (
 // one both clients now read). The hello is new, and so is the key batch of
 // the 0x01 and 0x02 requests: since protocol 5 it is count, one width, and
 // the keys back to back. Since protocol 6 the counters response (0x05)
-// carries two words, the host counters, where it carried five.
+// carries two words, the host counters, where it carried five. The shape
+// query (0x04) is retired: the welcome states the shape.
 func TestOpsByteIdentical(t *testing.T) {
 	keys := [][]byte{{0xab, 0xcd, 0xef}, {0x01, 0x02, 0x03}}
 	writes := []engine.RowWrite{{Row: 7, Vals: []uint32{1, 2}}}
@@ -35,7 +36,6 @@ func TestOpsByteIdentical(t *testing.T) {
 	}{
 		{"req 0x01", encode(t, nil, &request{op: opAnswer, keys: keys}), "010200000003000000abcdef010203"},
 		{"req 0x02", encode(t, nil, &request{op: opAnswerRange, keys: keys, lo: 3, hi: 99}), "02030000000000000063000000000000000200000003000000abcdef010203"},
-		{"req 0x04", encode(t, nil, &request{op: opShape}), "04"},
 		{"req 0x05", encode(t, nil, &request{op: opCounters}), "05"},
 		{"req 0x06", encode(t, nil, &request{op: opUpdateBatch, writes: writes}), "06010000000700000000000000020000000100000002000000"},
 		{"req 0x07", encode(t, nil, &request{op: opEpoch}), "07"},
@@ -48,7 +48,6 @@ func TestOpsByteIdentical(t *testing.T) {
 		{"req 0x0e", encode(t, nil, &request{op: opStats}), "0e"},
 		{"resp 0x01", appendAnswers(nil, [][]uint32{{1, 2}, {3, 4}}), "0100020000000200000001000000020000000300000004000000"},
 		{"resp 0x02", appendRangeAnswers(nil, [][]uint32{{1, 2}, {3, 4}}, 2, 41), "0200020000000200000001290000000000000001000000020000000300000004000000"},
-		{"resp 0x04", appendShape(nil, 1024, 32), "0400000400000000000020000000"},
 		{"resp 0x05", appendWords(nil, opCounters, 9, 10), "050009000000000000000a00000000000000"},
 		{"resp 0x06", appendWords(nil, opUpdateBatch, 41), "06002900000000000000"},
 		{"resp 0x07", appendWords(nil, opEpoch, 41), "07002900000000000000"},
@@ -227,7 +226,9 @@ func TestMemberOpsNeedHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := frame.ResponseHeader(frame.NewReader(body), opPing); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "needs a hello") {
+	var r frame.Reader
+	r.Reset(body)
+	if _, _, err := frame.ResponseHeader(&r, opPing); !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), "needs a hello") {
 		t.Fatalf("ping without a hello: %v, want the named refusal", err)
 	}
 }

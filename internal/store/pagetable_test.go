@@ -285,8 +285,8 @@ func runPageTableSeed(t *testing.T, seed uint64) {
 			pins = append(pins, pin{s.Acquire(), cur.words})
 		}
 		sn := s.Acquire()
-		if sn.Epoch() != cur.epoch || s.Rollbackable() != (prev != nil) {
-			fail("state", fmt.Errorf("epoch %d rollbackable %v, reference epoch %d rollbackable %v", sn.Epoch(), s.Rollbackable(), cur.epoch, prev != nil))
+		if sn.Epoch() != cur.epoch {
+			fail("state", fmt.Errorf("epoch %d, reference epoch %d", sn.Epoch(), cur.epoch))
 		}
 		checkReads(t, seed, rng, sn, cur.words)
 		sn.Release()

@@ -49,8 +49,7 @@ import (
 // ErrNotContiguous is returned by Snapshot.RowRange when the snapshot is
 // not one contiguous in-RAM buffer (a written epoch or a paged table).
 // RowRange never silently materializes a copy; callers that can stream
-// should use Pass, callers that need a copy should use CopyWords or
-// strategy.TableFromView.
+// should use Pass, callers that need a copy should use CopyWords.
 var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Pass or CopyWords")
 
 // RowWrite is one row overwrite in an update batch. Vals must be exactly
@@ -694,14 +693,6 @@ func (s *Store) Adopt(epoch, floor uint64, lo, hi int, vals []uint32) error {
 		s.burned = floor
 	}
 	return nil
-}
-
-// Rollbackable reports whether Abort of the current epoch could still roll
-// back (the predecessor is retained). Exposed for tests.
-func (s *Store) Rollbackable() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prev != nil
 }
 
 // ChainDepth is 0 while the current epoch maps only its root's original

@@ -207,9 +207,6 @@ func TestAbortRollsBackCommit(t *testing.T) {
 	if orphan.Epoch() != 1 || rowOf(orphan, 2)[0] != 77 {
 		t.Fatalf("committed epoch wrong: %d %v", orphan.Epoch(), rowOf(orphan, 2))
 	}
-	if !s.Rollbackable() {
-		t.Fatal("no rollback window after commit")
-	}
 	if err := s.Abort(1); err != nil {
 		t.Fatal(err)
 	}

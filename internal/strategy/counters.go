@@ -29,9 +29,3 @@ type Stats struct {
 func (c *Counters) Snapshot() Stats {
 	return Stats{PRFBlocks: c.prfBlocks.Load(), ReadBytes: c.readBytes.Load()}
 }
-
-// Reset zeroes the counters.
-func (c *Counters) Reset() {
-	c.prfBlocks.Store(0)
-	c.readBytes.Store(0)
-}

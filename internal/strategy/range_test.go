@@ -86,11 +86,11 @@ func TestMemBoundRangeTrim(t *testing.T) {
 			limit := full/int64(shards) + int64(len(keys)*keys[0].TreeDepth())*3*dpf.BlocksPerExpand
 			for sh := 0; sh < shards; sh++ {
 				lo, hi := sh*rows/shards, (sh+1)*rows/shards
-				ctr.Reset()
-				if err := m.RunRangeInto(prg, keys, tab.View(), lo, hi, &ctr, got); err != nil {
+				var shardCtr Counters
+				if err := m.RunRangeInto(prg, keys, tab.View(), lo, hi, &shardCtr, got); err != nil {
 					t.Fatal(err)
 				}
-				if b := ctr.Snapshot().PRFBlocks; b > limit {
+				if b := shardCtr.Snapshot().PRFBlocks; b > limit {
 					t.Errorf("bits=%d shard %d/%d [%d,%d): %d PRF blocks, want <= %d (full run %d)",
 						bits, sh, shards, lo, hi, b, limit, full)
 				}

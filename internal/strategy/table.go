@@ -58,20 +58,6 @@ func NewTable(rows, lanes int) (*Table, error) {
 // Row returns row i as a slice into the table.
 func (t *Table) Row(i int) []uint32 { return t.Data[i*t.Lanes : (i+1)*t.Lanes] }
 
-// Clone returns a deep copy of the table — a fresh mutable buffer for
-// callers that need to derive a new snapshot payload from a served one.
-func (t *Table) Clone() *Table {
-	data := make([]uint32, len(t.Data))
-	copy(data, t.Data)
-	return &Table{NumRows: t.NumRows, Lanes: t.Lanes, Data: data}
-}
-
 // Bits returns the DPF tree depth for this table: ceil(log2(NumRows)),
 // minimum 1.
 func (t *Table) Bits() int { return dpf.DomainBits(t.NumRows) }
-
-// SizeBytes is the table's memory footprint.
-func (t *Table) SizeBytes() int64 { return int64(t.NumRows) * int64(t.Lanes) * 4 }
-
-// EntryBytes is one row's size in bytes.
-func (t *Table) EntryBytes() int { return t.Lanes * 4 }

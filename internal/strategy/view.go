@@ -8,7 +8,7 @@ import "fmt"
 // not retain it past the callback that yielded it: paged backings recycle
 // page buffers once a chunk's callback returns, so a retained slice may be
 // overwritten by a later page load. (Copy inside the callback to keep
-// data, as TableFromView does.)
+// data.)
 type Chunk struct {
 	// Row is the table row index of Data's first row.
 	Row int
@@ -85,24 +85,4 @@ func (v tableView) RowRange(lo, hi int) ([]uint32, error) {
 		return nil, err
 	}
 	return v.t.Data[lo*v.t.Lanes : hi*v.t.Lanes], nil
-}
-
-// TableFromView materializes a view into a freshly allocated Table — the
-// escape hatch for callers that genuinely need a contiguous private copy
-// (replica cloning, tests). It is the only sanctioned way to flatten a
-// fragmented or paged view; the answer path itself never does this.
-func TableFromView(v TableView) (*Table, error) {
-	tab, err := NewTable(v.Rows(), v.Lanes())
-	if err != nil {
-		return nil, err
-	}
-	lanes := v.Lanes()
-	err = v.Pass(0, v.Rows(), 1, func(_ int, c Chunk) error {
-		copy(tab.Data[c.Row*lanes:], c.Data)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tab, nil
 }

@@ -140,30 +140,6 @@ func TestChunkedViewEquivalence(t *testing.T) {
 	}
 }
 
-// TestTableFromView materializes a fragmented view and checks the copy is
-// bit-identical, and that the contiguous adapter round-trips shape errors.
-func TestTableFromView(t *testing.T) {
-	const rows, lanes = 200, 5
-	rng := rand.New(rand.NewSource(809))
-	tab := buildTable(t, rows, lanes, 5)
-	fv := fragView{t: tab, cuts: randomCuts(rng, rows, 31)}
-	got, err := TableFromView(fv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumRows != rows || got.Lanes != lanes {
-		t.Fatalf("materialized shape %d×%d", got.NumRows, got.Lanes)
-	}
-	for i, v := range got.Data {
-		if v != tab.Data[i] {
-			t.Fatalf("word %d: %d != %d", i, v, tab.Data[i])
-		}
-	}
-	if &got.Data[0] == &tab.Data[0] {
-		t.Fatal("TableFromView aliased the source buffer")
-	}
-}
-
 // TestViewRangeValidation: the chunk iterator rejects inverted and
 // out-of-bounds ranges and accepts empty ones.
 func TestViewRangeValidation(t *testing.T) {

@@ -295,11 +295,11 @@ func TestAdaptiveFrontP50WithinStaticTCP(t *testing.T) {
 	// 2× plus 5ms absolute slack: the static p50 is single-digit ms, and
 	// timer granularity on a loaded CI shard is a real fraction of that.
 	if limit := 2*stRep.Latency.P50 + 5.0; adRep.Latency.P50 > limit {
-		t.Fatalf("adaptive p50 %.1fms exceeds %.1fms (2× static p50 %.1fms + slack); tuned policy %+v parks batches past their fill time",
-			adRep.Latency.P50, limit, stRep.Latency.P50, adFront.Policy())
+		t.Fatalf("adaptive p50 %.1fms exceeds %.1fms (2× static p50 %.1fms + slack); the tuned policy parks batches past their fill time",
+			adRep.Latency.P50, limit, stRep.Latency.P50)
 	}
-	t.Logf("moderate load: static p50=%.1fms adaptive p50=%.1fms (policy %+v, %d retunes)",
-		stRep.Latency.P50, adRep.Latency.P50, adFront.Policy(), adFront.Retunes())
+	t.Logf("moderate load: static p50=%.1fms adaptive p50=%.1fms (%d retunes)",
+		stRep.Latency.P50, adRep.Latency.P50, adFront.Retunes())
 }
 
 // TestShutdownDrainUnderLoadTCP extends the graceful-shutdown path with a
