@@ -12,7 +12,7 @@
 //     (wire v1) keys.
 //   - tiled: the batched/tiled hot path — dpf.ExpandBatch frontiers,
 //     pooled scratch, one streaming table pass per tile of 32 queries, and
-//     (at the default -early 2) early-terminated keys that cut PRF work
+//     keys at the depth the table serves (2 levels up), which cut PRF work
 //     ~4× by converting each terminal seed into four leaf lanes (§3.1).
 //   - tiled-paged: the same tiled hot path reading the table out-of-core
 //     through a store.PagedBacking whose cache budget is a quarter of the
@@ -64,7 +64,7 @@
 // Usage:
 //
 //	benchjson [-o BENCH_hotpath.json] [-rows 65536] [-lanes 16]
-//	          [-batches 1,8,32,128] [-early 2] [-compare BENCH_hotpath.json]
+//	          [-batches 1,8,32,128] [-compare BENCH_hotpath.json]
 //	          [-minqps "32=500,vaes16:32=2000,amx:32=2500,par:32=1000"]
 package main
 
@@ -144,7 +144,6 @@ func main() {
 	rows := flag.Int("rows", 1<<16, "table rows")
 	lanes := flag.Int("lanes", 16, "uint32 lanes per row")
 	batches := flag.String("batches", "1,8,32,128", "comma-separated batch sizes")
-	early := flag.Int("early", dpf.DefaultEarlyBits, "early-termination depth for the tiled path's keys (0 = full-depth wire-v1)")
 	compare := flag.String("compare", "", "committed baseline JSON to gate against (fail on >15% speedup regression or double-digit tiled allocs)")
 	minQPS := flag.String("minqps", "", `absolute throughput floors, comma-separated "batch=qps" entries binding the tiled case (e.g. "32=500"); a "par:" prefix binds tiled-par instead, an AES or accumulate kernel name as prefix binds only on that kernel (e.g. "32=500,vaes16:32=2000,amx:32=2500,par:32=1000")`)
 	flag.Parse()
@@ -158,6 +157,7 @@ func main() {
 		tab.Data[i] = rng.Uint32()
 	}
 	prg := dpf.NewAESPRG()
+	early := dpf.DefaultEarly(tab.Bits(), 1) // the depth the table serves
 
 	// The paged leg shares one file + store across batches: the cache
 	// budget is a quarter of the table, so every pass reads at least three
@@ -201,7 +201,7 @@ func main() {
 		PRG:           prg.Name(),
 		AESKernel:     dpf.AESKernel(),
 		AccKernel:     strategy.AccumulateKernel(),
-		Early:         *early,
+		Early:         early,
 		Speedup:       map[string]float64{},
 	}
 
@@ -212,13 +212,13 @@ func main() {
 		}
 		// Same indices for both paths; the seed baseline predates the v2
 		// wire format, so it gets full-depth keys while the tiled path
-		// evaluates the configured format.
+		// evaluates the served format.
 		indices := make([]uint64, batch)
 		for q := range indices {
 			indices[q] = uint64(rng.Intn(tab.NumRows))
 		}
 		seedKeys := genKeys(prg, tab, indices, 0, rng)
-		tiledKeys := genKeys(prg, tab, indices, *early, rng)
+		tiledKeys := genKeys(prg, tab, indices, early, rng)
 		tableBytes := int64(*rows) * int64(*lanes) * 4
 		// The seed baseline streams the table once per query; the tiled
 		// path once per tile (§3.2.4's tableReadBytes model).
@@ -364,9 +364,8 @@ func checkThroughputFloors(spec string, got Output) error {
 }
 
 // genKeys generates one party-0 key per index at the given termination
-// depth (clamped to the table's tree like the protocol clients clamp).
+// depth.
 func genKeys(prg dpf.PRG, tab *strategy.Table, indices []uint64, early int, rng *rand.Rand) []*dpf.Key {
-	early = dpf.ClampEarly(early, tab.Bits())
 	keys := make([]*dpf.Key, len(indices))
 	for q, idx := range indices {
 		k0, _, err := dpf.GenEarly(prg, idx, tab.Bits(), []uint32{1}, early, rng)

@@ -45,18 +45,12 @@ func cmdGen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	bits := fs.Int("bits", 20, "tree depth (domain 2^bits)")
 	index := fs.Uint64("index", 0, "secret index alpha")
-	early := fs.Int("early", dpf.DefaultEarlyBits, "early-termination depth (0 = legacy full-depth wire-v1 keys)")
 	out0 := fs.String("out0", "key0.bin", "party-0 key file")
 	out1 := fs.String("out1", "key1.bin", "party-1 key file")
 	fs.Parse(args)
 
-	// Clamp the default depth for tiny trees like the protocol clients do,
-	// so `gen -bits 2` keeps working; an explicitly requested depth that
-	// does not fit still errors.
-	if *early == dpf.DefaultEarlyBits {
-		*early = dpf.ClampEarly(*early, *bits)
-	}
-	k0, k1, err := dpf.GenEarly(dpf.NewAESPRG(), *index, *bits, []uint32{1}, *early, rand.Reader)
+	// Keys terminate at the depth a 2^bits-row table serves.
+	k0, k1, err := dpf.GenEarly(dpf.NewAESPRG(), *index, *bits, []uint32{1}, dpf.DefaultEarly(*bits, 1), rand.Reader)
 	if err != nil {
 		log.Fatalf("gpudpf gen: %v", err)
 	}

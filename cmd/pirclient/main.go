@@ -1,6 +1,7 @@
 // Command pirclient privately retrieves rows from a pair of pirserver
 // instances. Neither server learns which index was queried. Keys are
-// aes128's, the one PRF the servers compute.
+// aes128's, the one PRF the servers compute, at the early-termination
+// depth the -rows table serves (dpf.DefaultEarly).
 //
 //	pirclient -server0 host0:7700 -server1 host1:7701 -rows 65536 -index 12345
 //
@@ -26,7 +27,6 @@ func main() {
 	s0 := flag.String("server0", "127.0.0.1:7700", "party-0 server address")
 	s1 := flag.String("server1", "127.0.0.1:7701", "party-1 server address")
 	rows := flag.Int("rows", 65536, "table rows (checked at dial)")
-	early := flag.Int("early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth for generated keys, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	indices := flag.String("index", "0", "comma-separated row indices to fetch privately")
 	repeat := flag.Int("repeat", 1, "fetch the index set this many times and report aggregate QPS")
 	flag.Parse()
@@ -40,13 +40,14 @@ func main() {
 		wanted = append(wanted, v)
 	}
 
-	client, err := pir.NewClientEarly(dpf.PRGName, *rows, *early, nil)
+	client, err := pir.NewClient(dpf.PRGName, *rows, nil)
 	if err != nil {
 		log.Fatalf("pirclient: %v", err)
 	}
-	// Each server's hello must state this client's PRF, depth, table and
-	// that server's party, or the dial fails naming both values.
-	pin := shardnet.Options{PRG: dpf.PRGName, Early: client.Early(), Rows: *rows}
+	// Each server's hello must state this client's PRF, table (and the
+	// depth it gives) and that server's party, or the dial fails naming
+	// both values.
+	pin := shardnet.Options{PRG: dpf.PRGName, Rows: *rows}
 	e0, err := pir.Dial(*s0, pin)
 	if err != nil {
 		log.Fatalf("pirclient: server0 %s: %v", *s0, err)

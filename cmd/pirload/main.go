@@ -44,7 +44,6 @@ func main() {
 	party := flag.Int("party", 0, "which party's key share to send (checked at dial)")
 	rows := flag.Int("rows", 65536, "server table rows (checked at dial)")
 	lanes := flag.Int("lanes", 32, "server row lanes (must match the server; sizes generated update rows)")
-	early := flag.Int("early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	seed := flag.Uint64("seed", 1, "workload seed: same seed, same schedule and same key material")
 	clients := flag.Uint64("clients", 1_000_000, "client population size request origins are drawn from")
 	zipfS := flag.Float64("zipf", 1.2, "Zipf skew of the requested rows (> 1)")
@@ -75,7 +74,7 @@ func main() {
 	fp := loadgen.Fingerprint(ops)
 	log.Printf("pirload: schedule: %d ops over %v at %.0f qps (fingerprint %016x)", len(ops), *duration, *qps, fp)
 
-	keys, err := buildKeys(ops, *rows, *early, *party, *seed)
+	keys, err := buildKeys(ops, *rows, *party, *seed)
 	if err != nil {
 		log.Fatalf("pirload: %v", err)
 	}
@@ -88,7 +87,7 @@ func main() {
 	}
 	// Every connection's hello pins the keys' configuration, so a mismatched
 	// server fails here, naming both values, instead of answering garbage.
-	pin := shardnet.Options{PRG: dpf.PRGName, Early: dpf.ClampEarly(*early, dpf.DomainBits(*rows)), Party: *party, Rows: *rows}
+	pin := shardnet.Options{PRG: dpf.PRGName, Party: *party, Rows: *rows}
 	pool := make([]loadgen.Target, *conns+extra)
 	for i := range pool {
 		r, err := pir.Dial(*addr, pin)
@@ -120,7 +119,7 @@ func main() {
 			Seed: *seed, Clients: *clients, Rows: *rows, Lanes: *lanes,
 			ZipfS: *zipfS, QPS: *qps, DurationS: duration.Seconds(),
 			UpdateFrac: *updateFrac, UpdateRows: *updateRows, Conns: *conns,
-			Party: *party, PRG: dpf.PRGName, Early: *early,
+			Party: *party, PRG: dpf.PRGName, Early: dpf.DefaultEarly(dpf.DomainBits(*rows), 1),
 			SLOms: float64(*slo) / float64(time.Millisecond),
 		},
 		ScheduleOps:         len(ops),
@@ -186,8 +185,8 @@ type configEcho struct {
 // schedule reads, from a PCG seeded by the workload seed — generation off
 // the timed path (keys are the client's cost, not the server's), and
 // deterministic so two runs of one seed send identical bytes.
-func buildKeys(ops []loadgen.Op, rows, early, party int, seed uint64) (map[uint64][]byte, error) {
-	cl, err := pir.NewClientEarly(dpf.PRGName, rows, early, pir.InsecureSeeded(rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))))
+func buildKeys(ops []loadgen.Op, rows, party int, seed uint64) (map[uint64][]byte, error) {
+	cl, err := pir.NewClient(dpf.PRGName, rows, pir.InsecureSeeded(rand.New(rand.NewPCG(seed, seed^0xda3e39cb94b95bdb))))
 	if err != nil {
 		return nil, err
 	}

@@ -47,12 +47,13 @@
 //	pirserver -party 0 -shardnode 0/2 -join host0:7800 -addr :7802 -rows 1048576 -seed 42
 //
 // Every instance computes one PRF, aes128 (the fixed-key AES hash in
-// internal/dpf); there is no PRF flag. The hello pins the wire version,
-// PRF (name and construction),
-// early-termination depth, party and row count (and the welcome states the
-// table epoch), so a misconfigured node — or a pirclient — is refused at
-// dial time with both values named instead of corrupting shares at merge
-// or reconstruction time.
+// internal/dpf); there is no PRF flag, and no depth flag: keys terminate
+// at the depth the row count gives (§3.1, 2 levels up on any table of 8
+// rows or more). The hello pins the wire version, PRF (name and
+// construction), party and row count, and states the early-termination
+// depth (the welcome also states the table epoch), so a misconfigured node
+// — or a pirclient — is refused at dial time with both values named
+// instead of corrupting shares at merge or reconstruction time.
 //
 // Updates: -refresh/-refreshrows drive the paper's transparent update
 // path (§4.2) as a deterministic background load — every tick a batch of
@@ -96,7 +97,6 @@ type config struct {
 	addr        string
 	rows, lanes int
 	seed        int64
-	early       int
 	batch       int
 	maxDelay    time.Duration
 	maxQueue    int
@@ -110,6 +110,10 @@ type config struct {
 	pageCache   int64
 }
 
+// early is the early-termination depth the table serves, which the log
+// lines state.
+func (cfg config) early() int { return dpf.DefaultEarly(dpf.DomainBits(cfg.rows), 1) }
+
 func main() {
 	var cfg config
 	flag.IntVar(&cfg.party, "party", 0, "which share this server computes (0 or 1)")
@@ -117,7 +121,6 @@ func main() {
 	flag.IntVar(&cfg.rows, "rows", 65536, "table rows")
 	flag.IntVar(&cfg.lanes, "lanes", 32, "uint32 lanes per row (entry bytes / 4)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "deterministic table content seed (must match the peer, which must also run the same pirserver build — the seed→content scheme is not stable across versions)")
-	flag.IntVar(&cfg.early, "early", dpf.DefaultEarlyBits, fmt.Sprintf("early-termination depth clients' keys carry, 1..%d (checked at dial)", dpf.MaxEarlyBits))
 	flag.IntVar(&cfg.batch, "batch", 64, "max keys per formed batch (0 disables the batching front door)")
 	flag.DurationVar(&cfg.maxDelay, "maxdelay", 2*time.Millisecond, "max time a request waits for its batch to fill")
 	flag.IntVar(&cfg.maxQueue, "maxqueue", 0, "admission bound: max requests waiting or in service before new ones are shed with a named overload error (0 = unbounded)")
@@ -149,9 +152,6 @@ func main() {
 	}
 	if cfg.pageCache < 1 {
 		log.Fatal("pirserver: -pagecache must be >= 1")
-	}
-	if cfg.early < 1 || cfg.early > dpf.MaxEarlyBits {
-		log.Fatalf("pirserver: -early %d out of range [1,%d] (full-depth wire-v1 keys are not served)", cfg.early, dpf.MaxEarlyBits)
 	}
 	switch {
 	case cfg.shardNode != "":
@@ -205,12 +205,11 @@ func notifyShutdown(l net.Listener) chan os.Signal {
 // bounded page cache: same wire behavior, out-of-core memory profile.
 // closeStore releases the table file (a no-op in RAM).
 func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()) {
-	opts := []pir.ServerOption{pir.WithEarly(cfg.early)}
 	var err error
 	if cfg.tableFile == "" {
 		var tab *pir.Table
 		if tab, err = buildTable(cfg.rows, cfg.lanes, cfg.seed, lo, hi); err == nil {
-			rep, err = pir.NewReplica(cfg.party, tab, opts...)
+			rep, err = pir.NewReplica(cfg.party, tab)
 		}
 		closeStore = func() {}
 	} else {
@@ -218,7 +217,7 @@ func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()
 		if st, closeStore, err = openPagedStore(cfg, lo, hi); err != nil {
 			log.Fatalf("pirserver: -table-file %s: %v", cfg.tableFile, err)
 		}
-		rep, err = pir.NewReplicaOverStore(cfg.party, st, opts...)
+		rep, err = pir.NewReplicaOverStore(cfg.party, st)
 	}
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -270,7 +269,7 @@ func runSingle(cfg config) {
 	rep, closeStore := openReplica(cfg, 0, cfg.rows)
 	defer closeStore()
 	serveClients(cfg, rep, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
-		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits()))
+		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), cfg.early()))
 	log.Printf("pirserver: shutdown complete")
 }
 
@@ -306,7 +305,7 @@ func runShardNode(cfg config) {
 		log.Fatalf("pirserver: %v", err)
 	}
 	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d)",
-		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), rep.EarlyBits())
+		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), cfg.early())
 	sig := notifyShutdown(l)
 	if err := node.Serve(l); err != nil {
 		log.Fatalf("pirserver: %v", err)
@@ -324,7 +323,7 @@ func runShardNode(cfg config) {
 // behind after a bounded number of rounds simply starts quarantined until
 // the front heals it, so best effort is safe.
 func joinFromPeer(cfg config, rep *engine.Replica, lo, hi int) error {
-	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: dpf.PRGName, Early: rep.EarlyBits(), Party: cfg.party, Rows: cfg.rows})
+	cl, err := shardnet.Dial(cfg.join, shardnet.Options{PRG: dpf.PRGName, Party: cfg.party, Rows: cfg.rows})
 	if err != nil {
 		return err
 	}
@@ -359,7 +358,7 @@ func runClusterFront(cfg config) {
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	pin := shardnet.Options{PRG: dpf.PRGName, Early: dpf.ClampEarly(cfg.early, dpf.DomainBits(cfg.rows)), Party: cfg.party, Rows: cfg.rows}
+	pin := shardnet.Options{PRG: dpf.PRGName, Party: cfg.party, Rows: cfg.rows}
 	shardsCfg := make([]engine.ClusterShard, len(groups))
 	total := 0
 	for i, members := range groups {
@@ -392,7 +391,7 @@ func runClusterFront(cfg config) {
 	}
 	serveClients(cfg, cluster, clusterDesc{cluster, cfg.party},
 		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, cfg.group, cfg.rows, lanes*4),
-		fmt.Sprintf("prg=%s early=%d", dpf.PRGName, cluster.EarlyBits()))
+		fmt.Sprintf("prg=%s early=%d", dpf.PRGName, cfg.early()))
 	cluster.Close()
 	log.Printf("pirserver: shutdown complete")
 }

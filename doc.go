@@ -233,10 +233,11 @@
 //     loop's decision above, not the replica's. Unmarshaled keys are
 //     pooled, so a steady-state Answer or AnswerRangeEpoch allocates
 //     nothing beyond the returned answer slices (AllocsPerRun tests). The replica
-//     pins one early-termination depth (Config.EarlyBits; default = what
-//     pir.NewClient emits) and one key wire format (v3), and rejects
-//     mismatched keys at validation with the configured PRF and the key's
-//     parsed wire version in the error.
+//     serves one early-termination depth, the one its row count gives
+//     (dpf.DefaultEarly(dpf.DomainBits(rows), 1), what pir.NewClient
+//     emits; no layer takes it as a setting), and one key wire format
+//     (v3), and rejects mismatched keys at validation with the PRF, the
+//     key's parsed wire version and both depths in the error.
 //     engine.Cluster, a Backend, splits one logical replica's row domain
 //     across N groups of Members — in-process replicas or remote nodes —
 //     fans each batch out concurrently (shard 0 on the calling goroutine,
@@ -262,8 +263,8 @@
 //     on the current epoch before lifting the quarantine. A shard with no
 //     working member fails the batch with a *ShardError enumerating every
 //     member by name with its own error; a member set that disagrees on
-//     PRF, early depth, party or shape, or a member assigned rows it does
-//     not hold, is refused at construction.
+//     PRF, party or shape, or a member assigned rows it does not hold, is
+//     refused at construction (the depth follows from the shared rows).
 //   - internal/frame is the one wire framing both ports speak: a uint32
 //     length refused over the port's cap before allocation, then a body
 //     led by an op byte (a response: op, status); plus the body pieces
@@ -283,10 +284,13 @@
 //     counters response of the two host counters), the PRF by name and
 //     by construction ID (dpf.ConstructionAES128: a peer built with
 //     another PRF, or another function under this one's name, is
-//     refused),
-//     the early-termination depth, the party and the row count — a
-//     refusal names both sides' values — and the welcome states the
-//     lanes, the rows the node holds and its table epoch. Answer-range
+//     refused), the party and the row count — a refusal names both sides'
+//     values — and the early-termination depth: a client pinning rows
+//     sends its rows' depth, a server states its table's, and a client
+//     refuses a welcome whose depth is not the one its own rows give, so
+//     a peer built with another depth rule is refused at dial. The
+//     welcome also states the lanes, the rows the node holds and its
+//     table epoch. Answer-range
 //     responses carry the epoch their partials were computed at; the
 //     epoch RPCs extend the cluster's handshake across machines (batch
 //     writes are held to the node's row range, like answers); Ping is the
@@ -374,7 +378,8 @@
 // tiled/batched one and writes BENCH_hotpath.json. Each entry in "cases"
 // is one (path, batch) measurement: "seed" is the pre-tiling per-query
 // implementation evaluating full-depth (wire v1) keys, "tiled" the
-// current hot path evaluating keys at the "early" termination depth,
+// current hot path evaluating keys at the depth the table serves
+// ("early"),
 // "tiled-paged" the same path reading the table out-of-core at a
 // quarter-table page cache (its ratio over "tiled" is the paging tax),
 // and "tiled-par" / "tiled-paged-par" their parallel variants with the

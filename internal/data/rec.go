@@ -87,23 +87,14 @@ func GenRec(cfg RecConfig) (*RecDataset, error) {
 // CandidateGenre maps a candidate item to its genre.
 func CandidateGenre(cfg RecConfig, cand int) int { return cand % cfg.Genres }
 
-// itemGenre maps an item to its genre: genres own contiguous index ranges,
-// which is deliberately *not* what co-location produces (co-location must
-// earn its win by re-grouping by observed co-occurrence, and hot-table
-// splitting by observed frequency).
-func itemGenre(cfg RecConfig, item uint64) int {
-	per := cfg.Items / cfg.Genres
-	g := int(item) / per
-	if g >= cfg.Genres {
-		g = cfg.Genres - 1
-	}
-	return g
-}
-
 func genRecSplit(cfg RecConfig, rng *rand.Rand, n, userBase int) []RecSample {
 	perGenre := cfg.Items / cfg.Genres
 	// In-genre popularity is Zipf over the genre's items.
 	zipf := NewZipf(rng, cfg.ZipfS, perGenre)
+	// Genres own contiguous index ranges, which is deliberately *not* what
+	// co-location produces (co-location must earn its win by re-grouping
+	// by observed co-occurrence, and hot-table splitting by observed
+	// frequency).
 	genreItem := func(g int) uint64 {
 		return uint64(g*perGenre) + zipf.Draw()
 	}

@@ -54,13 +54,15 @@ const DefaultEarlyBits = 2
 // depth and lane count supports: the terminal group (lanes << early 32-bit
 // words) must fit the 128-bit seed, and at least one tree level must
 // remain. Wide-beta keys (lanes > 2) therefore get no early termination;
-// scalar PIR keys get the full 2 levels whenever bits ≥ 3.
+// scalar PIR keys get the full 2 levels whenever bits ≥ 3. A table of
+// rows serves keys of depth DefaultEarly(DomainBits(rows), 1): every
+// serving layer derives the depth so, and none takes it as a setting.
 func DefaultEarly(bits, lanes int) int {
 	early := DefaultEarlyBits
 	for early > 0 && lanes<<uint(early) > 4 {
 		early--
 	}
-	return ClampEarly(early, bits)
+	return max(min(early, bits-1), 0)
 }
 
 // DomainBits returns the DPF tree depth covering a domain of rows
@@ -75,21 +77,6 @@ func DomainBits(rows int) int {
 		bits++
 	}
 	return bits
-}
-
-// ClampEarly bounds an early-termination depth to what a tree of the given
-// depth supports — at least one walked level must remain. Every layer that
-// resolves a configured depth against a concrete table (pir.Client,
-// engine.Replica, the cmd flags) clamps through this one function, so a
-// client and server given the same flags stay matched even on tiny tables.
-func ClampEarly(early, bits int) int {
-	if early > bits-1 {
-		early = bits - 1
-	}
-	if early < 0 {
-		early = 0
-	}
-	return early
 }
 
 // Key is one party's share of a point function. A Key alone is

@@ -73,7 +73,7 @@ func TestExpandLeavesMatchesFrontier(t *testing.T) {
 		t.Run(prg.Name(), func(t *testing.T) {
 			for _, early := range []int{0, 1, 2} {
 				for _, bits := range []int{1, 2, 3, 8} {
-					e := ClampEarly(early, bits)
+					e := min(early, bits-1)
 					alpha := uint64(rng.Intn(1 << bits))
 					beta := rng.Uint32() | 1
 					k0, k1, err := GenEarly(prg, alpha, bits, []uint32{beta}, e, rand.Reader)

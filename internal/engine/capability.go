@@ -69,11 +69,10 @@ type Member interface {
 	// a partial failure without tracking who got how far.
 	AbortUpdate(ctx context.Context, epoch uint64) error
 
-	// PRGName, EarlyBits and Party are
-	// the serving configuration the member pins — the facts two members
-	// must agree on before their partial shares can be merged.
+	// PRGName and Party are the serving configuration the member pins —
+	// with the shape, the facts two members must agree on before their
+	// partial shares can be merged.
 	PRGName() string
-	EarlyBits() int
 	Party() int
 	// HeldRange is the global rows the member authoritatively holds. A
 	// shard node serving a slice of a larger domain answers garbage

@@ -259,9 +259,9 @@ func (g *shardGroup) pick(tried []bool, now time.Time) (idx int, probe bool) {
 // and the per-shard partial sums merge lane-wise mod 2^32, by the
 // linearity of the shares bit-identical to a single-process Replica over
 // the same table. Construction fails loudly on any configuration the
-// merge would silently corrupt: disagreeing table shapes, PRFs,
-// early-termination depths or parties across any members, or a member
-// assigned rows it does not hold.
+// merge would silently corrupt: disagreeing table shapes, PRFs or
+// parties across any members, or a member assigned rows it does not hold.
+// The served early-termination depth follows from the shared row count.
 //
 // Epochs make the merge safe under change: every partial names the table
 // epoch it was computed at, so a batch that straddled an update is
@@ -293,7 +293,8 @@ type Cluster struct {
 	umu sync.RWMutex
 
 	// The configuration every member pins (NewCluster refuses a set that
-	// disagrees); ValidateKey uses it to reject bad keys at the front door.
+	// disagrees) and the depth its rows give; ValidateKey uses them to
+	// reject bad keys at the front door.
 	prgName string
 	early   int
 	party   int
@@ -411,15 +412,12 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	// Every pinned fact must agree pairwise before partial shares may be
 	// merged; name both values and both members in the rejection.
 	firstName := members[0].name
-	c.prgName, c.early, c.party = members[0].be.PRGName(), members[0].be.EarlyBits(), members[0].be.Party()
+	c.prgName, c.party = members[0].be.PRGName(), members[0].be.Party()
+	c.early = dpf.DefaultEarly(dpf.DomainBits(c.rows), 1)
 	for _, m := range members[1:] {
 		if got := m.be.PRGName(); got != c.prgName {
 			return nil, fmt.Errorf("engine: cluster member %s serves prg=%s, %s prg=%s — members must share one PRF",
 				m.name, got, firstName, c.prgName)
-		}
-		if got := m.be.EarlyBits(); got != c.early {
-			return nil, fmt.Errorf("engine: cluster member %s serves early-termination depth %d, %s depth %d — members must share one depth",
-				m.name, got, firstName, c.early)
 		}
 		if got := m.be.Party(); got != c.party {
 			return nil, fmt.Errorf("engine: cluster member %s computes party %d shares, %s party %d — a cluster is one party",
@@ -856,8 +854,8 @@ func (c *Cluster) requireAllShards(ms []clusterMember) error {
 }
 
 // ValidateKey implements KeyValidator: the key must unmarshal, carry the
-// cluster's party, be scalar, match the domain's tree depth and the
-// members' early-termination depth, and be in the served key wire format —
+// cluster's party, be scalar, match the domain's tree depth and served
+// early-termination depth, and be in the served key wire format —
 // the same checks Replica.ValidateKey runs, performed at the cluster front
 // so a bad key fails its own request before any network fan-out.
 func (c *Cluster) ValidateKey(raw []byte) error {
@@ -878,9 +876,6 @@ func (c *Cluster) ValidateKey(raw []byte) error {
 	}
 	return nil
 }
-
-// EarlyBits returns the early-termination depth the members serve.
-func (c *Cluster) EarlyBits() int { return c.early }
 
 // Close closes every member backend that is closeable (remote shard
 // clients included); in-process replicas have nothing to close.

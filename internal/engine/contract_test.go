@@ -28,7 +28,7 @@ func TestSeamContract(t *testing.T) {
 	member := append([]string{
 		"AnswerRangeEpoch",
 		"Epoch", "PrepareUpdate", "CommitUpdate", "AbortUpdate",
-		"PRGName", "EarlyBits", "Party", "HeldRange", "Ping",
+		"PRGName", "Party", "HeldRange", "Ping",
 		"SnapshotMeta", "SnapshotChunk",
 	}, backend...)
 	for _, tc := range []struct {

@@ -33,16 +33,6 @@ type Config struct {
 	// replica's PRF too, for callers that dial without pins, where a
 	// mismatch would otherwise come back as garbage shares.
 	PRG dpf.PRG
-	// EarlyBits is the early-termination depth (§3.1) served keys must
-	// carry, shared with clients like the PRF. 0 means the dpf default for
-	// the table's tree depth (DefaultEarlyBits, clamped — what
-	// pir.NewClient emits). Legacy full-depth wire-v1 keys are not served:
-	// a negative value is refused. Nor are wire-v2 keys: a replica serves
-	// key wire v3 (dpf.ServedWire) only. The tile loop needs depth-uniform
-	// batches, so the replica pins one depth and rejects mismatched keys
-	// loudly at validation instead of failing co-batched requests
-	// downstream.
-	EarlyBits int
 	// Strategy, when set, is run exactly as given (no worker budget is
 	// bound into it) — the seam for wrapping a default replica's
 	// Strategy() in instrumentation. nil runs the default executor,
@@ -58,7 +48,7 @@ type Config struct {
 type Replica struct {
 	party uint8
 	prg   dpf.PRG
-	early int // early-termination depth served keys must carry
+	early int // the table's served early-termination depth (dpf.DefaultEarly)
 	strat strategy.Strategy
 	st    *store.Store
 	rows  int
@@ -105,17 +95,6 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 		prg = dpf.NewAESPRG()
 	}
 	bits := dpf.DomainBits(rows)
-	early := cfg.EarlyBits
-	switch {
-	case early == 0:
-		early = dpf.DefaultEarly(bits, 1)
-	case early < 0 || early > dpf.MaxEarlyBits:
-		return nil, fmt.Errorf("engine: EarlyBits %d out of range [1,%d] (0 = default; full-depth wire-v1 keys are not served)", cfg.EarlyBits, dpf.MaxEarlyBits)
-	default:
-		// Clamp like the client side so matching flags stay matched on
-		// tiny tables.
-		early = dpf.ClampEarly(early, bits)
-	}
 	strat := cfg.Strategy
 	if strat == nil {
 		// The tile loop spends the budget: queries, narrow tiles' leaf
@@ -126,7 +105,7 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	return &Replica{
 		party: uint8(cfg.Party),
 		prg:   prg,
-		early: early,
+		early: dpf.DefaultEarly(bits, 1),
 		strat: strat,
 		st:    st,
 		rows:  rows,
@@ -145,9 +124,6 @@ func (r *Replica) Store() *store.Store { return r.st }
 
 // Strategy returns the execution strategy the replica runs.
 func (r *Replica) Strategy() strategy.Strategy { return r.strat }
-
-// EarlyBits returns the early-termination depth served keys must carry.
-func (r *Replica) EarlyBits() int { return r.early }
 
 // PRGName implements Member: the PRF served keys must use.
 func (r *Replica) PRGName() string { return r.prg.Name() }
@@ -190,7 +166,7 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 		return fmt.Errorf("key has %d bits, table needs %d", k.Bits, bits)
 	}
 	if k.Early != early {
-		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching -early",
+		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching depth",
 			k.Early, early)
 	}
 	// A tree too shallow for early termination walks full depth, in v1;
@@ -202,7 +178,7 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 }
 
 // validateKey checks an unmarshaled key against the replica's party, lane
-// shape, tree depth, and configured early-termination depth.
+// shape, tree depth, and served early-termination depth.
 func (r *Replica) validateKey(raw []byte, k *dpf.Key) error {
 	if err := validatePinnedKey(k, int(r.party), r.bits, r.early); err != nil {
 		return fmt.Errorf("%s: %w", r.keyErrPrefix(raw), err)
@@ -212,7 +188,7 @@ func (r *Replica) validateKey(raw []byte, k *dpf.Key) error {
 
 // ValidateKey checks a marshaled key against the replica without
 // evaluating it: it must unmarshal, carry this replica's party, be scalar,
-// match the table's tree depth and the replica's early-termination depth,
+// match the table's tree depth and served early-termination depth,
 // and be in the served key wire format. Front doors that coalesce many
 // clients' keys into one batch (serving.Batcher) use it to reject a bad key
 // at its own request instead of failing every co-batched request — the

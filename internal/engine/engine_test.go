@@ -270,101 +270,48 @@ func genKeysEarly(t testing.TB, tab *strategy.Table, indices []uint64, early int
 	return k0s, k1s
 }
 
-// TestEarlyDepthValidation: a replica serves exactly one key depth — the
-// default replica rejects legacy full-depth keys, which no replica serves,
-// and keys of another depth — and the
-// rejection names the configured PRF, the parsed wire version, and both
-// depths, so a mismatched client knows exactly what to fix.
+// TestEarlyDepthValidation: a replica, and a cluster over it, serve
+// exactly the depth the table's rows give. Legacy full-depth keys and
+// keys of another depth are refused, and the rejection names the PRF, the
+// parsed wire version and both depths, so a mismatched client knows
+// exactly what to fix.
 func TestEarlyDepthValidation(t *testing.T) {
 	tab := buildTable(t, 64, 1, 30)
-	def, err := NewReplica(tab, Config{Party: 0})
+	rep, err := NewReplica(tab, Config{Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := def.EarlyBits(), dpf.DefaultEarlyBits; got != want {
-		t.Fatalf("default EarlyBits = %d, want %d", got, want)
+	cluster, err := NewCluster(ClusterShard{Backend: rep})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defKeys, _ := genKeys(t, tab, []uint64{5}, 31)
 	v1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 0, 32)
-
-	if err := def.ValidateKey(defKeys[0]); err != nil {
-		t.Errorf("default replica rejected default key: %v", err)
-	}
-	err = def.ValidateKey(v1Keys[0])
-	if err == nil {
-		t.Fatal("default replica accepted full-depth key")
-	}
-	for _, want := range []string{"prg=aes128", "wire v1", "depth 0", "depth 2"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("v1-against-default error %q missing %q", err, want)
+	d1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 1, 32)
+	for name, validate := range map[string]func([]byte) error{"replica": rep.ValidateKey, "cluster": cluster.ValidateKey} {
+		if err := validate(defKeys[0]); err != nil {
+			t.Errorf("%s rejected a key of the served depth: %v", name, err)
+		}
+		for _, tc := range []struct {
+			key  []byte
+			want []string
+		}{
+			{v1Keys[0], []string{"prg=aes128", "wire v1", "depth 0", "depth 2"}},
+			{d1Keys[0], []string{"prg=aes128", "wire v3", "depth 1", "depth 2"}},
+		} {
+			err := validate(tc.key)
+			if err == nil {
+				t.Fatalf("%s accepted a key the table does not serve (want %v)", name, tc.want)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: %q does not name %q", name, err, want)
+				}
+			}
 		}
 	}
-	if _, err := def.Answer(context.Background(), v1Keys); err == nil {
-		t.Error("default replica answered full-depth key")
-	}
-
-	// A replica at another served depth refuses both the full-depth key
-	// and the default-depth one.
-	shallow, err := NewReplica(tab, Config{Party: 0, EarlyBits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := shallow.ValidateKey(v1Keys[0]); err == nil || !strings.Contains(err.Error(), "wire v1") {
-		t.Errorf("depth-1 replica on a full-depth key: %v", err)
-	}
-	err = shallow.ValidateKey(defKeys[0])
-	if err == nil {
-		t.Fatal("depth-1 replica accepted a depth-2 key")
-	}
-	for _, want := range []string{"depth 2", "depth 1"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("depth-2-against-depth-1 error %q missing %q", err, want)
-		}
-	}
-
-	// Both depths answer when matched, and the shares they produce
-	// reconstruct the same table row.
-	shallow1, err := NewReplica(tab, Config{Party: 1, EarlyBits: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	def1, err := NewReplica(tab, Config{Party: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1Party0, d1Party1 := genKeysEarly(t, tab, []uint64{5}, 1, 32)
-	_, defParty1 := genKeys(t, tab, []uint64{5}, 31)
-	ctx := context.Background()
-	a0def, err := def.Answer(ctx, defKeys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1def, err := def1.Answer(ctx, defParty1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a0d1, err := shallow.Answer(ctx, d1Party0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1d1, err := shallow1.Answer(ctx, d1Party1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tab.Row(5)[0]
-	if got := a0def[0][0] + a1def[0][0]; got != want {
-		t.Errorf("depth-2 reconstruction = %d, want %d", got, want)
-	}
-	if got := a0d1[0][0] + a1d1[0][0]; got != want {
-		t.Errorf("depth-1 reconstruction = %d, want %d", got, want)
-	}
-
-	// Full-depth keys are not served: the old sentinel is refused by name.
-	if _, err := NewReplica(tab, Config{Party: 0, EarlyBits: -1}); err == nil || !strings.Contains(err.Error(), "full-depth") {
-		t.Errorf("EarlyBits -1: %v, want the full-depth refusal", err)
-	}
-	if _, err := NewReplica(tab, Config{Party: 0, EarlyBits: dpf.MaxEarlyBits + 1}); err == nil {
-		t.Error("out-of-range EarlyBits accepted")
+	if _, err := rep.Answer(context.Background(), v1Keys); err == nil {
+		t.Error("replica answered a full-depth key")
 	}
 }
 

@@ -23,19 +23,11 @@ type Client struct {
 
 // NewClient builds a client for a table with the given row count, using the
 // named PRF (which must match the servers'). rng may be nil to use
-// crypto/rand. Keys use the default early-termination depth (wire format
-// v3, 2 levels for 4 lanes/leaf); use NewClientEarly to interoperate with
-// servers configured for a different depth.
+// crypto/rand. Keys carry the depth the table serves,
+// dpf.DefaultEarly(dpf.DomainBits(rows), 1): wire format v3, the walk
+// stopping 2 levels up (4 lanes per terminal seed) on any table of 8 rows
+// or more.
 func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {
-	return NewClientEarly(prgName, rows, dpf.DefaultEarlyBits, rng)
-}
-
-// NewClientEarly is NewClient with an explicit early-termination depth,
-// 1..dpf.MaxEarlyBits (servers do not serve legacy full-depth keys),
-// clamped to what the table's tree supports exactly as the server side
-// clamps its configured depth, so matching flags stay matched on tiny
-// tables.
-func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, error) {
 	prg, err := dpf.NewPRG(prgName)
 	if err != nil {
 		return nil, err
@@ -43,18 +35,12 @@ func NewClientEarly(prgName string, rows, early int, rng io.Reader) (*Client, er
 	if rows <= 0 {
 		return nil, fmt.Errorf("pir: table needs at least one row, got %d", rows)
 	}
-	if err := checkEarly(early); err != nil {
-		return nil, err
-	}
 	if rng == nil {
 		rng = rand.Reader
 	}
 	bits := dpf.DomainBits(rows)
-	return &Client{prg: prg, rng: rng, bits: bits, rows: rows, early: dpf.ClampEarly(early, bits)}, nil
+	return &Client{prg: prg, rng: rng, bits: bits, rows: rows, early: dpf.DefaultEarly(bits, 1)}, nil
 }
-
-// Early returns the early-termination depth the client's keys carry.
-func (c *Client) Early() int { return c.early }
 
 // Query encodes the secret index into one marshaled key per server.
 // Each key alone is indistinguishable from a key for any other index.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"gpudpf/internal/dpf"
 	"gpudpf/internal/engine"
 	"gpudpf/internal/store"
 	"gpudpf/internal/strategy"
@@ -21,7 +20,6 @@ type Server struct {
 // serverConfig collects option state before the engine replica is built.
 type serverConfig struct {
 	strat strategy.Strategy
-	early int // engine.Config.EarlyBits (0 = default)
 }
 
 // ServerOption customizes a Server.
@@ -40,28 +38,6 @@ func WithStrategy(s strategy.Strategy) ServerOption {
 	}
 }
 
-// WithEarly pins the early-termination depth (§3.1) served keys must
-// carry, 1..dpf.MaxEarlyBits, which must match the clients' (like the PRF).
-// Without this option the server expects the dpf default — what
-// pir.NewClient emits. Legacy full-depth wire-v1 keys are not served.
-func WithEarly(early int) ServerOption {
-	return func(cfg *serverConfig) error {
-		if err := checkEarly(early); err != nil {
-			return err
-		}
-		cfg.early = early
-		return nil
-	}
-}
-
-// checkEarly refuses a depth no server serves, naming it.
-func checkEarly(early int) error {
-	if early < 1 || early > dpf.MaxEarlyBits {
-		return fmt.Errorf("pir: early-termination depth %d out of range [1,%d] (full-depth wire-v1 keys are not served)", early, dpf.MaxEarlyBits)
-	}
-	return nil
-}
-
 // NewReplica resolves the server options into an engine replica —
 // the shared constructor behind Server and batchpir's per-bin engines.
 func NewReplica(party int, tab *Table, opts ...ServerOption) (*engine.Replica, error) {
@@ -74,11 +50,7 @@ func NewReplica(party int, tab *Table, opts ...ServerOption) (*engine.Replica, e
 			return nil, err
 		}
 	}
-	return engine.NewReplica(tab, engine.Config{
-		Party:     party,
-		EarlyBits: cfg.early,
-		Strategy:  cfg.strat,
-	})
+	return engine.NewReplica(tab, engine.Config{Party: party, Strategy: cfg.strat})
 }
 
 // NewServer builds a PIR server for one party (0 or 1) over the table.
@@ -103,11 +75,7 @@ func NewReplicaOverStore(party int, st *store.Store, opts ...ServerOption) (*eng
 			return nil, err
 		}
 	}
-	return engine.NewReplicaOverStore(st, engine.Config{
-		Party:     party,
-		EarlyBits: cfg.early,
-		Strategy:  cfg.strat,
-	})
+	return engine.NewReplicaOverStore(st, engine.Config{Party: party, Strategy: cfg.strat})
 }
 
 // NewServerOverStore builds a PIR server over an existing epoch store —

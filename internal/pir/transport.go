@@ -62,9 +62,9 @@ func describerOf(s Answerer) shardnet.Describer {
 type Remote struct{ c *shardnet.Client }
 
 // Dial connects to a PIR server started with Serve. With pin the server's
-// hello must match it — PRF and its construction, early-termination depth,
-// party, rows — or Dial fails naming both values; without, no hello is
-// sent.
+// hello must match it — PRF and its construction, party, rows and the
+// early-termination depth they give — or Dial fails naming both values;
+// without, no hello is sent.
 func Dial(addr string, pin ...shardnet.Options) (*Remote, error) {
 	if len(pin) > 1 {
 		return nil, fmt.Errorf("pir: dial %s: %d pins, want at most one", addr, len(pin))

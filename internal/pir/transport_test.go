@@ -330,7 +330,7 @@ func TestRemoteHoldsOneConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pin := range [][]shardnet.Options{nil, {{PRG: "aes128", Early: dpf.DefaultEarlyBits, Rows: tab.NumRows}}} {
+	for _, pin := range [][]shardnet.Options{nil, {{PRG: "aes128", Rows: tab.NumRows}}} {
 		inner, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -632,14 +632,14 @@ func servePair(t *testing.T, tab *Table, prg dpf.PRG) (addr0, addr1 string) {
 }
 
 // fetchLikePirclient retrieves rows the way cmd/pirclient does: aes128
-// keys for its -early / -rows, each server dialed with those pins and its
-// party, then TwoServer.Fetch.
+// keys for its -rows, each server dialed with those pins and its party,
+// then TwoServer.Fetch.
 func fetchLikePirclient(addr0, addr1 string, rows int, indices []uint64) ([][]uint32, error) {
-	client, err := NewClientEarly(dpf.PRGName, rows, 2, nil)
+	client, err := NewClient(dpf.PRGName, rows, nil)
 	if err != nil {
 		return nil, err
 	}
-	pin := shardnet.Options{PRG: dpf.PRGName, Early: client.Early(), Rows: rows}
+	pin := shardnet.Options{PRG: dpf.PRGName, Rows: rows}
 	e0, err := Dial(addr0, pin)
 	if err != nil {
 		return nil, err

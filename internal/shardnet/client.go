@@ -25,12 +25,11 @@ type Options struct {
 	// PRG pins the PRF — its name and the construction this build computes
 	// under it ("" = any).
 	PRG string
-	// Early pins the early-termination depth keys carry (0 = any).
-	Early int
 	// Party pins which share the server must compute. The zero value pins
 	// party 0: a silent party mismatch yields garbage shares.
 	Party int
-	// Rows pins the table's row count (0 = any).
+	// Rows pins the table's row count (0 = any), and with it the
+	// early-termination depth keys carry, which follows from the rows.
 	Rows int
 	// RPCTimeout bounds an RPC whose context carries no deadline of its
 	// own (0 = DefaultRPCTimeout for Dial and none for DialClient, negative
@@ -128,13 +127,14 @@ func dial(c *Client, opts *Options) (*Client, error) {
 	}
 	if opts != nil {
 		construction := dpf.ConstructionOf(opts.PRG)
-		if opts.PRG != "" && construction == 0 || opts.Early < 0 || opts.Early > dpf.MaxEarlyBits ||
-			opts.Party < 0 || opts.Party > 1 || opts.Rows < 0 {
-			return nil, fmt.Errorf("%s: cannot pin prg=%q, early-termination depth %d, party %d, %d rows",
-				c.name, opts.PRG, opts.Early, opts.Party, opts.Rows)
+		if opts.PRG != "" && construction == 0 || opts.Party < 0 || opts.Party > 1 || opts.Rows < 0 {
+			return nil, fmt.Errorf("%s: cannot pin prg=%q, party %d, %d rows", c.name, opts.PRG, opts.Party, opts.Rows)
 		}
 		c.pin = &hello{Version: ProtocolVersion, PRG: opts.PRG, Construction: construction,
-			Early: opts.Early, Party: opts.Party, Rows: opts.Rows}
+			Party: opts.Party, Rows: opts.Rows}
+		if opts.Rows > 0 {
+			c.pin.Early = servedEarly(opts.Rows)
+		}
 		c.redial = opts.Redial
 		if opts.RPCTimeout != 0 {
 			c.timeout = opts.RPCTimeout
@@ -199,6 +199,9 @@ func (c *Client) hello(pc *poolConn) (hello, error) {
 	}
 	if w.Rows <= 0 || w.Lanes <= 0 || w.RowLo >= w.RowHi || w.RowHi > w.Rows {
 		return hello{}, fmt.Errorf("welcome states an invalid table: %d×%d rows, held range [%d,%d)", w.Rows, w.Lanes, w.RowLo, w.RowHi)
+	}
+	if want := servedEarly(w.Rows); w.Early != want {
+		return hello{}, fmt.Errorf("welcome refused: server serves early-termination depth %d, a %d-row table serves depth %d", w.Early, w.Rows, want)
 	}
 	return w, nil
 }
@@ -532,9 +535,6 @@ func (c *Client) Shape() (rows, lanes int) { return c.w.Rows, c.w.Lanes }
 
 // PRGName implements engine.Member from the welcome.
 func (c *Client) PRGName() string { return c.w.PRG }
-
-// EarlyBits implements engine.Member from the welcome.
-func (c *Client) EarlyBits() int { return c.w.Early }
 
 // Party implements engine.Member from the welcome.
 func (c *Client) Party() int { return c.w.Party }

@@ -67,19 +67,10 @@ func appendRequest(dst []byte, req *request) ([]byte, error) {
 	return dst, nil
 }
 
-// parseRequest decodes one request frame body, refusing key batches over
+// parseRequestInto decodes one request frame body into a connection's
+// reused request, whose key slice it keeps, refusing key batches over
 // maxKeys before allocating for them. Key slices alias the frame buffer;
 // the caller must finish with them before reusing it.
-func parseRequest(body []byte, maxKeys int) (*request, error) {
-	req := new(request)
-	if err := parseRequestInto(body, maxKeys, req); err != nil {
-		return nil, err
-	}
-	return req, nil
-}
-
-// parseRequestInto is parseRequest into a connection's reused request,
-// whose key slice it keeps.
 func parseRequestInto(body []byte, maxKeys int, req *request) error {
 	var r frame.Reader
 	r.Reset(body)

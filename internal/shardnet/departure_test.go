@@ -39,7 +39,7 @@ func TestNodeCancelsWorkWhenPeerLeaves(t *testing.T) {
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	m := &parkingMember{Replica: rep, started: make(chan struct{}), ended: make(chan struct{})}
 	_, addr := startNode(t, m, ServerConfig{})
-	c, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: 0})
+	c, err := Dial(addr, Options{PRG: rep.PRGName(), Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func mixedCluster(t *testing.T, remoteIdx int, wrap func(*engine.Replica) engine
 			continue
 		}
 		srv, addr = startNode(t, wrap(rep), ServerConfig{})
-		cl, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()})
+		cl, err := Dial(addr, Options{PRG: rep.PRGName(), Party: rep.Party()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestRPCTimeoutBackstop(t *testing.T) {
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	_, addr := startNode(t, &slowBackend{Replica: rep, delay: 30 * time.Second}, ServerConfig{})
 	c, err := Dial(addr, Options{
-		PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party(),
+		PRG: rep.PRGName(), Party: rep.Party(),
 		RPCTimeout: 200 * time.Millisecond,
 	})
 	if err != nil {
@@ -204,9 +204,10 @@ func TestRPCTimeoutBackstop(t *testing.T) {
 }
 
 // TestClusterConfigMismatch: a cluster must refuse to assemble when a node
-// was started with a different PRF or early-termination depth than its
-// siblings — at Dial time when the client pins, at NewCluster time when it
-// adopted.
+// was started with a different PRF than its siblings — at Dial time when
+// the client pins, at NewCluster time when it adopted — or holds rows other
+// than those it is assigned. (A node of another depth is refused at dial:
+// TestDialRefusesWelcomeDepth.)
 func TestClusterConfigMismatch(t *testing.T) {
 	tab := buildTable(t, 128, 2, 9)
 	chachaNodeRep := newReplica(t, tab, engine.Config{Party: 0, PRG: foreignPRF{dpf.NewAESPRG()}})
@@ -238,30 +239,6 @@ func TestClusterConfigMismatch(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("cluster rejection %q does not name %q", err, want)
 		}
-	}
-
-	// Early-termination depth mismatch: depth-1 node vs default-depth
-	// sibling, both depths named. (Full-depth wire-v1 keys are not served
-	// at all: a replica configured for them is refused by name.)
-	if _, err := engine.NewReplica(tab, engine.Config{Party: 0, EarlyBits: -1}); err == nil || !strings.Contains(err.Error(), "full-depth") {
-		t.Fatalf("full-depth replica: %v, want the named refusal", err)
-	}
-	d1Rep := newReplica(t, tab, engine.Config{Party: 0, EarlyBits: 1})
-	_, d1Addr := startNode(t, d1Rep, ServerConfig{})
-	d1Client, err := Dial(d1Addr, Options{PRG: "aes128", Party: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d1Client.Close()
-	_, err = engine.NewCluster(
-		engine.ClusterShard{Backend: aesRep, Name: "local-default"},
-		engine.ClusterShard{Backend: d1Client, Name: d1Addr},
-	)
-	if err == nil {
-		t.Fatal("mixed-depth cluster assembled")
-	}
-	if !strings.Contains(err.Error(), "depth 1") || !strings.Contains(err.Error(), "depth 2") {
-		t.Fatalf("cluster rejection %q does not name both depths", err)
 	}
 
 	// A node assigned rows it does not hold is refused at assembly.
@@ -302,7 +279,7 @@ func standbyPair(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi in
 	sbTab := shardTable(t, tab, lo, hi)
 	_, sbAddr := startNode(t, newReplica(t, sbTab, cfg), ServerConfig{RowLo: lo, RowHi: hi})
 	rep := newReplica(t, tab, cfg) // only for its pinned config
-	opts := Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()}
+	opts := Options{PRG: rep.PRGName(), Party: rep.Party()}
 	var err error
 	if primCl, err = Dial(primAddr, opts); err != nil {
 		t.Fatal(err)

@@ -64,8 +64,8 @@ func FuzzParseRequest(f *testing.F) {
 		f.Add(append([]byte{opAnswer}, b...))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := parseRequest(body, DefaultMaxBatch)
-		if err != nil {
+		req := new(request)
+		if parseRequestInto(body, DefaultMaxBatch, req) != nil {
 			return
 		}
 		if got, err := appendRequest(nil, req); err != nil || !bytes.Equal(got, body) {
@@ -256,7 +256,7 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(appendWelcome(nil, &hello{Version: ProtocolVersion, PRG: "a\x00b", Rows: 64, Lanes: 2, RowHi: 64}))
 	f.Add([]byte{opHello, 0xff, 0xfe, 0xfd, 0xfc})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if req, err := parseRequest(body, DefaultMaxBatch); err == nil && req.op == opHello {
+		if req := new(request); parseRequestInto(body, DefaultMaxBatch, req) == nil && req.op == opHello {
 			if got := encode(t, nil, req); !bytes.Equal(got, body) {
 				t.Fatalf("accepted hello does not re-encode:\n in  %x\n out %x", body, got)
 			}

@@ -27,7 +27,7 @@ func memberTrio(t *testing.T, tab *strategy.Table, cfg engine.Config, lo, hi int
 	for j := 0; j < 3; j++ {
 		rep := newReplica(t, shardTable(t, tab, lo, hi), cfg)
 		if j == 0 {
-			opts = Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()}
+			opts = Options{PRG: rep.PRGName(), Party: rep.Party()}
 		}
 		be := engine.Member(rep)
 		if j == 0 {
@@ -184,7 +184,7 @@ func TestSnapshotRPCs(t *testing.T) {
 	cfg := engine.Config{Party: 0}
 	rep := newReplica(t, shardTable(t, tab, lo, hi), cfg)
 	_, addr := startNode(t, rep, ServerConfig{RowLo: lo, RowHi: hi})
-	cl, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party()})
+	cl, err := Dial(addr, Options{PRG: rep.PRGName(), Party: rep.Party()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestClusterHealStaleMemberTCP(t *testing.T) {
 	m1rep := newReplica(t, shardTable(t, tab, lo, hi), cfg)
 	_, m0addr := startNode(t, m0rep, ServerConfig{RowLo: lo, RowHi: hi})
 	_, m1addr := startNode(t, m1rep, ServerConfig{RowLo: lo, RowHi: hi})
-	opts := Options{PRG: shard0.PRGName(), Early: shard0.EarlyBits(), Party: shard0.Party()}
+	opts := Options{PRG: shard0.PRGName(), Party: shard0.Party()}
 	m0cl, err := Dial(m0addr, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestClusterHealMixedWidthTCP(t *testing.T) {
 	lo, hi := engine.ShardRange(rows, 1, shards)
 	narrow := newReplica(t, shardTable(t, tab, lo, hi), cfg)
 	_, addr := startNode(t, narrow, ServerConfig{RowLo: lo, RowHi: hi})
-	cl, err := Dial(addr, Options{PRG: wide.PRGName(), Early: wide.EarlyBits(), Party: wide.Party()})
+	cl, err := Dial(addr, Options{PRG: wide.PRGName(), Party: wide.Party()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestClientRedialBackoff(t *testing.T) {
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	srv, addr := startNode(t, rep, ServerConfig{})
 	cl, err := Dial(addr, Options{
-		PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: rep.Party(),
+		PRG: rep.PRGName(), Party: rep.Party(),
 		Redial: backoff.Policy{Base: 300 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0},
 	})
 	if err != nil {

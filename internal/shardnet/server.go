@@ -53,13 +53,13 @@ type Answerer interface {
 }
 
 // Describer is the configuration a front states in its welcome — what a
-// pinning client's hello is checked against. Every engine.Member is one. A
+// pinning client's hello is checked against, with the early-termination
+// depth its rows give. Every engine.Member is one. A
 // Describer that also has PRG() dpf.PRG states that PRF's construction
 // (otherwise the one this build computes under the name), and one with
 // Epoch(ctx) (uint64, error) states its table epoch.
 type Describer interface {
 	PRGName() string
-	EarlyBits() int
 	Party() int
 	Shape() (rows, lanes int)
 }
@@ -155,7 +155,7 @@ func newServer(desc Describer, cfg ServerConfig, maxReq, maxResp int) *Server {
 	}
 	if desc != nil {
 		rows, lanes := desc.Shape()
-		s.self = hello{Version: ProtocolVersion, PRG: desc.PRGName(), Early: desc.EarlyBits(), Party: desc.Party(),
+		s.self = hello{Version: ProtocolVersion, PRG: desc.PRGName(), Early: servedEarly(rows), Party: desc.Party(),
 			Rows: rows, Lanes: lanes, RowLo: cfg.RowLo, RowHi: cfg.RowHi}
 		if p, ok := desc.(interface{ PRG() dpf.PRG }); ok {
 			s.self.Construction = p.PRG().Construction()

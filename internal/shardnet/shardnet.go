@@ -30,6 +30,11 @@
 //   - the early-termination depth keys carry, and the party;
 //   - the table's row count.
 //
+// The depth is no setting: it follows from the row count
+// (dpf.DefaultEarly), a server states its table's and a client pinning rows
+// sends its rows'. A client refuses a welcome whose depth is not its rows',
+// so a peer built with another depth rule is refused at dial.
+//
 // The welcome also states the server's lane count, the rows it
 // authoritatively holds (engine.NewCluster checks each shard's assignment
 // against them) and its table epoch. Marshaled DPF keys travel inside
@@ -176,6 +181,9 @@ func parseHello(r *frame.Reader) (hello, error) {
 
 // helloLen is the size of appendHello's payload.
 const helloLen = 4 + prgNameLen + 4 + 1 + 1 + 8 + 4 + 8 + 8 + 8
+
+// servedEarly is the early-termination depth a table of rows serves.
+func servedEarly(rows int) int { return dpf.DefaultEarly(dpf.DomainBits(rows), 1) }
 
 // refusal checks pinned, a client's hello, against served, a server's
 // configuration, and names both values of the first mismatch ("" = none).

@@ -168,7 +168,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if r, l := c.Shape(); r != rows || l != lanes {
 		t.Fatalf("handshake shape %d×%d, want %d×%d", r, l, rows, lanes)
 	}
-	if got, want := c.EarlyBits(), rep.EarlyBits(); got != want {
+	if got, want := c.w.Early, dpf.DefaultEarly(tab.Bits(), 1); got != want {
 		t.Fatalf("handshake early %d, want %d", got, want)
 	}
 	if lo, hi := c.HeldRange(); lo != 0 || hi != rows {
@@ -308,7 +308,8 @@ func TestMixedClusterMatchesReplica(t *testing.T) {
 }
 
 // TestHandshakePinning: every pinned fact mismatch is rejected with both
-// sides' values named.
+// sides' values named. The depth is no option, so a client of another
+// depth says so in a raw hello.
 func TestHandshakePinning(t *testing.T) {
 	tab := buildTable(t, 128, 2, 5)
 	rep := newReplica(t, tab, engine.Config{Party: 1})
@@ -319,8 +320,6 @@ func TestHandshakePinning(t *testing.T) {
 		opts Options
 		want []string
 	}{
-		{"early", Options{PRG: "aes128", Early: 1, Party: 1},
-			[]string{"depth 1", fmt.Sprintf("depth %d", rep.EarlyBits())}},
 		{"party", Options{PRG: "aes128", Party: 0}, []string{"party-0", "party 1"}},
 		{"rows", Options{PRG: "aes128", Party: 1, Rows: 64}, []string{"64-row", "128 rows"}},
 	}
@@ -344,8 +343,8 @@ func TestHandshakePinning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.PRGName() != "aes128" || c.Party() != 1 || c.EarlyBits() != rep.EarlyBits() {
-		t.Fatalf("welcome config prg=%s party=%d early=%d", c.PRGName(), c.Party(), c.EarlyBits())
+	if c.PRGName() != "aes128" || c.Party() != 1 || c.w.Early != 2 {
+		t.Fatalf("welcome config prg=%s party=%d early=%d", c.PRGName(), c.Party(), c.w.Early)
 	}
 
 	// A peer built with another PRF, or with another function under this
@@ -369,6 +368,9 @@ func TestHandshakePinning(t *testing.T) {
 			}
 		}
 	}
+	t.Run("early", func(t *testing.T) {
+		refused(t, hello{Version: ProtocolVersion, PRG: "aes128", Construction: dpf.ConstructionAES128, Early: 1, Party: 1}, "depth 1", "depth 2")
+	})
 	t.Run("prg", func(t *testing.T) {
 		refused(t, hello{Version: ProtocolVersion, PRG: "chacha20", Construction: foreignConstruction, Party: 1}, "chacha20", "aes128")
 		refused(t, hello{Version: ProtocolVersion, PRG: "aes128", Construction: dpf.ConstructionAES128 - 1, Party: 1},
@@ -379,39 +381,78 @@ func TestHandshakePinning(t *testing.T) {
 
 // TestHandshakeNoAdoption: a node enforces ITS member's configuration
 // whatever wraps the replica — there is no member without one, so no path
-// on which the node adopts the PRF / depth / party a client claims.
+// on which the node adopts the PRF / depth / party a client claims. This
+// build pins neither another PRF nor another depth, so a peer built with
+// one claims it in a raw hello.
 func TestHandshakeNoAdoption(t *testing.T) {
 	tab := buildTable(t, 128, 2, 5)
 	rep := newReplica(t, tab, engine.Config{Party: 1})
 	_, addr := startNode(t, &slowBackend{Replica: rep}, ServerConfig{})
+	if c, err := Dial(addr, Options{PRG: "aes128", Party: 0}); err == nil {
+		c.Close()
+		t.Fatalf("node adopted the client's party 0 (welcome says party %d)", c.Party())
+	} else if !strings.Contains(err.Error(), "this server computes party 1") {
+		t.Fatalf("handshake rejection %q does not say %q", err, "this server computes party 1")
+	}
 	for _, tc := range []struct {
-		opts Options
-		want string
+		claim hello
+		want  string
 	}{
-		{Options{PRG: "aes128", Early: 1, Party: 1}, fmt.Sprintf("this server serves depth %d", rep.EarlyBits())},
-		{Options{PRG: "aes128", Party: 0}, "this server computes party 1"},
+		{hello{Version: ProtocolVersion, PRG: "chacha20", Construction: foreignConstruction, Party: 1}, "this server serves prg=aes128"},
+		{hello{Version: ProtocolVersion, PRG: "aes128", Construction: dpf.ConstructionAES128, Early: 1, Party: 1}, "this server serves depth 2"},
 	} {
-		c, err := Dial(addr, tc.opts)
-		if err == nil {
-			c.Close()
-			t.Fatalf("node adopted the client's claim %+v (welcome says prg=%s early=%d party=%d)", tc.opts, c.PRGName(), c.EarlyBits(), c.Party())
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
+		w, err := rawHello(t, conn, tc.claim)
+		conn.Close()
+		if err == nil {
+			t.Fatalf("node adopted the claim %+v (welcome says prg=%s early=%d)", tc.claim, w.PRG, w.Early)
+		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("handshake rejection %q does not say %q", err, tc.want)
 		}
 	}
-	// This build cannot pin another PRF, so a peer built with one claims
-	// it in a raw hello.
-	conn, err := net.Dial("tcp", addr)
+}
+
+// TestDialRefusesWelcomeDepth: the depth a welcome states must be the one
+// its own row count gives. A peer built with another depth rule — here a
+// raw listener stating depth 1 for a 2^16-row table — is refused at dial
+// with both depths named, whether or not the client pins rows.
+func TestDialRefusesWelcomeDepth(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	claim := hello{Version: ProtocolVersion, PRG: "chacha20", Construction: foreignConstruction, Party: 1}
-	if w, err := rawHello(t, conn, claim); err == nil {
-		t.Fatalf("node adopted the claim %+v (welcome says prg=%s)", claim, w.PRG)
-	} else if !strings.Contains(err.Error(), "this server serves prg=aes128") {
-		t.Fatalf("handshake rejection %q does not say %q", err, "this server serves prg=aes128")
+	t.Cleanup(func() { l.Close() })
+	const rows = 1 << 16
+	welcome := hello{Version: ProtocolVersion, PRG: "aes128", Construction: dpf.ConstructionAES128,
+		Early: 1, Rows: rows, Lanes: 1, RowHi: rows}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			var buf []byte
+			if _, err := frame.Read(conn, DefaultMaxFrame, &buf); err == nil {
+				frame.Write(conn, appendWelcome(frame.Begin(nil), &welcome), DefaultMaxFrame)
+				conn.Read(make([]byte, 1)) // until the client hangs up
+			}
+			conn.Close()
+		}
+	}()
+	for _, opts := range []Options{{PRG: "aes128"}, {PRG: "aes128", Rows: rows}} {
+		c, err := Dial(l.Addr().String(), opts)
+		if err == nil {
+			c.Close()
+			t.Fatalf("pin %+v: a depth-1 welcome for %d rows was accepted", opts, rows)
+		}
+		for _, want := range []string{"depth 1", "depth 2"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("pin %+v: refusal %q does not name %q", opts, err, want)
+			}
+		}
 	}
 }
 

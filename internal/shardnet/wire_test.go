@@ -77,7 +77,7 @@ func TestOpsByteIdentical(t *testing.T) {
 		}
 	}
 	v4, _ := hex.DecodeString("010200000003000000abcdef0100000001")
-	if _, err := parseRequest(v4, DefaultMaxBatch); err == nil || !strings.Contains(err.Error(), "mixed-width batch") {
+	if err := parseRequestInto(v4, DefaultMaxBatch, new(request)); err == nil || !strings.Contains(err.Error(), "mixed-width batch") {
 		t.Errorf("protocol-4 mixed-width batch: %v, want a refusal naming the mixed widths", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestHelloRefusesProtocol4(t *testing.T) {
 	}
 	defer conn.Close()
 	_, err = rawHello(t, conn, hello{Version: 4, PRG: rep.PRGName(), Construction: rep.PRG().Construction(),
-		Early: rep.EarlyBits(), Party: 0, Rows: 64})
+		Party: 0, Rows: 64})
 	if err == nil {
 		t.Fatal("a protocol-4 hello was welcomed")
 	}
@@ -164,7 +164,7 @@ func TestNodeRefusesKeyWireV2(t *testing.T) {
 	tab := buildTable(t, 64, 2, 26)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	_, addr := startNode(t, rep, ServerConfig{})
-	c, err := Dial(addr, Options{PRG: rep.PRGName(), Early: rep.EarlyBits(), Party: 0})
+	c, err := Dial(addr, Options{PRG: rep.PRGName(), Party: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
