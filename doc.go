@@ -309,12 +309,14 @@
 //     within ReadTimeout). A departed peer cancels the node's in-flight
 //     work: a dispatch that outlives a 1 ms grace starts a peek at the
 //     connection, which cancels the work on EOF and is joined before the
-//     connection's next read. The node's client retires a connection on a transport error and
-//     backs off failed dials with seeded jitter, failing fast inside the
-//     window; context deadlines propagate to connection deadlines. Write
-//     and RPC-timeout deadlines are re-armed only once they fall short,
-//     so a stalled write or RPC is cut between its timeout and 9/8 of
-//     it.
+//     connection's next read. The one client retires a connection on a
+//     transport error (closed, never read again) and redials, repeating
+//     the hello; failed dials back off with seeded jitter, failing fast
+//     inside the window; context deadlines propagate to connection
+//     deadlines. A node's client (Dial) is uncapped and cuts a
+//     deadline-less RPC after DefaultRPCTimeout; write and RPC-timeout
+//     deadlines are re-armed only once they fall short, so a stalled
+//     write or RPC is cut between its timeout and 9/8 of it.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
 //     batch retrieval scheme of §4.1 (bins answered concurrently). The
@@ -328,11 +330,12 @@
 //     cost 13+n·k bytes up, an n × lanes answer 14+4·n·lanes down.
 //     Requests are capped at 8 MiB and 4096 keys, responses at 64 MiB; a
 //     shed request is serving.ErrOverloaded under errors.Is on the
-//     client. A Remote holds one connection and sends its requests in
-//     turn, with no RPC timeout, and once its stream broke it returns
-//     that first error from then on. pir.Dial with pins (what cmd/pirclient and
-//     cmd/pirload pass) says hello, so a PRF, depth, party or row-count
-//     mismatch fails at dial instead of reconstructing garbage.
+//     client. A Remote is that client capped at one connection: its
+//     requests take turns on it with no RPC timeout, and a broken
+//     connection is retired and redialed like a node's. pir.Dial with
+//     pins (what cmd/pirclient and cmd/pirload pass) says hello, so a
+//     PRF, depth, party or row-count mismatch fails at dial instead of
+//     reconstructing garbage.
 //   - internal/core wires the private on-device inference service: one
 //     pir.TwoServer per co-design table (hot and full), so both parties
 //     are queried concurrently through the same fetch; internal/serving adds the batching

@@ -26,7 +26,7 @@ func BenchmarkScalarExpand(b *testing.B) {
 // on zeros against 7.4 on these.)
 func benchFrontier(b *testing.B) (k Key, cw CW, seeds []Seed, ts []uint8) {
 	rng := rand.New(rand.NewPCG(128, 16))
-	k, _, err := GenEarly(NewAESPRG(), 5, 10, []uint32{1}, DefaultEarlyBits, zeroReader{})
+	k, _, err := GenEarly(NewAESPRG(), 5, 10, []uint32{1}, MaxEarlyBits, zeroReader{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,16 +41,13 @@ type CW struct {
 
 // MaxEarlyBits is the deepest supported early termination: ⌈log₂(λ/w)⌉
 // levels for λ = 128 and w = 32, i.e. one 128-bit terminal seed holds at
-// most four 32-bit output lanes without extra PRF calls.
+// most four 32-bit output lanes without extra PRF calls. It is also the
+// depth Gen uses by default for scalar keys: stopping there and
+// converting each terminal seed into four output lanes (paper §3.1) cuts
+// the PRF work of a full expansion ~4×.
 const MaxEarlyBits = 2
 
-// DefaultEarlyBits is the early-termination depth Gen uses by default for
-// scalar keys: stop ⌈log₂(λ/w)⌉ = 2 levels above the leaves and convert
-// each terminal seed into four output lanes (paper §3.1), cutting the PRF
-// work of a full expansion ~4×.
-const DefaultEarlyBits = 2
-
-// DefaultEarly clamps DefaultEarlyBits to what a key of the given tree
+// DefaultEarly clamps MaxEarlyBits to what a key of the given tree
 // depth and lane count supports: the terminal group (lanes << early 32-bit
 // words) must fit the 128-bit seed, and at least one tree level must
 // remain. Wide-beta keys (lanes > 2) therefore get no early termination;
@@ -58,7 +55,7 @@ const DefaultEarlyBits = 2
 // rows serves keys of depth DefaultEarly(DomainBits(rows), 1): every
 // serving layer derives the depth so, and none takes it as a setting.
 func DefaultEarly(bits, lanes int) int {
-	early := DefaultEarlyBits
+	early := MaxEarlyBits
 	for early > 0 && lanes<<uint(early) > 4 {
 		early--
 	}

@@ -511,7 +511,7 @@ func TestGenEarlyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k0.Early != DefaultEarlyBits {
-		t.Errorf("Gen default Early = %d, want %d", k0.Early, DefaultEarlyBits)
+	if k0.Early != MaxEarlyBits {
+		t.Errorf("Gen default Early = %d, want %d", k0.Early, MaxEarlyBits)
 	}
 }

@@ -51,7 +51,7 @@ func generateGolden(t *testing.T) []goldenKey {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, early := range []int{0, DefaultEarlyBits} {
+		for _, early := range []int{0, MaxEarlyBits} {
 			alpha := uint64(rng.Int63n(1 << bits))
 			beta := []uint32{rng.Uint32()}
 			k0, k1, err := GenEarly(prg, alpha, bits, beta, early, rng)

@@ -99,7 +99,7 @@ func TestMarshaledSizeTable(t *testing.T) {
 	}
 	// The served scalar key on a 2^16-row table: 16 bytes and two control
 	// bits per walked level.
-	if got := MarshaledSizeEarly(16, 1, DefaultEarlyBits); got != 266 {
+	if got := MarshaledSizeEarly(16, 1, MaxEarlyBits); got != 266 {
 		t.Fatalf("2^16-row scalar key is %d bytes, want 266", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestWireVersionsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if WireVersion(raw) != v || len(raw) != wireSize(v, 16, 1, DefaultEarlyBits) {
+			if WireVersion(raw) != v || len(raw) != wireSize(v, 16, 1, MaxEarlyBits) {
 				t.Fatalf("v%d: version %d, %d bytes", v, WireVersion(raw), len(raw))
 			}
 			p := &parsed[v]

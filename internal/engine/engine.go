@@ -190,7 +190,7 @@ func (r *Replica) validateKey(raw []byte, k *dpf.Key) error {
 // evaluating it: it must unmarshal, carry this replica's party, be scalar,
 // match the table's tree depth and served early-termination depth,
 // and be in the served key wire format. Front doors that coalesce many
-// clients' keys into one batch (serving.Batcher) use it to reject a bad key
+// clients' keys into one batch (serving.Front) use it to reject a bad key
 // at its own request instead of failing every co-batched request — the
 // depth check also keeps batches depth-uniform, which the strategies'
 // tiled walkers require. Errors name the replica's PRF and the key's

@@ -13,7 +13,7 @@ import (
 )
 
 // Answerer is anything that can answer a marshaled key batch: a Server, an
-// engine backend adapter, or a serving.Batcher front door.
+// engine backend adapter, or a serving.Front front door.
 type Answerer = shardnet.Answerer
 
 // Endpoint is one PIR server as seen by a client: in-process for

@@ -432,55 +432,78 @@ func TestMalformedRequests(t *testing.T) {
 	mustServe(t, addr, tab.NumRows)
 }
 
-// TestRemotePoisonedAfterTransportError: once a round trip fails at the
-// transport level the connection is mid-message, so every later call must
-// return that first error without touching the socket — the peer here would
-// answer a second request with what looks like a valid reply. Errors the
-// server reports leave the connection usable.
-func TestRemotePoisonedAfterTransportError(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+// TestRemoteRetiresConnectionAfterTransportError: once a round trip fails
+// at the transport level the connection is mid-message, so the client
+// closes it without another request — the peer here would answer a second
+// request on it with what looks like a valid reply — and later calls are
+// served on one fresh connection. Errors the server reports leave the
+// connection usable.
+func TestRemoteRetiresConnectionAfterTransportError(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	var requests atomic.Int32
+	defer inner.Close()
+	l := &acceptCounter{Listener: inner}
+	served := make(chan int, 2) // a connection's request count, once the client closed it
 	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		var buf []byte
-		for {
-			if _, err := frame.Read(conn, shardnet.MaxRequestBytes, &buf); err != nil {
+		for first := true; ; first = false {
+			conn, err := l.Accept()
+			if err != nil {
 				return
 			}
-			if requests.Add(1) == 1 {
-				// A header declaring one byte over the client's cap.
-				conn.Write(binary.LittleEndian.AppendUint32(nil, shardnet.MaxResponseBytes+1))
-				continue
-			}
-			stats := append(frame.Begin(nil), 0x0e, frame.StatusOK)
-			frame.Write(conn, append(stats, make([]byte, 3*8)...), shardnet.MaxResponseBytes)
+			go func(first bool) {
+				defer conn.Close()
+				var buf []byte
+				n := 0
+				for ; ; n++ {
+					if _, err := frame.Read(conn, shardnet.MaxRequestBytes, &buf); err != nil {
+						served <- n
+						return
+					}
+					if first {
+						// A header declaring one byte over the client's cap.
+						conn.Write(binary.LittleEndian.AppendUint32(nil, shardnet.MaxResponseBytes+1))
+						continue
+					}
+					stats := append(frame.Begin(nil), 0x0e, frame.StatusOK)
+					frame.Write(conn, append(stats, make([]byte, 3*8)...), shardnet.MaxResponseBytes)
+				}
+			}(first)
 		}
 	}()
-	e0, err := Dial(l.Addr().String())
+	closed := func(what string) int {
+		t.Helper()
+		select {
+		case n := <-served:
+			return n
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the client never closed %s", what)
+			return 0
+		}
+	}
+	e0, err := Dial(inner.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e0.Close()
-	_, first := e0.Answer([][]byte{{1, 2, 3}})
-	if !errors.Is(first, shardnet.ErrResponseTooLarge) {
-		t.Fatalf("over-cap response: %v, want ErrResponseTooLarge", first)
+	if _, err := e0.Answer([][]byte{{1, 2, 3}}); !errors.Is(err, shardnet.ErrResponseTooLarge) {
+		t.Fatalf("over-cap response: %v, want ErrResponseTooLarge", err)
 	}
-	if _, err := e0.Stats(); err != first {
-		t.Fatalf("call after a transport error: %v, want the first error %v", err, first)
+	if n := closed("the broken connection"); n != 1 {
+		t.Fatalf("the broken connection carried %d requests, want 1", n)
 	}
-	if _, err := e0.UpdateBatch([]engine.RowWrite{{Row: 1, Vals: []uint32{1}}}); err != first {
-		t.Fatalf("second call after a transport error: %v", err)
+	for i := range 2 {
+		if _, err := e0.Stats(); err != nil {
+			t.Fatalf("call %d after a transport error: %v", i, err)
+		}
 	}
-	if n := requests.Load(); n != 1 {
-		t.Fatalf("poisoned Remote sent %d requests, want 1", n)
+	e0.Close()
+	if n := closed("the fresh connection"); n != 2 {
+		t.Fatalf("the fresh connection carried %d requests, want 2", n)
+	}
+	if n := l.n.Load(); n != 2 {
+		t.Fatalf("%d connections, want the broken one and one fresh", n)
 	}
 
 	// A server-reported error does not poison.

@@ -19,8 +19,7 @@ import (
 	"gpudpf/internal/strategy"
 )
 
-// Options is what a client's hello pins, and its RPC deadline and redial
-// schedule.
+// Options is what a client's hello pins.
 type Options struct {
 	// PRG pins the PRF — its name and the construction this build computes
 	// under it ("" = any).
@@ -31,40 +30,33 @@ type Options struct {
 	// Rows pins the table's row count (0 = any), and with it the
 	// early-termination depth keys carry, which follows from the rows.
 	Rows int
-	// RPCTimeout bounds an RPC whose context carries no deadline of its
-	// own (0 = DefaultRPCTimeout for Dial and none for DialClient, negative
-	// = unbounded): the backstop that keeps a caller without a deadline
-	// from wedging forever on a server that black-holes mid-RPC. Such an
-	// RPC is cut between RPCTimeout and 9/8 of it after it starts: a
-	// connection's deadline is re-armed only once it falls short of that.
-	RPCTimeout time.Duration
-	// Redial shapes the exponential backoff applied to fresh dials after a
-	// dial failure (zero-valued fields take backoff.Default); its jitter is
-	// seeded by the address. While a backoff window is open, RPCs that
-	// would need a fresh connection fail fast, naming the remaining wait,
-	// instead of hammering a dead node — which is what lets a cluster
-	// front's health prober cycle a tripped member cheaply.
-	Redial backoff.Policy
 }
 
-// DefaultRPCTimeout caps deadline-less RPCs: generous against the largest
-// legitimate batch on a congested link, small against "the operator is
-// watching a hung front".
+// DefaultRPCTimeout caps a node client's deadline-less RPCs — the
+// backstop that keeps a caller without a deadline (a cluster front batches
+// with context.Background()) from wedging forever on a node that
+// black-holes mid-RPC: generous against the largest legitimate batch on a
+// congested link, small against "the operator is watching a hung front".
 const DefaultRPCTimeout = 30 * time.Second
 
 // dialTimeout bounds each TCP connect plus hello.
 const dialTimeout = 10 * time.Second
 
 // Client is the one pooled client: each RPC runs lockstep on a connection
-// from its pool.
+// from its pool. A transport error retires only its connection — closed,
+// never read again, so no reply is read from a stream left mid-message —
+// and the next RPC dials afresh, repeating the hello; failed dials back off
+// with jitter seeded by the address, and RPCs that would dial fail fast,
+// naming the wait, while the window is open.
 //
 // Dial makes a node's client, an engine.Member configured by the welcome:
-// concurrent RPCs overlap, each on its own connection, dialed when none is
-// idle; a transport error retires only its connection, and failed dials
-// back off. DialClient makes pir.Dial's, a pool of one: its requests take
-// turns on one connection, so a caller's count of clients bounds its
-// connections; it says hello only when it pins, and its first transport
-// error is returned by every later call without touching the network.
+// concurrent RPCs overlap, each on its own connection, and a
+// deadline-less RPC is cut by DefaultRPCTimeout. DialClient makes
+// pir.Dial's, a pool capped at one connection: its requests wait their
+// turn under their own contexts, so a caller's count of clients bounds its
+// connections, and it puts no deadline on a request — a slow answer queued
+// behind a deep batcher is not a transport error. It says hello only when
+// it pins.
 type Client struct {
 	addr    string
 	name    string // what errors start with
@@ -72,15 +64,12 @@ type Client struct {
 	w       hello  // the first welcome
 	maxReq  int
 	maxResp int
-	timeout time.Duration
-	redial  backoff.Policy
-	single  bool       // one connection, whose first transport error ends the client
-	turn    sync.Mutex // held by a single client's RPC in flight
+	timeout time.Duration // bounds an RPC whose context has no deadline (0: none)
+	slot    chan struct{} // one token per connection in use; nil: uncapped
 
 	mu     sync.Mutex
 	idle   []*poolConn
 	closed bool
-	err    error // a single client's first transport error
 
 	// Redial backoff state, under its own lock so a backed-off dial check
 	// never contends with the pool's hot path.
@@ -110,21 +99,21 @@ type afterFuncer interface {
 // Dial connects to a node, says hello (failing fast, with both sides'
 // values named, on any mismatch) and returns its pooled client.
 func Dial(addr string, opts Options) (*Client, error) {
-	return dial(&Client{addr: addr, name: "shardnet: " + addr, maxReq: DefaultMaxFrame, maxResp: DefaultMaxFrame}, &opts)
+	return dial(&Client{addr: addr, name: "shardnet: " + addr, maxReq: DefaultMaxFrame, maxResp: DefaultMaxFrame,
+		timeout: DefaultRPCTimeout}, &opts)
 }
 
 // DialClient connects to a server for the client ops, with a front's frame
-// caps, over one connection; pin, if set, is checked by its hello.
+// caps, over at most one connection at a time; pin, if set, is checked by
+// its hello.
 func DialClient(addr string, pin *Options) (*Client, error) {
-	return dial(&Client{addr: addr, name: "pir", maxReq: MaxRequestBytes, maxResp: MaxResponseBytes, single: true}, pin)
+	return dial(&Client{addr: addr, name: "pir", maxReq: MaxRequestBytes, maxResp: MaxResponseBytes,
+		slot: make(chan struct{}, 1)}, pin)
 }
 
 // dial takes opts' pins (nil: none, and no hello) and opens c's first
 // connection.
 func dial(c *Client, opts *Options) (*Client, error) {
-	if !c.single {
-		c.timeout = DefaultRPCTimeout
-	}
 	if opts != nil {
 		construction := dpf.ConstructionOf(opts.PRG)
 		if opts.PRG != "" && construction == 0 || opts.Party < 0 || opts.Party > 1 || opts.Rows < 0 {
@@ -135,11 +124,10 @@ func dial(c *Client, opts *Options) (*Client, error) {
 		if opts.Rows > 0 {
 			c.pin.Early = servedEarly(opts.Rows)
 		}
-		c.redial = opts.Redial
-		if opts.RPCTimeout != 0 {
-			c.timeout = opts.RPCTimeout
-		}
 	}
+	h := fnv.New64a()
+	h.Write([]byte(c.addr))
+	c.bo = backoff.New(backoff.Default(), h.Sum64())
 	pc, w, err := c.dialConn()
 	if err != nil {
 		return nil, err
@@ -213,9 +201,6 @@ func (c *Client) hello(pc *poolConn) (hello, error) {
 func (c *Client) get() (*poolConn, error) {
 	c.mu.Lock()
 	switch n := len(c.idle); {
-	case c.err != nil:
-		c.mu.Unlock()
-		return nil, c.err
 	case c.closed:
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%s: client is closed", c.name)
@@ -237,23 +222,13 @@ func (c *Client) get() (*poolConn, error) {
 	c.bmu.Unlock()
 	pc, w, err := c.dialConn()
 	if err != nil {
-		if c.single {
-			return nil, c.fail(err)
-		}
 		c.bmu.Lock()
-		if c.bo == nil {
-			h := fnv.New64a()
-			h.Write([]byte(c.addr))
-			c.bo = backoff.New(c.redial, h.Sum64())
-		}
 		c.retryAt, c.lastDialErr = time.Now().Add(c.bo.Next()), err
 		c.bmu.Unlock()
 		return nil, err
 	}
 	c.bmu.Lock()
-	if c.bo != nil {
-		c.bo.Reset()
-	}
+	c.bo.Reset()
 	c.retryAt, c.lastDialErr = time.Time{}, nil
 	c.bmu.Unlock()
 	pinned := c.w
@@ -263,20 +238,6 @@ func (c *Client) get() (*poolConn, error) {
 		return nil, fmt.Errorf("%s: server configuration changed since the first hello (was %+v, now %+v)", c.name, pinned, w)
 	}
 	return pc, nil
-}
-
-// fail records a single client's first transport error and returns the
-// error later calls get.
-func (c *Client) fail(err error) error {
-	if !c.single {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		c.err = err
-	}
-	return c.err
 }
 
 // put returns a healthy connection to the pool.
@@ -312,14 +273,19 @@ func (c *Client) Close() error {
 // the connection deadline, so a dead or slow server costs the caller its
 // deadline, not a hung goroutine. A failure the server reports — a shed
 // request comes back as serving.ErrOverloaded, so errors.Is works across
-// the network — leaves the connection pooled; any other retires it.
+// the network — leaves the connection pooled; any other retires it. A
+// capped client's RPC first waits for a slot, giving up when ctx ends.
 func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: %w", c.name, err)
 	}
-	if c.single {
-		c.turn.Lock()
-		defer c.turn.Unlock()
+	if c.slot != nil {
+		select {
+		case c.slot <- struct{}{}:
+			defer func() { <-c.slot }()
+		case <-ctx.Done():
+			return fmt.Errorf("%s: %w", c.name, ctx.Err())
+		}
 	}
 	pc, err := c.get()
 	if err != nil {
@@ -364,7 +330,7 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 		} else if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = fmt.Errorf("%w (%w)", context.DeadlineExceeded, err)
 		}
-		return c.fail(fmt.Errorf("%s: %s: %w", c.name, stage, err))
+		return fmt.Errorf("%s: %s: %w", c.name, stage, err)
 	}
 	if err := frame.Write(pc.conn, pc.buf, c.maxReq); errors.Is(err, ErrFrameTooLarge) {
 		healthy = stop() // refused before a byte was sent

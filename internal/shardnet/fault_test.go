@@ -175,20 +175,18 @@ func TestClusterSlowShardDeadline(t *testing.T) {
 
 // TestRPCTimeoutBackstop: a caller with no deadline of its own — the
 // shipped cluster front batches with context.Background() — must still be
-// released by Options.RPCTimeout when a node black-holes, instead of
-// wedging forever.
+// released by the client's RPC timeout (DefaultRPCTimeout, shortened
+// here) when a node black-holes, instead of wedging forever.
 func TestRPCTimeoutBackstop(t *testing.T) {
 	tab := buildTable(t, 64, 2, 8)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	_, addr := startNode(t, &slowBackend{Replica: rep, delay: 30 * time.Second}, ServerConfig{})
-	c, err := Dial(addr, Options{
-		PRG: rep.PRGName(), Party: rep.Party(),
-		RPCTimeout: 200 * time.Millisecond,
-	})
+	c, err := Dial(addr, Options{PRG: rep.PRGName(), Party: rep.Party()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	c.timeout = 200 * time.Millisecond
 	keys, _ := genKeys(t, dpf.NewAESPRG(), tab.Bits(), []uint64{3}, 12)
 	start := time.Now()
 	_, err = answerRange(context.Background(), c, keys, 0, 64)

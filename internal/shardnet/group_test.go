@@ -493,14 +493,12 @@ func TestClientRedialBackoff(t *testing.T) {
 	tab := buildTable(t, 64, 2, 36)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
 	srv, addr := startNode(t, rep, ServerConfig{})
-	cl, err := Dial(addr, Options{
-		PRG: rep.PRGName(), Party: rep.Party(),
-		Redial: backoff.Policy{Base: 300 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0},
-	})
+	cl, err := Dial(addr, Options{PRG: rep.PRGName(), Party: rep.Party()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	cl.bo = backoff.New(backoff.Policy{Base: 300 * time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0}, 0)
 	ctx := context.Background()
 	if err := cl.Ping(ctx); err != nil {
 		t.Fatal(err)

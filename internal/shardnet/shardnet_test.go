@@ -815,7 +815,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 
 type countingListener struct {
 	net.Listener
-	reads, writes atomic.Int64
+	accepts, reads, writes atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
@@ -823,6 +823,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.accepts.Add(1)
 	return countingConn{Conn: conn, reads: &l.reads, writes: &l.writes}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -234,19 +235,18 @@ func TestMemberOpsNeedHello(t *testing.T) {
 }
 
 // TestDialClientHasNoRPCTimeout: pir.Dial's client, pinned or not, puts no
-// deadline on a request unless its pin sets one — a slow answer queued
-// behind a deep batcher is not a transport error that would end it — while
-// a node's client keeps DefaultRPCTimeout.
+// deadline on a request — a slow answer queued behind a deep batcher is
+// not a transport error that would retire its connection — while a node's
+// client keeps DefaultRPCTimeout.
 func TestDialClientHasNoRPCTimeout(t *testing.T) {
 	tab := buildTable(t, 64, 2, 22)
 	_, addr := startNode(t, newReplica(t, tab, engine.Config{Party: 0}), ServerConfig{})
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		dial func() (*Client, error)
 		want time.Duration
 	}{
 		{func() (*Client, error) { return DialClient(addr, nil) }, 0},
 		{func() (*Client, error) { return DialClient(addr, &Options{PRG: "aes128", Rows: 64}) }, 0},
-		{func() (*Client, error) { return DialClient(addr, &Options{RPCTimeout: time.Second}) }, time.Second},
 		{func() (*Client, error) { return Dial(addr, Options{}) }, DefaultRPCTimeout},
 	} {
 		c, err := tc.dial()
@@ -255,7 +255,84 @@ func TestDialClientHasNoRPCTimeout(t *testing.T) {
 		}
 		c.Close()
 		if c.timeout != tc.want {
-			t.Errorf("single=%v pin=%v: RPC timeout %v, want %v", c.single, c.pin != nil, c.timeout, tc.want)
+			t.Errorf("row %d (pin=%v): RPC timeout %v, want %v", i, c.pin != nil, c.timeout, tc.want)
+		}
+	}
+}
+
+// gatedAnswerer holds every batch until release closes, saying on entered
+// that one arrived.
+type gatedAnswerer struct{ entered, release chan struct{} }
+
+func (a gatedAnswerer) Answer(keys [][]byte) ([][]uint32, error) {
+	a.entered <- struct{}{}
+	<-a.release
+	return make([][]uint32, len(keys)), nil
+}
+
+// TestDialClientQueuedCallKeepsItsDeadline: behind an RPC stalled on its
+// one connection, a pir.Dial client's next call waits for the connection
+// only as long as its context lets it — no second connection is dialed —
+// and closing the front releases the stalled call with nothing left
+// running.
+func TestDialClientQueuedCallKeepsItsDeadline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &countingListener{Listener: inner}
+	a := gatedAnswerer{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := NewFront(a, nil, ServerConfig{})
+	go srv.Serve(l)
+	c, err := DialClient(inner.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := c.Answer(context.Background(), [][]byte{{1}})
+		stalled <- err
+	}()
+	select {
+	case <-a.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first call never reached the front")
+	}
+	queued := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		defer cancel()
+		_, err := c.Answer(ctx, [][]byte{{2}})
+		queued <- err
+	}()
+	select {
+	case err := <-queued:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("queued call: %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Errorf("a queued call with a 100 ms deadline was still waiting after %v", time.Since(start).Round(time.Millisecond))
+	}
+	if n := l.accepts.Load(); n != 1 {
+		t.Errorf("the front saw %d connections, want 1", n)
+	}
+
+	srv.Close()
+	close(a.release)
+	select {
+	case err := <-stalled:
+		if err == nil {
+			t.Error("the stalled call succeeded against a closed front")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("closing the front did not release the stalled call")
+	}
+	c.Close()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-before)
 		}
 	}
 }

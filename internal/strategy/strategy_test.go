@@ -90,7 +90,7 @@ func TestWorkOptimality(t *testing.T) {
 	prg := dpf.NewAESPRG()
 	tab := buildTable(t, 1<<bits, 1, 9)
 	rng := rand.New(rand.NewSource(9))
-	for early := 0; early <= dpf.DefaultEarlyBits; early++ {
+	for early := 0; early <= dpf.MaxEarlyBits; early++ {
 		g := int64(1) << uint(bits-early)
 		keys := make([]*dpf.Key, batch)
 		for q := range keys {
