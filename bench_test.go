@@ -45,7 +45,7 @@ func benchKeys(b *testing.B, prg dpf.PRG, tab *strategy.Table, batch int) []*dpf
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]*dpf.Key, batch)
 	for q := range keys {
-		k0, _, err := dpf.Gen(prg, uint64(rng.Intn(tab.NumRows)), tab.Bits(), []uint32{1}, rng)
+		k0, _, err := dpf.Gen(prg, uint64(rng.Intn(tab.NumRows)), tab.Bits(), 1, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func benchKeysEarly(b *testing.B, prg dpf.PRG, tab *strategy.Table, batch, early
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]*dpf.Key, batch)
 	for q := range keys {
-		k0, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), tab.Bits(), []uint32{1}, early, rng)
+		k0, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), tab.Bits(), 1, early, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,33 +115,24 @@ func BenchmarkTiledAnswer(b *testing.B) {
 	}
 }
 
-// BenchmarkExpandLeaves measures one query's full-domain expansion with
-// the terminal conversion fused into the final tree step (ExpandLeaves,
-// what the scalar hot path runs) against the unfused frontier-then-convert
-// pipeline, at the answer benchmark's 2^16-leaf domain.
-func BenchmarkExpandLeaves(b *testing.B) {
+// BenchmarkEvalFullInto measures one query's full-domain expansion, the
+// terminal conversion fused into the final tree step as the hot path runs
+// it, at the answer benchmark's 2^16-leaf domain. dpf's
+// BenchmarkStepLeafBatch128 compares the fused step with the unfused one.
+func BenchmarkEvalFullInto(b *testing.B) {
 	const bits = 16
 	prg := dpf.NewAESPRG()
 	rng := rand.New(rand.NewSource(5))
-	k0, _, err := dpf.Gen(prg, 77, bits, []uint32{1}, rng)
+	k0, _, err := dpf.Gen(prg, 77, bits, 1, rng)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var sc dpf.FrontierScratch
 	out := make([]uint32, 1<<bits)
-	b.Run("fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sc.ExpandLeaves(prg, &k0, out)
-		}
-	})
-	b.Run("unfused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			seeds, ts := sc.ExpandFrontier(prg, &k0)
-			dpf.LeafValuesInto(&k0, seeds, ts, out)
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dpf.EvalFullInto(prg, &k0, out, &sc)
+	}
 }
 
 // BenchmarkFig3Gen measures client-side key generation (Figure 3's cheap
@@ -152,7 +143,7 @@ func BenchmarkFig3Gen(b *testing.B) {
 	for _, bits := range []int{10, 16, 20, 24} {
 		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dpf.Gen(prg, 123, bits, []uint32{1}, rng); err != nil {
+				if _, _, err := dpf.Gen(prg, 123, bits, 1, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,7 +157,7 @@ func BenchmarkFig3Eval(b *testing.B) {
 	prg := dpf.NewAESPRG()
 	rng := rand.New(rand.NewSource(4))
 	for _, bits := range []int{10, 14, 16} {
-		k0, _, err := dpf.Gen(prg, 7, bits, []uint32{1}, rng)
+		k0, _, err := dpf.Gen(prg, 7, bits, 1, rng)
 		if err != nil {
 			b.Fatal(err)
 		}

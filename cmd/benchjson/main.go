@@ -7,9 +7,8 @@
 //
 //   - seed: the seed revision's per-query MemBoundTree hot path — scalar
 //     PRF expansion (one Expand call per tree node), freshly appended child
-//     groups, one full table pass per query. The baseline predates the
-//     early-termination wire format, so it always evaluates full-depth
-//     (wire v1) keys.
+//     groups, one full table pass per query. The baseline predates
+//     early termination, so it always evaluates full-depth keys.
 //   - tiled: the batched/tiled hot path — dpf.ExpandBatch frontiers,
 //     pooled scratch, one streaming table pass per tile of 32 queries, and
 //     keys at the depth the table serves (2 levels up), which cut PRF work
@@ -157,7 +156,7 @@ func main() {
 		tab.Data[i] = rng.Uint32()
 	}
 	prg := dpf.NewAESPRG()
-	early := dpf.DefaultEarly(tab.Bits(), 1) // the depth the table serves
+	early := dpf.DefaultEarly(tab.Bits()) // the depth the table serves
 
 	// The paged leg shares one file + store across batches: the cache
 	// budget is a quarter of the table, so every pass reads at least three
@@ -368,7 +367,7 @@ func checkThroughputFloors(spec string, got Output) error {
 func genKeys(prg dpf.PRG, tab *strategy.Table, indices []uint64, early int, rng *rand.Rand) []*dpf.Key {
 	keys := make([]*dpf.Key, len(indices))
 	for q, idx := range indices {
-		k0, _, err := dpf.GenEarly(prg, idx, tab.Bits(), []uint32{1}, early, rng)
+		k0, _, err := dpf.GenEarly(prg, idx, tab.Bits(), 1, early, rng)
 		if err != nil {
 			log.Fatalf("benchjson: %v", err)
 		}

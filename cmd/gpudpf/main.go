@@ -1,7 +1,9 @@
-// Command gpudpf is a CLI for the DPF core: generate aes128 key pairs,
-// expand them, and report modeled execution profiles for the paper's GPU
-// strategies under any of Table 5's PRFs (bench only models; it computes
-// no PRF).
+// Command gpudpf is a CLI for the DPF core: generate an aes128 key pair
+// (wire v3, at the depth a 2^bits-row table serves), evaluate one key's
+// share at one index, and report modeled execution profiles for the
+// paper's GPU strategies under any of Table 5's PRFs (bench only models;
+// it computes no PRF). The two parties' shares at -index sum to 1 mod
+// 2^32, and to 0 anywhere else.
 //
 //	gpudpf gen -bits 20 -index 1234 -out0 k0.bin -out1 k1.bin
 //	gpudpf eval -key k0.bin -at 1234
@@ -50,7 +52,7 @@ func cmdGen(args []string) {
 	fs.Parse(args)
 
 	// Keys terminate at the depth a 2^bits-row table serves.
-	k0, k1, err := dpf.GenEarly(dpf.NewAESPRG(), *index, *bits, []uint32{1}, dpf.DefaultEarly(*bits, 1), rand.Reader)
+	k0, k1, err := dpf.Gen(dpf.NewAESPRG(), *index, *bits, 1, rand.Reader)
 	if err != nil {
 		log.Fatalf("gpudpf gen: %v", err)
 	}
@@ -85,12 +87,12 @@ func cmdEval(args []string) {
 		log.Fatalf("gpudpf eval: %v", err)
 	}
 	start := time.Now()
-	v, err := dpf.EvalAt(dpf.NewAESPRG(), &k, *at)
-	if err != nil {
+	var v [1]uint32
+	if err := dpf.EvalRange(dpf.NewAESPRG(), &k, *at, *at+1, v[:]); err != nil {
 		log.Fatalf("gpudpf eval: %v", err)
 	}
-	fmt.Printf("party %d share at %d: %v (%.1fµs)\n",
-		k.Party, *at, v, float64(time.Since(start).Microseconds()))
+	fmt.Printf("party %d share at %d: %d (%.1fµs)\n",
+		k.Party, *at, v[0], float64(time.Since(start).Microseconds()))
 }
 
 func cmdBench(args []string) {

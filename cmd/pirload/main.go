@@ -119,7 +119,7 @@ func main() {
 			Seed: *seed, Clients: *clients, Rows: *rows, Lanes: *lanes,
 			ZipfS: *zipfS, QPS: *qps, DurationS: duration.Seconds(),
 			UpdateFrac: *updateFrac, UpdateRows: *updateRows, Conns: *conns,
-			Party: *party, PRG: dpf.PRGName, Early: dpf.DefaultEarly(dpf.DomainBits(*rows), 1),
+			Party: *party, PRG: dpf.PRGName, Early: dpf.DefaultEarly(dpf.DomainBits(*rows)),
 			SLOms: float64(*slo) / float64(time.Millisecond),
 		},
 		ScheduleOps:         len(ops),

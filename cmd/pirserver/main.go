@@ -112,7 +112,7 @@ type config struct {
 
 // early is the early-termination depth the table serves, which the log
 // lines state.
-func (cfg config) early() int { return dpf.DefaultEarly(dpf.DomainBits(cfg.rows), 1) }
+func (cfg config) early() int { return dpf.DefaultEarly(dpf.DomainBits(cfg.rows)) }
 
 func main() {
 	var cfg config

@@ -27,24 +27,26 @@
 // dpf → strategy → store/engine (→ shardnet) → pir/batchpir →
 // core/serving → cmd:
 //
-//   - internal/dpf holds the distributed point function itself: key
-//     generation, per-level expansion, and the pruned range evaluation
-//     (EvalRange) that makes row-range sharding cheap. Keys terminate
-//     early by default (§3.1): the tree walk stops ⌈log₂(λ/w)⌉ = 2 levels
-//     above the leaves and each 128-bit terminal seed converts into four
-//     32-bit output lanes (LeafValuesInto / LeafRangeInto), cutting PRF
-//     work ~4× per query. The wire format is versioned by the magic's low
-//     byte — v1 (0xDF01) is the legacy full-depth layout, v2 (0xDF02)
-//     adds an early-depth byte, carries bits-early correction words and a
-//     group-wide final correction, and v3 (0xDF03) carries v2's key at
-//     BGI's λ+2 bits per level: a one-byte lane count and the two control
-//     bits of every level packed four levels to a byte after the seeds
-//     (266 bytes on a 2^16-row table, where v2 spent 279). All three
-//     unmarshal, evaluate and re-marshal to their own bytes (golden aes128
-//     fixtures pin each layout in CI), and each parses only in
-//     its canonical form. Gen's keys marshal as v3, which servers serve:
-//     a v2 key is refused by name, and so is a full-depth one wherever
-//     the tree is deep enough to terminate early. The PRG layer is
+//   - internal/dpf holds the distributed point function the servers
+//     compute and nothing else: scalar keys (β is one 32-bit word; PIR
+//     sets β = 1), key generation, the batched per-level expansion, and
+//     the pruned range evaluation (EvalRange) that makes row-range
+//     sharding cheap. Keys terminate early (§3.1): the tree walk stops
+//     ⌈log₂(λ/w)⌉ = 2 levels above the leaves and each 128-bit terminal
+//     seed converts into four 32-bit leaf shares (LeafValuesInto /
+//     LeafRangeInto, which EvalRange converts through too), cutting PRF
+//     work ~4× per query. There is one key wire format, v3 (magic
+//     0xDF03), at BGI's λ+2 bits per level: an early-depth byte, a lanes
+//     byte that must be 1, and the two control bits of every level packed
+//     four levels to a byte after the seeds (266 bytes on a 2^16-row
+//     table; 43 on a 2-row one, which walks its one level in full). It
+//     parses only in its canonical form. The formats earlier builds sent,
+//     v1 (0xDF01, full depth) and v2 (0xDF02), are refused by name; the
+//     golden fixtures keep their bytes, which a test-only decoder parses
+//     and re-marshals to their v3 twins'. The scalar references every
+//     kernel is pinned to (a one-path walk, a branchy leaf conversion, a
+//     looped ExpandBatch, an unfused frontier) live in dpf's tests. The
+//     PRG layer is
 //     batched: the PRF implements ExpandBatch, and StepBothBatch /
 //     LeafValuesInto advance a whole tree frontier per call with zero
 //     steady-state allocations. The one PRF this build computes, and so
@@ -70,8 +72,8 @@
 //     that goes on to the §3.1 conversion for the default four-lane
 //     terminal group and stores finished uint32 shares — child seeds of
 //     the tree's widest level never reach memory. StepBothBatch and
-//     StepLeafBatch (and FrontierScratch.ExpandLeaves / the membound
-//     walker on top of them) dispatch to these; ~3.3 and ~4.0 ns per node
+//     StepLeafBatch (and EvalFullInto / the membound walker on top of
+//     them) dispatch to these; ~3.3 and ~4.0 ns per node
 //     on the 16-wide tier against ~2.5 for the bare expansion, which is
 //     the AES unit's bound of four blocks per cycle at 2.0 GHz (the
 //     seed-keyed construction this replaced cost ~5.6, ~6.1 and ~5.0).
@@ -234,7 +236,7 @@
 //     pooled, so a steady-state Answer or AnswerRangeEpoch allocates
 //     nothing beyond the returned answer slices (AllocsPerRun tests). The replica
 //     serves one early-termination depth, the one its row count gives
-//     (dpf.DefaultEarly(dpf.DomainBits(rows), 1), what pir.NewClient
+//     (dpf.DefaultEarly(dpf.DomainBits(rows)), what pir.NewClient
 //     emits; no layer takes it as a setting), and one key wire format
 //     (v3), and rejects mismatched keys at validation with the PRF, the
 //     key's parsed wire version and both depths in the error.
@@ -380,7 +382,7 @@
 // cmd/benchjson measures the seed per-query hot path against the
 // tiled/batched one and writes BENCH_hotpath.json. Each entry in "cases"
 // is one (path, batch) measurement: "seed" is the pre-tiling per-query
-// implementation evaluating full-depth (wire v1) keys, "tiled" the
+// implementation evaluating full-depth keys, "tiled" the
 // current hot path evaluating keys at the depth the table serves
 // ("early"),
 // "tiled-paged" the same path reading the table out-of-core at a

@@ -190,7 +190,7 @@ func TestEndToEnd(t *testing.T) {
 // pir.Client over BinSize rows emits.
 func keyBytesPerQuery(cfg Config) int64 {
 	bits := cfg.BinBits()
-	return int64(cfg.NumBins()) * int64(dpf.MarshaledSizeEarly(bits, 1, dpf.DefaultEarly(bits, 1))) * 2
+	return int64(cfg.NumBins()) * int64(dpf.KeyBytes(bits)) * 2
 }
 
 // TestExpectedRetrievalRate: analytic model vs Monte Carlo within 2%.

@@ -34,11 +34,11 @@ func (l *Layout) Cost() Cost {
 		// Per-bin PIR cost in the default early-terminated key format the
 		// batchpir clients emit: the walk stops early levels up (§3.1), so
 		// the per-bin expansion is 2·(domain>>early)-2 blocks and the key
-		// is the wire-v2 size.
-		early := dpf.DefaultEarly(bits, 1)
+		// is the served wire-v3 size.
+		early := dpf.DefaultEarly(bits)
 		domain := int64(1) << uint(bits)
 		c.PRFBlocks += bins * (2*(domain>>uint(early)) - 2)
-		c.UpBytes += bins * int64(dpf.MarshaledSizeEarly(bits, 1, early)) * 2
+		c.UpBytes += bins * int64(dpf.KeyBytes(bits)) * 2
 		c.DownBytes += bins * int64(lanes) * 4 * 2
 		c.Queries += int(bins)
 	}

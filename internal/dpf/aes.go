@@ -1,7 +1,6 @@
 package dpf
 
 import (
-	"crypto/aes"
 	"crypto/sha256"
 	"encoding/binary"
 )
@@ -165,7 +164,7 @@ func correctChildren(kids []Seed, kidT []uint8, ts []uint8, cw CW) {
 // the output lanes; either way the child seeds never touch a frontier or
 // batch scratch buffer.
 func (*AESPRG) stepLeafBatch(k *Key, seeds []Seed, ts []uint8, cw CW, dst []uint32) {
-	gl := k.GroupLanes()
+	gl := k.GroupSize()
 	if aesniOK && gl == 4 {
 		aesniLeafNodes(k, seeds, ts, &cw, dst)
 		return
@@ -188,7 +187,7 @@ func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 	s0 := binary.LittleEndian.Uint64(cw.S[0:8])
 	s1 := binary.LittleEndian.Uint64(cw.S[8:16])
 	neg := -uint32(k.Party)
-	gl := k.GroupLanes()
+	gl := k.GroupSize()
 	if gl == 4 {
 		// The default early-termination depth: a child is exactly four
 		// lanes, so the lane loop unrolls into straight stores.
@@ -223,26 +222,4 @@ func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 			}
 		}
 	}
-}
-
-// Fill implements PRG: AES-128 keyed by the seed, in counter mode from
-// block 2. It serves only output groups wider than four lanes, off the PIR
-// path, so it keeps the seed-keyed construction G replaced.
-func (*AESPRG) Fill(s Seed, dst []byte) {
-	c, err := aes.NewCipher(s[:])
-	if err != nil {
-		panic("dpf: aes key setup: " + err.Error())
-	}
-	var in, out Seed
-	ctr := uint64(2)
-	for off := 0; off < len(dst); off += 16 {
-		putU64(in[:8], ctr)
-		ctr++
-		c.Encrypt(out[:], in[:])
-		copy(dst[off:], out[:])
-	}
-}
-
-func putU64(b []byte, v uint64) {
-	binary.LittleEndian.PutUint64(b, v)
 }

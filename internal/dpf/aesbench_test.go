@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// BenchmarkScalarExpand measures the scalar AES Expand (Gen, EvalAt, the
-// range walk): one lane of the batch expansion, on the hardware kernel or
+// BenchmarkScalarExpand measures the scalar AES Expand (Gen, EvalRange's
+// walk): one lane of the batch expansion, on the hardware kernel or
 // the T-table body.
 func BenchmarkScalarExpand(b *testing.B) {
 	prg := NewAESPRG()
@@ -26,7 +26,7 @@ func BenchmarkScalarExpand(b *testing.B) {
 // on zeros against 7.4 on these.)
 func benchFrontier(b *testing.B) (k Key, cw CW, seeds []Seed, ts []uint8) {
 	rng := rand.New(rand.NewPCG(128, 16))
-	k, _, err := GenEarly(NewAESPRG(), 5, 10, []uint32{1}, MaxEarlyBits, zeroReader{})
+	k, _, err := GenEarly(NewAESPRG(), 5, 10, 1, MaxEarlyBits, zeroReader{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func BenchmarkStepLeafBatch128(b *testing.B) {
 	prg := NewAESPRG()
 	k0, cw, seeds, ts := benchFrontier(b)
 	var sc BatchScratch
-	dst := make([]uint32, 2*128*k0.GroupLanes())
+	dst := make([]uint32, 2*128*k0.GroupSize())
 	b.Run("fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -60,7 +60,7 @@ type aesLeafConsts struct {
 }
 
 // aesniLeaf4 and vaesLeaf16 are the step kernels for the terminal level of
-// a key with GroupLanes() == 4: the corrected children never reach memory,
+// a key with GroupSize() == 4: the corrected children never reach memory,
 // each becomes its four finished shares ((word + final & -t) ^ neg) - neg
 // in dst, eight uint32 per parent. Implemented in aesni_amd64.s.
 //
@@ -156,7 +156,7 @@ func aesniStepTier(next []Seed, nextT []uint8, seeds []Seed, ts []uint8, cw *CW,
 	}
 }
 
-// aesniLeafNodes is stepLeafBatch for a key with GroupLanes() == 4 on the
+// aesniLeafNodes is stepLeafBatch for a key with GroupSize() == 4 on the
 // widest kernel the CPU has.
 func aesniLeafNodes(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32) {
 	aesniLeafTier(k, seeds, ts, cw, dst, vaesOK)

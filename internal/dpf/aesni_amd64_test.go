@@ -60,7 +60,7 @@ func TestAESKernelFusedTiersMatchOracle(t *testing.T) {
 	t.Run("vaes16", tier(true))
 }
 
-// TestScalarExpandAllocs: the scalar Expand (Gen, EvalAt, the range walk)
+// TestScalarExpandAllocs: the scalar Expand (Gen, EvalRange's walk)
 // rides the batch expansion and must not touch the heap — the crypto/aes
 // body it replaced cost 4 allocations per node.
 func TestScalarExpandAllocs(t *testing.T) {

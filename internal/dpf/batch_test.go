@@ -199,7 +199,7 @@ func checkAESFusedMatchesOracle(t *testing.T,
 	var want, dst [8*maxN + 1]uint32
 	var guard Seed
 	for trial := 0; trial < 96; trial++ {
-		k := Key{Bits: 20, Lanes: 1, Early: 2, Party: uint8(trial >> 2 & 1), Final: make([]uint32, 4)}
+		k := Key{Bits: 20, Early: 2, Party: uint8(trial >> 2 & 1), Final: make([]uint32, 4)}
 		for j := range k.Final {
 			k.Final[j] = rng.Uint32()
 		}
@@ -269,7 +269,7 @@ func TestAESKernelFusedMatchesOracle(t *testing.T) {
 }
 
 // TestAESBranchFreeCorrectionMatchesScalar pins the AES steps' branch-free
-// correction passes to the scalar definition (StepBoth, then LeafValue):
+// correction passes to the scalar definition (StepBoth, then leafValue):
 // parent control bits all 0, all 1 and random, every correction-bit
 // combination, both parties, every early-termination depth, frontier
 // lengths across the kernel's block sizes and the aesChunk boundary.
@@ -299,12 +299,12 @@ func TestAESBranchFreeCorrectionMatchesScalar(t *testing.T) {
 				rng.Read(seeds[i][:])
 				ts[i] = bit()
 			}
-			k := Key{Bits: 20, Lanes: 1, Early: rng.Intn(3), Party: uint8(rng.Intn(2))}
+			k := Key{Bits: 20, Early: rng.Intn(3), Party: uint8(rng.Intn(2))}
 			k.CWs = make([]CW, k.TreeDepth())
 			cw := &k.CWs[k.TreeDepth()-1]
 			rng.Read(cw.S[:])
 			cw.TL, cw.TR = uint8(rng.Intn(2)), uint8(rng.Intn(2))
-			gl := k.GroupLanes()
+			gl := k.GroupSize()
 			k.Final = make([]uint32, gl)
 			for j := range k.Final {
 				k.Final[j] = rng.Uint32()
@@ -327,10 +327,10 @@ func TestAESBranchFreeCorrectionMatchesScalar(t *testing.T) {
 					s Seed
 					t uint8
 				}{{ls, lt}, {rs, rt}} {
-					LeafValue(prg, &k, c.s, c.t, want)
+					leafValue(&k, c.s, c.t, want)
 					for j, w := range want {
 						if g := leaves[(2*i+side)*gl+j]; g != w {
-							t.Fatalf("%s n=%d early=%d party=%d node %d side %d lane %d: StepLeafBatch %d != LeafValue %d",
+							t.Fatalf("%s n=%d early=%d party=%d node %d side %d lane %d: StepLeafBatch %d != leafValue %d",
 								name, n, k.Early, k.Party, i, side, j, g, w)
 						}
 					}
@@ -372,8 +372,8 @@ func TestExpandBatchMatchesExpand(t *testing.T) {
 	}
 }
 
-// TestScalarExpandBatchFallback: the exported fallback matches the native
-// batch implementations (they are both pinned to Expand).
+// TestScalarExpandBatchFallback: the scalar reference loop matches the
+// native batch implementations (they are both pinned to Expand).
 func TestScalarExpandBatchFallback(t *testing.T) {
 	prg := NewChaChaPRG()
 	seeds := make([]Seed, 5)
@@ -389,7 +389,7 @@ func TestScalarExpandBatchFallback(t *testing.T) {
 	tl2 := make([]uint8, 5)
 	tr2 := make([]uint8, 5)
 	prg.ExpandBatch(seeds, l1, r1, tl1, tr1)
-	ScalarExpandBatch(prg, seeds, l2, r2, tl2, tr2)
+	scalarExpandBatch(prg, seeds, l2, r2, tl2, tr2)
 	for i := range seeds {
 		if l1[i] != l2[i] || r1[i] != r2[i] || tl1[i] != tl2[i] || tr1[i] != tr2[i] {
 			t.Fatalf("i=%d: native and scalar fallback disagree", i)
@@ -430,18 +430,14 @@ func TestStepBothBatchMatchesStepBoth(t *testing.T) {
 }
 
 // TestEvalFullIntoMatchesEvalFull: the scratch-backed expansion reproduces
-// EvalFull for scalar and multi-lane keys, and a reused scratch stays
-// correct across differently sized keys.
+// EvalFull's fresh scratch, and a reused scratch stays correct across
+// differently sized and shaped keys.
 func TestEvalFullIntoMatchesEvalFull(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(5))
 	prg := NewSipPRG()
 	var sc FrontierScratch
-	for _, shape := range []struct{ bits, lanes int }{{6, 1}, {8, 1}, {5, 3}, {7, 8}, {4, 1}} {
-		beta := make([]uint32, shape.lanes)
-		for i := range beta {
-			beta[i] = rng.Uint32()
-		}
-		k0, k1, err := Gen(prg, uint64(rng.Intn(1<<shape.bits)), shape.bits, beta, rng)
+	for _, shape := range []struct{ bits, early int }{{6, 2}, {8, 2}, {5, 0}, {7, 1}, {4, 2}, {1, 0}} {
+		k0, k1, err := GenEarly(prg, uint64(rng.Intn(1<<shape.bits)), shape.bits, rng.Uint32(), shape.early, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,8 +447,8 @@ func TestEvalFullIntoMatchesEvalFull(t *testing.T) {
 			EvalFullInto(prg, k, got, &sc)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("bits=%d lanes=%d party=%d: EvalFullInto[%d]=%d want %d",
-						shape.bits, shape.lanes, k.Party, i, got[i], want[i])
+					t.Fatalf("bits=%d early=%d party=%d: EvalFullInto[%d]=%d want %d",
+						shape.bits, shape.early, k.Party, i, got[i], want[i])
 				}
 			}
 		}
@@ -460,12 +456,13 @@ func TestEvalFullIntoMatchesEvalFull(t *testing.T) {
 }
 
 // TestLeafValuesIntoMatchesLeafValueScalar: the frontier-wide conversion is
-// the scalar one on full-depth keys, and the per-lane group conversion on
-// early-terminated keys; LeafRangeInto agrees on every sub-range.
+// the reference group conversion, one word per seed on full-depth keys and
+// whole groups on early-terminated ones; LeafRangeInto agrees on every
+// sub-range.
 func TestLeafValuesIntoMatchesLeafValueScalar(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(6))
 	prg := NewAESPRG()
-	k0, k1, err := GenEarly(prg, 11, 5, []uint32{9}, 0, rng)
+	k0, k1, err := GenEarly(prg, 11, 5, 9, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,12 +477,13 @@ func TestLeafValuesIntoMatchesLeafValueScalar(t *testing.T) {
 		got := make([]uint32, n)
 		LeafValuesInto(k, seeds, ts, got)
 		for i := range seeds {
-			if want := LeafValueScalar(k, seeds[i], ts[i]); got[i] != want {
-				t.Fatalf("party=%d leaf %d: %d want %d", k.Party, i, got[i], want)
+			var want [1]uint32
+			if leafValue(k, seeds[i], ts[i], want[:]); got[i] != want[0] {
+				t.Fatalf("party=%d leaf %d: %d want %d", k.Party, i, got[i], want[0])
 			}
 		}
 	}
-	e0, e1, err := GenEarly(prg, 11, 5, []uint32{9}, 2, rng)
+	e0, e1, err := GenEarly(prg, 11, 5, 9, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,8 +499,9 @@ func TestLeafValuesIntoMatchesLeafValueScalar(t *testing.T) {
 		got := make([]uint32, n*gs)
 		LeafValuesInto(k, seeds, ts, got)
 		for i := range seeds {
-			for sub := 0; sub < gs; sub++ {
-				if want := LeafLane(k, seeds[i], ts[i], sub); got[i*gs+sub] != want {
+			var group [4]uint32
+			for sub, want := range leafValue(k, seeds[i], ts[i], group[:]) {
+				if got[i*gs+sub] != want {
 					t.Fatalf("party=%d node %d sub %d: %d want %d", k.Party, i, sub, got[i*gs+sub], want)
 				}
 			}
@@ -522,15 +521,14 @@ func TestLeafValuesIntoMatchesLeafValueScalar(t *testing.T) {
 }
 
 // TestLeafRangeIntoClipSweep pins the branch-free LeafRangeInto to the
-// scalar LeafValue for every [lo, hi) of a small frontier — every head
+// reference leafValue for every [lo, hi) of a small frontier — every head
 // and tail clip offset, ranges inside one group, empty ranges — at every
 // early-termination depth and both parties, with a canary after dst.
 func TestLeafRangeIntoClipSweep(t *testing.T) {
 	rng := randv2.New(randv2.NewPCG(17, 0x636c6970))
-	prg := NewAESPRG()
 	for _, early := range []int{0, 1, 2} {
 		for party := uint8(0); party < 2; party++ {
-			k := Key{Bits: 12, Lanes: 1, Early: early, Party: party, Final: make([]uint32, 1<<early)}
+			k := Key{Bits: 12, Early: early, Party: party, Final: make([]uint32, 1<<early)}
 			for j := range k.Final {
 				k.Final[j] = rng.Uint32()
 			}
@@ -544,7 +542,7 @@ func TestLeafRangeIntoClipSweep(t *testing.T) {
 					seeds[i][j] = byte(rng.Uint32())
 				}
 				ts[i] = uint8(rng.Uint32() & 1)
-				LeafValue(prg, &k, seeds[i], ts[i], want[uint64(i)*gs:])
+				leafValue(&k, seeds[i], ts[i], want[uint64(i)*gs:])
 			}
 			const canary = 0xdeadbeef
 			got := make([]uint32, n*gs+1)
@@ -554,7 +552,7 @@ func TestLeafRangeIntoClipSweep(t *testing.T) {
 					LeafRangeInto(&k, seeds, ts, lo, hi, got[:hi-lo])
 					for j := lo; j < hi; j++ {
 						if got[j-lo] != want[j] {
-							t.Fatalf("early=%d party=%d [%d,%d): leaf %d is %#x, LeafValue says %#x",
+							t.Fatalf("early=%d party=%d [%d,%d): leaf %d is %#x, leafValue says %#x",
 								early, party, lo, hi, j, got[j-lo], want[j])
 						}
 					}
@@ -602,7 +600,7 @@ func TestExpandBatchAllocs(t *testing.T) {
 func TestUnmarshalReusesCapacity(t *testing.T) {
 	prg := NewAESPRG()
 	rng := mrand.New(mrand.NewSource(7))
-	k0, _, err := Gen(prg, 3, 10, []uint32{1}, rng)
+	k0, _, err := Gen(prg, 3, 10, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,14 +23,6 @@ func allPRGs(t testing.TB) []PRG {
 	return prgs
 }
 
-func addMod(a, b []uint32) []uint32 {
-	out := make([]uint32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // TestPointFunctionCorrectness checks the defining DPF property for every
 // PRG: shares sum to beta exactly at alpha and to zero elsewhere.
 func TestPointFunctionCorrectness(t *testing.T) {
@@ -42,27 +34,25 @@ func TestPointFunctionCorrectness(t *testing.T) {
 			for _, bits := range []int{1, 2, 3, 5, 8, 10} {
 				n := uint64(1) << uint(bits)
 				alpha := uint64(rng.Int63n(int64(n)))
-				beta := []uint32{1}
-				k0, k1, err := Gen(prg, alpha, bits, beta, rng)
+				k0, k1, err := Gen(prg, alpha, bits, 1, rng)
 				if err != nil {
 					t.Fatalf("Gen(bits=%d): %v", bits, err)
 				}
 				for j := uint64(0); j < n; j++ {
-					v0, err := EvalAt(prg, &k0, j)
+					v0, err := evalAt(prg, &k0, j)
 					if err != nil {
-						t.Fatalf("EvalAt: %v", err)
+						t.Fatalf("evalAt: %v", err)
 					}
-					v1, err := EvalAt(prg, &k1, j)
+					v1, err := evalAt(prg, &k1, j)
 					if err != nil {
-						t.Fatalf("EvalAt: %v", err)
+						t.Fatalf("evalAt: %v", err)
 					}
-					sum := addMod(v0, v1)
 					want := uint32(0)
 					if j == alpha {
 						want = 1
 					}
-					if sum[0] != want {
-						t.Fatalf("bits=%d alpha=%d: sum at %d = %d, want %d", bits, alpha, j, sum[0], want)
+					if sum := v0 + v1; sum != want {
+						t.Fatalf("bits=%d alpha=%d: sum at %d = %d, want %d", bits, alpha, j, sum, want)
 					}
 				}
 			}
@@ -70,41 +60,8 @@ func TestPointFunctionCorrectness(t *testing.T) {
 	}
 }
 
-// TestMultiLaneBeta exercises vector-valued outputs, including widths that
-// force Convert to draw extra PRG blocks (> 4 lanes).
-func TestMultiLaneBeta(t *testing.T) {
-	prg := NewAESPRG()
-	rng := testRand(7)
-	for _, lanes := range []int{1, 2, 4, 5, 8, 32, 64} {
-		beta := make([]uint32, lanes)
-		for i := range beta {
-			beta[i] = rng.Uint32()
-		}
-		const bits = 6
-		alpha := uint64(rng.Int63n(1 << bits))
-		k0, k1, err := Gen(prg, alpha, bits, beta, rng)
-		if err != nil {
-			t.Fatalf("Gen(lanes=%d): %v", lanes, err)
-		}
-		for j := uint64(0); j < 1<<bits; j++ {
-			v0, _ := EvalAt(prg, &k0, j)
-			v1, _ := EvalAt(prg, &k1, j)
-			sum := addMod(v0, v1)
-			for i := range sum {
-				want := uint32(0)
-				if j == alpha {
-					want = beta[i]
-				}
-				if sum[i] != want {
-					t.Fatalf("lanes=%d j=%d lane=%d: got %d want %d", lanes, j, i, sum[i], want)
-				}
-			}
-		}
-	}
-}
-
-// TestEvalFullMatchesEvalAt checks full-domain expansion against pointwise
-// evaluation for each PRG.
+// TestEvalFullMatchesEvalAt checks full-domain expansion against the
+// pointwise reference walk for each PRG.
 func TestEvalFullMatchesEvalAt(t *testing.T) {
 	for _, prg := range allPRGs(t) {
 		prg := prg
@@ -112,17 +69,14 @@ func TestEvalFullMatchesEvalAt(t *testing.T) {
 			t.Parallel()
 			rng := testRand(99)
 			const bits = 9
-			k0, _, err := Gen(prg, 123, bits, []uint32{5, 6}, rng)
+			k0, _, err := Gen(prg, 123, bits, 5, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			full := EvalFull(prg, &k0)
 			for j := uint64(0); j < 1<<bits; j++ {
-				at, _ := EvalAt(prg, &k0, j)
-				for l := 0; l < 2; l++ {
-					if full[j*2+uint64(l)] != at[l] {
-						t.Fatalf("j=%d lane=%d: full=%d at=%d", j, l, full[j*2+uint64(l)], at[l])
-					}
+				if at, _ := evalAt(prg, &k0, j); full[j] != at {
+					t.Fatalf("j=%d: full=%d at=%d", j, full[j], at)
 				}
 			}
 		})
@@ -136,7 +90,7 @@ func TestEvalRange(t *testing.T) {
 	rng := testRand(4)
 	const bits = 10
 	const n = 1 << bits
-	k0, _, err := Gen(prg, 700, bits, []uint32{9}, rng)
+	k0, _, err := Gen(prg, 700, bits, 9, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +125,7 @@ func TestShardedSumEqualsFull(t *testing.T) {
 	rng := testRand(11)
 	const bits = 8
 	const n = 1 << bits
-	k0, _, err := Gen(prg, 200, bits, []uint32{3}, rng)
+	k0, _, err := Gen(prg, 200, bits, 3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,32 +152,37 @@ func TestShardedSumEqualsFull(t *testing.T) {
 func TestGenValidation(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(1)
-	if _, _, err := Gen(prg, 0, 0, []uint32{1}, rng); err == nil {
+	if _, _, err := Gen(prg, 0, 0, 1, rng); err == nil {
 		t.Error("bits=0 should fail")
 	}
-	if _, _, err := Gen(prg, 0, MaxBits+1, []uint32{1}, rng); err == nil {
+	if _, _, err := Gen(prg, 0, MaxBits+1, 1, rng); err == nil {
 		t.Error("bits>MaxBits should fail")
 	}
-	if _, _, err := Gen(prg, 4, 2, []uint32{1}, rng); err == nil {
+	if _, _, err := Gen(prg, 4, 2, 1, rng); err == nil {
 		t.Error("alpha outside domain should fail")
 	}
-	if _, _, err := Gen(prg, 0, 2, nil, rng); err == nil {
-		t.Error("empty beta should fail")
-	}
-	if _, _, err := Gen(prg, 0, 2, []uint32{1}, bytes.NewReader(nil)); err == nil {
+	if _, _, err := Gen(prg, 0, 2, 1, bytes.NewReader(nil)); err == nil {
 		t.Error("exhausted randomness should fail")
 	}
 }
 
-// TestEvalAtValidation exercises EvalAt's bounds check.
+// TestEvalAtValidation exercises the bounds checks of the reference walk
+// and of EvalRange at the last leaf and one past it.
 func TestEvalAtValidation(t *testing.T) {
 	prg := NewAESPRG()
-	k0, _, err := Gen(prg, 1, 3, []uint32{1}, testRand(2))
+	k0, _, err := Gen(prg, 1, 3, 1, testRand(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EvalAt(prg, &k0, 8); err == nil {
+	if _, err := evalAt(prg, &k0, 8); err == nil {
 		t.Error("index outside domain should fail")
+	}
+	var v [1]uint32
+	if err := EvalRange(prg, &k0, 7, 8, v[:]); err != nil {
+		t.Errorf("the last leaf: %v", err)
+	}
+	if err := EvalRange(prg, &k0, 8, 9, v[:]); err == nil {
+		t.Error("a range past the domain should fail")
 	}
 }
 
@@ -236,16 +195,16 @@ func TestQuickPointFunction(t *testing.T) {
 	f := func(alphaRaw, probeRaw uint16, beta uint32) bool {
 		alpha := uint64(alphaRaw) % (1 << bits)
 		probe := uint64(probeRaw) % (1 << bits)
-		k0, k1, err := Gen(prg, alpha, bits, []uint32{beta}, rng)
+		k0, k1, err := Gen(prg, alpha, bits, beta, rng)
 		if err != nil {
 			return false
 		}
-		v0, err0 := EvalAt(prg, &k0, probe)
-		v1, err1 := EvalAt(prg, &k1, probe)
+		v0, err0 := evalAt(prg, &k0, probe)
+		v1, err1 := evalAt(prg, &k1, probe)
 		if err0 != nil || err1 != nil {
 			return false
 		}
-		sum := v0[0] + v1[0]
+		sum := v0 + v1
 		if probe == alpha {
 			return sum == beta
 		}
@@ -264,11 +223,11 @@ func TestQuickLinearity(t *testing.T) {
 	rng := testRand(777)
 	const bits = 8
 	f := func(a1, a2 uint8, b1, b2 uint32) bool {
-		k10, k11, err := Gen(prg, uint64(a1), bits, []uint32{b1}, rng)
+		k10, k11, err := Gen(prg, uint64(a1), bits, b1, rng)
 		if err != nil {
 			return false
 		}
-		k20, k21, err := Gen(prg, uint64(a2), bits, []uint32{b2}, rng)
+		k20, k21, err := Gen(prg, uint64(a2), bits, b2, rng)
 		if err != nil {
 			return false
 		}
@@ -307,7 +266,7 @@ func TestSingleKeyPseudorandomness(t *testing.T) {
 		t.Run(prg.Name(), func(t *testing.T) {
 			t.Parallel()
 			const bits = 12
-			k0, _, err := Gen(prg, 1000, bits, []uint32{1}, testRand(5))
+			k0, _, err := Gen(prg, 1000, bits, 1, testRand(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,11 +293,11 @@ func TestSingleKeyPseudorandomness(t *testing.T) {
 func TestDistinctKeysPerGen(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(6)
-	a0, _, err := Gen(prg, 3, 4, []uint32{1}, rng)
+	a0, _, err := Gen(prg, 3, 4, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b0, _, err := Gen(prg, 3, 4, []uint32{1}, rng)
+	b0, _, err := Gen(prg, 3, 4, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,76 +306,40 @@ func TestDistinctKeysPerGen(t *testing.T) {
 	}
 }
 
-// fillCounter counts the 16-byte PRF blocks Fill is asked for.
-type fillCounter struct {
-	PRG
-	blocks int
-}
-
-func (f *fillCounter) Fill(s Seed, dst []byte) {
-	f.blocks += (len(dst) + 15) / 16
-	f.PRG.Fill(s, dst)
-}
-
-// TestConvertBlocks pins the PRF blocks a Convert costs: none up to four
-// lanes (the seed's own bits), one per 16 output bytes past that.
-func TestConvertBlocks(t *testing.T) {
-	cases := []struct{ lanes, want int }{
-		{1, 0}, {4, 0}, {5, 2}, {8, 2}, {9, 3}, {32, 8}, {512, 128},
-	}
-	for _, c := range cases {
-		prg := &fillCounter{PRG: NewAESPRG()}
-		ConvertInto(prg, Seed{}, make([]uint32, c.lanes))
-		if prg.blocks != c.want {
-			t.Errorf("Convert of %d lanes took %d PRF blocks, want %d", c.lanes, prg.blocks, c.want)
-		}
-	}
-}
-
-// TestLeafValueScalarMatchesLeafValue pins the scalar fast paths to the
-// generic implementation: LeafValueScalar on a full-depth key, and each
-// LeafLane slot of an early-terminated key's terminal group.
+// TestLeafValueScalarMatchesLeafValue pins the served one-leaf reads to
+// the group conversion of a terminal the reference walk reached: each
+// leaf of the group through LeafRangeInto (what EvalRange takes) and, on a
+// full-depth key, LeafValuesInto's one-word-per-seed loop.
 func TestLeafValueScalarMatchesLeafValue(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(8)
 	const bits = 6
-	for _, party := range []int{0, 1} {
-		k0, k1, err := GenEarly(prg, 17, bits, []uint32{42}, 0, rng)
+	for _, early := range []int{0, 1, 2} {
+		k0, k1, err := GenEarly(prg, 17, bits, 42, early, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := &k0
-		if party == 1 {
-			k = &k1
-		}
-		s, tb := k.Root, k.Party
-		for level := 0; level < bits; level++ {
-			s, tb = Step(prg, s, tb, k.CWs[level], 1)
-		}
-		var buf [1]uint32
-		want := LeafValue(prg, k, s, tb, buf[:])[0]
-		if got := LeafValueScalar(k, s, tb); got != want {
-			t.Errorf("party %d: scalar %d != generic %d", party, got, want)
-		}
-	}
-	for _, party := range []int{0, 1} {
-		e0, e1, err := GenEarly(prg, 17, bits, []uint32{42}, 2, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := &e0
-		if party == 1 {
-			k = &e1
-		}
-		s, tb := k.Root, k.Party
-		for level := 0; level < k.TreeDepth(); level++ {
-			s, tb = Step(prg, s, tb, k.CWs[level], 1)
-		}
-		var buf [4]uint32
-		group := LeafValue(prg, k, s, tb, buf[:])
-		for sub := 0; sub < k.GroupSize(); sub++ {
-			if got := LeafLane(k, s, tb, sub); got != group[sub] {
-				t.Errorf("party %d sub %d: lane %d != group %d", party, sub, got, group[sub])
+		for _, k := range []*Key{&k0, &k1} {
+			s, tb := k.Root, k.Party
+			for level := 0; level < k.TreeDepth(); level++ {
+				s, tb = step(prg, s, tb, k.CWs[level], 1)
+			}
+			var buf [4]uint32
+			group := leafValue(k, s, tb, buf[:])
+			seeds, ts := []Seed{s}, []uint8{tb}
+			for sub := range group {
+				var got [1]uint32
+				LeafRangeInto(k, seeds, ts, uint64(sub), uint64(sub)+1, got[:])
+				if got[0] != group[sub] {
+					t.Errorf("early=%d party %d sub %d: LeafRangeInto %d != group %d", early, k.Party, sub, got[0], group[sub])
+				}
+			}
+			if early == 0 {
+				var got [1]uint32
+				LeafValuesInto(k, seeds, ts, got[:])
+				if got[0] != group[0] {
+					t.Errorf("party %d: full-depth LeafValuesInto %d != %d", k.Party, got[0], group[0])
+				}
 			}
 		}
 	}
@@ -425,8 +348,8 @@ func TestLeafValueScalarMatchesLeafValue(t *testing.T) {
 // TestEarlyMatchesFullDepth is the §3.1 equivalence property: for every
 // PRF and every supported termination depth, the early-terminated key
 // pair computes exactly the same point function as a full-depth pair —
-// shares reconstruct to beta at alpha and to zero elsewhere, via EvalAt,
-// EvalFull, and EvalRange alike.
+// shares reconstruct to beta at alpha and to zero elsewhere, via the
+// reference walk, EvalFull, and EvalRange alike.
 func TestEarlyMatchesFullDepth(t *testing.T) {
 	for _, prg := range allPRGs(t) {
 		prg := prg
@@ -437,7 +360,7 @@ func TestEarlyMatchesFullDepth(t *testing.T) {
 			const n = uint64(1) << bits
 			for _, early := range []int{0, 1, 2} {
 				alpha := uint64(rng.Int63n(int64(n)))
-				beta := []uint32{rng.Uint32()}
+				beta := rng.Uint32()
 				k0, k1, err := GenEarly(prg, alpha, bits, beta, early, rng)
 				if err != nil {
 					t.Fatalf("GenEarly(early=%d): %v", early, err)
@@ -450,17 +373,17 @@ func TestEarlyMatchesFullDepth(t *testing.T) {
 				for j := uint64(0); j < n; j++ {
 					want := uint32(0)
 					if j == alpha {
-						want = beta[0]
+						want = beta
 					}
 					if got := f0[j] + f1[j]; got != want {
 						t.Fatalf("early=%d: EvalFull sum at %d = %d, want %d", early, j, got, want)
 					}
-					v0, err := EvalAt(prg, &k0, j)
+					v0, err := evalAt(prg, &k0, j)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if v0[0] != f0[j] {
-						t.Fatalf("early=%d: EvalAt(%d) = %d, EvalFull = %d", early, j, v0[0], f0[j])
+					if v0 != f0[j] {
+						t.Fatalf("early=%d: evalAt(%d) = %d, EvalFull = %d", early, j, v0, f0[j])
 					}
 				}
 				// Unaligned ranges must clip terminal groups correctly.
@@ -481,33 +404,27 @@ func TestEarlyMatchesFullDepth(t *testing.T) {
 }
 
 // TestGenEarlyValidation exercises GenEarly's added error paths and Gen's
-// default clamping.
+// default depth.
 func TestGenEarlyValidation(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(315)
-	if _, _, err := GenEarly(prg, 0, 5, []uint32{1}, -1, rng); err == nil {
+	if _, _, err := GenEarly(prg, 0, 5, 1, -1, rng); err == nil {
 		t.Error("negative early should fail")
 	}
-	if _, _, err := GenEarly(prg, 0, 5, []uint32{1}, MaxEarlyBits+1, rng); err == nil {
+	if _, _, err := GenEarly(prg, 0, 5, 1, MaxEarlyBits+1, rng); err == nil {
 		t.Error("early beyond MaxEarlyBits should fail")
 	}
-	if _, _, err := GenEarly(prg, 0, 2, []uint32{1}, 2, rng); err == nil {
+	if _, _, err := GenEarly(prg, 0, 2, 1, 2, rng); err == nil {
 		t.Error("early leaving no tree levels should fail")
 	}
-	if _, _, err := GenEarly(prg, 0, 5, []uint32{1, 2, 3}, 1, rng); err == nil {
-		t.Error("terminal group wider than 4 lanes should fail")
-	}
-	// Gen clamps: scalar keys get the full default, wide betas none, tiny
-	// domains whatever depth still leaves one level.
-	cases := []struct{ bits, lanes, want int }{
-		{20, 1, 2}, {20, 2, 1}, {20, 4, 0}, {20, 64, 0}, {1, 1, 0}, {2, 1, 1}, {3, 1, 2},
-	}
-	for _, c := range cases {
-		if got := DefaultEarly(c.bits, c.lanes); got != c.want {
-			t.Errorf("DefaultEarly(%d,%d) = %d, want %d", c.bits, c.lanes, got, c.want)
+	// Gen's depth: the full default, clamped on tiny domains to whatever
+	// still leaves one level.
+	for _, c := range []struct{ bits, want int }{{20, 2}, {3, 2}, {2, 1}, {1, 0}, {0, 0}} {
+		if got := DefaultEarly(c.bits); got != c.want {
+			t.Errorf("DefaultEarly(%d) = %d, want %d", c.bits, got, c.want)
 		}
 	}
-	k0, _, err := Gen(prg, 3, 10, []uint32{1}, rng)
+	k0, _, err := Gen(prg, 3, 10, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

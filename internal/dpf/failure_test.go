@@ -13,7 +13,7 @@ func TestCorruptedCorrectionWordBreaksSharing(t *testing.T) {
 	prg := NewAESPRG()
 	const bits = 6
 	const alpha = 37
-	k0, k1, err := Gen(prg, alpha, bits, []uint32{1}, testRand(41))
+	k0, k1, err := Gen(prg, alpha, bits, 1, testRand(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +31,13 @@ func TestCorruptedCorrectionWordBreaksSharing(t *testing.T) {
 	}
 	check := func(a, b *Key) bool {
 		for j := uint64(0); j < 1<<bits; j++ {
-			v0, _ := EvalAt(prg, a, j)
-			v1, _ := EvalAt(prg, b, j)
+			v0, _ := evalAt(prg, a, j)
+			v1, _ := evalAt(prg, b, j)
 			want := uint32(0)
 			if j == alpha {
 				want = 1
 			}
-			if v0[0]+v1[0] != want {
+			if v0+v1 != want {
 				return true // broken, as expected
 			}
 		}
@@ -62,7 +62,7 @@ func TestCorruptedFinalCWShiftsOnlyControlledLeaves(t *testing.T) {
 	// domain with enough groups (2^6) that an all-ones/all-zeros control
 	// frontier is vanishingly unlikely.
 	const bits = 8
-	k0, _, err := Gen(prg, 9, bits, []uint32{1}, testRand(42))
+	k0, _, err := Gen(prg, 9, bits, 1, testRand(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,11 @@ func TestCorruptedFinalCWShiftsOnlyControlledLeaves(t *testing.T) {
 	}
 	changed := 0
 	for j := uint64(0); j < 1<<bits; j++ {
-		a, _ := EvalAt(prg, &k0, j)
-		b, _ := EvalAt(prg, &mut, j)
-		if a[0] != b[0] {
+		a, _ := evalAt(prg, &k0, j)
+		b, _ := evalAt(prg, &mut, j)
+		if a != b {
 			changed++
-			if diff := b[0] - a[0]; diff != 100 && diff != ^uint32(99) {
+			if diff := b - a; diff != 100 && diff != ^uint32(99) {
 				t.Fatalf("leaf %d shifted by %d, want ±100", j, diff)
 			}
 		}
@@ -97,7 +97,7 @@ func TestCorruptedFinalCWShiftsOnlyControlledLeaves(t *testing.T) {
 func TestConcurrentEvalSharedKey(t *testing.T) {
 	prg := NewChaChaPRG()
 	const bits = 8
-	k0, _, err := Gen(prg, 100, bits, []uint32{7}, testRand(43))
+	k0, _, err := Gen(prg, 100, bits, 7, testRand(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestConcurrentEvalSharedKey(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				j := (seed*31 + uint64(i)*17) % (1 << bits)
-				v, err := EvalAt(prg, &k0, j)
-				if err != nil {
+				var v [1]uint32
+				if err := EvalRange(prg, &k0, j, j+1, v[:]); err != nil {
 					t.Error(err)
 					return
 				}
 				if v[0] != ref[j] {
-					t.Errorf("concurrent EvalAt(%d) = %d, want %d", j, v[0], ref[j])
+					t.Errorf("concurrent EvalRange(%d) = %d, want %d", j, v[0], ref[j])
 					return
 				}
 			}
@@ -124,58 +124,23 @@ func TestConcurrentEvalSharedKey(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWideLanesConvertPath: beta wider than 4 lanes exercises the
-// PRG-backed Convert in EvalFull and LeafValue consistently.
-func TestWideLanesConvertPath(t *testing.T) {
-	for _, prg := range allPRGs(t) {
-		prg := prg
-		t.Run(prg.Name(), func(t *testing.T) {
-			t.Parallel()
-			const bits = 5
-			const lanes = 13 // odd, > 4: forces Fill with a ragged tail
-			beta := make([]uint32, lanes)
-			for i := range beta {
-				beta[i] = uint32(i * 1000003)
-			}
-			k0, k1, err := Gen(prg, 20, bits, beta, testRand(44))
-			if err != nil {
-				t.Fatal(err)
-			}
-			f0 := EvalFull(prg, &k0)
-			f1 := EvalFull(prg, &k1)
-			for j := 0; j < 1<<bits; j++ {
-				for l := 0; l < lanes; l++ {
-					sum := f0[j*lanes+l] + f1[j*lanes+l]
-					want := uint32(0)
-					if j == 20 {
-						want = beta[l]
-					}
-					if sum != want {
-						t.Fatalf("j=%d lane=%d: %d != %d", j, l, sum, want)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestBitsOneDomain: the smallest tree (two leaves) works for both alphas.
 func TestBitsOneDomain(t *testing.T) {
 	prg := NewSipPRG()
 	for alpha := uint64(0); alpha < 2; alpha++ {
-		k0, k1, err := Gen(prg, alpha, 1, []uint32{5}, testRand(45))
+		k0, k1, err := Gen(prg, alpha, 1, 5, testRand(45))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := uint64(0); j < 2; j++ {
-			v0, _ := EvalAt(prg, &k0, j)
-			v1, _ := EvalAt(prg, &k1, j)
+			v0, _ := evalAt(prg, &k0, j)
+			v1, _ := evalAt(prg, &k1, j)
 			want := uint32(0)
 			if j == alpha {
 				want = 5
 			}
-			if v0[0]+v1[0] != want {
-				t.Fatalf("alpha=%d j=%d: got %d want %d", alpha, j, v0[0]+v1[0], want)
+			if v0+v1 != want {
+				t.Fatalf("alpha=%d j=%d: got %d want %d", alpha, j, v0+v1, want)
 			}
 		}
 	}

@@ -10,11 +10,13 @@ import (
 
 // FuzzUnmarshalBinary hammers the key parser — the one decoder that eats
 // raw bytes straight off the serving path's TCP sockets — with mutated
-// wire keys, seeded from the golden v1, v2 and v3 fixtures of every PRF
-// and from a v3 key whose last control-bit byte is padded, as sent and
-// with a padding bit or its lanes byte corrupted. Any
-// accepted input must re-marshal byte-identically (the wire format is
-// canonical) and evaluate without panicking.
+// wire keys, seeded from every golden fixture (the v3 keys it accepts at
+// full depth and early-terminated, and the v1 and v2 keys it refuses by
+// name) and from a v3 key whose last control-bit byte is padded, as sent
+// and with a padding bit or its lanes byte corrupted. Any accepted input
+// must re-marshal byte-identically (the wire format is canonical) and
+// evaluate through EvalRange, at its first and last leaf, without
+// panicking.
 func FuzzUnmarshalBinary(f *testing.F) {
 	raw, err := os.ReadFile(goldenPath())
 	if err != nil {
@@ -36,7 +38,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	f.Add([]byte{0x01, 0xdf})
 	f.Add([]byte{0x02, 0xdf, 40, 1, 2})
 	prg := NewAESPRG()
-	padded, _, err := Gen(prg, 3, 7, []uint32{1}, testRand(44))
+	padded, _, err := Gen(prg, 3, 7, 1, testRand(44))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,12 +68,13 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("accepted key is not canonical:\n in  %x\n out %x", data, out)
 		}
-		// Accepted keys must evaluate, not panic — at a leaf, and (cheap
-		// only for parsed keys, whose size bounds lanes) at the domain edge.
-		if _, err := EvalAt(prg, &k, 0); err != nil {
+		// Accepted keys must evaluate, not panic — at the first leaf and at
+		// the domain edge.
+		var v [1]uint32
+		if err := EvalRange(prg, &k, 0, 1, v[:]); err != nil {
 			t.Fatalf("accepted key fails to evaluate: %v", err)
 		}
-		if _, err := EvalAt(prg, &k, uint64(1)<<uint(k.Bits)-1); err != nil {
+		if err := EvalRange(prg, &k, k.Domain()-1, k.Domain(), v[:]); err != nil {
 			t.Fatalf("accepted key fails to evaluate at domain edge: %v", err)
 		}
 	})

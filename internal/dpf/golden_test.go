@@ -1,11 +1,16 @@
 package dpf
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -13,9 +18,12 @@ import (
 //
 //	go test ./internal/dpf -run TestGoldenWireFormat -update-golden
 //
-// The fixtures are checked in so CI catches wire-format breaks (a v1, v2
-// or v3 layout change, a PRF implementation drift — including asm vs purego —
-// or an evaluation regression) before a deployed client does.
+// The fixtures are checked in so CI catches wire-format breaks (a v3
+// layout change, a PRF implementation drift — including asm vs purego — or
+// an evaluation regression) before a deployed client does. The v1 and v2
+// fixtures, the layouts served before v3, stay as they were: they parse
+// through the reference decoder below and each re-marshals to its v3
+// twin's bytes.
 var updateGolden = flag.Bool("update-golden", false, "regenerate the golden key fixtures")
 
 // goldenKey is one serialized key pair with everything needed to verify
@@ -34,13 +42,87 @@ type goldenKey struct {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_keys.json") }
 
-// generateGolden deterministically builds one v1, one v2 and one v3
-// fixture per PRF; the v2 and v3 fixtures are the same early-terminated
-// key pair in both layouts, so v3 costs the rng stream nothing and the v1
-// and v2 bytes stay as they were before v3 existed. The rng stream is
-// fixed, and every PRF is deterministic, so the resulting bytes are
-// identical on every platform — which is exactly what makes them a
-// cross-build honesty check for the asm and purego AES paths.
+// legacyMarshal encodes a key in the layout served before v3: v1 (magic
+// 0xDF01) at full depth, v2 (0xDF02) when early-terminated. Both spend a
+// whole control-bit byte per level and four bytes on the lane count:
+//
+//	magic u16, bits u8, party u8, [v2: early u8], lanes u32 = 1,
+//	root [16]byte, (bits-early) × {seed [16]byte; tbits u8 (bit0=TL,
+//	bit1=TR)}, final 2^early × u32
+func legacyMarshal(k *Key) []byte {
+	out := binary.LittleEndian.AppendUint16(nil, 0xDF01)
+	out = append(out, byte(k.Bits), k.Party)
+	if k.Early > 0 {
+		out[0] = 0x02
+		out = append(out, byte(k.Early))
+	}
+	out = binary.LittleEndian.AppendUint32(out, 1)
+	out = append(out, k.Root[:]...)
+	for _, cw := range k.CWs {
+		out = append(out, cw.S[:]...)
+		out = append(out, cw.TL|cw.TR<<1)
+	}
+	for _, f := range k.Final {
+		out = binary.LittleEndian.AppendUint32(out, f)
+	}
+	return out
+}
+
+// legacyUnmarshal parses what legacyMarshal emits: a v1 key at full depth
+// or a v2 key early-terminated.
+func legacyUnmarshal(data []byte) (Key, error) {
+	var k Key
+	v, hdr := WireVersion(data), 8
+	switch {
+	case v == 2 && len(data) > 9:
+		k.Early, hdr = int(data[4]), 9
+	case v != 1 || len(data) < hdr:
+		return k, errors.New("not a v1 or v2 key")
+	}
+	k.Bits, k.Party = int(data[2]), data[3]
+	if k.Bits > MaxBits || k.Early >= k.Bits || (v == 2) != (k.Early > 0) || k.Early > MaxEarlyBits {
+		return k, fmt.Errorf("v%d key of %d bits at depth %d", v, k.Bits, k.Early)
+	}
+	if lanes := binary.LittleEndian.Uint32(data[hdr-4:]); lanes != 1 {
+		return k, fmt.Errorf("%d lanes", lanes)
+	}
+	if want := hdr + 16 + 17*k.TreeDepth() + 4*k.GroupSize(); len(data) != want {
+		return k, fmt.Errorf("size %d, want %d", len(data), want)
+	}
+	off := copy(k.Root[:], data[hdr:]) + hdr
+	k.CWs = make([]CW, k.TreeDepth())
+	for i := range k.CWs {
+		copy(k.CWs[i].S[:], data[off:])
+		k.CWs[i].TL, k.CWs[i].TR = data[off+16]&1, data[off+16]>>1&1
+		off += 17
+	}
+	k.Final = make([]uint32, k.GroupSize())
+	for i := range k.Final {
+		k.Final[i] = binary.LittleEndian.Uint32(data[off:])
+		off += 4
+	}
+	return k, nil
+}
+
+// goldenName is a fixture's subtest name: its PRF and version, and
+// "-early0" on the v3 key that walks full depth.
+func goldenName(g goldenKey) string {
+	name := g.PRG + "/v" + strconv.Itoa(g.Version)
+	if g.Version == ServedWire && g.Early == 0 {
+		name += "-early0"
+	}
+	return name
+}
+
+// generateGolden deterministically builds four fixtures per PRF from two
+// key pairs: a full-depth pair in v3 and in v1, and an early-terminated
+// pair in v2 and in v3. Each pair's legacy and v3 fixtures carry the same
+// key, so a layout costs the rng stream nothing and the v1 and v2 bytes
+// stay as they were when those formats were served; the full-depth v3
+// fixture leads its PRF's block. The rng stream is fixed, and every PRF is
+// deterministic, so the resulting bytes are identical on every platform —
+// which is exactly what makes them a cross-build honesty check for the asm
+// and purego AES paths.
 func generateGolden(t *testing.T) []goldenKey {
 	t.Helper()
 	rng := testRand(20260728)
@@ -53,45 +135,47 @@ func generateGolden(t *testing.T) []goldenKey {
 		}
 		for _, early := range []int{0, MaxEarlyBits} {
 			alpha := uint64(rng.Int63n(1 << bits))
-			beta := []uint32{rng.Uint32()}
+			beta := rng.Uint32()
 			k0, k1, err := GenEarly(prg, alpha, bits, beta, early, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			versions := []int{1}
-			if early > 0 {
-				versions = []int{2, 3}
+			v3 := [2][]byte{}
+			for party, k := range []*Key{&k0, &k1} {
+				if v3[party], err = k.MarshalBinary(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			for _, v := range versions {
-				k0.Wire, k1.Wire = v, v
-				raw0, err := k0.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				raw1, err := k1.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				out = append(out, goldenKey{
+			fixture := func(raw0, raw1 []byte) goldenKey {
+				return goldenKey{
 					PRG:     name,
 					Version: WireVersion(raw0),
 					Bits:    bits,
 					Early:   early,
 					Alpha:   alpha,
-					Beta:    beta,
+					Beta:    []uint32{beta},
 					Key0:    hex.EncodeToString(raw0),
 					Key1:    hex.EncodeToString(raw1),
-				})
+				}
+			}
+			legacy := fixture(legacyMarshal(&k0), legacyMarshal(&k1))
+			if early == 0 {
+				out = append(out, fixture(v3[0], v3[1]), legacy)
+			} else {
+				out = append(out, legacy, fixture(v3[0], v3[1]))
 			}
 		}
 	}
 	return out
 }
 
-// TestGoldenWireFormat pins the three wire formats and every PRF's evaluation
-// to checked-in bytes: each fixture must carry its declared version,
-// unmarshal, re-marshal byte-identically, and reconstruct its exact point
-// function. A failure here means deployed clients' keys would break.
+// TestGoldenWireFormat pins the served wire format and every PRF's
+// evaluation to checked-in bytes: each fixture must carry its declared
+// version and reconstruct its exact point function. A v3 fixture must
+// unmarshal and re-marshal byte-identically. A v1 or v2 fixture must be
+// refused by UnmarshalBinary naming its version, parse through
+// legacyUnmarshal to bytes legacyMarshal reproduces, and marshal to its v3
+// twin's bytes. A failure here means deployed clients' keys would break.
 func TestGoldenWireFormat(t *testing.T) {
 	if *updateGolden {
 		fixtures := generateGolden(t)
@@ -116,8 +200,15 @@ func TestGoldenWireFormat(t *testing.T) {
 	if err := json.Unmarshal(raw, &fixtures); err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * len(allPRGNames()); len(fixtures) != want {
-		t.Fatalf("%d fixtures, want %d (v1+v2+v3 per PRF)", len(fixtures), want)
+	if want := 4 * len(allPRGNames()); len(fixtures) != want {
+		t.Fatalf("%d fixtures, want %d (v3 at full depth, v1, v2 and v3 per PRF)", len(fixtures), want)
+	}
+	// A legacy fixture's v3 twin: the same PRF and depth, in v3.
+	twin := map[string]goldenKey{}
+	for _, g := range fixtures {
+		if g.Version == ServedWire {
+			twin[g.PRG+"/"+strconv.Itoa(g.Early)] = g
+		}
 	}
 
 	// The checked-in bytes must also be exactly what today's Gen produces
@@ -125,7 +216,7 @@ func TestGoldenWireFormat(t *testing.T) {
 	regen := generateGolden(t)
 
 	for i, g := range fixtures {
-		t.Run(g.PRG+"/v"+string(rune('0'+g.Version)), func(t *testing.T) {
+		t.Run(goldenName(g), func(t *testing.T) {
 			prg, err := testPRG(g.PRG)
 			if err != nil {
 				t.Fatal(err)
@@ -133,6 +224,7 @@ func TestGoldenWireFormat(t *testing.T) {
 			if !equalGolden(regen[i], g) {
 				t.Errorf("Gen no longer reproduces the checked-in fixture (wire or PRF drift)")
 			}
+			var keys [2]Key
 			for party, hexKey := range []string{g.Key0, g.Key1} {
 				raw, err := hex.DecodeString(hexKey)
 				if err != nil {
@@ -141,9 +233,23 @@ func TestGoldenWireFormat(t *testing.T) {
 				if v := WireVersion(raw); v != g.Version {
 					t.Fatalf("party %d: wire version %d, fixture says %d", party, v, g.Version)
 				}
-				var k Key
-				if err := k.UnmarshalBinary(raw); err != nil {
-					t.Fatalf("party %d: unmarshal: %v", party, err)
+				k := &keys[party]
+				if g.Version == ServedWire {
+					if err := k.UnmarshalBinary(raw); err != nil {
+						t.Fatalf("party %d: unmarshal: %v", party, err)
+					}
+				} else {
+					err := new(Key).UnmarshalBinary(raw)
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key wire v%d", g.Version)) ||
+						!strings.Contains(err.Error(), "serves key wire v3") {
+						t.Fatalf("party %d: UnmarshalBinary of a v%d key: %v, want a refusal naming both versions", party, g.Version, err)
+					}
+					if *k, err = legacyUnmarshal(raw); err != nil {
+						t.Fatalf("party %d: legacy unmarshal: %v", party, err)
+					}
+					if hex.EncodeToString(legacyMarshal(k)) != hexKey {
+						t.Fatalf("party %d: legacy re-marshal is not byte-identical", party)
+					}
 				}
 				if k.Bits != g.Bits || k.Early != g.Early || int(k.Party) != party {
 					t.Fatalf("party %d: header (bits=%d early=%d party=%d) != fixture (%d, %d, %d)",
@@ -153,24 +259,17 @@ func TestGoldenWireFormat(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if hex.EncodeToString(remarshaled) != hexKey {
-					t.Fatalf("party %d: re-marshal is not byte-identical", party)
+				tw := twin[g.PRG+"/"+strconv.Itoa(g.Early)]
+				if want := [2]string{tw.Key0, tw.Key1}[party]; hex.EncodeToString(remarshaled) != want {
+					t.Fatalf("party %d: marshals to bytes other than the v3 fixture's", party)
 				}
 			}
-			var k0, k1 Key
-			raw0, _ := hex.DecodeString(g.Key0)
-			raw1, _ := hex.DecodeString(g.Key1)
-			if err := k0.UnmarshalBinary(raw0); err != nil {
-				t.Fatal(err)
-			}
-			if err := k1.UnmarshalBinary(raw1); err != nil {
-				t.Fatal(err)
-			}
-			// EvalFull runs the fused scalar walk (ExpandLeaves →
-			// StepLeafBatch → the AES node-expansion kernel on amd64),
-			// so the checked-in bytes pin the new entry points too.
-			f0 := EvalFull(prg, &k0)
-			f1 := EvalFull(prg, &k1)
+			k0, k1 := &keys[0], &keys[1]
+			// EvalFull runs the fused walk (StepBothBatch levels, then
+			// StepLeafBatch → the AES kernels on amd64), so the
+			// checked-in bytes pin the served entry points too.
+			f0 := EvalFull(prg, k0)
+			f1 := EvalFull(prg, k1)
 			for j := uint64(0); j < 1<<uint(g.Bits); j++ {
 				want := uint32(0)
 				if j == g.Alpha {
@@ -182,10 +281,9 @@ func TestGoldenWireFormat(t *testing.T) {
 			}
 			// Cross-check the fused walk against the unfused frontier +
 			// conversion pipeline on the same fixture bytes.
-			var fs FrontierScratch
-			seeds, ts := fs.ExpandFrontier(prg, &k0)
+			seeds, ts := expandFrontier(prg, k0)
 			unfused := make([]uint32, k0.Domain())
-			LeafValuesInto(&k0, seeds, ts, unfused)
+			LeafValuesInto(k0, seeds, ts, unfused)
 			for j := range unfused {
 				if f0[j] != unfused[j] {
 					t.Fatalf("leaf %d: fused evaluation %d != unfused %d", j, f0[j], unfused[j])

@@ -19,7 +19,7 @@ func TestStepLeafBatchMatchesUnfused(t *testing.T) {
 			for _, early := range []int{0, 1, 2} {
 				const bits = 7
 				alpha := uint64(rng.Intn(1 << bits))
-				k0, k1, err := GenEarly(prg, alpha, bits, []uint32{rng.Uint32() | 1}, early, rand.Reader)
+				k0, k1, err := GenEarly(prg, alpha, bits, rng.Uint32()|1, early, rand.Reader)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -36,7 +36,7 @@ func TestStepLeafBatchMatchesUnfused(t *testing.T) {
 						StepBothBatch(prg, seeds, ts, k.CWs[level], next, nextT, &sc)
 						seeds, ts = next, nextT
 					}
-					gl := k.GroupLanes()
+					gl := k.GroupSize()
 					for _, w := range []int{1, 2, 3, 7, len(seeds)} {
 						if w > len(seeds) {
 							continue
@@ -64,9 +64,9 @@ func TestStepLeafBatchMatchesUnfused(t *testing.T) {
 }
 
 // TestExpandLeavesMatchesFrontier pins the fused full expansion
-// (FrontierScratch.ExpandLeaves, the scalar EvalFullInto path) to the
-// unfused ExpandFrontier + LeafValuesInto pipeline, and both to correct
-// share reconstruction at alpha.
+// (EvalFullInto, whose last level is StepLeafBatch) to the unfused
+// expandFrontier + LeafValuesInto pipeline, and both to correct share
+// reconstruction at alpha.
 func TestExpandLeavesMatchesFrontier(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
 	for _, prg := range allPRGs(t) {
@@ -76,7 +76,7 @@ func TestExpandLeavesMatchesFrontier(t *testing.T) {
 					e := min(early, bits-1)
 					alpha := uint64(rng.Intn(1 << bits))
 					beta := rng.Uint32() | 1
-					k0, k1, err := GenEarly(prg, alpha, bits, []uint32{beta}, e, rand.Reader)
+					k0, k1, err := GenEarly(prg, alpha, bits, beta, e, rand.Reader)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -84,10 +84,9 @@ func TestExpandLeavesMatchesFrontier(t *testing.T) {
 					for _, k := range []*Key{&k0, &k1} {
 						var fused FrontierScratch
 						got := make([]uint32, k.Domain())
-						fused.ExpandLeaves(prg, k, got)
+						EvalFullInto(prg, k, got, &fused)
 
-						var plain FrontierScratch
-						seeds, ts := plain.ExpandFrontier(prg, k)
+						seeds, ts := expandFrontier(prg, k)
 						want := make([]uint32, k.Domain())
 						LeafValuesInto(k, seeds, ts, want)
 

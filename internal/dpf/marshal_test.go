@@ -2,154 +2,143 @@ package dpf
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// TestKeyRoundTrip: marshal → unmarshal must reproduce the key and the
-// declared MarshaledSizeEarly exactly, across wire versions: the default
-// Gen keys (v3 for scalar, v1 for wide betas) and explicit full-depth v1.
+// TestKeyRoundTrip: marshal → unmarshal must reproduce the key, in wire
+// v3 at the declared size: Gen's keys at KeyBytes, and full-depth keys.
 func TestKeyRoundTrip(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(31)
 	for _, bits := range []int{1, 5, 12, 20} {
-		for _, lanes := range []int{1, 4, 32} {
-			for _, early := range []int{-1, 0} { // -1 = Gen's default depth
-				beta := make([]uint32, lanes)
-				beta[0] = 1
-				var k0, k1 Key
-				var err error
-				if early < 0 {
-					k0, k1, err = Gen(prg, uint64(bits), bits, beta, rng)
-				} else {
-					k0, k1, err = GenEarly(prg, uint64(bits), bits, beta, early, rng)
-				}
+		for _, early := range []int{-1, 0} { // -1 = Gen's default depth
+			var k0, k1 Key
+			var err error
+			if early < 0 {
+				k0, k1, err = Gen(prg, uint64(bits), bits, 1, rng)
+			} else {
+				k0, k1, err = GenEarly(prg, uint64(bits), bits, 1, early, rng)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []*Key{&k0, &k1} {
+				raw, err := k.MarshalBinary()
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("marshal(bits=%d,early=%d): %v", bits, k.Early, err)
 				}
-				for _, k := range []*Key{&k0, &k1} {
-					raw, err := k.MarshalBinary()
-					if err != nil {
-						t.Fatalf("marshal(bits=%d,lanes=%d,early=%d): %v", bits, lanes, k.Early, err)
-					}
-					if len(raw) != MarshaledSizeEarly(bits, lanes, k.Early) {
-						t.Fatalf("size %d != MarshaledSizeEarly %d", len(raw), MarshaledSizeEarly(bits, lanes, k.Early))
-					}
-					wantVer := 1
-					if k.Early > 0 {
-						wantVer = 3
-					}
-					if v := WireVersion(raw); v != wantVer {
-						t.Fatalf("WireVersion = %d, want %d", v, wantVer)
-					}
-					var got Key
-					if err := got.UnmarshalBinary(raw); err != nil {
-						t.Fatalf("unmarshal: %v", err)
-					}
-					if got.Bits != k.Bits || got.Lanes != k.Lanes || got.Early != k.Early || got.Party != k.Party || got.Root != k.Root {
-						t.Fatal("header fields mismatch after round trip")
-					}
-					for i := range k.CWs {
-						if got.CWs[i] != k.CWs[i] {
-							t.Fatalf("CW %d mismatch", i)
-						}
-					}
-					for i := range k.Final {
-						if got.Final[i] != k.Final[i] {
-							t.Fatalf("final lane %d mismatch", i)
-						}
-					}
+				if len(raw) != keySize(bits, k.Early) {
+					t.Fatalf("size %d != keySize %d", len(raw), keySize(bits, k.Early))
+				}
+				if early < 0 && len(raw) != KeyBytes(bits) {
+					t.Fatalf("Gen's key is %d bytes, KeyBytes %d", len(raw), KeyBytes(bits))
+				}
+				if v := WireVersion(raw); v != ServedWire {
+					t.Fatalf("WireVersion = %d, want %d", v, ServedWire)
+				}
+				var got Key
+				if err := got.UnmarshalBinary(raw); err != nil {
+					t.Fatalf("unmarshal: %v", err)
+				}
+				if got.Bits != k.Bits || got.Early != k.Early || got.Party != k.Party || got.Root != k.Root ||
+					!slices.Equal(got.CWs, k.CWs) || !slices.Equal(got.Final, k.Final) {
+					t.Fatalf("bits=%d early=%d: key changed in a round trip", bits, k.Early)
 				}
 			}
 		}
 	}
 }
 
-// TestMarshaledSizeTable: MarshaledSizeEarly is the exact length of what
-// MarshalBinary emits for every depth, served early-termination depth and
-// lane count a key can have, and a shape no key can have refuses to
-// marshal.
+// TestMarshaledSizeTable: keySize is the exact length of what
+// MarshalBinary emits for every depth and early-termination depth a key
+// can have, a shape no key can have refuses to marshal, and KeyBytes is
+// the served depth's size.
 func TestMarshaledSizeTable(t *testing.T) {
 	var seed Seed
 	for bits := 1; bits <= MaxBits; bits++ {
 		for early := 0; early <= MaxEarlyBits; early++ {
-			for _, lanes := range []int{1, 2, 4} {
-				k := Key{Bits: bits, Lanes: lanes, Early: early, Root: seed,
-					CWs: make([]CW, max(bits-early, 0)), Final: make([]uint32, lanes<<uint(early))}
-				for i := range k.CWs {
-					k.CWs[i] = CW{S: seed, TL: uint8(i & 1), TR: uint8(i >> 1 & 1)}
+			k := Key{Bits: bits, Early: early, Root: seed,
+				CWs: make([]CW, max(bits-early, 0)), Final: make([]uint32, 1<<uint(early))}
+			for i := range k.CWs {
+				k.CWs[i] = CW{S: seed, TL: uint8(i & 1), TR: uint8(i >> 1 & 1)}
+			}
+			raw, err := k.MarshalBinary()
+			if early >= bits {
+				if err == nil {
+					t.Fatalf("bits=%d early=%d: impossible shape marshaled", bits, early)
 				}
-				raw, err := k.MarshalBinary()
-				if early >= bits || early > 0 && lanes<<uint(early) > 4 {
-					if err == nil {
-						t.Fatalf("bits=%d early=%d lanes=%d: impossible shape marshaled", bits, early, lanes)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatalf("bits=%d early=%d lanes=%d: %v", bits, early, lanes, err)
-				}
-				if want := MarshaledSizeEarly(bits, lanes, early); len(raw) != want {
-					t.Fatalf("bits=%d early=%d lanes=%d: %d bytes, MarshaledSizeEarly %d", bits, early, lanes, len(raw), want)
-				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("bits=%d early=%d: %v", bits, early, err)
+			}
+			if want := keySize(bits, early); len(raw) != want {
+				t.Fatalf("bits=%d early=%d: %d bytes, keySize %d", bits, early, len(raw), want)
 			}
 		}
+		if KeyBytes(bits) != keySize(bits, DefaultEarly(bits)) {
+			t.Fatalf("bits=%d: KeyBytes %d is not the served depth's size", bits, KeyBytes(bits))
+		}
 	}
-	// The served scalar key on a 2^16-row table: 16 bytes and two control
-	// bits per walked level.
-	if got := MarshaledSizeEarly(16, 1, MaxEarlyBits); got != 266 {
-		t.Fatalf("2^16-row scalar key is %d bytes, want 266", got)
+	// The served key on a 2^16-row table: 16 bytes and two control bits
+	// per walked level. A 2-row table walks its one level in full.
+	for _, c := range []struct{ bits, want int }{{16, 266}, {1, 43}} {
+		if got := KeyBytes(c.bits); got != c.want {
+			t.Errorf("KeyBytes(%d) = %d, want %d", c.bits, got, c.want)
+		}
 	}
 }
 
-// TestWireVersionsRoundTrip: one early-terminated key marshaled as v2 and
-// as v3 parses back to the same key from either, and each re-marshals to
-// its own bytes; a v3 key's packed control bits survive every pattern.
+// TestWireVersionsRoundTrip: one early-terminated key in the v2 layout
+// (legacyMarshal) and in v3 carries the same key — v2 parsed by the
+// reference decoder marshals to the v3 bytes — while UnmarshalBinary
+// refuses the v2 bytes naming both versions; a v3 key's packed control
+// bits survive every pattern.
 func TestWireVersionsRoundTrip(t *testing.T) {
 	prg := NewAESPRG()
-	k0, k1, err := Gen(prg, 12345, 16, []uint32{7}, testRand(41))
+	k0, k1, err := Gen(prg, 12345, 16, 7, testRand(41))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []*Key{&k0, &k1} {
-		var parsed [4]Key
-		for _, v := range []int{2, 3} {
-			k.Wire = v
-			raw, err := k.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if WireVersion(raw) != v || len(raw) != wireSize(v, 16, 1, MaxEarlyBits) {
-				t.Fatalf("v%d: version %d, %d bytes", v, WireVersion(raw), len(raw))
-			}
-			p := &parsed[v]
-			if err := p.UnmarshalBinary(raw); err != nil {
-				t.Fatalf("v%d: %v", v, err)
-			}
-			if p.Wire != v {
-				t.Fatalf("v%d key parsed as Wire %d", v, p.Wire)
-			}
-			again, err := p.MarshalBinary()
-			if err != nil || !bytes.Equal(again, raw) {
-				t.Fatalf("v%d key does not re-marshal to its own bytes: %v", v, err)
-			}
+		v3, err := k.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if parsed[2].Root != parsed[3].Root || !slices.Equal(parsed[2].CWs, parsed[3].CWs) ||
-			!slices.Equal(parsed[2].Final, parsed[3].Final) || !slices.Equal(parsed[3].CWs, k.CWs) {
-			t.Fatal("v2 and v3 carry different keys")
+		v2 := legacyMarshal(k)
+		if WireVersion(v2) != 2 || len(v2) != 279 || WireVersion(v3) != 3 || len(v3) != 266 {
+			t.Fatalf("v2 is version %d in %d bytes, v3 version %d in %d", WireVersion(v2), len(v2), WireVersion(v3), len(v3))
 		}
-		v0, _ := EvalAt(prg, &parsed[2], 12345)
-		v1, _ := EvalAt(prg, &parsed[3], 12345)
-		if v0[0] != v1[0] {
+		var parsed Key
+		if err := parsed.UnmarshalBinary(v3); err != nil {
+			t.Fatal(err)
+		}
+		old, err := legacyUnmarshal(v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := old.MarshalBinary(); err != nil || !bytes.Equal(again, v3) {
+			t.Fatalf("the v2 key does not marshal to its v3 bytes: %v", err)
+		}
+		a, _ := evalAt(prg, &parsed, 12345)
+		b, _ := evalAt(prg, &old, 12345)
+		if a != b {
 			t.Fatal("v2 and v3 evaluate differently")
+		}
+		err = new(Key).UnmarshalBinary(v2)
+		if err == nil || !strings.Contains(err.Error(), "key wire v2") || !strings.Contains(err.Error(), "serves key wire v3") {
+			t.Fatalf("v2 bytes: %v, want a refusal naming both versions", err)
 		}
 	}
 	// Every control-bit pattern at every position of a 5-level walk (one
 	// full tbits byte and one padded one).
 	for pattern := 0; pattern < 1<<10; pattern++ {
-		k := Key{Bits: 7, Lanes: 1, Early: 2, CWs: make([]CW, 5), Final: make([]uint32, 4)}
+		k := Key{Bits: 7, Early: 2, CWs: make([]CW, 5), Final: make([]uint32, 4)}
 		for i := range k.CWs {
 			k.CWs[i].TL, k.CWs[i].TR = uint8(pattern>>(2*i)&1), uint8(pattern>>(2*i+1)&1)
 		}
@@ -165,22 +154,13 @@ func TestWireVersionsRoundTrip(t *testing.T) {
 			t.Fatalf("pattern %#x: control bits %v, want %v", pattern, got.CWs, k.CWs)
 		}
 	}
-	// A wire version that cannot carry the key's depth refuses to marshal.
-	for _, tc := range []struct{ early, wire int }{{0, 2}, {0, 3}, {2, 1}, {2, 4}} {
-		bits := 5
-		k := Key{Bits: bits, Lanes: 1, Early: tc.early, Wire: tc.wire,
-			CWs: make([]CW, bits-tc.early), Final: make([]uint32, 1<<uint(tc.early))}
-		if _, err := k.MarshalBinary(); err == nil {
-			t.Errorf("early=%d marshaled as wire v%d", tc.early, tc.wire)
-		}
-	}
 }
 
 // TestV3Canonical: a v3 key has one encoding. Nonzero padding bits after
-// the packed control bits, a lanes byte that is zero or overfills the
-// terminal group, and a v3 header claiming full depth are all refused.
+// the packed control bits, a lanes byte other than 1, and a header whose
+// depth does not match the key's size are all refused.
 func TestV3Canonical(t *testing.T) {
-	k0, _, err := Gen(NewAESPRG(), 3, 7, []uint32{1}, testRand(43)) // 5 levels: tbits byte 6 bits used
+	k0, _, err := Gen(NewAESPRG(), 3, 7, 1, testRand(43)) // 5 levels: tbits byte 6 bits used
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +176,10 @@ func TestV3Canonical(t *testing.T) {
 	}{
 		{"padding bit 6", func(b []byte) { b[tbits] |= 1 << 6 }, "padding"},
 		{"padding bit 7", func(b []byte) { b[tbits] |= 1 << 7 }, "padding"},
-		{"lanes 0", func(b []byte) { b[5] = 0 }, "bad lanes"},
-		{"lanes 2 at early 2", func(b []byte) { b[5] = 2 }, "exceeds"},
-		{"lanes 255", func(b []byte) { b[5] = 255 }, "exceeds"},
-		{"early 0", func(b []byte) { b[4] = 0 }, "early-termination depth"},
+		{"lanes 0", func(b []byte) { b[5] = 0 }, "bad lanes 0"},
+		{"lanes 2", func(b []byte) { b[5] = 2 }, "bad lanes 2"},
+		{"lanes 255", func(b []byte) { b[5] = 255 }, "bad lanes 255"},
+		{"early 0", func(b []byte) { b[4] = 0 }, "size"},
 		{"early 3", func(b []byte) { b[4] = 3 }, "early-termination depth"},
 	} {
 		mut := bytes.Clone(raw)
@@ -231,7 +211,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	// Corrupt a valid key in every byte position; none may panic, and
 	// header corruptions must error.
 	prg := NewAESPRG()
-	k0, _, err := Gen(prg, 3, 4, []uint32{1}, testRand(3))
+	k0, _, err := Gen(prg, 3, 4, 1, testRand(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +238,11 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 // TestMarshalValidation: inconsistent keys must refuse to marshal.
 func TestMarshalValidation(t *testing.T) {
 	bad := []Key{
-		{Bits: 0, Lanes: 1},
-		{Bits: MaxBits + 1, Lanes: 1},
-		{Bits: 3, Lanes: 1, CWs: make([]CW, 2), Final: []uint32{1}},
-		{Bits: 3, Lanes: 2, CWs: make([]CW, 3), Final: []uint32{1}},
+		{Bits: 0},
+		{Bits: MaxBits + 1},
+		{Bits: 3, CWs: make([]CW, 2), Final: []uint32{1}},
+		{Bits: 3, CWs: make([]CW, 3), Final: []uint32{1, 2}},
+		{Bits: 3, Early: 3, Final: make([]uint32, 8)},
 	}
 	for i, k := range bad {
 		if _, err := k.MarshalBinary(); err == nil {
@@ -278,7 +259,7 @@ func TestQuickRoundTripStillEvaluates(t *testing.T) {
 	const bits = 10
 	f := func(alphaRaw uint16, beta uint32) bool {
 		alpha := uint64(alphaRaw) % (1 << bits)
-		k0, k1, err := Gen(prg, alpha, bits, []uint32{beta}, rng)
+		k0, k1, err := Gen(prg, alpha, bits, beta, rng)
 		if err != nil {
 			return false
 		}
@@ -288,29 +269,103 @@ func TestQuickRoundTripStillEvaluates(t *testing.T) {
 		if r0.UnmarshalBinary(raw0) != nil || r1.UnmarshalBinary(raw1) != nil {
 			return false
 		}
-		v0, e0 := EvalAt(prg, &r0, alpha)
-		v1, e1 := EvalAt(prg, &r1, alpha)
+		v0, e0 := evalAt(prg, &r0, alpha)
+		v1, e1 := evalAt(prg, &r1, alpha)
 		if e0 != nil || e1 != nil {
 			return false
 		}
-		return v0[0]+v1[0] == beta
+		return v0+v1 == beta
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestKeySizeIsLogarithmic pins the O(log L) communication claim: doubling
-// the domain adds exactly 17 bytes.
+// TestKeySizeIsLogarithmic pins the O(log L) communication claim: four
+// more levels of a full-depth walk add exactly 65 bytes, four 16-byte
+// seeds and one byte of packed control bits.
 func TestKeySizeIsLogarithmic(t *testing.T) {
-	for bits := 1; bits < MaxBits; bits++ {
-		if MarshaledSizeEarly(bits+1, 1, 0)-MarshaledSizeEarly(bits, 1, 0) != 17 {
-			t.Fatalf("key growth at bits=%d is not 17 bytes/level", bits)
+	for bits := 1; bits+4 <= MaxBits; bits++ {
+		if keySize(bits+4, 0)-keySize(bits, 0) != 65 {
+			t.Fatalf("key growth at bits=%d is not 65 bytes per 4 levels", bits)
 		}
 	}
 	// A 1M-entry scalar key is well under 1 KB — the paper quotes 1.25 KB
 	// for its codeword format; ours is the tighter BGI15 layout.
-	if s := MarshaledSizeEarly(20, 1, 0); s > 1280 {
+	if s := keySize(20, 0); s > 1280 {
 		t.Errorf("1M-entry key is %d bytes, want <= 1280", s)
+	}
+}
+
+// TestKeyShareBalance checks that a key share leaks nothing bit by bit. A
+// server sees one party's marshaled key. Every bit of it must be a fair
+// coin whatever α is, except those the layout fixes: the header, the zero
+// padding after the control bits, and the low bit of each correction seed
+// (the slot a control bit was peeled from, always zero). For 4096 keys
+// per α — α = 0, N−1 and one seeded random index — on a 2^16-row table
+// (early 2) and a 2-row one (early 0, the layout only tables of 2 rows are
+// served), each free bit's count of ones over each party's keys must lie
+// within 6σ of the binomial mean, and each fixed bit must be constant.
+func TestKeyShareBalance(t *testing.T) {
+	const n = 4096
+	prg := NewAESPRG()
+	rng := testRand(47)
+	bound := 6 * math.Sqrt(n*0.25)
+	for _, bits := range []int{16, 1} {
+		d := bits - DefaultEarly(bits)
+		seeds, tbits := 22, 22+16*d // the first correction seed and control-bit byte
+		final := tbits + (d+3)/4
+		// field names the key field a bit lies in and whether the layout
+		// fixes it.
+		field := func(bit int) (string, bool) {
+			at, b := bit/8, bit%8
+			switch {
+			case at < 6:
+				return "header", true
+			case at < seeds:
+				return "root seed", false
+			case at < tbits:
+				return fmt.Sprintf("correction seed %d", (at-seeds)/16), (at-seeds)%16 == 0 && b == 0
+			case at < final:
+				return "control bits", 8*(at-tbits)+b >= 2*d
+			}
+			return fmt.Sprintf("final word %d", (at-final)/4), false
+		}
+		for _, alpha := range []uint64{0, 1<<bits - 1, uint64(rng.Int63n(1 << bits))} {
+			var ones [2][]int
+			for party := range ones {
+				ones[party] = make([]int, 8*KeyBytes(bits))
+			}
+			for i := 0; i < n; i++ {
+				k0, k1, err := Gen(prg, alpha, bits, 1, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for party, k := range []*Key{&k0, &k1} {
+					raw, err := k.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, by := range raw {
+						for b := 0; b < 8; b++ {
+							ones[party][8*j+b] += int(by >> b & 1)
+						}
+					}
+				}
+			}
+			for party, count := range ones {
+				for bit, c := range count {
+					name, fixed := field(bit)
+					if fixed && c != 0 && c != n {
+						t.Errorf("bits=%d α=%d party %d: fixed bit %d of byte %d (%s) is set in %d of %d keys",
+							bits, alpha, party, bit%8, bit/8, name, c, n)
+					}
+					if !fixed && math.Abs(float64(c)-n/2) > bound {
+						t.Errorf("bits=%d α=%d party %d: bit %d of byte %d (%s) is set in %d of %d keys, outside %d ± %.0f",
+							bits, alpha, party, bit%8, bit/8, name, c, n, n/2, bound)
+					}
+				}
+			}
+		}
 	}
 }

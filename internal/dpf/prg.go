@@ -26,12 +26,8 @@ type PRG interface {
 	// All five slices must have len(seeds). Implementations hoist per-call
 	// state — key schedules, cipher state — out of the
 	// per-node loop so advancing a K-wide frontier performs zero heap
-	// allocations; ScalarExpandBatch is the reference fallback for wrapper
-	// PRGs.
+	// allocations.
 	ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8)
-	// Fill deterministically expands s into dst (counter mode). Used by
-	// Convert for wide output groups.
-	Fill(s Seed, dst []byte)
 }
 
 // ConstructionAES128 is aes128's construction ID. A new function under an
@@ -54,42 +50,6 @@ func ConstructionOf(name string) uint32 {
 // The paper counts "one PRF call per node child"; an Expand derives both
 // children, hence two blocks.
 const BlocksPerExpand = 2
-
-// ScalarExpandBatch implements ExpandBatch by looping the scalar Expand —
-// the semantic reference every native batch implementation must match
-// bit-for-bit (the batch equivalence tests pin this). Wrapper PRGs that
-// only decorate Expand can delegate here.
-func ScalarExpandBatch(p PRG, seeds []Seed, left, right []Seed, tL, tR []uint8) {
-	for i := range seeds {
-		left[i], right[i], tL[i], tR[i] = p.Expand(seeds[i])
-	}
-}
-
-// Convert maps a leaf seed into `lanes` output-group elements (Z_2^32 each).
-// For lanes <= 4 the seed's own bits suffice (the "early termination"
-// optimization: zero extra PRF calls, the case PIR uses). Wider outputs draw
-// from the PRG in counter mode.
-func Convert(prg PRG, s Seed, lanes int) []uint32 {
-	out := make([]uint32, lanes)
-	ConvertInto(prg, s, out)
-	return out
-}
-
-// ConvertInto is Convert without the allocation.
-func ConvertInto(prg PRG, s Seed, out []uint32) {
-	lanes := len(out)
-	if lanes <= 4 {
-		for i := 0; i < lanes; i++ {
-			out[i] = leU32(s[i*4 : i*4+4])
-		}
-		return
-	}
-	buf := make([]byte, lanes*4)
-	prg.Fill(s, buf)
-	for i := 0; i < lanes; i++ {
-		out[i] = leU32(buf[i*4 : i*4+4])
-	}
-}
 
 // PRGName is the one PRF this build computes: the name every key, server
 // and wire hello carries.

@@ -13,8 +13,8 @@ import (
 // reference PRGs. The server computes aes128 alone (NewPRG refuses these
 // names) and no binary links them; what they would cost on the paper's
 // hardware is internal/model's business. Here they drive the generic,
-// unfused path of StepBothBatch, StepLeafBatch and ConvertInto that any
-// PRG other than *AESPRG takes, and pin the key wire format — which
+// unfused path of StepBothBatch and StepLeafBatch that any PRG other than
+// *AESPRG takes, and pin the key wire format — which
 // carries no PRF name — against keys minted under other PRFs (the golden
 // fixtures). SipHash and the HighwayHash-style body are not conservatively
 // analysed PRFs.
@@ -75,16 +75,6 @@ func (*ChaChaPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8) 
 		copy(left[i][:], out[0:16])
 		copy(right[i][:], out[16:32])
 		tL[i], tR[i] = clearControlBits(&left[i], &right[i])
-	}
-}
-
-func (*ChaChaPRG) Fill(s Seed, dst []byte) {
-	var out [64]byte
-	ctr := uint32(1) // block 0 feeds Expand
-	for off := 0; off < len(dst); off += 64 {
-		chachaBlock(&s, ctr, &out)
-		ctr++
-		copy(dst[off:], out[:])
 	}
 }
 
@@ -152,21 +142,10 @@ func (*SipPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8) {
 
 func sipChildren(s, left, right *Seed) {
 	k0, k1 := leU64(s[0:8]), leU64(s[8:16])
-	putU64(left[0:8], siphash24(k0, k1, 0))
-	putU64(left[8:16], siphash24(k0, k1, 1))
-	putU64(right[0:8], siphash24(k0, k1, 2))
-	putU64(right[8:16], siphash24(k0, k1, 3))
-}
-
-func (*SipPRG) Fill(s Seed, dst []byte) {
-	k0, k1 := leU64(s[0:8]), leU64(s[8:16])
-	ctr := uint64(4) // 0..3 feed Expand
-	var w [8]byte
-	for off := 0; off < len(dst); off += 8 {
-		putU64(w[:], siphash24(k0, k1, ctr))
-		ctr++
-		copy(dst[off:], w[:])
-	}
+	binary.LittleEndian.PutUint64(left[0:8], siphash24(k0, k1, 0))
+	binary.LittleEndian.PutUint64(left[8:16], siphash24(k0, k1, 1))
+	binary.LittleEndian.PutUint64(right[0:8], siphash24(k0, k1, 2))
+	binary.LittleEndian.PutUint64(right[8:16], siphash24(k0, k1, 3))
 }
 
 // siphash24 computes SipHash-2-4 of an 8-byte little-endian message m under
@@ -244,19 +223,6 @@ func (*HighwayPRG) ExpandBatch(seeds []Seed, left, right []Seed, tL, tR []uint8)
 	}
 }
 
-func (*HighwayPRG) Fill(s Seed, dst []byte) {
-	var st hwState
-	var out [32]byte
-	ctr := uint64(1)
-	for off := 0; off < len(dst); off += 32 {
-		st.reset(&s)
-		st.update(ctr)
-		ctr++
-		st.finalize(&out)
-		copy(dst[off:], out[:])
-	}
-}
-
 // hwState: v0, v1 are the mixing vectors, mul0, mul1 accumulate multiply
 // results.
 type hwState struct {
@@ -324,7 +290,7 @@ func (h *hwState) finalize(out *[32]byte) {
 		v ^= v >> 33
 		v *= 0xc4ceb9fe1a85ec53
 		v ^= v >> 33
-		putU64(out[i*8:i*8+8], v)
+		binary.LittleEndian.PutUint64(out[i*8:i*8+8], v)
 	}
 }
 
@@ -379,14 +345,4 @@ func hmacSeedSum(d hash.Hash, pad *[64]byte, s *Seed, msg, out []byte) []byte {
 	d.Write(pad[:])
 	d.Write(inner)
 	return d.Sum(inner[:0])
-}
-
-func (*SHA256PRG) Fill(s Seed, dst []byte) {
-	ctr := byte(1) // counter 0 feeds Expand
-	for off := 0; off < len(dst); off += 32 {
-		mac := hmac.New(sha256.New, s[:])
-		mac.Write([]byte{ctr})
-		ctr++
-		copy(dst[off:], mac.Sum(nil))
-	}
 }

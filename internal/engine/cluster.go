@@ -413,7 +413,7 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	// merged; name both values and both members in the rejection.
 	firstName := members[0].name
 	c.prgName, c.party = members[0].be.PRGName(), members[0].be.Party()
-	c.early = dpf.DefaultEarly(dpf.DomainBits(c.rows), 1)
+	c.early = dpf.DefaultEarly(dpf.DomainBits(c.rows))
 	for _, m := range members[1:] {
 		if got := m.be.PRGName(); got != c.prgName {
 			return nil, fmt.Errorf("engine: cluster member %s serves prg=%s, %s prg=%s — members must share one PRF",

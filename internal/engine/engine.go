@@ -105,7 +105,7 @@ func NewReplicaOverStore(st *store.Store, cfg Config) (*Replica, error) {
 	return &Replica{
 		party: uint8(cfg.Party),
 		prg:   prg,
-		early: dpf.DefaultEarly(bits, 1),
+		early: dpf.DefaultEarly(bits),
 		strat: strat,
 		st:    st,
 		rows:  rows,
@@ -143,8 +143,8 @@ func (r *Replica) Counters() strategy.Stats { return r.ctr.Snapshot() }
 // keyErrPrefix tags a key-validation error with the replica's configured
 // PRF and the parsed wire version of the offending key — the two facts a
 // failing client needs first: the wire format carries no PRF identifier,
-// and a key from an older client (a full-depth v1 key, or a v2 key of the
-// served depth) is otherwise indistinguishable from corruption.
+// and a key from an older client (v1 or v2) is otherwise
+// indistinguishable from corruption.
 func (r *Replica) keyErrPrefix(raw []byte) string {
 	return fmt.Sprintf("engine (prg=%s, key wire v%d)", r.prg.Name(), dpf.WireVersion(raw))
 }
@@ -159,9 +159,6 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 	if int(k.Party) != party {
 		return fmt.Errorf("key is for party %d, this backend serves party %d", k.Party, party)
 	}
-	if k.Lanes != 1 {
-		return fmt.Errorf("key has %d lanes; PIR keys are scalar", k.Lanes)
-	}
 	if k.Bits != bits {
 		return fmt.Errorf("key has %d bits, table needs %d", k.Bits, bits)
 	}
@@ -169,16 +166,11 @@ func validatePinnedKey(k *dpf.Key, party, bits, early int) error {
 		return fmt.Errorf("key has early-termination depth %d, this backend serves depth %d — generate keys with the matching depth",
 			k.Early, early)
 	}
-	// A tree too shallow for early termination walks full depth, in v1;
-	// every other served key is v3.
-	if k.Early > 0 && k.Wire != dpf.ServedWire {
-		return fmt.Errorf("this backend serves key wire v%d only — generate keys with a current client", dpf.ServedWire)
-	}
 	return nil
 }
 
-// validateKey checks an unmarshaled key against the replica's party, lane
-// shape, tree depth, and served early-termination depth.
+// validateKey checks an unmarshaled key against the replica's party, tree
+// depth, and served early-termination depth.
 func (r *Replica) validateKey(raw []byte, k *dpf.Key) error {
 	if err := validatePinnedKey(k, int(r.party), r.bits, r.early); err != nil {
 		return fmt.Errorf("%s: %w", r.keyErrPrefix(raw), err)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -39,7 +40,7 @@ func genKeys(t testing.TB, tab *strategy.Table, indices []uint64, seed int64) (k
 	prg := dpf.NewAESPRG()
 	rng := rand.New(rand.NewSource(seed))
 	for _, idx := range indices {
-		key0, key1, err := dpf.Gen(prg, idx, tab.Bits(), []uint32{1}, rng)
+		key0, key1, err := dpf.Gen(prg, idx, tab.Bits(), 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +253,7 @@ func genKeysEarly(t testing.TB, tab *strategy.Table, indices []uint64, early int
 	prg := dpf.NewAESPRG()
 	rng := rand.New(rand.NewSource(seed))
 	for _, idx := range indices {
-		key0, key1, err := dpf.GenEarly(prg, idx, tab.Bits(), []uint32{1}, early, rng)
+		key0, key1, err := dpf.GenEarly(prg, idx, tab.Bits(), 1, early, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,10 +272,10 @@ func genKeysEarly(t testing.TB, tab *strategy.Table, indices []uint64, early int
 }
 
 // TestEarlyDepthValidation: a replica, and a cluster over it, serve
-// exactly the depth the table's rows give. Legacy full-depth keys and
-// keys of another depth are refused, and the rejection names the PRF, the
-// parsed wire version and both depths, so a mismatched client knows
-// exactly what to fix.
+// exactly the depth the table's rows give. Keys of another depth
+// (full depth included) are refused naming the PRF, the parsed wire
+// version and both depths, and a legacy v1 key naming its version and the
+// served one, so a mismatched client knows exactly what to fix.
 func TestEarlyDepthValidation(t *testing.T) {
 	tab := buildTable(t, 64, 1, 30)
 	rep, err := NewReplica(tab, Config{Party: 0})
@@ -286,8 +287,10 @@ func TestEarlyDepthValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defKeys, _ := genKeys(t, tab, []uint64{5}, 31)
-	v1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 0, 32)
+	d0Keys, _ := genKeysEarly(t, tab, []uint64{5}, 0, 32)
 	d1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 1, 32)
+	v1Key := bytes.Clone(d0Keys[0])
+	v1Key[0] = 0x01 // the legacy full-depth magic, 0xDF01 little endian
 	for name, validate := range map[string]func([]byte) error{"replica": rep.ValidateKey, "cluster": cluster.ValidateKey} {
 		if err := validate(defKeys[0]); err != nil {
 			t.Errorf("%s rejected a key of the served depth: %v", name, err)
@@ -296,8 +299,9 @@ func TestEarlyDepthValidation(t *testing.T) {
 			key  []byte
 			want []string
 		}{
-			{v1Keys[0], []string{"prg=aes128", "wire v1", "depth 0", "depth 2"}},
+			{d0Keys[0], []string{"prg=aes128", "wire v3", "depth 0", "depth 2"}},
 			{d1Keys[0], []string{"prg=aes128", "wire v3", "depth 1", "depth 2"}},
+			{v1Key, []string{"prg=aes128", "wire v1", "serves key wire v3"}},
 		} {
 			err := validate(tc.key)
 			if err == nil {
@@ -310,15 +314,15 @@ func TestEarlyDepthValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, err := rep.Answer(context.Background(), v1Keys); err == nil {
+	if _, err := rep.Answer(context.Background(), d0Keys); err == nil {
 		t.Error("replica answered a full-depth key")
 	}
 }
 
 // TestKeyWireV2Refused: replicas and clusters serve key wire v3 only. A
-// v2 key of the served depth — the same key a v3 one carries — is refused
-// by ValidateKey and Answer with both wire versions named, and its v3
-// encoding is answered.
+// served key whose magic is rewritten to v2's is refused by ValidateKey
+// and Answer with both wire versions named, and its v3 encoding is
+// answered.
 func TestKeyWireV2Refused(t *testing.T) {
 	tab := buildTable(t, 64, 1, 33)
 	rep, err := NewReplica(tab, Config{Party: 0})
@@ -329,7 +333,7 @@ func TestKeyWireV2Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 5, tab.Bits(), []uint32{1}, rand.New(rand.NewSource(34)))
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 5, tab.Bits(), 1, rand.New(rand.NewSource(34)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +341,8 @@ func TestKeyWireV2Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0.Wire = 2
-	v2, err := k0.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := bytes.Clone(v3)
+	v2[0] = 0x02 // the v2 magic, 0xDF02 little endian
 	ctx := context.Background()
 	_, answerErr := rep.Answer(ctx, [][]byte{v2})
 	_, clusterErr := cluster.Answer(ctx, [][]byte{v2})

@@ -45,12 +45,12 @@ func plainSweep(app *App) ([]plainPoint, error) {
 		// Priced in the default early-terminated key format (§3.1), like
 		// codesign.Cost: the plain and co-designed columns must stay
 		// comparable.
-		early := dpf.DefaultEarly(bits, 1)
+		early := dpf.DefaultEarly(bits)
 		out = append(out, plainPoint{
 			Q:       q,
 			Quality: quality,
 			PRF:     int64(q) * (2*(domain>>uint(early)) - 2),
-			Up:      int64(q) * int64(dpf.MarshaledSizeEarly(bits, 1, early)) * 2,
+			Up:      int64(q) * int64(dpf.KeyBytes(bits)) * 2,
 			Down:    int64(q) * int64(app.Dim) * 4 * 2,
 		})
 	}

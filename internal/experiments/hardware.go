@@ -230,7 +230,7 @@ func Table4() (*Table, error) {
 		bits int
 		name string
 	}{{14, "16K"}, {20, "1M"}, {22, "4M"}} {
-		keyBytes := dpf.MarshaledSizeEarly(row.bits, 1, dpf.DefaultEarly(row.bits, 1))
+		keyBytes := dpf.KeyBytes(row.bits)
 		// Batch tuned for throughput within the paper's 300ms budget
 		// (§5.1); our membound model needs larger batches than the
 		// authors' kernels to saturate, so batch latency runs higher.

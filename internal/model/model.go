@@ -80,7 +80,7 @@ func (r Report) String() string {
 
 // modelEarly is the early-termination depth the models assume: the
 // default depth Gen gives scalar PIR keys for this tree depth.
-func modelEarly(bits int) int { return dpf.DefaultEarly(bits, 1) }
+func modelEarly(bits int) int { return dpf.DefaultEarly(bits) }
 
 // treeBlocks is the PRF block count of one full early-terminated expansion:
 // the walk stops `early` levels up, so 2^(bits-early)-1 Expand calls derive

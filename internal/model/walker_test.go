@@ -143,7 +143,7 @@ func TestRunCountsMatchModel(t *testing.T) {
 					}
 					keys := make([]*dpf.Key, batch)
 					for q := range keys {
-						k, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), bits, []uint32{1}, early, rng)
+						k, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), bits, 1, early, rng)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -179,7 +179,7 @@ func TestExecutorCountersMatchModel(t *testing.T) {
 		for _, batch := range []int{1, 5, 32} {
 			keys := make([]*dpf.Key, batch)
 			for q := range keys {
-				k, _, err := dpf.Gen(prg, uint64(rng.Intn(tab.NumRows)), shape.bits, []uint32{1}, rng)
+				k, _, err := dpf.Gen(prg, uint64(rng.Intn(tab.NumRows)), shape.bits, 1, rng)
 				if err != nil {
 					t.Fatal(err)
 				}

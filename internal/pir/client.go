@@ -14,19 +14,17 @@ import (
 // on-device side of Figure 2: Gen is cheap enough for a phone-class CPU
 // (Figure 3).
 type Client struct {
-	prg   dpf.PRG
-	rng   io.Reader
-	bits  int
-	rows  int
-	early int
+	prg  dpf.PRG
+	rng  io.Reader
+	bits int
+	rows int
 }
 
 // NewClient builds a client for a table with the given row count, using the
 // named PRF (which must match the servers'). rng may be nil to use
-// crypto/rand. Keys carry the depth the table serves,
-// dpf.DefaultEarly(dpf.DomainBits(rows), 1): wire format v3, the walk
-// stopping 2 levels up (4 lanes per terminal seed) on any table of 8 rows
-// or more.
+// crypto/rand. Keys are dpf.Gen's: wire format v3 at the depth the table
+// serves, dpf.DefaultEarly(dpf.DomainBits(rows)), the walk stopping 2
+// levels up (4 leaves per terminal seed) on any table of 8 rows or more.
 func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {
 	prg, err := dpf.NewPRG(prgName)
 	if err != nil {
@@ -39,7 +37,7 @@ func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {
 		rng = rand.Reader
 	}
 	bits := dpf.DomainBits(rows)
-	return &Client{prg: prg, rng: rng, bits: bits, rows: rows, early: dpf.DefaultEarly(bits, 1)}, nil
+	return &Client{prg: prg, rng: rng, bits: bits, rows: rows}, nil
 }
 
 // Query encodes the secret index into one marshaled key per server.
@@ -48,7 +46,7 @@ func (c *Client) Query(index uint64) (key0, key1 []byte, err error) {
 	if index >= uint64(c.rows) {
 		return nil, nil, fmt.Errorf("pir: index %d outside table of %d rows", index, c.rows)
 	}
-	k0, k1, err := dpf.GenEarly(c.prg, index, c.bits, []uint32{1}, c.early, c.rng)
+	k0, k1, err := dpf.Gen(c.prg, index, c.bits, 1, c.rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pir: generating keys: %w", err)
 	}
@@ -76,9 +74,8 @@ func (c *Client) QueryBatch(indices []uint64) (keys0, keys1 [][]byte, err error)
 	return keys0, keys1, nil
 }
 
-// KeyBytes is the wire size of one key for this client's table shape and
-// termination depth.
-func (c *Client) KeyBytes() int { return dpf.MarshaledSizeEarly(c.bits, 1, c.early) }
+// KeyBytes is the wire size of one key for this client's table.
+func (c *Client) KeyBytes() int { return dpf.KeyBytes(c.bits) }
 
 // InsecureSeeded adapts a seeded generator into the io.Reader NewClient
 // draws key randomness from. Whoever can replay rng's stream holds both

@@ -230,7 +230,7 @@ func TestClientValidation(t *testing.T) {
 		t.Error("out-of-range index accepted")
 	}
 	// A 10-row table takes a depth-4 tree.
-	if want := dpf.MarshaledSizeEarly(4, 1, dpf.DefaultEarly(4, 1)); c.KeyBytes() != want {
+	if want := dpf.KeyBytes(4); c.KeyBytes() != want {
 		t.Errorf("KeyBytes() = %d, want %d for a depth-4 key over 10 rows", c.KeyBytes(), want)
 	}
 }
@@ -259,7 +259,9 @@ func (p tweakedAES) Expand(s dpf.Seed) (left, right dpf.Seed, tL, tR uint8) {
 }
 
 func (p tweakedAES) ExpandBatch(seeds []dpf.Seed, left, right []dpf.Seed, tL, tR []uint8) {
-	dpf.ScalarExpandBatch(p, seeds, left, right, tL, tR)
+	for i := range seeds {
+		left[i], right[i], tL[i], tR[i] = p.Expand(seeds[i])
+	}
 }
 
 // TestMismatchedPRG: in process, where no hello pins the PRF, a client and

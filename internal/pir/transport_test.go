@@ -271,8 +271,8 @@ func TestWireCost(t *testing.T) {
 // TestServeRefusesKeyWireV2: a Serve front serves key wire v3 only. A
 // single-key request — whose bytes are the same in the protocol-4 and the
 // protocol-5 key-batch framing, so an old client's request parses — carrying
-// a v2 key is refused with both wire versions named, and the same key in
-// v3 is answered on the same connection.
+// a key with the v2 magic is refused with both wire versions named, and the
+// same key in v3 is answered on the same connection.
 func TestServeRefusesKeyWireV2(t *testing.T) {
 	tab := testTable(t, 64, 2)
 	e0, err := Dial(startServer(t, tab))
@@ -280,7 +280,7 @@ func TestServeRefusesKeyWireV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e0.Close()
-	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 9, dpf.DomainBits(tab.NumRows), []uint32{1}, rand.New(rand.NewSource(35)))
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), 9, dpf.DomainBits(tab.NumRows), 1, rand.New(rand.NewSource(35)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +288,8 @@ func TestServeRefusesKeyWireV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0.Wire = 2
-	v2, err := k0.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	v2 := bytes.Clone(v3)
+	v2[0] = 0x02 // the v2 magic, 0xDF02 little endian
 	_, err = e0.Answer([][]byte{v2})
 	if err == nil {
 		t.Fatal("a wire-v2 key was answered")

@@ -12,6 +12,7 @@
 package seedbaseline
 
 import (
+	"encoding/binary"
 	"runtime"
 
 	"gpudpf/internal/dpf"
@@ -39,6 +40,19 @@ func stepBoth(prg dpf.PRG, s dpf.Seed, t uint8, cw dpf.CW) (ls dpf.Seed, lt uint
 	return l, tl, r, tr
 }
 
+// leafValue is the seed revision's LeafValueScalar: a full-depth key's
+// leaf share, straight from the terminal seed's first word.
+func leafValue(k *dpf.Key, s dpf.Seed, t uint8) uint32 {
+	v := binary.LittleEndian.Uint32(s[0:4])
+	if t == 1 {
+		v += k.Final[0]
+	}
+	if k.Party == 1 {
+		v = -v
+	}
+	return v
+}
+
 // Run evaluates the batch the way the seed MemBoundTree.Run did (fused,
 // frontier width k) and returns one answer share per key.
 func Run(prg dpf.PRG, keys []*dpf.Key, tab *strategy.Table, k int) [][]uint32 {
@@ -52,7 +66,7 @@ func Run(prg dpf.PRG, keys []*dpf.Key, tab *strategy.Table, k int) [][]uint32 {
 			if depth == bits {
 				for i, nd := range nodes {
 					j := base + uint64(i)
-					leaf := dpf.LeafValueScalar(key, nd.s, nd.t)
+					leaf := leafValue(key, nd.s, nd.t)
 					if j < uint64(tab.NumRows) {
 						for l, v := range tab.Row(int(j)) {
 							ans[l] += leaf * v

@@ -25,7 +25,7 @@ func TestRunMatchesTiled(t *testing.T) {
 	keys := make([]*dpf.Key, 3)
 	for q := range keys {
 		alpha := uint64(rng.IntN(tab.NumRows))
-		k0, _, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{rng.Uint32()}, 0, pcgReader{rng})
+		k0, _, err := dpf.GenEarly(prg, alpha, tab.Bits(), rng.Uint32(), 0, pcgReader{rng})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -243,7 +243,7 @@ func TestFrontAdaptiveRetune(t *testing.T) {
 
 	prg := dpf.NewAESPRG()
 	keyRng := rand.New(rand.NewSource(7))
-	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), []uint32{1}, keyRng)
+	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), 1, keyRng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestConcurrentEngineServing(t *testing.T) {
 	keyPool := make([][]byte, poolSize)
 	keyRng := rand.New(rand.NewSource(2))
 	for i := range keyPool {
-		k0, _, err := dpf.Gen(prg, uint64(keyRng.Intn(rows)), tab.Bits(), []uint32{1}, keyRng)
+		k0, _, err := dpf.Gen(prg, uint64(keyRng.Intn(rows)), tab.Bits(), 1, keyRng)
 		if err != nil {
 			t.Fatal(err)
 		}

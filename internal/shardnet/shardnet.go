@@ -183,7 +183,7 @@ func parseHello(r *frame.Reader) (hello, error) {
 const helloLen = 4 + prgNameLen + 4 + 1 + 1 + 8 + 4 + 8 + 8 + 8
 
 // servedEarly is the early-termination depth a table of rows serves.
-func servedEarly(rows int) int { return dpf.DefaultEarly(dpf.DomainBits(rows), 1) }
+func servedEarly(rows int) int { return dpf.DefaultEarly(dpf.DomainBits(rows)) }
 
 // refusal checks pinned, a client's hello, against served, a server's
 // configuration, and names both values of the first mismatch ("" = none).

@@ -112,9 +112,9 @@ func rawHello(t testing.TB, conn net.Conn, h hello) (hello, error) {
 func genKeys(t testing.TB, prg dpf.PRG, bits int, indices []uint64, seed int64) (k0s, k1s [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	early := dpf.DefaultEarly(bits, 1)
+	early := dpf.DefaultEarly(bits)
 	for _, idx := range indices {
-		key0, key1, err := dpf.GenEarly(prg, idx, bits, []uint32{1}, early, rng)
+		key0, key1, err := dpf.GenEarly(prg, idx, bits, 1, early, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestClientServerRoundTrip(t *testing.T) {
 	if r, l := c.Shape(); r != rows || l != lanes {
 		t.Fatalf("handshake shape %d×%d, want %d×%d", r, l, rows, lanes)
 	}
-	if got, want := c.w.Early, dpf.DefaultEarly(tab.Bits(), 1); got != want {
+	if got, want := c.w.Early, dpf.DefaultEarly(tab.Bits()); got != want {
 		t.Fatalf("handshake early %d, want %d", got, want)
 	}
 	if lo, hi := c.HeldRange(); lo != 0 || hi != rows {

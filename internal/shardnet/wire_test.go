@@ -141,19 +141,19 @@ func TestHelloRefusesProtocol4(t *testing.T) {
 	}
 }
 
-// v2Key marshals a fresh party-0 key for row of a bits-deep table in key
-// wire v2, the format before v3.
+// v2Key marshals a fresh party-0 key for row of a bits-deep table and
+// rewrites its magic to key wire v2's, the format before v3.
 func v2Key(t *testing.T, bits int, row uint64) []byte {
 	t.Helper()
-	k0, _, err := dpf.Gen(dpf.NewAESPRG(), row, bits, []uint32{1}, rand.New(rand.NewSource(25)))
+	k0, _, err := dpf.Gen(dpf.NewAESPRG(), row, bits, 1, rand.New(rand.NewSource(25)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0.Wire = 2
 	raw, err := k0.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw[0] = 0x02 // the v2 magic, 0xDF02 little endian
 	return raw
 }
 

@@ -272,7 +272,7 @@ func TestPagedOrderFreePass(t *testing.T) {
 		keyRng := mathrand.New(mathrand.NewSource(int64(rng.Uint64())))
 		var keys []*dpf.Key
 		for q := 0; q < 3; q++ {
-			k0, _, err := dpf.Gen(prg, uint64(keyRng.Intn(c.rows)), dpf.DomainBits(c.rows), []uint32{1}, keyRng)
+			k0, _, err := dpf.Gen(prg, uint64(keyRng.Intn(c.rows)), dpf.DomainBits(c.rows), 1, keyRng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -607,7 +607,7 @@ func BenchmarkPagedConcurrentPasses(b *testing.B) {
 	keys := make([][]*dpf.Key, inFlight)
 	for g := range keys {
 		for q := 0; q < keysPerPass; q++ {
-			k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), 14, []uint32{1}, rng)
+			k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), 14, 1, rng)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -59,7 +59,7 @@ func TestPagedEquivalenceAcrossStrategies(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	var keys []*dpf.Key
 	for _, idx := range []uint64{1, 512, 4095} {
-		k0, _, err := dpf.Gen(prg, idx, tab.Bits(), []uint32{1}, rng)
+		k0, _, err := dpf.Gen(prg, idx, tab.Bits(), 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

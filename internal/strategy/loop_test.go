@@ -143,7 +143,7 @@ func TestTileLoopSplitParts(t *testing.T) {
 	prg := dpf.NewAESPRG()
 	tab := buildTable(t, 1<<14, 1, 1)
 	for _, early := range []int{0, 1, 2} {
-		k, _, err := dpf.GenEarly(prg, 5, tab.Bits(), []uint32{1}, early, rand.New(rand.NewSource(int64(early))))
+		k, _, err := dpf.GenEarly(prg, 5, tab.Bits(), 1, early, rand.New(rand.NewSource(int64(early))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -121,7 +121,7 @@ func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 		dpf.LeafRangeInto(w.key, seeds, ts, lLo, lHi, w.leaf[base+lLo-w.lo:base+lHi-w.lo])
 		return
 	}
-	if level == w.depth-1 && w.key.Lanes == 1 {
+	if level == w.depth-1 {
 		// Fused final step: when the group's children's leaves all lie
 		// inside [lo, hi), the last expansion corrects and converts straight
 		// into the leaf matrix (dpf.StepLeafBatch) — the terminal frontier,

@@ -19,7 +19,7 @@ func TestRunRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var keys []*dpf.Key
 	for _, idx := range []uint64{0, 13, 255, 299} {
-		k0, _, err := dpf.Gen(prg, idx, tab.Bits(), []uint32{1}, rng)
+		k0, _, err := dpf.Gen(prg, idx, tab.Bits(), 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestMemBoundRangeTrim(t *testing.T) {
 		tab := buildTable(t, rows, lanes, int64(bits))
 		keys := make([]*dpf.Key, 3)
 		for q := range keys {
-			k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), bits, []uint32{1}, rng)
+			k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), bits, 1, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestRunRangeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), []uint32{1}, rand.New(rand.NewSource(1)))
+	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), 1, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

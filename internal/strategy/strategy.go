@@ -68,9 +68,6 @@ func validateKeys(keys []*dpf.Key, bits int) error {
 	}
 	early := keys[0].Early
 	for i, k := range keys {
-		if k.Lanes != 1 {
-			return fmt.Errorf("strategy: key %d has %d lanes; PIR keys are scalar", i, k.Lanes)
-		}
 		if k.Bits != bits {
 			return fmt.Errorf("strategy: key %d has %d bits, table needs %d", i, k.Bits, bits)
 		}

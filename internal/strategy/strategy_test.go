@@ -28,7 +28,7 @@ func genBatch(t *testing.T, prg dpf.PRG, tab *Table, batch int, seed int64) (k0s
 	rng := rand.New(rand.NewSource(seed))
 	for q := 0; q < batch; q++ {
 		alpha := uint64(rng.Intn(tab.NumRows))
-		a, b, err := dpf.Gen(prg, alpha, tab.Bits(), []uint32{1}, rng)
+		a, b, err := dpf.Gen(prg, alpha, tab.Bits(), 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestWorkOptimality(t *testing.T) {
 		g := int64(1) << uint(bits-early)
 		keys := make([]*dpf.Key, batch)
 		for q := range keys {
-			k, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), bits, []uint32{1}, early, rng)
+			k, _, err := dpf.GenEarly(prg, uint64(rng.Intn(tab.NumRows)), bits, 1, early, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestWorkOptimality(t *testing.T) {
 				t.Errorf("%s K=%d early=%d: walked %d blocks, want %d", s.Name(), s.K, early, got, batch*(2*g-2))
 			}
 		}
-		if early != dpf.DefaultEarly(bits, 1) {
+		if early != dpf.DefaultEarly(bits) {
 			continue
 		}
 		for _, c := range []struct {
@@ -138,11 +138,11 @@ func TestMixedDepthBatchRejected(t *testing.T) {
 	prg := dpf.NewAESPRG()
 	tab := buildTable(t, 64, 2, 71)
 	rng := rand.New(rand.NewSource(72))
-	full, _, err := dpf.GenEarly(prg, 3, tab.Bits(), []uint32{1}, 0, rng)
+	full, _, err := dpf.GenEarly(prg, 3, tab.Bits(), 1, 0, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, _, err := dpf.GenEarly(prg, 9, tab.Bits(), []uint32{1}, 2, rng)
+	early, _, err := dpf.GenEarly(prg, 9, tab.Bits(), 1, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,8 @@ import (
 // sum (mod 2^32) to Run's answers.
 
 // scalarReference computes each key's answer the way the seed code did
-// before tiling: dpf.EvalAt per row (scalar Step/Expand calls only — no
-// batch code path), then a per-query dot product. Mod-2^32 lane sums are
+// before tiling: dpf.EvalRange per row (the pruned one-key walk, scalar
+// Expand calls only — no batch code path), then a per-query dot product. Mod-2^32 lane sums are
 // order-independent, so the tiled path must match this exactly, not
 // approximately.
 func scalarReference(t *testing.T, prg dpf.PRG, keys []*dpf.Key, tab *Table) [][]uint32 {
@@ -24,9 +24,9 @@ func scalarReference(t *testing.T, prg dpf.PRG, keys []*dpf.Key, tab *Table) [][
 	ref := make([][]uint32, len(keys))
 	for q, k := range keys {
 		ans := make([]uint32, tab.Lanes)
+		var leaf [1]uint32
 		for j := 0; j < tab.NumRows; j++ {
-			leaf, err := dpf.EvalAt(prg, k, uint64(j))
-			if err != nil {
+			if err := dpf.EvalRange(prg, k, uint64(j), uint64(j)+1, leaf[:]); err != nil {
 				t.Fatal(err)
 			}
 			accumulateRow(ans, leaf[0], tab.Row(j))
@@ -48,7 +48,7 @@ func TestTiledMatchesScalarAllPRGs(t *testing.T) {
 		rng := rand.New(rand.NewSource(22))
 		keys := make([]*dpf.Key, batch)
 		for q := range keys {
-			k0, k1, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), []uint32{1}, rng)
+			k0, k1, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), 1, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,11 +94,11 @@ func TestEarlyMatchesFullDepthAllStrategies(t *testing.T) {
 		var idx []uint64
 		for q := 0; q < batch; q++ {
 			alpha := uint64(rng.Intn(rows))
-			a0, a1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 0, rng)
+			a0, a1, err := dpf.GenEarly(prg, alpha, tab.Bits(), 1, 0, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b0, b1, err := dpf.GenEarly(prg, alpha, tab.Bits(), []uint32{1}, 2, rng)
+			b0, b1, err := dpf.GenEarly(prg, alpha, tab.Bits(), 1, 2, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestRunRangeRandomPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	keys := make([]*dpf.Key, 5)
 	for q := range keys {
-		k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), []uint32{1}, rng)
+		k0, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), 1, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestRunRangeIntoAccumulates(t *testing.T) {
 	prg := dpf.NewAESPRG()
 	tab := buildTable(t, rows, lanes, 41)
 	rng := rand.New(rand.NewSource(42))
-	k0, _, err := dpf.Gen(prg, 7, tab.Bits(), []uint32{1}, rng)
+	k0, _, err := dpf.Gen(prg, 7, tab.Bits(), 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestRunRangeIntoAccumulates(t *testing.T) {
 func TestRunRangeIntoValidatesDst(t *testing.T) {
 	prg := dpf.NewAESPRG()
 	tab := buildTable(t, 16, 2, 51)
-	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), []uint32{1}, rand.New(rand.NewSource(52)))
+	k0, _, err := dpf.Gen(prg, 3, tab.Bits(), 1, rand.New(rand.NewSource(52)))
 	if err != nil {
 		t.Fatal(err)
 	}

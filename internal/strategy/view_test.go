@@ -104,7 +104,7 @@ func TestChunkedViewEquivalence(t *testing.T) {
 			tab := buildTable(t, rows, lanes, 99)
 			var keys []*dpf.Key
 			for _, idx := range []uint64{0, 7, 733, uint64(rows) - 1} {
-				k0, _, err := dpf.Gen(prg, idx, tab.Bits(), []uint32{1}, rng)
+				k0, _, err := dpf.Gen(prg, idx, tab.Bits(), 1, rng)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -23,10 +23,6 @@ import (
 var surfaceAllowlist = map[string]string{
 	"engine.Cluster.Heal":            "ROADMAP item 18(b): a -group front heals a quarantined member",
 	"core.Service.UpdateEmbeddings":  "the paper's §4.2 update path; ROADMAP items 6(b) and 6(d) call it",
-	"dpf.Gen":                        "default-depth key generation, the reference most tests build keys with (binaries call GenEarly)",
-	"dpf.EvalRange":                  "the one-key pruned range walk (§3.2.7), the scalar statement of what the executor's range descent computes",
-	"dpf.LeafLane":                   "the scalar leaf read the batched leaf kernels are pinned to",
-	"dpf.ScalarExpandBatch":          "the reference every native ExpandBatch must match bit for bit",
 	"batchpir.ExpectedRetrievalRate": "the analytic PBR rate TestExpectedRetrievalRate checks BuildPlan against",
 	"store.Snapshot.Row":             "the one-row reader store's paged and page-table tests read epochs through",
 	"netsim.LAN":                     "the near-zero link core and system tests model the network with",
