@@ -121,11 +121,11 @@
 //     broadcast VPMULLD operands; "avx2" is the same family on YMM
 //     (4 queries × 2 vectors); a 1–3-query remainder and batch-1 tiles
 //     take the family's 2- and 1-query bodies (never a zero-padded
-//     multiply) — the 1-query body is the YMM one on both tiers: with no
-//     second query to reuse a table vector it is load-bound, and 512-bit
-//     multiplies would drop the core's frequency for the batch-1 serving
-//     code around it — and lanes past the last whole vector tile ride a
-//     masked vector, so every lane count ≥ 1 runs in the kernel. The row block
+//     multiply) — on avx512 the 1-query body holds a 64-lane strip in
+//     four ZMM registers, chosen over an 8-YMM strip by cluster-single
+//     pairs (accumulateChunkSIMD has the numbers) — and lanes past the
+//     last whole vector tile ride a masked vector, so every lane count
+//     ≥ 1 runs in the kernel. The row block
 //     is cut by bytes (128 KiB of table: streamed from memory once,
 //     re-read from L2 by the tile's other query groups), which is 2048
 //     rows at 64 B and 32 rows at 4 KiB. "amx" (a CPU with AMX-INT8
@@ -242,12 +242,20 @@
 //     key's parsed wire version and both depths in the error.
 //     engine.Cluster, a Backend, splits one logical replica's row domain
 //     across N groups of Members — in-process replicas or remote nodes —
-//     fans each batch out concurrently (shard 0 on the calling goroutine,
-//     the others on one goroutine each, the pass's state pooled, so a
-//     one-key request's fan-out allocates nothing of its own) and merges
-//     the per-shard partial sums lane-wise mod 2^32 into shard 0's,
-//     bit-identical to a single process. The merge refuses a partial
-//     that does not name its epoch (*ShardError) and partials of
+//     fans each batch out concurrently and merges the per-shard partial
+//     sums lane-wise mod 2^32 into shard 0's, bit-identical to a single
+//     process. The pass's state is pooled, so a one-key request's
+//     fan-out allocates nothing of its own. When every member is a
+//     remote node's client (engine.Pipeliner, which wrappers embedding
+//     *shardnet.Client inherit) the pass starts no goroutine: the client
+//     calls the pass context's send hook once its request is written,
+//     the hook starts the next shard's request, and the replies are read
+//     last shard first, all on the calling goroutine (time spent in the
+//     hook is not the sending RPC's: its timeout is re-armed after).
+//     Otherwise shard 0 runs on the calling goroutine and the others on
+//     one goroutine each, since an in-process replica computes on its
+//     caller's goroutine. The merge refuses a partial that does not
+//     name its epoch (*ShardError) and partials of
 //     different epochs (a batch that straddles an update commit re-fans;
 //     a persistent mismatch fails with ErrMixedEpoch).
 //     Cluster.UpdateBatch installs a multi-row update all-or-nothing
@@ -316,9 +324,14 @@
 //     the hello; failed dials back off with seeded jitter, failing fast
 //     inside the window; context deadlines propagate to connection
 //     deadlines. A node's client (Dial) is uncapped and cuts a
-//     deadline-less RPC after DefaultRPCTimeout; write and RPC-timeout
+//     deadline-less RPC after DefaultRPCTimeout; a server's response
+//     writes are bounded by a fixed 30 s; write and RPC-timeout
 //     deadlines are re-armed only once they fall short, so a stalled
-//     write or RPC is cut between its timeout and 9/8 of it.
+//     write or RPC is cut between its timeout and 9/8 of it. Close ends
+//     every call: one in flight has its connection's deadline set in
+//     the past, one waiting for a DialClient's one connection stops
+//     waiting, and a later one fails without dialing, each with an
+//     error wrapping shardnet.ErrClosed.
 //   - internal/pir and internal/batchpir are thin protocol adapters over
 //     engine replicas: the two-server PIR protocol of §3.1 and the partial
 //     batch retrieval scheme of §4.1 (bins answered concurrently). The

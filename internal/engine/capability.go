@@ -106,7 +106,8 @@ type BatchUpdater interface {
 }
 
 // The optional capabilities: two a front door asserts for on its Backend,
-// one CatchUp asserts for on the receiving Member.
+// one CatchUp asserts for on the receiving Member, and one NewCluster
+// asserts for on every Member.
 
 // KeyValidator checks a marshaled key against a backend's configuration
 // without evaluating it. Batching front doors use it to reject a bad key
@@ -140,4 +141,16 @@ type SnapshotSink interface {
 	// member's burned-epoch floor to floor. epoch must lie strictly above
 	// the member's effective epoch.
 	AdoptSnapshot(ctx context.Context, epoch, floor uint64, lo, hi int, vals []uint32) error
+}
+
+// Pipeliner is a Member that computes nothing on its caller's goroutine: its
+// AnswerRangeEpoch writes the request, calls the context's RequestSent
+// method if the context has one, and only then waits for the reply. A
+// Cluster whose every member says Pipelined sends a pass's shard requests
+// back to back from the calling goroutine, each from the previous shard's
+// RequestSent, and reads the replies in reverse order; with any other
+// member it runs every shard after the first on a goroutine of its own, so
+// that in-process members compute side by side.
+type Pipeliner interface {
+	Pipelined() bool
 }

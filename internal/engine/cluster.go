@@ -282,6 +282,10 @@ type Cluster struct {
 	// state; memberAt[len(groups)] is the member count.
 	memberAt []int
 
+	// chained: every member is a Pipeliner, so a pass sends its shard
+	// requests from the calling goroutine, each from the last one's send
+	// hook.
+	chained bool
 	fanouts sync.Pool // *fanout
 	keys    sync.Pool // *dpf.Key, for ValidateKey
 
@@ -402,6 +406,11 @@ func NewCluster(shards ...ClusterShard) (*Cluster, error) {
 	}
 	if len(c.groups) > c.rows {
 		return nil, fmt.Errorf("engine: cluster of %d shards over a table of only %d rows", len(c.groups), c.rows)
+	}
+	c.chained = len(c.groups) > 1
+	for _, m := range members {
+		p, ok := m.be.(Pipeliner)
+		c.chained = c.chained && ok && p.Pipelined()
 	}
 	c.bounds = make([]int, len(c.groups)+1)
 	c.memberAt = make([]int, len(c.groups)+1)
@@ -612,20 +621,31 @@ func (c *Cluster) groupErr(g *shardGroup, memberErrs []error) error {
 	return gf
 }
 
-// answerOnce runs one fan-out/merge pass. Shard 0's sub-batch runs on the
-// calling goroutine and every other shard's on a goroutine of its own, so
-// a one-shard cluster hands nothing off and an n-shard one n-1 sub-batches;
-// the pass's state is pooled. The partials merge into shard 0's, which a
-// member hands over to its caller.
+// answerOnce runs one fan-out/merge pass; the pass's state is pooled. In a
+// chained cluster every shard's sub-batch runs on the calling goroutine:
+// shard 0's request, once written, starts shard 1's from its send hook and
+// so on, so the requests leave back to back and the replies are read last
+// shard first. A shard that failed before sending started no successor,
+// and the loop starts it here, under the pass context the failure ended.
+// Otherwise shard 0's sub-batch runs on the calling goroutine and every
+// other shard's on a goroutine of its own, since an in-process member
+// computes on its caller's goroutine. The partials merge into shard 0's,
+// which a member hands over to its caller.
 func (c *Cluster) answerOnce(ctx context.Context, keys [][]byte) ([][]uint32, error) {
 	f := c.getFanout(ctx, keys)
 	defer c.putFanout(f)
-	f.wg.Add(len(c.groups) - 1)
-	for _, run := range f.run[1:] {
-		go run()
+	if c.chained {
+		for f.next < len(c.groups) {
+			f.startNext()
+		}
+	} else {
+		f.wg.Add(len(c.groups) - 1)
+		for _, run := range f.run[1:] {
+			go run()
+		}
+		f.shard(0)
+		f.wg.Wait()
 	}
-	f.shard(0)
-	f.wg.Wait()
 	// Prefer the shard that actually failed over siblings that merely saw
 	// the cancellation it triggered.
 	fail := -1

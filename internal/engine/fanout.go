@@ -13,6 +13,7 @@ type fanout struct {
 	c    *Cluster
 	keys [][]byte
 	ctx  fanCtx
+	next int // a chained pass's next shard to start
 
 	results    []shardAnswer
 	errs       []error
@@ -33,6 +34,9 @@ func (c *Cluster) newFanout() *fanout {
 		run:        make([]func(), len(c.groups)),
 	}
 	f.ctx.onEnd = func() { f.ctx.cancel(context.Cause(f.ctx.Context)) }
+	if c.chained {
+		f.ctx.sent = f.startNext
+	}
 	for i := range f.run {
 		f.run[i] = func() {
 			defer f.wg.Done()
@@ -57,7 +61,7 @@ func (c *Cluster) getFanout(ctx context.Context, keys [][]byte) *fanout {
 // someone's hands.
 func (c *Cluster) putFanout(f *fanout) {
 	reusable := f.ctx.end()
-	f.keys = nil
+	f.keys, f.next = nil, 0
 	clear(f.results)
 	clear(f.errs)
 	clear(f.tried)
@@ -80,14 +84,28 @@ func (f *fanout) shard(i int) {
 	f.results[i] = ans
 }
 
+// startNext serves the first shard of a chained pass not yet started, on
+// the calling goroutine: it is the pass's send hook, so each shard's
+// request, once written, starts the next shard's, and the replies are read
+// in reverse order. Later calls (a failover member's send) start nothing
+// once every shard has started.
+func (f *fanout) startNext() {
+	if i := f.next; i < len(f.results) {
+		f.next++
+		f.shard(i)
+	}
+}
+
 // fanCtx is a pass's context: the caller's values and deadline, ended by
 // the caller's context or by the first shard that fails for good. Its
 // AfterFunc, with which shardnet.Client cuts a connection short, keeps
 // registrations in reused slots and runs them on the ending goroutine,
 // so an RPC under it allocates nothing; each returned stop may be called
-// at most once.
+// at most once. Its RequestSent is the send hook a Pipeliner member calls.
 type fanCtx struct {
 	context.Context // the caller's
+
+	sent func() // a chained pass's send hook; nil: none
 
 	mu     sync.Mutex
 	err    error
@@ -147,6 +165,14 @@ func (c *fanCtx) Err() error {
 		}
 	}
 	return err
+}
+
+// RequestSent runs the pass's send hook, if it has one: a Pipeliner member
+// calls it once its request is written and before it reads the reply.
+func (c *fanCtx) RequestSent() {
+	if c.sent != nil {
+		c.sent()
+	}
 }
 
 // cancel ends the context with err and runs every registered function.

@@ -8,7 +8,9 @@ import (
 	"hash/fnv"
 	"net"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpudpf/internal/backoff"
@@ -42,6 +44,11 @@ const DefaultRPCTimeout = 30 * time.Second
 // dialTimeout bounds each TCP connect plus hello.
 const dialTimeout = 10 * time.Second
 
+// ErrClosed is wrapped by the error of every call a Client ends or
+// refuses because it was closed: one in flight, one waiting for a
+// DialClient's connection, and one made after Close.
+var ErrClosed = errors.New("shardnet: client is closed")
+
 // Client is the one pooled client: each RPC runs lockstep on a connection
 // from its pool. A transport error retires only its connection — closed,
 // never read again, so no reply is read from a stream left mid-message —
@@ -69,7 +76,9 @@ type Client struct {
 
 	mu     sync.Mutex
 	idle   []*poolConn
-	closed bool
+	busy   []*poolConn // checked out by a call in flight
+	closed atomic.Bool // set under mu
+	done   chan struct{}
 
 	// Redial backoff state, under its own lock so a backed-off dial check
 	// never contends with the pool's hot path.
@@ -94,6 +103,13 @@ type poolConn struct {
 // fan-out context is one. stop must be called at most once.
 type afterFuncer interface {
 	AfterFunc(f func()) (stop func() bool)
+}
+
+// sendHooker is a context with a hook for do to run once its request is
+// written and before it reads the reply: a chained engine.Cluster pass
+// starts its next shard's request there (engine.Pipeliner).
+type sendHooker interface {
+	RequestSent()
 }
 
 // Dial connects to a node, says hello (failing fast, with both sides'
@@ -128,6 +144,7 @@ func dial(c *Client, opts *Options) (*Client, error) {
 	h := fnv.New64a()
 	h.Write([]byte(c.addr))
 	c.bo = backoff.New(backoff.Default(), h.Sum64())
+	c.done = make(chan struct{})
 	pc, w, err := c.dialConn()
 	if err != nil {
 		return nil, err
@@ -194,19 +211,20 @@ func (c *Client) hello(pc *poolConn) (hello, error) {
 	return w, nil
 }
 
-// get pops an idle connection or dials a fresh one. A server restarted
-// with a different configuration is caught here: every new connection's
-// welcome must match the first, except the epoch, which moves with every
-// update.
+// get pops an idle connection or dials a fresh one, and counts it busy
+// until release. A server restarted with a different configuration is
+// caught here: every new connection's welcome must match the first, except
+// the epoch, which moves with every update.
 func (c *Client) get() (*poolConn, error) {
 	c.mu.Lock()
 	switch n := len(c.idle); {
-	case c.closed:
+	case c.closed.Load():
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%s: client is closed", c.name)
+		return nil, fmt.Errorf("%s: %w", c.name, ErrClosed)
 	case n > 0:
 		pc := c.idle[n-1]
 		c.idle = c.idle[:n-1]
+		c.busy = append(c.busy, pc)
 		c.mu.Unlock()
 		return pc, nil
 	}
@@ -237,28 +255,51 @@ func (c *Client) get() (*poolConn, error) {
 		pc.conn.Close()
 		return nil, fmt.Errorf("%s: server configuration changed since the first hello (was %+v, now %+v)", c.name, pinned, w)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		pc.conn.Close()
+		return nil, fmt.Errorf("%s: %w", c.name, ErrClosed)
+	}
+	c.busy = append(c.busy, pc)
 	return pc, nil
 }
 
-// put returns a healthy connection to the pool.
-func (c *Client) put(pc *poolConn) {
+// release ends a call's use of its connection: a healthy one goes back to
+// the pool unless the client is closed; any other is closed.
+func (c *Client) release(pc *poolConn, healthy bool) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		pc.conn.Close()
-		return
+	i := slices.Index(c.busy, pc)
+	last := len(c.busy) - 1
+	c.busy[i], c.busy[last] = c.busy[last], nil
+	c.busy = c.busy[:last]
+	if healthy = healthy && !c.closed.Load(); healthy {
+		c.idle = append(c.idle, pc)
 	}
-	c.idle = append(c.idle, pc)
 	c.mu.Unlock()
+	if !healthy {
+		pc.conn.Close()
+	}
 }
 
-// Close closes the pooled connections; in-flight RPCs on checked-out
-// connections finish (their connections are then discarded).
+// Close closes the idle connections and ends every call: one in flight
+// returns at once (its connection's deadline is set in the past, and the
+// connection is closed when the call lets go of it), one waiting for a
+// connection returns, and every later one fails without dialing. Each
+// fails with an error wrapping ErrClosed.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed.Store(true)
+	close(c.done)
+	for _, pc := range c.busy {
+		pc.slam()
+	}
 	idle := c.idle
 	c.idle = nil
-	c.closed = true
 	c.mu.Unlock()
 	for _, pc := range idle {
 		pc.conn.Close()
@@ -266,15 +307,39 @@ func (c *Client) Close() error {
 	return nil
 }
 
+// arm sets pc's deadline for an RPC under ctx, from now: ctx's deadline
+// plus a grace (the AfterFunc do registers slams the connection the
+// instant ctx ends, so the net-layer timeout never races ahead of
+// ctx.Err()), or without one the RPC timeout. A connection already armed
+// as the RPC needs is left alone. A deadline set here may overwrite the
+// slam of a ctx or a Close that has already ended the RPC, so such an RPC
+// is slammed again.
+func (c *Client) arm(ctx context.Context, pc *poolConn) {
+	var deadline time.Time
+	if d, ok := ctx.Deadline(); ok {
+		deadline = d.Add(100 * time.Millisecond)
+	} else if c.timeout > 0 {
+		deadline, _ = boundBy(pc.deadline, c.timeout)
+	}
+	if !deadline.Equal(pc.deadline) {
+		pc.conn.SetDeadline(deadline)
+		pc.deadline = deadline
+		if c.closed.Load() || ctx.Err() != nil {
+			pc.slam()
+		}
+	}
+}
+
 // do runs one lockstep RPC: the request encoded into the connection's
-// reusable buffer and sent, the response read back into the same buffer
-// and, on success, its payload handed to parse, which must consume it
-// before do returns. ctx cancellation and deadlines propagate by slamming
-// the connection deadline, so a dead or slow server costs the caller its
-// deadline, not a hung goroutine. A failure the server reports — a shed
-// request comes back as serving.ErrOverloaded, so errors.Is works across
-// the network — leaves the connection pooled; any other retires it. A
-// capped client's RPC first waits for a slot, giving up when ctx ends.
+// reusable buffer and sent, the context's send hook run, the response read
+// back into the same buffer and, on success, its payload handed to parse,
+// which must consume it before do returns. ctx cancellation and deadlines
+// propagate by slamming the connection deadline, so a dead or slow server
+// costs the caller its deadline, not a hung goroutine; Close slams it
+// too. A failure the server reports — a shed request comes back as
+// serving.ErrOverloaded, so errors.Is works across the network — leaves
+// the connection pooled; any other retires it. A capped client's RPC first
+// waits for a slot, giving up when ctx ends or the client closes.
 func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%s: %w", c.name, err)
@@ -285,6 +350,8 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 			defer func() { <-c.slot }()
 		case <-ctx.Done():
 			return fmt.Errorf("%s: %w", c.name, ctx.Err())
+		case <-c.done:
+			return fmt.Errorf("%s: %w", c.name, ErrClosed)
 		}
 	}
 	pc, err := c.get()
@@ -292,40 +359,22 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 		return err
 	}
 	healthy := false
-	defer func() {
-		if healthy {
-			c.put(pc)
-		} else {
-			pc.conn.Close()
-		}
-	}()
+	defer func() { c.release(pc, healthy) }()
 	if pc.buf, err = appendRequest(frame.Begin(pc.buf), req); err != nil {
 		healthy = true // nothing was sent
 		return fmt.Errorf("%s: %w", c.name, err)
 	}
-	// A ctx deadline is the RPC's, plus a grace: the AfterFunc below slams
-	// the connection the instant ctx ends, so the net-layer timeout never
-	// races ahead of ctx.Err(). Without one, the RPC timeout is the
-	// deadline, and a ctx that cannot end needs no callback. A connection
-	// already armed as the RPC needs is left alone.
-	var deadline time.Time
-	if d, ok := ctx.Deadline(); ok {
-		deadline = d.Add(100 * time.Millisecond)
-	} else if c.timeout > 0 {
-		deadline, _ = boundBy(pc.deadline, c.timeout)
-	}
-	if !deadline.Equal(pc.deadline) {
-		pc.conn.SetDeadline(deadline)
-		pc.deadline = deadline
-	}
-	stop := func() bool { return true }
+	c.arm(ctx, pc)
+	stop := func() bool { return true } // a ctx that cannot end needs no callback
 	if a, ok := ctx.(afterFuncer); ok {
 		stop = a.AfterFunc(pc.slam)
 	} else if ctx.Done() != nil {
 		stop = context.AfterFunc(ctx, pc.slam)
 	}
 	ioErr := func(stage string, err error) error {
-		if cerr := ctx.Err(); cerr != nil {
+		if c.closed.Load() {
+			err = fmt.Errorf("%w (%w)", ErrClosed, err)
+		} else if cerr := ctx.Err(); cerr != nil {
 			err = cerr
 		} else if errors.Is(err, os.ErrDeadlineExceeded) {
 			err = fmt.Errorf("%w (%w)", context.DeadlineExceeded, err)
@@ -338,6 +387,11 @@ func (c *Client) do(ctx context.Context, req *request, parse func(*frame.Reader)
 	} else if err != nil {
 		stop()
 		return ioErr("send", err)
+	}
+	if h, ok := ctx.(sendHooker); ok {
+		// The hook's time is not this RPC's: re-arm its timeout.
+		h.RequestSent()
+		c.arm(ctx, pc)
 	}
 	body, err := frame.Read(pc.br, c.maxResp, &pc.buf)
 	if errors.Is(err, ErrFrameTooLarge) {
@@ -508,3 +562,9 @@ func (c *Client) Party() int { return c.w.Party }
 // HeldRange implements engine.Member: the global rows the node stated it
 // holds.
 func (c *Client) HeldRange() (lo, hi int) { return c.w.RowLo, c.w.RowHi }
+
+// Pipelined implements engine.Pipeliner: the node computes, and do runs a
+// context's send hook between its write and its read. A capped client
+// (DialClient's) says no: a call chained behind its own send would wait for
+// the one connection that send still holds.
+func (c *Client) Pipelined() bool { return c.slot == nil }

@@ -30,12 +30,6 @@ type ServerConfig struct {
 	// MaxBatch caps the keys of one request (0 = DefaultMaxBatch), enforced
 	// in the request parser before any per-key allocation.
 	MaxBatch int
-	// WriteTimeout bounds each response write (0 = 30s): a peer that
-	// requests a batch and never reads would otherwise fill the TCP window
-	// and pin the connection's goroutine and response buffer. A stalled
-	// write is cut between WriteTimeout and 9/8 of it after it starts: the
-	// deadline is re-armed only once it falls short of that.
-	WriteTimeout time.Duration
 	// ReadTimeout bounds a frame once its first byte has arrived, and a
 	// node's fresh connection's silence (0 = 10s), so a stalled peer or a
 	// port scanner cannot pin a goroutine. Connections may idle between
@@ -85,7 +79,6 @@ type Server struct {
 	maxReq, maxResp int
 	maxBatch        int
 	readTimeout     time.Duration
-	writeTimeout    time.Duration
 
 	// ctx cancels in-flight backend work when the server closes.
 	ctx    context.Context
@@ -140,18 +133,14 @@ func newServer(desc Describer, cfg ServerConfig, maxReq, maxResp int) *Server {
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 10 * time.Second
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	s := &Server{
-		desc:         desc,
-		maxReq:       maxReq,
-		maxResp:      maxResp,
-		maxBatch:     cfg.MaxBatch,
-		readTimeout:  cfg.ReadTimeout,
-		writeTimeout: cfg.WriteTimeout,
-		listeners:    map[net.Listener]struct{}{},
-		conns:        map[net.Conn]struct{}{},
+		desc:        desc,
+		maxReq:      maxReq,
+		maxResp:     maxResp,
+		maxBatch:    cfg.MaxBatch,
+		readTimeout: cfg.ReadTimeout,
+		listeners:   map[net.Listener]struct{}{},
+		conns:       map[net.Conn]struct{}{},
 	}
 	if desc != nil {
 		rows, lanes := desc.Shape()
@@ -428,10 +417,16 @@ func (s *Server) refuse(c *servedConn, err error) {
 	_, _ = io.CopyN(io.Discard, c.br, 2*int64(s.maxReq))
 }
 
+// writeTimeout bounds each response write: a peer that requests a batch
+// and never reads would otherwise fill the TCP window and pin the
+// connection's goroutine and response buffer.
+const writeTimeout = 30 * time.Second
+
 // write sends one response frame (built on frame.Begin) under the write
-// deadline, re-armed only once it falls short (boundBy).
+// deadline, re-armed only once it falls short (boundBy), so a stalled write
+// is cut between writeTimeout and 9/8 of it after it starts.
 func (s *Server) write(c *servedConn, resp []byte) error {
-	if d, ok := boundBy(c.writeDeadline, s.writeTimeout); ok {
+	if d, ok := boundBy(c.writeDeadline, writeTimeout); ok {
 		c.conn.SetWriteDeadline(d)
 		c.writeDeadline = d
 	}

@@ -18,8 +18,8 @@ import "gpudpf/internal/cpufeat"
 //go:noescape
 func accTileAVX2(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
 
-// accTileAVX512 is accTileAVX2 on ZMM registers, q ∈ {2, 4} queries × 4
-// vectors.
+// accTileAVX512 is accTileAVX2 on ZMM registers, q ∈ {1, 2, 4} queries ×
+// 4 vectors.
 //
 //go:noescape
 func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
@@ -73,13 +73,19 @@ const accBlockWords = 128 << 10 / 4
 // accumulateChunkSIMD is accumulateChunk through asm tier avx512 or avx2.
 // Per row block the tile's queries take the microkernel four at a time; a
 // 1–3-query remainder (and a batch-1 tile) takes the two- and one-query
-// bodies, so no multiply is spent on a padded slot. A lone query runs on
-// YMM in both tiers: with no second query to reuse a table vector it waits
-// on its loads, and 512-bit multiplies lower the core's frequency for the
-// serving code around a batch-1 call (cluster-single: 8% slower end to end
-// with a ZMM body). The kernel walks the lanes itself, tail lanes under a
-// mask; the calls are direct so their pointer arguments stay on this
-// stack. Bit-identical to accumulateChunkScalar: mod-2^32 adds commute.
+// bodies, so no multiply is spent on a padded slot. The avx512 tier's lone
+// query holds a 64-lane strip in four ZMM registers. An earlier ZMM body
+// read 8% slower end to end on cluster-single (6 pairs), blamed on the
+// frequency cost of 512-bit multiplies, so lone queries ran accTileAVX2's
+// 2-YMM strip. Measured again on a 2-vCPU AMX host: over a 1024×64 table
+// (BenchmarkAccumulateKernelTiers q1) 4.8–5.3 µs with the 2-YMM strip,
+// 3.8–4.3 µs with an 8-YMM one, 2.7–3.0 µs with the ZMM one; and on
+// cluster-single, 12 rounds against the 2-YMM build, each body beside
+// engine.Cluster's chained fan-out, median throughput +3.1% with the ZMM
+// body (ahead in 10 of 12) and +2.8% with the 8-YMM one (11 of 12), so the
+// ZMM body ships. The kernel walks the lanes itself, tail lanes under a
+// mask; the calls are direct so their pointer arguments stay on this stack.
+// Bit-identical to accumulateChunkScalar: mod-2^32 adds commute.
 func accumulateChunkSIMD(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
 	nRows := len(data) / lanes
 	for q := range leaves {
@@ -92,7 +98,7 @@ func accumulateChunkSIMD(tier string, data []uint32, lanes, row, leafLo int, lea
 		n := min(block, nRows-j0)
 		for q := 0; q < len(leaves); {
 			qn := [...]int{1: 1, 2: 2, 3: 2, 4: 4}[min(4, len(leaves)-q)]
-			if zmm && qn > 1 {
+			if zmm {
 				accTileAVX512(&answers[q], &leaves[q], qn, row+j0-leafLo, &data[j0*lanes], lanes, n)
 			} else {
 				accTileAVX2(&answers[q], &leaves[q], qn, row+j0-leafLo, &data[j0*lanes], lanes, n)

@@ -13,8 +13,8 @@
 // tile go through the one-vector body under a lane mask (all ones for a
 // whole vector, the low lanes for the row's tail): masked-out lanes are
 // neither loaded nor stored, so nothing is read past the table slice or
-// written past an answer buffer, for any lanes ≥ 1. Q is 4, 2 or 1 (ZMM:
-// 4 or 2); a 3-query remainder is a 2 and a 1, never a padded 4.
+// written past an answer buffer, for any lanes ≥ 1. Q is 4, 2 or 1; a
+// 3-query remainder is a 2 and a 1, never a padded 4.
 //
 // Shared register use: AX &answers[q] (slice headers, 24 bytes apart),
 // BX lane bytes still to do, CX row cursor, DX rows, SI row stride in
@@ -59,8 +59,9 @@ rows: \
 // leaf share is an embedded-broadcast memory operand of VPMULLD, so a
 // query costs no register beyond its accumulators.
 //
-// The tier has no one-query body: q is 4 or 2, and the driver sends a lone
-// query to accTileAVX2 (see accumulateChunkSIMD).
+// A lone query holds a 64-lane strip in Z0–Z3: four independent
+// multiply-add chains per row hide VPMULLD's latency (see
+// accumulateChunkSIMD for the measurements that chose it).
 
 #define LD4Z(hdr, a0, a1, a2, a3) \
 	MOVQ hdr(AX), R13           \
@@ -111,32 +112,38 @@ rows: \
 	DECQ R13         \
 	KMOVW R13, K1
 
-#define LD4Z2 LD4Z(0, Z0, Z1, Z2, Z3) \
+#define LD4Z1 LD4Z(0, Z0, Z1, Z2, Z3)
+#define LD4Z2 LD4Z1 \
 	LD4Z(24, Z4, Z5, Z6, Z7)
 #define LD4Z4 LD4Z2 \
 	LD4Z(48, Z8, Z9, Z10, Z11) \
 	LD4Z(72, Z12, Z13, Z14, Z15)
-#define ST4Z2 ST4Z(0, Z0, Z1, Z2, Z3) \
+#define ST4Z1 ST4Z(0, Z0, Z1, Z2, Z3)
+#define ST4Z2 ST4Z1 \
 	ST4Z(24, Z4, Z5, Z6, Z7)
 #define ST4Z4 ST4Z2 \
 	ST4Z(48, Z8, Z9, Z10, Z11) \
 	ST4Z(72, Z12, Z13, Z14, Z15)
-#define MAC4Z2 MAC4Z(R8, Z0, Z1, Z2, Z3) \
+#define MAC4Z1 MAC4Z(R8, Z0, Z1, Z2, Z3)
+#define MAC4Z2 MAC4Z1 \
 	MAC4Z(R9, Z4, Z5, Z6, Z7)
 #define MAC4Z4 MAC4Z2 \
 	MAC4Z(R10, Z8, Z9, Z10, Z11) \
 	MAC4Z(R11, Z12, Z13, Z14, Z15)
-#define LD1Z2 LD1Z(0, Z0) \
+#define LD1Z1 LD1Z(0, Z0)
+#define LD1Z2 LD1Z1 \
 	LD1Z(24, Z4)
 #define LD1Z4 LD1Z2 \
 	LD1Z(48, Z8) \
 	LD1Z(72, Z12)
-#define ST1Z2 ST1Z(0, Z0) \
+#define ST1Z1 ST1Z(0, Z0)
+#define ST1Z2 ST1Z1 \
 	ST1Z(24, Z4)
 #define ST1Z4 ST1Z2 \
 	ST1Z(48, Z8) \
 	ST1Z(72, Z12)
-#define MAC1Z2 MAC1Z(R8, Z0) \
+#define MAC1Z1 MAC1Z(R8, Z0)
+#define MAC1Z2 MAC1Z1 \
 	MAC1Z(R9, Z4)
 #define MAC1Z4 MAC1Z2 \
 	MAC1Z(R10, Z8) \
@@ -154,6 +161,8 @@ TEXT ·accTileAVX512(SB), NOSPLIT, $0-56
 	SHLQ $2, SI
 	XORQ R14, R14
 	LEAF(0, R8)
+	CMPQ R12, $2
+	JLT  z1
 	LEAF(24, R9)
 	CMPQ R12, $4
 	JLT  z2
@@ -166,6 +175,10 @@ z2:
 	MOVQ SI, BX
 	STRIP(z2w, z2wr, z2m, 256, 256, NONE, LD4Z2, ROW4Z, MAC4Z2, ST4Z2)
 	STRIP(z2m, z2mr, zdone, 4, 64, MASKZ, LD1Z2, ROW1Z, MAC1Z2, ST1Z2)
+z1:
+	MOVQ SI, BX
+	STRIP(z1w, z1wr, z1m, 256, 256, NONE, LD4Z1, ROW4Z, MAC4Z1, ST4Z1)
+	STRIP(z1m, z1mr, zdone, 4, 64, MASKZ, LD1Z1, ROW1Z, MAC1Z1, ST1Z1)
 zdone:
 	VZEROUPPER
 	RET

@@ -34,7 +34,7 @@ func accAsmTiers() []accAsmTier {
 		tiers[2].missing = amxMissing
 	}
 	if !cpufeat.AVX2 {
-		// Both tiers: the avx512 tier's lone queries run the avx2 body.
+		// Both tiers: accKernel picks avx512 only beside AVX2.
 		tiers[0].missing = "CPUID.7.0:EBX.AVX2 (bit 5) not set, or YMM state not OS-enabled"
 		tiers[1].missing = tiers[0].missing
 	} else if !cpufeat.AVX512BW {
