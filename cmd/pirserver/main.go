@@ -64,8 +64,9 @@
 // all-or-nothing, with concurrent answers pinned to the prior epoch.
 //
 // On SIGTERM/SIGINT the server shuts down gracefully: it stops accepting,
-// drains the in-flight batcher batches, and closes shardnet
-// serving/clients cleanly.
+// drains the in-flight batcher batches for up to drainTimeout — past it a
+// cluster front closes its node clients under the batches still held, which
+// then fail — and closes shardnet serving/clients cleanly.
 package main
 
 import (
@@ -182,6 +183,22 @@ func parseGroups(spec string) (groups [][]string, err error) {
 	return groups, nil
 }
 
+// drainTimeout bounds how long a shutdown waits for in-flight batches and
+// the refresher's update. Past it a cluster front closes its node clients,
+// so a batch held by a node that stopped answering ends with
+// shardnet.ErrClosed instead of holding shutdown for the client's 30 s RPC
+// timeout.
+const drainTimeout = 5 * time.Second
+
+// listen opens the server's port.
+func listen(addr string) net.Listener {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("pirserver: %v", err)
+	}
+	return l
+}
+
 // notifyShutdown closes the listener on SIGTERM/SIGINT, which unblocks the
 // serving accept loop; the caller then drains and closes its stack in
 // order. The returned channel reports whether a signal (vs. a listener
@@ -225,16 +242,13 @@ func openReplica(cfg config, lo, hi int) (rep *engine.Replica, closeStore func()
 	return rep, closeStore
 }
 
-// serveClients runs the client protocol on cfg.addr over be — behind the
-// batching front door unless -batch 0 — with the refresher beside it,
-// until SIGTERM/SIGINT; then it drains. A pinning client's hello is
-// checked against desc. what and detail are the start-up line's
-// mode-specific halves.
-func serveClients(cfg config, be engine.Backend, desc shardnet.Describer, what, detail string) {
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
+// serveClients runs the client protocol on l over be — behind the batching
+// front door unless -batch 0 — with the refresher beside it, until l
+// closes (on SIGTERM/SIGINT); then it drains for up to drainTimeout, and
+// past it calls cut, if not nil, to end what is still in flight. A
+// pinning client's hello is checked against desc. what and detail are the
+// start-up line's mode-specific halves.
+func serveClients(cfg config, l net.Listener, be engine.Backend, desc shardnet.Describer, what, detail string, cut func()) {
 	var answerer pir.Answerer = pir.BackendEndpoint{Backend: be}
 	inflight, closeDoor := 0, func() {}
 	if cfg.batch > 0 {
@@ -259,8 +273,21 @@ func serveClients(cfg config, be engine.Backend, desc shardnet.Describer, what, 
 	}
 	signal.Stop(sig)
 	close(sig)
-	stopRefresh()
-	closeDoor() // drains pending and in-flight batches
+	drained := make(chan struct{})
+	go func() {
+		stopRefresh()
+		closeDoor() // drains pending and in-flight batches
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(drainTimeout):
+		if cut != nil {
+			log.Printf("pirserver: batches still in flight after %v: closing the node clients under them", drainTimeout)
+			cut()
+		}
+		<-drained
+	}
 }
 
 // runSingle is the classic single-process server: full local table behind
@@ -268,8 +295,8 @@ func serveClients(cfg config, be engine.Backend, desc shardnet.Describer, what, 
 func runSingle(cfg config) {
 	rep, closeStore := openReplica(cfg, 0, cfg.rows)
 	defer closeStore()
-	serveClients(cfg, rep, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
-		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), cfg.early()))
+	serveClients(cfg, listen(cfg.addr), rep, rep, fmt.Sprintf("serving %d×%dB table", cfg.rows, cfg.lanes*4),
+		fmt.Sprintf("prg=%s aes=%s acc=%s early=%d", dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), cfg.early()), nil)
 	log.Printf("pirserver: shutdown complete")
 }
 
@@ -300,10 +327,7 @@ func runShardNode(cfg config) {
 	if err != nil {
 		log.Fatalf("pirserver: %v", err)
 	}
-	l, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		log.Fatalf("pirserver: %v", err)
-	}
+	l := listen(cfg.addr)
 	log.Printf("pirserver: party %d shard node %d/%d serving rows [%d,%d) of %d×%dB table on %s (prg=%s aes=%s acc=%s early=%d)",
 		cfg.party, idx, count, lo, hi, cfg.rows, cfg.lanes*4, l.Addr(), dpf.PRGName, dpf.AESKernel(), strategy.AccumulateKernel(), cfg.early())
 	sig := notifyShutdown(l)
@@ -389,9 +413,9 @@ func runClusterFront(cfg config) {
 		log.Printf("pirserver: clamping -batch %d to %d (shard nodes' request/response frame caps at %d lanes)", cfg.batch, maxBatch, lanes)
 		cfg.batch = maxBatch
 	}
-	serveClients(cfg, cluster, clusterDesc{cluster, cfg.party},
+	serveClients(cfg, listen(cfg.addr), cluster, clusterDesc{cluster, cfg.party},
 		fmt.Sprintf("cluster front over %d shards / %d members (%s) serving %d×%dB table", len(groups), total, cfg.group, cfg.rows, lanes*4),
-		fmt.Sprintf("prg=%s early=%d", dpf.PRGName, cfg.early()))
+		fmt.Sprintf("prg=%s early=%d", dpf.PRGName, cfg.early()), func() { cluster.Close() })
 	cluster.Close()
 	log.Printf("pirserver: shutdown complete")
 }

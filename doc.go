@@ -115,17 +115,24 @@
 //     table[rows×lanes] of §3.1/§3.2.4, and is kernel-dispatched like the
 //     AES path: the shared cpufeat probe picks one asm tier at init
 //     (strategy.AccumulateKernel names it; pirserver logs it as acc=) —
-//     "avx512" register-blocks 4 queries × 4 ZMM vectors of answer
+//     "avx2" register-blocks 4 queries × 2 YMM vectors of answer
 //     accumulators across a row block, loading each table vector once
-//     and multiplying it by the four queries' leaf shares as embedded-
-//     broadcast VPMULLD operands; "avx2" is the same family on YMM
-//     (4 queries × 2 vectors); a 1–3-query remainder and batch-1 tiles
-//     take the family's 2- and 1-query bodies (never a zero-padded
-//     multiply) — on avx512 the 1-query body holds a 64-lane strip in
-//     four ZMM registers, chosen over an 8-YMM strip by cluster-single
-//     pairs (accumulateChunkSIMD has the numbers) — and lanes past the
-//     last whole vector tile ride a masked vector, so every lane count
-//     ≥ 1 runs in the kernel. The row block
+//     and multiplying it by the four queries' broadcast leaf shares with
+//     VPMULLD; "avx512" (AVX-512 with IFMA; a CPU without IFMA takes
+//     avx2) register-blocks 4 queries × 2 ZMM vectors on VPMADD52LUQ,
+//     which keeps the low 52 bits of each 64-bit lane's product, so the
+//     low 32 bits — a lane's mod-2^32 product-sum — are exact: the
+//     table's even dwords multiply in place, its odd dwords come from
+//     one VPSRLQ shared by the group, each query keeps even and odd
+//     accumulators re-interleaved once per strip, and one multiply-add
+//     covers 8 lanes where a VPMULLD+VPADDD pair covered 16, yet a
+//     4-query pass over a 256 KiB page runs ~20% faster; a 1–3-query
+//     remainder and batch-1 tiles take the family's 2- and 1-query
+//     bodies (never a zero-padded multiply) — on avx512 the 2-query body is IFMA too, and the 1-query body
+//     holds a 64-lane strip in four ZMM registers on VPMULLD, chosen over
+//     an 8-YMM strip by cluster-single pairs (accumulateChunkSIMD has the
+//     numbers) — and lanes past the last whole vector tile ride a masked
+//     vector, so every lane count ≥ 1 runs in the kernel. The row block
 //     is cut by bytes (128 KiB of table: streamed from memory once,
 //     re-read from L2 by the tile's other query groups), which is 2048
 //     rows at 64 B and 32 rows at 4 KiB. "amx" (a CPU with AMX-INT8
@@ -192,12 +199,19 @@
 //     a scratch file beside a paged table's file — and share the rest,
 //     so an update costs O(pages written), not O(table), and a slot no
 //     retained epoch maps is reused. store.PagedBacking serves tables larger
-//     than memory from a file through a fixed-size-page LRU cache
+//     than memory from a file through a fixed-size-page cache
 //     (pirserver -table-file/-pagecache — single servers and -shardnode
 //     instances alike), bit-identical to the in-RAM path and
 //     CI-enforced with the cache budget a quarter of the table. The
 //     paged read path is allocation-bounded and reads the file as
-//     little as it can: evicted page buffers recycle through a small
+//     little as it can: a scan read that finds the cache full streams
+//     through it instead of displacing a resident page (DBMIN's MRU rule
+//     for a loop over more pages than the cache holds, Chou and DeWitt,
+//     VLDB 1985), so the pages that filled the cache stay hits on every
+//     pass and each read lands in the buffer the scan released a page or
+//     two earlier, still in L2; written pages and Row reads join the
+//     cache and evict the least recently loaded page. Released page
+//     buffers recycle through a small LIFO
 //     free pool (a steady-state pass allocates nothing per page —
 //     AllocsPerRun-enforced), little-endian hosts read file bytes
 //     directly into the page's word buffer with no staging copy, and

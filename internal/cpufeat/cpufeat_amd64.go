@@ -25,6 +25,9 @@ var (
 	// AVX512BW: AVX-512 foundation plus the byte/word instructions
 	// (word permutes and byte unpacks on ZMM registers), OS-enabled.
 	AVX512BW bool
+	// AVX512IFMA: AVX-512 foundation plus the 52-bit integer multiply-add
+	// (VPMADD52LUQ / VPMADD52HUQ), OS-enabled.
+	AVX512IFMA bool
 	// AMXInt8: the tile unit with its u8×u8→int32 dot product (TDPBUUD),
 	// usable by this process — CPUID's AMX-TILE and AMX-INT8 bits, tile
 	// config+data state enabled in XCR0, the OS having granted the process
@@ -59,6 +62,8 @@ func init() {
 	// ZMM16-31.
 	const avx512fBW = 1<<16 | 1<<30
 	AVX512BW = xcr0&0xe0 == 0xe0 && ebx7&avx512fBW == avx512fBW
+	const avx512fIFMA = 1<<16 | 1<<21
+	AVX512IFMA = xcr0&0xe0 == 0xe0 && ebx7&avx512fIFMA == avx512fIFMA
 	// Tile state is XCR0 bits 17 (config) and 18 (data). The permission
 	// request comes last: it is the one step with a side effect.
 	const amxTileInt8 = 1<<24 | 1<<25

@@ -34,7 +34,7 @@ func TestProbeMatchesKernelFlags(t *testing.T) {
 		flag string
 		got  bool
 	}{{"aes", AESNI}, {"avx2", AVX2}, {"vaes", VAES},
-		{"avx512bw", AVX512BW}} {
+		{"avx512bw", AVX512BW}, {"avx512ifma", AVX512IFMA}} {
 		if c.got != flags[c.flag] {
 			t.Errorf("probe says %s=%v, /proc/cpuinfo says %v", c.flag, c.got, flags[c.flag])
 		}
@@ -46,4 +46,6 @@ func TestProbeMatchesKernelFlags(t *testing.T) {
 		t.Errorf("probe says AMXInt8, /proc/cpuinfo lists amx_tile=%v amx_int8=%v", flags["amx_tile"], flags["amx_int8"])
 	}
 	t.Logf("AMXInt8=%v (/proc/cpuinfo lists the unit: %v)", AMXInt8, listed)
+	// The avx512 accumulate tier runs only where IFMA is set.
+	t.Logf("AVX512IFMA=%v (/proc/cpuinfo lists avx512ifma: %v)", AVX512IFMA, flags["avx512ifma"])
 }

@@ -4,9 +4,10 @@ package cpufeat
 
 // Non-amd64 builds (and -tags purego) have no asm kernels to select.
 const (
-	AESNI    = false
-	AVX2     = false
-	VAES     = false
-	AVX512BW = false
-	AMXInt8  = false
+	AESNI      = false
+	AVX2       = false
+	VAES       = false
+	AVX512BW   = false
+	AVX512IFMA = false
+	AMXInt8    = false
 )

@@ -21,12 +21,15 @@ import (
 // TestPagedPassTakesResidentPagesFirst: a pass reads the file only for the
 // pages it does not find resident. Through a cache a quarter of the table,
 // two back-to-back one-worker passes load 256 pages and then 192 — the 64
-// the first pass left resident are the second's first 64 chunks, not the
-// first pages its tail evicts (an ascending pass through an LRU loads all
-// 256 every time). Hits counts each page once per pass, also over a
-// written epoch: its pages are new versions under new cache keys, so of the
-// 64 resident pages the one it rewrote (page 140) is read again, in its
-// new version, and the other 63 are hits.
+// that filled the cache on the first pass (its head, pages 0–63; the 192
+// after them streamed through it) are the second's first 64 chunks (an
+// ascending pass through an LRU loads all 256 every time). Hits counts
+// each page once per pass, also over a written epoch: the batch rewrites
+// pages 0, 1, 15, 140 and 255, each new version joining the cache under a
+// new key and evicting the least recently loaded page (old 0, old 1, then
+// pages 2, 3 and 4), while old 15 stays resident with the epoch the store
+// keeps for rollback. The pass hits the 63 resident pages it needs (the
+// five new versions and 58 of pages 5–63) and streams the other 193.
 func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	const rows, lanes = 16384, 4 // 256 pages of 64 rows, 64 of them cached
 	tab, pb := pagedFixture(t, rows, lanes, 1<<10)
@@ -67,6 +70,65 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	}
 	if l, h := pass(applyWords(tab.Data, lanes, writes)); l != 193 || h != 63 {
 		t.Fatalf("pass over a written epoch: %d loads, %d hits; want 193 loads, 63 hits", l, h)
+	}
+}
+
+// TestPagedScanStreamsThroughHotBuffers pins the streaming rule of a full
+// cache: a one-worker scan through a cache a quarter of the table fills it
+// with the table's head, and from then on every page it reads lands in the
+// buffer its previous read released (judged by the chunk's first word's
+// address), not in one that left the cache 64 reads earlier. Each later
+// pass hits the same 64 page versions — the same pages in the same
+// buffers — and reads the rest the same way.
+func TestPagedScanStreamsThroughHotBuffers(t *testing.T) {
+	const rows, lanes = 16384, 4 // 256 pages of 64 rows, 64 of them cached
+	tab, pb := pagedFixture(t, rows, lanes, 1<<10)
+	s, err := NewPaged(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	var hot map[int]*uint32
+	for pass := 0; pass < 4; pass++ {
+		hits := make(map[int]*uint32)
+		reads := make(map[int]*uint32)
+		loads := pb.Loads()
+		err := sn.Chunks(0, rows, func(c strategy.Chunk) error {
+			page, buf := c.Row/pb.pageRows, &c.Data[0]
+			if c.Data[1] != tab.Data[c.Row*lanes+1] {
+				t.Errorf("pass %d page %d: wrong data", pass, page)
+			}
+			if l := pb.Loads(); l == loads {
+				hits[page] = buf
+			} else {
+				loads = l
+				reads[page] = buf
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for page := 65; page < pb.nPages; page++ {
+			if buf, ok := reads[page]; !ok || buf != reads[page-1] {
+				t.Fatalf("pass %d: page %d read into %p, not the buffer page %d's read released (%p)", pass, page, buf, page-1, reads[page-1])
+			}
+		}
+		if pass == 0 {
+			continue
+		}
+		if len(hits) != 64 || len(reads) != 192 {
+			t.Fatalf("pass %d: %d hits, %d reads; want 64, 192", pass, len(hits), len(reads))
+		}
+		if hot == nil {
+			hot = hits
+		}
+		for page, buf := range hot {
+			if hits[page] != buf {
+				t.Fatalf("pass %d: page %d hit at %p, pass 1 at %p", pass, page, hits[page], buf)
+			}
+		}
 	}
 }
 

@@ -70,8 +70,9 @@ func TestPagedFailedLoadKeepsPool(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	// One sweep through a cache a quarter the table's size leaves an
-	// evicted page's buffer in the free list and the table's tail resident.
+	// One sweep through a cache a quarter the table's size leaves the
+	// buffer the scan streamed its last pages through in the free list and
+	// the table's head (pages 0–3) resident.
 	if err := sn.Chunks(0, rows, func(strategy.Chunk) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestPagedFailedLoadKeepsPool(t *testing.T) {
 		t.Fatal("sweep left no pooled page to lose")
 	}
 	for i := 0; i < 100; i++ {
-		_, err := sn.Row(i % (rows / 2))
+		_, err := sn.Row(rows/2 + i%(rows/2)) // pages 8–15: none resident
 		if !errors.Is(err, ErrPageRead) || !(errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)) {
 			t.Fatalf("load %d of a truncated page: error %v, want ErrPageRead wrapping the short read", i, err)
 		}

@@ -18,8 +18,8 @@ import "gpudpf/internal/cpufeat"
 //go:noescape
 func accTileAVX2(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
 
-// accTileAVX512 is accTileAVX2 on ZMM registers, q ∈ {1, 2, 4} queries ×
-// 4 vectors.
+// accTileAVX512 is accTileAVX2 on ZMM registers: a lone query × 4 vectors
+// on VPMULLD, q ∈ {2, 4} queries × 2 vectors on AVX-512 IFMA.
 //
 //go:noescape
 func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
@@ -27,9 +27,9 @@ func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n
 // accKernel is the tier accumulateChunk runs on this host.
 var accKernel = func() string {
 	switch {
-	case cpufeat.AMXInt8 && cpufeat.AVX2:
+	case cpufeat.AMXInt8 && cpufeat.AVX512IFMA && cpufeat.AVX2:
 		return accAMX
-	case cpufeat.AVX512BW && cpufeat.AVX2:
+	case cpufeat.AVX512IFMA && cpufeat.AVX2:
 		return accAVX512
 	case cpufeat.AVX2:
 		return accAVX2
@@ -73,18 +73,29 @@ const accBlockWords = 128 << 10 / 4
 // accumulateChunkSIMD is accumulateChunk through asm tier avx512 or avx2.
 // Per row block the tile's queries take the microkernel four at a time; a
 // 1–3-query remainder (and a batch-1 tile) takes the two- and one-query
-// bodies, so no multiply is spent on a padded slot. The avx512 tier's lone
-// query holds a 64-lane strip in four ZMM registers. An earlier ZMM body
-// read 8% slower end to end on cluster-single (6 pairs), blamed on the
-// frequency cost of 512-bit multiplies, so lone queries ran accTileAVX2's
-// 2-YMM strip. Measured again on a 2-vCPU AMX host: over a 1024×64 table
-// (BenchmarkAccumulateKernelTiers q1) 4.8–5.3 µs with the 2-YMM strip,
-// 3.8–4.3 µs with an 8-YMM one, 2.7–3.0 µs with the ZMM one; and on
-// cluster-single, 12 rounds against the 2-YMM build, each body beside
-// engine.Cluster's chained fan-out, median throughput +3.1% with the ZMM
-// body (ahead in 10 of 12) and +2.8% with the 8-YMM one (11 of 12), so the
-// ZMM body ships. The kernel walks the lanes itself, tail lanes under a
-// mask; the calls are direct so their pointer arguments stay on this stack.
+// bodies, so no multiply is spent on a padded slot.
+//
+// The avx512 tier's four- and two-query bodies multiply on AVX-512 IFMA,
+// one VPMADD52LUQ per 8 lanes where a VPMULLD+VPADDD pair did 16. On a
+// 2-vCPU AMX host (BenchmarkAccumulateKernelTiers q4) a 256 KiB page of
+// 4 KiB rows takes 5.1–5.3 µs against the VPMULLD body's 6.5–6.7 µs, and
+// the 64 MiB table 2.20–2.38 ms against 2.38–2.64 ms; at q2 the page takes
+// 3.0 µs against 3.4 µs, and a 64-lane two-query strip (4 vectors, not 2)
+// gained under 4% more, too little for a second set of macros.
+//
+// Its lone query holds a 64-lane strip in four ZMM registers on VPMULLD.
+// An earlier ZMM body read 8% slower end to end on cluster-single (6
+// pairs), blamed on the frequency cost of 512-bit multiplies, so lone
+// queries ran accTileAVX2's 2-YMM strip. Measured again on a 2-vCPU AMX
+// host: over a 1024×64 table (BenchmarkAccumulateKernelTiers q1) 4.8–5.3 µs
+// with the 2-YMM strip, 3.8–4.3 µs with an 8-YMM one, 2.7–3.0 µs with the
+// ZMM one; and on cluster-single, 12 rounds against the 2-YMM build, each
+// body beside engine.Cluster's chained fan-out, median throughput +3.1%
+// with the ZMM body (ahead in 10 of 12) and +2.8% with the 8-YMM one (11 of
+// 12), so the ZMM body ships.
+//
+// The kernel walks the lanes itself, tail lanes under a mask; the calls
+// are direct so their pointer arguments stay on this stack.
 // Bit-identical to accumulateChunkScalar: mod-2^32 adds commute.
 func accumulateChunkSIMD(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
 	nRows := len(data) / lanes

@@ -52,35 +52,49 @@ rows: \
 	MOVQ hdr(BX), cursor \
 	LEAQ (cursor)(CX*4), cursor
 
-// ---- AVX-512 tier: 16 lanes per ZMM, 4-vector tiles --------------------
+// ---- AVX-512 tier: 16 lanes per ZMM -----------------------------------
 //
-// Z0–Z15 accumulators (query i owns Z(4i)..Z(4i+3)), Z16–Z19 the row's
-// table vectors, Z20–Z23 products, K1 the one-vector body's lane mask. The
-// leaf share is an embedded-broadcast memory operand of VPMULLD, so a
-// query costs no register beyond its accumulators.
+// Two and four queries multiply on IFMA: VPMADD52LUQ adds the low 52 bits
+// of each 64-bit lane's product to a 64-bit accumulator, and a sum's low
+// 32 bits depend only on the low 32 bits of what is multiplied and added,
+// so a 64-bit lane computes the mod-2^32 product-sum of the dwords in its
+// low halves whatever lies above them. The table's even dwords are used in
+// place, its odd dwords come from one VPSRLQ shared by every query of the
+// group, and the leaf share is broadcast to both halves of every 64-bit
+// lane with VPBROADCASTD (IFMA's {1to8} memory broadcast would read 8
+// bytes, past the end of a leaf slice). A query so keeps an even and an
+// odd accumulator per table vector, split from the answers at the strip's
+// start and re-interleaved once at its end (K2 selects the odd dwords).
+// Strips are 2 vectors wide: Z0–Z15 accumulators (query i owns
+// Z(4i)..Z(4i+3): even, odd of vector 0, even, odd of vector 1), Z16/Z17
+// the row's table vectors and Z18/Z19 their odd dwords, Z20–Z23 the
+// queries' broadcast leaf shares, K1 the one-vector body's lane mask. One
+// VPMADD52LUQ covers 8 lanes where VPMULLD+VPADDD covered 16, and still
+// the strips run faster (see accumulateChunkSIMD).
 //
-// A lone query holds a 64-lane strip in Z0–Z3: four independent
-// multiply-add chains per row hide VPMULLD's latency (see
-// accumulateChunkSIMD for the measurements that chose it).
+// A lone query holds a 64-lane strip in Z0–Z3 on VPMULLD: four
+// independent multiply-add chains per row hide its latency, and the leaf
+// share is an embedded-broadcast memory operand (see accumulateChunkSIMD
+// for the measurements that chose it).
 
-#define LD4Z(hdr, a0, a1, a2, a3) \
-	MOVQ hdr(AX), R13           \
-	VMOVDQU32 (R13)(R14*1), a0    \
-	VMOVDQU32 64(R13)(R14*1), a1  \
-	VMOVDQU32 128(R13)(R14*1), a2 \
-	VMOVDQU32 192(R13)(R14*1), a3
-#define ST4Z(hdr, a0, a1, a2, a3) \
-	MOVQ hdr(AX), R13           \
-	VMOVDQU32 a0, (R13)(R14*1)    \
-	VMOVDQU32 a1, 64(R13)(R14*1)  \
-	VMOVDQU32 a2, 128(R13)(R14*1) \
-	VMOVDQU32 a3, 192(R13)(R14*1)
-#define LD1Z(hdr, a0) \
-	MOVQ hdr(AX), R13 \
-	VMOVDQU32.Z (R13)(R14*1), K1, a0
-#define ST1Z(hdr, a0) \
-	MOVQ hdr(AX), R13 \
-	VMOVDQU32 a0, K1, (R13)(R14*1)
+#define LD4Z1 \
+	MOVQ (AX), R13                \
+	VMOVDQU32 (R13)(R14*1), Z0    \
+	VMOVDQU32 64(R13)(R14*1), Z1  \
+	VMOVDQU32 128(R13)(R14*1), Z2 \
+	VMOVDQU32 192(R13)(R14*1), Z3
+#define ST4Z1 \
+	MOVQ (AX), R13                \
+	VMOVDQU32 Z0, (R13)(R14*1)    \
+	VMOVDQU32 Z1, 64(R13)(R14*1)  \
+	VMOVDQU32 Z2, 128(R13)(R14*1) \
+	VMOVDQU32 Z3, 192(R13)(R14*1)
+#define LD1Z1 \
+	MOVQ (AX), R13 \
+	VMOVDQU32.Z (R13)(R14*1), K1, Z0
+#define ST1Z1 \
+	MOVQ (AX), R13 \
+	VMOVDQU32 Z0, K1, (R13)(R14*1)
 #define ROW4Z \
 	VMOVDQU32 (CX), Z16    \
 	VMOVDQU32 64(CX), Z17  \
@@ -88,18 +102,18 @@ rows: \
 	VMOVDQU32 192(CX), Z19
 #define ROW1Z \
 	VMOVDQU32.Z (CX), K1, Z16
-#define MAC4Z(leaf, a0, a1, a2, a3) \
-	VPMULLD.BCST (leaf)(R12*4), Z16, Z20 \
-	VPMULLD.BCST (leaf)(R12*4), Z17, Z21 \
-	VPMULLD.BCST (leaf)(R12*4), Z18, Z22 \
-	VPMULLD.BCST (leaf)(R12*4), Z19, Z23 \
-	VPADDD Z20, a0, a0 \
-	VPADDD Z21, a1, a1 \
-	VPADDD Z22, a2, a2 \
-	VPADDD Z23, a3, a3
-#define MAC1Z(leaf, a0) \
-	VPMULLD.BCST (leaf)(R12*4), Z16, Z20 \
-	VPADDD Z20, a0, a0
+#define MAC4Z1 \
+	VPMULLD.BCST (R8)(R12*4), Z16, Z20 \
+	VPMULLD.BCST (R8)(R12*4), Z17, Z21 \
+	VPMULLD.BCST (R8)(R12*4), Z18, Z22 \
+	VPMULLD.BCST (R8)(R12*4), Z19, Z23 \
+	VPADDD Z20, Z0, Z0 \
+	VPADDD Z21, Z1, Z1 \
+	VPADDD Z22, Z2, Z2 \
+	VPADDD Z23, Z3, Z3
+#define MAC1Z1 \
+	VPMULLD.BCST (R8)(R12*4), Z16, Z20 \
+	VPADDD Z20, Z0, Z0
 // MASKZ sets K1 to the low min(BX/4, 16) lanes.
 #define MASKZ \
 	MOVQ BX, CX      \
@@ -112,42 +126,88 @@ rows: \
 	DECQ R13         \
 	KMOVW R13, K1
 
-#define LD4Z1 LD4Z(0, Z0, Z1, Z2, Z3)
-#define LD4Z2 LD4Z1 \
-	LD4Z(24, Z4, Z5, Z6, Z7)
-#define LD4Z4 LD4Z2 \
-	LD4Z(48, Z8, Z9, Z10, Z11) \
-	LD4Z(72, Z12, Z13, Z14, Z15)
-#define ST4Z1 ST4Z(0, Z0, Z1, Z2, Z3)
-#define ST4Z2 ST4Z1 \
-	ST4Z(24, Z4, Z5, Z6, Z7)
-#define ST4Z4 ST4Z2 \
-	ST4Z(48, Z8, Z9, Z10, Z11) \
-	ST4Z(72, Z12, Z13, Z14, Z15)
-#define MAC4Z1 MAC4Z(R8, Z0, Z1, Z2, Z3)
-#define MAC4Z2 MAC4Z1 \
-	MAC4Z(R9, Z4, Z5, Z6, Z7)
-#define MAC4Z4 MAC4Z2 \
-	MAC4Z(R10, Z8, Z9, Z10, Z11) \
-	MAC4Z(R11, Z12, Z13, Z14, Z15)
-#define LD1Z1 LD1Z(0, Z0)
-#define LD1Z2 LD1Z1 \
-	LD1Z(24, Z4)
-#define LD1Z4 LD1Z2 \
-	LD1Z(48, Z8) \
-	LD1Z(72, Z12)
-#define ST1Z1 ST1Z(0, Z0)
-#define ST1Z2 ST1Z1 \
-	ST1Z(24, Z4)
-#define ST1Z4 ST1Z2 \
-	ST1Z(48, Z8) \
-	ST1Z(72, Z12)
-#define MAC1Z1 MAC1Z(R8, Z0)
-#define MAC1Z2 MAC1Z1 \
-	MAC1Z(R9, Z4)
-#define MAC1Z4 MAC1Z2 \
-	MAC1Z(R10, Z8) \
-	MAC1Z(R11, Z12)
+// The IFMA bodies: LD splits a query's answer vectors into even and odd
+// accumulators, ST re-interleaves and stores them, ROW loads a row's table
+// vectors with their odd dwords, MAC broadcasts a query's leaf share into
+// l and multiply-adds it into the query's accumulators.
+#define LD2F(hdr, e0, o0, e1, o1) \
+	MOVQ hdr(AX), R13             \
+	VMOVDQU32 (R13)(R14*1), e0    \
+	VMOVDQU32 64(R13)(R14*1), e1  \
+	VPSRLQ $32, e0, o0            \
+	VPSRLQ $32, e1, o1
+#define ST2F(hdr, e0, o0, e1, o1) \
+	VPSLLQ $32, o0, o0            \
+	VPSLLQ $32, o1, o1            \
+	VPBLENDMD o0, e0, K2, e0      \
+	VPBLENDMD o1, e1, K2, e1      \
+	MOVQ hdr(AX), R13             \
+	VMOVDQU32 e0, (R13)(R14*1)    \
+	VMOVDQU32 e1, 64(R13)(R14*1)
+#define LD1F(hdr, e0, o0) \
+	MOVQ hdr(AX), R13                \
+	VMOVDQU32.Z (R13)(R14*1), K1, e0 \
+	VPSRLQ $32, e0, o0
+#define ST1F(hdr, e0, o0) \
+	VPSLLQ $32, o0, o0            \
+	VPBLENDMD o0, e0, K2, e0      \
+	MOVQ hdr(AX), R13             \
+	VMOVDQU32 e0, K1, (R13)(R14*1)
+#define ROW2F \
+	VMOVDQU32 (CX), Z16    \
+	VMOVDQU32 64(CX), Z17  \
+	VPSRLQ $32, Z16, Z18   \
+	VPSRLQ $32, Z17, Z19
+#define ROW1F \
+	VMOVDQU32.Z (CX), K1, Z16 \
+	VPSRLQ $32, Z16, Z18
+#define MAC2F(leaf, l, e0, o0, e1, o1) \
+	VPBROADCASTD (leaf)(R12*4), l \
+	VPMADD52LUQ Z16, l, e0        \
+	VPMADD52LUQ Z18, l, o0        \
+	VPMADD52LUQ Z17, l, e1        \
+	VPMADD52LUQ Z19, l, o1
+#define MAC1F(leaf, l, e0, o0) \
+	VPBROADCASTD (leaf)(R12*4), l \
+	VPMADD52LUQ Z16, l, e0        \
+	VPMADD52LUQ Z18, l, o0
+
+#define LD2F2 \
+	LD2F(0, Z0, Z1, Z2, Z3) \
+	LD2F(24, Z4, Z5, Z6, Z7)
+#define LD2F4 LD2F2 \
+	LD2F(48, Z8, Z9, Z10, Z11) \
+	LD2F(72, Z12, Z13, Z14, Z15)
+#define ST2F2 \
+	ST2F(0, Z0, Z1, Z2, Z3) \
+	ST2F(24, Z4, Z5, Z6, Z7)
+#define ST2F4 ST2F2 \
+	ST2F(48, Z8, Z9, Z10, Z11) \
+	ST2F(72, Z12, Z13, Z14, Z15)
+#define MAC2F2 \
+	MAC2F(R8, Z20, Z0, Z1, Z2, Z3) \
+	MAC2F(R9, Z21, Z4, Z5, Z6, Z7)
+#define MAC2F4 MAC2F2 \
+	MAC2F(R10, Z22, Z8, Z9, Z10, Z11) \
+	MAC2F(R11, Z23, Z12, Z13, Z14, Z15)
+#define LD1F2 \
+	LD1F(0, Z0, Z1) \
+	LD1F(24, Z4, Z5)
+#define LD1F4 LD1F2 \
+	LD1F(48, Z8, Z9) \
+	LD1F(72, Z12, Z13)
+#define ST1F2 \
+	ST1F(0, Z0, Z1) \
+	ST1F(24, Z4, Z5)
+#define ST1F4 ST1F2 \
+	ST1F(48, Z8, Z9) \
+	ST1F(72, Z12, Z13)
+#define MAC1F2 \
+	MAC1F(R8, Z20, Z0, Z1) \
+	MAC1F(R9, Z21, Z4, Z5)
+#define MAC1F4 MAC1F2 \
+	MAC1F(R10, Z22, Z8, Z9) \
+	MAC1F(R11, Z23, Z12, Z13)
 
 // func accTileAVX512(ans, leaves *[]uint32, q, leafOff int, rows *uint32, lanes, n int)
 TEXT ·accTileAVX512(SB), NOSPLIT, $0-56
@@ -160,21 +220,23 @@ TEXT ·accTileAVX512(SB), NOSPLIT, $0-56
 	MOVQ n+48(FP), DI
 	SHLQ $2, SI
 	XORQ R14, R14
+	MOVQ $0xaaaa, R13
+	KMOVW R13, K2
 	LEAF(0, R8)
 	CMPQ R12, $2
 	JLT  z1
 	LEAF(24, R9)
 	CMPQ R12, $4
-	JLT  z2
+	JLT  f2
 	LEAF(48, R10)
 	LEAF(72, R11)
 	MOVQ SI, BX
-	STRIP(z4w, z4wr, z4m, 256, 256, NONE, LD4Z4, ROW4Z, MAC4Z4, ST4Z4)
-	STRIP(z4m, z4mr, zdone, 4, 64, MASKZ, LD1Z4, ROW1Z, MAC1Z4, ST1Z4)
-z2:
+	STRIP(f4w, f4wr, f4m, 128, 128, NONE, LD2F4, ROW2F, MAC2F4, ST2F4)
+	STRIP(f4m, f4mr, zdone, 4, 64, MASKZ, LD1F4, ROW1F, MAC1F4, ST1F4)
+f2:
 	MOVQ SI, BX
-	STRIP(z2w, z2wr, z2m, 256, 256, NONE, LD4Z2, ROW4Z, MAC4Z2, ST4Z2)
-	STRIP(z2m, z2mr, zdone, 4, 64, MASKZ, LD1Z2, ROW1Z, MAC1Z2, ST1Z2)
+	STRIP(f2w, f2wr, f2m, 128, 128, NONE, LD2F2, ROW2F, MAC2F2, ST2F2)
+	STRIP(f2m, f2mr, zdone, 4, 64, MASKZ, LD1F2, ROW1F, MAC1F2, ST1F2)
 z1:
 	MOVQ SI, BX
 	STRIP(z1w, z1wr, z1m, 256, 256, NONE, LD4Z1, ROW4Z, MAC4Z1, ST4Z1)

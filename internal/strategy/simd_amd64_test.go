@@ -30,18 +30,23 @@ type accAsmTier struct{ name, tier, missing string }
 
 func accAsmTiers() []accAsmTier {
 	tiers := []accAsmTier{{name: "avx2", tier: accAVX2}, {name: "avx512", tier: accAVX512}, {name: "amx", tier: accAMX}}
-	if !cpufeat.AMXInt8 {
-		tiers[2].missing = amxMissing
-	}
 	if !cpufeat.AVX2 {
-		// Both tiers: accKernel picks avx512 only beside AVX2.
+		// Every tier: accKernel picks avx512 and amx only beside AVX2.
 		tiers[0].missing = "CPUID.7.0:EBX.AVX2 (bit 5) not set, or YMM state not OS-enabled"
 		tiers[1].missing = tiers[0].missing
-	} else if !cpufeat.AVX512BW {
-		tiers[1].missing = "CPUID.7.0:EBX.AVX512F/BW (bits 16, 30) not set, or ZMM state not OS-enabled"
+	} else if !cpufeat.AVX512IFMA {
+		tiers[1].missing = ifmaMissing
+	}
+	if !cpufeat.AMXInt8 {
+		tiers[2].missing = amxMissing
+	} else if tiers[1].missing != "" {
+		// The amx tier's sub-tile chunks run the avx512 bodies.
+		tiers[2].missing = tiers[1].missing
 	}
 	return tiers
 }
+
+const ifmaMissing = "CPUID.7.0:EBX.AVX512F/IFMA (bits 16, 21) not set, or ZMM state not OS-enabled"
 
 const amxMissing = "CPUID.7.0:EDX.AMX-TILE/AMX-INT8 (bits 24, 25) not set, tile state not OS-enabled, or the tile-data permission request refused"
 
@@ -197,13 +202,34 @@ func checkAccumulateChunkTier(t *testing.T, rng *rand.Rand, tier string, lanes, 
 	}
 }
 
+// TestAccumulateTileIFMAMatchScalar pins the avx512 tier's bodies — the
+// lone query's VPMULLD strip, the two- and four-query IFMA strips and every
+// remainder between them — against accumulateChunkScalar and the naive
+// definition, over lane counts on both sides of the 16-lane vector and the
+// 32-lane IFMA strip, chunk heights from one row to past a strip's reuse,
+// and a non-zero leaf origin, with a canary word after every answer buffer
+// and after the table chunk (checkAccumulateChunkTier).
+func TestAccumulateTileIFMAMatchScalar(t *testing.T) {
+	if m := accAsmTiers()[1].missing; m != "" {
+		t.Skip(m)
+	}
+	rng := pcgRand(1651)
+	for _, q := range []int{1, 2, 3, 4, 5, 8, 15} {
+		for _, lanes := range []int{1, 15, 16, 17, 31, 32, 33, 64, 100, 1024} {
+			for _, n := range []int{1, 3, 32, 100} {
+				checkAccumulateChunkTier(t, rng, accAVX512, lanes, q, n)
+			}
+		}
+	}
+}
+
 // TestAccumulateTileAMXScratchCanaries runs the tile kernel on scratch the test
 // owns: the words after its accumulator spill and after its plane ring
 // must survive every shape (the ring wraps, the last query tile is short,
 // the last lane tile narrow), and the answers must match the scalar loop.
 func TestAccumulateTileAMXScratchCanaries(t *testing.T) {
-	if !cpufeat.AMXInt8 {
-		t.Skip(amxMissing)
+	if m := accAsmTiers()[2].missing; m != "" {
+		t.Skip(m)
 	}
 	rng := pcgRand(1617)
 	sc := new(amxScratch)
@@ -248,8 +274,8 @@ func TestAccumulateTileAMXScratchCanaries(t *testing.T) {
 // configures and releases its own tile state, so every answer must still
 // equal the scalar loop's.
 func TestAccumulateTileAMXConcurrentWithGC(t *testing.T) {
-	if !cpufeat.AMXInt8 {
-		t.Skip(amxMissing)
+	if m := accAsmTiers()[2].missing; m != "" {
+		t.Skip(m)
 	}
 	forceGOMAXPROCS(t, 8)
 	stop := make(chan struct{})

@@ -92,7 +92,8 @@ func TestAccumulateTileKernelMatchesScalar(t *testing.T) {
 // AES expansion half of the hot path, on the shapes where the kernels
 // differ: the expansion-bound bench table (64-byte rows) and the co-located
 // wide-row table (4 KiB rows, past L2) at a full tile, at paged-update's
-// 4-query tile and at batch 1, plus a small in-cache table at batch 1.
+// 4-query tile (also over one 256 KiB page of it, in cache) and at batch
+// 1, plus a small in-cache table at batch 1.
 // "dispatch" is whatever accumulateTile selects on this host (and must not
 // allocate), "scalar" forces the fallback loop; the forced-tier numbers
 // are BenchmarkAccumulateKernelTiers on amd64.
@@ -128,7 +129,7 @@ func (s accBenchShape) String() string {
 }
 
 var accBenchShapes = []accBenchShape{
-	{1 << 16, 16, 32}, {1 << 14, 1024, 32}, {1 << 14, 1024, 16}, {1 << 14, 1024, 4}, {1 << 14, 1024, 1}, {1 << 10, 64, 1},
+	{1 << 16, 16, 32}, {1 << 14, 1024, 32}, {1 << 14, 1024, 16}, {1 << 14, 1024, 4}, {64, 1024, 4}, {1 << 14, 1024, 1}, {1 << 10, 64, 1},
 }
 
 func accBenchInputs(b *testing.B, sh accBenchShape) (*Table, [][]uint32, [][]uint32) {
