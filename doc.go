@@ -153,11 +153,21 @@
 //     TDPBUUD serve 16 rows × 16 lanes × 16 queries and ans += C0 + C1<<8 +
 //     C2<<16 + C3<<24 at the end of a row panel. Lanes past a whole tile
 //     are a narrower tile configuration, a short last query tile a
-//     shorter A tile, the last rows%16 rows go to the avx512 body. The
-//     16-query rule: the tier serves a chunk when the tile has at least
-//     16 queries (one full A tile) and the chunk 64 rows; below that — the
-//     4-key and 1-key tiles of a paged or single-key workload — the
-//     avx512 bodies run as before. Every asm call configures and releases
+//     shorter A tile, the last rows%16 rows go to the avx512 body. A
+//     TDPBUUD costs the same however few of its 16 A rows are filled, so
+//     a tile of 2–4 queries — the 4-key tiles of a paged workload — runs
+//     a packed body: row s·nq+q of one A tile is plane s of query q, so
+//     accumulator row s·nq+q is query q's plane-s sum and ans_q += C[q] +
+//     C[nq+q]<<8 + C[2nq+q]<<16 + C[3nq+q]<<24; one TDPBUUD serves 16
+//     rows × 16 lanes × all nq queries. Its schedule holds four lane
+//     tiles' accumulators against one A load (four independent chains),
+//     where the 16-query body holds one lane tile's four plane sums; a
+//     256 KiB page of 4 KiB rows at q4 takes 2.7–2.9 µs against the IFMA
+//     body's 5.1 µs. The tier serves a chunk of at least 64 rows for a
+//     tile of 2–4 or at least 16 queries; a lone query (whose packed A
+//     tile fills 4 rows at a full TDPBUUD's cost, a shade slower than
+//     the avx512 body) and tiles of 5–15 queries run the avx512 bodies.
+//     Every asm call configures and releases
 //     its tile state, so none is live across a goroutine switch. Other
 //     architectures, CPUs without AVX2 and -tags purego builds take the
 //     scalar loop ("scalar"). All are bit-identical (mod-2^32 adds

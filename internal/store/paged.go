@@ -158,6 +158,9 @@ type PagedBacking struct {
 	passes   []*pagedPass     // the scan's in-flight passes, oldest first
 	slots    []*pagedSlot     // the scan's worker slots, by index
 	landed   sync.Cond        // on mu: a read landed, a pass joined or failed
+	rowReads int              // Row reads in flight
+	closed   bool             // Close has begun: no new pass or Row read
+	idle     sync.Cond        // on mu: a pass or a Row read ended
 
 	loads atomic.Int64 // pages read from the file (cache misses)
 	hits  atomic.Int64
@@ -279,6 +282,7 @@ func OpenPaged(path string, cfg PagedConfig) (*PagedBacking, error) {
 		versions: versions{refs: make([]int32, nPages)},
 	}
 	p.landed.L = &p.mu
+	p.idle.L = &p.mu
 	return p, nil
 }
 
@@ -299,9 +303,16 @@ func (p *PagedBacking) Loads() int64 { return p.loads.Load() }
 // of Hits is the scan's page visits.
 func (p *PagedBacking) Hits() int64 { return p.hits.Load() }
 
-// Close releases the files. Callers must ensure no reads are in flight;
-// rows handed out by Row remain valid (they are copies).
+// Close waits for the passes and Row reads in flight, then releases the
+// files; later passes and Row reads fail with an error wrapping
+// os.ErrClosed. Rows handed out by Row remain valid (they are copies).
 func (p *PagedBacking) Close() error {
+	p.mu.Lock()
+	p.closed = true
+	for len(p.passes) > 0 || p.rowReads > 0 {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
 	err := p.f.Close()
 	if p.scratch != nil {
 		err = errors.Join(err, p.scratch.Close())
@@ -310,6 +321,11 @@ func (p *PagedBacking) Close() error {
 		err = errors.Join(err, os.Remove(p.scratchName))
 	}
 	return err
+}
+
+// closedErr is the error of a pass or Row read begun after Close.
+func (p *PagedBacking) closedErr() error {
+	return fmt.Errorf("store: paged table %s: %w", p.f.Name(), os.ErrClosed)
 }
 
 // pageSpan returns page idx's row range [lo, hi).
@@ -357,6 +373,18 @@ func (p *PagedBacking) touchLocked(ent *pageEnt) {
 	}
 	p.unlinkLocked(ent)
 	p.pushFrontLocked(ent)
+}
+
+// demoteLocked moves a resident ent to the LRU end, the next to be evicted
+// (caller holds mu).
+func (p *PagedBacking) demoteLocked(ent *pageEnt) {
+	if p.lru == ent {
+		return
+	}
+	p.unlinkLocked(ent)
+	ent.prev = p.lru
+	p.lru.next = ent
+	p.lru = ent
 }
 
 // acquirePage returns version ver of page idx with a reference held,
@@ -564,16 +592,20 @@ func (p *PagedBacking) write(idx, from int, cover bool, fill func(int, []uint32)
 // copyPage returns a pooled entry holding version from of page idx: copied
 // from the cache when it is resident (a reference pins it while it is
 // copied), read from its file otherwise, and left unfilled when cover says
-// the caller overwrites it whole.
+// the caller overwrites it whole. A resident version from is superseded:
+// it moves to the LRU end, so the written version's insertion evicts it
+// rather than a page the new epoch still reads.
 func (p *PagedBacking) copyPage(idx, from int, cover bool) (*pageEnt, error) {
 	var src *pageEnt
-	if !cover {
-		p.mu.Lock()
-		if src = p.pages[from]; src != nil {
+	p.mu.Lock()
+	if old := p.pages[from]; old != nil {
+		p.demoteLocked(old)
+		if !cover {
+			src = old
 			src.refs++
 		}
-		p.mu.Unlock()
 	}
+	p.mu.Unlock()
 	ent, err := p.loadPage(idx, from, !cover && src == nil)
 	if src != nil {
 		copy(ent.data, src.data) // an unread load cannot fail
@@ -662,6 +694,12 @@ func (p *PagedBacking) pass(t *pageTable, lo, hi, workers int, fn func(int, stra
 	own := min(workers, n)
 
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		pp.tab, pp.fn = nil, nil
+		pagedPassPool.Put(pp)
+		return p.closedErr()
+	}
 	for len(p.slots) < own {
 		p.slots = append(p.slots, new(pagedSlot))
 	}
@@ -682,6 +720,7 @@ func (p *PagedBacking) pass(t *pageTable, lo, hi, workers int, fn func(int, stra
 	}
 	i := slices.Index(p.passes, pp)
 	p.passes = slices.Delete(p.passes, i, i+1)
+	p.idle.Broadcast()
 	err := pp.err
 	p.mu.Unlock()
 	pp.tab, pp.fn = nil, nil
@@ -866,6 +905,19 @@ func (p *PagedBacking) rideLocked(idx, ver, w int) {
 // row returns a copy of row i (copies stay valid forever, so Snapshot.Row's
 // release-independent lifetime holds even though page buffers recycle).
 func (p *PagedBacking) row(t *pageTable, i int) ([]uint32, error) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, p.closedErr()
+	}
+	p.rowReads++
+	p.mu.Unlock()
+	defer func() {
+		p.mu.Lock()
+		p.rowReads--
+		p.idle.Broadcast()
+		p.mu.Unlock()
+	}()
 	ent, err := p.acquirePage(i/p.pageRows, int(t.slot[i/p.pageRows]))
 	if err != nil {
 		return nil, err

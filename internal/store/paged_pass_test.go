@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,10 +27,10 @@ import (
 // ascending pass through an LRU loads all 256 every time). Hits counts
 // each page once per pass, also over a written epoch: the batch rewrites
 // pages 0, 1, 15, 140 and 255, each new version joining the cache under a
-// new key and evicting the least recently loaded page (old 0, old 1, then
-// pages 2, 3 and 4), while old 15 stays resident with the epoch the store
-// keeps for rollback. The pass hits the 63 resident pages it needs (the
-// five new versions and 58 of pages 5–63) and streams the other 193.
+// new key. A written page's resident old version is superseded and goes
+// first (old 0, old 1, old 15); a page read from the file evicts the least
+// recently loaded one (pages 2 and 3). The pass hits the 64 resident pages
+// (the five new versions and 59 of pages 4–63) and streams the other 192.
 func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	const rows, lanes = 16384, 4 // 256 pages of 64 rows, 64 of them cached
 	tab, pb := pagedFixture(t, rows, lanes, 1<<10)
@@ -60,7 +61,7 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 		t.Fatalf("second pass: %d loads, %d hits; want 192 loads, 64 hits", l, h)
 	}
 	// Writes inside pages, across a page edge and at the table's ends
-	// touch pages 0, 1, 15, 140 and 255; only 140 was resident.
+	// touch pages 0, 1, 15, 140 and 255; 0, 1 and 15 were resident.
 	var writes []RowWrite
 	for _, r := range []int{0, 5, 63, 64, 65, 1000, 1001, 9000, rows - 1} {
 		writes = append(writes, RowWrite{Row: uint64(r), Vals: row(uint32(r), 1, 2, 3)})
@@ -68,8 +69,73 @@ func TestPagedPassTakesResidentPagesFirst(t *testing.T) {
 	if _, err := s.Apply(writes); err != nil {
 		t.Fatal(err)
 	}
-	if l, h := pass(applyWords(tab.Data, lanes, writes)); l != 193 || h != 63 {
-		t.Fatalf("pass over a written epoch: %d loads, %d hits; want 193 loads, 63 hits", l, h)
+	if l, h := pass(applyWords(tab.Data, lanes, writes)); l != 192 || h != 64 {
+		t.Fatalf("pass over a written epoch: %d loads, %d hits; want 192 loads, 64 hits", l, h)
+	}
+}
+
+// TestPagedCloseWaitsForPass: Close called while a two-worker pass is
+// inside its first callback returns only once the pass has ended, and the
+// pass, which still has most of its pages to read, sees every row of the
+// table. Afterwards a pass and a Row read fail with an error that wraps
+// os.ErrClosed and names the table file.
+func TestPagedCloseWaitsForPass(t *testing.T) {
+	const rows, lanes = 4096, 4 // 64 pages of 64 rows, 16 of them cached
+	tab, pb := pagedFixture(t, rows, lanes, 1<<10)
+	s, err := NewPaged(pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Acquire()
+	defer sn.Release()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	var passEnded atomic.Bool
+	got := make([]uint32, rows*lanes)
+	passErr := make(chan error, 1)
+	go func() {
+		err := sn.Pass(0, rows, 2, func(_ int, c strategy.Chunk) error {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+			copy(got[c.Row*lanes:], c.Data)
+			return nil
+		})
+		passEnded.Store(true)
+		passErr <- err
+	}()
+	<-entered
+	closeErr := make(chan error, 1)
+	go func() {
+		err := pb.Close()
+		if !passEnded.Load() {
+			err = errors.Join(err, errors.New("Close returned before the pass ended"))
+		}
+		closeErr <- err
+	}()
+	for closing := false; !closing; {
+		runtime.Gosched()
+		pb.mu.Lock()
+		closing = pb.closed
+		pb.mu.Unlock()
+	}
+	close(release)
+	if err := <-passErr; err != nil {
+		t.Fatalf("pass with Close in flight: %v", err)
+	}
+	if err := <-closeErr; err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, tab.Data) {
+		t.Fatal("pass with Close in flight read wrong rows")
+	}
+	err = sn.Pass(0, rows, 1, func(int, strategy.Chunk) error { return nil })
+	if !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), pb.f.Name()) {
+		t.Fatalf("pass after Close: %v; want os.ErrClosed naming %s", err, pb.f.Name())
+	}
+	if _, err := sn.Row(5); !errors.Is(err, os.ErrClosed) || !strings.Contains(err.Error(), pb.f.Name()) {
+		t.Fatalf("Row after Close: %v; want os.ErrClosed naming %s", err, pb.f.Name())
 	}
 }
 

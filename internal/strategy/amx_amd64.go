@@ -23,13 +23,36 @@ import "sync"
 // product), C_s resident in tile registers across a row panel, and at its
 // end ans += C0 + C1<<8 + C2<<16 + C3<<24 — wrapping int32 sums shifted
 // left are exactly the mod-2^32 terms. Bit-identical to the scalar loop.
+//
+// A tile of nq ≤ 4 queries would fill nq of an A tile's 16 rows, and a
+// TDPBUUD costs the same however many rows it multiplies. So the packed
+// body stacks the planes instead: row s·nq+q of its one A tile is plane s
+// of query q (the same conversion, planes 64·nq bytes apart), and row
+// s·nq+q of the accumulator is query q's plane-s sum, so
+//
+//	ans_q += C[q] + C[nq+q]<<8 + C[2nq+q]<<16 + C[3nq+q]<<24
+//
+// — one TDPBUUD per 16 rows × 16 lanes for all nq queries. The two loop
+// schedules, both lane tiles outer and 16-row steps inner over a row
+// panel:
+//
+//   - 16-query body (amxAccPanel): one lane tile at a time, four A loads
+//     and four TDPBUUD per step into C0–C3, the tile's four plane sums.
+//   - packed body (amxAccPacked): four lane tiles at a time, one A load
+//     and four TDPBUUD per step into C0–C3, one per lane tile — four
+//     independent chains against one A load. A group's accumulators are
+//     stored just before the next group's first products on them and
+//     folded into the answers after that first step.
 
 //go:noescape
 func amxAccPanel(cfg *[2][64]byte, a, c *amxPlanes, tab *uint32, stride, steps, lanes int, ans, leaves *[]uint32, leafOff, nq int, pf *uint32)
 
+//go:noescape
+func amxAccPacked(cfg *[2][64]byte, a, c *amxPlanes, tab *uint32, stride, steps, lanes int, ans, leaves *[]uint32, leafOff, nq int, pf *uint32, pfs int)
+
 const (
-	// amxQueries is one A tile's rows: the tier serves tiles of at least
-	// this many queries.
+	// amxQueries is one A tile's rows: the 16-query body serves tiles of
+	// at least this many queries.
 	amxQueries = 16
 	// amxStepRows is the table rows one TDPBUUD contracts over (a B tile's
 	// rows); amxMinRows the chunk height below which the tier's set-up is
@@ -44,6 +67,11 @@ const (
 	// tile's pass over it — and the next panel, prefetched meanwhile — are
 	// served by L2.
 	amxPanelBytes = 512 << 10
+	// amxPackedQueries is the most queries the packed body takes: four
+	// planes of each fill one A tile's 16 rows. amxPackedRingSteps is its
+	// ring, a step's planes taking 1 KiB.
+	amxPackedQueries   = 4
+	amxPackedRingSteps = 4 * amxRingSteps
 )
 
 // amxPlanes is four 16×16-dword tiles in memory: one step's leaf planes
@@ -113,6 +141,64 @@ func accumulateChunkAMX(sc *amxScratch, data []uint32, lanes, row, leafLo int, l
 			amxAccPanel(&sc.cfg, &sc.a[0], &sc.c, &data[s0*amxStepRows*lanes], 4*lanes, steps, lanes,
 				&answers[q], &leaves[q], row+s0*amxStepRows-leafLo, nq, pf)
 		}
+	}
+	if whole := wholeSteps * amxStepRows; whole < nRows {
+		accumulateChunkSIMD(accAVX512, data[whole*lanes:], lanes, row+whole, leafLo, leaves, answers)
+	}
+}
+
+// setPackedTileCfg is setTileCfg for the packed body: C0–C3 and A (tmm4)
+// 4·queries rows, B (tmm5–7) 16 rows; A 64 bytes wide, the rest lanes
+// dwords.
+func setPackedTileCfg(cfg *[64]byte, queries, lanes int) {
+	*cfg = [64]byte{0: 1}
+	for t := 0; t < 8; t++ {
+		rows, colsb := 4*queries, 4*lanes
+		switch {
+		case t == 4:
+			colsb = 64
+		case t > 4:
+			rows = amxStepRows
+		}
+		cfg[16+2*t] = byte(colsb)
+		cfg[48+t] = byte(rows)
+	}
+}
+
+// accumulateChunkAMXPacked is accumulateChunkAMX for a tile of at most
+// amxPackedQueries queries, all of them in one packed A tile: row panels
+// of whole 16-row steps, walked in lane groups of four 16-lane tiles. A
+// row of more than one group re-reads the panel's planes from the ring,
+// so its panel has at most amxPackedRingSteps steps; a row of one group
+// (64 lanes or fewer, whole tiles) may take the chunk as one panel. The
+// chunk's last rows%16 rows go through the avx512 body.
+func accumulateChunkAMXPacked(sc *amxScratch, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
+	nRows := len(data) / lanes
+	for q := range leaves {
+		// The kernel takes raw pointers: panic on a short buffer here.
+		_, _ = answers[q][lanes-1], leaves[q][row-leafLo:row-leafLo+nRows]
+	}
+	wholeSteps := nRows / amxStepRows
+	groups := (lanes/16+3)/4 + min(1, lanes%16)
+	panelSteps := wholeSteps
+	if groups > 1 {
+		panelSteps = min(max(1, amxPanelBytes/(amxStepRows*4*lanes)), amxPackedRingSteps)
+	}
+	setPackedTileCfg(&sc.cfg[0], len(leaves), min(16, lanes))
+	setPackedTileCfg(&sc.cfg[1], len(leaves), lanes%16)
+	for s0 := 0; s0 < wholeSteps; s0 += panelSteps {
+		steps := min(panelSteps, wholeSteps-s0)
+		// While a panel multiplies, the next one is pulled toward L2: each
+		// step of each lane group prefetches 512 bytes and moves pfs on,
+		// which spreads the touches over the whole next panel (about one
+		// per 4 KiB). A chunk's last panel prefetches nothing (pfs = 0).
+		pf, pfs := s0*amxStepRows*lanes, 0
+		if s0+steps < wholeSteps {
+			pf = (s0 + steps) * amxStepRows * lanes
+			pfs = (amxStepRows*4*lanes/groups + 63) &^ 63
+		}
+		amxAccPacked(&sc.cfg, &sc.a[0], &sc.c, &data[s0*amxStepRows*lanes], 4*lanes, steps, lanes,
+			&answers[0], &leaves[0], row+s0*amxStepRows-leafLo, len(leaves), &data[pf], pfs)
 	}
 	if whole := wholeSteps * amxStepRows; whole < nRows {
 		accumulateChunkSIMD(accAVX512, data[whole*lanes:], lanes, row+whole, leafLo, leaves, answers)

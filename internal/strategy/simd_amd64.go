@@ -46,13 +46,27 @@ func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, a
 }
 
 // accumulateChunkTier is accumulateChunk through the named asm tier. The amx
-// tier serves a chunk of at least amxMinRows rows for a tile of at least
-// amxQueries queries; its other chunks run the avx512 bodies.
+// tier serves a chunk of at least amxMinRows rows: a tile of at least
+// amxQueries queries on the 16-query body (16 queries to an A tile, four
+// TDPBUUD a step, one per byte plane), a tile of 2 to amxPackedQueries on
+// the packed body (the four byte planes of every query in one A tile, one
+// TDPBUUD a step). Its other chunks run the avx512 bodies: a lone query,
+// whose packed A tile would fill 4 of 16 rows at a full TDPBUUD's cost
+// (1024×64 rows, q1: 1.9–2.0 µs against 1.8–1.9 µs), and tiles of 5–15
+// queries.
 func accumulateChunkTier(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
 	if tier == accAMX {
-		if len(leaves) >= amxQueries && len(data)/lanes >= amxMinRows {
+		var body func(*amxScratch, []uint32, int, int, int, [][]uint32, [][]uint32)
+		switch nq := len(leaves); {
+		case len(data)/lanes < amxMinRows:
+		case nq >= amxQueries:
+			body = accumulateChunkAMX
+		case nq >= 2 && nq <= amxPackedQueries:
+			body = accumulateChunkAMXPacked
+		}
+		if body != nil {
 			sc := amxScratchPool.Get().(*amxScratch)
-			accumulateChunkAMX(sc, data, lanes, row, leafLo, leaves, answers)
+			body(sc, data, lanes, row, leafLo, leaves, answers)
 			amxScratchPool.Put(sc)
 			return
 		}

@@ -96,7 +96,8 @@ func checkCanaries(t *testing.T, what string, flat []uint32, lanes int) {
 // straddling the byte-derived row block, always at a non-zero chunk row
 // and leaf origin, plus randomly fragmented views through the chunk
 // iterator. The amx tier's sweep is cut to its own dispatch rule and
-// panels instead: 15–33 queries (both sides of the 16-query rule, a
+// panels instead: 1–4 queries (the packed body and the lone query it
+// leaves to avx512) and 15–33 queries (both sides of the 16-query rule, a
 // partial second and a third query tile) × 63–300 rows (both sides of the
 // 64-row rule, ragged 16-row steps, more than one plane ring), and a second
 // fragmented view whose chunks are tall enough to reach the tile kernel. Inputs are PCG-seeded full-range
@@ -118,10 +119,14 @@ func TestAccumulateTileKernelTiersMatchScalar(t *testing.T) {
 				type shape struct{ tile, rows int }
 				var shapes []shape
 				if k.tier == accAMX {
-					// Below either rule the tier runs the avx512 bodies, swept
-					// above: two shapes pin that hand-over, the rest reach
-					// the tile kernel.
-					shapes = append(shapes, shape{amxQueries - 1, 300}, shape{tileQueries, amxMinRows - 1})
+					// Below the row rule, for a lone query and for 5–15
+					// queries the tier runs the avx512 bodies, swept above:
+					// four shapes pin that hand-over, the rest reach the
+					// packed body (2–4 queries) or the 16-query one.
+					shapes = append(shapes, shape{1, 300}, shape{amxQueries - 1, 300}, shape{tileQueries, amxMinRows - 1}, shape{amxPackedQueries, amxMinRows - 1})
+					for tile := 2; tile <= amxPackedQueries; tile++ {
+						shapes = append(shapes, shape{tile, amxMinRows + rng.Intn(300-amxMinRows)})
+					}
 					for tile := amxQueries; tile <= tileQueries+1; tile++ {
 						shapes = append(shapes, shape{tile, amxMinRows + rng.Intn(300-amxMinRows)})
 					}
@@ -158,6 +163,18 @@ func TestAccumulateTileKernelTiersMatchScalar(t *testing.T) {
 // naive definition, starting from the same non-zero answers.
 func checkAccumulateChunkTier(t *testing.T, rng *rand.Rand, tier string, lanes, tile, n int) {
 	t.Helper()
+	checkAccumulateChunk(t, rng, lanes, tile, n, func(data []uint32, row, leafLo int, lv, got [][]uint32) {
+		accumulateChunkTier(tier, data, lanes, row, leafLo, lv, got)
+	})
+}
+
+// checkAccumulateChunk runs one chunk of rows [row, row+n) with leaves
+// indexed from leafLo < row through run, the scalar loop and the naive
+// definition, starting from the same non-zero answers. The table chunk
+// ends at its slice's capacity with canary words behind it, and every
+// answer buffer is followed by one.
+func checkAccumulateChunk(t *testing.T, rng *rand.Rand, lanes, tile, n int, run func(data []uint32, row, leafLo int, lv, got [][]uint32)) {
+	t.Helper()
 	what := fmt.Sprintf("lanes=%d tile=%d rows=%d", lanes, tile, n)
 	row := 1 + rng.Intn(9)
 	leafLo := rng.Intn(row)
@@ -177,7 +194,7 @@ func checkAccumulateChunkTier(t *testing.T, rng *rand.Rand, tier string, lanes, 
 			got[q][l], wantScalar[q][l], wantNaive[q][l] = v, v, v
 		}
 	}
-	accumulateChunkTier(tier, data, lanes, row, leafLo, lv, got)
+	run(data, row, leafLo, lv, got)
 	accumulateChunkScalar(data, lanes, row, leafLo, lv, wantScalar)
 	for j := 0; j < n; j++ {
 		for q := range lv {
@@ -232,36 +249,61 @@ func TestAccumulateTileAMXScratchCanaries(t *testing.T) {
 		t.Skip(m)
 	}
 	rng := pcgRand(1617)
+	sc := canaryScratch()
+	for _, lanes := range []int{1, 15, 16, 17, 100, 1024} {
+		for _, tile := range []int{16, 21, 33} {
+			for _, n := range []int{64, 16 * (amxRingSteps + 1), 300, 8200} {
+				if n*lanes <= 1<<20 {
+					checkAMXBody(t, rng, sc, accumulateChunkAMX, lanes, tile, n)
+				}
+			}
+		}
+	}
+}
+
+// TestAccumulateTileAMXPackedMatchScalar pins the packed body — tiles of
+// one to four queries, all four byte planes in one A tile — called
+// directly on canaried scratch, against the scalar loop and the naive
+// definition: one, three, four and five lane tiles, a narrow tail after a
+// whole tile and alone, 62 tiles and a tail, 64 tiles (a page row); chunk
+// heights of one and four steps, each with and without a last row for the
+// avx512 body, and of more than a plane ring's steps; a non-zero row and
+// leaf origin.
+func TestAccumulateTileAMXPackedMatchScalar(t *testing.T) {
+	if m := accAsmTiers()[2].missing; m != "" {
+		t.Skip(m)
+	}
+	rng := pcgRand(1652)
+	sc := canaryScratch()
+	for nq := 1; nq <= amxPackedQueries; nq++ {
+		for _, lanes := range []int{1, 16, 17, 48, 64, 80, 1000, 1024} {
+			for _, n := range []int{16, 17, 64, 65, 1024} {
+				checkAMXBody(t, rng, sc, accumulateChunkAMXPacked, lanes, nq, n)
+			}
+		}
+	}
+}
+
+// canaryScratch is tile-kernel scratch whose words after the accumulator
+// spill and after the plane ring hold canaries.
+func canaryScratch() *amxScratch {
 	sc := new(amxScratch)
 	for i := range sc.cEnd {
 		sc.cEnd[i], sc.aEnd[i] = accCanary, accCanary
 	}
-	for _, lanes := range []int{1, 15, 16, 17, 100, 1024} {
-		for _, tile := range []int{16, 21, 33} {
-			for _, n := range []int{64, 16 * (amxRingSteps + 1), 300, 8200} {
-				if n*lanes > 1<<20 {
-					continue
-				}
-				what := fmt.Sprintf("lanes=%d tile=%d rows=%d", lanes, tile, n)
-				data := make([]uint32, n*lanes)
-				for i := range data {
-					data[i] = rng.Uint32()
-				}
-				lv := randomLeafTile(rng, tile, n+3)
-				got, gotFlat := canaryBatch(tile, lanes)
-				want := NewAnswers(tile, lanes)
-				accumulateChunkAMX(sc, data, lanes, 5, 2, lv, got)
-				accumulateChunkScalar(data, lanes, 5, 2, lv, want)
-				if d := answersDiffer(got, want); d != "" {
-					t.Fatalf("%s: amx against scalar: %s", what, d)
-				}
-				checkCanaries(t, what, gotFlat, lanes)
-				for i := range sc.cEnd {
-					if sc.cEnd[i] != accCanary || sc.aEnd[i] != accCanary {
-						t.Fatalf("%s: word %d after a scratch buffer overwritten (c %#x, a %#x)", what, i, sc.cEnd[i], sc.aEnd[i])
-					}
-				}
-			}
+	return sc
+}
+
+// checkAMXBody is checkAccumulateChunk through a tile-kernel body on
+// scratch sc (canaryScratch), whose canaries must survive it.
+func checkAMXBody(t *testing.T, rng *rand.Rand, sc *amxScratch, body func(*amxScratch, []uint32, int, int, int, [][]uint32, [][]uint32), lanes, tile, n int) {
+	t.Helper()
+	checkAccumulateChunk(t, rng, lanes, tile, n, func(data []uint32, row, leafLo int, lv, got [][]uint32) {
+		body(sc, data, lanes, row, leafLo, lv, got)
+	})
+	for i := range sc.cEnd {
+		if sc.cEnd[i] != accCanary || sc.aEnd[i] != accCanary {
+			t.Fatalf("lanes=%d tile=%d rows=%d: word %d after a scratch buffer overwritten (c %#x, a %#x)", lanes, tile, n, i, sc.cEnd[i], sc.aEnd[i])
 		}
 	}
 }
@@ -274,6 +316,18 @@ func TestAccumulateTileAMXScratchCanaries(t *testing.T) {
 // configures and releases its own tile state, so every answer must still
 // equal the scalar loop's.
 func TestAccumulateTileAMXConcurrentWithGC(t *testing.T) {
+	runAMXBesideGC(t, amxQueries, tileQueries)
+}
+
+// TestAccumulateTileAMXPackedConcurrentWithGC is the tile-state leak test
+// for the packed body: tiles of two to four queries.
+func TestAccumulateTileAMXPackedConcurrentWithGC(t *testing.T) {
+	runAMXBesideGC(t, 2, amxPackedQueries)
+}
+
+// runAMXBesideGC runs the amx tier on tiles of minTile to maxTile queries
+// from four goroutines beside a GC-churning fifth, against the scalar loop.
+func runAMXBesideGC(t *testing.T, minTile, maxTile int) {
 	if m := accAsmTiers()[2].missing; m != "" {
 		t.Skip(m)
 	}
@@ -303,7 +357,7 @@ func TestAccumulateTileAMXConcurrentWithGC(t *testing.T) {
 			rng := pcgRand(uint64(1700 + w))
 			for iter := 0; iter < 150 && !t.Failed(); iter++ {
 				lanes := []int{16, 100, 256, 37}[(w+iter)%4]
-				tile := amxQueries + rng.Intn(tileQueries+1-amxQueries)
+				tile := minTile + rng.Intn(maxTile+1-minTile)
 				n := amxMinRows + rng.Intn(1500)
 				data := make([]uint32, n*lanes)
 				for i := range data {

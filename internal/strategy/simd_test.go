@@ -129,7 +129,7 @@ func (s accBenchShape) String() string {
 }
 
 var accBenchShapes = []accBenchShape{
-	{1 << 16, 16, 32}, {1 << 14, 1024, 32}, {1 << 14, 1024, 16}, {1 << 14, 1024, 4}, {64, 1024, 4}, {1 << 14, 1024, 1}, {1 << 10, 64, 1},
+	{1 << 16, 16, 32}, {1 << 14, 1024, 32}, {1 << 14, 1024, 16}, {1 << 14, 1024, 4}, {64, 1024, 4}, {64, 1024, 3}, {64, 1024, 2}, {1 << 14, 1024, 1}, {1 << 10, 64, 1},
 }
 
 func accBenchInputs(b *testing.B, sh accBenchShape) (*Table, [][]uint32, [][]uint32) {
