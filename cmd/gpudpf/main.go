@@ -1,5 +1,5 @@
 // Command gpudpf is a CLI for the DPF core: generate an aes128 key pair
-// (wire v3, at the depth a 2^bits-row table serves), evaluate one key's
+// (wire v4, at the depth a 2^bits-row table serves), evaluate one key's
 // share at one index, and report modeled execution profiles for the
 // paper's GPU strategies under any of Table 5's PRFs (bench only models;
 // it computes no PRF). The two parties' shares at -index sum to 1 mod

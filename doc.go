@@ -35,15 +35,21 @@
 //     ⌈log₂(λ/w)⌉ = 2 levels above the leaves and each 128-bit terminal
 //     seed converts into four 32-bit leaf shares (LeafValuesInto /
 //     LeafRangeInto, which EvalRange converts through too), cutting PRF
-//     work ~4× per query. There is one key wire format, v3 (magic
-//     0xDF03), at BGI's λ+2 bits per level: an early-depth byte, a lanes
-//     byte that must be 1, and the two control bits of every level packed
-//     four levels to a byte after the seeds (266 bytes on a 2^16-row
-//     table; 43 on a 2-row one, which walks its one level in full). It
-//     parses only in its canonical form. The formats earlier builds sent,
-//     v1 (0xDF01, full depth) and v2 (0xDF02), are refused by name; the
-//     golden fixtures keep their bytes, which a test-only decoder parses
-//     and re-marshals to their v3 twins'. The scalar references every
+//     work ~4× per query. Leaf i of a group is the seed's i-th 32-bit
+//     word, except that word 0's low bit (where the control bit was
+//     peeled from, zero in every terminal seed) becomes the XOR of the
+//     low bits of words 1–3: taken as it was, it let a server read off
+//     its own key share whether α opens its terminal group. There is one
+//     key wire format, v4 (magic 0xDF04), at BGI's λ+2 bits per level:
+//     an early-depth byte, a lanes byte that must be 1, and the two
+//     control bits of every level packed four levels to a byte after the
+//     seeds (266 bytes on a 2^16-row table; 43 on a 2-row one, which
+//     walks its one level in full). It parses only in its canonical form.
+//     The formats earlier builds sent, v1 (0xDF01, full depth), v2
+//     (0xDF02) and v3 (0xDF03, v4's layout with a Final for the earlier
+//     leaf conversion), are refused by name; the golden fixtures keep
+//     their bytes, and each decodes to its v4 twin's key but for the
+//     magic and Final. The scalar references every
 //     kernel is pinned to (a one-path walk, a branchy leaf conversion, a
 //     looped ExpandBatch, an unfused frontier) live in dpf's tests. The
 //     PRG layer is
@@ -262,7 +268,7 @@
 //     serves one early-termination depth, the one its row count gives
 //     (dpf.DefaultEarly(dpf.DomainBits(rows)), what pir.NewClient
 //     emits; no layer takes it as a setting), and one key wire format
-//     (v3), and rejects mismatched keys at validation with the PRF, the
+//     (v4), and rejects mismatched keys at validation with the PRF, the
 //     key's parsed wire version and both depths in the error.
 //     engine.Cluster, a Backend, splits one logical replica's row domain
 //     across N groups of Members — in-process replicas or remote nodes —
@@ -314,8 +320,9 @@
 //     counters, the epoch handshake, ping, snapshot streaming — only after
 //     one, on a node over an engine.Member (NewServer). The
 //     hello is a fixed binary frame (no gob on the wire) pinning the
-//     protocol version (6: the one-width key batch, key wire v3 and a
-//     counters response of the two host counters), the PRF by name and
+//     protocol version (6: the one-width key batch and a counters
+//     response of the two host counters; the key wire version is the
+//     key's own magic, refused by name per key), the PRF by name and
 //     by construction ID (dpf.ConstructionAES128: a peer built with
 //     another PRF, or another function under this one's name, is
 //     refused), the party and the row count — a refusal names both sides'

@@ -34,7 +34,7 @@ func (l *Layout) Cost() Cost {
 		// Per-bin PIR cost in the default early-terminated key format the
 		// batchpir clients emit: the walk stops early levels up (§3.1), so
 		// the per-bin expansion is 2·(domain>>early)-2 blocks and the key
-		// is the served wire-v3 size.
+		// is the served wire size.
 		early := dpf.DefaultEarly(bits)
 		domain := int64(1) << uint(bits)
 		c.PRFBlocks += bins * (2*(domain>>uint(early)) - 2)

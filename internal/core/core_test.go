@@ -240,7 +240,7 @@ func (r recordingEndpoint) Answer(keys [][]byte) ([][]uint32, error) {
 // sends over three fetches on a layout with both tables: the seed's one
 // stream draws the plan's dummies, then the full table's keys bin by bin,
 // then the hot table's, and a change to that order moves the digest. The
-// hot table's bins hold 2 rows, so their keys walk full depth (43-byte v3
+// hot table's bins hold 2 rows, so their keys walk full depth (43-byte v4
 // keys at early 0).
 func TestSeededKeyStreamPinned(t *testing.T) {
 	svc, _, _ := testService(t, codesign.Params{C: 1, HotRows: 8, QHot: 4, QFull: 8}, 8)
@@ -252,7 +252,7 @@ func TestSeededKeyStreamPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const want = "3d388d79514774674b3e4831288e716defd253ea04ba79018ffa04de8fa391fd"
+	const want = "184cc255212d0d934e11d6ec54810101a4a1b2eca5a2cd794d62f066ee5b539f"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("party-0 key stream digest %s, want %s", got, want)
 	}

@@ -180,9 +180,11 @@ func (*AESPRG) stepLeafBatch(k *Key, seeds []Seed, ts []uint8, cw CW, dst []uint
 
 // correctConvert is correctChildren fused with the terminal conversion of
 // a scalar key, branch-free for the same reason: each corrected child's
-// seed words become its group's gl output lanes, plus the final
-// correction under the mask of the child's own control bit, negated for
-// party 1 ((v ^ neg) - neg is -v when neg is all ones, v when zero).
+// converted seed words (hideLow, leafWords on halves) become its
+// group's gl output lanes, plus the final correction under the mask of
+// the child's own control bit, negated for party 1 ((v ^ neg) - neg is
+// -v when neg is all ones, v when zero). It is the definition the leaf
+// kernels are held to.
 func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 	s0 := binary.LittleEndian.Uint64(cw.S[0:8])
 	s1 := binary.LittleEndian.Uint64(cw.S[8:16])
@@ -197,6 +199,7 @@ func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 			out := dst[8*i : 8*i+8]
 			l0, l1, lt := correctedChild(&kids[2*i], s0, s1, m, cw.TL)
 			r0, r1, rt := correctedChild(&kids[2*i+1], s0, s1, m, cw.TR)
+			l0, r0 = hideLow(l0, l1), hideLow(r0, r1)
 			lm, rm := -uint32(lt), -uint32(rt)
 			out[0] = ((uint32(l0) + f0&lm) ^ neg) - neg
 			out[1] = ((uint32(l0>>32) + f1&lm) ^ neg) - neg
@@ -214,6 +217,7 @@ func correctConvert(k *Key, kids []Seed, ts []uint8, cw CW, dst []uint32) {
 		m := -uint64(t)
 		for side, ct := range [2]uint8{cw.TL, cw.TR} {
 			w0, w1, kt := correctedChild(&kids[2*i+side], s0, s1, m, ct)
+			w0 = hideLow(w0, w1)
 			words := [4]uint32{uint32(w0), uint32(w0 >> 32), uint32(w1), uint32(w1 >> 32)}
 			fm := -uint32(kt)
 			out := dst[(2*i+side)*gl:][:gl]

@@ -52,23 +52,27 @@ func aesniStep4(next, seeds *Seed, nextT, ts *uint8, cw *CW, blocks int)
 //go:noescape
 func vaesStep16(next, seeds *Seed, nextT, ts *uint8, cw *CW, blocks int)
 
-// aesLeafConsts is what the leaf kernels need of a four-lane-group key,
-// one 16-byte vector each: the final correction, the party's negation
-// mask, and cw.TL / cw.TR as all-ones or zero.
+// aesLeafConsts is what the leaf kernels need of a four-lane-group key
+// and its last correction word, one 16-byte vector each: the final
+// correction, the party's negation mask, cw.TL / cw.TR as all-ones or
+// zero, and cw.S through the leaf conversion (leafWords). The conversion
+// is linear, so a kernel converts the raw child and XORs s in under the
+// parent's mask; the raw child's control bit drops out on the way.
 type aesLeafConsts struct {
-	final, neg, tl, tr [4]uint32
+	final, neg, tl, tr, s [4]uint32
 }
 
 // aesniLeaf4 and vaesLeaf16 are the step kernels for the terminal level of
 // a key with GroupSize() == 4: the corrected children never reach memory,
-// each becomes its four finished shares ((word + final & -t) ^ neg) - neg
-// in dst, eight uint32 per parent. Implemented in aesni_amd64.s.
+// each is converted (leafWords) and becomes its four finished shares
+// ((word + final & -t) ^ neg) - neg in dst, eight uint32 per parent.
+// Implemented in aesni_amd64.s.
 //
 //go:noescape
-func aesniLeaf4(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+func aesniLeaf4(dst *uint32, seeds *Seed, ts *uint8, lc *aesLeafConsts, blocks int)
 
 //go:noescape
-func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, lc *aesLeafConsts, blocks int)
 
 // aesniOK gates the hardware path; the pure-Go T-table implementation is
 // the fallback. vaesOK additionally selects the 16-wide tier for the bulk
@@ -165,16 +169,16 @@ func aesniLeafNodes(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32) {
 // aesniLeafTier is aesniStepTier for the leaf kernels.
 func aesniLeafTier(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32, wide bool) {
 	mask := func(b uint8) [4]uint32 { m := -uint32(b); return [4]uint32{m, m, m, m} }
-	lc := aesLeafConsts{final: [4]uint32(k.Final), neg: mask(k.Party), tl: mask(cw.TL), tr: mask(cw.TR)}
+	lc := aesLeafConsts{final: [4]uint32(k.Final), neg: mask(k.Party), tl: mask(cw.TL), tr: mask(cw.TR), s: leafWords(&cw.S)}
 	n := len(seeds)
 	dst, ts = dst[:8*n], ts[:n]
 	i := 0
 	if wide && n >= 16 {
-		vaesLeaf16(&dst[0], &seeds[0], &ts[0], cw, &lc, n/16)
+		vaesLeaf16(&dst[0], &seeds[0], &ts[0], &lc, n/16)
 		i = n &^ 15
 	}
 	if n-i >= 4 {
-		aesniLeaf4(&dst[8*i], &seeds[i], &ts[i], cw, &lc, (n-i)/4)
+		aesniLeaf4(&dst[8*i], &seeds[i], &ts[i], &lc, (n-i)/4)
 		i = n &^ 3
 	}
 	if i < n {
@@ -183,7 +187,7 @@ func aesniLeafTier(k *Key, seeds []Seed, ts []uint8, cw *CW, dst []uint32, wide 
 		var out [32]uint32
 		copy(in[:], seeds[i:])
 		copy(inT[:], ts[i:])
-		aesniLeaf4(&out[0], &in[0], &inT[0], cw, &lc, 1)
+		aesniLeaf4(&out[0], &in[0], &inT[0], &lc, 1)
 		copy(dst[8*i:], out[:])
 	}
 }

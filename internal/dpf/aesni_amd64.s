@@ -219,14 +219,28 @@ loopstep4:
 donestep4:
 	RET
 
-// func aesniLeaf4(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+// func aesniLeaf4(dst *uint32, seeds *Seed, ts *uint8, lc *aesLeafConsts, blocks int)
 //
-// The terminal step for four-lane groups: aesniStep4's correction, then
-// each child's four dwords become finished shares,
-// ((word + Final & -t_child) ^ neg) - neg, stored where the child seed
-// would have gone. lc holds, one 16-byte vector each: Final, neg, and
-// all-ones or zero for cw.TL and cw.TR. X0 holds Final, X1 the parent
-// masks, X3 cw.S, X12 clr; X2/X13-X15 are scratch.
+// The terminal step for four-lane groups: each raw child is corrected,
+// child ^ lc.s & -t_parent, and converted (HIDE4), then its four dwords
+// become finished shares, ((word + Final & -t_child) ^ neg) - neg, stored
+// where the child seed would have gone. lc holds, one 16-byte vector
+// each: Final, neg, all-ones or zero for cw.TL and cw.TR, and the
+// converted cw.S. X0 holds Final, X1 the parent masks, X3 the converted
+// cw.S, X12 one; X2/X13-X15 are scratch.
+//
+// HIDE4 is the leaf conversion on one child register: word 0's low bit is
+// XORed with the parity of all four words' low bits, which leaves it the
+// XOR of words 1-3's. The converted cw.S has even parity, so correcting
+// first changes neither the parity nor the result.
+#define HIDE4(c) \
+	PSHUFD $0x4e, c, X2   \
+	PXOR   c, X2          \
+	PSHUFD $0xb1, X2, X13 \
+	PXOR   X13, X2        \
+	PAND   X12, X2        \
+	PXOR   X2, c
+
 #define LEAF4(sel, l, r) \
 	PSHUFD $sel, X1, X13  \
 	PSHUFD $0, l, X14     \
@@ -244,11 +258,11 @@ donestep4:
 	PSRAL $31, X15        \
 	PAND  X0, X15         \
 	PAND  X3, X13         \
-	PAND  X12, l          \
 	PXOR  X13, l          \
-	PADDL X14, l          \
-	PAND  X12, r          \
 	PXOR  X13, r          \
+	HIDE4(l)              \
+	PADDL X14, l          \
+	HIDE4(r)              \
 	PADDL X15, r          \
 	MOVOU 16(R9), X2      \
 	PXOR  X2, l           \
@@ -256,13 +270,12 @@ donestep4:
 	PXOR  X2, r           \
 	PSUBL X2, r
 
-TEXT ·aesniLeaf4(SB), NOSPLIT, $0-48
+TEXT ·aesniLeaf4(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ seeds+8(FP), SI
 	MOVQ ts+16(FP), DX
-	MOVQ cw+24(FP), R8
-	MOVQ lc+32(FP), R9
-	MOVQ blocks+40(FP), CX
+	MOVQ lc+24(FP), R9
+	MOVQ blocks+32(FP), CX
 	TESTQ CX, CX
 	JLE  doneleaf4
 
@@ -271,8 +284,8 @@ loopleaf4:
 	ROUNDS4
 	PARENTS4
 	MOVOU (R9), X0
-	MOVOU (R8), X3
-	MOVOU aesk<>+CLR(SB), X12
+	MOVOU 64(R9), X3
+	MOVOU aesk<>+ONE(SB), X12
 	LEAF4(0x00, X4, X5)
 	LEAF4(0x55, X6, X7)
 	LEAF4(0xaa, X8, X9)
@@ -556,31 +569,39 @@ donestep16:
 // LEAF16 finishes one child register: its control bit — raw bit 0 of the
 // lane's first dword, XORed with the parent mask where cw's bit for this
 // side is set (kt) — selects the lanes that take Final (Z12), and party 1
-// (K1) negates.
+// (K1) negates. Between the two the child is corrected and converted in
+// one three-input XOR: Z2 is the converted cw.S under the parent masks,
+// and Z14 the conversion's flip, one (Z18) under the parity of each lane's
+// four dwords (the XOR of the lane with its qword-rotated and then
+// half-swapped self). The converted cw.S has even parity, so the raw
+// child's parity is the corrected child's.
 #define LEAF16(c, kt) \
 	VPSHUFD $0, c, Z3     \
 	VPXORD  Z1, Z3, kt, Z3 \
 	VPTESTMD.BCST aesone<>+4(SB), Z3, K4 \
-	CORR16(c)             \
+	VPROLQ  $32, c, Z3    \
+	VPXORD  c, Z3, Z3     \
+	VPSHUFD $0x4e, Z3, Z14 \
+	VPTERNLOGD $0x28, Z18, Z3, Z14 \
+	VPTERNLOGD $0x96, Z14, Z2, c   \
 	VPADDD  Z12, c, K4, c \
 	VPSUBD  c, Z30, K1, c
 
-// func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, cw *CW, lc *aesLeafConsts, blocks int)
+// func vaesLeaf16(dst *uint32, seeds *Seed, ts *uint8, lc *aesLeafConsts, blocks int)
 //
 // The terminal step for four-lane groups on ZMM (see aesniLeaf4). Z12
-// holds Final in every lane; K1, K2, K3 are all-ones or empty for party 1,
-// cw.TL, cw.TR.
-TEXT ·vaesLeaf16(SB), NOSPLIT, $0-48
+// holds Final in every lane, Z15 the converted cw.S; K1, K2, K3 are
+// all-ones or empty for party 1, cw.TL, cw.TR.
+TEXT ·vaesLeaf16(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ seeds+8(FP), SI
 	MOVQ ts+16(FP), DX
-	MOVQ cw+24(FP), R8
-	MOVQ lc+32(FP), R9
-	MOVQ blocks+40(FP), CX
+	MOVQ lc+24(FP), R9
+	MOVQ blocks+32(FP), CX
 	TESTQ CX, CX
 	JLE  doneleaf16
 	CONST16
-	VBROADCASTI32X4 (R8), Z15
+	VBROADCASTI32X4 64(R9), Z15
 	VBROADCASTI32X4 (R9), Z12
 	VPXORD Z30, Z30, Z30
 	MOVL 16(R9), AX

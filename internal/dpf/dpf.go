@@ -69,12 +69,18 @@ func DomainBits(rows int) int {
 	return bits
 }
 
-// Key is one party's share of a point function. A Key alone should be
-// computationally indistinguishable from a key for any other index. One
-// bit is not: a terminal seed's word 0 has its low bit cleared (the slot
-// its control bit was peeled from) in both parties' seeds, so the low bit
-// of Final[0] is that of β·[α mod GroupSize() = 0] (TestKeyShareBalance,
-// ROADMAP item 24).
+// Key is one party's share of a point function. A Key alone is
+// computationally indistinguishable from a key for any other index.
+//
+// A terminal seed converts into its group's leaf shares word by word (see
+// leafWords): leaf i is the seed's i-th little-endian 32-bit word, except
+// that word 0's low bit, the slot the seed's control bit was peeled from
+// and so zero in every terminal seed of both parties, is replaced by the
+// XOR of the low bits of words 1–3. Taken as it is, that bit would make
+// the low bit of Final[0] β's whenever α opens its terminal group. So
+// Final[0]'s low bit is uniform on groups of one and two leaves; on
+// four-leaf groups the low bits of the four Final words are uniform up to
+// their parity, which is β's parity and says nothing about α.
 type Key struct {
 	// Bits is the tree depth n; the domain is [0, 2^Bits).
 	Bits int
@@ -178,14 +184,15 @@ func GenEarly(prg PRG, alpha uint64, bits int, beta uint32, early int, rng io.Re
 	}
 
 	// Final correction word over the terminal group, whose leaf i converts
-	// from the seed's i-th 32-bit word w_i:
+	// from the seed's i-th converted 32-bit word w_i (leafWords):
 	// final_i = (-1)^{t1} * (β·[i = sub] - w_i(s0) + w_i(s1)) mod 2^32, where
 	// sub is the group slot the low `early` bits of alpha select — the
 	// other leaves of alpha's terminal group must still share to zero.
 	sub := int(alpha) & (1<<uint(early) - 1)
+	w0, w1 := leafWords(&s[0]), leafWords(&s[1])
 	final := make([]uint32, 1<<uint(early))
 	for i := range final {
-		v := leU32(s[1][4*i:]) - leU32(s[0][4*i:])
+		v := w1[i] - w0[i]
 		if i == sub {
 			v += beta
 		}
@@ -309,11 +316,30 @@ func StepLeafBatch(prg PRG, k *Key, seeds []Seed, ts []uint8, dst []uint32, sc *
 	}
 }
 
+// leafWords is the §3.1 leaf conversion of a terminal seed: its four
+// little-endian 32-bit words, the shares of the group's leaves before the
+// final correction, with word 0's low bit replaced by the XOR of the low
+// bits of words 1–3 (Key says why). Every evaluation path converts
+// through this rule.
+func leafWords(s *Seed) [4]uint32 {
+	lo, hi := binary.LittleEndian.Uint64(s[0:8]), binary.LittleEndian.Uint64(s[8:16])
+	lo = hideLow(lo, hi)
+	return [4]uint32{uint32(lo), uint32(lo >> 32), uint32(hi), uint32(hi >> 32)}
+}
+
+// hideLow is leafWords on a seed split into 64-bit halves, words 0–1 and
+// words 2–3: it returns the low half with word 0's low bit set to the XOR
+// of the low bits of words 1–3, whatever it was. The map is linear over
+// GF(2), so converting a corrected child is converting the raw child and
+// XORing in the converted correction seed under the parent's mask (the
+// leaf kernels do that).
+func hideLow(lo, hi uint64) uint64 { return lo ^ (lo^lo>>32^hi^hi>>32)&1 }
+
 // convertLeafGroup converts leaves [jLo, jLo+len(out)) of one corrected
-// terminal seed's group into output shares (final correction plus party
-// sign). Like the AES steps' correction passes it masks instead of
-// branching on the control bit and the party: the bit is pseudorandom, a
-// branch on it mispredicts every other node.
+// terminal seed's group into output shares (leafWords, final correction
+// and party sign). Like the AES steps' correction passes it masks instead
+// of branching on the control bit and the party: the bit is pseudorandom,
+// a branch on it mispredicts every other node.
 //
 // A group is at most the seed's own four words. A wider one would need a
 // PRG call per terminal, which costs what one more tree level costs:
@@ -329,31 +355,32 @@ func convertLeafGroup(k *Key, s *Seed, t uint8, jLo int, out []uint32) {
 		// loop unrolls into straight stores (3.3 against 7 ns per seed).
 		f := (*[4]uint32)(k.Final)
 		o := (*[4]uint32)(out)
-		o[0] = ((leU32(s[0:4]) + f[0]&fm) ^ neg) - neg
-		o[1] = ((leU32(s[4:8]) + f[1]&fm) ^ neg) - neg
-		o[2] = ((leU32(s[8:12]) + f[2]&fm) ^ neg) - neg
-		o[3] = ((leU32(s[12:16]) + f[3]&fm) ^ neg) - neg
+		w := leafWords(s)
+		o[0] = ((w[0] + f[0]&fm) ^ neg) - neg
+		o[1] = ((w[1] + f[1]&fm) ^ neg) - neg
+		o[2] = ((w[2] + f[2]&fm) ^ neg) - neg
+		o[3] = ((w[3] + f[3]&fm) ^ neg) - neg
 		return
 	}
-	words, final := s[4*jLo:], k.Final[jLo:]
+	words := leafWords(s)
 	for j := range out {
-		out[j] = ((leU32(words[4*j:4*j+4]) + final[j]&fm) ^ neg) - neg
+		out[j] = ((words[jLo+j] + k.Final[jLo+j]&fm) ^ neg) - neg
 	}
 }
 
 // LeafValuesInto converts a whole terminal frontier into this party's
 // output shares: each terminal node yields its GroupSize()
 // consecutive leaf values, so dst must have len(seeds) << Early entries.
-// The conversion reads straight from the seed words with no PRF call —
-// for early-terminated keys this is the §3.1 payoff: one 128-bit seed
-// becomes four output lanes instead of four walked leaves.
+// The conversion (leafWords) reads straight from the seed words with no
+// PRF call — for early-terminated keys this is the §3.1 payoff: one
+// 128-bit seed becomes four output lanes instead of four walked leaves.
 func LeafValuesInto(k *Key, seeds []Seed, ts []uint8, dst []uint32) {
 	if k.Early == 0 {
-		// One lane per seed: a call per seed would cost five times the
-		// arithmetic.
+		// One lane per seed, converted word 0: a call per seed would cost
+		// five times the arithmetic.
 		final, neg := k.Final[0], -uint32(k.Party)
 		for i := range seeds {
-			dst[i] = ((leU32(seeds[i][0:4]) + final&-uint32(ts[i])) ^ neg) - neg
+			dst[i] = ((leafWords(&seeds[i])[0] + final&-uint32(ts[i])) ^ neg) - neg
 		}
 		return
 	}
@@ -489,8 +516,4 @@ func xorSeed(a, b Seed) Seed {
 	binary.LittleEndian.PutUint64(out[0:8], binary.LittleEndian.Uint64(a[0:8])^binary.LittleEndian.Uint64(b[0:8]))
 	binary.LittleEndian.PutUint64(out[8:16], binary.LittleEndian.Uint64(a[8:16])^binary.LittleEndian.Uint64(b[8:16]))
 	return out
-}
-
-func leU32(b []byte) uint32 {
-	return binary.LittleEndian.Uint32(b)
 }

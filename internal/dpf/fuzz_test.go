@@ -10,10 +10,10 @@ import (
 
 // FuzzUnmarshalBinary hammers the key parser — the one decoder that eats
 // raw bytes straight off the serving path's TCP sockets — with mutated
-// wire keys, seeded from every golden fixture (the v3 keys it accepts at
-// full depth and early-terminated, and the v1 and v2 keys it refuses by
-// name) and from a v3 key whose last control-bit byte is padded, as sent
-// and with a padding bit or its lanes byte corrupted. Any accepted input
+// wire keys, seeded from every golden fixture (the v4 keys it accepts at
+// full depth and early-terminated, and the v1, v2 and v3 keys it refuses
+// by name) and from a served key whose last control-bit byte is padded,
+// as sent and with a padding bit or its lanes byte corrupted. Any accepted input
 // must re-marshal byte-identically (the wire format is canonical) and
 // evaluate through EvalRange, at its first and last leaf, without
 // panicking.
@@ -42,17 +42,17 @@ func FuzzUnmarshalBinary(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v3, err := padded.MarshalBinary()
+	served, err := padded.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v3)
+	f.Add(served)
 	for _, mut := range []func(b []byte){
 		func(b []byte) { b[len(b)-17] |= 0x80 }, // a padding bit of the tbits byte
 		func(b []byte) { b[5] = 0 },             // lanes byte
 		func(b []byte) { b[5] = 2 },
 	} {
-		b := bytes.Clone(v3)
+		b := bytes.Clone(served)
 		mut(b)
 		f.Add(b)
 	}

@@ -9,22 +9,26 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// updateGolden regenerates testdata/golden_keys.json:
+// updateGolden regenerates the served fixtures in
+// testdata/golden_keys.json:
 //
 //	go test ./internal/dpf -run TestGoldenWireFormat -update-golden
 //
-// The fixtures are checked in so CI catches wire-format breaks (a v3
-// layout change, a PRF implementation drift — including asm vs purego — or
-// an evaluation regression) before a deployed client does. The v1 and v2
-// fixtures, the layouts served before v3, stay as they were: they parse
-// through the reference decoder below and each re-marshals to its v3
-// twin's bytes.
-var updateGolden = flag.Bool("update-golden", false, "regenerate the golden key fixtures")
+// The fixtures are checked in so CI catches wire-format breaks (a layout
+// change, a PRF implementation drift — including asm vs purego — or an
+// evaluation regression) before a deployed client does. The v1, v2 and v3
+// fixtures, the formats served before v4, are kept byte for byte from the
+// checked-in file: no build can regenerate them, since their Final words
+// belong to a leaf conversion that kept word 0's low bit. Each is refused
+// by name and decodes to its served twin's header, root and correction
+// words.
+var updateGolden = flag.Bool("update-golden", false, "regenerate the served golden key fixtures")
 
 // goldenKey is one serialized key pair with everything needed to verify
 // it still unmarshals, round-trips byte-for-byte, and evaluates to its
@@ -105,24 +109,22 @@ func legacyUnmarshal(data []byte) (Key, error) {
 }
 
 // goldenName is a fixture's subtest name: its PRF and version, and
-// "-early0" on the v3 key that walks full depth.
+// "-early0" on a v3 or later key that walks full depth.
 func goldenName(g goldenKey) string {
 	name := g.PRG + "/v" + strconv.Itoa(g.Version)
-	if g.Version == ServedWire && g.Early == 0 {
+	if g.Version >= 3 && g.Early == 0 {
 		name += "-early0"
 	}
 	return name
 }
 
-// generateGolden deterministically builds four fixtures per PRF from two
-// key pairs: a full-depth pair in v3 and in v1, and an early-terminated
-// pair in v2 and in v3. Each pair's legacy and v3 fixtures carry the same
-// key, so a layout costs the rng stream nothing and the v1 and v2 bytes
-// stay as they were when those formats were served; the full-depth v3
-// fixture leads its PRF's block. The rng stream is fixed, and every PRF is
-// deterministic, so the resulting bytes are identical on every platform —
-// which is exactly what makes them a cross-build honesty check for the asm
-// and purego AES paths.
+// generateGolden deterministically builds the served fixtures, two per
+// PRF: a full-depth key pair and an early-terminated one. The rng stream
+// and its draw order are the ones the retired fixtures were drawn with, so
+// each served fixture is the same key as its retired twins but for the
+// magic and Final. Every PRF is deterministic, so the resulting bytes are
+// identical on every platform — which is exactly what makes them a
+// cross-build honesty check for the asm and purego AES paths.
 func generateGolden(t *testing.T) []goldenKey {
 	t.Helper()
 	rng := testRand(20260728)
@@ -140,58 +142,30 @@ func generateGolden(t *testing.T) []goldenKey {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v3 := [2][]byte{}
+			var raw [2][]byte
 			for party, k := range []*Key{&k0, &k1} {
-				if v3[party], err = k.MarshalBinary(); err != nil {
+				if raw[party], err = k.MarshalBinary(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			fixture := func(raw0, raw1 []byte) goldenKey {
-				return goldenKey{
-					PRG:     name,
-					Version: WireVersion(raw0),
-					Bits:    bits,
-					Early:   early,
-					Alpha:   alpha,
-					Beta:    []uint32{beta},
-					Key0:    hex.EncodeToString(raw0),
-					Key1:    hex.EncodeToString(raw1),
-				}
-			}
-			legacy := fixture(legacyMarshal(&k0), legacyMarshal(&k1))
-			if early == 0 {
-				out = append(out, fixture(v3[0], v3[1]), legacy)
-			} else {
-				out = append(out, legacy, fixture(v3[0], v3[1]))
-			}
+			out = append(out, goldenKey{
+				PRG:     name,
+				Version: ServedWire,
+				Bits:    bits,
+				Early:   early,
+				Alpha:   alpha,
+				Beta:    []uint32{beta},
+				Key0:    hex.EncodeToString(raw[0]),
+				Key1:    hex.EncodeToString(raw[1]),
+			})
 		}
 	}
 	return out
 }
 
-// TestGoldenWireFormat pins the served wire format and every PRF's
-// evaluation to checked-in bytes: each fixture must carry its declared
-// version and reconstruct its exact point function. A v3 fixture must
-// unmarshal and re-marshal byte-identically. A v1 or v2 fixture must be
-// refused by UnmarshalBinary naming its version, parse through
-// legacyUnmarshal to bytes legacyMarshal reproduces, and marshal to its v3
-// twin's bytes. A failure here means deployed clients' keys would break.
-func TestGoldenWireFormat(t *testing.T) {
-	if *updateGolden {
-		fixtures := generateGolden(t)
-		buf, err := json.MarshalIndent(fixtures, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, '\n')
-		if err := os.MkdirAll(filepath.Dir(goldenPath()), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath(), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d fixtures to %s", len(fixtures), goldenPath())
-	}
+// readGolden reads the checked-in fixtures.
+func readGolden(t *testing.T) []goldenKey {
+	t.Helper()
 	raw, err := os.ReadFile(goldenPath())
 	if err != nil {
 		t.Fatalf("reading fixtures (regenerate with -update-golden): %v", err)
@@ -200,28 +174,87 @@ func TestGoldenWireFormat(t *testing.T) {
 	if err := json.Unmarshal(raw, &fixtures); err != nil {
 		t.Fatal(err)
 	}
-	if want := 4 * len(allPRGNames()); len(fixtures) != want {
-		t.Fatalf("%d fixtures, want %d (v3 at full depth, v1, v2 and v3 per PRF)", len(fixtures), want)
-	}
-	// A legacy fixture's v3 twin: the same PRF and depth, in v3.
-	twin := map[string]goldenKey{}
-	for _, g := range fixtures {
-		if g.Version == ServedWire {
-			twin[g.PRG+"/"+strconv.Itoa(g.Early)] = g
+	return fixtures
+}
+
+// writeGolden rewrites the fixture file: each PRF's retired fixtures as
+// checked in, then its freshly generated served ones.
+func writeGolden(t *testing.T) {
+	t.Helper()
+	old, served := readGolden(t), generateGolden(t)
+	var fixtures []goldenKey
+	for _, name := range allPRGNames() {
+		for _, g := range old {
+			if g.PRG == name && g.Version < ServedWire {
+				fixtures = append(fixtures, g)
+			}
+		}
+		for _, g := range served {
+			if g.PRG == name {
+				fixtures = append(fixtures, g)
+			}
 		}
 	}
+	buf, err := json.MarshalIndent(fixtures, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf, '\n')
+	if err := os.WriteFile(goldenPath(), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d fixtures to %s", len(fixtures), goldenPath())
+}
 
-	// The checked-in bytes must also be exactly what today's Gen produces
-	// from the fixed rng stream — Gen drift is a silent protocol break.
-	regen := generateGolden(t)
+// retiredKey decodes a fixture in a retired format: v1 and v2 through the
+// reference decoder, v3 (the served layout under another magic) through
+// UnmarshalBinary with the magic swapped.
+func retiredKey(raw []byte) (Key, error) {
+	if WireVersion(raw) != 3 {
+		return legacyUnmarshal(raw)
+	}
+	var k Key
+	served := binary.LittleEndian.AppendUint16(nil, keyMagic)
+	err := k.UnmarshalBinary(append(served, raw[2:]...))
+	return k, err
+}
 
-	for i, g := range fixtures {
+// TestGoldenWireFormat pins the served wire format and every PRF's
+// evaluation to checked-in bytes. A served (v4) fixture must carry its
+// declared version, unmarshal and re-marshal byte-identically, be what
+// Gen draws from the fixed rng stream, reconstruct its exact point
+// function, and evaluate the same through the fused and unfused paths. A
+// retired (v1, v2 or v3) fixture must be refused by UnmarshalBinary naming
+// its version and the served one, round-trip through its own decoder, and
+// decode to its served twin's header, root and correction words: only the
+// magic and Final may differ. It is not evaluated, since its Final belongs
+// to the retired leaf conversion. A failure here means deployed clients'
+// keys would break.
+func TestGoldenWireFormat(t *testing.T) {
+	if *updateGolden {
+		writeGolden(t)
+	}
+	fixtures := readGolden(t)
+	if want := 6 * len(allPRGNames()); len(fixtures) != want {
+		t.Fatalf("%d fixtures, want %d (v3 at full depth, v1, v2, v3, v4 at full depth and v4 per PRF)", len(fixtures), want)
+	}
+	// The checked-in served bytes must also be exactly what today's Gen
+	// produces from the fixed rng stream — Gen drift is a silent protocol
+	// break. A fixture's served twin: the same PRF and depth.
+	regen := map[string]goldenKey{}
+	for _, g := range generateGolden(t) {
+		regen[g.PRG+"/"+strconv.Itoa(g.Early)] = g
+	}
+
+	for _, g := range fixtures {
 		t.Run(goldenName(g), func(t *testing.T) {
 			prg, err := testPRG(g.PRG)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalGolden(regen[i], g) {
+			tw := regen[g.PRG+"/"+strconv.Itoa(g.Early)]
+			served := g.Version == ServedWire
+			if served && !equalGolden(tw, g) {
 				t.Errorf("Gen no longer reproduces the checked-in fixture (wire or PRF drift)")
 			}
 			var keys [2]Key
@@ -234,35 +267,55 @@ func TestGoldenWireFormat(t *testing.T) {
 					t.Fatalf("party %d: wire version %d, fixture says %d", party, v, g.Version)
 				}
 				k := &keys[party]
-				if g.Version == ServedWire {
+				if served {
 					if err := k.UnmarshalBinary(raw); err != nil {
 						t.Fatalf("party %d: unmarshal: %v", party, err)
+					}
+					if again, err := k.MarshalBinary(); err != nil || hex.EncodeToString(again) != hexKey {
+						t.Fatalf("party %d: re-marshal is not byte-identical (%v)", party, err)
 					}
 				} else {
 					err := new(Key).UnmarshalBinary(raw)
 					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("key wire v%d", g.Version)) ||
-						!strings.Contains(err.Error(), "serves key wire v3") {
+						!strings.Contains(err.Error(), fmt.Sprintf("serves key wire v%d", ServedWire)) {
 						t.Fatalf("party %d: UnmarshalBinary of a v%d key: %v, want a refusal naming both versions", party, g.Version, err)
 					}
-					if *k, err = legacyUnmarshal(raw); err != nil {
-						t.Fatalf("party %d: legacy unmarshal: %v", party, err)
+					if *k, err = retiredKey(raw); err != nil {
+						t.Fatalf("party %d: decoding the v%d key: %v", party, g.Version, err)
 					}
-					if hex.EncodeToString(legacyMarshal(k)) != hexKey {
-						t.Fatalf("party %d: legacy re-marshal is not byte-identical", party)
+					var again []byte
+					if g.Version == 3 {
+						again, _ = k.MarshalBinary()
+						again[0] = 0x03
+					} else {
+						again = legacyMarshal(k)
+					}
+					if hex.EncodeToString(again) != hexKey {
+						t.Fatalf("party %d: the v%d key does not re-encode byte-identically", party, g.Version)
 					}
 				}
 				if k.Bits != g.Bits || k.Early != g.Early || int(k.Party) != party {
 					t.Fatalf("party %d: header (bits=%d early=%d party=%d) != fixture (%d, %d, %d)",
 						party, k.Bits, k.Early, k.Party, g.Bits, g.Early, party)
 				}
-				remarshaled, err := k.MarshalBinary()
+				if served {
+					continue
+				}
+				var twin Key
+				twinRaw, err := hex.DecodeString([2]string{tw.Key0, tw.Key1}[party])
+				if err == nil {
+					err = twin.UnmarshalBinary(twinRaw)
+				}
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("party %d: the served twin: %v", party, err)
 				}
-				tw := twin[g.PRG+"/"+strconv.Itoa(g.Early)]
-				if want := [2]string{tw.Key0, tw.Key1}[party]; hex.EncodeToString(remarshaled) != want {
-					t.Fatalf("party %d: marshals to bytes other than the v3 fixture's", party)
+				if g.Alpha != tw.Alpha || !slices.Equal(g.Beta, tw.Beta) || k.Bits != twin.Bits || k.Early != twin.Early ||
+					k.Party != twin.Party || k.Root != twin.Root || !slices.Equal(k.CWs, twin.CWs) {
+					t.Fatalf("party %d: the v%d key is not its served twin's key but for the magic and Final", party, g.Version)
 				}
+			}
+			if !served {
+				return
 			}
 			k0, k1 := &keys[0], &keys[1]
 			// EvalFull runs the fused walk (StepBothBatch levels, then

@@ -6,13 +6,13 @@ import (
 	"fmt"
 )
 
-// Key wire format v3 (little endian), BGI's λ+2 bits per level: the low
+// Key wire format v4 (little endian), BGI's λ+2 bits per level: the low
 // byte of the magic is the format version. With d = bits-early walked
 // levels, the control bits of all d levels are packed two per level after
 // the seeds, TL of level i at bit 2i and TR at bit 2i+1, LSB first; the
 // padding bits of the last byte are zero:
 //
-//	magic   uint16 = 0xDF03
+//	magic   uint16 = 0xDF04
 //	bits    uint8
 //	party   uint8
 //	early   uint8  (0..MaxEarlyBits, < bits)
@@ -27,25 +27,28 @@ import (
 // depth on a 2^16-row table, 43 on a 2-row one (which walks full depth).
 //
 // Earlier builds sent v1 (0xDF01, full depth, a control-bit byte per
-// level) and v2 (0xDF02, v3's key with a byte per level and a 4-byte lane
-// count). UnmarshalBinary refuses both by name, so an old client learns
-// which version it sent and which one is served.
+// level), v2 (0xDF02, v3's key with a byte per level and a 4-byte lane
+// count) and v3 (0xDF03, v4's layout). A v3 key's Final belongs to a leaf
+// conversion that kept word 0's low bit; under leafWords it evaluates to
+// wrong shares without an error. UnmarshalBinary refuses all three by
+// name, so an old client learns which version it sent and which one is
+// served.
 
-const keyMagicV3 = 0xDF03
+const keyMagic = 0xDF04
 
 // ServedWire is the one key wire format this build emits and parses;
 // refusals of any other name it.
-const ServedWire = 3
+const ServedWire = 4
 
-// WireVersion reports the key wire format version of marshaled data: 1, 2
-// or 3, or 0 if the buffer is too short to carry a magic or carries an
+// WireVersion reports the key wire format version of marshaled data: 1
+// to 4, or 0 if the buffer is too short to carry a magic or carries an
 // unknown one. Validation errors use it to tell a client exactly which
 // format it sent.
 func WireVersion(data []byte) int {
 	if len(data) < 2 {
 		return 0
 	}
-	if m := binary.LittleEndian.Uint16(data); m >= 0xDF01 && m <= keyMagicV3 {
+	if m := binary.LittleEndian.Uint16(data); m >= 0xDF01 && m <= keyMagic {
 		return int(m & 0xff)
 	}
 	return 0
@@ -62,7 +65,7 @@ func keySize(bits, early int) int {
 	return 22 + 16*d + (d+3)/4 + 4<<uint(early)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler: it emits wire v3.
+// MarshalBinary implements encoding.BinaryMarshaler: it emits wire v4.
 func (k *Key) MarshalBinary() ([]byte, error) {
 	if k.Bits <= 0 || k.Bits > MaxBits {
 		return nil, fmt.Errorf("dpf: marshal: bad bits %d", k.Bits)
@@ -77,7 +80,7 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 		return nil, fmt.Errorf("dpf: marshal: %d final words, want %d", len(k.Final), k.GroupSize())
 	}
 	out := make([]byte, 0, keySize(k.Bits, k.Early))
-	out = binary.LittleEndian.AppendUint16(out, keyMagicV3)
+	out = binary.LittleEndian.AppendUint16(out, keyMagic)
 	out = append(out, byte(k.Bits), k.Party, byte(k.Early), 1)
 	out = append(out, k.Root[:]...)
 	for _, cw := range k.CWs {
@@ -94,14 +97,14 @@ func (k *Key) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler. It parses wire v3
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. It parses wire v4
 // in its canonical form only, and is the one place that checks a key is
 // scalar (a lanes byte of 1).
 func (k *Key) UnmarshalBinary(data []byte) error {
 	if len(data) < 2 {
 		return errors.New("dpf: unmarshal: short buffer")
 	}
-	if binary.LittleEndian.Uint16(data) != keyMagicV3 {
+	if binary.LittleEndian.Uint16(data) != keyMagic {
 		if v := WireVersion(data); v != 0 {
 			return fmt.Errorf("dpf: unmarshal: key wire v%d; this build serves key wire v%d", v, ServedWire)
 		}

@@ -10,8 +10,8 @@ import (
 	"testing/quick"
 )
 
-// TestKeyRoundTrip: marshal → unmarshal must reproduce the key, in wire
-// v3 at the declared size: Gen's keys at KeyBytes, and full-depth keys.
+// TestKeyRoundTrip: marshal → unmarshal must reproduce the key, in the
+// served wire format at the declared size: Gen's keys at KeyBytes, and full-depth keys.
 func TestKeyRoundTrip(t *testing.T) {
 	prg := NewAESPRG()
 	rng := testRand(31)
@@ -95,10 +95,10 @@ func TestMarshaledSizeTable(t *testing.T) {
 }
 
 // TestWireVersionsRoundTrip: one early-terminated key in the v2 layout
-// (legacyMarshal) and in v3 carries the same key — v2 parsed by the
-// reference decoder marshals to the v3 bytes — while UnmarshalBinary
-// refuses the v2 bytes naming both versions; a v3 key's packed control
-// bits survive every pattern.
+// (legacyMarshal) and in the served one carries the same key — v2 parsed
+// by the reference decoder marshals to the served bytes — while
+// UnmarshalBinary refuses the v2 bytes naming both versions; a served
+// key's packed control bits survive every pattern.
 func TestWireVersionsRoundTrip(t *testing.T) {
 	prg := NewAESPRG()
 	k0, k1, err := Gen(prg, 12345, 16, 7, testRand(41))
@@ -106,33 +106,44 @@ func TestWireVersionsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []*Key{&k0, &k1} {
-		v3, err := k.MarshalBinary()
+		served, err := k.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
 		v2 := legacyMarshal(k)
-		if WireVersion(v2) != 2 || len(v2) != 279 || WireVersion(v3) != 3 || len(v3) != 266 {
-			t.Fatalf("v2 is version %d in %d bytes, v3 version %d in %d", WireVersion(v2), len(v2), WireVersion(v3), len(v3))
+		if WireVersion(v2) != 2 || len(v2) != 279 || WireVersion(served) != ServedWire || len(served) != 266 {
+			t.Fatalf("v2 is version %d in %d bytes, the served key version %d in %d", WireVersion(v2), len(v2), WireVersion(served), len(served))
 		}
 		var parsed Key
-		if err := parsed.UnmarshalBinary(v3); err != nil {
+		if err := parsed.UnmarshalBinary(served); err != nil {
 			t.Fatal(err)
 		}
 		old, err := legacyUnmarshal(v2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again, err := old.MarshalBinary(); err != nil || !bytes.Equal(again, v3) {
-			t.Fatalf("the v2 key does not marshal to its v3 bytes: %v", err)
+		if again, err := old.MarshalBinary(); err != nil || !bytes.Equal(again, served) {
+			t.Fatalf("the v2 key does not marshal to its served bytes: %v", err)
 		}
 		a, _ := evalAt(prg, &parsed, 12345)
 		b, _ := evalAt(prg, &old, 12345)
 		if a != b {
-			t.Fatal("v2 and v3 evaluate differently")
+			t.Fatal("v2 and the served key evaluate differently")
 		}
 		err = new(Key).UnmarshalBinary(v2)
-		if err == nil || !strings.Contains(err.Error(), "key wire v2") || !strings.Contains(err.Error(), "serves key wire v3") {
+		if err == nil || !strings.Contains(err.Error(), "key wire v2") || !strings.Contains(err.Error(), fmt.Sprintf("serves key wire v%d", ServedWire)) {
 			t.Fatalf("v2 bytes: %v, want a refusal naming both versions", err)
+		}
+		// A v3 key has the served layout, but its Final belongs to the
+		// retired leaf conversion: it is refused by name, not evaluated.
+		v3 := bytes.Clone(served)
+		v3[0] = 0x03
+		if WireVersion(v3) != 3 {
+			t.Fatalf("a 0xDF03 magic reads as version %d", WireVersion(v3))
+		}
+		err = new(Key).UnmarshalBinary(v3)
+		if err == nil || err.Error() != "dpf: unmarshal: key wire v3; this build serves key wire v4" {
+			t.Fatalf("v3 bytes: %v, want a refusal naming v3 and v4", err)
 		}
 	}
 	// Every control-bit pattern at every position of a 5-level walk (one
@@ -156,7 +167,7 @@ func TestWireVersionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3Canonical: a v3 key has one encoding. Nonzero padding bits after
+// TestV3Canonical: a served key (v4, in v3's layout) has one encoding. Nonzero padding bits after
 // the packed control bits, a lanes byte other than 1, and a header whose
 // depth does not match the key's size are all refused.
 func TestV3Canonical(t *testing.T) {

@@ -1,6 +1,9 @@
 package dpf
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // The scalar references every batched and fused kernel is pinned to. They
 // spell the construction one node and one branch at a time, with none of
@@ -25,13 +28,20 @@ func step(prg PRG, s Seed, t uint8, cw CW, bit uint8) (Seed, uint8) {
 }
 
 // leafValue converts one terminal node state into this party's shares of
-// the node's whole leaf group: leaf i of the group is the seed's i-th
-// little-endian 32-bit word, plus Final[i] under control bit 1, negated
-// for party 1. dst must have GroupSize() entries; it is returned.
+// the node's whole leaf group, and defines the conversion: leaf i of the
+// group is the seed's i-th little-endian 32-bit word w_i, except that
+// w_0's low bit is set to the XOR of the low bits of w_1, w_2 and w_3,
+// plus Final[i] under control bit 1, negated for party 1. dst must have
+// GroupSize() entries; it is returned.
 func leafValue(k *Key, s Seed, t uint8, dst []uint32) []uint32 {
+	var w [4]uint32
+	for i := range w {
+		w[i] = leU32(s[4*i : 4*i+4])
+	}
+	w[0] = w[0]&^1 | (w[1]^w[2]^w[3])&1
 	dst = dst[:k.GroupSize()]
 	for i := range dst {
-		v := leU32(s[4*i : 4*i+4])
+		v := w[i]
 		if t == 1 {
 			v += k.Final[i]
 		}
@@ -82,4 +92,8 @@ func expandFrontier(prg PRG, k *Key) ([]Seed, []uint8) {
 		seeds, ts = next, nextT
 	}
 	return seeds, ts
+}
+
+func leU32(b []byte) uint32 {
+	return binary.LittleEndian.Uint32(b)
 }

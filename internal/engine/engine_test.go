@@ -291,6 +291,7 @@ func TestEarlyDepthValidation(t *testing.T) {
 	d1Keys, _ := genKeysEarly(t, tab, []uint64{5}, 1, 32)
 	v1Key := bytes.Clone(d0Keys[0])
 	v1Key[0] = 0x01 // the legacy full-depth magic, 0xDF01 little endian
+	served := fmt.Sprintf("wire v%d", dpf.ServedWire)
 	for name, validate := range map[string]func([]byte) error{"replica": rep.ValidateKey, "cluster": cluster.ValidateKey} {
 		if err := validate(defKeys[0]); err != nil {
 			t.Errorf("%s rejected a key of the served depth: %v", name, err)
@@ -299,9 +300,9 @@ func TestEarlyDepthValidation(t *testing.T) {
 			key  []byte
 			want []string
 		}{
-			{d0Keys[0], []string{"prg=aes128", "wire v3", "depth 0", "depth 2"}},
-			{d1Keys[0], []string{"prg=aes128", "wire v3", "depth 1", "depth 2"}},
-			{v1Key, []string{"prg=aes128", "wire v1", "serves key wire v3"}},
+			{d0Keys[0], []string{"prg=aes128", served, "depth 0", "depth 2"}},
+			{d1Keys[0], []string{"prg=aes128", served, "depth 1", "depth 2"}},
+			{v1Key, []string{"prg=aes128", "wire v1", "serves key " + served}},
 		} {
 			err := validate(tc.key)
 			if err == nil {
@@ -319,10 +320,10 @@ func TestEarlyDepthValidation(t *testing.T) {
 	}
 }
 
-// TestKeyWireV2Refused: replicas and clusters serve key wire v3 only. A
-// served key whose magic is rewritten to v2's is refused by ValidateKey
-// and Answer with both wire versions named, and its v3 encoding is
-// answered.
+// TestKeyWireV2Refused: replicas and clusters serve key wire v4 only. A
+// served key whose magic is rewritten to v2's or v3's is refused by
+// ValidateKey and Answer with both wire versions named, and its served
+// encoding is answered.
 func TestKeyWireV2Refused(t *testing.T) {
 	tab := buildTable(t, 64, 1, 33)
 	rep, err := NewReplica(tab, Config{Party: 0})
@@ -337,35 +338,37 @@ func TestKeyWireV2Refused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := k0.MarshalBinary()
+	served, err := k0.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := bytes.Clone(v3)
-	v2[0] = 0x02 // the v2 magic, 0xDF02 little endian
 	ctx := context.Background()
-	_, answerErr := rep.Answer(ctx, [][]byte{v2})
-	_, clusterErr := cluster.Answer(ctx, [][]byte{v2})
-	for name, err := range map[string]error{
-		"replica ValidateKey": rep.ValidateKey(v2),
-		"replica Answer":      answerErr,
-		"cluster ValidateKey": cluster.ValidateKey(v2),
-		"cluster Answer":      clusterErr,
-	} {
-		if err == nil {
-			t.Fatalf("%s accepted a wire-v2 key", name)
-		}
-		for _, want := range []string{"key wire v2", "serves key wire v3"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: %q does not name %q", name, err, want)
+	for _, v := range []byte{2, 3} {
+		old := bytes.Clone(served)
+		old[0] = v // the v2 or v3 magic, 0xDF0v little endian
+		_, answerErr := rep.Answer(ctx, [][]byte{old})
+		_, clusterErr := cluster.Answer(ctx, [][]byte{old})
+		for name, err := range map[string]error{
+			"replica ValidateKey": rep.ValidateKey(old),
+			"replica Answer":      answerErr,
+			"cluster ValidateKey": cluster.ValidateKey(old),
+			"cluster Answer":      clusterErr,
+		} {
+			if err == nil {
+				t.Fatalf("%s accepted a wire-v%d key", name, v)
+			}
+			for _, want := range []string{fmt.Sprintf("key wire v%d", v), fmt.Sprintf("serves key wire v%d", dpf.ServedWire)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("%s: %q does not name %q", name, err, want)
+				}
 			}
 		}
 	}
-	if _, err := rep.Answer(ctx, [][]byte{v3}); err != nil {
-		t.Fatalf("the same key in wire v3: %v", err)
+	if _, err := rep.Answer(ctx, [][]byte{served}); err != nil {
+		t.Fatalf("the same key in wire v%d: %v", dpf.ServedWire, err)
 	}
-	if err := cluster.ValidateKey(v3); err != nil {
-		t.Fatalf("cluster on the same key in wire v3: %v", err)
+	if err := cluster.ValidateKey(served); err != nil {
+		t.Fatalf("cluster on the same key in wire v%d: %v", dpf.ServedWire, err)
 	}
 }
 

@@ -22,7 +22,7 @@ type Client struct {
 
 // NewClient builds a client for a table with the given row count, using the
 // named PRF (which must match the servers'). rng may be nil to use
-// crypto/rand. Keys are dpf.Gen's: wire format v3 at the depth the table
+// crypto/rand. Keys are dpf.Gen's: wire format v4 at the depth the table
 // serves, dpf.DefaultEarly(dpf.DomainBits(rows)), the walk stopping 2
 // levels up (4 leaves per terminal seed) on any table of 8 rows or more.
 func NewClient(prgName string, rows int, rng io.Reader) (*Client, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
@@ -268,11 +269,12 @@ func TestWireCost(t *testing.T) {
 	}
 }
 
-// TestServeRefusesKeyWireV2: a Serve front serves key wire v3 only. A
+// TestServeRefusesKeyWireV2: a Serve front serves key wire v4 only. A
 // single-key request — whose bytes are the same in the protocol-4 and the
 // protocol-5 key-batch framing, so an old client's request parses — carrying
-// a key with the v2 magic is refused with both wire versions named, and the
-// same key in v3 is answered on the same connection.
+// a key with the v2 or the v3 magic is refused with both wire versions
+// named, and the same key in the served wire is answered on the same
+// connection.
 func TestServeRefusesKeyWireV2(t *testing.T) {
 	tab := testTable(t, 64, 2)
 	e0, err := Dial(startServer(t, tab))
@@ -284,23 +286,25 @@ func TestServeRefusesKeyWireV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v3, err := k0.MarshalBinary()
+	served, err := k0.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := bytes.Clone(v3)
-	v2[0] = 0x02 // the v2 magic, 0xDF02 little endian
-	_, err = e0.Answer([][]byte{v2})
-	if err == nil {
-		t.Fatal("a wire-v2 key was answered")
-	}
-	for _, want := range []string{"pir: server:", "key wire v2", "serves key wire v3"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("refusal %q does not name %q", err, want)
+	for _, v := range []byte{2, 3} {
+		old := bytes.Clone(served)
+		old[0] = v // the v2 or v3 magic, 0xDF0v little endian
+		_, err = e0.Answer([][]byte{old})
+		if err == nil {
+			t.Fatalf("a wire-v%d key was answered", v)
+		}
+		for _, want := range []string{"pir: server:", fmt.Sprintf("key wire v%d", v), fmt.Sprintf("serves key wire v%d", dpf.ServedWire)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("refusal %q does not name %q", err, want)
+			}
 		}
 	}
-	if _, err := e0.Answer([][]byte{v3}); err != nil {
-		t.Fatalf("the same key in wire v3: %v", err)
+	if _, err := e0.Answer([][]byte{served}); err != nil {
+		t.Fatalf("the same key in wire v%d: %v", dpf.ServedWire, err)
 	}
 }
 

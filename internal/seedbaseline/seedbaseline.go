@@ -40,10 +40,13 @@ func stepBoth(prg dpf.PRG, s dpf.Seed, t uint8, cw dpf.CW) (ls dpf.Seed, lt uint
 	return l, tl, r, tr
 }
 
-// leafValue is the seed revision's LeafValueScalar: a full-depth key's
-// leaf share, straight from the terminal seed's first word.
+// leafValue is the seed revision's LeafValueScalar under the live leaf
+// conversion: a full-depth key's leaf share is the terminal seed's first
+// word with its low bit set to the XOR of the low bits of words 1–3, so
+// the baseline's answers stay identical to the tiled path's.
 func leafValue(k *dpf.Key, s dpf.Seed, t uint8) uint32 {
 	v := binary.LittleEndian.Uint32(s[0:4])
+	v ^= (v ^ binary.LittleEndian.Uint32(s[4:8]) ^ binary.LittleEndian.Uint32(s[8:12]) ^ binary.LittleEndian.Uint32(s[12:16])) & 1
 	if t == 1 {
 		v += k.Final[0]
 	}

@@ -55,9 +55,11 @@ import (
 // ProtocolVersion is the wire version this build speaks; a hello naming
 // any other is refused with both named. Version 4 replaced the gob
 // handshake with the binary hello and took in the client ops; version 5
-// frames a key batch as one count and one width, and serves dpf key wire
-// v3 only; version 6 carries only the host counters (PRF blocks, table
-// bytes streamed) in the counters response.
+// frames a key batch as one count and one width; version 6 carries only
+// the host counters (PRF blocks, table bytes streamed) in the counters
+// response. The hello does not pin the dpf key wire version: each key's
+// magic names it, and a node refuses a key of any version but
+// dpf.ServedWire by name.
 const ProtocolVersion = 6
 
 // Frame and batch caps, each checked before anything is allocated for

@@ -141,9 +141,9 @@ func TestHelloRefusesProtocol4(t *testing.T) {
 	}
 }
 
-// v2Key marshals a fresh party-0 key for row of a bits-deep table and
-// rewrites its magic to key wire v2's, the format before v3.
-func v2Key(t *testing.T, bits int, row uint64) []byte {
+// oldKey marshals a fresh party-0 key for row of a bits-deep table and
+// rewrites its magic to key wire v's, a format served before v4.
+func oldKey(t *testing.T, bits int, row uint64, v byte) []byte {
 	t.Helper()
 	k0, _, err := dpf.Gen(dpf.NewAESPRG(), row, bits, 1, rand.New(rand.NewSource(25)))
 	if err != nil {
@@ -153,14 +153,14 @@ func v2Key(t *testing.T, bits int, row uint64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[0] = 0x02 // the v2 magic, 0xDF02 little endian
+	raw[0] = v // the v2 or v3 magic, 0xDF0v little endian
 	return raw
 }
 
-// TestNodeRefusesKeyWireV2: a shard node serves key wire v3 only. A v2 key
-// — here alone in its request, whose bytes protocol 4 and 5 frame alike —
-// is refused with both wire versions named, on the member op and on the
-// client op, and the connection goes on serving v3 keys.
+// TestNodeRefusesKeyWireV2: a shard node serves key wire v4 only. A v2 or
+// v3 key — here alone in its request, whose bytes protocol 4 and 5 frame
+// alike — is refused with both wire versions named, on the member op and
+// on the client op, and the connection goes on serving v4 keys.
 func TestNodeRefusesKeyWireV2(t *testing.T) {
 	tab := buildTable(t, 64, 2, 26)
 	rep := newReplica(t, tab, engine.Config{Party: 0})
@@ -170,22 +170,24 @@ func TestNodeRefusesKeyWireV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	old := [][]byte{v2Key(t, tab.Bits(), 5)}
-	_, _, _, rangeErr := c.AnswerRangeEpoch(context.Background(), old, 0, 64)
-	_, answerErr := c.Answer(context.Background(), old)
-	for _, err := range []error{rangeErr, answerErr} {
-		if err == nil {
-			t.Fatal("node answered a wire-v2 key")
-		}
-		for _, want := range []string{"key wire v2", "serves key wire v3"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("refusal %q does not name %q", err, want)
+	for _, v := range []byte{2, 3} {
+		old := [][]byte{oldKey(t, tab.Bits(), 5, v)}
+		_, _, _, rangeErr := c.AnswerRangeEpoch(context.Background(), old, 0, 64)
+		_, answerErr := c.Answer(context.Background(), old)
+		for _, err := range []error{rangeErr, answerErr} {
+			if err == nil {
+				t.Fatalf("node answered a wire-v%d key", v)
+			}
+			for _, want := range []string{fmt.Sprintf("key wire v%d", v), fmt.Sprintf("serves key wire v%d", dpf.ServedWire)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("refusal %q does not name %q", err, want)
+				}
 			}
 		}
 	}
 	keys, _ := genKeys(t, dpf.NewAESPRG(), tab.Bits(), []uint64{5}, 27)
 	if _, _, _, err := c.AnswerRangeEpoch(context.Background(), keys, 0, 64); err != nil {
-		t.Fatalf("v3 key after the refusal: %v", err)
+		t.Fatalf("v%d key after the refusals: %v", dpf.ServedWire, err)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestTemporalLocalityCacheClaim(t *testing.T) {
 // embedding retrieval over real TCP endpoints, twice: against the classic
 // two-server pair, and against two 4-shard distributed replicas (each a
 // mix of in-process shards and TCP shard nodes holding only their own
-// rows). Both paths use the served early-terminated wire-v3 keys and
+// rows). Both paths use the served early-terminated wire-v4 keys and
 // must reconstruct the trained embeddings bit-exactly — the property the
 // whole two-cloud deployment story rests on.
 func TestDistributedRecommendationTCP(t *testing.T) {
@@ -211,7 +211,7 @@ func TestDistributedRecommendationTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deployment default must be early-terminated wire-v3 keys.
+	// The deployment default must be early-terminated keys in the served wire.
 	k0, _, err := cl.Query(0)
 	if err != nil {
 		t.Fatal(err)
