@@ -111,12 +111,18 @@
 //     table bytes streamed (one pass over the range per tile).
 //     strategy.Run / strategy.RunRange are the allocate-then-call free
 //     functions tests and benchmarks use.
-//     MemBoundTree's memory-bounded descent (expandMemBound) feeds the one
-//     tile loop (runTiles): leaf shares for a tile
-//     of up to 32 queries are expanded first, then ONE streaming pass over
-//     the row range accumulates all the tile's dot products
-//     (accumulateTile), so a batch of B queries streams the table ⌈B/32⌉
-//     times instead of B; the first error ends the batch. The accumulate
+//     MemBoundTree's memory-bounded descent feeds the one tile loop
+//     (runTiles): each key of a tile of up to 32 queries descends once to
+//     a block frontier — one seed and control bit per aligned block of
+//     rows, the rows of a 256 KiB page (4096 of 64 B, 64 of 4 KiB) — and
+//     then ONE streaming pass over the row range (runPass) accumulates all
+//     the tile's dot products, so a batch of B queries streams the table
+//     ⌈B/32⌉ times instead of B. The pass's own workers expand each
+//     chunk's rows from the frontier into a pooled span of at most 4096
+//     rows of leaves and accumulate it while it is in L2, so a pass holds
+//     a span per worker, not a leaf matrix over its range, and every tree
+//     node is still expanded once (a block a chunk boundary splits is
+//     expanded whole once and shared); the first error ends the batch. The accumulate
 //     itself is the batched matmul answers[Q×lanes] += leaves[Q×rows] ·
 //     table[rows×lanes] of §3.1/§3.2.4, and is kernel-dispatched like the
 //     AES path: the shared cpufeat probe picks one asm tier at init

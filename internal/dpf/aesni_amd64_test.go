@@ -3,6 +3,7 @@
 package dpf
 
 import (
+	"fmt"
 	"testing"
 
 	"gpudpf/internal/cpufeat"
@@ -74,9 +75,14 @@ func TestScalarExpandAllocs(t *testing.T) {
 // BenchmarkAESFusedTiers runs the bare expansion and the fused frontier
 // and leaf steps of each compiled tier on BenchmarkStepBothBatch128's
 // 128-wide frontier, so the narrower tier's cost is on record from a host
-// that dispatches to the wider one.
+// that dispatches to the wider one. The leaf step runs for each party's
+// key (party 1 negates its shares), since a served workload is one party.
 func BenchmarkAESFusedTiers(b *testing.B) {
-	k, cw, seeds, ts := benchFrontier(b)
+	k0, cw, seeds, ts := benchFrontier(b)
+	_, k1, err := GenEarly(NewAESPRG(), 5, 10, 1, MaxEarlyBits, zeroReader{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	next := make([]Seed, 256)
 	nextT := make([]uint8, 256)
 	dst := make([]uint32, 8*128)
@@ -101,11 +107,13 @@ func BenchmarkAESFusedTiers(b *testing.B) {
 			}
 			reportNsPerNode(b, 128)
 		})
-		b.Run(tier.name+"/leaf", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aesniLeafTier(&k, seeds, ts, &cw, dst, wide)
-			}
-			reportNsPerNode(b, 128)
-		})
+		for party, k := range []*Key{&k0, &k1} {
+			b.Run(fmt.Sprintf("%s/leaf/party%d", tier.name, party), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					aesniLeafTier(k, seeds, ts, &cw, dst, wide)
+				}
+				reportNsPerNode(b, 128)
+			})
+		}
 	}
 }

@@ -40,15 +40,16 @@ const keyMagic = 0xDF04
 // refusals of any other name it.
 const ServedWire = 4
 
-// WireVersion reports the key wire format version of marshaled data: 1
-// to 4, or 0 if the buffer is too short to carry a magic or carries an
-// unknown one. Validation errors use it to tell a client exactly which
-// format it sent.
+// WireVersion reports the key wire format version of marshaled data: the
+// low byte of any 0xDFxx magic — a newer build's version too, so that a
+// refusal names it — or 0 if the buffer is too short to carry a magic or
+// carries another one. Validation errors use it to tell a client exactly
+// which format it sent.
 func WireVersion(data []byte) int {
 	if len(data) < 2 {
 		return 0
 	}
-	if m := binary.LittleEndian.Uint16(data); m >= 0xDF01 && m <= keyMagic {
+	if m := binary.LittleEndian.Uint16(data); m>>8 == keyMagic>>8 {
 		return int(m & 0xff)
 	}
 	return 0

@@ -146,6 +146,21 @@ func TestWireVersionsRoundTrip(t *testing.T) {
 			t.Fatalf("v3 bytes: %v, want a refusal naming v3 and v4", err)
 		}
 	}
+	// A key from a newer build is refused by its version, not as bad
+	// magic, so the refusal tells the client it is ahead.
+	served, err := k0.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer := bytes.Clone(served)
+	newer[0] = ServedWire + 1
+	if WireVersion(newer) != ServedWire+1 {
+		t.Fatalf("a 0xDF%02X magic reads as version %d", ServedWire+1, WireVersion(newer))
+	}
+	err = new(Key).UnmarshalBinary(newer)
+	if want := fmt.Sprintf("dpf: unmarshal: key wire v%d; this build serves key wire v%d", ServedWire+1, ServedWire); err == nil || err.Error() != want {
+		t.Fatalf("newer bytes: %v, want %q", err, want)
+	}
 	// Every control-bit pattern at every position of a 5-level walk (one
 	// full tbits byte and one padded one).
 	for pattern := 0; pattern < 1<<10; pattern++ {

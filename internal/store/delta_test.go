@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"runtime"
 	"testing"
 
@@ -35,8 +34,7 @@ func applyWords(base []uint32, lanes int, writes []RowWrite) []uint32 {
 // TestOverlayReads: a k-row Apply copies only the pages it touches into
 // fresh versions (chain depth 1), and every read surface — Chunks, Row,
 // CopyWords — reads the written pages and the untouched windows of the
-// adopted array alike, while the raw contiguous accessor refuses with
-// ErrNotContiguous.
+// adopted array alike.
 func TestOverlayReads(t *testing.T) {
 	const rows, lanes, pageRows = 64, 3, 4
 	s := testStoreRAM(t, rows, lanes, pageRows)
@@ -109,10 +107,6 @@ func TestOverlayReads(t *testing.T) {
 		if win[i] != want[3*lanes+1+i] {
 			t.Fatalf("CopyWords word %d: %d, want %d", i, win[i], want[3*lanes+1+i])
 		}
-	}
-	// The contiguous accessor refuses on a written epoch.
-	if _, err := sn.RowRange(0, rows); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("RowRange on a written epoch: %v, want ErrNotContiguous", err)
 	}
 }
 
@@ -237,7 +231,7 @@ func TestApplyAllocBytes(t *testing.T) {
 }
 
 // TestShapeOverflowRejected: rows×lanes products that overflow are refused
-// at construction — the guard that keeps RowRange/Chunks index arithmetic
+// at construction — the guard that keeps Pass/Chunks index arithmetic
 // safe everywhere downstream.
 func TestShapeOverflowRejected(t *testing.T) {
 	if _, err := checkShape(1<<40, 1<<40); err == nil {

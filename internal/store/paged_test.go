@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -130,10 +129,6 @@ func TestPagedDeltaEpochs(t *testing.T) {
 				t.Fatalf("apply %d word %d: %d, want %d", i, w, got[w], expect[w])
 			}
 		}
-		// The contiguous accessor must keep refusing: nothing materialized.
-		if _, derr := sn.RowRange(0, sn.Rows()); !errors.Is(derr, ErrNotContiguous) {
-			t.Fatalf("paged epoch became contiguous: %v", derr)
-		}
 		sn.Release()
 	}
 	sn := s.Acquire()
@@ -167,9 +162,6 @@ func TestPagedSnapshotAccessors(t *testing.T) {
 	}
 	sn := s.Acquire()
 	defer sn.Release()
-	if _, err := sn.RowRange(10, 20); !errors.Is(err, ErrNotContiguous) {
-		t.Fatalf("RowRange: %v, want ErrNotContiguous", err)
-	}
 	win := make([]uint32, 3*lanes)
 	if err := sn.CopyWords(37*lanes, win); err != nil {
 		t.Fatal(err)

@@ -115,8 +115,7 @@ func checkVersions(s *Store, pins []pin) error {
 }
 
 // checkReads holds every read surface of sn to want: a pass over a drawn
-// range on 1, 2 and 4 workers, Row, RowRange (which an unwritten in-RAM
-// table must serve) and a drawn CopyWords window.
+// range on 1, 2 and 4 workers, Row and a drawn CopyWords window.
 func checkReads(t *testing.T, seed uint64, rng *rand.Rand, sn *Snapshot, want []uint32) {
 	t.Helper()
 	rows, lanes := sn.Rows(), sn.Lanes()
@@ -128,14 +127,6 @@ func checkReads(t *testing.T, seed uint64, rng *rand.Rand, sn *Snapshot, want []
 	i := rng.IntN(rows)
 	if got, err := sn.Row(i); err != nil || !slices.Equal(got, want[i*lanes:(i+1)*lanes]) {
 		t.Errorf("seed %d epoch %d: row %d = %v, %v", seed, sn.Epoch(), i, got, err)
-	}
-	got, err := sn.RowRange(lo, hi)
-	_, ram := sn.t.root.(*ramRoot)
-	switch {
-	case err == nil && !slices.Equal(got, want[lo*lanes:hi*lanes]):
-		t.Errorf("seed %d epoch %d: RowRange(%d, %d) differs from the reference", seed, sn.Epoch(), lo, hi)
-	case err != nil && (!errors.Is(err, ErrNotContiguous) || ram && sn.t.flat):
-		t.Errorf("seed %d epoch %d: RowRange(%d, %d): %v", seed, sn.Epoch(), lo, hi, err)
 	}
 	off := rng.IntN(len(want) + 1)
 	dst := make([]uint32, rng.IntN(len(want)-off+1))

@@ -17,9 +17,8 @@
 // the pages its retained epochs wrote.
 //
 // A Snapshot is one epoch's strategy.TableView, streamed through an
-// order-free Pass: an unwritten in-RAM table as row blocks of one array
-// (with a zero-copy RowRange), a written one as those blocks cut at its
-// written pages, a paged one through an LRU cache every pass in flight
+// order-free Pass: an unwritten in-RAM table as row blocks of one array,
+// a written one as those blocks cut at its written pages, a paged one through an LRU cache every pass in flight
 // shares. Acquire pins the current snapshot (an atomic refcount, no lock on
 // the read path); pinned readers of epoch N keep reading N while N+1
 // installs.
@@ -36,7 +35,6 @@ package store
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -45,12 +43,6 @@ import (
 
 	"gpudpf/internal/strategy"
 )
-
-// ErrNotContiguous is returned by Snapshot.RowRange when the snapshot is
-// not one contiguous in-RAM buffer (a written epoch or a paged table).
-// RowRange never silently materializes a copy; callers that can stream
-// should use Pass, callers that need a copy should use CopyWords.
-var ErrNotContiguous = errors.New("store: snapshot backing is not contiguous; use Pass or CopyWords")
 
 // RowWrite is one row overwrite in an update batch. Vals must be exactly
 // the table's lane count wide. When a batch writes the same row twice, the
@@ -248,7 +240,7 @@ func (sn *Snapshot) Lanes() int { return sn.lanes }
 // Pass implements strategy.TableView: it calls fn once for each of a set
 // of contiguous row runs covering rows [lo, hi) of this epoch exactly once,
 // in the order the backing reads cheapest, on up to workers goroutines —
-// the read path the strategies' accumulateTile streams.
+// the read path the strategies' tile passes stream.
 func (sn *Snapshot) Pass(lo, hi, workers int, fn func(int, strategy.Chunk) error) error {
 	if lo < 0 || hi > sn.rows || lo > hi {
 		return fmt.Errorf("store: row range [%d,%d) outside table of %d rows", lo, hi, sn.rows)
@@ -270,21 +262,6 @@ func (sn *Snapshot) Row(i int) ([]uint32, error) {
 		return nil, fmt.Errorf("store: row %d outside table of %d rows", i, sn.rows)
 	}
 	return sn.t.root.row(sn.t, i)
-}
-
-// RowRange returns rows [lo, hi) of this epoch as one zero-copy slice,
-// valid until Release. Only an unwritten in-RAM table can do this; written
-// and paged epochs return ErrNotContiguous (stream with Pass or copy with
-// CopyWords instead). New rejects shapes whose index arithmetic overflows.
-func (sn *Snapshot) RowRange(lo, hi int) ([]uint32, error) {
-	if lo < 0 || hi > sn.rows || lo > hi {
-		return nil, fmt.Errorf("store: row range [%d,%d) outside table of %d rows", lo, hi, sn.rows)
-	}
-	r, ok := sn.t.root.(*ramRoot)
-	if !ok || !sn.t.flat {
-		return nil, ErrNotContiguous
-	}
-	return r.data[lo*sn.lanes : hi*sn.lanes], nil
 }
 
 // CopyWords copies words [off, off+len(dst)) of the epoch's row-major

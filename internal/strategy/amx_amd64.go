@@ -165,6 +165,10 @@ func setPackedTileCfg(cfg *[64]byte, queries, lanes int) {
 	}
 }
 
+// amxPackedGroups is the lane groups the packed body walks a row of lanes
+// lanes in: four whole 16-lane tiles to a group, the partial tile alone.
+func amxPackedGroups(lanes int) int { return (lanes/16+3)/4 + min(1, lanes%16) }
+
 // accumulateChunkAMXPacked is accumulateChunkAMX for a tile of at most
 // amxPackedQueries queries, all of them in one packed A tile: row panels
 // of whole 16-row steps, walked in lane groups of four 16-lane tiles. A
@@ -179,7 +183,7 @@ func accumulateChunkAMXPacked(sc *amxScratch, data []uint32, lanes, row, leafLo 
 		_, _ = answers[q][lanes-1], leaves[q][row-leafLo:row-leafLo+nRows]
 	}
 	wholeSteps := nRows / amxStepRows
-	groups := (lanes/16+3)/4 + min(1, lanes%16)
+	groups := amxPackedGroups(lanes)
 	panelSteps := wholeSteps
 	if groups > 1 {
 		panelSteps = min(max(1, amxPanelBytes/(amxStepRows*4*lanes)), amxPackedRingSteps)

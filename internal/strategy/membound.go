@@ -56,26 +56,14 @@ func (m MemBoundTree) RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo
 	return runTiles(job, dst)
 }
 
-// expandMemBound walks one key's memory-bounded descent over leaves
-// [lo, hi) with pooled scratch, writing leaf shares into leaf (indexed
-// j-lo) and counting PRF blocks. The walk is TreeDepth levels deep:
-// early-terminated keys stop above the leaves and convert each terminal
-// seed into its whole leaf group.
-func expandMemBound(r *tileRun, key *dpf.Key, lo, hi uint64, leaf []uint32) {
-	sc := getWalkScratch()
-	depth := key.TreeDepth()
-	sc.growLevels(depth, r.k)
-	w := mbWalker{prg: r.prg, key: key, k: r.k, bits: r.bits, depth: depth, lo: lo, hi: hi, leaf: leaf, sc: sc}
-	sc.levels[0][0] = key.Root
-	sc.levelT[0][0] = key.Party
-	w.walk(0, sc.levels[0][:1], sc.levelT[0][:1], 0)
-	r.ctr.AddPRFBlocks(w.blocks)
-	sc.release()
-}
-
 // mbWalker is one query's memory-bounded descent: groups of at most K
 // nodes advance level by level through the scratch's per-depth buffers,
-// one batched PRF call per group-level.
+// one batched PRF call per group-level. It walks either from the root to
+// the run's block level, recording each block's seed into front (the tile
+// loop's frontier), or from one block's seed to the leaves, writing leaf
+// shares into leaf. The walk is TreeDepth levels deep: early-terminated
+// keys stop above the leaves and convert each terminal seed into its whole
+// leaf group.
 type mbWalker struct {
 	prg    dpf.PRG
 	key    *dpf.Key
@@ -84,6 +72,12 @@ type mbWalker struct {
 	depth  int // tree depth actually walked (bits - key.Early)
 	lo, hi uint64
 	leaf   []uint32 // leaf shares for [lo, hi), indexed j-lo
+	// front and frontT, when set, take the seeds of the nodes at level
+	// stop, indexed by their block number less b0, and end the walk there.
+	front  []dpf.Seed
+	frontT []uint8
+	stop   int
+	b0     uint64
 	sc     *walkScratch
 	blocks int64
 }
@@ -107,6 +101,12 @@ func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 	if keep := (w.hi - base + span - 1) / span; keep < uint64(len(seeds)) {
 		seeds, ts = seeds[:keep], ts[:keep]
 	}
+	if w.front != nil && level == w.stop {
+		i := base/span - w.b0
+		copy(w.front[i:], seeds)
+		copy(w.frontT[i:], ts)
+		return
+	}
 	if level == w.depth {
 		// seeds cover leaves [base, base+len·span); clip to [lo, hi) in
 		// frontier-local leaf coordinates and group-convert.
@@ -121,10 +121,10 @@ func (w *mbWalker) walk(level int, seeds []dpf.Seed, ts []uint8, base uint64) {
 		dpf.LeafRangeInto(w.key, seeds, ts, lLo, lHi, w.leaf[base+lLo-w.lo:base+lHi-w.lo])
 		return
 	}
-	if level == w.depth-1 {
+	if level == w.depth-1 && w.front == nil {
 		// Fused final step: when the group's children's leaves all lie
 		// inside [lo, hi), the last expansion corrects and converts straight
-		// into the leaf matrix (dpf.StepLeafBatch) — the terminal frontier,
+		// into the leaf span (dpf.StepLeafBatch) — the terminal frontier,
 		// the walk's widest level, never round-trips through the level
 		// buffers. Clipped edge groups fall through to the generic step +
 		// LeafRangeInto above.

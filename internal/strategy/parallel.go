@@ -24,8 +24,8 @@ const (
 	parMinBlockRows = 2048
 	// parBlocksPerWorker oversubscribes blocks to workers so the atomic
 	// block dispenser can rebalance when one core is slower (a noisy
-	// neighbour, the next tile's expansion) and a static split would leave
-	// the others idle.
+	// neighbour, another pass) and a static split would leave the others
+	// idle.
 	parBlocksPerWorker = 4
 )
 
@@ -33,29 +33,29 @@ const (
 // actually run in parallel. The GOMAXPROCS gate keeps single-core hosts —
 // and AllocsPerRun, which pins GOMAXPROCS to 1 — on the allocation-free
 // sequential path, where goroutine fan-out could only add overhead.
-func parWorkers(cfg int) int {
-	w := cfg
-	if w < 1 {
-		w = 1
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	return w
+func parWorkers(cfg int) int { return min(max(cfg, 1), runtime.GOMAXPROCS(0)) }
+
+// leafSource hands a tile pass its leaf shares: leaves returns, for rows
+// [r0, end) with r0 < end <= r1, leaf vectors whose entry j-leafLo holds
+// every tile query's share of table row j. sc is the calling worker's
+// scratch (its own until the pass returns). tileRun expands them from its
+// block frontier.
+type leafSource interface {
+	leaves(sc *walkScratch, r0, r1 int) (lv [][]uint32, leafLo, end int)
 }
 
-// tilePass is one accumulateTile call's Pass callback and the per-worker
-// partial answers it adds into: worker 0 adds straight into the tile's
-// answers, every other worker into a pooled tile×lanes partial taken the
-// first time it is handed a chunk and merged lane-wise mod 2^32 once the
-// pass returns — bit-identical to the sequential pass by linearity (see the
-// file comment). It is pooled with its callback bound, so a pass allocates
-// nothing of its own.
+// tilePass is one runPass call's Pass callback and its per-worker scratch:
+// worker 0 adds straight into the tile's answers, every other worker into
+// a pooled tile×lanes partial taken the first time it is handed a chunk
+// and merged lane-wise mod 2^32 once the pass returns — bit-identical to
+// the sequential pass by linearity (see the file comment). It is pooled
+// with its callback bound, so a pass allocates nothing of its own.
 type tilePass struct {
-	lo, lanes       int
-	leaves, answers [][]uint32
-	locals          []*walkScratch // worker w's partial; [0] stays nil
-	fn              func(int, Chunk) error
+	lanes   int
+	src     leafSource
+	answers [][]uint32
+	locals  []*walkScratch // worker w's scratch: its leaf span and, for w > 0, partial answers
+	fn      func(int, Chunk) error
 }
 
 var tilePassPool = sync.Pool{New: func() any {
@@ -65,44 +65,42 @@ var tilePassPool = sync.Pool{New: func() any {
 }}
 
 func (tp *tilePass) chunk(w int, c Chunk) error {
-	dst := tp.answers
-	if w > 0 {
-		if tp.locals[w] == nil {
-			tp.locals[w] = getWalkScratch()
-			tp.locals[w].growLocal(len(tp.leaves), tp.lanes)
+	sc, dst := tp.locals[w], tp.answers
+	if sc == nil {
+		sc = getWalkScratch()
+		tp.locals[w] = sc
+		if w > 0 {
+			sc.growLocal(len(tp.answers), tp.lanes)
 		}
-		dst = tp.locals[w].localHdr
 	}
-	accumulateChunk(c.Data, tp.lanes, c.Row, tp.lo, tp.leaves, dst)
+	if w > 0 {
+		dst = sc.localHdr
+	}
+	end := c.Row + len(c.Data)/tp.lanes
+	for r0 := c.Row; r0 < end; {
+		lv, leafLo, r1 := tp.src.leaves(sc, r0, end)
+		accumulateChunk(c.Data[(r0-c.Row)*tp.lanes:(r1-c.Row)*tp.lanes], tp.lanes, r0, leafLo, lv, dst)
+		r0 = r1
+	}
 	return nil
 }
 
-// accumulateTile is the executed form of the paper's query-tiled matmul
-// (§3.1, §3.2.4): ONE streaming pass over rows [lo, hi) accumulates every
-// tile query's dot product at once. Each row is read from memory once and
+// runPass is the executed form of the paper's query-tiled matmul (§3.1,
+// §3.2.4): ONE streaming pass over rows [lo, hi) accumulates every tile
+// query's dot product at once. Each row is read from memory once and
 // reused leaves-wide from cache, instead of the table being streamed once
-// per query — the traffic model.MemBound prices. leaves[q][j-lo]
-// is query q's leaf share for row j; answers[q] accumulates lane-wise mod
-// 2^32 (order-independent, so tiled output is bit-identical to the scalar
-// per-query pass). The table arrives as a TableView and is consumed through
-// its Pass on up to `workers` goroutines, in whatever order and chunking
-// the backing picks — the asm tiers cut their own row blocks within a
-// chunk, so only the last block of each is short. The only error sources
-// are the view's (a paged backing's read failing mid-pass); on error the
-// caller discards answers.
-func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint32, workers int) error {
+// per query — the traffic model.MemBound prices. answers[q] accumulates
+// lane-wise mod 2^32 (order-independent, so tiled output is bit-identical
+// to the scalar per-query pass). The table arrives as a TableView and is
+// consumed through its Pass on up to `workers` goroutines, in whatever
+// order and chunking the backing picks; each worker takes its leaves from
+// src span by span as it goes — the asm tiers cut their own row blocks
+// within a span. The only error sources are the view's (a paged backing's
+// read failing mid-pass); on error the caller discards answers.
+func runPass(v TableView, lo, hi, workers int, src leafSource, answers [][]uint32) error {
 	workers = parWorkers(workers)
-	// Contiguous fast path: one kernel call over the zero-copy row slice
-	// and no pooled pass state, which the engine's allocation-free
-	// steady-state Answer (one core under AllocsPerRun) counts on.
-	if workers == 1 {
-		if data, err := v.RowRange(lo, hi); err == nil {
-			accumulateChunk(data, v.Lanes(), lo, lo, leaves, answers)
-			return nil
-		}
-	}
 	tp := tilePassPool.Get().(*tilePass)
-	tp.lo, tp.lanes, tp.leaves, tp.answers = lo, v.Lanes(), leaves, answers
+	tp.lanes, tp.src, tp.answers = v.Lanes(), src, answers
 	if cap(tp.locals) < workers {
 		tp.locals = make([]*walkScratch, workers)
 	}
@@ -112,46 +110,37 @@ func accumulateTile(v TableView, lo, hi int, leaves [][]uint32, answers [][]uint
 		if sc == nil {
 			continue
 		}
-		for q, aq := range answers {
-			for l, x := range sc.localHdr[q] {
-				aq[l] += x
+		if w > 0 {
+			for q, aq := range answers {
+				for l, x := range sc.localHdr[q] {
+					aq[l] += x
+				}
 			}
 		}
 		sc.release()
 		tp.locals[w] = nil
 	}
-	tp.leaves, tp.answers = nil, nil
+	tp.src, tp.answers = nil, nil
 	tilePassPool.Put(tp)
 	return err
 }
 
-// parBlockSize picks the row-block width for a range of `rows` rows split
-// across `workers`: about parBlocksPerWorker blocks per worker, floored at
-// parMinBlockRows. A budget of 1 (or an empty range) returns one covering
-// block, which collapses the caller to the sequential path.
-func parBlockSize(rows, workers int) int {
-	if workers <= 1 || rows <= 0 {
-		return rows + 1
-	}
-	b := (rows + workers*parBlocksPerWorker - 1) / (workers * parBlocksPerWorker)
-	if b < parMinBlockRows {
-		b = parMinBlockRows
-	}
-	return b
-}
-
 // BlockPass is the in-RAM TableView.Pass over a row-major table's data:
-// rows [lo, hi) cut into row blocks (parBlockSize) that up to `workers`
-// goroutines take from an atomic dispenser, one chunk per block. One
-// worker — or a range too short to split — gets the range as one maximal
+// rows [lo, hi) cut at the multiples of a row-block width — about
+// parBlocksPerWorker blocks per worker, at least parMinBlockRows, and whole
+// expansion blocks (blockShift), so that no chunk splits one — that up to
+// `workers` goroutines take from an atomic dispenser, one chunk per block.
+// One worker — or a range inside one block — gets the range as one maximal
 // chunk on the caller's goroutine. The range is the caller's to validate.
 func BlockPass(data []uint32, lanes, lo, hi, workers int, fn func(w int, c Chunk) error) error {
-	blockRows := parBlockSize(hi-lo, workers)
-	nBlocks := (hi - lo + blockRows - 1) / blockRows
+	if lo == hi {
+		return nil
+	}
+	d, s := max(1, workers)*parBlocksPerWorker, 1<<blockShift(lanes)
+	size := (max(parMinBlockRows, (hi-lo+d-1)/d) + s - 1) &^ (s - 1)
+	first := lo / size
+	nBlocks := (hi-1)/size - first + 1
 	if workers = min(workers, nBlocks); workers <= 1 {
-		if lo == hi {
-			return nil
-		}
 		return fn(0, Chunk{Row: lo, Data: data[lo*lanes : hi*lanes]})
 	}
 	var (
@@ -165,8 +154,7 @@ func BlockPass(data []uint32, lanes, lo, hi, workers int, fn func(w int, c Chunk
 			if b >= nBlocks {
 				return
 			}
-			blo := lo + b*blockRows
-			bhi := min(blo+blockRows, hi)
+			blo, bhi := max(lo, (first+b)*size), min((first+b+1)*size, hi)
 			if errs[w] = fn(w, Chunk{Row: blo, Data: data[blo*lanes : bhi*lanes]}); errs[w] != nil {
 				failed.Store(true)
 			}
@@ -184,8 +172,8 @@ func BlockPass(data []uint32, lanes, lo, hi, workers int, fn func(w int, c Chunk
 // goroutines, which take contiguous runs of indices from a shared counter
 // (a few runs per worker, for balance), and returns once every call has.
 // A budget of one runs inline, on the caller's goroutine. fn must be safe
-// to call concurrently for distinct i. The tile loop fans out on it, and
-// so do batchpir's bins and the seed baseline's queries.
+// to call concurrently for distinct i. BlockPass fans out on it, and so do
+// batchpir's bins and the seed baseline's queries.
 func ParallelFor(n, workers int, fn func(i int)) {
 	if workers = min(workers, n); workers <= 1 {
 		for i := 0; i < n; i++ {

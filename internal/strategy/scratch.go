@@ -6,24 +6,23 @@ import (
 	"gpudpf/internal/dpf"
 )
 
-// This file holds the pooled scratch the tiled hot path runs through: a
-// tile of leaf-share vectors (what accumulateTile consumes; pooled with the
-// tile loop's run state in tiles.go) and per-goroutine walk buffers (the
-// membound node groups, batch scratch, a row-block worker's partial
-// answers). Both grow to the largest shape seen and are recycled through
-// sync.Pools, so the steady-state RunRangeInto path performs no
-// allocations.
+// This file holds the pooled scratch the tiled hot path runs through:
+// per-worker walk buffers (the membound node groups, batch scratch, a span
+// of leaf shares, a pass worker's partial answers). They grow to the
+// largest shape seen and are recycled through a sync.Pool, so the
+// steady-state RunRangeInto path performs no allocations.
 
 // leafTile is a tile of leaf-share vectors: queries × rows values in one
-// flat backing, with per-query headers. A tileRun owns two (the tile loop's
-// double buffer) and is pooled with them.
+// flat backing, with per-query headers. A pass worker's scratch holds one
+// span of them (tileRun.leaves), and so does a block a chunk boundary
+// splits.
 type leafTile struct {
 	flat []uint32
 	rows [][]uint32
 }
 
 // shape sizes the tile to queries × rows. Contents are stale — every
-// walker overwrites its full in-range span before accumulateTile reads it.
+// walker overwrites its full in-range span before the pass reads it.
 func (lt *leafTile) shape(queries, rows int) {
 	need := queries * rows
 	if cap(lt.flat) < need {
@@ -40,13 +39,14 @@ func (lt *leafTile) shape(queries, rows int) {
 }
 
 // walkScratch is one goroutine's reusable walk state: the membound
-// per-depth node groups, the PRG batch scratch, and a row-block worker's
-// local accumulators.
+// per-depth node groups, the PRG batch scratch, a pass worker's span of
+// leaf shares and its local accumulators.
 type walkScratch struct {
 	levels   [][]dpf.Seed // membound: node group per depth, cap 2K each
 	levelT   [][]uint8
 	batch    dpf.BatchScratch
-	local    []uint32   // row-block-local answer accumulators, tile × lanes
+	span     leafTile
+	local    []uint32   // pass-worker-local answer accumulators, tile × lanes
 	localHdr [][]uint32 // per-query headers into local
 }
 
@@ -92,12 +92,4 @@ func (w *walkScratch) growLocal(queries, lanes int) [][]uint32 {
 		w.localHdr[q] = w.local[q*lanes : (q+1)*lanes]
 	}
 	return w.localHdr
-}
-
-// tileEnd clips a tile starting at q to the batch size.
-func tileEnd(q, n int) int {
-	if q+tileQueries < n {
-		return q + tileQueries
-	}
-	return n
 }

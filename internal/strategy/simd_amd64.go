@@ -50,18 +50,23 @@ func accumulateChunk(data []uint32, lanes, row, leafLo int, leaves [][]uint32, a
 // amxQueries queries on the 16-query body (16 queries to an A tile, four
 // TDPBUUD a step, one per byte plane), a tile of 2 to amxPackedQueries on
 // the packed body (the four byte planes of every query in one A tile, one
-// TDPBUUD a step). Its other chunks run the avx512 bodies: a lone query,
+// TDPBUUD a step) when a row is one lane group or the chunk is at most
+// amxMinRows rows — a 256 KiB page of 4 KiB rows. Over a longer in-RAM
+// chunk of wider rows the packed body lost to avx512 (one 2^14 × 1024
+// chunk, q4: 11.7 ms against 4.8, and 5.2 ms fed in 64-row calls; likely
+// its row panels walk more 4 KiB pages than the L1 DTLB holds), so that
+// takes avx512. Its other chunks run the avx512 bodies too: a lone query,
 // whose packed A tile would fill 4 of 16 rows at a full TDPBUUD's cost
 // (1024×64 rows, q1: 1.9–2.0 µs against 1.8–1.9 µs), and tiles of 5–15
 // queries.
 func accumulateChunkTier(tier string, data []uint32, lanes, row, leafLo int, leaves [][]uint32, answers [][]uint32) {
 	if tier == accAMX {
 		var body func(*amxScratch, []uint32, int, int, int, [][]uint32, [][]uint32)
-		switch nq := len(leaves); {
-		case len(data)/lanes < amxMinRows:
+		switch nq, rows := len(leaves), len(data)/lanes; {
+		case rows < amxMinRows:
 		case nq >= amxQueries:
 			body = accumulateChunkAMX
-		case nq >= 2 && nq <= amxPackedQueries:
+		case nq >= 2 && nq <= amxPackedQueries && (rows <= amxMinRows || amxPackedGroups(lanes) == 1):
 			body = accumulateChunkAMXPacked
 		}
 		if body != nil {
@@ -77,7 +82,7 @@ func accumulateChunkTier(tier string, data []uint32, lanes, row, leafLo int, lea
 
 // accBlockWords sizes the SIMD path's row block: the rows that fit in
 // 128 KiB of table, streamed from memory once and re-read from L2 by every
-// query group of the tile (accumulateTile's read-each-row-once model,
+// query group of the tile (runPass's read-each-row-once model,
 // §3.2.4). A byte budget holds across row widths where a row count does
 // not: 2048 64-byte rows, but only 32 4 KiB rows — at 64+ rows of that
 // stride the column strips alias in L1 and outrun the DTLB, and measured

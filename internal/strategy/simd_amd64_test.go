@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"gpudpf/internal/cpufeat"
+	"gpudpf/internal/dpf"
 )
 
 // pcgSource drives a math/rand generator from a seeded PCG, so the tier
@@ -427,6 +428,47 @@ func BenchmarkAccumulateKernelTiers(b *testing.B) {
 				}
 				runAccBench(b, sh, func() { accumulateChunkTier(k.tier, tab.Data, sh.lanes, 0, 0, lv, ans) })
 			})
+		}
+	}
+}
+
+// BenchmarkPassTiers times one Run of MemBoundTree{K: 128, Workers: 2}
+// (expansion included) over a wide in-RAM table with the accumulate tier
+// forced to amx or avx512, at the packed body's 2- and 4-key tiles: the
+// 64 MiB and 16 MiB tables, whose chunks are long, and the 64-row page a
+// paged pass feeds the body.
+func BenchmarkPassTiers(b *testing.B) {
+	prg := dpf.NewAESPRG()
+	for _, rows := range []int{1 << 14, 1 << 12, 64} {
+		tab, _, _ := accBenchInputs(b, accBenchShape{rows, 1024, 1})
+		for _, batch := range []int{2, 4} {
+			rng := rand.New(rand.NewSource(int64(batch)))
+			keys := make([]*dpf.Key, batch)
+			for q := range keys {
+				k, _, err := dpf.Gen(prg, uint64(rng.Intn(rows)), tab.Bits(), 1, rng)
+				if err != nil {
+					b.Fatal(err)
+				}
+				keys[q] = &k
+			}
+			for _, k := range accAsmTiers() {
+				if k.tier != accAMX && k.tier != accAVX512 {
+					continue
+				}
+				b.Run(fmt.Sprintf("%s/%s", accBenchShape{rows, 1024, batch}, k.name), func(b *testing.B) {
+					if k.missing != "" {
+						b.Skip(k.missing)
+					}
+					defer func(t string) { accKernel = t }(accKernel)
+					accKernel = k.tier
+					var ctr Counters
+					for i := 0; i < b.N; i++ {
+						if _, err := Run(MemBoundTree{K: 128, Workers: 2}, prg, keys, tab.View(), &ctr); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -20,6 +20,22 @@ func naiveAccumulate(tab *Table, lo, hi int, leaves [][]uint32, answers [][]uint
 	}
 }
 
+// fixedLeaves is a leafSource over a given leaf matrix whose row 0 is
+// table row lo: the accumulate tests' stand-in for the tile loop's
+// expansion.
+type fixedLeaves struct {
+	lv [][]uint32
+	lo int
+}
+
+func (f *fixedLeaves) leaves(_ *walkScratch, _, r1 int) ([][]uint32, int, int) { return f.lv, f.lo, r1 }
+
+// accumulateTile is runPass over leaves[q][j-lo], the tile pass with its
+// expansion taken out.
+func accumulateTile(v TableView, lo, hi int, leaves, answers [][]uint32, workers int) error {
+	return runPass(v, lo, hi, workers, &fixedLeaves{leaves, lo}, answers)
+}
+
 // accumulateTileScalar forces the scalar kernel over the view's chunks —
 // the reference implementation the dispatched kernel must match.
 func accumulateTileScalar(v TableView, lo, hi int, leaves, answers [][]uint32) error {
@@ -94,17 +110,18 @@ func TestAccumulateTileKernelMatchesScalar(t *testing.T) {
 // wide-row table (4 KiB rows, past L2) at a full tile, at paged-update's
 // 4-query tile (also over one 256 KiB page of it, in cache) and at batch
 // 1, plus a small in-cache table at batch 1.
-// "dispatch" is whatever accumulateTile selects on this host (and must not
+// "dispatch" is whatever the tile pass selects on this host (and must not
 // allocate), "scalar" forces the fallback loop; the forced-tier numbers
 // are BenchmarkAccumulateKernelTiers on amd64.
 func BenchmarkAccumulateKernel(b *testing.B) {
 	for _, sh := range accBenchShapes {
 		tab, lv, ans := accBenchInputs(b, sh)
+		src := &fixedLeaves{lv, 0} // made once: the pass itself must not allocate
 		for _, k := range []struct {
 			name string
 			fn   func(TableView, int, int, [][]uint32, [][]uint32) error
 		}{
-			{"dispatch", func(v TableView, lo, hi int, lv, ans [][]uint32) error { return accumulateTile(v, lo, hi, lv, ans, 1) }},
+			{"dispatch", func(v TableView, lo, hi int, lv, ans [][]uint32) error { return runPass(v, lo, hi, 1, src, ans) }},
 			{"scalar", accumulateTileScalar},
 		} {
 			b.Run(fmt.Sprintf("%s/%s", sh, k.name), func(b *testing.B) {
@@ -115,7 +132,7 @@ func BenchmarkAccumulateKernel(b *testing.B) {
 					}
 				})
 				if k.name == "dispatch" && testing.AllocsPerRun(1, func() { _ = k.fn(v, 0, sh.rows, lv, ans) }) != 0 {
-					b.Fatal("dispatched accumulateTile allocates")
+					b.Fatal("the dispatched tile pass allocates")
 				}
 			})
 		}

@@ -32,7 +32,7 @@ type Strategy interface {
 	// RunRangeInto adds into dst without allocating per-call answer
 	// storage, which is what gives engine.Replica an allocation-free
 	// steady-state Answer. The table arrives as a TableView and is
-	// streamed through its order-free Pass (accumulateTile), so the same
+	// streamed through its order-free Pass (runPass), so the same
 	// code path serves in-RAM tables (row blocks), written epochs, and
 	// paged backings larger than memory.
 	RunRangeInto(prg dpf.PRG, keys []*dpf.Key, v TableView, lo, hi int, ctr *Counters, dst [][]uint32) error

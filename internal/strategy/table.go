@@ -4,13 +4,12 @@
 // caller-provided buffers.
 //
 // MemBoundTree is the one executor, the paper's memory-bounded traversal
-// (§3.2.3). Its descent (expandMemBound) feeds one tile loop (tiles.go):
-// runTiles cuts the batch into tiles of at most 32 queries, expands each
-// tile's keys into a pooled leaf matrix, streams the row range once per
-// tile through the kernel-dispatched accumulate, and decides how the tile
-// uses the cores — per-query fan-out of the expansion, row-block fan-out
-// of the stream, the next tile's expansion overlapped with this tile's
-// stream. The table arrives as a TableView, so the same loop serves
+// (§3.2.3). Its descent feeds one tile loop (tiles.go): runTiles cuts the
+// batch into tiles of at most 32 queries, walks each tile's keys down to a
+// block frontier, and streams the row range once per tile through the
+// view's Pass, whose workers — the one use of the cores — expand each
+// chunk's leaves from the frontier and feed them to the kernel-dispatched
+// accumulate while they are in cache. The table arrives as a TableView, so the same loop serves
 // in-RAM, written and paged tables. The free functions Run and RunRange
 // are the allocate-then-call forms for tests and benchmarks; the serving
 // path calls RunRangeInto.

@@ -40,11 +40,6 @@ type TableView interface {
 	// worker stops at its next chunk; Pass returns that error once every
 	// call has returned.
 	Pass(lo, hi, workers int, fn func(w int, c Chunk) error) error
-	// RowRange returns rows [lo, hi) as one contiguous slice when the
-	// backing can do so without copying, and an error otherwise (see
-	// store.ErrNotContiguous). Callers that can stream should prefer
-	// Pass, which never fails on fragmentation.
-	RowRange(lo, hi int) ([]uint32, error)
 }
 
 // checkViewRange validates a chunk-iterator row range ([lo,hi) within a
@@ -56,8 +51,7 @@ func checkViewRange(rows, lo, hi int) error {
 	return nil
 }
 
-// tableView adapts *Table to TableView: one maximal chunk, zero-copy
-// ranges. (Table's shape is exported fields, so the adapter carries the
+// tableView adapts *Table to TableView: zero-copy row blocks. (Table's shape is exported fields, so the adapter carries the
 // method set.)
 type tableView struct{ t *Table }
 
@@ -77,12 +71,4 @@ func (v tableView) Pass(lo, hi, workers int, fn func(int, Chunk) error) error {
 		return err
 	}
 	return BlockPass(v.t.Data, v.t.Lanes, lo, hi, workers, fn)
-}
-
-// RowRange implements TableView (always contiguous for an in-RAM table).
-func (v tableView) RowRange(lo, hi int) ([]uint32, error) {
-	if err := checkViewRange(v.t.NumRows, lo, hi); err != nil {
-		return nil, err
-	}
-	return v.t.Data[lo*v.t.Lanes : hi*v.t.Lanes], nil
 }

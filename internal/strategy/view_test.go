@@ -11,13 +11,8 @@ import (
 	"gpudpf/internal/dpf"
 )
 
-// errFragmented is fragView's RowRange refusal — it forces every consumer
-// down the chunk-iterator path, like a delta-overlaid or paged snapshot.
-var errFragmented = errors.New("fragView: not contiguous")
-
 // fragView serves a Table through an arbitrarily fragmented TableView:
-// chunk boundaries fall at the fixed cut rows, the contiguous RowRange fast
-// path is refused, and Pass hands the chunks out last-first to its workers
+// chunk boundaries fall at the fixed cut rows, and Pass hands the chunks out last-first to its workers
 // — an order no caller may rely on not getting. It simulates the chunk
 // geometry and the free visit order of the store's written and paged
 // backings without importing the store (which would cycle), so the
@@ -34,8 +29,6 @@ type fragView struct {
 
 func (f fragView) Rows() int  { return f.t.NumRows }
 func (f fragView) Lanes() int { return f.t.Lanes }
-
-func (f fragView) RowRange(lo, hi int) ([]uint32, error) { return nil, errFragmented }
 
 func (f fragView) Pass(lo, hi, workers int, fn func(int, Chunk) error) error {
 	if lo < 0 || hi > f.t.NumRows || lo > hi {
